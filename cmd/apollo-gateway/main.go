@@ -3,8 +3,8 @@
 // latest values, topic listings, and live WebSocket/SSE subscriptions —
 // over a dialed stream fabric (apollod's -listen address). Run it next to
 // the daemon, or scale it out horizontally: each gateway carries its own
-// prepared-plan cache and per-client subscription bridges; the fabric
-// underneath is shared.
+// prepared-plan cache and one broadcaster (one fabric subscription) per
+// subscribed topic; the fabric underneath is shared.
 //
 // Usage:
 //
@@ -46,7 +46,7 @@ func main() {
 		tokens   = flag.String("tokens", "", "comma-separated token=principal bearer tokens; empty leaves the gateway open (anonymous)")
 		rate     = flag.Float64("rate", 0, "per-principal sustained request budget, requests/second (0 = default, negative disables)")
 		burst    = flag.Int("burst", 0, "token-bucket capacity (0 = default)")
-		queue    = flag.Int("queue", 0, "per-subscriber send-queue bound in frames; overflow evicts the client (0 = default)")
+		queue    = flag.Int("queue", 0, "frames a subscriber may trail the live tail by (length of each topic's shared frame ring); beyond it the client is evicted (0 = default)")
 		planC    = flag.Int("plan-cache", 0, "prepared-plan LRU capacity (0 = default, negative disables)")
 		drainT   = flag.Duration("drain-timeout", 0, "graceful-shutdown bound (0 = default)")
 		metricsA = flag.String("metrics-addr", "", "HTTP address serving /metrics (Prometheus text); empty disables")

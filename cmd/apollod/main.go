@@ -66,7 +66,7 @@ func main() {
 		gwTokens = flag.String("gateway-tokens", "", "comma-separated token=principal bearer tokens for the gateway; empty leaves it open (anonymous)")
 		gwRate   = flag.Float64("gateway-rate", 0, "per-principal sustained request budget, requests/second (0 = default, negative disables)")
 		gwBurst  = flag.Int("gateway-burst", 0, "gateway token-bucket capacity (0 = default)")
-		gwQueue  = flag.Int("gateway-queue", 0, "per-subscriber send-queue bound in frames; overflow evicts the client (0 = default)")
+		gwQueue  = flag.Int("gateway-queue", 0, "frames a subscriber may trail the live tail by (length of each topic's shared frame ring); beyond it the client is evicted (0 = default)")
 	)
 	flag.Parse()
 

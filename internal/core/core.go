@@ -240,7 +240,7 @@ func (b *busSwitch) Subscribe(ctx context.Context, topic string, afterID uint64)
 	return b.get().Subscribe(ctx, topic, afterID)
 }
 
-// SubscribeBuffered passes the gateway's per-client buffer bound through to
+// SubscribeBuffered passes the gateway's buffer bound through to
 // the underlying bus when it supports sized fan-out channels.
 func (b *busSwitch) SubscribeBuffered(ctx context.Context, topic string, afterID uint64, buffer int) (<-chan stream.Entry, error) {
 	bus := b.get()

@@ -17,7 +17,7 @@ import (
 
 // Bus exposes the service's stream fabric as a Bus — the local broker
 // standalone, the fabric router once Serve joins a replicated fabric. The
-// gateway's subscription bridges ride this.
+// gateway's broadcasters ride this.
 func (s *Service) Bus() stream.Bus { return s.bus }
 
 // ServeGateway brings up the public HTTP/JSON edge (api/v1) on addr and
@@ -68,9 +68,8 @@ func (s *Service) GatewayAddr() string {
 
 // serviceBackend adapts a Service to the gateway.Backend interface: queries
 // ride the service's shared prepared-plan cache, latest values come off the
-// vertex queues (Delphi-predicted values included), subscriptions bridge
-// onto the bus switch (fabric-aware), and retention stats read the archive
-// directory.
+// vertex queues (Delphi-predicted values included), subscriptions ride the bus
+// switch (fabric-aware), and retention stats read the archive directory.
 type serviceBackend struct{ s *Service }
 
 func (b serviceBackend) Query(sql string) (*aqe.Result, error) { return b.s.engine.Query(sql) }
@@ -85,6 +84,14 @@ func (b serviceBackend) Topics(ctx context.Context) ([]string, error) {
 
 func (b serviceBackend) Subscribe(ctx context.Context, metric string, afterID uint64, buffer int) (<-chan stream.Entry, error) {
 	return b.s.bus.SubscribeBuffered(ctx, metric, afterID, buffer)
+}
+
+func (b serviceBackend) Tail(ctx context.Context, metric string) uint64 {
+	e, err := b.s.bus.Latest(ctx, metric)
+	if err != nil { // an empty or unknown topic
+		return 0
+	}
+	return e.ID
 }
 
 func (b serviceBackend) Degraded() bool { return b.s.Degraded() }

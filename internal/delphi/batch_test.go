@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -193,12 +194,16 @@ func TestBatchPredictorConcurrentObserve(t *testing.T) {
 		go func(o *Online, seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
-			for {
+			// Bounded and yielding: 160 observers spinning without a yield
+			// convoy the sweep's per-slot locks behind a full scheduler
+			// rotation each, which takes hours when GOMAXPROCS is 2.
+			for n := 0; n < 2000; n++ {
 				select {
 				case <-stop:
 					return
 				default:
 					o.Observe(rng.NormFloat64())
+					runtime.Gosched()
 				}
 			}
 		}(o, int64(i))

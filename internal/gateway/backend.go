@@ -71,6 +71,15 @@ func (b *BusBackend) Subscribe(ctx context.Context, metric string, afterID uint6
 	return b.bus.Subscribe(ctx, metric, afterID)
 }
 
+// Tail implements Backend.
+func (b *BusBackend) Tail(ctx context.Context, metric string) uint64 {
+	e, err := b.bus.Latest(ctx, metric)
+	if err != nil { // an empty or unknown topic
+		return 0
+	}
+	return e.ID
+}
+
 // Degraded implements Backend; a bare bus carries no vertex health.
 func (b *BusBackend) Degraded() bool { return false }
 

@@ -2,11 +2,11 @@
 // internal binary fabric, serving the versioned api/v1 contract. It exposes
 // AQE queries (riding the shared prepared-plan cache), latest-value and
 // topic-listing reads, archive retention stats, and live subscriptions over
-// WebSocket and Server-Sent Events bridged onto the stream fabric with
-// bounded per-client send queues and slow-consumer eviction. Static bearer
-// tokens authenticate principals; a per-principal token bucket rate-limits
-// requests; health/readiness endpoints and graceful drain make it a
-// well-behaved fleet citizen (DESIGN.md §4j).
+// WebSocket and Server-Sent Events, fanned out from one broadcaster per
+// topic over a bounded ring of shared frames, with slow-consumer eviction.
+// Static bearer tokens authenticate principals; a per-principal token bucket
+// rate-limits requests; health/readiness endpoints and graceful drain make
+// it a well-behaved fleet citizen (DESIGN.md §4j).
 //
 // The package knows the backend only through the Backend interface:
 // core.Service implements it in-process (apollod -gateway-addr) and
@@ -47,9 +47,13 @@ type Backend interface {
 	// Topics lists the metric streams the backend serves.
 	Topics(ctx context.Context) ([]string, error)
 	// Subscribe streams raw entries of metric with ID > afterID until ctx
-	// ends. The buffer is the bridge's upstream slack (see
-	// stream.BufferedSubscriber).
+	// ends, then closes the channel. The buffer is the channel's capacity
+	// (see stream.BufferedSubscriber). The gateway holds one such cursor
+	// per subscribed topic, plus one per client still reading history.
 	Subscribe(ctx context.Context, metric string, afterID uint64, buffer int) (<-chan stream.Entry, error)
+	// Tail returns the ID of metric's newest entry, 0 when there is none:
+	// where a new topic's broadcaster starts.
+	Tail(ctx context.Context, metric string) uint64
 	// Degraded reports backend health for the health endpoint.
 	Degraded() bool
 	// Retention reports per-metric archive tier stats, or ErrUnavailable.
@@ -62,7 +66,8 @@ const (
 	DefaultRate = 100
 	// DefaultBurst is the token-bucket capacity.
 	DefaultBurst = 200
-	// DefaultQueueSize bounds each subscriber's send queue, in frames.
+	// DefaultQueueSize bounds how far a subscriber may trail the live tail,
+	// in frames.
 	DefaultQueueSize = 256
 	// DefaultDrainTimeout bounds graceful shutdown.
 	DefaultDrainTimeout = 5 * time.Second
@@ -79,8 +84,9 @@ type Config struct {
 	Rate float64
 	// Burst is the token-bucket capacity (0: DefaultBurst).
 	Burst int
-	// QueueSize bounds each subscriber's frame send queue; overflowing it
-	// evicts the subscriber (0: DefaultQueueSize).
+	// QueueSize is the length of each topic's ring of shared frames, and so
+	// how many frames a subscriber may trail the live tail by before it is
+	// evicted (0: DefaultQueueSize).
 	QueueSize int
 	// DrainTimeout bounds Shutdown's graceful phase (0:
 	// DefaultDrainTimeout).
@@ -253,9 +259,10 @@ func (g *Gateway) Close() {
 // Subscribers reports the number of live subscriptions.
 func (g *Gateway) Subscribers() int { return g.hub.size() }
 
-// Attach bridges one subscriber onto the backend without a transport —
+// Attach adds one subscriber to metric's broadcaster without a transport —
 // the entry point the WS/SSE handlers, the deterministic load scenario, and
-// tests share. See hub.attach.
+// tests share. The subscription ends with ctx, Close, eviction or drain. See
+// hub.attach.
 func (g *Gateway) Attach(ctx context.Context, principal, metric string, afterID uint64) (*Subscriber, error) {
 	if g.isDraining() {
 		return nil, apiv1.Errorf(apiv1.CodeDraining, true, "gateway draining")

@@ -195,9 +195,9 @@ func (g *Gateway) serveSSE(w http.ResponseWriter, r *http.Request, principal, me
 	w.WriteHeader(http.StatusOK)
 	fl.Flush()
 	for {
-		f, more := sub.Next(r.Context())
-		if f.Type != "" {
-			if err := writeSSEFrame(w, f); err != nil {
+		f, more := sub.next(r.Context(), sub.final)
+		if f != nil {
+			if _, err := w.Write(f.sse); err != nil {
 				return
 			}
 			fl.Flush()
@@ -206,18 +206,4 @@ func (g *Gateway) serveSSE(w http.ResponseWriter, r *http.Request, principal, me
 			return
 		}
 	}
-}
-
-func writeSSEFrame(w http.ResponseWriter, f apiv1.Frame) error {
-	b, err := json.Marshal(f)
-	if err != nil {
-		return err
-	}
-	if f.Type == apiv1.FrameTuple && f.Tuple != nil {
-		if _, err := fmt.Fprintf(w, "id: %d\n", f.Tuple.StreamID); err != nil {
-			return err
-		}
-	}
-	_, err = fmt.Fprintf(w, "data: %s\n\n", b)
-	return err
 }

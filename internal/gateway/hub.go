@@ -2,9 +2,10 @@ package gateway
 
 import (
 	"context"
+	"encoding/json"
+	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	apiv1 "repro/api/v1"
 	"repro/internal/obs"
@@ -12,191 +13,436 @@ import (
 	"repro/internal/telemetry"
 )
 
-// hub owns every live subscription. Each attached Subscriber gets its own
-// upstream bus subscription (an independent pull cursor — a slow edge
-// client can never stall the broker's append path) and a bounded send
-// queue. The bridge goroutine enqueues frames without ever blocking: a full
-// queue means the client fell behind its budget, and the subscriber is
-// evicted with a slow_consumer error frame instead of exerting unbounded
-// memory pressure or backpressure on the fan-out. That is the backpressure
-// contract of the public edge: well-behaved clients see every tuple in
-// order; slow ones are cut loose at a known queue depth, and cancelling
-// their upstream subscription returns the slack to the bus.
+// hub owns the live fan-out: one broadcaster per subscribed topic. A topic's
+// first subscriber starts one upstream bus cursor and its last one cancels
+// it. The broadcaster decodes each entry once, encodes it once into both wire
+// forms, and appends the shared immutable frame to a ring of QueueSize slots;
+// a Subscriber is a cursor into that ring plus a wake-up, and its transport
+// handler writes the shared bytes as they are. The append never waits for a
+// reader — that is the backpressure contract of the public edge: well-behaved
+// clients see every tuple in order, and one whose cursor falls QueueSize
+// frames behind the live tail is evicted with a slow_consumer frame.
 type hub struct {
 	backend   Backend
 	queueSize int
 
-	mu   sync.Mutex
-	subs map[*Subscriber]struct{}
+	mu     sync.Mutex // taken before any topic.mu
+	topics map[string]*topic
+	nsubs  int
 
 	obsSubscribers *obs.Gauge
+	obsTopics      *obs.Gauge
 	obsAttached    *obs.Counter
 	obsEvicted     *obs.Counter
 	obsFrames      *obs.Counter
+	obsEncoded     *obs.Counter
 }
 
 func newHub(backend Backend, queueSize int, r *obs.Registry) *hub {
 	return &hub{
 		backend:        backend,
 		queueSize:      queueSize,
-		subs:           make(map[*Subscriber]struct{}),
+		topics:         make(map[string]*topic),
 		obsSubscribers: r.Gauge("gateway_subscribers"),
+		obsTopics:      r.Gauge("gateway_broadcast_topics"),
 		obsAttached:    r.Counter("gateway_subscriptions_total"),
 		obsEvicted:     r.Counter("gateway_evictions_total"),
 		obsFrames:      r.Counter("gateway_frames_sent_total"),
+		obsEncoded:     r.Counter("gateway_frames_encoded_total"),
 	}
+}
+
+// frame is one subscription frame in every form a consumer needs, built once
+// and never written again: sse is the complete event ("id: N\ndata: {..}\n\n",
+// the id line on tuple frames only) and ws the complete unmasked text frame,
+// header and payload in one slice.
+type frame struct {
+	api     apiv1.Frame
+	sse, ws []byte
+}
+
+// newFrame encodes api; nil when JSON cannot carry it (a NaN value).
+func newFrame(api apiv1.Frame) *frame {
+	body, err := json.Marshal(api)
+	if err != nil {
+		return nil
+	}
+	buf := make([]byte, 0, 2*len(body)+48)
+	if api.Tuple != nil {
+		buf = append(buf, "id: "...)
+		buf = strconv.AppendUint(buf, api.Tuple.StreamID, 10)
+		buf = append(buf, '\n')
+	}
+	buf = append(append(append(buf, "data: "...), body...), "\n\n"...)
+	n := len(buf)
+	buf = appendWSFrame(buf, wsOpText, body)
+	return &frame{api: api, sse: buf[:n:n], ws: buf[n:]}
+}
+
+// encode turns one bus entry into a frame; nil for what is not part of the
+// contract (foreign bytes on the topic, an unencodable value).
+func (h *hub) encode(e stream.Entry) *frame {
+	var in telemetry.Info
+	if err := in.UnmarshalBinary(e.Payload); err != nil {
+		return nil
+	}
+	f := newFrame(apiv1.Frame{Type: apiv1.FrameTuple, Tuple: tupleFromInfo(in, e.ID)})
+	if f != nil {
+		h.obsEncoded.Inc()
+	}
+	return f
+}
+
+// topic is one broadcaster: the upstream cursor, the ring, and its readers.
+type topic struct {
+	hub    *hub
+	metric string
+	cancel context.CancelFunc // ends the upstream cursor
+	done   chan struct{}      // closed when run has returned
+
+	mu    sync.Mutex
+	ring  []*frame // slot seq%len holds frame number seq
+	seq   uint64   // frames appended so far
+	floor uint64   // the ring holds every frame with a stream ID above this
+	subs  map[*Subscriber]struct{}
+}
+
+// startTopic opens metric's upstream cursor a ring's length behind the tail
+// (or at afterID when that is nearer), so the ring begins with the newest
+// retained frames and a reconnecting client resumes from it. Caller holds
+// h.mu, also across Subscribe, so that a refusal is still attach's error.
+func (h *hub) startTopic(metric string, afterID uint64) (*topic, error) {
+	ctx, cancel := context.WithCancel(context.Background())
+	tail := h.backend.Tail(ctx, metric)
+	start := min(afterID, tail)
+	if n := uint64(h.queueSize); tail > n {
+		start = max(start, tail-n)
+	}
+	ch, err := h.backend.Subscribe(ctx, metric, start, h.queueSize)
+	if err != nil {
+		cancel()
+		return nil, err
+	}
+	t := &topic{hub: h, metric: metric, cancel: cancel, done: make(chan struct{}),
+		ring: make([]*frame, h.queueSize), floor: start, subs: make(map[*Subscriber]struct{})}
+	h.topics[metric] = t
+	h.obsTopics.Set(float64(len(h.topics)))
+	go t.run(ch)
+	return t, nil
+}
+
+// dropTopic forgets t, so that nobody new joins it, and ends its upstream
+// cursor; run then says goodbye to whoever is left. Caller holds h.mu.
+func (h *hub) dropTopic(t *topic) {
+	if h.topics[t.metric] == t {
+		delete(h.topics, t.metric)
+		h.obsTopics.Set(float64(len(h.topics)))
+	}
+	t.cancel()
+}
+
+// run is the broadcaster: one decode, one encode and one ring append per
+// entry, whatever the number of subscribers. Upstream ends when the topic is
+// dropped (last subscriber gone, or drain) or when the bus closes.
+func (t *topic) run(ch <-chan stream.Entry) {
+	defer close(t.done)
+	for e := range ch {
+		if f := t.hub.encode(e); f != nil {
+			t.publish(f)
+		}
+	}
+	t.hub.mu.Lock()
+	t.hub.dropTopic(t)
+	t.hub.mu.Unlock()
+	t.mu.Lock()
+	left := make([]*Subscriber, 0, len(t.subs))
+	for s := range t.subs {
+		left = append(left, s)
+	}
+	t.mu.Unlock()
+	for _, s := range left {
+		s.Close()
+	}
+}
+
+// publish appends f to the ring, wakes the readers, and evicts those the
+// append has lapped. It never waits for a reader.
+func (t *topic) publish(f *frame) {
+	n := uint64(len(t.ring))
+	var slow []*Subscriber
+	t.mu.Lock()
+	if t.seq >= n {
+		t.floor = t.ring[t.seq%n].api.Tuple.StreamID
+	}
+	t.ring[t.seq%n] = f
+	t.seq++
+	for s := range t.subs {
+		switch {
+		case !s.joined: // reading retained history at its own pace
+		case t.seq-s.pos > n:
+			s.joined = false
+			slow = append(slow, s)
+		default:
+			select {
+			case s.wake <- struct{}{}:
+			default:
+			}
+		}
+	}
+	t.mu.Unlock()
+	for _, s := range slow {
+		s.finish(true)
+	}
+}
+
+// join puts s on the ring right behind stream ID after, if the ring still
+// holds every frame newer than that. Caller holds t.mu.
+func (t *topic) join(s *Subscriber, after uint64) bool {
+	s.after = after
+	if after < t.floor {
+		return false
+	}
+	n := uint64(len(t.ring))
+	s.pos = t.seq - min(t.seq, n)
+	for s.pos < t.seq && t.ring[s.pos%n].api.Tuple.StreamID <= after {
+		s.pos++ // already seen: not slack to be lapped on
+	}
+	s.joined = true
+	return true
+}
+
+// poll returns the next ring frame due to s, or nil when s is level with
+// the tail or not on the ring.
+func (t *topic) poll(s *Subscriber) *frame {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for s.joined && s.pos < t.seq {
+		f := t.ring[s.pos%uint64(len(t.ring))]
+		s.pos++
+		if f.api.Tuple.StreamID > s.after {
+			return f
+		}
+	}
+	return nil
 }
 
 // Subscriber is one attached live-stream consumer, transport-agnostic: the
 // WS and SSE handlers drain it onto their connections, and the load
-// scenario drains it directly.
+// scenario drains it directly. It owns no goroutine and no queue — the frames
+// it has yet to read sit in its topic's ring — and is drained by one
+// goroutine at a time.
 type Subscriber struct {
 	principal string
-	metric    string
+	topic     *topic
 
-	frames chan apiv1.Frame // bounded send queue
-	final  chan apiv1.Frame // capacity 1: eviction or goaway notice
-	cancel context.CancelFunc
-	hub    *hub
+	final  chan apiv1.Frame   // capacity 1: eviction or goaway notice
+	wake   chan struct{}      // capacity 1: the ring grew
+	ctx    context.Context    // ends with the subscription
+	cancel context.CancelFunc // ends ctx and the watch on the attach context
+
+	// Guarded by topic.mu.
+	pos    uint64 // number of the next ring frame to read
+	after  uint64 // resume point: only frames with a higher stream ID are due
+	joined bool   // on the ring, where falling behind means eviction
+
+	// A subscriber that attached behind the ring pulls retained entries over
+	// a private cursor until it reaches the ring: being behind on history is
+	// not being slow. Touched by the draining goroutine only; nil otherwise.
+	hist     <-chan stream.Entry
+	histStop context.CancelFunc
+
+	framesOnce sync.Once
+	frames     chan apiv1.Frame
 
 	sent    atomic.Uint64
 	evicted atomic.Bool
 	once    sync.Once
 }
 
-// attach bridges a new subscriber onto the backend.
+// attach registers a new subscriber on metric's broadcaster, starting the
+// broadcaster if it is the topic's first.
 func (h *hub) attach(ctx context.Context, principal, metric string, afterID uint64) (*Subscriber, error) {
-	bctx, cancel := context.WithCancel(ctx)
-	// The upstream buffer matches the client queue: total slack per
-	// subscriber is bounded and known (queue + upstream buffer).
-	ch, err := h.backend.Subscribe(bctx, metric, afterID, h.queueSize)
-	if err != nil {
-		cancel()
-		return nil, err
-	}
-	s := &Subscriber{
-		principal: principal,
-		metric:    metric,
-		frames:    make(chan apiv1.Frame, h.queueSize),
-		final:     make(chan apiv1.Frame, 1),
-		cancel:    cancel,
-		hub:       h,
-	}
 	h.mu.Lock()
-	h.subs[s] = struct{}{}
-	n := len(h.subs)
+	t := h.topics[metric]
+	if t == nil {
+		var err error
+		if t, err = h.startTopic(metric, afterID); err != nil {
+			h.mu.Unlock()
+			return nil, err
+		}
+	}
+	s := &Subscriber{principal: principal, topic: t,
+		final: make(chan apiv1.Frame, 1), wake: make(chan struct{}, 1)}
+	sctx, cancel := context.WithCancel(ctx)
+	// If ctx is already over, Close runs at once and waits in detach, behind
+	// h.mu, until the registration below is complete.
+	unwatch := context.AfterFunc(ctx, s.Close)
+	s.ctx, s.cancel = sctx, func() { unwatch(); cancel() }
+	t.mu.Lock()
+	t.subs[s] = struct{}{}
+	joined := t.join(s, afterID)
+	t.mu.Unlock()
+	h.nsubs++
+	h.obsSubscribers.Set(float64(h.nsubs))
 	h.mu.Unlock()
 	h.obsAttached.Inc()
-	h.obsSubscribers.Set(float64(n))
-	go s.bridge(ch)
+	if !joined {
+		hctx, stop := context.WithCancel(sctx)
+		hist, err := h.backend.Subscribe(hctx, metric, afterID, 0)
+		if err != nil {
+			stop()
+			s.Close()
+			return nil, err
+		}
+		s.hist, s.histStop = hist, stop
+	}
 	return s, nil
 }
 
-func (h *hub) remove(s *Subscriber) {
+// detach removes s from its topic; the topic's last subscriber takes the
+// broadcaster with it.
+func (h *hub) detach(s *Subscriber) {
+	t := s.topic
 	h.mu.Lock()
-	delete(h.subs, s)
-	n := len(h.subs)
-	h.mu.Unlock()
-	h.obsSubscribers.Set(float64(n))
+	defer h.mu.Unlock()
+	t.mu.Lock()
+	delete(t.subs, s)
+	s.joined = false
+	last := len(t.subs) == 0
+	t.mu.Unlock()
+	if last {
+		h.dropTopic(t)
+	}
+	h.nsubs--
+	h.obsSubscribers.Set(float64(h.nsubs))
 }
 
 func (h *hub) size() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return len(h.subs)
+	return h.nsubs
 }
 
-// drain sends a goaway to every live subscriber and cancels its upstream
-// subscription, then waits (bounded by ctx) for the bridges to unwind.
+// drain drops every topic, whose broadcasters hand their subscribers a
+// goaway on the way out, and waits (bounded by ctx) on their done signals so
+// the caller can close the backend without racing in-flight deliveries.
 func (h *hub) drain(ctx context.Context) {
 	h.mu.Lock()
-	subs := make([]*Subscriber, 0, len(h.subs))
-	for s := range h.subs {
-		subs = append(subs, s)
+	topics := make([]*topic, 0, len(h.topics))
+	for _, t := range h.topics {
+		topics = append(topics, t)
+		h.dropTopic(t)
 	}
 	h.mu.Unlock()
-	for _, s := range subs {
-		s.goaway()
-		s.cancel()
-	}
-	// Wait (bounded by ctx) for the bridges to unwind so the caller can
-	// close the backend without racing in-flight deliveries.
-	for h.size() > 0 {
+	for _, t := range topics {
 		select {
+		case <-t.done:
 		case <-ctx.Done():
 			return
-		case <-time.After(time.Millisecond):
 		}
 	}
 }
 
-// bridge pumps upstream entries into the bounded queue. It never blocks on
-// a slow consumer: a full queue evicts.
-func (s *Subscriber) bridge(ch <-chan stream.Entry) {
-	defer s.hub.remove(s)
-	defer s.cancel()
-	for e := range ch {
-		var in telemetry.Info
-		if err := in.UnmarshalBinary(e.Payload); err != nil {
-			continue // foreign payload on the topic: not part of the contract
-		}
-		f := apiv1.Frame{Type: apiv1.FrameTuple, Tuple: tupleFromInfo(in, e.ID)}
-		select {
-		case s.frames <- f:
-			s.sent.Add(1)
-			s.hub.obsFrames.Inc()
-		default:
-			s.evict()
-			return
-		}
-	}
-	// Upstream ended: handler ctx cancelled, drain, or broker closed.
-	s.goaway()
-}
-
-// evict marks the subscriber slow and queues its terminal error frame.
-func (s *Subscriber) evict() {
+// finish ends the subscription once, as a slow-consumer eviction or else
+// gracefully. It detaches before it queues the terminal frame, so whoever
+// reads that frame finds the hub already without the subscriber.
+func (s *Subscriber) finish(evicted bool) {
 	s.once.Do(func() {
-		s.evicted.Store(true)
-		s.hub.obsEvicted.Inc()
-		s.final <- apiv1.Frame{Type: apiv1.FrameError, Error: apiv1.Errorf(
-			apiv1.CodeSlowConsumer, true,
-			"subscriber for %q overflowed its %d-frame send queue", s.metric, cap(s.frames))}
-		s.cancel()
-	})
-}
-
-// goaway queues the graceful-shutdown terminal frame.
-func (s *Subscriber) goaway() {
-	s.once.Do(func() {
-		s.final <- apiv1.Frame{Type: apiv1.FrameGoaway, Error: apiv1.Errorf(
+		h := s.topic.hub
+		f := apiv1.Frame{Type: apiv1.FrameGoaway, Error: apiv1.Errorf(
 			apiv1.CodeDraining, true, "subscription closed by server")}
+		if evicted {
+			f = apiv1.Frame{Type: apiv1.FrameError, Error: apiv1.Errorf(apiv1.CodeSlowConsumer, true,
+				"subscriber for %q fell %d frames behind the live tail", s.topic.metric, len(s.topic.ring))}
+			s.evicted.Store(true)
+			h.obsEvicted.Inc()
+		}
+		h.detach(s) // h.mu also orders this after attach, which sets s.cancel
+		s.cancel()
+		s.final <- f
 	})
 }
 
-// Next returns the next frame to deliver, preferring queued tuples so a
-// terminal frame never jumps ahead of data already accepted into the queue.
-// The second result is false when the subscription is over: the caller
-// writes the returned terminal frame (if any) and closes its transport. A
-// false result with an empty frame means ctx ended first.
-func (s *Subscriber) Next(ctx context.Context) (apiv1.Frame, bool) {
-	select {
-	case f := <-s.frames:
-		return f, true
-	default:
+// Close detaches the subscriber (client went away).
+func (s *Subscriber) Close() { s.finish(false) }
+
+// next returns the subscriber's next tuple frame and true, or — the
+// subscription over — the terminal frame read from final and false. A nil
+// frame with false means ctx ended first.
+func (s *Subscriber) next(ctx context.Context, final <-chan apiv1.Frame) (*frame, bool) {
+	t := s.topic
+	for {
+		var f *frame
+		if s.hist == nil {
+			f = t.poll(s)
+		}
+		if f == nil {
+			select {
+			case e, ok := <-s.hist: // a nil channel once on the ring
+				if !ok { // the bus closed under the private cursor
+					s.hist = nil
+					s.Close()
+					continue
+				}
+				t.mu.Lock()
+				joined := t.join(s, e.ID)
+				t.mu.Unlock()
+				if joined {
+					s.histStop()
+					s.hist = nil
+				}
+				f = t.hub.encode(e)
+			case <-s.wake:
+			case fin := <-final:
+				return newFrame(fin), false
+			case <-ctx.Done():
+				return nil, false
+			}
+		}
+		if f != nil {
+			s.sent.Add(1)
+			t.hub.obsFrames.Inc()
+			return f, true
+		}
 	}
-	select {
-	case f := <-s.frames:
-		return f, true
-	case f := <-s.final:
-		return f, false
-	case <-ctx.Done():
+}
+
+// Next returns the next frame to deliver. The second result is false when
+// the subscription is over: the caller writes the returned terminal frame
+// (if any) and closes its transport. A false result with an empty frame
+// means ctx ended first.
+func (s *Subscriber) Next(ctx context.Context) (apiv1.Frame, bool) {
+	f, more := s.next(ctx, s.final)
+	if f == nil {
 		return apiv1.Frame{}, false
 	}
+	return f.api, more
 }
 
-// Frames exposes the bounded send queue (load-scenario fast path).
-func (s *Subscriber) Frames() <-chan apiv1.Frame { return s.frames }
+// Frames adapts the subscription to a channel for in-process drains that
+// select on it beside Final. A subscriber is a cursor, not a queue, so the
+// channel is not native: the first call starts a goroutine that pulls frames
+// and hands them over one by one until the subscription ends. Use it instead
+// of Next, not together with it.
+func (s *Subscriber) Frames() <-chan apiv1.Frame {
+	s.framesOnce.Do(func() {
+		s.frames = make(chan apiv1.Frame)
+		go func() {
+			for {
+				f, _ := s.next(s.ctx, nil)
+				if f == nil {
+					return
+				}
+				select {
+				case s.frames <- f.api:
+				case <-s.ctx.Done():
+					return
+				}
+			}
+		}()
+	})
+	return s.frames
+}
 
 // Final exposes the terminal-frame channel (load-scenario fast path).
 func (s *Subscriber) Final() <-chan apiv1.Frame { return s.final }
@@ -204,14 +450,9 @@ func (s *Subscriber) Final() <-chan apiv1.Frame { return s.final }
 // Evicted reports whether the subscriber was cut loose as a slow consumer.
 func (s *Subscriber) Evicted() bool { return s.evicted.Load() }
 
-// Sent reports how many tuple frames were accepted into the send queue.
+// Sent reports how many tuple frames the subscriber has taken delivery of.
 func (s *Subscriber) Sent() uint64 { return s.sent.Load() }
 
 // Principal returns the authenticated principal that attached this
 // subscriber.
 func (s *Subscriber) Principal() string { return s.principal }
-
-// Close detaches the subscriber (client went away).
-func (s *Subscriber) Close() {
-	s.cancel()
-}

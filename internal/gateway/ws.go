@@ -6,7 +6,6 @@ import (
 	"crypto/sha1"
 	"encoding/base64"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -112,22 +111,21 @@ func (g *Gateway) serveWS(w http.ResponseWriter, r *http.Request, principal, met
 	}()
 
 	for {
-		f, more := sub.Next(ctx)
-		if f.Type != "" {
-			b, err := json.Marshal(f)
-			if err != nil {
-				return
-			}
-			if err := wc.writeFrame(wsOpText, b); err != nil {
+		f, more := sub.next(ctx, sub.final)
+		if f != nil {
+			if err := wc.write(f.ws); err != nil {
 				return
 			}
 		}
 		if !more {
-			status := wsStatusGoingAway
-			if f.Type == apiv1.FrameError {
-				status = wsStatusPolicyViolation
+			status, reason := wsStatusGoingAway, ""
+			if f != nil {
+				reason = string(f.api.Type)
+				if f.api.Type == apiv1.FrameError {
+					status = wsStatusPolicyViolation
+				}
 			}
-			wc.writeClose(status, string(f.Type))
+			wc.writeClose(status, reason)
 			return
 		}
 	}
@@ -140,30 +138,34 @@ type wsConn struct {
 	conn net.Conn
 }
 
-// writeFrame writes one unmasked server frame.
-func (c *wsConn) writeFrame(opcode byte, payload []byte) error {
-	var header [10]byte
-	header[0] = 0x80 | opcode // FIN set: no fragmentation
-	n := 2
+// appendWSFrame appends one unmasked, unfragmented server frame to buf.
+func appendWSFrame(buf []byte, opcode byte, payload []byte) []byte {
+	buf = append(buf, 0x80|opcode) // FIN set: no fragmentation
 	switch {
 	case len(payload) < 126:
-		header[1] = byte(len(payload))
+		buf = append(buf, byte(len(payload)))
 	case len(payload) <= 0xFFFF:
-		header[1] = 126
-		binary.BigEndian.PutUint16(header[2:4], uint16(len(payload)))
-		n = 4
+		buf = append(buf, 126)
+		buf = binary.BigEndian.AppendUint16(buf, uint16(len(payload)))
 	default:
-		header[1] = 127
-		binary.BigEndian.PutUint64(header[2:10], uint64(len(payload)))
-		n = 10
+		buf = append(buf, 127)
+		buf = binary.BigEndian.AppendUint64(buf, uint64(len(payload)))
 	}
+	return append(buf, payload...)
+}
+
+// write sends one complete frame with a single Write: one syscall and one
+// segment on the TCP_NODELAY socket, and one wake-up of the reader.
+func (c *wsConn) write(frame []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, err := c.conn.Write(header[:n]); err != nil {
-		return err
-	}
-	_, err := c.conn.Write(payload)
+	_, err := c.conn.Write(frame)
 	return err
+}
+
+// writeFrame composes and writes one control frame.
+func (c *wsConn) writeFrame(opcode byte, payload []byte) error {
+	return c.write(appendWSFrame(nil, opcode, payload))
 }
 
 // writeClose sends a close frame with status and reason (best effort).

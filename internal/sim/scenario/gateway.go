@@ -20,21 +20,21 @@ import (
 const GatewayMetric = "sim.gateway.capacity"
 
 // GatewayConfig parameterizes the deterministic gateway fan-out scenario: N
-// subscribers attach to one metric stream through the public edge's bounded
-// send queues; a SlowFraction of them never drain a single frame. The
+// subscribers attach to one metric stream through the public edge's
+// broadcaster; a SlowFraction of them never drain a single frame. The
 // invariants the run must prove:
 //
 //   - every well-behaved subscriber receives every tuple exactly once, in
 //     stream order (zero acked-tuple loss);
 //   - every slow subscriber is evicted with a slow_consumer error frame
-//     instead of blocking the bus or growing an unbounded queue;
+//     instead of blocking the bus or holding frames without bound;
 //   - total heap stays within a fixed per-subscriber budget.
 //
-// Determinism does not come from scheduling (bridges are real goroutines)
-// but from a publish-batch barrier: each batch is at most the queue bound
-// and the next batch is published only after every well-behaved subscriber
-// drained the previous one, so a well-behaved queue can never overflow no
-// matter how the scheduler interleaves — the outcome is invariant even
+// Determinism does not come from scheduling (the broadcaster is a real
+// goroutine) but from a publish-batch barrier: each batch is at most the
+// ring's length and the next batch is published only after every
+// well-behaved subscriber drained the previous one, so a well-behaved cursor
+// can never be lapped no matter how the scheduler interleaves — the outcome is invariant even
 // though the interleavings are not.
 type GatewayConfig struct {
 	// Seed places the slow subscribers deterministically.
@@ -46,7 +46,8 @@ type GatewayConfig struct {
 	SlowFraction float64
 	// Tuples is how many tuples are published in total (default 4*Queue).
 	Tuples int
-	// Queue bounds each subscriber's send queue (default 64).
+	// Queue is how many frames a subscriber may trail the tail by
+	// (default 64).
 	Queue int
 }
 

@@ -566,10 +566,9 @@ const DefaultSubscribeBuffer = 64
 
 // SubscribeBuffered is the fan-out hook behind Subscribe: identical
 // semantics, but the delivery channel's capacity is the caller's choice.
-// High-fan-out bridges (the HTTP gateway runs one subscription per attached
-// client) size this buffer to their per-client budget so upstream slack is
-// bounded and accounted, instead of inheriting one hard-coded default per
-// subscriber.
+// The HTTP gateway's per-topic broadcaster sizes this buffer to its ring so
+// upstream slack is bounded and accounted, instead of inheriting one
+// hard-coded default.
 func (b *Broker) SubscribeBuffered(ctx context.Context, topicName string, afterID uint64, buffer int) (<-chan Entry, error) {
 	if _, err := b.topicFor(topicName, true); err != nil {
 		return nil, err

@@ -52,8 +52,9 @@ type GroupBus interface {
 
 // BufferedSubscriber is the optional fan-out hook a Bus may offer: Subscribe
 // with a caller-sized delivery buffer. Both Broker and Client implement it;
-// high-fan-out consumers (the public HTTP gateway bridges one subscription
-// per attached client) type-assert for it and fall back to Subscribe.
+// consumers that size their own slack (the public HTTP gateway holds one
+// subscription per subscribed topic) type-assert for it and fall back to
+// Subscribe.
 type BufferedSubscriber interface {
 	// SubscribeBuffered delivers every entry with ID > afterID until ctx
 	// ends, over a channel with the given capacity (<1 selects

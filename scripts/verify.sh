@@ -24,6 +24,12 @@ go vet ./...
 echo "==> go test ./..."
 go test ./...
 
+# Two-core pass: lock convoys and scheduler-dependent waits that a big host
+# hides (a sweep behind 160 spinning observers, a subscriber never woken)
+# show as timeouts here.
+echo "==> GOMAXPROCS=2 go test -count=3 ./internal/delphi/ ./internal/gateway/ ./internal/stream/"
+GOMAXPROCS=2 go test -count=3 ./internal/delphi/ ./internal/gateway/ ./internal/stream/
+
 echo "==> go test -race ./internal/stream/... ./internal/score/... ./internal/queue/... ./internal/sched/... ./internal/obs/... ./internal/archive/... ./internal/aqe/... ./internal/sim/... ./internal/gateway/... ./internal/delphi/... ./internal/nn/... ./api/..."
 go test -race ./internal/stream/... ./internal/score/... ./internal/queue/... ./internal/sched/... ./internal/obs/... ./internal/archive/... ./internal/aqe/... ./internal/sim/... ./internal/gateway/... ./internal/delphi/... ./internal/nn/... ./api/...
 
@@ -54,10 +60,11 @@ go test -race -count=1 ./internal/sim/scenario -run TestFabricScenario
 echo "==> go test -race -count=1 ./internal/sim/scenario -run TestRetention"
 go test -race -count=1 ./internal/sim/scenario -run TestRetention
 
-# Public-edge gate: the gateway fan-out scenario (bounded send queues,
+# Public-edge gate: the gateway fan-out scenario (one broadcaster per topic,
 # slow-consumer eviction, zero acked-tuple loss for well-behaved clients)
-# under the race detector. The 10k-subscriber configuration runs from
-# scripts/bench_gateway.sh.
+# under the race detector. The 10k-subscriber configuration is
+# go test ./internal/sim/scenario -run 'TestGatewayScenario$' -gateway.subs=10000
+# and the edge over real sockets is bash bench/run.sh --workload edge-fanout.
 echo "==> go test -race -count=1 ./internal/sim/scenario -run TestGatewayScenario"
 go test -race -count=1 ./internal/sim/scenario -run TestGatewayScenario
 
@@ -98,6 +105,11 @@ echo "==> go test -run xxx -bench . -benchtime 1x ./internal/aqe/... ./internal/
 go test -run xxx -bench . -benchtime 1x ./internal/aqe/... ./internal/queue/... ./internal/archive/...
 echo "==> go test -run xxx -bench . -benchtime 1x ./internal/delphi/ ./internal/nn/inference/"
 go test -run xxx -bench . -benchtime 1x ./internal/delphi/ ./internal/nn/inference/
+
+# Pipeline benchmark (its own module, so ./... above does not reach it): unit
+# tests plus the ~12 s smoke run of all four workloads with the output audit.
+echo "==> go test -C bench ./..."
+go test -C bench ./...
 
 # Delphi fast-lane + continuous-accuracy gates: the committed BENCH_9.json
 # must clear the 5x batched speedup and zero-alloc thresholds, and the
