@@ -47,18 +47,12 @@ type (
 	MetricOption = core.MetricOption
 	// Retention is the tiered archive age policy (DESIGN.md §4i): raw →
 	// 10s rollups → 1m rollups → dropped. Service-wide default via
-	// Config.ArchiveRetention, per-metric override via WithRetention.
+	// Config.ArchiveRetention, per-metric override via WithMetricRetention.
 	Retention = archive.Retention
 )
 
 // ParseRetention parses the CLI retention syntax "raw=15m,10s=2h,1m=24h".
 func ParseRetention(s string) (Retention, error) { return archive.ParseRetention(s) }
-
-// WithRetention overrides Config.ArchiveRetention for one metric.
-//
-// Deprecated: renamed to WithMetricRetention (see core.WithRetention); this
-// alias is removed one release after the gateway release.
-func WithRetention(r Retention) MetricOption { return core.WithRetention(r) }
 
 // Telemetry types.
 type (
@@ -79,7 +73,8 @@ type (
 type (
 	// Bus is the unified read/write stream interface (Broker and Client).
 	Bus = stream.Bus
-	// Publisher is the write-side of the Bus: single and batched publish.
+	// Publisher is the write-side of the Bus: PublishBatch (one tuple is a
+	// batch of one).
 	Publisher = stream.Publisher
 	// Broker is the in-process Pub-Sub fabric.
 	Broker = stream.Broker

@@ -109,7 +109,7 @@ type Config struct {
 	// metric archive: raw records age into 10s rollups, then 1m rollups,
 	// then out entirely (see archive.Retention). The zero value keeps
 	// everything at full resolution forever (sealed segments are still
-	// compressed). Per-metric overrides via WithRetention.
+	// compressed). Per-metric overrides via WithMetricRetention.
 	ArchiveRetention archive.Retention
 	// CompactInterval is how often the background archive compactor runs
 	// when ArchiveDir is set (0: archive.DefaultCompactInterval). It runs on
@@ -212,10 +212,6 @@ func (b *busSwitch) set(bus stream.Bus) {
 	b.mu.Unlock()
 }
 
-func (b *busSwitch) Publish(ctx context.Context, topic string, p []byte) (uint64, error) {
-	return b.get().Publish(ctx, topic, p)
-}
-
 func (b *busSwitch) PublishBatch(ctx context.Context, topic string, p [][]byte) (uint64, error) {
 	return b.get().PublishBatch(ctx, topic, p)
 }
@@ -228,10 +224,6 @@ func (b *busSwitch) Range(ctx context.Context, topic string, from, to uint64, ma
 	return b.get().Range(ctx, topic, from, to, max)
 }
 
-func (b *busSwitch) Consume(ctx context.Context, topic string, afterID uint64) (stream.Entry, error) {
-	return b.get().Consume(ctx, topic, afterID)
-}
-
 func (b *busSwitch) ConsumeBatch(ctx context.Context, topic string, afterID uint64, max int) ([]stream.Entry, error) {
 	return b.get().ConsumeBatch(ctx, topic, afterID, max)
 }
@@ -240,20 +232,7 @@ func (b *busSwitch) Subscribe(ctx context.Context, topic string, afterID uint64)
 	return b.get().Subscribe(ctx, topic, afterID)
 }
 
-// SubscribeBuffered passes the gateway's buffer bound through to
-// the underlying bus when it supports sized fan-out channels.
-func (b *busSwitch) SubscribeBuffered(ctx context.Context, topic string, afterID uint64, buffer int) (<-chan stream.Entry, error) {
-	bus := b.get()
-	if bs, ok := bus.(stream.BufferedSubscriber); ok {
-		return bs.SubscribeBuffered(ctx, topic, afterID, buffer)
-	}
-	return bus.Subscribe(ctx, topic, afterID)
-}
-
-var (
-	_ stream.Bus                = (*busSwitch)(nil)
-	_ stream.BufferedSubscriber = (*busSwitch)(nil)
-)
+var _ stream.Bus = (*busSwitch)(nil)
 
 // New builds an Apollo service.
 func New(cfg Config) *Service {
@@ -345,17 +324,6 @@ func WithoutDelphi() MetricOption {
 // WithPublishUnchanged disables the only-on-change filter for this metric.
 func WithPublishUnchanged() MetricOption {
 	return func(fc *score.FactConfig) { fc.PublishUnchanged = true }
-}
-
-// WithRetention overrides the service-level archive retention policy for
-// this metric.
-//
-// Deprecated: renamed to WithMetricRetention to free the "retention" name
-// for the broker-topic bound (WithStreamRetention) and the archive default
-// (WithArchiveRetention). This alias is removed one release after the
-// gateway release.
-func WithRetention(r archive.Retention) MetricOption {
-	return WithMetricRetention(r)
 }
 
 // RegisterMetric deploys a Fact Vertex for hook. Safe before or after Start;

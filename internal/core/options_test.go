@@ -95,14 +95,13 @@ func TestNewWith(t *testing.T) {
 	}
 }
 
-// TestDeprecatedWithRetentionAlias keeps the one-release alias wired to the
-// renamed option.
-func TestDeprecatedWithRetentionAlias(t *testing.T) {
-	var a, b score.FactConfig
+// TestWithMetricRetention checks the per-metric option reaches the vertex
+// config.
+func TestWithMetricRetention(t *testing.T) {
+	var fc score.FactConfig
 	r := archive.Retention{Raw: time.Hour}
-	WithRetention(r)(&a)
-	WithMetricRetention(r)(&b)
-	if a.Retention == nil || b.Retention == nil || *a.Retention != *b.Retention {
-		t.Fatalf("alias diverged: %+v vs %+v", a.Retention, b.Retention)
+	WithMetricRetention(r)(&fc)
+	if fc.Retention == nil || *fc.Retention != r {
+		t.Fatalf("Retention = %+v, want %+v", fc.Retention, r)
 	}
 }

@@ -6,17 +6,11 @@ import "math"
 // with "a window size of five").
 const WindowSize = 5
 
-// normalize maps a raw window to zero-mean, unit-scale model space and
+// Normalize maps a raw window to zero-mean, unit-scale model space and
 // returns the (loc, scale) needed to map predictions back. A degenerate
 // window (constant) gets scale 1 so the models see all-zeros and predict 0,
-// which denormalizes to the constant — exactly right.
-func normalize(window []float64) (norm []float64, loc, scale float64) {
-	return Normalize(window)
-}
-
-// Normalize is the exported window normalization used throughout Delphi;
-// comparison baselines (the Fig. 11 LSTMs) share it so errors are measured
-// in the same units.
+// which denormalizes to the constant — exactly right. Comparison baselines
+// (the Fig. 11 LSTMs) share it so errors are measured in the same units.
 func Normalize(window []float64) (norm []float64, loc, scale float64) {
 	norm = make([]float64, len(window))
 	loc, scale = NormalizeInto(norm, window)

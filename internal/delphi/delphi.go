@@ -170,7 +170,8 @@ func (m *Model) Engine() (*inference.Engine, error) {
 // Predict forecasts the next value of a metric from its last WindowSize
 // measurements (raw units; normalization is handled internally). It runs on
 // the fused engine with stack scratch — no heap allocation, safe for
-// concurrent callers — and is bit-identical to PredictUnfused.
+// concurrent callers — and is bit-identical to the layer-by-layer reference
+// the tests keep (PredictUnfused in export_test.go).
 func (m *Model) Predict(window []float64) (float64, error) {
 	if len(window) != WindowSize {
 		return 0, fmt.Errorf("delphi: window size %d, want %d", len(window), WindowSize)
@@ -183,23 +184,6 @@ func (m *Model) Predict(window []float64) (float64, error) {
 	var scratch [NumStacked]float64
 	loc, scale := NormalizeInto(norm[:], window)
 	return eng.Forward(norm[:], scratch[:])*scale + loc, nil
-}
-
-// PredictUnfused is the original layer-by-layer prediction path (normalize,
-// per-feature Dense.Forward, combiner Dense.Forward, denormalize). It
-// allocates per call and mutates the layers' training caches, so it is not
-// safe for concurrent use — it survives as the golden reference the
-// equivalence tests and the BENCH_9 baseline compare the fast lane against.
-func (m *Model) PredictUnfused(window []float64) (float64, error) {
-	if len(window) != WindowSize {
-		return 0, fmt.Errorf("delphi: window size %d, want %d", len(window), WindowSize)
-	}
-	if len(m.features) != NumStacked || m.combiner == nil {
-		return 0, ErrNotTrained
-	}
-	norm, loc, scale := normalize(window)
-	pred := m.combiner.Forward(m.combinerInput(norm))[0]
-	return pred*scale + loc, nil
 }
 
 // ParamCount reports (total, trainable) parameters: (50, 14).

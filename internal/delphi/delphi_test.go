@@ -86,7 +86,7 @@ func TestComposite(t *testing.T) {
 }
 
 func TestNormalize(t *testing.T) {
-	norm, loc, scale := normalize([]float64{10, 10, 10, 10, 10})
+	norm, loc, scale := Normalize([]float64{10, 10, 10, 10, 10})
 	if loc != 10 || scale != 1 {
 		t.Fatalf("loc=%f scale=%f", loc, scale)
 	}
@@ -95,7 +95,7 @@ func TestNormalize(t *testing.T) {
 			t.Fatal("constant window not zeroed")
 		}
 	}
-	norm, loc, scale = normalize([]float64{0, 10})
+	norm, loc, scale = Normalize([]float64{0, 10})
 	if loc != 5 || scale != 5 {
 		t.Fatalf("loc=%f scale=%f", loc, scale)
 	}
@@ -286,7 +286,7 @@ func TestOnlinePredictAhead(t *testing.T) {
 	for _, v := range []float64{10, 20, 30, 40, 50} {
 		o.Observe(v)
 	}
-	ahead := o.PredictAhead(3)
+	ahead := o.PredictAheadInto(nil, 3)
 	if len(ahead) != 3 {
 		t.Fatalf("len=%d", len(ahead))
 	}
@@ -294,13 +294,13 @@ func TestOnlinePredictAhead(t *testing.T) {
 	if ahead[2] < ahead[0] {
 		t.Fatalf("ahead=%v not increasing", ahead)
 	}
-	// Window unchanged by PredictAhead.
+	// Window unchanged by PredictAheadInto.
 	p, _ := o.Predict()
 	if math.Abs(p-ahead[0]) > 1e-9 {
-		t.Fatalf("PredictAhead mutated window: %f vs %f", p, ahead[0])
+		t.Fatalf("PredictAheadInto mutated window: %f vs %f", p, ahead[0])
 	}
-	if got := o.PredictAhead(0); len(got) != 0 {
-		t.Fatal("PredictAhead(0) nonempty")
+	if got := o.PredictAheadInto(nil, 0); len(got) != 0 {
+		t.Fatal("PredictAheadInto(nil, 0) nonempty")
 	}
 }
 

@@ -181,20 +181,12 @@ func (o *Online) predictLocked() (float64, float64, bool) {
 	return p, scale, true
 }
 
-// PredictAhead forecasts steps values into the future by feeding predictions
-// back as pseudo-observations (the window itself is not mutated).
-func (o *Online) PredictAhead(steps int) []float64 {
-	if steps < 1 {
-		return []float64{}
-	}
-	return o.PredictAheadInto(make([]float64, 0, steps), steps)
-}
-
-// PredictAheadInto appends steps closed-loop forecasts to out and returns
-// it. The rollout slides over a fixed scratch buffer — the window is copied
-// once per 3×WindowSize steps when the view wraps, not once per step — and
-// the per-step predict is the fused engine, so a caller reusing out predicts
-// ahead without allocating.
+// PredictAheadInto forecasts steps values into the future by feeding
+// predictions back as pseudo-observations (the window itself is not
+// mutated), appending them to out and returning it. The rollout slides over
+// a fixed scratch buffer — the window is copied once per 3×WindowSize steps
+// when the view wraps, not once per step — and the per-step predict is the
+// fused engine, so a caller reusing out predicts ahead without allocating.
 func (o *Online) PredictAheadInto(out []float64, steps int) []float64 {
 	if steps < 1 {
 		return out
@@ -230,22 +222,14 @@ func (o *Online) PredictAheadInto(out []float64, steps int) []float64 {
 	return out
 }
 
-// PredictTicks forecasts the metric at the `steps` base-tick instants that
-// lie between the poll that was just observed and the next poll. The model
-// observes at poll cadence, so its one-step-ahead forecast targets the next
-// poll; the intermediate ticks interpolate linearly toward it. (Feeding the
-// model's poll-cadence trajectory directly to base ticks would replay the
-// whole inter-poll change at every tick.)
-func (o *Online) PredictTicks(steps int) []float64 {
-	if steps < 1 {
-		return []float64{}
-	}
-	return o.PredictTicksInto(make([]float64, 0, steps), steps)
-}
-
-// PredictTicksInto is PredictTicks appending into a caller-reused buffer:
-// one fused predict, then interpolation — the steady-state fill path of a
-// Fact Vertex does zero heap allocations.
+// PredictTicksInto forecasts the metric at the `steps` base-tick instants
+// that lie between the poll that was just observed and the next poll,
+// appending them to a caller-reused buffer. The model observes at poll
+// cadence, so its one-step-ahead forecast targets the next poll; the
+// intermediate ticks interpolate linearly toward it. (Feeding the model's
+// poll-cadence trajectory directly to base ticks would replay the whole
+// inter-poll change at every tick.) One fused predict, then interpolation:
+// the steady-state fill path of a Fact Vertex does zero heap allocations.
 func (o *Online) PredictTicksInto(out []float64, steps int) []float64 {
 	if steps < 1 {
 		return out

@@ -7,11 +7,11 @@ import (
 
 func TestPredictTicksEmpty(t *testing.T) {
 	o := NewOnline(nil)
-	if got := o.PredictTicks(0); len(got) != 0 {
+	if got := o.PredictTicksInto(nil, 0); len(got) != 0 {
 		t.Fatalf("ticks=%v", got)
 	}
 	// No observations at all: zeros.
-	got := o.PredictTicks(3)
+	got := o.PredictTicksInto(nil, 3)
 	for _, v := range got {
 		if v != 0 {
 			t.Fatalf("ticks=%v", got)
@@ -19,7 +19,7 @@ func TestPredictTicksEmpty(t *testing.T) {
 	}
 	// Partial window, no model: hold last value.
 	o.Observe(7)
-	got = o.PredictTicks(2)
+	got = o.PredictTicksInto(nil, 2)
 	if len(got) != 2 || got[0] != 7 || got[1] != 7 {
 		t.Fatalf("ticks=%v", got)
 	}
@@ -34,7 +34,7 @@ func TestPredictTicksInterpolates(t *testing.T) {
 	if !ok {
 		t.Fatal("predict not ok")
 	}
-	ticks := o.PredictTicks(3)
+	ticks := o.PredictTicksInto(nil, 3)
 	if len(ticks) != 3 {
 		t.Fatalf("ticks=%v", ticks)
 	}

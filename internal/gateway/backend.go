@@ -62,12 +62,8 @@ func (b *BusBackend) Topics(ctx context.Context) ([]string, error) {
 	}
 }
 
-// Subscribe implements Backend, using the buffered fan-out hook when the
-// bus offers it.
-func (b *BusBackend) Subscribe(ctx context.Context, metric string, afterID uint64, buffer int) (<-chan stream.Entry, error) {
-	if bs, ok := b.bus.(stream.BufferedSubscriber); ok {
-		return bs.SubscribeBuffered(ctx, metric, afterID, buffer)
-	}
+// Subscribe implements Backend.
+func (b *BusBackend) Subscribe(ctx context.Context, metric string, afterID uint64) (<-chan stream.Entry, error) {
 	return b.bus.Subscribe(ctx, metric, afterID)
 }
 

@@ -338,11 +338,11 @@ type recordingBackend struct {
 	ctxs []context.Context
 }
 
-func (r *recordingBackend) Subscribe(ctx context.Context, metric string, afterID uint64, buffer int) (<-chan stream.Entry, error) {
+func (r *recordingBackend) Subscribe(ctx context.Context, metric string, afterID uint64) (<-chan stream.Entry, error) {
 	r.mu.Lock()
 	r.ctxs = append(r.ctxs, ctx)
 	r.mu.Unlock()
-	return r.BusBackend.Subscribe(ctx, metric, afterID, buffer)
+	return r.BusBackend.Subscribe(ctx, metric, afterID)
 }
 
 func (r *recordingBackend) live() int {

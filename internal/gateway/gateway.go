@@ -47,10 +47,10 @@ type Backend interface {
 	// Topics lists the metric streams the backend serves.
 	Topics(ctx context.Context) ([]string, error)
 	// Subscribe streams raw entries of metric with ID > afterID until ctx
-	// ends, then closes the channel. The buffer is the channel's capacity
-	// (see stream.BufferedSubscriber). The gateway holds one such cursor
-	// per subscribed topic, plus one per client still reading history.
-	Subscribe(ctx context.Context, metric string, afterID uint64, buffer int) (<-chan stream.Entry, error)
+	// ends, then closes the channel (stream.Bus.Subscribe). The gateway
+	// holds one such cursor per subscribed topic, plus one per client still
+	// reading history.
+	Subscribe(ctx context.Context, metric string, afterID uint64) (<-chan stream.Entry, error)
 	// Tail returns the ID of metric's newest entry, 0 when there is none:
 	// where a new topic's broadcaster starts.
 	Tail(ctx context.Context, metric string) uint64

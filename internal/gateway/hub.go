@@ -118,7 +118,7 @@ func (h *hub) startTopic(metric string, afterID uint64) (*topic, error) {
 	if n := uint64(h.queueSize); tail > n {
 		start = max(start, tail-n)
 	}
-	ch, err := h.backend.Subscribe(ctx, metric, start, h.queueSize)
+	ch, err := h.backend.Subscribe(ctx, metric, start)
 	if err != nil {
 		cancel()
 		return nil, err
@@ -288,7 +288,7 @@ func (h *hub) attach(ctx context.Context, principal, metric string, afterID uint
 	h.obsAttached.Inc()
 	if !joined {
 		hctx, stop := context.WithCancel(sctx)
-		hist, err := h.backend.Subscribe(hctx, metric, afterID, 0)
+		hist, err := h.backend.Subscribe(hctx, metric, afterID)
 		if err != nil {
 			stop()
 			s.Close()

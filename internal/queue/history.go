@@ -184,7 +184,7 @@ func (h *History) Range(from, to int64) []telemetry.Info {
 // under the read lock and without copying. fn returns false to stop the scan
 // early. fn must be fast and must not call back into the History (readers
 // block writers for the duration of the scan); callers that need ownership
-// of the entries use Range or RangePooled instead.
+// of the entries use Range instead.
 func (h *History) RangeFunc(from, to int64, fn func(telemetry.Info) bool) {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
@@ -202,49 +202,6 @@ func (h *History) RangeFunc(from, to int64, fn func(telemetry.Info) bool) {
 	}
 }
 
-// Fold accumulates over every entry with Timestamp in [from, to], oldest
-// first, under the read lock and without copying: acc = fn(acc, entry). It
-// exists so aggregate scans (AQE AVG/SUM/COUNT, Delphi feature extraction)
-// can run allocation-free over the window.
-func Fold[T any](h *History, from, to int64, acc T, fn func(T, telemetry.Info) T) T {
-	h.RangeFunc(from, to, func(in telemetry.Info) bool {
-		acc = fn(acc, in)
-		return true
-	})
-	return acc
-}
-
-// rangePool recycles the backing arrays handed out by RangePooled.
-var rangePool = sync.Pool{
-	New: func() any {
-		s := make([]telemetry.Info, 0, 512)
-		return &s
-	},
-}
-
-// RangePooled is the pooled-slice variant of Range for callers that need
-// ownership of a copy but release it promptly (e.g. a query branch that
-// renders rows and returns): the returned slice comes from a shared pool and
-// MUST NOT be used after release is called. release is never nil.
-func (h *History) RangePooled(from, to int64) (entries []telemetry.Info, release func()) {
-	p := rangePool.Get().(*[]telemetry.Info)
-	h.mu.RLock()
-	lo, hi := h.boundsLocked(from, to)
-	need := hi - lo
-	if cap(*p) < need {
-		*p = make([]telemetry.Info, need)
-	}
-	*p = (*p)[:need]
-	a, b := h.spansLocked(lo, hi)
-	n := copy(*p, a)
-	copy((*p)[n:], b)
-	h.mu.RUnlock()
-	return *p, func() {
-		*p = (*p)[:0]
-		rangePool.Put(p)
-	}
-}
-
 // Before returns the newest entry with Timestamp <= ts, reporting false when
 // no such entry is retained.
 func (h *History) Before(ts int64) (telemetry.Info, bool) {
@@ -255,16 +212,4 @@ func (h *History) Before(ts int64) (telemetry.Info, bool) {
 		return telemetry.Info{}, false
 	}
 	return h.at(idx - 1), true
-}
-
-// Snapshot returns a copy of the full window in timestamp order, block-
-// copying the ring's two unwrapped halves.
-func (h *History) Snapshot() []telemetry.Info {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	out := make([]telemetry.Info, h.count)
-	a, b := h.spansLocked(0, h.count)
-	n := copy(out, a)
-	copy(out[n:], b)
-	return out
 }

@@ -213,14 +213,14 @@ func TestHistoryBefore(t *testing.T) {
 	}
 }
 
-func TestHistorySnapshot(t *testing.T) {
+func TestHistoryRangeWholeWindow(t *testing.T) {
 	h := NewHistory(3, nil)
 	for i := 0; i < 5; i++ {
 		h.Append(telemetry.NewFact("m", int64(i), 0))
 	}
-	s := h.Snapshot()
+	s := h.Range(-1<<62, 1<<62)
 	if len(s) != 3 || s[0].Timestamp != 2 || s[2].Timestamp != 4 {
-		t.Fatalf("Snapshot=%v", s)
+		t.Fatalf("Range=%v", s)
 	}
 }
 

@@ -63,38 +63,6 @@ func TestRangeFuncMatchesRangeQuick(t *testing.T) {
 	}
 }
 
-// Property: Fold over the full window visits exactly the Snapshot entries in
-// order (checked via an order-sensitive accumulator).
-func TestFoldMatchesSnapshotQuick(t *testing.T) {
-	type acc struct {
-		n   int
-		sum float64
-		sig int64 // order-sensitive signature
-	}
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		capacity := 1 + r.Intn(48)
-		n := r.Intn(3 * capacity)
-		h := buildHistory(capacity, n, 0, r)
-		got := Fold(h, -1<<62, 1<<62, acc{}, func(a acc, in telemetry.Info) acc {
-			a.n++
-			a.sum += in.Value
-			a.sig = a.sig*31 + in.Timestamp
-			return a
-		})
-		var want acc
-		for _, in := range h.Snapshot() {
-			want.n++
-			want.sum += in.Value
-			want.sig = want.sig*31 + in.Timestamp
-		}
-		return got == want
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestRangeFuncEarlyStop verifies a false return halts the scan.
 func TestRangeFuncEarlyStop(t *testing.T) {
 	h := NewHistory(16, nil)
@@ -111,28 +79,7 @@ func TestRangeFuncEarlyStop(t *testing.T) {
 	}
 }
 
-// TestRangePooled verifies the pooled copy matches Range and that a released
-// slice is reused without corrupting later scans.
-func TestRangePooled(t *testing.T) {
-	h := NewHistory(8, nil)
-	for i := 0; i < 20; i++ { // wrap the ring
-		h.Append(telemetry.NewFact("m", int64(i), float64(i)))
-	}
-	got, release := h.RangePooled(14, 18)
-	want := h.Range(14, 18)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("RangePooled=%v want %v", got, want)
-	}
-	cp := append([]telemetry.Info(nil), got...)
-	release()
-	again, release2 := h.RangePooled(14, 18)
-	defer release2()
-	if !reflect.DeepEqual(again, cp) {
-		t.Fatalf("after release: %v want %v", again, cp)
-	}
-}
-
-// TestScanDuringEvictionRace hammers RangeFunc/Fold readers against an
+// TestScanDuringEvictionRace hammers RangeFunc readers against an
 // appender that keeps the ring wrapping (evicting), so the race detector can
 // see any unsynchronized access, and asserts every observed scan is
 // internally timestamp-ordered.
@@ -160,20 +107,21 @@ func TestScanDuringEvictionRace(t *testing.T) {
 			for i := 0; i < 300; i++ {
 				last := int64(-1)
 				ok := true
+				n := 0
 				h.RangeFunc(-1<<62, 1<<62, func(in telemetry.Info) bool {
 					if in.Timestamp < last {
 						ok = false
 					}
 					last = in.Timestamp
+					n++
 					return true
 				})
 				if !ok {
 					t.Error("RangeFunc observed out-of-order timestamps")
 					return
 				}
-				n := Fold(h, -1<<62, 1<<62, 0, func(acc int, _ telemetry.Info) int { return acc + 1 })
 				if n > 32 {
-					t.Errorf("Fold visited %d entries, capacity 32", n)
+					t.Errorf("RangeFunc visited %d entries, capacity 32", n)
 					return
 				}
 			}
@@ -203,13 +151,13 @@ func TestRangeFuncZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestSnapshotWrapped covers the two-span copy across the ring seam.
-func TestSnapshotWrapped(t *testing.T) {
+// TestRangeWrapped covers the two-span copy across the ring seam.
+func TestRangeWrapped(t *testing.T) {
 	h := NewHistory(5, nil)
 	for i := 0; i < 13; i++ {
 		h.Append(telemetry.NewFact("m", int64(i), float64(i)))
 	}
-	snap := h.Snapshot()
+	snap := h.Range(-1<<62, 1<<62)
 	if len(snap) != 5 {
 		t.Fatalf("len=%d", len(snap))
 	}
@@ -252,22 +200,6 @@ func BenchmarkHistoryRangeFunc(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sum = 0
 		h.RangeFunc(-1<<62, 1<<62, fn)
-	}
-	_ = sum
-}
-
-// BenchmarkHistoryRangePooled measures the pooled ownership variant.
-func BenchmarkHistoryRangePooled(b *testing.B) {
-	h := benchHistory(4096)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var sum float64
-	for i := 0; i < b.N; i++ {
-		entries, release := h.RangePooled(-1<<62, 1<<62)
-		for _, in := range entries {
-			sum += in.Value
-		}
-		release()
 	}
 	_ = sum
 }

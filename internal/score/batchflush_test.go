@@ -8,30 +8,17 @@ import (
 	"testing"
 )
 
-// flakyPublisher counts single vs batched publishes and fails until healed,
+// flakyPublisher records the size of every publish and fails until healed,
 // so tests can assert the store-and-forward backlog drains in batches.
 type flakyPublisher struct {
 	mu      sync.Mutex
 	failing bool
-	singles int
 	batches []int // size of each PublishBatch call
 	next    uint64
 	topics  []string
 }
 
 var errDown = fmt.Errorf("fabric down: %w", io.ErrUnexpectedEOF)
-
-func (f *flakyPublisher) Publish(ctx context.Context, topic string, payload []byte) (uint64, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.failing {
-		return 0, errDown
-	}
-	f.singles++
-	f.topics = append(f.topics, topic)
-	f.next++
-	return f.next, nil
-}
 
 func (f *flakyPublisher) PublishBatch(ctx context.Context, topic string, payloads [][]byte) (uint64, error) {
 	f.mu.Lock()
@@ -53,15 +40,14 @@ func (f *flakyPublisher) setFailing(v bool) {
 }
 
 // TestBufferedPublisherFlushesBacklogInBatches: tuples buffered during an
-// outage must drain as one PublishBatch per topic run, not one Publish per
-// tuple.
+// outage must drain as one PublishBatch per topic run, not one per tuple.
 func TestBufferedPublisherFlushesBacklogInBatches(t *testing.T) {
 	f := &flakyPublisher{failing: true}
 	p := NewBufferedPublisher(f, "m", 64, 100)
 	ctx := context.Background()
 
 	for i := 0; i < 10; i++ {
-		id, err := p.Publish(ctx, "m", []byte{byte(i + 1)})
+		id, err := p.PublishBatch(ctx, "m", [][]byte{{byte(i + 1)}})
 		if err != nil {
 			t.Fatalf("transient failure must buffer, got %v", err)
 		}
@@ -75,7 +61,7 @@ func TestBufferedPublisherFlushesBacklogInBatches(t *testing.T) {
 
 	f.setFailing(false)
 	// The next publish first drains the backlog (batched), then sends itself.
-	id, err := p.Publish(ctx, "m", []byte("live"))
+	id, err := p.PublishBatch(ctx, "m", [][]byte{[]byte("live")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,11 +70,8 @@ func TestBufferedPublisherFlushesBacklogInBatches(t *testing.T) {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if len(f.batches) != 1 || f.batches[0] != 10 {
-		t.Fatalf("backlog drained as batches %v, want one batch of 10", f.batches)
-	}
-	if f.singles != 1 {
-		t.Fatalf("singles=%d want 1 (just the live tuple)", f.singles)
+	if len(f.batches) != 2 || f.batches[0] != 10 || f.batches[1] != 1 {
+		t.Fatalf("publishes %v, want one backlog batch of 10 then the live tuple", f.batches)
 	}
 }
 
@@ -100,18 +83,18 @@ func TestBufferedPublisherBatchedBacklogSplitsTopicRuns(t *testing.T) {
 	ctx := context.Background()
 
 	for _, topic := range []string{"a", "a", "b", "b", "b", "a"} {
-		if _, err := p.Publish(ctx, topic, []byte(topic)); err != nil {
+		if _, err := p.PublishBatch(ctx, topic, [][]byte{[]byte(topic)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	f.setFailing(false)
-	if _, err := p.Publish(ctx, "a", []byte("live")); err != nil {
+	if _, err := p.PublishBatch(ctx, "a", [][]byte{[]byte("live")}); err != nil {
 		t.Fatal(err)
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	// Runs: a×2, b×3, a×1 — then the live single on "a".
-	want := []int{2, 3, 1}
+	// Runs: a×2, b×3, a×1 — then the live tuple on "a".
+	want := []int{2, 3, 1, 1}
 	if len(f.batches) != len(want) {
 		t.Fatalf("batches=%v want sizes %v", f.batches, want)
 	}
@@ -147,12 +130,12 @@ func TestBufferedPublisherBatchPassThrough(t *testing.T) {
 		t.Fatalf("backlog=%d want 2", h.Buffered)
 	}
 	f.setFailing(false)
-	if _, err := p.Publish(ctx, "m", []byte("live")); err != nil {
+	if _, err := p.PublishBatch(ctx, "m", [][]byte{[]byte("live")}); err != nil {
 		t.Fatal(err)
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if len(f.batches) != 2 || f.batches[1] != 2 {
-		t.Fatalf("batches=%v want initial batch then backlog batch of 2", f.batches)
+	if len(f.batches) != 3 || f.batches[1] != 2 {
+		t.Fatalf("batches=%v want initial batch, backlog batch of 2, live tuple", f.batches)
 	}
 }

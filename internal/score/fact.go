@@ -106,6 +106,7 @@ type FactVertex struct {
 	predInfos    []telemetry.Info
 	predPayloads [][]byte
 	predBlob     []byte
+	onePayload   [1][]byte // the measured tuple's batch of one
 
 	mu      sync.Mutex
 	last    float64
@@ -302,7 +303,8 @@ func (v *FactVertex) pollOnce(ctx context.Context, current time.Duration) time.D
 	// and flushed in order on recovery instead of being dropped.
 	changed := !v.hasLastValue() || value != v.lastValue()
 	if changed || v.cfg.PublishUnchanged {
-		if v.pub.publish(ctx, payload) {
+		v.onePayload[0] = payload
+		if v.pub.publish(ctx, v.onePayload[:]) {
 			v.history.Append(info)
 			v.stats.published.Add(1)
 			v.obsTuplesOut.Inc()
@@ -377,7 +379,7 @@ func (v *FactVertex) pollOnce(ctx context.Context, current time.Duration) time.D
 			}
 			v.predInfos, v.predPayloads, v.predBlob = infos, payloads, blob
 			v.obsPredictSec.ObserveDuration(time.Since(p0))
-			if len(payloads) > 0 && v.pub.publishBatch(ctx, payloads) {
+			if len(payloads) > 0 && v.pub.publish(ctx, payloads) {
 				for _, pinfo := range infos {
 					v.history.Append(pinfo)
 					v.stats.predicted.Add(1)

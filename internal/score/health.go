@@ -80,9 +80,9 @@ type buffered struct {
 // of dropping data. Terminal errors (closed broker, empty payload) are not
 // buffered: retrying them cannot succeed.
 //
-// Publish/PublishBatch return semantics: (id, nil) means delivered, (0, nil)
-// means accepted into the backlog for a later flush, and a non-nil error
-// means terminally rejected.
+// PublishBatch return semantics: (id, nil) means delivered, (0, nil) means
+// accepted into the backlog for a later flush, and a non-nil error means
+// terminally rejected.
 type BufferedPublisher struct {
 	bus       stream.Publisher
 	topic     string // default topic used by the vertex helpers
@@ -143,24 +143,10 @@ func (p *BufferedPublisher) instrument(r *obs.Registry, metric string) {
 // Health reports the publish-path health.
 func (p *BufferedPublisher) Health() HealthSnapshot { return p.snapshot() }
 
-// Publish implements stream.Publisher: it delivers payload to topic,
-// flushing any backlog first so stream order is preserved across outages.
-func (p *BufferedPublisher) Publish(ctx context.Context, topic string, payload []byte) (uint64, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if err := p.flushLocked(ctx); err != nil {
-		return 0, p.failLocked(err, topic, payload)
-	}
-	id, err := p.bus.Publish(ctx, topic, payload)
-	if err != nil {
-		return 0, p.failLocked(err, topic, payload)
-	}
-	p.okLocked(1)
-	return id, nil
-}
-
 // PublishBatch implements stream.Publisher: the whole batch is delivered in
-// one append (after any backlog flush) or buffered in order as a unit.
+// one append — after any backlog flush, so stream order is preserved across
+// outages — or buffered in order as a unit. Only the payloads are kept when
+// buffering, never the outer slice, so callers may reuse it.
 func (p *BufferedPublisher) PublishBatch(ctx context.Context, topic string, payloads [][]byte) (uint64, error) {
 	if len(payloads) == 0 {
 		return 0, nil
@@ -168,25 +154,19 @@ func (p *BufferedPublisher) PublishBatch(ctx context.Context, topic string, payl
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if err := p.flushLocked(ctx); err != nil {
-		return 0, p.failLocked(err, topic, payloads...)
+		return 0, p.failLocked(err, topic, payloads)
 	}
 	first, err := p.bus.PublishBatch(ctx, topic, payloads)
 	if err != nil {
-		return 0, p.failLocked(err, topic, payloads...)
+		return 0, p.failLocked(err, topic, payloads)
 	}
 	p.okLocked(len(payloads))
 	return first, nil
 }
 
-// publish delivers payload on the default topic, reporting whether the tuple
-// was accepted — delivered to the broker or buffered for a later flush.
-func (p *BufferedPublisher) publish(ctx context.Context, payload []byte) bool {
-	_, err := p.Publish(ctx, p.topic, payload)
-	return err == nil
-}
-
-// publishBatch is the batched form of publish.
-func (p *BufferedPublisher) publishBatch(ctx context.Context, payloads [][]byte) bool {
+// publish delivers payloads on the default topic, reporting whether they
+// were accepted — delivered to the broker or buffered for a later flush.
+func (p *BufferedPublisher) publish(ctx context.Context, payloads [][]byte) bool {
 	_, err := p.PublishBatch(ctx, p.topic, payloads)
 	return err == nil
 }
@@ -230,7 +210,7 @@ func (p *BufferedPublisher) flushLocked(ctx context.Context) error {
 // failLocked classifies err: transient errors buffer the tuples (oldest
 // evicted past cap) and report acceptance (nil); terminal errors are
 // returned to the caller unbuffered.
-func (p *BufferedPublisher) failLocked(err error, topic string, payloads ...[]byte) error {
+func (p *BufferedPublisher) failLocked(err error, topic string, payloads [][]byte) error {
 	p.consec++
 	p.lastErr = err.Error()
 	if !stream.IsTransient(err) {

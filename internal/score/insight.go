@@ -106,6 +106,8 @@ type InsightVertex struct {
 	obsTuplesIn  *obs.Counter // upstream entries decoded
 	obsTuplesOut *obs.Counter // insights accepted by the publish path
 
+	onePayload [1][]byte // the insight's batch of one; consumer goroutine only
+
 	mu      sync.Mutex
 	latest  map[telemetry.MetricID]telemetry.Info
 	last    float64
@@ -286,7 +288,8 @@ func (v *InsightVertex) consume(ctx context.Context, e stream.Entry) {
 	}
 	info := telemetry.Info{Metric: v.cfg.Metric, Timestamp: ts, Value: value, Kind: telemetry.KindInsight, Source: src}
 	if payload, err := info.MarshalBinary(); err == nil {
-		if v.pub.publish(ctx, payload) {
+		v.onePayload[0] = payload
+		if v.pub.publish(ctx, v.onePayload[:]) {
 			v.history.Append(info)
 			v.stats.published.Add(1)
 			v.obsTuplesOut.Inc()

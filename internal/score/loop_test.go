@@ -47,12 +47,13 @@ func TestFactVertexOnSharedLoop(t *testing.T) {
 
 	deadline := time.Now().Add(3 * time.Second)
 	for time.Now().Before(deadline) {
-		if va.Stats().Polls >= 3 && vb.Stats().Polls >= 3 {
+		// Published, not Polls: a poll is counted before its tuple is on the bus.
+		if va.Stats().Published >= 3 && vb.Stats().Published >= 3 {
 			break
 		}
 		runtime.Gosched()
 	}
-	if va.Stats().Polls < 3 || vb.Stats().Polls < 3 {
+	if va.Stats().Published < 3 || vb.Stats().Published < 3 {
 		t.Fatalf("loop-driven polls: a=%d b=%d", va.Stats().Polls, vb.Stats().Polls)
 	}
 	// Facts actually reached the bus.

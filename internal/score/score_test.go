@@ -76,6 +76,18 @@ func newFact(t *testing.T, bus stream.Bus, hook Hook, opts func(*FactConfig)) *F
 	return v
 }
 
+// TestFactPollAllocs pins the measured-tuple path on an in-process broker:
+// the tuple's encoding, the broker's blob and the wake channel, and nothing
+// for riding the batch interface as a batch of one.
+func TestFactPollAllocs(t *testing.T) {
+	n := 0.0
+	hook := HookFunc{ID: "m", Fn: func() (float64, error) { n++; return n, nil }}
+	v := newFact(t, stream.NewBroker(1<<10), hook, nil)
+	if got := testing.AllocsPerRun(200, func() { v.PollOnce() }); got > 3 {
+		t.Fatalf("a measured poll allocates %v times, want at most 3", got)
+	}
+}
+
 func TestFactVertexConfigValidation(t *testing.T) {
 	if _, err := NewFactVertex(FactConfig{}); err == nil {
 		t.Fatal("empty config accepted")
@@ -261,7 +273,7 @@ func publish(t *testing.T, bus stream.Bus, in telemetry.Info) stream.Entry {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := bus.Publish(context.Background(), string(in.Metric), b)
+	id, err := bus.PublishBatch(context.Background(), string(in.Metric), [][]byte{b})
 	if err != nil {
 		t.Fatal(err)
 	}

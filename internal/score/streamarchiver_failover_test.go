@@ -31,9 +31,6 @@ func (s *switchBus) swap(b stream.GroupBus) {
 	s.mu.Unlock()
 }
 
-func (s *switchBus) Publish(ctx context.Context, topic string, p []byte) (uint64, error) {
-	return s.get().Publish(ctx, topic, p)
-}
 func (s *switchBus) PublishBatch(ctx context.Context, topic string, p [][]byte) (uint64, error) {
 	return s.get().PublishBatch(ctx, topic, p)
 }
@@ -42,9 +39,6 @@ func (s *switchBus) Latest(ctx context.Context, topic string) (stream.Entry, err
 }
 func (s *switchBus) Range(ctx context.Context, topic string, from, to uint64, max int) ([]stream.Entry, error) {
 	return s.get().Range(ctx, topic, from, to, max)
-}
-func (s *switchBus) Consume(ctx context.Context, topic string, afterID uint64) (stream.Entry, error) {
-	return s.get().Consume(ctx, topic, afterID)
 }
 func (s *switchBus) ConsumeBatch(ctx context.Context, topic string, afterID uint64, max int) ([]stream.Entry, error) {
 	return s.get().ConsumeBatch(ctx, topic, afterID, max)

@@ -125,13 +125,6 @@ func (g *gatedPeer) gate() error {
 	return nil
 }
 
-func (g *gatedPeer) Publish(ctx context.Context, topic string, p []byte) (uint64, error) {
-	if err := g.gate(); err != nil {
-		return 0, err
-	}
-	return g.n.Publish(ctx, topic, p)
-}
-
 func (g *gatedPeer) PublishBatch(ctx context.Context, topic string, p [][]byte) (uint64, error) {
 	if err := g.gate(); err != nil {
 		return 0, err
@@ -151,13 +144,6 @@ func (g *gatedPeer) Range(ctx context.Context, topic string, from, to uint64, ma
 		return nil, err
 	}
 	return g.n.Range(ctx, topic, from, to, max)
-}
-
-func (g *gatedPeer) Consume(ctx context.Context, topic string, afterID uint64) (stream.Entry, error) {
-	if err := g.gate(); err != nil {
-		return stream.Entry{}, err
-	}
-	return g.n.Consume(ctx, topic, afterID)
 }
 
 func (g *gatedPeer) ConsumeBatch(ctx context.Context, topic string, afterID uint64, max int) ([]stream.Entry, error) {

@@ -84,13 +84,6 @@ func (f *faultBus) gate(kind string) error {
 	return nil
 }
 
-func (f *faultBus) Publish(ctx context.Context, topic string, payload []byte) (uint64, error) {
-	if err := f.gate("publish"); err != nil {
-		return 0, err
-	}
-	return f.inner.Publish(ctx, topic, payload)
-}
-
 func (f *faultBus) PublishBatch(ctx context.Context, topic string, payloads [][]byte) (uint64, error) {
 	if err := f.gate("publish"); err != nil {
 		return 0, err
@@ -110,13 +103,6 @@ func (f *faultBus) Range(ctx context.Context, topic string, from, to uint64, max
 		return nil, err
 	}
 	return f.inner.Range(ctx, topic, from, to, max)
-}
-
-func (f *faultBus) Consume(ctx context.Context, topic string, afterID uint64) (stream.Entry, error) {
-	if err := f.gate("read"); err != nil {
-		return stream.Entry{}, err
-	}
-	return f.inner.Consume(ctx, topic, afterID)
 }
 
 func (f *faultBus) ConsumeBatch(ctx context.Context, topic string, afterID uint64, max int) ([]stream.Entry, error) {

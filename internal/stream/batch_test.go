@@ -12,38 +12,23 @@ import (
 	"repro/internal/obs"
 )
 
-func TestBrokerPublishBatch(t *testing.T) {
-	b := NewBroker(0)
+// TestBrokerPublishAllocs pins the one append path: the payload blob and the
+// replaced wake channel are the only allocations, for a single tuple and for
+// a batch of any size.
+func TestBrokerPublishAllocs(t *testing.T) {
+	b := NewBroker(1 << 10)
 	defer b.Close()
 	ctx := context.Background()
-
-	first, err := b.PublishBatch(ctx, "t", [][]byte{[]byte("a"), []byte("b"), []byte("c")})
-	if err != nil {
-		t.Fatal(err)
+	payload := make([]byte, 16)
+	batch := make([][]byte, 64)
+	for i := range batch {
+		batch[i] = payload
 	}
-	if first != 1 {
-		t.Fatalf("first=%d want 1", first)
+	if n := testing.AllocsPerRun(200, func() { b.Publish(ctx, "t", payload) }); n != 2 {
+		t.Errorf("Publish allocates %v times per call, want 2", n)
 	}
-	// IDs are contiguous: a second batch continues where the first ended.
-	first, err = b.PublishBatch(ctx, "t", [][]byte{[]byte("d"), []byte("e")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first != 4 {
-		t.Fatalf("second batch first=%d want 4", first)
-	}
-	es, err := b.Range(ctx, "t", 1, 100, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"a", "b", "c", "d", "e"}
-	if len(es) != len(want) {
-		t.Fatalf("len=%d want %d", len(es), len(want))
-	}
-	for i, e := range es {
-		if e.ID != uint64(i+1) || string(e.Payload) != want[i] {
-			t.Fatalf("entry %d = (%d, %q) want (%d, %q)", i, e.ID, e.Payload, i+1, want[i])
-		}
+	if n := testing.AllocsPerRun(200, func() { b.PublishBatch(ctx, "t", batch) }); n != 2 {
+		t.Errorf("PublishBatch of 64 allocates %v times per call, want 2", n)
 	}
 }
 

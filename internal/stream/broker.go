@@ -88,10 +88,9 @@ func newTopic(name string, retention int) *topic {
 	}
 }
 
-// appendLocked appends one payload (already copied) and returns its ID. The
-// caller holds t.mu and must wake consumers with wakeLocked once the whole
-// append — single entry or batch — is in place.
-func (t *topic) appendLocked(p []byte, evicted *obs.Counter) uint64 {
+// appendLocked appends one payload (already copied). The caller holds t.mu
+// and must wake consumers with wakeLocked once the whole batch is in place.
+func (t *topic) appendLocked(p []byte, evicted *obs.Counter) {
 	id := t.nextID
 	t.nextID++
 	if t.count == len(t.buf) {
@@ -104,7 +103,6 @@ func (t *topic) appendLocked(p []byte, evicted *obs.Counter) uint64 {
 	t.buf[(t.start+t.count)%len(t.buf)] = Entry{ID: id, Payload: p}
 	t.count++
 	t.published++
-	return id
 }
 
 // wakeLocked wakes all blocked consumers; one wake covers a whole batch.
@@ -230,37 +228,26 @@ func (b *Broker) topicFor(name string, create bool) (*topic, error) {
 }
 
 // Publish appends payload to the named topic (creating it on first use) and
-// returns the assigned entry ID.
+// returns the assigned entry ID: a batch of one, kept off the Bus interface
+// as a convenience for callers holding a *Broker.
 func (b *Broker) Publish(ctx context.Context, topicName string, payload []byte) (uint64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	if len(payload) == 0 {
-		return 0, ErrEmptyPayload
-	}
-	t, err := b.topicFor(topicName, true)
-	if err != nil {
-		return 0, err
-	}
-	p := make([]byte, len(payload))
-	copy(p, payload)
-
-	t.mu.Lock()
-	id := t.appendLocked(p, b.obsEvicted)
-	t.wakeLocked()
-	t.mu.Unlock()
-	b.obsPublishes.Inc()
-	b.obsPublishBytes.Add(uint64(len(p)))
-	return id, nil
+	return b.publish(ctx, topicName, [][]byte{payload}, nil)
 }
 
 // PublishBatch appends every payload to the named topic under one lock
 // acquisition and one consumer wake-up, returning the ID of the first entry;
-// the batch receives contiguous IDs firstID..firstID+len(payloads)-1. The
-// payloads are copied into a single contiguous allocation. An empty batch is
-// a no-op returning (0, nil); any empty payload rejects the whole batch
-// before anything is appended.
+// the batch receives contiguous IDs firstID..firstID+len(payloads)-1. An
+// empty batch is a no-op returning (0, nil); any empty payload rejects the
+// whole batch before anything is appended.
 func (b *Broker) PublishBatch(ctx context.Context, topicName string, payloads [][]byte) (uint64, error) {
+	return b.publish(ctx, topicName, payloads, b.obsBatchSize)
+}
+
+// publish is the broker's one append path. The payloads are copied into a
+// single contiguous allocation whatever the batch size. sizes is the
+// batch-size histogram PublishBatch calls are counted in (nil for Publish,
+// so the histogram's entry sum stays "tuples that arrived in batches").
+func (b *Broker) publish(ctx context.Context, topicName string, payloads [][]byte, sizes *obs.Histogram) (uint64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
@@ -278,26 +265,25 @@ func (b *Broker) PublishBatch(ctx context.Context, topicName string, payloads []
 	if err != nil {
 		return 0, err
 	}
-	// One blob for the whole batch, sliced per entry (capacity-capped so an
-	// append on one slice cannot bleed into the next).
 	blob := make([]byte, 0, total)
-	entries := make([][]byte, len(payloads))
-	for i, p := range payloads {
-		off := len(blob)
+	for _, p := range payloads {
 		blob = append(blob, p...)
-		entries[i] = blob[off:len(blob):len(blob)]
 	}
 
 	t.mu.Lock()
 	first := t.nextID
-	for _, p := range entries {
-		t.appendLocked(p, b.obsEvicted)
+	off := 0
+	for _, p := range payloads {
+		// Capacity-capped so an append on one entry cannot bleed into the next.
+		end := off + len(p)
+		t.appendLocked(blob[off:end:end], b.obsEvicted)
+		off = end
 	}
 	t.wakeLocked()
 	t.mu.Unlock()
 	b.obsPublishes.Add(uint64(len(payloads)))
 	b.obsPublishBytes.Add(uint64(total))
-	b.obsBatchSize.Observe(float64(len(payloads)))
+	sizes.Observe(float64(len(payloads)))
 	return first, nil
 }
 
@@ -502,21 +488,12 @@ func (b *Broker) Range(ctx context.Context, topicName string, from, to uint64, m
 	return out, nil
 }
 
-// Consume blocks until an entry with ID > afterID exists, then returns the
-// earliest such entry. This is the pull-based subscription primitive: every
-// independent subscriber tracks its own afterID, giving Pub-Sub fan-out.
-func (b *Broker) Consume(ctx context.Context, topicName string, afterID uint64) (Entry, error) {
-	es, err := b.ConsumeBatch(ctx, topicName, afterID, 1)
-	if err != nil {
-		return Entry{}, err
-	}
-	return es[0], nil
-}
-
 // ConsumeBatch blocks until at least one entry with ID > afterID exists, then
 // returns up to max available entries in ID order (max <= 0 means everything
-// retained). One blocking wait can drain a whole burst, which is what makes
-// batched delivery amortize the wake-up cost.
+// retained; max 1 is the earliest such entry). This is the pull-based
+// subscription primitive: every independent subscriber tracks its own
+// afterID, giving Pub-Sub fan-out, and one blocking wait can drain a whole
+// burst, which is what makes batched delivery amortize the wake-up cost.
 func (b *Broker) ConsumeBatch(ctx context.Context, topicName string, afterID uint64, max int) ([]Entry, error) {
 	t, err := b.topicFor(topicName, true)
 	if err != nil {
@@ -558,30 +535,15 @@ func (b *Broker) ConsumeBatch(ctx context.Context, topicName string, afterID uin
 // Subscribe starts a goroutine that delivers every entry after afterID to the
 // returned channel until ctx is cancelled. The channel is closed on exit.
 func (b *Broker) Subscribe(ctx context.Context, topicName string, afterID uint64) (<-chan Entry, error) {
-	return b.SubscribeBuffered(ctx, topicName, afterID, DefaultSubscribeBuffer)
-}
-
-// DefaultSubscribeBuffer is the fan-out channel capacity Subscribe uses.
-const DefaultSubscribeBuffer = 64
-
-// SubscribeBuffered is the fan-out hook behind Subscribe: identical
-// semantics, but the delivery channel's capacity is the caller's choice.
-// The HTTP gateway's per-topic broadcaster sizes this buffer to its ring so
-// upstream slack is bounded and accounted, instead of inheriting one
-// hard-coded default.
-func (b *Broker) SubscribeBuffered(ctx context.Context, topicName string, afterID uint64, buffer int) (<-chan Entry, error) {
 	if _, err := b.topicFor(topicName, true); err != nil {
 		return nil, err
 	}
-	if buffer < 1 {
-		buffer = DefaultSubscribeBuffer
-	}
-	ch := make(chan Entry, buffer)
+	ch := make(chan Entry, subscribeSlack)
 	go func() {
 		defer close(ch)
 		last := afterID
 		for {
-			es, err := b.ConsumeBatch(ctx, topicName, last, 64)
+			es, err := b.ConsumeBatch(ctx, topicName, last, subscribeSlack)
 			if err != nil {
 				return
 			}

@@ -98,54 +98,11 @@ func TestRetentionEviction(t *testing.T) {
 	}
 }
 
-func TestConsumeBlocksUntilPublish(t *testing.T) {
-	b := NewBroker(0)
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	got := make(chan Entry, 1)
-	go func() {
-		e, err := b.Consume(ctx, "t", 0)
-		if err == nil {
-			got <- e
-		}
-	}()
-	time.Sleep(10 * time.Millisecond)
-	b.Publish(context.Background(), "t", []byte("x"))
-	select {
-	case e := <-got:
-		if e.ID != 1 || string(e.Payload) != "x" {
-			t.Fatalf("entry=%v", e)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("consume never unblocked")
-	}
-}
-
-func TestConsumeContextCancel(t *testing.T) {
-	b := NewBroker(0)
-	ctx, cancel := context.WithCancel(context.Background())
-	errCh := make(chan error, 1)
-	go func() {
-		_, err := b.Consume(ctx, "t", 0)
-		errCh <- err
-	}()
-	time.Sleep(5 * time.Millisecond)
-	cancel()
-	select {
-	case err := <-errCh:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err=%v", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("consume did not observe cancellation")
-	}
-}
-
 func TestCloseUnblocksConsumers(t *testing.T) {
 	b := NewBroker(0)
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := b.Consume(context.Background(), "t", 0)
+		_, err := b.ConsumeBatch(context.Background(), "t", 0, 1)
 		errCh <- err
 	}()
 	time.Sleep(5 * time.Millisecond)
@@ -282,12 +239,12 @@ func TestConsumeSkipsEvicted(t *testing.T) {
 	for i := 1; i <= 10; i++ {
 		b.Publish(context.Background(), "t", []byte{byte(i)})
 	}
-	e, err := b.Consume(context.Background(), "t", 2)
+	es, err := b.ConsumeBatch(context.Background(), "t", 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.ID != 7 { // oldest retained
-		t.Fatalf("id=%d want 7", e.ID)
+	if len(es) != 1 || es[0].ID != 7 { // oldest retained
+		t.Fatalf("entries=%v want id 7", es)
 	}
 }
 
@@ -304,7 +261,7 @@ func BenchmarkBrokerPublish(b *testing.B) {
 
 func BenchmarkBrokerConsume(b *testing.B) {
 	// Publish-then-consume pairs so the bench never outruns the retention
-	// window (a blocked Consume would deadlock the benchmark).
+	// window (a blocked ConsumeBatch would deadlock the benchmark).
 	br := NewBroker(1 << 10)
 	payload := make([]byte, 16)
 	ctx := context.Background()
@@ -314,10 +271,10 @@ func BenchmarkBrokerConsume(b *testing.B) {
 		if _, err := br.Publish(context.Background(), "t", payload); err != nil {
 			b.Fatal(err)
 		}
-		e, err := br.Consume(ctx, "t", last)
+		es, err := br.ConsumeBatch(ctx, "t", last, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		last = e.ID
+		last = es[0].ID
 	}
 }

@@ -4,14 +4,13 @@ import "context"
 
 // Publisher is the single write surface of the fabric: everything that
 // appends entries to a topic — the in-process Broker, the TCP Client, and
-// score's store-and-forward BufferedPublisher — implements it, in both
-// tuple-at-a-time and batched form.
+// score's store-and-forward BufferedPublisher — implements it. A single
+// tuple is a batch of one.
 type Publisher interface {
-	// Publish appends payload to topic, returning the entry ID.
-	Publish(ctx context.Context, topic string, payload []byte) (uint64, error)
 	// PublishBatch appends every payload under one append, returning the ID
 	// of the first entry; the batch receives contiguous IDs. An empty batch
-	// is a no-op returning (0, nil).
+	// is a no-op returning (0, nil); an empty payload rejects the whole
+	// batch.
 	PublishBatch(ctx context.Context, topic string, payloads [][]byte) (uint64, error)
 }
 
@@ -25,15 +24,19 @@ type Bus interface {
 	Latest(ctx context.Context, topic string) (Entry, error)
 	// Range returns entries with from <= ID <= to (max<=0: unlimited).
 	Range(ctx context.Context, topic string, from, to uint64, max int) ([]Entry, error)
-	// Consume blocks until an entry with ID > afterID exists and returns the
-	// earliest such entry.
-	Consume(ctx context.Context, topic string, afterID uint64) (Entry, error)
 	// ConsumeBatch blocks until at least one entry with ID > afterID exists
-	// and returns up to max of them in ID order (max<=0: all available).
+	// and returns up to max of them in ID order (max<=0: all available);
+	// max 1 is the earliest such entry.
 	ConsumeBatch(ctx context.Context, topic string, afterID uint64, max int) ([]Entry, error)
-	// Subscribe delivers every entry with ID > afterID until ctx ends.
+	// Subscribe delivers every entry with ID > afterID until ctx ends, then
+	// closes the channel.
 	Subscribe(ctx context.Context, topic string, afterID uint64) (<-chan Entry, error)
 }
+
+// subscribeSlack is how many entries a subscription may run ahead of its
+// reader: the capacity of every Subscribe channel and the most entries one
+// subscription frame carries.
+const subscribeSlack = 64
 
 // GroupBus is the consumer-group surface of a broker: the Bus plus group
 // create/read/ack. *Broker and *Client both implement it, so a group
@@ -50,23 +53,7 @@ type GroupBus interface {
 	Ack(ctx context.Context, topic, group string, id uint64) error
 }
 
-// BufferedSubscriber is the optional fan-out hook a Bus may offer: Subscribe
-// with a caller-sized delivery buffer. Both Broker and Client implement it;
-// consumers that size their own slack (the public HTTP gateway holds one
-// subscription per subscribed topic) type-assert for it and fall back to
-// Subscribe.
-type BufferedSubscriber interface {
-	// SubscribeBuffered delivers every entry with ID > afterID until ctx
-	// ends, over a channel with the given capacity (<1 selects
-	// DefaultSubscribeBuffer).
-	SubscribeBuffered(ctx context.Context, topic string, afterID uint64, buffer int) (<-chan Entry, error)
-}
-
 var (
-	_ Bus                = (*Broker)(nil)
-	_ Bus                = (*Client)(nil)
-	_ GroupBus           = (*Broker)(nil)
-	_ GroupBus           = (*Client)(nil)
-	_ BufferedSubscriber = (*Broker)(nil)
-	_ BufferedSubscriber = (*Client)(nil)
+	_ GroupBus = (*Broker)(nil)
+	_ GroupBus = (*Client)(nil)
 )

@@ -38,7 +38,7 @@ type Options struct {
 	// DialTimeout bounds connection establishment (default 5s).
 	DialTimeout time.Duration
 	// IOTimeout bounds each frame write and each non-blocking frame read
-	// (default 10s). Blocking reads (Consume, GroupRead, Subscription
+	// (default 10s). Blocking reads (ConsumeBatch, GroupRead, Subscription
 	// streams) have no read deadline: they legitimately wait for data. A
 	// context deadline tightens either bound.
 	IOTimeout time.Duration
@@ -293,9 +293,9 @@ func IsTransient(err error) bool {
 // a context deadline tightens it and a context cancellation interrupts even
 // blocking reads. On any transport error the connection is dropped and
 // lazily re-established by the next call; read-only operations (Latest,
-// Range, Topics, Consume, ConsumeBatch, Ping) additionally retry across
-// transient errors with capped exponential backoff. Mutating operations
-// (Publish, PublishBatch, CreateGroup, Ack, GroupRead) are never retried
+// Range, Topics, ConsumeBatch, Ping) additionally retry across transient
+// errors with capped exponential backoff. Mutating operations
+// (PublishBatch, CreateGroup, Ack, GroupRead) are never retried
 // after the request may have been sent, so they cannot be duplicated;
 // callers that need delivery guarantees buffer and re-publish (see score's
 // store-and-forward BufferedPublisher).
@@ -622,27 +622,20 @@ func (c *Client) Ping(ctx context.Context) error {
 	return c.call(ctx, opPing, nil, true, false, nil)
 }
 
-// Publish appends payload to topic on the server. Against a single broker
-// Publish is not retried after the request may have been sent (it would
-// duplicate the entry), but a failed connection is dropped so the next call
-// re-dials. In fabric mode (WithSeeds) publishes ARE retried across
-// failover — see Options.Seeds for the delivery contract.
+// Publish appends payload to topic on the server and returns its entry ID: a
+// batch of one on the batch frame, kept off the Bus interface as a
+// convenience for callers holding a *Client.
 func (c *Client) Publish(ctx context.Context, topic string, payload []byte) (uint64, error) {
-	req := getEnc()
-	defer putEnc(req)
-	req.str(topic).bytes(payload)
-	var id uint64
-	err := c.call(ctx, opPublish, req.b, c.opt.fabric(), false, func(d *buf) { id = d.u64() })
-	if err != nil {
-		return 0, err
-	}
-	return id, nil
+	return c.PublishBatch(ctx, topic, [][]byte{payload})
 }
 
 // PublishBatch appends every payload to topic in one wire round-trip,
 // returning the ID of the first entry; the batch receives contiguous IDs.
-// Like Publish it is not retried against a single broker but is retried in
-// fabric mode. An empty batch is a local no-op.
+// Against a single broker it is not retried after the request may have been
+// sent (that would duplicate the entries), but a failed connection is dropped
+// so the next call re-dials. In fabric mode (WithSeeds) publishes ARE retried
+// across failover — see Options.Seeds for the delivery contract. An empty
+// batch is a local no-op.
 func (c *Client) PublishBatch(ctx context.Context, topic string, payloads [][]byte) (uint64, error) {
 	if len(payloads) == 0 {
 		return 0, nil
@@ -691,23 +684,10 @@ func (c *Client) Range(ctx context.Context, topic string, from, to uint64, max i
 	return out, nil
 }
 
-// Consume blocks server-side until an entry newer than afterID exists. It is
-// read-only and retried across transient transport errors.
-func (c *Client) Consume(ctx context.Context, topic string, afterID uint64) (Entry, error) {
-	req := getEnc()
-	defer putEnc(req)
-	req.str(topic).u64(afterID)
-	var e Entry
-	err := c.call(ctx, opConsume, req.b, true, true, func(d *buf) { e = decodeEntry(d) })
-	if err != nil {
-		return Entry{}, err
-	}
-	return e, nil
-}
-
 // ConsumeBatch blocks server-side until at least one entry newer than
 // afterID exists, then returns up to max of them in one frame (max <= 0:
-// everything available). Read-only and retried like Consume.
+// everything available). It is read-only and retried across transient
+// transport errors.
 func (c *Client) ConsumeBatch(ctx context.Context, topic string, afterID uint64, max int) ([]Entry, error) {
 	req := getEnc()
 	defer putEnc(req)
@@ -762,43 +742,15 @@ func (c *Client) Topics(ctx context.Context) ([]string, error) {
 
 // Subscribe implements Bus: it opens a dedicated auto-resuming streaming
 // connection (see Subscription) delivering entries of topic with ID >
-// afterID until ctx ends.
+// afterID, and hands back the Subscription's own channel; the end of ctx
+// closes the Subscription and with it the channel.
 func (c *Client) Subscribe(ctx context.Context, topic string, afterID uint64) (<-chan Entry, error) {
-	return c.SubscribeBuffered(ctx, topic, afterID, DefaultSubscribeBuffer)
-}
-
-// SubscribeBuffered implements the same fan-out hook as
-// Broker.SubscribeBuffered over the TCP transport: Subscribe semantics with
-// a caller-sized delivery channel.
-func (c *Client) SubscribeBuffered(ctx context.Context, topic string, afterID uint64, buffer int) (<-chan Entry, error) {
-	sub, err := subscribeOpt(c.addr, topic, afterID, c.opt)
+	sub, err := subscribeOpt(c.Addr(), topic, afterID, c.opt)
 	if err != nil {
 		return nil, err
 	}
-	if buffer < 1 {
-		buffer = DefaultSubscribeBuffer
-	}
-	out := make(chan Entry, buffer)
-	go func() {
-		defer close(out)
-		defer sub.Close()
-		for {
-			select {
-			case e, ok := <-sub.C():
-				if !ok {
-					return
-				}
-				select {
-				case out <- e:
-				case <-ctx.Done():
-					return
-				}
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	return out, nil
+	context.AfterFunc(ctx, func() { sub.Close() })
+	return sub.C(), nil
 }
 
 // PublishResult resolves one PublishAsync call: the assigned entry ID, or
@@ -999,7 +951,7 @@ func subscribeOpt(addr, topic string, afterID uint64, opt Options) (*Subscriptio
 		addr:   addr,
 		topic:  topic,
 		opt:    opt,
-		ch:     make(chan Entry, 64),
+		ch:     make(chan Entry, subscribeSlack),
 		closed: make(chan struct{}),
 		done:   make(chan struct{}),
 		conn:   conn,

@@ -137,7 +137,7 @@ type FabricConfig struct {
 // with epoch fencing, synchronous quorum replication of the append stream,
 // and follower promotion (with catch-up before serving) on lease expiry.
 //
-// Reads (Latest/Range/Consume/ConsumeBatch/Subscribe) are served from the
+// Reads (Latest/Range/ConsumeBatch/Subscribe) are served from the
 // local replica; FabricNode therefore implements Bus. Publishes are only
 // accepted while this node holds the topic's leader lease — otherwise they
 // fail with a *NotLeaderError redirect.
@@ -518,12 +518,6 @@ func (n *FabricNode) dropLease(topic string) {
 	n.mu.Unlock()
 }
 
-// Publish implements Publisher with leadership checks and quorum
-// replication; see PublishBatch.
-func (n *FabricNode) Publish(ctx context.Context, topic string, payload []byte) (uint64, error) {
-	return n.PublishBatch(ctx, topic, [][]byte{payload})
-}
-
 // PublishBatch appends the batch to the local log iff this node holds the
 // topic's leader lease, then synchronously replicates it to the topic's
 // followers. The batch is acked (returned without error) only once a
@@ -633,11 +627,6 @@ func (n *FabricNode) Latest(ctx context.Context, topic string) (Entry, error) {
 // Range implements Bus (served from the local replica).
 func (n *FabricNode) Range(ctx context.Context, topic string, from, to uint64, max int) ([]Entry, error) {
 	return n.broker.Range(ctx, topic, from, to, max)
-}
-
-// Consume implements Bus (served from the local replica).
-func (n *FabricNode) Consume(ctx context.Context, topic string, afterID uint64) (Entry, error) {
-	return n.broker.Consume(ctx, topic, afterID)
 }
 
 // ConsumeBatch implements Bus (served from the local replica).
@@ -761,17 +750,6 @@ func (r *routeBus) forward(nl *NotLeaderError) (Peer, bool) {
 	return p, true
 }
 
-func (r *routeBus) Publish(ctx context.Context, topic string, payload []byte) (uint64, error) {
-	id, err := r.n.Publish(ctx, topic, payload)
-	var nl *NotLeaderError
-	if errors.As(err, &nl) {
-		if p, ok := r.forward(nl); ok {
-			return p.Publish(ctx, topic, payload)
-		}
-	}
-	return id, err
-}
-
 func (r *routeBus) PublishBatch(ctx context.Context, topic string, payloads [][]byte) (uint64, error) {
 	first, err := r.n.PublishBatch(ctx, topic, payloads)
 	var nl *NotLeaderError
@@ -806,10 +784,6 @@ func (r *routeBus) Latest(ctx context.Context, topic string) (Entry, error) {
 
 func (r *routeBus) Range(ctx context.Context, topic string, from, to uint64, max int) ([]Entry, error) {
 	return r.readBus(topic).Range(ctx, topic, from, to, max)
-}
-
-func (r *routeBus) Consume(ctx context.Context, topic string, afterID uint64) (Entry, error) {
-	return r.readBus(topic).Consume(ctx, topic, afterID)
 }
 
 func (r *routeBus) ConsumeBatch(ctx context.Context, topic string, afterID uint64, max int) ([]Entry, error) {

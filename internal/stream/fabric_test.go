@@ -64,6 +64,11 @@ func newTestFabric(t *testing.T, ids []string, rf int, ttl time.Duration) *testF
 	return f
 }
 
+// publish1 publishes one payload through any Publisher: a batch of one.
+func publish1(ctx context.Context, p Publisher, topic string, payload []byte) (uint64, error) {
+	return p.PublishBatch(ctx, topic, [][]byte{payload})
+}
+
 // kill marks a node unreachable and evicts it from every peer cache so the
 // next replication attempt re-dials (and fails) instead of reusing the
 // in-process reference.
@@ -90,7 +95,7 @@ func TestFabricReplicatesToQuorumAndRedirects(t *testing.T) {
 	reps := f.replicas(topic)
 	leader, follower := f.nodes[reps[0]], f.nodes[reps[1]]
 
-	first, err := leader.Publish(ctx, topic, []byte("v1"))
+	first, err := publish1(ctx, leader, topic, []byte("v1"))
 	if err != nil {
 		t.Fatalf("leader publish: %v", err)
 	}
@@ -110,7 +115,7 @@ func TestFabricReplicatesToQuorumAndRedirects(t *testing.T) {
 
 	// A publish to a follower is rejected with a redirect to the leader —
 	// never silently accepted.
-	_, err = follower.Publish(ctx, topic, []byte("nope"))
+	_, err = publish1(ctx, follower, topic, []byte("nope"))
 	var nl *NotLeaderError
 	if !errors.As(err, &nl) || nl.LeaderID != leader.ID() {
 		t.Fatalf("follower publish: got %v, want NotLeaderError -> %s", err, leader.ID())
@@ -133,13 +138,13 @@ func TestFabricQuorumMissRejectsPublish(t *testing.T) {
 	reps := f.replicas(topic)
 	leader := f.nodes[reps[0]]
 
-	if _, err := leader.Publish(ctx, topic, []byte("ok")); err != nil {
+	if _, err := publish1(ctx, leader, topic, []byte("ok")); err != nil {
 		t.Fatalf("publish with full fabric: %v", err)
 	}
 	// Both followers down: 1/2 acks, the append is NOT acked.
 	f.kill(reps[1])
 	f.kill(reps[2])
-	_, err := leader.Publish(ctx, topic, []byte("lost"))
+	_, err := publish1(ctx, leader, topic, []byte("lost"))
 	if !errors.Is(err, ErrNoQuorum) {
 		t.Fatalf("publish without quorum: got %v, want ErrNoQuorum", err)
 	}
@@ -149,7 +154,7 @@ func TestFabricQuorumMissRejectsPublish(t *testing.T) {
 	// One follower back: quorum (2/3) again; the retry re-appends and a gap
 	// backfill brings the follower the unacked leader-local suffix too.
 	delete(f.down, reps[1])
-	id, err := leader.Publish(ctx, topic, []byte("retried"))
+	id, err := publish1(ctx, leader, topic, []byte("retried"))
 	if err != nil {
 		t.Fatalf("publish after follower recovery: %v", err)
 	}
@@ -169,7 +174,7 @@ func TestFabricEpochFencingStaleLeader(t *testing.T) {
 	reps := f.replicas(topic)
 	stale, next := f.nodes[reps[0]], f.nodes[reps[1]]
 
-	if _, err := stale.Publish(ctx, topic, []byte("v1")); err != nil {
+	if _, err := publish1(ctx, stale, topic, []byte("v1")); err != nil {
 		t.Fatalf("initial publish: %v", err)
 	}
 	// Revoke the lease centrally; the old leader's cached copy still looks
@@ -183,7 +188,7 @@ func TestFabricEpochFencingStaleLeader(t *testing.T) {
 		t.Fatalf("failovers = %d, want 1", next.Failovers())
 	}
 
-	_, err := stale.Publish(ctx, topic, []byte("stale-write"))
+	_, err := publish1(ctx, stale, topic, []byte("stale-write"))
 	if !errors.Is(err, ErrEpochFenced) {
 		t.Fatalf("stale leader publish: got %v, want ErrEpochFenced", err)
 	}
@@ -195,12 +200,12 @@ func TestFabricEpochFencingStaleLeader(t *testing.T) {
 	}
 	// The deposed leader drops its cache: the next publish redirects.
 	var nl *NotLeaderError
-	if _, err := stale.Publish(ctx, topic, []byte("again")); !errors.As(err, &nl) || nl.LeaderID != next.ID() {
+	if _, err := publish1(ctx, stale, topic, []byte("again")); !errors.As(err, &nl) || nl.LeaderID != next.ID() {
 		t.Fatalf("deposed leader second publish: got %v, want redirect to %s", err, next.ID())
 	}
 	// New leader serves, and replication onto the deposed leader truncates
 	// its divergent (never-acked) local tail.
-	id, err := next.Publish(ctx, topic, []byte("v2"))
+	id, err := publish1(ctx, next, topic, []byte("v2"))
 	if err != nil {
 		t.Fatalf("new leader publish: %v", err)
 	}
@@ -218,7 +223,7 @@ func TestFabricPromotionCatchesUpBeforeServing(t *testing.T) {
 	leader, up, lagging := f.nodes[reps[0]], f.nodes[reps[1]], f.nodes[reps[2]]
 
 	for i := 0; i < 5; i++ {
-		if _, err := leader.Publish(ctx, topic, []byte{byte('a' + i)}); err != nil {
+		if _, err := publish1(ctx, leader, topic, []byte{byte('a' + i)}); err != nil {
 			t.Fatalf("publish %d: %v", i, err)
 		}
 	}
@@ -226,7 +231,7 @@ func TestFabricPromotionCatchesUpBeforeServing(t *testing.T) {
 	// (still a 2/3 quorum), so reps[2] falls behind.
 	f.kill(reps[2])
 	for i := 5; i < 8; i++ {
-		if _, err := leader.Publish(ctx, topic, []byte{byte('a' + i)}); err != nil {
+		if _, err := publish1(ctx, leader, topic, []byte{byte('a' + i)}); err != nil {
 			t.Fatalf("publish %d during partition: %v", i, err)
 		}
 	}
@@ -247,7 +252,7 @@ func TestFabricPromotionCatchesUpBeforeServing(t *testing.T) {
 	if _, last, _ := lagging.Broker().TopicTail(ctx, topic); last != 8 {
 		t.Fatalf("promoted replica tail = %d, want 8 (catch-up before serving)", last)
 	}
-	id, err := lagging.Publish(ctx, topic, []byte("post-failover"))
+	id, err := publish1(ctx, lagging, topic, []byte("post-failover"))
 	if err != nil {
 		t.Fatalf("publish after promotion: %v", err)
 	}
@@ -318,7 +323,7 @@ func TestFabricTCP(t *testing.T) {
 	if err != nil {
 		t.Fatalf("prime dial: %v", err)
 	}
-	if _, err := prime.Publish(ctx, topic, []byte("prime")); err != nil {
+	if _, err := publish1(ctx, prime, topic, []byte("prime")); err != nil {
 		t.Fatalf("prime publish: %v", err)
 	}
 	prime.Close()
@@ -329,7 +334,7 @@ func TestFabricTCP(t *testing.T) {
 		t.Fatalf("client dial: %v", err)
 	}
 	defer c.Close()
-	id, err := c.Publish(ctx, topic, []byte("hello"))
+	id, err := publish1(ctx, c, topic, []byte("hello"))
 	if err != nil {
 		t.Fatalf("fabric publish: %v", err)
 	}
@@ -429,7 +434,7 @@ func TestFabricTCPConcurrentCrossLeaderPublishes(t *testing.T) {
 		if len(owners) == 1 && owner == owners[0] {
 			continue
 		}
-		if _, err := nodes[owner].Publish(ctx, topic, []byte("prime")); err != nil {
+		if _, err := publish1(ctx, nodes[owner], topic, []byte("prime")); err != nil {
 			t.Fatalf("prime %s on %s: %v", topic, owner, err)
 		}
 		topics = append(topics, topic)
@@ -446,7 +451,7 @@ func TestFabricTCPConcurrentCrossLeaderPublishes(t *testing.T) {
 		for _, topic := range topics {
 			go func(bus Bus, topic, id string) {
 				for i := 0; i < perWorker; i++ {
-					if _, err := bus.Publish(ctx, topic, []byte(id)); err != nil {
+					if _, err := publish1(ctx, bus, topic, []byte(id)); err != nil {
 						errc <- fmt.Errorf("%s -> %s: %w", id, topic, err)
 						return
 					}

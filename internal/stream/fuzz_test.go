@@ -11,7 +11,7 @@ import (
 // frame it accepts must survive a write/read round trip.
 func FuzzReadFrame(f *testing.F) {
 	var ok bytes.Buffer
-	_ = writeFrame(&ok, opPublish, (&enc{}).str("topic").bytes([]byte("payload")).b)
+	_ = writeFrame(&ok, opPublishBatch, (&enc{}).str("topic").u32(1).bytes([]byte("payload")).b)
 	f.Add(ok.Bytes())
 	f.Add([]byte{})
 	f.Add([]byte{opPing, 0, 0, 0, 0})

@@ -32,7 +32,7 @@ func TestStreamObsCounters(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := c.Consume(context.Background(), "cpu", 0); err != nil {
+	if _, err := c.ConsumeBatch(context.Background(), "cpu", 0, 1); err != nil {
 		t.Fatal(err)
 	}
 

@@ -32,30 +32,49 @@ func redirectServer(t *testing.T, target string) (addr string, closeFn func()) {
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(conn net.Conn) {
-				defer conn.Close()
-				r := bufio.NewReader(conn)
-				w := bufio.NewWriter(conn)
-				for {
-					_, _, err := readFrame(r)
-					if err != nil {
-						return
-					}
-					nl := &NotLeaderError{Topic: "t", LeaderID: "ghost", LeaderAddr: target}
-					if writeFrame(w, statusErr, errPayload(nl)) != nil || w.Flush() != nil {
-						return
-					}
-				}
-			}(conn)
-		}
-	}()
+	go serveRedirects(ln, target)
 	return ln.Addr().String(), func() { ln.Close() }
+}
+
+// serveRedirects answers every request on ln with a not-leader redirect to
+// target until ln closes.
+func serveRedirects(ln net.Listener, target string) {
+	for {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		go func(conn net.Conn) {
+			defer conn.Close()
+			r := bufio.NewReader(conn)
+			w := bufio.NewWriter(conn)
+			for {
+				if _, _, err := readFrame(r); err != nil {
+					return
+				}
+				nl := &NotLeaderError{Topic: "t", LeaderID: "ghost", LeaderAddr: target}
+				if writeFrame(w, statusErr, errPayload(nl)) != nil || w.Flush() != nil {
+					return
+				}
+			}
+		}(conn)
+	}
+}
+
+// redirectLoop starts two servers that redirect to each other.
+func redirectLoop(t *testing.T) (addrA, addrB string) {
+	t.Helper()
+	lnA, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	addrB, stopB := redirectServer(t, lnA.Addr().String())
+	go serveRedirects(lnA, addrB)
+	t.Cleanup(func() {
+		lnA.Close()
+		stopB()
+	})
+	return lnA.Addr().String(), addrB
 }
 
 // deadAddr returns an address that refuses connections.
@@ -144,38 +163,8 @@ func TestRedirectFollowsLeaderWithoutRetry(t *testing.T) {
 // other) terminates once MaxRedirects is exhausted instead of ping-ponging
 // forever.
 func TestRedirectBudgetBounded(t *testing.T) {
-	// Two mutually-redirecting servers.
-	lnA, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	defer lnA.Close()
-	addrB, stopB := redirectServer(t, lnA.Addr().String())
-	defer stopB()
-	go func() {
-		for {
-			conn, err := lnA.Accept()
-			if err != nil {
-				return
-			}
-			go func(conn net.Conn) {
-				defer conn.Close()
-				r := bufio.NewReader(conn)
-				w := bufio.NewWriter(conn)
-				for {
-					if _, _, err := readFrame(r); err != nil {
-						return
-					}
-					nl := &NotLeaderError{Topic: "t", LeaderID: "b", LeaderAddr: addrB}
-					if writeFrame(w, statusErr, errPayload(nl)) != nil || w.Flush() != nil {
-						return
-					}
-				}
-			}(conn)
-		}
-	}()
-
-	c, err := Dial(lnA.Addr().String(),
+	addrA, addrB := redirectLoop(t)
+	c, err := Dial(addrA,
 		WithSeeds(addrB),
 		WithMaxRedirects(3),
 		WithRetry(1),
@@ -192,4 +181,35 @@ func TestRedirectBudgetBounded(t *testing.T) {
 	if c.Redirects() != 3 {
 		t.Fatalf("redirects = %d, want MaxRedirects=3", c.Redirects())
 	}
+}
+
+// TestSubscribeDuringRedirects is the -race regression test for
+// Client.Subscribe reading the client's address without the lock while
+// redirects rewrite it.
+func TestSubscribeDuringRedirects(t *testing.T) {
+	addrA, addrB := redirectLoop(t)
+	c, err := Dial(addrA, WithSeeds(addrB), WithMaxRedirects(3), WithRetry(1))
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	published := make(chan struct{})
+	go func() {
+		defer close(published)
+		for i := 0; i < 50; i++ {
+			c.Publish(ctx, "t", []byte("x")) // bounces A -> B -> A, rewriting the address
+		}
+	}()
+	for i := 0; i < 50; i++ {
+		sctx, cancel := context.WithCancel(ctx)
+		ch, err := c.Subscribe(sctx, "t", 0)
+		cancel()
+		if err != nil {
+			t.Fatalf("subscribe: %v", err)
+		}
+		for range ch {
+		}
+	}
+	<-published
 }

@@ -143,7 +143,7 @@ func (s *Server) handle(conn net.Conn) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	// Requests are read by a dedicated goroutine so a dropped connection
-	// cancels ctx even while dispatch is parked in a blocking Consume —
+	// cancels ctx even while dispatch is parked in a blocking ConsumeBatch —
 	// otherwise the handler (and Server.Close) would wait for a publish
 	// that may never come.
 	type frame struct {
@@ -208,22 +208,12 @@ func (s *Server) publisher() Publisher {
 func (s *Server) dispatch(ctx context.Context, op byte, payload []byte, out *enc) error {
 	d := &buf{b: payload}
 	switch op {
-	case opPublish:
-		topic := d.str()
-		p := d.bytes()
-		if d.err != nil {
-			return d.err
-		}
-		id, err := s.publisher().Publish(ctx, topic, p)
-		if err != nil {
-			return err
-		}
-		out.u64(id)
-		return nil
-
 	case opPublishBatch:
 		topic := d.str()
 		n := int(d.u32())
+		if d.err == nil && len(d.b)-d.pos < 4*n {
+			d.fail() // every payload costs at least its length prefix
+		}
 		if d.err != nil {
 			return d.err
 		}
@@ -265,19 +255,6 @@ func (s *Server) dispatch(ctx context.Context, op byte, payload []byte, out *enc
 			return err
 		}
 		encodeEntries(out, entries)
-		return nil
-
-	case opConsume:
-		topic := d.str()
-		after := d.u64()
-		if d.err != nil {
-			return d.err
-		}
-		e, err := s.broker.Consume(ctx, topic, after)
-		if err != nil {
-			return err
-		}
-		encodeEntry(out, e)
 		return nil
 
 	case opConsumeBatch:
@@ -468,12 +445,11 @@ func (s *Server) serveSubscribe(ctx context.Context, w *bufio.Writer, payload []
 	}
 	// Each wake-up drains up to a full batch into one frame, so a burst of
 	// publishes costs one syscall on the wire instead of one per entry.
-	const subscribeBatch = 64
 	out := getEnc()
 	defer putEnc(out)
 	last := after
 	for {
-		entries, err := s.broker.ConsumeBatch(ctx, topic, last, subscribeBatch)
+		entries, err := s.broker.ConsumeBatch(ctx, topic, last, subscribeSlack)
 		if err != nil {
 			writeFrame(w, statusErr, errPayload(err))
 			w.Flush()

@@ -71,28 +71,6 @@ func TestTCPErrorMapping(t *testing.T) {
 	}
 }
 
-func TestTCPConsumeBlocking(t *testing.T) {
-	b, s := startServer(t)
-	c := dialT(t, s)
-	got := make(chan Entry, 1)
-	go func() {
-		e, err := c.Consume(context.Background(), "m", 0)
-		if err == nil {
-			got <- e
-		}
-	}()
-	time.Sleep(20 * time.Millisecond)
-	b.Publish(context.Background(), "m", []byte("late"))
-	select {
-	case e := <-got:
-		if string(e.Payload) != "late" {
-			t.Fatalf("entry=%v", e)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("remote consume stalled")
-	}
-}
-
 func TestTCPSubscriptionStream(t *testing.T) {
 	b, s := startServer(t)
 	sub, err := Subscribe(s.Addr(), "m", 0)

@@ -20,12 +20,12 @@ import (
 // Payload fields are encoded with writeString (u16 len + bytes), writeBytes
 // (u32 len + bytes), and fixed-width little-endian integers.
 
-// Request opcodes.
+// Request opcodes. 0x01 (singular publish) and 0x04 (singular consume) are
+// retired and stay reserved: a single tuple rides the batch frames with n=1,
+// and a server answers the old numbers with "unknown opcode".
 const (
-	opPublish   = 0x01 // topic, payload           -> u64 id
 	opLatest    = 0x02 // topic                    -> entry
 	opRange     = 0x03 // topic, from, to, max     -> u32 n, n entries
-	opConsume   = 0x04 // topic, afterID           -> entry (blocks)
 	opSubscribe = 0x05 // topic, afterID           -> stream of entries
 	opGroupNew  = 0x06 // topic, group, afterID    -> ok
 	opGroupRead = 0x07 // topic, group             -> entry (blocks)
@@ -33,8 +33,9 @@ const (
 	opTopics    = 0x09 //                          -> u32 n, n strings
 	opPing      = 0x0A //                          -> ok (liveness / conn check)
 
-	// Batched hot path: one frame carries many entries, amortizing the
-	// per-frame syscall + header cost and (broker-side) the per-append lock.
+	// The publish and consume verbs: one frame carries many entries,
+	// amortizing the per-frame syscall + header cost and (broker-side) the
+	// per-append lock.
 	opPublishBatch = 0x0B // topic, u32 n, n payloads -> u64 firstID, u32 n
 	opConsumeBatch = 0x0C // topic, afterID, u32 max  -> u32 n, n entries (blocks)
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"net"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -149,5 +150,41 @@ func TestBrokerRangeQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRefusedFrames: the retired singular publish (0x01) and consume (0x04)
+// opcodes are answered with an "unknown opcode" error, a publish whose count
+// exceeds what its frame can hold with "truncated frame" before anything is
+// allocated for it, and the connection lives on.
+func TestRefusedFrames(t *testing.T) {
+	_, s := startServer(t)
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	for _, tc := range []struct {
+		op      byte
+		payload []byte
+		want    string
+	}{
+		{0x01, (&enc{}).str("t").bytes([]byte("x")).b, "unknown opcode"},
+		{0x04, (&enc{}).str("t").u64(0).b, "unknown opcode"},
+		{opPublishBatch, (&enc{}).str("t").u32(1 << 31).b, "truncated frame"},
+	} {
+		if err := writeFrame(conn, tc.op, tc.payload); err != nil {
+			t.Fatal(err)
+		}
+		status, resp, err := readFrame(conn)
+		if err != nil || status != statusErr || !strings.Contains(string(resp), tc.want) {
+			t.Fatalf("op %#x: status=%d resp=%q err=%v, want a %q error", tc.op, status, resp, err, tc.want)
+		}
+		if err := writeFrame(conn, opPing, nil); err != nil {
+			t.Fatal(err)
+		}
+		if status, _, err := readFrame(conn); err != nil || status != statusOK {
+			t.Fatalf("ping after op %#x: status=%d err=%v", tc.op, status, err)
+		}
 	}
 }

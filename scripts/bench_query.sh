@@ -16,7 +16,7 @@ go test -run xxx \
     -bench 'BenchmarkQueryColdParse|BenchmarkQueryCachedPlan|BenchmarkQueryAggregateScan' \
     -benchtime 500ms ./internal/aqe/ | tee "$RAW"
 go test -run xxx \
-    -bench 'BenchmarkHistoryRangeCopy|BenchmarkHistoryRangeFunc|BenchmarkHistoryRangePooled' \
+    -bench 'BenchmarkHistoryRangeCopy|BenchmarkHistoryRangeFunc' \
     -benchmem -benchtime 500ms ./internal/queue/ | tee -a "$RAW"
 go test -run xxx \
     -bench 'BenchmarkArchiveRangeIndexed|BenchmarkArchiveReplayLinear' \

@@ -96,7 +96,8 @@ for target in \
 done
 
 # Benchmark smoke: one iteration of the hot-path suites so the benchmarks
-# themselves can't rot. (The full-length runs are scripts/bench_batch.sh,
+# themselves can't rot. (The stream path's full-length run is
+# bash bench/run.sh --workload ingest-inproc --trace 1; the others are
 # scripts/bench_query.sh, scripts/bench_archive.sh, and
 # scripts/bench_delphi.sh, which write BENCH_<n>.json.)
 echo "==> go test -run xxx -bench . -benchtime 1x ./internal/stream/..."
@@ -119,5 +120,9 @@ go test -C bench ./...
 # scripts/bench_drift.sh, which re-measure and apply the same gates).
 echo "==> go test -run 'TestBench9Gate|TestBench10Gate' -count=1 ./internal/delphi/"
 go test -run 'TestBench9Gate|TestBench10Gate' -count=1 ./internal/delphi/
+
+# The size ruler simplicity PRs report before/after from.
+echo "==> scripts/loc.sh"
+./scripts/loc.sh
 
 echo "verify: OK"
