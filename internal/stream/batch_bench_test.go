@@ -203,3 +203,24 @@ func BenchmarkConsumeBatch(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkBrokerFootprint reports what the broker's storage costs in live
+// heap: B/empty-topic for a topic nobody has published to, and B/entry for
+// a topic filled to DefaultRetention with 28-byte payloads (28 of those
+// bytes are the payload itself).
+func BenchmarkBrokerFootprint(b *testing.B) {
+	const topics = 1000
+	var empty, full uint64
+	for i := 0; i < b.N; i++ {
+		br := NewBroker(0)
+		base := liveHeap()
+		emptyTopics(br, topics)
+		mid := liveHeap()
+		fillTopic(b, br, "full", DefaultRetention)
+		empty += mid - base
+		full += liveHeap() - mid
+		br.Close()
+	}
+	b.ReportMetric(float64(empty)/float64(b.N)/topics, "B/empty-topic")
+	b.ReportMetric(float64(full)/float64(b.N)/DefaultRetention, "B/entry")
+}

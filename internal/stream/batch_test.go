@@ -12,9 +12,9 @@ import (
 	"repro/internal/obs"
 )
 
-// TestBrokerPublishAllocs pins the one append path: the payload blob and the
-// replaced wake channel are the only allocations, for a single tuple and for
-// a batch of any size.
+// TestBrokerPublishAllocs pins the one append path: payloads are copied onto
+// the topic's tail chunk, so a publish allocates only when a chunk fills, and
+// the wake channel is made by a parked consumer, never by the publisher.
 func TestBrokerPublishAllocs(t *testing.T) {
 	b := NewBroker(1 << 10)
 	defer b.Close()
@@ -24,11 +24,34 @@ func TestBrokerPublishAllocs(t *testing.T) {
 	for i := range batch {
 		batch[i] = payload
 	}
-	if n := testing.AllocsPerRun(200, func() { b.Publish(ctx, "t", payload) }); n != 2 {
-		t.Errorf("Publish allocates %v times per call, want 2", n)
+	if n := testing.AllocsPerRun(1000, func() { b.Publish(ctx, "t", payload) }); n >= 0.1 {
+		t.Errorf("Publish allocates %v times per call, want < 0.1", n)
 	}
-	if n := testing.AllocsPerRun(200, func() { b.PublishBatch(ctx, "t", batch) }); n != 2 {
-		t.Errorf("PublishBatch of 64 allocates %v times per call, want 2", n)
+	if n := testing.AllocsPerRun(1000, func() { b.PublishBatch(ctx, "t", batch) }); n >= 0.1 {
+		t.Errorf("PublishBatch of 64 allocates %v times per call, want < 0.1", n)
+	}
+
+	// With a consumer parked the publish closes the channel the consumer made.
+	_, tail, _ := b.TopicTail(ctx, "t")
+	got := make(chan []Entry, 1)
+	go func() {
+		es, _ := b.ConsumeBatch(ctx, "t", tail, 0)
+		got <- es
+	}()
+	for parked := false; !parked; time.Sleep(time.Millisecond) {
+		tp, _ := b.topicFor("t", false)
+		tp.mu.Lock()
+		parked = tp.wake != nil
+		tp.mu.Unlock()
+	}
+	b.Publish(ctx, "t", []byte("wake"))
+	select {
+	case es := <-got:
+		if len(es) != 1 || es[0].ID != tail+1 || string(es[0].Payload) != "wake" {
+			t.Fatalf("parked consumer woke with %v, want entry %d", es, tail+1)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("parked consumer never woken")
 	}
 }
 
@@ -56,8 +79,8 @@ func TestBrokerPublishBatchEmptyAndInvalid(t *testing.T) {
 }
 
 func TestBrokerPublishBatchIsolation(t *testing.T) {
-	// Batch entries are sliced from one shared blob; appending to one
-	// payload must never bleed into its neighbor.
+	// Entries are views of one shared chunk; appending to one payload must
+	// never bleed into its neighbor.
 	b := NewBroker(0)
 	defer b.Close()
 	ctx := context.Background()

@@ -54,17 +54,63 @@ type group struct {
 	pending map[uint64]Entry
 }
 
-// topic is a single append-only stream.
+// Chunk capacities: a topic's first chunk holds minChunk payload bytes and
+// each later one twice its predecessor's, up to maxChunk. A payload larger
+// than maxChunk gets a chunk of its own.
+const (
+	minChunk = 512
+	maxChunk = 64 << 10
+)
+
+// chunk holds the payloads of a contiguous ID run laid back to back. Neither
+// data nor ends contains a pointer, so the GC never scans a topic's
+// contents. data is allocated once at a fixed capacity and only ever
+// extended: bytes below len(data) are never rewritten, because readers hold
+// views of them after t.mu is released. Offsets are 32-bit: a chunk is at
+// most maxChunk bytes unless it is one oversized payload, assumed < 4 GiB.
+type chunk struct {
+	first uint64   // ID of the first entry
+	data  []byte   // payloads of first, first+1, ... in order
+	ends  []uint32 // ends[i] is the end offset in data of entry first+i
+}
+
+// read appends zero-copy views of the entries id, id+1, ... to out: n of
+// them, or as many as the chunk holds from id on. Each view is
+// capacity-capped so an append on it cannot reach the next entry's bytes.
+func (c *chunk) read(out []Entry, id uint64, n int) []Entry {
+	i := int(id - c.first)
+	start := uint32(0)
+	if i > 0 {
+		start = c.ends[i-1]
+	}
+	for _, end := range c.ends[i:min(i+n, len(c.ends))] {
+		out = append(out, Entry{ID: id, Payload: c.data[start:end:end]})
+		id, start = id+1, end
+	}
+	return out
+}
+
+// entry returns a view of the entry id, which the chunk holds.
+func (c *chunk) entry(id uint64) Entry {
+	var one [1]Entry
+	return c.read(one[:0], id, 1)[0]
+}
+
+// topic is a single append-only stream: a log of chunks holding the entries
+// firstID..nextID-1. No chunk is empty, each starts where the one before it
+// ends, and chunks[0] holds firstID. Retention is exact by count (firstID
+// advances one entry per append past it); memory is released a whole chunk
+// at a time, once every entry of chunks[0] is below firstID.
 type topic struct {
 	mu        sync.Mutex
 	name      string
-	buf       []Entry // dense ring: buf holds ids (firstID..nextID-1)
-	firstID   uint64  // id of buf[start]
-	start     int
-	count     int
+	chunks    []chunk
+	firstID   uint64 // oldest retained id
 	nextID    uint64
 	retention int
-	notify    chan struct{} // closed and replaced on every publish
+	// wake is made by a parked consumer and closed and cleared by the next
+	// append; nil with nobody waiting.
+	wake      chan struct{}
 	groups    map[string]*group
 	published uint64
 	// epoch is the topic's fencing token: replicated appends carrying an
@@ -79,36 +125,92 @@ func newTopic(name string, retention int) *topic {
 	}
 	return &topic{
 		name:      name,
-		buf:       make([]Entry, retention),
 		firstID:   1,
 		nextID:    1,
 		retention: retention,
-		notify:    make(chan struct{}),
 		groups:    make(map[string]*group),
 	}
 }
 
-// appendLocked appends one payload (already copied). The caller holds t.mu
-// and must wake consumers with wakeLocked once the whole batch is in place.
-func (t *topic) appendLocked(p []byte, evicted *obs.Counter) {
-	id := t.nextID
-	t.nextID++
-	if t.count == len(t.buf) {
-		// Evict oldest.
-		t.start = (t.start + 1) % len(t.buf)
-		t.firstID++
-		t.count--
-		evicted.Inc()
+// appendLocked copies one non-empty payload onto the tail chunk, opening a
+// new chunk when it does not fit. The caller holds t.mu and must wake
+// consumers with wakeLocked once the whole batch is in place.
+func (t *topic) appendLocked(p []byte, b *Broker) {
+	n := len(t.chunks)
+	if n == 0 || len(t.chunks[n-1].data)+len(p) > cap(t.chunks[n-1].data) {
+		size := minChunk
+		if n > 0 {
+			size = min(max(2*cap(t.chunks[n-1].data), minChunk), maxChunk)
+		}
+		size = max(size, len(p))
+		t.chunks = append(t.chunks, chunk{
+			first: t.nextID,
+			data:  make([]byte, 0, size),
+			// Sized for payloads like this one; append grows it otherwise.
+			ends: make([]uint32, 0, size/max(len(p), 16)),
+		})
+		b.addLogBytes(size)
+		n++
 	}
-	t.buf[(t.start+t.count)%len(t.buf)] = Entry{ID: id, Payload: p}
-	t.count++
+	c := &t.chunks[n-1]
+	c.data = append(c.data, p...)
+	c.ends = append(c.ends, uint32(len(c.data)))
+	t.nextID++
 	t.published++
+	if t.nextID-t.firstID > uint64(t.retention) {
+		t.firstID++
+		b.obsEvicted.Inc()
+		if head := &t.chunks[0]; head.first+uint64(len(head.ends)) <= t.firstID {
+			b.addLogBytes(-cap(head.data))
+			copy(t.chunks, t.chunks[1:])
+			t.chunks[n-1] = chunk{}
+			t.chunks = t.chunks[:n-1]
+		}
+	}
 }
 
-// wakeLocked wakes all blocked consumers; one wake covers a whole batch.
+// chunkOf returns the index of the chunk holding a retained id. Reads at
+// the tail are the common case, so the last chunk is tried before searching.
+func (t *topic) chunkOf(id uint64) int {
+	lo, hi := 0, len(t.chunks)-1
+	if t.chunks[hi].first <= id {
+		return hi
+	}
+	for hi-lo > 1 { // chunks[lo].first <= id < chunks[hi].first
+		if mid := (lo + hi) / 2; t.chunks[mid].first <= id {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// readLocked returns views of the n >= 1 retained entries from, from+1, ...
+// The caller holds t.mu and has checked the run lies in firstID..nextID-1.
+func (t *topic) readLocked(from uint64, n int) []Entry {
+	out := make([]Entry, 0, n)
+	for ci := t.chunkOf(from); len(out) < n; ci++ {
+		out = t.chunks[ci].read(out, from+uint64(len(out)), n-len(out))
+	}
+	return out
+}
+
+// waitLocked returns the channel the next append closes, making it if this
+// is the first consumer to park since the last append.
+func (t *topic) waitLocked() <-chan struct{} {
+	if t.wake == nil {
+		t.wake = make(chan struct{})
+	}
+	return t.wake
+}
+
+// wakeLocked wakes all parked consumers; one wake covers a whole batch.
 func (t *topic) wakeLocked() {
-	close(t.notify)
-	t.notify = make(chan struct{})
+	if t.wake != nil {
+		close(t.wake)
+		t.wake = nil
+	}
 }
 
 // shard is one lock stripe over the topic map.
@@ -124,12 +226,14 @@ type Broker struct {
 	closed    atomic.Bool
 	done      chan struct{} // closed by Close; unblocks waiting consumers
 	nTopics   atomic.Int64
+	logBytes  atomic.Int64 // sum of the data capacities of every chunk held
 
 	// Optional obs instruments (nil-safe no-ops when not instrumented).
 	obsPublishes    *obs.Counter
 	obsPublishBytes *obs.Counter
 	obsEvicted      *obs.Counter
 	obsTopics       *obs.Gauge
+	obsLogBytes     *obs.Gauge
 	obsConsumeLag   *obs.Histogram
 	obsBatchSize    *obs.Histogram
 }
@@ -151,7 +255,9 @@ func WithShardCount(n int) BrokerOption {
 // Instrument registers the broker's instruments on r:
 // stream_broker_publish_total, stream_broker_publish_bytes_total,
 // stream_broker_evicted_total (entries pushed out of the retention window),
-// the stream_broker_topics gauge, the stream_broker_consume_lag histogram
+// the stream_broker_topics gauge, the stream_broker_log_bytes gauge (payload
+// capacity of every chunk the topic logs currently hold; moves only when a
+// chunk is allocated or dropped), the stream_broker_consume_lag histogram
 // (how many entries behind the topic head a consumer was when its read was
 // served), and the stream_broker_publish_batch_size histogram. Call before
 // the broker is shared between goroutines.
@@ -160,9 +266,16 @@ func (b *Broker) Instrument(r *obs.Registry) {
 	b.obsPublishBytes = r.Counter("stream_broker_publish_bytes_total")
 	b.obsEvicted = r.Counter("stream_broker_evicted_total")
 	b.obsTopics = r.Gauge("stream_broker_topics")
+	b.obsLogBytes = r.Gauge("stream_broker_log_bytes")
 	b.obsConsumeLag = r.Histogram("stream_broker_consume_lag", 0, 1, 10, 100, 1000, 10000)
 	b.obsBatchSize = r.Histogram("stream_broker_publish_batch_size", 1, 2, 4, 8, 16, 32, 64, 128, 256)
 	b.obsTopics.Set(float64(b.nTopics.Load()))
+	b.obsLogBytes.Set(float64(b.logBytes.Load()))
+}
+
+// addLogBytes accounts for chunk capacity gained (or, negative, released).
+func (b *Broker) addLogBytes(n int) {
+	b.obsLogBytes.Set(float64(b.logBytes.Add(int64(n))))
 }
 
 // NewBroker returns a broker whose topics retain up to retention entries
@@ -243,10 +356,11 @@ func (b *Broker) PublishBatch(ctx context.Context, topicName string, payloads []
 	return b.publish(ctx, topicName, payloads, b.obsBatchSize)
 }
 
-// publish is the broker's one append path. The payloads are copied into a
-// single contiguous allocation whatever the batch size. sizes is the
-// batch-size histogram PublishBatch calls are counted in (nil for Publish,
-// so the histogram's entry sum stays "tuples that arrived in batches").
+// publish is the broker's one append path: each payload is copied once,
+// under t.mu, straight onto the topic's tail chunk, so a publish allocates
+// only when a chunk fills. sizes is the batch-size histogram PublishBatch
+// calls are counted in (nil for Publish, so the histogram's entry sum stays
+// "tuples that arrived in batches").
 func (b *Broker) publish(ctx context.Context, topicName string, payloads [][]byte, sizes *obs.Histogram) (uint64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
@@ -265,19 +379,10 @@ func (b *Broker) publish(ctx context.Context, topicName string, payloads [][]byt
 	if err != nil {
 		return 0, err
 	}
-	blob := make([]byte, 0, total)
-	for _, p := range payloads {
-		blob = append(blob, p...)
-	}
-
 	t.mu.Lock()
 	first := t.nextID
-	off := 0
 	for _, p := range payloads {
-		// Capacity-capped so an append on one entry cannot bleed into the next.
-		end := off + len(p)
-		t.appendLocked(blob[off:end:end], b.obsEvicted)
-		off = end
+		t.appendLocked(p, b)
 	}
 	t.wakeLocked()
 	t.mu.Unlock()
@@ -350,9 +455,16 @@ func (b *Broker) TopicTail(ctx context.Context, topicName string) (epoch, lastID
 //
 // It returns the follower's last entry ID after the append. A nil entries
 // slice is an epoch beacon: it fences/advances the epoch without appending.
+// An empty payload anywhere in entries — which no leader could have acked —
+// rejects the whole batch with ErrEmptyPayload before anything changes.
 func (b *Broker) ReplicateAppend(ctx context.Context, topicName string, epoch uint64, entries []Entry) (uint64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
+	}
+	for _, e := range entries {
+		if len(e.Payload) == 0 {
+			return 0, fmt.Errorf("%w: replicated entry %d of topic %q", ErrEmptyPayload, e.ID, topicName)
+		}
 	}
 	t, err := b.topicFor(topicName, true)
 	if err != nil {
@@ -366,7 +478,7 @@ func (b *Broker) ReplicateAppend(ctx context.Context, topicName string, epoch ui
 	if epoch > t.epoch {
 		t.epoch = epoch
 		if len(entries) > 0 {
-			t.truncateTailLocked(entries[0].ID)
+			t.truncateTailLocked(entries[0].ID, b)
 		}
 	}
 	appended := false
@@ -380,9 +492,7 @@ func (b *Broker) ReplicateAppend(ctx context.Context, topicName string, epoch ui
 			}
 			return t.nextID - 1, fmt.Errorf("%w: topic %q tail %d, incoming %d", ErrReplicaGap, topicName, t.nextID-1, e.ID)
 		}
-		p := make([]byte, len(e.Payload))
-		copy(p, e.Payload)
-		t.appendLocked(p, b.obsEvicted)
+		t.appendLocked(e.Payload, b)
 		appended = true
 	}
 	if appended {
@@ -393,19 +503,31 @@ func (b *Broker) ReplicateAppend(ctx context.Context, topicName string, epoch ui
 
 // truncateTailLocked discards local entries with ID >= fromID — the
 // conflicting suffix a replica drops when adopting a new leader's epoch.
+// Whole chunks past the cut are dropped; the chunk the cut falls inside is
+// sealed there (capacity capped to its length), so the next append opens a
+// fresh chunk instead of rewriting bytes a reader may still hold a view of.
 // The caller holds t.mu.
-func (t *topic) truncateTailLocked(fromID uint64) {
-	for t.nextID > fromID && t.count > 0 {
-		t.nextID--
-		t.count--
+func (t *topic) truncateTailLocked(fromID uint64, b *Broker) {
+	if fromID >= t.nextID {
+		return
 	}
-	if t.count == 0 && t.nextID > fromID {
-		// The conflicting suffix extended below the retention window; reset
-		// the empty ring so the next append lands at fromID.
-		t.nextID = fromID
-		t.firstID = fromID
-		t.start = 0
+	n := len(t.chunks)
+	for ; n > 0 && t.chunks[n-1].first >= fromID; n-- {
+		b.addLogBytes(-cap(t.chunks[n-1].data))
+		t.chunks[n-1] = chunk{}
 	}
+	t.chunks = t.chunks[:n]
+	if n > 0 {
+		c := &t.chunks[n-1]
+		if k := int(fromID - c.first); k < len(c.ends) {
+			end := int(c.ends[k-1])
+			b.addLogBytes(end - cap(c.data))
+			c.data, c.ends = c.data[:end:end], c.ends[:k]
+		}
+	}
+	t.nextID = fromID
+	// A cut below the retention window leaves an empty log starting at fromID.
+	t.firstID = min(t.firstID, fromID)
 }
 
 // Topics returns the sorted names of all topics.
@@ -445,10 +567,10 @@ func (b *Broker) Latest(ctx context.Context, topicName string) (Entry, error) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.count == 0 {
+	if t.nextID == t.firstID {
 		return Entry{}, fmt.Errorf("%w: %q has no entries", ErrNoSuchTopic, topicName)
 	}
-	return t.buf[(t.start+t.count-1)%len(t.buf)], nil
+	return t.chunks[len(t.chunks)-1].entry(t.nextID - 1), nil
 }
 
 // Range returns up to max entries with from <= ID <= to (max<=0 means all
@@ -480,12 +602,7 @@ func (b *Broker) Range(ctx context.Context, topicName string, from, to uint64, m
 	if max > 0 && n > max {
 		n = max
 	}
-	out := make([]Entry, 0, n)
-	base := int(from - t.firstID)
-	for i := 0; i < n; i++ {
-		out = append(out, t.buf[(t.start+base+i)%len(t.buf)])
-	}
-	return out, nil
+	return t.readLocked(from, n), nil
 }
 
 // ConsumeBatch blocks until at least one entry with ID > afterID exists, then
@@ -501,26 +618,22 @@ func (b *Broker) ConsumeBatch(ctx context.Context, topicName string, afterID uin
 	}
 	for {
 		t.mu.Lock()
-		if t.nextID > afterID+1 {
-			from := afterID + 1
-			if from < t.firstID {
-				from = t.firstID // skip evicted entries
-			}
+		from := afterID + 1
+		if from < t.firstID {
+			from = t.firstID // skip evicted entries
+		}
+		if from < t.nextID {
 			n := int(t.nextID - from)
 			if max > 0 && n > max {
 				n = max
 			}
-			out := make([]Entry, 0, n)
-			base := int(from - t.firstID)
-			for i := 0; i < n; i++ {
-				out = append(out, t.buf[(t.start+base+i)%len(t.buf)])
-			}
+			out := t.readLocked(from, n)
 			lag := t.nextID - 1 - out[0].ID // entries behind the topic head
 			t.mu.Unlock()
 			b.obsConsumeLag.Observe(float64(lag))
 			return out, nil
 		}
-		wait := t.notify
+		wait := t.waitLocked()
 		t.mu.Unlock()
 		select {
 		case <-ctx.Done():
@@ -593,18 +706,16 @@ func (b *Broker) GroupRead(ctx context.Context, topicName, groupName string) (En
 			t.mu.Unlock()
 			return Entry{}, fmt.Errorf("%w: %q", ErrNoSuchGroup, groupName)
 		}
-		if t.nextID > g.cursor+1 {
-			from := g.cursor + 1
-			if from < t.firstID {
-				from = t.firstID
-			}
-			e := t.buf[(t.start+int(from-t.firstID))%len(t.buf)]
+		if from := max(g.cursor+1, t.firstID); from < t.nextID {
+			e := t.chunks[t.chunkOf(from)].entry(from)
 			g.cursor = e.ID
-			g.pending[e.ID] = e
+			// pending outlives any reader, so it keeps a private copy rather
+			// than pinning the entry's whole chunk until the Ack.
+			g.pending[e.ID] = Entry{ID: e.ID, Payload: append([]byte(nil), e.Payload...)}
 			t.mu.Unlock()
 			return e, nil
 		}
-		wait := t.notify
+		wait := t.waitLocked()
 		t.mu.Unlock()
 		select {
 		case <-ctx.Done():

@@ -265,6 +265,7 @@ func BenchmarkBrokerConsume(b *testing.B) {
 	br := NewBroker(1 << 10)
 	payload := make([]byte, 16)
 	ctx := context.Background()
+	b.ReportAllocs()
 	b.ResetTimer()
 	var last uint64
 	for i := 0; i < b.N; i++ {

@@ -511,17 +511,16 @@ func (c *Client) roundTrip(ctx context.Context, op byte, payload []byte, blockin
 		}
 	}
 	conn := c.conn
-	if stop := ctx.Done(); stop != nil {
+	if ctx.Done() != nil {
 		// Interrupt in-flight I/O when the context ends: a past deadline
 		// fails the pending read/write with a (transient) timeout, and the
 		// caller maps it back to ctx.Err().
-		watchDone := make(chan struct{})
-		defer close(watchDone)
-		go func() {
-			select {
-			case <-stop:
-				conn.SetDeadline(c.opt.Clock.Now().Add(-time.Second))
-			case <-watchDone:
+		stop := context.AfterFunc(ctx, func() { conn.SetDeadline(c.opt.Clock.Now().Add(-time.Second)) })
+		defer func() {
+			if !stop() {
+				// The interrupt fired and may land after this call: the
+				// connection's deadlines are no longer this client's to set.
+				c.dropLocked()
 			}
 		}()
 	}

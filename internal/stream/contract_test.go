@@ -77,6 +77,37 @@ func quiet() int {
 	return n
 }
 
+// TestClientCallStartsNoGoroutine: watching a cancellable ctx costs a
+// round trip no goroutine of its own.
+func TestClientCallStartsNoGoroutine(t *testing.T) {
+	b := stream.NewBroker(0)
+	defer b.Close()
+	srv, err := stream.Serve(b, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := stream.Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if err := c.Ping(ctx); err != nil { // connected, handler running
+		t.Fatal(err)
+	}
+	before := quiet()
+	for i := 0; i < 1000; i++ {
+		if err := c.Ping(ctx); err != nil {
+			t.Fatalf("Ping %d: %v", i, err)
+		}
+	}
+	if after := quiet(); after != before {
+		t.Fatalf("%d goroutines after 1000 calls, %d before", after, before)
+	}
+}
+
 // deliveryGoroutines counts the goroutines running a subscription's delivery
 // loop on the subscriber's side, by their stack frames.
 func deliveryGoroutines() int {

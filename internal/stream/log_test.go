@@ -1,0 +1,429 @@
+package stream
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"hash/crc32"
+	"math/rand"
+	"runtime"
+	"sync"
+	"testing"
+
+	"repro/internal/obs"
+)
+
+// modelLog is the reference the chunked topic log is checked against: a plain
+// slice of privately copied entries with the same ID, retention, epoch and
+// truncation rules, and none of the chunking.
+type modelLog struct {
+	entries         []Entry // firstID..nextID-1
+	firstID, nextID uint64
+	epoch, evicted  uint64
+	retention       int
+}
+
+func (m *modelLog) append(p []byte) {
+	m.entries = append(m.entries, Entry{ID: m.nextID, Payload: bytes.Clone(p)})
+	m.nextID++
+	if len(m.entries) > m.retention {
+		m.entries = m.entries[1:]
+		m.firstID++
+		m.evicted++
+	}
+}
+
+func (m *modelLog) replicate(epoch uint64, es []Entry) (uint64, error) {
+	for _, e := range es {
+		if len(e.Payload) == 0 {
+			return 0, ErrEmptyPayload
+		}
+	}
+	if epoch < m.epoch {
+		return m.nextID - 1, ErrEpochFenced
+	}
+	if epoch > m.epoch {
+		m.epoch = epoch
+		if from := m.nextID; len(es) > 0 && es[0].ID < from {
+			from = es[0].ID
+			if from <= m.firstID { // the cut takes the whole window
+				m.entries, m.firstID = nil, from
+			}
+			m.entries, m.nextID = m.entries[:from-m.firstID], from
+		}
+	}
+	for _, e := range es {
+		if e.ID > m.nextID {
+			return m.nextID - 1, ErrReplicaGap
+		}
+		if e.ID == m.nextID {
+			m.append(e.Payload)
+		}
+	}
+	return m.nextID - 1, nil
+}
+
+func (m *modelLog) rng(from, to uint64, max int) ([]Entry, error) {
+	if from < m.firstID && from < m.nextID && m.firstID > 1 {
+		return nil, ErrEvicted
+	}
+	var out []Entry
+	for _, e := range m.entries {
+		if e.ID >= from && e.ID <= to && (max <= 0 || len(out) < max) {
+			out = append(out, e)
+		}
+	}
+	return out, nil
+}
+
+func sameEntries(got, want []Entry) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d entries, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i].ID != want[i].ID || !bytes.Equal(got[i].Payload, want[i].Payload) {
+			return fmt.Errorf("entry %d: id %d (%d bytes), want id %d (%d bytes)",
+				i, got[i].ID, len(got[i].Payload), want[i].ID, len(want[i].Payload))
+		}
+	}
+	return nil
+}
+
+// TestTopicLogModel drives one topic through seeded random publishes,
+// replicated appends (duplicates, gaps, stale epochs, conflicting tails, cuts
+// below the retention window) and every read, and requires the chunked log
+// to agree with modelLog on IDs, bytes, errors and evictions at every step.
+func TestTopicLogModel(t *testing.T) {
+	for _, retention := range []int{1, 7, 1000} {
+		t.Run(fmt.Sprintf("retention=%d", retention), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(retention)))
+			reg := obs.NewRegistry()
+			b := NewBroker(retention)
+			b.Instrument(reg)
+			defer b.Close()
+			ctx := context.Background()
+			parked, cancel := context.WithCancel(ctx) // a read with nothing to return comes back with Canceled
+			cancel()
+			m := &modelLog{firstID: 1, nextID: 1, retention: retention}
+			if err := b.CreateGroup(ctx, "t", "g", 0); err != nil {
+				t.Fatal(err)
+			}
+			var cursor uint64 // the group's
+			pending := map[uint64][]byte{}
+
+			payload := func() []byte {
+				n := 1 + rng.Intn(64)
+				switch rng.Intn(200) {
+				case 0:
+					n = maxChunk + rng.Intn(2*maxChunk+1) // a chunk of its own
+				case 1, 2, 3:
+					n = 1 + rng.Intn(maxChunk/4) // a few fill a chunk
+				}
+				p := make([]byte, n)
+				rng.Read(p)
+				return p
+			}
+			run := func(from uint64, n int) []Entry {
+				es := make([]Entry, n)
+				for i := range es {
+					es[i] = Entry{ID: from + uint64(i), Payload: payload()}
+				}
+				return es
+			}
+			back := func() uint64 { // an ID at or a little before the tail, never 0
+				return m.nextID - uint64(rng.Int63n(int64(min(m.nextID, 12))))
+			}
+
+			for step := 0; step < 1500; step++ {
+				var err error
+				switch op := rng.Intn(12); op {
+				case 0, 1:
+					p := payload()
+					var id uint64
+					if id, err = b.Publish(ctx, "t", p); err == nil && id != m.nextID {
+						err = fmt.Errorf("Publish id %d, want %d", id, m.nextID)
+					}
+					m.append(p)
+				case 2, 3:
+					ps := make([][]byte, 1+rng.Intn(40))
+					for i := range ps {
+						ps[i] = payload()
+					}
+					var id uint64
+					if id, err = b.PublishBatch(ctx, "t", ps); err == nil && id != m.nextID {
+						err = fmt.Errorf("PublishBatch id %d, want %d", id, m.nextID)
+					}
+					for _, p := range ps {
+						m.append(p)
+					}
+				case 4, 5, 6:
+					epoch, es := m.epoch, run(m.nextID, 1+rng.Intn(5))
+					switch rng.Intn(9) {
+					case 0: // duplicates, then new entries
+						es = run(back(), 1+rng.Intn(20))
+					case 1: // a hole before the batch, or inside it
+						es = append(es, run(es[len(es)-1].ID+2, 2)...)
+						if rng.Intn(2) == 0 {
+							es = es[len(es)-2:]
+						}
+					case 2: // a deposed leader
+						if epoch > 0 {
+							epoch--
+						}
+					case 3: // a new leader whose log conflicts with this tail
+						epoch, es = epoch+1, run(back(), 1+rng.Intn(20))
+					case 4: // a new leader whose log starts below this window
+						if m.firstID > 1 {
+							epoch, es = epoch+1, run(1+uint64(rng.Int63n(int64(m.firstID-1))), 1+rng.Intn(5))
+						}
+					case 5: // epoch beacon
+						epoch, es = epoch+1, nil
+					case 6: // an entry no leader could have acked
+						es[rng.Intn(len(es))].Payload = nil
+					}
+					wantTail, wantErr := m.replicate(epoch, es)
+					tail, gotErr := b.ReplicateAppend(ctx, "t", epoch, es)
+					if tail != wantTail || !errors.Is(gotErr, wantErr) {
+						err = fmt.Errorf("ReplicateAppend(epoch %d, %d entries) = (%d, %v), want (%d, %v)",
+							epoch, len(es), tail, gotErr, wantTail, wantErr)
+					}
+				case 7:
+					from := uint64(rng.Int63n(int64(m.nextID + 3)))
+					to := from + uint64(rng.Intn(50))
+					lim := rng.Intn(20) - 5
+					want, wantErr := m.rng(from, to, lim)
+					got, gotErr := b.Range(ctx, "t", from, to, lim)
+					if !errors.Is(gotErr, wantErr) {
+						err = fmt.Errorf("Range(%d, %d, %d) err %v, want %v", from, to, lim, gotErr, wantErr)
+					} else if err = sameEntries(got, want); err != nil {
+						err = fmt.Errorf("Range(%d, %d, %d): %w", from, to, lim, err)
+					}
+				case 8:
+					after := uint64(rng.Int63n(int64(m.nextID + 2)))
+					lim := rng.Intn(20) - 5
+					want, _ := m.rng(max(after+1, m.firstID), m.nextID, lim)
+					got, gotErr := b.ConsumeBatch(parked, "t", after, lim)
+					if len(want) == 0 {
+						if !errors.Is(gotErr, context.Canceled) {
+							err = fmt.Errorf("ConsumeBatch(after %d) with nothing to read: %v, %v", after, got, gotErr)
+						}
+					} else if err = sameEntries(got, want); err != nil || gotErr != nil {
+						err = fmt.Errorf("ConsumeBatch(after %d, max %d): %v, %v", after, lim, err, gotErr)
+					}
+				case 9:
+					got, gotErr := b.Latest(ctx, "t")
+					if len(m.entries) == 0 {
+						if !errors.Is(gotErr, ErrNoSuchTopic) {
+							err = fmt.Errorf("Latest of an empty log: %v, %v", got, gotErr)
+						}
+					} else if err = sameEntries([]Entry{got}, m.entries[len(m.entries)-1:]); err != nil || gotErr != nil {
+						err = fmt.Errorf("Latest: %v, %v", err, gotErr)
+					}
+				case 10:
+					want, _ := m.rng(max(cursor+1, m.firstID), m.nextID, 1)
+					got, gotErr := b.GroupRead(parked, "t", "g")
+					if len(want) == 0 {
+						if !errors.Is(gotErr, context.Canceled) {
+							err = fmt.Errorf("GroupRead with nothing to read: %v, %v", got, gotErr)
+						}
+					} else if err = sameEntries([]Entry{got}, want); err != nil || gotErr != nil {
+						err = fmt.Errorf("GroupRead: %v, %v", err, gotErr)
+					} else {
+						cursor = got.ID
+						pending[got.ID] = want[0].Payload
+					}
+				case 11:
+					for id := range pending {
+						if err = b.Ack(ctx, "t", "g", id); err != nil {
+							break
+						}
+						delete(pending, id)
+						if rng.Intn(2) == 0 {
+							break
+						}
+					}
+				}
+				if err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+
+				// The whole visible state, after every step.
+				epoch, tail, _ := b.TopicTail(ctx, "t")
+				if epoch != m.epoch || tail != m.nextID-1 {
+					t.Fatalf("step %d: TopicTail = (%d, %d), want (%d, %d)", step, epoch, tail, m.epoch, m.nextID-1)
+				}
+				if got := reg.Snapshot().Counter("stream_broker_evicted_total"); got != m.evicted {
+					t.Fatalf("step %d: evicted = %d, want %d", step, got, m.evicted)
+				}
+				got, err := b.Range(ctx, "t", m.firstID, m.nextID, 0)
+				if err == nil {
+					err = sameEntries(got, m.entries)
+				}
+				if err != nil {
+					t.Fatalf("step %d: retained window: %v", step, err)
+				}
+				// pending keeps its own bytes whatever was evicted or truncated since.
+				held, err := b.Pending("t", "g")
+				if err != nil || len(held) != len(pending) {
+					t.Fatalf("step %d: Pending = %d entries, %v; want %d", step, len(held), err, len(pending))
+				}
+				for _, e := range held {
+					if !bytes.Equal(e.Payload, pending[e.ID]) {
+						t.Fatalf("step %d: pending entry %d changed", step, e.ID)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestTopicLogViewsImmutable: an Entry handed to a reader never changes,
+// whatever happens to the log afterwards — publishes past retention on one
+// topic, and on another a replica whose tail is cut and re-appended with
+// different bytes at the same IDs. Readers keep every Entry they ever got
+// and re-check all of them at the end; run under -race this also shows no
+// append touches bytes a reader can see.
+func TestTopicLogViewsImmutable(t *testing.T) {
+	b := NewBroker(64)
+	defer b.Close()
+	ctx, stop := context.WithCancel(context.Background())
+	defer stop()
+
+	// A view is one (ID, bytes) pair: the replica topic serves the same ID
+	// with different bytes after a cut, and the same pair many times over.
+	type view struct {
+		id  uint64
+		sum uint32
+	}
+	var readers, writers sync.WaitGroup
+	kept := make([]map[view]Entry, 4)
+	for r := range kept {
+		kept[r] = map[view]Entry{}
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			var after uint64
+			for ctx.Err() == nil {
+				topic := "pub" // followed with a cursor
+				if r%2 == 1 {
+					topic, after = "repl", 0 // the whole window, every time
+				}
+				es, err := b.ConsumeBatch(ctx, topic, after, 0)
+				if err != nil {
+					return
+				}
+				for _, e := range es {
+					kept[r][view{e.ID, crc32.ChecksumIEEE(e.Payload)}] = e
+				}
+				after = es[len(es)-1].ID
+			}
+		}(r)
+	}
+
+	payload := func(rng *rand.Rand) []byte {
+		p := make([]byte, 1+rng.Intn(300))
+		rng.Read(p)
+		return p
+	}
+	writers.Add(2)
+	go func() {
+		defer writers.Done()
+		rng := rand.New(rand.NewSource(1))
+		for i := 0; i < 20000; i++ {
+			if _, err := b.Publish(ctx, "pub", payload(rng)); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer writers.Done()
+		rng := rand.New(rand.NewSource(2))
+		tail := uint64(0)
+		for epoch := uint64(1); epoch <= 4000; epoch++ {
+			// Each new leader rewrites up to 8 of the entries the last one
+			// appended, then extends the log.
+			from := tail + 1 - uint64(rng.Int63n(int64(min(tail, 8)+1)))
+			es := make([]Entry, 1+rng.Intn(16))
+			for i := range es {
+				es[i] = Entry{ID: from + uint64(i), Payload: payload(rng)}
+			}
+			var err error
+			if tail, err = b.ReplicateAppend(ctx, "repl", epoch, es); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	writers.Wait()
+	stop()
+	readers.Wait()
+
+	for r, views := range kept {
+		for v, e := range views {
+			if crc32.ChecksumIEEE(e.Payload) != v.sum {
+				t.Fatalf("reader %d: entry %d changed after it was handed out", r, v.id)
+			}
+		}
+		if len(views) < 100 {
+			t.Errorf("reader %d kept only %d entries", r, len(views))
+		}
+	}
+}
+
+// liveHeap is the heap in use after a full collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC() // the first may only finish a cycle already under way
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// emptyTopics creates n topics the way any wire peer can: a consume on a
+// name nobody publishes to.
+func emptyTopics(b *Broker, n int) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := 0; i < n; i++ {
+		b.ConsumeBatch(ctx, fmt.Sprintf("empty%06d", i), 0, 1)
+	}
+}
+
+// fillTopic publishes n 28-byte payloads (a telemetry tuple's wire size).
+func fillTopic(tb testing.TB, b *Broker, topic string, n int) {
+	payload := make([]byte, 28)
+	for i := 0; i < n; i++ {
+		if _, err := b.Publish(context.Background(), topic, payload); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// TestTopicLogFootprint keeps the broker's memory proportional to what it
+// holds: an empty topic costs its bookkeeping, not a reserved retention
+// window, and a full one about its bytes.
+func TestTopicLogFootprint(t *testing.T) {
+	b := NewBroker(0)
+	defer b.Close()
+
+	base := liveHeap()
+	emptyTopics(b, 1000)
+	if got := int64(liveHeap() - base); got > 1<<20 {
+		t.Errorf("1000 empty topics hold %d bytes of live heap, want < 1 MiB", got)
+	}
+
+	const limit = DefaultRetention*40 + 64<<10
+	base = liveHeap()
+	fillTopic(t, b, "full", DefaultRetention)
+	if got := int64(liveHeap() - base); got > limit {
+		t.Errorf("a topic filled to retention holds %d bytes, want < %d", got, limit)
+	}
+	// Nor does it grow once retention starts releasing chunks.
+	fillTopic(t, b, "full", 2*DefaultRetention+100)
+	if got := int64(liveHeap() - base); got > limit {
+		t.Errorf("a topic at steady state holds %d bytes, want < %d", got, limit)
+	}
+	runtime.KeepAlive(b)
+}

@@ -61,3 +61,39 @@ func TestStreamObsCounters(t *testing.T) {
 		t.Fatalf("consume lag histogram = %+v, want one observation of 2", lag)
 	}
 }
+
+// TestBrokerLogBytesGauge: stream_broker_log_bytes follows the chunk capacity
+// the broker holds — up as publishes open chunks, down once retention has
+// moved past a whole chunk.
+func TestBrokerLogBytesGauge(t *testing.T) {
+	r := obs.NewRegistry()
+	b := NewBroker(4)
+	b.Instrument(r)
+	defer b.Close()
+	gauge := func() float64 { return r.Snapshot().Gauge("stream_broker_log_bytes") }
+	if got := gauge(); got != 0 {
+		t.Fatalf("log_bytes = %v before any publish, want 0", got)
+	}
+	payload := make([]byte, 200) // two to the first chunk
+	rose, fell := false, false
+	for i, last := 0, 0.0; i < 40; i++ {
+		if _, err := b.Publish(context.Background(), "t", payload); err != nil {
+			t.Fatal(err)
+		}
+		now := gauge()
+		rose = rose || now > last
+		fell = fell || now < last
+		last = now
+	}
+	if !rose || !fell {
+		t.Fatalf("log_bytes rose=%v fell=%v over 40 publishes at retention 4, want both", rose, fell)
+	}
+	tp, _ := b.topicFor("t", false)
+	held := 0
+	for _, c := range tp.chunks {
+		held += cap(c.data)
+	}
+	if got := gauge(); got != float64(held) {
+		t.Fatalf("log_bytes = %v, the topic's chunks hold %d", got, held)
+	}
+}

@@ -217,6 +217,9 @@ func (s *Server) dispatch(ctx context.Context, op byte, payload []byte, out *enc
 		if d.err != nil {
 			return d.err
 		}
+		// The payloads are views of the request frame; the broker copies
+		// each into the topic log, and the fabric node encodes them for its
+		// followers, before PublishBatch returns.
 		payloads := make([][]byte, 0, n)
 		for i := 0; i < n; i++ {
 			payloads = append(payloads, d.bytes())
@@ -317,6 +320,7 @@ func (s *Server) dispatch(ctx context.Context, op byte, payload []byte, out *enc
 		if d.err != nil {
 			return d.err
 		}
+		// entries view the request frame; ReplicateAppend copies what it keeps.
 		tail, err := s.broker.ReplicateAppend(ctx, topic, epoch, entries)
 		code := byte(replOK)
 		switch {

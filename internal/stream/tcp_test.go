@@ -71,6 +71,34 @@ func TestTCPErrorMapping(t *testing.T) {
 	}
 }
 
+// TestTCPReplicateRejectsEmptyPayload: a replicate frame carrying an entry
+// no leader could have acked (publish refuses an empty payload) is refused
+// whole, before the epoch is adopted or anything is appended or truncated.
+func TestTCPReplicateRejectsEmptyPayload(t *testing.T) {
+	b, s := startServer(t)
+	c := dialT(t, s)
+	ctx := context.Background()
+	if _, err := c.Replicate(ctx, "t", 1, []Entry{{ID: 1, Payload: []byte("a")}, {ID: 2, Payload: []byte("b")}}); err != nil {
+		t.Fatal(err)
+	}
+	_, err := c.Replicate(ctx, "t", 2, []Entry{{ID: 2, Payload: []byte("c")}, {ID: 3, Payload: nil}})
+	if !errors.Is(err, ErrEmptyPayload) {
+		t.Fatalf("err=%v want ErrEmptyPayload", err)
+	}
+	if epoch, tail, _ := b.TopicTail(ctx, "t"); epoch != 1 || tail != 2 {
+		t.Fatalf("TopicTail = (%d, %d) after the refused frame, want (1, 2)", epoch, tail)
+	}
+	if e, _ := b.Latest(ctx, "t"); string(e.Payload) != "b" {
+		t.Fatalf("entry 2 = %q after the refused frame, want %q", e.Payload, "b")
+	}
+	if n := c.Reconnects(); n != 0 {
+		t.Fatalf("%d reconnects: the refusal cost the connection", n)
+	}
+	if err := c.Ping(ctx); err != nil {
+		t.Fatalf("Ping on the same connection: %v", err)
+	}
+}
+
 func TestTCPSubscriptionStream(t *testing.T) {
 	b, s := startServer(t)
 	sub, err := Subscribe(s.Addr(), "m", 0)

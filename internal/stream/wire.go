@@ -168,14 +168,16 @@ func (d *buf) str() string {
 	return s
 }
 
+// bytes returns a capacity-capped view of the frame, not a copy: readFrame
+// allocates every frame afresh and nothing reuses one, so the view stays
+// valid for as long as it is held (and pins the whole frame for as long).
 func (d *buf) bytes() []byte {
 	n := int(d.u32())
 	if d.err != nil || d.pos+n > len(d.b) {
 		d.fail()
 		return nil
 	}
-	v := make([]byte, n)
-	copy(v, d.b[d.pos:d.pos+n])
+	v := d.b[d.pos : d.pos+n : d.pos+n]
 	d.pos += n
 	return v
 }
