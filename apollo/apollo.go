@@ -132,7 +132,9 @@ type (
 	HookFunc = score.HookFunc
 	// ReplayHook replays a captured trace.
 	ReplayHook = score.ReplayHook
-	// Builder derives an Insight from input tuples.
+	// Builder derives an Insight from the latest tuple of every input. The
+	// map is the vertex's working state, passed without a copy: it is valid
+	// for the call only and must be neither retained nor modified.
 	Builder = score.Builder
 )
 

@@ -106,11 +106,12 @@ type FactVertex struct {
 	predInfos    []telemetry.Info
 	predPayloads [][]byte
 	predBlob     []byte
+	factBuf      []byte    // the measured tuple's encoding
 	onePayload   [1][]byte // the measured tuple's batch of one
+	last         float64   // last measured value, for the only-if-changed filter
+	hasLast      bool
 
 	mu      sync.Mutex
-	last    float64
-	hasLast bool
 	running bool
 	cancel  context.CancelFunc
 	done    chan struct{}
@@ -290,7 +291,8 @@ func (v *FactVertex) pollOnce(ctx context.Context, current time.Duration) time.D
 
 	// Fact Builder: Metric -> Fact tuple, linearized for the queue.
 	info := telemetry.NewFact(v.metric, ts, value)
-	payload, perr := info.MarshalBinary()
+	var perr error
+	v.factBuf, perr = info.AppendBinary(v.factBuf[:0])
 	t2 := time.Now()
 	v.stats.addBuild(t2.Sub(t1))
 	if perr != nil {
@@ -301,9 +303,9 @@ func (v *FactVertex) pollOnce(ctx context.Context, current time.Duration) time.D
 	// Publish only on change (§3.2.1), unless the filter is disabled. When
 	// the broker is unreachable the tuple is buffered (store-and-forward)
 	// and flushed in order on recovery instead of being dropped.
-	changed := !v.hasLastValue() || value != v.lastValue()
+	changed := !v.hasLast || value != v.last
 	if changed || v.cfg.PublishUnchanged {
-		v.onePayload[0] = payload
+		v.onePayload[0] = v.factBuf
 		if v.pub.publish(ctx, v.onePayload[:]) {
 			v.history.Append(info)
 			v.stats.published.Add(1)
@@ -317,7 +319,7 @@ func (v *FactVertex) pollOnce(ctx context.Context, current time.Duration) time.D
 	t3 := time.Now()
 	v.stats.addPublish(t3.Sub(t2))
 
-	v.setLast(value)
+	v.last, v.hasLast = value, true
 	if v.cfg.Delphi != nil {
 		// Continuous accuracy: score the forecast made at the previous poll
 		// against the value just measured, before this value enters the
@@ -392,25 +394,6 @@ func (v *FactVertex) pollOnce(ctx context.Context, current time.Duration) time.D
 	}
 	v.stats.addOther(time.Since(t3))
 	return next
-}
-
-func (v *FactVertex) hasLastValue() bool {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.hasLast
-}
-
-func (v *FactVertex) lastValue() float64 {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.last
-}
-
-func (v *FactVertex) setLast(x float64) {
-	v.mu.Lock()
-	v.last = x
-	v.hasLast = true
-	v.mu.Unlock()
 }
 
 // History exposes the vertex's in-memory ring — the background retrainer

@@ -145,8 +145,8 @@ func (p *BufferedPublisher) Health() HealthSnapshot { return p.snapshot() }
 
 // PublishBatch implements stream.Publisher: the whole batch is delivered in
 // one append — after any backlog flush, so stream order is preserved across
-// outages — or buffered in order as a unit. Only the payloads are kept when
-// buffering, never the outer slice, so callers may reuse it.
+// outages — or buffered in order as a unit. Buffering copies the payloads, so
+// callers may reuse both them and the outer slice once the call returns.
 func (p *BufferedPublisher) PublishBatch(ctx context.Context, topic string, payloads [][]byte) (uint64, error) {
 	if len(payloads) == 0 {
 		return 0, nil
@@ -217,7 +217,9 @@ func (p *BufferedPublisher) failLocked(err error, topic string, payloads [][]byt
 		return err
 	}
 	for _, payload := range payloads {
-		p.backlog = append(p.backlog, buffered{topic: topic, payload: payload})
+		// A private copy: vertices encode into buffers their next poll or run
+		// overwrites, and the backlog outlives both.
+		p.backlog = append(p.backlog, buffered{topic: topic, payload: append([]byte(nil), payload...)})
 		p.stats.buffered.Add(1)
 		p.obsBuffered.Inc()
 		if len(p.backlog) > p.cap {

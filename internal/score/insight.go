@@ -3,7 +3,9 @@ package score
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/archive"
@@ -16,7 +18,9 @@ import (
 
 // Builder computes an Insight value from the latest tuple of every input
 // stream. It is called whenever any input updates, once all inputs have been
-// seen at least once.
+// seen at least once, one call at a time per vertex. The map is the vertex's
+// own working state, passed without a copy: it is valid for the duration of
+// the call only, and a Builder must neither retain nor modify it.
 type Builder func(inputs map[telemetry.MetricID]telemetry.Info) float64
 
 // Aggregations commonly used as Builders.
@@ -99,6 +103,7 @@ type InsightConfig struct {
 // Builder), and publishes the result onto its own queue.
 type InsightVertex struct {
 	cfg     InsightConfig
+	inputs  map[telemetry.MetricID]struct{} // cfg.Inputs as a set
 	history *queue.History
 	stats   Stats
 	pub     *BufferedPublisher
@@ -106,12 +111,21 @@ type InsightVertex struct {
 	obsTuplesIn  *obs.Counter // upstream entries decoded
 	obsTuplesOut *obs.Counter // insights accepted by the publish path
 
-	onePayload [1][]byte // the insight's batch of one; consumer goroutine only
+	// The vertex is an actor behind act: whichever input goroutine (or
+	// ConsumeOnce caller) holds it derives the insights of its run of entries
+	// and publishes them. Everything down to mu is touched only under act.
+	act       sync.Mutex
+	latest    map[telemetry.MetricID]telemetry.Info // handed to the Builder in place
+	predicted int                                   // inputs whose latest tuple is Predicted
+	last      float64
+	hasLast   bool
+	// The run's insights, their encodings back to back, and the views of
+	// those handed to PublishBatch; reused across runs.
+	outs     []telemetry.Info
+	buf      []byte
+	payloads [][]byte
 
-	mu      sync.Mutex
-	latest  map[telemetry.MetricID]telemetry.Info
-	last    float64
-	hasLast bool
+	mu      sync.Mutex // guards running, cancel and done only
 	running bool
 	cancel  context.CancelFunc
 	done    chan struct{}
@@ -129,7 +143,17 @@ func NewInsightVertex(cfg InsightConfig) (*InsightVertex, error) {
 	if cfg.BufferSize <= 0 {
 		cfg.BufferSize = cfg.HistorySize
 	}
-	v := &InsightVertex{cfg: cfg, latest: make(map[telemetry.MetricID]telemetry.Info, len(cfg.Inputs))}
+	v := &InsightVertex{
+		cfg:    cfg,
+		inputs: make(map[telemetry.MetricID]struct{}, len(cfg.Inputs)),
+		latest: make(map[telemetry.MetricID]telemetry.Info, len(cfg.Inputs)),
+	}
+	for _, in := range cfg.Inputs {
+		if _, dup := v.inputs[in]; dup {
+			return nil, fmt.Errorf("%w: input %s listed twice", ErrVertexConfig, in)
+		}
+		v.inputs[in] = struct{}{}
+	}
 	v.pub = newPubBuffer(cfg.Bus, string(cfg.Metric), cfg.BufferSize, cfg.FailAfter, &v.stats, cfg.Clock)
 	var onEvict func(telemetry.Info)
 	if cfg.Archive != nil {
@@ -158,7 +182,8 @@ func (v *InsightVertex) Stats() StatsSnapshot { return v.stats.Snapshot() }
 // Health reports the publish-path health (see FactVertex.Health).
 func (v *InsightVertex) Health() HealthSnapshot { return v.pub.snapshot() }
 
-// Start subscribes to all inputs and launches the consumer goroutine.
+// Start subscribes to all inputs and launches one consumer goroutine per
+// input; the last of them to exit closes done.
 func (v *InsightVertex) Start() error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -175,36 +200,24 @@ func (v *InsightVertex) Start() error {
 		}
 		chans = append(chans, ch)
 	}
-	v.cancel = cancel
-	v.done = make(chan struct{})
-	v.running = true
-
-	// Merge all input subscriptions into one channel so the vertex remains
-	// a single-goroutine actor.
-	merged := make(chan stream.Entry, 64)
-	var wg sync.WaitGroup
+	done := make(chan struct{})
+	v.cancel, v.done, v.running = cancel, done, true
+	var left atomic.Int32
+	left.Store(int32(len(chans)))
 	for _, ch := range chans {
-		wg.Add(1)
-		go func(ch <-chan stream.Entry) {
-			defer wg.Done()
-			for e := range ch {
-				select {
-				case merged <- e:
-				case <-ctx.Done():
-					return
-				}
+		go func() {
+			v.consumeInput(ctx, ch)
+			if left.Add(-1) == 0 {
+				close(done)
 			}
-		}(ch)
+		}()
 	}
-	go func() {
-		wg.Wait()
-		close(merged)
-	}()
-	go v.run(ctx, merged)
 	return nil
 }
 
-// Stop terminates the vertex.
+// Stop terminates the vertex. It holds no lock a publish can sit behind: the
+// cancelled context ends any publish in flight, and every input goroutine
+// exits once its subscription closes.
 func (v *InsightVertex) Stop() {
 	v.mu.Lock()
 	if !v.running {
@@ -218,94 +231,131 @@ func (v *InsightVertex) Stop() {
 	<-done
 }
 
-func (v *InsightVertex) run(ctx context.Context, merged <-chan stream.Entry) {
-	defer close(v.done)
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case e, ok := <-merged:
-			if !ok {
-				return
-			}
-			v.consume(ctx, e)
+// consumeInput feeds one input subscription through the vertex until the
+// subscription closes: each blocking receive is followed by whatever else
+// already sits in the channel (at most its capacity, subscribeSlack in every
+// Bus), and that run is consumed as a unit.
+func (v *InsightVertex) consumeInput(ctx context.Context, ch <-chan stream.Entry) {
+	var run []stream.Entry
+	var ins []telemetry.Info
+	for e := range ch {
+		run = append(run[:0], e)
+		for n := len(ch); n > 0; n-- { // the sole receiver: what is buffered stays until taken
+			run = append(run, <-ch)
 		}
+		ins = v.consume(ctx, run, ins)
 	}
 }
 
-// consume processes one upstream entry.
-func (v *InsightVertex) consume(ctx context.Context, e stream.Entry) {
-	// Anatomy timings use wall time (see FactVertex.pollOnce).
+// consume decodes a run of upstream entries of one input into ins — the
+// caller's scratch, returned for the next run so that a slot decoding the
+// same metric again keeps its string — and, under the actor lock, applies
+// them in order: every entry that leaves all inputs seen rebuilds the
+// insight, and the run's insights that pass the only-if-changed filter go
+// out as one batch, then into the history. Anatomy timings use wall time
+// (see FactVertex.pollOnce), stamped once per run.
+func (v *InsightVertex) consume(ctx context.Context, run []stream.Entry, ins []telemetry.Info) []telemetry.Info {
 	t0 := time.Now()
-	var in telemetry.Info
-	if err := in.UnmarshalBinary(e.Payload); err != nil {
-		v.stats.errors.Add(1)
-		return
-	}
-	v.obsTuplesIn.Inc()
-	v.mu.Lock()
-	v.latest[in.Metric] = in
-	ready := len(v.latest) == len(v.cfg.Inputs)
-	var inputs map[telemetry.MetricID]telemetry.Info
-	if ready {
-		inputs = make(map[telemetry.MetricID]telemetry.Info, len(v.latest))
-		for k, val := range v.latest {
-			inputs[k] = val
+	ins = slices.Grow(ins[:0], len(run))[:len(run)] // the slots as they were left
+	n := 0
+	for _, e := range run {
+		if ins[n].UnmarshalBinary(e.Payload) == nil {
+			n++
 		}
 	}
-	v.mu.Unlock()
-	t1 := time.Now()
-	v.stats.addBuild(t1.Sub(t0))
-	if !ready {
-		return
-	}
+	ins = ins[:n]
+	failed := uint64(len(run) - n)
+	v.obsTuplesIn.Add(uint64(len(ins)))
+	v.stats.addBuild(time.Since(t0))
 
-	// Insight Builder: combine the latest inputs.
-	value := v.cfg.Builder(inputs)
-	// An insight derived from any predicted input is itself predicted.
-	src := telemetry.Measured
-	for _, i := range inputs {
-		if i.Source == telemetry.Predicted {
-			src = telemetry.Predicted
-			break
+	v.act.Lock()
+	defer v.act.Unlock()
+	t1 := time.Now()
+	outs := v.outs[:0]
+	var built, suppressed, predicted uint64
+	for i := range ins {
+		in := &ins[i]
+		old, seen := v.latest[in.Metric]
+		if !seen {
+			if _, ok := v.inputs[in.Metric]; !ok {
+				failed++ // a stray tuple on an input topic: not one of ours
+				continue
+			}
 		}
+		v.latest[in.Metric] = *in
+		// An insight derived from any predicted input is itself predicted.
+		if seen && old.Source == telemetry.Predicted {
+			v.predicted--
+		}
+		if in.Source == telemetry.Predicted {
+			v.predicted++
+		}
+		if len(v.latest) < len(v.inputs) {
+			continue
+		}
+
+		// Insight Builder: combine the latest inputs.
+		value := v.cfg.Builder(v.latest)
+		built++
+		changed := !v.hasLast || value != v.last
+		v.last, v.hasLast = value, true
+		if !changed && !v.cfg.PublishUnchanged {
+			suppressed++
+			continue
+		}
+		out := telemetry.Info{Metric: v.cfg.Metric, Value: value, Kind: telemetry.KindInsight}
+		if v.predicted > 0 {
+			out.Source = telemetry.Predicted
+			predicted++
+		}
+		out.Timestamp = v.cfg.Clock.Now().UnixNano()
+		if in.Timestamp > out.Timestamp {
+			out.Timestamp = in.Timestamp // predicted inputs may carry future stamps
+		}
+		outs = append(outs, out)
 	}
-	ts := v.cfg.Clock.Now().UnixNano()
-	if in.Timestamp > ts {
-		ts = in.Timestamp // predicted inputs may carry future stamps
-	}
+	v.outs = outs
 	t2 := time.Now()
 	v.stats.addOther(t2.Sub(t1))
-	v.stats.polls.Add(1)
+	v.stats.polls.Add(built)
+	v.stats.suppressed.Add(suppressed)
 
-	v.mu.Lock()
-	changed := !v.hasLast || value != v.last
-	v.last, v.hasLast = value, true
-	v.mu.Unlock()
-	if !changed && !v.cfg.PublishUnchanged {
-		v.stats.suppressed.Add(1)
-		return
-	}
-	info := telemetry.Info{Metric: v.cfg.Metric, Timestamp: ts, Value: value, Kind: telemetry.KindInsight, Source: src}
-	if payload, err := info.MarshalBinary(); err == nil {
-		v.onePayload[0] = payload
-		if v.pub.publish(ctx, v.onePayload[:]) {
-			v.history.Append(info)
-			v.stats.published.Add(1)
-			v.obsTuplesOut.Inc()
-			if src == telemetry.Predicted {
-				v.stats.predicted.Add(1)
+	if len(outs) > 0 {
+		// Should buf grow mid-run, the earlier views keep the array they were
+		// cut from, which nothing writes to again.
+		buf, payloads := v.buf[:0], v.payloads[:0]
+		var err error
+		for _, out := range outs {
+			off := len(buf)
+			if buf, err = out.AppendBinary(buf); err != nil {
+				break // the vertex's own metric ID cannot be encoded: no insight can
 			}
-		} else {
-			v.stats.errors.Add(1)
+			payloads = append(payloads, buf[off:len(buf):len(buf)])
 		}
+		v.buf, v.payloads = buf, payloads
+		if err == nil && v.pub.publish(ctx, payloads) {
+			for _, out := range outs {
+				v.history.Append(out)
+			}
+			v.stats.published.Add(uint64(len(outs)))
+			v.stats.predicted.Add(predicted)
+			v.obsTuplesOut.Add(uint64(len(outs)))
+		} else {
+			failed += uint64(len(outs))
+		}
+		v.stats.addPublish(time.Since(t2))
 	}
-	v.stats.addPublish(time.Since(t2))
+	if failed > 0 {
+		v.stats.errors.Add(failed)
+	}
+	return ins
 }
 
 // ConsumeOnce is exposed for deterministic tests: it feeds one entry through
-// the insight pipeline synchronously.
-func (v *InsightVertex) ConsumeOnce(e stream.Entry) { v.consume(context.Background(), e) }
+// the insight pipeline synchronously, as a run of one.
+func (v *InsightVertex) ConsumeOnce(e stream.Entry) {
+	v.consume(context.Background(), []stream.Entry{e}, nil)
+}
 
 // Latest implements Executor.
 func (v *InsightVertex) Latest() (telemetry.Info, bool) { return v.history.Latest() }

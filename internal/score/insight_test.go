@@ -1,0 +1,436 @@
+package score
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"maps"
+	"math/rand"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/sched"
+	"repro/internal/stream"
+	"repro/internal/telemetry"
+)
+
+// refInsight is the per-entry reference the vertex is checked against: a
+// fresh copy of the inputs for every entry, a full rescan for predicted
+// inputs, one output at a time.
+type refInsight struct {
+	inputs    []telemetry.MetricID
+	builder   Builder
+	unchanged bool
+	now       int64
+
+	latest  map[telemetry.MetricID]telemetry.Info
+	last    float64
+	hasLast bool
+	out     []telemetry.Info
+	stats   StatsSnapshot
+}
+
+func (r *refInsight) consume(payload []byte) {
+	var in telemetry.Info
+	if in.UnmarshalBinary(payload) != nil || !slices.Contains(r.inputs, in.Metric) {
+		r.stats.Errors++
+		return
+	}
+	r.latest[in.Metric] = in
+	if len(r.latest) < len(r.inputs) {
+		return
+	}
+	inputs := maps.Clone(r.latest)
+	value := r.builder(inputs)
+	r.stats.Polls++
+	src := telemetry.Measured
+	for _, i := range inputs {
+		if i.Source == telemetry.Predicted {
+			src = telemetry.Predicted
+		}
+	}
+	changed := !r.hasLast || value != r.last
+	r.last, r.hasLast = value, true
+	if !changed && !r.unchanged {
+		r.stats.Suppressed++
+		return
+	}
+	r.out = append(r.out, telemetry.Info{Metric: "ref.out", Timestamp: max(r.now, in.Timestamp), Value: value, Kind: telemetry.KindInsight, Source: src})
+	r.stats.Published++
+	if src == telemetry.Predicted {
+		r.stats.Predicted++
+	}
+}
+
+// burst is a run of payloads published to one input topic at once.
+type burst struct {
+	topic    telemetry.MetricID
+	payloads [][]byte
+}
+
+// randomBursts returns one warm-up entry per input (shuffled, stamped in the
+// past) followed by n bursts of 1-5 entries: new measured values, predicted
+// values (some stamped in the future), repeats of the input's current value,
+// corrupted encodings, and tuples of a metric the vertex does not consume.
+// Values are small integers, so every Builder is exact whatever the order it
+// visits the map in.
+func randomBursts(rng *rand.Rand, inputs []telemetry.MetricID, now int64, n int) []burst {
+	encode := func(in telemetry.Info) []byte {
+		b, err := in.MarshalBinary()
+		if err != nil {
+			panic(err)
+		}
+		return b
+	}
+	current := make(map[telemetry.MetricID]float64, len(inputs))
+	var out []burst
+	for _, i := range rng.Perm(len(inputs)) {
+		current[inputs[i]] = float64(rng.Intn(100))
+		out = append(out, burst{inputs[i], [][]byte{encode(telemetry.NewFact(inputs[i], now-1-int64(i), current[inputs[i]]))}})
+	}
+	for ; n > 0; n-- {
+		b := burst{topic: inputs[rng.Intn(len(inputs))]}
+		for k := 1 + rng.Intn(5); k > 0; k-- {
+			ts := now - int64(rng.Intn(1000))
+			switch rng.Intn(8) {
+			case 0, 1, 2:
+				current[b.topic] = float64(rng.Intn(100))
+				b.payloads = append(b.payloads, encode(telemetry.NewFact(b.topic, ts, current[b.topic])))
+			case 3, 4:
+				current[b.topic] = float64(rng.Intn(100))
+				b.payloads = append(b.payloads, encode(telemetry.NewPredictedFact(b.topic, ts+int64(rng.Intn(2000)), current[b.topic])))
+			case 5:
+				b.payloads = append(b.payloads, encode(telemetry.NewFact(b.topic, ts, current[b.topic])))
+			case 6:
+				p := encode(telemetry.NewFact(b.topic, ts, 1))
+				p[rng.Intn(len(p))] ^= 0x40
+				b.payloads = append(b.payloads, p)
+			case 7:
+				b.payloads = append(b.payloads, encode(telemetry.NewFact("stray", ts, 1)))
+			}
+		}
+		out = append(out, b)
+	}
+	return out
+}
+
+// TestInsightMatchesReference drives the vertex and the per-entry reference
+// with the same seeded bursts — entry by entry through ConsumeOnce, burst by
+// burst as runs, and over live subscriptions — and demands the same outputs
+// in the same order, the same counts, contiguous bus IDs, and a history
+// holding what the bus holds.
+func TestInsightMatchesReference(t *testing.T) {
+	const now = int64(1_000_000)
+	builders := []Builder{Sum, Mean, Min, Max}
+	for _, nIn := range []int{1, 8, 32} {
+		for _, unchanged := range []bool{false, true} {
+			for _, mode := range []string{"once", "runs", "live"} {
+				seed := int64(nIn) // the same bursts in every mode
+				if unchanged {
+					seed += 100
+				}
+				t.Run(fmt.Sprintf("inputs=%d/unchanged=%v/%s", nIn, unchanged, mode), func(t *testing.T) {
+					rng := rand.New(rand.NewSource(seed))
+					inputs := make([]telemetry.MetricID, nIn)
+					for i := range inputs {
+						inputs[i] = telemetry.MetricID(fmt.Sprintf("in%02d", i))
+					}
+					builder := builders[rng.Intn(len(builders))]
+					bursts := randomBursts(rng, inputs, now, 300)
+					ref := &refInsight{inputs: inputs, builder: builder, unchanged: unchanged, now: now,
+						latest: map[telemetry.MetricID]telemetry.Info{}}
+
+					bus := stream.NewBroker(1 << 12)
+					v, err := NewInsightVertex(InsightConfig{
+						Metric: "ref.out", Inputs: inputs, Builder: builder, Bus: bus,
+						Clock: sched.NewSimClock(time.Unix(0, now)), PublishUnchanged: unchanged,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if mode == "live" {
+						if err := v.Start(); err != nil {
+							t.Fatal(err)
+						}
+						defer v.Stop()
+					}
+					for i, b := range bursts {
+						for _, p := range b.payloads {
+							ref.consume(p)
+						}
+						switch mode {
+						case "once":
+							for _, p := range b.payloads {
+								v.ConsumeOnce(stream.Entry{Payload: p})
+							}
+						case "runs":
+							run := make([]stream.Entry, len(b.payloads))
+							for j, p := range b.payloads {
+								run[j].Payload = p
+							}
+							v.consume(context.Background(), run, nil)
+						case "live":
+							if _, err := bus.PublishBatch(context.Background(), string(b.topic), b.payloads); err != nil {
+								t.Fatal(err)
+							}
+							// The order across inputs is the test's to fix: once
+							// every input is seen each entry ends in a counter,
+							// so wait for this burst before publishing the next.
+							if i >= nIn-1 {
+								waitFor(t, func() bool {
+									st := v.Stats()
+									return st.Polls+st.Errors == ref.stats.Polls+ref.stats.Errors &&
+										st.Published+st.Suppressed == st.Polls
+								})
+							}
+						}
+					}
+					v.Stop()
+
+					st := v.Stats()
+					got := StatsSnapshot{Polls: st.Polls, Published: st.Published, Suppressed: st.Suppressed, Predicted: st.Predicted, Errors: st.Errors}
+					if got != ref.stats {
+						t.Fatalf("stats = %+v, reference %+v", got, ref.stats)
+					}
+					entries, err := bus.Range(context.Background(), "ref.out", 1, 1<<62, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(entries) != len(ref.out) {
+						t.Fatalf("bus holds %d insights, reference made %d", len(entries), len(ref.out))
+					}
+					var ring []telemetry.Info // the bus sequence under the history's in-order rule
+					for i, e := range entries {
+						var out telemetry.Info
+						if err := out.UnmarshalBinary(e.Payload); err != nil {
+							t.Fatalf("insight %d: %v", i, err)
+						}
+						if e.ID != uint64(i+1) || out != ref.out[i] {
+							t.Fatalf("insight %d = id %d %v, reference id %d %v", i, e.ID, out, i+1, ref.out[i])
+						}
+						if len(ring) == 0 || out.Timestamp >= ring[len(ring)-1].Timestamp {
+							ring = append(ring, out)
+						}
+					}
+					if hist := v.Range(-1<<62, 1<<62); !slices.Equal(hist, ring) {
+						t.Fatalf("history holds %d insights, the bus's in-order subsequence has %d", len(hist), len(ring))
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestInsightStrayTupleDropped: a tuple of a foreign metric on an input topic
+// is counted and dropped; at the parent it grew the inputs map past the
+// readiness test and silenced the vertex for good.
+func TestInsightStrayTupleDropped(t *testing.T) {
+	bus := stream.NewBroker(0)
+	v, err := NewInsightVertex(InsightConfig{
+		Metric: "sum", Inputs: []telemetry.MetricID{"a", "b"},
+		Builder: Sum, Bus: bus, Clock: sched.NewSimClock(time.Unix(0, 0)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stray, _ := telemetry.NewFact("c", 1, 1000).MarshalBinary()
+	v.ConsumeOnce(publish(t, bus, telemetry.NewFact("a", 1, 1)))
+	v.ConsumeOnce(stream.Entry{ID: 9, Payload: stray})
+	v.ConsumeOnce(publish(t, bus, telemetry.NewFact("b", 2, 2)))
+	if in, ok := v.Latest(); !ok || in.Value != 3 {
+		t.Fatalf("latest=%v ok=%v, want the sum of a and b", in, ok)
+	}
+	if st := v.Stats(); st.Errors != 1 || st.Published != 1 {
+		t.Fatalf("stats=%+v, want the stray tuple counted as the one error", st)
+	}
+}
+
+func TestInsightDuplicateInputRejected(t *testing.T) {
+	_, err := NewInsightVertex(InsightConfig{
+		Metric: "sum", Inputs: []telemetry.MetricID{"a", "b", "a"},
+		Builder: Sum, Bus: stream.NewBroker(0),
+	})
+	if !errors.Is(err, ErrVertexConfig) {
+		t.Fatalf("duplicate input: err=%v, want ErrVertexConfig", err)
+	}
+}
+
+// insightFeed is a warmed-up vertex over n inputs plus, per input, a cycle of
+// pre-encoded entries with changing values and the decode scratch an input
+// goroutine would own.
+type insightFeed struct {
+	v       *InsightVertex
+	entries [][]stream.Entry
+	scratch [][]telemetry.Info
+	next    int
+}
+
+func newInsightFeed(tb testing.TB, n int) *insightFeed {
+	tb.Helper()
+	inputs := make([]telemetry.MetricID, n)
+	for i := range inputs {
+		inputs[i] = telemetry.MetricID(fmt.Sprintf("node%02d.nvme0.capacity", i))
+	}
+	v, err := NewInsightVertex(InsightConfig{
+		Metric: "cluster.capacity", Inputs: inputs, Builder: Sum,
+		Bus: stream.NewBroker(1 << 12), Clock: sched.NewSimClock(time.Unix(0, 0)),
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	f := &insightFeed{v: v, entries: make([][]stream.Entry, n), scratch: make([][]telemetry.Info, n)}
+	for i, in := range inputs {
+		for k := 0; k < 64; k++ {
+			p, err := telemetry.NewFact(in, int64(k), float64(i*64+k)).MarshalBinary()
+			if err != nil {
+				tb.Fatal(err)
+			}
+			f.entries[i] = append(f.entries[i], stream.Entry{Payload: p})
+		}
+		f.scratch[i] = v.consume(context.Background(), f.entries[i][:8], nil)
+	}
+	return f
+}
+
+// consume feeds the next run of k entries, inputs taking turns.
+func (f *insightFeed) consume(k int) {
+	i := f.next % len(f.entries)
+	off := (f.next / len(f.entries) * k) % (64 - k)
+	f.next++
+	f.scratch[i] = f.v.consume(context.Background(), f.entries[i][off:off+k], f.scratch[i])
+}
+
+// TestInsightConsumeAllocs pins the steady-state consume path: decode over
+// the input's scratch, update in place, encode into the vertex's buffer, one
+// broker append and one ring write — nothing on the heap. (The broker's rare
+// chunk allocation is a small fraction of one per call.)
+func TestInsightConsumeAllocs(t *testing.T) {
+	for _, k := range []int{1, 5} {
+		f := newInsightFeed(t, 8)
+		if got := testing.AllocsPerRun(500, func() { f.consume(k) }); got > 0 {
+			t.Fatalf("consuming a run of %d allocates %v times, want 0", k, got)
+		}
+		if st := f.v.Stats(); st.Errors != 0 || st.Published < 500 {
+			t.Fatalf("stats=%+v: the measured path did not publish", st)
+		}
+	}
+}
+
+func BenchmarkInsightConsume(b *testing.B) {
+	for _, n := range []int{1, 8, 32} {
+		for _, k := range []int{1, 5} {
+			b.Run(fmt.Sprintf("inputs=%d/run=%d", n, k), func(b *testing.B) {
+				f := newInsightFeed(b, n)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i += k {
+					f.consume(k)
+				}
+			})
+		}
+	}
+}
+
+// parkingBus is a broker whose publishes of one topic park until their
+// context ends, as a publish to an unreachable remote broker would.
+type parkingBus struct {
+	*stream.Broker
+	topic  string
+	parked chan struct{} // one token per publish that parked
+	calls  atomic.Int64
+}
+
+func (p *parkingBus) PublishBatch(ctx context.Context, topic string, payloads [][]byte) (uint64, error) {
+	if topic != p.topic {
+		return p.Broker.PublishBatch(ctx, topic, payloads)
+	}
+	p.calls.Add(1)
+	select {
+	case p.parked <- struct{}{}:
+	default:
+	}
+	<-ctx.Done()
+	return 0, ctx.Err()
+}
+
+// TestInsightStopWhilePublishBlocked: with one input goroutine parked inside
+// PublishBatch under the actor lock and the others queued behind it, Stop
+// still returns, leaves no goroutine behind, and nothing reaches the bus
+// afterwards.
+func TestInsightStopWhilePublishBlocked(t *testing.T) {
+	bus := &parkingBus{Broker: stream.NewBroker(1 << 10), topic: "sum", parked: make(chan struct{}, 1)}
+	inputs := make([]telemetry.MetricID, 32)
+	for i := range inputs {
+		inputs[i] = telemetry.MetricID(fmt.Sprintf("in%02d", i))
+	}
+	v, err := NewInsightVertex(InsightConfig{Metric: "sum", Inputs: inputs, Builder: Sum, Bus: bus, PublishUnchanged: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range inputs {
+		publish(t, bus, telemetry.NewFact(in, 1, 1))
+	}
+	baseline := runtime.NumGoroutine()
+
+	stopFeed := make(chan struct{})
+	var feed sync.WaitGroup
+	feed.Add(1)
+	go func() { // every input keeps publishing while the vertex starts and stops
+		defer feed.Done()
+		for n := 2; ; n++ {
+			for _, in := range inputs {
+				select {
+				case <-stopFeed:
+					return
+				default:
+				}
+				b, _ := telemetry.NewFact(in, int64(n), float64(n)).MarshalBinary()
+				if _, err := bus.PublishBatch(context.Background(), string(in), [][]byte{b}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			runtime.Gosched()
+		}
+	}()
+	for cycle := 0; cycle < 50; cycle++ {
+		if err := v.Start(); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-bus.parked:
+		case <-time.After(5 * time.Second):
+			t.Fatal("no insight publish was attempted")
+		}
+		stopped := make(chan struct{})
+		go func() { v.Stop(); close(stopped) }()
+		select {
+		case <-stopped:
+		case <-time.After(5 * time.Second):
+			t.Fatal("Stop did not return while a publish was parked")
+		}
+	}
+	calls := bus.calls.Load()
+	close(stopFeed)
+	feed.Wait()
+	for _, in := range inputs {
+		publish(t, bus, telemetry.NewFact(in, 0, 0))
+	}
+	// The goroutines that signalled their exit may still be returning.
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() != baseline && time.Now().Before(deadline); {
+		runtime.Gosched()
+	}
+	if n := runtime.NumGoroutine(); n != baseline {
+		t.Fatalf("%d goroutines after 50 Start/Stop cycles, %d before", n, baseline)
+	}
+	if got := bus.calls.Load(); got != calls {
+		t.Fatalf("%d publishes attempted after Stop returned", got-calls)
+	}
+	if n, err := bus.Published("sum"); err == nil && n != 0 {
+		t.Fatalf("%d insights on the bus, want none", n)
+	}
+}

@@ -77,14 +77,17 @@ func newFact(t *testing.T, bus stream.Bus, hook Hook, opts func(*FactConfig)) *F
 }
 
 // TestFactPollAllocs pins the measured-tuple path on an in-process broker:
-// the tuple's encoding, the broker's blob and the wake channel, and nothing
-// for riding the batch interface as a batch of one.
+// the tuple is encoded into the vertex's own buffer, the broker copies it
+// into its log, and riding the batch interface as a batch of one costs
+// nothing. (The log's rare chunk allocation is a small fraction of one per
+// poll.)
 func TestFactPollAllocs(t *testing.T) {
 	n := 0.0
 	hook := HookFunc{ID: "m", Fn: func() (float64, error) { n++; return n, nil }}
 	v := newFact(t, stream.NewBroker(1<<10), hook, nil)
-	if got := testing.AllocsPerRun(200, func() { v.PollOnce() }); got > 3 {
-		t.Fatalf("a measured poll allocates %v times, want at most 3", got)
+	v.PollOnce()
+	if got := testing.AllocsPerRun(200, func() { v.PollOnce() }); got > 0 {
+		t.Fatalf("a measured poll allocates %v times, want 0", got)
 	}
 }
 

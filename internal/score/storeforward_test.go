@@ -2,10 +2,15 @@ package score
 
 import (
 	"context"
+	"math"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/adaptive"
 	"repro/internal/archive"
+	"repro/internal/delphi"
+	"repro/internal/sched"
 	"repro/internal/stream"
 	"repro/internal/telemetry"
 )
@@ -192,6 +197,83 @@ func TestStoreAndForwardTerminalErrorsNotBuffered(t *testing.T) {
 	}
 	if v.Stats().Errors != 3 {
 		t.Fatalf("errors = %d want 3", v.Stats().Errors)
+	}
+}
+
+// cutBus is a broker whose publish path can be cut: while down, every publish
+// fails the way a lost connection does.
+type cutBus struct {
+	*stream.Broker
+	down atomic.Bool
+}
+
+func (c *cutBus) PublishBatch(ctx context.Context, topic string, payloads [][]byte) (uint64, error) {
+	if c.down.Load() {
+		return 0, errDown
+	}
+	return c.Broker.PublishBatch(ctx, topic, payloads)
+}
+
+// TestBacklogOwnsItsPayloads: with Delphi filling the skipped ticks, every
+// poll of an outage buffers a measured tuple and a batch of predictions that
+// the vertex encoded into buffers its next poll overwrites. What the backlog
+// flushes on recovery must still be what was buffered: every entry on the
+// bus decodes, and the bus holds exactly the vertex's history.
+func TestBacklogOwnsItsPayloads(t *testing.T) {
+	model, err := delphi.Train(delphi.TrainOptions{Seed: 1, Epochs: 15, SeriesPerFeature: 3, SeriesLen: 150})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bus := &cutBus{Broker: stream.NewBroker(0)}
+	clock := sched.NewSimClock(time.Unix(0, 0))
+	n := 0.0
+	v, err := NewFactVertex(FactConfig{
+		Hook:       HookFunc{ID: "sf.delphi", Fn: func() (float64, error) { n++; return 100 + 10*math.Sin(n/4), nil }},
+		Bus:        bus,
+		Controller: adaptive.NewFixed(4 * time.Second),
+		Clock:      clock,
+		Delphi:     delphi.NewOnline(model),
+		BaseTick:   time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	poll := func(times int) {
+		for i := 0; i < times; i++ {
+			v.PollOnce()
+			clock.Advance(4 * time.Second)
+		}
+	}
+	poll(8) // warm the window until every poll predicts
+	before := v.Stats()
+	bus.down.Store(true)
+	poll(5)
+	if st := v.Stats(); st.Buffered-before.Buffered != 5*4 || st.Predicted-before.Predicted != 5*3 {
+		t.Fatalf("outage polls buffered %d tuples, %d of them predicted; want 20 and 15",
+			st.Buffered-before.Buffered, st.Predicted-before.Predicted)
+	}
+	bus.down.Store(false)
+	poll(1)
+	if h := v.Health(); h.State != HealthOK || h.Buffered != 0 {
+		t.Fatalf("health after recovery = %+v", h)
+	}
+
+	hist := v.Range(-1<<62, 1<<62)
+	entries, err := bus.Range(context.Background(), "sf.delphi", 1, 1<<62, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != len(hist) {
+		t.Fatalf("bus holds %d tuples, history %d", len(entries), len(hist))
+	}
+	for i, e := range entries {
+		var in telemetry.Info
+		if err := in.UnmarshalBinary(e.Payload); err != nil {
+			t.Fatalf("entry %d: %v", e.ID, err)
+		}
+		if in != hist[i] {
+			t.Fatalf("entry %d is %v, the vertex appended %v", e.ID, in, hist[i])
+		}
 	}
 }
 

@@ -661,12 +661,16 @@ func (b *Broker) Subscribe(ctx context.Context, topicName string, afterID uint64
 				return
 			}
 			for _, e := range es {
-				select {
+				select { // a reader keeping up takes the entry without a two-way select
 				case ch <- e:
-					last = e.ID
-				case <-ctx.Done():
-					return
+				default:
+					select {
+					case ch <- e:
+					case <-ctx.Done():
+						return
+					}
 				}
+				last = e.ID
 			}
 		}
 	}()

@@ -279,3 +279,36 @@ func BenchmarkBrokerConsume(b *testing.B) {
 		last = es[0].ID
 	}
 }
+
+// BenchmarkBrokerSubscribe is the in-process hop a vertex's output takes to a
+// subscriber: publish, the subscription goroutine's wake-up and read, the
+// channel send, the reader's receive. A burst is published as one batch (a
+// poll with its predictions is 4) and the next waits until the reader has
+// all of it, so the rate is the subscriber's, not the publisher's.
+func BenchmarkBrokerSubscribe(b *testing.B) {
+	for _, burst := range []int{1, 4} {
+		b.Run(fmt.Sprintf("burst=%d", burst), func(b *testing.B) {
+			br := NewBroker(1 << 10)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			ch, err := br.Subscribe(ctx, "t", 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			batch := make([][]byte, burst)
+			for i := range batch {
+				batch[i] = make([]byte, 28)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i += burst {
+				if _, err := br.PublishBatch(ctx, "t", batch); err != nil {
+					b.Fatal(err)
+				}
+				for range batch {
+					<-ch
+				}
+			}
+		})
+	}
+}

@@ -184,7 +184,11 @@ func (i *Info) decode(b []byte) (int, error) {
 		return 0, ErrCorrupt
 	}
 	p := 2
-	i.Metric = MetricID(b[p : p+ml])
+	// Decoding over a tuple of the same metric keeps its string: a consumer
+	// that reuses one Info per stream decodes without allocating.
+	if m := b[p : p+ml]; string(m) != string(i.Metric) {
+		i.Metric = MetricID(m)
+	}
 	p += ml
 	i.Timestamp = int64(binary.LittleEndian.Uint64(b[p:]))
 	p += 8

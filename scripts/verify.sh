@@ -25,10 +25,10 @@ echo "==> go test ./..."
 go test ./...
 
 # Two-core pass: lock convoys and scheduler-dependent waits that a big host
-# hides (a sweep behind 160 spinning observers, a subscriber never woken)
-# show as timeouts here.
-echo "==> GOMAXPROCS=2 go test -count=3 ./internal/delphi/ ./internal/gateway/ ./internal/stream/"
-GOMAXPROCS=2 go test -count=3 ./internal/delphi/ ./internal/gateway/ ./internal/stream/
+# hides (a sweep behind 160 spinning observers, a subscriber never woken, an
+# insight's input goroutines queued on its actor lock) show as timeouts here.
+echo "==> GOMAXPROCS=2 go test -count=3 ./internal/delphi/ ./internal/gateway/ ./internal/stream/ ./internal/score/"
+GOMAXPROCS=2 go test -count=3 ./internal/delphi/ ./internal/gateway/ ./internal/stream/ ./internal/score/
 
 echo "==> go test -race ./internal/stream/... ./internal/score/... ./internal/queue/... ./internal/sched/... ./internal/obs/... ./internal/archive/... ./internal/aqe/... ./internal/sim/... ./internal/gateway/... ./internal/delphi/... ./internal/nn/... ./api/..."
 go test -race ./internal/stream/... ./internal/score/... ./internal/queue/... ./internal/sched/... ./internal/obs/... ./internal/archive/... ./internal/aqe/... ./internal/sim/... ./internal/gateway/... ./internal/delphi/... ./internal/nn/... ./api/...
