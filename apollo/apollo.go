@@ -26,8 +26,8 @@ import (
 	"repro/internal/archive"
 	"repro/internal/core"
 	"repro/internal/delphi"
+	"repro/internal/gateway"
 	"repro/internal/obs"
-	"repro/internal/sched"
 	"repro/internal/score"
 	"repro/internal/sim"
 	"repro/internal/stream"
@@ -50,6 +50,9 @@ type (
 	// Config.ArchiveRetention, per-metric override via WithMetricRetention.
 	Retention = archive.Retention
 )
+
+// WithMetricRetention overrides Config.ArchiveRetention for one metric.
+func WithMetricRetention(r Retention) MetricOption { return core.WithMetricRetention(r) }
 
 // ParseRetention parses the CLI retention syntax "raw=15m,10s=2h,1m=24h".
 func ParseRetention(s string) (Retention, error) { return archive.ParseRetention(s) }
@@ -124,6 +127,16 @@ func NewBufferedPublisher(pub Publisher, topic string, capacity, failAfter int) 
 	return score.NewBufferedPublisher(pub, topic, capacity, failAfter)
 }
 
+// Gateway types: the public HTTP/JSON edge serving the api/v1 contract
+// (queries, latest values, WebSocket/SSE subscriptions) with bearer-token
+// auth, per-principal rate limits, and slow-consumer eviction.
+type (
+	// Gateway is the running public edge; Service.Gateway returns it.
+	Gateway = gateway.Gateway
+	// GatewayConfig parameterizes the edge (tokens, rate, burst, queue).
+	GatewayConfig = gateway.Config
+)
+
 // Hook types.
 type (
 	// Hook extracts one metric from a resource.
@@ -188,7 +201,7 @@ type (
 	// DelphiTrainOptions controls training.
 	DelphiTrainOptions = delphi.TrainOptions
 	// DelphiDriftConfig tunes the per-metric drift detectors
-	// (Config.DelphiDrift / WithDelphiDrift).
+	// (Config.DelphiDrift).
 	DelphiDriftConfig = delphi.DriftConfig
 	// DelphiRetrainConfig parameterizes incremental combiner retraining.
 	DelphiRetrainConfig = delphi.RetrainConfig
@@ -209,7 +222,7 @@ type (
 	Clock = sim.Clock
 	// SimClock is a manually-advanced virtual clock for replay and
 	// deterministic simulation (alias of sim.Virtual).
-	SimClock = sched.SimClock
+	SimClock = sim.Virtual
 )
 
 // Trace is a captured metric series (§4.3.1 capture/replay methodology).
@@ -252,7 +265,7 @@ func TrainDelphi(opts DelphiTrainOptions) (*DelphiModel, error) { return delphi.
 func LoadDelphi(path string) (*DelphiModel, error) { return delphi.Load(path) }
 
 // NewSimClock returns a simulated clock for deterministic replay.
-func NewSimClock(start time.Time) *SimClock { return sched.NewSimClock(start) }
+func NewSimClock(start time.Time) *SimClock { return sim.NewVirtual(start) }
 
 // LoadTrace reads a trace file saved with (*Trace).Save.
 func LoadTrace(path string) (*Trace, error) { return trace.Load(path) }

@@ -18,8 +18,8 @@ import (
 	"repro/internal/figures"
 	"repro/internal/nn"
 	"repro/internal/queue"
-	"repro/internal/sched"
 	"repro/internal/score"
+	"repro/internal/sim"
 	"repro/internal/stream"
 	"repro/internal/telemetry"
 	"repro/internal/workloads"
@@ -63,7 +63,7 @@ func BenchmarkFig13cReplication(b *testing.B)       { benchFigure(b, "13c") }
 // complex insight from Apollo takes well under a millisecond (§4.2.1 /
 // abstract "sub-millisecond latency for acquiring complex insights").
 func BenchmarkInsightAccessLatency(b *testing.B) {
-	clock := sched.NewSimClock(time.Unix(0, 0))
+	clock := sim.NewVirtual(time.Unix(0, 0))
 	svc := core.New(core.Config{Clock: clock})
 	var vertices []*score.FactVertex
 	inputs := make([]telemetry.MetricID, 8)
@@ -285,7 +285,7 @@ func BenchmarkAblationChangeFilter(b *testing.B) {
 				Hook:             score.HookFunc{ID: "m", Fn: func() (float64, error) { return 42, nil }},
 				Bus:              bus,
 				Controller:       adaptive.NewFixed(time.Second),
-				Clock:            sched.NewSimClock(time.Unix(0, 0)),
+				Clock:            sim.NewVirtual(time.Unix(0, 0)),
 				PublishUnchanged: unchanged,
 			})
 			if err != nil {

@@ -16,6 +16,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -36,125 +37,93 @@ import (
 	"repro/internal/obs"
 )
 
+// bindFlags registers one flag per service setting directly on its Config
+// field: adding a setting is one Config field plus one line here
+// (TestFlagsCoverConfig fails on a field with neither a flag nor an entry in
+// its programmatic-only list).
+func bindFlags(fs *flag.FlagSet, cfg *core.Config) {
+	fs.TextVar(&cfg.Mode, "mode", core.IntervalComplexAIMD, "interval mode: fixed | simple-aimd | complex-aimd | entropy")
+	fs.Func("delphi", "path to a trained Delphi model (see delphi-train); empty disables prediction", func(path string) (err error) {
+		if path == "" {
+			return nil
+		}
+		if cfg.Delphi, err = apollo.LoadDelphi(path); err != nil {
+			return fmt.Errorf("loading delphi model: %w", err)
+		}
+		log.Printf("delphi model loaded from %s", path)
+		return nil
+	})
+	fs.IntVar(&cfg.DelphiBatch, "delphi-batch", 0, "sweep workers for the shared batch predictor over all Delphi metrics (requires -delphi or -delphi-registry; 0 disables)")
+	fs.StringVar(&cfg.DelphiRegistry, "delphi-registry", "", "directory of the versioned per-device-class model registry; empty keeps the single shared model")
+	fs.DurationVar(&cfg.DelphiRetrain, "delphi-retrain", 0, "arm drift detectors and retrain drifted device classes at this cadence (requires -delphi-registry; 0 disables)")
+	fs.IntVar(&cfg.Shards, "shards", 0, "broker topic-map shard count (0 = default)")
+	fs.IntVar(&cfg.PlanCache, "plan-cache", 128, "query-plan LRU capacity (0 = default, negative disables)")
+	fs.StringVar(&cfg.ArchiveDir, "archive-dir", "", "directory persisting per-metric archives; empty disables archiving")
+	fs.Func("retention", `tiered archive retention, e.g. "raw=15m,10s=2h,1m=24h" (requires -archive-dir; empty keeps full resolution forever)`, func(v string) (err error) {
+		cfg.ArchiveRetention, err = archive.ParseRetention(v)
+		return err
+	})
+	fs.DurationVar(&cfg.CompactInterval, "compact-interval", 0, "how often the archive compactor runs (0 = default)")
+	fs.StringVar(&cfg.NodeID, "node-id", "", "fabric node ID; empty runs standalone, set it (with -peers) to join a replicated broker fabric")
+	fs.Func("peers", "comma-separated id=addr fabric peers, e.g. n1=127.0.0.1:7071,n2=127.0.0.1:7072", func(v string) (err error) {
+		cfg.Peers, err = parsePairs("peers", "id=addr", v)
+		return err
+	})
+	fs.IntVar(&cfg.Replicas, "replicas", 0, "per-topic replication factor, leader included (0 = default)")
+	fs.DurationVar(&cfg.LeaseTTL, "lease-ttl", 0, "leader lease TTL; followers may promote this long after renewals stop (0 = default)")
+	fs.Uint64Var(&cfg.ReplicaLagMax, "replica-lag-max", 0, "follower lag (entries) above which a topic reports Degraded (0 = default)")
+	fs.IntVar(&cfg.Retention, "stream-retention", 0, "entries each broker topic retains (0 = default)")
+	fs.IntVar(&cfg.HistorySize, "history-size", 0, "per-vertex in-memory queue bound (0 = default)")
+	fs.DurationVar(&cfg.BaseTick, "base-tick", time.Second, "target resolution Delphi restores between polls")
+	fs.StringVar(&cfg.GatewayAddr, "gateway-addr", "", "HTTP address serving the public api/v1 gateway (queries, SSE/WebSocket subscriptions); empty disables")
+	fs.Func("gateway-tokens", "comma-separated token=principal bearer tokens for the gateway; empty leaves it open (anonymous)", func(v string) (err error) {
+		cfg.Gateway.Tokens, err = parsePairs("gateway-tokens", "token=principal", v)
+		return err
+	})
+	fs.Float64Var(&cfg.Gateway.Rate, "gateway-rate", 0, "per-principal sustained request budget, requests/second (0 = default, negative disables)")
+	fs.IntVar(&cfg.Gateway.Burst, "gateway-burst", 0, "gateway token-bucket capacity (0 = default)")
+	fs.IntVar(&cfg.Gateway.QueueSize, "gateway-queue", 0, "frames a subscriber may trail the live tail by (length of each topic's shared frame ring); beyond it the client is evicted (0 = default)")
+}
+
+// checkFlags applies the cross-flag rules bindFlags cannot express per flag.
+func checkFlags(cfg *core.Config) error {
+	gw := cfg.Gateway
+	switch {
+	case cfg.NodeID == "" && len(cfg.Peers) > 0:
+		return errors.New("-peers requires -node-id")
+	case cfg.ArchiveDir == "" && (!cfg.ArchiveRetention.IsZero() || cfg.CompactInterval != 0):
+		return errors.New("-retention/-compact-interval require -archive-dir")
+	case cfg.Delphi == nil && cfg.DelphiRegistry == "" && cfg.DelphiBatch != 0:
+		return errors.New("-delphi-batch requires -delphi or -delphi-registry")
+	case cfg.DelphiRegistry == "" && cfg.DelphiRetrain != 0:
+		return errors.New("-delphi-retrain requires -delphi-registry")
+	case cfg.GatewayAddr == "" && (len(gw.Tokens) > 0 || gw.Rate != 0 || gw.Burst != 0 || gw.QueueSize != 0):
+		return errors.New("-gateway-tokens/-gateway-rate/-gateway-burst/-gateway-queue require -gateway-addr")
+	}
+	return nil
+}
+
 func main() {
+	var cfg core.Config
+	bindFlags(flag.CommandLine, &cfg)
 	var (
 		listen   = flag.String("listen", "127.0.0.1:7070", "TCP address for the Pub-Sub fabric")
 		compute  = flag.Int("compute", 4, "simulated compute nodes")
 		storage  = flag.Int("storage", 4, "simulated storage nodes")
-		mode     = flag.String("mode", "complex-aimd", "interval mode: fixed | simple-aimd | complex-aimd")
-		delphiF  = flag.String("delphi", "", "path to a trained Delphi model (see delphi-train); empty disables prediction")
-		delphiB  = flag.Int("delphi-batch", 0, "sweep workers for the shared batch predictor over all Delphi metrics (requires -delphi or -delphi-registry; 0 disables)")
-		delphiR  = flag.String("delphi-registry", "", "directory of the versioned per-device-class model registry; empty keeps the single shared model")
-		delphiRT = flag.Duration("delphi-retrain", 0, "arm drift detectors and retrain drifted device classes at this cadence (requires -delphi-registry; 0 disables)")
 		duration = flag.Duration("duration", 0, "exit after this long (0 = run until signal)")
 		seed     = flag.Int64("seed", 1, "workload seed")
-		shards   = flag.Int("shards", 0, "broker topic-map shard count (0 = default)")
-		planC    = flag.Int("plan-cache", 128, "query-plan LRU capacity (0 = default, negative disables)")
 		metricsA = flag.String("metrics-addr", "", "HTTP address serving /metrics (Prometheus text) and /debug/pprof; empty disables")
-		archDir  = flag.String("archive-dir", "", "directory persisting per-metric archives; empty disables archiving")
-		retenF   = flag.String("retention", "", `tiered archive retention, e.g. "raw=15m,10s=2h,1m=24h" (requires -archive-dir; empty keeps full resolution forever)`)
-		compactI = flag.Duration("compact-interval", 0, "how often the archive compactor runs (0 = default)")
-		nodeID   = flag.String("node-id", "", "fabric node ID; empty runs standalone, set it (with -peers) to join a replicated broker fabric")
-		peersF   = flag.String("peers", "", "comma-separated id=addr fabric peers, e.g. n1=127.0.0.1:7071,n2=127.0.0.1:7072")
-		replicas = flag.Int("replicas", 0, "per-topic replication factor, leader included (0 = default)")
-		leaseTTL = flag.Duration("lease-ttl", 0, "leader lease TTL; followers may promote this long after renewals stop (0 = default)")
-		lagMax   = flag.Uint64("replica-lag-max", 0, "follower lag (entries) above which a topic reports Degraded (0 = default)")
-		streamR  = flag.Int("stream-retention", 0, "entries each broker topic retains (0 = default)")
-		history  = flag.Int("history-size", 0, "per-vertex in-memory queue bound (0 = default)")
-		baseTick = flag.Duration("base-tick", time.Second, "target resolution Delphi restores between polls")
-		gwAddr   = flag.String("gateway-addr", "", "HTTP address serving the public api/v1 gateway (queries, SSE/WebSocket subscriptions); empty disables")
-		gwTokens = flag.String("gateway-tokens", "", "comma-separated token=principal bearer tokens for the gateway; empty leaves it open (anonymous)")
-		gwRate   = flag.Float64("gateway-rate", 0, "per-principal sustained request budget, requests/second (0 = default, negative disables)")
-		gwBurst  = flag.Int("gateway-burst", 0, "gateway token-bucket capacity (0 = default)")
-		gwQueue  = flag.Int("gateway-queue", 0, "frames a subscriber may trail the live tail by (length of each topic's shared frame ring); beyond it the client is evicted (0 = default)")
 	)
 	flag.Parse()
-
-	peers, err := parsePeers(*peersF)
-	if err != nil {
+	if err := checkFlags(&cfg); err != nil {
 		log.Fatalf("apollod: %v", err)
 	}
-	if *nodeID == "" && len(peers) > 0 {
-		log.Fatal("apollod: -peers requires -node-id")
-	}
-	retention, err := archive.ParseRetention(*retenF)
-	if err != nil {
-		log.Fatalf("apollod: %v", err)
-	}
-	if *archDir == "" && (*retenF != "" || *compactI != 0) {
-		log.Fatal("apollod: -retention/-compact-interval require -archive-dir")
-	}
-
-	cfg := apollo.Config{}
-	switch *mode {
-	case "fixed":
-		cfg.Mode = apollo.IntervalFixed
-	case "simple-aimd":
-		cfg.Mode = apollo.IntervalSimpleAIMD
-	case "complex-aimd":
-		cfg.Mode = apollo.IntervalComplexAIMD
-	default:
-		log.Fatalf("apollod: unknown mode %q", *mode)
-	}
-	if *delphiF == "" && *delphiR == "" && *delphiB != 0 {
-		log.Fatal("apollod: -delphi-batch requires -delphi or -delphi-registry")
-	}
-	if *delphiR == "" && *delphiRT != 0 {
-		log.Fatal("apollod: -delphi-retrain requires -delphi-registry")
-	}
-	if *delphiF != "" {
-		m, err := apollo.LoadDelphi(*delphiF)
-		if err != nil {
-			log.Fatalf("apollod: loading delphi model: %v", err)
-		}
-		cfg.Delphi = m
-		log.Printf("delphi model loaded from %s", *delphiF)
-	}
-	if *delphiF != "" || *delphiR != "" {
-		cfg.DelphiBatch = *delphiB
-		if *delphiB > 0 {
-			log.Printf("delphi batch predictor enabled: %d sweep workers", *delphiB)
-		}
-	}
-	cfg.DelphiRegistry = *delphiR
-	cfg.DelphiRetrain = *delphiRT
-
-	gwTokenMap, err := parseTokens(*gwTokens)
-	if err != nil {
-		log.Fatalf("apollod: %v", err)
-	}
-	if *gwAddr == "" && (*gwTokens != "" || *gwRate != 0 || *gwBurst != 0 || *gwQueue != 0) {
-		log.Fatal("apollod: -gateway-tokens/-gateway-rate/-gateway-burst/-gateway-queue require -gateway-addr")
+	if cfg.DelphiBatch > 0 {
+		log.Printf("delphi batch predictor enabled: %d sweep workers", cfg.DelphiBatch)
 	}
 
 	sim := cluster.BuildAres(time.Now(), *compute, *storage)
-	svc := core.New(core.Config{
-		Mode:             core.IntervalMode(cfg.Mode),
-		Delphi:           cfg.Delphi,
-		DelphiBatch:      cfg.DelphiBatch,
-		DelphiRegistry:   cfg.DelphiRegistry,
-		DelphiRetrain:    cfg.DelphiRetrain,
-		BaseTick:         *baseTick,
-		Retention:        *streamR,
-		HistorySize:      *history,
-		Shards:           *shards,
-		PlanCache:        *planC,
-		ArchiveDir:       *archDir,
-		ArchiveRetention: retention,
-		CompactInterval:  *compactI,
-		NodeID:           *nodeID,
-		Peers:            peers,
-		Replicas:         *replicas,
-		LeaseTTL:         *leaseTTL,
-		ReplicaLagMax:    *lagMax,
-		GatewayAddr:      *gwAddr,
-		Gateway: apollo.GatewayConfig{
-			Tokens:    gwTokenMap,
-			Rate:      *gwRate,
-			Burst:     *gwBurst,
-			QueueSize: *gwQueue,
-		},
-	})
+	svc := core.New(cfg)
 	var metrics int
 	for _, n := range sim.Nodes() {
 		ids, err := svc.DeployNodeMonitors(n)
@@ -179,27 +148,27 @@ func main() {
 		addr, len(sim.Nodes()), metrics, sink)
 	if f := svc.Fabric(); f != nil {
 		log.Printf("fabric node %q on a %d-member ring (replication factor %d)",
-			f.ID(), len(peers)+1, *replicas)
+			f.ID(), len(cfg.Peers)+1, cfg.Replicas)
 	}
 	if ga := svc.GatewayAddr(); ga != "" {
 		auth := "open (anonymous)"
-		if len(gwTokenMap) > 0 {
-			auth = fmt.Sprintf("%d bearer tokens", len(gwTokenMap))
+		if n := len(cfg.Gateway.Tokens); n > 0 {
+			auth = fmt.Sprintf("%d bearer tokens", n)
 		}
 		log.Printf("gateway on http://%s/api/v1 (%s)", ga, auth)
 	}
-	if *delphiR != "" {
-		if *delphiRT > 0 {
-			log.Printf("delphi registry at %s, drift-gated retraining every %s", *delphiR, *delphiRT)
+	if cfg.DelphiRegistry != "" {
+		if cfg.DelphiRetrain > 0 {
+			log.Printf("delphi registry at %s, drift-gated retraining every %s", cfg.DelphiRegistry, cfg.DelphiRetrain)
 		} else {
-			log.Printf("delphi registry at %s (retraining off)", *delphiR)
+			log.Printf("delphi registry at %s (retraining off)", cfg.DelphiRegistry)
 		}
 	}
-	if *archDir != "" {
-		if retention.IsZero() {
-			log.Printf("archiving to %s (no retention: full resolution kept forever)", *archDir)
+	if cfg.ArchiveDir != "" {
+		if cfg.ArchiveRetention.IsZero() {
+			log.Printf("archiving to %s (no retention: full resolution kept forever)", cfg.ArchiveDir)
 		} else {
-			log.Printf("archiving to %s, retention %s", *archDir, retention)
+			log.Printf("archiving to %s, retention %s", cfg.ArchiveDir, cfg.ArchiveRetention)
 		}
 	}
 
@@ -253,37 +222,21 @@ func main() {
 	fmt.Printf("apollod: %v, shutting down\n", s)
 }
 
-// parseTokens decodes a comma-separated token=principal list into the
-// gateway's static auth map.
-func parseTokens(s string) (map[string]string, error) {
+// parsePairs decodes a comma-separated key=value list (the -peers and
+// -gateway-tokens syntax; want names the pair for the error message).
+func parsePairs(flagName, want, s string) (map[string]string, error) {
 	if s == "" {
 		return nil, nil
 	}
-	tokens := make(map[string]string)
+	pairs := make(map[string]string)
 	for _, part := range strings.Split(s, ",") {
-		tok, principal, ok := strings.Cut(strings.TrimSpace(part), "=")
-		if !ok || tok == "" || principal == "" {
-			return nil, fmt.Errorf("bad -gateway-tokens entry %q (want token=principal)", part)
+		k, v, ok := strings.Cut(strings.TrimSpace(part), "=")
+		if !ok || k == "" || v == "" {
+			return nil, fmt.Errorf("bad -%s entry %q (want %s)", flagName, part, want)
 		}
-		tokens[tok] = principal
+		pairs[k] = v
 	}
-	return tokens, nil
-}
-
-// parsePeers decodes a comma-separated id=addr list into a peer map.
-func parsePeers(s string) (map[string]string, error) {
-	if s == "" {
-		return nil, nil
-	}
-	peers := make(map[string]string)
-	for _, part := range strings.Split(s, ",") {
-		id, addr, ok := strings.Cut(strings.TrimSpace(part), "=")
-		if !ok || id == "" || addr == "" {
-			return nil, fmt.Errorf("bad -peers entry %q (want id=addr)", part)
-		}
-		peers[id] = addr
-	}
-	return peers, nil
+	return pairs, nil
 }
 
 // serveMetrics exposes the registry and the pprof profiles on addr,

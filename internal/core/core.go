@@ -46,27 +46,35 @@ const (
 	IntervalEntropy
 )
 
+var modeNames = [...]string{"fixed", "simple-aimd", "complex-aimd", "entropy"}
+
 // String names the mode.
 func (m IntervalMode) String() string {
-	switch m {
-	case IntervalFixed:
-		return "fixed"
-	case IntervalSimpleAIMD:
-		return "simple-aimd"
-	case IntervalComplexAIMD:
-		return "complex-aimd"
-	case IntervalEntropy:
-		return "entropy"
-	default:
+	if m < 0 || int(m) >= len(modeNames) {
 		return "mode(?)"
 	}
+	return modeNames[m]
+}
+
+// MarshalText and UnmarshalText make the String names the mode's text form
+// (flag.TextVar, encoding/json).
+func (m IntervalMode) MarshalText() ([]byte, error) { return []byte(m.String()), nil }
+
+// UnmarshalText is the inverse of String; it rejects unknown names.
+func (m *IntervalMode) UnmarshalText(text []byte) error {
+	for i, name := range modeNames {
+		if name == string(text) {
+			*m = IntervalMode(i)
+			return nil
+		}
+	}
+	return fmt.Errorf("core: unknown interval mode %q", text)
 }
 
 // Config configures an Apollo service.
 type Config struct {
 	// Clock drives all polling; nil means the wall clock. Inject a
-	// *sched.SimClock (alias of *sim.Virtual) to run the whole service on
-	// deterministic virtual time.
+	// *sim.Virtual to run the whole service on deterministic virtual time.
 	Clock sim.Clock
 	// Retention bounds each metric's broker topic (0: default).
 	Retention int
@@ -78,19 +86,16 @@ type Config struct {
 	Adaptive adaptive.Config
 	// Delphi, if non-nil, enables predicted values between polls.
 	Delphi *delphi.Model
-	// DelphiBatch, if > 0 while Delphi is set, runs a shared batch predictor
-	// over every Delphi-enabled metric with this many sweep workers: the
-	// metrics' windows are evaluated through one fused ForwardBatch pass per
-	// sweep (Service.PredictAll) instead of one model walk per metric. All
-	// metrics of a service share one model, i.e. one device class — the
-	// fleet-scale per-class sharding precursor. 0 keeps per-vertex
-	// prediction only.
+	// DelphiBatch, if > 0, gives each device class a batch predictor with
+	// this many sweep workers: Service.PredictAll evaluates the class's
+	// windows through one fused ForwardBatch pass per sweep instead of one
+	// model walk per metric. 0 keeps per-vertex prediction only.
 	DelphiBatch int
 	// DelphiRegistry, if set, is the directory of the versioned per-class
 	// model store: metrics shard into device classes (DeviceClass), each
 	// class serves the registry's active model version (falling back to
 	// Delphi for classes with no lineage yet), and promotions/rollbacks land
-	// atomically. Empty keeps the single shared-model behavior.
+	// atomically. Empty: one class "default" serving Delphi.
 	DelphiRegistry string
 	// DelphiRetrain, if > 0, arms per-metric drift detectors on every
 	// Delphi-enabled vertex and — when DelphiRegistry is also set — runs the
@@ -171,14 +176,8 @@ type Service struct {
 
 	compactor *archive.Compactor
 
-	batch *delphi.BatchPredictor // shared device-class predictor, nil unless DelphiBatch > 0
-
-	fleet    *delphiFleet // per-device-class sharding, nil unless DelphiRegistry is set
+	fleet    *delphiFleet // device-class model shards, nil unless Delphi or DelphiRegistry is set
 	fleetErr error        // deferred to Start: New cannot return an error
-
-	predMu      sync.Mutex
-	predMetrics []telemetry.MetricID     // slot index -> metric
-	predScratch []delphi.BatchPrediction // reusable PredictAll sweep buffer
 
 	mu        sync.Mutex
 	archives  []*archive.Log
@@ -259,18 +258,8 @@ func New(cfg Config) *Service {
 	s.broker.Instrument(s.obs)
 	s.engine = aqe.NewEngine(aqe.GraphResolver{Graph: s.graph}, aqe.WithPlanCache(cfg.PlanCache))
 	s.engine.Instrument(s.obs)
-	if cfg.DelphiRegistry != "" {
-		// Fleet mode: per-device-class models, batch predictors, and the
-		// drift/retrain loop live in the fleet layer; the single shared
-		// "default"-class predictor stays off.
+	if cfg.Delphi != nil || cfg.DelphiRegistry != "" {
 		s.fleet, s.fleetErr = newDelphiFleet(cfg, s.obs)
-	} else if cfg.Delphi != nil && cfg.DelphiBatch > 0 {
-		// Untrained models are tolerated the same way NewOnline tolerates
-		// them: the batch lane just stays off and per-vertex fallback rules.
-		if bp, err := delphi.NewBatchPredictor(cfg.Delphi, cfg.DelphiBatch); err == nil {
-			bp.Instrument(s.obs, "default")
-			s.batch = bp
-		}
 	}
 	return s
 }
@@ -326,9 +315,25 @@ func WithPublishUnchanged() MetricOption {
 	return func(fc *score.FactConfig) { fc.PublishUnchanged = true }
 }
 
+// WithMetricRetention overrides the service-level archive retention policy
+// (Config.ArchiveRetention) for one metric. Only meaningful when the service
+// has an ArchiveDir.
+func WithMetricRetention(r archive.Retention) MetricOption {
+	return func(fc *score.FactConfig) { fc.Retention = &r }
+}
+
 // RegisterMetric deploys a Fact Vertex for hook. Safe before or after Start;
 // vertices registered after Start are started immediately.
 func (s *Service) RegisterMetric(hook score.Hook, opts ...MetricOption) (*score.FactVertex, error) {
+	if hook == nil {
+		return nil, fmt.Errorf("%w: hook is required", score.ErrVertexConfig)
+	}
+	id := hook.Metric()
+	// Before the archive is opened: a second archive.Open on a live metric's
+	// directory would put a second writer on the first vertex's segments.
+	if _, dup := s.graph.Lookup(id); dup {
+		return nil, fmt.Errorf("core: metric %q already registered", id)
+	}
 	ctrl, err := s.newController()
 	if err != nil {
 		return nil, err
@@ -344,21 +349,8 @@ func (s *Service) RegisterMetric(hook score.Hook, opts ...MetricOption) (*score.
 	}
 	var cls *deviceClass
 	if s.fleet != nil {
-		cls = s.fleet.classFor(hook.Metric())
+		cls = s.fleet.classFor(s.fleet.className(id))
 		fc.Delphi = cls.newOnline()
-	} else if s.cfg.Delphi != nil {
-		fc.Delphi = delphi.NewOnline(s.cfg.Delphi)
-	}
-	if s.cfg.ArchiveDir != "" {
-		log, err := archive.Open(filepath.Join(s.cfg.ArchiveDir, string(hook.Metric())), archive.Options{})
-		if err != nil {
-			return nil, err
-		}
-		log.Instrument(s.obs, string(hook.Metric()))
-		s.mu.Lock()
-		s.archives = append(s.archives, log)
-		s.mu.Unlock()
-		fc.Archive = log
 	}
 	for _, o := range opts {
 		o(&fc)
@@ -368,36 +360,42 @@ func (s *Service) RegisterMetric(hook score.Hook, opts ...MetricOption) (*score.
 	if fc.Delphi != nil && s.cfg.DelphiRetrain > 0 {
 		det = delphi.NewDetector(s.cfg.DelphiDrift)
 		fc.Drift = det
-		if s.fleet != nil && s.fleet.trainer != nil {
-			class := DeviceClass(hook.Metric())
-			fc.OnDrift = func(telemetry.MetricID) { s.fleet.trainer.Enqueue(class) }
+		if tr := s.fleet.trainer; tr != nil {
+			fc.OnDrift = func(telemetry.MetricID) { tr.Enqueue(cls.name) }
 		}
 	}
-	if fc.Archive != nil && s.compactor != nil {
+	if s.cfg.ArchiveDir != "" {
+		fc.Archive, err = archive.Open(filepath.Join(s.cfg.ArchiveDir, string(id)), archive.Options{})
+		if err != nil {
+			return nil, err
+		}
+		fc.Archive.Instrument(s.obs, string(id))
+	}
+	v, err := score.NewFactVertex(fc)
+	if err == nil {
+		err = s.graph.RegisterFact(v)
+	}
+	if err != nil {
+		// A concurrent registration of the same ID can still win the graph
+		// slot; the log was never enrolled, so closing it is the whole undo.
+		if fc.Archive != nil {
+			fc.Archive.Close()
+		}
+		return nil, err
+	}
+	if fc.Archive != nil {
+		s.mu.Lock()
+		s.archives = append(s.archives, fc.Archive)
+		s.mu.Unlock()
 		policy := s.cfg.ArchiveRetention
 		if fc.Retention != nil {
 			policy = *fc.Retention
 		}
 		s.compactor.Add(fc.Archive, policy)
 	}
-	v, err := score.NewFactVertex(fc)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.graph.RegisterFact(v); err != nil {
-		return nil, err
-	}
 	// After opts, so WithoutDelphi keeps the metric out of the batch sweep.
 	if fc.Delphi != nil {
-		if cls != nil {
-			cls.attach(hook.Metric(), fc.Delphi, det, v)
-		} else if s.batch != nil {
-			if _, err := s.batch.Register(fc.Delphi); err == nil {
-				s.predMu.Lock()
-				s.predMetrics = append(s.predMetrics, hook.Metric())
-				s.predMu.Unlock()
-			}
-		}
+		cls.attach(id, fc.Delphi, det, v)
 	}
 	if s.isStarted() {
 		if err := v.Start(); err != nil {
@@ -504,9 +502,6 @@ func (s *Service) Stop() {
 	s.broker.Close()
 	for _, a := range archives {
 		a.Close()
-	}
-	if s.batch != nil {
-		s.batch.Close()
 	}
 	if s.fleet != nil {
 		s.fleet.stop()
@@ -659,32 +654,17 @@ type BatchResult struct {
 	OK     bool
 }
 
-// BatchPredictor exposes the shared device-class batch predictor, or nil when
-// Config.DelphiBatch is unset (or the model was untrained). Fleet drivers
-// that feed windows directly (bypassing vertices) use it with their own
-// Online instances.
-func (s *Service) BatchPredictor() *delphi.BatchPredictor { return s.batch }
-
-// PredictAll runs one fused batched sweep over every Delphi-enabled metric
-// registered on the service and returns a forecast per metric, bit-identical
-// to what each vertex's own Online.Predict would return at this instant. It
-// returns nil when batching is disabled. Sweeps are serialized internally;
-// vertices keep observing concurrently.
+// PredictAll runs one fused batched sweep per device class over every
+// Delphi-enabled metric registered on the service and returns a forecast per
+// metric — classes in name order, metrics in registration order within a
+// class — bit-identical to what each vertex's own Online.Predict would
+// return at this instant. It returns nil when batching is disabled. Sweeps
+// are serialized per class; vertices keep observing concurrently.
 func (s *Service) PredictAll() []BatchResult {
-	if s.fleet != nil {
-		return s.fleet.predictAll()
-	}
-	if s.batch == nil {
+	if s.fleet == nil {
 		return nil
 	}
-	s.predMu.Lock()
-	defer s.predMu.Unlock()
-	s.predScratch = s.batch.PredictAll(s.predScratch[:0])
-	out := make([]BatchResult, len(s.predScratch))
-	for i, p := range s.predScratch {
-		out[i] = BatchResult{Metric: s.predMetrics[p.Slot], Value: p.Value, OK: p.OK}
-	}
-	return out
+	return s.fleet.predictAll()
 }
 
 // Degraded reports whether any registered vertex (or, in a fabric, any

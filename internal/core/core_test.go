@@ -6,9 +6,11 @@ import (
 	"time"
 
 	"repro/internal/adaptive"
+	"repro/internal/archive"
 	"repro/internal/cluster"
-	"repro/internal/sched"
+	"repro/internal/obs"
 	"repro/internal/score"
+	"repro/internal/sim"
 	"repro/internal/stream"
 	"repro/internal/telemetry"
 )
@@ -25,8 +27,29 @@ func TestIntervalModeString(t *testing.T) {
 	}
 }
 
+// TestIntervalModeText checks the text form is the inverse of String for
+// every mode and rejects anything else.
+func TestIntervalModeText(t *testing.T) {
+	for _, m := range []IntervalMode{IntervalFixed, IntervalSimpleAIMD, IntervalComplexAIMD, IntervalEntropy} {
+		text, err := m.MarshalText()
+		if err != nil || string(text) != m.String() {
+			t.Fatalf("MarshalText(%d) = %q, %v; want %q", m, text, err, m.String())
+		}
+		got := IntervalMode(-1)
+		if err := got.UnmarshalText(text); err != nil || got != m {
+			t.Fatalf("UnmarshalText(%q) = %v, %v; want %v", text, got, err, m)
+		}
+	}
+	for _, bad := range []string{"", "aimd", "Fixed", "mode(?)"} {
+		m := IntervalEntropy
+		if err := m.UnmarshalText([]byte(bad)); err == nil || m != IntervalEntropy {
+			t.Fatalf("UnmarshalText(%q) = %v, %v; want an error and the value untouched", bad, m, err)
+		}
+	}
+}
+
 func TestServiceLifecycle(t *testing.T) {
-	s := New(Config{Clock: sched.NewSimClock(time.Unix(0, 0))})
+	s := New(Config{Clock: sim.NewVirtual(time.Unix(0, 0))})
 	if _, err := s.RegisterMetric(constHook("m", 42)); err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +72,7 @@ func TestServiceLifecycle(t *testing.T) {
 }
 
 func TestServiceHealthSurface(t *testing.T) {
-	s := New(Config{Clock: sched.NewSimClock(time.Unix(0, 0))})
+	s := New(Config{Clock: sim.NewVirtual(time.Unix(0, 0))})
 	if _, err := s.RegisterMetric(constHook("h1", 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +107,7 @@ func waitFor(t *testing.T, cond func() bool) {
 }
 
 func TestRegisterAfterStart(t *testing.T) {
-	s := New(Config{Clock: sched.NewSimClock(time.Unix(0, 0))})
+	s := New(Config{Clock: sim.NewVirtual(time.Unix(0, 0))})
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -100,19 +123,19 @@ func TestRegisterAfterStart(t *testing.T) {
 
 func TestModes(t *testing.T) {
 	for _, mode := range []IntervalMode{IntervalFixed, IntervalSimpleAIMD, IntervalComplexAIMD, IntervalEntropy} {
-		s := New(Config{Mode: mode, Clock: sched.NewSimClock(time.Unix(0, 0))})
+		s := New(Config{Mode: mode, Clock: sim.NewVirtual(time.Unix(0, 0))})
 		if _, err := s.RegisterMetric(constHook("m", 1)); err != nil {
 			t.Fatalf("mode %v: %v", mode, err)
 		}
 	}
-	s := New(Config{Mode: IntervalMode(99), Clock: sched.NewSimClock(time.Unix(0, 0))})
+	s := New(Config{Mode: IntervalMode(99), Clock: sim.NewVirtual(time.Unix(0, 0))})
 	if _, err := s.RegisterMetric(constHook("m", 1)); err == nil {
 		t.Fatal("bad mode accepted")
 	}
 }
 
 func TestMetricOptions(t *testing.T) {
-	s := New(Config{Clock: sched.NewSimClock(time.Unix(0, 0))})
+	s := New(Config{Clock: sim.NewVirtual(time.Unix(0, 0))})
 	ctrl := adaptive.NewFixed(5 * time.Second)
 	v, err := s.RegisterMetric(constHook("m", 1), WithController(ctrl), WithoutDelphi(), WithPublishUnchanged())
 	if err != nil {
@@ -128,7 +151,7 @@ func TestMetricOptions(t *testing.T) {
 }
 
 func TestQueryThroughAQE(t *testing.T) {
-	s := New(Config{Clock: sched.NewSimClock(time.Unix(0, 0))})
+	s := New(Config{Clock: sim.NewVirtual(time.Unix(0, 0))})
 	va, _ := s.RegisterMetric(constHook("pfs_capacity", 500))
 	vb, _ := s.RegisterMetric(constHook("node_1_memory", 64))
 	va.PollOnce()
@@ -143,7 +166,7 @@ func TestQueryThroughAQE(t *testing.T) {
 }
 
 func TestInsightRegistration(t *testing.T) {
-	clock := sched.NewSimClock(time.Unix(0, 0))
+	clock := sim.NewVirtual(time.Unix(0, 0))
 	s := New(Config{Clock: clock})
 	s.RegisterMetric(constHook("a", 10))
 	s.RegisterMetric(constHook("b", 20))
@@ -167,7 +190,7 @@ func TestInsightRegistration(t *testing.T) {
 }
 
 func TestSubscribe(t *testing.T) {
-	s := New(Config{Clock: sched.NewSimClock(time.Unix(0, 0))})
+	s := New(Config{Clock: sim.NewVirtual(time.Unix(0, 0))})
 	v, _ := s.RegisterMetric(constHook("m", 3))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -187,7 +210,7 @@ func TestSubscribe(t *testing.T) {
 }
 
 func TestRangeAndMissingMetric(t *testing.T) {
-	clock := sched.NewSimClock(time.Unix(0, 0))
+	clock := sim.NewVirtual(time.Unix(0, 0))
 	s := New(Config{Clock: clock})
 	h := &score.ReplayHook{ID: "m", Trace: []float64{1, 2, 3}}
 	v, _ := s.RegisterMetric(h)
@@ -208,7 +231,7 @@ func TestRangeAndMissingMetric(t *testing.T) {
 }
 
 func TestArchiveDirWiring(t *testing.T) {
-	clock := sched.NewSimClock(time.Unix(0, 0))
+	clock := sim.NewVirtual(time.Unix(0, 0))
 	s := New(Config{Clock: clock, ArchiveDir: t.TempDir(), HistorySize: 2})
 	h := &score.ReplayHook{ID: "m", Trace: []float64{1, 2, 3, 4, 5}}
 	v, err := s.RegisterMetric(h)
@@ -226,8 +249,61 @@ func TestArchiveDirWiring(t *testing.T) {
 	s.Stop()
 }
 
+// TestRegisterDuplicateMetricLeavesArchiveAlone registers a live metric a
+// second time: the duplicate must be refused before a second archive.Log (a
+// second writer, a second compaction target) is opened on the first
+// vertex's directory.
+func TestRegisterDuplicateMetricLeavesArchiveAlone(t *testing.T) {
+	clock := sim.NewVirtual(time.Unix(0, 0))
+	s := New(Config{Clock: clock, ArchiveDir: t.TempDir(), HistorySize: 2})
+	defer s.Stop()
+	h := &score.ReplayHook{ID: "m", Trace: []float64{1, 2, 3, 4, 5, 6, 7}}
+	v, err := s.RegisterMetric(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		v.PollOnce()
+		clock.Advance(time.Second)
+	}
+	if _, err := s.RegisterMetric(h); err == nil {
+		t.Fatal("duplicate metric accepted")
+	}
+	if n := len(s.archives); n != 1 {
+		t.Fatalf("%d archive logs open, want 1", n)
+	}
+	if err := s.compactor.RunOnce(); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.Metrics().Counter(obs.Name("archive_compaction_runs_total", "log", "m")); n != 1 {
+		t.Fatalf("one compactor pass compacted the metric's log %d times, want 1", n)
+	}
+	// The first vertex keeps appending to its own log.
+	for i := 0; i < 3; i++ {
+		v.PollOnce()
+		clock.Advance(time.Second)
+	}
+	if all := s.Range("m", 0, 1<<62); len(all) != 7 {
+		t.Fatalf("range=%d after the refused duplicate, want 7", len(all))
+	}
+	if n := s.Metrics().Counter(obs.Name("archive_appends_total", "log", "m")); n != 5 {
+		t.Fatalf("archive appends = %d, want the 5 evictions", n)
+	}
+}
+
+// TestWithMetricRetention checks the per-metric option reaches the vertex
+// config.
+func TestWithMetricRetention(t *testing.T) {
+	var fc score.FactConfig
+	r := archive.Retention{Raw: time.Hour}
+	WithMetricRetention(r)(&fc)
+	if fc.Retention == nil || *fc.Retention != r {
+		t.Fatalf("Retention = %+v, want %+v", fc.Retention, r)
+	}
+}
+
 func TestServeTCP(t *testing.T) {
-	s := New(Config{Clock: sched.NewSimClock(time.Unix(0, 0))})
+	s := New(Config{Clock: sim.NewVirtual(time.Unix(0, 0))})
 	v, _ := s.RegisterMetric(constHook("m", 9))
 	v.PollOnce()
 	addr, err := s.Serve("127.0.0.1:0")
@@ -255,7 +331,7 @@ func TestServeTCP(t *testing.T) {
 
 func TestDeployNodeMonitors(t *testing.T) {
 	c := cluster.BuildAres(time.Unix(0, 0), 1, 0)
-	s := New(Config{Clock: sched.NewSimClock(time.Unix(0, 0))})
+	s := New(Config{Clock: sim.NewVirtual(time.Unix(0, 0))})
 	ids, err := s.DeployNodeMonitors(c.Node("comp00"))
 	if err != nil {
 		t.Fatal(err)
@@ -273,7 +349,7 @@ func TestDeployNodeMonitors(t *testing.T) {
 
 func TestDeployTierCapacityInsights(t *testing.T) {
 	c := cluster.BuildAres(time.Unix(0, 0), 2, 1)
-	clock := sched.NewSimClock(time.Unix(0, 0))
+	clock := sim.NewVirtual(time.Unix(0, 0))
 	s := New(Config{Clock: clock})
 	sink, err := s.DeployTierCapacityInsights(c)
 	if err != nil {
@@ -298,7 +374,7 @@ func TestDeployTierCapacityInsights(t *testing.T) {
 
 func TestCapacityView(t *testing.T) {
 	c := cluster.BuildAres(time.Unix(0, 0), 1, 0)
-	s := New(Config{Clock: sched.NewSimClock(time.Unix(0, 0))})
+	s := New(Config{Clock: sim.NewVirtual(time.Unix(0, 0))})
 	d := c.Node("comp00").Device("nvme0")
 	v, _ := s.RegisterMetric(score.HookFunc{
 		ID: telemetry.MetricID(d.ID() + ".capacity"),

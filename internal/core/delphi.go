@@ -25,19 +25,26 @@ func DeviceClass(id telemetry.MetricID) string {
 	return s
 }
 
-// delphiFleet is the per-device-class sharding layer, active when
-// Config.DelphiRegistry is set: each class carries its own model (the
-// registry's active version, falling back to Config.Delphi for classes with
-// no lineage yet), its own batch predictor, and its own drift/retrain loop.
+// defaultClass is the one class of a service without a model registry.
+const defaultClass = "default"
+
+// delphiFleet is the Delphi serving layer, built whenever the service has a
+// model or a registry: metrics shard into device classes, each with its own
+// model, batch predictor, and drift/retrain loop. With Config.DelphiRegistry
+// set a class serves the registry's active version (falling back to
+// Config.Delphi for classes with no lineage yet); without one the fleet is a
+// single class "default" serving Config.Delphi, and there is no trainer.
 type delphiFleet struct {
 	cfg Config
 	obs *obs.Registry
 
-	reg     *registry.Registry
-	trainer *registry.Trainer
+	reg     *registry.Registry // nil without Config.DelphiRegistry
+	trainer *registry.Trainer  // nil unless reg is set and DelphiRetrain > 0
 
-	mu      sync.Mutex
-	classes map[string]*deviceClass
+	mu sync.Mutex
+	// classes is sorted by name. Adding a class replaces the slice, so a
+	// sweep iterates its snapshot without holding mu.
+	classes []*deviceClass
 }
 
 // deviceClass is one model shard. Its mutex guards membership and the sweep
@@ -46,10 +53,10 @@ type delphiFleet struct {
 type deviceClass struct {
 	name  string
 	fleet *delphiFleet
+	batch *delphi.BatchPredictor // fixed at creation; nil when batching is off
 
 	mu        sync.Mutex
 	model     *delphi.Model
-	batch     *delphi.BatchPredictor
 	metrics   []telemetry.MetricID
 	onlines   []*delphi.Online
 	detectors []*delphi.Detector
@@ -59,16 +66,21 @@ type deviceClass struct {
 }
 
 func newDelphiFleet(cfg Config, o *obs.Registry) (*delphiFleet, error) {
-	reg, err := registry.Open(cfg.DelphiRegistry)
-	if err != nil {
+	f := &delphiFleet{cfg: cfg, obs: o}
+	if cfg.DelphiRegistry == "" {
+		// The one class exists from the start, so its instruments do too.
+		f.classFor(defaultClass)
+		return f, nil
+	}
+	var err error
+	if f.reg, err = registry.Open(cfg.DelphiRegistry); err != nil {
 		return nil, err
 	}
-	f := &delphiFleet{cfg: cfg, obs: o, reg: reg, classes: make(map[string]*deviceClass)}
 	if cfg.DelphiRetrain > 0 {
 		f.trainer, err = registry.NewTrainer(registry.Config{
 			Clock:    cfg.Clock,
 			Interval: cfg.DelphiRetrain,
-			Registry: reg,
+			Registry: f.reg,
 			Retrain:  delphi.RetrainConfig{Seed: 1},
 			Obs:      o,
 		})
@@ -79,28 +91,51 @@ func newDelphiFleet(cfg Config, o *obs.Registry) (*delphiFleet, error) {
 	return f, nil
 }
 
-// classFor returns (creating on first use) the shard for a metric's class.
-// A freshly created class serves the registry's active version if one
-// exists, otherwise the service-wide base model.
-func (f *delphiFleet) classFor(id telemetry.MetricID) *deviceClass {
-	name := DeviceClass(id)
+// className maps a metric to its shard: its DeviceClass under a registry,
+// the single default class without one (so metric names that do not follow
+// the cluster convention do not become one class each).
+func (f *delphiFleet) className(id telemetry.MetricID) string {
+	if f.reg == nil {
+		return defaultClass
+	}
+	return DeviceClass(id)
+}
+
+// lookup finds a class by name, or returns nil. Caller holds f.mu.
+func (f *delphiFleet) lookup(name string) *deviceClass {
+	i := sort.Search(len(f.classes), func(i int) bool { return f.classes[i].name >= name })
+	if i < len(f.classes) && f.classes[i].name == name {
+		return f.classes[i]
+	}
+	return nil
+}
+
+// classFor returns (creating on first use) the named shard. A freshly
+// created class serves the registry's active version if one exists,
+// otherwise the service-wide base model.
+func (f *delphiFleet) classFor(name string) *deviceClass {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if c, ok := f.classes[name]; ok {
+	if c := f.lookup(name); c != nil {
 		return c
 	}
 	c := &deviceClass{name: name, fleet: f, model: f.cfg.Delphi}
-	if m, v, err := f.reg.Active(name); err == nil {
-		c.model, c.version = m, v
+	if f.reg != nil {
+		if m, v, err := f.reg.Active(name); err == nil {
+			c.model, c.version = m, v
+		}
+		f.obs.Gauge(obs.Name("delphi_model_version", "class", name)).Set(float64(c.version))
 	}
-	f.obs.Gauge(obs.Name("delphi_model_version", "class", name)).Set(float64(c.version))
+	// Untrained models are tolerated the way NewOnline tolerates them: the
+	// batch lane stays off and per-vertex fallback rules.
 	if c.model != nil && f.cfg.DelphiBatch > 0 {
 		if bp, err := delphi.NewBatchPredictor(c.model, f.cfg.DelphiBatch); err == nil {
 			bp.Instrument(f.obs, name)
 			c.batch = bp
 		}
 	}
-	f.classes[name] = c
+	f.classes = append(f.classes[:len(f.classes):len(f.classes)], c)
+	sort.Slice(f.classes, func(i, j int) bool { return f.classes[i].name < f.classes[j].name })
 	if f.trainer != nil {
 		// Ignoring the error: the class name came from DeviceClass, which
 		// yields registry-legal names for cluster-convention metric IDs.
@@ -198,22 +233,23 @@ func (c *deviceClass) promote(m *delphi.Model, version int) {
 }
 
 // predictAll sweeps every class in name order and appends the per-metric
-// results. Class sweeps serialize on the class lock (promotions and sweeps
-// never interleave mid-batch).
+// results; nil when no class has a batch predictor. Class sweeps serialize
+// on the class lock (promotions and sweeps never interleave mid-batch).
 func (f *delphiFleet) predictAll() []BatchResult {
 	f.mu.Lock()
-	names := make([]string, 0, len(f.classes))
-	for n := range f.classes {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	classes := make([]*deviceClass, len(names))
-	for i, n := range names {
-		classes[i] = f.classes[n]
-	}
+	classes := f.classes
 	f.mu.Unlock()
 
-	var out []BatchResult
+	n, batched := 0, false
+	for _, c := range classes {
+		if c.batch != nil {
+			n, batched = n+c.batch.Slots(), true
+		}
+	}
+	if !batched {
+		return nil
+	}
+	out := make([]BatchResult, 0, n)
 	for _, c := range classes {
 		c.mu.Lock()
 		if c.batch != nil {
@@ -275,9 +311,9 @@ func (s *Service) ModelVersion(class string) int {
 		return 0
 	}
 	s.fleet.mu.Lock()
-	c, ok := s.fleet.classes[class]
+	c := s.fleet.lookup(class)
 	s.fleet.mu.Unlock()
-	if !ok {
+	if c == nil {
 		return 0
 	}
 	c.mu.Lock()

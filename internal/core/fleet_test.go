@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -35,9 +37,6 @@ func TestServiceFleetClassSharding(t *testing.T) {
 	defer s.Stop()
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
-	}
-	if s.BatchPredictor() != nil {
-		t.Fatal("fleet mode must not create the shared default predictor")
 	}
 	if s.DelphiRegistry() == nil {
 		t.Fatal("registry accessor nil")
@@ -146,5 +145,55 @@ func TestServiceFleetDriftRetrainPromote(t *testing.T) {
 	}
 	if s2.ModelVersion("cap") != 1 {
 		t.Fatalf("restart lost the promoted version: %d", s2.ModelVersion("cap"))
+	}
+}
+
+// TestServiceFleetSweepWhileRegistering sweeps and reads versions while new
+// classes and members arrive: a sweep sees a consistent snapshot of the class
+// list, and every registered metric shows up once registration is done.
+func TestServiceFleetSweepWhileRegistering(t *testing.T) {
+	s := New(Config{Delphi: trainedModel(t), DelphiBatch: 2, DelphiRegistry: t.TempDir()})
+	defer s.Stop()
+	const classes, perClass = 8, 4
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			seen := map[telemetry.MetricID]bool{}
+			for _, r := range s.PredictAll() {
+				if seen[r.Metric] {
+					t.Errorf("metric %q twice in one sweep", r.Metric)
+					return
+				}
+				seen[r.Metric] = true
+			}
+			s.ModelVersion("c3")
+		}
+	}()
+	for c := classes - 1; c >= 0; c-- {
+		for d := 0; d < perClass; d++ {
+			id := telemetry.MetricID(fmt.Sprintf("dev%d.c%d", d, c))
+			if _, err := s.RegisterMetric(constHook(id, 1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	close(done)
+	wg.Wait()
+	res := s.PredictAll()
+	if len(res) != classes*perClass {
+		t.Fatalf("%d results, want %d", len(res), classes*perClass)
+	}
+	for i := 1; i < len(res); i++ {
+		if DeviceClass(res[i-1].Metric) > DeviceClass(res[i].Metric) {
+			t.Fatalf("sweep not in class-name order: %q before %q", res[i-1].Metric, res[i].Metric)
+		}
 	}
 }

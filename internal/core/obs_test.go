@@ -6,8 +6,8 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/sched"
 	"repro/internal/score"
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -15,7 +15,7 @@ import (
 // cycle deterministically and asserts the obs counters surfaced by
 // Service.Metrics track each stage.
 func TestEndToEndMetricsPipeline(t *testing.T) {
-	clock := sched.NewSimClock(time.Unix(0, 0))
+	clock := sim.NewVirtual(time.Unix(0, 0))
 	s := New(Config{
 		Clock:       clock,
 		ArchiveDir:  t.TempDir(),
@@ -74,7 +74,7 @@ func TestEndToEndMetricsPipeline(t *testing.T) {
 // the service's instruments.
 func TestMetricsRegistrySharing(t *testing.T) {
 	r := obs.NewRegistry()
-	s := New(Config{Clock: sched.NewSimClock(time.Unix(0, 0)), Obs: r})
+	s := New(Config{Clock: sim.NewVirtual(time.Unix(0, 0)), Obs: r})
 	defer s.Stop()
 	if s.Obs() != r {
 		t.Fatal("service did not adopt the shared registry")

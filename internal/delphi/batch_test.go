@@ -170,6 +170,59 @@ func TestBatchPredictAllZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestPredictZeroAllocAcrossSwap measures the promotion-interleaved paths: a
+// SwapModel landing between runs (engines are compiled once per model, before
+// the measurement) must leave Online.Predict and a BatchPredictor sweep
+// allocation-free.
+func TestPredictZeroAllocAcrossSwap(t *testing.T) {
+	models := []*Model{trained(t), nil}
+	var err error
+	if models[1], err = Train(TrainOptions{SeriesPerFeature: 2, SeriesLen: 64, Epochs: 3, Seed: 99}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := models[1].Engine(); err != nil {
+		t.Fatal(err)
+	}
+
+	o := NewOnline(models[0])
+	observeSeries(o, 7, WindowSize+3)
+	run := 0
+	if avg := testing.AllocsPerRun(100, func() {
+		run++
+		if err := o.SwapModel(models[run%2]); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := o.Predict(); !ok {
+			t.Fatal("not ready")
+		}
+	}); avg != 0 {
+		t.Fatalf("SwapModel+Predict allocates %v/op, want 0", avg)
+	}
+
+	bp, err := NewBatchPredictor(models[0], 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bp.Close()
+	for i := 0; i < 2*batchChunkMin; i++ {
+		o := NewOnline(models[0])
+		observeSeries(o, int64(i), WindowSize+i%3)
+		if _, err := bp.Register(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dst := bp.PredictAll(nil) // warm the arenas
+	if avg := testing.AllocsPerRun(50, func() {
+		run++
+		if err := bp.SwapModel(models[run%2]); err != nil {
+			t.Fatal(err)
+		}
+		dst = bp.PredictAll(dst[:0])
+	}); avg != 0 {
+		t.Fatalf("SwapModel+PredictAll allocates %v/op, want 0", avg)
+	}
+}
+
 // TestBatchPredictorConcurrentObserve drives sweeps while every slot keeps
 // observing — the vertex/batch-sweeper interleaving, meant for -race.
 func TestBatchPredictorConcurrentObserve(t *testing.T) {

@@ -1,8 +1,6 @@
 package delphi
 
 import (
-	"encoding/json"
-	"os"
 	"sync"
 	"testing"
 )
@@ -40,8 +38,9 @@ func BenchmarkOnlinePredict(b *testing.B) {
 	}
 }
 
-// BenchmarkOnlinePredictUnfused measures the legacy layer-by-layer path —
-// the BENCH_9 baseline the fast lane is gated against.
+// BenchmarkOnlinePredictUnfused measures the reference layer-by-layer path
+// (test-only, export_test.go) — the baseline to compare BenchmarkOnlinePredict
+// and BenchmarkBatchPredict1000's ns/pred against.
 func BenchmarkOnlinePredictUnfused(b *testing.B) {
 	m := benchTrained(b)
 	w := []float64{1, 2, 3, 4, 5}
@@ -97,33 +96,3 @@ func benchmarkBatchPredict(b *testing.B, n, workers int) {
 func BenchmarkBatchPredict100(b *testing.B)  { benchmarkBatchPredict(b, 100, 0) }
 func BenchmarkBatchPredict1000(b *testing.B) { benchmarkBatchPredict(b, 1000, 0) }
 func BenchmarkBatchPredict10k(b *testing.B)  { benchmarkBatchPredict(b, 10000, 0) }
-
-// TestBench9Gate asserts the committed BENCH_9.json (produced by
-// scripts/bench_delphi.sh) meets the fast-lane acceptance bar: batched
-// multi-device prediction at 1k metrics is >= 5x single-scalar unfused
-// throughput, and the steady-state predict paths do not allocate.
-func TestBench9Gate(t *testing.T) {
-	raw, err := os.ReadFile("../../BENCH_9.json")
-	if err != nil {
-		t.Fatalf("BENCH_9.json must be committed (run scripts/bench_delphi.sh): %v", err)
-	}
-	var doc struct {
-		Summary struct {
-			SpeedupBatch1kVsUnfused float64 `json:"speedup_batch1k_vs_unfused"`
-			OnlineAllocsPerOp       float64 `json:"online_allocs_per_op"`
-			Batch1kAllocsPerOp      float64 `json:"batch1k_allocs_per_op"`
-		} `json:"summary"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("parsing BENCH_9.json: %v", err)
-	}
-	if s := doc.Summary.SpeedupBatch1kVsUnfused; s < 5 {
-		t.Fatalf("batched speedup vs unfused = %.2fx, want >= 5x", s)
-	}
-	if a := doc.Summary.OnlineAllocsPerOp; a != 0 {
-		t.Fatalf("Online.Predict allocs/op = %v, want 0", a)
-	}
-	if a := doc.Summary.Batch1kAllocsPerOp; a != 0 {
-		t.Fatalf("BatchPredict1000 allocs/op = %v, want 0", a)
-	}
-}

@@ -6,8 +6,8 @@ import "fmt"
 // per-feature Dense.Forward, combiner Dense.Forward, denormalize). It
 // allocates per call and mutates the layers' training caches, so it is not
 // safe for concurrent use — it lives on in the test binary only, as the
-// golden reference the equivalence tests and the BENCH_9 baseline compare
-// the fast lane against.
+// golden reference the equivalence tests and BenchmarkOnlinePredictUnfused
+// compare the fast lane against.
 func (m *Model) PredictUnfused(window []float64) (float64, error) {
 	if len(window) != WindowSize {
 		return 0, fmt.Errorf("delphi: window size %d, want %d", len(window), WindowSize)

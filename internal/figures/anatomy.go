@@ -12,6 +12,7 @@ import (
 	"repro/internal/hooks"
 	"repro/internal/sched"
 	"repro/internal/score"
+	"repro/internal/sim"
 	"repro/internal/stream"
 	"repro/internal/telemetry"
 	"repro/internal/workloads"
@@ -36,7 +37,7 @@ func Fig4(opts Options) (*Table, error) {
 		Hook:             hook,
 		Bus:              bus,
 		Controller:       adaptive.NewFixed(time.Second),
-		Clock:            sched.NewSimClock(time.Unix(0, 0)),
+		Clock:            sim.NewVirtual(time.Unix(0, 0)),
 		PublishUnchanged: true,
 	})
 	if err != nil {
@@ -47,7 +48,7 @@ func Fig4(opts Options) (*Table, error) {
 		Inputs:           []telemetry.MetricID{hook.Metric()},
 		Builder:          score.Sum,
 		Bus:              bus,
-		Clock:            sched.NewSimClock(time.Unix(0, 0)),
+		Clock:            sim.NewVirtual(time.Unix(0, 0)),
 		PublishUnchanged: true,
 	})
 	if err != nil {

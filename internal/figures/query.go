@@ -9,8 +9,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/hooks"
 	"repro/internal/ldms"
-	"repro/internal/sched"
 	"repro/internal/score"
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -25,7 +25,7 @@ type fig12Deployment struct {
 }
 
 func deployFig12(opts Options, nodes int) (*fig12Deployment, error) {
-	clock := sched.NewSimClock(time.Unix(0, 0))
+	clock := sim.NewVirtual(time.Unix(0, 0))
 	svc := core.New(core.Config{Clock: clock, Mode: core.IntervalFixed})
 	store := ldms.NewStore()
 	// The paper's LDMS stores into MySQL or flat files; ScanPenalty models

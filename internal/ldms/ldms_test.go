@@ -5,8 +5,8 @@ import (
 	"time"
 
 	"repro/internal/aqe"
-	"repro/internal/sched"
 	"repro/internal/score"
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -40,7 +40,7 @@ func TestStoreRange(t *testing.T) {
 
 func TestSamplerFixedInterval(t *testing.T) {
 	svc := NewService()
-	clock := sched.NewSimClock(time.Unix(0, 0))
+	clock := sim.NewVirtual(time.Unix(0, 0))
 	hook := score.HookFunc{ID: "m", Fn: func() (float64, error) { return 5, nil }}
 	sm := svc.AddSampler(hook, time.Second, clock)
 	for i := 0; i < 4; i++ {

@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/sim"
 )
 
 func TestLoopFiresOnce(t *testing.T) {
@@ -46,7 +48,7 @@ func waitFor(t *testing.T, cond func() bool) {
 // its earliest deadline at want — i.e. the previous fire is fully processed
 // and the next advance will be observed. Deterministic replacement for
 // "advance then sleep a little".
-func waitForDeadline(t *testing.T, clock *SimClock, want time.Time) {
+func waitForDeadline(t *testing.T, clock *sim.Virtual, want time.Time) {
 	t.Helper()
 	waitFor(t, func() bool {
 		next, ok := clock.NextDeadline()
@@ -74,7 +76,7 @@ func TestLoopRepeats(t *testing.T) {
 func TestAdaptiveIntervalReprogramming(t *testing.T) {
 	// The callback returns a different interval each fire; verify virtual
 	// fire times follow the re-programmed schedule exactly.
-	clock := NewSimClock(time.Unix(0, 0))
+	clock := sim.NewVirtual(time.Unix(0, 0))
 	l := NewLoop(clock)
 	l.RunAsync()
 	defer l.Stop()
@@ -149,7 +151,7 @@ func TestAddAfterStop(t *testing.T) {
 }
 
 func TestManyTimersOrdering(t *testing.T) {
-	clock := NewSimClock(time.Unix(0, 0))
+	clock := sim.NewVirtual(time.Unix(0, 0))
 	l := NewLoop(clock)
 	var mu sync.Mutex
 	var order []int
@@ -185,7 +187,7 @@ func TestManyTimersOrdering(t *testing.T) {
 }
 
 func TestSimClockAfterImmediate(t *testing.T) {
-	c := NewSimClock(time.Unix(100, 0))
+	c := sim.NewVirtual(time.Unix(100, 0))
 	select {
 	case ts := <-c.After(0):
 		if ts.Unix() != 100 {
@@ -197,7 +199,7 @@ func TestSimClockAfterImmediate(t *testing.T) {
 }
 
 func TestSimClockAdvancePartial(t *testing.T) {
-	c := NewSimClock(time.Unix(0, 0))
+	c := sim.NewVirtual(time.Unix(0, 0))
 	ch := c.After(10 * time.Second)
 	c.Advance(5 * time.Second)
 	select {

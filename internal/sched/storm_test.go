@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/sim"
 )
 
 // TestSlowCallbackNoFireStorm is the regression test for the stale-now guard
@@ -15,7 +16,7 @@ import (
 // fix, now is refreshed after the callback, the guard clamps the deadline
 // forward, and exactly one fire happens per elapsed interval.
 func TestSlowCallbackNoFireStorm(t *testing.T) {
-	clock := NewSimClock(time.Unix(100, 0))
+	clock := sim.NewVirtual(time.Unix(100, 0))
 	l := NewLoop(clock)
 	r := obs.NewRegistry()
 	l.Instrument(r)

@@ -8,7 +8,7 @@ import (
 	"repro/internal/adaptive"
 	"repro/internal/delphi"
 	"repro/internal/obs"
-	"repro/internal/sched"
+	"repro/internal/sim"
 	"repro/internal/stream"
 	"repro/internal/telemetry"
 )
@@ -47,7 +47,7 @@ func TestFactVertexDriftFallback(t *testing.T) {
 	bus := stream.NewBroker(0)
 	v := newFact(t, bus, &ReplayHook{ID: "comp00.nvme0.cap", Trace: trace}, func(c *FactConfig) {
 		c.Controller = adaptive.NewFixed(4 * time.Second) // 3 base ticks to fill per poll
-		c.Clock = sched.NewSimClock(time.Unix(0, 0))
+		c.Clock = sim.NewVirtual(time.Unix(0, 0))
 		c.Delphi = online
 		c.Drift = det
 		c.OnDrift = func(m telemetry.MetricID) { drifted = append(drifted, m) }

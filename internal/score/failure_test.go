@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"repro/internal/adaptive"
-	"repro/internal/sched"
+	"repro/internal/sim"
 	"repro/internal/stream"
 	"repro/internal/telemetry"
 )
@@ -61,7 +61,7 @@ func TestInsightVertexCorruptPayload(t *testing.T) {
 	bus := stream.NewBroker(0)
 	v, err := NewInsightVertex(InsightConfig{
 		Metric: "sum", Inputs: []telemetry.MetricID{"a"},
-		Builder: Sum, Bus: bus, Clock: sched.NewSimClock(time.Unix(0, 0)),
+		Builder: Sum, Bus: bus, Clock: sim.NewVirtual(time.Unix(0, 0)),
 	})
 	if err != nil {
 		t.Fatal(err)

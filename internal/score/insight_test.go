@@ -13,7 +13,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/sched"
+	"repro/internal/sim"
 	"repro/internal/stream"
 	"repro/internal/telemetry"
 )
@@ -147,7 +147,7 @@ func TestInsightMatchesReference(t *testing.T) {
 					bus := stream.NewBroker(1 << 12)
 					v, err := NewInsightVertex(InsightConfig{
 						Metric: "ref.out", Inputs: inputs, Builder: builder, Bus: bus,
-						Clock: sched.NewSimClock(time.Unix(0, now)), PublishUnchanged: unchanged,
+						Clock: sim.NewVirtual(time.Unix(0, now)), PublishUnchanged: unchanged,
 					})
 					if err != nil {
 						t.Fatal(err)
@@ -232,7 +232,7 @@ func TestInsightStrayTupleDropped(t *testing.T) {
 	bus := stream.NewBroker(0)
 	v, err := NewInsightVertex(InsightConfig{
 		Metric: "sum", Inputs: []telemetry.MetricID{"a", "b"},
-		Builder: Sum, Bus: bus, Clock: sched.NewSimClock(time.Unix(0, 0)),
+		Builder: Sum, Bus: bus, Clock: sim.NewVirtual(time.Unix(0, 0)),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -277,7 +277,7 @@ func newInsightFeed(tb testing.TB, n int) *insightFeed {
 	}
 	v, err := NewInsightVertex(InsightConfig{
 		Metric: "cluster.capacity", Inputs: inputs, Builder: Sum,
-		Bus: stream.NewBroker(1 << 12), Clock: sched.NewSimClock(time.Unix(0, 0)),
+		Bus: stream.NewBroker(1 << 12), Clock: sim.NewVirtual(time.Unix(0, 0)),
 	})
 	if err != nil {
 		tb.Fatal(err)

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/adaptive"
 	"repro/internal/sched"
+	"repro/internal/sim"
 	"repro/internal/stream"
 	"repro/internal/telemetry"
 )
@@ -125,7 +126,7 @@ func TestInsightOverRemoteClient(t *testing.T) {
 	defer srv.Close()
 	defer broker.Close()
 
-	clock := sched.NewSimClock(time.Unix(0, 0))
+	clock := sim.NewVirtual(time.Unix(0, 0))
 	fa := newFact(t, broker, &ReplayHook{ID: "ra", Trace: []float64{7}}, func(c *FactConfig) { c.Clock = clock })
 	fb := newFact(t, broker, &ReplayHook{ID: "rb", Trace: []float64{35}}, func(c *FactConfig) { c.Clock = clock })
 

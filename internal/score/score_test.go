@@ -8,7 +8,7 @@ import (
 	"repro/internal/adaptive"
 	"repro/internal/archive"
 	"repro/internal/delphi"
-	"repro/internal/sched"
+	"repro/internal/sim"
 	"repro/internal/stream"
 	"repro/internal/telemetry"
 )
@@ -64,7 +64,7 @@ func newFact(t *testing.T, bus stream.Bus, hook Hook, opts func(*FactConfig)) *F
 		Hook:       hook,
 		Bus:        bus,
 		Controller: adaptive.NewFixed(time.Second),
-		Clock:      sched.NewSimClock(time.Unix(0, 0)),
+		Clock:      sim.NewVirtual(time.Unix(0, 0)),
 	}
 	if opts != nil {
 		opts(&cfg)
@@ -207,7 +207,7 @@ func TestFactVertexDelphiFillsGaps(t *testing.T) {
 
 func TestFactVertexStartStop(t *testing.T) {
 	bus := stream.NewBroker(0)
-	clock := sched.NewSimClock(time.Unix(0, 0))
+	clock := sim.NewVirtual(time.Unix(0, 0))
 	v := newFact(t, bus, counterHook("m"), func(c *FactConfig) { c.Clock = clock })
 	if err := v.Start(); err != nil {
 		t.Fatal(err)
@@ -237,7 +237,7 @@ func TestFactVertexArchiveFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer log.Close()
-	clock := sched.NewSimClock(time.Unix(0, 0))
+	clock := sim.NewVirtual(time.Unix(0, 0))
 	h := counterHook("m")
 	v := newFact(t, bus, h, func(c *FactConfig) {
 		c.Clock = clock
@@ -290,7 +290,7 @@ func TestInsightVertexAggregates(t *testing.T) {
 		Inputs:  []telemetry.MetricID{"a", "b"},
 		Builder: Sum,
 		Bus:     bus,
-		Clock:   sched.NewSimClock(time.Unix(0, 100)),
+		Clock:   sim.NewVirtual(time.Unix(0, 100)),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -329,7 +329,7 @@ func TestInsightVertexPredictedPropagation(t *testing.T) {
 	bus := stream.NewBroker(0)
 	v, _ := NewInsightVertex(InsightConfig{
 		Metric: "sum", Inputs: []telemetry.MetricID{"a", "b"},
-		Builder: Sum, Bus: bus, Clock: sched.NewSimClock(time.Unix(0, 0)),
+		Builder: Sum, Bus: bus, Clock: sim.NewVirtual(time.Unix(0, 0)),
 	})
 	v.ConsumeOnce(publish(t, bus, telemetry.NewFact("a", 1, 1)))
 	v.ConsumeOnce(publish(t, bus, telemetry.NewPredictedFact("b", 2, 2)))
@@ -343,7 +343,7 @@ func TestInsightVertexChangeFilter(t *testing.T) {
 	bus := stream.NewBroker(0)
 	v, _ := NewInsightVertex(InsightConfig{
 		Metric: "sum", Inputs: []telemetry.MetricID{"a"},
-		Builder: Sum, Bus: bus, Clock: sched.NewSimClock(time.Unix(0, 0)),
+		Builder: Sum, Bus: bus, Clock: sim.NewVirtual(time.Unix(0, 0)),
 	})
 	v.ConsumeOnce(publish(t, bus, telemetry.NewFact("a", 1, 5)))
 	v.ConsumeOnce(publish(t, bus, telemetry.NewFact("a", 2, 5)))
@@ -357,7 +357,7 @@ func TestInsightVertexLive(t *testing.T) {
 	// End-to-end: running fact vertices feed a running insight vertex over
 	// the broker.
 	bus := stream.NewBroker(0)
-	clock := sched.NewSimClock(time.Unix(0, 0))
+	clock := sim.NewVirtual(time.Unix(0, 0))
 	fa := newFact(t, bus, &ReplayHook{ID: "a", Trace: []float64{100}}, func(c *FactConfig) { c.Clock = clock })
 	fb := newFact(t, bus, &ReplayHook{ID: "b", Trace: []float64{200}}, func(c *FactConfig) { c.Clock = clock })
 	iv, err := NewInsightVertex(InsightConfig{
@@ -471,7 +471,7 @@ func TestGraphHeightAndDepth(t *testing.T) {
 
 func TestGraphStartStopAll(t *testing.T) {
 	bus := stream.NewBroker(0)
-	clock := sched.NewSimClock(time.Unix(0, 0))
+	clock := sim.NewVirtual(time.Unix(0, 0))
 	g := NewGraph()
 	f := newFact(t, bus, counterHook("f"), func(c *FactConfig) { c.Clock = clock })
 	g.RegisterFact(f)
@@ -501,7 +501,7 @@ func BenchmarkFactPollPublish(b *testing.B) {
 	v, err := NewFactVertex(FactConfig{
 		Hook: hook, Bus: bus,
 		Controller: adaptive.NewFixed(time.Second),
-		Clock:      sched.NewSimClock(time.Unix(0, 0)),
+		Clock:      sim.NewVirtual(time.Unix(0, 0)),
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -10,7 +10,7 @@ import (
 	"repro/internal/adaptive"
 	"repro/internal/archive"
 	"repro/internal/delphi"
-	"repro/internal/sched"
+	"repro/internal/sim"
 	"repro/internal/stream"
 	"repro/internal/telemetry"
 )
@@ -225,7 +225,7 @@ func TestBacklogOwnsItsPayloads(t *testing.T) {
 		t.Fatal(err)
 	}
 	bus := &cutBus{Broker: stream.NewBroker(0)}
-	clock := sched.NewSimClock(time.Unix(0, 0))
+	clock := sim.NewVirtual(time.Unix(0, 0))
 	n := 0.0
 	v, err := NewFactVertex(FactConfig{
 		Hook:       HookFunc{ID: "sf.delphi", Fn: func() (float64, error) { n++; return 100 + 10*math.Sin(n/4), nil }},

@@ -11,8 +11,7 @@ import (
 // would be minimal issues with time drift or interference between runs",
 // §4.3.1). Advance moves virtual time forward, delivering pending ticks in
 // deadline order (registration order breaks ties, so a given schedule always
-// fires the same way). It supersedes the old sched.SimClock, which is now an
-// alias of this type.
+// fires the same way).
 type Virtual struct {
 	mu       sync.Mutex
 	now      time.Time

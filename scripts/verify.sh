@@ -96,10 +96,10 @@ for target in \
 done
 
 # Benchmark smoke: one iteration of the hot-path suites so the benchmarks
-# themselves can't rot. (The stream path's full-length run is
+# themselves can't rot. (The stream and Delphi paths' full-length run is
 # bash bench/run.sh --workload ingest-inproc --trace 1; the others are
-# scripts/bench_query.sh, scripts/bench_archive.sh, and
-# scripts/bench_delphi.sh, which write BENCH_<n>.json.)
+# scripts/bench_query.sh and scripts/bench_archive.sh, which write
+# BENCH_<n>.json.)
 echo "==> go test -run xxx -bench . -benchtime 1x ./internal/stream/..."
 go test -run xxx -bench . -benchtime 1x ./internal/stream/...
 echo "==> go test -run xxx -bench . -benchtime 1x ./internal/aqe/... ./internal/queue/... ./internal/archive/..."
@@ -111,15 +111,6 @@ go test -run xxx -bench . -benchtime 1x ./internal/delphi/ ./internal/nn/inferen
 # tests plus the ~12 s smoke run of all four workloads with the output audit.
 echo "==> go test -C bench ./..."
 go test -C bench ./...
-
-# Delphi fast-lane + continuous-accuracy gates: the committed BENCH_9.json
-# must clear the 5x batched speedup and zero-alloc thresholds, and the
-# committed BENCH_10.json must show promotion-interleaved predict paths
-# allocation-free and the drift scenario's error recovering below the
-# drifted level (regenerate with scripts/bench_delphi.sh and
-# scripts/bench_drift.sh, which re-measure and apply the same gates).
-echo "==> go test -run 'TestBench9Gate|TestBench10Gate' -count=1 ./internal/delphi/"
-go test -run 'TestBench9Gate|TestBench10Gate' -count=1 ./internal/delphi/
 
 # The size ruler simplicity PRs report before/after from.
 echo "==> scripts/loc.sh"
