@@ -63,6 +63,7 @@ func bindFlags(fs *flag.FlagSet, cfg *core.Config) {
 		cfg.ArchiveRetention, err = archive.ParseRetention(v)
 		return err
 	})
+	fs.Int64Var(&cfg.ArchiveSegmentBytes, "archive-segment-bytes", 0, "size at which an archive segment is sealed and a new one opened (0 = default)")
 	fs.DurationVar(&cfg.CompactInterval, "compact-interval", 0, "how often the archive compactor runs (0 = default)")
 	fs.StringVar(&cfg.NodeID, "node-id", "", "fabric node ID; empty runs standalone, set it (with -peers) to join a replicated broker fabric")
 	fs.Func("peers", "comma-separated id=addr fabric peers, e.g. n1=127.0.0.1:7071,n2=127.0.0.1:7072", func(v string) (err error) {
@@ -91,8 +92,8 @@ func checkFlags(cfg *core.Config) error {
 	switch {
 	case cfg.NodeID == "" && len(cfg.Peers) > 0:
 		return errors.New("-peers requires -node-id")
-	case cfg.ArchiveDir == "" && (!cfg.ArchiveRetention.IsZero() || cfg.CompactInterval != 0):
-		return errors.New("-retention/-compact-interval require -archive-dir")
+	case cfg.ArchiveDir == "" && (!cfg.ArchiveRetention.IsZero() || cfg.CompactInterval != 0 || cfg.ArchiveSegmentBytes != 0):
+		return errors.New("-retention/-compact-interval/-archive-segment-bytes require -archive-dir")
 	case cfg.Delphi == nil && cfg.DelphiRegistry == "" && cfg.DelphiBatch != 0:
 		return errors.New("-delphi-batch requires -delphi or -delphi-registry")
 	case cfg.DelphiRegistry == "" && cfg.DelphiRetrain != 0:

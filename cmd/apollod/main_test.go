@@ -37,29 +37,30 @@ func TestFlagsCoverConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	values := map[string]string{
-		"mode":             "entropy",
-		"delphi":           modelPath,
-		"delphi-batch":     "2",
-		"delphi-registry":  "/var/lib/apollo/models",
-		"delphi-retrain":   "5m",
-		"shards":           "8",
-		"plan-cache":       "64",
-		"archive-dir":      "/var/lib/apollo/archive",
-		"retention":        "raw=15m,10s=2h,1m=24h",
-		"compact-interval": "30s",
-		"node-id":          "n0",
-		"peers":            "n1=127.0.0.1:7071,n2=127.0.0.1:7072",
-		"replicas":         "3",
-		"lease-ttl":        "2s",
-		"replica-lag-max":  "128",
-		"stream-retention": "1024",
-		"history-size":     "512",
-		"base-tick":        "500ms",
-		"gateway-addr":     "127.0.0.1:7181",
-		"gateway-tokens":   "s3cret=alice",
-		"gateway-rate":     "50",
-		"gateway-burst":    "10",
-		"gateway-queue":    "256",
+		"mode":                  "entropy",
+		"delphi":                modelPath,
+		"delphi-batch":          "2",
+		"delphi-registry":       "/var/lib/apollo/models",
+		"delphi-retrain":        "5m",
+		"shards":                "8",
+		"plan-cache":            "64",
+		"archive-dir":           "/var/lib/apollo/archive",
+		"retention":             "raw=15m,10s=2h,1m=24h",
+		"compact-interval":      "30s",
+		"archive-segment-bytes": "65536",
+		"node-id":               "n0",
+		"peers":                 "n1=127.0.0.1:7071,n2=127.0.0.1:7072",
+		"replicas":              "3",
+		"lease-ttl":             "2s",
+		"replica-lag-max":       "128",
+		"stream-retention":      "1024",
+		"history-size":          "512",
+		"base-tick":             "500ms",
+		"gateway-addr":          "127.0.0.1:7181",
+		"gateway-tokens":        "s3cret=alice",
+		"gateway-rate":          "50",
+		"gateway-burst":         "10",
+		"gateway-queue":         "256",
 	}
 
 	var cfg core.Config
@@ -128,6 +129,7 @@ func TestFlagDefaultsAndChecks(t *testing.T) {
 		{"-peers=n1=127.0.0.1:1", "-peers requires -node-id"},
 		{"-retention=raw=1h", "require -archive-dir"},
 		{"-compact-interval=1m", "require -archive-dir"},
+		{"-archive-segment-bytes=65536", "require -archive-dir"},
 		{"-delphi-batch=2", "-delphi-batch requires"},
 		{"-delphi-retrain=1m", "-delphi-retrain requires"},
 		{"-gateway-queue=8", "require -gateway-addr"},

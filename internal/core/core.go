@@ -116,6 +116,11 @@ type Config struct {
 	// everything at full resolution forever (sealed segments are still
 	// compressed). Per-metric overrides via WithMetricRetention.
 	ArchiveRetention archive.Retention
+	// ArchiveSegmentBytes caps each archive segment file
+	// (0: archive.DefaultSegmentBytes). A sealed segment is what the
+	// compactor rewrites as a block file, rolls up and expires, so a log
+	// that fills its first segment slowly shows none of that until it does.
+	ArchiveSegmentBytes int64
 	// CompactInterval is how often the background archive compactor runs
 	// when ArchiveDir is set (0: archive.DefaultCompactInterval). It runs on
 	// Clock, so virtual-time scenarios compact deterministically.
@@ -365,7 +370,7 @@ func (s *Service) RegisterMetric(hook score.Hook, opts ...MetricOption) (*score.
 		}
 	}
 	if s.cfg.ArchiveDir != "" {
-		fc.Archive, err = archive.Open(filepath.Join(s.cfg.ArchiveDir, string(id)), archive.Options{})
+		fc.Archive, err = archive.Open(filepath.Join(s.cfg.ArchiveDir, string(id)), archive.Options{SegmentBytes: s.cfg.ArchiveSegmentBytes})
 		if err != nil {
 			return nil, err
 		}

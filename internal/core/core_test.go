@@ -249,6 +249,39 @@ func TestArchiveDirWiring(t *testing.T) {
 	s.Stop()
 }
 
+// TestArchiveSegmentBytesReachesTheLog: with a small Config.ArchiveSegmentBytes
+// a metric's log seals segments within a few dozen evictions; with the zero
+// value it keeps the 4 MiB default and seals none.
+func TestArchiveSegmentBytesReachesTheLog(t *testing.T) {
+	for _, tc := range []struct {
+		segment  int64
+		rotation bool
+	}{{0, false}, {256, true}} {
+		clock := sim.NewVirtual(time.Unix(0, 0))
+		s := New(Config{Clock: clock, ArchiveDir: t.TempDir(), HistorySize: 2, ArchiveSegmentBytes: tc.segment})
+		trace := make([]float64, 64)
+		for i := range trace {
+			trace[i] = float64(i)
+		}
+		v, err := s.RegisterMetric(&score.ReplayHook{ID: "m", Trace: trace})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range trace {
+			v.PollOnce()
+			clock.Advance(time.Second)
+		}
+		n := s.Metrics().Counter(obs.Name("archive_rotations_total", "log", "m"))
+		if (n > 0) != tc.rotation {
+			t.Errorf("ArchiveSegmentBytes=%d: %d segment rotations after 62 evictions, want some: %v", tc.segment, n, tc.rotation)
+		}
+		if all := s.Range("m", 0, 1<<62); len(all) != len(trace) {
+			t.Errorf("ArchiveSegmentBytes=%d: range sees %d tuples across the segments, want %d", tc.segment, len(all), len(trace))
+		}
+		s.Stop()
+	}
+}
+
 // TestRegisterDuplicateMetricLeavesArchiveAlone registers a live metric a
 // second time: the duplicate must be refused before a second archive.Log (a
 // second writer, a second compaction target) is opened on the first

@@ -92,6 +92,10 @@ type fabricEnv struct {
 	down  map[string]bool
 	cut   map[string]bool // severed links, keyed linkKey(a, b)
 
+	// onReplicate, when set, runs once: right after the next append a leader
+	// hands to a follower has been applied there.
+	onReplicate func()
+
 	rng   *rand.Rand
 	seq   int
 	inv   *invariants
@@ -160,11 +164,16 @@ func (g *gatedPeer) Subscribe(ctx context.Context, topic string, afterID uint64)
 	return g.n.Subscribe(ctx, topic, afterID)
 }
 
-func (g *gatedPeer) Replicate(ctx context.Context, topic string, epoch uint64, entries []stream.Entry) (uint64, error) {
+func (g *gatedPeer) Replicate(topic string, epoch uint64, entries []stream.Entry) func() (uint64, error) {
 	if err := g.gate(); err != nil {
-		return 0, err
+		return func() (uint64, error) { return 0, err }
 	}
-	return g.n.Replicate(ctx, topic, epoch, entries)
+	wait := g.n.Replicate(topic, epoch, entries)
+	if hook := g.env.onReplicate; hook != nil && len(entries) > 0 { // an append, not an epoch beacon
+		g.env.onReplicate = nil
+		hook()
+	}
+	return wait
 }
 
 func (g *gatedPeer) TopicTail(ctx context.Context, topic string) (uint64, uint64, error) {
@@ -361,6 +370,37 @@ func (env *fabricEnv) firstFollower(topic, leader string) string {
 	return ""
 }
 
+// replicasAgree compares the logs the listed nodes hold of topic, entry by
+// entry and bit for bit, against the first one's; it returns that one's tail.
+func replicasAgree(ctx context.Context, nodes map[string]*stream.FabricNode, topic string, ids ...string) (uint64, error) {
+	_, tail, _ := nodes[ids[0]].Broker().TopicTail(ctx, topic)
+	var want []stream.Entry
+	for i, id := range ids {
+		got, err := nodes[id].Broker().Range(ctx, topic, 1, tail+1, 0)
+		if i == 0 {
+			want = got
+		}
+		if err != nil || len(got) != len(want) {
+			return tail, fmt.Errorf("%s holds %d entries of %s (err %v), %s holds %d", id, len(got), topic, err, ids[0], len(want))
+		}
+		for j, e := range got {
+			if e.ID != want[j].ID || string(e.Payload) != string(want[j].Payload) {
+				return tail, fmt.Errorf("%s id %d is %q on %s and %q on %s", topic, want[j].ID, e.Payload, id, want[j].Payload, ids[0])
+			}
+		}
+	}
+	return tail, nil
+}
+
+// auditReplicas checks that every node holds the leader's log of topic.
+func (env *fabricEnv) auditReplicas(ctx context.Context, topic, leader string) {
+	tail, err := replicasAgree(ctx, env.nodes, topic, append([]string{leader}, env.order...)...)
+	if err != nil {
+		env.inv.failf("replica-audit: %v", err)
+	}
+	env.logf("replicas topic=%s agree tail=%d", topic, tail)
+}
+
 // statusOf returns the leader-side replication status row for topic.
 func (env *fabricEnv) statusOf(topic, leader string) (stream.ReplicaStatus, bool) {
 	if leader == "" || env.down[leader] {
@@ -377,7 +417,8 @@ func (env *fabricEnv) statusOf(topic, leader string) (stream.ReplicaStatus, bool
 // RunFabric executes one deterministic replicated-fabric scenario: a
 // three-node broker fabric on a virtual clock runs a fixed fault matrix —
 // a leader kill with a batch in flight, a leader/follower partition, a
-// stale-leader fencing probe, a double failover — followed by a seeded
+// stale-leader fencing probe, a double failover, a publish cancelled
+// mid-replication — followed by a seeded
 // GenerateFabric chaos phase, while a producer keeps publishing coalesced
 // batches through redirects and retries. The invariants are the tentpole's
 // acceptance bar: no acked tuple is ever lost, per-topic acked IDs stay
@@ -496,7 +537,21 @@ func RunFabric(cfg FabricConfig) (*FabricReport, error) {
 	}
 	env.publish(ctx, t0, env.batch(t0, cfg.Batch))
 
-	// Phase 5 — seeded chaos: a GenerateFabric schedule drives further
+	// Phase 5 — publish cancelled mid-replication: the producer's context
+	// ends when the batch has reached the first follower and not yet the
+	// second. Replication does not run on that context, so the batch must be
+	// on every replica all the same, and the very next audit proves it.
+	env.logf("phase %s topic=%s", sim.PublishCancelled, t1)
+	cctx, cancel := context.WithCancel(ctx)
+	env.onReplicate = cancel
+	env.publish(cctx, t1, env.batch(t1, cfg.Batch))
+	if env.onReplicate != nil || cctx.Err() == nil {
+		inv.failf("publish-cancelled: the publish on %s never reached a follower to be cancelled at", t1)
+	}
+	cancel()
+	env.auditReplicas(ctx, t1, env.leaderOf(t1))
+
+	// Phase 6 — seeded chaos: a GenerateFabric schedule drives further
 	// kills and partitions while the producer keeps batches flowing.
 	horizon := time.Minute
 	rep.Schedule = sim.GenerateFabric(cfg.Seed, cfg.ChaosEvents, horizon)

@@ -35,6 +35,11 @@ const (
 	// single-broker Generate keeps its original four so seeded schedules
 	// (and the transcripts derived from them) stay stable.
 	LeaderKill
+	// PublishCancelled ends a producer's context while its publish is between
+	// the leader's local append and the followers' answers; every replica
+	// must still end up with the batch, or none. Neither generator draws it:
+	// it is a step of scenario.RunFabric's fixed matrix.
+	PublishCancelled
 )
 
 // String names the fault kind.
@@ -50,6 +55,8 @@ func (k FaultKind) String() string {
 		return "slow-disk"
 	case LeaderKill:
 		return "leader-kill"
+	case PublishCancelled:
+		return "publish-cancelled"
 	default:
 		return fmt.Sprintf("fault(%d)", int(k))
 	}

@@ -78,6 +78,26 @@ func BenchmarkPublishTCP(b *testing.B) {
 	}
 }
 
+// BenchmarkFabricPublishTCP is the replicated publish path end to end: three
+// nodes on loopback, factor 3, one publisher on the leader — every op is a
+// local append, one replicate frame to each follower and both answers.
+func BenchmarkFabricPublishTCP(b *testing.B) {
+	f := startTCPFabric(b, []string{"n1", "n2", "n3"})
+	leader := f.nodes["n1"]
+	ctx := context.Background()
+	batch := makeBatch(1)
+	if _, err := leader.PublishBatch(ctx, "t", batch); err != nil { // lease, catch-up, dials
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := leader.PublishBatch(ctx, "t", batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkShardedPublish hammers many topics from parallel goroutines at
 // 1, 4, and 16 shards: lock striping should show up as scaling headroom.
 func BenchmarkShardedPublish(b *testing.B) {

@@ -284,10 +284,11 @@ func IsTransient(err error) bool {
 		errors.Is(err, ErrNoQuorum)
 }
 
-// Client is a TCP client for a stream Server. A Client multiplexes one
-// request at a time over a single connection; Subscribe opens its own
-// dedicated connection. Client is safe for concurrent use and satisfies the
-// Bus interface, so a vertex can run against a remote broker unchanged.
+// Client is a TCP client for a stream Server. A Client pipelines its callers'
+// requests over a single connection, which answers them in order; Subscribe
+// opens its own dedicated connection. Client is safe for concurrent use and
+// satisfies the Bus interface, so a vertex can run against a remote broker
+// unchanged.
 //
 // Every frame is written and (for non-blocking ops) read under a deadline;
 // a context deadline tightens it and a context cancellation interrupts even
@@ -303,12 +304,13 @@ type Client struct {
 	addr string
 	opt  Options
 
-	mu      sync.Mutex
-	conn    net.Conn
-	r       *bufio.Reader
-	w       *bufio.Writer
-	closed  bool
-	seedIdx int // index into opt.Seeds of the current address (fabric mode)
+	mu        sync.Mutex
+	turn      sync.Cond          // on mu: a wire's recvd advanced, or the wire failed
+	wire      *wire              // the connection new requests go out on; nil until dialed
+	retired   map[*wire]struct{} // connections redirected away from, answers still due
+	connected bool               // a connection was established before (the next is a reconnect)
+	closed    bool
+	seedIdx   int // index into opt.Seeds of the current address (fabric mode)
 
 	// Group-commit coalescer state (lazily started by PublishAsync).
 	coMu     sync.Mutex
@@ -337,6 +339,7 @@ type Client struct {
 // error transiently until the server appears.
 func NewClient(addr string, opts ...Option) *Client {
 	c := &Client{addr: addr, opt: buildOptions(opts)}
+	c.turn.L = &c.mu
 	if c.opt.fabric() {
 		c.seedIdx = -1
 		for i, s := range c.opt.Seeds {
@@ -386,27 +389,79 @@ func (c *Client) connectLocked() error {
 	if err != nil {
 		return err
 	}
-	if c.r != nil { // not the first connect
+	if c.connected {
 		c.reconnects.Add(1)
 		c.obsReconnects.Inc()
 	}
-	c.conn = conn
-	c.r = bufio.NewReader(conn)
-	c.w = bufio.NewWriter(conn)
+	c.connected = true
+	c.wire = &wire{conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn)}
 	return nil
 }
 
-// dropLocked discards a connection after a transport error so the next call
-// reconnects instead of reusing a dead socket.
-func (c *Client) dropLocked() {
-	if c.conn != nil {
-		c.conn.Close()
-		c.conn = nil
+// wire is one established connection and the requests in flight on it. The
+// server answers in request order, so the connection is a pipeline: send
+// writes a request under Client.mu and takes the next ticket, await reads the
+// answers in ticket order. No lock is held between the two halves, but a
+// ticket is a place in the queue: a caller with requests out on several
+// clients (a fabric leader and its followers) redeems its tickets in the
+// order it took them, or two such callers can wait on each other.
+type wire struct {
+	conn net.Conn
+	r    *bufio.Reader // owned by the ticket whose turn it is
+	w    *bufio.Writer // guarded by Client.mu, as are the fields below
+	// sent counts requests written, recvd answers read: ticket seq is up when
+	// recvd == seq.
+	sent, recvd uint64
+	err         error // why the connection was given up; set once
+}
+
+// ticket is the claim on one answer: request number seq on wire w. Every
+// ticket must be redeemed (await), or the answers behind it are never read.
+type ticket struct {
+	w   *wire
+	seq uint64
+	// readBy is set when the request went out on an idle wire: the one
+	// SetDeadline that covered its write covers the read of its answer too,
+	// up to this instant.
+	readBy time.Time
+}
+
+// failLocked gives a connection up after a transport error: every ticket
+// still out on it fails, and the next send dials afresh instead of reusing a
+// dead socket.
+func (c *Client) failLocked(w *wire, err error) {
+	if w.err == nil {
+		w.err = err
+		w.conn.Close()
+		c.turn.Broadcast()
 	}
+	if c.wire == w {
+		c.wire = nil
+	}
+	delete(c.retired, w)
+}
+
+// retireLocked takes the current connection out of service without failing
+// the requests in flight on it (they may belong to other callers): they read
+// their answers, and the last one out closes it.
+func (c *Client) retireLocked() {
+	w := c.wire
+	if w == nil {
+		return
+	}
+	c.wire = nil
+	if w.sent == w.recvd {
+		w.conn.Close()
+		return
+	}
+	if c.retired == nil {
+		c.retired = make(map[*wire]struct{})
+	}
+	c.retired[w] = struct{}{}
 }
 
 // redirectTo switches the client to a leader address learned from a
-// not-leader redirect, dropping the current connection so the next
+// not-leader redirect, retiring the current connection so the next
 // round-trip dials the leader.
 func (c *Client) redirectTo(addr string) {
 	c.redirects.Add(1)
@@ -414,7 +469,7 @@ func (c *Client) redirectTo(addr string) {
 	c.mu.Lock()
 	if addr != c.addr {
 		c.addr = addr
-		c.dropLocked()
+		c.retireLocked()
 	}
 	c.mu.Unlock()
 }
@@ -429,7 +484,7 @@ func (c *Client) rotate() {
 			c.seedIdx = (c.seedIdx + 1) % len(c.opt.Seeds)
 		}
 		c.addr = c.opt.Seeds[c.seedIdx]
-		c.dropLocked()
+		c.retireLocked()
 	}
 	c.mu.Unlock()
 }
@@ -458,10 +513,11 @@ func (c *Client) Redirects() uint64 { return c.redirects.Load() }
 func (c *Client) Close() error {
 	c.mu.Lock()
 	c.closed = true
-	var err error
-	if c.conn != nil {
-		err = c.conn.Close()
-		c.conn = nil
+	if w := c.wire; w != nil {
+		c.failLocked(w, ErrClientClosed)
+	}
+	for w := range c.retired {
+		c.failLocked(w, ErrClientClosed)
 	}
 	c.mu.Unlock()
 
@@ -473,7 +529,7 @@ func (c *Client) Close() error {
 		close(done)
 		<-exited
 	}
-	return err
+	return nil
 }
 
 // deadlineFor combines a relative timeout with the context deadline,
@@ -490,74 +546,125 @@ func deadlineFor(clock sim.Clock, ctx context.Context, d time.Duration) time.Tim
 	return t
 }
 
-// roundTrip sends one request frame and reads one response frame, decoding
-// the payload via decode (which may be nil). Any connection-level failure —
-// including a response that fails to decode, which desyncs the stream —
-// drops the connection and is reported as a transient transportError.
-// Cancelling ctx forces a past read deadline so even a blocking read
-// returns promptly.
+// roundTrip sends one request frame, then awaits its response frame,
+// decoding the payload via decode (which may be nil).
 func (c *Client) roundTrip(ctx context.Context, op byte, payload []byte, blocking bool, decode func(*buf)) error {
+	t, err := c.send(ctx, op, payload)
+	if err != nil {
+		return err
+	}
+	return c.await(ctx, t, blocking, decode)
+}
+
+// send puts one request frame on the wire, dialing first if there is no
+// connection, and returns the ticket its answer is awaited with. One
+// SetDeadline bounds the exchange by IOTimeout (tightened by ctx's deadline);
+// behind other requests in flight it bounds the write only, and await arms
+// the read when the ticket's turn comes — as it does when the caller comes
+// for the answer with less than half of the bound left.
+func (c *Client) send(ctx context.Context, op byte, payload []byte) (ticket, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		return ErrClientClosed
+		return ticket{}, ErrClientClosed
 	}
 	if err := ctx.Err(); err != nil {
-		return err
+		return ticket{}, err
 	}
-	if c.conn == nil {
+	if c.wire == nil {
 		if err := c.connectLocked(); err != nil {
-			return &transportError{err}
+			return ticket{}, &transportError{err}
 		}
 	}
-	conn := c.conn
+	w := c.wire
+	t := ticket{w: w, seq: w.sent}
+	if deadline := deadlineFor(c.opt.Clock, ctx, c.opt.IOTimeout); w.sent == w.recvd {
+		w.conn.SetDeadline(deadline)
+		t.readBy = deadline
+	} else {
+		w.conn.SetWriteDeadline(deadline)
+	}
+	err := writeFrame(w.w, op, payload)
+	if errors.Is(err, errFrameTooLarge) {
+		return ticket{}, err // caller error; nothing was written
+	}
+	if err == nil {
+		err = w.w.Flush()
+	}
+	if err != nil {
+		c.failLocked(w, err)
+		return ticket{}, &transportError{err}
+	}
+	w.sent++
+	c.obsTxBytes.Add(uint64(frameOverhead + len(payload)))
+	return t, nil
+}
+
+// await reads the answer to t's request once every answer before it has been
+// read. Any connection-level failure — including a response that fails to
+// decode, which desyncs the stream — gives the connection up, fails the
+// tickets behind this one, and is reported as a transient transportError. A
+// blocking answer is read without the IOTimeout bound. Cancelling ctx forces
+// a past deadline so even a blocking read returns promptly; that costs the
+// connection, and with it whatever else was in flight on it.
+func (c *Client) await(ctx context.Context, t ticket, blocking bool, decode func(*buf)) error {
+	w := t.w
+	c.mu.Lock()
+	for w.recvd != t.seq && w.err == nil {
+		c.turn.Wait()
+	}
+	err := w.err
+	c.mu.Unlock()
+	if err != nil {
+		return &transportError{err}
+	}
+	// It is this ticket's turn: until it advances recvd, it alone reads.
 	if ctx.Done() != nil {
-		// Interrupt in-flight I/O when the context ends: a past deadline
-		// fails the pending read/write with a (transient) timeout, and the
-		// caller maps it back to ctx.Err().
-		stop := context.AfterFunc(ctx, func() { conn.SetDeadline(c.opt.Clock.Now().Add(-time.Second)) })
+		// Interrupt the read when the context ends: a past deadline fails it
+		// with a (transient) timeout, and the caller maps it back to
+		// ctx.Err().
+		stop := context.AfterFunc(ctx, func() { w.conn.SetDeadline(c.opt.Clock.Now().Add(-time.Second)) })
 		defer func() {
 			if !stop() {
 				// The interrupt fired and may land after this call: the
 				// connection's deadlines are no longer this client's to set.
-				c.dropLocked()
+				c.mu.Lock()
+				c.failLocked(w, context.Cause(ctx))
+				c.mu.Unlock()
 			}
 		}()
 	}
-	conn.SetWriteDeadline(deadlineFor(c.opt.Clock, ctx, c.opt.IOTimeout))
-	if err := writeFrame(c.w, op, payload); err != nil {
-		if errors.Is(err, errFrameTooLarge) {
-			return err // caller error; the connection is still clean
-		}
-		c.dropLocked()
-		return &transportError{err}
-	}
-	if err := c.w.Flush(); err != nil {
-		c.dropLocked()
-		return &transportError{err}
-	}
 	if blocking {
-		conn.SetReadDeadline(deadlineFor(c.opt.Clock, ctx, 0))
-	} else {
-		conn.SetReadDeadline(deadlineFor(c.opt.Clock, ctx, c.opt.IOTimeout))
+		w.conn.SetReadDeadline(deadlineFor(c.opt.Clock, ctx, 0))
+	} else if c.opt.Clock.Now().Add(c.opt.IOTimeout / 2).After(t.readBy) {
+		// No read deadline from send, or the caller spent most of it
+		// elsewhere (a leader waiting for another follower first): an answer
+		// that arrived long ago must not fail on a deadline that ran out
+		// while nobody was reading.
+		w.conn.SetReadDeadline(deadlineFor(c.opt.Clock, ctx, c.opt.IOTimeout))
 	}
-	c.obsTxBytes.Add(uint64(frameOverhead + len(payload)))
-	status, resp, err := readFrame(c.r)
+	status, resp, err := readFrame(w.r)
+	if err == nil && status != statusErr && decode != nil {
+		d := &buf{b: resp}
+		decode(d)
+		err = d.err
+	}
+	c.mu.Lock()
 	if err != nil {
-		c.dropLocked()
+		c.failLocked(w, err)
+		c.mu.Unlock()
 		return &transportError{err}
 	}
+	w.recvd++
+	if _, retired := c.retired[w]; retired && w.recvd == w.sent {
+		delete(c.retired, w) // this was the last answer out
+		w.conn.Close()
+	}
+	c.turn.Broadcast()
+	c.mu.Unlock()
 	c.obsRxBytes.Add(uint64(frameOverhead + len(resp)))
 	if status == statusErr {
 		return remoteError(resp)
-	}
-	if decode != nil {
-		d := &buf{b: resp}
-		decode(d)
-		if d.err != nil {
-			c.dropLocked()
-			return &transportError{d.err}
-		}
 	}
 	return nil
 }

@@ -14,30 +14,38 @@ import (
 // replicates to remote nodes over the same wire protocol its local tests
 // exercise in-process.
 
-// Replicate ships a leader's append stream to the remote replica under an
-// epoch, returning the replica's resulting tail ID. Replication is
-// idempotent (the replica dedups by entry ID), so it retries like a read.
-func (c *Client) Replicate(ctx context.Context, topic string, epoch uint64, entries []Entry) (uint64, error) {
+// Replicate puts a leader's append stream for the remote replica on the wire
+// under an epoch; the returned wait reads the answer, the replica's
+// resulting tail ID. The exchange runs on the client's own IOTimeout, on no
+// caller's context, and is not retried: a follower that missed an append
+// reports the gap on the next one and is backfilled then.
+func (c *Client) Replicate(topic string, epoch uint64, entries []Entry) (wait func() (uint64, error)) {
 	req := getEnc()
-	defer putEnc(req)
 	req.str(topic).u64(epoch)
 	encodeEntries(req, entries)
-	var code byte
-	var tail uint64
-	err := c.call(ctx, opReplicate, req.b, true, false, func(d *buf) {
-		code = d.u8()
-		tail = d.u64()
-	})
+	t, err := c.send(context.Background(), opReplicate, req.b)
+	putEnc(req)
 	if err != nil {
-		return 0, err
+		return func() (uint64, error) { return 0, err }
 	}
-	switch code {
-	case replFenced:
-		return tail, fmt.Errorf("replicate %q: %w", topic, ErrEpochFenced)
-	case replGap:
-		return tail, fmt.Errorf("replicate %q: %w", topic, ErrReplicaGap)
+	return func() (uint64, error) {
+		var code byte
+		var tail uint64
+		err := c.await(context.Background(), t, false, func(d *buf) {
+			code = d.u8()
+			tail = d.u64()
+		})
+		if err != nil {
+			return 0, err
+		}
+		switch code {
+		case replFenced:
+			return tail, fmt.Errorf("replicate %q: %w", topic, ErrEpochFenced)
+		case replGap:
+			return tail, fmt.Errorf("replicate %q: %w", topic, ErrReplicaGap)
+		}
+		return tail, nil
 	}
-	return tail, nil
 }
 
 // TopicTail returns the remote replica's (epoch, lastID) for topic; (0, 0)

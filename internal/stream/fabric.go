@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
@@ -76,9 +77,17 @@ func parseNotLeader(msg string) *NotLeaderError {
 // fabrics) satisfy it.
 type Peer interface {
 	Bus
-	// Replicate applies a leader's append stream under an epoch, returning
-	// the replica's resulting tail ID.
-	Replicate(ctx context.Context, topic string, epoch uint64, entries []Entry) (uint64, error)
+	// Replicate is a two-phase exchange. The call puts a leader's append
+	// stream for the replica on the wire under an epoch (an in-process peer
+	// applies it there and then); the returned wait, which the caller must
+	// call, gives the replica's resulting tail ID. Between the two a leader
+	// reaches its other followers, so a publish costs one round trip, not one
+	// per follower. A caller with several waits outstanding, on whatever
+	// peers, calls them in the order it got them: a peer hands its answers
+	// out in request order, and waiting for a later one first can deadlock
+	// with another caller. No context: once the leader has appended,
+	// replication runs to its end on the peer's own deadline.
+	Replicate(topic string, epoch uint64, entries []Entry) (wait func() (uint64, error))
 	// TopicTail returns the replica's (epoch, lastID) for topic.
 	TopicTail(ctx context.Context, topic string) (epoch, lastID uint64, err error)
 }
@@ -152,16 +161,8 @@ type FabricNode struct {
 	clock  sim.Clock
 	dial   func(id, addr string) (Peer, error)
 
-	mu         sync.Mutex
-	leaseCache map[string]cluster.Lease
-	// replLocks serializes the append+replicate critical section per TOPIC
-	// so every follower observes the leader's append stream in log order. A
-	// node-wide lock here convoys every topic behind one in-flight
-	// replication round trip and can deadlock two nodes leading different
-	// topics that replicate to each other (each holds its lock while
-	// waiting on the other's publish queue) — only client deadlines would
-	// break the cycle, stalling lease renewals past their TTL.
-	replLocks map[string]*sync.Mutex
+	mu     sync.Mutex
+	topics map[string]*topicState
 	// peers carries this node's internal RPCs (replicate, tail probes,
 	// epoch beacons), whose remote handlers are broker-local and always
 	// complete in one round trip. routes carries forwarded user traffic
@@ -172,11 +173,10 @@ type FabricNode struct {
 	// that melts a live fabric.
 	peers    map[string]Peer
 	routes   map[string]Peer
-	repl     map[string]map[string]uint64 // topic -> follower -> last replicated ID
 	stop     chan struct{}
 	loopDone chan struct{}
 
-	failovers uint64
+	failovers atomic.Uint64
 
 	obsFailovers *obs.Counter
 	obsFenced    *obs.Counter
@@ -184,6 +184,43 @@ type FabricNode struct {
 	obsReplErr   *obs.Counter
 	obsReplEnt   *obs.Counter
 	obsEpoch     *obs.Gauge
+}
+
+// topicState is everything a node keeps about one topic, looked up once per
+// publish.
+type topicState struct {
+	// appendMu serializes the append+replicate critical section per TOPIC
+	// so every follower observes the leader's append stream in log order. A
+	// node-wide lock here convoys every topic behind one in-flight
+	// replication round trip and can deadlock two nodes leading different
+	// topics that replicate to each other (each holds its lock while
+	// waiting on the other's publish queue) — only client deadlines would
+	// break the cycle, stalling lease renewals past their TTL.
+	appendMu sync.Mutex
+	// lease is this node's cached view of the topic's leader lease (nil:
+	// none). Tick keeps it fresh; every publish and Status read it.
+	lease atomic.Pointer[cluster.Lease]
+	// followers is the topic's replica set less this node, in ring order,
+	// resolved when the topic is first seen: the ring's membership is fixed
+	// before a node serves.
+	followers []follower
+}
+
+// follower is one other replica of a topic, as its leader sees it.
+type follower struct {
+	id string
+	// peer and wait belong to the holder of appendMu: the replication
+	// connection (dialed on first use) and the answer to the append in flight.
+	peer Peer
+	wait func() (uint64, error)
+	tail atomic.Uint64 // last replicated ID; only ever raised
+}
+
+// raise records the follower's replicated tail.
+func (f *follower) raise(lastID uint64) {
+	for cur := f.tail.Load(); lastID > cur && !f.tail.CompareAndSwap(cur, lastID); {
+		cur = f.tail.Load()
+	}
 }
 
 // NewFabricNode builds (but does not start) a fabric node.
@@ -201,20 +238,18 @@ func NewFabricNode(cfg FabricConfig) (*FabricNode, error) {
 		cfg.LeaseTTL = cluster.DefaultLeaseTTL
 	}
 	n := &FabricNode{
-		id:         cfg.ID,
-		addr:       cfg.Addr,
-		broker:     cfg.Broker,
-		ring:       cfg.Ring,
-		leases:     cfg.Leases,
-		rf:         cfg.ReplicationFactor,
-		ttl:        cfg.LeaseTTL,
-		clock:      sim.Or(cfg.Clock),
-		dial:       cfg.PeerDial,
-		leaseCache: make(map[string]cluster.Lease),
-		replLocks:  make(map[string]*sync.Mutex),
-		peers:      make(map[string]Peer),
-		routes:     make(map[string]Peer),
-		repl:       make(map[string]map[string]uint64),
+		id:     cfg.ID,
+		addr:   cfg.Addr,
+		broker: cfg.Broker,
+		ring:   cfg.Ring,
+		leases: cfg.Leases,
+		rf:     cfg.ReplicationFactor,
+		ttl:    cfg.LeaseTTL,
+		clock:  sim.Or(cfg.Clock),
+		dial:   cfg.PeerDial,
+		topics: make(map[string]*topicState),
+		peers:  make(map[string]Peer),
+		routes: make(map[string]Peer),
 	}
 	if n.dial == nil {
 		n.dial = func(id, addr string) (Peer, error) { return Dial(addr) }
@@ -245,11 +280,7 @@ func (n *FabricNode) Leases() cluster.LeaseService { return n.leases }
 
 // Failovers returns how many times this node promoted itself to leader of a
 // topic previously led elsewhere.
-func (n *FabricNode) Failovers() uint64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.failovers
-}
+func (n *FabricNode) Failovers() uint64 { return n.failovers.Load() }
 
 // Start launches the maintenance loop: lease renewal for led topics and
 // promotion probes for replicated ones, every LeaseTTL/3. Fabrics on a
@@ -350,17 +381,21 @@ func (n *FabricNode) cachedPeer(id string, cache map[string]Peer) (Peer, error) 
 	return p, nil
 }
 
-// topicMu returns the topic's append+replicate lock, creating it on first
-// use.
-func (n *FabricNode) topicMu(topic string) *sync.Mutex {
+// topic returns the node's record for a topic, creating it on first use.
+func (n *FabricNode) topic(name string) *topicState {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	mu, ok := n.replLocks[topic]
+	ts, ok := n.topics[name]
 	if !ok {
-		mu = new(sync.Mutex)
-		n.replLocks[topic] = mu
+		ts = &topicState{}
+		for _, id := range n.replicaSet(name) {
+			if id != n.id {
+				ts.followers = append(ts.followers, follower{id: id})
+			}
+		}
+		n.topics[name] = ts
 	}
-	return mu
+	return ts
 }
 
 // notLeaderErr builds the redirect for a topic led (or preferred) elsewhere.
@@ -378,23 +413,18 @@ func (n *FabricNode) notLeaderErr(topic, leaderID string) error {
 // leaderLease returns a currently-valid lease held by this node for topic,
 // acquiring (and catching up) if the lease is free and this node is a
 // candidate. Any other outcome is a *NotLeaderError redirect.
-func (n *FabricNode) leaderLease(ctx context.Context, topic string) (cluster.Lease, error) {
+func (n *FabricNode) leaderLease(ctx context.Context, ts *topicState, topic string) (cluster.Lease, error) {
 	now := n.clock.Now()
-	n.mu.Lock()
-	cached, ok := n.leaseCache[topic]
-	n.mu.Unlock()
-	if ok && cached.Valid(now) {
+	if cached := ts.lease.Load(); cached != nil && cached.Valid(now) {
 		if cached.Holder == n.id {
-			return cached, nil
+			return *cached, nil
 		}
 		return cluster.Lease{}, n.notLeaderErr(topic, cached.Holder)
 	}
 
 	cur, found := n.leases.Holder(topic)
 	if found && cur.Valid(now) {
-		n.mu.Lock()
-		n.leaseCache[topic] = cur
-		n.mu.Unlock()
+		ts.lease.Store(&cur)
 		if cur.Holder == n.id {
 			return cur, nil
 		}
@@ -408,9 +438,7 @@ func (n *FabricNode) leaderLease(ctx context.Context, topic string) (cluster.Lea
 	}
 	l, got := n.leases.Acquire(topic, n.id)
 	if !got {
-		n.mu.Lock()
-		n.leaseCache[topic] = l
-		n.mu.Unlock()
+		ts.lease.Store(&l)
 		return cluster.Lease{}, n.notLeaderErr(topic, l.Holder)
 	}
 	promoted := found && cur.Holder != "" && cur.Holder != n.id
@@ -418,18 +446,16 @@ func (n *FabricNode) leaderLease(ctx context.Context, topic string) (cluster.Lea
 	// have acked entries this node never saw (e.g. it was briefly
 	// partitioned), and the new epoch must fence the deposed leader on every
 	// replica before the first new append.
-	n.catchUp(ctx, topic, l.Epoch)
+	n.catchUp(ctx, ts, topic, l.Epoch)
 	if err := n.broker.SetEpoch(ctx, topic, l.Epoch); err != nil {
 		return cluster.Lease{}, err
 	}
-	n.mu.Lock()
-	n.leaseCache[topic] = l
+	ts.lease.Store(&l)
 	if promoted {
-		n.failovers++
-	}
-	n.mu.Unlock()
-	if promoted && n.obsFailovers != nil {
-		n.obsFailovers.Inc()
+		n.failovers.Add(1)
+		if n.obsFailovers != nil {
+			n.obsFailovers.Inc()
+		}
 	}
 	if n.obsEpoch != nil {
 		n.obsEpoch.Set(float64(l.Epoch))
@@ -441,20 +467,18 @@ func (n *FabricNode) leaderLease(ctx context.Context, topic string) (cluster.Lea
 // authoritative surviving replica — highest (epoch, tail) — and beacons the
 // new epoch to every reachable replica (fencing the deposed leader). Peer
 // errors are tolerated: an unreachable replica just cannot contribute.
-func (n *FabricNode) catchUp(ctx context.Context, topic string, epoch uint64) {
+func (n *FabricNode) catchUp(ctx context.Context, ts *topicState, topic string, epoch uint64) {
 	localEpoch, local, _ := n.broker.TopicTail(ctx, topic)
 	type replicaTail struct {
-		id          string
+		f           *follower
 		epoch, tail uint64
 		p           Peer
 	}
 	var reachable []replicaTail
 	var best *replicaTail
-	for _, id := range n.replicaSet(topic) {
-		if id == n.id {
-			continue
-		}
-		p, err := n.peer(id)
+	for i := range ts.followers {
+		f := &ts.followers[i]
+		p, err := n.peer(f.id)
 		if err != nil {
 			continue
 		}
@@ -462,7 +486,7 @@ func (n *FabricNode) catchUp(ctx context.Context, topic string, epoch uint64) {
 		if err != nil {
 			continue
 		}
-		reachable = append(reachable, replicaTail{id: id, epoch: ep, tail: tl, p: p})
+		reachable = append(reachable, replicaTail{f: f, epoch: ep, tail: tl, p: p})
 		rt := &reachable[len(reachable)-1]
 		if best == nil || rt.epoch > best.epoch || (rt.epoch == best.epoch && rt.tail > best.tail) {
 			best = rt
@@ -487,35 +511,10 @@ func (n *FabricNode) catchUp(ctx context.Context, topic string, epoch uint64) {
 	// the old leader's in-flight appends are rejected everywhere.
 	_, local, _ = n.broker.TopicTail(ctx, topic)
 	for _, rt := range reachable {
-		if _, err := rt.p.Replicate(ctx, topic, epoch, nil); err == nil {
-			tail := rt.tail
-			if local < tail {
-				tail = local
-			}
-			n.setRepl(topic, rt.id, tail)
+		if _, err := rt.p.Replicate(topic, epoch, nil)(); err == nil {
+			rt.f.raise(min(rt.tail, local))
 		}
 	}
-}
-
-// setRepl records a follower's replicated tail.
-func (n *FabricNode) setRepl(topic, follower string, lastID uint64) {
-	n.mu.Lock()
-	m := n.repl[topic]
-	if m == nil {
-		m = make(map[string]uint64)
-		n.repl[topic] = m
-	}
-	if lastID > m[follower] {
-		m[follower] = lastID
-	}
-	n.mu.Unlock()
-}
-
-// dropLease forgets a cached lease (after fencing or a failed renewal).
-func (n *FabricNode) dropLease(topic string) {
-	n.mu.Lock()
-	delete(n.leaseCache, topic)
-	n.mu.Unlock()
 }
 
 // PublishBatch appends the batch to the local log iff this node holds the
@@ -525,28 +524,29 @@ func (n *FabricNode) dropLease(topic string) {
 // fails with the transient ErrNoQuorum and the caller must retry, so a
 // tuple is acked at most once but may be delivered more than once across a
 // failover.
+//
+// ctx bounds the publish up to the local append. From there replication runs
+// to its end whatever becomes of ctx, each follower on its peer's own
+// deadline, and the publish reports what the replicas answered: a cancelled
+// caller cannot leave one follower with the batch and the other without.
 func (n *FabricNode) PublishBatch(ctx context.Context, topic string, payloads [][]byte) (uint64, error) {
 	if len(payloads) == 0 {
 		return 0, nil
 	}
-	lease, err := n.leaderLease(ctx, topic)
+	ts := n.topic(topic)
+	lease, err := n.leaderLease(ctx, ts, topic)
 	if err != nil {
 		return 0, err
 	}
 
-	mu := n.topicMu(topic)
-	mu.Lock()
-	defer mu.Unlock()
+	ts.appendMu.Lock()
+	defer ts.appendMu.Unlock()
 	// An epoch beacon may have fenced this topic locally after the lease was
 	// cached: a higher local epoch means another node was elected. Reject
 	// BEFORE the local append — otherwise this node's log grows a divergent
 	// tail at the new epoch that replica-side dedup would never repair.
 	if localEpoch := n.broker.Epoch(topic); localEpoch > lease.Epoch {
-		n.dropLease(topic)
-		if n.obsFenced != nil {
-			n.obsFenced.Inc()
-		}
-		return 0, fmt.Errorf("publish %q: local epoch %d > lease epoch %d: %w", topic, localEpoch, lease.Epoch, ErrEpochFenced)
+		return 0, n.fenced(ts, topic, fmt.Errorf("local epoch %d > lease epoch %d: %w", localEpoch, lease.Epoch, ErrEpochFenced))
 	}
 	first, err := n.broker.PublishBatch(ctx, topic, payloads)
 	if err != nil {
@@ -558,60 +558,96 @@ func (n *FabricNode) PublishBatch(ctx context.Context, topic string, payloads []
 	}
 	last := first + uint64(len(payloads)) - 1
 
-	replicas := n.replicaSet(topic)
+	// Put the append on every follower's wire, then gather the answers: the
+	// round trips overlap.
+	for i := range ts.followers {
+		f := &ts.followers[i]
+		f.wait = n.replicate(f, topic, lease.Epoch, entries)
+	}
 	acks := 1 // the local append
-	for _, id := range replicas {
-		if id == n.id {
-			continue
-		}
-		if rerr := n.replicateTo(ctx, id, topic, lease.Epoch, entries, last); rerr == nil {
-			acks++
-		} else if errors.Is(rerr, ErrEpochFenced) {
-			// A replica is already on a newer epoch: this node was deposed
-			// between its lease check and the append. The batch is NOT acked.
-			n.dropLease(topic)
-			if n.obsFenced != nil {
-				n.obsFenced.Inc()
+	var fencedBy error
+	settle := func(f *follower, tail uint64, rerr error) {
+		if rerr != nil {
+			if n.obsReplErr != nil {
+				n.obsReplErr.Inc()
 			}
-			return 0, fmt.Errorf("publish %q: %w", topic, rerr)
+			if fencedBy == nil && errors.Is(rerr, ErrEpochFenced) {
+				fencedBy = rerr
+			}
+			return
+		}
+		acks++
+		f.raise(tail)
+		if n.obsReplEnt != nil {
+			n.obsReplEnt.Add(uint64(len(entries)))
 		}
 	}
-	if acks < quorum(len(replicas)) {
-		return 0, fmt.Errorf("publish %q: %d/%d acks: %w", topic, acks, quorum(len(replicas)), ErrNoQuorum)
+	// Answers are awaited in the order their requests went out, the oldest
+	// first — a connection hands its answers out in FIFO order, and a leader
+	// that waited for a later answer with an earlier one unread could close a
+	// cycle with another topic's publish. So a follower that reports a gap
+	// (it missed an earlier batch) is sent the backfill from its tail at once,
+	// and the answer to that is read after every first answer.
+	for i := range ts.followers {
+		f := &ts.followers[i]
+		tail, rerr := f.wait()
+		f.wait = nil
+		if errors.Is(rerr, ErrReplicaGap) {
+			if fill, ferr := n.broker.Range(context.Background(), topic, tail+1, last, 0); ferr == nil {
+				f.wait = f.peer.Replicate(topic, lease.Epoch, fill)
+				continue
+			}
+		}
+		settle(f, tail, rerr)
+	}
+	for i := range ts.followers {
+		if f := &ts.followers[i]; f.wait != nil {
+			tail, rerr := f.wait()
+			f.wait = nil
+			settle(f, tail, rerr)
+		}
+	}
+	if fencedBy != nil {
+		// A replica is already on a newer epoch: this node was deposed
+		// between its lease check and the append. The batch is NOT acked.
+		return 0, n.fenced(ts, topic, fencedBy)
+	}
+	if need := quorum(len(ts.followers) + 1); acks < need {
+		return 0, fmt.Errorf("publish %q: %d/%d acks: %w", topic, acks, need, ErrNoQuorum)
 	}
 	return first, nil
 }
 
-// replicateTo ships entries to one follower, backfilling once if the
-// follower reports a gap (it missed an earlier batch).
-func (n *FabricNode) replicateTo(ctx context.Context, id, topic string, epoch uint64, entries []Entry, last uint64) error {
-	p, err := n.peer(id)
-	if err != nil {
-		return err
-	}
-	tail, err := p.Replicate(ctx, topic, epoch, entries)
-	if errors.Is(err, ErrReplicaGap) {
-		if fill, ferr := n.broker.Range(ctx, topic, tail+1, last, 0); ferr == nil {
-			tail, err = p.Replicate(ctx, topic, epoch, fill)
+// replicate starts the two-phase exchange with one follower, dialing its
+// replication connection on first use. The caller holds the topic's appendMu.
+func (n *FabricNode) replicate(f *follower, topic string, epoch uint64, entries []Entry) (wait func() (uint64, error)) {
+	if f.peer == nil {
+		p, err := n.peer(f.id)
+		if err != nil {
+			return func() (uint64, error) { return 0, err }
 		}
+		f.peer = p
 	}
-	if err != nil {
-		if n.obsReplErr != nil {
-			n.obsReplErr.Inc()
-		}
-		return err
+	return f.peer.Replicate(topic, epoch, entries)
+}
+
+// fenced forgets the cached lease of a topic this node turned out to have
+// been deposed from, and builds the publish error.
+func (n *FabricNode) fenced(ts *topicState, topic string, cause error) error {
+	ts.lease.Store(nil)
+	if n.obsFenced != nil {
+		n.obsFenced.Inc()
 	}
-	n.setRepl(topic, id, tail)
-	if n.obsReplEnt != nil {
-		n.obsReplEnt.Add(uint64(len(entries)))
-	}
-	return nil
+	return fmt.Errorf("publish %q: %w", topic, cause)
 }
 
 // Replicate implements Peer: it applies a leader's append stream to this
-// node's local replica with epoch fencing.
-func (n *FabricNode) Replicate(ctx context.Context, topic string, epoch uint64, entries []Entry) (uint64, error) {
-	return n.broker.ReplicateAppend(ctx, topic, epoch, entries)
+// node's local replica with epoch fencing, in the call itself — a fabric of
+// in-process peers starts no goroutine and stays deterministic — and the
+// returned wait only reports the outcome.
+func (n *FabricNode) Replicate(topic string, epoch uint64, entries []Entry) (wait func() (uint64, error)) {
+	tail, err := n.broker.ReplicateAppend(context.Background(), topic, epoch, entries)
+	return func() (uint64, error) { return tail, err }
 }
 
 // TopicTail implements Peer.
@@ -653,64 +689,63 @@ func (n *FabricNode) Tick(ctx context.Context) {
 	// later topics past their TTL, churning epochs fabric-wide.
 	pending := topics[:0]
 	for _, topic := range topics {
-		n.mu.Lock()
-		cached, ok := n.leaseCache[topic]
-		n.mu.Unlock()
-		if ok && cached.Holder == n.id && cached.Valid(now) {
-			if renewed, rok := n.leases.Renew(topic, n.id, cached.Epoch); rok {
-				n.mu.Lock()
-				n.leaseCache[topic] = renewed
-				n.mu.Unlock()
+		ts := n.topic(topic)
+		if cached := ts.lease.Load(); cached != nil && cached.Holder == n.id && cached.Valid(now) {
+			if renewed, ok := n.leases.Renew(topic, n.id, cached.Epoch); ok {
+				ts.lease.Store(&renewed)
 				continue
 			}
-			n.dropLease(topic) // deposed: fall through and re-resolve
+			ts.lease.Store(nil) // deposed: fall through and re-resolve
 		}
 		pending = append(pending, topic)
 	}
 	for _, topic := range pending {
+		ts := n.topic(topic)
 		cur, found := n.leases.Holder(topic)
 		if found && cur.Valid(now) {
-			n.mu.Lock()
-			n.leaseCache[topic] = cur
-			n.mu.Unlock()
+			ts.lease.Store(&cur)
 			continue
 		}
 		if !n.isReplica(topic) {
-			n.dropLease(topic)
+			ts.lease.Store(nil)
 			continue
 		}
 		// Lease free or expired: try to take over (promotion path).
-		n.leaderLease(ctx, topic)
+		n.leaderLease(ctx, ts, topic)
 	}
 }
 
 // Status reports the per-topic replication view of this node, sorted by
 // topic. Lag is only meaningful on the leader: the worst follower's
-// distance, in entries, from the local tail.
+// distance, in entries, from the local tail. The leader comes from the lease
+// cache Tick keeps fresh — a health probe costs no coordinator call, and
+// answers while the coordinator is away; only a topic without a valid cached
+// lease (new since the last Tick) is asked about.
 func (n *FabricNode) Status() []ReplicaStatus {
 	now := n.clock.Now()
 	topics := n.broker.Topics()
 	out := make([]ReplicaStatus, 0, len(topics))
 	for _, topic := range topics {
+		ts := n.topic(topic)
 		st := ReplicaStatus{Topic: topic, Epoch: n.broker.Epoch(topic)}
-		l, found := n.leases.Holder(topic)
-		if found && l.Valid(now) {
+		l := ts.lease.Load()
+		if l == nil || !l.Valid(now) {
+			if cur, found := n.leases.Holder(topic); found && cur.Valid(now) {
+				l = &cur
+				ts.lease.Store(l)
+			}
+		}
+		if l != nil && l.Valid(now) {
 			st.Leader = l.Holder
 			st.IsLeader = l.Holder == n.id
 		}
 		if st.IsLeader {
 			_, local, _ := n.broker.TopicTail(context.Background(), topic)
-			n.mu.Lock()
-			m := n.repl[topic]
-			for _, id := range n.replicaSet(topic) {
-				if id == n.id {
-					continue
-				}
-				if tail := m[id]; local > tail && local-tail > st.Lag {
+			for i := range ts.followers {
+				if tail := ts.followers[i].tail.Load(); local > tail && local-tail > st.Lag {
 					st.Lag = local - tail
 				}
 			}
-			n.mu.Unlock()
 		}
 		out = append(out, st)
 	}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -69,15 +71,22 @@ func publish1(ctx context.Context, p Publisher, topic string, payload []byte) (u
 	return p.PublishBatch(ctx, topic, [][]byte{payload})
 }
 
-// kill marks a node unreachable and evicts it from every peer cache so the
-// next replication attempt re-dials (and fails) instead of reusing the
-// in-process reference.
+// kill marks a node unreachable and evicts it from every peer cache — the
+// node's and each topic's — so the next replication attempt re-dials (and
+// fails) instead of reusing the in-process reference.
 func (f *testFabric) kill(id string) {
 	f.down[id] = true
 	for _, n := range f.nodes {
 		n.mu.Lock()
 		delete(n.peers, id)
 		delete(n.routes, id)
+		for _, ts := range n.topics {
+			for i := range ts.followers {
+				if ts.followers[i].id == id {
+					ts.followers[i].peer = nil
+				}
+			}
+		}
 		n.mu.Unlock()
 	}
 }
@@ -265,51 +274,67 @@ func TestFabricPromotionCatchesUpBeforeServing(t *testing.T) {
 	}
 }
 
-// TestFabricTCP runs a 3-node fabric over real TCP servers: the client is
-// pointed at a follower, follows the redirect, and its acked publishes
-// survive on the replicas; the lease proxy serves a remote node.
-func TestFabricTCP(t *testing.T) {
-	clock := sim.Wall{}
-	ring := cluster.NewRing(16)
-	table := cluster.NewLeaseTable(clock, 3*time.Second)
+// tcpFabric is a fabric over real loopback servers, brought up in two phases
+// as a deployment would: listen first, join the ring with the bound
+// addresses, then attach the fabric nodes. The first node holds the lease
+// table; the others proxy their leases to it over the wire.
+type tcpFabric struct {
+	ring    *cluster.Ring
+	table   *cluster.LeaseTable
+	brokers map[string]*Broker
+	nodes   map[string]*FabricNode
+}
 
-	ids := []string{"n1", "n2", "n3"}
-	// Two-phase bring-up, as a real deployment would: listen first, then
-	// join the ring with the bound addresses, then attach the fabric nodes.
-	brokers := make(map[string]*Broker)
+func startTCPFabric(t testing.TB, ids []string) *tcpFabric {
+	t.Helper()
+	clock := sim.Wall{}
+	f := &tcpFabric{
+		ring:    cluster.NewRing(16),
+		table:   cluster.NewLeaseTable(clock, 3*time.Second),
+		brokers: make(map[string]*Broker),
+		nodes:   make(map[string]*FabricNode),
+	}
 	servers := make(map[string]*Server)
 	for _, id := range ids {
-		brokers[id] = NewBroker(1024)
-		srv, err := Serve(brokers[id], "127.0.0.1:0")
+		f.brokers[id] = NewBroker(1024)
+		srv, err := Serve(f.brokers[id], "127.0.0.1:0")
 		if err != nil {
 			t.Fatalf("serve %s: %v", id, err)
 		}
 		servers[id] = srv
-		defer srv.Close()
-		ring.Join(id, srv.Addr())
+		t.Cleanup(func() { srv.Close() })
+		f.ring.Join(id, srv.Addr())
 	}
 	for _, id := range ids {
-		var leases cluster.LeaseService = table
+		var leases cluster.LeaseService = f.table
 		if id != ids[0] {
-			// Non-coordinator processes proxy leases to the coordinator over
-			// the wire.
-			cc, err := Dial(mustAddr(t, ring, ids[0]))
+			cc, err := Dial(mustAddr(t, f.ring, ids[0]))
 			if err != nil {
 				t.Fatalf("lease proxy dial: %v", err)
 			}
-			defer cc.Close()
+			t.Cleanup(func() { cc.Close() })
 			leases = NewRemoteLeases(cc)
 		}
 		n, err := NewFabricNode(FabricConfig{
-			ID: id, Addr: mustAddr(t, ring, id), Broker: brokers[id],
-			Ring: ring, Leases: leases, ReplicationFactor: 3,
+			ID: id, Addr: mustAddr(t, f.ring, id), Broker: f.brokers[id],
+			Ring: f.ring, Leases: leases, ReplicationFactor: len(ids),
 			LeaseTTL: 3 * time.Second, Clock: clock,
 		})
 		if err != nil {
 			t.Fatalf("fabric node %s: %v", id, err)
 		}
+		f.nodes[id] = n
 		servers[id].SetFabric(n)
 	}
+	return f
+}
+
+// TestFabricTCP runs a 3-node fabric over real TCP servers: the client is
+// pointed at a follower, follows the redirect, and its acked publishes
+// survive on the replicas; the lease proxy serves a remote node.
+func TestFabricTCP(t *testing.T) {
+	f := startTCPFabric(t, []string{"n1", "n2", "n3"})
+	ring, brokers := f.ring, f.brokers
 
 	ctx := context.Background()
 	const topic = "tcp.fab"
@@ -383,45 +408,9 @@ func TestFabricTCP(t *testing.T) {
 // fixed fabric must drain the whole barrage quickly and keep every lease
 // at epoch 1.
 func TestFabricTCPConcurrentCrossLeaderPublishes(t *testing.T) {
-	clock := sim.Wall{}
-	ring := cluster.NewRing(16)
-	table := cluster.NewLeaseTable(clock, 3*time.Second)
-
 	ids := []string{"n1", "n2", "n3"}
-	brokers := make(map[string]*Broker)
-	servers := make(map[string]*Server)
-	nodes := make(map[string]*FabricNode)
-	for _, id := range ids {
-		brokers[id] = NewBroker(1024)
-		srv, err := Serve(brokers[id], "127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("serve %s: %v", id, err)
-		}
-		servers[id] = srv
-		defer srv.Close()
-		ring.Join(id, srv.Addr())
-	}
-	for _, id := range ids {
-		var leases cluster.LeaseService = table
-		if id != ids[0] {
-			cc, err := Dial(mustAddr(t, ring, ids[0]))
-			if err != nil {
-				t.Fatalf("lease proxy dial: %v", err)
-			}
-			defer cc.Close()
-			leases = NewRemoteLeases(cc)
-		}
-		n, err := NewFabricNode(FabricConfig{
-			ID: id, Addr: mustAddr(t, ring, id), Broker: brokers[id],
-			Ring: ring, Leases: leases, ReplicationFactor: 3,
-			LeaseTTL: 3 * time.Second, Clock: clock,
-		})
-		if err != nil {
-			t.Fatalf("fabric node %s: %v", id, err)
-		}
-		nodes[id] = n
-		servers[id].SetFabric(n)
-	}
+	f := startTCPFabric(t, ids)
+	ring, table, brokers, nodes := f.ring, f.table, f.brokers, f.nodes
 
 	// Two topics whose ring owners differ, each primed on its owner so
 	// leadership is split across two nodes.
@@ -441,7 +430,31 @@ func TestFabricTCPConcurrentCrossLeaderPublishes(t *testing.T) {
 		owners = append(owners, owner)
 	}
 
-	// Every node hammers both topics through its in-process route bus —
+	// Plus two topics led by ONE node whose followers come in opposite ring
+	// order: their publishes put appends on the same two connections in
+	// opposite order. A leader that held one follower's connection while it
+	// waited for the other's would close a hold-and-wait cycle inside itself.
+	var orders []string
+	for i := 0; len(orders) < 2; i++ {
+		topic := fmt.Sprintf("cross.order.%d", i)
+		var order string
+		for _, id := range ring.Replicas(topic, 3) {
+			if id != ids[0] {
+				order += id
+			}
+		}
+		if len(orders) == 1 && order == orders[0] {
+			continue
+		}
+		if _, err := publish1(ctx, nodes[ids[0]], topic, []byte("prime")); err != nil {
+			t.Fatalf("prime %s on %s: %v", topic, ids[0], err)
+		}
+		topics = append(topics, topic)
+		owners = append(owners, ids[0])
+		orders = append(orders, order)
+	}
+
+	// Every node hammers every topic through its in-process route bus —
 	// leaders replicate cross-wise while followers forward cross-wise, all
 	// concurrently.
 	const perWorker = 20
@@ -474,7 +487,7 @@ func TestFabricTCPConcurrentCrossLeaderPublishes(t *testing.T) {
 	// No epoch moved: leadership never churned under the load.
 	for i, topic := range topics {
 		l, found := table.Holder(topic)
-		if !found || !l.Valid(clock.Now()) || l.Holder != owners[i] || l.Epoch != 1 {
+		if !found || !l.Valid(time.Now()) || l.Holder != owners[i] || l.Epoch != 1 {
 			t.Fatalf("lease %s after barrage: %+v (found=%v), want holder %s at epoch 1",
 				topic, l, found, owners[i])
 		}
@@ -488,7 +501,287 @@ func TestFabricTCPConcurrentCrossLeaderPublishes(t *testing.T) {
 	}
 }
 
-func mustAddr(t *testing.T, r *cluster.Ring, id string) string {
+// cancellingPeer ends the publisher's context as soon as the append it was
+// handed has been applied: the moment between a leader's local append and its
+// gathering the followers' answers.
+type cancellingPeer struct {
+	Peer
+	cancel context.CancelFunc
+}
+
+func (p cancellingPeer) Replicate(topic string, epoch uint64, entries []Entry) func() (uint64, error) {
+	wait := p.Peer.Replicate(topic, epoch, entries)
+	p.cancel()
+	return wait
+}
+
+// TestFabricCancelledPublishReachesEveryFollower: replication does not run on
+// the publisher's context, so a publish cancelled after the local append is
+// still on every replica (or would be on none) and reports what they said.
+func TestFabricCancelledPublishReachesEveryFollower(t *testing.T) {
+	f := newTestFabric(t, []string{"n1", "n2", "n3"}, 3, 3*time.Second)
+	const topic = "fab.cancel"
+	reps := f.replicas(topic)
+	leader := f.nodes[reps[0]]
+	if _, err := publish1(context.Background(), leader, topic, []byte("v1")); err != nil {
+		t.Fatalf("first publish: %v", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	first := &leader.topic(topic).followers[0]
+	first.peer = cancellingPeer{Peer: first.peer, cancel: cancel}
+
+	id, err := publish1(ctx, leader, topic, []byte("v2"))
+	if err != nil || id != 2 {
+		t.Fatalf("publish cancelled mid-replication: id %d err %v, want 2 <nil>", id, err)
+	}
+	if ctx.Err() == nil {
+		t.Fatal("the context was never cancelled: the test did not test anything")
+	}
+	for _, rid := range reps {
+		if _, last, _ := f.nodes[rid].Broker().TopicTail(context.Background(), topic); last != 2 {
+			t.Fatalf("replica %s tail = %d after the cancelled publish, want 2 on every replica", rid, last)
+		}
+	}
+	// Cancelled before the local append, the publish touches no log at all.
+	if _, err := publish1(ctx, leader, topic, []byte("v3")); !errors.Is(err, context.Canceled) {
+		t.Fatalf("publish on a cancelled context: %v, want context.Canceled", err)
+	}
+	for _, rid := range reps {
+		if _, last, _ := f.nodes[rid].Broker().TopicTail(context.Background(), topic); last != 2 {
+			t.Fatalf("replica %s tail = %d after the refused publish, want 2", rid, last)
+		}
+	}
+}
+
+// countingLeases counts Holder calls on their way to a lease service and,
+// once cut, parks them: a coordinator that accepts the connection and never
+// answers.
+type countingLeases struct {
+	cluster.LeaseService
+	holders atomic.Int64
+	cut     chan struct{} // non-nil: Holder blocks until it is closed
+}
+
+func (c *countingLeases) Holder(topic string) (cluster.Lease, bool) {
+	c.holders.Add(1)
+	if c.cut != nil {
+		<-c.cut
+		return cluster.Lease{}, false
+	}
+	return c.LeaseService.Holder(topic)
+}
+
+// TestFabricStatusAnswersFromLeaseCache: Status costs no coordinator call per
+// topic while Tick keeps the lease cache warm — on the leader and on a
+// follower — and so still answers, promptly, when the coordinator does not.
+func TestFabricStatusAnswersFromLeaseCache(t *testing.T) {
+	f := newTestFabric(t, []string{"n1", "n2", "n3"}, 3, 3*time.Second)
+	ctx := context.Background()
+	topics := []string{"fab.status.a", "fab.status.b", "fab.status.c"}
+	leases := make(map[string]*countingLeases)
+	for id, n := range f.nodes {
+		leases[id] = &countingLeases{LeaseService: f.table}
+		n.leases = leases[id]
+	}
+	leader := f.nodes["n1"]
+	for _, topic := range topics {
+		if _, err := publish1(ctx, leader, topic, []byte("v")); err != nil {
+			t.Fatalf("publish %s: %v", topic, err)
+		}
+	}
+	for id, n := range f.nodes {
+		n.Tick(ctx) // a follower learns the leaders here
+		leases[id].holders.Store(0)
+		leases[id].cut = make(chan struct{})
+		defer close(leases[id].cut)
+	}
+	for id, n := range f.nodes {
+		done := make(chan []ReplicaStatus, 1)
+		go func() { done <- n.Status() }()
+		select {
+		case st := <-done:
+			if len(st) != len(topics) {
+				t.Fatalf("%s: status has %d topics, want %d: %+v", id, len(st), len(topics), st)
+			}
+			for _, row := range st {
+				if row.Leader != "n1" || row.IsLeader != (id == "n1") || row.Epoch != 1 {
+					t.Fatalf("%s: status row %+v, want leader n1 at epoch 1", id, row)
+				}
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: Status waits for a coordinator that does not answer", id)
+		}
+		if got := leases[id].holders.Load(); got != 0 {
+			t.Fatalf("%s: Status made %d Holder calls with a warm lease cache, want 0", id, got)
+		}
+	}
+}
+
+// muteConn is a server-side connection that, while mute is set, takes its
+// answers and sends nothing: to its client the server is a black hole.
+type muteConn struct {
+	net.Conn
+	mute *atomic.Bool
+}
+
+func (c muteConn) Write(p []byte) (int, error) {
+	if c.mute.Load() {
+		return len(p), nil
+	}
+	return c.Conn.Write(p)
+}
+
+// TestFabricBlackHoledFollowerCostsOneIOTimeout: a follower that takes the
+// bytes and never answers holds a publish up for one IOTimeout — the one
+// deadline over the exchange — and the other follower's ack, which arrived
+// while the leader waited for the silent one, still makes the quorum.
+func TestFabricBlackHoledFollowerCostsOneIOTimeout(t *testing.T) {
+	const ioTimeout = 400 * time.Millisecond
+	const topic = "fab.hole"
+	clock := sim.Wall{}
+	ring := cluster.NewRing(16)
+	ring.Join("n1", "leader:0") // never dialed
+	brokers := map[string]*Broker{"n1": NewBroker(0)}
+	defer brokers["n1"].Close()
+	mute := map[string]*atomic.Bool{"n2": new(atomic.Bool), "n3": new(atomic.Bool)}
+	for id, flag := range mute {
+		flag := flag
+		brokers[id] = NewBroker(0)
+		defer brokers[id].Close()
+		srv, err := Serve(brokers[id], "127.0.0.1:0", WithConnWrapper(func(c net.Conn) net.Conn {
+			return muteConn{Conn: c, mute: flag}
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		ring.Join(id, srv.Addr())
+	}
+	var peers []*Client
+	defer func() {
+		for _, c := range peers {
+			c.Close()
+		}
+	}()
+	leader, err := NewFabricNode(FabricConfig{
+		ID: "n1", Addr: "leader:0", Broker: brokers["n1"], Ring: ring,
+		Leases: cluster.NewLeaseTable(clock, time.Minute), ReplicationFactor: 3, Clock: clock,
+		PeerDial: func(id, addr string) (Peer, error) {
+			c, err := Dial(addr, WithIOTimeout(ioTimeout))
+			if err == nil {
+				peers = append(peers, c)
+			}
+			return c, err
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := publish1(ctx, leader, topic, []byte("v1")); err != nil {
+		t.Fatalf("publish with both followers answering: %v", err)
+	}
+
+	// Silence the follower the leader gathers FIRST: the other's answer sits
+	// in the socket while the exchange's deadline runs out.
+	followers := leader.topic(topic).followers
+	silent, live := followers[0].id, followers[1].id
+	mute[silent].Store(true)
+	start := time.Now()
+	id, err := publish1(ctx, leader, topic, []byte("v2"))
+	elapsed := time.Since(start)
+	if err != nil || id != 2 {
+		t.Fatalf("publish with %s silent: id %d err %v, want 2 <nil> (2/3 acks)", silent, id, err)
+	}
+	if elapsed < ioTimeout || elapsed >= 2*ioTimeout {
+		t.Fatalf("publish took %v, want one IOTimeout (%v): not none, not two", elapsed, ioTimeout)
+	}
+	if _, last, _ := brokers[live].TopicTail(ctx, topic); last != 2 {
+		t.Fatalf("live follower %s tail = %d, want 2", live, last)
+	}
+
+	// It answers again: the leader re-dials it on the next publish.
+	mute[silent].Store(false)
+	if _, err := publish1(ctx, leader, topic, []byte("v3")); err != nil {
+		t.Fatalf("publish after %s recovered: %v", silent, err)
+	}
+	for id, b := range brokers {
+		if _, last, _ := b.TopicTail(ctx, topic); last != 3 {
+			t.Fatalf("replica %s tail = %d, want 3", id, last)
+		}
+	}
+}
+
+// TestFabricTCPConcurrentBackfills: two topics of one leader whose followers
+// come in opposite ring order, every publish finding both followers behind (a
+// node that came up first and published alone is in this state on every
+// topic). A backfill is a second request to a follower: a leader that waited
+// for its answer while the first answer from the other follower was still
+// unread — answers are read in FIFO order per connection — deadlocked with
+// the other topic's publish doing the same the other way round.
+func TestFabricTCPConcurrentBackfills(t *testing.T) {
+	ids := []string{"n1", "n2", "n3"}
+	f := startTCPFabric(t, ids)
+	leader := f.nodes["n1"]
+	ctx := context.Background()
+	var topics, orders []string
+	for i := 0; len(topics) < 2; i++ {
+		topic := fmt.Sprintf("backfill.%d", i)
+		var order string
+		for _, id := range f.ring.Replicas(topic, 3) {
+			if id != "n1" {
+				order += id
+			}
+		}
+		if len(orders) == 1 && order == orders[0] {
+			continue
+		}
+		if _, err := publish1(ctx, leader, topic, []byte("prime")); err != nil {
+			t.Fatalf("prime %s: %v", topic, err)
+		}
+		topics, orders = append(topics, topic), append(orders, order)
+	}
+
+	const rounds = 300
+	done := make(chan error, len(topics))
+	for _, topic := range topics {
+		go func(topic string) {
+			for i := 0; i < rounds; i++ {
+				// An entry only the leader holds: the next publish finds a gap
+				// on both followers.
+				if _, err := f.brokers["n1"].PublishBatch(ctx, topic, [][]byte{[]byte("local")}); err != nil {
+					done <- err
+					return
+				}
+				if _, err := publish1(ctx, leader, topic, []byte("v")); err != nil {
+					done <- fmt.Errorf("%s round %d: %w", topic, i, err)
+					return
+				}
+			}
+			done <- nil
+		}(topic)
+	}
+	for range topics {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatal("concurrent backfills on one leader's two connections deadlocked")
+		}
+	}
+	for _, topic := range topics {
+		for _, id := range ids {
+			if _, last, _ := f.brokers[id].TopicTail(ctx, topic); last != 1+2*rounds {
+				t.Fatalf("replica %s tail for %s = %d, want %d", id, topic, last, 1+2*rounds)
+			}
+		}
+	}
+}
+
+func mustAddr(t testing.TB, r *cluster.Ring, id string) string {
 	t.Helper()
 	a, ok := r.Addr(id)
 	if !ok {

@@ -8,7 +8,9 @@ import (
 
 // FuzzReadFrame feeds arbitrary bytes to the wire-frame reader. It must never
 // panic, must refuse frames beyond the 16 MiB cap before allocating, and any
-// frame it accepts must survive a write/read round trip.
+// frame it accepts must survive a write/read round trip — read a second time
+// into a reused buffer, the way a server connection reads, it must come out
+// the same.
 func FuzzReadFrame(f *testing.F) {
 	var ok bytes.Buffer
 	_ = writeFrame(&ok, opPublishBatch, (&enc{}).str("topic").u32(1).bytes([]byte("payload")).b)
@@ -38,6 +40,19 @@ func FuzzReadFrame(f *testing.F) {
 		op2, payload2, err := readFrame(bytes.NewReader(out.Bytes()))
 		if err != nil || op2 != op || !bytes.Equal(payload2, payload) {
 			t.Fatalf("frame round trip failed: err=%v op %d->%d", err, op, op2)
+		}
+		// The reused-buffer path: the frame twice over through one scratch
+		// buffer that starts too small for it and is then large enough.
+		twice := bytes.NewReader(bytes.Repeat(out.Bytes(), 2))
+		scratch := make([]byte, 0, len(payload)/2)
+		for pass := 0; pass < 2; pass++ {
+			op3, n, err := readHeader(twice)
+			if err != nil || op3 != op || n != len(payload) {
+				t.Fatalf("pass %d: header op=%d n=%d err=%v, want op=%d n=%d", pass, op3, n, err, op, len(payload))
+			}
+			if scratch, err = readPayload(twice, scratch, n); err != nil || !bytes.Equal(scratch, payload) {
+				t.Fatalf("pass %d: payload through the reused buffer differs (err=%v)", pass, err)
+			}
 		}
 	})
 }

@@ -13,8 +13,9 @@ import (
 )
 
 // Server exposes a Broker over TCP using the wire protocol in wire.go. Each
-// connection handles one request at a time; Subscribe turns the connection
-// into a one-way entry stream.
+// connection answers its requests one at a time, in the order they arrived (a
+// client may have several on the wire); Subscribe turns the connection into a
+// one-way entry stream.
 type Server struct {
 	broker *Broker
 	fabric atomic.Pointer[FabricNode]
@@ -135,60 +136,111 @@ func (s *Server) dropConn(conn net.Conn) {
 	conn.Close()
 }
 
+// parks reports whether answering op can wait on something other than this
+// node's broker: new data (a consume, a group read, a subscription) or, on a
+// fabric node, the followers a publish replicates to. Every other op is
+// broker-local (a lease or status op may cost a bounded coordinator call) and
+// is answered without parking.
+func (s *Server) parks(op byte) bool {
+	switch op {
+	case opConsumeBatch, opGroupRead, opSubscribe:
+		return true
+	case opPublishBatch:
+		return s.fabric.Load() != nil
+	}
+	return false
+}
+
+// handle serves one connection. Its own goroutine reads the requests and
+// answers in place, from a frame buffer it reuses (the handlers copy what
+// they keep), every op that cannot park — a replicate frame costs its
+// follower no goroutine hop. An op that can park goes to a second goroutine,
+// so that this one keeps watching the connection and a hangup cancels ctx
+// even while a ConsumeBatch waits for a publish that may never come.
+//
+// The connection's writer has one owner at a time and answers leave whole and
+// in request order: while a handed-off request is unanswered (parked > 0)
+// every later request is handed off behind it, whatever its op, and the
+// reader writes again only after the other goroutine flushed its last answer.
 func (s *Server) handle(conn net.Conn) {
 	defer s.wg.Done()
 	defer s.dropConn(conn)
 	r := bufio.NewReader(conn)
 	w := bufio.NewWriter(conn)
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	// Requests are read by a dedicated goroutine so a dropped connection
-	// cancels ctx even while dispatch is parked in a blocking ConsumeBatch —
-	// otherwise the handler (and Server.Close) would wait for a publish
-	// that may never come.
+	out := getEnc() // response builder, reused across this conn's requests
+	defer putEnc(out)
+	answer := func(op byte, payload []byte) bool {
+		out.b = out.b[:0]
+		err := s.dispatch(ctx, op, payload, out)
+		status, resp := byte(statusOK), out.b
+		if err != nil {
+			status, resp = statusErr, errPayload(err)
+		}
+		return writeFrame(w, status, resp) == nil && w.Flush() == nil
+	}
+
 	type frame struct {
 		op      byte
 		payload []byte
 	}
 	frames := make(chan frame)
+	var parked atomic.Int32
+	parkerDone := make(chan struct{})
 	go func() {
+		defer close(parkerDone)
+		// A failed write here ends the read loop as well, whether it is
+		// reading or handing a frame over.
+		defer conn.Close()
 		defer cancel()
 		for {
-			op, payload, err := readFrame(r)
-			if err != nil {
-				return // connection closed or corrupt
-			}
+			var f frame
 			select {
-			case frames <- frame{op, payload}:
+			case f = <-frames:
 			case <-ctx.Done():
+				return
+			}
+			if f.op == opSubscribe {
+				s.serveSubscribe(ctx, w, f.payload)
+				return
+			}
+			ok := answer(f.op, f.payload)
+			parked.Add(-1)
+			if !ok {
 				return
 			}
 		}
 	}()
-	out := getEnc() // response builder, reused across this conn's requests
-	defer putEnc(out)
+	defer func() {
+		cancel()
+		<-parkerDone
+	}()
+
+	var scratch []byte
 	for {
-		var f frame
+		op, n, err := readHeader(r)
+		if err != nil {
+			return // connection closed or corrupt
+		}
+		if !s.parks(op) && parked.Load() == 0 {
+			if scratch, err = readPayload(r, scratch, n); err != nil || !answer(op, scratch) {
+				return
+			}
+			if cap(scratch) > maxPooledEnc {
+				scratch = nil // one large frame does not pin its buffer for good
+			}
+			continue
+		}
+		// The parker works on this frame while the next one is read: it gets
+		// a buffer of its own.
+		payload, err := readPayload(r, nil, n)
+		if err != nil {
+			return
+		}
+		parked.Add(1)
 		select {
-		case f = <-frames:
+		case frames <- frame{op, payload}:
 		case <-ctx.Done():
-			return
-		}
-		if f.op == opSubscribe {
-			s.serveSubscribe(ctx, w, f.payload)
-			return
-		}
-		out.b = out.b[:0]
-		if err := s.dispatch(ctx, f.op, f.payload, out); err != nil {
-			if writeFrame(w, statusErr, errPayload(err)) != nil {
-				return
-			}
-		} else {
-			if writeFrame(w, statusOK, out.b) != nil {
-				return
-			}
-		}
-		if w.Flush() != nil {
 			return
 		}
 	}

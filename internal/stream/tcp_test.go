@@ -1,11 +1,17 @@
 package stream
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"errors"
+	"net"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/cluster"
+	"repro/internal/sim"
 )
 
 func startServer(t testing.TB) (*Broker, *Server) {
@@ -78,10 +84,10 @@ func TestTCPReplicateRejectsEmptyPayload(t *testing.T) {
 	b, s := startServer(t)
 	c := dialT(t, s)
 	ctx := context.Background()
-	if _, err := c.Replicate(ctx, "t", 1, []Entry{{ID: 1, Payload: []byte("a")}, {ID: 2, Payload: []byte("b")}}); err != nil {
+	if _, err := c.Replicate("t", 1, []Entry{{ID: 1, Payload: []byte("a")}, {ID: 2, Payload: []byte("b")}})(); err != nil {
 		t.Fatal(err)
 	}
-	_, err := c.Replicate(ctx, "t", 2, []Entry{{ID: 2, Payload: []byte("c")}, {ID: 3, Payload: nil}})
+	_, err := c.Replicate("t", 2, []Entry{{ID: 2, Payload: []byte("c")}, {ID: 3, Payload: nil}})()
 	if !errors.Is(err, ErrEmptyPayload) {
 		t.Fatalf("err=%v want ErrEmptyPayload", err)
 	}
@@ -96,6 +102,52 @@ func TestTCPReplicateRejectsEmptyPayload(t *testing.T) {
 	}
 	if err := c.Ping(ctx); err != nil {
 		t.Fatalf("Ping on the same connection: %v", err)
+	}
+}
+
+// TestTCPPipelinedAnswersWholeAndInOrder: a client that writes requests back
+// to back — a publish on a fabric server, which the connection's second
+// goroutine answers because it can park, then a ping, which the reading
+// goroutine could answer in place — reads whole answers in request order. The
+// two goroutines share one writer; run under -race this is the guard on its
+// having one owner at a time.
+func TestTCPPipelinedAnswersWholeAndInOrder(t *testing.T) {
+	b, s := startServer(t)
+	ring := cluster.NewRing(16)
+	ring.Join("solo", s.Addr())
+	node, err := NewFabricNode(FabricConfig{
+		ID: "solo", Addr: s.Addr(), Broker: b, Ring: ring,
+		Leases: cluster.NewLeaseTable(sim.Wall{}, time.Minute), ReplicationFactor: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetFabric(node)
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+
+	const pairs = 200
+	var reqs bytes.Buffer
+	publish := (&enc{}).str("pipe").u32(1).bytes([]byte("payload")).b
+	for i := 0; i < pairs; i++ {
+		writeFrame(&reqs, opPublishBatch, publish)
+		writeFrame(&reqs, opPing, nil)
+	}
+	go conn.Write(reqs.Bytes())
+	r := bufio.NewReader(conn)
+	for i := 0; i < pairs; i++ {
+		status, resp, err := readFrame(r)
+		d := &buf{b: resp}
+		if first, n := d.u64(), d.u32(); err != nil || status != statusOK || d.err != nil || first != uint64(i+1) || n != 1 {
+			t.Fatalf("answer %d: status %d payload %x err %v, want publish ack for id %d", 2*i, status, resp, err, i+1)
+		}
+		if status, resp, err = readFrame(r); err != nil || status != statusOK || len(resp) != 0 {
+			t.Fatalf("answer %d: status %d payload %x err %v, want the ping's empty ack", 2*i+1, status, resp, err)
+		}
 	}
 }
 

@@ -87,21 +87,43 @@ func writeFrame(w io.Writer, op byte, payload []byte) error {
 	return err
 }
 
-// readFrame reads one frame.
+// readFrame reads one frame into a buffer of its own.
 func readFrame(r io.Reader) (op byte, payload []byte, err error) {
-	var hdr [5]byte
+	op, n, err := readHeader(r)
+	if err != nil {
+		return 0, nil, err
+	}
+	if payload, err = readPayload(r, nil, n); err != nil {
+		return 0, nil, err
+	}
+	return op, payload, nil
+}
+
+// readHeader reads a frame's header: the opcode (or status) and the length of
+// the payload that follows, refused beyond maxFrame before any of it is read.
+func readHeader(r io.Reader) (op byte, n int, err error) {
+	var hdr [frameOverhead]byte
 	if _, err = io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
+		return 0, 0, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[1:])
-	if n > maxFrame {
-		return 0, nil, errFrameTooLarge
+	size := binary.LittleEndian.Uint32(hdr[1:])
+	if size > maxFrame {
+		return 0, 0, errFrameTooLarge
 	}
-	payload = make([]byte, n)
-	if _, err = io.ReadFull(r, payload); err != nil {
-		return 0, nil, err
+	return hdr[0], int(size), nil
+}
+
+// readPayload reads the n payload bytes behind a header into scratch's
+// backing array when that holds them, into a fresh buffer otherwise. A caller
+// that passes the returned slice back in reuses one buffer across frames;
+// whatever it handed out from the previous frame is overwritten.
+func readPayload(r io.Reader, scratch []byte, n int) ([]byte, error) {
+	if cap(scratch) < n {
+		scratch = make([]byte, n)
 	}
-	return hdr[0], payload, nil
+	scratch = scratch[:n]
+	_, err := io.ReadFull(r, scratch)
+	return scratch, err
 }
 
 // buf is a tiny cursor-based decoder over a frame payload.
@@ -168,9 +190,10 @@ func (d *buf) str() string {
 	return s
 }
 
-// bytes returns a capacity-capped view of the frame, not a copy: readFrame
-// allocates every frame afresh and nothing reuses one, so the view stays
-// valid for as long as it is held (and pins the whole frame for as long).
+// bytes returns a capacity-capped view of the frame, not a copy. A frame
+// from readFrame is never reused, so the view stays valid for as long as it
+// is held (and pins the whole frame for as long); a frame read into a reused
+// buffer (readPayload) is valid until the next one is read.
 func (d *buf) bytes() []byte {
 	n := int(d.u32())
 	if d.err != nil || d.pos+n > len(d.b) {

@@ -93,4 +93,30 @@ echo "==> topology via $A0"
 echo "==> replication via $A0"
 "$tmp/apolloctl" -addr "$A0" replication
 
+# A node whose vertices are stuck in a publish never finishes Stop: SIGTERM
+# must end all three promptly (a survivor gets SIGQUIT first, so its
+# goroutine dump is in the log that fail prints).
+echo "==> shutdown: SIGTERM must stop every node"
+# shellcheck disable=SC2086
+kill $pids
+elapsed=0
+while :; do
+    alive=""
+    for p in $pids; do
+        # An exited child is a zombie until the shell reaps it: not alive.
+        if kill -0 "$p" 2>/dev/null && ! grep -q '^State:[[:space:]]*Z' "/proc/$p/status" 2>/dev/null; then
+            alive="$alive $p"
+        fi
+    done
+    [ -z "$alive" ] && break
+    elapsed=$((elapsed + 1))
+    if [ "$elapsed" -ge 15 ]; then
+        # shellcheck disable=SC2086
+        kill -QUIT $alive 2>/dev/null || true
+        sleep 1
+        fail "nodes$alive survived SIGTERM for 15s"
+    fi
+    sleep 1
+done
+
 echo "smoke_fabric: OK ($topics topics across a 3-member ring)"
