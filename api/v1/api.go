@@ -188,16 +188,7 @@ func (v Value) String() string {
 }
 
 // MarshalJSON emits the native scalar.
-func (v Value) MarshalJSON() ([]byte, error) {
-	switch v.Kind {
-	case ValueInt:
-		return strconv.AppendInt(nil, v.Int, 10), nil
-	case ValueFloat:
-		return json.Marshal(v.Float)
-	default:
-		return json.Marshal(v.Str)
-	}
-}
+func (v Value) MarshalJSON() ([]byte, error) { return v.AppendJSON(nil) }
 
 // UnmarshalJSON reads a native scalar back, preserving integer-ness.
 func (v *Value) UnmarshalJSON(data []byte) error {

@@ -116,7 +116,7 @@ func TestFlagDefaultsAndChecks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := core.Config{Mode: core.IntervalComplexAIMD, PlanCache: 128, BaseTick: time.Second}
+	want := core.Config{Mode: core.IntervalComplexAIMD, BaseTick: time.Second} // PlanCache 0: the engine's own default
 	if !reflect.DeepEqual(cfg, want) {
 		t.Fatalf("defaults = %+v, want %+v", cfg, want)
 	}

@@ -84,9 +84,10 @@ type Result struct {
 }
 
 // Engine executes queries against a Resolver through prepared plans: query
-// text is lexed, parsed, and compiled once, cached in an LRU keyed on the
-// text, and re-executed from the compiled form. The zero value is not usable;
-// construct with NewEngine.
+// text is lexed, parsed, and compiled once per shape — the text with its
+// integer literals lifted out — cached in an LRU keyed on the shape, and
+// re-executed from the compiled form with each text's literals bound in. The
+// zero value is not usable; construct with NewEngine.
 type Engine struct {
 	res Resolver
 	// Sequential disables branch parallelism (ablation).
@@ -158,27 +159,39 @@ func (e *Engine) PlanCacheStats() (hits, misses uint64, size int) {
 	return e.cache.stats()
 }
 
-// Prepare returns the compiled plan for src, from cache when possible.
+// Prepare returns the compiled plan for src: the cached plan of its shape
+// bound to src's literals when there is one, else a fresh compile, cached for
+// the next text of the shape.
 func (e *Engine) Prepare(src string) (*Plan, error) {
+	var (
+		keyBuf [768]byte // a 16-branch latest union; longer text spills to the heap
+		argBuf [4]int64
+		key    []byte
+		args   []int64
+	)
 	if e.cache != nil {
-		if p, ok := e.cache.get(src); ok {
+		key, args = shapeOf(keyBuf[:0], argBuf[:0], src)
+		if t := e.cache.get(key, len(args)); t != nil {
 			e.obsHits.Inc()
-			return p, nil
+			if p := t.bind(args); p != nil {
+				return p, nil
+			}
+			// LIMIT 0 on a cached shape: the parse below words the error.
+		} else {
+			e.obsMisses.Inc()
 		}
-		e.obsMisses.Inc()
 	}
 	q, err := Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	p, err := compileQuery(src, q)
+	p, err := compileQuery(q)
 	if err != nil {
 		return nil, err
 	}
 	if e.cache != nil {
-		e.cache.put(src, p)
-		_, _, size := e.cache.stats()
-		e.obsOccupancy.Set(float64(size))
+		p.nargs = len(args)
+		e.obsOccupancy.Set(float64(e.cache.put(key, p)))
 	}
 	return p, nil
 }
@@ -195,23 +208,24 @@ func (e *Engine) Query(src string) (*Result, error) {
 // Execute runs an already-parsed query, compiling it without touching the
 // plan cache (the AST has no canonical text to key on).
 func (e *Engine) Execute(q *Query) (*Result, error) {
-	p, err := compileQuery("", q)
+	p, err := compileQuery(q)
 	if err != nil {
 		return nil, err
 	}
 	return e.ExecutePlan(p)
 }
 
-// ExecutePlan runs a prepared plan. UNION branches are resolved with bounded
-// parallelism — "highly parallel and decoupled access to information within
-// the Apollo service" (§3.1) — and their rows concatenated in branch order.
+// ExecutePlan runs a prepared plan. UNION branches that scan are resolved
+// with bounded parallelism — "highly parallel and decoupled access to
+// information within the Apollo service" (§3.1) — and their rows
+// concatenated in branch order; a union of Latest() lookups runs in place
+// (a goroutine hand-off costs more than the sixteen lookups it would share).
 func (e *Engine) ExecutePlan(p *Plan) (*Result, error) {
 	start := time.Now()
 	defer func() { e.obsLatency.ObserveDuration(time.Since(start)) }()
 
 	n := len(p.branches)
-	branchRows := make([][][]Cell, n)
-	branchErrs := make([]error, n)
+	res := &Result{Columns: p.Columns()}
 	workers := e.workers
 	if e.Sequential {
 		workers = 1
@@ -219,29 +233,34 @@ func (e *Engine) ExecutePlan(p *Plan) (*Result, error) {
 	if workers > n {
 		workers = n
 	}
-	if workers <= 1 {
+	if workers <= 1 || p.inline {
+		res.Rows = make([][]Cell, 0, n) // a latest or aggregate branch is one row
 		for i := range p.branches {
-			branchRows[i], branchErrs[i] = e.execBranch(&p.branches[i])
+			var err error
+			if res.Rows, err = e.execBranch(&p.branches[i], res.Rows); err != nil {
+				return nil, err
+			}
 		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					branchRows[i], branchErrs[i] = e.execBranch(&p.branches[i])
-				}
-			}()
-		}
-		for i := 0; i < n; i++ {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
+		return res, nil
 	}
-	res := &Result{Columns: p.Columns()}
+	branchRows := make([][][]Cell, n)
+	branchErrs := make([]error, n)
+	idx := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				branchRows[i], branchErrs[i] = e.execBranch(&p.branches[i], nil)
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		idx <- i
+	}
+	close(idx)
+	wg.Wait()
 	for i := range branchRows {
 		if branchErrs[i] != nil {
 			return nil, branchErrs[i]
@@ -266,8 +285,8 @@ func scanRange(ex score.Executor, from, to int64, fn func(telemetry.Info) bool) 
 	}
 }
 
-// execBranch evaluates one compiled branch.
-func (e *Engine) execBranch(cs *compiledSelect) ([][]Cell, error) {
+// execBranch evaluates one compiled branch, appending its rows to rows.
+func (e *Engine) execBranch(cs *compiledSelect, rows [][]Cell) ([][]Cell, error) {
 	ex, err := e.res.Resolve(cs.table)
 	if err != nil {
 		return nil, err
@@ -276,15 +295,14 @@ func (e *Engine) execBranch(cs *compiledSelect) ([][]Cell, error) {
 	// Fast path for the canonical latest-value query:
 	// every item is either MAX(Timestamp) or a bare column, no WHERE.
 	if cs.latest {
-		info, ok := ex.Latest()
-		if !ok {
-			return nil, nil
+		if info, ok := ex.Latest(); ok {
+			rows = append(rows, rowFromProj(cs.proj, info))
 		}
-		return [][]Cell{rowFromProj(cs.proj, info)}, nil
+		return rows, nil
 	}
 
 	// Aggregate path: one streaming pass accumulates every aggregate; no
-	// row materialization at all.
+	// row materialization at all. (Its one row is within any LIMIT.)
 	if cs.hasAgg {
 		var st aggState
 		scanRange(ex, cs.from, cs.to, func(in telemetry.Info) bool {
@@ -292,17 +310,13 @@ func (e *Engine) execBranch(cs *compiledSelect) ([][]Cell, error) {
 			return true
 		})
 		if st.n == 0 {
-			return nil, nil
+			return rows, nil
 		}
 		row := make([]Cell, len(cs.aggs))
 		for i, ext := range cs.aggs {
 			row[i] = ext(&st)
 		}
-		rows := [][]Cell{row}
-		if cs.limit > 0 && len(rows) > cs.limit {
-			rows = rows[:cs.limit]
-		}
-		return rows, nil
+		return append(rows, row), nil
 	}
 
 	// Row path. Ascending scans stop as soon as LIMIT rows are produced
@@ -310,15 +324,12 @@ func (e *Engine) execBranch(cs *compiledSelect) ([][]Cell, error) {
 	// entries and emit it reversed.
 	desc := cs.order != nil && cs.order.Desc
 	if !desc {
-		var rows [][]Cell
-		if cs.limit > 0 {
-			rows = make([][]Cell, 0, cs.limit)
-		}
+		out, base := rows, len(rows) // out, not rows: only this path pays for a captured variable
 		scanRange(ex, cs.from, cs.to, func(in telemetry.Info) bool {
-			rows = append(rows, rowFromProj(cs.proj, in))
-			return cs.limit == 0 || len(rows) < cs.limit
+			out = append(out, rowFromProj(cs.proj, in))
+			return cs.limit == 0 || len(out)-base < cs.limit
 		})
-		return rows, nil
+		return out, nil
 	}
 	if cs.limit > 0 {
 		ring := make([]telemetry.Info, 0, cs.limit)
@@ -332,7 +343,6 @@ func (e *Engine) execBranch(cs *compiledSelect) ([][]Cell, error) {
 			}
 			return true
 		})
-		rows := make([][]Cell, 0, len(ring))
 		for k := len(ring) - 1; k >= 0; k-- {
 			rows = append(rows, rowFromProj(cs.proj, ring[(pos+k)%len(ring)]))
 		}
@@ -343,7 +353,6 @@ func (e *Engine) execBranch(cs *compiledSelect) ([][]Cell, error) {
 		entries = append(entries, in)
 		return true
 	})
-	rows := make([][]Cell, 0, len(entries))
 	for i := len(entries) - 1; i >= 0; i-- {
 		rows = append(rows, rowFromProj(cs.proj, entries[i]))
 	}

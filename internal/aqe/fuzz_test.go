@@ -17,9 +17,11 @@ func (fuzzResolver) Resolve(string) (score.Executor, error) {
 }
 
 // FuzzPrepare feeds arbitrary query text to the full parse+plan path. The
-// contract: never panic, and every rejection is a typed *SyntaxError (parse
+// contract: never panic, every rejection is a typed *SyntaxError (parse
 // errors carry a position) or an "aqe:"-prefixed planner error — never an
-// untyped internal error.
+// untyped internal error — and the shape cache is invisible: an engine that
+// has cached every shape it has seen rejects exactly what a cacheless one
+// does, in the same words. (FuzzShapeOf checks the normaliser itself.)
 func FuzzPrepare(f *testing.F) {
 	f.Add("SELECT COUNT(*) FROM node3.nvme0.capacity")
 	f.Add("SELECT AVG(metric), MIN(Timestamp) FROM t WHERE Timestamp >= 5 AND Timestamp < 100")
@@ -31,9 +33,16 @@ func FuzzPrepare(f *testing.F) {
 	f.Add(strings.Repeat("(", 1024))      // deep nesting
 	f.Add("SELECT " + strings.Repeat("COUNT(*),", 100) + "COUNT(*) FROM t")
 
-	e := NewEngine(fuzzResolver{})
+	f.Add("SELECT metric FROM t LIMIT 3")
+	f.Add("SELECT metric FROM t LIMIT 0")
+	f.Add("SELECT metric FROM t LIMIT ?")
+
+	e, cold := NewEngine(fuzzResolver{}), NewEngine(fuzzResolver{}, WithPlanCache(-1))
 	f.Fuzz(func(t *testing.T, src string) {
 		plan, err := e.Prepare(src)
+		if _, cerr := cold.Prepare(src); (err == nil) != (cerr == nil) || (err != nil && err.Error() != cerr.Error()) {
+			t.Fatalf("Prepare(%q): cached engine says %v, cacheless %v", src, err, cerr)
+		}
 		if err != nil {
 			var se *SyntaxError
 			if !errors.As(err, &se) && !strings.HasPrefix(err.Error(), "aqe:") {

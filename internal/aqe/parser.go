@@ -97,6 +97,21 @@ type SelectStmt struct {
 	Order *OrderBy
 	// Limit caps the branch's row count; 0 means unlimited.
 	Limit int
+
+	args branchArgs // which literal of the text set Where and Limit
+}
+
+// argRef names the literal a bound was read from: the lit-th number of the
+// text (1-based; 0 means none) plus adj — '>' is +1, '<' is -1.
+type argRef struct {
+	lit int
+	adj int64
+}
+
+// branchArgs is what a cached plan needs to serve another text of the same
+// shape: where each of the branch's three numbers comes from.
+type branchArgs struct {
+	from, to, limit argRef
 }
 
 // Query is a parsed UNION of SELECT statements. Complexity (the x-axis of
@@ -141,6 +156,7 @@ func Parse(src string) (*Query, error) {
 type parser struct {
 	toks []token
 	pos  int
+	lits int // number tokens consumed so far
 }
 
 func (p *parser) peek() token { return p.toks[p.pos] }
@@ -148,6 +164,9 @@ func (p *parser) next() token {
 	t := p.toks[p.pos]
 	if t.kind != tokEOF {
 		p.pos++
+	}
+	if t.kind == tokNumber {
+		p.lits++
 	}
 	return t
 }
@@ -187,7 +206,7 @@ func (p *parser) parseSelect() (SelectStmt, error) {
 	s.Table = tbl.text
 	if isKeyword(p.peek(), "WHERE") {
 		p.next()
-		w, err := p.parseWhere()
+		w, err := p.parseWhere(&s.args)
 		if err != nil {
 			return s, err
 		}
@@ -213,14 +232,15 @@ func (p *parser) parseSelect() (SelectStmt, error) {
 	}
 	if isKeyword(p.peek(), "LIMIT") {
 		p.next()
+		pos := p.peek().pos
 		n, err := p.parseNumber()
 		if err != nil {
 			return s, err
 		}
 		if n < 1 {
-			return s, &SyntaxError{Pos: p.peek().pos, Msg: "LIMIT must be positive"}
+			return s, &SyntaxError{Pos: pos, Msg: "LIMIT must be positive"}
 		}
-		s.Limit = int(n)
+		s.Limit, s.args.limit = int(n), argRef{lit: p.lits}
 	}
 	return s, nil
 }
@@ -291,21 +311,21 @@ func colByName(t token) (ColKind, error) {
 //	Timestamp BETWEEN a AND b
 //	Timestamp >= a [AND Timestamp <= b]
 //	Timestamp <= b [AND Timestamp >= a]
-func (p *parser) parseWhere() (*TimeRange, error) {
+func (p *parser) parseWhere(a *branchArgs) (*TimeRange, error) {
 	w := &TimeRange{From: -1 << 62, To: 1 << 62}
-	if err := p.parseCond(w); err != nil {
+	if err := p.parseCond(w, a); err != nil {
 		return nil, err
 	}
 	if isKeyword(p.peek(), "AND") {
 		p.next()
-		if err := p.parseCond(w); err != nil {
+		if err := p.parseCond(w, a); err != nil {
 			return nil, err
 		}
 	}
 	return w, nil
 }
 
-func (p *parser) parseCond(w *TimeRange) error {
+func (p *parser) parseCond(w *TimeRange, a *branchArgs) error {
 	t := p.next()
 	if !isKeyword(t, "Timestamp") {
 		return &SyntaxError{Pos: t.pos, Msg: "WHERE supports only Timestamp conditions"}
@@ -324,6 +344,7 @@ func (p *parser) parseCond(w *TimeRange) error {
 			return err
 		}
 		w.From, w.To = lo, hi
+		a.from, a.to = argRef{lit: p.lits - 1}, argRef{lit: p.lits}
 		return nil
 	}
 	if op.kind != tokOp {
@@ -333,17 +354,19 @@ func (p *parser) parseCond(w *TimeRange) error {
 	if err != nil {
 		return err
 	}
+	lit := p.lits
 	switch op.text {
 	case ">=":
-		w.From = n
+		w.From, a.from = n, argRef{lit, 0}
 	case ">":
-		w.From = n + 1
+		w.From, a.from = n+1, argRef{lit, 1}
 	case "<=":
-		w.To = n
+		w.To, a.to = n, argRef{lit, 0}
 	case "<":
-		w.To = n - 1
+		w.To, a.to = n-1, argRef{lit, -1}
 	case "=":
 		w.From, w.To = n, n
+		a.from, a.to = argRef{lit, 0}, argRef{lit, 0}
 	default:
 		return &SyntaxError{Pos: op.pos, Msg: "unsupported operator " + op.text}
 	}

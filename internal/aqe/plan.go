@@ -6,14 +6,47 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Plan is a prepared query: the parsed AST plus per-branch compiled
-// projections and aggregate extractors, so execution never re-interprets the
-// select list per row. Plans are immutable and safe for concurrent reuse;
-// Engine.Prepare returns cached plans keyed on the query text.
+// Plan is a prepared query: per-branch compiled projections and aggregate
+// extractors, so execution never re-interprets the select list per row, with
+// the text's own time bounds and LIMIT in place. Plans are immutable and safe
+// for concurrent reuse; Engine.Prepare caches one per query shape and binds
+// it to each text's literals.
 type Plan struct {
-	src      string
 	cols     []string
 	branches []compiledSelect
+	// nargs is how many literals a text of this shape carries; 0 for a plan
+	// that is its own binding (no literals, or a text keyed whole).
+	nargs int
+	// inline: every branch is a Latest() call, cheaper run in place than
+	// handed to the branch fan-out.
+	inline bool
+}
+
+// bind returns the plan for another text of p's shape carrying args: p itself
+// when the shape has no literals, else a copy of the branch headers (the
+// compiled row machinery is shared) with the arguments in place. It returns
+// nil for a LIMIT the parser would have refused.
+func (p *Plan) bind(args []int64) *Plan {
+	if p.nargs == 0 {
+		return p
+	}
+	b := &Plan{cols: p.cols, branches: append([]compiledSelect(nil), p.branches...), inline: p.inline}
+	for i := range b.branches {
+		cs := &b.branches[i]
+		if r := cs.args.from; r.lit > 0 {
+			cs.from = args[r.lit-1] + r.adj
+		}
+		if r := cs.args.to; r.lit > 0 {
+			cs.to = args[r.lit-1] + r.adj
+		}
+		if r := cs.args.limit; r.lit > 0 {
+			if args[r.lit-1] < 1 {
+				return nil
+			}
+			cs.limit = int(args[r.lit-1])
+		}
+	}
+	return b
 }
 
 // Columns returns the result column headers.
@@ -68,6 +101,7 @@ type compiledSelect struct {
 	from, to int64
 	order    *OrderBy
 	limit    int
+	args     branchArgs // the literals from, to and limit are bound from
 	hasAgg   bool
 	latest   bool // serviceable by Executor.Latest alone
 
@@ -78,7 +112,7 @@ type compiledSelect struct {
 // compileQuery validates and compiles a parsed query. Aggregate/column
 // mismatches (e.g. AVG(Timestamp)) are rejected here, at prepare time,
 // instead of surfacing per execution.
-func compileQuery(src string, q *Query) (*Plan, error) {
+func compileQuery(q *Query) (*Plan, error) {
 	if len(q.Selects) == 0 {
 		return nil, errEmptyQuery
 	}
@@ -88,7 +122,7 @@ func compileQuery(src string, q *Query) (*Plan, error) {
 			return nil, errUnionArity
 		}
 	}
-	p := &Plan{src: src, cols: make([]string, arity), branches: make([]compiledSelect, 0, len(q.Selects))}
+	p := &Plan{cols: make([]string, arity), branches: make([]compiledSelect, 0, len(q.Selects)), inline: true}
 	for i, it := range q.Selects[0].Items {
 		p.cols[i] = it.Label()
 	}
@@ -98,12 +132,13 @@ func compileQuery(src string, q *Query) (*Plan, error) {
 			return nil, err
 		}
 		p.branches = append(p.branches, cs)
+		p.inline = p.inline && cs.latest
 	}
 	return p, nil
 }
 
 func compileSelect(s SelectStmt) (compiledSelect, error) {
-	cs := compiledSelect{table: s.Table, order: s.Order, limit: s.Limit, from: -1 << 62, to: 1 << 62}
+	cs := compiledSelect{table: s.Table, order: s.Order, limit: s.Limit, args: s.args, from: -1 << 62, to: 1 << 62}
 	if s.Where != nil {
 		cs.from, cs.to = s.Where.From, s.Where.To
 	}

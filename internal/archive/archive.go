@@ -18,13 +18,14 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/obs"
 	"repro/internal/telemetry"
@@ -122,10 +123,23 @@ type Log struct {
 	curW         *bufio.Writer
 	curSize      int64
 	curIndex     int
-	appended     uint64
-	rotations    uint64
-	corrupt      uint64 // corrupt records skipped during replays
-	closed       bool
+	// flushed is how much of the active segment is known to be in the file:
+	// curSize as of the last Flush. (bufio may have written more on its own;
+	// a reader that stops here never asks the file for bytes it lacks.)
+	flushed int64
+	// rd is the shared read handle of the active segment, nil until a Range
+	// first reaches into the segment — see segReader for who closes it.
+	rd *segReader
+	// files is the data-file table Range walks: scanRefs' listing joined
+	// with idx. It is nil until a Range needs it and dropped — under mu, and
+	// under compactMu held exclusively when files go away — wherever a data
+	// file is created or removed or idx changes: openSegment, sealLocked,
+	// Compact, Prune. scanRefs stays the truth everywhere else.
+	files     []fileEntry
+	appended  uint64
+	rotations uint64
+	corrupt   uint64 // corrupt records skipped during replays
+	closed    bool
 	// wedged records a seal/rotate failure that left the active writer
 	// unusable (closed or in an unknown state). While set, Append first
 	// tries to recover by opening a fresh segment — the log fails closed
@@ -156,6 +170,33 @@ type Log struct {
 	obsDroppedFiles *obs.Counter
 	obsTierBytes    [numTiers]*obs.Gauge
 }
+
+// fileEntry is one row of the cached data-file table: a file and its sealed
+// index (nil: unindexed, must be scanned whole). Rows are immutable.
+type fileEntry struct {
+	ref segRef
+	si  *segIndex
+}
+
+// segReader is the read handle of the active segment, shared by every Range
+// that reads it. Ownership is counted: the Log holds one reference from the
+// open until the segment stops being active (sealLocked, or openSegment
+// after a wedge), a Range takes one under mu while it plans and returns it
+// after its last read, and the file closes with the last reference — so a
+// rotation under a reader never closes the file mid-ReadAt.
+type segReader struct {
+	f    *os.File
+	refs atomic.Int32
+}
+
+func (r *segReader) release() {
+	if r.refs.Add(-1) == 0 {
+		r.f.Close()
+	}
+}
+
+// readBufs recycles Range's read buffers (a deep query reads ~27 KB).
+var readBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // Options configures a Log.
 type Options struct {
@@ -284,8 +325,29 @@ func (l *Log) openSegment(i int) error {
 	l.cur = f
 	l.curW = bufio.NewWriter(f)
 	l.curSize = st.Size()
+	l.flushed = l.curSize
 	l.curIndex = i
 	l.active = &segIndex{size: l.curSize, sorted: true}
+	l.dropReadStateLocked()
+	return nil
+}
+
+// dropReadStateLocked forgets what Range caches about the directory: the
+// file table, and the Log's reference on the active segment's read handle.
+func (l *Log) dropReadStateLocked() {
+	l.files = nil
+	if l.rd != nil {
+		l.rd.release()
+		l.rd = nil
+	}
+}
+
+// flushLocked writes buffered appends to the active segment's file.
+func (l *Log) flushLocked() error {
+	if err := l.curW.Flush(); err != nil {
+		return fmt.Errorf("archive: %w", err)
+	}
+	l.flushed = l.curSize
 	return nil
 }
 
@@ -354,12 +416,14 @@ func (l *Log) Append(info telemetry.Info) error {
 // reached disk), so it is not promoted — readers fall back to a full scan of
 // whatever prefix is on disk.
 func (l *Log) sealLocked() error {
+	l.dropReadStateLocked()
 	ferr := l.curW.Flush()
 	cerr := l.cur.Close()
 	if ferr != nil {
 		l.wedged = fmt.Errorf("archive: seal flush: %w", ferr)
 		return l.wedged
 	}
+	l.flushed = l.curSize
 	if cerr != nil {
 		l.wedged = fmt.Errorf("archive: seal close: %w", cerr)
 		return l.wedged
@@ -540,8 +604,8 @@ func (l *Log) Sync() error {
 	if l.wedged != nil {
 		return fmt.Errorf("archive: log wedged: %w", l.wedged)
 	}
-	if err := l.curW.Flush(); err != nil {
-		return fmt.Errorf("archive: %w", err)
+	if err := l.flushLocked(); err != nil {
+		return err
 	}
 	return l.cur.Sync()
 }
@@ -558,6 +622,7 @@ func (l *Log) Close() error {
 	}
 	l.closed = true
 	if l.wedged != nil {
+		l.dropReadStateLocked()
 		return fmt.Errorf("archive: closed after seal failure: %w", l.wedged)
 	}
 	return l.sealLocked()
@@ -578,9 +643,9 @@ func (l *Log) Replay(fn func(telemetry.Info) error) error {
 	defer l.compactMu.RUnlock()
 	l.mu.Lock()
 	if !l.closed && l.wedged == nil {
-		if err := l.curW.Flush(); err != nil {
+		if err := l.flushLocked(); err != nil {
 			l.mu.Unlock()
-			return fmt.Errorf("archive: %w", err)
+			return err
 		}
 	}
 	refs, err := l.scanRefs()
@@ -633,6 +698,11 @@ func (l *Log) account(corrupt int, bytes int64, skipped int) {
 // and stops at the first sparse offset past `to` — instead of replaying
 // every file from byte zero. Unindexed or unsorted files fall back to a full
 // filtered scan, so Range never misses records the index cannot vouch for.
+//
+// A Range does no file-system work it can know the answer to: the file table
+// is cached (see Log.files), the active segment is read through one shared
+// handle up to its flushed size, and the writer is flushed only when the
+// window reaches into the buffered tail.
 func (l *Log) Range(from, to int64, fn func(telemetry.Info) error) error {
 	if from > to {
 		return nil
@@ -640,64 +710,97 @@ func (l *Log) Range(from, to int64, fn func(telemetry.Info) error) error {
 	l.compactMu.RLock()
 	defer l.compactMu.RUnlock()
 	l.mu.Lock()
-	if !l.closed && l.wedged == nil {
-		if err := l.curW.Flush(); err != nil {
-			l.mu.Unlock()
-			return fmt.Errorf("archive: %w", err)
-		}
-	}
-	refs, err := l.scanRefs()
+	files, err := l.filesLocked()
 	if err != nil {
 		l.mu.Unlock()
 		return err
 	}
-	type segPlan struct {
-		ref    segRef
-		si     *segIndex
-		active bool
-	}
-	plans := make([]segPlan, 0, len(refs))
-	for _, r := range refs {
-		p := segPlan{ref: r}
-		if r.tier == TierRaw && !r.compressed && r.index == l.curIndex && !l.closed {
-			// Snapshot the building index: the header copy is safe to read
-			// after unlock (appends beyond len are invisible; reallocation
-			// leaves our view intact).
-			cp := *l.active
-			p.si, p.active = &cp, true
+	var (
+		corrupt, skipped int
+		bytes            int64
+		act              segIndex   // the active segment's index as of now
+		rd               *segReader // set when the active segment must be read
+		limit            int64
+	)
+	// The active segment carries the highest raw index, so it lists last.
+	if n := len(files); n > 0 && !l.closed && files[n-1].ref == (segRef{tier: TierRaw, index: l.curIndex}) {
+		files = files[:n-1]
+		if !l.active.covers(from, to) {
+			skipped++
+		} else if rd, err = l.activeReaderLocked(to); err != nil {
+			l.mu.Unlock()
+			return err
 		} else {
-			p.si = l.idx[r.key()]
+			defer rd.release()
+			// The header copy is safe to read after unlock: appends beyond
+			// len are invisible, reallocation leaves our view intact.
+			act, limit = *l.active, l.flushed
 		}
-		plans = append(plans, p)
 	}
 	l.mu.Unlock()
+	defer func() { l.account(corrupt, bytes, skipped) }()
 
-	for _, p := range plans {
+	for _, p := range files {
 		if p.si != nil && !p.si.covers(from, to) {
-			l.account(0, 0, 1)
+			skipped++
 			continue
 		}
-		var corrupt int
-		var bytes int64
-		var err error
-		if p.ref.compressed {
-			corrupt, bytes, err = l.scanBlockSegment(p.ref, p.si, from, to, fn)
-		} else {
-			corrupt, bytes, err = l.scanSegment(p.ref.index, p.si, p.active, from, to, fn)
-		}
-		l.account(corrupt, bytes, 0)
+		c, b, err := l.scanFile(p, from, to, fn)
+		corrupt, bytes = corrupt+c, bytes+b
 		if err != nil {
 			return err
 		}
 	}
+	if rd != nil {
+		c, b, err := scanWindow(rd.f, limit, &act, false, true, from, to, fn)
+		corrupt, bytes = corrupt+c, bytes+b
+		return err
+	}
 	return nil
 }
 
-// scanSegment streams the in-window records of one raw segment, reading only
-// the byte range the index says can matter.
-func (l *Log) scanSegment(index int, si *segIndex, active bool, from, to int64, fn func(telemetry.Info) error) (corrupt int, bytes int64, err error) {
-	path := filepath.Join(l.dir, segmentName(index))
-	f, err := os.Open(path)
+// filesLocked returns the data-file table, listing the directory only when
+// it was dropped since the last Range.
+func (l *Log) filesLocked() ([]fileEntry, error) {
+	if l.files == nil {
+		refs, err := l.scanRefs()
+		if err != nil {
+			return nil, err
+		}
+		l.files = make([]fileEntry, len(refs))
+		for i, r := range refs {
+			l.files[i] = fileEntry{ref: r, si: l.idx[r.key()]}
+		}
+	}
+	return l.files, nil
+}
+
+// activeReaderLocked prepares a read of the active segment for a window
+// ending at `to`: it flushes the writer if the window reaches past what the
+// file is known to hold (an unsorted segment must be scanned to its end),
+// opens the shared read handle on first use, and returns it with a reference
+// taken for the caller.
+func (l *Log) activeReaderLocked(to int64) (*segReader, error) {
+	if l.wedged == nil && l.active.seekEnd(to, l.curSize) > l.flushed {
+		if err := l.flushLocked(); err != nil {
+			return nil, err
+		}
+	}
+	if l.rd == nil {
+		f, err := os.Open(filepath.Join(l.dir, segmentName(l.curIndex)))
+		if err != nil {
+			return nil, fmt.Errorf("archive: %w", err)
+		}
+		l.rd = &segReader{f: f}
+		l.rd.refs.Store(1)
+	}
+	l.rd.refs.Add(1)
+	return l.rd, nil
+}
+
+// scanFile streams the in-window records of one sealed file.
+func (l *Log) scanFile(p fileEntry, from, to int64, fn func(telemetry.Info) error) (corrupt int, bytes int64, err error) {
+	f, err := os.Open(filepath.Join(l.dir, p.ref.fileName()))
 	if err != nil {
 		return 0, 0, fmt.Errorf("archive: %w", err)
 	}
@@ -706,42 +809,68 @@ func (l *Log) scanSegment(index int, si *segIndex, active bool, from, to int64, 
 	if err != nil {
 		return 0, 0, fmt.Errorf("archive: %w", err)
 	}
-	size := st.Size()
+	return scanWindow(f, st.Size(), p.si, p.ref.compressed, false, from, to, fn)
+}
+
+// scanWindow reads the byte range of f's first size bytes that si says can
+// hold [from, to] into a pooled buffer and streams the in-window records out
+// of it. A compressed file's sparse index is block-granular (one entry per
+// block, keyed by the block's first timestamp), so its range starts on a
+// block boundary.
+func scanWindow(f *os.File, size int64, si *segIndex, compressed, active bool, from, to int64, fn func(telemetry.Info) error) (corrupt int, bytes int64, err error) {
 	start := si.seek(from)
 	end := si.seekEnd(to, size)
-	if start >= end {
-		return 0, 0, nil
-	}
 	if end > size {
 		end = size
 	}
-	data := make([]byte, end-start)
-	if _, err := io.ReadFull(io.NewSectionReader(f, start, end-start), data); err != nil {
+	if start >= end {
+		return 0, 0, nil
+	}
+	bp := readBufs.Get().(*[]byte)
+	defer readBufs.Put(bp)
+	if int64(cap(*bp)) < end-start {
+		*bp = make([]byte, end-start)
+	}
+	data := (*bp)[:end-start]
+	if _, err := f.ReadAt(data, start); err != nil {
 		return 0, 0, fmt.Errorf("archive: %w", err)
 	}
-	bytes = int64(len(data))
 	sorted := si != nil && si.sorted
-	// reachedEOF: a trailing undecodable run only counts as a torn tail when
-	// our read window extends to the physical end of the active segment.
-	reachedEOF := end == size
+	if compressed {
+		corrupt, err = scanBlocks(data, sorted, from, to, fn)
+	} else {
+		// A trailing undecodable run only counts as a torn tail when the
+		// read window extends to the end of the active segment.
+		corrupt, err = scanRecords(data, sorted, active && end == size, from, to, fn)
+	}
+	return corrupt, end - start, err
+}
+
+// scanRecords streams the in-window raw records of data, decoding in place
+// over one Info: the decoder keeps an equal metric name, so a scan allocates
+// the name once, not once per record. A record that fails its CRC is skipped
+// by resynchronizing on the next one that passes, and counted; an
+// undecodable run with nothing after it is a torn write — silent — only
+// where the caller says the data ends at the active segment's tail.
+func scanRecords(data []byte, sorted, tornTailOK bool, from, to int64, fn func(telemetry.Info) error) (corrupt int, err error) {
+	var info telemetry.Info
 	for len(data) > 0 {
-		info, n, derr := telemetry.DecodeInfo(data)
-		if derr != nil {
+		if info.UnmarshalBinary(data) != nil {
 			skip := resync(data[1:])
 			if skip < 0 {
-				if active && reachedEOF {
-					return corrupt, bytes, nil
+				if tornTailOK {
+					return corrupt, nil
 				}
-				return corrupt + 1, bytes, nil
+				return corrupt + 1, nil
 			}
 			corrupt++
 			data = data[1+skip:]
 			continue
 		}
-		data = data[n:]
+		data = data[info.EncodedSize():]
 		if info.Timestamp > to {
 			if sorted {
-				return corrupt, bytes, nil
+				return corrupt, nil
 			}
 			continue
 		}
@@ -749,48 +878,20 @@ func (l *Log) scanSegment(index int, si *segIndex, active bool, from, to int64, 
 			continue
 		}
 		if err := fn(info); err != nil {
-			return corrupt, bytes, err
+			return corrupt, err
 		}
 	}
-	return corrupt, bytes, nil
+	return corrupt, nil
 }
 
-// scanBlockSegment streams the in-window records of one compressed file. The
-// sparse index is block-granular (one entry per block, keyed by the block's
-// first timestamp), so seek lands on a block boundary and the scan decodes
-// whole blocks from there.
-func (l *Log) scanBlockSegment(ref segRef, si *segIndex, from, to int64, fn func(telemetry.Info) error) (corrupt int, bytes int64, err error) {
-	path := filepath.Join(l.dir, ref.fileName())
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, 0, fmt.Errorf("archive: %w", err)
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return 0, 0, fmt.Errorf("archive: %w", err)
-	}
-	size := st.Size()
-	start := si.seek(from)
-	end := si.seekEnd(to, size)
-	if start >= end {
-		return 0, 0, nil
-	}
-	if end > size {
-		end = size
-	}
-	data := make([]byte, end-start)
-	if _, err := io.ReadFull(io.NewSectionReader(f, start, end-start), data); err != nil {
-		return 0, 0, fmt.Errorf("archive: %w", err)
-	}
-	bytes = int64(len(data))
-	sorted := si != nil && si.sorted
+// scanBlocks streams the in-window records of data's blocks.
+func scanBlocks(data []byte, sorted bool, from, to int64, fn func(telemetry.Info) error) (corrupt int, err error) {
 	for len(data) > 0 {
 		infos, n, derr := decodeBlock(data)
 		if derr != nil {
 			skip := resyncBlock(data[1:])
 			if skip < 0 {
-				return corrupt + 1, bytes, nil
+				return corrupt + 1, nil
 			}
 			corrupt++
 			data = data[1+skip:]
@@ -800,7 +901,7 @@ func (l *Log) scanBlockSegment(ref segRef, si *segIndex, from, to int64, fn func
 		for _, info := range infos {
 			if info.Timestamp > to {
 				if sorted {
-					return corrupt, bytes, nil
+					return corrupt, nil
 				}
 				continue
 			}
@@ -808,11 +909,11 @@ func (l *Log) scanBlockSegment(ref segRef, si *segIndex, from, to int64, fn func
 				continue
 			}
 			if err := fn(info); err != nil {
-				return corrupt, bytes, err
+				return corrupt, err
 			}
 		}
 	}
-	return corrupt, bytes, nil
+	return corrupt, nil
 }
 
 // replayFile replays one raw segment, returning how many corrupt records
@@ -820,78 +921,24 @@ func (l *Log) scanBlockSegment(ref segRef, si *segIndex, from, to int64, fn func
 // segment may be treated as a torn write (uncounted); any other decode
 // failure resynchronizes on the next CRC-valid record and is counted.
 func replayFile(path string, active bool, fn func(telemetry.Info) error) (int, int64, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return 0, 0, fmt.Errorf("archive: %w", err)
 	}
-	defer f.Close()
-	data, err := io.ReadAll(bufio.NewReader(f))
-	if err != nil {
-		return 0, 0, fmt.Errorf("archive: %w", err)
-	}
-	bytes := int64(len(data))
-	corrupt := 0
-	for len(data) > 0 {
-		info, n, err := telemetry.DecodeInfo(data)
-		if err != nil {
-			skip := resync(data[1:])
-			if skip < 0 {
-				// Nothing decodable remains. At the end of the active
-				// segment that is a torn tail write — normal crash-recovery
-				// semantics, ended silently. Anywhere else the remainder is
-				// corrupt and counted.
-				if active {
-					return corrupt, bytes, nil
-				}
-				return corrupt + 1, bytes, nil
-			}
-			// Mid-segment corruption: skip to the next decodable record.
-			corrupt++
-			data = data[1+skip:]
-			continue
-		}
-		if err := fn(info); err != nil {
-			return corrupt, bytes, err
-		}
-		data = data[n:]
-	}
-	return corrupt, bytes, nil
+	corrupt, err := scanRecords(data, false, active, math.MinInt64, math.MaxInt64, fn)
+	return corrupt, int64(len(data)), err
 }
 
 // replayBlockFile replays one compressed file block by block. Compressed
 // files are only ever produced whole (tmp + rename), so an undecodable
 // region is always counted corruption, never a tolerated torn tail.
 func replayBlockFile(path string, fn func(telemetry.Info) error) (int, int64, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return 0, 0, fmt.Errorf("archive: %w", err)
 	}
-	defer f.Close()
-	data, err := io.ReadAll(bufio.NewReader(f))
-	if err != nil {
-		return 0, 0, fmt.Errorf("archive: %w", err)
-	}
-	bytes := int64(len(data))
-	corrupt := 0
-	for len(data) > 0 {
-		infos, n, derr := decodeBlock(data)
-		if derr != nil {
-			skip := resyncBlock(data[1:])
-			if skip < 0 {
-				return corrupt + 1, bytes, nil
-			}
-			corrupt++
-			data = data[1+skip:]
-			continue
-		}
-		for _, info := range infos {
-			if err := fn(info); err != nil {
-				return corrupt, bytes, err
-			}
-		}
-		data = data[n:]
-	}
-	return corrupt, bytes, nil
+	corrupt, err := scanBlocks(data, false, math.MinInt64, math.MaxInt64, fn)
+	return corrupt, int64(len(data)), err
 }
 
 // resync scans forward for the next offset at which a record decodes. The
@@ -920,6 +967,7 @@ func (l *Log) Prune() (int, error) {
 	defer l.compactMu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.files = nil
 	refs, err := l.scanRefs()
 	if err != nil {
 		return 0, err

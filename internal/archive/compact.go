@@ -296,6 +296,10 @@ func (l *Log) Compact(now int64, policy Retention) (CompactStats, error) {
 		return st, errors.New("archive: log closed")
 	}
 	cur := l.curIndex
+	// Files are about to be rewritten and removed: drop Range's table here,
+	// with readers still excluded — no Range can rebuild it before the pass
+	// releases compactMu, and none may walk a table naming a removed file.
+	l.files = nil
 	l.mu.Unlock()
 
 	refs, err := l.scanRefs()

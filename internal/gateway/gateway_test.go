@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -425,5 +426,88 @@ func TestRetentionUnavailableOverBus(t *testing.T) {
 	}
 	if e := decodeErr(t, body); e.Code != apiv1.CodeUnavailable {
 		t.Fatalf("envelope %+v", e)
+	}
+}
+
+// TestQueryNaNIsAnInternalError: an aggregate over a series holding NaN used
+// to answer 200 with an empty body — the encoder failed after the header was
+// out and the error was dropped. The answer is encoded before the first byte
+// now, so the client gets the error envelope.
+func TestQueryNaNIsAnInternalError(t *testing.T) {
+	f := newFixture(t, Config{})
+	f.publish(t, "m.cap", 3)
+	p, err := telemetry.NewFact("m.cap", time.Unix(1700000100, 0).UnixNano(), math.NaN()).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.broker.Publish(context.Background(), "m.cap", p); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ method, path, body string }{
+		{"POST", apiv1.PathQuery, `{"query":"SELECT AVG(Value), MAX(Value) FROM m.cap"}`},
+		{"GET", apiv1.LatestPath("m.cap"), ""},
+	} {
+		resp, body := f.do(t, tc.method, tc.path, "", tc.body)
+		if resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("%s %s: status %d, want 500: %q", tc.method, tc.path, resp.StatusCode, body)
+		}
+		if e := decodeErr(t, body); e.Code != apiv1.CodeInternal || e.Retryable {
+			t.Fatalf("%s %s: envelope %+v", tc.method, tc.path, e)
+		}
+	}
+	// The finite part of the series still answers.
+	resp, body := f.do(t, "POST", apiv1.PathQuery, "", `{"query":"SELECT COUNT(*), MAX(Timestamp) FROM m.cap"}`)
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"rows":[[4,1700000100000000000]]`) {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+}
+
+// TestBindTimeErrorsAreBadRequests: a literal a cached shape cannot take is
+// refused when the plan is bound, not when the text is parsed — and is still
+// the client's error, not the server's.
+func TestBindTimeErrorsAreBadRequests(t *testing.T) {
+	f := newFixture(t, Config{})
+	f.publish(t, "m.cap", 3)
+	if resp, body := f.do(t, "POST", apiv1.PathQuery, "", `{"query":"SELECT Value FROM m.cap LIMIT 2"}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	_, err := f.backend.Query("SELECT Value FROM m.cap LIMIT 0")
+	if hits, _, _ := f.backend.Engine().PlanCacheStats(); err == nil || hits != 1 || !isParseError(err) {
+		t.Fatalf("LIMIT 0 on a cached shape: err %v, %d cache hits", err, hits)
+	}
+	resp, body := f.do(t, "POST", apiv1.PathQuery, "", `{"query":"SELECT Value FROM m.cap LIMIT 0"}`)
+	if e := decodeErr(t, body); resp.StatusCode != http.StatusBadRequest || e.Code != apiv1.CodeBadRequest || !strings.Contains(e.Message, "syntax error at 30: LIMIT must be positive") {
+		t.Fatalf("status %d, envelope %+v", resp.StatusCode, e)
+	}
+}
+
+// BenchmarkGatewayQuery is the query path from the handler down — request
+// decode, plan cache, execution, response encode — without a socket: a
+// window-shaped aggregate whose literals change with every request.
+func BenchmarkGatewayQuery(b *testing.B) {
+	broker := stream.NewBroker(0)
+	defer broker.Close()
+	gw := New(NewBusBackend(broker, 0), Config{Rate: -1})
+	defer gw.Close()
+	base := time.Unix(1700000000, 0).UnixNano()
+	for i := 0; i < 16; i++ { // a short topic: the bus read is not what is measured
+		p, _ := telemetry.NewFact("m.cap", base+int64(i), float64(i)).MarshalBinary()
+		if _, err := broker.Publish(context.Background(), "m.cap", p); err != nil {
+			b.Fatal(err)
+		}
+	}
+	h := gw.Handler()
+	bodies := make([]string, 4096) // more texts of the one shape than any plan cache holds
+	for i := range bodies {
+		bodies[i] = fmt.Sprintf(`{"query":"SELECT COUNT(*), AVG(Value), MAX(Value) FROM m.cap WHERE Timestamp BETWEEN %d AND %d"}`, base-int64(i), base+int64(i))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", apiv1.PathQuery, strings.NewReader(bodies[i%len(bodies)])))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
 	}
 }

@@ -7,15 +7,27 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 
 	apiv1 "repro/api/v1"
 	"repro/internal/aqe"
 )
 
-// writeJSON writes v as the 200 response body.
+// writeJSON writes v as the 200 response body. The body is encoded before
+// the header goes out, so a value JSON cannot carry (a NaN reading) is a 500
+// in the error envelope, not a 200 with half a body.
 func writeJSON(w http.ResponseWriter, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		writeError(w, apiv1.Errorf(apiv1.CodeInternal, false, "encoding response: %v", err))
+		return
+	}
+	writeBody(w, append(body, '\n'))
+}
+
+func writeBody(w http.ResponseWriter, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(body) // a client that went away is not the handler's to report
 }
 
 // writeError writes the api/v1 error envelope with its mapped status.
@@ -89,8 +101,19 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request, principal 
 		writeError(w, apiError(err))
 		return
 	}
-	writeJSON(w, queryResponse(res))
+	resp := queryResponse(res)
+	bp := queryBufs.Get().(*[]byte)
+	defer queryBufs.Put(bp)
+	if *bp, err = resp.AppendJSON((*bp)[:0]); err != nil {
+		writeError(w, apiv1.Errorf(apiv1.CodeInternal, false, "encoding response: %v", err))
+		return
+	}
+	*bp = append(*bp, '\n')
+	writeBody(w, *bp)
 }
+
+// queryBufs recycles the buffers query answers are encoded into.
+var queryBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // queryResponse renders an AQE result on the public contract.
 func queryResponse(res *aqe.Result) apiv1.QueryResponse {

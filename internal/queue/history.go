@@ -21,6 +21,7 @@ type History struct {
 	head    int // index of oldest entry
 	count   int
 	onEvict func(telemetry.Info)
+	evicted uint64 // entries displaced so far: the eviction epoch
 	dropped uint64 // out-of-order appends rejected
 
 	// Optional obs instruments (nil-safe no-ops when not instrumented).
@@ -73,6 +74,7 @@ func (h *History) Append(info telemetry.Info) bool {
 		evicted := h.buf[h.head]
 		h.head = (h.head + 1) % len(h.buf)
 		h.count--
+		h.evicted++
 		h.obsEvicted.Inc()
 		if h.onEvict != nil {
 			// Deliver under the lock so evictions stay timestamp-ordered.
@@ -123,6 +125,19 @@ func (h *History) Bounds() (oldest, newest int64, ok bool) {
 	oldest = h.buf[h.head].Timestamp
 	newest = h.buf[(h.head+h.count-1)%len(h.buf)].Timestamp
 	return oldest, newest, true
+}
+
+// Floor returns the oldest retained timestamp (ok is false when the window is
+// empty) and the eviction epoch: how many entries the window has displaced so
+// far. A reader that pairs the window with the store evictions go to reads
+// both at one instant here and hands the epoch back to RangeFuncAt.
+func (h *History) Floor() (oldest int64, epoch uint64, ok bool) {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	if h.count == 0 {
+		return 0, h.evicted, false
+	}
+	return h.buf[h.head].Timestamp, h.evicted, true
 }
 
 // at returns the i-th oldest entry. Caller holds h.mu.
@@ -188,6 +203,24 @@ func (h *History) Range(from, to int64) []telemetry.Info {
 func (h *History) RangeFunc(from, to int64, fn func(telemetry.Info) bool) {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
+	h.scanLocked(from, to, fn)
+}
+
+// RangeFuncAt is RangeFunc for a reader that saw the window at eviction epoch
+// `epoch` (see Floor): it scans only if nothing has been evicted since — so
+// what the reader took from the eviction store and what it finds here are
+// two halves of one instant — and reports whether it did.
+func (h *History) RangeFuncAt(epoch uint64, from, to int64, fn func(telemetry.Info) bool) bool {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	if h.evicted != epoch {
+		return false
+	}
+	h.scanLocked(from, to, fn)
+	return true
+}
+
+func (h *History) scanLocked(from, to int64, fn func(telemetry.Info) bool) {
 	lo, hi := h.boundsLocked(from, to)
 	a, b := h.spansLocked(lo, hi)
 	for i := range a {

@@ -416,23 +416,13 @@ func (v *FactVertex) ScanRange(from, to int64, fn func(telemetry.Info) bool) {
 	scanWithArchive(v.history, v.cfg.Archive, from, to, fn)
 }
 
-// rangeWithArchive merges archive and history ranges. The retention horizon
-// comes from Bounds (two reads under the lock) rather than a full Snapshot
-// copy.
+// rangeWithArchive is scanWithArchive collected into a slice.
 func rangeWithArchive(h *queue.History, log *archive.Log, from, to int64) []telemetry.Info {
-	oldest, _, ok := h.Bounds()
 	var out []telemetry.Info
-	if log != nil && (!ok || from < oldest) {
-		hi := to
-		if ok && oldest-1 < hi {
-			hi = oldest - 1
-		}
-		_ = log.Range(from, hi, func(i telemetry.Info) error {
-			out = append(out, i)
-			return nil
-		})
-	}
-	out = append(out, h.Range(from, to)...)
+	scanWithArchive(h, log, from, to, func(i telemetry.Info) bool {
+		out = append(out, i)
+		return true
+	})
 	return out
 }
 
@@ -442,25 +432,52 @@ var errStopScan = errors.New("score: scan stopped")
 
 // scanWithArchive streams entries with Timestamp in [from, to] to fn —
 // archived (evicted) entries first, then the in-memory window — without
-// materializing the merged slice. fn returns false to stop the scan.
+// materializing the merged slice, each entry exactly once and in order even
+// while the ring evicts under the scan. fn returns false to stop.
+//
+// The ring's floor and eviction epoch are read at one instant; the archive
+// then holds everything at or below the floor that the ring does not, and the
+// ring is scanned only if its epoch has not moved. If it has, the tuples
+// evicted meanwhile sit in the archive between the old floor and the new one,
+// and that sliver is scanned before trying the ring again. Timestamps may
+// repeat, so the archive cursor is (lo, seen): everything below lo and the
+// first seen tuples at lo are visited. The archive replays equal timestamps
+// in append order, so the tuples a re-scan must skip are the first it meets.
 func scanWithArchive(h *queue.History, log *archive.Log, from, to int64, fn func(telemetry.Info) bool) {
-	oldest, _, ok := h.Bounds()
-	if log != nil && (!ok || from < oldest) {
+	if log == nil {
+		h.RangeFunc(from, to, fn)
+		return
+	}
+	lo, seen := from, 0
+	for {
+		floor, epoch, ok := h.Floor()
 		hi := to
-		if ok && oldest-1 < hi {
-			hi = oldest - 1
+		if ok && floor < hi {
+			hi = floor
 		}
-		stopped := false
-		_ = log.Range(from, hi, func(i telemetry.Info) error {
-			if !fn(i) {
-				stopped = true
-				return errStopScan
+		if lo <= hi {
+			skip, atHi, stopped := seen, 0, false
+			_ = log.Range(lo, hi, func(i telemetry.Info) error {
+				if i.Timestamp == hi {
+					atHi++
+				}
+				if i.Timestamp == lo && skip > 0 {
+					skip--
+					return nil
+				}
+				if !fn(i) {
+					stopped = true
+					return errStopScan
+				}
+				return nil
+			})
+			if stopped {
+				return
 			}
-			return nil
-		})
-		if stopped {
+			lo, seen = hi, atHi
+		}
+		if (ok && floor > to) || h.RangeFuncAt(epoch, from, to, fn) {
 			return
 		}
 	}
-	h.RangeFunc(from, to, fn)
 }

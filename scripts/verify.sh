@@ -89,6 +89,7 @@ for target in \
     "./internal/archive FuzzSegmentReplay" \
     "./internal/archive FuzzBlockDecode" \
     "./internal/aqe FuzzPrepare" \
+    "./internal/aqe FuzzShapeOf" \
     "./internal/delphi/registry FuzzRegistryDecode"; do
     set -- $target
     echo "==> go test $1 -run ^\$ -fuzz ^$2\$ -fuzztime 10s"
@@ -96,14 +97,15 @@ for target in \
 done
 
 # Benchmark smoke: one iteration of the hot-path suites so the benchmarks
-# themselves can't rot. (The stream and Delphi paths' full-length run is
-# bash bench/run.sh --workload ingest-inproc --trace 1; the others are
-# scripts/bench_query.sh and scripts/bench_archive.sh, which write
-# BENCH_<n>.json.)
+# themselves can't rot. (Full-length numbers come from the pipeline
+# benchmark: bash bench/run.sh --workload ingest-inproc --trace 1 for the
+# stream and Delphi paths, --workload query-mixed --trace 1 for the query
+# path's aqe.*, queue.range* and archive.range* rows; the archive tiers'
+# are scripts/bench_archive.sh, which writes BENCH_7.json.)
 echo "==> go test -run xxx -bench . -benchtime 1x ./internal/stream/..."
 go test -run xxx -bench . -benchtime 1x ./internal/stream/...
-echo "==> go test -run xxx -bench . -benchtime 1x ./internal/aqe/... ./internal/queue/... ./internal/archive/..."
-go test -run xxx -bench . -benchtime 1x ./internal/aqe/... ./internal/queue/... ./internal/archive/...
+echo "==> go test -run xxx -bench . -benchtime 1x ./internal/aqe/... ./internal/queue/... ./internal/archive/... ./internal/gateway/..."
+go test -run xxx -bench . -benchtime 1x ./internal/aqe/... ./internal/queue/... ./internal/archive/... ./internal/gateway/...
 echo "==> go test -run xxx -bench . -benchtime 1x ./internal/delphi/ ./internal/nn/inference/"
 go test -run xxx -bench . -benchtime 1x ./internal/delphi/ ./internal/nn/inference/
 
