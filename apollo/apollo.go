@@ -76,6 +76,9 @@ type (
 type (
 	// Bus is the unified read/write stream interface (Broker and Client).
 	Bus = stream.Bus
+	// Cursor is a subscription the consumer drives itself: Bus.Follow opens
+	// one, Next blocks for the next run of entries.
+	Cursor = stream.Cursor
 	// Publisher is the write-side of the Bus: PublishBatch (one tuple is a
 	// batch of one).
 	Publisher = stream.Publisher

@@ -301,23 +301,28 @@ func BenchmarkAblationChangeFilter(b *testing.B) {
 	}
 }
 
-// BenchmarkSubscribeDelivery measures fan-out delivery latency through the
-// in-process Pub-Sub fabric.
+// BenchmarkSubscribeDelivery measures delivery latency through the in-process
+// Pub-Sub fabric: one publish to a reader parked in its cursor. Two goroutines
+// play ping-pong over two topics; an op is one delivery.
 func BenchmarkSubscribeDelivery(b *testing.B) {
 	br := stream.NewBroker(1 << 14)
 	defer br.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	ch, err := br.Subscribe(ctx, "t", 0)
-	if err != nil {
-		b.Fatal(err)
-	}
+	ctx := context.Background()
+	ping, _ := br.Follow(ctx, "ping", 0)
+	pong, _ := br.Follow(ctx, "pong", 0)
 	payload := make([]byte, 16)
+	go func() {
+		for _, err := ping.Next(); err == nil; _, err = ping.Next() {
+			br.Publish(ctx, "pong", payload)
+		}
+	}()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := br.Publish(context.Background(), "t", payload); err != nil {
+	for i := 0; i < b.N; i += 2 {
+		if _, err := br.Publish(ctx, "ping", payload); err != nil {
 			b.Fatal(err)
 		}
-		<-ch
+		if _, err := pong.Next(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

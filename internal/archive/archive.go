@@ -121,6 +121,7 @@ type Log struct {
 	segmentBytes int64
 	cur          *os.File
 	curW         *bufio.Writer
+	enc          []byte // Append's encoding of the record it is writing
 	curSize      int64
 	curIndex     int
 	// flushed is how much of the active segment is known to be in the file:
@@ -388,10 +389,11 @@ func (l *Log) Append(info telemetry.Info) error {
 			return fmt.Errorf("archive: log wedged (%v); recovery failed: %w", l.wedged, err)
 		}
 	}
-	b, err := info.MarshalBinary()
+	b, err := info.AppendBinary(l.enc[:0])
 	if err != nil {
 		return err
 	}
+	l.enc = b
 	if l.curSize+int64(len(b)) > l.segmentBytes && l.curSize > 0 {
 		if err := l.rotateLocked(); err != nil {
 			return err

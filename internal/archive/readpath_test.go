@@ -282,6 +282,26 @@ func TestRangeWhileRotating(t *testing.T) {
 	}
 }
 
+// TestArchiveAppendAllocs: at steady state an append allocates nothing — the
+// record is encoded into a buffer the log owns. (The parent marshalled each
+// record into a slice of its own: 1.)
+func TestArchiveAppendAllocs(t *testing.T) {
+	l, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	ts := int64(0)
+	if n := testing.AllocsPerRun(2000, func() {
+		ts++
+		if err := l.Append(telemetry.NewFact("node01.nvme0.capacity_total", ts, float64(ts))); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("Append allocates %v times per record, want 0", n)
+	}
+}
+
 // TestRangeAllocs measures what a Range of the active segment allocates: the
 // metric name of the one Info it decodes over — a constant, whatever the
 // number of records read. (The parent listed the directory, opened the file

@@ -232,8 +232,8 @@ func (b *busSwitch) ConsumeBatch(ctx context.Context, topic string, afterID uint
 	return b.get().ConsumeBatch(ctx, topic, afterID, max)
 }
 
-func (b *busSwitch) Subscribe(ctx context.Context, topic string, afterID uint64) (<-chan stream.Entry, error) {
-	return b.get().Subscribe(ctx, topic, afterID)
+func (b *busSwitch) Follow(ctx context.Context, topic string, afterID uint64) (stream.Cursor, error) {
+	return b.get().Follow(ctx, topic, afterID)
 }
 
 var _ stream.Bus = (*busSwitch)(nil)
@@ -709,22 +709,24 @@ func (s *Service) Range(id telemetry.MetricID, from, to int64) []telemetry.Info 
 
 // Subscribe streams decoded tuples of a metric until ctx ends.
 func (s *Service) Subscribe(ctx context.Context, id telemetry.MetricID) (<-chan telemetry.Info, error) {
-	raw, err := s.broker.Subscribe(ctx, string(id), 0)
+	cur, err := s.broker.Follow(ctx, string(id), 0)
 	if err != nil {
 		return nil, err
 	}
+	// 64: a reader a burst behind does not yet stall the decode loop.
 	out := make(chan telemetry.Info, 64)
 	go func() {
 		defer close(out)
-		for e := range raw {
-			var in telemetry.Info
-			if err := in.UnmarshalBinary(e.Payload); err != nil {
-				continue
-			}
-			select {
-			case out <- in:
-			case <-ctx.Done():
-				return
+		var in telemetry.Info // decoded over: one metric, so its string is kept
+		for run, err := cur.Next(); err == nil; run, err = cur.Next() {
+			for _, e := range run {
+				if in.UnmarshalBinary(e.Payload) == nil {
+					select {
+					case out <- in:
+					case <-ctx.Done():
+						return
+					}
+				}
 			}
 		}
 	}()

@@ -82,8 +82,8 @@ func (b serviceBackend) Topics(ctx context.Context) ([]string, error) {
 	return b.s.broker.Topics(), nil
 }
 
-func (b serviceBackend) Subscribe(ctx context.Context, metric string, afterID uint64) (<-chan stream.Entry, error) {
-	return b.s.bus.Subscribe(ctx, metric, afterID)
+func (b serviceBackend) Follow(ctx context.Context, metric string, afterID uint64) (stream.Cursor, error) {
+	return b.s.bus.Follow(ctx, metric, afterID)
 }
 
 func (b serviceBackend) Tail(ctx context.Context, metric string) uint64 {

@@ -62,9 +62,9 @@ func (b *BusBackend) Topics(ctx context.Context) ([]string, error) {
 	}
 }
 
-// Subscribe implements Backend.
-func (b *BusBackend) Subscribe(ctx context.Context, metric string, afterID uint64) (<-chan stream.Entry, error) {
-	return b.bus.Subscribe(ctx, metric, afterID)
+// Follow implements Backend.
+func (b *BusBackend) Follow(ctx context.Context, metric string, afterID uint64) (stream.Cursor, error) {
+	return b.bus.Follow(ctx, metric, afterID)
 }
 
 // Tail implements Backend.

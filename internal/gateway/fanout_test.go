@@ -338,11 +338,11 @@ type recordingBackend struct {
 	ctxs []context.Context
 }
 
-func (r *recordingBackend) Subscribe(ctx context.Context, metric string, afterID uint64) (<-chan stream.Entry, error) {
+func (r *recordingBackend) Follow(ctx context.Context, metric string, afterID uint64) (stream.Cursor, error) {
 	r.mu.Lock()
 	r.ctxs = append(r.ctxs, ctx)
 	r.mu.Unlock()
-	return r.BusBackend.Subscribe(ctx, metric, afterID)
+	return r.BusBackend.Follow(ctx, metric, afterID)
 }
 
 func (r *recordingBackend) live() int {

@@ -46,11 +46,11 @@ type Backend interface {
 	Latest(metric string) (telemetry.Info, bool)
 	// Topics lists the metric streams the backend serves.
 	Topics(ctx context.Context) ([]string, error)
-	// Subscribe streams raw entries of metric with ID > afterID until ctx
-	// ends, then closes the channel (stream.Bus.Subscribe). The gateway
-	// holds one such cursor per subscribed topic, plus one per client still
-	// reading history.
-	Subscribe(ctx context.Context, metric string, afterID uint64) (<-chan stream.Entry, error)
+	// Follow opens a cursor on the raw entries of metric with ID > afterID,
+	// which ends with ctx (stream.Bus.Follow). The gateway holds one such
+	// cursor per subscribed topic, plus one per client still reading
+	// history.
+	Follow(ctx context.Context, metric string, afterID uint64) (stream.Cursor, error)
 	// Tail returns the ID of metric's newest entry, 0 when there is none:
 	// where a new topic's broadcaster starts.
 	Tail(ctx context.Context, metric string) uint64

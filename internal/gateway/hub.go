@@ -110,7 +110,7 @@ type topic struct {
 // startTopic opens metric's upstream cursor a ring's length behind the tail
 // (or at afterID when that is nearer), so the ring begins with the newest
 // retained frames and a reconnecting client resumes from it. Caller holds
-// h.mu, also across Subscribe, so that a refusal is still attach's error.
+// h.mu, also across Follow, so that a refusal is still attach's error.
 func (h *hub) startTopic(metric string, afterID uint64) (*topic, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	tail := h.backend.Tail(ctx, metric)
@@ -118,7 +118,7 @@ func (h *hub) startTopic(metric string, afterID uint64) (*topic, error) {
 	if n := uint64(h.queueSize); tail > n {
 		start = max(start, tail-n)
 	}
-	ch, err := h.backend.Subscribe(ctx, metric, start)
+	cur, err := h.backend.Follow(ctx, metric, start)
 	if err != nil {
 		cancel()
 		return nil, err
@@ -127,7 +127,7 @@ func (h *hub) startTopic(metric string, afterID uint64) (*topic, error) {
 		ring: make([]*frame, h.queueSize), floor: start, subs: make(map[*Subscriber]struct{})}
 	h.topics[metric] = t
 	h.obsTopics.Set(float64(len(h.topics)))
-	go t.run(ch)
+	go t.run(cur)
 	return t, nil
 }
 
@@ -144,11 +144,13 @@ func (h *hub) dropTopic(t *topic) {
 // run is the broadcaster: one decode, one encode and one ring append per
 // entry, whatever the number of subscribers. Upstream ends when the topic is
 // dropped (last subscriber gone, or drain) or when the bus closes.
-func (t *topic) run(ch <-chan stream.Entry) {
+func (t *topic) run(cur stream.Cursor) {
 	defer close(t.done)
-	for e := range ch {
-		if f := t.hub.encode(e); f != nil {
-			t.publish(f)
+	for run, err := cur.Next(); err == nil; run, err = cur.Next() {
+		for _, e := range run {
+			if f := t.hub.encode(e); f != nil {
+				t.publish(f)
+			}
 		}
 	}
 	t.hub.mu.Lock()
@@ -248,7 +250,8 @@ type Subscriber struct {
 	// A subscriber that attached behind the ring pulls retained entries over
 	// a private cursor until it reaches the ring: being behind on history is
 	// not being slow. Touched by the draining goroutine only; nil otherwise.
-	hist     <-chan stream.Entry
+	hist     stream.Cursor
+	histRun  []stream.Entry // what is left of the cursor's last run
 	histStop context.CancelFunc
 
 	framesOnce sync.Once
@@ -288,7 +291,7 @@ func (h *hub) attach(ctx context.Context, principal, metric string, afterID uint
 	h.obsAttached.Inc()
 	if !joined {
 		hctx, stop := context.WithCancel(sctx)
-		hist, err := h.backend.Subscribe(hctx, metric, afterID)
+		hist, err := h.backend.Follow(hctx, metric, afterID)
 		if err != nil {
 			stop()
 			s.Close()
@@ -366,6 +369,33 @@ func (s *Subscriber) finish(evicted bool) {
 // Close detaches the subscriber (client went away).
 func (s *Subscriber) Close() { s.finish(false) }
 
+// pull returns the next frame of retained history (nil for an entry that is
+// not part of the contract) and joins the ring once the private cursor has
+// reached it. History is there to be read, so this blocks only under the
+// subscriber's own context, whose end — like the bus closing — takes the
+// subscriber off the cursor.
+func (s *Subscriber) pull() *frame {
+	if len(s.histRun) == 0 {
+		run, err := s.hist.Next()
+		if err != nil {
+			s.hist = nil
+			s.Close()
+			return nil
+		}
+		s.histRun = run
+	}
+	e, t := s.histRun[0], s.topic
+	s.histRun = s.histRun[1:]
+	t.mu.Lock()
+	joined := t.join(s, e.ID)
+	t.mu.Unlock()
+	if joined {
+		s.histStop()
+		s.hist, s.histRun = nil, nil
+	}
+	return t.hub.encode(e)
+}
+
 // next returns the subscriber's next tuple frame and true, or — the
 // subscription over — the terminal frame read from final and false. A nil
 // frame with false means ctx ended first.
@@ -373,25 +403,10 @@ func (s *Subscriber) next(ctx context.Context, final <-chan apiv1.Frame) (*frame
 	t := s.topic
 	for {
 		var f *frame
-		if s.hist == nil {
-			f = t.poll(s)
-		}
-		if f == nil {
+		if s.hist != nil {
+			f = s.pull()
+		} else if f = t.poll(s); f == nil {
 			select {
-			case e, ok := <-s.hist: // a nil channel once on the ring
-				if !ok { // the bus closed under the private cursor
-					s.hist = nil
-					s.Close()
-					continue
-				}
-				t.mu.Lock()
-				joined := t.join(s, e.ID)
-				t.mu.Unlock()
-				if joined {
-					s.histStop()
-					s.hist = nil
-				}
-				f = t.hub.encode(e)
 			case <-s.wake:
 			case fin := <-final:
 				return newFrame(fin), false

@@ -224,14 +224,17 @@ func (v *FactVertex) run(ctx context.Context) {
 		v.runOnLoop(ctx)
 		return
 	}
-	interval := v.cfg.Controller.Interval()
+	interval := v.pollOnce(ctx, v.cfg.Controller.Interval())
+	timer := v.cfg.Clock.NewTimer(interval)
+	defer timer.Stop()
 	for {
-		interval = v.pollOnce(ctx, interval)
 		select {
 		case <-ctx.Done():
 			return
-		case <-v.cfg.Clock.After(interval):
+		case <-timer.C:
 		}
+		interval = v.pollOnce(ctx, interval)
+		timer.Reset(interval) // its tick was received above: nothing to drain
 	}
 }
 

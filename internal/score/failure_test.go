@@ -80,7 +80,7 @@ func TestInsightVertexCorruptPayload(t *testing.T) {
 // cleanly.
 type brokenBus struct{ stream.Bus }
 
-func (brokenBus) Subscribe(context.Context, string, uint64) (<-chan stream.Entry, error) {
+func (brokenBus) Follow(context.Context, string, uint64) (stream.Cursor, error) {
 	return nil, errors.New("fabric down")
 }
 

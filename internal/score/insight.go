@@ -182,8 +182,9 @@ func (v *InsightVertex) Stats() StatsSnapshot { return v.stats.Snapshot() }
 // Health reports the publish-path health (see FactVertex.Health).
 func (v *InsightVertex) Health() HealthSnapshot { return v.pub.snapshot() }
 
-// Start subscribes to all inputs and launches one consumer goroutine per
-// input; the last of them to exit closes done.
+// Start opens a cursor on every input and launches one goroutine per cursor,
+// which feeds each run it reads through the vertex; the last of them to exit
+// closes done.
 func (v *InsightVertex) Start() error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -191,22 +192,25 @@ func (v *InsightVertex) Start() error {
 		return fmt.Errorf("score: insight vertex %s already running", v.cfg.Metric)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	chans := make([]<-chan stream.Entry, 0, len(v.cfg.Inputs))
+	curs := make([]stream.Cursor, 0, len(v.cfg.Inputs))
 	for _, in := range v.cfg.Inputs {
-		ch, err := v.cfg.Bus.Subscribe(ctx, string(in), 0)
+		cur, err := v.cfg.Bus.Follow(ctx, string(in), 0)
 		if err != nil {
 			cancel()
 			return fmt.Errorf("score: subscribing %s to %s: %w", v.cfg.Metric, in, err)
 		}
-		chans = append(chans, ch)
+		curs = append(curs, cur)
 	}
 	done := make(chan struct{})
 	v.cancel, v.done, v.running = cancel, done, true
 	var left atomic.Int32
-	left.Store(int32(len(chans)))
-	for _, ch := range chans {
+	left.Store(int32(len(curs)))
+	for _, cur := range curs {
 		go func() {
-			v.consumeInput(ctx, ch)
+			var ins []telemetry.Info
+			for run, err := cur.Next(); err == nil; run, err = cur.Next() {
+				ins = v.consume(ctx, run, ins)
+			}
 			if left.Add(-1) == 0 {
 				close(done)
 			}
@@ -217,7 +221,7 @@ func (v *InsightVertex) Start() error {
 
 // Stop terminates the vertex. It holds no lock a publish can sit behind: the
 // cancelled context ends any publish in flight, and every input goroutine
-// exits once its subscription closes.
+// exits once its cursor ends.
 func (v *InsightVertex) Stop() {
 	v.mu.Lock()
 	if !v.running {
@@ -229,22 +233,6 @@ func (v *InsightVertex) Stop() {
 	v.mu.Unlock()
 	cancel()
 	<-done
-}
-
-// consumeInput feeds one input subscription through the vertex until the
-// subscription closes: each blocking receive is followed by whatever else
-// already sits in the channel (at most its capacity, subscribeSlack in every
-// Bus), and that run is consumed as a unit.
-func (v *InsightVertex) consumeInput(ctx context.Context, ch <-chan stream.Entry) {
-	var run []stream.Entry
-	var ins []telemetry.Info
-	for e := range ch {
-		run = append(run[:0], e)
-		for n := len(ch); n > 0; n-- { // the sole receiver: what is buffered stays until taken
-			run = append(run, <-ch)
-		}
-		ins = v.consume(ctx, run, ins)
-	}
 }
 
 // consume decodes a run of upstream entries of one input into ins — the
@@ -308,10 +296,10 @@ func (v *InsightVertex) consume(ctx context.Context, run []stream.Entry, ins []t
 			out.Source = telemetry.Predicted
 			predicted++
 		}
+		// Insight time is processing time, so stamps never run backwards under
+		// act, whatever future stamps predicted inputs carry; Source says that
+		// a prediction contributed.
 		out.Timestamp = v.cfg.Clock.Now().UnixNano()
-		if in.Timestamp > out.Timestamp {
-			out.Timestamp = in.Timestamp // predicted inputs may carry future stamps
-		}
 		outs = append(outs, out)
 	}
 	v.outs = outs

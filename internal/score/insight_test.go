@@ -59,7 +59,7 @@ func (r *refInsight) consume(payload []byte) {
 		r.stats.Suppressed++
 		return
 	}
-	r.out = append(r.out, telemetry.Info{Metric: "ref.out", Timestamp: max(r.now, in.Timestamp), Value: value, Kind: telemetry.KindInsight, Source: src})
+	r.out = append(r.out, telemetry.Info{Metric: "ref.out", Timestamp: r.now, Value: value, Kind: telemetry.KindInsight, Source: src})
 	r.stats.Published++
 	if src == telemetry.Predicted {
 		r.stats.Predicted++
@@ -203,7 +203,6 @@ func TestInsightMatchesReference(t *testing.T) {
 					if len(entries) != len(ref.out) {
 						t.Fatalf("bus holds %d insights, reference made %d", len(entries), len(ref.out))
 					}
-					var ring []telemetry.Info // the bus sequence under the history's in-order rule
 					for i, e := range entries {
 						var out telemetry.Info
 						if err := out.UnmarshalBinary(e.Payload); err != nil {
@@ -212,15 +211,54 @@ func TestInsightMatchesReference(t *testing.T) {
 						if e.ID != uint64(i+1) || out != ref.out[i] {
 							t.Fatalf("insight %d = id %d %v, reference id %d %v", i, e.ID, out, i+1, ref.out[i])
 						}
-						if len(ring) == 0 || out.Timestamp >= ring[len(ring)-1].Timestamp {
-							ring = append(ring, out)
-						}
 					}
-					if hist := v.Range(-1<<62, 1<<62); !slices.Equal(hist, ring) {
-						t.Fatalf("history holds %d insights, the bus's in-order subsequence has %d", len(hist), len(ring))
+					if hist := v.Range(-1<<62, 1<<62); !slices.Equal(hist, ref.out) {
+						t.Fatalf("history holds %d insights, the bus %d", len(hist), len(ref.out))
 					}
 				})
 			}
+		}
+	}
+}
+
+// TestInsightHistoryHoldsEveryPublishedTuple: insight time is processing time.
+// Measured inputs stamped now alternate with predicted ones stamped a second
+// ahead, as Delphi's fill stamps them; at the parent an insight took the later
+// of the two times, so the one derived from the next measured input was older
+// than the history's tail and the ring dropped it.
+func TestInsightHistoryHoldsEveryPublishedTuple(t *testing.T) {
+	clock := sim.NewVirtual(time.Unix(0, 0))
+	bus := stream.NewBroker(0)
+	inputs := make([]telemetry.MetricID, 8)
+	for i := range inputs {
+		inputs[i] = telemetry.MetricID(fmt.Sprintf("in%d", i))
+	}
+	v, err := NewInsightVertex(InsightConfig{Metric: "sum", Inputs: inputs, Builder: Sum, Bus: bus, Clock: clock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 50
+	for n := 0; n < rounds*len(inputs); n++ {
+		clock.Advance(time.Millisecond)
+		in, now := inputs[n%len(inputs)], clock.Now().UnixNano()
+		fact := telemetry.NewFact(in, now, float64(n))
+		if (n/len(inputs)+n)%2 == 1 {
+			fact = telemetry.NewPredictedFact(in, now+int64(time.Second), float64(n))
+		}
+		v.ConsumeOnce(publish(t, bus, fact))
+	}
+	entries, err := bus.Range(context.Background(), "sum", 1, 1<<62, 0)
+	if want := (rounds-1)*len(inputs) + 1; err != nil || len(entries) != want {
+		t.Fatalf("bus holds %d insights (%v), want %d", len(entries), err, want)
+	}
+	hist := v.Range(-1<<62, 1<<62)
+	if len(hist) != len(entries) {
+		t.Fatalf("history holds %d of the %d insights on the bus", len(hist), len(entries))
+	}
+	for i, e := range entries {
+		var out telemetry.Info
+		if err := out.UnmarshalBinary(e.Payload); err != nil || out != hist[i] {
+			t.Fatalf("insight %d: bus %v (%v), history %v", i, out, err, hist[i])
 		}
 	}
 }

@@ -43,8 +43,8 @@ func (s *switchBus) Range(ctx context.Context, topic string, from, to uint64, ma
 func (s *switchBus) ConsumeBatch(ctx context.Context, topic string, afterID uint64, max int) ([]stream.Entry, error) {
 	return s.get().ConsumeBatch(ctx, topic, afterID, max)
 }
-func (s *switchBus) Subscribe(ctx context.Context, topic string, afterID uint64) (<-chan stream.Entry, error) {
-	return s.get().Subscribe(ctx, topic, afterID)
+func (s *switchBus) Follow(ctx context.Context, topic string, afterID uint64) (stream.Cursor, error) {
+	return s.get().Follow(ctx, topic, afterID)
 }
 func (s *switchBus) CreateGroup(ctx context.Context, topic, group string, afterID uint64) error {
 	return s.get().CreateGroup(ctx, topic, group, afterID)

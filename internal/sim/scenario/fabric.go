@@ -157,11 +157,11 @@ func (g *gatedPeer) ConsumeBatch(ctx context.Context, topic string, afterID uint
 	return g.n.ConsumeBatch(ctx, topic, afterID, max)
 }
 
-func (g *gatedPeer) Subscribe(ctx context.Context, topic string, afterID uint64) (<-chan stream.Entry, error) {
+func (g *gatedPeer) Follow(ctx context.Context, topic string, afterID uint64) (stream.Cursor, error) {
 	if err := g.gate(); err != nil {
 		return nil, err
 	}
-	return g.n.Subscribe(ctx, topic, afterID)
+	return g.n.Follow(ctx, topic, afterID)
 }
 
 func (g *gatedPeer) Replicate(topic string, epoch uint64, entries []stream.Entry) func() (uint64, error) {

@@ -112,9 +112,9 @@ func (f *faultBus) ConsumeBatch(ctx context.Context, topic string, afterID uint6
 	return f.inner.ConsumeBatch(ctx, topic, afterID, max)
 }
 
-func (f *faultBus) Subscribe(ctx context.Context, topic string, afterID uint64) (<-chan stream.Entry, error) {
+func (f *faultBus) Follow(ctx context.Context, topic string, afterID uint64) (stream.Cursor, error) {
 	// The synchronous scenario never subscribes; delegate for completeness.
-	return f.inner.Subscribe(ctx, topic, afterID)
+	return f.inner.Follow(ctx, topic, afterID)
 }
 
 var _ stream.Bus = (*faultBus)(nil)

@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -108,9 +109,10 @@ type topic struct {
 	firstID   uint64 // oldest retained id
 	nextID    uint64
 	retention int
-	// wake is made by a parked consumer and closed and cleared by the next
-	// append; nil with nobody waiting.
-	wake      chan struct{}
+	// Readers with nothing to read wait on grew (whose lock is mu) and count
+	// themselves in parked, so an append with nobody waiting signals nobody.
+	grew      sync.Cond
+	parked    int
 	groups    map[string]*group
 	published uint64
 	// epoch is the topic's fencing token: replicated appends carrying an
@@ -123,18 +125,20 @@ func newTopic(name string, retention int) *topic {
 	if retention < 1 {
 		retention = DefaultRetention
 	}
-	return &topic{
+	t := &topic{
 		name:      name,
 		firstID:   1,
 		nextID:    1,
 		retention: retention,
 		groups:    make(map[string]*group),
 	}
+	t.grew.L = &t.mu
+	return t
 }
 
 // appendLocked copies one non-empty payload onto the tail chunk, opening a
-// new chunk when it does not fit. The caller holds t.mu and must wake
-// consumers with wakeLocked once the whole batch is in place.
+// new chunk when it does not fit. The caller holds t.mu and, once the whole
+// batch is in place and t.mu released, wakes the readers if any are parked.
 func (t *topic) appendLocked(p []byte, b *Broker) {
 	n := len(t.chunks)
 	if n == 0 || len(t.chunks[n-1].data)+len(p) > cap(t.chunks[n-1].data) {
@@ -186,31 +190,57 @@ func (t *topic) chunkOf(id uint64) int {
 	return lo
 }
 
-// readLocked returns views of the n >= 1 retained entries from, from+1, ...
-// The caller holds t.mu and has checked the run lies in firstID..nextID-1.
-func (t *topic) readLocked(from uint64, n int) []Entry {
-	out := make([]Entry, 0, n)
+// readLocked fills out, which arrives empty, with views of the n >= 1 retained
+// entries from, from+1, ... The caller holds t.mu and has checked the run lies
+// in firstID..nextID-1.
+func (t *topic) readLocked(out []Entry, from uint64, n int) []Entry {
 	for ci := t.chunkOf(from); len(out) < n; ci++ {
 		out = t.chunks[ci].read(out, from+uint64(len(out)), n-len(out))
 	}
 	return out
 }
 
-// waitLocked returns the channel the next append closes, making it if this
-// is the first consumer to park since the last append.
-func (t *topic) waitLocked() <-chan struct{} {
-	if t.wake == nil {
-		t.wake = make(chan struct{})
-	}
-	return t.wake
+// wakeOn has the end of ctx wake t's parked readers. The wake passes through
+// t.mu, so it cannot fall between a reader's look at ctx and its park. The
+// returned stop withdraws the arrangement.
+func (t *topic) wakeOn(ctx context.Context) (stop func() bool) {
+	return context.AfterFunc(ctx, func() {
+		t.mu.Lock()
+		t.grew.Broadcast()
+		t.mu.Unlock()
+	})
 }
 
-// wakeLocked wakes all parked consumers; one wake covers a whole batch.
-func (t *topic) wakeLocked() {
-	if t.wake != nil {
-		close(t.wake)
-		t.wake = nil
+// awaitLocked parks the caller, who holds t.mu, until the log holds an entry
+// past *after (read afresh on every wake: a group's cursor moves under its
+// other readers) and returns the ID of the first such entry still retained —
+// a reader behind retention skips to firstID. It fails with ErrClosed once
+// the broker closes and with ctx's error once ctx ends; a caller whose ctx is
+// not yet watched (see wakeOn) has it watched for as long as it is parked.
+func (t *topic) awaitLocked(ctx context.Context, b *Broker, after *uint64, watched bool) (from uint64, err error) {
+	var stop func() bool
+	for {
+		if from = max(*after+1, t.firstID); from < t.nextID {
+			break
+		}
+		if b.closed.Load() {
+			err = ErrClosed
+			break
+		}
+		if err = ctx.Err(); err != nil {
+			break
+		}
+		if !watched {
+			stop, watched = t.wakeOn(ctx), true
+		}
+		t.parked++
+		t.grew.Wait()
+		t.parked--
 	}
+	if stop != nil {
+		stop()
+	}
+	return from, err
 }
 
 // shard is one lock stripe over the topic map.
@@ -224,7 +254,6 @@ type Broker struct {
 	shards    []shard
 	retention int
 	closed    atomic.Bool
-	done      chan struct{} // closed by Close; unblocks waiting consumers
 	nTopics   atomic.Int64
 	logBytes  atomic.Int64 // sum of the data capacities of every chunk held
 
@@ -284,7 +313,7 @@ func NewBroker(retention int, opts ...BrokerOption) *Broker {
 	if retention <= 0 {
 		retention = DefaultRetention
 	}
-	b := &Broker{retention: retention, done: make(chan struct{})}
+	b := &Broker{retention: retention}
 	for _, o := range opts {
 		o(b)
 	}
@@ -384,8 +413,11 @@ func (b *Broker) publish(ctx context.Context, topicName string, payloads [][]byt
 	for _, p := range payloads {
 		t.appendLocked(p, b)
 	}
-	t.wakeLocked()
+	parked := t.parked > 0
 	t.mu.Unlock()
+	if parked {
+		t.grew.Broadcast() // one wake covers the whole batch
+	}
 	b.obsPublishes.Add(uint64(len(payloads)))
 	b.obsPublishBytes.Add(uint64(total))
 	sizes.Observe(float64(len(payloads)))
@@ -481,24 +513,22 @@ func (b *Broker) ReplicateAppend(ctx context.Context, topicName string, epoch ui
 			t.truncateTailLocked(entries[0].ID, b)
 		}
 	}
-	appended := false
+	var gap error
+	tail := t.nextID
 	for _, e := range entries {
 		if e.ID < t.nextID {
 			continue // duplicate of an entry this replica already holds
 		}
 		if e.ID > t.nextID {
-			if appended {
-				t.wakeLocked()
-			}
-			return t.nextID - 1, fmt.Errorf("%w: topic %q tail %d, incoming %d", ErrReplicaGap, topicName, t.nextID-1, e.ID)
+			gap = fmt.Errorf("%w: topic %q tail %d, incoming %d", ErrReplicaGap, topicName, t.nextID-1, e.ID)
+			break
 		}
 		t.appendLocked(e.Payload, b)
-		appended = true
 	}
-	if appended {
-		t.wakeLocked()
+	if t.nextID > tail && t.parked > 0 {
+		t.grew.Broadcast()
 	}
-	return t.nextID - 1, nil
+	return t.nextID - 1, gap
 }
 
 // truncateTailLocked discards local entries with ID >= fromID — the
@@ -602,79 +632,74 @@ func (b *Broker) Range(ctx context.Context, topicName string, from, to uint64, m
 	if max > 0 && n > max {
 		n = max
 	}
-	return t.readLocked(from, n), nil
+	return t.readLocked(make([]Entry, 0, n), from, n), nil
 }
 
 // ConsumeBatch blocks until at least one entry with ID > afterID exists, then
 // returns up to max available entries in ID order (max <= 0 means everything
-// retained; max 1 is the earliest such entry). This is the pull-based
-// subscription primitive: every independent subscriber tracks its own
-// afterID, giving Pub-Sub fan-out, and one blocking wait can drain a whole
-// burst, which is what makes batched delivery amortize the wake-up cost.
+// retained; max 1 is the earliest such entry) in a slice of the caller's own.
+// One call is one read at a stated position; a consumer that keeps reading
+// holds a Cursor (Follow), which remembers the position and reuses the slice.
 func (b *Broker) ConsumeBatch(ctx context.Context, topicName string, afterID uint64, max int) ([]Entry, error) {
 	t, err := b.topicFor(topicName, true)
 	if err != nil {
 		return nil, err
 	}
-	for {
-		t.mu.Lock()
-		from := afterID + 1
-		if from < t.firstID {
-			from = t.firstID // skip evicted entries
-		}
-		if from < t.nextID {
-			n := int(t.nextID - from)
-			if max > 0 && n > max {
-				n = max
-			}
-			out := t.readLocked(from, n)
-			lag := t.nextID - 1 - out[0].ID // entries behind the topic head
-			t.mu.Unlock()
-			b.obsConsumeLag.Observe(float64(lag))
-			return out, nil
-		}
-		wait := t.waitLocked()
-		t.mu.Unlock()
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-b.done:
-			return nil, ErrClosed
-		case <-wait:
-		}
-	}
+	once := brokerCursor{ctx: ctx, b: b, t: t, last: afterID}
+	return once.next(max, false)
 }
 
-// Subscribe starts a goroutine that delivers every entry after afterID to the
-// returned channel until ctx is cancelled. The channel is closed on exit.
-func (b *Broker) Subscribe(ctx context.Context, topicName string, afterID uint64) (<-chan Entry, error) {
-	if _, err := b.topicFor(topicName, true); err != nil {
+// brokerCursor is the in-process Cursor: the topic it holds, where it is, and
+// the slice it hands out. No goroutine, no channel, nothing allocated by Next.
+type brokerCursor struct {
+	ctx  context.Context
+	b    *Broker
+	t    *topic
+	last uint64
+	run  []Entry
+}
+
+// Follow opens a cursor on the named topic (creating it on first use) just
+// past afterID. The end of ctx ends the cursor, parked or not.
+func (b *Broker) Follow(ctx context.Context, topicName string, afterID uint64) (Cursor, error) {
+	t, err := b.topicFor(topicName, true)
+	if err != nil {
 		return nil, err
 	}
-	ch := make(chan Entry, subscribeSlack)
-	go func() {
-		defer close(ch)
-		last := afterID
-		for {
-			es, err := b.ConsumeBatch(ctx, topicName, last, subscribeSlack)
-			if err != nil {
-				return
-			}
-			for _, e := range es {
-				select { // a reader keeping up takes the entry without a two-way select
-				case ch <- e:
-				default:
-					select {
-					case ch <- e:
-					case <-ctx.Done():
-						return
-					}
-				}
-				last = e.ID
-			}
-		}
-	}()
-	return ch, nil
+	t.wakeOn(ctx)
+	return &brokerCursor{ctx: ctx, b: b, t: t, last: afterID}, nil
+}
+
+// Next implements Cursor. An ended cursor is ended even with entries waiting:
+// a consumer that never catches up with its publishers must still see the end.
+func (c *brokerCursor) Next() ([]Entry, error) {
+	if err := c.ctx.Err(); err != nil {
+		return nil, err
+	}
+	return c.next(subscribeSlack, true)
+}
+
+// next is the broker's one blocking read: up to max entries past the cursor
+// (max <= 0: all there are), into the cursor's slice. watched says that the
+// end of c.ctx already wakes the topic's readers.
+func (c *brokerCursor) next(max int, watched bool) ([]Entry, error) {
+	t := c.t
+	t.mu.Lock()
+	from, err := t.awaitLocked(c.ctx, c.b, &c.last, watched)
+	if err != nil {
+		t.mu.Unlock()
+		return nil, err
+	}
+	n := int(t.nextID - from)
+	if max > 0 && n > max {
+		n = max
+	}
+	c.run = t.readLocked(slices.Grow(c.run[:0], n), from, n)
+	c.last = from + uint64(n) - 1
+	lag := t.nextID - 1 - from // entries behind the topic head
+	t.mu.Unlock()
+	c.b.obsConsumeLag.Observe(float64(lag))
+	return c.run, nil
 }
 
 // CreateGroup registers a consumer group on a topic starting after afterID
@@ -703,32 +728,22 @@ func (b *Broker) GroupRead(ctx context.Context, topicName, groupName string) (En
 	if err != nil {
 		return Entry{}, err
 	}
-	for {
-		t.mu.Lock()
-		g, ok := t.groups[groupName]
-		if !ok {
-			t.mu.Unlock()
-			return Entry{}, fmt.Errorf("%w: %q", ErrNoSuchGroup, groupName)
-		}
-		if from := max(g.cursor+1, t.firstID); from < t.nextID {
-			e := t.chunks[t.chunkOf(from)].entry(from)
-			g.cursor = e.ID
-			// pending outlives any reader, so it keeps a private copy rather
-			// than pinning the entry's whole chunk until the Ack.
-			g.pending[e.ID] = Entry{ID: e.ID, Payload: append([]byte(nil), e.Payload...)}
-			t.mu.Unlock()
-			return e, nil
-		}
-		wait := t.waitLocked()
-		t.mu.Unlock()
-		select {
-		case <-ctx.Done():
-			return Entry{}, ctx.Err()
-		case <-b.done:
-			return Entry{}, ErrClosed
-		case <-wait:
-		}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	g, ok := t.groups[groupName]
+	if !ok {
+		return Entry{}, fmt.Errorf("%w: %q", ErrNoSuchGroup, groupName)
 	}
+	from, err := t.awaitLocked(ctx, b, &g.cursor, false)
+	if err != nil {
+		return Entry{}, err
+	}
+	e := t.chunks[t.chunkOf(from)].entry(from)
+	g.cursor = e.ID
+	// pending outlives any reader, so it keeps a private copy rather than
+	// pinning the entry's whole chunk until the Ack.
+	g.pending[e.ID] = Entry{ID: e.ID, Payload: append([]byte(nil), e.Payload...)}
+	return e, nil
 }
 
 // Ack acknowledges a group-delivered entry.
@@ -774,9 +789,19 @@ func (b *Broker) Pending(topicName, groupName string) ([]Entry, error) {
 }
 
 // Close marks the broker closed; subsequent operations fail with ErrClosed
-// and blocked consumers are woken.
+// and parked readers are woken to find that out.
 func (b *Broker) Close() {
-	if b.closed.CompareAndSwap(false, true) {
-		close(b.done)
+	if !b.closed.CompareAndSwap(false, true) {
+		return
+	}
+	for i := range b.shards {
+		s := &b.shards[i]
+		s.mu.RLock()
+		for _, t := range s.topics {
+			t.mu.Lock() // see wakeOn
+			t.grew.Broadcast()
+			t.mu.Unlock()
+		}
+		s.mu.RUnlock()
 	}
 }

@@ -122,31 +122,33 @@ func TestCloseUnblocksConsumers(t *testing.T) {
 
 func TestSubscribeFanOut(t *testing.T) {
 	b := NewBroker(0)
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	const subs, events = 3, 20
-	chans := make([]<-chan Entry, subs)
-	for i := range chans {
-		ch, err := b.Subscribe(ctx, "t", 0)
+	curs := make([]Cursor, subs)
+	for i := range curs {
+		cur, err := b.Follow(ctx, "t", 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		chans[i] = ch
+		curs[i] = cur
 	}
 	go func() {
 		for i := 1; i <= events; i++ {
 			b.Publish(context.Background(), "t", []byte{byte(i)})
 		}
 	}()
-	for si, ch := range chans {
-		for i := 1; i <= events; i++ {
-			select {
-			case e := <-ch:
-				if e.ID != uint64(i) {
-					t.Fatalf("sub %d: got id %d want %d", si, e.ID, i)
+	for si, cur := range curs {
+		for want := uint64(1); want <= events; {
+			run, err := cur.Next()
+			if err != nil {
+				t.Fatalf("sub %d stalled at %d: %v", si, want, err)
+			}
+			for _, e := range run {
+				if e.ID != want {
+					t.Fatalf("sub %d: got id %d want %d", si, e.ID, want)
 				}
-			case <-time.After(2 * time.Second):
-				t.Fatalf("sub %d stalled at %d", si, i)
+				want++
 			}
 		}
 	}
@@ -281,32 +283,36 @@ func BenchmarkBrokerConsume(b *testing.B) {
 }
 
 // BenchmarkBrokerSubscribe is the in-process hop a vertex's output takes to a
-// subscriber: publish, the subscription goroutine's wake-up and read, the
-// channel send, the reader's receive. A burst is published as one batch (a
-// poll with its predictions is 4) and the next waits until the reader has
-// all of it, so the rate is the subscriber's, not the publisher's.
+// subscriber: publish, the wake of the reader parked in its cursor, its read.
+// Two goroutines play ping-pong over two topics, so every delivery finds its
+// reader parked and nothing but the bus is between them; a burst is published
+// as one batch (a poll with its predictions is 4) and arrives as one run. An
+// op is one entry delivered.
 func BenchmarkBrokerSubscribe(b *testing.B) {
 	for _, burst := range []int{1, 4} {
 		b.Run(fmt.Sprintf("burst=%d", burst), func(b *testing.B) {
 			br := NewBroker(1 << 10)
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			ch, err := br.Subscribe(ctx, "t", 0)
-			if err != nil {
-				b.Fatal(err)
-			}
+			defer br.Close()
+			ctx := context.Background()
+			ping, _ := br.Follow(ctx, "ping", 0)
+			pong, _ := br.Follow(ctx, "pong", 0)
 			batch := make([][]byte, burst)
 			for i := range batch {
 				batch[i] = make([]byte, 28)
 			}
+			go func() {
+				for _, err := ping.Next(); err == nil; _, err = ping.Next() {
+					br.PublishBatch(ctx, "pong", batch)
+				}
+			}()
 			b.ReportAllocs()
 			b.ResetTimer()
-			for i := 0; i < b.N; i += burst {
-				if _, err := br.PublishBatch(ctx, "t", batch); err != nil {
+			for i := 0; i < b.N; i += 2 * burst {
+				if _, err := br.PublishBatch(ctx, "ping", batch); err != nil {
 					b.Fatal(err)
 				}
-				for range batch {
-					<-ch
+				if run, err := pong.Next(); err != nil || len(run) != burst {
+					b.Fatalf("run of %d, %v; want %d", len(run), err, burst)
 				}
 			}
 		})

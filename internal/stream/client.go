@@ -846,17 +846,31 @@ func (c *Client) Topics(ctx context.Context) ([]string, error) {
 	return out, nil
 }
 
-// Subscribe implements Bus: it opens a dedicated auto-resuming streaming
-// connection (see Subscription) delivering entries of topic with ID >
-// afterID, and hands back the Subscription's own channel; the end of ctx
-// closes the Subscription and with it the channel.
-func (c *Client) Subscribe(ctx context.Context, topic string, afterID uint64) (<-chan Entry, error) {
+// Follow implements Bus: it opens a dedicated auto-resuming streaming
+// connection delivering entries of topic with ID > afterID. The Subscription
+// is the cursor — its reader goroutine fills the channel, Next empties it from
+// the caller's — and the end of ctx closes it.
+func (c *Client) Follow(ctx context.Context, topic string, afterID uint64) (Cursor, error) {
 	sub, err := subscribeOpt(c.Addr(), topic, afterID, c.opt)
 	if err != nil {
 		return nil, err
 	}
-	context.AfterFunc(ctx, func() { sub.Close() })
-	return sub.C(), nil
+	context.AfterFunc(ctx, func() {
+		sub.setErr(ctx.Err())
+		sub.Close()
+	})
+	return sub, nil
+}
+
+// Subscribe is Follow handing back the Subscription's channel, which the end
+// of ctx closes: a convenience for callers that select on it, kept off the
+// Bus interface the way Publish is.
+func (c *Client) Subscribe(ctx context.Context, topic string, afterID uint64) (<-chan Entry, error) {
+	cur, err := c.Follow(ctx, topic, afterID)
+	if err != nil {
+		return nil, err
+	}
+	return cur.(*Subscription).ch, nil
 }
 
 // PublishResult resolves one PublishAsync call: the assigned entry ID, or
@@ -1026,6 +1040,7 @@ type Subscription struct {
 	opt   Options
 
 	ch     chan Entry
+	batch  []Entry       // what Next hands out
 	closed chan struct{} // closed by Close; aborts delivery and resume waits
 	done   chan struct{} // closed when the run loop exits
 	once   sync.Once
@@ -1229,6 +1244,27 @@ func (s *Subscription) setErr(err error) {
 // C returns the delivery channel; it closes when the subscription ends.
 func (s *Subscription) C() <-chan Entry { return s.ch }
 
+// Next implements Cursor, for a consumer that reads runs instead of C: one
+// blocking receive, then whatever else already sits in the channel. Once the
+// subscription has ended it returns what ended it.
+func (s *Subscription) Next() ([]Entry, error) {
+	e, ok := <-s.ch
+	if !ok {
+		if err := s.Err(); err != nil {
+			return nil, err
+		}
+		return nil, ErrClosed
+	}
+	s.batch = append(s.batch[:0], e)
+	for n := min(len(s.ch), subscribeSlack-1); n > 0; n-- {
+		if e, ok = <-s.ch; !ok { // closed, and Close took what was buffered
+			break
+		}
+		s.batch = append(s.batch, e)
+	}
+	return s.batch, nil
+}
+
 // LastID returns the ID of the last delivered entry.
 func (s *Subscription) LastID() uint64 { return s.last.Load() }
 
@@ -1239,7 +1275,8 @@ func (s *Subscription) Resumes() uint64 { return s.resumes.Load() }
 func (s *Subscription) Deduplicated() uint64 { return s.dedups.Load() }
 
 // Err returns the terminal error, if any, after C closes. It is nil when the
-// subscription was ended by Close.
+// subscription was ended by Close, and the context's error when the end of a
+// Client.Follow or Client.Subscribe context ended it.
 func (s *Subscription) Err() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -14,10 +14,14 @@ import (
 	"repro/internal/stream"
 )
 
-// contractBus is one Bus under test plus a handle onto the same log that can
-// publish while the Bus is parked in a blocking read: the Bus itself, except
-// for a Client, which carries one request at a time.
-type contractBus struct{ bus, wake stream.Bus }
+// contractBus is one Bus under test, a handle onto the same log that can
+// publish while the Bus is parked in a blocking read (the Bus itself, except
+// for a Client, which carries one request at a time), and what closes the
+// broker underneath it.
+type contractBus struct {
+	bus, wake stream.Bus
+	close     func()
+}
 
 // contractBuses builds every Bus the system hands to a vertex: the in-process
 // broker, a TCP client over loopback, the router of a one-node fabric, and
@@ -42,8 +46,9 @@ func contractBuses(t *testing.T) map[string]contractBus {
 	clock := sim.NewVirtual(time.Unix(0, 0))
 	ring := cluster.NewRing(16)
 	ring.Join("n1", "n1")
+	routed := stream.NewBroker(0)
 	node, err := stream.NewFabricNode(stream.FabricConfig{
-		ID: "n1", Addr: "n1", Broker: stream.NewBroker(0), Ring: ring,
+		ID: "n1", Addr: "n1", Broker: routed, Ring: ring,
 		Leases: cluster.NewLeaseTable(clock, time.Hour), ReplicationFactor: 1, Clock: clock,
 	})
 	if err != nil {
@@ -55,10 +60,10 @@ func contractBuses(t *testing.T) map[string]contractBus {
 
 	broker, route := stream.NewBroker(0), node.Route()
 	return map[string]contractBus{
-		"broker":    {broker, broker},
-		"client":    {client, served},
-		"route":     {route, route},
-		"busSwitch": {svc.Bus(), svc.Bus()},
+		"broker":    {broker, broker, broker.Close},
+		"client":    {client, served, served.Close},
+		"route":     {route, route, routed.Close},
+		"busSwitch": {svc.Bus(), svc.Bus(), svc.Stop},
 	}
 }
 
@@ -108,15 +113,16 @@ func TestClientCallStartsNoGoroutine(t *testing.T) {
 	}
 }
 
-// deliveryGoroutines counts the goroutines running a subscription's delivery
-// loop on the subscriber's side, by their stack frames.
+// deliveryGoroutines counts the goroutines that exist to carry a
+// subscription's entries to the subscriber's own goroutine, by their stack
+// frames: a Subscription's connection reader, and anything started by a
+// Follow or a Subscribe.
 func deliveryGoroutines() int {
 	buf := make([]byte, 1<<20)
 	n := 0
 	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
-		if strings.Contains(g, "stream.(*Broker).Subscribe.") ||
-			strings.Contains(g, "stream.(*Subscription).") ||
-			strings.Contains(g, "stream.(*Client).Subscribe") {
+		if strings.Contains(g, "stream.(*Subscription).") ||
+			strings.Contains(g, ").Follow.") || strings.Contains(g, ").Subscribe.") {
 			n++
 		}
 	}
@@ -190,27 +196,74 @@ func TestBusContract(t *testing.T) {
 				t.Fatalf("cancelled ConsumeBatch: err = %v, want context.Canceled", err)
 			}
 
-			// Subscribe delivers from afterID on with one goroutine, and the end
-			// of ctx closes the channel and leaves no goroutine behind.
+			// Follow delivers strictly after afterID, in runs that continue one
+			// another and never exceed subscribeSlack, from the caller's own
+			// goroutine: nothing is started to deliver them, except the
+			// connection reader a Client's subscription has anyway.
+			const slack, more = 64, 200
+			many := make([][]byte, more)
+			for i := range many {
+				many[i] = []byte{byte(i) + 1}
+			}
+			if _, err := bus.PublishBatch(ctx, topic, many); err != nil {
+				t.Fatal(err)
+			}
 			base := quiet()
 			sctx, stop := context.WithCancel(ctx)
-			ch, err := bus.Subscribe(sctx, topic, first+2)
+			cur, err := bus.Follow(sctx, topic, first+2)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, want := range []uint64{first + 3, first + 4} {
-				if e := <-ch; e.ID != want {
-					t.Fatalf("subscription delivered id %d, want %d", e.ID, want)
+			next, tail := first+3, first+4+more
+			for next <= tail {
+				run, err := cur.Next()
+				if err != nil || len(run) == 0 || len(run) > slack {
+					t.Fatalf("Next = run of %d, %v; want 1..%d entries", len(run), err, slack)
+				}
+				for _, e := range run {
+					if e.ID != next {
+						t.Fatalf("cursor delivered id %d, want %d", e.ID, next)
+					}
+					next++
 				}
 			}
-			if n := deliveryGoroutines(); n != 1 {
-				t.Fatalf("%d delivery goroutines for one subscription, want 1", n)
+			want := 0
+			if name == "client" {
+				want = 1
 			}
+			if n := deliveryGoroutines(); n != want {
+				t.Fatalf("%d delivery goroutines for one cursor, want %d", n, want)
+			}
+			// At the tail it parks until its context ends, which is then its
+			// error, and nothing is left behind.
+			go func() {
+				_, err := cur.Next()
+				errc <- err
+			}()
 			stop()
-			for range ch {
+			if err := <-errc; !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled Next: err = %v, want context.Canceled", err)
 			}
 			if n := quiet(); n > base {
-				t.Fatalf("%d goroutines after the subscription ended, %d before it", n, base)
+				t.Fatalf("%d goroutines after the cursor ended, %d before it", n, base)
+			}
+
+			// Closing the broker ends a parked cursor with ErrClosed, and a
+			// closed one refuses the next Follow.
+			cur, err = bus.Follow(ctx, topic, tail)
+			if err != nil {
+				t.Fatal(err)
+			}
+			go func() {
+				_, err := cur.Next()
+				errc <- err
+			}()
+			cb.close()
+			if err := <-errc; !errors.Is(err, stream.ErrClosed) {
+				t.Fatalf("Next across Close: err = %v, want ErrClosed", err)
+			}
+			if n := quiet(); n > base {
+				t.Fatalf("%d goroutines after Close, %d before the cursor", n, base)
 			}
 		})
 	}

@@ -670,9 +670,9 @@ func (n *FabricNode) ConsumeBatch(ctx context.Context, topic string, afterID uin
 	return n.broker.ConsumeBatch(ctx, topic, afterID, max)
 }
 
-// Subscribe implements Bus (served from the local replica).
-func (n *FabricNode) Subscribe(ctx context.Context, topic string, afterID uint64) (<-chan Entry, error) {
-	return n.broker.Subscribe(ctx, topic, afterID)
+// Follow implements Bus (served from the local replica).
+func (n *FabricNode) Follow(ctx context.Context, topic string, afterID uint64) (Cursor, error) {
+	return n.broker.Follow(ctx, topic, afterID)
 }
 
 // Tick runs one maintenance pass: renew the leases this node holds, adopt
@@ -825,8 +825,8 @@ func (r *routeBus) ConsumeBatch(ctx context.Context, topic string, afterID uint6
 	return r.readBus(topic).ConsumeBatch(ctx, topic, afterID, max)
 }
 
-func (r *routeBus) Subscribe(ctx context.Context, topic string, afterID uint64) (<-chan Entry, error) {
-	return r.readBus(topic).Subscribe(ctx, topic, afterID)
+func (r *routeBus) Follow(ctx context.Context, topic string, afterID uint64) (Cursor, error) {
+	return r.readBus(topic).Follow(ctx, topic, afterID)
 }
 
 var (

@@ -489,23 +489,26 @@ func encodeLeaseResult(out *enc, l cluster.Lease, ok bool) {
 
 // serveSubscribe streams entries to the client until the connection drops.
 // The handler's request-reader goroutine keeps watching the connection, so
-// a client hangup cancels ctx and unparks the blocked ConsumeBatch.
+// a client hangup cancels ctx and unparks the blocked cursor.
 func (s *Server) serveSubscribe(ctx context.Context, w *bufio.Writer, payload []byte) {
 	d := &buf{b: payload}
 	topic := d.str()
 	after := d.u64()
+	var cur Cursor
+	if d.err == nil {
+		cur, d.err = s.broker.Follow(ctx, topic, after)
+	}
 	if d.err != nil {
 		writeFrame(w, statusErr, errPayload(d.err))
 		w.Flush()
 		return
 	}
-	// Each wake-up drains up to a full batch into one frame, so a burst of
+	// Each wake-up drains up to a full run into one frame, so a burst of
 	// publishes costs one syscall on the wire instead of one per entry.
 	out := getEnc()
 	defer putEnc(out)
-	last := after
 	for {
-		entries, err := s.broker.ConsumeBatch(ctx, topic, last, subscribeSlack)
+		entries, err := cur.Next()
 		if err != nil {
 			writeFrame(w, statusErr, errPayload(err))
 			w.Flush()
@@ -516,6 +519,5 @@ func (s *Server) serveSubscribe(ctx context.Context, w *bufio.Writer, payload []
 		if writeFrame(w, statusOK, out.b) != nil || w.Flush() != nil {
 			return
 		}
-		last = entries[len(entries)-1].ID
 	}
 }

@@ -25,8 +25,10 @@ echo "==> go test ./..."
 go test ./...
 
 # Two-core pass: lock convoys and scheduler-dependent waits that a big host
-# hides (a sweep behind 160 spinning observers, a subscriber never woken, an
-# insight's input goroutines queued on its actor lock) show as timeouts here.
+# hides (a sweep behind 160 spinning observers, a parked cursor whose wake was
+# lost — TestCursorNeverMissesAWake races publish, cancel and Close against
+# the park — an insight's input goroutines queued on its actor lock) show as
+# timeouts here.
 echo "==> GOMAXPROCS=2 go test -count=3 ./internal/delphi/ ./internal/gateway/ ./internal/stream/ ./internal/score/"
 GOMAXPROCS=2 go test -count=3 ./internal/delphi/ ./internal/gateway/ ./internal/stream/ ./internal/score/
 
