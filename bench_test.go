@@ -17,7 +17,6 @@ import (
 	"repro/internal/delphi"
 	"repro/internal/figures"
 	"repro/internal/nn"
-	"repro/internal/queue"
 	"repro/internal/score"
 	"repro/internal/sim"
 	"repro/internal/stream"
@@ -212,26 +211,6 @@ func BenchmarkAblationDelphiStack(b *testing.B) {
 		}
 		b.ReportMetric(r2, "r2")
 	})
-}
-
-// Ablation: lock-free MPMC ring vs mutex ring under contention.
-func BenchmarkAblationQueueKind(b *testing.B) {
-	info := telemetry.NewFact("m", 1, 2)
-	for _, kind := range []struct {
-		name string
-		q    queue.Queue
-	}{{"mpmc", queue.NewMPMC(1024)}, {"mutex", queue.NewMutex(1024)}} {
-		b.Run(kind.name, func(b *testing.B) {
-			q := kind.q
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					if q.TryPush(info) {
-						q.TryPop()
-					}
-				}
-			})
-		})
-	}
 }
 
 // Ablation: in-process broker vs TCP loopback transport.

@@ -6,10 +6,12 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Benchmarks for the tiered compressed archive (scripts/bench_archive.sh →
-// BENCH_7.json): compaction throughput with the raw-vs-block footprint as
-// reported metrics, and tail reads over a fully compacted archive with the
-// bytes actually read (ReadBytes / archive_read_bytes_total) as the win.
+// Benchmarks for the tiered compressed archive: compaction throughput with
+// the raw-vs-block footprint as reported metrics (the 5x gate itself is
+// TestBlockCompressionRatio), and tail reads over a fully compacted archive
+// with the bytes actually read (ReadBytes / archive_read_bytes_total) as the
+// win. The archive beside live writes is the archive.* rows of a traced
+// query-mixed run of the pipeline benchmark.
 
 // benchCompactedLog builds a many-segment archive from the synthetic NVMe
 // corpus and compacts every sealed segment into block files.

@@ -3,7 +3,7 @@
 // owns the Pub-Sub fabric (stream broker), the SCoRe DAG of Fact and Insight
 // vertices, the Apollo Query Engine, the adaptive-interval controllers, and
 // optionally the Delphi predictive model; middleware libraries talk to it
-// through Query/Latest/Subscribe or the middleware.CapacityView adapter.
+// through Query/Latest/Subscribe or the CapacityView lookup.
 package core
 
 import (
@@ -21,7 +21,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/delphi"
 	"repro/internal/gateway"
-	"repro/internal/middleware"
 	"repro/internal/obs"
 	"repro/internal/score"
 	"repro/internal/sim"
@@ -733,10 +732,11 @@ func (s *Service) Subscribe(ctx context.Context, id telemetry.MetricID) (<-chan 
 	return out, nil
 }
 
-// CapacityView adapts the service to the middleware engines: device IDs map
-// to "<deviceID>.capacity" metrics, answered from the vertex queue (which
-// includes Delphi-predicted values between polls).
-func (s *Service) CapacityView() middleware.CapacityView {
+// CapacityView answers "how many bytes remain on this device" for a
+// middleware engine: device IDs map to "<deviceID>.capacity" metrics,
+// answered from the vertex queue (which includes Delphi-predicted values
+// between polls).
+func (s *Service) CapacityView() func(deviceID string) (int64, bool) {
 	return func(deviceID string) (int64, bool) {
 		in, ok := s.Latest(telemetry.MetricID(deviceID + ".capacity"))
 		if !ok {

@@ -112,7 +112,6 @@ func TestOnlinePredictZeroAlloc(t *testing.T) {
 	o := NewOnline(m)
 	observeSeries(o, 7, WindowSize+3)
 	ticks := make([]float64, 0, 16)
-	ahead := make([]float64, 0, 16)
 	if avg := testing.AllocsPerRun(100, func() {
 		if _, ok := o.Predict(); !ok {
 			t.Fatal("not ready")
@@ -124,11 +123,6 @@ func TestOnlinePredictZeroAlloc(t *testing.T) {
 		ticks = o.PredictTicksInto(ticks[:0], 9)
 	}); avg != 0 {
 		t.Fatalf("PredictTicksInto allocates %v/op, want 0", avg)
-	}
-	if avg := testing.AllocsPerRun(100, func() {
-		ahead = o.PredictAheadInto(ahead[:0], 16)
-	}); avg != 0 {
-		t.Fatalf("PredictAheadInto allocates %v/op, want 0", avg)
 	}
 	if avg := testing.AllocsPerRun(100, func() {
 		o.Observe(1.5)

@@ -281,29 +281,6 @@ func TestOnlinePredict(t *testing.T) {
 	}
 }
 
-func TestOnlinePredictAhead(t *testing.T) {
-	o := NewOnline(trained(t))
-	for _, v := range []float64{10, 20, 30, 40, 50} {
-		o.Observe(v)
-	}
-	ahead := o.PredictAheadInto(nil, 3)
-	if len(ahead) != 3 {
-		t.Fatalf("len=%d", len(ahead))
-	}
-	// Rough monotonicity on a ramp.
-	if ahead[2] < ahead[0] {
-		t.Fatalf("ahead=%v not increasing", ahead)
-	}
-	// Window unchanged by PredictAheadInto.
-	p, _ := o.Predict()
-	if math.Abs(p-ahead[0]) > 1e-9 {
-		t.Fatalf("PredictAheadInto mutated window: %f vs %f", p, ahead[0])
-	}
-	if got := o.PredictAheadInto(nil, 0); len(got) != 0 {
-		t.Fatal("PredictAheadInto(nil, 0) nonempty")
-	}
-}
-
 func TestOnlineReset(t *testing.T) {
 	o := NewOnline(trained(t))
 	for i := 0; i < 5; i++ {

@@ -30,9 +30,8 @@ type Online struct {
 	pos int // next write slot, in [0, WindowSize)
 	n   int // observations recorded, saturating at WindowSize
 
-	norm    [WindowSize]float64     // normalized-window scratch
-	scratch [NumStacked]float64     // engine head scratch
-	ahead   [4 * WindowSize]float64 // PredictAheadInto sliding window scratch
+	norm    [WindowSize]float64 // normalized-window scratch
+	scratch [NumStacked]float64 // engine head scratch
 }
 
 // NewOnline wraps model (which may be nil or untrained; then Predict always
@@ -179,47 +178,6 @@ func (o *Online) predictLocked() (float64, float64, bool) {
 		p = lo - span
 	}
 	return p, scale, true
-}
-
-// PredictAheadInto forecasts steps values into the future by feeding
-// predictions back as pseudo-observations (the window itself is not
-// mutated), appending them to out and returning it. The rollout slides over
-// a fixed scratch buffer — the window is copied once per 3×WindowSize steps
-// when the view wraps, not once per step — and the per-step predict is the
-// fused engine, so a caller reusing out predicts ahead without allocating.
-func (o *Online) PredictAheadInto(out []float64, steps int) []float64 {
-	if steps < 1 {
-		return out
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if o.n < WindowSize || o.eng == nil || o.fallback {
-		var v float64
-		if o.n > 0 {
-			v = o.lastLocked()
-		}
-		for i := 0; i < steps; i++ {
-			out = append(out, v)
-		}
-		return out
-	}
-	copy(o.ahead[:WindowSize], o.buf[o.pos:o.pos+WindowSize])
-	idx := 0
-	for i := 0; i < steps; i++ {
-		w := o.ahead[idx : idx+WindowSize]
-		loc, scale := NormalizeInto(o.norm[:], w)
-		p := o.eng.Forward(o.norm[:], o.scratch[:])*scale + loc
-		out = append(out, p)
-		if idx+WindowSize == len(o.ahead) {
-			copy(o.ahead[:WindowSize-1], o.ahead[idx+1:])
-			o.ahead[WindowSize-1] = p
-			idx = 0
-		} else {
-			o.ahead[idx+WindowSize] = p
-			idx++
-		}
-	}
-	return out
 }
 
 // PredictTicksInto forecasts the metric at the `steps` base-tick instants

@@ -10,7 +10,6 @@ import (
 	"repro/internal/adaptive"
 	"repro/internal/cluster"
 	"repro/internal/hooks"
-	"repro/internal/sched"
 	"repro/internal/score"
 	"repro/internal/sim"
 	"repro/internal/stream"
@@ -144,7 +143,7 @@ func Fig5(opts Options) (*Table, error) {
 			// 16 vertices x 100us hook / 12ms interval ~ 13% of one core,
 			// the Apollo share the paper reports.
 			Controller: adaptive.NewFixed(12 * time.Millisecond),
-			Clock:      sched.RealClock{},
+			Clock:      sim.Wall{},
 		})
 		if err != nil {
 			return nil, err

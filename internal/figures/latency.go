@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/sched"
 	"repro/internal/score"
+	"repro/internal/sim"
 	"repro/internal/stream"
 	"repro/internal/telemetry"
 )
@@ -70,7 +70,7 @@ func Fig7a(opts Options) (*Table, error) {
 			Inputs:  inputs,
 			Builder: score.Sum,
 			Bus:     bus,
-			Clock:   sched.RealClock{},
+			Clock:   sim.Wall{},
 		})
 		if err != nil {
 			return nil, err
@@ -136,7 +136,7 @@ func Fig7b(opts Options) (*Table, error) {
 				Inputs:  prevInputs,
 				Builder: score.Sum,
 				Bus:     bus,
-				Clock:   sched.RealClock{},
+				Clock:   sim.Wall{},
 			})
 			if err != nil {
 				return nil, err

@@ -1,3 +1,6 @@
+// Package queue provides the in-memory queue backing each SCoRe vertex: a
+// timestamp-indexed history ring serving the Query Executor's
+// timestamp-based indexing.
 package queue
 
 import (

@@ -87,21 +87,3 @@ func TestHistoryEvictionCallbackSeesOrderedStream(t *testing.T) {
 		}
 	}
 }
-
-func TestMPMCInstrumentCountsFailures(t *testing.T) {
-	r := obs.NewRegistry()
-	q := NewMPMC(2)
-	q.Instrument(r.Counter("push_full_total"), r.Counter("pop_empty_total"))
-	if _, ok := q.TryPop(); ok {
-		t.Fatal("pop on empty should fail")
-	}
-	q.TryPush(telemetry.NewFact("m", 1, 0))
-	q.TryPush(telemetry.NewFact("m", 2, 0))
-	if q.TryPush(telemetry.NewFact("m", 3, 0)) {
-		t.Fatal("push on full should fail")
-	}
-	s := r.Snapshot()
-	if s.Counter("push_full_total") != 1 || s.Counter("pop_empty_total") != 1 {
-		t.Fatalf("counters = %v", s.Counters)
-	}
-}

@@ -1,120 +1,11 @@
 package queue
 
 import (
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/telemetry"
 )
-
-func testFIFO(t *testing.T, q Queue) {
-	t.Helper()
-	if _, ok := q.TryPop(); ok {
-		t.Fatal("pop from empty queue succeeded")
-	}
-	for i := 0; i < q.Cap(); i++ {
-		if !q.TryPush(telemetry.NewFact("m", int64(i), float64(i))) {
-			t.Fatalf("push %d failed before capacity", i)
-		}
-	}
-	if q.TryPush(telemetry.NewFact("m", 99, 99)) {
-		t.Fatal("push into full queue succeeded")
-	}
-	if q.Len() != q.Cap() {
-		t.Fatalf("Len=%d want %d", q.Len(), q.Cap())
-	}
-	for i := 0; i < q.Cap(); i++ {
-		info, ok := q.TryPop()
-		if !ok || info.Timestamp != int64(i) {
-			t.Fatalf("pop %d: ok=%v info=%v", i, ok, info)
-		}
-	}
-	if q.Len() != 0 {
-		t.Fatalf("Len=%d after drain", q.Len())
-	}
-}
-
-func TestMPMCFIFO(t *testing.T)  { testFIFO(t, NewMPMC(8)) }
-func TestMutexFIFO(t *testing.T) { testFIFO(t, NewMutex(8)) }
-
-func TestMPMCCapacityRounding(t *testing.T) {
-	for _, c := range []struct{ in, want int }{{0, 2}, {1, 2}, {2, 2}, {3, 4}, {8, 8}, {9, 16}} {
-		if got := NewMPMC(c.in).Cap(); got != c.want {
-			t.Errorf("NewMPMC(%d).Cap() = %d, want %d", c.in, got, c.want)
-		}
-	}
-}
-
-func TestMutexMinCapacity(t *testing.T) {
-	if got := NewMutex(0).Cap(); got != 1 {
-		t.Fatalf("Cap=%d want 1", got)
-	}
-}
-
-func testConcurrent(t *testing.T, q Queue, producers, consumers, perProducer int) {
-	t.Helper()
-	var sum, count atomic.Int64
-	var wg sync.WaitGroup
-	done := make(chan struct{})
-	for c := 0; c < consumers; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if info, ok := q.TryPop(); ok {
-					sum.Add(info.Timestamp)
-					count.Add(1)
-					continue
-				}
-				select {
-				case <-done:
-					// Drain whatever is left after producers stop.
-					for {
-						info, ok := q.TryPop()
-						if !ok {
-							return
-						}
-						sum.Add(info.Timestamp)
-						count.Add(1)
-					}
-				default:
-					runtime.Gosched()
-				}
-			}
-		}()
-	}
-	var pwg sync.WaitGroup
-	for p := 0; p < producers; p++ {
-		pwg.Add(1)
-		go func(p int) {
-			defer pwg.Done()
-			for i := 0; i < perProducer; i++ {
-				v := int64(p*perProducer + i)
-				for !q.TryPush(telemetry.NewFact("m", v, 0)) {
-					runtime.Gosched()
-				}
-			}
-		}(p)
-	}
-	pwg.Wait()
-	close(done)
-	wg.Wait()
-
-	total := int64(producers * perProducer)
-	if count.Load() != total {
-		t.Fatalf("consumed %d, want %d", count.Load(), total)
-	}
-	want := total * (total - 1) / 2
-	if sum.Load() != want {
-		t.Fatalf("sum=%d want %d (lost or duplicated items)", sum.Load(), want)
-	}
-}
-
-func TestMPMCConcurrent(t *testing.T)  { testConcurrent(t, NewMPMC(64), 4, 4, 5000) }
-func TestMutexConcurrent(t *testing.T) { testConcurrent(t, NewMutex(64), 4, 4, 5000) }
 
 func TestHistoryAppendAndLatest(t *testing.T) {
 	h := NewHistory(4, nil)
@@ -264,30 +155,6 @@ func TestHistoryRangeQuick(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func BenchmarkMPMCPushPop(b *testing.B) {
-	q := NewMPMC(1024)
-	info := telemetry.NewFact("m", 1, 2)
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			if q.TryPush(info) {
-				q.TryPop()
-			}
-		}
-	})
-}
-
-func BenchmarkMutexPushPop(b *testing.B) {
-	q := NewMutex(1024)
-	info := telemetry.NewFact("m", 1, 2)
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			if q.TryPush(info) {
-				q.TryPop()
-			}
-		}
-	})
 }
 
 func BenchmarkHistoryAppend(b *testing.B) {

@@ -12,7 +12,6 @@ import (
 	"repro/internal/delphi"
 	"repro/internal/obs"
 	"repro/internal/queue"
-	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/stream"
 	"repro/internal/telemetry"
@@ -64,12 +63,6 @@ type FactConfig struct {
 	// FailAfter is how many consecutive publish errors flip the vertex
 	// health from Degraded to Failed (default DefaultFailAfter).
 	FailAfter int
-	// Loop, if non-nil, drives polling from a shared timer event loop (the
-	// libuv pattern of the original implementation: one loop multiplexes
-	// many vertices' timers and intervals are re-programmed per fire).
-	// Polls still execute on the vertex goroutine so a slow monitor hook
-	// cannot stall other vertices' timers.
-	Loop *sched.Loop
 	// Obs, if non-nil, receives the vertex instruments (tuples in/out,
 	// backlog, flush latency, queue evictions), labelled by metric.
 	Obs *obs.Registry
@@ -220,10 +213,6 @@ func (v *FactVertex) Stop() {
 
 func (v *FactVertex) run(ctx context.Context) {
 	defer close(v.done)
-	if v.cfg.Loop != nil {
-		v.runOnLoop(ctx)
-		return
-	}
 	interval := v.pollOnce(ctx, v.cfg.Controller.Interval())
 	timer := v.cfg.Clock.NewTimer(interval)
 	defer timer.Stop()
@@ -235,37 +224,6 @@ func (v *FactVertex) run(ctx context.Context) {
 		}
 		interval = v.pollOnce(ctx, interval)
 		timer.Reset(interval) // its tick was received above: nothing to drain
-	}
-}
-
-// runOnLoop drives polling from the shared event loop: each poll re-arms a
-// one-shot timer with the controller-chosen interval.
-func (v *FactVertex) runOnLoop(ctx context.Context) {
-	trigger := make(chan struct{}, 1)
-	arm := func(d time.Duration) bool {
-		_, err := v.cfg.Loop.Add(d, func(time.Time) time.Duration {
-			select {
-			case trigger <- struct{}{}:
-			default: // vertex still busy with the previous poll
-			}
-			return 0 // one-shot; the vertex re-arms after polling
-		})
-		return err == nil
-	}
-	interval := v.pollOnce(ctx, v.cfg.Controller.Interval())
-	if !arm(interval) {
-		return
-	}
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-trigger:
-			interval = v.pollOnce(ctx, interval)
-			if !arm(interval) {
-				return
-			}
-		}
 	}
 }
 

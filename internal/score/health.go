@@ -40,7 +40,7 @@ func (s HealthState) String() string {
 // from Degraded to Failed.
 const DefaultFailAfter = 8
 
-// HealthSnapshot is a point-in-time view of one vertex's (or archiver's)
+// HealthSnapshot is a point-in-time view of one vertex's
 // publish-path health, surfaced through Graph.Health and core.Service.Health
 // so operators and the AQE can see degradation.
 type HealthSnapshot struct {

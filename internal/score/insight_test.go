@@ -412,7 +412,15 @@ func TestInsightStopWhilePublishBlocked(t *testing.T) {
 	for _, in := range inputs {
 		publish(t, bus, telemetry.NewFact(in, 1, 1))
 	}
+	// Settle first: a goroutine of the previous test may still be exiting, and
+	// counting it in would make this test's own (lower) final count look wrong.
 	baseline := runtime.NumGoroutine()
+	for same, deadline := 0, time.Now().Add(2*time.Second); same < 100 && time.Now().Before(deadline); same++ {
+		runtime.Gosched()
+		if n := runtime.NumGoroutine(); n != baseline {
+			baseline, same = n, 0
+		}
+	}
 
 	stopFeed := make(chan struct{})
 	var feed sync.WaitGroup
@@ -459,10 +467,10 @@ func TestInsightStopWhilePublishBlocked(t *testing.T) {
 		publish(t, bus, telemetry.NewFact(in, 0, 0))
 	}
 	// The goroutines that signalled their exit may still be returning.
-	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() != baseline && time.Now().Before(deadline); {
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > baseline && time.Now().Before(deadline); {
 		runtime.Gosched()
 	}
-	if n := runtime.NumGoroutine(); n != baseline {
+	if n := runtime.NumGoroutine(); n > baseline {
 		t.Fatalf("%d goroutines after 50 Start/Stop cycles, %d before", n, baseline)
 	}
 	if got := bus.calls.Load(); got != calls {

@@ -22,6 +22,19 @@ func counterHook(id telemetry.MetricID) *ReplayHook {
 	return &ReplayHook{ID: id, Trace: trace}
 }
 
+// waitFor polls cond until it holds, failing the test after 2s.
+func waitFor(t *testing.T, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for time.Now().Before(deadline) {
+		if cond() {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatal("condition not reached within 2s")
+}
+
 func TestHookFunc(t *testing.T) {
 	h := HookFunc{ID: "m", Fn: func() (float64, error) { return 7, nil }}
 	if h.Metric() != "m" {

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/adaptive"
-	"repro/internal/archive"
 	"repro/internal/delphi"
 	"repro/internal/sim"
 	"repro/internal/stream"
@@ -342,43 +341,5 @@ func TestInsightVertexStoreAndForward(t *testing.T) {
 		if in.Value != want[i] {
 			t.Fatalf("insight %d = %v want %v", i, in.Value, want[i])
 		}
-	}
-}
-
-// TestStreamArchiverHealth: the archiver reports the same health states and
-// keeps consuming through normal operation.
-func TestStreamArchiverHealth(t *testing.T) {
-	broker := stream.NewBroker(0)
-	defer broker.Close()
-	log, err := archive.Open(t.TempDir(), archive.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer log.Close()
-	a, err := NewStreamArchiver(broker, "ar.metric", log)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h := a.Health(); h.State != HealthOK {
-		t.Fatalf("initial archiver health = %+v", h)
-	}
-	if err := a.Start(); err != nil {
-		t.Fatal(err)
-	}
-	in := telemetry.NewFact("ar.metric", 1, 42)
-	payload, _ := in.MarshalBinary()
-	broker.Publish(context.Background(), "ar.metric", payload)
-	deadline := time.Now().Add(5 * time.Second)
-	for a.Archived() < 1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("archiver stalled: archived=%d errs=%d", a.Archived(), a.Errors())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if h := a.Health(); h.State != HealthOK {
-		t.Fatalf("archiver health = %+v", h)
-	}
-	if err := a.Stop(); err != nil {
-		t.Fatal(err)
 	}
 }

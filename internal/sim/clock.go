@@ -9,7 +9,7 @@
 // hardware.
 //
 // sim sits below every other internal package (it imports only the standard
-// library): sched, stream, score, and ldms accept a sim.Clock, and
+// library): stream, score, and ldms accept a sim.Clock, and
 // sim/scenario composes them into end-to-end virtual-time scenarios.
 package sim
 
@@ -17,8 +17,7 @@ import "time"
 
 // Clock abstracts time for the pipeline. Wall is the production
 // implementation; Virtual is manually advanced for deterministic tests and
-// replay. Clock is a superset of sched.Clock, so any Clock drives the timer
-// event loop too.
+// replay.
 type Clock interface {
 	// Now returns the current (wall or virtual) time.
 	Now() time.Time

@@ -1,8 +1,7 @@
 // Package stream is Apollo's Pub-Sub communication fabric, an in-process and
 // over-TCP substitute for the Redis Streams dependency of the original
 // implementation. Each metric is a topic: an append-only, ID-ordered stream
-// with bounded retention, blocking consumption, fan-out subscriptions, and
-// consumer groups.
+// with bounded retention, blocking consumption and fan-out subscriptions.
 package stream
 
 import (
@@ -27,9 +26,7 @@ type Entry struct {
 var (
 	ErrClosed       = errors.New("stream: broker closed")
 	ErrNoSuchTopic  = errors.New("stream: no such topic")
-	ErrNoSuchGroup  = errors.New("stream: no such group")
 	ErrEvicted      = errors.New("stream: requested id evicted from retention window")
-	ErrNotPending   = errors.New("stream: entry not pending for group")
 	ErrEmptyPayload = errors.New("stream: empty payload")
 	// ErrEpochFenced rejects a replicated append (or a publish that depends
 	// on one) carrying an epoch older than the topic's: the sender is a
@@ -48,12 +45,6 @@ const DefaultRetention = 1 << 14
 // into when not configured. Publishers on different topics contend only
 // within their shard, so independent metric streams scale across cores.
 const DefaultShardCount = 8
-
-// group tracks one consumer group's cursor and unacknowledged deliveries.
-type group struct {
-	cursor  uint64 // last delivered entry id
-	pending map[uint64]Entry
-}
 
 // Chunk capacities: a topic's first chunk holds minChunk payload bytes and
 // each later one twice its predecessor's, up to maxChunk. A payload larger
@@ -113,7 +104,6 @@ type topic struct {
 	// themselves in parked, so an append with nobody waiting signals nobody.
 	grew      sync.Cond
 	parked    int
-	groups    map[string]*group
 	published uint64
 	// epoch is the topic's fencing token: replicated appends carrying an
 	// older epoch are rejected, never silently accepted. 0 until the topic
@@ -130,7 +120,6 @@ func newTopic(name string, retention int) *topic {
 		firstID:   1,
 		nextID:    1,
 		retention: retention,
-		groups:    make(map[string]*group),
 	}
 	t.grew.L = &t.mu
 	return t
@@ -212,15 +201,14 @@ func (t *topic) wakeOn(ctx context.Context) (stop func() bool) {
 }
 
 // awaitLocked parks the caller, who holds t.mu, until the log holds an entry
-// past *after (read afresh on every wake: a group's cursor moves under its
-// other readers) and returns the ID of the first such entry still retained —
-// a reader behind retention skips to firstID. It fails with ErrClosed once
+// past after and returns the ID of the first such entry still retained — a
+// reader behind retention skips to firstID. It fails with ErrClosed once
 // the broker closes and with ctx's error once ctx ends; a caller whose ctx is
 // not yet watched (see wakeOn) has it watched for as long as it is parked.
-func (t *topic) awaitLocked(ctx context.Context, b *Broker, after *uint64, watched bool) (from uint64, err error) {
+func (t *topic) awaitLocked(ctx context.Context, b *Broker, after uint64, watched bool) (from uint64, err error) {
 	var stop func() bool
 	for {
-		if from = max(*after+1, t.firstID); from < t.nextID {
+		if from = max(after+1, t.firstID); from < t.nextID {
 			break
 		}
 		if b.closed.Load() {
@@ -685,7 +673,7 @@ func (c *brokerCursor) Next() ([]Entry, error) {
 func (c *brokerCursor) next(max int, watched bool) ([]Entry, error) {
 	t := c.t
 	t.mu.Lock()
-	from, err := t.awaitLocked(c.ctx, c.b, &c.last, watched)
+	from, err := t.awaitLocked(c.ctx, c.b, c.last, watched)
 	if err != nil {
 		t.mu.Unlock()
 		return nil, err
@@ -700,92 +688,6 @@ func (c *brokerCursor) next(max int, watched bool) ([]Entry, error) {
 	t.mu.Unlock()
 	c.b.obsConsumeLag.Observe(float64(lag))
 	return c.run, nil
-}
-
-// CreateGroup registers a consumer group on a topic starting after afterID
-// (0 = from the beginning of retention).
-func (b *Broker) CreateGroup(ctx context.Context, topicName, groupName string, afterID uint64) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	t, err := b.topicFor(topicName, true)
-	if err != nil {
-		return err
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, ok := t.groups[groupName]; !ok {
-		t.groups[groupName] = &group{cursor: afterID, pending: make(map[uint64]Entry)}
-	}
-	return nil
-}
-
-// GroupRead delivers the next undelivered entry to one member of the group,
-// blocking until an entry is available or ctx ends. The entry stays pending
-// until Ack.
-func (b *Broker) GroupRead(ctx context.Context, topicName, groupName string) (Entry, error) {
-	t, err := b.topicFor(topicName, false)
-	if err != nil {
-		return Entry{}, err
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	g, ok := t.groups[groupName]
-	if !ok {
-		return Entry{}, fmt.Errorf("%w: %q", ErrNoSuchGroup, groupName)
-	}
-	from, err := t.awaitLocked(ctx, b, &g.cursor, false)
-	if err != nil {
-		return Entry{}, err
-	}
-	e := t.chunks[t.chunkOf(from)].entry(from)
-	g.cursor = e.ID
-	// pending outlives any reader, so it keeps a private copy rather than
-	// pinning the entry's whole chunk until the Ack.
-	g.pending[e.ID] = Entry{ID: e.ID, Payload: append([]byte(nil), e.Payload...)}
-	return e, nil
-}
-
-// Ack acknowledges a group-delivered entry.
-func (b *Broker) Ack(ctx context.Context, topicName, groupName string, id uint64) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	t, err := b.topicFor(topicName, false)
-	if err != nil {
-		return err
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	g, ok := t.groups[groupName]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNoSuchGroup, groupName)
-	}
-	if _, ok := g.pending[id]; !ok {
-		return ErrNotPending
-	}
-	delete(g.pending, id)
-	return nil
-}
-
-// Pending returns the unacknowledged entries of a group, ordered by ID.
-func (b *Broker) Pending(topicName, groupName string) ([]Entry, error) {
-	t, err := b.topicFor(topicName, false)
-	if err != nil {
-		return nil, err
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	g, ok := t.groups[groupName]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoSuchGroup, groupName)
-	}
-	out := make([]Entry, 0, len(g.pending))
-	for _, e := range g.pending {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out, nil
 }
 
 // Close marks the broker closed; subsequent operations fail with ErrClosed

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 )
@@ -151,76 +150,6 @@ func TestSubscribeFanOut(t *testing.T) {
 				want++
 			}
 		}
-	}
-}
-
-func TestConsumerGroupPartitionsWork(t *testing.T) {
-	b := NewBroker(0)
-	if err := b.CreateGroup(context.Background(), "t", "g", 0); err != nil {
-		t.Fatal(err)
-	}
-	const events = 30
-	for i := 1; i <= events; i++ {
-		b.Publish(context.Background(), "t", []byte{byte(i)})
-	}
-	ctx := context.Background()
-	var mu sync.Mutex
-	seen := make(map[uint64]int)
-	var wg sync.WaitGroup
-	for w := 0; w < 3; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < events/3; i++ {
-				e, err := b.GroupRead(ctx, "t", "g")
-				if err != nil {
-					t.Errorf("GroupRead: %v", err)
-					return
-				}
-				mu.Lock()
-				seen[e.ID]++
-				mu.Unlock()
-				if err := b.Ack(context.Background(), "t", "g", e.ID); err != nil {
-					t.Errorf("Ack: %v", err)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if len(seen) != events {
-		t.Fatalf("group delivered %d distinct ids, want %d", len(seen), events)
-	}
-	for id, n := range seen {
-		if n != 1 {
-			t.Fatalf("id %d delivered %d times", id, n)
-		}
-	}
-	p, err := b.Pending("t", "g")
-	if err != nil || len(p) != 0 {
-		t.Fatalf("pending=%v err=%v", p, err)
-	}
-}
-
-func TestGroupPendingAndAckErrors(t *testing.T) {
-	b := NewBroker(0)
-	b.CreateGroup(context.Background(), "t", "g", 0)
-	b.Publish(context.Background(), "t", []byte("a"))
-	e, err := b.GroupRead(context.Background(), "t", "g")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, _ := b.Pending("t", "g")
-	if len(p) != 1 || p[0].ID != e.ID {
-		t.Fatalf("pending=%v", p)
-	}
-	if err := b.Ack(context.Background(), "t", "g", 999); !errors.Is(err, ErrNotPending) {
-		t.Fatalf("err=%v", err)
-	}
-	if err := b.Ack(context.Background(), "t", "nope", e.ID); !errors.Is(err, ErrNoSuchGroup) {
-		t.Fatalf("err=%v", err)
-	}
-	if _, err := b.GroupRead(context.Background(), "t", "nope"); !errors.Is(err, ErrNoSuchGroup) {
-		t.Fatalf("err=%v", err)
 	}
 }
 

@@ -62,22 +62,7 @@ type Cursor interface {
 // and the capacity of a Subscription's channel.
 const subscribeSlack = 64
 
-// GroupBus is the consumer-group surface of a broker: the Bus plus group
-// create/read/ack. *Broker and *Client both implement it, so a group
-// consumer (e.g. score's StreamArchiver) can run against a local broker or
-// ride a TCP client across a replicated fabric unchanged.
-type GroupBus interface {
-	Bus
-	// CreateGroup registers a consumer group on topic starting after afterID.
-	CreateGroup(ctx context.Context, topic, group string, afterID uint64) error
-	// GroupRead claims the next entry for the group, blocking until one
-	// exists.
-	GroupRead(ctx context.Context, topic, group string) (Entry, error)
-	// Ack acknowledges a group-delivered entry.
-	Ack(ctx context.Context, topic, group string, id uint64) error
-}
-
 var (
-	_ GroupBus = (*Broker)(nil)
-	_ GroupBus = (*Client)(nil)
+	_ Bus = (*Broker)(nil)
+	_ Bus = (*Client)(nil)
 )

@@ -38,9 +38,9 @@ type Options struct {
 	// DialTimeout bounds connection establishment (default 5s).
 	DialTimeout time.Duration
 	// IOTimeout bounds each frame write and each non-blocking frame read
-	// (default 10s). Blocking reads (ConsumeBatch, GroupRead, Subscription
-	// streams) have no read deadline: they legitimately wait for data. A
-	// context deadline tightens either bound.
+	// (default 10s). Blocking reads (ConsumeBatch, Subscription streams)
+	// have no read deadline: they legitimately wait for data. A context
+	// deadline tightens either bound.
 	IOTimeout time.Duration
 	// RetryMax is the attempt budget for idempotent operations across
 	// transient transport errors (default 4; minimum 1).
@@ -295,11 +295,10 @@ func IsTransient(err error) bool {
 // blocking reads. On any transport error the connection is dropped and
 // lazily re-established by the next call; read-only operations (Latest,
 // Range, Topics, ConsumeBatch, Ping) additionally retry across transient
-// errors with capped exponential backoff. Mutating operations
-// (PublishBatch, CreateGroup, Ack, GroupRead) are never retried
-// after the request may have been sent, so they cannot be duplicated;
-// callers that need delivery guarantees buffer and re-publish (see score's
-// store-and-forward BufferedPublisher).
+// errors with capped exponential backoff. The mutating operation,
+// PublishBatch, is never retried after the request may have been sent, so it
+// cannot be duplicated; callers that need delivery guarantees buffer and
+// re-publish (see score's store-and-forward BufferedPublisher).
 type Client struct {
 	addr string
 	opt  Options
@@ -804,30 +803,6 @@ func (c *Client) ConsumeBatch(ctx context.Context, topic string, afterID uint64,
 		return nil, err
 	}
 	return out, nil
-}
-
-// CreateGroup registers a consumer group.
-func (c *Client) CreateGroup(ctx context.Context, topic, group string, afterID uint64) error {
-	req := (&enc{}).str(topic).str(group).u64(afterID)
-	return c.call(ctx, opGroupNew, req.b, false, false, nil)
-}
-
-// GroupRead claims the next entry for the group, blocking server-side. It
-// advances the group cursor, so it is not retried automatically.
-func (c *Client) GroupRead(ctx context.Context, topic, group string) (Entry, error) {
-	req := (&enc{}).str(topic).str(group)
-	var e Entry
-	err := c.call(ctx, opGroupRead, req.b, false, true, func(d *buf) { e = decodeEntry(d) })
-	if err != nil {
-		return Entry{}, err
-	}
-	return e, nil
-}
-
-// Ack acknowledges a group-delivered entry.
-func (c *Client) Ack(ctx context.Context, topic, group string, id uint64) error {
-	req := (&enc{}).str(topic).str(group).u64(id)
-	return c.call(ctx, opAck, req.b, false, false, nil)
 }
 
 // Topics lists topic names on the server.

@@ -41,16 +41,11 @@ func WithConnWrapper(wrap func(net.Conn) net.Conn) ServerOption {
 	return func(s *Server) { s.wrap = wrap }
 }
 
-// WithFabric routes publishes through a fabric node (leader-lease check +
-// quorum replication instead of a bare local append) and enables the fabric
-// ops: topology, replication status, and the lease proxy. Reads still go to
-// the local replica.
-func WithFabric(n *FabricNode) ServerOption {
-	return func(s *Server) { s.fabric.Store(n) }
-}
-
-// SetFabric attaches (or swaps) the fabric node after the server is already
-// listening — deployments that bind ":0" only learn their advertised
+// SetFabric attaches (or swaps) the fabric node: publishes then go through
+// it (leader-lease check + quorum replication instead of a bare local append)
+// and the fabric ops — topology, replication status, the lease proxy — are
+// enabled. Reads still go to the local replica. It is set after the server is
+// listening because a deployment that binds ":0" only learns its advertised
 // address, and can only build the fabric node, once the listener is up.
 func (s *Server) SetFabric(n *FabricNode) { s.fabric.Store(n) }
 
@@ -137,13 +132,13 @@ func (s *Server) dropConn(conn net.Conn) {
 }
 
 // parks reports whether answering op can wait on something other than this
-// node's broker: new data (a consume, a group read, a subscription) or, on a
-// fabric node, the followers a publish replicates to. Every other op is
+// node's broker: new data (a consume, a subscription) or, on a fabric node,
+// the followers a publish replicates to. Every other op is
 // broker-local (a lease or status op may cost a bounded coordinator call) and
 // is answered without parking.
 func (s *Server) parks(op byte) bool {
 	switch op {
-	case opConsumeBatch, opGroupRead, opSubscribe:
+	case opConsumeBatch, opSubscribe:
 		return true
 	case opPublishBatch:
 		return s.fabric.Load() != nil
@@ -325,34 +320,6 @@ func (s *Server) dispatch(ctx context.Context, op byte, payload []byte, out *enc
 		}
 		encodeEntries(out, entries)
 		return nil
-
-	case opGroupNew:
-		topic, group := d.str(), d.str()
-		after := d.u64()
-		if d.err != nil {
-			return d.err
-		}
-		return s.broker.CreateGroup(ctx, topic, group, after)
-
-	case opGroupRead:
-		topic, group := d.str(), d.str()
-		if d.err != nil {
-			return d.err
-		}
-		e, err := s.broker.GroupRead(ctx, topic, group)
-		if err != nil {
-			return err
-		}
-		encodeEntry(out, e)
-		return nil
-
-	case opAck:
-		topic, group := d.str(), d.str()
-		id := d.u64()
-		if d.err != nil {
-			return d.err
-		}
-		return s.broker.Ack(ctx, topic, group, id)
 
 	case opTopics:
 		names := s.broker.Topics()

@@ -201,25 +201,6 @@ func TestTCPSubscriptionFromOffset(t *testing.T) {
 	}
 }
 
-func TestTCPGroupReadAck(t *testing.T) {
-	b, s := startServer(t)
-	c := dialT(t, s)
-	if err := c.CreateGroup(context.Background(), "m", "g", 0); err != nil {
-		t.Fatal(err)
-	}
-	b.Publish(context.Background(), "m", []byte("a"))
-	e, err := c.GroupRead(context.Background(), "m", "g")
-	if err != nil || e.ID != 1 {
-		t.Fatalf("e=%v err=%v", e, err)
-	}
-	if err := c.Ack(context.Background(), "m", "g", e.ID); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Ack(context.Background(), "m", "g", e.ID); !errors.Is(err, ErrNotPending) {
-		t.Fatalf("double ack err=%v", err)
-	}
-}
-
 func TestTCPTopics(t *testing.T) {
 	b, s := startServer(t)
 	c := dialT(t, s)

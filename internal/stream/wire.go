@@ -20,16 +20,15 @@ import (
 // Payload fields are encoded with writeString (u16 len + bytes), writeBytes
 // (u32 len + bytes), and fixed-width little-endian integers.
 
-// Request opcodes. 0x01 (singular publish) and 0x04 (singular consume) are
-// retired and stay reserved: a single tuple rides the batch frames with n=1,
-// and a server answers the old numbers with "unknown opcode".
+// Request opcodes. 0x01 (singular publish), 0x04 (singular consume) and
+// 0x06-0x08 (consumer-group create, read, ack) are retired and stay reserved:
+// a single tuple rides the batch frames with n=1, a consumer keeps its own
+// position with Follow, and a server answers the old numbers with "unknown
+// opcode".
 const (
 	opLatest    = 0x02 // topic                    -> entry
 	opRange     = 0x03 // topic, from, to, max     -> u32 n, n entries
 	opSubscribe = 0x05 // topic, afterID           -> stream of entries
-	opGroupNew  = 0x06 // topic, group, afterID    -> ok
-	opGroupRead = 0x07 // topic, group             -> entry (blocks)
-	opAck       = 0x08 // topic, group, id         -> ok
 	opTopics    = 0x09 //                          -> u32 n, n strings
 	opPing      = 0x0A //                          -> ok (liveness / conn check)
 
@@ -311,7 +310,7 @@ func remoteError(payload []byte) error {
 	if nl := parseNotLeader(msg); nl != nil {
 		return nl
 	}
-	for _, sentinel := range []error{ErrClosed, ErrNoSuchTopic, ErrNoSuchGroup, ErrEvicted, ErrNotPending, ErrEmptyPayload, ErrEpochFenced, ErrReplicaGap, ErrNoQuorum} {
+	for _, sentinel := range []error{ErrClosed, ErrNoSuchTopic, ErrEvicted, ErrEmptyPayload, ErrEpochFenced, ErrReplicaGap, ErrNoQuorum} {
 		if msg == sentinel.Error() {
 			return sentinel
 		}

@@ -93,7 +93,7 @@ func TestBufTruncatedFields(t *testing.T) {
 }
 
 func TestRemoteErrorMapsSentinels(t *testing.T) {
-	for _, sentinel := range []error{ErrClosed, ErrNoSuchTopic, ErrNoSuchGroup, ErrEvicted, ErrNotPending, ErrEmptyPayload} {
+	for _, sentinel := range []error{ErrClosed, ErrNoSuchTopic, ErrEvicted, ErrEmptyPayload} {
 		got := remoteError(errPayload(sentinel))
 		if !errors.Is(got, sentinel) {
 			t.Fatalf("sentinel %v not mapped, got %v", sentinel, got)
@@ -153,6 +153,25 @@ func TestBrokerRangeQuick(t *testing.T) {
 	}
 }
 
+// expectRefused sends one request frame and requires a statusErr answer
+// containing want, then a Ping answered OK on the same connection.
+func expectRefused(t *testing.T, conn net.Conn, op byte, payload []byte, want string) {
+	t.Helper()
+	if err := writeFrame(conn, op, payload); err != nil {
+		t.Fatal(err)
+	}
+	status, resp, err := readFrame(conn)
+	if err != nil || status != statusErr || !strings.Contains(string(resp), want) {
+		t.Fatalf("op %#x: status=%d resp=%q err=%v, want a %q error", op, status, resp, err, want)
+	}
+	if err := writeFrame(conn, opPing, nil); err != nil {
+		t.Fatal(err)
+	}
+	if status, _, err := readFrame(conn); err != nil || status != statusOK {
+		t.Fatalf("ping after op %#x: status=%d err=%v", op, status, err)
+	}
+}
+
 // TestRefusedFrames: the retired singular publish (0x01) and consume (0x04)
 // opcodes are answered with an "unknown opcode" error, a publish whose count
 // exceeds what its frame can hold with "truncated frame" before anything is
@@ -164,27 +183,22 @@ func TestRefusedFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	for _, tc := range []struct {
-		op      byte
-		payload []byte
-		want    string
-	}{
-		{0x01, (&enc{}).str("t").bytes([]byte("x")).b, "unknown opcode"},
-		{0x04, (&enc{}).str("t").u64(0).b, "unknown opcode"},
-		{opPublishBatch, (&enc{}).str("t").u32(1 << 31).b, "truncated frame"},
-	} {
-		if err := writeFrame(conn, tc.op, tc.payload); err != nil {
-			t.Fatal(err)
-		}
-		status, resp, err := readFrame(conn)
-		if err != nil || status != statusErr || !strings.Contains(string(resp), tc.want) {
-			t.Fatalf("op %#x: status=%d resp=%q err=%v, want a %q error", tc.op, status, resp, err, tc.want)
-		}
-		if err := writeFrame(conn, opPing, nil); err != nil {
-			t.Fatal(err)
-		}
-		if status, _, err := readFrame(conn); err != nil || status != statusOK {
-			t.Fatalf("ping after op %#x: status=%d err=%v", tc.op, status, err)
-		}
+	expectRefused(t, conn, 0x01, (&enc{}).str("t").bytes([]byte("x")).b, "unknown opcode")
+	expectRefused(t, conn, 0x04, (&enc{}).str("t").u64(0).b, "unknown opcode")
+	expectRefused(t, conn, opPublishBatch, (&enc{}).str("t").u32(1<<31).b, "truncated frame")
+}
+
+// TestRetiredOpsAreRefused: the consumer-group opcodes (0x06 create, 0x07
+// read, 0x08 ack) carry the frames an old client would send and get the
+// "unknown opcode" error; 0x07 used to park, so its refusal must not.
+func TestRetiredOpsAreRefused(t *testing.T) {
+	_, s := startServer(t)
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer conn.Close()
+	expectRefused(t, conn, 0x06, (&enc{}).str("t").str("g").u64(0).b, "unknown opcode")
+	expectRefused(t, conn, 0x07, (&enc{}).str("t").str("g").b, "unknown opcode")
+	expectRefused(t, conn, 0x08, (&enc{}).str("t").str("g").u64(1).b, "unknown opcode")
 }

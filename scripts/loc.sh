@@ -1,9 +1,19 @@
 #!/usr/bin/env sh
 # The ruler simplicity PRs report before/after from: non-test Go lines that
 # are neither blank nor a // comment, per package directory under internal/
-# (plus the apollo facade), and in total.
+# (plus the apollo facade), and in total. The total splits three ways:
+# reproduction is the paper's evaluation code (figures, the LDMS baseline,
+# the Fig. 13 middleware engines, workload generators, trace replay), harness
+# is the simulation layer tests run on, product is everything a daemon or the
+# CLI can link (reach_test.go and verify.sh's layering check draw the same
+# line). ROADMAP item 4's target is stated on product.
 set -eu
 cd "$(dirname "$0")/.."
 find internal apollo -name '*.go' ! -name '*_test.go' -print0 | xargs -0 awk '
-    !/^[ \t]*($|\/\/)/ { d = FILENAME; sub(/\/[^\/]*$/, "", d); n[d]++; total++ }
-    END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", total }' | sort -k2
+    !/^[ \t]*($|\/\/)/ { d = FILENAME; sub(/\/[^\/]*$/, "", d); n[d]++ }
+    END { for (d in n) printf "%7d %s\n", n[d], d }' | sort -k2 | awk '
+    { print; total += $1 }
+    $2 ~ /^internal\/(figures|ldms|middleware|workloads|trace)$/ { repro += $1; next }
+    $2 ~ /^internal\/sim(\/scenario)?$/ { harness += $1; next }
+    { product += $1 }
+    END { printf "%7d product\n%7d reproduction\n%7d harness\n%7d total\n", product, repro, harness, total }'
