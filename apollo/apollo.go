@@ -32,7 +32,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/stream"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // Core service types.
@@ -228,9 +227,6 @@ type (
 	SimClock = sim.Virtual
 )
 
-// Trace is a captured metric series (§4.3.1 capture/replay methodology).
-type Trace = trace.Trace
-
 // Interval modes.
 const (
 	IntervalFixed       = core.IntervalFixed
@@ -269,19 +265,6 @@ func LoadDelphi(path string) (*DelphiModel, error) { return delphi.Load(path) }
 
 // NewSimClock returns a simulated clock for deterministic replay.
 func NewSimClock(start time.Time) *SimClock { return sim.NewVirtual(start) }
-
-// LoadTrace reads a trace file saved with (*Trace).Save.
-func LoadTrace(path string) (*Trace, error) { return trace.Load(path) }
-
-// CaptureTrace samples a monitor hook n times into a replayable trace.
-func CaptureTrace(hook Hook, n int, tick time.Duration) (*Trace, error) {
-	return trace.Capture(hook, n, tick)
-}
-
-// TraceFromSeries wraps a raw series as a replayable trace.
-func TraceFromSeries(metric MetricID, tick time.Duration, samples []float64) *Trace {
-	return trace.FromSeries(metric, tick, samples)
-}
 
 // Aggregation builders for RegisterInsight.
 var (

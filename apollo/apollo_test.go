@@ -79,31 +79,6 @@ func TestFacadeConstructors(t *testing.T) {
 	}
 }
 
-func TestFacadeTraceRoundTrip(t *testing.T) {
-	tr := apollo.TraceFromSeries("cap", time.Second, []float64{3, 2, 1})
-	path := t.TempDir() + "/t.csv"
-	if err := tr.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := apollo.LoadTrace(path)
-	if err != nil || len(got.Samples) != 3 || got.Metric != "cap" {
-		t.Fatalf("got=%+v err=%v", got, err)
-	}
-	// CaptureTrace drives a hook; its Hook() replays through a vertex.
-	i := 0.0
-	captured, err := apollo.CaptureTrace(apollo.HookFunc{ID: "c", Fn: func() (float64, error) {
-		i++
-		return i, nil
-	}}, 4, time.Second)
-	if err != nil || len(captured.Samples) != 4 {
-		t.Fatalf("captured=%+v err=%v", captured, err)
-	}
-	h := captured.Hook()
-	if v, _ := h.Poll(); v != 1 {
-		t.Fatalf("replay=%f", v)
-	}
-}
-
 func TestFacadeDelphiTrainSaveLoad(t *testing.T) {
 	m, err := apollo.TrainDelphi(apollo.DelphiTrainOptions{Seed: 1, Epochs: 5, SeriesPerFeature: 2, SeriesLen: 100})
 	if err != nil {

@@ -190,7 +190,8 @@ func BenchmarkAblationDelphiStack(b *testing.B) {
 			var preds, truth []float64
 			for j := 0; j+delphi.WindowSize < len(test); j++ {
 				w := test[j : j+delphi.WindowSize]
-				norm, loc, scale := delphi.Normalize(w)
+				norm := make([]float64, len(w))
+				loc, scale := delphi.NormalizeInto(norm, w)
 				preds = append(preds, m.Predict1(norm)*scale+loc)
 				truth = append(truth, test[j+delphi.WindowSize])
 			}

@@ -258,13 +258,23 @@ func (g gatewayClient) retention() {
 	for _, m := range res.Metrics {
 		name := m.Metric
 		for _, ts := range m.Tiers {
-			span := fmt.Sprintf("%s .. %s",
-				time.Unix(0, ts.FirstTimestampNS).UTC().Format(time.RFC3339),
-				time.Unix(0, ts.LastTimestampNS).UTC().Format(time.RFC3339))
-			fmt.Printf("%-36s %-4s %6d %12d %10d %s\n", name, ts.Tier, ts.Files, ts.Bytes, ts.Records, span)
+			fmt.Printf("%-36s %-4s %6d %12d %10d %s\n", name, ts.Tier, ts.Files, ts.Bytes, ts.Records,
+				span(ts.Records == 0, ts.FirstTimestampNS, ts.LastTimestampNS))
 			name = ""
 		}
 	}
+}
+
+// span renders the SPAN column of a retention row: the tier's first and last
+// timestamps, or "-" for a tier that holds no record (the fresh active
+// segment of a metric nothing has been evicted from yet).
+func span(empty bool, firstNS, lastNS int64) string {
+	if empty {
+		return "-"
+	}
+	return fmt.Sprintf("%s .. %s",
+		time.Unix(0, firstNS).UTC().Format(time.RFC3339),
+		time.Unix(0, lastNS).UTC().Format(time.RFC3339))
 }
 
 // runRetention prints a per-tier summary of every metric archive under dir
@@ -319,10 +329,8 @@ func runRetention(args []string, apply string) {
 			if ts.Files == 0 {
 				continue
 			}
-			span := fmt.Sprintf("%s .. %s",
-				time.Unix(0, ts.FirstTS).UTC().Format(time.RFC3339),
-				time.Unix(0, ts.LastTS).UTC().Format(time.RFC3339))
-			fmt.Printf("%-36s %-4s %6d %12d %10d %s\n", name, labels[t], ts.Files, ts.Bytes, ts.Records, span)
+			fmt.Printf("%-36s %-4s %6d %12d %10d %s\n", name, labels[t], ts.Files, ts.Bytes, ts.Records,
+				span(ts.Records == 0, ts.FirstTS, ts.LastTS))
 			name = ""
 		}
 	}

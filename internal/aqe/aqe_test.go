@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/score"
 	"repro/internal/telemetry"
 )
@@ -23,14 +24,24 @@ func (f *fakeExec) Latest() (telemetry.Info, bool) {
 	}
 	return f.entries[len(f.entries)-1], true
 }
-func (f *fakeExec) Range(from, to int64) []telemetry.Info {
-	var out []telemetry.Info
+func (f *fakeExec) ScanRange(from, to int64, fn func(telemetry.Info) bool) {
 	for _, e := range f.entries {
-		if e.Timestamp >= from && e.Timestamp <= to {
-			out = append(out, e)
+		if e.Timestamp >= from && e.Timestamp <= to && !fn(e) {
+			return
 		}
 	}
-	return out
+}
+
+// cacheStats instruments e on a fresh registry and returns a reader of its
+// plan-cache hit and miss counters and occupancy gauge.
+func cacheStats(e *Engine) func() (hits, misses uint64, size int) {
+	reg := obs.NewRegistry()
+	e.Instrument(reg)
+	return func() (uint64, uint64, int) {
+		return reg.Counter("aqe_plan_cache_hits_total").Value(),
+			reg.Counter("aqe_plan_cache_misses_total").Value(),
+			int(reg.Gauge("aqe_plan_cache_size").Value())
+	}
 }
 
 type mapResolver map[string]*fakeExec
@@ -59,8 +70,8 @@ SELECT MAX(Timestamp), metric FROM node_1_memory;`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.Complexity() != 2 {
-		t.Fatalf("complexity=%d", q.Complexity())
+	if len(q.Selects) != 2 {
+		t.Fatalf("branches=%d", len(q.Selects))
 	}
 	if q.Selects[0].Table != "pfs_capacity" || q.Selects[1].Table != "node_1_memory" {
 		t.Fatalf("tables=%v,%v", q.Selects[0].Table, q.Selects[1].Table)
@@ -123,7 +134,7 @@ func TestParseWhereForms(t *testing.T) {
 
 func TestParseUnionAll(t *testing.T) {
 	q, err := Parse("SELECT metric FROM a UNION ALL SELECT metric FROM b")
-	if err != nil || q.Complexity() != 2 {
+	if err != nil || len(q.Selects) != 2 {
 		t.Fatalf("q=%v err=%v", q, err)
 	}
 }

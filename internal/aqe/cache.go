@@ -22,8 +22,6 @@ type planCache struct {
 	cap     int
 	entries map[string]*list.Element
 	order   *list.List // front = most recently used
-
-	hits, misses uint64
 }
 
 type cacheEntry struct {
@@ -44,10 +42,8 @@ func (c *planCache) get(key []byte, nargs int) *Plan {
 	defer c.mu.Unlock()
 	el, ok := c.entries[string(key)]
 	if !ok || el.Value.(*cacheEntry).plan.nargs != nargs {
-		c.misses++
 		return nil
 	}
-	c.hits++
 	c.order.MoveToFront(el)
 	return el.Value.(*cacheEntry).plan
 }
@@ -70,13 +66,6 @@ func (c *planCache) put(key []byte, p *Plan) int {
 	k := string(key)
 	c.entries[k] = c.order.PushFront(&cacheEntry{key: k, plan: p})
 	return c.order.Len()
-}
-
-// stats returns hit/miss totals and current occupancy.
-func (c *planCache) stats() (hits, misses uint64, size int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses, c.order.Len()
 }
 
 func isDigit(c byte) bool  { return '0' <= c && c <= '9' }

@@ -150,15 +150,6 @@ func (e *Engine) Instrument(r *obs.Registry) {
 	e.obsLatency = r.Histogram("aqe_query_seconds", obs.DefLatencyBuckets...)
 }
 
-// PlanCacheStats reports cache hit/miss totals and current occupancy (all
-// zero when the cache is disabled).
-func (e *Engine) PlanCacheStats() (hits, misses uint64, size int) {
-	if e.cache == nil {
-		return 0, 0, 0
-	}
-	return e.cache.stats()
-}
-
 // Prepare returns the compiled plan for src: the cached plan of its shape
 // bound to src's literals when there is one, else a fresh compile, cached for
 // the next text of the shape.
@@ -270,21 +261,6 @@ func (e *Engine) ExecutePlan(p *Plan) (*Result, error) {
 	return res, nil
 }
 
-// scanRange streams ex's entries in [from, to] through the zero-copy Scanner
-// fast path when the executor provides one, falling back to a materializing
-// Range for foreign executors (e.g. the LDMS comparison store).
-func scanRange(ex score.Executor, from, to int64, fn func(telemetry.Info) bool) {
-	if sc, ok := ex.(score.Scanner); ok {
-		sc.ScanRange(from, to, fn)
-		return
-	}
-	for _, in := range ex.Range(from, to) {
-		if !fn(in) {
-			return
-		}
-	}
-}
-
 // execBranch evaluates one compiled branch, appending its rows to rows.
 func (e *Engine) execBranch(cs *compiledSelect, rows [][]Cell) ([][]Cell, error) {
 	ex, err := e.res.Resolve(cs.table)
@@ -305,7 +281,7 @@ func (e *Engine) execBranch(cs *compiledSelect, rows [][]Cell) ([][]Cell, error)
 	// row materialization at all. (Its one row is within any LIMIT.)
 	if cs.hasAgg {
 		var st aggState
-		scanRange(ex, cs.from, cs.to, func(in telemetry.Info) bool {
+		ex.ScanRange(cs.from, cs.to, func(in telemetry.Info) bool {
 			st.observe(in)
 			return true
 		})
@@ -325,7 +301,7 @@ func (e *Engine) execBranch(cs *compiledSelect, rows [][]Cell) ([][]Cell, error)
 	desc := cs.order != nil && cs.order.Desc
 	if !desc {
 		out, base := rows, len(rows) // out, not rows: only this path pays for a captured variable
-		scanRange(ex, cs.from, cs.to, func(in telemetry.Info) bool {
+		ex.ScanRange(cs.from, cs.to, func(in telemetry.Info) bool {
 			out = append(out, rowFromProj(cs.proj, in))
 			return cs.limit == 0 || len(out)-base < cs.limit
 		})
@@ -334,7 +310,7 @@ func (e *Engine) execBranch(cs *compiledSelect, rows [][]Cell) ([][]Cell, error)
 	if cs.limit > 0 {
 		ring := make([]telemetry.Info, 0, cs.limit)
 		pos := 0
-		scanRange(ex, cs.from, cs.to, func(in telemetry.Info) bool {
+		ex.ScanRange(cs.from, cs.to, func(in telemetry.Info) bool {
 			if len(ring) < cs.limit {
 				ring = append(ring, in)
 			} else {
@@ -349,7 +325,7 @@ func (e *Engine) execBranch(cs *compiledSelect, rows [][]Cell) ([][]Cell, error)
 		return rows, nil
 	}
 	var entries []telemetry.Info
-	scanRange(ex, cs.from, cs.to, func(in telemetry.Info) bool {
+	ex.ScanRange(cs.from, cs.to, func(in telemetry.Info) bool {
 		entries = append(entries, in)
 		return true
 	})

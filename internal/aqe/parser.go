@@ -114,14 +114,11 @@ type branchArgs struct {
 	from, to, limit argRef
 }
 
-// Query is a parsed UNION of SELECT statements. Complexity (the x-axis of
-// Fig. 12b) is the number of branches.
+// Query is a parsed UNION of SELECT statements; the number of branches is the
+// query complexity on the x-axis of Fig. 12b.
 type Query struct {
 	Selects []SelectStmt
 }
-
-// Complexity returns the number of queried tables.
-func (q *Query) Complexity() int { return len(q.Selects) }
 
 // Parse compiles the query text.
 func Parse(src string) (*Query, error) {

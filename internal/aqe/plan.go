@@ -52,9 +52,6 @@ func (p *Plan) bind(args []int64) *Plan {
 // Columns returns the result column headers.
 func (p *Plan) Columns() []string { return append([]string(nil), p.cols...) }
 
-// Complexity returns the number of UNION branches (the x-axis of Fig. 12b).
-func (p *Plan) Complexity() int { return len(p.branches) }
-
 // projector renders one cell of a row from an Information tuple, compiled
 // once per plan instead of switching on (Agg, Col) for every row.
 type projector func(telemetry.Info) Cell

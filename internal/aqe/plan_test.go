@@ -11,8 +11,8 @@ import (
 	"repro/internal/telemetry"
 )
 
-// scanExec wraps fakeExec with a Scanner implementation that counts visited
-// entries, to observe the streaming fast path and early-LIMIT cutoff.
+// scanExec wraps fakeExec with a ScanRange that counts visited entries, to
+// observe the early-LIMIT cutoff.
 type scanExec struct {
 	fakeExec
 	visited atomic.Int64
@@ -29,8 +29,6 @@ func (s *scanExec) ScanRange(from, to int64, fn func(telemetry.Info) bool) {
 		}
 	}
 }
-
-var _ score.Scanner = (*scanExec)(nil)
 
 type scanResolver map[string]*scanExec
 
@@ -51,6 +49,7 @@ func scanFixture(n int) scanResolver {
 
 func TestPlanCacheHitsAndMisses(t *testing.T) {
 	e := NewEngine(fixture())
+	planCacheStats := cacheStats(e)
 	const src = "SELECT MAX(Timestamp), metric FROM pfs_capacity"
 	p1, err := e.Prepare(src)
 	if err != nil {
@@ -63,7 +62,7 @@ func TestPlanCacheHitsAndMisses(t *testing.T) {
 	if p1 != p2 {
 		t.Fatal("second Prepare did not return the cached plan")
 	}
-	hits, misses, size := e.PlanCacheStats()
+	hits, misses, size := planCacheStats()
 	if hits != 1 || misses != 1 || size != 1 {
 		t.Fatalf("stats hits=%d misses=%d size=%d, want 1/1/1", hits, misses, size)
 	}
@@ -71,13 +70,14 @@ func TestPlanCacheHitsAndMisses(t *testing.T) {
 	if _, err := e.Query(src); err != nil {
 		t.Fatal(err)
 	}
-	if hits, _, _ = e.PlanCacheStats(); hits != 2 {
+	if hits, _, _ = planCacheStats(); hits != 2 {
 		t.Fatalf("hits=%d after Query, want 2", hits)
 	}
 }
 
 func TestPlanCacheDisabled(t *testing.T) {
 	e := NewEngine(fixture(), WithPlanCache(-1))
+	planCacheStats := cacheStats(e)
 	const src = "SELECT metric FROM pfs_capacity"
 	p1, err := e.Prepare(src)
 	if err != nil {
@@ -90,13 +90,14 @@ func TestPlanCacheDisabled(t *testing.T) {
 	if p1 == p2 {
 		t.Fatal("disabled cache returned a shared plan")
 	}
-	if hits, misses, size := e.PlanCacheStats(); hits != 0 || misses != 0 || size != 0 {
+	if hits, misses, size := planCacheStats(); hits != 0 || misses != 0 || size != 0 {
 		t.Fatalf("disabled cache reported stats %d/%d/%d", hits, misses, size)
 	}
 }
 
 func TestPlanCacheLRUEviction(t *testing.T) {
 	e := NewEngine(fixture(), WithPlanCache(2))
+	planCacheStats := cacheStats(e)
 	qa := "SELECT metric FROM pfs_capacity"
 	qb := "SELECT Timestamp FROM pfs_capacity"
 	qc := "SELECT source FROM pfs_capacity"
@@ -105,20 +106,20 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, missesBefore, size := e.PlanCacheStats()
+	_, missesBefore, size := planCacheStats()
 	if size != 2 {
 		t.Fatalf("size=%d, want 2", size)
 	}
 	if _, err := e.Prepare(qa); err != nil { // still cached
 		t.Fatal(err)
 	}
-	if _, misses, _ := e.PlanCacheStats(); misses != missesBefore {
+	if _, misses, _ := planCacheStats(); misses != missesBefore {
 		t.Fatalf("qa was evicted: misses %d -> %d", missesBefore, misses)
 	}
 	if _, err := e.Prepare(qb); err != nil { // evicted, re-misses
 		t.Fatal(err)
 	}
-	if _, misses, _ := e.PlanCacheStats(); misses != missesBefore+1 {
+	if _, misses, _ := planCacheStats(); misses != missesBefore+1 {
 		t.Fatalf("qb should have been evicted; misses=%d want %d", misses, missesBefore+1)
 	}
 }
@@ -162,40 +163,6 @@ func TestDescLimitKeepsNewest(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, []int64{9, 8, 7}) {
 		t.Fatalf("rows=%v want [9 8 7]", got)
-	}
-}
-
-// TestScannerMatchesRangeFallback cross-checks every query shape between a
-// Scanner-backed executor and the plain Range fallback.
-func TestScannerMatchesRangeFallback(t *testing.T) {
-	entries := make([]telemetry.Info, 0, 40)
-	for i := 0; i < 40; i++ {
-		entries = append(entries, telemetry.NewFact("t", int64(i*3), float64(100-i)))
-	}
-	withScan := scanResolver{"t": {fakeExec: fakeExec{id: "t", entries: entries}}}
-	withRange := mapResolver{"t": {id: "t", entries: entries}}
-	queries := []string{
-		"SELECT MAX(Timestamp), metric FROM t",
-		"SELECT COUNT(*), AVG(metric), SUM(metric), MIN(metric), MAX(metric) FROM t WHERE Timestamp >= 30",
-		"SELECT Timestamp, metric FROM t WHERE Timestamp BETWEEN 10 AND 60",
-		"SELECT Timestamp FROM t WHERE Timestamp >= 0 ORDER BY Timestamp DESC",
-		"SELECT Timestamp FROM t WHERE Timestamp >= 0 ORDER BY Timestamp DESC LIMIT 5",
-		"SELECT Timestamp FROM t WHERE Timestamp >= 0 LIMIT 7",
-		"SELECT MIN(Timestamp), MAX(Timestamp) FROM t WHERE Timestamp >= 200", // empty window
-	}
-	es, er := NewEngine(withScan), NewEngine(withRange)
-	for _, src := range queries {
-		a, err := es.Query(src)
-		if err != nil {
-			t.Fatalf("%q scanner: %v", src, err)
-		}
-		b, err := er.Query(src)
-		if err != nil {
-			t.Fatalf("%q fallback: %v", src, err)
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("%q: scanner %+v != fallback %+v", src, a, b)
-		}
 	}
 }
 
@@ -244,7 +211,7 @@ func TestEngineInstrumentation(t *testing.T) {
 	if v := r.Gauge("aqe_plan_cache_size").Value(); v != 1 {
 		t.Fatalf("occupancy gauge=%v want 1", v)
 	}
-	if c := r.Histogram("aqe_query_seconds", obs.DefLatencyBuckets...).Count(); c != 3 {
+	if c := r.Snapshot().Histograms["aqe_query_seconds"].Count; c != 3 {
 		t.Fatalf("latency histogram count=%d want 3", c)
 	}
 }

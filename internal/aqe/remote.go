@@ -11,7 +11,7 @@ import (
 // BusResolver resolves AQE tables against a stream.Bus, so the engine runs
 // over a remote fabric (a dialed stream.Client) or directly over an
 // in-process Broker — the resolver apolloctl and the HTTP gateway share.
-// Each table maps to the topic of the same name; Latest and Range are
+// Each table maps to the topic of the same name; Latest and ScanRange are
 // answered from the topic's retained ring.
 //
 // One Engine over a BusResolver is safe for concurrent use: plans are
@@ -50,22 +50,20 @@ func (x busExecutor) Latest() (telemetry.Info, bool) {
 	return in, true
 }
 
-// Range implements score.Executor, materializing the retained entries whose
-// timestamps fall in [from, to].
-func (x busExecutor) Range(from, to int64) []telemetry.Info {
+// ScanRange implements score.Executor over the topic's retained entries,
+// decoding each and passing fn those whose timestamps fall in [from, to].
+func (x busExecutor) ScanRange(from, to int64, fn func(telemetry.Info) bool) {
 	entries, err := x.bus.Range(context.Background(), x.topic, 1, 1<<62, 0)
 	if err != nil {
-		return nil
+		return
 	}
-	var out []telemetry.Info
 	for _, e := range entries {
 		var in telemetry.Info
 		if err := in.UnmarshalBinary(e.Payload); err != nil {
 			continue
 		}
-		if in.Timestamp >= from && in.Timestamp <= to {
-			out = append(out, in)
+		if in.Timestamp >= from && in.Timestamp <= to && !fn(in) {
+			return
 		}
 	}
-	return out
 }

@@ -27,6 +27,7 @@ func TestBusResolverOverBroker(t *testing.T) {
 		}
 	}
 	eng := NewEngine(BusResolver{Bus: b})
+	planCacheStats := cacheStats(eng)
 
 	res, err := eng.Query("SELECT MAX(Value) FROM m.cap")
 	if err != nil {
@@ -40,7 +41,7 @@ func TestBusResolverOverBroker(t *testing.T) {
 	if _, err := eng.Query("SELECT MAX(Value) FROM m.cap"); err != nil {
 		t.Fatal(err)
 	}
-	hits, misses, _ := eng.PlanCacheStats()
+	hits, misses, _ := planCacheStats()
 	if hits != 1 || misses != 1 {
 		t.Fatalf("plan cache not shared across callers: hits=%d misses=%d", hits, misses)
 	}

@@ -88,6 +88,7 @@ func shapeCorpus(seed int64, n int) []string {
 func TestShapeCacheMatchesUncached(t *testing.T) {
 	res := shapeFixture()
 	cached, cold := NewEngine(res), NewEngine(res, WithPlanCache(-1))
+	planCacheStats := cacheStats(cached)
 	corpus := shapeCorpus(1, 6000)
 	for _, src := range corpus {
 		got, gerr := cached.Query(src)
@@ -105,7 +106,7 @@ func TestShapeCacheMatchesUncached(t *testing.T) {
 	}
 	// Only texts that end in an error (never cached) and each shape's first
 	// appearance miss.
-	hits, misses, _ := cached.PlanCacheStats()
+	hits, misses, _ := planCacheStats()
 	valid := 0
 	for _, src := range corpus {
 		if _, err := cold.Prepare(src); err == nil {
@@ -215,6 +216,7 @@ func FuzzShapeOf(f *testing.F) {
 // allocations for the lex, parse and compile.)
 func TestPreparedQueryAllocs(t *testing.T) {
 	e := NewEngine(scanFixture(300))
+	planCacheStats := cacheStats(e)
 	latest := "SELECT MAX(Timestamp), metric FROM t"
 	union := latest
 	for i := 0; i < 15; i++ {
@@ -235,13 +237,13 @@ func TestPreparedQueryAllocs(t *testing.T) {
 	if _, err := e.Query(texts[0]); err != nil {
 		t.Fatal(err)
 	}
-	_, missesBefore, _ := e.PlanCacheStats()
+	_, missesBefore, _ := planCacheStats()
 	i := 0
 	prep := testing.AllocsPerRun(200, func() { e.Prepare(texts[i%len(texts)]); i++ })
 	query := testing.AllocsPerRun(200, func() { e.Query(texts[i%len(texts)]); i++ })
 	unionQ := testing.AllocsPerRun(200, func() { e.Query(union) })
 	t.Logf("allocs: window Prepare %v, window Query %v, 16-branch latest union Query %v", prep, query, unionQ)
-	if _, misses, _ := e.PlanCacheStats(); misses != missesBefore {
+	if _, misses, _ := planCacheStats(); misses != missesBefore {
 		t.Fatalf("fresh literals missed the cache: misses %d -> %d", missesBefore, misses)
 	}
 	if prep != 2 {

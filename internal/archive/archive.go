@@ -114,8 +114,8 @@ type Log struct {
 	mu sync.Mutex
 	// compactMu serializes compaction (which rewrites and removes files)
 	// against whole-log reads: Replay/Range hold it shared for the duration
-	// of a scan, Compact and Prune hold it exclusively. Callbacks passed to
-	// Replay/Range must therefore not call Compact or Prune.
+	// of a scan, Compact holds it exclusively. Callbacks passed to
+	// Replay/Range must therefore not call Compact.
 	compactMu    sync.RWMutex
 	dir          string
 	segmentBytes int64
@@ -135,12 +135,10 @@ type Log struct {
 	// with idx. It is nil until a Range needs it and dropped — under mu, and
 	// under compactMu held exclusively when files go away — wherever a data
 	// file is created or removed or idx changes: openSegment, sealLocked,
-	// Compact, Prune. scanRefs stays the truth everywhere else.
-	files     []fileEntry
-	appended  uint64
-	rotations uint64
-	corrupt   uint64 // corrupt records skipped during replays
-	closed    bool
+	// Compact. scanRefs stays the truth everywhere else.
+	files    []fileEntry
+	appended uint64
+	closed   bool
 	// wedged records a seal/rotate failure that left the active writer
 	// unusable (closed or in an unknown state). While set, Append first
 	// tries to recover by opening a fresh segment — the log fails closed
@@ -149,17 +147,10 @@ type Log struct {
 
 	idx         map[segKey]*segIndex // sealed-file indexes, all tiers
 	active      *segIndex            // incrementally-built index of the open segment
-	readBytes   uint64               // bytes read by Replay/Range
-	idxRebuilds uint64               // sidecars rebuilt (missing, corrupt, stale)
-	segSkipped  uint64               // segments skipped entirely by Range
+	idxRebuilds uint64               // sidecars Open rebuilt, held for Instrument
 
-	compactRuns     uint64 // Compact passes completed
-	compressedSegs  uint64 // raw segments rewritten as block files
-	compressedBytes uint64 // block bytes written by compaction (all tiers)
-	rolled          [2]uint64
-	droppedFiles    uint64 // files removed by the retention policy
-
-	// Optional obs instruments (nil-safe no-ops when not instrumented).
+	// Optional obs instruments (nil-safe no-ops when not instrumented): the
+	// only home of every count but appended.
 	obsAppends      *obs.Counter
 	obsRotations    *obs.Counter
 	obsCorrupt      *obs.Counter
@@ -296,23 +287,6 @@ func (l *Log) scanRefs() ([]segRef, error) {
 	return out, nil
 }
 
-// segments returns the sorted indices of existing full-resolution (tier 0)
-// segment files, raw or compressed.
-func (l *Log) segments() ([]int, error) {
-	refs, err := l.scanRefs()
-	if err != nil {
-		return nil, err
-	}
-	var out []int
-	for _, r := range refs {
-		if r.tier == TierRaw {
-			out = append(out, r.index)
-		}
-	}
-	sort.Ints(out)
-	return out, nil
-}
-
 func (l *Log) openSegment(i int) error {
 	f, err := os.OpenFile(filepath.Join(l.dir, segmentName(i)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -446,7 +420,6 @@ func (l *Log) rotateLocked() error {
 	if err := l.sealLocked(); err != nil {
 		return err
 	}
-	l.rotations++
 	l.obsRotations.Inc()
 	if err := l.openSegment(l.curIndex + 1); err != nil {
 		l.wedged = err
@@ -461,9 +434,9 @@ func (l *Log) rotateLocked() error {
 // archive_index_rebuilds_total, archive_range_segments_skipped_total,
 // archive_compaction_runs_total, archive_compressed_bytes_total,
 // archive_retention_dropped_files_total, and the per-tier
-// archive_rollup_tier_bytes gauges. Events that happened before
-// instrumentation (e.g. sidecar rebuilds during Open) are folded into the
-// counters so snapshots stay truthful.
+// archive_rollup_tier_bytes gauges. The sidecar rebuilds of Open, which runs
+// before anything can be instrumented, are folded in; every other event counts
+// from here on.
 func (l *Log) Instrument(r *obs.Registry, name string) {
 	l.mu.Lock()
 	l.obsAppends = r.Counter(obs.Name("archive_appends_total", "log", name))
@@ -479,11 +452,6 @@ func (l *Log) Instrument(r *obs.Registry, name string) {
 		l.obsTierBytes[t] = r.Gauge(obs.Name("archive_rollup_tier_bytes", "log", name, "tier", tierLabel(t)))
 	}
 	l.obsRebuilds.Add(l.idxRebuilds)
-	l.obsReadBytes.Add(l.readBytes)
-	l.obsSegSkipped.Add(l.segSkipped)
-	l.obsCompactRuns.Add(l.compactRuns)
-	l.obsCompressed.Add(l.compressedBytes)
-	l.obsDroppedFiles.Add(l.droppedFiles)
 	l.mu.Unlock()
 	l.updateTierGauges()
 }
@@ -517,83 +485,11 @@ func (l *Log) updateTierGauges() {
 	}
 }
 
-// Dir returns the directory the log persists to.
-func (l *Log) Dir() string { return l.dir }
-
 // Appended returns the number of tuples appended since Open.
 func (l *Log) Appended() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.appended
-}
-
-// Rotations returns how many segment rotations happened since Open.
-func (l *Log) Rotations() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.rotations
-}
-
-// CorruptRecords returns how many corrupt records replays have skipped (torn
-// active-segment tails excluded: those are normal crash recovery).
-func (l *Log) CorruptRecords() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.corrupt
-}
-
-// ReadBytes returns how many segment bytes Replay and Range have read since
-// Open — the denominator of the indexed-read win.
-func (l *Log) ReadBytes() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.readBytes
-}
-
-// IndexRebuilds returns how many sidecars Open had to rebuild (missing,
-// corrupt, or stale).
-func (l *Log) IndexRebuilds() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.idxRebuilds
-}
-
-// SegmentsSkipped returns how many whole segments Range pruned via the index.
-func (l *Log) SegmentsSkipped() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.segSkipped
-}
-
-// CompactionRuns returns how many Compact passes completed since Open.
-func (l *Log) CompactionRuns() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.compactRuns
-}
-
-// CompressedBytes returns how many block bytes compaction has written since
-// Open (compressed rewrites plus rollup tiers).
-func (l *Log) CompressedBytes() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.compressedBytes
-}
-
-// RolledUp returns how many rollup tuples compaction has written into the
-// 10s and 1m tiers since Open.
-func (l *Log) RolledUp() (tier10s, tier1m uint64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.rolled[0], l.rolled[1]
-}
-
-// DroppedFiles returns how many files the retention policy has removed since
-// Open.
-func (l *Log) DroppedFiles() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.droppedFiles
 }
 
 // Sync flushes buffered appends to the OS.
@@ -678,16 +574,8 @@ func (l *Log) Replay(fn func(telemetry.Info) error) error {
 	return nil
 }
 
-// account folds per-segment read statistics into the log's counters.
+// account counts per-segment read statistics.
 func (l *Log) account(corrupt int, bytes int64, skipped int) {
-	if corrupt == 0 && bytes == 0 && skipped == 0 {
-		return
-	}
-	l.mu.Lock()
-	l.corrupt += uint64(corrupt)
-	l.readBytes += uint64(bytes)
-	l.segSkipped += uint64(skipped)
-	l.mu.Unlock()
 	l.obsCorrupt.Add(uint64(corrupt))
 	l.obsReadBytes.Add(uint64(bytes))
 	l.obsSegSkipped.Add(uint64(skipped))
@@ -953,95 +841,4 @@ func resync(b []byte) int {
 		}
 	}
 	return -1
-}
-
-// Prune removes all sealed files — full-resolution segments and rollup tiers
-// alike — along with their index sidecars, keeping only the active segment,
-// and returns how many data files were deleted. It is best-effort and
-// idempotent: a file that is already gone is treated as removed (its index
-// entry and sidecar are still cleaned up), and one failed removal does not
-// abort the rest — the first error is reported after everything removable
-// has been removed. SCoRe uses Prune to bound archive growth for long-lived
-// vertices; the Retention policy (see compact.go) is the finer-grained
-// successor.
-func (l *Log) Prune() (int, error) {
-	l.compactMu.Lock()
-	defer l.compactMu.Unlock()
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.files = nil
-	refs, err := l.scanRefs()
-	if err != nil {
-		return 0, err
-	}
-	n := 0
-	var firstErr error
-	for _, r := range refs {
-		if r.tier == TierRaw && !r.compressed && r.index == l.curIndex && !l.closed {
-			continue // the active segment stays
-		}
-		switch err := os.Remove(filepath.Join(l.dir, r.fileName())); {
-		case err == nil:
-			n++
-		case errors.Is(err, os.ErrNotExist):
-			// Already gone (e.g. a previous partial Prune): fall through and
-			// finish the cleanup so the call is idempotent.
-		default:
-			if firstErr == nil {
-				firstErr = fmt.Errorf("archive: %w", err)
-			}
-			continue // keep the sidecar and index for the file that remains
-		}
-		if err := os.Remove(filepath.Join(l.dir, r.sidecarName())); err != nil && !errors.Is(err, os.ErrNotExist) {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("archive: %w", err)
-			}
-		}
-		delete(l.idx, r.key())
-	}
-	// Sweep orphaned sidecars — a data file yanked out from under the log
-	// (or a previous partial Prune) leaves a sidecar with nothing to index.
-	if after, err := l.scanRefs(); err == nil {
-		live := make(map[segKey]bool, len(after))
-		for _, r := range after {
-			live[r.key()] = true
-		}
-		entries, err := os.ReadDir(l.dir)
-		if err == nil {
-			for _, e := range entries {
-				k, ok := parseSidecar(e.Name())
-				if !ok || live[k] {
-					continue
-				}
-				if err := os.Remove(filepath.Join(l.dir, e.Name())); err != nil && !errors.Is(err, os.ErrNotExist) && firstErr == nil {
-					firstErr = fmt.Errorf("archive: %w", err)
-				}
-				delete(l.idx, k)
-			}
-		}
-	}
-	return n, firstErr
-}
-
-// parseSidecar decodes an index sidecar file name into its segment key.
-func parseSidecar(name string) (segKey, bool) {
-	if !strings.HasSuffix(name, ".idx") {
-		return segKey{}, false
-	}
-	base := strings.TrimSuffix(name, ".idx")
-	switch {
-	case strings.HasPrefix(base, "segment-"):
-		if i, err := strconv.Atoi(strings.TrimPrefix(base, "segment-")); err == nil {
-			return segKey{tier: TierRaw, index: i}, true
-		}
-	case strings.HasPrefix(base, "rollup1-"):
-		if i, err := strconv.Atoi(strings.TrimPrefix(base, "rollup1-")); err == nil {
-			return segKey{tier: Tier10s, index: i}, true
-		}
-	case strings.HasPrefix(base, "rollup2-"):
-		if i, err := strconv.Atoi(strings.TrimPrefix(base, "rollup2-")); err == nil {
-			return segKey{tier: Tier1m, index: i}, true
-		}
-	}
-	return segKey{}, false
 }

@@ -6,8 +6,36 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/telemetry"
 )
+
+// counters instruments l on a fresh registry and returns a reader of its
+// archive_<base>_total counters: the registry is the only place they live.
+func counters(l *Log) func(base string) uint64 {
+	reg := obs.NewRegistry()
+	l.Instrument(reg, "t")
+	return func(base string) uint64 {
+		return reg.Counter(obs.Name("archive_"+base+"_total", "log", "t")).Value()
+	}
+}
+
+// rawSegments returns the sorted indices of l's full-resolution segment
+// files, raw or compressed.
+func rawSegments(t *testing.T, l *Log) []int {
+	t.Helper()
+	refs, err := l.scanRefs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []int
+	for _, r := range refs {
+		if r.tier == TierRaw {
+			out = append(out, r.index)
+		}
+	}
+	return out
+}
 
 func openT(t *testing.T, opts Options) *Log {
 	t.Helper()
@@ -23,7 +51,7 @@ func TestAppendReplay(t *testing.T) {
 	l := openT(t, Options{})
 	want := []telemetry.Info{
 		telemetry.NewFact("a", 1, 1.5),
-		telemetry.NewInsight("b", 2, 2.5),
+		{Metric: "b", Timestamp: 2, Value: 2.5, Kind: telemetry.KindInsight, Source: telemetry.Measured},
 		telemetry.NewPredictedFact("c", 3, 3.5),
 	}
 	for _, in := range want {
@@ -69,10 +97,7 @@ func TestSegmentRotation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	segs, err := l.segments()
-	if err != nil {
-		t.Fatal(err)
-	}
+	segs := rawSegments(t, l)
 	if len(segs) < 2 {
 		t.Fatalf("expected rotation, got segments %v", segs)
 	}
@@ -179,37 +204,6 @@ func TestAppendAfterClose(t *testing.T) {
 	}
 	if err := l.Close(); err != nil {
 		t.Fatalf("double close: %v", err)
-	}
-}
-
-func TestPrune(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Open(dir, Options{SegmentBytes: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	for i := 0; i < 30; i++ {
-		l.Append(telemetry.NewFact("metric-name", int64(i), 0))
-	}
-	before, _ := l.segments()
-	if len(before) < 3 {
-		t.Fatalf("want several segments, got %v", before)
-	}
-	n, err := l.Prune()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != len(before)-1 {
-		t.Fatalf("pruned %d of %d", n, len(before))
-	}
-	after, _ := l.segments()
-	if len(after) != 1 {
-		t.Fatalf("segments after prune: %v", after)
-	}
-	// Log still appendable after prune.
-	if err := l.Append(telemetry.NewFact("x", 99, 0)); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -395,15 +395,6 @@ func decodeBlock(b []byte) ([]telemetry.Info, int, error) {
 	return out, frameLen, nil
 }
 
-// blockTier reports the tier byte of the block at the front of b without a
-// full decode (b must already have passed decodeBlock's framing checks).
-func blockTier(b []byte) uint8 {
-	if len(b) < blkHeaderSize {
-		return 0
-	}
-	return b[9]
-}
-
 // encodeBlocks renders infos as a sequence of blocks of at most
 // blockMaxRecords each, returning the file bytes and a block-granular index
 // (one sparse entry per block: its byte offset and first timestamp).

@@ -22,7 +22,7 @@ func TestBlockRoundTrip(t *testing.T) {
 		telemetry.NewFact("node0.nvme0.capacity", 2_000_000_000, 512.0),
 		telemetry.NewFact("node0.nvme0.capacity", 3_000_000_000, 511.5),
 		telemetry.NewPredictedFact("node0.nvme0.capacity", 3_500_000_000, 511.2),
-		telemetry.NewInsight("cluster.capacity", 4_000_000_000, 8192.0),
+		{Metric: "cluster.capacity", Timestamp: 4_000_000_000, Value: 8192.0, Kind: telemetry.KindInsight, Source: telemetry.Measured},
 		{Metric: "weird", Timestamp: -7, Value: math.Inf(-1), Kind: telemetry.KindFact, Source: telemetry.Measured},
 		{Metric: "weird", Timestamp: -7, Value: math.NaN(), Kind: telemetry.KindFact, Source: telemetry.Measured},
 	}
@@ -182,4 +182,13 @@ func TestBlockDecodeTruncatedNeverDecodes(t *testing.T) {
 			t.Fatalf("flip at byte %d still decoded", i)
 		}
 	}
+}
+
+// blockTier reports the tier byte of the block at the front of b (b must
+// already have passed decodeBlock's framing checks).
+func blockTier(b []byte) uint8 {
+	if len(b) < blkHeaderSize {
+		return 0
+	}
+	return b[9]
 }

@@ -283,7 +283,7 @@ func removeRefFiles(dir string, src, dst segRef) error {
 // Compact runs one compaction pass against the policy, with now (unix nanos)
 // anchoring the age horizons — the caller supplies it so virtual-clock
 // scenarios stay deterministic. The active segment is never touched, so
-// Compact runs concurrently with Append; it excludes Replay/Range/Prune for
+// Compact runs concurrently with Append; it excludes Replay and Range for
 // the duration of the pass.
 func (l *Log) Compact(now int64, policy Retention) (CompactStats, error) {
 	l.compactMu.Lock()
@@ -373,14 +373,6 @@ func (l *Log) Compact(now int64, policy Retention) (CompactStats, error) {
 		}
 	}
 
-	l.mu.Lock()
-	l.compactRuns++
-	l.compressedSegs += uint64(st.CompressedSegments)
-	l.compressedBytes += uint64(st.CompressedBytes)
-	l.rolled[0] += uint64(st.Rolled10s)
-	l.rolled[1] += uint64(st.Rolled1m)
-	l.droppedFiles += uint64(st.DroppedFiles)
-	l.mu.Unlock()
 	l.obsCompactRuns.Inc()
 	l.obsCompressed.Add(uint64(st.CompressedBytes))
 	l.obsDroppedFiles.Add(uint64(st.DroppedFiles))
@@ -603,9 +595,6 @@ type Compactor struct {
 	targets []compactTarget
 	quit    chan struct{}
 	done    chan struct{}
-	runs    uint64
-	errs    uint64
-	lastErr error
 }
 
 type compactTarget struct {
@@ -684,21 +673,7 @@ func (c *Compactor) RunOnce() error {
 			firstErr = err
 		}
 	}
-	c.mu.Lock()
-	c.runs++
-	if firstErr != nil {
-		c.errs++
-		c.lastErr = firstErr
-	}
-	c.mu.Unlock()
 	return firstErr
-}
-
-// Runs reports completed passes and pass errors since creation.
-func (c *Compactor) Runs() (runs, errs uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.runs, c.errs
 }
 
 // ---- directory inspection (apolloctl retention) -------------------------

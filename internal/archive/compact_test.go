@@ -44,6 +44,7 @@ func TestCompactCompressesSealedSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
+	count := counters(l)
 	for ts := int64(0); ts < 10; ts++ {
 		if err := l.Append(telemetry.NewFact("m", ts, float64(ts))); err != nil {
 			t.Fatal(err)
@@ -75,8 +76,8 @@ func TestCompactCompressesSealedSegments(t *testing.T) {
 	if !sameInfos(before, rangeAll(t, l, 0, 9)) {
 		t.Fatal("range changed after compression")
 	}
-	if l.CompactionRuns() != 1 || l.CompressedBytes() == 0 {
-		t.Fatalf("counters: runs=%d bytes=%d", l.CompactionRuns(), l.CompressedBytes())
+	if count("compaction_runs") != 1 || count("compressed_bytes") == 0 {
+		t.Fatalf("counters: runs=%d bytes=%d", count("compaction_runs"), count("compressed_bytes"))
 	}
 
 	// Appends keep flowing after a pass, and a reopen sees everything.
@@ -178,6 +179,7 @@ func TestRetentionTiersAndDrop(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
+	count := counters(l)
 	policy := Retention{Raw: time.Minute, Rollup10s: 10 * time.Minute, Rollup1m: time.Hour}
 
 	// One sample per second for 2 minutes starting at t0, then one fresh
@@ -242,8 +244,8 @@ func TestRetentionTiersAndDrop(t *testing.T) {
 	if got = replayAll(t, l); len(got) != 1 {
 		t.Fatalf("replay after drop: %d tuples", len(got))
 	}
-	if l.DroppedFiles() == 0 {
-		t.Fatal("DroppedFiles counter never moved")
+	if count("retention_dropped_files") == 0 {
+		t.Fatal("dropped-files counter never moved")
 	}
 }
 
@@ -252,6 +254,7 @@ func TestRetentionTiersAndDrop(t *testing.T) {
 func TestCompactorVirtualClock(t *testing.T) {
 	clk := sim.NewVirtual(time.Unix(1_000_000, 0))
 	l := openT(t, Options{SegmentBytes: 256})
+	count := counters(l)
 	for ts := int64(0); ts < 50; ts++ {
 		if err := l.Append(telemetry.NewFact("m", ts, float64(ts))); err != nil {
 			t.Fatal(err)
@@ -261,24 +264,18 @@ func TestCompactorVirtualClock(t *testing.T) {
 	c.Add(l, Retention{})
 	c.Start()
 	defer c.Stop()
-	if runs, _ := c.Runs(); runs != 0 {
+	if runs := count("compaction_runs"); runs != 0 {
 		t.Fatalf("ran %d times before the clock moved", runs)
 	}
 	// The loop's timer registers asynchronously, so keep nudging the virtual
 	// clock until the tick lands.
 	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if runs, _ := c.Runs(); runs >= 1 {
-			break
-		}
+	for count("compaction_runs") == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("compactor never ran after Advance")
 		}
 		clk.Advance(time.Minute + time.Second)
 		time.Sleep(time.Millisecond)
-	}
-	if l.CompactionRuns() == 0 {
-		t.Fatal("log never compacted")
 	}
 }
 

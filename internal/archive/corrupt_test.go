@@ -80,9 +80,6 @@ func TestCorruptMiddleSegmentReplay(t *testing.T) {
 			t.Fatalf("replayed %v, want %v", got, want)
 		}
 	}
-	if n := reopened.CorruptRecords(); n != 1 {
-		t.Fatalf("CorruptRecords = %d, want 1", n)
-	}
 	if n := r.Snapshot().Counter(obs.Name("archive_corrupt_records_total", "log", "metric")); n != 1 {
 		t.Fatalf("obs corrupt counter = %d, want 1", n)
 	}
@@ -124,6 +121,7 @@ func TestCorruptTailOfEarlierSegmentCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reopened.Close()
+	count := counters(reopened)
 	var n int
 	if err := reopened.Replay(func(telemetry.Info) error { n++; return nil }); err != nil {
 		t.Fatal(err)
@@ -131,8 +129,8 @@ func TestCorruptTailOfEarlierSegmentCounted(t *testing.T) {
 	if n != 7 { // 3 intact in segment 0, 4 in segment 1
 		t.Fatalf("replayed %d records, want 7", n)
 	}
-	if c := reopened.CorruptRecords(); c != 1 {
-		t.Fatalf("CorruptRecords = %d, want 1 (truncated earlier-segment tail)", c)
+	if c := count("corrupt_records"); c != 1 {
+		t.Fatalf("corrupt records = %d, want 1 (truncated earlier-segment tail)", c)
 	}
 }
 
@@ -164,6 +162,7 @@ func TestTornActiveTailStillSilent(t *testing.T) {
 	// Reopen: the torn file is now an earlier segment... so replay it while
 	// it is still the active one by constructing the Log around it directly.
 	reopened := &Log{dir: dir, segmentBytes: DefaultSegmentBytes, closed: true}
+	count := counters(reopened)
 	var n int
 	if err := reopened.Replay(func(telemetry.Info) error { n++; return nil }); err != nil {
 		t.Fatal(err)
@@ -171,17 +170,14 @@ func TestTornActiveTailStillSilent(t *testing.T) {
 	if n != 2 {
 		t.Fatalf("replayed %d records, want 2", n)
 	}
-	if c := reopened.CorruptRecords(); c != 0 {
-		t.Fatalf("CorruptRecords = %d, want 0 for a torn active tail", c)
+	if c := count("corrupt_records"); c != 0 {
+		t.Fatalf("corrupt records = %d, want 0 for a torn active tail", c)
 	}
 }
 
 func (l *Log) segIndexAt(t *testing.T, n int) int {
 	t.Helper()
-	segs, err := l.segments()
-	if err != nil {
-		t.Fatal(err)
-	}
+	segs := rawSegments(t, l)
 	if n >= len(segs) {
 		t.Fatalf("segment %d of %d", n, len(segs))
 	}

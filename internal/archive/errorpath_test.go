@@ -10,9 +10,8 @@ import (
 )
 
 // Regression tests for the ISSUE 7 error-path bugs: a failed seal/rotate
-// used to leave the log silently writing into a closed segment writer, a
-// later Sync/Close double-closed the dead file, and Prune aborted half-done
-// on the first removal error.
+// used to leave the log silently writing into a closed segment writer, and a
+// later Sync/Close double-closed the dead file.
 
 // failSeal wedges l by closing the active segment file out from under it and
 // forcing a seal. Appends are buffered, so the failure surfaces at the
@@ -172,116 +171,5 @@ func TestRotateSidecarFailureKeepsData(t *testing.T) {
 		if !seen[ts] {
 			t.Fatalf("record ts=%d lost across sidecar failure", ts)
 		}
-	}
-}
-
-// TestPruneIdempotentWithMissingSegment: a segment file removed out from
-// under the log (the regression: Prune used to abort on the first error and
-// only tolerated ErrNotExist for sidecars) must not stop Prune from
-// finishing, and a second Prune must be a clean no-op.
-func TestPruneIdempotentWithMissingSegment(t *testing.T) {
-	dir := t.TempDir()
-	recSize := len(mustMarshal(t, telemetry.NewFact("m", 0, 0)))
-	l, err := Open(dir, Options{SegmentBytes: int64(2 * recSize)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { l.Close() })
-	for ts := int64(0); ts < 8; ts++ {
-		if err := l.Append(telemetry.NewFact("m", ts, float64(ts))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	segs, err := l.segments()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sealed := len(segs) - 1 // the active segment stays
-	if sealed < 2 {
-		t.Fatalf("want >= 2 sealed segments, have %d", sealed)
-	}
-	// Yank one sealed segment out from under the log.
-	if err := os.Remove(filepath.Join(dir, segmentName(segs[0]))); err != nil {
-		t.Fatal(err)
-	}
-	n, err := l.Prune()
-	if err != nil {
-		t.Fatalf("Prune with a pre-removed segment: %v", err)
-	}
-	if n != sealed-1 {
-		t.Fatalf("Prune removed %d, want %d (pre-removed file must not count)", n, sealed-1)
-	}
-	// Idempotent: nothing left to remove, no error.
-	if n, err = l.Prune(); err != nil || n != 0 {
-		t.Fatalf("second Prune: n=%d err=%v", n, err)
-	}
-	// No stale sidecars or index entries survive.
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".idx") && e.Name() != indexName(segs[len(segs)-1]) {
-			t.Fatalf("stale sidecar %s after Prune", e.Name())
-		}
-	}
-	var count int
-	if err := l.Replay(func(telemetry.Info) error { count++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if want := 8 - sealed*2; count != want {
-		t.Fatalf("replay after Prune: %d records, want %d", count, want)
-	}
-}
-
-// TestPruneRemovesRollupTiers: Prune's contract covers the whole tiered
-// hierarchy, not just raw segments.
-func TestPruneRemovesRollupTiers(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Open(dir, Options{SegmentBytes: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { l.Close() })
-	for ts := int64(0); ts < 100; ts++ {
-		if err := l.Append(telemetry.NewFact("m", ts*int64(Tier10sBucket), float64(ts))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := l.Compact(1<<62, Retention{Raw: 1}); err != nil {
-		t.Fatal(err)
-	}
-	tiers, err := DirStats(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tiers[Tier10s].Files == 0 {
-		t.Fatal("setup: no rollup files to prune")
-	}
-	if _, err := l.Prune(); err != nil {
-		t.Fatal(err)
-	}
-	if tiers, err = DirStats(dir); err != nil {
-		t.Fatal(err)
-	}
-	if tiers[Tier10s].Files != 0 || tiers[Tier1m].Files != 0 {
-		t.Fatalf("rollup files survived Prune: %+v", tiers)
-	}
-	// Only the active segment's records survive.
-	count, minTS := 0, int64(1<<62)
-	if err := l.Replay(func(in telemetry.Info) error {
-		count++
-		if in.Timestamp < minTS {
-			minTS = in.Timestamp
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if count == 0 || count >= 100 {
-		t.Fatalf("replay after Prune: %d records", count)
-	}
-	if minTS < 90*int64(Tier10sBucket) {
-		t.Fatalf("sealed-segment record ts=%d survived Prune", minTS)
 	}
 }

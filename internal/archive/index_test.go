@@ -59,12 +59,13 @@ func TestSidecarWrittenOnRotateAndClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	count := counters(l)
 	fillSegments(t, l, 64)
-	if l.Rotations() == 0 {
+	if count("rotations") == 0 {
 		t.Fatal("expected rotations with 256-byte segments")
 	}
 	// Rotated-out segments have sidecars before Close.
-	for i := 0; i < int(l.Rotations()); i++ {
+	for i := 0; i < int(count("rotations")); i++ {
 		if _, err := os.Stat(filepath.Join(dir, indexName(i))); err != nil {
 			t.Fatalf("sealed segment %d missing sidecar: %v", i, err)
 		}
@@ -85,7 +86,7 @@ func TestSidecarWrittenOnRotateAndClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	if n := l2.IndexRebuilds(); n != 0 {
+	if n := counters(l2)("index_rebuilds"); n != 0 {
 		t.Fatalf("clean reopen rebuilt %d sidecars, want 0", n)
 	}
 }
@@ -121,7 +122,7 @@ func TestOpenRebuildsMissingAndCorruptSidecar(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	if n := l2.IndexRebuilds(); n != 2 {
+	if n := counters(l2)("index_rebuilds"); n != 2 {
 		t.Fatalf("IndexRebuilds=%d, want 2 (one missing, one corrupt)", n)
 	}
 	got := rangeAll(t, l2, 10, 50)
@@ -167,7 +168,7 @@ func TestStaleSidecarRebuilt(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	if n := l2.IndexRebuilds(); n != 1 {
+	if n := counters(l2)("index_rebuilds"); n != 1 {
 		t.Fatalf("IndexRebuilds=%d, want 1 (stale)", n)
 	}
 	got := rangeAll(t, l2, 100, 100)
@@ -242,53 +243,6 @@ func TestRangeWithMidSegmentCorruption(t *testing.T) {
 	}
 }
 
-// TestPruneRemovesSidecars verifies Prune keeps segments and sidecars
-// consistent: pruned segments lose their .idx too, the active segment keeps
-// working, and a reopen after prune rebuilds nothing.
-func TestPruneRemovesSidecars(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Open(dir, Options{SegmentBytes: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fillSegments(t, l, 64)
-	n, err := l.Prune()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n == 0 {
-		t.Fatal("expected prune to remove segments")
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if e.Name() != segmentName(l.curIndex) {
-			t.Fatalf("unexpected leftover file after prune: %s", e.Name())
-		}
-	}
-	// The surviving active segment still serves indexed reads.
-	if err := l.Append(telemetry.NewFact("idx.metric", 1000, 1)); err != nil {
-		t.Fatal(err)
-	}
-	got := rangeAll(t, l, 1000, 1000)
-	if len(got) != 1 {
-		t.Fatalf("post-prune Range got %d records", len(got))
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	l2, err := Open(dir, Options{SegmentBytes: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	if r := l2.IndexRebuilds(); r != 0 {
-		t.Fatalf("reopen after prune rebuilt %d sidecars, want 0", r)
-	}
-}
-
 // TestIndexedRangeReadsFarFewerBytes is the acceptance-criteria test: a Range
 // over the last segment of a 64-segment log reads >=10x fewer bytes than a
 // linear replay, asserted via the obs read-bytes counter.
@@ -299,16 +253,18 @@ func TestIndexedRangeReadsFarFewerBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
+	reg := obs.NewRegistry()
+	l.Instrument(reg, "bytes")
+	readBytes := reg.Counter(obs.Name("archive_read_bytes_total", "log", "bytes"))
+	rotations := reg.Counter(obs.Name("archive_rotations_total", "log", "bytes"))
+	skipped := reg.Counter(obs.Name("archive_range_segments_skipped_total", "log", "bytes"))
 	n := 0
-	for l.Rotations() < 64 {
+	for rotations.Value() < 64 {
 		if err := l.Append(telemetry.NewFact("idx.metric", int64(n), float64(n))); err != nil {
 			t.Fatal(err)
 		}
 		n++
 	}
-	reg := obs.NewRegistry()
-	l.Instrument(reg, "bytes")
-	readBytes := reg.Counter(obs.Name("archive_read_bytes_total", "log", "bytes"))
 
 	// Linear baseline: replay the world.
 	count := 0
@@ -333,8 +289,8 @@ func TestIndexedRangeReadsFarFewerBytes(t *testing.T) {
 	if linear < 10*indexed {
 		t.Fatalf("indexed range read %d bytes vs %d linear — want >=10x fewer", indexed, linear)
 	}
-	if l.SegmentsSkipped() < 60 {
-		t.Fatalf("SegmentsSkipped=%d, want most of 64 segments skipped", l.SegmentsSkipped())
+	if skipped.Value() < 60 {
+		t.Fatalf("segments skipped=%d, want most of 64 segments skipped", skipped.Value())
 	}
 }
 
@@ -388,27 +344,28 @@ func TestUnsortedSegmentFullScan(t *testing.T) {
 }
 
 // benchLog builds a many-segment archive for the indexed-read benchmarks.
-func benchLog(b *testing.B, segBytes int64, minRotations uint64) (*Log, int64) {
+func benchLog(b *testing.B, segBytes int64, minRotations uint64) (*Log, int64, func(string) uint64) {
 	b.Helper()
 	l, err := Open(b.TempDir(), Options{SegmentBytes: segBytes})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { l.Close() })
+	count := counters(l)
 	n := int64(0)
-	for l.Rotations() < minRotations {
+	for count("rotations") < minRotations {
 		if err := l.Append(telemetry.NewFact("bench.metric", n, float64(n))); err != nil {
 			b.Fatal(err)
 		}
 		n++
 	}
-	return l, n
+	return l, n, count
 }
 
 // BenchmarkArchiveRangeIndexed reads a 5-record window at the tail of a
 // 64-segment log through the sparse index.
 func BenchmarkArchiveRangeIndexed(b *testing.B) {
-	l, n := benchLog(b, 1024, 64)
+	l, n, counter := benchLog(b, 1024, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		count := 0
@@ -419,13 +376,13 @@ func BenchmarkArchiveRangeIndexed(b *testing.B) {
 			b.Fatalf("count=%d", count)
 		}
 	}
-	b.ReportMetric(float64(l.ReadBytes())/float64(b.N), "readbytes/op")
+	b.ReportMetric(float64(counter("read_bytes"))/float64(b.N), "readbytes/op")
 }
 
 // BenchmarkArchiveReplayLinear is the baseline: replay every segment and
 // filter to the same 5-record window.
 func BenchmarkArchiveReplayLinear(b *testing.B) {
-	l, n := benchLog(b, 1024, 64)
+	l, n, counter := benchLog(b, 1024, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		count := 0
@@ -441,5 +398,5 @@ func BenchmarkArchiveReplayLinear(b *testing.B) {
 			b.Fatalf("count=%d", count)
 		}
 	}
-	b.ReportMetric(float64(l.ReadBytes())/float64(b.N), "readbytes/op")
+	b.ReportMetric(float64(counter("read_bytes"))/float64(b.N), "readbytes/op")
 }

@@ -17,8 +17,9 @@ type Node struct {
 	devices map[string]*Device
 	fs      FSInfo
 
-	// Synthetic host load in [0,1] and memory stats, settable by workload
-	// drivers; monitor hooks read them.
+	// Synthetic host load in [0,1], settable by workload drivers, and memory
+	// stats; monitor hooks read them. No workload driver models memory use,
+	// so memUsed stays 0.
 	cpuLoad  float64
 	memTotal int64
 	memUsed  int64
@@ -116,19 +117,6 @@ func (n *Node) CPULoad() float64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.cpuLoad
-}
-
-// SetMemUsed sets used memory bytes.
-func (n *Node) SetMemUsed(b int64) {
-	n.mu.Lock()
-	if b < 0 {
-		b = 0
-	}
-	if b > n.memTotal {
-		b = n.memTotal
-	}
-	n.memUsed = b
-	n.mu.Unlock()
 }
 
 // Mem returns (used, total) memory bytes.
@@ -270,39 +258,23 @@ func (c *Cluster) Step(dt time.Duration) {
 	}
 }
 
-// Network models pairwise ping latency.
+// Network models ping latency: one base latency for every pair of nodes.
 type Network struct {
-	mu   sync.Mutex
-	base map[[2]string]time.Duration
-	def  time.Duration
-	jit  float64 // +- fraction of base
-	rng  *rand.Rand
+	mu  sync.Mutex
+	def time.Duration
+	jit float64 // +- fraction of base
+	rng *rand.Rand
 }
 
 func newNetwork() *Network {
 	return &Network{
-		base: make(map[[2]string]time.Duration),
-		def:  200 * time.Microsecond, // 40Gb/s RoCE-ish
-		jit:  0.1,
-		rng:  rand.New(rand.NewSource(1)),
+		def: 200 * time.Microsecond, // 40Gb/s RoCE-ish
+		jit: 0.1,
+		rng: rand.New(rand.NewSource(1)),
 	}
 }
 
-func pairKey(a, b string) [2]string {
-	if a > b {
-		a, b = b, a
-	}
-	return [2]string{a, b}
-}
-
-// SetLatency fixes the base latency between two nodes.
-func (n *Network) SetLatency(a, b string, d time.Duration) {
-	n.mu.Lock()
-	n.base[pairKey(a, b)] = d
-	n.mu.Unlock()
-}
-
-// SetDefaultLatency sets the latency for unconfigured pairs.
+// SetDefaultLatency sets the base latency between two nodes.
 func (n *Network) SetDefaultLatency(d time.Duration) {
 	n.mu.Lock()
 	n.def = d
@@ -313,10 +285,7 @@ func (n *Network) SetDefaultLatency(d time.Duration) {
 func (n *Network) Ping(a, b string) time.Duration {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	base, ok := n.base[pairKey(a, b)]
-	if !ok {
-		base = n.def
-	}
+	base := n.def
 	if a == b {
 		base = 10 * time.Microsecond
 	}
@@ -364,30 +333,6 @@ func (r *JobRegistry) AccountIO(id int, read, written int64) {
 		j.BytesRead += read
 		j.BytesWritten += written
 	}
-}
-
-// Complete removes a job, reporting whether it existed.
-func (r *JobRegistry) Complete(id int) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.jobs[id]; !ok {
-		return false
-	}
-	delete(r.jobs, id)
-	return true
-}
-
-// Get returns a copy of the job, reporting whether it exists.
-func (r *JobRegistry) Get(id int) (Job, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	j, ok := r.jobs[id]
-	if !ok {
-		return Job{}, false
-	}
-	cp := *j
-	cp.Nodes = append([]string(nil), j.Nodes...)
-	return cp, true
 }
 
 // List returns all jobs ordered by ID.

@@ -29,11 +29,7 @@ const (
 	TierNVMe
 	TierSSD
 	TierHDD
-	numTiers
 )
-
-// Tiers lists all tiers fastest-first.
-func Tiers() []Tier { return []Tier{TierRAM, TierNVMe, TierSSD, TierHDD} }
 
 // String names the tier.
 func (t Tier) String() string {
@@ -141,9 +137,6 @@ func newDevice(node string, spec DeviceSpec) *Device {
 
 // Spec returns the device's static description.
 func (d *Device) Spec() DeviceSpec { return d.spec }
-
-// Node returns the owning node's ID.
-func (d *Device) Node() string { return d.node }
 
 // ID returns "node.name".
 func (d *Device) ID() string { return d.node + "." + d.spec.Name }

@@ -62,9 +62,6 @@ func NewLeaseTable(clock sim.Clock, ttl time.Duration) *LeaseTable {
 	return &LeaseTable{clock: sim.Or(clock), ttl: ttl, leases: make(map[string]Lease)}
 }
 
-// TTL returns the grant duration.
-func (t *LeaseTable) TTL() time.Duration { return t.ttl }
-
 // Acquire implements LeaseService. A new grant after expiry (or the first
 // grant) bumps the epoch; the standing holder re-acquiring just extends.
 func (t *LeaseTable) Acquire(topic, node string) (Lease, bool) {

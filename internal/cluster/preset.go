@@ -7,7 +7,6 @@ import (
 
 // Sizes in bytes.
 const (
-	KB = int64(1) << 10
 	MB = int64(1) << 20
 	GB = int64(1) << 30
 	TB = int64(1) << 40

@@ -134,13 +134,6 @@ func (r *Ring) Addr(id string) (string, bool) {
 	return a, ok
 }
 
-// Size returns the member count.
-func (r *Ring) Size() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.addrs)
-}
-
 // Owner returns the node owning (preferred leader for) topic.
 func (r *Ring) Owner(topic string) (string, bool) {
 	reps := r.Replicas(topic, 1)

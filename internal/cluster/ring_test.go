@@ -73,9 +73,6 @@ func TestRingJoinLeave(t *testing.T) {
 	if owner, ok := r.Owner("anything"); !ok || owner != "b" {
 		t.Fatalf("after leave, owner = %q, %v; want b", owner, ok)
 	}
-	if r.Size() != 1 {
-		t.Fatalf("size = %d, want 1", r.Size())
-	}
 	// Leaving an unknown member is a no-op.
 	r.Leave("ghost")
 	if got := r.Members(); len(got) != 1 || got[0] != "b" {

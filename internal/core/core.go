@@ -130,8 +130,8 @@ type Config struct {
 	// aqe.DefaultPlanCacheSize, negative disables caching.
 	PlanCache int
 	// Obs is the metrics registry instrumenting the service; nil means a
-	// fresh per-service registry. Share one registry (e.g. obs.Default())
-	// to aggregate several services into one exposition endpoint.
+	// fresh per-service registry. Share one registry to aggregate several
+	// services into one exposition endpoint.
 	Obs *obs.Registry
 
 	// NodeID names this broker in a replicated fabric; empty (the default)
@@ -302,11 +302,6 @@ func (s *Service) newController() (adaptive.Controller, error) {
 
 // MetricOption customizes one registered metric.
 type MetricOption func(*score.FactConfig)
-
-// WithController overrides the service-level interval controller.
-func WithController(c adaptive.Controller) MetricOption {
-	return func(fc *score.FactConfig) { fc.Controller = c }
-}
 
 // WithoutDelphi disables prediction for this metric even when the service
 // has a model.
@@ -569,7 +564,6 @@ func (s *Service) startFabric(bound string) (*stream.FabricNode, error) {
 	}
 	node, err := stream.NewFabricNode(stream.FabricConfig{
 		ID:                s.cfg.NodeID,
-		Addr:              bound,
 		Broker:            s.broker,
 		Ring:              ring,
 		Leases:            leases,
@@ -703,7 +697,9 @@ func (s *Service) Range(id telemetry.MetricID, from, to int64) []telemetry.Info 
 	if !ok {
 		return nil
 	}
-	return v.Range(from, to)
+	var out []telemetry.Info
+	v.ScanRange(from, to, func(in telemetry.Info) bool { out = append(out, in); return true })
+	return out
 }
 
 // Subscribe streams decoded tuples of a metric until ctx ends.

@@ -137,7 +137,7 @@ func TestModes(t *testing.T) {
 func TestMetricOptions(t *testing.T) {
 	s := New(Config{Clock: sim.NewVirtual(time.Unix(0, 0))})
 	ctrl := adaptive.NewFixed(5 * time.Second)
-	v, err := s.RegisterMetric(constHook("m", 1), WithController(ctrl), WithoutDelphi(), WithPublishUnchanged())
+	v, err := s.RegisterMetric(constHook("m", 1), func(fc *score.FactConfig) { fc.Controller = ctrl }, WithoutDelphi(), WithPublishUnchanged())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,10 +399,6 @@ func TestDeployTierCapacityInsights(t *testing.T) {
 		in, ok := s.Latest(sink)
 		return ok && in.Value == want
 	})
-	// The DAG has height 2 (device -> node -> cluster).
-	if h := s.Graph().Height(); h != 2 {
-		t.Fatalf("height=%d", h)
-	}
 }
 
 func TestCapacityView(t *testing.T) {

@@ -136,15 +136,6 @@ func (bp *BatchPredictor) Slots() int {
 	return len(bp.slots)
 }
 
-// Observe forwards a measured value to a registered slot (convenience for
-// fleet drivers that feed the predictor directly instead of per-vertex).
-func (bp *BatchPredictor) Observe(slot int, v float64) {
-	bp.mu.RLock()
-	o := bp.slots[slot]
-	bp.mu.RUnlock()
-	o.Observe(v)
-}
-
 // PredictAll sweeps every registered slot and appends one BatchPrediction
 // per slot to dst (pass dst[:0] to reuse; with enough capacity the sweep
 // performs zero heap allocations). Results are bit-identical to calling

@@ -270,23 +270,3 @@ func TestBatchPredictorConcurrentObserve(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
-
-func TestBatchPredictorObserveForwards(t *testing.T) {
-	m := trained(t)
-	bp, err := NewBatchPredictor(m, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bp.Close()
-	o := NewOnline(m)
-	slot, err := bp.Register(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < WindowSize; i++ {
-		bp.Observe(slot, float64(i))
-	}
-	if !o.Ready() {
-		t.Fatal("online not ready after Observe via predictor")
-	}
-}

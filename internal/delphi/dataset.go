@@ -6,22 +6,13 @@ import "math"
 // with "a window size of five").
 const WindowSize = 5
 
-// Normalize maps a raw window to zero-mean, unit-scale model space and
-// returns the (loc, scale) needed to map predictions back. A degenerate
-// window (constant) gets scale 1 so the models see all-zeros and predict 0,
-// which denormalizes to the constant — exactly right. Comparison baselines
-// (the Fig. 11 LSTMs) share it so errors are measured in the same units.
-func Normalize(window []float64) (norm []float64, loc, scale float64) {
-	norm = make([]float64, len(window))
-	loc, scale = NormalizeInto(norm, window)
-	return norm, loc, scale
-}
-
-// NormalizeInto is the allocation-free form of Normalize: it writes the
-// normalized window into dst (which must have the window's length) and
-// returns (loc, scale). dst may alias window. The arithmetic is identical to
-// Normalize, so results are bit-identical — the inference fast lane depends
-// on that.
+// NormalizeInto maps a raw window to zero-mean, unit-scale model space: it
+// writes the normalized window into dst (which must have the window's length;
+// it may alias window) and returns the (loc, scale) needed to map predictions
+// back. A degenerate window (constant) gets scale 1 so the models see
+// all-zeros and predict 0, which denormalizes to the constant — exactly
+// right. Comparison baselines (the Fig. 11 LSTMs) share it so errors are
+// measured in the same units.
 func NormalizeInto(dst, window []float64) (loc, scale float64) {
 	if len(dst) != len(window) {
 		panic("delphi: NormalizeInto dst/window length mismatch")

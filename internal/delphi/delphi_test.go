@@ -86,7 +86,8 @@ func TestComposite(t *testing.T) {
 }
 
 func TestNormalize(t *testing.T) {
-	norm, loc, scale := Normalize([]float64{10, 10, 10, 10, 10})
+	norm := make([]float64, 5)
+	loc, scale := NormalizeInto(norm, []float64{10, 10, 10, 10, 10})
 	if loc != 10 || scale != 1 {
 		t.Fatalf("loc=%f scale=%f", loc, scale)
 	}
@@ -95,7 +96,8 @@ func TestNormalize(t *testing.T) {
 			t.Fatal("constant window not zeroed")
 		}
 	}
-	norm, loc, scale = Normalize([]float64{0, 10})
+	norm = norm[:2]
+	loc, scale = NormalizeInto(norm, []float64{0, 10})
 	if loc != 5 || scale != 5 {
 		t.Fatalf("loc=%f scale=%f", loc, scale)
 	}

@@ -66,7 +66,6 @@ type Detector struct {
 	cum     float64 // cumulative deviation above mean+delta
 	cumMin  float64 // minimum of cum so far
 	tripped bool
-	trips   uint64 // lifetime trip count (survives Reset)
 }
 
 // NewDetector builds a detector; zero-valued cfg fields take defaults.
@@ -107,31 +106,9 @@ func (d *Detector) Observe(residual, scale float64) bool {
 	if d.n >= d.cfg.MinSamples &&
 		(d.ewma > d.cfg.Threshold || d.cum-d.cumMin > d.cfg.PHLambda) {
 		d.tripped = true
-		d.trips++
 		return true
 	}
 	return false
-}
-
-// Tripped reports whether the detector is latched.
-func (d *Detector) Tripped() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.tripped
-}
-
-// Err returns the current residual EWMA (normalized units).
-func (d *Detector) Err() float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.ewma
-}
-
-// Trips returns the lifetime trip count (not cleared by Reset).
-func (d *Detector) Trips() uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.trips
 }
 
 // Reset clears all statistics and the trip latch — called after a retrained

@@ -34,9 +34,9 @@ func TestDetectorStationaryNoFalsePositive(t *testing.T) {
 	// threshold nor Page–Hinkley may ever trip.
 	d := NewDetector(DriftConfig{})
 	if idx := driveDetector(d, noise(5000, 0.3, 1)); idx >= 0 {
-		t.Fatalf("stationary residuals tripped at %d (ewma %.3f)", idx, d.Err())
+		t.Fatalf("stationary residuals tripped at %d (ewma %.3f)", idx, d.ewma)
 	}
-	if d.Tripped() || d.Trips() != 0 {
+	if d.tripped {
 		t.Fatal("detector latched without a trip")
 	}
 }
@@ -55,7 +55,7 @@ func TestDetectorStepChangeGolden(t *testing.T) {
 	if idx != 102 {
 		t.Fatalf("step trip index %d, want 102", idx)
 	}
-	if !d.Tripped() || d.Trips() != 1 {
+	if !d.tripped {
 		t.Fatal("trip not latched")
 	}
 	// Latched: further observations are frozen and never re-trip.
@@ -64,10 +64,10 @@ func TestDetectorStepChangeGolden(t *testing.T) {
 			t.Fatal("latched detector re-tripped")
 		}
 	}
-	// Reset rearms; lifetime trips survive.
+	// Reset rearms.
 	d.Reset()
-	if d.Tripped() || d.Trips() != 1 {
-		t.Fatal("reset lost lifetime trips or kept latch")
+	if d.tripped {
+		t.Fatal("reset kept the latch")
 	}
 	if idx := driveDetector(d, series); idx != 102 {
 		t.Fatalf("post-reset trip index %d, want 102", idx)
@@ -87,8 +87,8 @@ func TestDetectorSlowRampGolden(t *testing.T) {
 	if idx != 145 {
 		t.Fatalf("ramp trip index %d, want 145", idx)
 	}
-	if d.Err() >= d.cfg.Threshold {
-		t.Fatalf("ramp tripped via EWMA (%.3f), want Page–Hinkley", d.Err())
+	if d.ewma >= d.cfg.Threshold {
+		t.Fatalf("ramp tripped via EWMA (%.3f), want Page–Hinkley", d.ewma)
 	}
 }
 
@@ -144,7 +144,7 @@ func TestDetectorDeterministicReplay(t *testing.T) {
 	a, b := NewDetector(DriftConfig{}), NewDetector(DriftConfig{})
 	for i, r := range series {
 		ta, tb := a.Observe(r, 1), b.Observe(r, 1)
-		if ta != tb || math.Float64bits(a.Err()) != math.Float64bits(b.Err()) {
+		if ta != tb || math.Float64bits(a.ewma) != math.Float64bits(b.ewma) {
 			t.Fatalf("replay diverged at %d", i)
 		}
 	}

@@ -15,7 +15,8 @@ func (m *Model) PredictUnfused(window []float64) (float64, error) {
 	if len(m.features) != NumStacked || m.combiner == nil {
 		return 0, ErrNotTrained
 	}
-	norm, loc, scale := Normalize(window)
+	norm := make([]float64, len(window))
+	loc, scale := NormalizeInto(norm, window)
 	pred := m.combiner.Forward(m.combinerInput(norm))[0]
 	return pred*scale + loc, nil
 }

@@ -34,7 +34,7 @@ func (n *naiveOnline) predictState() (float64, float64, bool) {
 	if err != nil {
 		return n.win[len(n.win)-1], 0, false
 	}
-	_, _, scale := Normalize(n.win)
+	_, scale := NormalizeInto(make([]float64, len(n.win)), n.win)
 	lo, hi := n.win[0], n.win[0]
 	for _, v := range n.win[1:] {
 		lo, hi = math.Min(lo, v), math.Max(hi, v)

@@ -55,9 +55,6 @@ func Open(dir string) (*Registry, error) {
 	return &Registry{dir: dir}, nil
 }
 
-// Dir returns the registry root.
-func (r *Registry) Dir() string { return r.dir }
-
 func checkClass(class string) error {
 	if class == "" || class == "." || class == ".." {
 		return fmt.Errorf("%w: %q", ErrBadClass, class)
@@ -92,7 +89,7 @@ func writeAtomic(path string, b []byte) error {
 
 // Save stores a model as the next version of class (starting at 1) and
 // returns the version number. Saving does not promote: the active pointer
-// moves only through Promote/Rollback, so a candidate that fails validation
+// moves only through Promote, so a candidate that fails validation
 // is just a dormant file.
 func (r *Registry) Save(class string, m *delphi.Model) (int, error) {
 	if err := checkClass(class); err != nil {
@@ -137,15 +134,8 @@ func (r *Registry) Load(class string, version int) (*delphi.Model, error) {
 	return DecodeModel(b)
 }
 
-// Versions lists the stored versions of class in ascending order (empty, not
-// an error, for an unknown class).
-func (r *Registry) Versions(class string) ([]int, error) {
-	if err := checkClass(class); err != nil {
-		return nil, err
-	}
-	return r.versionsLocked(r.classDir(class))
-}
-
+// versionsLocked lists the versions stored in a class directory in ascending
+// order (empty, not an error, when the directory does not exist).
 func (r *Registry) versionsLocked(dir string) ([]int, error) {
 	ents, err := os.ReadDir(dir)
 	if errors.Is(err, os.ErrNotExist) {
@@ -211,31 +201,4 @@ func (r *Registry) Promote(class string, version int) error {
 	}
 	return writeAtomic(filepath.Join(r.classDir(class), "ACTIVE"),
 		[]byte(strconv.Itoa(version)+"\n"))
-}
-
-// Rollback demotes class to the greatest stored version below the active one
-// and returns the version rolled back to. With nothing older to fall back on
-// it returns ErrNoVersion and leaves ACTIVE untouched.
-func (r *Registry) Rollback(class string) (int, error) {
-	cur, err := r.ActiveVersion(class)
-	if err != nil {
-		return 0, err
-	}
-	vs, err := r.Versions(class)
-	if err != nil {
-		return 0, err
-	}
-	prev := 0
-	for _, v := range vs {
-		if v < cur && v > prev {
-			prev = v
-		}
-	}
-	if prev == 0 {
-		return 0, fmt.Errorf("%w: nothing below %s v%d", ErrNoVersion, class, cur)
-	}
-	if err := r.Promote(class, prev); err != nil {
-		return 0, err
-	}
-	return prev, nil
 }

@@ -115,7 +115,8 @@ func TestDecodeTypedErrors(t *testing.T) {
 }
 
 func TestRegistryVersioningPromoteRollback(t *testing.T) {
-	r, err := Open(t.TempDir())
+	dir := t.TempDir()
+	r, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestRegistryVersioningPromoteRollback(t *testing.T) {
 	if err != nil || v2 != 2 {
 		t.Fatalf("second save: v%d, %v", v2, err)
 	}
-	vs, err := r.Versions("nvme0")
+	vs, err := r.versionsLocked(r.classDir("nvme0"))
 	if err != nil || len(vs) != 2 || vs[0] != 1 || vs[1] != 2 {
 		t.Fatalf("versions: %v, %v", vs, err)
 	}
@@ -157,19 +158,20 @@ func TestRegistryVersioningPromoteRollback(t *testing.T) {
 			t.Fatal("active model diverges from saved model")
 		}
 	}
-	// Rollback to v1, then nothing older: ErrNoVersion, ACTIVE untouched.
-	if v, err := r.Rollback("nvme0"); err != nil || v != 1 {
-		t.Fatalf("rollback: v%d, %v", v, err)
+	// Rolling back is promoting an older version; one that was never stored
+	// is ErrNoVersion and leaves ACTIVE untouched.
+	if err := r.Promote("nvme0", 1); err != nil {
+		t.Fatalf("rollback: %v", err)
 	}
-	if _, err := r.Rollback("nvme0"); !errors.Is(err, ErrNoVersion) {
-		t.Fatalf("rollback past v1: %v", err)
+	if err := r.Promote("nvme0", 3); !errors.Is(err, ErrNoVersion) {
+		t.Fatalf("promote of a missing version: %v", err)
 	}
 	if v, _ := r.ActiveVersion("nvme0"); v != 1 {
-		t.Fatalf("failed rollback moved ACTIVE to v%d", v)
+		t.Fatalf("failed promote moved ACTIVE to v%d", v)
 	}
 
 	// Promotion refuses versions that no longer decode.
-	path := filepath.Join(r.Dir(), "nvme0", "v000002.dm")
+	path := filepath.Join(dir, "nvme0", "v000002.dm")
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +191,7 @@ func TestRegistryVersioningPromoteRollback(t *testing.T) {
 	if _, err := r.Save("hdd1", m); err != nil {
 		t.Fatal(err)
 	}
-	if vs, _ := r.Versions("hdd1"); len(vs) != 1 {
+	if vs, _ := r.versionsLocked(r.classDir("hdd1")); len(vs) != 1 {
 		t.Fatalf("hdd1 versions: %v", vs)
 	}
 	// Names that would escape the directory are rejected.

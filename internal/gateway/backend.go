@@ -28,10 +28,6 @@ func NewBusBackend(bus stream.Bus, planCache int) *BusBackend {
 	}
 }
 
-// Engine exposes the backend's query engine (plan-cache stats,
-// instrumentation).
-func (b *BusBackend) Engine() *aqe.Engine { return b.engine }
-
 // Query implements Backend.
 func (b *BusBackend) Query(sql string) (*aqe.Result, error) { return b.engine.Query(sql) }
 

@@ -256,9 +256,6 @@ func (g *Gateway) Close() {
 	}
 }
 
-// Subscribers reports the number of live subscriptions.
-func (g *Gateway) Subscribers() int { return g.hub.size() }
-
 // Attach adds one subscriber to metric's broadcaster without a transport —
 // the entry point the WS/SSE handlers, the deterministic load scenario, and
 // tests share. The subscription ends with ctx, Close, eviction or drain. See

@@ -22,16 +22,19 @@ import (
 // fixture is a gateway over an in-process broker with a few published
 // tuples.
 type fixture struct {
-	broker  *stream.Broker
-	backend *BusBackend
-	gw      *Gateway
-	srv     *httptest.Server
+	broker   *stream.Broker
+	backend  *BusBackend
+	planHits *obs.Counter // the backend engine's aqe_plan_cache_hits_total
+	gw       *Gateway
+	srv      *httptest.Server
 }
 
 func newFixture(t *testing.T, cfg Config) *fixture {
 	t.Helper()
 	b := stream.NewBroker(0)
 	backend := NewBusBackend(b, 0)
+	engineObs := obs.NewRegistry()
+	backend.engine.Instrument(engineObs)
 	gw := New(backend, cfg)
 	srv := httptest.NewServer(gw.Handler())
 	t.Cleanup(func() {
@@ -39,7 +42,7 @@ func newFixture(t *testing.T, cfg Config) *fixture {
 		gw.Close()
 		b.Close()
 	})
-	return &fixture{broker: b, backend: backend, gw: gw, srv: srv}
+	return &fixture{broker: b, backend: backend, planHits: engineObs.Counter("aqe_plan_cache_hits_total"), gw: gw, srv: srv}
 }
 
 func (f *fixture) publish(t *testing.T, metric string, n int) {
@@ -154,7 +157,7 @@ func TestQueryEndpoint(t *testing.T) {
 
 	// Repeat query from "another principal" hits the shared plan cache.
 	f.do(t, "POST", apiv1.PathQuery, "", `{"query":"SELECT MAX(Value) FROM m.cap"}`)
-	hits, _, _ := f.backend.Engine().PlanCacheStats()
+	hits := f.planHits.Value()
 	if hits < 1 {
 		t.Fatalf("expected shared plan-cache hit, got %d", hits)
 	}
@@ -330,8 +333,8 @@ func TestSlowConsumerEviction(t *testing.T) {
 		t.Fatal("Evicted() false after eviction")
 	}
 	// The hub forgot the subscriber before it queued the terminal frame.
-	if n := f.gw.Subscribers(); n != 0 {
-		t.Fatalf("subscriber still attached: %d", n)
+	if n := reg.Gauge("gateway_subscribers").Value(); n != 0 {
+		t.Fatalf("subscriber still attached: %v", n)
 	}
 	if n := reg.Snapshot().Counter("gateway_evictions_total"); n != 1 {
 		t.Fatalf("gateway_evictions_total = %d, want 1", n)
@@ -472,7 +475,7 @@ func TestBindTimeErrorsAreBadRequests(t *testing.T) {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
 	_, err := f.backend.Query("SELECT Value FROM m.cap LIMIT 0")
-	if hits, _, _ := f.backend.Engine().PlanCacheStats(); err == nil || hits != 1 || !isParseError(err) {
+	if hits := f.planHits.Value(); err == nil || hits != 1 || !isParseError(err) {
 		t.Fatalf("LIMIT 0 on a cached shape: err %v, %d cache hits", err, hits)
 	}
 	resp, body := f.do(t, "POST", apiv1.PathQuery, "", `{"query":"SELECT Value FROM m.cap LIMIT 0"}`)

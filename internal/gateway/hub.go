@@ -257,7 +257,6 @@ type Subscriber struct {
 	framesOnce sync.Once
 	frames     chan apiv1.Frame
 
-	sent    atomic.Uint64
 	evicted atomic.Bool
 	once    sync.Once
 }
@@ -318,12 +317,6 @@ func (h *hub) detach(s *Subscriber) {
 	}
 	h.nsubs--
 	h.obsSubscribers.Set(float64(h.nsubs))
-}
-
-func (h *hub) size() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.nsubs
 }
 
 // drain drops every topic, whose broadcasters hand their subscribers a
@@ -415,7 +408,6 @@ func (s *Subscriber) next(ctx context.Context, final <-chan apiv1.Frame) (*frame
 			}
 		}
 		if f != nil {
-			s.sent.Add(1)
 			t.hub.obsFrames.Inc()
 			return f, true
 		}
@@ -464,9 +456,6 @@ func (s *Subscriber) Final() <-chan apiv1.Frame { return s.final }
 
 // Evicted reports whether the subscriber was cut loose as a slow consumer.
 func (s *Subscriber) Evicted() bool { return s.evicted.Load() }
-
-// Sent reports how many tuple frames the subscriber has taken delivery of.
-func (s *Subscriber) Sent() uint64 { return s.sent.Load() }
 
 // Principal returns the authenticated principal that attached this
 // subscriber.

@@ -64,10 +64,3 @@ func (l *limiter) allow(principal string) (wait time.Duration, ok bool) {
 	need := 1 - b.tokens
 	return time.Duration(need / l.rate * float64(time.Second)), false
 }
-
-// principals reports how many distinct principals hold buckets.
-func (l *limiter) principals() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.buckets)
-}

@@ -58,7 +58,7 @@ func TestTokenBucketRefill(t *testing.T) {
 		t.Fatal("burst cap exceeded")
 	}
 
-	if got := l.principals(); got != 2 {
+	if got := len(l.buckets); got != 2 {
 		t.Fatalf("principals = %d, want 2", got)
 	}
 }

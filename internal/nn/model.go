@@ -3,8 +3,6 @@ package nn
 import (
 	"encoding/json"
 	"fmt"
-	"math"
-	"os"
 )
 
 // Sequential chains layers into a model trained with MSE loss.
@@ -121,61 +119,6 @@ func (m *Sequential) Fit(xs, ys [][]float64, opts FitOptions) (float64, error) {
 	return last, nil
 }
 
-// MSE returns the mean squared error of the model over a dataset of
-// single-output samples.
-func (m *Sequential) MSE(xs [][]float64, ys []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for i := range xs {
-		d := m.Predict1(xs[i]) - ys[i]
-		sum += d * d
-	}
-	return sum / float64(len(xs))
-}
-
-// RMSE is the root of MSE.
-func (m *Sequential) RMSE(xs [][]float64, ys []float64) float64 { return math.Sqrt(m.MSE(xs, ys)) }
-
-// MAE returns the mean absolute error over single-output samples.
-func (m *Sequential) MAE(xs [][]float64, ys []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for i := range xs {
-		sum += math.Abs(m.Predict1(xs[i]) - ys[i])
-	}
-	return sum / float64(len(xs))
-}
-
-// R2 returns the coefficient of determination over single-output samples.
-func (m *Sequential) R2(xs [][]float64, ys []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	mean := 0.0
-	for _, y := range ys {
-		mean += y
-	}
-	mean /= float64(len(ys))
-	ssRes, ssTot := 0.0, 0.0
-	for i := range xs {
-		d := ys[i] - m.Predict1(xs[i])
-		ssRes += d * d
-		t := ys[i] - mean
-		ssTot += t * t
-	}
-	if ssTot == 0 {
-		if ssRes == 0 {
-			return 1
-		}
-		return 0
-	}
-	return 1 - ssRes/ssTot
-}
-
 // ParamCount reports (total, trainable) parameters.
 func (m *Sequential) ParamCount() (int, int) { return ParamCount(m.Layers) }
 
@@ -256,26 +199,4 @@ func (m *Sequential) UnmarshalJSON(b []byte) error {
 		}
 	}
 	return nil
-}
-
-// Save writes the model to a JSON file.
-func (m *Sequential) Save(path string) error {
-	b, err := json.Marshal(m)
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, b, 0o644)
-}
-
-// Load reads a model from a JSON file.
-func Load(path string) (*Sequential, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var m Sequential
-	if err := json.Unmarshal(b, &m); err != nil {
-		return nil, err
-	}
-	return &m, nil
 }

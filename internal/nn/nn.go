@@ -1,7 +1,7 @@
 // Package nn is a small, dependency-free neural-network substrate replacing
 // the TensorFlow C API used by the original Apollo. It provides exactly what
 // Delphi (§3.4.2) and the paper's LSTM baseline (Fig. 11) need: dense layers
-// with pluggable activations, MSE loss, SGD/Adam optimizers, layer freezing
+// with pluggable activations, MSE loss, the Adam optimizer, layer freezing
 // ("untrainable" pre-trained feature models), an LSTM with full BPTT, and
 // JSON model serialization.
 package nn

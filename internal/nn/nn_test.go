@@ -1,8 +1,8 @@
 package nn
 
 import (
+	"encoding/json"
 	"math"
-	"path/filepath"
 	"testing"
 )
 
@@ -153,19 +153,6 @@ func TestSequentialLearnsLinearFunction(t *testing.T) {
 	}
 }
 
-func TestSGDMomentumLearns(t *testing.T) {
-	m := NewSequential(NewDense(1, 1, Identity, 6))
-	xs := [][]float64{{1}, {2}, {3}, {4}}
-	ys := [][]float64{{2}, {4}, {6}, {8}}
-	loss, err := m.Fit(xs, ys, FitOptions{Epochs: 500, BatchSize: 4, Optimizer: NewSGD(0.02, 0.9)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loss > 1e-3 {
-		t.Fatalf("sgd loss=%g", loss)
-	}
-}
-
 func TestFrozenLayerNotUpdated(t *testing.T) {
 	frozen := NewDense(2, 2, Identity, 9)
 	frozen.Frozen = true
@@ -227,31 +214,6 @@ func TestLSTMLearnsShortPattern(t *testing.T) {
 	}
 }
 
-func TestMetrics(t *testing.T) {
-	m := NewSequential(NewDense(1, 1, Identity, 3))
-	d := m.Layers[0].(*Dense)
-	d.W[0], d.B[0] = 1, 0 // identity model
-	xs := [][]float64{{1}, {2}, {3}}
-	ys := []float64{1, 2, 3}
-	if m.MSE(xs, ys) != 0 || m.RMSE(xs, ys) != 0 || m.MAE(xs, ys) != 0 {
-		t.Fatal("perfect model has nonzero error")
-	}
-	if m.R2(xs, ys) != 1 {
-		t.Fatalf("R2=%g", m.R2(xs, ys))
-	}
-	ysOff := []float64{2, 3, 4}
-	if got := m.MAE(xs, ysOff); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("MAE=%g", got)
-	}
-	// Degenerate targets: constant ys.
-	if got := m.R2([][]float64{{1}, {1}}, []float64{1, 1}); got != 1 {
-		t.Fatalf("R2 constant perfect = %g", got)
-	}
-	if got := m.R2([][]float64{{1}, {2}}, []float64{5, 5}); got != 0 {
-		t.Fatalf("R2 constant wrong = %g", got)
-	}
-}
-
 func TestEmptyDatasetErrors(t *testing.T) {
 	m := NewSequential(NewDense(1, 1, Identity, 3))
 	if _, err := m.Fit(nil, nil, FitOptions{}); err != ErrEmptyDataset {
@@ -259,9 +221,6 @@ func TestEmptyDatasetErrors(t *testing.T) {
 	}
 	if _, err := m.TrainBatch(nil, nil, NewAdam(0)); err != ErrEmptyDataset {
 		t.Fatalf("err=%v", err)
-	}
-	if m.MSE(nil, nil) != 0 || m.MAE(nil, nil) != 0 || m.R2(nil, nil) != 0 {
-		t.Fatal("metrics on empty dataset should be 0")
 	}
 }
 
@@ -274,12 +233,12 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		NewLSTM(4, 3, 33),
 		NewDense(3, 1, Identity, 34),
 	)
-	path := filepath.Join(t.TempDir(), "model.json")
-	if err := m.Save(path); err != nil {
+	b, err := json.Marshal(m)
+	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := Load(path)
-	if err != nil {
+	m2 := new(Sequential)
+	if err := json.Unmarshal(b, m2); err != nil {
 		t.Fatal(err)
 	}
 	t1, tr1 := m.ParamCount()
@@ -298,12 +257,6 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	if !m2.Layers[0].(*Dense).Frozen {
 		t.Fatal("frozen flag lost on reload")
-	}
-}
-
-func TestLoadMissingFile(t *testing.T) {
-	if _, err := Load(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Fatal("expected error")
 	}
 }
 

@@ -9,53 +9,6 @@ type Optimizer interface {
 	Step(layers []Layer, batchSize int)
 }
 
-// SGD is stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-	vel      map[*float64][]float64 // keyed by first element pointer
-}
-
-// NewSGD returns an SGD optimizer.
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, vel: make(map[*float64][]float64)}
-}
-
-// Step implements Optimizer.
-func (s *SGD) Step(layers []Layer, batchSize int) {
-	if batchSize < 1 {
-		batchSize = 1
-	}
-	inv := 1.0 / float64(batchSize)
-	for _, l := range layers {
-		if !l.Trainable() {
-			continue
-		}
-		params, grads := l.Params(), l.Grads()
-		for pi := range params {
-			p, g := params[pi], grads[pi]
-			if len(p) == 0 {
-				continue
-			}
-			if s.Momentum == 0 {
-				for i := range p {
-					p[i] -= s.LR * g[i] * inv
-				}
-				continue
-			}
-			v, ok := s.vel[&p[0]]
-			if !ok {
-				v = make([]float64, len(p))
-				s.vel[&p[0]] = v
-			}
-			for i := range p {
-				v[i] = s.Momentum*v[i] - s.LR*g[i]*inv
-				p[i] += v[i]
-			}
-		}
-	}
-}
-
 // Adam is the Adam optimizer (Kingma & Ba).
 type Adam struct {
 	LR, Beta1, Beta2, Eps float64
@@ -114,6 +67,5 @@ func (a *Adam) Step(layers []Layer, batchSize int) {
 }
 
 var (
-	_ Optimizer = (*SGD)(nil)
 	_ Optimizer = (*Adam)(nil)
 )

@@ -1,10 +1,11 @@
 // Package obs is Apollo's observability substrate: a stdlib-only metrics
 // registry of atomic counters, gauges, and fixed-bucket histograms with
 // snapshot semantics. Every subsystem on the hot path — the stream fabric,
-// SCoRe vertices, the timer loop, the in-memory queues, and the archiver —
-// registers its instruments here so drop counts, publish latencies, backlog
-// sizes, and timer behaviour are visible outside tests (REGAL-style
-// registry-driven introspection).
+// SCoRe vertices, the in-memory queues, the archiver, the query engine and
+// the gateway — registers its instruments here so drop counts, publish
+// latencies and backlog sizes are visible outside tests (REGAL-style
+// registry-driven introspection), and a count only the registry reports is
+// kept nowhere else.
 //
 // Design rules:
 //
@@ -129,14 +130,6 @@ func (h *Histogram) Observe(v float64) {
 // ObserveDuration records d in seconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 
-// Count returns the total number of observations (0 for nil).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
 // HistogramSnapshot is a point-in-time copy of a histogram. Buckets are
 // cumulative (Prometheus "le" semantics); the +Inf bucket equals Count.
 type HistogramSnapshot struct {
@@ -185,12 +178,6 @@ func NewRegistry() *Registry {
 		histograms: make(map[string]*Histogram),
 	}
 }
-
-var defaultRegistry = NewRegistry()
-
-// Default returns the process-wide registry, for components not wired to a
-// service-owned one (e.g. standalone tools).
-func Default() *Registry { return defaultRegistry }
 
 // Counter returns the counter registered under name, creating it on first
 // use. A nil Registry returns nil (a no-op instrument).

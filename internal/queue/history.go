@@ -25,7 +25,6 @@ type History struct {
 	count   int
 	onEvict func(telemetry.Info)
 	evicted uint64 // entries displaced so far: the eviction epoch
-	dropped uint64 // out-of-order appends rejected
 
 	// Optional obs instruments (nil-safe no-ops when not instrumented).
 	obsEvicted *obs.Counter
@@ -57,7 +56,7 @@ func (h *History) Instrument(evicted, dropped *obs.Counter) {
 
 // Append adds info to the window. Appends whose timestamp precedes the
 // newest stored entry are rejected (the queue is timestamp-linearized) and
-// counted; Append reports whether the entry was stored.
+// counted on the instrument; Append reports whether the entry was stored.
 //
 // The eviction callback runs under the History lock (see NewHistory): it was
 // previously invoked after unlock, which let two concurrent appenders hand
@@ -67,7 +66,6 @@ func (h *History) Append(info telemetry.Info) bool {
 	if h.count > 0 {
 		newest := h.buf[(h.head+h.count-1)%len(h.buf)]
 		if info.Timestamp < newest.Timestamp {
-			h.dropped++
 			h.obsDropped.Inc()
 			h.mu.Unlock()
 			return false
@@ -88,20 +86,6 @@ func (h *History) Append(info telemetry.Info) bool {
 	h.count++
 	h.mu.Unlock()
 	return true
-}
-
-// Len returns the number of stored entries.
-func (h *History) Len() int {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return h.count
-}
-
-// Dropped returns how many out-of-order appends have been rejected.
-func (h *History) Dropped() uint64 {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return h.dropped
 }
 
 // Latest returns the newest entry, reporting false when empty. This is the
@@ -181,28 +165,11 @@ func (h *History) spansLocked(lo, hi int) (a, b []telemetry.Info) {
 	return h.buf[start:], h.buf[:n-first]
 }
 
-// Range returns a copy of all entries with Timestamp in [from, to],
-// inclusive, in timestamp order. Binary search locates the window bounds and
-// the ring's two unwrapped halves are block-copied (no per-element modulo).
-func (h *History) Range(from, to int64) []telemetry.Info {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	lo, hi := h.boundsLocked(from, to)
-	if lo >= hi {
-		return nil
-	}
-	out := make([]telemetry.Info, hi-lo)
-	a, b := h.spansLocked(lo, hi)
-	n := copy(out, a)
-	copy(out[n:], b)
-	return out
-}
-
 // RangeFunc visits every entry with Timestamp in [from, to], oldest first,
 // under the read lock and without copying. fn returns false to stop the scan
 // early. fn must be fast and must not call back into the History (readers
 // block writers for the duration of the scan); callers that need ownership
-// of the entries use Range instead.
+// of the entries copy them.
 func (h *History) RangeFunc(from, to int64, fn func(telemetry.Info) bool) {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
@@ -236,16 +203,4 @@ func (h *History) scanLocked(from, to int64, fn func(telemetry.Info) bool) {
 			return
 		}
 	}
-}
-
-// Before returns the newest entry with Timestamp <= ts, reporting false when
-// no such entry is retained.
-func (h *History) Before(ts int64) (telemetry.Info, bool) {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	idx := sort.Search(h.count, func(i int) bool { return h.at(i).Timestamp > ts })
-	if idx == 0 {
-		return telemetry.Info{}, false
-	}
-	return h.at(idx - 1), true
 }

@@ -34,14 +34,16 @@ func TestHistoryConcurrentEvictionOrder(t *testing.T) {
 	r := obs.NewRegistry()
 	h.Instrument(r.Counter("evictions_total"), r.Counter("drops_total"))
 
-	var ts atomic.Int64
+	var ts, rejected atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < appends; i++ {
-				h.Append(telemetry.NewFact("m", ts.Add(1), float64(i)))
+				if !h.Append(telemetry.NewFact("m", ts.Add(1), float64(i))) {
+					rejected.Add(1)
+				}
 			}
 		}()
 	}
@@ -62,8 +64,8 @@ func TestHistoryConcurrentEvictionOrder(t *testing.T) {
 	}
 	// Every append either stored (evicting, once the 1-slot window is warm)
 	// or was rejected as out of order; both tallies must add up.
-	if got, want := r.Snapshot().Counter("drops_total"), h.Dropped(); got != want {
-		t.Fatalf("obs drops = %d, Dropped() = %d", got, want)
+	if got, want := r.Snapshot().Counter("drops_total"), uint64(rejected.Load()); got != want {
+		t.Fatalf("obs drops = %d, Append rejected %d", got, want)
 	}
 }
 

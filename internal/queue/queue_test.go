@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/obs"
 	"repro/internal/telemetry"
 )
 
@@ -17,8 +18,8 @@ func TestHistoryAppendAndLatest(t *testing.T) {
 			t.Fatalf("append %d rejected", i)
 		}
 	}
-	if h.Len() != 4 {
-		t.Fatalf("Len=%d want 4", h.Len())
+	if n := len(collectRangeFunc(h, -1<<62, 1<<62)); n != 4 {
+		t.Fatalf("holds %d entries, want 4", n)
 	}
 	latest, ok := h.Latest()
 	if !ok || latest.Timestamp != 9 {
@@ -39,12 +40,14 @@ func TestHistoryEviction(t *testing.T) {
 
 func TestHistoryRejectsOutOfOrder(t *testing.T) {
 	h := NewHistory(4, nil)
+	dropped := obs.NewRegistry().Counter("drops_total")
+	h.Instrument(nil, dropped)
 	h.Append(telemetry.NewFact("m", 10, 0))
 	if h.Append(telemetry.NewFact("m", 5, 0)) {
 		t.Fatal("out-of-order append accepted")
 	}
-	if h.Dropped() != 1 {
-		t.Fatalf("Dropped=%d", h.Dropped())
+	if dropped.Value() != 1 {
+		t.Fatalf("dropped=%d", dropped.Value())
 	}
 	// Equal timestamps are allowed (multiple events in one poll tick).
 	if !h.Append(telemetry.NewFact("m", 10, 1)) {
@@ -57,17 +60,17 @@ func TestHistoryRange(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		h.Append(telemetry.NewFact("m", int64(i*10), float64(i)))
 	}
-	got := h.Range(15, 45)
+	got := collectRangeFunc(h, 15, 45)
 	if len(got) != 3 || got[0].Timestamp != 20 || got[2].Timestamp != 40 {
 		t.Fatalf("Range(15,45)=%v", got)
 	}
-	if got := h.Range(100, 200); got != nil {
+	if got := collectRangeFunc(h, 100, 200); got != nil {
 		t.Fatalf("out-of-window range = %v", got)
 	}
-	if got := h.Range(45, 15); got != nil {
+	if got := collectRangeFunc(h, 45, 15); got != nil {
 		t.Fatalf("inverted range = %v", got)
 	}
-	all := h.Range(0, 70)
+	all := collectRangeFunc(h, 0, 70)
 	if len(all) != 8 {
 		t.Fatalf("full range len=%d", len(all))
 	}
@@ -79,28 +82,9 @@ func TestHistoryRangeWrapped(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		h.Append(telemetry.NewFact("m", int64(i), float64(i)))
 	}
-	got := h.Range(6, 8)
+	got := collectRangeFunc(h, 6, 8)
 	if len(got) != 3 || got[0].Timestamp != 6 || got[2].Timestamp != 8 {
 		t.Fatalf("wrapped Range = %v", got)
-	}
-}
-
-func TestHistoryBefore(t *testing.T) {
-	h := NewHistory(8, nil)
-	for _, ts := range []int64{10, 20, 30} {
-		h.Append(telemetry.NewFact("m", ts, float64(ts)))
-	}
-	if _, ok := h.Before(5); ok {
-		t.Fatal("Before(5) should fail")
-	}
-	if got, ok := h.Before(20); !ok || got.Timestamp != 20 {
-		t.Fatalf("Before(20)=%v ok=%v", got, ok)
-	}
-	if got, ok := h.Before(25); !ok || got.Timestamp != 20 {
-		t.Fatalf("Before(25)=%v ok=%v", got, ok)
-	}
-	if got, ok := h.Before(99); !ok || got.Timestamp != 30 {
-		t.Fatalf("Before(99)=%v ok=%v", got, ok)
 	}
 }
 
@@ -109,13 +93,13 @@ func TestHistoryRangeWholeWindow(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		h.Append(telemetry.NewFact("m", int64(i), 0))
 	}
-	s := h.Range(-1<<62, 1<<62)
+	s := collectRangeFunc(h, -1<<62, 1<<62)
 	if len(s) != 3 || s[0].Timestamp != 2 || s[2].Timestamp != 4 {
 		t.Fatalf("Range=%v", s)
 	}
 }
 
-// Property: History.Range agrees with a naive linear filter for any sorted
+// Property: a RangeFunc scan agrees with a naive linear filter for any sorted
 // input and query bounds.
 func TestHistoryRangeQuick(t *testing.T) {
 	f := func(raw []int16, a, b int16) bool {
@@ -141,7 +125,7 @@ func TestHistoryRangeQuick(t *testing.T) {
 				want = append(want, ts)
 			}
 		}
-		got := h.Range(lo, hi)
+		got := collectRangeFunc(h, lo, hi)
 		if len(got) != len(want) {
 			return false
 		}

@@ -58,13 +58,13 @@ func TestFactVertexDriftFallback(t *testing.T) {
 	var predictedAtTrip uint64
 	for i := 0; i < phaseA+phaseB; i++ {
 		v.PollOnce()
-		if tripPoll < 0 && det.Tripped() {
+		if tripPoll < 0 && len(drifted) > 0 {
 			tripPoll = i
 			predictedAtTrip = v.Stats().Predicted
 		}
 	}
 	if tripPoll < 0 {
-		t.Fatalf("detector never tripped (err EWMA %.3f)", det.Err())
+		t.Fatal("detector never tripped")
 	}
 	if tripPoll < phaseA {
 		t.Fatalf("false positive: tripped at poll %d, before the shift at %d", tripPoll, phaseA)

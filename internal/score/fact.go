@@ -365,26 +365,11 @@ func (v *FactVertex) History() *queue.History { return v.history }
 // Latest implements Executor.
 func (v *FactVertex) Latest() (telemetry.Info, bool) { return v.history.Latest() }
 
-// Range implements Executor: it serves from the in-memory queue and falls
+// ScanRange implements Executor: it serves from the in-memory queue and falls
 // back to the persisted archive for evicted entries (§3.1 "the executor
 // parses the queue (or the persisted log for evicted entries)").
-func (v *FactVertex) Range(from, to int64) []telemetry.Info {
-	return rangeWithArchive(v.history, v.cfg.Archive, from, to)
-}
-
-// ScanRange implements Scanner: the zero-copy streaming counterpart of Range.
 func (v *FactVertex) ScanRange(from, to int64, fn func(telemetry.Info) bool) {
 	scanWithArchive(v.history, v.cfg.Archive, from, to, fn)
-}
-
-// rangeWithArchive is scanWithArchive collected into a slice.
-func rangeWithArchive(h *queue.History, log *archive.Log, from, to int64) []telemetry.Info {
-	var out []telemetry.Info
-	scanWithArchive(h, log, from, to, func(i telemetry.Info) bool {
-		out = append(out, i)
-		return true
-	})
-	return out
 }
 
 // errStopScan threads an early-stop request through archive.Log.Range's

@@ -2,7 +2,6 @@ package score
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/telemetry"
@@ -10,20 +9,12 @@ import (
 
 // Executor is the per-vertex Query Executor interface the Apollo Query
 // Engine fans out to: latest-value and timestamp-range access over one
-// Information stream.
+// Information stream. ScanRange visits every entry with Timestamp in
+// [from, to] in order — archive first, then in-memory history, for a vertex —
+// without materializing a slice; fn returns false to stop the scan early.
 type Executor interface {
 	Metric() telemetry.MetricID
 	Latest() (telemetry.Info, bool)
-	Range(from, to int64) []telemetry.Info
-}
-
-// Scanner is the streaming counterpart of Executor.Range: it visits every
-// entry with Timestamp in [from, to], archive first then in-memory history,
-// without materializing a merged slice. fn returns false to stop the scan
-// early. The query engine type-asserts Scanner to aggregate and early-LIMIT
-// without copying; executors that do not implement it are served through
-// Range.
-type Scanner interface {
 	ScanRange(from, to int64, fn func(telemetry.Info) bool)
 }
 
@@ -37,10 +28,8 @@ type Vertex interface {
 }
 
 var (
-	_ Vertex  = (*FactVertex)(nil)
-	_ Vertex  = (*InsightVertex)(nil)
-	_ Scanner = (*FactVertex)(nil)
-	_ Scanner = (*InsightVertex)(nil)
+	_ Vertex = (*FactVertex)(nil)
+	_ Vertex = (*InsightVertex)(nil)
 )
 
 // Graph is the SCoRe DAG: it tracks registered vertices, their edges, and
@@ -146,18 +135,6 @@ func (g *Graph) Health() map[telemetry.MetricID]HealthSnapshot {
 	return out
 }
 
-// Metrics lists registered metric IDs, sorted.
-func (g *Graph) Metrics() []telemetry.MetricID {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	out := make([]telemetry.MetricID, 0, len(g.vertices))
-	for id := range g.vertices {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // StartAll starts every registered vertex, sources first so insights find
 // their upstream topics populated.
 func (g *Graph) StartAll() error {
@@ -190,43 +167,4 @@ func (g *Graph) StopAll() {
 	for _, v := range vs {
 		v.Stop()
 	}
-}
-
-// Height returns the DAG height: the longest registered input chain. Facts
-// have height 0. This is the h of the O(p*h) propagation-cost model in
-// §3.2.1; Depth below gives the per-vertex Hamming distance from sources.
-func (g *Graph) Height() int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	memo := make(map[telemetry.MetricID]int)
-	max := 0
-	for id := range g.vertices {
-		if d := g.depthLocked(id, memo); d > max {
-			max = d
-		}
-	}
-	return max
-}
-
-// Depth returns the Hamming distance of a vertex from the DAG sources.
-func (g *Graph) Depth(id telemetry.MetricID) int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.depthLocked(id, make(map[telemetry.MetricID]int))
-}
-
-func (g *Graph) depthLocked(id telemetry.MetricID, memo map[telemetry.MetricID]int) int {
-	if d, ok := memo[id]; ok {
-		return d
-	}
-	memo[id] = 0 // guards against unregistered cycles
-	deps := g.inputs[id]
-	d := 0
-	for _, dep := range deps {
-		if dd := g.depthLocked(dep, memo) + 1; dd > d {
-			d = dd
-		}
-	}
-	memo[id] = d
-	return d
 }

@@ -62,17 +62,3 @@ func (h *ReplayHook) Poll() (float64, error) {
 	}
 	return v, nil
 }
-
-// Exhausted reports whether the trace has been fully consumed.
-func (h *ReplayHook) Exhausted() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.Trace) == 0 || h.pos == len(h.Trace)-1
-}
-
-// Reset rewinds the trace.
-func (h *ReplayHook) Reset() {
-	h.mu.Lock()
-	h.pos = 0
-	h.mu.Unlock()
-}

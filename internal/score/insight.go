@@ -348,12 +348,7 @@ func (v *InsightVertex) ConsumeOnce(e stream.Entry) {
 // Latest implements Executor.
 func (v *InsightVertex) Latest() (telemetry.Info, bool) { return v.history.Latest() }
 
-// Range implements Executor.
-func (v *InsightVertex) Range(from, to int64) []telemetry.Info {
-	return rangeWithArchive(v.history, v.cfg.Archive, from, to)
-}
-
-// ScanRange implements Scanner: the zero-copy streaming counterpart of Range.
+// ScanRange implements Executor.
 func (v *InsightVertex) ScanRange(from, to int64, fn func(telemetry.Info) bool) {
 	scanWithArchive(v.history, v.cfg.Archive, from, to, fn)
 }

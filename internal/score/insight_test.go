@@ -212,7 +212,7 @@ func TestInsightMatchesReference(t *testing.T) {
 							t.Fatalf("insight %d = id %d %v, reference id %d %v", i, e.ID, out, i+1, ref.out[i])
 						}
 					}
-					if hist := v.Range(-1<<62, 1<<62); !slices.Equal(hist, ref.out) {
+					if hist := scanAll(v, -1<<62, 1<<62); !slices.Equal(hist, ref.out) {
 						t.Fatalf("history holds %d insights, the bus %d", len(hist), len(ref.out))
 					}
 				})
@@ -251,7 +251,7 @@ func TestInsightHistoryHoldsEveryPublishedTuple(t *testing.T) {
 	if want := (rounds-1)*len(inputs) + 1; err != nil || len(entries) != want {
 		t.Fatalf("bus holds %d insights (%v), want %d", len(entries), err, want)
 	}
-	hist := v.Range(-1<<62, 1<<62)
+	hist := scanAll(v, -1<<62, 1<<62)
 	if len(hist) != len(entries) {
 		t.Fatalf("history holds %d of the %d insights on the bus", len(hist), len(entries))
 	}
@@ -476,7 +476,7 @@ func TestInsightStopWhilePublishBlocked(t *testing.T) {
 	if got := bus.calls.Load(); got != calls {
 		t.Fatalf("%d publishes attempted after Stop returned", got-calls)
 	}
-	if n, err := bus.Published("sum"); err == nil && n != 0 {
+	if _, n, err := bus.TopicTail(context.Background(), "sum"); err == nil && n != 0 {
 		t.Fatalf("%d insights on the bus, want none", n)
 	}
 }

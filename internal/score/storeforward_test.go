@@ -16,12 +16,11 @@ import (
 
 // fastBusOpts keeps client transport failures/retries test-sized.
 func fastBusOpts() []stream.Option {
-	return []stream.Option{
-		stream.WithDialTimeout(time.Second),
-		stream.WithIOTimeout(500 * time.Millisecond),
-		stream.WithRetry(2),
-		stream.WithBackoff(time.Millisecond, 10*time.Millisecond),
-	}
+	return []stream.Option{func(o *stream.Options) {
+		o.DialTimeout, o.IOTimeout = time.Second, 500*time.Millisecond
+		o.RetryMax = 2
+		o.BackoffMin, o.BackoffMax = time.Millisecond, 10*time.Millisecond
+	}}
 }
 
 func counterVertex(t *testing.T, bus stream.Bus) *FactVertex {
@@ -257,7 +256,7 @@ func TestBacklogOwnsItsPayloads(t *testing.T) {
 		t.Fatalf("health after recovery = %+v", h)
 	}
 
-	hist := v.Range(-1<<62, 1<<62)
+	hist := scanAll(v, -1<<62, 1<<62)
 	entries, err := bus.Range(context.Background(), "sf.delphi", 1, 1<<62, 0)
 	if err != nil {
 		t.Fatal(err)

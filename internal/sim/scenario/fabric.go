@@ -208,7 +208,6 @@ func newFabricEnv(seed int64, rep *FabricReport, inv *invariants) (*fabricEnv, e
 		id := id
 		node, err := stream.NewFabricNode(stream.FabricConfig{
 			ID:                id,
-			Addr:              id,
 			Broker:            stream.NewBroker(0),
 			Ring:              env.ring,
 			Leases:            env.table,

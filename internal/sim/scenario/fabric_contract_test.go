@@ -53,7 +53,7 @@ func newPlainFabric(t *testing.T, tcp bool) *contractFabric {
 	if tcp {
 		f.peer = func(from, to string) (stream.Peer, error) {
 			addr, _ := f.ring.Addr(to)
-			c, err := stream.Dial(addr, stream.WithIOTimeout(2*time.Second))
+			c, err := stream.Dial(addr, func(o *stream.Options) { o.IOTimeout = 2 * time.Second })
 			if err == nil {
 				t.Cleanup(func() { c.Close() })
 			}
@@ -67,9 +67,8 @@ func newPlainFabric(t *testing.T, tcp bool) *contractFabric {
 	}
 	for _, id := range ids {
 		id := id
-		addr, _ := f.ring.Addr(id)
 		n, err := stream.NewFabricNode(stream.FabricConfig{
-			ID: id, Addr: addr, Broker: brokers[id], Ring: f.ring, Leases: f.table,
+			ID: id, Broker: brokers[id], Ring: f.ring, Leases: f.table,
 			ReplicationFactor: len(ids), LeaseTTL: time.Minute, Clock: clock,
 			PeerDial: func(to, _ string) (stream.Peer, error) { return f.peer(id, to) },
 		})

@@ -69,7 +69,7 @@ func TestBrokerPublishBatchEmptyAndInvalid(t *testing.T) {
 	if !errors.Is(err, ErrEmptyPayload) {
 		t.Fatalf("err=%v want ErrEmptyPayload", err)
 	}
-	if n, _ := b.Published("t"); n != 0 {
+	if _, n, _ := b.TopicTail(ctx, "t"); n != 0 {
 		t.Fatalf("published=%d after rejected batch, want 0 (atomic reject)", n)
 	}
 	b.Close()
@@ -224,7 +224,7 @@ func TestBrokerShardedConcurrentPublish(t *testing.T) {
 			}
 			for i := 0; i < topics; i++ {
 				name := fmt.Sprintf("topic%02d", i)
-				n, err := b.Published(name)
+				_, n, err := b.TopicTail(ctx, name)
 				if err != nil || n != perTopic {
 					t.Fatalf("%s published=%d (%v) want %d", name, n, err, perTopic)
 				}
@@ -261,7 +261,7 @@ func TestClientPublishBatchTCP(t *testing.T) {
 	if first != 1 {
 		t.Fatalf("first=%d want 1", first)
 	}
-	if n, _ := b.Published("t"); n != 64 {
+	if _, n, _ := b.TopicTail(ctx, "t"); n != 64 {
 		t.Fatalf("broker saw %d entries want 64", n)
 	}
 	es, err := c.ConsumeBatch(ctx, "t", 0, 0)
@@ -431,7 +431,7 @@ func TestCoalescerMixedTopics(t *testing.T) {
 		seen[topic][res.ID] = true
 	}
 	for _, topic := range []string{"even", "odd"} {
-		if n, _ := b.Published(topic); n != 20 {
+		if _, n, _ := b.TopicTail(ctx, topic); n != 20 {
 			t.Fatalf("%s published=%d want 20", topic, n)
 		}
 	}

@@ -102,9 +102,8 @@ type topic struct {
 	retention int
 	// Readers with nothing to read wait on grew (whose lock is mu) and count
 	// themselves in parked, so an append with nobody waiting signals nobody.
-	grew      sync.Cond
-	parked    int
-	published uint64
+	grew   sync.Cond
+	parked int
 	// epoch is the topic's fencing token: replicated appends carrying an
 	// older epoch are rejected, never silently accepted. 0 until the topic
 	// joins a replicated fabric.
@@ -149,7 +148,6 @@ func (t *topic) appendLocked(p []byte, b *Broker) {
 	c.data = append(c.data, p...)
 	c.ends = append(c.ends, uint32(len(c.data)))
 	t.nextID++
-	t.published++
 	if t.nextID-t.firstID > uint64(t.retention) {
 		t.firstID++
 		b.obsEvicted.Inc()
@@ -561,17 +559,6 @@ func (b *Broker) Topics() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Published returns the total entries ever appended to topicName.
-func (b *Broker) Published(topicName string) (uint64, error) {
-	t, err := b.topicFor(topicName, false)
-	if err != nil {
-		return 0, err
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.published, nil
 }
 
 // Latest returns the newest entry of a topic.

@@ -19,9 +19,9 @@ func TestPublishAssignsSequentialIDs(t *testing.T) {
 			t.Fatalf("id=%d want %d", id, i)
 		}
 	}
-	n, err := b.Published("t")
+	_, n, err := b.TopicTail(context.Background(), "t")
 	if err != nil || n != 5 {
-		t.Fatalf("Published=%d err=%v", n, err)
+		t.Fatalf("last ID=%d err=%v", n, err)
 	}
 }
 

@@ -7,22 +7,23 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // fastOpts keeps retry/backoff latencies test-sized.
 func fastOpts() []Option {
-	return []Option{
-		WithDialTimeout(time.Second),
-		WithIOTimeout(500 * time.Millisecond),
-		WithRetry(10),
-		WithBackoff(time.Millisecond, 20*time.Millisecond),
-	}
+	return []Option{func(o *Options) {
+		o.DialTimeout, o.IOTimeout = time.Second, 500*time.Millisecond
+		o.RetryMax = 10
+		o.BackoffMin, o.BackoffMax = time.Millisecond, 20*time.Millisecond
+	}}
 }
 
 func TestChaosDialRefused(t *testing.T) {
 	_, s := startServer(t)
 	chaos := NewChaos(ChaosConfig{Seed: 1, RefuseProb: 1})
-	if _, err := Dial(s.Addr(), WithDialer(chaos), WithDialTimeout(time.Second)); err == nil {
+	if _, err := Dial(s.Addr(), WithDialer(chaos), func(o *Options) { o.DialTimeout = time.Second }); err == nil {
 		t.Fatal("expected refused dial")
 	}
 	if !IsTransient(&transportError{errors.New("x")}) {
@@ -55,7 +56,8 @@ func TestClientSurvivesInjectedResets(t *testing.T) {
 		b.Publish(context.Background(), "m", []byte{byte(i)})
 	}
 	chaos := NewChaos(ChaosConfig{Seed: 42, ResetProb: 0.08, DelayProb: 0.2, Delay: time.Millisecond})
-	c, err := Dial(s.Addr(), append(fastOpts(), WithDialer(chaos))...)
+	reg := obs.NewRegistry()
+	c, err := Dial(s.Addr(), append(fastOpts(), WithDialer(chaos), WithObs(reg))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +84,7 @@ func TestClientSurvivesInjectedResets(t *testing.T) {
 	if chaos.Stats().Resets == 0 {
 		t.Fatal("chaos injected no resets; test exercised nothing")
 	}
-	if c.Reconnects() == 0 {
+	if reg.Counter("stream_client_reconnects_total").Value() == 0 {
 		t.Fatal("client never reconnected despite resets")
 	}
 }
@@ -122,7 +124,8 @@ func TestRoundTripDropsDeadConn(t *testing.T) {
 	}
 	addr := s.Addr()
 	b.Publish(context.Background(), "m", []byte("x"))
-	c, err := Dial(addr, fastOpts()...)
+	reg := obs.NewRegistry()
+	c, err := Dial(addr, append(fastOpts(), WithObs(reg))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +146,7 @@ func TestRoundTripDropsDeadConn(t *testing.T) {
 	if string(e.Payload) != "x" {
 		t.Fatalf("payload=%q", e.Payload)
 	}
-	if c.Reconnects() == 0 {
+	if reg.Counter("stream_client_reconnects_total").Value() == 0 {
 		t.Fatal("client did not reconnect")
 	}
 }
@@ -202,7 +205,8 @@ func TestSubscriptionResumesAcrossServerRestart(t *testing.T) {
 	}
 	addr := s.Addr()
 	const total = 120
-	sub, err := Subscribe(addr, "m", 0, fastOpts()...)
+	reg := obs.NewRegistry()
+	sub, err := Subscribe(addr, "m", 0, append(fastOpts(), WithObs(reg))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +260,7 @@ func TestSubscriptionResumesAcrossServerRestart(t *testing.T) {
 			t.Fatalf("entry %d has id %d: lost or duplicated", i, e.ID)
 		}
 	}
-	if sub.Resumes() == 0 {
+	if reg.Counter("stream_sub_resumes_total").Value() == 0 {
 		t.Fatal("subscription never resumed; restarts were not exercised")
 	}
 }
@@ -267,7 +271,8 @@ func TestSubscriptionResumesAcrossServerRestart(t *testing.T) {
 func TestSubscriptionSurvivesInjectedResets(t *testing.T) {
 	b, s := startServer(t)
 	chaos := NewChaos(ChaosConfig{Seed: 9, ResetProb: 0.01, DelayProb: 0.05, Delay: time.Millisecond})
-	sub, err := Subscribe(s.Addr(), "m", 0, append(fastOpts(), WithDialer(chaos))...)
+	reg := obs.NewRegistry()
+	sub, err := Subscribe(s.Addr(), "m", 0, append(fastOpts(), WithDialer(chaos), WithObs(reg))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +299,7 @@ func TestSubscriptionSurvivesInjectedResets(t *testing.T) {
 			}
 			want++
 		case <-deadline:
-			t.Fatalf("stalled at id %d (resumes=%d)", want, sub.Resumes())
+			t.Fatalf("stalled at id %d (resumes=%d)", want, reg.Counter("stream_sub_resumes_total").Value())
 		}
 	}
 	if chaos.Stats().Resets == 0 {
@@ -314,13 +319,13 @@ func TestSubscriptionCloseWithAbandonedConsumer(t *testing.T) {
 		b.Publish(context.Background(), "m", []byte{byte(i)})
 	}
 	// Wait (sleep-free) until the reader has filled all 64 channel slots:
-	// LastID is stored only after a successful channel send, so once it
+	// last is stored only after a successful channel send, so once it
 	// reaches the buffer size with no consumer draining, the reader is
 	// blocked on the 65th send.
 	deadline65 := time.Now().Add(5 * time.Second)
-	for sub.LastID() < 64 {
+	for sub.last.Load() < 64 {
 		if time.Now().After(deadline65) {
-			t.Fatalf("reader never filled the channel: LastID=%d", sub.LastID())
+			t.Fatalf("reader never filled the channel: last=%d", sub.last.Load())
 		}
 		runtime.Gosched()
 	}
@@ -373,7 +378,7 @@ func TestSubscriptionResumeMax(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := Subscribe(s.Addr(), "m", 0, append(fastOpts(), WithResumeMax(2))...)
+	sub, err := Subscribe(s.Addr(), "m", 0, append(fastOpts(), func(o *Options) { o.ResumeMax = 2 })...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,9 +449,11 @@ func TestIOTimeoutOnUnresponsiveServer(t *testing.T) {
 			}(conn)
 		}
 	}()
-	c, err := Dial(ln.Addr().String(),
-		WithDialTimeout(time.Second), WithIOTimeout(150*time.Millisecond),
-		WithRetry(2), WithBackoff(time.Millisecond, 5*time.Millisecond))
+	c, err := Dial(ln.Addr().String(), func(o *Options) {
+		o.DialTimeout, o.IOTimeout = time.Second, 150*time.Millisecond
+		o.RetryMax = 2
+		o.BackoffMin, o.BackoffMax = time.Millisecond, 5*time.Millisecond
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

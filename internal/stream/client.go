@@ -152,23 +152,6 @@ func (l *lockedRand) Int63n(n int64) int64 {
 // Option customizes a Client or Subscription.
 type Option func(*Options)
 
-// WithDialTimeout bounds connection establishment.
-func WithDialTimeout(d time.Duration) Option { return func(o *Options) { o.DialTimeout = d } }
-
-// WithIOTimeout bounds per-frame writes and non-blocking reads.
-func WithIOTimeout(d time.Duration) Option { return func(o *Options) { o.IOTimeout = d } }
-
-// WithRetry sets the attempt budget for idempotent operations.
-func WithRetry(max int) Option { return func(o *Options) { o.RetryMax = max } }
-
-// WithBackoff bounds the jittered exponential reconnect backoff.
-func WithBackoff(min, max time.Duration) Option {
-	return func(o *Options) { o.BackoffMin, o.BackoffMax = min, max }
-}
-
-// WithResumeMax caps Subscription auto-resume attempts per outage.
-func WithResumeMax(n int) Option { return func(o *Options) { o.ResumeMax = n } }
-
 // WithCoalesce tunes the PublishAsync group-commit coalescer: a batch is
 // flushed when it reaches maxBatch tuples or when the oldest queued tuple
 // has waited maxDelay, whichever comes first.
@@ -195,9 +178,6 @@ func WithObs(r *obs.Registry) Option { return func(o *Options) { o.Obs = r } }
 func WithSeeds(addrs ...string) Option {
 	return func(o *Options) { o.Seeds = append(o.Seeds, addrs...) }
 }
-
-// WithMaxRedirects bounds not-leader redirects followed per call.
-func WithMaxRedirects(n int) Option { return func(o *Options) { o.MaxRedirects = n } }
 
 func buildOptions(opts []Option) Options {
 	var o Options
@@ -317,10 +297,6 @@ type Client struct {
 	coDone   chan struct{}
 	coExited chan struct{}
 
-	reconnects atomic.Uint64
-	retries    atomic.Uint64
-	redirects  atomic.Uint64
-
 	// Obs instruments, registered at Dial when Options.Obs is set
 	// (nil-safe no-ops otherwise).
 	obsReconnects *obs.Counter
@@ -389,7 +365,6 @@ func (c *Client) connectLocked() error {
 		return err
 	}
 	if c.connected {
-		c.reconnects.Add(1)
 		c.obsReconnects.Inc()
 	}
 	c.connected = true
@@ -463,7 +438,6 @@ func (c *Client) retireLocked() {
 // not-leader redirect, retiring the current connection so the next
 // round-trip dials the leader.
 func (c *Client) redirectTo(addr string) {
-	c.redirects.Add(1)
 	c.obsRedirects.Inc()
 	c.mu.Lock()
 	if addr != c.addr {
@@ -495,16 +469,6 @@ func (c *Client) Addr() string {
 	defer c.mu.Unlock()
 	return c.addr
 }
-
-// Reconnects returns how many times the client re-established its
-// connection after a transport error.
-func (c *Client) Reconnects() uint64 { return c.reconnects.Load() }
-
-// Retries returns how many operation attempts beyond the first were made.
-func (c *Client) Retries() uint64 { return c.retries.Load() }
-
-// Redirects returns how many not-leader redirects the client followed.
-func (c *Client) Redirects() uint64 { return c.redirects.Load() }
 
 // Close closes the request connection and shuts down the coalescer;
 // unflushed PublishAsync tuples resolve with ErrClientClosed. Subsequent
@@ -708,7 +672,6 @@ func (c *Client) call(ctx context.Context, op byte, payload []byte, idempotent, 
 		if attempt >= c.opt.RetryMax {
 			return last
 		}
-		c.retries.Add(1)
 		c.obsRetries.Inc()
 		if fabric {
 			c.rotate()
@@ -1024,9 +987,7 @@ type Subscription struct {
 	conn net.Conn
 	err  error
 
-	last    atomic.Uint64 // last delivered entry ID
-	resumes atomic.Uint64
-	dedups  atomic.Uint64
+	last atomic.Uint64 // last delivered entry ID
 
 	obsResumes *obs.Counter
 	obsDedups  *obs.Counter
@@ -1136,7 +1097,6 @@ func (s *Subscription) resume() net.Conn {
 			conn.Close()
 			return nil
 		}
-		s.resumes.Add(1)
 		s.obsResumes.Inc()
 		return conn
 	}
@@ -1166,7 +1126,6 @@ func (s *Subscription) readStream(conn net.Conn) error {
 		}
 		for _, e := range entries {
 			if e.ID <= s.last.Load() {
-				s.dedups.Add(1)
 				s.obsDedups.Inc()
 				continue
 			}
@@ -1239,15 +1198,6 @@ func (s *Subscription) Next() ([]Entry, error) {
 	}
 	return s.batch, nil
 }
-
-// LastID returns the ID of the last delivered entry.
-func (s *Subscription) LastID() uint64 { return s.last.Load() }
-
-// Resumes returns how many times the subscription reconnected.
-func (s *Subscription) Resumes() uint64 { return s.resumes.Load() }
-
-// Deduplicated returns how many replayed entries were dropped after resumes.
-func (s *Subscription) Deduplicated() uint64 { return s.dedups.Load() }
 
 // Err returns the terminal error, if any, after C closes. It is nil when the
 // subscription was ended by Close, and the context's error when the end of a

@@ -48,7 +48,7 @@ func contractBuses(t *testing.T) map[string]contractBus {
 	ring.Join("n1", "n1")
 	routed := stream.NewBroker(0)
 	node, err := stream.NewFabricNode(stream.FabricConfig{
-		ID: "n1", Addr: "n1", Broker: routed, Ring: ring,
+		ID: "n1", Broker: routed, Ring: ring,
 		Leases: cluster.NewLeaseTable(clock, time.Hour), ReplicationFactor: 1, Clock: clock,
 	})
 	if err != nil {

@@ -116,9 +116,8 @@ const DefaultReplicationFactor = 2
 
 // FabricConfig assembles one node of a replicated broker fabric.
 type FabricConfig struct {
-	// ID is this node's fabric identity; Addr its advertised fabric address.
-	ID   string
-	Addr string
+	// ID is this node's fabric identity; the ring holds its address.
+	ID string
 	// Broker is the node's local log store.
 	Broker *Broker
 	// Ring places topics; all nodes must build it from the same member list.
@@ -152,7 +151,6 @@ type FabricConfig struct {
 // fail with a *NotLeaderError redirect.
 type FabricNode struct {
 	id     string
-	addr   string
 	broker *Broker
 	ring   *cluster.Ring
 	leases cluster.LeaseService
@@ -239,7 +237,6 @@ func NewFabricNode(cfg FabricConfig) (*FabricNode, error) {
 	}
 	n := &FabricNode{
 		id:     cfg.ID,
-		addr:   cfg.Addr,
 		broker: cfg.Broker,
 		ring:   cfg.Ring,
 		leases: cfg.Leases,
@@ -267,9 +264,6 @@ func NewFabricNode(cfg FabricConfig) (*FabricNode, error) {
 
 // ID returns the node's fabric identity.
 func (n *FabricNode) ID() string { return n.id }
-
-// Addr returns the node's advertised fabric address.
-func (n *FabricNode) Addr() string { return n.addr }
 
 // Broker returns the node's local log store.
 func (n *FabricNode) Broker() *Broker { return n.broker }

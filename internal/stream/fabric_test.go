@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -49,7 +50,6 @@ func newTestFabric(t *testing.T, ids []string, rf int, ttl time.Duration) *testF
 	for _, id := range ids {
 		n, err := NewFabricNode(FabricConfig{
 			ID:                id,
-			Addr:              id,
 			Broker:            NewBroker(1024),
 			Ring:              f.ring,
 			Leases:            f.table,
@@ -316,7 +316,7 @@ func startTCPFabric(t testing.TB, ids []string) *tcpFabric {
 			leases = NewRemoteLeases(cc)
 		}
 		n, err := NewFabricNode(FabricConfig{
-			ID: id, Addr: mustAddr(t, f.ring, id), Broker: f.brokers[id],
+			ID: id, Broker: f.brokers[id],
 			Ring: f.ring, Leases: leases, ReplicationFactor: len(ids),
 			LeaseTTL: 3 * time.Second, Clock: clock,
 		})
@@ -354,7 +354,8 @@ func TestFabricTCP(t *testing.T) {
 	prime.Close()
 
 	// Dial the follower; fabric mode follows the redirect to the leader.
-	c, err := Dial(followerAddr, WithSeeds(leaderAddr))
+	reg := obs.NewRegistry()
+	c, err := Dial(followerAddr, WithSeeds(leaderAddr), WithObs(reg))
 	if err != nil {
 		t.Fatalf("client dial: %v", err)
 	}
@@ -363,8 +364,8 @@ func TestFabricTCP(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fabric publish: %v", err)
 	}
-	if c.Redirects() != 1 {
-		t.Fatalf("redirects = %d, want 1", c.Redirects())
+	if n := reg.Counter("stream_client_redirects_total").Value(); n != 1 {
+		t.Fatalf("redirects = %d, want 1", n)
 	}
 	if c.Addr() != leaderAddr {
 		t.Fatalf("client addr = %s, want leader %s", c.Addr(), leaderAddr)
@@ -665,10 +666,10 @@ func TestFabricBlackHoledFollowerCostsOneIOTimeout(t *testing.T) {
 		}
 	}()
 	leader, err := NewFabricNode(FabricConfig{
-		ID: "n1", Addr: "leader:0", Broker: brokers["n1"], Ring: ring,
+		ID: "n1", Broker: brokers["n1"], Ring: ring,
 		Leases: cluster.NewLeaseTable(clock, time.Minute), ReplicationFactor: 3, Clock: clock,
 		PeerDial: func(id, addr string) (Peer, error) {
-			c, err := Dial(addr, WithIOTimeout(ioTimeout))
+			c, err := Dial(addr, func(o *Options) { o.IOTimeout = ioTimeout })
 			if err == nil {
 				peers = append(peers, c)
 			}

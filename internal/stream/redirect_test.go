@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -100,11 +101,12 @@ func TestRedirectDoesNotConsumeBackoff(t *testing.T) {
 	defer stop()
 
 	clock := &countingClock{Clock: sim.Wall{}}
+	reg := obs.NewRegistry()
 	c, err := Dial(srvAddr,
 		WithSeeds(dead),
 		WithClock(clock),
-		WithBackoff(time.Millisecond, 2*time.Millisecond),
-		WithRetry(2),
+		WithObs(reg),
+		func(o *Options) { o.RetryMax, o.BackoffMin, o.BackoffMax = 2, time.Millisecond, 2*time.Millisecond },
 	)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
@@ -121,11 +123,11 @@ func TestRedirectDoesNotConsumeBackoff(t *testing.T) {
 	if got := clock.afters.Load(); got != 1 {
 		t.Fatalf("backoff timers armed = %d, want exactly 1", got)
 	}
-	if c.Redirects() != 2 {
-		t.Fatalf("redirects followed = %d, want 2 (one per attempt)", c.Redirects())
+	if n := reg.Counter("stream_client_redirects_total").Value(); n != 2 {
+		t.Fatalf("redirects followed = %d, want 2 (one per attempt)", n)
 	}
-	if c.Retries() != 1 {
-		t.Fatalf("retries = %d, want 1", c.Retries())
+	if n := reg.Counter("stream_client_retries_total").Value(); n != 1 {
+		t.Fatalf("retries = %d, want 1", n)
 	}
 }
 
@@ -142,7 +144,8 @@ func TestRedirectFollowsLeaderWithoutRetry(t *testing.T) {
 	defer stop()
 
 	clock := &countingClock{Clock: sim.Wall{}}
-	c, err := Dial(srvAddr, WithSeeds(leader.Addr()), WithClock(clock))
+	reg := obs.NewRegistry()
+	c, err := Dial(srvAddr, WithSeeds(leader.Addr()), WithClock(clock), WithObs(reg))
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
@@ -154,8 +157,8 @@ func TestRedirectFollowsLeaderWithoutRetry(t *testing.T) {
 	if got := clock.afters.Load(); got != 0 {
 		t.Fatalf("clean redirect armed %d backoff timers, want 0", got)
 	}
-	if c.Retries() != 0 || c.Redirects() != 1 {
-		t.Fatalf("retries=%d redirects=%d, want 0/1", c.Retries(), c.Redirects())
+	if retries, redirects := reg.Counter("stream_client_retries_total").Value(), reg.Counter("stream_client_redirects_total").Value(); retries != 0 || redirects != 1 {
+		t.Fatalf("retries=%d redirects=%d, want 0/1", retries, redirects)
 	}
 }
 
@@ -164,11 +167,12 @@ func TestRedirectFollowsLeaderWithoutRetry(t *testing.T) {
 // forever.
 func TestRedirectBudgetBounded(t *testing.T) {
 	addrA, addrB := redirectLoop(t)
+	reg := obs.NewRegistry()
 	c, err := Dial(addrA,
 		WithSeeds(addrB),
-		WithMaxRedirects(3),
-		WithRetry(1),
-		WithBackoff(time.Millisecond, 2*time.Millisecond),
+		WithObs(reg),
+		func(o *Options) { o.MaxRedirects, o.RetryMax = 3, 1 },
+		func(o *Options) { o.BackoffMin, o.BackoffMax = time.Millisecond, 2*time.Millisecond },
 	)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
@@ -178,8 +182,8 @@ func TestRedirectBudgetBounded(t *testing.T) {
 	if !errors.Is(err, ErrNotLeader) {
 		t.Fatalf("looping redirect: got %v, want ErrNotLeader", err)
 	}
-	if c.Redirects() != 3 {
-		t.Fatalf("redirects = %d, want MaxRedirects=3", c.Redirects())
+	if n := reg.Counter("stream_client_redirects_total").Value(); n != 3 {
+		t.Fatalf("redirects = %d, want MaxRedirects=3", n)
 	}
 }
 
@@ -188,7 +192,7 @@ func TestRedirectBudgetBounded(t *testing.T) {
 // redirects rewrite it.
 func TestSubscribeDuringRedirects(t *testing.T) {
 	addrA, addrB := redirectLoop(t)
-	c, err := Dial(addrA, WithSeeds(addrB), WithMaxRedirects(3), WithRetry(1))
+	c, err := Dial(addrA, WithSeeds(addrB), func(o *Options) { o.MaxRedirects, o.RetryMax = 3, 1 })
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}

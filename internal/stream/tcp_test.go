@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -28,9 +29,9 @@ func startServer(t testing.TB) (*Broker, *Server) {
 	return b, s
 }
 
-func dialT(t testing.TB, s *Server) *Client {
+func dialT(t testing.TB, s *Server, opts ...Option) *Client {
 	t.Helper()
-	c, err := Dial(s.Addr())
+	c, err := Dial(s.Addr(), opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,8 @@ func TestTCPErrorMapping(t *testing.T) {
 // whole, before the epoch is adopted or anything is appended or truncated.
 func TestTCPReplicateRejectsEmptyPayload(t *testing.T) {
 	b, s := startServer(t)
-	c := dialT(t, s)
+	reg := obs.NewRegistry()
+	c := dialT(t, s, WithObs(reg))
 	ctx := context.Background()
 	if _, err := c.Replicate("t", 1, []Entry{{ID: 1, Payload: []byte("a")}, {ID: 2, Payload: []byte("b")}})(); err != nil {
 		t.Fatal(err)
@@ -97,7 +99,7 @@ func TestTCPReplicateRejectsEmptyPayload(t *testing.T) {
 	if e, _ := b.Latest(ctx, "t"); string(e.Payload) != "b" {
 		t.Fatalf("entry 2 = %q after the refused frame, want %q", e.Payload, "b")
 	}
-	if n := c.Reconnects(); n != 0 {
+	if n := reg.Counter("stream_client_reconnects_total").Value(); n != 0 {
 		t.Fatalf("%d reconnects: the refusal cost the connection", n)
 	}
 	if err := c.Ping(ctx); err != nil {
@@ -116,7 +118,7 @@ func TestTCPPipelinedAnswersWholeAndInOrder(t *testing.T) {
 	ring := cluster.NewRing(16)
 	ring.Join("solo", s.Addr())
 	node, err := NewFabricNode(FabricConfig{
-		ID: "solo", Addr: s.Addr(), Broker: b, Ring: ring,
+		ID: "solo", Broker: b, Ring: ring,
 		Leases: cluster.NewLeaseTable(sim.Wall{}, time.Minute), ReplicationFactor: 1,
 	})
 	if err != nil {

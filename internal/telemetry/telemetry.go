@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-	"time"
 )
 
 // Kind distinguishes the two types of Information in Apollo.
@@ -82,9 +81,6 @@ type Info struct {
 	Source Source
 }
 
-// Time returns the tuple's timestamp as a time.Time.
-func (i Info) Time() time.Time { return time.Unix(0, i.Timestamp) }
-
 // String renders the tuple for logs and CLI output.
 func (i Info) String() string {
 	return fmt.Sprintf("%s{%s @%d = %g (%s)}", i.Kind, i.Metric, i.Timestamp, i.Value, i.Source)
@@ -98,17 +94,6 @@ func NewFact(m MetricID, ts int64, v float64) Info {
 // NewPredictedFact builds a Delphi-predicted Fact tuple.
 func NewPredictedFact(m MetricID, ts int64, v float64) Info {
 	return Info{Metric: m, Timestamp: ts, Value: v, Kind: KindFact, Source: Predicted}
-}
-
-// NewInsight builds a measured (derived from measured inputs) Insight tuple.
-func NewInsight(m MetricID, ts int64, v float64) Info {
-	return Info{Metric: m, Timestamp: ts, Value: v, Kind: KindInsight, Source: Measured}
-}
-
-// NewPredictedInsight builds an Insight derived from at least one predicted
-// input.
-func NewPredictedInsight(m MetricID, ts int64, v float64) Info {
-	return Info{Metric: m, Timestamp: ts, Value: v, Kind: KindInsight, Source: Predicted}
 }
 
 // Binary wire format (little endian):

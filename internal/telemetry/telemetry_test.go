@@ -34,8 +34,6 @@ func TestConstructors(t *testing.T) {
 	}{
 		{NewFact("m", 1, 2), KindFact, Measured},
 		{NewPredictedFact("m", 1, 2), KindFact, Predicted},
-		{NewInsight("m", 1, 2), KindInsight, Measured},
-		{NewPredictedInsight("m", 1, 2), KindInsight, Predicted},
 	}
 	for _, c := range cases {
 		if c.info.Kind != c.kind || c.info.Source != c.src {
@@ -49,9 +47,6 @@ func TestConstructors(t *testing.T) {
 
 func TestInfoTimeAndString(t *testing.T) {
 	in := NewFact("node1.cap", 1_000_000_000, 42)
-	if in.Time().Unix() != 1 {
-		t.Fatalf("Time() = %v", in.Time())
-	}
 	s := in.String()
 	if !strings.Contains(s, "node1.cap") || !strings.Contains(s, "measured") {
 		t.Fatalf("String() = %q", s)
@@ -110,7 +105,7 @@ func TestDecodeStream(t *testing.T) {
 	// Concatenate several encodings and decode them back in order.
 	infos := []Info{
 		NewFact("a", 1, 1.5),
-		NewInsight("bb", 2, -2.5),
+		{Metric: "bb", Timestamp: 2, Value: -2.5, Kind: KindInsight, Source: Measured},
 		NewPredictedFact("ccc", 3, 0),
 	}
 	var buf []byte
@@ -161,7 +156,7 @@ func TestMetricIDTooLong(t *testing.T) {
 }
 
 func TestJSONRoundTrip(t *testing.T) {
-	in := NewPredictedInsight("tier.remaining", 99, 123.456)
+	in := Info{Metric: "tier.remaining", Timestamp: 99, Value: 123.456, Kind: KindInsight, Source: Predicted}
 	b, err := json.Marshal(in)
 	if err != nil {
 		t.Fatal(err)

@@ -117,7 +117,7 @@ func TestReadSkipsBlankLines(t *testing.T) {
 
 func TestHookReplay(t *testing.T) {
 	tr := sample()
-	h := tr.Hook()
+	h, second := tr.Hook(), tr.Hook()
 	if h.Metric() != tr.Metric {
 		t.Fatal("metric mismatch")
 	}
@@ -129,8 +129,7 @@ func TestHookReplay(t *testing.T) {
 	}
 	// The hook owns a copy; mutating the trace must not affect it.
 	tr.Samples[0] = -1
-	h.Reset()
-	if v, _ := h.Poll(); v != 100 {
+	if v, _ := second.Poll(); v != 100 {
 		t.Fatalf("hook aliased samples: %f", v)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"path"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -26,51 +27,38 @@ var notProduct = map[string]bool{
 	"internal/sim/scenario": true,
 }
 
-// reachAllowed are exported product names that no entry point reaches and
-// that stay anyway, each with the reason. Every entry is reached by tests
-// only: it is the backlog ROADMAP item 4 reads, not a place to park new code.
+// reachAllowed are exported product names and methods that no entry point
+// reaches and that stay anyway, each with the reason. Every entry is reached by
+// tests only, and is one of two kinds — a fault-injection or determinism seam
+// tests substitute through, or a row of the paper's Table 1 that has a unit
+// test and not yet a caller — plus the two named exceptions at the end. It is
+// the backlog ROADMAP item 4 reads, not a place to park new code.
 var reachAllowed = map[string]string{
-	// Fault injection and determinism for tests in stream, score and sim/scenario.
-	"internal/stream.NewChaos":        "seeded fault-injecting dialer/conn wrapper the chaos and batch tests drive",
-	"internal/stream.Chaos":           "NewChaos's type",
-	"internal/stream.ChaosConfig":     "NewChaos's configuration",
-	"internal/stream.ChaosStats":      "what Chaos.Stats returns: tests skip when no fault was injected",
-	"internal/stream.WithConnWrapper": "server-side hook Chaos.Wrap plugs into",
-	"internal/stream.WithDialer":      "client-side hook Chaos.Dialer plugs into",
-	"internal/stream.WithRand":        "seeded backoff jitter, so a retry schedule replays",
-	"internal/stream.WithClock":       "virtual time for the redirect tests",
-
-	// Functional options over stream.Options / aqe / core fields that only tests set.
-	"internal/stream.WithBackoff":      "tests shorten Options.BackoffMin/Max through it",
-	"internal/stream.WithDialTimeout":  "tests shorten Options.DialTimeout through it",
-	"internal/stream.WithIOTimeout":    "tests shorten Options.IOTimeout through it",
-	"internal/stream.WithMaxRedirects": "redirect-loop test bounds Options.MaxRedirects through it",
-	"internal/stream.WithResumeMax":    "subscription tests bound Options.ResumeMax through it",
-	"internal/stream.WithRetry":        "store-and-forward tests set Options.RetryMax through it",
+	// Seams: fault injection and determinism for tests in stream, score, aqe,
+	// gateway and sim/scenario.
+	"internal/stream.NewChaos":         "seeded fault-injecting dialer/conn wrapper the chaos and batch tests drive",
+	"internal/stream.Chaos":            "NewChaos's type",
+	"internal/stream.ChaosConfig":      "NewChaos's configuration",
+	"internal/stream.ChaosStats":       "what Chaos.Stats returns: tests skip when no fault was injected",
+	"internal/stream.WithConnWrapper":  "server-side hook Chaos.Wrap plugs into",
+	"internal/stream.WithDialer":       "client-side hook Chaos.Dialer plugs into",
+	"internal/stream.WithRand":         "seeded backoff jitter, so a retry schedule replays",
+	"internal/stream.WithClock":        "virtual time for the redirect tests",
 	"internal/aqe.WithParallelism":     "plan tests pin the union fan-out width",
-	"internal/core.WithController":     "core tests register a metric with its own interval controller",
+	"internal/gateway.Gateway.Handler": "the mux without a listener: gateway tests mount it on httptest.Server",
 
 	// The paper's Table 1 catalogue: each row has a hook and a unit test, not yet a caller.
-	"internal/hooks.DeviceUsed":                 "used-bytes hook beside DeviceRemaining",
 	"internal/hooks.DeviceMSCA":                 "Table 1 row 1 hook",
 	"internal/hooks.DeviceInterference":         "Table 1 row 2 hook",
 	"internal/hooks.NodeEnergyPerTransfer":      "Table 1 rows 11/14 hook",
 	"internal/hooks.TierRemaining":              "Table 1 row 10 as one hook",
 	"internal/hooks.DeviceLoad":                 "Table 1 row 13 hook",
-	"internal/hooks.Counting":                   "poll-counting hook wrapper",
 	"internal/insights.RankByHealth":            "Table 1 rows 5/7/8 ranking",
 	"internal/insights.RankByRemainingCapacity": "Table 1 DPE use case",
 
-	// Library surface kept whole.
-	"internal/cluster.KB":                    "unit constant beside MB, GB, TB",
-	"internal/cluster.Tiers":                 "enumerates the Tier constants",
-	"internal/delphi.Normalize":              "allocating form of NormalizeInto the property tests and root benchmarks call",
-	"internal/nn.Load":                       "reads what Sequential.Save writes",
-	"internal/nn.SGD":                        "second Optimizer beside Adam; the nn tests train with both",
-	"internal/nn.NewSGD":                     "SGD's constructor",
-	"internal/obs.Default":                   "process-wide registry core.Config.Obs documents for embedders sharing one",
-	"internal/telemetry.NewInsight":          "Insight constructor beside NewFact; archive and gateway tests build tuples with it",
-	"internal/telemetry.NewPredictedInsight": "predicted form of NewInsight",
+	// The two exceptions.
+	"internal/archive.Log.Replay": "whole-log read the index and read-path tests compare Range against",
+	"internal/cluster.Ring.Leave": "membership change ROADMAP item 2c's lease-table failover needs; ring tests pin it",
 }
 
 // reachDecl is one package-level name: where it is declared and what its
@@ -81,16 +69,25 @@ type reachDecl struct {
 	root      bool
 }
 
+// reachMethod is one exported method of a product type.
+type reachMethod struct{ dir, recv, name string }
+
+func (m reachMethod) key() string { return reachKey(m.dir, m.recv+"."+m.name) }
+
 func reachKey(dir, name string) string { return dir + "." + name }
 
+// stdlibContracts are the method names the standard library calls through an
+// interface or by reflection (error, fmt, errors, encoding, net/http, io): a
+// method so named is reached without any module file selecting it.
+var stdlibContracts = map[string]bool{
+	"Error": true, "String": true, "Is": true, "Unwrap": true,
+	"MarshalJSON": true, "UnmarshalJSON": true, "MarshalText": true, "UnmarshalText": true,
+	"ServeHTTP": true, "Read": true, "Write": true, "Close": true,
+}
+
 // TestExportedNamesAreReached fails when a product package exports a
-// package-level name that nothing reachable from an entry point mentions.
-// Entry points are the main packages (cmd/, examples/, bench/), the apollo
-// facade and the api/v1 schema; a mention is followed through the
-// declarations that make it, so a lane whose only users are each other is
-// reported whole. Test files do not count as callers. Parsing only — no type
-// check — so a local name that shadows a package-level one counts as a
-// mention: the guard misses some dead names and never invents one.
+// package-level name that nothing reachable from an entry point mentions, or
+// an exported method that no non-test file calls. See unreached for the rules.
 func TestExportedNamesAreReached(t *testing.T) {
 	fset := token.NewFileSet()
 	files := map[string][]*ast.File{} // by directory
@@ -118,28 +115,65 @@ func TestExportedNamesAreReached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	dead, undeclared := unreached(files, reachAllowed)
+	for _, k := range undeclared {
+		t.Errorf("allow-list names %s (%s), which is not declared", k, reachAllowed[k])
+	}
+	for _, k := range dead {
+		t.Errorf("%s is exported and no entry point reaches it: delete it, or add it to reachAllowed with the reason it stays", k)
+	}
+}
 
+// unreached applies the guard to a parsed tree (non-test files by directory)
+// and returns the exported product names and methods nothing reaches, and the
+// allow-list keys that name nothing declared. Parsing only — no type check.
+//
+// A package-level name is reached when a declaration reachable from an entry
+// point mentions it. Entry points are the main packages (cmd/, examples/,
+// bench/), the apollo facade, the api/v1 schema and the evaluation and harness
+// packages; a mention is followed through the declarations that make it, so a
+// lane whose only users are each other is reported whole. A local name that
+// shadows a package-level one counts as a mention: the rule misses some dead
+// names and never invents one.
+//
+// An exported method T.M of a reached type is reached when any file calls
+// x.M(...) or uses x.M as a value, when a module interface declares M, when M
+// is one of stdlibContracts, or when T is core.Service — the object the apollo
+// facade hands out, whose methods are its API. By name only, so a same-named
+// method anywhere hides M (the typed sweep of ISSUE 22 found those). Two
+// readings keep field reads and package functions from hiding methods, and are
+// the two ways the rule could report a method in use: a bare x.M whose name is
+// also a struct field's is taken for the field, and x.M with x one of the
+// file's import names for pkg.M.
+func unreached(files map[string][]*ast.File, allowed map[string]string) (dead, undeclared []string) {
 	decls := map[string]*reachDecl{}
+	var methods []reachMethod
+	called := map[string]bool{}  // M of every x.M(...)
+	valued := map[string]bool{}  // M of every other x.M
+	fields := map[string]bool{}  // struct field names
+	ifaceMs := map[string]bool{} // interface method names
 	for dir, parsed := range files {
 		for _, f := range parsed {
 			isMain := f.Name.Name == "main"
 			facade := dir == "apollo" || dir == "api/v1"
 			imports := map[string]string{} // local name -> directory, module imports only
+			pkgNames := map[string]bool{}  // local names of every import
 			for _, im := range f.Imports {
 				ip, _ := strconv.Unquote(im.Path.Value)
-				target, ok := strings.CutPrefix(ip, "repro/")
-				if !ok {
-					continue
-				}
-				local := path.Base(target)
-				if imported := files[target]; len(imported) > 0 {
+				local := path.Base(ip)
+				target, inModule := strings.CutPrefix(ip, "repro/")
+				if imported := files[target]; inModule && len(imported) > 0 {
 					local = imported[0].Name.Name
 				}
 				if im.Name != nil {
 					local = im.Name.Name
 				}
-				imports[local] = target
+				pkgNames[local] = true
+				if inModule {
+					imports[local] = target
+				}
 			}
+			collectSelections(f, pkgNames, called, valued, fields, ifaceMs)
 			add := func(owner string, nodes ...ast.Node) {
 				if owner == "_" {
 					return // a compile-time assertion uses nothing
@@ -161,6 +195,9 @@ func TestExportedNamesAreReached(t *testing.T) {
 					owner := decl.Name.Name
 					if decl.Recv != nil && len(decl.Recv.List) == 1 {
 						owner = receiverName(decl.Recv.List[0].Type)
+						if ast.IsExported(decl.Name.Name) {
+							methods = append(methods, reachMethod{dir, owner, decl.Name.Name})
+						}
 					}
 					if decl.Body != nil {
 						add(owner, decl.Type, decl.Body)
@@ -183,6 +220,10 @@ func TestExportedNamesAreReached(t *testing.T) {
 		}
 	}
 
+	isMethod := map[string]bool{}
+	for _, m := range methods {
+		isMethod[m.key()] = true
+	}
 	reached := map[string]bool{}
 	var queue []string
 	visit := func(k string) {
@@ -196,9 +237,9 @@ func TestExportedNamesAreReached(t *testing.T) {
 			visit(k)
 		}
 	}
-	for k, reason := range reachAllowed {
-		if decls[k] == nil {
-			t.Errorf("allow-list names %s (%s), which is not declared", k, reason)
+	for k := range allowed {
+		if decls[k] == nil && !isMethod[k] {
+			undeclared = append(undeclared, k)
 		}
 		visit(k)
 	}
@@ -210,17 +251,72 @@ func TestExportedNamesAreReached(t *testing.T) {
 		}
 	}
 
-	var dead []string
+	isProduct := func(dir string) bool { return strings.HasPrefix(dir, "internal/") && !notProduct[dir] }
 	for k, d := range decls {
-		product := strings.HasPrefix(d.dir, "internal/") && !notProduct[d.dir]
-		if product && ast.IsExported(d.name) && !reached[k] {
+		if isProduct(d.dir) && ast.IsExported(d.name) && !reached[k] {
 			dead = append(dead, k)
 		}
 	}
-	sort.Strings(dead)
-	for _, k := range dead {
-		t.Errorf("%s is exported and no entry point reaches it: delete it, or add it to reachAllowed with the reason it stays", k)
+	for _, m := range methods {
+		recv := reachKey(m.dir, m.recv)
+		if !isProduct(m.dir) || !reached[recv] || recv == "internal/core.Service" {
+			continue
+		}
+		if _, ok := allowed[m.key()]; ok {
+			continue
+		}
+		byName := called[m.name] || valued[m.name] && !fields[m.name] || ifaceMs[m.name] || stdlibContracts[m.name]
+		if !byName {
+			dead = append(dead, m.key())
+		}
 	}
+	sort.Strings(dead)
+	sort.Strings(undeclared)
+	return dead, undeclared
+}
+
+// collectSelections records, for one file, the names selected from a value —
+// called (x.M(...)) or not (x.M) — and the struct field and interface method
+// names it declares. pkg.Name through one of the file's imports selects
+// nothing from a value.
+func collectSelections(f *ast.File, pkgNames, called, valued, fields, ifaceMs map[string]bool) {
+	fromValue := func(e ast.Expr) (string, bool) {
+		sel, ok := e.(*ast.SelectorExpr)
+		if !ok {
+			return "", false
+		}
+		if x, ok := sel.X.(*ast.Ident); ok && pkgNames[x.Name] {
+			return "", false
+		}
+		return sel.Sel.Name, true
+	}
+	inCall := map[*ast.SelectorExpr]bool{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CallExpr:
+			if m, ok := fromValue(n.Fun); ok {
+				called[m] = true
+				inCall[n.Fun.(*ast.SelectorExpr)] = true
+			}
+		case *ast.SelectorExpr:
+			if m, ok := fromValue(n); ok && !inCall[n] {
+				valued[m] = true
+			}
+		case *ast.StructType:
+			for _, fl := range n.Fields.List {
+				for _, name := range fl.Names {
+					fields[name.Name] = true
+				}
+			}
+		case *ast.InterfaceType:
+			for _, fl := range n.Methods.List {
+				for _, name := range fl.Names {
+					ifaceMs[name.Name] = true
+				}
+			}
+		}
+		return true
+	})
 }
 
 // receiverName is the type name a method's receiver expression declares it on.
@@ -267,4 +363,50 @@ func collectMentions(node ast.Node, dir, owner string, imports map[string]string
 		}
 		return true
 	})
+}
+
+// TestReachGuardGuards runs the guard over a small in-memory tree: of a
+// called method, an uncalled one, one reached only through a module interface
+// and a String, it reports exactly the uncalled one; and an allow-list entry
+// naming a method nobody declares is reported as such, as names already are.
+func TestReachGuardGuards(t *testing.T) {
+	fset := token.NewFileSet()
+	files := map[string][]*ast.File{}
+	for name, src := range map[string]string{
+		"cmd/fix/main.go": `package main
+
+import "repro/internal/fix"
+
+func main() {
+	v := fix.New()
+	v.Called()
+	var _ fix.Doer = v
+}`,
+		"internal/fix/fix.go": `package fix
+
+type T struct{ Field int }
+
+type Doer interface{ Do() }
+
+func New() *T { return &T{} }
+
+func (t *T) Called()        {}
+func (t *T) Uncalled()      {}
+func (t *T) Do()            {}
+func (t *T) String() string { return "" }`,
+	} {
+		f, err := parser.ParseFile(fset, name, src, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[path.Dir(name)] = append(files[path.Dir(name)], f)
+	}
+	allowed := map[string]string{"internal/fix.T.Gone": "a method that is not declared"}
+	dead, undeclared := unreached(files, allowed)
+	if want := []string{"internal/fix.T.Uncalled"}; !slices.Equal(dead, want) {
+		t.Errorf("guard reports %v, want %v", dead, want)
+	}
+	if want := []string{"internal/fix.T.Gone"}; !slices.Equal(undeclared, want) {
+		t.Errorf("guard reports %v as allow-listed but not declared, want %v", undeclared, want)
+	}
 }

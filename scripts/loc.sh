@@ -6,7 +6,9 @@
 # the Fig. 13 middleware engines, workload generators, trace replay), harness
 # is the simulation layer tests run on, product is everything a daemon or the
 # CLI can link (reach_test.go and verify.sh's layering check draw the same
-# line). ROADMAP item 4's target is stated on product.
+# line). ROADMAP item 4's target is stated on product. Last, the exported
+# surface of the same files plus api/: package-level names (func, type, and
+# the names a var/const/type block declares) and methods.
 set -eu
 cd "$(dirname "$0")/.."
 find internal apollo -name '*.go' ! -name '*_test.go' -print0 | xargs -0 awk '
@@ -17,3 +19,11 @@ find internal apollo -name '*.go' ! -name '*_test.go' -print0 | xargs -0 awk '
     $2 ~ /^internal\/sim(\/scenario)?$/ { harness += $1; next }
     { product += $1 }
     END { printf "%7d product\n%7d reproduction\n%7d harness\n%7d total\n", product, repro, harness, total }'
+find internal apollo api -name '*.go' ! -name '*_test.go' -print0 | xargs -0 awk '
+    FNR == 1 { block = 0 }
+    /^func \([^)]*\) [A-Z]/ { methods++; next }
+    /^(func|type|var|const) [A-Z]/ { names++; next }
+    /^(var|const|type) \($/ { block = 1; next }
+    /^\)/ { block = 0 }
+    block && /^\t[A-Z][A-Za-z0-9_]*( |,|$)/ { names++ }
+    END { printf "%7d exported package-level names\n%7d exported methods\n", names, methods }'

@@ -22,9 +22,10 @@ echo "==> go vet ./..."
 go vet ./...
 
 # Layering: the daemons and the CLI ship without the paper's evaluation
-# engines, the LDMS baseline, the workload generators or the scenario harness.
+# engines, the LDMS baseline, the workload generators, trace replay or the
+# scenario harness.
 echo "==> go list -deps ./cmd/apollod ./cmd/apollo-gateway ./cmd/apolloctl: no evaluation packages"
-if go list -deps ./cmd/apollod ./cmd/apollo-gateway ./cmd/apolloctl | grep -E 'internal/(figures|ldms|middleware|workloads|sim/scenario)'; then
+if go list -deps ./cmd/apollod ./cmd/apollo-gateway ./cmd/apolloctl | grep -E 'internal/(figures|ldms|middleware|workloads|trace|sim/scenario)'; then
     echo "layering: a product binary depends on an evaluation package" >&2
     exit 1
 fi
