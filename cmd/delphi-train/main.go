@@ -29,6 +29,9 @@ func main() {
 		verify = flag.Bool("verify", false, "evaluate on held-out features and SAR metrics")
 	)
 	flag.Parse()
+	if *epochs < 1 || *series < 1 || *length <= delphi.WindowSize {
+		log.Fatalf("delphi-train: need -epochs >= 1, -series >= 1 and -len > %d", delphi.WindowSize)
+	}
 
 	t0 := time.Now()
 	model, err := delphi.Train(delphi.TrainOptions{
@@ -43,7 +46,11 @@ func main() {
 		log.Fatalf("delphi-train: %v", err)
 	}
 	total, trainable := model.ParamCount()
-	log.Printf("trained in %v: %d parameters (%d trainable)", time.Since(t0).Round(time.Millisecond), total, trainable)
+	// Each feature model sees every window of its -series series; the combiner
+	// the windows of one composite series as long as all of them together.
+	windows := delphi.NumStacked**series*(*length-delphi.WindowSize) + *series**length - delphi.WindowSize
+	log.Printf("trained in %v: %d parameters (%d trainable) fitted on %d windows x %d epochs",
+		time.Since(t0).Round(time.Millisecond), total, trainable, windows, *epochs)
 	if err := model.Save(*out); err != nil {
 		log.Fatalf("delphi-train: %v", err)
 	}

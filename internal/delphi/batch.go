@@ -279,10 +279,7 @@ func (bp *BatchPredictor) SwapModel(m *Model) error {
 	bp.model = m
 	bp.eng = eng
 	for _, o := range bp.slots {
-		o.mu.Lock()
-		o.model = m
-		o.eng = eng
-		o.mu.Unlock()
+		o.swap(m, eng)
 	}
 	return nil
 }

@@ -2,6 +2,18 @@ package delphi
 
 import "testing"
 
+// BenchmarkTrain measures a whole Train with the options cmd/delphi-train and
+// the pipeline benchmark's set-up use: six feature models fitted side by side,
+// then the combiner.
+func BenchmarkTrain(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Train(goldenTrain); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkRetrainCombiner measures one full off-hot-path retrain pass —
 // dataset windowing, combiner fit, and holdout validation — the wall cost a
 // trainer worker pays per drifted device class.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"runtime"
 	"sync"
 
 	"repro/internal/nn"
@@ -80,47 +81,44 @@ func (o *TrainOptions) fill() {
 
 // Train builds a full Delphi model: first each feature model is trained on
 // its own synthetic dataset and frozen, then the combiner is trained on a
-// composite dataset "comprised of the different features" (§3.4.2).
+// composite dataset "comprised of the different features" (§3.4.2). The six
+// feature models share nothing — each has its own seed, dataset, layer and
+// optimizer — so they are fitted side by side, as many at once as there are
+// cores, and the weights do not depend on how they were scheduled.
 func Train(opts TrainOptions) (*Model, error) {
 	opts.fill()
-	m := &Model{}
-	for idx, f := range StackedFeatures() {
-		var xs [][]float64
-		var ys []float64
-		for s := 0; s < opts.SeriesPerFeature; s++ {
-			series := f.Generate(opts.SeriesLen, opts.Noise, opts.Seed+int64(idx*1000+s))
-			wx, wy := Windows(series, WindowSize)
-			xs = append(xs, wx...)
-			ys = append(ys, wy...)
+	feats := StackedFeatures()
+	m := &Model{features: make([]*nn.Dense, len(feats))}
+	losses, errs := make([]float64, len(feats)), make([]error, len(feats))
+	slots := make(chan struct{}, min(len(feats), runtime.GOMAXPROCS(0)))
+	var wg sync.WaitGroup
+	for idx, f := range feats {
+		slots <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { <-slots }()
+			m.features[idx], losses[idx], errs[idx] = fitFeature(f, idx, opts)
+		}()
+	}
+	wg.Wait()
+	for idx, f := range feats {
+		if errs[idx] != nil {
+			return nil, errs[idx]
 		}
-		if len(xs) == 0 {
-			return nil, fmt.Errorf("delphi: no training windows for %s", f)
-		}
-		layer := nn.NewDense(WindowSize, 1, nn.Identity, opts.Seed+int64(idx))
-		seq := nn.NewSequential(layer)
-		loss, err := seq.Fit(xs, toTargets(ys), nn.FitOptions{
-			Epochs: opts.Epochs, BatchSize: 32,
-			Optimizer: nn.NewAdam(0.01), Shuffle: true, Seed: opts.Seed + int64(idx),
-		})
-		if err != nil {
-			return nil, fmt.Errorf("delphi: training %s model: %w", f, err)
-		}
-		layer.Frozen = true
-		m.features = append(m.features, layer)
 		if opts.OnProgress != nil {
-			opts.OnProgress(fmt.Sprintf("feature model %-12s loss=%.5f", f, loss))
+			opts.OnProgress(fmt.Sprintf("feature model %-12s loss=%.5f", f, losses[idx]))
 		}
 	}
 	// Combiner on the composite dataset.
 	m.combiner = nn.NewDense(combinerInputs, 1, nn.Identity, opts.Seed+99)
+	heads, err := inference.NewEngine(m.features, m.combiner)
+	if err != nil {
+		return nil, err
+	}
 	series := Composite(opts.SeriesPerFeature*opts.SeriesLen, opts.Noise, opts.Seed+7)
 	wx, wy := Windows(series, WindowSize)
-	cx := make([][]float64, len(wx))
-	for i, w := range wx {
-		cx[i] = m.combinerInput(w)
-	}
-	seq := nn.NewSequential(m.combiner)
-	loss, err := seq.Fit(cx, toTargets(wy), nn.FitOptions{
+	loss, err := nn.NewSequential(m.combiner).Fit(combinerRows(heads, wx), toTargets(wy), nn.FitOptions{
 		Epochs: opts.Epochs, BatchSize: 32,
 		Optimizer: nn.NewAdam(0.01), Shuffle: true, Seed: opts.Seed + 99,
 	})
@@ -133,22 +131,53 @@ func Train(opts TrainOptions) (*Model, error) {
 	return m, nil
 }
 
-// combinerInput assembles the combiner feature vector from a normalized
-// window.
-func (m *Model) combinerInput(norm []float64) []float64 {
-	in := make([]float64, 0, combinerInputs)
-	for _, f := range m.features {
-		in = append(in, f.Forward(norm)[0])
+// fitFeature trains the idx-th stacked feature model on its synthetic series
+// and returns it frozen.
+func fitFeature(f Feature, idx int, opts TrainOptions) (*nn.Dense, float64, error) {
+	n := opts.SeriesPerFeature * max(opts.SeriesLen-WindowSize, 0)
+	xs, ys := make([][]float64, 0, n), make([]float64, 0, n)
+	for s := 0; s < opts.SeriesPerFeature; s++ {
+		series := f.Generate(opts.SeriesLen, opts.Noise, opts.Seed+int64(idx*1000+s))
+		wx, wy := Windows(series, WindowSize)
+		xs = append(xs, wx...)
+		ys = append(ys, wy...)
 	}
-	in = append(in, norm...)
-	mean := 0.0
-	for _, v := range norm {
-		mean += v
+	if len(xs) == 0 {
+		return nil, 0, fmt.Errorf("delphi: no training windows for %s", f)
 	}
-	mean /= float64(len(norm))
-	slope := norm[len(norm)-1] - norm[0]
-	in = append(in, mean, slope)
-	return in
+	layer := nn.NewDense(WindowSize, 1, nn.Identity, opts.Seed+int64(idx))
+	loss, err := nn.NewSequential(layer).Fit(xs, toTargets(ys), nn.FitOptions{
+		Epochs: opts.Epochs, BatchSize: 32,
+		Optimizer: nn.NewAdam(0.01), Shuffle: true, Seed: opts.Seed + int64(idx),
+	})
+	if err != nil {
+		return nil, 0, fmt.Errorf("delphi: training %s model: %w", f, err)
+	}
+	layer.Frozen = true
+	return layer, loss, nil
+}
+
+// combinerRows assembles the combiner's input for each normalized window —
+// the six head outputs, the window, its mean and its slope — as views into
+// one backing array. The head outputs are read where the fused engine leaves
+// them: heads is any engine compiled over the model's frozen heads, whatever
+// combiner it folds them with.
+func combinerRows(heads *inference.Engine, windows [][]float64) [][]float64 {
+	backing := make([]float64, len(windows)*combinerInputs)
+	rows := make([][]float64, len(windows))
+	for i, w := range windows {
+		row := backing[i*combinerInputs : (i+1)*combinerInputs : (i+1)*combinerInputs]
+		heads.Forward(w, row[:NumStacked])
+		copy(row[NumStacked:], w)
+		mean := 0.0
+		for _, v := range w {
+			mean += v
+		}
+		row[NumStacked+WindowSize] = mean / float64(len(w))
+		row[NumStacked+WindowSize+1] = w[len(w)-1] - w[0]
+		rows[i] = row
+	}
+	return rows
 }
 
 // Engine returns the fused zero-allocation inference engine compiled (once,

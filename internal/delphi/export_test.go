@@ -17,6 +17,17 @@ func (m *Model) PredictUnfused(window []float64) (float64, error) {
 	}
 	norm := make([]float64, len(window))
 	loc, scale := NormalizeInto(norm, window)
-	pred := m.combiner.Forward(m.combinerInput(norm))[0]
+	in := make([]float64, 0, combinerInputs)
+	for _, f := range m.features {
+		in = append(in, f.Forward(norm)[0])
+	}
+	in = append(in, norm...)
+	mean := 0.0
+	for _, v := range norm {
+		mean += v
+	}
+	mean /= float64(len(norm))
+	in = append(in, mean, norm[len(norm)-1]-norm[0])
+	pred := m.combiner.Forward(in)[0]
 	return pred*scale + loc, nil
 }

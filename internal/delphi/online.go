@@ -32,6 +32,13 @@ type Online struct {
 
 	norm    [WindowSize]float64 // normalized-window scratch
 	scratch [NumStacked]float64 // engine head scratch
+
+	// memoP and memoScale are the forecast of the window as it stands: a poll
+	// asks for it twice (PredictState, then PredictTicksInto) and pays for
+	// one forward. Whatever a forecast depends on — Observe, SetFallback,
+	// SwapModel, Reset — clears memoOK.
+	memoP, memoScale float64
+	memoOK           bool
 }
 
 // NewOnline wraps model (which may be nil or untrained; then Predict always
@@ -58,6 +65,7 @@ func (o *Online) Observe(v float64) {
 	if o.n < WindowSize {
 		o.n++
 	}
+	o.memoOK = false
 	o.mu.Unlock()
 }
 
@@ -79,6 +87,7 @@ func (o *Online) Ready() bool {
 func (o *Online) SetFallback(on bool) {
 	o.mu.Lock()
 	o.fallback = on
+	o.memoOK = false
 	o.mu.Unlock()
 }
 
@@ -104,11 +113,15 @@ func (o *Online) SwapModel(m *Model) error {
 	if err != nil {
 		return err
 	}
-	o.mu.Lock()
-	o.model = m
-	o.eng = eng
-	o.mu.Unlock()
+	o.swap(m, eng)
 	return nil
+}
+
+// swap installs a model and the engine compiled from it.
+func (o *Online) swap(m *Model, eng *inference.Engine) {
+	o.mu.Lock()
+	o.model, o.eng, o.memoOK = m, eng, false
+	o.mu.Unlock()
 }
 
 // Observed reports how many values the window currently holds (saturating at
@@ -158,6 +171,9 @@ func (o *Online) predictLocked() (float64, float64, bool) {
 		}
 		return o.lastLocked(), 0, false
 	}
+	if o.memoOK {
+		return o.memoP, o.memoScale, true
+	}
 	w := o.buf[o.pos : o.pos+WindowSize]
 	loc, scale := NormalizeInto(o.norm[:], w)
 	p := o.eng.Forward(o.norm[:], o.scratch[:])*scale + loc
@@ -177,6 +193,7 @@ func (o *Online) predictLocked() (float64, float64, bool) {
 	if p < lo-span {
 		p = lo - span
 	}
+	o.memoP, o.memoScale, o.memoOK = p, scale, true
 	return p, scale, true
 }
 
@@ -217,5 +234,6 @@ func (o *Online) Reset() {
 	o.mu.Lock()
 	o.n = 0
 	o.pos = 0
+	o.memoOK = false
 	o.mu.Unlock()
 }

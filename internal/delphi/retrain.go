@@ -82,17 +82,19 @@ type RetrainReport struct {
 }
 
 // RetrainCombiner trains a candidate model against live telemetry: the
-// frozen per-feature heads are kept (deep-copied, so training caches never
-// touch layers a live engine's source model shares) and only the 14-parameter
-// combiner is refit on windows drawn from the given measured series segments
-// (one segment per metric of the device class — windows never straddle
-// segment boundaries). The trailing HoldoutFrac of every segment is held
-// out; the candidate and the base model are both scored on it, and
-// Report.Improved says whether the candidate earned promotion.
+// frozen per-feature heads are kept (copied, so the candidate outlives a base
+// model swapped out mid-train) and only the 14-parameter combiner is refit on
+// windows drawn from the given measured series segments (one segment per
+// metric of the device class — windows never straddle segment boundaries).
+// The trailing HoldoutFrac of every segment is held out; the candidate and
+// the base model are both scored on it, and Report.Improved says whether the
+// candidate earned promotion.
 //
-// The whole call runs off the hot path: it allocates freely, touches only
-// private copies plus the base model's read-only fused engine, and is safe
-// to run while the base model keeps serving predictions concurrently.
+// The call runs beside a serving pipeline, so it leaves the allocator alone:
+// it allocates the datasets' backing arrays and the candidate — on the order
+// of a hundred objects whatever the sample count — and the fit itself
+// nothing. It reads the base model only through its read-only fused engine
+// and is safe to run while that model keeps serving predictions.
 func RetrainCombiner(base *Model, segments [][]float64, cfg RetrainConfig) (*Model, RetrainReport, error) {
 	cfg.fill()
 	var rep RetrainReport
@@ -134,9 +136,7 @@ func RetrainCombiner(base *Model, segments [][]float64, cfg RetrainConfig) (*Mod
 	rep.HoldoutWindows = len(holdX)
 
 	// Candidate: private frozen-head copies under a freshly initialized
-	// combiner. The copies matter twice over — Dense.Forward mutates training
-	// caches, and the candidate must stay valid even if the base model is
-	// swapped out from under us mid-train.
+	// combiner.
 	cand := &Model{features: make([]*nn.Dense, NumStacked)}
 	for i, f := range base.features {
 		d := nn.NewDense(WindowSize, 1, f.Act, 0)
@@ -147,12 +147,9 @@ func RetrainCombiner(base *Model, segments [][]float64, cfg RetrainConfig) (*Mod
 	}
 	cand.combiner = nn.NewDense(combinerInputs, 1, nn.Identity, cfg.Seed+101)
 
-	cx := make([][]float64, len(trainX))
-	for i, w := range trainX {
-		cx[i] = cand.combinerInput(w)
-	}
+	// The candidate's heads are the base's, so the base engine supplies them.
 	seq := nn.NewSequential(cand.combiner)
-	if _, err := seq.Fit(cx, toTargets(trainY), nn.FitOptions{
+	if _, err := seq.Fit(combinerRows(baseEng, trainX), toTargets(trainY), nn.FitOptions{
 		Epochs: cfg.Epochs, BatchSize: cfg.BatchSize,
 		Optimizer: nn.NewAdam(cfg.LearningRate), Shuffle: true, Seed: cfg.Seed,
 	}); err != nil {

@@ -4,7 +4,9 @@ import "math"
 
 // Dense is a fully-connected layer y = act(Wx + b). Setting Frozen marks the
 // layer untrainable, which is how Delphi stacks its pre-trained feature
-// models with fixed weights (§3.4.2).
+// models with fixed weights (§3.4.2). W and B are allocated by NewDense;
+// write their elements, never replace the slices (Params hands out the views
+// made at construction).
 type Dense struct {
 	In, Out int
 	W       []float64 // Out*In, row-major: W[o*In+i]
@@ -13,8 +15,11 @@ type Dense struct {
 	Frozen  bool
 
 	gw, gb []float64 // gradient accumulators
-	x      []float64 // cached input
-	y      []float64 // cached activated output
+	x      []float64 // copy of the last input: the caller's slice is not kept
+	y      []float64 // activated output, the slice Forward returns
+	dx     []float64 // input gradient, the slice Backward returns
+
+	params, grads [2][]float64 // what Params and Grads return, built once
 }
 
 // NewDense builds a dense layer with Glorot-uniform initialization from the
@@ -28,8 +33,10 @@ func NewDense(in, out int, act Activation, seed int64) *Dense {
 		W: make([]float64, out*in), B: make([]float64, out),
 		Act: act,
 		gw:  make([]float64, out*in), gb: make([]float64, out),
-		y: make([]float64, out),
+		x: make([]float64, in), y: make([]float64, out), dx: make([]float64, in),
 	}
+	d.params = [2][]float64{d.W, d.B}
+	d.grads = [2][]float64{d.gw, d.gb}
 	r := rng(seed)
 	limit := math.Sqrt(6.0 / float64(in+out))
 	for i := range d.W {
@@ -39,14 +46,12 @@ func NewDense(in, out int, act Activation, seed int64) *Dense {
 }
 
 // Forward implements Layer. It caches input and output for Backward and
-// returns a fresh slice; inference hot paths that need neither should call
-// ForwardInto instead.
+// returns the layer's own output buffer, overwritten by the next Forward;
+// concurrent read-only inference calls ForwardInto instead.
 func (d *Dense) Forward(x []float64) []float64 {
-	d.x = x
 	d.ForwardInto(d.y, x)
-	out := make([]float64, d.Out)
-	copy(out, d.y)
-	return out
+	copy(d.x, x)
+	return d.y
 }
 
 // ForwardInto computes y = act(Wx + b) into dst without allocating and
@@ -71,12 +76,14 @@ func (d *Dense) ForwardInto(dst, x []float64) {
 	}
 }
 
-// Backward implements Layer.
+// Backward implements Layer. The returned gradient is the layer's own buffer,
+// overwritten by the next Backward.
 func (d *Dense) Backward(dy []float64) []float64 {
 	if len(dy) != d.Out {
 		panic(errDimension("dense grad", len(dy), d.Out))
 	}
-	dx := make([]float64, d.In)
+	dx := d.dx
+	clear(dx)
 	for o := 0; o < d.Out; o++ {
 		dz := dy[o] * d.Act.DerivFromOutput(d.y[o])
 		d.gb[o] += dz
@@ -91,19 +98,15 @@ func (d *Dense) Backward(dy []float64) []float64 {
 }
 
 // Params implements Layer.
-func (d *Dense) Params() [][]float64 { return [][]float64{d.W, d.B} }
+func (d *Dense) Params() [][]float64 { return d.params[:] }
 
 // Grads implements Layer.
-func (d *Dense) Grads() [][]float64 { return [][]float64{d.gw, d.gb} }
+func (d *Dense) Grads() [][]float64 { return d.grads[:] }
 
 // ZeroGrads implements Layer.
 func (d *Dense) ZeroGrads() {
-	for i := range d.gw {
-		d.gw[i] = 0
-	}
-	for i := range d.gb {
-		d.gb[i] = 0
-	}
+	clear(d.gw)
+	clear(d.gb)
 }
 
 // Trainable implements Layer.

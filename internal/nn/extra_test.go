@@ -13,7 +13,7 @@ func TestDenseLinearityQuick(t *testing.T) {
 	f := func(x1, x2, x3, a float64) bool {
 		clampAll(&x1, &x2, &x3, &a)
 		x := []float64{x1, x2, x3}
-		fx := d.Forward(x)
+		fx := append([]float64(nil), d.Forward(x)...) // Forward's result is the layer's buffer
 		ax := []float64{a * x1, a * x2, a * x3}
 		fax := d.Forward(ax)
 		for o := 0; o < d.Out; o++ {

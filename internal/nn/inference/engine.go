@@ -1,10 +1,12 @@
 // Package inference is the zero-allocation fast lane for frozen Delphi-style
-// stacks. Training keeps the layer-by-layer nn.Sequential path (gradient
-// caches, per-call slices); inference at fleet scale cannot afford either, so
-// an Engine flattens the whole stack — N per-feature Dense heads over a
-// shared input window plus a combiner Dense over [head outputs ++ window ++
-// mean ++ slope] — into one contiguous structure-of-arrays weight arena and
-// evaluates it in a single pass with caller-provided scratch.
+// stacks. Training runs layer by layer on nn.Sequential — it allocates nothing
+// per step either, but works in gradient caches and output buffers the layers
+// own, one goroutine at a time; inference at fleet scale can afford neither
+// the caches nor the exclusivity, so an Engine flattens the whole stack — N
+// per-feature Dense heads over a shared input window plus a combiner Dense
+// over [head outputs ++ window ++ mean ++ slope] — into one contiguous
+// structure-of-arrays weight arena and evaluates it in a single pass with
+// caller-provided scratch.
 //
 // The Engine is read-only after construction (it snapshots the weights), so
 // any number of goroutines may call Forward/ForwardBatch concurrently with
@@ -103,7 +105,8 @@ func (e *Engine) Heads() int { return e.heads }
 func (e *Engine) BatchScratchSize(n int) int { return n * e.heads }
 
 // Forward evaluates one window through the fused stack. scratch must have at
-// least Heads() elements and is clobbered; x is read-only. No
+// least Heads() elements; on return its first Heads() hold the heads' outputs
+// (delphi builds the combiner's training rows from them). x is read-only. No
 // allocation, safe for concurrent use with distinct scratch.
 func (e *Engine) Forward(x, scratch []float64) float64 {
 	if len(x) != e.win {

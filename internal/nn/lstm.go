@@ -20,7 +20,8 @@ type LSTM struct {
 	B          []float64 // 4H
 	Frozen     bool
 
-	gwx, gwh, gb []float64
+	gwx, gwh, gb  []float64
+	params, grads [3][]float64 // what Params and Grads return, built once
 
 	// Per-sequence caches for BPTT.
 	xs   []float64   // copy of input sequence
@@ -42,6 +43,8 @@ func NewLSTM(in, hidden int, seed int64) *LSTM {
 	l.gwx = make([]float64, len(l.Wx))
 	l.gwh = make([]float64, len(l.Wh))
 	l.gb = make([]float64, len(l.B))
+	l.params = [3][]float64{l.Wx, l.Wh, l.B}
+	l.grads = [3][]float64{l.gwx, l.gwh, l.gb}
 	r := rng(seed)
 	limX := math.Sqrt(6.0 / float64(in+hidden))
 	for i := range l.Wx {
@@ -104,9 +107,7 @@ func (l *LSTM) Forward(x []float64) []float64 {
 		l.hs = append(l.hs, newH)
 		l.cs = append(l.cs, newC)
 	}
-	out := make([]float64, H)
-	copy(out, l.hs[T])
-	return out
+	return l.hs[T]
 }
 
 // Backward implements Layer; dy is dL/d(final hidden state).
@@ -176,22 +177,16 @@ func (l *LSTM) Backward(dy []float64) []float64 {
 func sigmoidf(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
 
 // Params implements Layer.
-func (l *LSTM) Params() [][]float64 { return [][]float64{l.Wx, l.Wh, l.B} }
+func (l *LSTM) Params() [][]float64 { return l.params[:] }
 
 // Grads implements Layer.
-func (l *LSTM) Grads() [][]float64 { return [][]float64{l.gwx, l.gwh, l.gb} }
+func (l *LSTM) Grads() [][]float64 { return l.grads[:] }
 
 // ZeroGrads implements Layer.
 func (l *LSTM) ZeroGrads() {
-	for i := range l.gwx {
-		l.gwx[i] = 0
-	}
-	for i := range l.gwh {
-		l.gwh[i] = 0
-	}
-	for i := range l.gb {
-		l.gb[i] = 0
-	}
+	clear(l.gwx)
+	clear(l.gwh)
+	clear(l.gb)
 }
 
 // Trainable implements Layer.

@@ -5,15 +5,20 @@ import (
 	"fmt"
 )
 
-// Sequential chains layers into a model trained with MSE loss.
+// Sequential chains layers into a model trained with MSE loss. Training works
+// in scratch the model and its layers own — after the first batch a step
+// allocates nothing — so one Sequential trains on one goroutine at a time.
 type Sequential struct {
 	Layers []Layer
+
+	dy []float64 // loss gradient of the sample in hand
 }
 
 // NewSequential builds a model from layers.
 func NewSequential(layers ...Layer) *Sequential { return &Sequential{Layers: layers} }
 
-// Predict runs a forward pass.
+// Predict runs a forward pass. The result is the last layer's (see
+// Layer.Forward): valid until the model next predicts or trains.
 func (m *Sequential) Predict(x []float64) []float64 {
 	out := x
 	for _, l := range m.Layers {
@@ -41,7 +46,10 @@ func (m *Sequential) TrainBatch(xs, ys [][]float64, opt Optimizer) (float64, err
 		if len(pred) != len(ys[i]) {
 			return 0, errDimension("target", len(ys[i]), len(pred))
 		}
-		dy := make([]float64, len(pred))
+		if cap(m.dy) < len(pred) {
+			m.dy = make([]float64, len(pred))
+		}
+		dy := m.dy[:len(pred)]
 		for j := range pred {
 			diff := pred[j] - ys[i][j]
 			loss += diff * diff
@@ -87,10 +95,13 @@ func (m *Sequential) Fit(xs, ys [][]float64, opts FitOptions) (float64, error) {
 		idx[i] = i
 	}
 	r := rng(opts.Seed)
+	swap := func(i, j int) { idx[i], idx[j] = idx[j], idx[i] }
+	bx := make([][]float64, 0, opts.BatchSize)
+	by := make([][]float64, 0, opts.BatchSize)
 	var last float64
 	for e := 0; e < opts.Epochs; e++ {
 		if opts.Shuffle {
-			r.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
+			r.Shuffle(len(idx), swap)
 		}
 		total, batches := 0.0, 0
 		for start := 0; start < len(idx); start += opts.BatchSize {
@@ -98,8 +109,7 @@ func (m *Sequential) Fit(xs, ys [][]float64, opts FitOptions) (float64, error) {
 			if end > len(idx) {
 				end = len(idx)
 			}
-			bx := make([][]float64, 0, end-start)
-			by := make([][]float64, 0, end-start)
+			bx, by = bx[:0], by[:0]
 			for _, i := range idx[start:end] {
 				bx = append(bx, xs[i])
 				by = append(by, ys[i])

@@ -85,12 +85,15 @@ func ActivationByName(name string) (Activation, error) {
 // Layer is one differentiable stage of a Sequential model.
 type Layer interface {
 	// Forward computes the layer output for input x, caching what Backward
-	// needs. Layers are single-threaded.
+	// needs; x itself is not kept. The returned slice may be the layer's own
+	// buffer, valid until the next Forward; a caller that keeps it copies.
+	// Layers are single-threaded.
 	Forward(x []float64) []float64
-	// Backward receives dL/dy and returns dL/dx, accumulating parameter
-	// gradients internally.
+	// Backward receives dL/dy and returns dL/dx — on the same terms, valid
+	// until the next Backward — accumulating parameter gradients internally.
 	Backward(dy []float64) []float64
 	// Params returns parameter slices; optimizers mutate them in place.
+	// The same slices, in the same order, on every call.
 	Params() [][]float64
 	// Grads returns gradient accumulators parallel to Params.
 	Grads() [][]float64

@@ -13,7 +13,10 @@ type Optimizer interface {
 type Adam struct {
 	LR, Beta1, Beta2, Eps float64
 	t                     int
-	m, v                  map[*float64][]float64
+	// m and v are the moments: one slice per parameter slice, in the order
+	// Step walks them. Frozen layers hold a (nil) slot, so freezing a layer
+	// between steps shifts nobody else's moments. An Adam serves one model.
+	m, v [][]float64
 }
 
 // NewAdam returns Adam with the canonical defaults for any zero field.
@@ -21,10 +24,7 @@ func NewAdam(lr float64) *Adam {
 	if lr == 0 {
 		lr = 1e-3
 	}
-	return &Adam{
-		LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8,
-		m: make(map[*float64][]float64), v: make(map[*float64][]float64),
-	}
+	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
 }
 
 // Step implements Optimizer.
@@ -36,32 +36,26 @@ func (a *Adam) Step(layers []Layer, batchSize int) {
 	a.t++
 	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
 	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
+	k := 0 // moment slot
 	for _, l := range layers {
-		if !l.Trainable() {
-			continue
-		}
 		params, grads := l.Params(), l.Grads()
-		for pi := range params {
-			p, g := params[pi], grads[pi]
-			if len(p) == 0 {
-				continue
+		for pi, p := range params {
+			if k == len(a.m) {
+				a.m, a.v = append(a.m, nil), append(a.v, nil)
 			}
-			m, ok := a.m[&p[0]]
-			if !ok {
-				m = make([]float64, len(p))
-				a.m[&p[0]] = m
+			if l.Trainable() {
+				if a.m[k] == nil {
+					a.m[k], a.v[k] = make([]float64, len(p)), make([]float64, len(p))
+				}
+				m, v, g := a.m[k], a.v[k], grads[pi]
+				for i := range p {
+					gi := g[i] * inv
+					m[i] = a.Beta1*m[i] + (1-a.Beta1)*gi
+					v[i] = a.Beta2*v[i] + (1-a.Beta2)*gi*gi
+					p[i] -= a.LR * (m[i] / c1) / (math.Sqrt(v[i]/c2) + a.Eps)
+				}
 			}
-			v, ok := a.v[&p[0]]
-			if !ok {
-				v = make([]float64, len(p))
-				a.v[&p[0]] = v
-			}
-			for i := range p {
-				gi := g[i] * inv
-				m[i] = a.Beta1*m[i] + (1-a.Beta1)*gi
-				v[i] = a.Beta2*v[i] + (1-a.Beta2)*gi*gi
-				p[i] -= a.LR * (m[i] / c1) / (math.Sqrt(v[i]/c2) + a.Eps)
-			}
+			k++
 		}
 	}
 }

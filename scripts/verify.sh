@@ -123,6 +123,8 @@ echo "==> go test -run xxx -bench . -benchtime 1x ./internal/stream/..."
 go test -run xxx -bench . -benchtime 1x ./internal/stream/...
 echo "==> go test -run xxx -bench . -benchtime 1x ./internal/aqe/... ./internal/queue/... ./internal/archive/... ./internal/gateway/..."
 go test -run xxx -bench . -benchtime 1x ./internal/aqe/... ./internal/queue/... ./internal/archive/... ./internal/gateway/...
+# The delphi suite includes BenchmarkTrain and BenchmarkRetrainCombiner, whose
+# ms and allocs/op README "Retraining" and DESIGN §4l quote.
 echo "==> go test -run xxx -bench . -benchtime 1x ./internal/delphi/ ./internal/nn/inference/"
 go test -run xxx -bench . -benchtime 1x ./internal/delphi/ ./internal/nn/inference/
 
