@@ -37,7 +37,12 @@ const (
 	// PathSubscribe is GET /api/v1/subscribe/{metric}: upgraded to a
 	// WebSocket when the request carries an Upgrade header, otherwise served
 	// as a Server-Sent-Events stream. Both deliver Frame values; ?after=N
-	// (or the SSE Last-Event-ID header) resumes after stream ID N.
+	// (or the SSE Last-Event-ID header) resumes after stream ID N. A resume
+	// point the broker's retention has already dropped starts at the oldest
+	// retained entry. After that the stream IDs a subscription delivers are
+	// contiguous: if retention overtakes the stream before entries could be
+	// delivered, the subscription ends with a retryable "unavailable" error
+	// frame rather than skipping them.
 	PathSubscribe = PathPrefix + "/subscribe/{metric}"
 	// PathRetention returns RetentionResponse (GET), archive tier stats.
 	PathRetention = PathPrefix + "/retention"
@@ -84,7 +89,10 @@ const (
 	// gateway shuts down gracefully; retry against a healthy instance.
 	CodeDraining Code = "draining"
 	// CodeUnavailable rejects a request the backend cannot serve right now
-	// (e.g. retention stats on a gateway without an archive).
+	// (e.g. retention stats on a gateway without an archive), and closes a
+	// subscription whose stream retention overtook: entries were dropped
+	// before they could be delivered. Reconnect, resuming via ?after= from
+	// the last stream ID seen.
 	CodeUnavailable Code = "unavailable"
 	// CodeInternal reports an unexpected server-side failure.
 	CodeInternal Code = "internal"

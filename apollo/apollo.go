@@ -202,11 +202,6 @@ type (
 	DelphiModel = delphi.Model
 	// DelphiTrainOptions controls training.
 	DelphiTrainOptions = delphi.TrainOptions
-	// DelphiDriftConfig tunes the per-metric drift detectors
-	// (Config.DelphiDrift).
-	DelphiDriftConfig = delphi.DriftConfig
-	// DelphiRetrainConfig parameterizes incremental combiner retraining.
-	DelphiRetrainConfig = delphi.RetrainConfig
 )
 
 // Query types.

@@ -14,13 +14,12 @@ import (
 )
 
 // programmaticOnly lists the core.Config fields that deliberately have no
-// apollod flag: they carry Go values (a clock, a registry, tuning structs)
+// apollod flag: they carry Go values (a clock, a registry, a tuning struct)
 // that only a program embedding the service sets.
 var programmaticOnly = map[string]bool{
-	"Clock":       true,
-	"Obs":         true,
-	"Adaptive":    true,
-	"DelphiDrift": true,
+	"Clock":    true,
+	"Obs":      true,
+	"Adaptive": true,
 }
 
 // TestFlagsCoverConfig parses a command line that sets every flag bindFlags

@@ -1,0 +1,150 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"sync"
+	"testing"
+
+	"repro/internal/delphi"
+	"repro/internal/score"
+	"repro/internal/telemetry"
+)
+
+// observeWalk feeds n values of a seeded random walk into o.
+func observeWalk(o *delphi.Online, seed int64, n int) {
+	rng := rand.New(rand.NewSource(seed))
+	v := 50 + rng.Float64()*10
+	for i := 0; i < n; i++ {
+		v += rng.NormFloat64()
+		o.Observe(v)
+	}
+}
+
+// secondModel trains a model of a different lineage than trainedModel.
+func secondModel(t *testing.T) *delphi.Model {
+	t.Helper()
+	m, err := delphi.Train(delphi.TrainOptions{Seed: 99, Epochs: 3, SeriesPerFeature: 2, SeriesLen: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// registerOnlines registers one Delphi-enabled metric per id and returns the
+// Online each vertex was given, every window filled from its own walk.
+func registerOnlines(t *testing.T, s *Service, ids ...telemetry.MetricID) []*delphi.Online {
+	t.Helper()
+	onlines := make([]*delphi.Online, len(ids))
+	for i, id := range ids {
+		if _, err := s.RegisterMetric(constHook(id, 1), func(fc *score.FactConfig) { onlines[i] = fc.Delphi }); err != nil {
+			t.Fatal(err)
+		}
+		observeWalk(onlines[i], int64(i+1), 2*delphi.WindowSize)
+	}
+	return onlines
+}
+
+// TestClassAttachAfterPromotion drives a promotion that lands between
+// RegisterMetric's newOnline and attach, step by step: the late member is
+// swept on the class's new engine, bit-identical to a fresh Online on the
+// promoted model.
+func TestClassAttachAfterPromotion(t *testing.T) {
+	m1, m2 := trainedModel(t), secondModel(t)
+	s := New(Config{Delphi: m1, DelphiBatch: 2})
+	defer s.Stop()
+	c := s.fleet.classFor(defaultClass)
+
+	o := c.newOnline()
+	c.promote(m2, 1)
+	observeWalk(o, 1, 2*delphi.WindowSize)
+	c.attach("late", o, nil, nil)
+
+	want, old := delphi.NewOnline(m2), delphi.NewOnline(m1)
+	observeWalk(want, 1, 2*delphi.WindowSize)
+	observeWalk(old, 1, 2*delphi.WindowSize)
+	wv, _ := want.Predict()
+	if ov, _ := old.Predict(); ov == wv {
+		t.Fatal("the two lineages forecast alike; the test cannot tell them apart")
+	}
+	res := s.PredictAll()
+	if len(res) != 1 || res[0].Metric != "late" || !res[0].OK || res[0].Value != wv {
+		t.Fatalf("sweep after a promotion before attach: %+v, want {late %v true}", res, wv)
+	}
+}
+
+// TestClassForeignEngineMember: a member whose Online predicts with an engine
+// other than its class's comes back not ready with its last value; the rest
+// of the class is swept as usual.
+func TestClassForeignEngineMember(t *testing.T) {
+	s := New(Config{Delphi: trainedModel(t), DelphiBatch: 2})
+	defer s.Stop()
+	onlines := registerOnlines(t, s, "own", "foreign")
+	if err := onlines[1].SwapModel(secondModel(t)); err != nil {
+		t.Fatal(err)
+	}
+	ref := delphi.NewOnline(nil) // last-value-hold over the same walk
+	observeWalk(ref, 2, 2*delphi.WindowSize)
+	last, _ := ref.Predict()
+	own, _ := onlines[0].Predict()
+
+	res := s.PredictAll()
+	if len(res) != 2 || !res[0].OK || res[0].Value != own {
+		t.Fatalf("own member: %+v, want {own %v true}", res, own)
+	}
+	if res[1].OK || res[1].Value != last {
+		t.Fatalf("foreign-engine member: %+v, want {foreign %v false}", res[1], last)
+	}
+}
+
+// TestClassPromoteDuringSweeps hammers class sweeps, member observations and
+// promotions flipping between two lineages concurrently. Run under -race it
+// is the regression gate for promotion versus the hot path: the class lock
+// orders promote and predictAll, so a sweep never meets a member the
+// promotion has not reached, and a full window always yields a prediction,
+// whichever model it ran.
+func TestClassPromoteDuringSweeps(t *testing.T) {
+	m1, m2 := trainedModel(t), secondModel(t)
+	// 256 members over 2 workers: the pooled sweep.
+	s := New(Config{Delphi: m1, DelphiBatch: 2})
+	defer s.Stop()
+	ids := make([]telemetry.MetricID, 256)
+	for i := range ids {
+		ids[i] = telemetry.MetricID(fmt.Sprintf("dev%d.cap", i))
+	}
+	onlines := registerOnlines(t, s, ids...)
+	c := s.fleet.classFor(defaultClass)
+
+	var wg sync.WaitGroup
+	wg.Add(3)
+	go func() { // promoter: flip between the two lineages
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			m := m1
+			if i%2 == 0 {
+				m = m2
+			}
+			c.promote(m, i+1)
+		}
+	}()
+	go func() { // observers: vertices keep measuring through promotions
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			for j, o := range onlines {
+				o.Observe(float64(50 + i + j))
+			}
+		}
+	}()
+	go func() { // sweeper: steady-state batch predictions
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			for _, r := range s.PredictAll() {
+				if !r.OK {
+					t.Errorf("sweep %d metric %s: full window yielded no prediction", i, r.Metric)
+					return
+				}
+			}
+		}
+	}()
+	wg.Wait()
+}

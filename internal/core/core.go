@@ -102,9 +102,6 @@ type Config struct {
 	// measured-only, retrain off the hot path, and are promoted only when a
 	// candidate beats the serving model on held-out live data.
 	DelphiRetrain time.Duration
-	// DelphiDrift tunes the drift detectors (zero value: defaults). Only
-	// meaningful with DelphiRetrain set.
-	DelphiDrift delphi.DriftConfig
 	// BaseTick is the target resolution Delphi restores (default 1s).
 	BaseTick time.Duration
 	// ArchiveDir, if set, persists evicted queue entries per metric.
@@ -357,7 +354,7 @@ func (s *Service) RegisterMetric(hook score.Hook, opts ...MetricOption) (*score.
 	// After opts, so WithoutDelphi leaves no dangling drift machinery.
 	var det *delphi.Detector
 	if fc.Delphi != nil && s.cfg.DelphiRetrain > 0 {
-		det = delphi.NewDetector(s.cfg.DelphiDrift)
+		det = delphi.NewDetector()
 		fc.Drift = det
 		if tr := s.fleet.trainer; tr != nil {
 			fc.OnDrift = func(telemetry.MetricID) { tr.Enqueue(cls.name) }

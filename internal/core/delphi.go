@@ -47,9 +47,11 @@ type delphiFleet struct {
 	classes []*deviceClass
 }
 
-// deviceClass is one model shard. Its mutex guards membership and the sweep
-// scratch; promotions swap the model under it, so a sweep never mixes
-// engines with a half-applied promotion.
+// deviceClass is one model shard and the one owner of its members: the
+// batch predictor sweeps the class's own onlines with the class's engine. Its
+// mutex guards membership, the model and the sweep scratch, and orders
+// attach, promote and predictAll, so a sweep never runs against a
+// half-applied promotion.
 type deviceClass struct {
 	name  string
 	fleet *delphiFleet
@@ -81,7 +83,7 @@ func newDelphiFleet(cfg Config, o *obs.Registry) (*delphiFleet, error) {
 			Clock:    cfg.Clock,
 			Interval: cfg.DelphiRetrain,
 			Registry: f.reg,
-			Retrain:  delphi.RetrainConfig{Seed: 1},
+			Seed:     1,
 			Obs:      o,
 		})
 		if err != nil {
@@ -129,9 +131,9 @@ func (f *delphiFleet) classFor(name string) *deviceClass {
 	// Untrained models are tolerated the way NewOnline tolerates them: the
 	// batch lane stays off and per-vertex fallback rules.
 	if c.model != nil && f.cfg.DelphiBatch > 0 {
-		if bp, err := delphi.NewBatchPredictor(c.model, f.cfg.DelphiBatch); err == nil {
-			bp.Instrument(f.obs, name)
-			c.batch = bp
+		if _, err := c.model.Engine(); err == nil {
+			c.batch = delphi.NewBatchPredictor(f.cfg.DelphiBatch)
+			c.batch.Instrument(f.obs, name)
 		}
 	}
 	f.classes = append(f.classes[:len(f.classes):len(f.classes)], c)
@@ -161,15 +163,10 @@ func (c *deviceClass) newOnline() *delphi.Online {
 func (c *deviceClass) attach(id telemetry.MetricID, o *delphi.Online, det *delphi.Detector, v *score.FactVertex) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.batch != nil {
-		if _, err := c.batch.Register(o); err != nil {
-			// The online wraps an older model than a promotion that landed
-			// between newOnline and attach; align it and retry.
-			if o.SwapModel(c.model) == nil {
-				_, _ = c.batch.Register(o)
-			}
-		}
-	}
+	// A promotion may have landed since newOnline: serve the class's model.
+	// A class without a trained model has nothing to swap in, and o stays as
+	// newOnline made it.
+	_ = o.SwapModel(c.model)
 	c.metrics = append(c.metrics, id)
 	c.onlines = append(c.onlines, o)
 	c.detectors = append(c.detectors, det)
@@ -177,9 +174,9 @@ func (c *deviceClass) attach(id telemetry.MetricID, o *delphi.Online, det *delph
 }
 
 // measuredSegments snapshots every member vertex's measured history — the
-// retrainer's dataset source. Runs on a trainer worker; the zero-copy scan
-// iterates the live ring without copying tuples, only the float values land
-// in the segment buffers.
+// retrainer's dataset source. Runs on the trainer's goroutine; the zero-copy
+// scan iterates the live ring without copying tuples, only the float values
+// land in the segment buffers.
 func (c *deviceClass) measuredSegments() [][]float64 {
 	c.mu.Lock()
 	vertices := append([]*score.FactVertex(nil), c.vertices...)
@@ -208,25 +205,17 @@ func (c *deviceClass) currentModel() *delphi.Model {
 
 // promote installs a freshly validated model: swap every serving engine,
 // lift the measured-only fallback, and re-arm the detectors so the new model
-// is judged from scratch. The engine is compiled by SwapModel before any
-// per-instance lock is taken — steady-state Predict calls are blocked only
-// for pointer swaps, never for compilation or I/O.
+// is judged from scratch. The engine is compiled once, by the first SwapModel,
+// before any per-instance lock is taken — steady-state Predict calls are
+// blocked only for pointer swaps, never for compilation or I/O.
 func (c *deviceClass) promote(m *delphi.Model, version int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.model, c.version = m, version
-	if c.batch != nil {
-		_ = c.batch.SwapModel(m)
-	} else {
-		for _, o := range c.onlines {
-			_ = o.SwapModel(m)
-		}
-	}
-	for _, o := range c.onlines {
+	for i, o := range c.onlines {
+		_ = o.SwapModel(m)
 		o.SetFallback(false)
-	}
-	for _, d := range c.detectors {
-		if d != nil {
+		if d := c.detectors[i]; d != nil {
 			d.Reset()
 		}
 	}
@@ -240,22 +229,20 @@ func (f *delphiFleet) predictAll() []BatchResult {
 	classes := f.classes
 	f.mu.Unlock()
 
-	n, batched := 0, false
-	for _, c := range classes {
-		if c.batch != nil {
-			n, batched = n+c.batch.Slots(), true
-		}
-	}
-	if !batched {
-		return nil
-	}
-	out := make([]BatchResult, 0, n)
+	var out []BatchResult
 	for _, c := range classes {
 		c.mu.Lock()
 		if c.batch != nil {
-			c.scratch = c.batch.PredictAll(c.scratch[:0])
-			for _, p := range c.scratch {
-				out = append(out, BatchResult{Metric: c.metrics[p.Slot], Value: p.Value, OK: p.OK})
+			// The class has a batch predictor only with a compiled model, and
+			// promotions install validated ones; a nil engine would report
+			// every member not ready.
+			eng, _ := c.model.Engine()
+			c.scratch = c.batch.PredictAll(c.scratch[:0], eng, c.onlines)
+			if out == nil {
+				out = make([]BatchResult, 0, len(c.scratch))
+			}
+			for i, p := range c.scratch {
+				out = append(out, BatchResult{Metric: c.metrics[i], Value: p.Value, OK: p.OK})
 			}
 		}
 		c.mu.Unlock()

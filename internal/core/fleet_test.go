@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/delphi"
 	"repro/internal/delphi/registry"
 	"repro/internal/obs"
 	"repro/internal/score"
@@ -85,22 +84,23 @@ func TestServiceFleetDriftRetrainPromote(t *testing.T) {
 		DelphiBatch:    2,
 		DelphiRegistry: t.TempDir(),
 		DelphiRetrain:  time.Minute,
-		// The base model tracks the square wave at ~0.36 normalized error —
-		// tolerable for a default install, drift for this test.
-		DelphiDrift: delphi.DriftConfig{Threshold: 0.25},
-		Obs:         reg,
+		Obs:            reg,
 	})
 	defer s.Stop()
 
-	// Alternating shifted square wave: unpredictable for the base model,
-	// exactly learnable by a retrained combiner.
+	// A steady ramp the base model tracks, then an alternating shifted
+	// square wave it cannot: the error level steps up past what the default
+	// detector tolerates, and the wave is exactly learnable by a retrained
+	// combiner.
 	trace := make([]float64, 256)
 	for i := range trace {
-		trace[i] = 50.0
-		if i%2 == 0 {
-			trace[i] += 8
-		} else {
-			trace[i] -= 8
+		switch {
+		case i < 48:
+			trace[i] = 100 + 0.5*float64(i)
+		case i%2 == 0:
+			trace[i] = 58
+		default:
+			trace[i] = 42
 		}
 	}
 	v, err := s.RegisterMetric(&score.ReplayHook{ID: "comp00.nvme0.cap", Trace: trace})
@@ -114,6 +114,9 @@ func TestServiceFleetDriftRetrainPromote(t *testing.T) {
 
 	for i := 0; i < len(trace); i++ {
 		v.PollOnce()
+		if i == 47 && tr.Pending() != 0 {
+			t.Fatal("the detector tripped on the ramp the base model tracks")
+		}
 	}
 	if tr.Pending() == 0 {
 		t.Fatal("drift never enqueued a retrain")

@@ -1,7 +1,6 @@
 package delphi
 
 import (
-	"errors"
 	"runtime"
 	"sync"
 	"time"
@@ -10,18 +9,14 @@ import (
 	"repro/internal/obs"
 )
 
-// BatchPrediction is one slot's result from a BatchPredictor sweep. OK
-// mirrors Online.Predict: false means the slot fell back to last-value-hold
-// (window not full, or no observations — then Value is 0).
+// BatchPrediction is one member's result from a BatchPredictor sweep. OK
+// mirrors Online.Predict: false means the member fell back to last-value-hold
+// (window not full, measured-only fallback, or an engine other than the
+// sweep's; with no observations Value is 0).
 type BatchPrediction struct {
-	Slot  int
 	Value float64
 	OK    bool
 }
-
-// ErrModelMismatch is returned by Register for an Online wrapping a
-// different model than the predictor's.
-var ErrModelMismatch = errors.New("delphi: online instance wraps a different model")
 
 // DefaultBatchWorkers caps the worker-pool size NewBatchPredictor picks for
 // workers <= 0; the actual default is min(DefaultBatchWorkers, GOMAXPROCS) —
@@ -29,43 +24,38 @@ var ErrModelMismatch = errors.New("delphi: online instance wraps a different mod
 // sweep runs inline. An explicit workers count is honored as given.
 const DefaultBatchWorkers = 4
 
-// batchChunkMin is the smallest per-worker slot range worth dispatching;
+// batchChunkMin is the smallest per-worker member range worth dispatching;
 // below workers*batchChunkMin the sweep runs inline on the caller.
 const batchChunkMin = 64
 
-// BatchPredictor groups many per-metric Online instances that share one
-// trained Model — one device class, the sharding precursor for fleet-scale
-// Delphi (ROADMAP item 4) — and predicts for all of them in fused batched
-// sweeps: windows are gathered and normalized into one row-major arena, run
-// through the engine's ForwardBatch (head-major, cache-blocked), then
-// denormalized and envelope-clamped exactly like Online.Predict, so batched
-// results are bit-identical to per-instance ones.
+// BatchPredictor is the sweep machinery of one device class — the sharding
+// precursor for fleet-scale Delphi (ROADMAP item 4): it predicts for many
+// per-metric Online instances in fused batched sweeps. Windows are gathered
+// and normalized into one row-major arena, run through the engine's
+// ForwardBatch (head-major, cache-blocked), then denormalized and
+// envelope-clamped exactly like Online.Predict, so batched results are
+// bit-identical to per-instance ones.
 //
-// Large fleets are partitioned across a small pool of persistent workers;
-// each worker owns a disjoint slice of every per-call arena, so the sweep is
-// race-free and allocation-free in steady state. Register is safe against
-// concurrent PredictAll; PredictAll itself must not be called concurrently
-// with PredictAll (one sweeper per device class).
+// It holds no members and no model: the class owns both and hands them to
+// every PredictAll, under the lock that also orders its membership changes
+// and promotions. Large classes are partitioned across a small pool of
+// persistent workers; each worker owns a disjoint slice of every per-call
+// arena, so the sweep is race-free and allocation-free in steady state.
+// PredictAll must not be called concurrently with PredictAll (one sweeper per
+// device class).
 type BatchPredictor struct {
-	model   *Model
-	eng     *inference.Engine
 	workers int
 
-	mu    sync.RWMutex
-	slots []*Online
-
-	// Per-sweep arenas, indexed by slot row; grown in PredictAll when slots
-	// were added, then stable — the steady-state sweep allocates nothing.
+	// Per-sweep arenas, indexed by member row; grown in PredictAll when the
+	// class grew, then stable — the steady-state sweep allocates nothing.
 	xs     []float64 // gathered normalized windows, row-major WindowSize each
 	locs   []float64
 	scales []float64
 	los    []float64 // window envelope, for the clamp
 	his    []float64
 	outs   []float64
-	idxs   []int // slot index per gathered row (ready slots compact per chunk)
+	idxs   []int // member index per gathered row (ready members compact per chunk)
 	headsS []float64
-
-	dst []BatchPrediction // the caller's result slice, shared with workers per sweep
 
 	work     chan batchChunk
 	wg       sync.WaitGroup
@@ -76,33 +66,29 @@ type BatchPredictor struct {
 	obsPredictions *obs.Counter
 }
 
-type batchChunk struct{ lo, hi int }
+// batchChunk is one worker's share of a sweep: members [lo, hi), evaluated
+// with eng, their results written to dst.
+type batchChunk struct {
+	dst     []BatchPrediction
+	eng     *inference.Engine
+	members []*Online
+	lo, hi  int
+}
 
-// NewBatchPredictor builds a predictor over model's fused engine with the
-// given worker-pool size (<=0: DefaultBatchWorkers; 1 runs every sweep
-// inline, no goroutines). It fails with ErrNotTrained on an untrained model.
-func NewBatchPredictor(model *Model, workers int) (*BatchPredictor, error) {
-	if model == nil {
-		return nil, ErrNotTrained
-	}
-	eng, err := model.Engine()
-	if err != nil {
-		return nil, err
-	}
+// NewBatchPredictor builds a predictor with the given worker-pool size (<=0:
+// DefaultBatchWorkers; 1 runs every sweep inline, no goroutines).
+func NewBatchPredictor(workers int) *BatchPredictor {
 	if workers <= 0 {
-		workers = DefaultBatchWorkers
-		if p := runtime.GOMAXPROCS(0); workers > p {
-			workers = p
-		}
+		workers = min(DefaultBatchWorkers, runtime.GOMAXPROCS(0))
 	}
-	bp := &BatchPredictor{model: model, eng: eng, workers: workers}
+	bp := &BatchPredictor{workers: workers}
 	if workers > 1 {
 		bp.work = make(chan batchChunk, workers)
 		for i := 0; i < workers; i++ {
 			go bp.worker()
 		}
 	}
-	return bp, nil
+	return bp
 }
 
 // Instrument registers the predictor's instruments, labelled by device
@@ -115,67 +101,43 @@ func (bp *BatchPredictor) Instrument(r *obs.Registry, class string) {
 	bp.obsPredictions = r.Counter(obs.Name("delphi_predictions_total", "class", class))
 }
 
-// Register adds an Online instance to the sweep and returns its slot index.
-// The instance must wrap the predictor's model (same device class). The
-// instance may keep being observed by its owning vertex — Online is
-// internally synchronized.
-func (bp *BatchPredictor) Register(o *Online) (int, error) {
-	if o == nil || o.model != bp.model {
-		return 0, ErrModelMismatch
-	}
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	bp.slots = append(bp.slots, o)
-	return len(bp.slots) - 1, nil
-}
-
-// Slots reports how many instances are registered.
-func (bp *BatchPredictor) Slots() int {
-	bp.mu.RLock()
-	defer bp.mu.RUnlock()
-	return len(bp.slots)
-}
-
-// PredictAll sweeps every registered slot and appends one BatchPrediction
-// per slot to dst (pass dst[:0] to reuse; with enough capacity the sweep
-// performs zero heap allocations). Results are bit-identical to calling
-// Predict on each instance.
-func (bp *BatchPredictor) PredictAll(dst []BatchPrediction) []BatchPrediction {
+// PredictAll sweeps members with eng and appends one BatchPrediction per
+// member, in member order, to dst (pass dst[:0] to reuse; with enough
+// capacity the sweep performs zero heap allocations). A member whose Online
+// predicts with an engine other than eng — one a promotion has not reached —
+// is reported not ready and never mixed into the batch; every other result is
+// bit-identical to calling Predict on the member. The members may keep being
+// observed by their vertices: Online is internally synchronized.
+func (bp *BatchPredictor) PredictAll(dst []BatchPrediction, eng *inference.Engine, members []*Online) []BatchPrediction {
 	start := time.Now()
-	bp.mu.RLock()
-	defer bp.mu.RUnlock()
-	n := len(bp.slots)
+	n := len(members)
 	if n == 0 {
 		return dst
 	}
-	bp.grow(n)
+	bp.grow(n, eng)
 	base := len(dst)
 	for i := 0; i < n; i++ {
-		dst = append(dst, BatchPrediction{Slot: i})
+		dst = append(dst, BatchPrediction{})
 	}
-	bp.dst = dst[base:]
+	sweep := batchChunk{dst: dst[base:], eng: eng, members: members, hi: n}
 
 	ready := 0
 	if bp.workers > 1 && n >= bp.workers*batchChunkMin {
 		per := (n + bp.workers - 1) / bp.workers
 		for lo := 0; lo < n; lo += per {
-			hi := lo + per
-			if hi > n {
-				hi = n
-			}
+			sweep.lo, sweep.hi = lo, min(lo+per, n)
 			bp.wg.Add(1)
-			bp.work <- batchChunk{lo, hi}
+			bp.work <- sweep
 		}
 		bp.wg.Wait()
-		for row := range bp.dst {
-			if bp.dst[row].OK {
+		for _, p := range sweep.dst {
+			if p.OK {
 				ready++
 			}
 		}
 	} else {
-		ready = bp.runChunk(0, n)
+		ready = bp.runChunk(sweep)
 	}
-	bp.dst = nil
 
 	bp.obsPredictSec.ObserveDuration(time.Since(start))
 	bp.obsBatchSize.Observe(float64(ready))
@@ -183,38 +145,39 @@ func (bp *BatchPredictor) PredictAll(dst []BatchPrediction) []BatchPrediction {
 	return dst
 }
 
-// grow sizes the per-sweep arenas for n slots. Caller holds at least the
-// read lock; arenas only ever grow, and sweeps never run concurrently.
-func (bp *BatchPredictor) grow(n int) {
-	if len(bp.outs) >= n {
-		return
+// grow sizes the per-sweep arenas for n members. Arenas only ever grow, and
+// sweeps never run concurrently.
+func (bp *BatchPredictor) grow(n int, eng *inference.Engine) {
+	if len(bp.outs) < n {
+		bp.xs = make([]float64, n*WindowSize)
+		bp.locs = make([]float64, n)
+		bp.scales = make([]float64, n)
+		bp.los = make([]float64, n)
+		bp.his = make([]float64, n)
+		bp.outs = make([]float64, n)
+		bp.idxs = make([]int, n)
 	}
-	bp.xs = make([]float64, n*WindowSize)
-	bp.locs = make([]float64, n)
-	bp.scales = make([]float64, n)
-	bp.los = make([]float64, n)
-	bp.his = make([]float64, n)
-	bp.outs = make([]float64, n)
-	bp.idxs = make([]int, n)
-	bp.headsS = make([]float64, bp.eng.BatchScratchSize(n))
+	if eng != nil && len(bp.headsS) < eng.BatchScratchSize(n) {
+		bp.headsS = make([]float64, eng.BatchScratchSize(n))
+	}
 }
 
 func (bp *BatchPredictor) worker() {
 	for c := range bp.work {
-		bp.runChunk(c.lo, c.hi)
+		bp.runChunk(c)
 		bp.wg.Done()
 	}
 }
 
-// runChunk gathers, batch-evaluates, and finishes slots [lo, hi). Ready
-// windows compact to the front of the chunk's arena region, so one
-// ForwardBatch covers them all. Returns how many slots were ready.
-func (bp *BatchPredictor) runChunk(lo, hi int) int {
-	k := 0 // ready rows gathered, offset from lo
-	for s := lo; s < hi; s++ {
-		o := bp.slots[s]
+// runChunk gathers, batch-evaluates, and finishes members [c.lo, c.hi).
+// Ready windows compact to the front of the chunk's arena region, so one
+// ForwardBatch covers them all. Returns how many members were ready.
+func (bp *BatchPredictor) runChunk(c batchChunk) int {
+	lo, k := c.lo, 0 // k: ready rows gathered, offset from lo
+	for s := lo; s < c.hi; s++ {
+		o := c.members[s]
 		o.mu.Lock()
-		if o.n == WindowSize && o.eng != nil && !o.fallback {
+		if o.n == WindowSize && o.eng != nil && o.eng == c.eng && !o.fallback {
 			row := lo + k
 			w := o.buf[o.pos : o.pos+WindowSize]
 			bp.locs[row], bp.scales[row] = NormalizeInto(bp.xs[row*WindowSize:(row+1)*WindowSize], w)
@@ -231,22 +194,21 @@ func (bp *BatchPredictor) runChunk(lo, hi int) int {
 			bp.idxs[row] = s
 			k++
 		} else if o.n > 0 {
-			bp.dst[s].Value = o.lastLocked()
+			c.dst[s].Value = o.lastLocked()
 		}
 		o.mu.Unlock()
 	}
 	if k == 0 {
 		return 0
 	}
-	heads := bp.eng.Heads()
-	bp.eng.ForwardBatch(
+	heads := c.eng.Heads()
+	c.eng.ForwardBatch(
 		bp.outs[lo:lo+k],
 		bp.xs[lo*WindowSize:(lo+k)*WindowSize],
 		bp.headsS[lo*heads:(lo+k)*heads],
 	)
 	for j := 0; j < k; j++ {
 		row := lo + j
-		s := bp.idxs[row]
 		p := bp.outs[row]*bp.scales[row] + bp.locs[row]
 		span := bp.his[row] - bp.los[row]
 		if p > bp.his[row]+span {
@@ -255,33 +217,9 @@ func (bp *BatchPredictor) runChunk(lo, hi int) int {
 		if p < bp.los[row]-span {
 			p = bp.los[row] - span
 		}
-		bp.dst[s] = BatchPrediction{Slot: s, Value: p, OK: true}
+		c.dst[bp.idxs[row]] = BatchPrediction{Value: p, OK: true}
 	}
 	return k
-}
-
-// SwapModel atomically replaces the device class's model — the promotion
-// path. The engine is compiled before the sweep lock is taken, so in-flight
-// PredictAll sweeps (which hold the read lock end to end) finish on the old
-// engine and the very next sweep runs the new one; every registered Online
-// instance is swapped under the same write lock, so a sweep can never mix
-// engines. Observers are only ever blocked for the pointer swaps.
-func (bp *BatchPredictor) SwapModel(m *Model) error {
-	if m == nil {
-		return ErrNotTrained
-	}
-	eng, err := m.Engine()
-	if err != nil {
-		return err
-	}
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	bp.model = m
-	bp.eng = eng
-	for _, o := range bp.slots {
-		o.swap(m, eng)
-	}
-	return nil
 }
 
 // Close stops the worker pool. The predictor must not be used after Close.

@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// TestBatchPredictorSwapModelAligns checks promotion semantics: after
-// SwapModel every slot predicts with the new model, bit-identical to a fresh
-// Online wrapping it, and Register with an online on the old model is
-// rejected until it swaps too.
+// TestBatchPredictorSwapModelAligns checks promotion semantics: once every
+// member has swapped to the new model, a sweep with its engine predicts each
+// member bit-identically to a fresh Online wrapping it, and a member still on
+// the old model is reported not ready until it swaps too.
 func TestBatchPredictorSwapModelAligns(t *testing.T) {
 	m1 := trained(t)
 	m2, err := Train(TrainOptions{SeriesPerFeature: 2, SeriesLen: 64, Epochs: 3, Seed: 99})
@@ -16,130 +16,55 @@ func TestBatchPredictorSwapModelAligns(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	bp, err := NewBatchPredictor(m1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bp := NewBatchPredictor(2)
 	defer bp.Close()
 	onlines := make([]*Online, 8)
 	for i := range onlines {
 		onlines[i] = NewOnline(m1)
 		observeSeries(onlines[i], int64(i+1), 3*WindowSize)
-		if _, err := bp.Register(onlines[i]); err != nil {
+		if err := onlines[i].SwapModel(m2); err != nil {
 			t.Fatal(err)
 		}
 	}
-
-	if err := bp.SwapModel(m2); err != nil {
-		t.Fatal(err)
-	}
-	res := bp.PredictAll(nil)
+	eng2 := engineOf(t, m2)
+	res := bp.PredictAll(nil, eng2, onlines)
 	for i := range onlines {
 		want := NewOnline(m2)
 		observeSeries(want, int64(i+1), 3*WindowSize)
 		wv, ok := want.Predict()
 		if !ok || !res[i].OK || res[i].Value != wv {
-			t.Fatalf("slot %d after swap: got (%v,%v), want (%v,true)", i, res[i].Value, res[i].OK, wv)
+			t.Fatalf("member %d after swap: got (%v,%v), want (%v,true)", i, res[i].Value, res[i].OK, wv)
 		}
 	}
 
-	// A latecomer still wrapping the old model is rejected, then accepted
-	// after aligning — the invariant the fleet's attach path relies on.
+	// A latecomer still wrapping the old model is left out of the batch,
+	// then served after aligning — what the device class's attach does.
 	stale := NewOnline(m1)
-	if _, err := bp.Register(stale); err == nil {
-		t.Fatal("stale-model online accepted after promotion")
+	observeSeries(stale, 42, 3*WindowSize)
+	members := append(onlines, stale)
+	if res := bp.PredictAll(nil, eng2, members); res[len(onlines)].OK {
+		t.Fatal("stale-model member swept with the promoted engine")
 	}
 	if err := stale.SwapModel(m2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := bp.Register(stale); err != nil {
-		t.Fatalf("aligned online rejected: %v", err)
+	if res := bp.PredictAll(nil, eng2, members); !res[len(onlines)].OK {
+		t.Fatal("aligned member not served")
 	}
 }
 
-// TestBatchPredictorSwapDuringSweeps hammers PredictAll sweeps, per-slot
-// observations, and repeated model promotions concurrently. Run under -race
-// this is the regression gate for promotion versus the hot path; every sweep
-// must stay coherent (a full window always yields a prediction, whichever
-// model it ran).
-func TestBatchPredictorSwapDuringSweeps(t *testing.T) {
-	m1 := trained(t)
-	m2, err := Train(TrainOptions{SeriesPerFeature: 2, SeriesLen: 64, Epochs: 3, Seed: 98})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	bp, err := NewBatchPredictor(m1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bp.Close()
-	onlines := make([]*Online, 16)
-	for i := range onlines {
-		onlines[i] = NewOnline(m1)
-		observeSeries(onlines[i], int64(i+1), 2*WindowSize)
-		if _, err := bp.Register(onlines[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	var wg sync.WaitGroup
-	wg.Add(3)
-	go func() { // promoter: flip between the two lineages
-		defer wg.Done()
-		for i := 0; i < 200; i++ {
-			m := m1
-			if i%2 == 0 {
-				m = m2
-			}
-			if err := bp.SwapModel(m); err != nil {
-				t.Errorf("swap %d: %v", i, err)
-				return
-			}
-		}
-	}()
-	go func() { // observers: vertices keep measuring through promotions
-		defer wg.Done()
-		for i := 0; i < 200; i++ {
-			for j, o := range onlines {
-				o.Observe(float64(50 + i + j))
-			}
-		}
-	}()
-	go func() { // sweeper: steady-state batch predictions
-		defer wg.Done()
-		var buf []BatchPrediction
-		for i := 0; i < 200; i++ {
-			buf = bp.PredictAll(buf[:0])
-			for _, p := range buf {
-				if !p.OK {
-					t.Errorf("sweep %d slot %d: full window yielded no prediction", i, p.Slot)
-					return
-				}
-			}
-		}
-	}()
-	wg.Wait()
-}
-
-// TestBatchPredictorCloseIdempotent guards the shutdown path: Close (and the
-// deprecated Stop alias, if present) must be safe to call repeatedly and
-// concurrently with a sweep in flight.
+// TestBatchPredictorCloseIdempotent guards the shutdown path: Close must be
+// safe to call repeatedly and concurrently, after a sweep.
 func TestBatchPredictorCloseIdempotent(t *testing.T) {
 	m := trained(t)
-	bp, err := NewBatchPredictor(m, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bp := NewBatchPredictor(2)
 	o := NewOnline(m)
 	observeSeries(o, 7, 2*WindowSize)
-	if _, err := bp.Register(o); err != nil {
-		t.Fatal(err)
-	}
+	eng := engineOf(t, m)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		bp.PredictAll(nil)
+		bp.PredictAll(nil, eng, []*Online{o})
 	}()
 	<-done
 	bp.Close()

@@ -1,13 +1,24 @@
 package delphi
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
+
+	"repro/internal/nn/inference"
 )
+
+// engineOf returns m's fused engine, the one its device class sweeps with.
+func engineOf(t testing.TB, m *Model) *inference.Engine {
+	t.Helper()
+	eng, err := m.Engine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
 
 // observeSeries feeds a deterministic pseudo-random walk into o.
 func observeSeries(o *Online, seed int64, n int) {
@@ -44,66 +55,64 @@ func TestPredictMatchesUnfusedBitExact(t *testing.T) {
 func TestBatchPredictAllMatchesOnlinePredict(t *testing.T) {
 	m := trained(t)
 	for _, workers := range []int{1, 4} {
-		// 300 slots with 4 workers crosses the pool-dispatch threshold.
+		// 300 members with 4 workers crosses the pool-dispatch threshold.
 		const n = 300
-		bp, err := NewBatchPredictor(m, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
+		bp := NewBatchPredictor(workers)
 		defer bp.Close()
 		onlines := make([]*Online, n)
 		for i := range onlines {
 			onlines[i] = NewOnline(m)
-			slot, err := bp.Register(onlines[i])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if slot != i {
-				t.Fatalf("slot %d, want %d", slot, i)
-			}
-			// Mix of full windows, partial windows, and empty slots.
+			// Mix of full windows, partial windows, and empty members.
 			observeSeries(onlines[i], int64(i), i%(WindowSize+3))
 			observeSeries(onlines[i], int64(i)+1000, WindowSize*(i%2))
 		}
-		if bp.Slots() != n {
-			t.Fatalf("Slots()=%d, want %d", bp.Slots(), n)
-		}
-		got := bp.PredictAll(nil)
+		got := bp.PredictAll(nil, engineOf(t, m), onlines)
 		if len(got) != n {
 			t.Fatalf("workers=%d: %d results, want %d", workers, len(got), n)
 		}
 		for i, o := range onlines {
 			want, wantOK := o.Predict()
-			if got[i].Slot != i || got[i].Value != want || got[i].OK != wantOK {
-				t.Fatalf("workers=%d slot %d: got (%v, %v), want (%v, %v)",
+			if got[i].Value != want || got[i].OK != wantOK {
+				t.Fatalf("workers=%d member %d: got (%v, %v), want (%v, %v)",
 					workers, i, got[i].Value, got[i].OK, want, wantOK)
 			}
 		}
 	}
 }
 
+// TestBatchPredictorRejects: a member whose Online predicts with an engine
+// other than the sweep's — another model, or none — comes back not ready with
+// its last value and is never mixed into the batch; a sweep without an engine
+// reports every member so.
 func TestBatchPredictorRejects(t *testing.T) {
 	m := trained(t)
-	if _, err := NewBatchPredictor(nil, 1); !errors.Is(err, ErrNotTrained) {
-		t.Fatalf("nil model: %v, want ErrNotTrained", err)
-	}
-	if _, err := NewBatchPredictor(&Model{}, 1); !errors.Is(err, ErrNotTrained) {
-		t.Fatalf("untrained model: %v, want ErrNotTrained", err)
-	}
-	bp, err := NewBatchPredictor(m, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bp.Close()
-	if _, err := bp.Register(nil); !errors.Is(err, ErrModelMismatch) {
-		t.Fatalf("nil online: %v, want ErrModelMismatch", err)
-	}
 	other, err := Train(TrainOptions{Seed: 9, Epochs: 2, SeriesPerFeature: 1, SeriesLen: 60})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := bp.Register(NewOnline(other)); !errors.Is(err, ErrModelMismatch) {
-		t.Fatalf("other model: %v, want ErrModelMismatch", err)
+	bp := NewBatchPredictor(1)
+	defer bp.Close()
+	members := []*Online{NewOnline(m), NewOnline(other), NewOnline(&Model{})}
+	last := make([]float64, len(members))
+	for i, o := range members {
+		observeSeries(o, int64(i+1), 2*WindowSize)
+		ref := NewOnline(nil)
+		observeSeries(ref, int64(i+1), 2*WindowSize)
+		last[i], _ = ref.Predict()
+	}
+	got := bp.PredictAll(nil, engineOf(t, m), members)
+	if want, _ := members[0].Predict(); !got[0].OK || got[0].Value != want {
+		t.Fatalf("own member: got %+v, want (%v, true)", got[0], want)
+	}
+	for i := 1; i < len(members); i++ {
+		if got[i].OK || got[i].Value != last[i] {
+			t.Fatalf("member %d on a foreign engine: got %+v, want (%v, false)", i, got[i], last[i])
+		}
+	}
+	for i, p := range bp.PredictAll(nil, nil, members) {
+		if p.OK || p.Value != last[i] {
+			t.Fatalf("engineless sweep, member %d: got %+v, want (%v, false)", i, p, last[i])
+		}
 	}
 }
 
@@ -142,21 +151,17 @@ func TestBatchPredictAllZeroAlloc(t *testing.T) {
 		{"pooled", 2, 2 * batchChunkMin},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			bp, err := NewBatchPredictor(m, tc.workers)
-			if err != nil {
-				t.Fatal(err)
-			}
+			bp := NewBatchPredictor(tc.workers)
 			defer bp.Close()
-			for i := 0; i < tc.slots; i++ {
-				o := NewOnline(m)
-				observeSeries(o, int64(i), WindowSize+i%3)
-				if _, err := bp.Register(o); err != nil {
-					t.Fatal(err)
-				}
+			eng := engineOf(t, m)
+			members := make([]*Online, tc.slots)
+			for i := range members {
+				members[i] = NewOnline(m)
+				observeSeries(members[i], int64(i), WindowSize+i%3)
 			}
-			dst := bp.PredictAll(nil) // warm the arenas
+			dst := bp.PredictAll(nil, eng, members) // warm the arenas
 			if avg := testing.AllocsPerRun(50, func() {
-				dst = bp.PredictAll(dst[:0])
+				dst = bp.PredictAll(dst[:0], eng, members)
 			}); avg != 0 {
 				t.Fatalf("steady-state PredictAll allocates %v/op, want 0", avg)
 			}
@@ -166,8 +171,9 @@ func TestBatchPredictAllZeroAlloc(t *testing.T) {
 
 // TestPredictZeroAllocAcrossSwap measures the promotion-interleaved paths: a
 // SwapModel landing between runs (engines are compiled once per model, before
-// the measurement) must leave Online.Predict and a BatchPredictor sweep
-// allocation-free.
+// the measurement) must leave Online.Predict and a BatchPredictor sweep —
+// every member swapped, then swept with the new engine, as a device class
+// promotes — allocation-free.
 func TestPredictZeroAllocAcrossSwap(t *testing.T) {
 	models := []*Model{trained(t), nil}
 	var err error
@@ -193,25 +199,23 @@ func TestPredictZeroAllocAcrossSwap(t *testing.T) {
 		t.Fatalf("SwapModel+Predict allocates %v/op, want 0", avg)
 	}
 
-	bp, err := NewBatchPredictor(models[0], 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bp := NewBatchPredictor(2)
 	defer bp.Close()
-	for i := 0; i < 2*batchChunkMin; i++ {
-		o := NewOnline(models[0])
-		observeSeries(o, int64(i), WindowSize+i%3)
-		if _, err := bp.Register(o); err != nil {
-			t.Fatal(err)
-		}
+	engs := []*inference.Engine{engineOf(t, models[0]), engineOf(t, models[1])}
+	members := make([]*Online, 2*batchChunkMin)
+	for i := range members {
+		members[i] = NewOnline(models[0])
+		observeSeries(members[i], int64(i), WindowSize+i%3)
 	}
-	dst := bp.PredictAll(nil) // warm the arenas
+	dst := bp.PredictAll(nil, engs[0], members) // warm the arenas
 	if avg := testing.AllocsPerRun(50, func() {
 		run++
-		if err := bp.SwapModel(models[run%2]); err != nil {
-			t.Fatal(err)
+		for _, o := range members {
+			if err := o.SwapModel(models[run%2]); err != nil {
+				t.Fatal(err)
+			}
 		}
-		dst = bp.PredictAll(dst[:0])
+		dst = bp.PredictAll(dst[:0], engs[run%2], members)
 	}); avg != 0 {
 		t.Fatalf("SwapModel+PredictAll allocates %v/op, want 0", avg)
 	}
@@ -222,17 +226,12 @@ func TestPredictZeroAllocAcrossSwap(t *testing.T) {
 func TestBatchPredictorConcurrentObserve(t *testing.T) {
 	m := trained(t)
 	const slots = 160
-	bp, err := NewBatchPredictor(m, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bp := NewBatchPredictor(4)
 	defer bp.Close()
+	eng := engineOf(t, m)
 	onlines := make([]*Online, slots)
 	for i := range onlines {
 		onlines[i] = NewOnline(m)
-		if _, err := bp.Register(onlines[i]); err != nil {
-			t.Fatal(err)
-		}
 	}
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -257,13 +256,13 @@ func TestBatchPredictorConcurrentObserve(t *testing.T) {
 	}
 	var dst []BatchPrediction
 	for sweep := 0; sweep < 50; sweep++ {
-		dst = bp.PredictAll(dst[:0])
+		dst = bp.PredictAll(dst[:0], eng, onlines)
 		if len(dst) != slots {
 			t.Fatalf("sweep %d: %d results", sweep, len(dst))
 		}
-		for _, p := range dst {
+		for i, p := range dst {
 			if math.IsNaN(p.Value) || math.IsInf(p.Value, 0) {
-				t.Fatalf("sweep %d slot %d: value %v", sweep, p.Slot, p.Value)
+				t.Fatalf("sweep %d member %d: value %v", sweep, i, p.Value)
 			}
 		}
 	}

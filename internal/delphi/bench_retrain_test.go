@@ -23,7 +23,7 @@ func BenchmarkRetrainCombiner(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := RetrainCombiner(base, segs, RetrainConfig{Seed: 5}); err != nil {
+		if _, _, err := RetrainCombiner(base, segs, 5); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -65,30 +65,23 @@ func BenchmarkOnlinePredictDuringSwap(b *testing.B) {
 }
 
 // BenchmarkBatchPredictDuringSwap is the fleet variant: 1k-metric sweeps with
-// a promotion landing between every 8th sweep, allocation-free like the plain
-// sweep.
+// a promotion — every member swapped, as a device class promotes — landing
+// between every 8th sweep, allocation-free like the plain sweep.
 func BenchmarkBatchPredictDuringSwap(b *testing.B) {
 	m1 := benchTrained(b)
 	m2, err := Train(TrainOptions{Seed: 2, Epochs: 5, SeriesPerFeature: 2, SeriesLen: 100})
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := m2.Engine(); err != nil {
-		b.Fatal(err)
-	}
-	bp, err := NewBatchPredictor(m1, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
+	bp := NewBatchPredictor(0)
 	defer bp.Close()
-	for i := 0; i < 1000; i++ {
-		o := NewOnline(m1)
-		observeSeries(o, int64(i), WindowSize+2)
-		if _, err := bp.Register(o); err != nil {
-			b.Fatal(err)
-		}
+	members := make([]*Online, 1000)
+	for i := range members {
+		members[i] = NewOnline(m1)
+		observeSeries(members[i], int64(i), WindowSize+2)
 	}
-	dst := bp.PredictAll(nil) // warm arenas
+	eng := engineOf(b, m1)
+	dst := bp.PredictAll(nil, eng, members) // warm arenas
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -97,10 +90,13 @@ func BenchmarkBatchPredictDuringSwap(b *testing.B) {
 			if i%16 == 0 {
 				m = m2
 			}
-			if err := bp.SwapModel(m); err != nil {
-				b.Fatal(err)
+			eng = engineOf(b, m)
+			for _, o := range members {
+				if err := o.SwapModel(m); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
-		dst = bp.PredictAll(dst[:0])
+		dst = bp.PredictAll(dst[:0], eng, members)
 	}
 }

@@ -68,23 +68,19 @@ func BenchmarkOnlinePredictTicks(b *testing.B) {
 
 func benchmarkBatchPredict(b *testing.B, n, workers int) {
 	m := benchTrained(b)
-	bp, err := NewBatchPredictor(m, workers)
-	if err != nil {
-		b.Fatal(err)
-	}
+	bp := NewBatchPredictor(workers)
 	defer bp.Close()
-	for i := 0; i < n; i++ {
-		o := NewOnline(m)
-		observeSeries(o, int64(i), WindowSize+2)
-		if _, err := bp.Register(o); err != nil {
-			b.Fatal(err)
-		}
+	eng := engineOf(b, m)
+	members := make([]*Online, n)
+	for i := range members {
+		members[i] = NewOnline(m)
+		observeSeries(members[i], int64(i), WindowSize+2)
 	}
-	dst := bp.PredictAll(nil) // warm arenas
+	dst := bp.PredictAll(nil, eng, members) // warm arenas
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst = bp.PredictAll(dst[:0])
+		dst = bp.PredictAll(dst[:0], eng, members)
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/pred")

@@ -2,47 +2,27 @@ package delphi
 
 import "sync"
 
-// DriftConfig tunes a Detector. The zero value means defaults; thresholds
-// are in normalized residual units (|actual − forecast| / window scale), the
-// same unit-free space the model predicts in, so one configuration works
-// across metrics of wildly different magnitudes.
-type DriftConfig struct {
-	// Alpha is the EWMA smoothing factor for the normalized absolute
-	// residual (default 0.25). Larger reacts faster, noisier.
-	Alpha float64
-	// Threshold trips the detector when the residual EWMA exceeds it
-	// (default 0.9). A well-fit Delphi model tracks at roughly 0.1–0.3.
-	Threshold float64
-	// PHDelta is the Page–Hinkley magnitude tolerance: residual excursions
-	// smaller than this above the running mean accumulate nothing
-	// (default 0.05).
-	PHDelta float64
-	// PHLambda is the Page–Hinkley trip threshold on the cumulative
-	// deviation statistic (default 4).
-	PHLambda float64
-	// MinSamples is how many residuals must be observed before either test
-	// may trip (default 2×WindowSize), so a cold detector cannot fire off
-	// warm-up noise.
-	MinSamples int
-}
-
-func (c *DriftConfig) fill() {
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = 0.25
-	}
-	if c.Threshold <= 0 {
-		c.Threshold = 0.9
-	}
-	if c.PHDelta <= 0 {
-		c.PHDelta = 0.05
-	}
-	if c.PHLambda <= 0 {
-		c.PHLambda = 4
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 2 * WindowSize
-	}
-}
+// The detector's policy. Thresholds are in normalized residual units
+// (|actual − forecast| / window scale), the same unit-free space the model
+// predicts in, so one policy works across metrics of wildly different
+// magnitudes.
+const (
+	// driftAlpha is the EWMA smoothing factor for the normalized absolute
+	// residual. Larger reacts faster, noisier.
+	driftAlpha = 0.25
+	// driftThreshold trips the detector when the residual EWMA exceeds it. A
+	// well-fit Delphi model tracks at roughly 0.1–0.3.
+	driftThreshold = 0.9
+	// driftPHDelta is the Page–Hinkley magnitude tolerance: residual
+	// excursions smaller than this above the running mean accumulate nothing.
+	driftPHDelta = 0.05
+	// driftPHLambda is the Page–Hinkley trip threshold on the cumulative
+	// deviation statistic.
+	driftPHLambda = 4
+	// driftMinSamples is how many residuals must be observed before either
+	// test may trip, so a cold detector cannot fire off warm-up noise.
+	driftMinSamples = 2 * WindowSize
+)
 
 // Detector is a per-metric online prediction-error tracker: an EWMA of the
 // normalized absolute residual catches sustained error-level shifts, and a
@@ -57,8 +37,7 @@ func (c *DriftConfig) fill() {
 // is internally synchronized — the vertex goroutine observes while the
 // retrain manager reads and resets.
 type Detector struct {
-	mu  sync.Mutex
-	cfg DriftConfig
+	mu sync.Mutex
 
 	n       int     // residuals observed since Reset
 	ewma    float64 // EWMA of normalized |residual|
@@ -68,11 +47,8 @@ type Detector struct {
 	tripped bool
 }
 
-// NewDetector builds a detector; zero-valued cfg fields take defaults.
-func NewDetector(cfg DriftConfig) *Detector {
-	cfg.fill()
-	return &Detector{cfg: cfg}
-}
+// NewDetector builds a detector.
+func NewDetector() *Detector { return &Detector{} }
 
 // Observe records one prediction residual (actual − forecast, raw units)
 // with the window normalization scale the forecast was made under, and
@@ -94,17 +70,17 @@ func (d *Detector) Observe(residual, scale float64) bool {
 		return false
 	}
 	d.n++
-	d.ewma += d.cfg.Alpha * (r - d.ewma)
+	d.ewma += driftAlpha * (r - d.ewma)
 	// Page–Hinkley on the positive side: accumulate excursions of the
 	// residual above its running mean plus the tolerance; a sustained upward
 	// shift drives cum − cumMin past lambda.
 	d.mean += (r - d.mean) / float64(d.n)
-	d.cum += r - d.mean - d.cfg.PHDelta
+	d.cum += r - d.mean - driftPHDelta
 	if d.cum < d.cumMin {
 		d.cumMin = d.cum
 	}
-	if d.n >= d.cfg.MinSamples &&
-		(d.ewma > d.cfg.Threshold || d.cum-d.cumMin > d.cfg.PHLambda) {
+	if d.n >= driftMinSamples &&
+		(d.ewma > driftThreshold || d.cum-d.cumMin > driftPHLambda) {
 		d.tripped = true
 		return true
 	}

@@ -32,7 +32,7 @@ func noise(n int, amp float64, seed uint64) []float64 {
 func TestDetectorStationaryNoFalsePositive(t *testing.T) {
 	// A healthy model: small noisy residuals, forever. Neither the EWMA
 	// threshold nor Page–Hinkley may ever trip.
-	d := NewDetector(DriftConfig{})
+	d := NewDetector()
 	if idx := driveDetector(d, noise(5000, 0.3, 1)); idx >= 0 {
 		t.Fatalf("stationary residuals tripped at %d (ewma %.3f)", idx, d.ewma)
 	}
@@ -50,7 +50,7 @@ func TestDetectorStepChangeGolden(t *testing.T) {
 	for i := 100; i < len(series); i++ {
 		series[i] = 1.5
 	}
-	d := NewDetector(DriftConfig{})
+	d := NewDetector()
 	idx := driveDetector(d, series)
 	if idx != 102 {
 		t.Fatalf("step trip index %d, want 102", idx)
@@ -82,40 +82,41 @@ func TestDetectorSlowRampGolden(t *testing.T) {
 	for i := range series {
 		series[i] = 0.1 + 0.75*float64(i)/float64(len(series)-1)
 	}
-	d := NewDetector(DriftConfig{})
+	d := NewDetector()
 	idx := driveDetector(d, series)
 	if idx != 145 {
 		t.Fatalf("ramp trip index %d, want 145", idx)
 	}
-	if d.ewma >= d.cfg.Threshold {
+	if d.ewma >= driftThreshold {
 		t.Fatalf("ramp tripped via EWMA (%.3f), want Page–Hinkley", d.ewma)
 	}
 }
 
 func TestDetectorWarmupGuard(t *testing.T) {
-	// Huge residuals immediately: nothing may trip before MinSamples.
-	d := NewDetector(DriftConfig{MinSamples: 25})
-	for i := 0; i < 24; i++ {
+	// Huge residuals immediately: nothing may trip before the tenth
+	// (2×WindowSize) residual.
+	d := NewDetector()
+	for i := 0; i < 9; i++ {
 		if d.Observe(10, 1) {
 			t.Fatalf("tripped during warm-up at %d", i)
 		}
 	}
 	if !d.Observe(10, 1) {
-		t.Fatal("did not trip at MinSamples")
+		t.Fatal("did not trip at the tenth residual")
 	}
 }
 
 func TestDetectorScaleNormalization(t *testing.T) {
 	// The same relative error at wildly different magnitudes must behave
 	// identically: residual 1000 at scale 10000 is a 0.1 normalized error.
-	d := NewDetector(DriftConfig{})
+	d := NewDetector()
 	for i := 0; i < 1000; i++ {
 		if d.Observe(1000, 10000) {
 			t.Fatal("small relative error tripped")
 		}
 	}
 	// Non-positive scale degenerates to 1 (constant windows).
-	d2 := NewDetector(DriftConfig{})
+	d2 := NewDetector()
 	trippedAt := -1
 	for i := 0; i < 100; i++ {
 		if d2.Observe(2, 0) {
@@ -127,7 +128,7 @@ func TestDetectorScaleNormalization(t *testing.T) {
 		t.Fatal("unscaled large residuals never tripped")
 	}
 	// Negative residuals count by magnitude.
-	d3 := NewDetector(DriftConfig{})
+	d3 := NewDetector()
 	tripped := false
 	for i := 0; i < 100 && !tripped; i++ {
 		tripped = d3.Observe(-2, 1)
@@ -141,7 +142,7 @@ func TestDetectorDeterministicReplay(t *testing.T) {
 	// Two detectors fed the same stream agree bit-for-bit at every step —
 	// the property the byte-reproducible drift scenario stands on.
 	series := noise(2000, 0.6, 7)
-	a, b := NewDetector(DriftConfig{}), NewDetector(DriftConfig{})
+	a, b := NewDetector(), NewDetector()
 	for i, r := range series {
 		ta, tb := a.Observe(r, 1), b.Observe(r, 1)
 		if ta != tb || math.Float64bits(a.ewma) != math.Float64bits(b.ewma) {

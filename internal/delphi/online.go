@@ -19,7 +19,6 @@ import (
 // vertex-owned instances while their vertices keep observing.
 type Online struct {
 	mu       sync.Mutex
-	model    *Model
 	eng      *inference.Engine // nil without a trained model: always fall back
 	fallback bool              // measured-only mode: drift tripped, model distrusted
 
@@ -44,7 +43,7 @@ type Online struct {
 // NewOnline wraps model (which may be nil or untrained; then Predict always
 // falls back to last-value-hold).
 func NewOnline(model *Model) *Online {
-	o := &Online{model: model}
+	o := &Online{}
 	if model != nil {
 		if eng, err := model.Engine(); err == nil {
 			o.eng = eng
@@ -113,15 +112,10 @@ func (o *Online) SwapModel(m *Model) error {
 	if err != nil {
 		return err
 	}
-	o.swap(m, eng)
-	return nil
-}
-
-// swap installs a model and the engine compiled from it.
-func (o *Online) swap(m *Model, eng *inference.Engine) {
 	o.mu.Lock()
-	o.model, o.eng, o.memoOK = m, eng, false
+	o.eng, o.memoOK = eng, false
 	o.mu.Unlock()
+	return nil
 }
 
 // Observed reports how many values the window currently holds (saturating at

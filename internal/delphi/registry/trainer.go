@@ -19,7 +19,7 @@ type ClassSpec struct {
 	Name string
 	// Source returns the class's measured series, one trailing segment per
 	// metric (typically zero-copy snapshots of queue.History rings). Called
-	// on a trainer worker, off the hot path.
+	// on the trainer's goroutine, off the hot path.
 	Source func() [][]float64
 	// Base returns the model currently serving the class; the candidate must
 	// beat it on the holdout to be promoted.
@@ -44,7 +44,7 @@ const (
 	EventError
 )
 
-// Event is one retraining outcome, delivered to Config.OnEvent.
+// Event is one retraining outcome, as RunOnce returns it.
 type Event struct {
 	Class   string
 	Kind    EventKind
@@ -64,28 +64,22 @@ type Config struct {
 	Interval time.Duration
 	// Registry stores candidates and the active-version pointers.
 	Registry *Registry
-	// Retrain parameterizes delphi.RetrainCombiner.
-	Retrain delphi.RetrainConfig
-	// Workers is the goroutine-pool size for concurrent per-class retrains
-	// (default 1 — retraining is deliberately off the hot path, not racing
-	// it for cores).
-	Workers int
+	// Seed makes every delphi.RetrainCombiner fit deterministic.
+	Seed int64
 	// Obs, if set, receives delphi_retrain_runs_total,
 	// delphi_retrain_promotions_total, delphi_retrain_rejected_total,
 	// delphi_retrain_errors_total, delphi_retrain_seconds, and per-class
 	// delphi_model_version gauges.
 	Obs *obs.Registry
-	// OnEvent, if set, observes every retraining outcome (synchronously, on
-	// the worker).
-	OnEvent func(Event)
 }
 
 // Trainer retrains device classes in the background: drift detectors (or
-// operators) Enqueue a class, and on every Interval tick a worker pool pulls
-// queued classes, rebuilds a dataset from live history, trains a candidate
-// off the hot path, and — only if the candidate beats the serving model on a
-// holdout it never trained on — saves, promotes, and applies it. A rejected
-// class stays queued, so it is retried next cycle with more post-drift data.
+// operators) Enqueue a class, and on every Interval tick the trainer pulls
+// queued classes one at a time — retraining is deliberately off the hot path,
+// not racing it for cores — rebuilds a dataset from live history, trains a
+// candidate, and — only if the candidate beats the serving model on a holdout
+// it never trained on — saves, promotes, and applies it. A rejected class
+// stays queued, so it is retried next cycle with more post-drift data.
 type Trainer struct {
 	cfg     Config
 	clock   sim.Clock
@@ -115,9 +109,6 @@ func NewTrainer(cfg Config) (*Trainer, error) {
 	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = time.Minute
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 1
 	}
 	t := &Trainer{
 		cfg:    cfg,
@@ -176,7 +167,7 @@ func (t *Trainer) Pending() int {
 }
 
 // Start launches the background cadence loop (idempotent). Every Interval on
-// the configured clock it drains the queue across the worker pool.
+// the configured clock it drains the queue.
 func (t *Trainer) Start() {
 	t.startOnce.Do(func() {
 		t.wg.Add(1)
@@ -206,8 +197,7 @@ func (t *Trainer) loop() {
 	}
 }
 
-// drain retrains every currently queued class across the worker pool and
-// waits for the batch to finish.
+// drain retrains every currently queued class, in queue order.
 func (t *Trainer) drain() {
 	t.queueMu.Lock()
 	batch := t.order
@@ -216,21 +206,9 @@ func (t *Trainer) drain() {
 		delete(t.queued, c)
 	}
 	t.queueMu.Unlock()
-	if len(batch) == 0 {
-		return
-	}
-	sem := make(chan struct{}, t.cfg.Workers)
-	var wg sync.WaitGroup
 	for _, class := range batch {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(class string) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			t.RunOnce(class)
-		}(class)
+		t.RunOnce(class)
 	}
-	wg.Wait()
 }
 
 // RunOnce retrains one class synchronously and returns its outcome — the
@@ -259,16 +237,13 @@ func (t *Trainer) RunOnce(class string) Event {
 		t.obsErrors.Inc()
 		t.Enqueue(class)
 	}
-	if t.cfg.OnEvent != nil {
-		t.cfg.OnEvent(ev)
-	}
 	return ev
 }
 
 func (t *Trainer) retrain(spec *ClassSpec) Event {
 	ev := Event{Class: spec.Name}
 	base := spec.Base()
-	cand, rep, err := delphi.RetrainCombiner(base, spec.Source(), t.cfg.Retrain)
+	cand, rep, err := delphi.RetrainCombiner(base, spec.Source(), t.cfg.Seed)
 	ev.Report = rep
 	if errors.Is(err, delphi.ErrInsufficientData) {
 		ev.Kind = EventRejected

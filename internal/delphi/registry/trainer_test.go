@@ -47,7 +47,7 @@ func TestTrainerPromotesImprovedCandidate(t *testing.T) {
 	o := obs.NewRegistry()
 	tr, err := NewTrainer(Config{
 		Registry: reg,
-		Retrain:  delphi.RetrainConfig{Seed: 7, MinSamples: 32},
+		Seed:     7,
 		Obs:      o,
 	})
 	if err != nil {
@@ -139,26 +139,22 @@ func TestTrainerEnqueueDedupAndBackgroundDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	clk := sim.NewVirtual(time.Unix(0, 0))
-	promoted := make(chan Event, 1)
 	tr, err := NewTrainer(Config{
 		Registry: reg,
 		Clock:    clk,
 		Interval: time.Minute,
-		Retrain:  delphi.RetrainConfig{Seed: 7, MinSamples: 32},
-		OnEvent: func(ev Event) {
-			if ev.Kind == EventPromoted {
-				promoted <- ev
-			}
-		},
+		Seed:     7,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := quickModel(t)
+	promoted := make(chan int, 1)
 	if err := tr.RegisterClass(ClassSpec{
 		Name:   "nvme0",
 		Source: func() [][]float64 { return shiftedSegments(128, 3) },
 		Base:   func() *delphi.Model { return base },
+		Apply:  func(_ *delphi.Model, version int) { promoted <- version },
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -175,9 +171,9 @@ func TestTrainerEnqueueDedupAndBackgroundDrain(t *testing.T) {
 	<-clk.BlockUntil(1) // cadence timer registered before the clock moves
 	clk.Advance(time.Minute)
 	select {
-	case ev := <-promoted:
-		if ev.Class != "nvme0" || ev.Version != 1 {
-			t.Fatalf("unexpected event: %+v", ev)
+	case v := <-promoted:
+		if v != 1 {
+			t.Fatalf("promoted version %d, want 1", v)
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("background retrain never promoted")

@@ -12,61 +12,29 @@ import (
 // not carry enough windows to train and validate a candidate.
 var ErrInsufficientData = errors.New("delphi: insufficient data to retrain")
 
-// RetrainConfig tunes incremental combiner retraining against live
-// telemetry. Zero-valued fields take defaults.
-type RetrainConfig struct {
-	// MinSamples is the minimum number of training windows required across
-	// all segments (default 64); below it RetrainCombiner returns
+// The retraining policy.
+const (
+	// retrainMinSamples is the minimum number of training windows required
+	// across all segments; below it RetrainCombiner returns
 	// ErrInsufficientData rather than fit a combiner to noise.
-	MinSamples int
-	// MaxSamples keeps only the most recent n values of each segment
-	// (default 512, 0 keeps everything): retraining should chase the live
-	// distribution, not re-memorize ancient history.
-	MaxSamples int
-	// HoldoutFrac is the trailing fraction of each segment held out of
-	// training and used to score base vs candidate (default 0.25). Trailing,
-	// because the most recent data is the distribution the promoted model
-	// must serve.
-	HoldoutFrac float64
-	// Epochs, BatchSize, LearningRate parameterize the combiner fit
-	// (defaults 30, 32, 0.01).
-	Epochs       int
-	BatchSize    int
-	LearningRate float64
-	// MinImprovement is how much lower (fractionally) the candidate's
-	// holdout RMSE must be than the base model's to be declared improved
-	// (default 0.05): promotion churn on statistical ties helps nobody.
-	MinImprovement float64
-	// Seed makes the fit deterministic (shuffle order, weight init).
-	Seed int64
-}
-
-func (c *RetrainConfig) fill() {
-	if c.MinSamples <= 0 {
-		c.MinSamples = 64
-	}
-	if c.MaxSamples < 0 {
-		c.MaxSamples = 0
-	}
-	if c.MaxSamples == 0 {
-		c.MaxSamples = 512
-	}
-	if c.HoldoutFrac <= 0 || c.HoldoutFrac >= 1 {
-		c.HoldoutFrac = 0.25
-	}
-	if c.Epochs <= 0 {
-		c.Epochs = 30
-	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 32
-	}
-	if c.LearningRate <= 0 {
-		c.LearningRate = 0.01
-	}
-	if c.MinImprovement <= 0 {
-		c.MinImprovement = 0.05
-	}
-}
+	retrainMinSamples = 64
+	// retrainMaxSamples keeps only the most recent values of each segment:
+	// retraining should chase the live distribution, not re-memorize ancient
+	// history.
+	retrainMaxSamples = 512
+	// retrainHoldoutFrac is the trailing fraction of each segment held out of
+	// training and used to score base vs candidate. Trailing, because the
+	// most recent data is the distribution the promoted model must serve.
+	retrainHoldoutFrac = 0.25
+	// The combiner fit.
+	retrainEpochs       = 30
+	retrainBatchSize    = 32
+	retrainLearningRate = 0.01
+	// retrainMinImprovement is how much lower (fractionally) the candidate's
+	// holdout RMSE must be than the base model's to be declared improved:
+	// promotion churn on statistical ties helps nobody.
+	retrainMinImprovement = 0.05
+)
 
 // RetrainReport describes one retraining attempt. RMSEs are in normalized
 // window space (unit-free), measured on the holdout slice both models never
@@ -77,7 +45,7 @@ type RetrainReport struct {
 	BaseRMSE       float64
 	CandidateRMSE  float64
 	// Improved is true when the candidate beat the base model by at least
-	// MinImprovement on the holdout — the promotion criterion.
+	// 5 % on the holdout — the promotion criterion.
 	Improved bool
 }
 
@@ -86,17 +54,17 @@ type RetrainReport struct {
 // model swapped out mid-train) and only the 14-parameter combiner is refit on
 // windows drawn from the given measured series segments (one segment per
 // metric of the device class — windows never straddle segment boundaries).
-// The trailing HoldoutFrac of every segment is held out; the candidate and
-// the base model are both scored on it, and Report.Improved says whether the
-// candidate earned promotion.
+// The trailing quarter of every segment is held out; the candidate and the
+// base model are both scored on it, and Report.Improved says whether the
+// candidate earned promotion. seed makes the fit deterministic (shuffle
+// order, weight init).
 //
 // The call runs beside a serving pipeline, so it leaves the allocator alone:
 // it allocates the datasets' backing arrays and the candidate — on the order
 // of a hundred objects whatever the sample count — and the fit itself
 // nothing. It reads the base model only through its read-only fused engine
 // and is safe to run while that model keeps serving predictions.
-func RetrainCombiner(base *Model, segments [][]float64, cfg RetrainConfig) (*Model, RetrainReport, error) {
-	cfg.fill()
+func RetrainCombiner(base *Model, segments [][]float64, seed int64) (*Model, RetrainReport, error) {
 	var rep RetrainReport
 	if base == nil || len(base.features) != NumStacked || base.combiner == nil {
 		return nil, rep, ErrNotTrained
@@ -109,14 +77,14 @@ func RetrainCombiner(base *Model, segments [][]float64, cfg RetrainConfig) (*Mod
 	var trainX, holdX [][]float64
 	var trainY, holdY []float64
 	for _, seg := range segments {
-		if cfg.MaxSamples > 0 && len(seg) > cfg.MaxSamples {
-			seg = seg[len(seg)-cfg.MaxSamples:]
+		if len(seg) > retrainMaxSamples {
+			seg = seg[len(seg)-retrainMaxSamples:]
 		}
 		xs, ys := Windows(seg, WindowSize)
 		if len(xs) == 0 {
 			continue
 		}
-		cut := len(xs) - int(math.Round(float64(len(xs))*cfg.HoldoutFrac))
+		cut := len(xs) - int(math.Round(float64(len(xs))*retrainHoldoutFrac))
 		if cut < 1 {
 			cut = 1
 		}
@@ -128,9 +96,9 @@ func RetrainCombiner(base *Model, segments [][]float64, cfg RetrainConfig) (*Mod
 		holdX = append(holdX, xs[cut:]...)
 		holdY = append(holdY, ys[cut:]...)
 	}
-	if len(trainX) < cfg.MinSamples || len(holdX) == 0 {
+	if len(trainX) < retrainMinSamples || len(holdX) == 0 {
 		return nil, rep, fmt.Errorf("%w: %d train / %d holdout windows, need >= %d / 1",
-			ErrInsufficientData, len(trainX), len(holdX), cfg.MinSamples)
+			ErrInsufficientData, len(trainX), len(holdX), retrainMinSamples)
 	}
 	rep.TrainWindows = len(trainX)
 	rep.HoldoutWindows = len(holdX)
@@ -145,13 +113,13 @@ func RetrainCombiner(base *Model, segments [][]float64, cfg RetrainConfig) (*Mod
 		d.Frozen = true
 		cand.features[i] = d
 	}
-	cand.combiner = nn.NewDense(combinerInputs, 1, nn.Identity, cfg.Seed+101)
+	cand.combiner = nn.NewDense(combinerInputs, 1, nn.Identity, seed+101)
 
 	// The candidate's heads are the base's, so the base engine supplies them.
 	seq := nn.NewSequential(cand.combiner)
 	if _, err := seq.Fit(combinerRows(baseEng, trainX), toTargets(trainY), nn.FitOptions{
-		Epochs: cfg.Epochs, BatchSize: cfg.BatchSize,
-		Optimizer: nn.NewAdam(cfg.LearningRate), Shuffle: true, Seed: cfg.Seed,
+		Epochs: retrainEpochs, BatchSize: retrainBatchSize,
+		Optimizer: nn.NewAdam(retrainLearningRate), Shuffle: true, Seed: seed,
 	}); err != nil {
 		return nil, rep, fmt.Errorf("delphi: retraining combiner: %w", err)
 	}
@@ -162,7 +130,7 @@ func RetrainCombiner(base *Model, segments [][]float64, cfg RetrainConfig) (*Mod
 	}
 	rep.BaseRMSE = holdoutRMSE(baseEng, holdX, holdY)
 	rep.CandidateRMSE = holdoutRMSE(candEng, holdX, holdY)
-	rep.Improved = rep.CandidateRMSE < rep.BaseRMSE*(1-cfg.MinImprovement)
+	rep.Improved = rep.CandidateRMSE < rep.BaseRMSE*(1-retrainMinImprovement)
 	return cand, rep, nil
 }
 

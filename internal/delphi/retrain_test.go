@@ -38,7 +38,7 @@ func TestRetrainCombinerImproves(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cand, rep, err := RetrainCombiner(base, squareSegments(128, 40, 60), RetrainConfig{Seed: 5})
+	cand, rep, err := RetrainCombiner(base, squareSegments(128, 40, 60), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,11 +69,11 @@ func TestRetrainCombinerImproves(t *testing.T) {
 // TestRetrainCombinerInsufficientData checks the typed error on thin
 // datasets so the trainer can re-enqueue instead of promoting garbage.
 func TestRetrainCombinerInsufficientData(t *testing.T) {
-	_, _, err := RetrainCombiner(trained(t), squareSegments(8, 50), RetrainConfig{Seed: 5})
+	_, _, err := RetrainCombiner(trained(t), squareSegments(8, 50), 5)
 	if !errors.Is(err, ErrInsufficientData) {
 		t.Fatalf("err = %v, want ErrInsufficientData", err)
 	}
-	if _, _, err := RetrainCombiner(trained(t), nil, RetrainConfig{Seed: 5}); !errors.Is(err, ErrInsufficientData) {
+	if _, _, err := RetrainCombiner(trained(t), nil, 5); !errors.Is(err, ErrInsufficientData) {
 		t.Fatalf("nil segments: err = %v, want ErrInsufficientData", err)
 	}
 }
@@ -84,11 +84,11 @@ func TestRetrainCombinerInsufficientData(t *testing.T) {
 func TestRetrainCombinerDeterministic(t *testing.T) {
 	base := trained(t)
 	segs := squareSegments(128, 40, 60)
-	c1, r1, err := RetrainCombiner(base, segs, RetrainConfig{Seed: 9})
+	c1, r1, err := RetrainCombiner(base, segs, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, r2, err := RetrainCombiner(base, segs, RetrainConfig{Seed: 9})
+	c2, r2, err := RetrainCombiner(base, segs, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestRetrainCombinerDeterministic(t *testing.T) {
 	}
 	// A different seed must be able to produce a different combiner (guards
 	// against the seed being ignored).
-	c3, _, err := RetrainCombiner(base, segs, RetrainConfig{Seed: 10})
+	c3, _, err := RetrainCombiner(base, segs, 10)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,7 @@ func TestRetrainAllocsIndependentOfSamples(t *testing.T) {
 	base := trained(t)
 	allocs := func(segs [][]float64) float64 {
 		return testing.AllocsPerRun(5, func() {
-			if _, _, err := RetrainCombiner(base, segs, RetrainConfig{Seed: 5}); err != nil {
+			if _, _, err := RetrainCombiner(base, segs, 5); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -50,7 +50,7 @@ func TestTrainGolden(t *testing.T) {
 	if got := modelHash(t, m); got != wantZero {
 		t.Errorf("zero-value options hash %s, want %s", got, wantZero)
 	}
-	cand, _, err := RetrainCombiner(trained(t), squareSegments(256, 40, 60), RetrainConfig{Seed: 5})
+	cand, _, err := RetrainCombiner(trained(t), squareSegments(256, 40, 60), 5)
 	if err != nil {
 		t.Fatal(err)
 	}

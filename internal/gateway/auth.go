@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"maps"
 	"net/http"
 	"strings"
 )
@@ -16,11 +17,7 @@ type authenticator struct {
 }
 
 func newAuthenticator(tokens map[string]string) *authenticator {
-	cp := make(map[string]string, len(tokens))
-	for t, p := range tokens {
-		cp[t] = p
-	}
-	return &authenticator{tokens: cp}
+	return &authenticator{tokens: maps.Clone(tokens)}
 }
 
 // principal authenticates r, returning the principal name. Tokens arrive as

@@ -355,8 +355,10 @@ func (r *recordingBackend) live() int {
 
 // TestBroadcasterChurn attaches, detaches, evicts and drains on one topic
 // while it is being published to. Whoever stays and reads sees an unbroken
-// run of stream IDs; when the last subscriber has left, the upstream cursor
-// is cancelled and no goroutine is left behind.
+// run of stream IDs — or, when the spinning publisher laps the broker's
+// retention under a cursor, a retryable unavailable end; when the last
+// subscriber has left, the upstream cursor is cancelled and no goroutine is
+// left behind.
 func TestBroadcasterChurn(t *testing.T) {
 	base := runtime.NumGoroutine()
 	reg := obs.NewRegistry()
@@ -407,7 +409,7 @@ func TestBroadcasterChurn(t *testing.T) {
 					for i := 0; i < 50; i++ {
 						fr, more := sub.Next(ctx)
 						if !more {
-							break // evicted after all: the publisher outran it
+							break // evicted after all, or overtaken: the publisher outran it
 						}
 						if last != 0 && fr.Tuple.StreamID != last+1 {
 							t.Errorf("stream ID %d after %d", fr.Tuple.StreamID, last)
@@ -423,7 +425,8 @@ func TestBroadcasterChurn(t *testing.T) {
 						sub.Close()
 						break
 					}
-					if fr := <-sub.Final(); fr.Type != apiv1.FrameError || !sub.Evicted() {
+					if fr := <-sub.Final(); fr.Type != apiv1.FrameError ||
+						!sub.Evicted() && fr.Error.Code != apiv1.CodeUnavailable {
 						t.Errorf("idle subscriber ended with %+v", fr)
 					}
 				case 2: // leaves at once
@@ -477,4 +480,156 @@ func TestBroadcasterChurn(t *testing.T) {
 		buf := make([]byte, 1<<16)
 		t.Fatalf("%d goroutines, %d before the test:\n%s", n, base, buf[:runtime.Stack(buf, true)])
 	}
+}
+
+// heldBackend hands out upstream cursors whose Next waits until release is
+// closed, so a test can let the publisher run ahead of a broadcaster.
+type heldBackend struct {
+	*BusBackend
+	release chan struct{}
+}
+
+func (h *heldBackend) Follow(ctx context.Context, metric string, afterID uint64) (stream.Cursor, error) {
+	cur, err := h.BusBackend.Follow(ctx, metric, afterID)
+	return heldCursor{cur, h.release}, err
+}
+
+type heldCursor struct {
+	stream.Cursor
+	release <-chan struct{}
+}
+
+func (c heldCursor) Next() ([]stream.Entry, error) {
+	<-c.release
+	return c.Cursor.Next()
+}
+
+// wantOvertaken reads sub's next frame and requires the retryable
+// unavailable end that retention overtaking a cursor gets, not a tuple.
+func wantOvertaken(t *testing.T, sub *Subscriber) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	fr, more := sub.Next(ctx)
+	if more || fr.Type != apiv1.FrameError || fr.Error.Code != apiv1.CodeUnavailable || !fr.Error.Retryable {
+		t.Fatalf("after retention overtook the cursor: %+v (tuple %+v) more=%v, want a retryable unavailable end", fr, fr.Tuple, more)
+	}
+	if sub.Evicted() {
+		t.Fatal("an overtaken subscriber is not a slow one")
+	}
+}
+
+// TestRetentionOvertakesBroadcaster: a publisher that laps broker retention
+// before the broadcaster reads its first run leaves the broadcaster's cursor
+// skipped to the oldest retained entry. That gap must not reach the ring: the
+// topic is dropped and every subscriber ends with a retryable unavailable
+// frame.
+func TestRetentionOvertakesBroadcaster(t *testing.T) {
+	b := stream.NewBroker(64)
+	defer b.Close()
+	backend := &heldBackend{NewBusBackend(b, 0), make(chan struct{})}
+	gw := New(backend, Config{QueueSize: 128}) // room for all that is retained: no eviction
+	defer gw.Close()
+	f := &fixture{broker: b, gw: gw}
+
+	var subs []*Subscriber
+	for i := 0; i < 2; i++ {
+		sub, err := gw.Attach(context.Background(), "p", "m.cap", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		subs = append(subs, sub)
+	}
+	f.publish(t, "m.cap", 200) // IDs 1..136 fall out of retention unread
+	close(backend.release)
+	for _, sub := range subs {
+		wantOvertaken(t, sub)
+	}
+}
+
+// TestRingLongerThanRetention: when the ring reaches further back than the
+// broker retains, a new broadcaster's first run starts at the oldest retained
+// entry. That is history aged out before anyone asked for it, not a gap in
+// the live stream: a resume point behind it starts at the oldest retained
+// entry, and the stream goes on live.
+func TestRingLongerThanRetention(t *testing.T) {
+	b := stream.NewBroker(64)
+	gw := New(NewBusBackend(b, 0), Config{QueueSize: 128})
+	t.Cleanup(func() {
+		gw.Close()
+		b.Close()
+	})
+	f := &fixture{broker: b, gw: gw}
+	f.publish(t, "m.cap", 200) // retained: 137..200; the ring would start at 72
+
+	sub, err := gw.Attach(context.Background(), "p", "m.cap", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	wantRun(t, drainIDs(t, sub, 64), 137)
+	f.publish(t, "m.cap", 10)
+	wantRun(t, drainIDs(t, sub, 10), 201)
+}
+
+// scriptedBackend serves the broker's cursors, except a subscriber's private
+// history cursor — the one opened at 0 — which replays runs.
+type scriptedBackend struct {
+	*BusBackend
+	runs [][]stream.Entry
+}
+
+func (s *scriptedBackend) Follow(ctx context.Context, metric string, afterID uint64) (stream.Cursor, error) {
+	if afterID != 0 {
+		return s.BusBackend.Follow(ctx, metric, afterID)
+	}
+	return &scriptedCursor{runs: s.runs}, nil
+}
+
+type scriptedCursor struct{ runs [][]stream.Entry }
+
+func (c *scriptedCursor) Next() ([]stream.Entry, error) {
+	if len(c.runs) == 0 {
+		return nil, stream.ErrClosed
+	}
+	run := c.runs[0]
+	c.runs = c.runs[1:]
+	return run, nil
+}
+
+// TestRetentionOvertakesHistory: a subscriber resuming behind retention
+// starts wherever its private cursor's first run does — the oldest retained
+// entry — but once it has read one, a run that skips ends it with a
+// retryable unavailable frame.
+func TestRetentionOvertakesHistory(t *testing.T) {
+	var runs [][]stream.Entry
+	for _, ids := range [][]uint64{{5, 6, 7}, {8, 9}, {20, 21}} {
+		var run []stream.Entry
+		for _, id := range ids {
+			p, err := telemetry.NewFact("m.cap", int64(id), float64(id)).MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			run = append(run, stream.Entry{ID: id, Payload: p})
+		}
+		runs = append(runs, run)
+	}
+	b := stream.NewBroker(0)
+	gw := New(&scriptedBackend{NewBusBackend(b, 0), runs}, Config{QueueSize: 4})
+	t.Cleanup(func() {
+		gw.Close()
+		b.Close()
+	})
+	f := &fixture{broker: b, gw: gw}
+	f.publish(t, "m.cap", 40) // the ring starts at 36, far ahead of the script
+
+	sub, err := gw.Attach(context.Background(), "late", "m.cap", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sub.hist == nil {
+		t.Fatal("a subscriber behind the ring should start on a private cursor")
+	}
+	wantRun(t, drainIDs(t, sub, 5), 5)
+	wantOvertaken(t, sub)
 }

@@ -475,7 +475,7 @@ func TestBindTimeErrorsAreBadRequests(t *testing.T) {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
 	_, err := f.backend.Query("SELECT Value FROM m.cap LIMIT 0")
-	if hits := f.planHits.Value(); err == nil || hits != 1 || !isParseError(err) {
+	if hits := f.planHits.Value(); err == nil || hits != 1 || apiError(err).Code != apiv1.CodeBadRequest {
 		t.Fatalf("LIMIT 0 on a cached shape: err %v, %d cache hits", err, hits)
 	}
 	resp, body := f.do(t, "POST", apiv1.PathQuery, "", `{"query":"SELECT Value FROM m.cap LIMIT 0"}`)

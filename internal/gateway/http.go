@@ -47,18 +47,11 @@ func apiError(err error) *apiv1.Error {
 		return apiv1.Errorf(apiv1.CodeNoSuchMetric, false, "%v", err)
 	case errors.Is(err, ErrUnavailable):
 		return apiv1.Errorf(apiv1.CodeUnavailable, true, "%v", err)
-	case isParseError(err):
+	case strings.HasPrefix(err.Error(), "aqe:"): // the AQE front end: user input, not server fault
 		return apiv1.Errorf(apiv1.CodeBadRequest, false, "%v", err)
 	default:
 		return apiv1.Errorf(apiv1.CodeInternal, false, "%v", err)
 	}
-}
-
-// isParseError reports whether err came out of the AQE front end rather
-// than execution — user input, not server fault.
-func isParseError(err error) bool {
-	s := err.Error()
-	return strings.HasPrefix(s, "aqe:")
 }
 
 func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {

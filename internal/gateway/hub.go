@@ -127,8 +127,21 @@ func (h *hub) startTopic(metric string, afterID uint64) (*topic, error) {
 		ring: make([]*frame, h.queueSize), floor: start, subs: make(map[*Subscriber]struct{})}
 	h.topics[metric] = t
 	h.obsTopics.Set(float64(len(h.topics)))
-	go t.run(cur)
+	go t.run(cur, start, tail)
 	return t, nil
+}
+
+// goaway ends a subscription the server closes gracefully.
+var goaway = apiv1.Frame{Type: apiv1.FrameGoaway,
+	Error: apiv1.Errorf(apiv1.CodeDraining, true, "subscription closed by server")}
+
+// overtaken ends a subscription whose cursor retention overtook: the entries
+// after last were dropped before they were read, and the stream went on at
+// next. Retryable: a resume point behind retention starts at the oldest
+// retained entry.
+func overtaken(metric string, last, next uint64) apiv1.Frame {
+	return apiv1.Frame{Type: apiv1.FrameError, Error: apiv1.Errorf(apiv1.CodeUnavailable, true,
+		"stream %q lost IDs %d..%d to retention before they were read", metric, last+1, next-1)}
 }
 
 // dropTopic forgets t, so that nobody new joins it, and ends its upstream
@@ -143,10 +156,22 @@ func (h *hub) dropTopic(t *topic) {
 
 // run is the broadcaster: one decode, one encode and one ring append per
 // entry, whatever the number of subscribers. Upstream ends when the topic is
-// dropped (last subscriber gone, or drain) or when the bus closes.
-func (t *topic) run(cur stream.Cursor) {
+// dropped (last subscriber gone, or drain), when the bus closes, or when
+// retention overtakes the cursor: every run must start right after the last
+// one, the first right after start — or, when the ring reaches further back
+// than retention, anywhere up to the tail seen at start: history that aged
+// out before anyone read it, which no reader could have had. Any other skip
+// lost entries the ring's readers were promised, and ends every subscriber
+// with a retryable unavailable frame.
+func (t *topic) run(cur stream.Cursor, last, tail uint64) {
 	defer close(t.done)
+	fin := goaway
 	for run, err := cur.Next(); err == nil; run, err = cur.Next() {
+		if first := run[0].ID; first != last+1 && first > tail+1 {
+			fin = overtaken(t.metric, last, first)
+			break
+		}
+		last, tail = run[len(run)-1].ID, 0
 		for _, e := range run {
 			if f := t.hub.encode(e); f != nil {
 				t.publish(f)
@@ -163,7 +188,7 @@ func (t *topic) run(cur stream.Cursor) {
 	}
 	t.mu.Unlock()
 	for _, s := range left {
-		s.Close()
+		s.finish(fin)
 	}
 }
 
@@ -193,7 +218,8 @@ func (t *topic) publish(f *frame) {
 	}
 	t.mu.Unlock()
 	for _, s := range slow {
-		s.finish(true)
+		s.finish(apiv1.Frame{Type: apiv1.FrameError, Error: apiv1.Errorf(apiv1.CodeSlowConsumer, true,
+			"subscriber for %q fell %d frames behind the live tail", t.metric, n)})
 	}
 }
 
@@ -252,6 +278,7 @@ type Subscriber struct {
 	// not being slow. Touched by the draining goroutine only; nil otherwise.
 	hist     stream.Cursor
 	histRun  []stream.Entry // what is left of the cursor's last run
+	histLast uint64         // ID of the last entry pulled, 0 before the first
 	histStop context.CancelFunc
 
 	framesOnce sync.Once
@@ -339,17 +366,13 @@ func (h *hub) drain(ctx context.Context) {
 	}
 }
 
-// finish ends the subscription once, as a slow-consumer eviction or else
-// gracefully. It detaches before it queues the terminal frame, so whoever
-// reads that frame finds the hub already without the subscriber.
-func (s *Subscriber) finish(evicted bool) {
+// finish ends the subscription once with the terminal frame f; a
+// slow_consumer one is an eviction. It detaches before it queues f, so
+// whoever reads that frame finds the hub already without the subscriber.
+func (s *Subscriber) finish(f apiv1.Frame) {
 	s.once.Do(func() {
 		h := s.topic.hub
-		f := apiv1.Frame{Type: apiv1.FrameGoaway, Error: apiv1.Errorf(
-			apiv1.CodeDraining, true, "subscription closed by server")}
-		if evicted {
-			f = apiv1.Frame{Type: apiv1.FrameError, Error: apiv1.Errorf(apiv1.CodeSlowConsumer, true,
-				"subscriber for %q fell %d frames behind the live tail", s.topic.metric, len(s.topic.ring))}
+		if f.Error.Code == apiv1.CodeSlowConsumer {
 			s.evicted.Store(true)
 			h.obsEvicted.Inc()
 		}
@@ -360,13 +383,15 @@ func (s *Subscriber) finish(evicted bool) {
 }
 
 // Close detaches the subscriber (client went away).
-func (s *Subscriber) Close() { s.finish(false) }
+func (s *Subscriber) Close() { s.finish(goaway) }
 
 // pull returns the next frame of retained history (nil for an entry that is
 // not part of the contract) and joins the ring once the private cursor has
 // reached it. History is there to be read, so this blocks only under the
 // subscriber's own context, whose end — like the bus closing — takes the
-// subscriber off the cursor.
+// subscriber off the cursor. The first entry may lie past a resume point that
+// retention had already dropped; after it, a skip ends the subscription the
+// way the broadcaster's does.
 func (s *Subscriber) pull() *frame {
 	if len(s.histRun) == 0 {
 		run, err := s.hist.Next()
@@ -375,10 +400,16 @@ func (s *Subscriber) pull() *frame {
 			s.Close()
 			return nil
 		}
+		if s.histLast != 0 && run[0].ID != s.histLast+1 {
+			s.hist = nil
+			s.finish(overtaken(s.topic.metric, s.histLast, run[0].ID))
+			return nil
+		}
 		s.histRun = run
 	}
 	e, t := s.histRun[0], s.topic
 	s.histRun = s.histRun[1:]
+	s.histLast = e.ID
 	t.mu.Lock()
 	joined := t.join(s, e.ID)
 	t.mu.Unlock()

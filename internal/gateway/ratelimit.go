@@ -51,10 +51,7 @@ func (l *limiter) allow(principal string) (wait time.Duration, ok bool) {
 		l.buckets[principal] = b
 	}
 	if dt := now.Sub(b.last); dt > 0 {
-		b.tokens += dt.Seconds() * l.rate
-		if b.tokens > l.burst {
-			b.tokens = l.burst
-		}
+		b.tokens = min(b.tokens+dt.Seconds()*l.rate, l.burst)
 	}
 	b.last = now
 	if b.tokens >= 1 {

@@ -170,10 +170,7 @@ func (c *wsConn) writeFrame(opcode byte, payload []byte) error {
 
 // writeClose sends a close frame with status and reason (best effort).
 func (c *wsConn) writeClose(status int, reason string) {
-	payload := make([]byte, 2+len(reason))
-	binary.BigEndian.PutUint16(payload, uint16(status))
-	copy(payload[2:], reason)
-	c.writeFrame(wsOpClose, payload)
+	c.writeFrame(wsOpClose, append(binary.BigEndian.AppendUint16(nil, uint16(status)), reason...))
 }
 
 // readLoop consumes client frames: pings are answered, a close frame (or
@@ -210,16 +207,13 @@ func wsReadFrame(r *bufio.Reader) (opcode byte, payload []byte, err error) {
 	opcode = h[0] & 0x0F
 	masked := h[1]&0x80 != 0
 	length := uint64(h[1] & 0x7F)
-	switch length {
-	case 126:
-		var ext [2]byte
-		if _, err := io.ReadFull(r, ext[:]); err != nil {
-			return 0, nil, err
-		}
-		length = uint64(binary.BigEndian.Uint16(ext[:]))
-	case 127:
+	if length >= 126 { // an extended length follows: 16 bits for 126, 64 for 127
 		var ext [8]byte
-		if _, err := io.ReadFull(r, ext[:]); err != nil {
+		n := 2
+		if length == 127 {
+			n = 8
+		}
+		if _, err := io.ReadFull(r, ext[8-n:]); err != nil {
 			return 0, nil, err
 		}
 		length = binary.BigEndian.Uint64(ext[:])

@@ -41,7 +41,7 @@ func TestFactVertexDriftFallback(t *testing.T) {
 	}
 
 	online := delphi.NewOnline(model)
-	det := delphi.NewDetector(delphi.DriftConfig{})
+	det := delphi.NewDetector()
 	var drifted []telemetry.MetricID
 	reg := obs.NewRegistry()
 	bus := stream.NewBroker(0)

@@ -6,9 +6,12 @@
 # the Fig. 13 middleware engines, workload generators, trace replay), harness
 # is the simulation layer tests run on, product is everything a daemon or the
 # CLI can link (reach_test.go and verify.sh's layering check draw the same
-# line). ROADMAP item 4's target is stated on product. Last, the exported
+# line). ROADMAP item 4's target is stated on product. Then the exported
 # surface of the same files plus api/: package-level names (func, type, and
-# the names a var/const/type block declares) and methods.
+# the names a var/const/type block declares) and methods. Last, the knobs:
+# settable config values are the exported fields of the product's exported
+# struct types named Config or Options or ending in either, plus its exported
+# With* option functions.
 set -eu
 cd "$(dirname "$0")/.."
 find internal apollo -name '*.go' ! -name '*_test.go' -print0 | xargs -0 awk '
@@ -27,3 +30,16 @@ find internal apollo api -name '*.go' ! -name '*_test.go' -print0 | xargs -0 awk
     /^\)/ { block = 0 }
     block && /^\t[A-Z][A-Za-z0-9_]*( |,|$)/ { names++ }
     END { printf "%7d exported package-level names\n%7d exported methods\n", names, methods }'
+find internal apollo -name '*.go' ! -name '*_test.go' | grep -vE '^internal/(figures|ldms|middleware|workloads|trace|sim)/' | xargs awk '
+    FNR == 1 { depth = 0; block = 0 }
+    /^type \($/ { block = 1; next }
+    block && /^\)/ { block = 0 }
+    depth == 0 && (/^type ([A-Z][A-Za-z0-9_]*)?(Config|Options) struct \{$/ ||
+        block && /^\t([A-Z][A-Za-z0-9_]*)?(Config|Options) struct \{$/) { depth = 1; next }
+    depth == 1 && /^\t[A-Z][A-Za-z0-9_]*(, [A-Z][A-Za-z0-9_]*)*( |$)/ {
+        s = $0; fields++
+        while (sub(/^\t?[A-Za-z0-9_]+, /, "", s)) fields++
+    }
+    depth > 0 { depth += gsub(/\{/, "{") - gsub(/\}/, "}") }
+    /^func With[A-Z]/ { withs++ }
+    END { printf "%7d settable config values (%d config fields, %d With* options)\n", fields + withs, fields, withs }'

@@ -36,13 +36,13 @@ go test ./...
 # Two-core pass: lock convoys and scheduler-dependent waits that a big host
 # hides (a sweep behind 160 spinning observers, a parked cursor whose wake was
 # lost — TestCursorNeverMissesAWake races publish, cancel and Close against
-# the park — an insight's input goroutines queued on its actor lock) show as
-# timeouts here.
-echo "==> GOMAXPROCS=2 go test -count=3 ./internal/delphi/ ./internal/gateway/ ./internal/stream/ ./internal/score/"
-GOMAXPROCS=2 go test -count=3 ./internal/delphi/ ./internal/gateway/ ./internal/stream/ ./internal/score/
+# the park — an insight's input goroutines queued on its actor lock, a device
+# class's sweeps against its promotions) show as timeouts here.
+echo "==> GOMAXPROCS=2 go test -count=3 ./internal/delphi/ ./internal/gateway/ ./internal/stream/ ./internal/score/ ./internal/core/..."
+GOMAXPROCS=2 go test -count=3 ./internal/delphi/ ./internal/gateway/ ./internal/stream/ ./internal/score/ ./internal/core/...
 
-echo "==> go test -race ./internal/stream/... ./internal/queue/... ./internal/obs/... ./internal/archive/... ./internal/aqe/... ./internal/sim/... ./internal/gateway/... ./internal/delphi/... ./internal/nn/... ./api/..."
-go test -race ./internal/stream/... ./internal/queue/... ./internal/obs/... ./internal/archive/... ./internal/aqe/... ./internal/sim/... ./internal/gateway/... ./internal/delphi/... ./internal/nn/... ./api/...
+echo "==> go test -race ./internal/stream/... ./internal/queue/... ./internal/obs/... ./internal/archive/... ./internal/aqe/... ./internal/sim/... ./internal/gateway/... ./internal/delphi/... ./internal/nn/... ./internal/core/... ./api/..."
+go test -race ./internal/stream/... ./internal/queue/... ./internal/obs/... ./internal/archive/... ./internal/aqe/... ./internal/sim/... ./internal/gateway/... ./internal/delphi/... ./internal/nn/... ./internal/core/... ./api/...
 
 # The vertex package three times over: its goroutine-leak checks count
 # goroutines, and a count is only trustworthy if it holds when the package's
