@@ -2,6 +2,7 @@ package figures
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/delphi"
@@ -141,15 +142,6 @@ func Fig11(opts Options) (*Table, error) {
 	return t, nil
 }
 
-// wrap converts scalar targets for nn.Fit.
-func wrap(ys []float64) [][]float64 {
-	out := make([][]float64, len(ys))
-	for i, y := range ys {
-		out[i] = []float64{y}
-	}
-	return out
-}
-
 // seriesStats returns mean and standard deviation.
 func seriesStats(s []float64) (mean, sd float64) {
 	for _, v := range s {
@@ -159,7 +151,7 @@ func seriesStats(s []float64) (mean, sd float64) {
 	for _, v := range s {
 		sd += (v - mean) * (v - mean)
 	}
-	sd = sqrt(sd / float64(len(s)))
+	sd = math.Sqrt(sd / float64(len(s)))
 	if sd == 0 {
 		sd = 1
 	}
@@ -209,22 +201,11 @@ func scoreRaw(preds, truth []float64) (rmse, r2 float64) {
 		tt := truth[i] - mean
 		sst += tt * tt
 	}
-	rmse = sqrt(sse / float64(len(truth)))
+	rmse = math.Sqrt(sse / float64(len(truth)))
 	if sst > 0 {
 		r2 = 1 - sse/sst
 	} else if sse == 0 {
 		r2 = 1
 	}
 	return rmse, r2
-}
-
-func sqrt(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	z := x
-	for i := 0; i < 40; i++ {
-		z = (z + x/z) / 2
-	}
-	return z
 }

@@ -1,10 +1,10 @@
 // Package figures regenerates every figure of the paper's evaluation
 // (§4, Figures 3c through 13) against the simulated substrates. Each
 // FigXX function returns a Table whose rows mirror the series the paper
-// plots; cmd/apollo-bench prints them and the repository-root benchmarks
-// wrap them. Absolute numbers differ from the Ares testbed; the shapes
-// (who wins, by what factor, where crossovers fall) are the reproduction
-// target — EXPERIMENTS.md records paper-vs-measured for each.
+// plots; cmd/apollo-figures prints them, and TestFiguresReproduce checks
+// each against the paper's claim. Absolute numbers differ from the Ares
+// testbed; the shapes (who wins, by what factor, where crossovers fall) are
+// the reproduction target — EXPERIMENTS.md records paper-vs-measured for each.
 package figures
 
 import (
@@ -69,7 +69,7 @@ func f(v float64) string { return fmt.Sprintf("%.4g", v) }
 // Options tunes figure generation cost.
 type Options struct {
 	// Quick shrinks workload sizes so every figure regenerates in seconds
-	// (used by tests and -short benches). Full mode matches the paper's
+	// (used by the tests). Full mode matches the paper's
 	// parameters where feasible on one machine.
 	Quick bool
 	// Seed makes stochastic workloads reproducible.

@@ -3,6 +3,8 @@ package figures
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"slices"
 	"time"
 
 	"repro/internal/score"
@@ -22,7 +24,9 @@ func publishFact(bus *stream.Broker, id telemetry.MetricID, ts int64, v float64)
 }
 
 // waitValue polls an executor until its latest value matches want (within
-// 1e-9) and returns the elapsed time.
+// 1e-9) and returns the elapsed time. It yields rather than sleeps between
+// polls: a sub-millisecond sleep can last a whole millisecond once the
+// runtime parks, which is larger than the latency being measured.
 func waitValue(ex score.Executor, want float64, timeout time.Duration) (time.Duration, error) {
 	start := time.Now()
 	for time.Since(start) < timeout {
@@ -32,9 +36,16 @@ func waitValue(ex score.Executor, want float64, timeout time.Duration) (time.Dur
 				return time.Since(start), nil
 			}
 		}
-		time.Sleep(20 * time.Microsecond)
+		runtime.Gosched()
 	}
 	return 0, fmt.Errorf("figures: value %g never arrived within %v", want, timeout)
+}
+
+// median returns the middle of lats, so one round that pays a goroutine's
+// first wake-up does not stand for the whole series.
+func median(lats []time.Duration) time.Duration {
+	slices.Sort(lats)
+	return lats[len(lats)/2]
 }
 
 // Fig7a reproduces the node-degree study (§4.2.4): one Insight Curator
@@ -53,7 +64,9 @@ func Fig7a(opts Options) (*Table, error) {
 		nodeCounts = []int{1, 4}
 		perNode = 10
 	}
-	rounds := opts.pick(5, 20)
+	// Rounds cost tens of microseconds each, so quick mode keeps all 20: a
+	// median of fewer is one scheduler hiccup away from reordering the rows.
+	rounds := 20
 	for _, nodes := range nodeCounts {
 		degree := nodes * perNode
 		bus := stream.NewBroker(1 << 12)
@@ -78,7 +91,7 @@ func Fig7a(opts Options) (*Table, error) {
 		if err := iv.Start(); err != nil {
 			return nil, err
 		}
-		var total time.Duration
+		var lats []time.Duration
 		for r := 1; r <= rounds; r++ {
 			// Update every input; the insight must converge to the new sum.
 			want := float64(r * degree)
@@ -91,15 +104,15 @@ func Fig7a(opts Options) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			total += lat
+			lats = append(lats, lat)
 		}
 		iv.Stop()
 		bus.Close()
-		avg := total / time.Duration(rounds)
-		t.AddRow(fmt.Sprint(nodes), fmt.Sprint(degree), f(float64(avg.Nanoseconds())/1e3))
+		t.AddRow(fmt.Sprint(nodes), fmt.Sprint(degree), f(float64(median(lats).Nanoseconds())/1e3))
 	}
 	t.Notes = append(t.Notes,
-		"paper: latency increases with node degree until an upper bound; handling facts is much cheaper than monitoring")
+		"paper: latency increases with node degree until an upper bound; handling facts is much cheaper than monitoring",
+		fmt.Sprintf("latency_us is the median of %d rounds", rounds))
 	return t, nil
 }
 
@@ -117,7 +130,7 @@ func Fig7b(opts Options) (*Table, error) {
 		depths = []int{1, 4, 8}
 	}
 	sources := opts.pick(8, 32)
-	rounds := opts.pick(5, 20)
+	rounds := 20 // as in Fig7a
 	for _, depth := range depths {
 		bus := stream.NewBroker(1 << 12)
 		srcIDs := make([]telemetry.MetricID, sources)
@@ -151,7 +164,7 @@ func Fig7b(opts Options) (*Table, error) {
 			}
 		}
 		sink := layers[len(layers)-1]
-		var total time.Duration
+		var lats []time.Duration
 		for r := 1; r <= rounds; r++ {
 			want := float64(r * sources) // each layer sums a single input upward
 			for _, id := range srcIDs {
@@ -163,16 +176,16 @@ func Fig7b(opts Options) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			total += lat
+			lats = append(lats, lat)
 		}
 		for _, l := range layers {
 			l.Stop()
 		}
 		bus.Close()
-		avg := total / time.Duration(rounds)
-		t.AddRow(fmt.Sprint(depth), f(float64(avg.Nanoseconds())/1e3))
+		t.AddRow(fmt.Sprint(depth), f(float64(median(lats).Nanoseconds())/1e3))
 	}
 	t.Notes = append(t.Notes,
-		"paper: latency increases with Hamming distance and spikes at the maximum depth")
+		"paper: latency increases with Hamming distance and spikes at the maximum depth",
+		fmt.Sprintf("latency_us is the median of %d rounds", rounds))
 	return t, nil
 }

@@ -30,7 +30,7 @@ type mwFixture struct {
 // capacity and the view polls the device's Fact Vertex when its sample is
 // stale, then reads the vertex queue — placement pays the real Apollo
 // access path.
-func newMWFixture(opts Options, apolloView bool) (*mwFixture, error) {
+func newMWFixture(apolloView bool) (*mwFixture, error) {
 	c := cluster.New(time.Unix(0, 0))
 	var buffers []*middleware.Target
 	for i := 0; i < 4; i++ {
@@ -118,8 +118,8 @@ func (fx *mwFixture) close() {
 }
 
 // runMW executes one engine+policy combination on a fresh fixture.
-func runMW(opts Options, k workloads.Kernel, engine string, policy middleware.Policy) (middleware.Report, error) {
-	fix, err := newMWFixture(opts, policy == middleware.ApolloAware)
+func runMW(k workloads.Kernel, engine string, policy middleware.Policy) (middleware.Report, error) {
+	fix, err := newMWFixture(policy == middleware.ApolloAware)
 	if err != nil {
 		return middleware.Report{}, err
 	}
@@ -136,13 +136,11 @@ func runMW(opts Options, k workloads.Kernel, engine string, policy middleware.Po
 	}
 }
 
-// scaleKernel keeps the full kernel: the engines coalesce chunks, so even
-// the 1.3 TB VPIC run costs only hundreds of simulated placements. (The
-// volume must overflow the fast tiers for the stall dynamics to appear.)
-func scaleKernel(_ Options, k workloads.Kernel) workloads.Kernel { return k }
-
-// figMW renders the three-policy comparison for one engine and kernel.
-func figMW(opts Options, id, title, engine string, k workloads.Kernel) (*Table, error) {
+// figMW renders the three-policy comparison for one engine and kernel. Quick
+// mode runs the full kernel too: the engines coalesce chunks, so even the
+// 1.3 TB VPIC run costs only hundreds of simulated placements, and the volume
+// must overflow the fast tiers for the stall dynamics to appear.
+func figMW(id, title, engine string, k workloads.Kernel) (*Table, error) {
 	t := &Table{
 		ID:      id,
 		Title:   title,
@@ -150,7 +148,7 @@ func figMW(opts Options, id, title, engine string, k workloads.Kernel) (*Table, 
 	}
 	var base, rrTime, apTime time.Duration
 	for _, policy := range []middleware.Policy{middleware.PFSOnly, middleware.RoundRobin, middleware.ApolloAware} {
-		rep, err := runMW(opts, k, engine, policy)
+		rep, err := runMW(k, engine, policy)
 		if err != nil {
 			return nil, err
 		}
@@ -175,30 +173,28 @@ func figMW(opts Options, id, title, engine string, k workloads.Kernel) (*Table, 
 
 // Fig13a: HDPE on the VPIC-IO write kernel. Paper: HDPE 2.3x over PFS;
 // Apollo +18% over round-robin.
-func Fig13a(opts Options) (*Table, error) {
-	return figMW(opts, "13a", "Apollo + Data Placement Engine on VPIC-IO (write)",
-		"hdpe", scaleKernel(opts, workloads.VPIC))
+func Fig13a(Options) (*Table, error) {
+	return figMW("13a", "Apollo + Data Placement Engine on VPIC-IO (write)", "hdpe", workloads.VPIC)
 }
 
 // Fig13b: HDFE on the Montage read kernel. Paper: HDFE 33% over PFS;
 // Apollo +16% over round-robin.
-func Fig13b(opts Options) (*Table, error) {
-	return figMW(opts, "13b", "Apollo + Data Prefetching Engine on Montage (read)",
-		"hdfe", scaleKernel(opts, workloads.Montage))
+func Fig13b(Options) (*Table, error) {
+	return figMW("13b", "Apollo + Data Prefetching Engine on Montage (read)", "hdfe", workloads.Montage)
 }
 
 // Fig13c: HDRE writing VPIC (3x replication costs write time) and reading
 // BD-CATS (replicas improve read time); Apollo ~+12% on both via capacity-
 // and latency-aware replica-set selection.
-func Fig13c(opts Options) (*Table, error) {
+func Fig13c(Options) (*Table, error) {
 	t := &Table{
 		ID:      "13c",
 		Title:   "Apollo + Data Replication Engine: VPIC write / BD-CATS read",
 		Columns: []string{"policy", "vpic_write_time", "bdcats_read_time", "write_stalls"},
 	}
-	k := scaleKernel(opts, workloads.Kernel{Name: "vpic-rep", BytesPerProcPerStep: 8 << 20, Steps: 16, Procs: 2560})
+	k := workloads.Kernel{Name: "vpic-rep", BytesPerProcPerStep: 8 << 20, Steps: 16, Procs: 2560}
 	for _, policy := range []middleware.Policy{middleware.PFSOnly, middleware.RoundRobin, middleware.ApolloAware} {
-		fix, err := newMWFixture(opts, policy == middleware.ApolloAware)
+		fix, err := newMWFixture(policy == middleware.ApolloAware)
 		if err != nil {
 			return nil, err
 		}

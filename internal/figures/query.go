@@ -79,9 +79,11 @@ func resourceQuery(complexity, nodes, round int) string {
 	return q
 }
 
-// measureQueries returns the average execution latency of count queries.
+// measureQueries returns the median execution latency of count queries. A
+// query takes microseconds, so one preemption or GC pause would move a mean
+// by more than the node count or the complexity does.
 func measureQueries(eng *aqe.Engine, complexity, nodes, count int) (time.Duration, error) {
-	var total time.Duration
+	lats := make([]time.Duration, 0, count)
 	for r := 0; r < count; r++ {
 		q, err := aqe.Parse(resourceQuery(complexity, nodes, r))
 		if err != nil {
@@ -91,18 +93,18 @@ func measureQueries(eng *aqe.Engine, complexity, nodes, count int) (time.Duratio
 		if _, err := eng.Execute(q); err != nil {
 			return 0, err
 		}
-		total += time.Since(t0)
+		lats = append(lats, time.Since(t0))
 	}
-	return total / time.Duration(count), nil
+	return median(lats), nil
 }
 
-// Fig12a reproduces the latency-scaling study: average resource-query
+// Fig12a reproduces the latency-scaling study: median resource-query
 // latency at complexity 3 while the middleware manages 1..16 nodes. The
 // paper finds Apollo ~3.5x lower latency than LDMS.
 func Fig12a(opts Options) (*Table, error) {
 	t := &Table{
 		ID:      "12a",
-		Title:   "Average request latency when scaling nodes (complexity 3)",
+		Title:   "Median request latency when scaling nodes (complexity 3)",
 		Columns: []string{"nodes", "apollo_us", "ldms_us", "speedup"},
 	}
 	nodeCounts := []int{1, 2, 4, 8, 16}
@@ -139,7 +141,7 @@ func Fig12a(opts Options) (*Table, error) {
 func Fig12b(opts Options) (*Table, error) {
 	t := &Table{
 		ID:      "12b",
-		Title:   "Query execution time when scaling complexity (16 nodes)",
+		Title:   "Median query execution time when scaling complexity (16 nodes)",
 		Columns: []string{"complexity", "apollo_us", "ldms_us", "speedup"},
 	}
 	nodes := 16
@@ -203,32 +205,11 @@ func Fig12c(opts Options) (*Table, error) {
 	if err := svc.Start(); err != nil {
 		return nil, err
 	}
-	// Query client at complexity 3 against Apollo during the window.
-	stopQ := make(chan struct{})
-	doneQ := make(chan struct{})
-	var apolloQueryBusy time.Duration
-	go func() {
-		defer close(doneQ)
-		r := 0
-		for {
-			select {
-			case <-stopQ:
-				return
-			default:
-			}
-			q := "SELECT MAX(Timestamp), metric FROM " + fmt.Sprintf("node_%d_memory_capacity", r%nodes+1) +
-				" UNION SELECT MAX(Timestamp), metric FROM " + fmt.Sprintf("node_%d_memory_capacity", (r+1)%nodes+1) +
-				" UNION SELECT MAX(Timestamp), metric FROM " + fmt.Sprintf("node_%d_memory_capacity", (r+2)%nodes+1)
-			t0 := time.Now()
-			svc.Query(q)
-			apolloQueryBusy += time.Since(t0)
-			r++
-			time.Sleep(2 * time.Millisecond)
-		}
-	}()
-	time.Sleep(window)
-	close(stopQ)
-	<-doneQ
+	apolloQueryBusy, err := queryClient(svc.Engine(), nodes, window)
+	if err != nil {
+		svc.Stop()
+		return nil, err
+	}
 	var apolloBusy time.Duration
 	var apolloPolls uint64
 	for _, v := range vertices {
@@ -239,7 +220,7 @@ func Fig12c(opts Options) (*Table, error) {
 	svc.Stop()
 
 	// LDMS: fixed-interval samplers over the centralized store, queried by
-	// the same client through AQE.
+	// the same client.
 	lsvc := ldms.NewService()
 	for n := 1; n <= nodes; n++ {
 		lsvc.AddSampler(newHook(n), interval, nil)
@@ -247,32 +228,16 @@ func Fig12c(opts Options) (*Table, error) {
 	if err := lsvc.Start(); err != nil {
 		return nil, err
 	}
-	leng := aqe.NewEngine(ldms.Resolver{Store: lsvc.Store})
-	stopQ2 := make(chan struct{})
-	doneQ2 := make(chan struct{})
-	var ldmsQueryBusy time.Duration
-	go func() {
-		defer close(doneQ2)
-		r := 0
-		for {
-			select {
-			case <-stopQ2:
-				return
-			default:
-			}
-			q := "SELECT MAX(Timestamp), metric FROM " + fmt.Sprintf("node_%d_memory_capacity", r%nodes+1) +
-				" UNION SELECT MAX(Timestamp), metric FROM " + fmt.Sprintf("node_%d_memory_capacity", (r+1)%nodes+1) +
-				" UNION SELECT MAX(Timestamp), metric FROM " + fmt.Sprintf("node_%d_memory_capacity", (r+2)%nodes+1)
-			t0 := time.Now()
-			leng.Execute(mustParse(q))
-			ldmsQueryBusy += time.Since(t0)
-			r++
-			time.Sleep(2 * time.Millisecond)
-		}
-	}()
-	time.Sleep(window)
-	close(stopQ2)
-	<-doneQ2
+	// A table exists from its sampler's first poll, which Start runs at once;
+	// a query before it fails.
+	for lsvc.Store.Tables() < nodes {
+		time.Sleep(100 * time.Microsecond)
+	}
+	ldmsQueryBusy, err := queryClient(aqe.NewEngine(ldms.Resolver{Store: lsvc.Store}), nodes, window)
+	if err != nil {
+		lsvc.Stop()
+		return nil, err
+	}
 	ldmsPolls := lsvc.Polls()
 	lsvc.Stop()
 	// LDMS sampler busy time: polls carry the same hook cost; store inserts
@@ -292,19 +257,30 @@ func Fig12c(opts Options) (*Table, error) {
 	return t, nil
 }
 
+// queryClient is Fig. 12(c)'s query client, the same for both services: for
+// window it issues a complexity-3 union over the nodes' memory-capacity tables
+// every 2 ms through eng.Query (plan cache included) and returns the time
+// spent inside Query.
+func queryClient(eng *aqe.Engine, nodes int, window time.Duration) (time.Duration, error) {
+	var busy time.Duration
+	for r, end := 0, time.Now().Add(window); time.Now().Before(end); r++ {
+		q := "SELECT MAX(Timestamp), metric FROM " + fmt.Sprintf("node_%d_memory_capacity", r%nodes+1) +
+			" UNION SELECT MAX(Timestamp), metric FROM " + fmt.Sprintf("node_%d_memory_capacity", (r+1)%nodes+1) +
+			" UNION SELECT MAX(Timestamp), metric FROM " + fmt.Sprintf("node_%d_memory_capacity", (r+2)%nodes+1)
+		t0 := time.Now()
+		if _, err := eng.Query(q); err != nil {
+			return 0, err
+		}
+		busy += time.Since(t0)
+		time.Sleep(2 * time.Millisecond)
+	}
+	return busy, nil
+}
+
 // apolloFixedInterval builds an adaptive.Config whose fixed mode polls at d.
 func apolloFixedInterval(d time.Duration) adaptive.Config {
 	cfg := adaptive.DefaultConfig()
 	cfg.Initial = d
 	cfg.Min = d
 	return cfg
-}
-
-// mustParse parses a known-good query.
-func mustParse(q string) *aqe.Query {
-	p, err := aqe.Parse(q)
-	if err != nil {
-		panic(err)
-	}
-	return p
 }

@@ -19,7 +19,9 @@ func Fig6a(opts Options) (*Table, error) {
 		Title:   "Publish throughput vs client threads (16B events over TCP)",
 		Columns: []string{"client_threads", "events_per_sec"},
 	}
-	eventsPerThread := opts.pick(400, 4000)
+	// Quick mode's 1-thread row still lasts several milliseconds, longer
+	// than one scheduler preemption on a loaded host.
+	eventsPerThread := opts.pick(1000, 4000)
 	threadCounts := []int{1, 2, 4, 8, 16, 24, 32, 40}
 	if opts.Quick {
 		threadCounts = []int{1, 4, 16, 40}

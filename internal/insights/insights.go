@@ -197,17 +197,6 @@ func RankByInterference(devs []*cluster.Device) []DeviceScore {
 	return out
 }
 
-// RankByRemainingCapacity orders devices most-free first — the DPE use case
-// of row 10.
-func RankByRemainingCapacity(devs []*cluster.Device) []DeviceScore {
-	out := make([]DeviceScore, 0, len(devs))
-	for _, d := range devs {
-		out = append(out, DeviceScore{Device: d, Score: float64(d.Remaining())})
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Score > out[j].Score })
-	return out
-}
-
 // RankByHealth orders devices healthiest first — rows 5/7/8.
 func RankByHealth(devs []*cluster.Device) []DeviceScore {
 	out := make([]DeviceScore, 0, len(devs))

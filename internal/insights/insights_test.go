@@ -192,15 +192,6 @@ func TestRankByInterference(t *testing.T) {
 	}
 }
 
-func TestRankByRemainingCapacity(t *testing.T) {
-	c := ares(t)
-	c.Node("comp00").Device("nvme0").Write(0, 100*cluster.GB)
-	ranked := RankByRemainingCapacity(c.DevicesByTier(cluster.TierNVMe))
-	if ranked[0].Device.ID() != "comp01.nvme0" {
-		t.Fatalf("most free = %s", ranked[0].Device.ID())
-	}
-}
-
 func TestRankByHealth(t *testing.T) {
 	c := ares(t)
 	bad := c.Node("comp00").Device("nvme0")

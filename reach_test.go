@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"maps"
 	"path"
 	"path/filepath"
 	"slices"
@@ -29,10 +30,10 @@ var notProduct = map[string]bool{
 
 // reachAllowed are exported product names and methods that no entry point
 // reaches and that stay anyway, each with the reason. Every entry is reached by
-// tests only, and is one of two kinds — a fault-injection or determinism seam
-// tests substitute through, or a row of the paper's Table 1 that has a unit
-// test and not yet a caller — plus the two named exceptions at the end. It is
-// the backlog ROADMAP item 4 reads, not a place to park new code.
+// tests only, and is a fault-injection or determinism seam tests substitute
+// through, or one of the two named exceptions at the end. An entry that an
+// entry point reaches after all is stale, and the guard reports it. It is the
+// backlog ROADMAP item 4 reads, not a place to park new code.
 var reachAllowed = map[string]string{
 	// Seams: fault injection and determinism for tests in stream, score, aqe,
 	// gateway and sim/scenario.
@@ -46,15 +47,6 @@ var reachAllowed = map[string]string{
 	"internal/stream.WithClock":        "virtual time for the redirect tests",
 	"internal/aqe.WithParallelism":     "plan tests pin the union fan-out width",
 	"internal/gateway.Gateway.Handler": "the mux without a listener: gateway tests mount it on httptest.Server",
-
-	// The paper's Table 1 catalogue: each row has a hook and a unit test, not yet a caller.
-	"internal/hooks.DeviceMSCA":                 "Table 1 row 1 hook",
-	"internal/hooks.DeviceInterference":         "Table 1 row 2 hook",
-	"internal/hooks.NodeEnergyPerTransfer":      "Table 1 rows 11/14 hook",
-	"internal/hooks.TierRemaining":              "Table 1 row 10 as one hook",
-	"internal/hooks.DeviceLoad":                 "Table 1 row 13 hook",
-	"internal/insights.RankByHealth":            "Table 1 rows 5/7/8 ranking",
-	"internal/insights.RankByRemainingCapacity": "Table 1 DPE use case",
 
 	// The two exceptions.
 	"internal/archive.Log.Replay": "whole-log read the index and read-path tests compare Range against",
@@ -115,9 +107,12 @@ func TestExportedNamesAreReached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dead, undeclared := unreached(files, reachAllowed)
+	dead, undeclared, stale := unreached(files, reachAllowed)
 	for _, k := range undeclared {
 		t.Errorf("allow-list names %s (%s), which is not declared", k, reachAllowed[k])
+	}
+	for _, k := range stale {
+		t.Errorf("allow-list names %s (%s), which an entry point reaches: drop the entry", k, reachAllowed[k])
 	}
 	for _, k := range dead {
 		t.Errorf("%s is exported and no entry point reaches it: delete it, or add it to reachAllowed with the reason it stays", k)
@@ -125,8 +120,9 @@ func TestExportedNamesAreReached(t *testing.T) {
 }
 
 // unreached applies the guard to a parsed tree (non-test files by directory)
-// and returns the exported product names and methods nothing reaches, and the
-// allow-list keys that name nothing declared. Parsing only — no type check.
+// and returns the exported product names and methods nothing reaches, the
+// allow-list keys that name nothing declared, and the allow-list keys the entry
+// points reach without the allow-list's help. Parsing only — no type check.
 //
 // A package-level name is reached when a declaration reachable from an entry
 // point mentions it. Entry points are the main packages (cmd/, examples/,
@@ -145,7 +141,7 @@ func TestExportedNamesAreReached(t *testing.T) {
 // the two ways the rule could report a method in use: a bare x.M whose name is
 // also a struct field's is taken for the field, and x.M with x one of the
 // file's import names for pkg.M.
-func unreached(files map[string][]*ast.File, allowed map[string]string) (dead, undeclared []string) {
+func unreached(files map[string][]*ast.File, allowed map[string]string) (dead, undeclared, stale []string) {
 	decls := map[string]*reachDecl{}
 	var methods []reachMethod
 	called := map[string]bool{}  // M of every x.M(...)
@@ -232,24 +228,34 @@ func unreached(files map[string][]*ast.File, allowed map[string]string) (dead, u
 			queue = append(queue, k)
 		}
 	}
+	follow := func() {
+		for len(queue) > 0 {
+			k := queue[0]
+			queue = queue[1:]
+			for m := range decls[k].mentions {
+				visit(m)
+			}
+		}
+	}
 	for k, d := range decls {
 		if d.root {
 			visit(k)
 		}
 	}
+	follow()
+	// What the entry points reach on their own: an allow-list entry in it is
+	// stale. Then the entries are reached too, and so is what they mention.
+	fromRoots := maps.Clone(reached)
 	for k := range allowed {
 		if decls[k] == nil && !isMethod[k] {
 			undeclared = append(undeclared, k)
 		}
+		if fromRoots[k] {
+			stale = append(stale, k)
+		}
 		visit(k)
 	}
-	for len(queue) > 0 {
-		k := queue[0]
-		queue = queue[1:]
-		for m := range decls[k].mentions {
-			visit(m)
-		}
-	}
+	follow()
 
 	isProduct := func(dir string) bool { return strings.HasPrefix(dir, "internal/") && !notProduct[dir] }
 	for k, d := range decls {
@@ -262,17 +268,21 @@ func unreached(files map[string][]*ast.File, allowed map[string]string) (dead, u
 		if !isProduct(m.dir) || !reached[recv] || recv == "internal/core.Service" {
 			continue
 		}
+		byName := called[m.name] || valued[m.name] && !fields[m.name] || ifaceMs[m.name] || stdlibContracts[m.name]
 		if _, ok := allowed[m.key()]; ok {
+			if byName && fromRoots[recv] {
+				stale = append(stale, m.key())
+			}
 			continue
 		}
-		byName := called[m.name] || valued[m.name] && !fields[m.name] || ifaceMs[m.name] || stdlibContracts[m.name]
 		if !byName {
 			dead = append(dead, m.key())
 		}
 	}
 	sort.Strings(dead)
 	sort.Strings(undeclared)
-	return dead, undeclared
+	sort.Strings(stale)
+	return dead, undeclared, stale
 }
 
 // collectSelections records, for one file, the names selected from a value —
@@ -367,8 +377,10 @@ func collectMentions(node ast.Node, dir, owner string, imports map[string]string
 
 // TestReachGuardGuards runs the guard over a small in-memory tree: of a
 // called method, an uncalled one, one reached only through a module interface
-// and a String, it reports exactly the uncalled one; and an allow-list entry
-// naming a method nobody declares is reported as such, as names already are.
+// and a String, it reports exactly the uncalled one; an allow-list entry
+// naming a method nobody declares is reported as such, as names already are;
+// and of two allowed functions, the one main calls is reported stale and the
+// one only the allow-list reaches is not.
 func TestReachGuardGuards(t *testing.T) {
 	fset := token.NewFileSet()
 	files := map[string][]*ast.File{}
@@ -390,6 +402,8 @@ type Doer interface{ Do() }
 
 func New() *T { return &T{} }
 
+func Seam() {}
+
 func (t *T) Called()        {}
 func (t *T) Uncalled()      {}
 func (t *T) Do()            {}
@@ -401,12 +415,19 @@ func (t *T) String() string { return "" }`,
 		}
 		files[path.Dir(name)] = append(files[path.Dir(name)], f)
 	}
-	allowed := map[string]string{"internal/fix.T.Gone": "a method that is not declared"}
-	dead, undeclared := unreached(files, allowed)
+	allowed := map[string]string{
+		"internal/fix.T.Gone": "a method that is not declared",
+		"internal/fix.New":    "a function main calls",
+		"internal/fix.Seam":   "a function only tests call",
+	}
+	dead, undeclared, stale := unreached(files, allowed)
 	if want := []string{"internal/fix.T.Uncalled"}; !slices.Equal(dead, want) {
 		t.Errorf("guard reports %v, want %v", dead, want)
 	}
 	if want := []string{"internal/fix.T.Gone"}; !slices.Equal(undeclared, want) {
 		t.Errorf("guard reports %v as allow-listed but not declared, want %v", undeclared, want)
+	}
+	if want := []string{"internal/fix.New"}; !slices.Equal(stale, want) {
+		t.Errorf("guard reports %v as allow-listed but reached, want %v", stale, want)
 	}
 }

@@ -40,6 +40,11 @@ go test ./...
 # class's sweeps against its promotions) show as timeouts here.
 echo "==> GOMAXPROCS=2 go test -count=3 ./internal/delphi/ ./internal/gateway/ ./internal/stream/ ./internal/score/ ./internal/core/..."
 GOMAXPROCS=2 go test -count=3 ./internal/delphi/ ./internal/gateway/ ./internal/stream/ ./internal/score/ ./internal/core/...
+# The paper-figure checks time real work, so each timing bound must hold on
+# two cores run after run; a bound that fails here is widened, with the
+# margin stated beside it, never skipped.
+echo "==> GOMAXPROCS=2 go test -count=5 -run 'TestFiguresReproduce|TestAblations' ./internal/figures/"
+GOMAXPROCS=2 go test -count=5 -run 'TestFiguresReproduce|TestAblations' ./internal/figures/
 
 echo "==> go test -race ./internal/stream/... ./internal/queue/... ./internal/obs/... ./internal/archive/... ./internal/aqe/... ./internal/sim/... ./internal/gateway/... ./internal/delphi/... ./internal/nn/... ./internal/core/... ./api/..."
 go test -race ./internal/stream/... ./internal/queue/... ./internal/obs/... ./internal/archive/... ./internal/aqe/... ./internal/sim/... ./internal/gateway/... ./internal/delphi/... ./internal/nn/... ./internal/core/... ./api/...
