@@ -1,16 +1,11 @@
 package scenario
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"math"
-	"os"
-	"strings"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/delphi"
 	"repro/internal/delphi/registry"
 	"repro/internal/score"
 	"repro/internal/sim"
@@ -23,48 +18,20 @@ const DriftMetric = "sim.nvme0.cap"
 // DriftClass is DriftMetric's device class.
 const DriftClass = "cap"
 
-// DriftConfig parameterizes the deterministic drift→retrain→recover
-// scenario. Everything derives from Seed, so two runs with equal config
-// produce byte-identical transcripts.
-type DriftConfig struct {
-	// Seed drives the workload noise and (when Model is nil) training.
-	Seed int64
-	// PhaseA is how many polls the pre-shift regime lasts (default 48).
-	PhaseA int
-	// PhaseB is how many polls the shifted regime lasts before the trainer
-	// runs (default 192; must leave >= 64 measured samples for retraining).
-	PhaseB int
-	// Recovery is how many polls follow the promotion (default 64).
-	Recovery int
-	// BaseTick is the virtual-clock step per poll (default 1s).
-	BaseTick time.Duration
-	// Model is the base Delphi model; nil trains a small one from Seed.
-	Model *delphi.Model
-	// Dir hosts the model registry; empty means a private temp dir removed
-	// after the run (the transcript never mentions paths).
-	Dir string
-}
+// The drift scenario's shape: how many polls the pre-shift regime lasts, how
+// many the shifted regime lasts before the trainer runs (it must leave >= 64
+// measured samples for retraining), how many follow the promotion, and the
+// virtual-clock step per poll.
+const (
+	phaseA    = 48
+	phaseB    = 192
+	recovery  = 64
+	driftTick = time.Second
+)
 
-func (c *DriftConfig) defaults() {
-	if c.PhaseA <= 0 {
-		c.PhaseA = 48
-	}
-	if c.PhaseB <= 0 {
-		c.PhaseB = 192
-	}
-	if c.Recovery <= 0 {
-		c.Recovery = 64
-	}
-	if c.BaseTick <= 0 {
-		c.BaseTick = time.Second
-	}
-}
-
-// DriftReport is the outcome of one drift scenario run. Transcript replays
-// byte-for-byte for equal configs; Digest is its sha256 fingerprint.
+// DriftReport is the outcome of one RunDrift.
 type DriftReport struct {
-	Transcript string
-	Digest     string
+	Result
 
 	TripPoll        int            // poll index where drift tripped (-1: never)
 	Event           registry.Event // the retrain outcome
@@ -74,20 +41,6 @@ type DriftReport struct {
 	ShiftErr     float64 // mean |pred-measured| after the shift, pre-trip
 	RecoveredErr float64 // mean |pred-measured| after promotion
 	Suppressed   int     // polls where fallback suppressed the forecast
-
-	// Violations lists broken drift-loop invariants (empty on a healthy run).
-	Violations []string
-}
-
-// TrainDriftModel trains the drift scenario's default base model. It is
-// deliberately better trained than TrainQuickModel: the detector runs at its
-// default threshold, so the base model must track the stable sinusoid well
-// below it while still failing on the shifted square wave. Exposed so tests
-// train once and share it across runs.
-func TrainDriftModel(seed int64) (*delphi.Model, error) {
-	return delphi.Train(delphi.TrainOptions{
-		SeriesPerFeature: 3, SeriesLen: 150, Epochs: 15, Seed: seed,
-	})
 }
 
 // driftTrace builds the full measured series: a steady ramp the base model
@@ -95,14 +48,13 @@ func TrainDriftModel(seed int64) (*delphi.Model, error) {
 // then an alternating square wave it cannot (~2.3), with seeded noise so
 // different seeds diverge. The square wave is exactly learnable from a
 // 5-wide window, so a retrained combiner recovers.
-func driftTrace(cfg DriftConfig) []float64 {
-	n := cfg.PhaseA + cfg.PhaseB + cfg.Recovery
-	trace := make([]float64, n)
-	s := uint64(cfg.Seed)*6364136223846793005 + 1442695040888963407
+func driftTrace(seed int64) []float64 {
+	trace := make([]float64, phaseA+phaseB+recovery)
+	s := uint64(seed)*6364136223846793005 + 1442695040888963407
 	for i := range trace {
 		s = s*6364136223846793005 + 1442695040888963407
 		noise := (float64(s>>11)/float64(1<<53) - 0.5) * 0.4
-		if i < cfg.PhaseA {
+		if i < phaseA {
 			trace[i] = 100 + 0.5*float64(i) + noise
 		} else {
 			trace[i] = 50 + noise
@@ -121,35 +73,20 @@ func driftTrace(cfg DriftConfig) []float64 {
 // fallback, a synchronous retrain pass promotes a new model version into the
 // registry, and the forecast error recovers below the drifted level. The
 // whole loop runs on one goroutine over a virtual clock, so the Report (and
-// its Transcript/Digest) is a pure function of cfg.
+// its Transcript/Digest) is a pure function of seed.
 //
 // RunDrift returns a non-nil error when any invariant was violated; the
 // Report is always valid for inspection.
-func RunDrift(cfg DriftConfig) (*DriftReport, error) {
-	cfg.defaults()
-
-	dir := cfg.Dir
-	if dir == "" {
-		tmp, err := os.MkdirTemp("", "apollo-drift-*")
-		if err != nil {
-			return nil, fmt.Errorf("drift: temp dir: %w", err)
-		}
-		defer os.RemoveAll(tmp)
-		dir = tmp
+func RunDrift(seed int64) (*DriftReport, error) {
+	model, dir, cleanup, err := scratch(driftModel)
+	if err != nil {
+		return nil, err
 	}
-
-	model := cfg.Model
-	if model == nil {
-		m, err := TrainDriftModel(cfg.Seed)
-		if err != nil {
-			return nil, fmt.Errorf("drift: training delphi: %w", err)
-		}
-		model = m
-	}
+	defer cleanup()
 
 	start := time.Unix(0, 0)
 	clock := sim.NewVirtual(start)
-	trace := driftTrace(cfg)
+	trace := driftTrace(seed)
 
 	svc := core.New(core.Config{
 		Clock:          clock,
@@ -165,19 +102,14 @@ func RunDrift(cfg DriftConfig) (*DriftReport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("drift: register: %w", err)
 	}
-	tr := svc.DelphiTrainer()
-	if tr == nil {
+	trainer := svc.DelphiTrainer()
+	if trainer == nil {
 		return nil, fmt.Errorf("drift: trainer not created")
 	}
 
 	rep := &DriftReport{TripPoll: -1}
-	fail := func(format string, args ...any) {
-		rep.Violations = append(rep.Violations, fmt.Sprintf(format, args...))
-	}
-
-	var b strings.Builder
-	fmt.Fprintf(&b, "drift-scenario seed=%d phases=%d/%d/%d tick=%s\n",
-		cfg.Seed, cfg.PhaseA, cfg.PhaseB, cfg.Recovery, cfg.BaseTick)
+	tr := &transcript{}
+	tr.line("drift-scenario seed=%d phases=%d/%d/%d tick=%s", seed, phaseA, phaseB, recovery, driftTick)
 
 	// forecast reads the class sweep's prediction for DriftMetric before the
 	// next measurement lands; ok is false while the window warms or the
@@ -202,52 +134,50 @@ func RunDrift(cfg DriftConfig) (*DriftReport, error) {
 			err := math.Abs(pred - measured)
 			*sum += err
 			*n++
-			fmt.Fprintf(&b, "t=%s %s i=%d value=%.4f pred=%.4f err=%.4f\n",
-				elapsed, phase, i, measured, pred, err)
+			tr.logf(elapsed, "%s i=%d value=%.4f pred=%.4f err=%.4f", phase, i, measured, pred, err)
 		} else {
 			rep.Suppressed++
-			fmt.Fprintf(&b, "t=%s %s i=%d value=%.4f pred=suppressed\n",
-				elapsed, phase, i, measured)
+			tr.logf(elapsed, "%s i=%d value=%.4f pred=suppressed", phase, i, measured)
 		}
-		if rep.TripPoll < 0 && tr.Pending() > 0 {
+		if rep.TripPoll < 0 && trainer.Pending() > 0 {
 			rep.TripPoll = i
-			fmt.Fprintf(&b, "t=%s drift trip poll=%d class=%s\n", elapsed, i, DriftClass)
+			tr.logf(elapsed, "drift trip poll=%d class=%s", i, DriftClass)
 		}
-		clock.Advance(cfg.BaseTick)
+		clock.Advance(driftTick)
 	}
 
-	for i := 0; i < cfg.PhaseA; i++ {
+	for i := 0; i < phaseA; i++ {
 		poll(i, "pre", &preSum, &preN)
 	}
 	if rep.TripPoll >= 0 {
-		fail("false positive: detector tripped at poll %d, inside the stable phase", rep.TripPoll)
+		tr.failf("false positive: detector tripped at poll %d, inside the stable phase", rep.TripPoll)
 	}
-	for i := cfg.PhaseA; i < cfg.PhaseA+cfg.PhaseB; i++ {
+	for i := phaseA; i < phaseA+phaseB; i++ {
 		poll(i, "shift", &shiftSum, &shiftN)
 	}
 	if rep.TripPoll < 0 {
-		fail("detector never tripped across %d shifted polls", cfg.PhaseB)
+		tr.failf("detector never tripped across %d shifted polls", phaseB)
 	}
 	if _, ok := forecast(); ok {
-		fail("forecast still published after the trip: fallback not engaged")
+		tr.failf("forecast still published after the trip: fallback not engaged")
 	}
 
 	// Synchronous retrain pass: deterministic scenarios drive the trainer
 	// directly instead of waiting out the background cadence.
-	rep.Event = tr.RunOnce(DriftClass)
+	rep.Event = trainer.RunOnce(DriftClass)
 	rep.PromotedVersion = svc.ModelVersion(DriftClass)
-	fmt.Fprintf(&b, "retrain class=%s kind=%d version=%d base=%.6f cand=%.6f improved=%t err=%v\n",
+	tr.line("retrain class=%s kind=%d version=%d base=%.6f cand=%.6f improved=%t err=%v",
 		rep.Event.Class, rep.Event.Kind, rep.PromotedVersion,
 		rep.Event.Report.BaseRMSE, rep.Event.Report.CandidateRMSE,
 		rep.Event.Report.Improved, rep.Event.Err)
 	if rep.Event.Kind != registry.EventPromoted {
-		fail("retrain outcome kind=%d err=%v, want promotion", rep.Event.Kind, rep.Event.Err)
+		tr.failf("retrain outcome kind=%d err=%v, want promotion", rep.Event.Kind, rep.Event.Err)
 	}
 	if rep.PromotedVersion != 1 {
-		fail("class version %d after first promotion, want 1", rep.PromotedVersion)
+		tr.failf("class version %d after first promotion, want 1", rep.PromotedVersion)
 	}
 
-	for i := cfg.PhaseA + cfg.PhaseB; i < len(trace); i++ {
+	for i := phaseA + phaseB; i < len(trace); i++ {
 		poll(i, "recover", &recSum, &recN)
 	}
 
@@ -262,31 +192,19 @@ func RunDrift(cfg DriftConfig) (*DriftReport, error) {
 	rep.RecoveredErr = mean(recSum, recN)
 
 	if preN == 0 {
-		fail("no forecasts published in the stable phase")
+		tr.failf("no forecasts published in the stable phase")
 	}
 	if shiftN == 0 {
-		fail("no forecasts published between the shift and the trip")
+		tr.failf("no forecasts published between the shift and the trip")
 	}
 	if recN == 0 {
-		fail("no forecasts published after the promotion: fallback never lifted")
+		tr.failf("no forecasts published after the promotion: fallback never lifted")
 	}
 	if recN > 0 && shiftN > 0 && !(rep.RecoveredErr < rep.ShiftErr) {
-		fail("error did not recover: shifted=%.4f recovered=%.4f", rep.ShiftErr, rep.RecoveredErr)
+		tr.failf("error did not recover: shifted=%.4f recovered=%.4f", rep.ShiftErr, rep.RecoveredErr)
 	}
 
-	fmt.Fprintf(&b, "end trip=%d version=%d pre=%.4f shift=%.4f recovered=%.4f suppressed=%d violations=%d\n",
-		rep.TripPoll, rep.PromotedVersion, rep.PreShiftErr, rep.ShiftErr,
-		rep.RecoveredErr, rep.Suppressed, len(rep.Violations))
-	for _, vio := range rep.Violations {
-		fmt.Fprintf(&b, "violation %s\n", vio)
-	}
-
-	rep.Transcript = b.String()
-	sum := sha256.Sum256([]byte(rep.Transcript))
-	rep.Digest = hex.EncodeToString(sum[:])
-
-	if len(rep.Violations) > 0 {
-		return rep, fmt.Errorf("drift: %d invariant violation(s); first: %s", len(rep.Violations), rep.Violations[0])
-	}
-	return rep, nil
+	rep.Result, err = tr.seal(clock.Now().Sub(start), "trip=%d version=%d pre=%.4f shift=%.4f recovered=%.4f suppressed=%d",
+		rep.TripPoll, rep.PromotedVersion, rep.PreShiftErr, rep.ShiftErr, rep.RecoveredErr, rep.Suppressed)
+	return rep, err
 }

@@ -2,13 +2,10 @@ package scenario
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/cluster"
@@ -16,46 +13,24 @@ import (
 	"repro/internal/stream"
 )
 
-// fabricTTL is the leader-lease TTL of the simulated fabric; retries that
-// must wait out a dead leader's lease advance virtual time in thirds of it.
-const fabricTTL = 3 * time.Second
+// The fabric scenario's shape: the leader-lease TTL (retries that must wait
+// out a dead leader's lease advance virtual time in thirds of it), how many
+// replicated topics carry load, how many payloads each publish carries (the
+// in-process stand-in for a client's coalesced flush, so a leader kill lands
+// "mid batch" from the producer's point of view), and how many events the
+// seeded chaos phase's schedule holds.
+const (
+	fabricTTL    = 3 * time.Second
+	fabricTopics = 3
+	fabricBatch  = 4
+	chaosEvents  = 6
+)
 
-// FabricConfig parameterizes a deterministic replicated-fabric scenario.
-// Everything derives from Seed, so two runs with equal config produce
-// byte-identical transcripts.
-type FabricConfig struct {
-	// Seed drives payloads, gateway choice, and the chaos-phase schedule.
-	Seed int64
-	// Topics is how many replicated topics carry load (default 3).
-	Topics int
-	// Batch is how many payloads each publish batch carries (default 4) —
-	// the in-process stand-in for a client's coalesced flush, so a leader
-	// kill lands "mid batch" from the producer's point of view.
-	Batch int
-	// ChaosEvents sizes the seeded GenerateFabric schedule of the final
-	// phase (default 6).
-	ChaosEvents int
-}
-
-func (c *FabricConfig) defaults() {
-	if c.Topics <= 0 {
-		c.Topics = 3
-	}
-	if c.Batch <= 0 {
-		c.Batch = 4
-	}
-	if c.ChaosEvents <= 0 {
-		c.ChaosEvents = 6
-	}
-}
-
-// FabricReport is the outcome of one RunFabric. Transcript is the replayable
-// artifact (byte-reproducible for a fixed config) and Digest its sha256.
+// FabricReport is the outcome of one RunFabric.
 type FabricReport struct {
-	// Schedule is the chaos-phase fault schedule (phases 1-4 are fixed).
-	Schedule   sim.Schedule
-	Transcript string
-	Digest     string
+	Result
+	// Schedule is the chaos-phase fault schedule (phases 0-5 are fixed).
+	Schedule sim.Schedule
 
 	Acked     uint64 // batches acknowledged to the producer
 	Entries   uint64 // tuples inside acked batches
@@ -63,11 +38,6 @@ type FabricReport struct {
 	Fenced    uint64 // stale-leader publishes rejected by epoch fencing
 	Redirects uint64 // not-leader redirects the producer followed
 	NoQuorum  uint64 // publishes refused for lack of a replication quorum
-
-	// Violations lists broken fabric invariants (empty on a healthy run).
-	Violations []string
-	// Elapsed is how much virtual time the run covered.
-	Elapsed time.Duration
 }
 
 // ackedBatch records one batch the fabric acknowledged: the ID the leader
@@ -98,9 +68,8 @@ type fabricEnv struct {
 
 	rng   *rand.Rand
 	seq   int
-	inv   *invariants
+	tr    transcript
 	rep   *FabricReport
-	b     strings.Builder
 	acked map[string][]ackedBatch
 }
 
@@ -112,60 +81,29 @@ func linkKey(a, b string) string {
 }
 
 // gatedPeer interposes the scenario's fault state between two fabric nodes:
-// while the target is down, or the link is cut, every call fails.
+// while either end is down, or the link is cut, every call fails.
 type gatedPeer struct {
-	env      *fabricEnv
-	from, to string
-	n        *stream.FabricNode
+	gatedBus
+	env *fabricEnv
+	n   *stream.FabricNode
 }
 
-func (g *gatedPeer) gate() error {
-	if g.env.down[g.from] || g.env.down[g.to] {
-		return fmt.Errorf("sim: node down on link %s->%s", g.from, g.to)
+// peer is the link from one node to another.
+func (env *fabricEnv) peer(from, to string) *gatedPeer {
+	gate := func(string) error {
+		if env.down[from] || env.down[to] {
+			return fmt.Errorf("sim: node down on link %s->%s", from, to)
+		}
+		if env.cut[linkKey(from, to)] {
+			return fmt.Errorf("sim: link %s->%s cut", from, to)
+		}
+		return nil
 	}
-	if g.env.cut[linkKey(g.from, g.to)] {
-		return fmt.Errorf("sim: link %s->%s cut", g.from, g.to)
-	}
-	return nil
-}
-
-func (g *gatedPeer) PublishBatch(ctx context.Context, topic string, p [][]byte) (uint64, error) {
-	if err := g.gate(); err != nil {
-		return 0, err
-	}
-	return g.n.PublishBatch(ctx, topic, p)
-}
-
-func (g *gatedPeer) Latest(ctx context.Context, topic string) (stream.Entry, error) {
-	if err := g.gate(); err != nil {
-		return stream.Entry{}, err
-	}
-	return g.n.Latest(ctx, topic)
-}
-
-func (g *gatedPeer) Range(ctx context.Context, topic string, from, to uint64, max int) ([]stream.Entry, error) {
-	if err := g.gate(); err != nil {
-		return nil, err
-	}
-	return g.n.Range(ctx, topic, from, to, max)
-}
-
-func (g *gatedPeer) ConsumeBatch(ctx context.Context, topic string, afterID uint64, max int) ([]stream.Entry, error) {
-	if err := g.gate(); err != nil {
-		return nil, err
-	}
-	return g.n.ConsumeBatch(ctx, topic, afterID, max)
-}
-
-func (g *gatedPeer) Follow(ctx context.Context, topic string, afterID uint64) (stream.Cursor, error) {
-	if err := g.gate(); err != nil {
-		return nil, err
-	}
-	return g.n.Follow(ctx, topic, afterID)
+	return &gatedPeer{gatedBus: gatedBus{inner: env.nodes[to], gate: gate}, env: env, n: env.nodes[to]}
 }
 
 func (g *gatedPeer) Replicate(topic string, epoch uint64, entries []stream.Entry) func() (uint64, error) {
-	if err := g.gate(); err != nil {
+	if err := g.gate("publish"); err != nil {
 		return func() (uint64, error) { return 0, err }
 	}
 	wait := g.n.Replicate(topic, epoch, entries)
@@ -177,15 +115,13 @@ func (g *gatedPeer) Replicate(topic string, epoch uint64, entries []stream.Entry
 }
 
 func (g *gatedPeer) TopicTail(ctx context.Context, topic string) (uint64, uint64, error) {
-	if err := g.gate(); err != nil {
+	if err := g.gate("read"); err != nil {
 		return 0, 0, err
 	}
 	return g.n.TopicTail(ctx, topic)
 }
 
-var _ stream.Peer = (*gatedPeer)(nil)
-
-func newFabricEnv(seed int64, rep *FabricReport, inv *invariants) (*fabricEnv, error) {
+func newFabricEnv(seed int64) (*fabricEnv, error) {
 	start := time.Unix(0, 0)
 	env := &fabricEnv{
 		clock: sim.NewVirtual(start),
@@ -196,8 +132,7 @@ func newFabricEnv(seed int64, rep *FabricReport, inv *invariants) (*fabricEnv, e
 		down:  make(map[string]bool),
 		cut:   make(map[string]bool),
 		rng:   rand.New(rand.NewSource(seed ^ 0xfab51c)),
-		inv:   inv,
-		rep:   rep,
+		rep:   &FabricReport{},
 		acked: make(map[string][]ackedBatch),
 	}
 	env.table = cluster.NewLeaseTable(env.clock, fabricTTL)
@@ -215,7 +150,7 @@ func newFabricEnv(seed int64, rep *FabricReport, inv *invariants) (*fabricEnv, e
 			LeaseTTL:          fabricTTL,
 			Clock:             env.clock,
 			PeerDial: func(to, addr string) (stream.Peer, error) {
-				return &gatedPeer{env: env, from: id, to: to, n: env.nodes[to]}, nil
+				return env.peer(id, to), nil
 			},
 		})
 		if err != nil {
@@ -232,10 +167,9 @@ func (env *fabricEnv) close() {
 	}
 }
 
-func (env *fabricEnv) logf(format string, args ...interface{}) {
-	fmt.Fprintf(&env.b, "t=%s ", env.clock.Now().Sub(env.start))
-	fmt.Fprintf(&env.b, format, args...)
-	env.b.WriteByte('\n')
+// logf stamps a transcript line with the virtual time now.
+func (env *fabricEnv) logf(format string, args ...any) {
+	env.tr.logf(env.clock.Now().Sub(env.start), format, args...)
 }
 
 // leaderOf returns the current valid lease holder of topic ("" if none).
@@ -269,9 +203,9 @@ func (env *fabricEnv) failoversTotal() uint64 {
 	return total
 }
 
-// batch mints Batch deterministic payloads for topic.
-func (env *fabricEnv) batch(topic string, n int) [][]byte {
-	payloads := make([][]byte, n)
+// batch mints one publish batch of deterministic payloads for topic.
+func (env *fabricEnv) batch(topic string) [][]byte {
+	payloads := make([][]byte, fabricBatch)
 	for i := range payloads {
 		env.seq++
 		payloads[i] = []byte(fmt.Sprintf("%s#%05d:%08x", topic, env.seq, env.rng.Uint32()))
@@ -288,7 +222,7 @@ func (env *fabricEnv) publish(ctx context.Context, topic string, payloads [][]by
 	for attempt := 0; attempt < 64; attempt++ {
 		via := env.pick(target)
 		if via == "" {
-			env.inv.failf("publish-stuck: topic %s has no live nodes", topic)
+			env.tr.failf("publish-stuck: topic %s has no live nodes", topic)
 			return false
 		}
 		firstID, err := env.nodes[via].PublishBatch(ctx, topic, payloads)
@@ -328,7 +262,7 @@ func (env *fabricEnv) publish(ctx context.Context, topic string, payloads [][]by
 			env.clock.Advance(fabricTTL / 3)
 		}
 	}
-	env.inv.failf("publish-stuck: topic %s batch never acked", topic)
+	env.tr.failf("publish-stuck: topic %s batch never acked", topic)
 	return false
 }
 
@@ -343,6 +277,12 @@ func (env *fabricEnv) revive(id string) {
 	if env.down[id] {
 		delete(env.down, id)
 		env.logf("revive node=%s", id)
+	}
+}
+
+func (env *fabricEnv) reviveAll() {
+	for _, id := range env.order {
+		env.revive(id)
 	}
 }
 
@@ -395,7 +335,7 @@ func replicasAgree(ctx context.Context, nodes map[string]*stream.FabricNode, top
 func (env *fabricEnv) auditReplicas(ctx context.Context, topic, leader string) {
 	tail, err := replicasAgree(ctx, env.nodes, topic, append([]string{leader}, env.order...)...)
 	if err != nil {
-		env.inv.failf("replica-audit: %v", err)
+		env.tr.failf("replica-audit: %v", err)
 	}
 	env.logf("replicas topic=%s agree tail=%d", topic, tail)
 }
@@ -426,29 +366,27 @@ func (env *fabricEnv) statusOf(topic, leader string) (stream.ReplicaStatus, bool
 //
 // RunFabric returns the report together with a non-nil error when any
 // invariant was violated; the report is always valid for inspection.
-func RunFabric(cfg FabricConfig) (*FabricReport, error) {
-	cfg.defaults()
-	inv := &invariants{}
-	rep := &FabricReport{}
-	env, err := newFabricEnv(cfg.Seed, rep, inv)
+func RunFabric(seed int64) (*FabricReport, error) {
+	env, err := newFabricEnv(seed)
 	if err != nil {
 		return nil, err
 	}
 	defer env.close()
+	tr, rep := &env.tr, env.rep
 
 	ctx := context.Background()
-	topics := make([]string, cfg.Topics)
+	topics := make([]string, fabricTopics)
 	for i := range topics {
 		topics[i] = fmt.Sprintf("fab.t%d", i)
 	}
-	fmt.Fprintf(&env.b, "fabric seed=%d nodes=%d topics=%d batch=%d ttl=%s\n",
-		cfg.Seed, len(env.order), cfg.Topics, cfg.Batch, fabricTTL)
+	tr.line("fabric seed=%d nodes=%d topics=%d batch=%d ttl=%s",
+		seed, len(env.order), fabricTopics, fabricBatch, fabricTTL)
 
 	// Phase 0 — steady state: establish a leader per topic and a baseline log.
 	env.logf("phase steady-state")
 	for _, topic := range topics {
-		env.publish(ctx, topic, env.batch(topic, cfg.Batch))
-		env.publish(ctx, topic, env.batch(topic, cfg.Batch))
+		env.publish(ctx, topic, env.batch(topic))
+		env.publish(ctx, topic, env.batch(topic))
 		env.logf("leader topic=%s holder=%s", topic, env.leaderOf(topic))
 	}
 
@@ -459,45 +397,45 @@ func RunFabric(cfg FabricConfig) (*FabricReport, error) {
 	env.logf("phase leader-kill topic=%s", t0)
 	before := env.failoversTotal()
 	victim := env.leaderOf(t0)
-	inFlight := env.batch(t0, cfg.Batch)
+	inFlight := env.batch(t0)
 	env.kill(victim)
 	env.publish(ctx, t0, inFlight)
-	env.publish(ctx, t0, env.batch(t0, cfg.Batch))
+	env.publish(ctx, t0, env.batch(t0))
 	if got := env.failoversTotal(); got == before {
-		inv.failf("failover: killing leader %s of %s promoted nobody", victim, t0)
+		tr.failf("failover: killing leader %s of %s promoted nobody", victim, t0)
 	}
 	env.revive(victim)
-	env.publish(ctx, t0, env.batch(t0, cfg.Batch)) // backfills the revived node
+	env.publish(ctx, t0, env.batch(t0)) // backfills the revived node
 
 	// Phase 2 — partition between leader and follower: a quorum of 2/3
 	// keeps acks flowing, the leader's lag grows, and the first publish
 	// after healing backfills the follower.
-	t1 := topics[1%len(topics)]
-	env.publish(ctx, t1, env.batch(t1, cfg.Batch))
+	t1 := topics[1]
+	env.publish(ctx, t1, env.batch(t1))
 	leader1 := env.leaderOf(t1)
 	follower := env.firstFollower(t1, leader1)
 	env.logf("phase partition topic=%s leader=%s follower=%s", t1, leader1, follower)
 	env.sever(leader1, follower)
-	env.publish(ctx, t1, env.batch(t1, cfg.Batch))
-	env.publish(ctx, t1, env.batch(t1, cfg.Batch))
+	env.publish(ctx, t1, env.batch(t1))
+	env.publish(ctx, t1, env.batch(t1))
 	if st, ok := env.statusOf(t1, env.leaderOf(t1)); ok {
 		env.logf("lag topic=%s lag=%d epoch=%d", t1, st.Lag, st.Epoch)
 		if env.leaderOf(t1) == leader1 && st.Lag == 0 {
-			inv.failf("lag: partitioned follower %s shows no lag on %s", follower, t1)
+			tr.failf("lag: partitioned follower %s shows no lag on %s", follower, t1)
 		}
 	}
 	env.heal(leader1, follower)
-	env.publish(ctx, t1, env.batch(t1, cfg.Batch))
+	env.publish(ctx, t1, env.batch(t1))
 	if st, ok := env.statusOf(t1, env.leaderOf(t1)); ok && st.Lag != 0 {
-		inv.failf("lag: %s still lags %d entries after heal and publish", t1, st.Lag)
+		tr.failf("lag: %s still lags %d entries after heal and publish", t1, st.Lag)
 	}
 
 	// Phase 3 — stale-leader fencing: the coordination service revokes the
 	// lease behind the leader's back, another node promotes (raising the
 	// local epoch everywhere via its beacon), and the deposed leader's next
 	// publish MUST be rejected by the epoch fence — never silently accepted.
-	t2 := topics[2%len(topics)]
-	env.publish(ctx, t2, env.batch(t2, cfg.Batch))
+	t2 := topics[2]
+	env.publish(ctx, t2, env.batch(t2))
 	stale := env.leaderOf(t2)
 	env.logf("phase fence topic=%s stale=%s", t2, stale)
 	env.table.Expire(t2)
@@ -506,12 +444,12 @@ func RunFabric(cfg FabricConfig) (*FabricReport, error) {
 			env.nodes[id].Tick(ctx)
 		}
 	}
-	fencedBatch := env.batch(t2, cfg.Batch)
+	fencedBatch := env.batch(t2)
 	if _, ferr := env.nodes[stale].PublishBatch(ctx, t2, fencedBatch); errors.Is(ferr, stream.ErrEpochFenced) {
 		rep.Fenced++
 		env.logf("fenced topic=%s stale=%s err=%v", t2, stale, ferr)
 	} else {
-		inv.failf("fencing: stale leader %s publish on %s returned %v, want epoch fence", stale, t2, ferr)
+		tr.failf("fencing: stale leader %s publish on %s returned %v, want epoch fence", stale, t2, ferr)
 	}
 	env.publish(ctx, t2, fencedBatch) // the producer retries via the new leader
 
@@ -520,21 +458,21 @@ func RunFabric(cfg FabricConfig) (*FabricReport, error) {
 	env.logf("phase double-failover topic=%s", t0)
 	k1 := env.leaderOf(t0)
 	if k1 == "" {
-		env.publish(ctx, t0, env.batch(t0, cfg.Batch))
+		env.publish(ctx, t0, env.batch(t0))
 		k1 = env.leaderOf(t0)
 	}
 	env.kill(k1)
-	env.publish(ctx, t0, env.batch(t0, cfg.Batch))
+	env.publish(ctx, t0, env.batch(t0))
 	env.revive(k1)
 	k2 := env.leaderOf(t0)
 	if k2 != "" && k2 != k1 {
 		env.kill(k2)
-		env.publish(ctx, t0, env.batch(t0, cfg.Batch))
+		env.publish(ctx, t0, env.batch(t0))
 		env.revive(k2)
 	} else {
-		inv.failf("failover: no distinct second leader for %s (got %q after killing %q)", t0, k2, k1)
+		tr.failf("failover: no distinct second leader for %s (got %q after killing %q)", t0, k2, k1)
 	}
-	env.publish(ctx, t0, env.batch(t0, cfg.Batch))
+	env.publish(ctx, t0, env.batch(t0))
 
 	// Phase 5 — publish cancelled mid-replication: the producer's context
 	// ends when the batch has reached the first follower and not yet the
@@ -543,17 +481,16 @@ func RunFabric(cfg FabricConfig) (*FabricReport, error) {
 	env.logf("phase %s topic=%s", sim.PublishCancelled, t1)
 	cctx, cancel := context.WithCancel(ctx)
 	env.onReplicate = cancel
-	env.publish(cctx, t1, env.batch(t1, cfg.Batch))
+	env.publish(cctx, t1, env.batch(t1))
 	if env.onReplicate != nil || cctx.Err() == nil {
-		inv.failf("publish-cancelled: the publish on %s never reached a follower to be cancelled at", t1)
+		tr.failf("publish-cancelled: the publish on %s never reached a follower to be cancelled at", t1)
 	}
 	cancel()
 	env.auditReplicas(ctx, t1, env.leaderOf(t1))
 
 	// Phase 6 — seeded chaos: a GenerateFabric schedule drives further
 	// kills and partitions while the producer keeps batches flowing.
-	horizon := time.Minute
-	rep.Schedule = sim.GenerateFabric(cfg.Seed, cfg.ChaosEvents, horizon)
+	rep.Schedule = sim.GenerateFabric(seed, chaosEvents, time.Minute)
 	env.logf("phase chaos %s", rep.Schedule)
 	chaosStart := env.clock.Now()
 	var healAt time.Time
@@ -569,22 +506,14 @@ func RunFabric(cfg FabricConfig) (*FabricReport, error) {
 		topic := topics[i%len(topics)]
 		switch e.Kind {
 		case sim.LeaderKill:
-			if len(env.down) > 0 {
-				for _, id := range env.order {
-					env.revive(id)
-				}
-			}
+			env.reviveAll()
 			victim := env.pick(env.leaderOf(topic))
 			env.logf("chaos %s topic=%s victim=%s", e.Kind, topic, victim)
 			env.kill(victim)
 		case sim.Partition:
 			// A cut on top of a dead node could leave no reachable quorum;
 			// restore full membership before severing.
-			if len(env.down) > 0 {
-				for _, id := range env.order {
-					env.revive(id)
-				}
-			}
+			env.reviveAll()
 			l := env.leaderOf(topic)
 			if l == "" || env.down[l] {
 				env.logf("chaos %s topic=%s skipped (no live leader)", e.Kind, topic)
@@ -606,18 +535,16 @@ func RunFabric(cfg FabricConfig) (*FabricReport, error) {
 			env.logf("chaos %s idle %s", e.Kind, e.Duration)
 			env.clock.Advance(e.Duration)
 		}
-		env.publish(ctx, topic, env.batch(topic, cfg.Batch))
+		env.publish(ctx, topic, env.batch(topic))
 	}
 
 	// Converge: heal everything, revive everyone, and flush one batch per
 	// topic so gap backfill repairs every replica before the audit.
 	env.heal(healLink[0], healLink[1])
-	for _, id := range env.order {
-		env.revive(id)
-	}
+	env.reviveAll()
 	env.clock.Advance(fabricTTL)
 	for _, topic := range topics {
-		env.publish(ctx, topic, env.batch(topic, cfg.Batch))
+		env.publish(ctx, topic, env.batch(topic))
 	}
 
 	// Audit — the no-acked-loss invariant: every batch the fabric ever
@@ -626,50 +553,36 @@ func RunFabric(cfg FabricConfig) (*FabricReport, error) {
 	for _, topic := range topics {
 		var last uint64
 		for _, b := range env.acked[topic] {
-			inv.checkMonotoneID(topic, last, b.firstID)
+			tr.checkMonotoneID(topic, last, b.firstID)
 			last = b.firstID + uint64(len(b.payloads)) - 1
 			for _, id := range env.order {
 				entries, rerr := env.nodes[id].Broker().Range(ctx, topic, b.firstID, last, 0)
 				if rerr != nil {
-					inv.failf("acked-loss: %s ids %d..%d unreadable on %s: %v", topic, b.firstID, last, id, rerr)
+					tr.failf("acked-loss: %s ids %d..%d unreadable on %s: %v", topic, b.firstID, last, id, rerr)
 					continue
 				}
 				if len(entries) != len(b.payloads) {
-					inv.failf("acked-loss: %s ids %d..%d: %s holds %d of %d entries",
+					tr.failf("acked-loss: %s ids %d..%d: %s holds %d of %d entries",
 						topic, b.firstID, last, id, len(entries), len(b.payloads))
 					continue
 				}
 				for j, e := range entries {
 					if string(e.Payload) != string(b.payloads[j]) {
-						inv.failf("acked-loss: %s id %d diverged on %s", topic, e.ID, id)
+						tr.failf("acked-loss: %s id %d diverged on %s", topic, e.ID, id)
 					}
 				}
 			}
 		}
 		epoch := env.nodes[env.order[0]].Broker().Epoch(topic)
 		if epoch == 0 {
-			inv.failf("epoch: topic %s never left epoch 0", topic)
+			tr.failf("epoch: topic %s never left epoch 0", topic)
 		}
 		env.logf("audit topic=%s acked=%d epoch=%d", topic, len(env.acked[topic]), epoch)
 	}
 
 	rep.Failovers = env.failoversTotal()
-	rep.Elapsed = env.clock.Now().Sub(env.start)
-	rep.Violations = inv.violations
-	sort.Strings(rep.Violations)
-
-	fmt.Fprintf(&env.b, "end acked=%d entries=%d failovers=%d fenced=%d redirects=%d noquorum=%d violations=%d\n",
-		rep.Acked, rep.Entries, rep.Failovers, rep.Fenced, rep.Redirects, rep.NoQuorum, len(rep.Violations))
-	for _, v := range rep.Violations {
-		fmt.Fprintf(&env.b, "violation %s\n", v)
-	}
-
-	rep.Transcript = env.b.String()
-	sum := sha256.Sum256([]byte(rep.Transcript))
-	rep.Digest = hex.EncodeToString(sum[:])
-
-	if len(rep.Violations) > 0 {
-		return rep, fmt.Errorf("scenario: %d fabric invariant violation(s); first: %s", len(rep.Violations), rep.Violations[0])
-	}
-	return rep, nil
+	sort.Strings(tr.violations)
+	rep.Result, err = tr.seal(env.clock.Now().Sub(env.start), "acked=%d entries=%d failovers=%d fenced=%d redirects=%d noquorum=%d",
+		rep.Acked, rep.Entries, rep.Failovers, rep.Fenced, rep.Redirects, rep.NoQuorum)
+	return rep, err
 }

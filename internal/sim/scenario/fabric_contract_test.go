@@ -86,16 +86,14 @@ func newPlainFabric(t *testing.T, tcp bool) *contractFabric {
 // newGatedFabric is the scenario's own fabric: gatedPeer links on a virtual
 // clock.
 func newGatedFabric(t *testing.T) *contractFabric {
-	env, err := newFabricEnv(1, &FabricReport{}, &invariants{})
+	env, err := newFabricEnv(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(env.close)
 	return &contractFabric{
 		ring: env.ring, table: env.table, nodes: env.nodes, kill: env.kill,
-		peer: func(from, to string) (stream.Peer, error) {
-			return &gatedPeer{env: env, from: from, to: to, n: env.nodes[to]}, nil
-		},
+		peer: func(from, to string) (stream.Peer, error) { return env.peer(from, to), nil },
 	}
 }
 

@@ -1,10 +1,3 @@
-// Package scenario composes the sim layer with the real pipeline — sampler
-// hook -> Fact Vertex -> Delphi -> Insight Vertex -> archive -> query — into
-// seeded, fully deterministic end-to-end simulations. A Run drives every
-// component synchronously on a single goroutine over a virtual clock, injects
-// the faults of a sim.Schedule through a Bus wrapper, checks pipeline
-// invariants while it goes, and returns a byte-for-byte reproducible
-// transcript (plus its digest) as the replayable failure artifact.
 package scenario
 
 import (
@@ -24,12 +17,59 @@ func errInjected(kind sim.FaultKind) error {
 	return fmt.Errorf("sim: injected %s: %w", kind, syscall.ECONNRESET)
 }
 
-// faultBus wraps a stream.Bus and fails or delays operations according to
-// the scenario's fault state. It is driven from the single scenario
-// goroutine, so plain fields suffice; a BrokerStall advances the virtual
-// clock directly (the synchronous stand-in for a blocked broker call).
-type faultBus struct {
+// gatedBus puts a gate in front of every stream.Bus operation: one the gate
+// refuses fails without reaching inner. The gate is told whether the
+// operation is a "publish" or a "read".
+type gatedBus struct {
 	inner stream.Bus
+	gate  func(op string) error
+}
+
+func (g gatedBus) PublishBatch(ctx context.Context, topic string, payloads [][]byte) (uint64, error) {
+	if err := g.gate("publish"); err != nil {
+		return 0, err
+	}
+	return g.inner.PublishBatch(ctx, topic, payloads)
+}
+
+func (g gatedBus) Latest(ctx context.Context, topic string) (stream.Entry, error) {
+	if err := g.gate("read"); err != nil {
+		return stream.Entry{}, err
+	}
+	return g.inner.Latest(ctx, topic)
+}
+
+func (g gatedBus) Range(ctx context.Context, topic string, from, to uint64, max int) ([]stream.Entry, error) {
+	if err := g.gate("read"); err != nil {
+		return nil, err
+	}
+	return g.inner.Range(ctx, topic, from, to, max)
+}
+
+func (g gatedBus) ConsumeBatch(ctx context.Context, topic string, afterID uint64, max int) ([]stream.Entry, error) {
+	if err := g.gate("read"); err != nil {
+		return nil, err
+	}
+	return g.inner.ConsumeBatch(ctx, topic, afterID, max)
+}
+
+func (g gatedBus) Follow(ctx context.Context, topic string, afterID uint64) (stream.Cursor, error) {
+	if err := g.gate("read"); err != nil {
+		return nil, err
+	}
+	return g.inner.Follow(ctx, topic, afterID)
+}
+
+// stallLatency is the virtual time each operation burns while a BrokerStall
+// window is active.
+const stallLatency = 100 * time.Millisecond
+
+// faultBus gates a broker by the pipeline scenario's fault state. It is
+// driven from the single scenario goroutine, so plain fields suffice; a
+// BrokerStall advances the virtual clock directly (the synchronous stand-in
+// for a blocked broker call).
+type faultBus struct {
+	gatedBus
 	clock *sim.Virtual
 
 	// partitionUntil: while Now is before it, every operation fails with a
@@ -37,18 +77,17 @@ type faultBus struct {
 	partitionUntil time.Time
 	// stallUntil: while Now is before it, operations succeed but first burn
 	// stallLatency of virtual time (a slow, not dead, broker).
-	stallUntil   time.Time
-	stallLatency time.Duration
+	stallUntil time.Time
 	// dropNext fails the next N publish operations (one-shot conn drops).
 	dropNext int
 
 	injected uint64 // operations failed or delayed by the scenario
 }
 
-const defaultStallLatency = 100 * time.Millisecond
-
 func newFaultBus(inner stream.Bus, clock *sim.Virtual) *faultBus {
-	return &faultBus{inner: inner, clock: clock, stallLatency: defaultStallLatency}
+	f := &faultBus{clock: clock}
+	f.gatedBus = gatedBus{inner: inner, gate: f.fault}
+	return f
 }
 
 // apply arms the bus for one schedule event. SlowDisk is handled at the
@@ -64,11 +103,11 @@ func (f *faultBus) apply(e sim.Event, now time.Time) {
 	}
 }
 
-// gate applies the current fault state to one operation; a non-nil return
+// fault applies the current fault state to one operation; a non-nil return
 // means the operation fails without reaching the broker.
-func (f *faultBus) gate(kind string) error {
+func (f *faultBus) fault(op string) error {
 	now := f.clock.Now()
-	if f.dropNext > 0 && kind == "publish" {
+	if f.dropNext > 0 && op == "publish" {
 		f.dropNext--
 		f.injected++
 		return errInjected(sim.ConnDrop)
@@ -79,42 +118,7 @@ func (f *faultBus) gate(kind string) error {
 	}
 	if now.Before(f.stallUntil) {
 		f.injected++
-		f.clock.Advance(f.stallLatency)
+		f.clock.Advance(stallLatency)
 	}
 	return nil
 }
-
-func (f *faultBus) PublishBatch(ctx context.Context, topic string, payloads [][]byte) (uint64, error) {
-	if err := f.gate("publish"); err != nil {
-		return 0, err
-	}
-	return f.inner.PublishBatch(ctx, topic, payloads)
-}
-
-func (f *faultBus) Latest(ctx context.Context, topic string) (stream.Entry, error) {
-	if err := f.gate("read"); err != nil {
-		return stream.Entry{}, err
-	}
-	return f.inner.Latest(ctx, topic)
-}
-
-func (f *faultBus) Range(ctx context.Context, topic string, from, to uint64, max int) ([]stream.Entry, error) {
-	if err := f.gate("read"); err != nil {
-		return nil, err
-	}
-	return f.inner.Range(ctx, topic, from, to, max)
-}
-
-func (f *faultBus) ConsumeBatch(ctx context.Context, topic string, afterID uint64, max int) ([]stream.Entry, error) {
-	if err := f.gate("read"); err != nil {
-		return nil, err
-	}
-	return f.inner.ConsumeBatch(ctx, topic, afterID, max)
-}
-
-func (f *faultBus) Follow(ctx context.Context, topic string, afterID uint64) (stream.Cursor, error) {
-	// The synchronous scenario never subscribes; delegate for completeness.
-	return f.inner.Follow(ctx, topic, afterID)
-}
-
-var _ stream.Bus = (*faultBus)(nil)

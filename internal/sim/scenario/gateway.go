@@ -5,8 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sync"
-	"sync/atomic"
+	"sort"
 	"time"
 
 	apiv1 "repro/api/v1"
@@ -39,48 +38,39 @@ const GatewayMetric = "sim.gateway.capacity"
 type GatewayConfig struct {
 	// Seed places the slow subscribers deterministically.
 	Seed int64
-	// Subscribers is the total attached client count (default 1000).
+	// Subscribers is the total attached client count.
 	Subscribers int
-	// SlowFraction is the share of subscribers that never drain
-	// (default 0.1).
+	// SlowFraction is the share of subscribers that never drain.
 	SlowFraction float64
-	// Tuples is how many tuples are published in total (default 4*Queue).
+	// Tuples is how many tuples are published in total; more than Queue
+	// guarantees every slow subscriber overflows.
 	Tuples int
-	// Queue is how many frames a subscriber may trail the tail by
-	// (default 64).
+	// Queue is how many frames a subscriber may trail the tail by (> 0).
 	Queue int
 }
 
-func (c *GatewayConfig) defaults() {
-	if c.Subscribers <= 0 {
-		c.Subscribers = 1000
-	}
-	if c.SlowFraction <= 0 {
-		c.SlowFraction = 0.1
-	}
-	if c.Queue <= 0 {
-		c.Queue = 64
-	}
-	if c.Tuples <= 0 {
-		c.Tuples = 4 * c.Queue
-	}
-}
-
-// GatewayReport is the outcome of one gateway fan-out run.
+// GatewayReport is the outcome of one gateway fan-out run. Its transcript
+// holds the configuration, one line per barrier batch (first ID, size, frames
+// delivered) and the evicted principals in name order with their terminal
+// code — never heap or wall time, so it is a pure function of the config.
 type GatewayReport struct {
-	Subscribers int           // total attached
-	Slow        int           // configured to never drain
-	Tuples      int           // published to the topic
-	Delivered   uint64        // frames drained by well-behaved subscribers
-	Evicted     int           // slow subscribers cut loose
-	HeapBytes   uint64        // live heap after the run (post-GC)
-	Elapsed     time.Duration // wall time of the run
+	Result
+
+	Subscribers int    // total attached
+	Slow        int    // configured to never drain
+	Tuples      int    // published to the topic
+	Delivered   uint64 // frames drained by well-behaved subscribers
+	Evicted     int    // slow subscribers cut loose
+	HeapBytes   uint64 // live heap after the run (post-GC)
 }
 
-// RunGateway executes the scenario and checks its invariants, returning an
-// error on the first violation.
-func RunGateway(cfg GatewayConfig) (GatewayReport, error) {
-	cfg.defaults()
+// RunGateway executes the scenario and checks its invariants. A broken
+// invariant is a violation in the report; only a set-up failure or a drain
+// that cannot go on ends the run early, with a nil report.
+func RunGateway(cfg GatewayConfig) (*GatewayReport, error) {
+	if cfg.Queue <= 0 {
+		return nil, fmt.Errorf("gateway scenario: queue %d, want > 0", cfg.Queue)
+	}
 	start := time.Now()
 
 	// Retention must hold the whole run: a zero-loss claim is meaningless if
@@ -100,6 +90,9 @@ func RunGateway(cfg GatewayConfig) (GatewayReport, error) {
 	for _, i := range rand.New(rand.NewSource(cfg.Seed)).Perm(cfg.Subscribers)[:nSlow] {
 		slow[i] = true
 	}
+	rep := &GatewayReport{Subscribers: cfg.Subscribers, Slow: nSlow, Tuples: cfg.Tuples}
+	tr := &transcript{}
+	tr.line("gateway seed=%d subs=%d slow=%d tuples=%d queue=%d", cfg.Seed, cfg.Subscribers, nSlow, cfg.Tuples, cfg.Queue)
 
 	ctx := context.Background()
 	var well []*gateway.Subscriber
@@ -108,7 +101,7 @@ func RunGateway(cfg GatewayConfig) (GatewayReport, error) {
 		principal := fmt.Sprintf("sub-%05d", i)
 		sub, err := gw.Attach(ctx, principal, GatewayMetric, 0)
 		if err != nil {
-			return GatewayReport{}, fmt.Errorf("attach %s: %w", principal, err)
+			return nil, fmt.Errorf("attach %s: %w", principal, err)
 		}
 		if slow[i] {
 			slowSubs = append(slowSubs, sub)
@@ -119,68 +112,79 @@ func RunGateway(cfg GatewayConfig) (GatewayReport, error) {
 
 	// Publish-batch barrier: batches of at most Queue tuples, every
 	// well-behaved subscriber drains the batch before the next goes out.
-	// The drain fans out over a bounded worker pool; each worker verifies
-	// per-subscriber stream-order contiguity as it goes.
+	// Every frame of a batch fits each queue, so one goroutine drains them
+	// all, checking per-subscriber stream-order contiguity as it goes.
 	base := time.Unix(1700000000, 0).UnixNano()
 	lastID := make([]uint64, len(well))
-	var delivered atomic.Uint64
-	published := 0
-	for published < cfg.Tuples {
-		n := cfg.Queue
-		if cfg.Tuples-published < n {
-			n = cfg.Tuples - published
-		}
+	for published := 0; published < cfg.Tuples; {
+		n := min(cfg.Queue, cfg.Tuples-published)
 		payloads := make([][]byte, n)
-		for i := 0; i < n; i++ {
+		for i := range payloads {
 			seq := published + i
 			in := telemetry.NewFact(telemetry.MetricID(GatewayMetric), base+int64(seq)*int64(time.Second), float64(seq))
 			p, err := in.MarshalBinary()
 			if err != nil {
-				return GatewayReport{}, err
+				return nil, err
 			}
 			payloads[i] = p
 		}
-		if _, err := broker.PublishBatch(ctx, GatewayMetric, payloads); err != nil {
-			return GatewayReport{}, fmt.Errorf("publish batch at %d: %w", published, err)
+		first, err := broker.PublishBatch(ctx, GatewayMetric, payloads)
+		if err != nil {
+			return nil, fmt.Errorf("publish batch at %d: %w", published, err)
 		}
 		published += n
 
 		drainCtx, cancel := context.WithTimeout(ctx, 2*time.Minute)
-		if err := drainBatch(drainCtx, well, lastID, n, &delivered); err != nil {
-			cancel()
-			return GatewayReport{}, err
+		for i, sub := range well {
+			for k := 0; k < n; k++ {
+				fr, more := sub.Next(drainCtx)
+				if fr.Type != apiv1.FrameTuple || !more {
+					cancel()
+					return nil, fmt.Errorf("subscriber %s: frame %d/%d of batch: %+v more=%v", sub.Principal(), k+1, n, fr, more)
+				}
+				if fr.Tuple.StreamID != lastID[i]+1 {
+					tr.failf("subscriber %s: stream ID %d after %d (gap or reorder)", sub.Principal(), fr.Tuple.StreamID, lastID[i])
+				}
+				lastID[i] = fr.Tuple.StreamID
+			}
 		}
 		cancel()
+		rep.Delivered += uint64(n * len(well))
+		tr.line("batch first=%d n=%d delivered=%d", first, n, n*len(well))
 	}
 
 	// Every slow subscriber must have been evicted with the contract's
 	// slow_consumer frame (Tuples > Queue guarantees the overflow happened).
-	evicted := 0
+	sort.Slice(slowSubs, func(i, j int) bool { return slowSubs[i].Principal() < slowSubs[j].Principal() })
 	for _, sub := range slowSubs {
 		select {
 		case fr := <-sub.Final():
-			if fr.Type != apiv1.FrameError || fr.Error == nil || fr.Error.Code != apiv1.CodeSlowConsumer {
-				return GatewayReport{}, fmt.Errorf("slow subscriber %s: terminal frame %+v, want slow_consumer", sub.Principal(), fr)
+			code := apiv1.Code("none")
+			if fr.Error != nil {
+				code = fr.Error.Code
 			}
-			evicted++
+			tr.line("evicted %s code=%s", sub.Principal(), code)
+			if fr.Type != apiv1.FrameError || code != apiv1.CodeSlowConsumer {
+				tr.failf("slow subscriber %s: terminal frame %+v, want slow_consumer", sub.Principal(), fr)
+			} else {
+				rep.Evicted++
+			}
 		case <-time.After(time.Minute):
-			return GatewayReport{}, fmt.Errorf("slow subscriber %s not evicted", sub.Principal())
+			tr.failf("slow subscriber %s not evicted", sub.Principal())
 		}
 		if !sub.Evicted() {
-			return GatewayReport{}, fmt.Errorf("slow subscriber %s: Evicted() false after terminal frame", sub.Principal())
+			tr.failf("slow subscriber %s: Evicted() false after terminal frame", sub.Principal())
 		}
 	}
 
 	// Zero-loss check: every well-behaved subscriber saw exactly the full
 	// stream.
-	for i, id := range lastID {
-		if id != uint64(cfg.Tuples) {
-			return GatewayReport{}, fmt.Errorf("well-behaved subscriber %d stopped at stream ID %d of %d", i, id, cfg.Tuples)
+	for i, sub := range well {
+		if lastID[i] != uint64(cfg.Tuples) {
+			tr.failf("well-behaved subscriber %s stopped at stream ID %d of %d", sub.Principal(), lastID[i], cfg.Tuples)
 		}
-	}
-	for _, sub := range well {
 		if sub.Evicted() {
-			return GatewayReport{}, fmt.Errorf("well-behaved subscriber %s evicted", sub.Principal())
+			tr.failf("well-behaved subscriber %s evicted", sub.Principal())
 		}
 		sub.Close()
 	}
@@ -188,62 +192,9 @@ func RunGateway(cfg GatewayConfig) (GatewayReport, error) {
 	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
+	rep.HeapBytes = ms.HeapAlloc
 
-	return GatewayReport{
-		Subscribers: cfg.Subscribers,
-		Slow:        nSlow,
-		Tuples:      cfg.Tuples,
-		Delivered:   delivered.Load(),
-		Evicted:     evicted,
-		HeapBytes:   ms.HeapAlloc,
-		Elapsed:     time.Since(start),
-	}, nil
-}
-
-// drainBatch pulls exactly n frames from every subscriber in subs, checking
-// stream-order contiguity against lastID, over a bounded worker pool.
-func drainBatch(ctx context.Context, subs []*gateway.Subscriber, lastID []uint64, n int, delivered *atomic.Uint64) error {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(subs) {
-		workers = len(subs)
-	}
-	if workers < 1 {
-		return nil
-	}
-	var wg sync.WaitGroup
-	errs := make(chan error, workers)
-	next := atomic.Int64{}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(subs) {
-					return
-				}
-				sub := subs[i]
-				for k := 0; k < n; k++ {
-					fr, more := sub.Next(ctx)
-					if fr.Type != apiv1.FrameTuple || !more {
-						errs <- fmt.Errorf("subscriber %d: frame %d/%d of batch: %+v more=%v", i, k+1, n, fr, more)
-						return
-					}
-					if fr.Tuple.StreamID != lastID[i]+1 {
-						errs <- fmt.Errorf("subscriber %d: stream ID %d after %d (gap or reorder)", i, fr.Tuple.StreamID, lastID[i])
-						return
-					}
-					lastID[i] = fr.Tuple.StreamID
-					delivered.Add(1)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	select {
-	case err := <-errs:
-		return err
-	default:
-		return nil
-	}
+	var err error
+	rep.Result, err = tr.seal(time.Since(start), "delivered=%d evicted=%d", rep.Delivered, rep.Evicted)
+	return rep, err
 }

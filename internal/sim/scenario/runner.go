@@ -2,11 +2,7 @@ package scenario
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
-	"fmt"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"strings"
 	"time"
@@ -21,64 +17,30 @@ import (
 	"repro/internal/telemetry"
 )
 
-// AIMD bounds used by every scenario; the runner asserts each interval the
-// controller hands back stays inside them.
-const (
-	aimdMin = 1 * time.Second
-	aimdMax = 8 * time.Second
-)
-
 // Metric names of the simulated DAG.
 const (
 	FactMetric    = "sim.capacity"
 	InsightMetric = "sim.capacity.insight"
 )
 
-// slowDiskLatency is the virtual time one hook poll burns while a SlowDisk
-// fault window is active.
-const slowDiskLatency = 50 * time.Millisecond
+// The pipeline scenario's shape: how many fault events its schedule carries,
+// the virtual duration of the run, the discrete-event step (also the Delphi
+// fill-in resolution), the AIMD bounds every interval the controller hands
+// back must stay inside, and the virtual time one hook poll burns while a
+// SlowDisk fault window is active.
+const (
+	faults          = 6
+	horizon         = 3 * time.Minute
+	baseTick        = time.Second
+	aimdMin         = time.Second
+	aimdMax         = 8 * time.Second
+	slowDiskLatency = 50 * time.Millisecond
+)
 
-// Config parameterizes a deterministic end-to-end scenario. Everything that
-// shapes behavior derives from Seed, so two Runs with equal Config produce
-// byte-identical transcripts.
-type Config struct {
-	// Seed drives the fault schedule, the workload, and (when Model is nil)
-	// Delphi training.
-	Seed int64
-	// Faults is how many fault events the schedule carries (default 6).
-	Faults int
-	// Horizon is the virtual duration of the run (default 3m).
-	Horizon time.Duration
-	// BaseTick is the discrete-event step and the Delphi fill-in resolution
-	// (default 1s).
-	BaseTick time.Duration
-	// Dir hosts the archive segments; empty means a private temp dir removed
-	// after the run (the transcript never mentions paths).
-	Dir string
-	// Model is the Delphi model to predict with; nil trains a small model
-	// from Seed (slower — share one across runs when comparing digests).
-	Model *delphi.Model
-}
-
-func (c *Config) defaults() {
-	if c.Faults <= 0 {
-		c.Faults = 6
-	}
-	if c.Horizon <= 0 {
-		c.Horizon = 3 * time.Minute
-	}
-	if c.BaseTick <= 0 {
-		c.BaseTick = time.Second
-	}
-}
-
-// Report is the outcome of one scenario run. Transcript is the replayable
-// artifact: re-running with the same Config reproduces it byte for byte, and
-// Digest is its sha256 (the one-line fingerprint to compare across runs).
+// Report is the outcome of one Run.
 type Report struct {
-	Schedule   sim.Schedule
-	Transcript string
-	Digest     string
+	Result
+	Schedule sim.Schedule
 
 	Polls     uint64 // hook polls executed
 	Facts     uint64 // measured facts accepted by the publish path
@@ -87,20 +49,6 @@ type Report struct {
 	Archived  uint64 // tuples evicted into the archives
 	Injected  uint64 // bus operations failed or delayed by the schedule
 	Applied   int    // schedule events applied
-
-	// Violations lists broken pipeline invariants (empty on a healthy run).
-	Violations []string
-	// Elapsed is how much virtual time the run covered.
-	Elapsed time.Duration
-}
-
-// TrainQuickModel trains the small deterministic Delphi model scenarios use
-// when Config.Model is nil. Exposed so tests can train once and share it
-// across runs.
-func TrainQuickModel(seed int64) (*delphi.Model, error) {
-	return delphi.Train(delphi.TrainOptions{
-		SeriesPerFeature: 2, SeriesLen: 64, Epochs: 3, Noise: 0.2, Seed: seed,
-	})
 }
 
 // Run executes one deterministic scenario: a sampler hook polled by a Fact
@@ -109,35 +57,20 @@ func TrainQuickModel(seed int64) (*delphi.Model, error) {
 // queue evictions, faults injected from the seeded schedule, and a final
 // query pass over the AQE. The whole pipeline runs synchronously on one
 // goroutine over a virtual clock, so the returned Report (and in particular
-// its Transcript/Digest) is a pure function of cfg.
+// its Transcript/Digest) is a pure function of seed.
 //
 // Run returns the Report together with a non-nil error when any pipeline
 // invariant was violated; the Report is always valid for inspection.
-func Run(cfg Config) (*Report, error) {
-	cfg.defaults()
-
-	dir := cfg.Dir
-	if dir == "" {
-		tmp, err := os.MkdirTemp("", "apollo-sim-*")
-		if err != nil {
-			return nil, fmt.Errorf("scenario: temp dir: %w", err)
-		}
-		defer os.RemoveAll(tmp)
-		dir = tmp
+func Run(seed int64) (*Report, error) {
+	model, dir, cleanup, err := scratch(quickModel)
+	if err != nil {
+		return nil, err
 	}
-
-	model := cfg.Model
-	if model == nil {
-		m, err := TrainQuickModel(cfg.Seed)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: training delphi: %w", err)
-		}
-		model = m
-	}
+	defer cleanup()
 
 	start := time.Unix(0, 0)
 	clock := sim.NewVirtual(start)
-	schedule := sim.Generate(cfg.Seed, cfg.Faults, cfg.Horizon)
+	schedule := sim.Generate(seed, faults, horizon)
 
 	broker := stream.NewBroker(0)
 	defer broker.Close()
@@ -159,7 +92,7 @@ func Run(cfg Config) (*Report, error) {
 
 	// The workload is a seeded random walk: stable stretches let AIMD relax
 	// the interval (opening gaps for Delphi to fill), bursts snap it back.
-	wl := rand.New(rand.NewSource(cfg.Seed ^ 0x5eedface))
+	wl := rand.New(rand.NewSource(seed ^ 0x5eedface))
 	value := 100.0
 	var slowUntil time.Time
 	hook := score.HookFunc{
@@ -183,7 +116,7 @@ func Run(cfg Config) (*Report, error) {
 		HistorySize: 32, // small window forces evictions into the archive
 		Archive:     factLog,
 		Delphi:      delphi.NewOnline(model),
-		BaseTick:    cfg.BaseTick,
+		BaseTick:    baseTick,
 		FailAfter:   3,
 	})
 	if err != nil {
@@ -214,12 +147,10 @@ func Run(cfg Config) (*Report, error) {
 	}
 	engine := aqe.NewEngine(aqe.GraphResolver{Graph: graph})
 
-	inv := &invariants{}
-	factHealth := newHealthTracker("fact", inv)
-	insHealth := newHealthTracker("insight", inv)
-
-	var b strings.Builder
-	fmt.Fprintf(&b, "scenario %s horizon=%s tick=%s\n", schedule, cfg.Horizon, cfg.BaseTick)
+	tr := &transcript{}
+	factHealth := &healthTracker{name: "fact", tr: tr}
+	insHealth := &healthTracker{name: "insight", tr: tr}
+	tr.line("scenario %s horizon=%s tick=%s", schedule, horizon, baseTick)
 
 	ctx := context.Background()
 	rep := &Report{Schedule: schedule}
@@ -228,16 +159,18 @@ func Run(cfg Config) (*Report, error) {
 	evIdx := 0
 
 	for {
+		// Every line of a tick carries the time at its start, even after a
+		// slow-disk poll or a broker stall has moved the clock on.
 		now := clock.Now()
 		elapsed := now.Sub(start)
-		if elapsed > cfg.Horizon {
+		if elapsed > horizon {
 			break
 		}
 
 		// Arm every schedule event that has come due.
 		for evIdx < len(schedule.Events) && schedule.Events[evIdx].At <= elapsed {
 			e := schedule.Events[evIdx]
-			fmt.Fprintf(&b, "t=%s fault %s %s\n", elapsed, e.Kind, e.Duration)
+			tr.logf(elapsed, "fault %s %s", e.Kind, e.Duration)
 			if e.Kind == sim.SlowDisk {
 				slowUntil = now.Add(e.Duration)
 			} else {
@@ -250,29 +183,30 @@ func Run(cfg Config) (*Report, error) {
 		// Poll when the AIMD deadline arrives.
 		if !now.Before(nextPoll) {
 			next := fv.PollOnce()
-			inv.checkInterval(next, aimdMin, aimdMax)
+			if next < aimdMin || next > aimdMax {
+				tr.failf("aimd-bounds: interval %v outside [%v, %v]", next, aimdMin, aimdMax)
+			}
 			st := fv.Stats()
 			h := fv.Health()
-			fmt.Fprintf(&b, "t=%s poll value=%.4f next=%s published=%d predicted=%d buffered=%d health=%s\n",
-				elapsed, value, next, st.Published, st.Predicted, h.Buffered, h.State)
+			tr.logf(elapsed, "poll value=%.4f next=%s published=%d predicted=%d buffered=%d health=%s",
+				value, next, st.Published, st.Predicted, h.Buffered, h.State)
 			nextPoll = now.Add(next)
 		}
 
 		// Feed freshly published facts to the insight vertex through the
 		// fault bus: a partition delays consumption but never loses tuples.
 		if entries, rerr := bus.Range(ctx, FactMetric, lastFactID+1, 1<<62, 0); rerr != nil {
-			fmt.Fprintf(&b, "t=%s read-fault %s\n", elapsed, rerr)
+			tr.logf(elapsed, "read-fault %s", rerr)
 		} else {
 			for _, e := range entries {
-				inv.checkMonotoneID(FactMetric, lastFactID, e.ID)
+				tr.checkMonotoneID(FactMetric, lastFactID, e.ID)
 				lastFactID = e.ID
 				var in telemetry.Info
 				if uerr := in.UnmarshalBinary(e.Payload); uerr != nil {
-					inv.failf("decode: fact id %d: %v", e.ID, uerr)
+					tr.failf("decode: fact id %d: %v", e.ID, uerr)
 					continue
 				}
-				fmt.Fprintf(&b, "t=%s fact id=%d ts=%d value=%.4f src=%s\n",
-					elapsed, e.ID, in.Timestamp, in.Value, in.Source)
+				tr.logf(elapsed, "fact id=%d ts=%d value=%.4f src=%s", e.ID, in.Timestamp, in.Value, in.Source)
 				insight.ConsumeOnce(e)
 			}
 		}
@@ -280,29 +214,30 @@ func Run(cfg Config) (*Report, error) {
 		// Record the insights that landed (read directly: transcript only).
 		if entries, rerr := broker.Range(ctx, InsightMetric, lastInsID+1, 1<<62, 0); rerr == nil {
 			for _, e := range entries {
-				inv.checkMonotoneID(InsightMetric, lastInsID, e.ID)
+				tr.checkMonotoneID(InsightMetric, lastInsID, e.ID)
 				lastInsID = e.ID
 				var in telemetry.Info
 				if uerr := in.UnmarshalBinary(e.Payload); uerr != nil {
-					inv.failf("decode: insight id %d: %v", e.ID, uerr)
+					tr.failf("decode: insight id %d: %v", e.ID, uerr)
 					continue
 				}
-				fmt.Fprintf(&b, "t=%s insight id=%d value=%.4f src=%s\n", elapsed, e.ID, in.Value, in.Source)
+				tr.logf(elapsed, "insight id=%d value=%.4f src=%s", e.ID, in.Value, in.Source)
 			}
 		}
 
 		if factHealth.observe(fv.Health().State) {
-			fmt.Fprintf(&b, "t=%s health fact=%s\n", elapsed, fv.Health().State)
+			tr.logf(elapsed, "health fact=%s", fv.Health().State)
 		}
 		if insHealth.observe(insight.Health().State) {
-			fmt.Fprintf(&b, "t=%s health insight=%s\n", elapsed, insight.Health().State)
+			tr.logf(elapsed, "health insight=%s", insight.Health().State)
 		}
 
-		clock.Advance(cfg.BaseTick)
+		clock.Advance(baseTick)
 	}
 
 	// End-to-end retention check: every acked tuple must be retrievable from
-	// the history+archive merge, measured and predicted alike.
+	// the history+archive merge, measured and predicted alike — once acked
+	// (delivered or buffered), a tuple may be delayed but never lost.
 	if err := factLog.Sync(); err != nil {
 		return nil, err
 	}
@@ -318,9 +253,14 @@ func Run(cfg Config) (*Report, error) {
 	insight.ScanRange(-1<<62, 1<<62, func(telemetry.Info) bool { insights++; return true })
 	fst := fv.Stats()
 	ist := insight.Stats()
-	inv.checkAckedRetention("fact(measured)", fst.Published, measured)
-	inv.checkAckedRetention("fact(predicted)", fst.Predicted, predicted)
-	inv.checkAckedRetention("insight", ist.Published, insights)
+	retained := func(name string, acked, retrievable uint64) {
+		if retrievable < acked {
+			tr.failf("acked-loss: %s accepted %d tuples but only %d retrievable", name, acked, retrievable)
+		}
+	}
+	retained("fact(measured)", fst.Published, measured)
+	retained("fact(predicted)", fst.Predicted, predicted)
+	retained("insight", ist.Published, insights)
 
 	// Query pass: the AQE answers over the same history+archive merge.
 	for _, q := range []string{
@@ -329,7 +269,7 @@ func Run(cfg Config) (*Report, error) {
 	} {
 		res, qerr := engine.Query(q)
 		if qerr != nil {
-			inv.failf("query: %s: %v", q, qerr)
+			tr.failf("query: %s: %v", q, qerr)
 			continue
 		}
 		cells := make([]string, 0, len(res.Columns))
@@ -338,7 +278,7 @@ func Run(cfg Config) (*Report, error) {
 				cells = append(cells, c.String())
 			}
 		}
-		fmt.Fprintf(&b, "query %q -> [%s]\n", q, strings.Join(cells, " "))
+		tr.line("query %q -> [%s]", q, strings.Join(cells, " "))
 	}
 
 	rep.Polls = fst.Polls
@@ -347,21 +287,33 @@ func Run(cfg Config) (*Report, error) {
 	rep.Insights = ist.Published
 	rep.Archived = factLog.Appended()
 	rep.Injected = bus.injected
-	rep.Elapsed = clock.Now().Sub(start)
-	rep.Violations = inv.violations
+	rep.Result, err = tr.seal(clock.Now().Sub(start), "polls=%d facts=%d predicted=%d insights=%d archived=%d injected=%d applied=%d",
+		rep.Polls, rep.Facts, rep.Predicted, rep.Insights, rep.Archived, rep.Injected, rep.Applied)
+	return rep, err
+}
 
-	fmt.Fprintf(&b, "end polls=%d facts=%d predicted=%d insights=%d archived=%d injected=%d applied=%d violations=%d\n",
-		rep.Polls, rep.Facts, rep.Predicted, rep.Insights, rep.Archived, rep.Injected, rep.Applied, len(rep.Violations))
-	for _, vio := range rep.Violations {
-		fmt.Fprintf(&b, "violation %s\n", vio)
+// healthTracker enforces legal publish-path health transitions:
+//
+//	OK       -> Degraded            (first error or backlog)
+//	Degraded -> OK | Failed         (recovery, or FailAfter consecutive errors)
+//	Failed   -> OK | Degraded       (recovery; Degraded while a backlog drains)
+//
+// OK -> Failed without passing through Degraded is illegal whenever
+// FailAfter > 1: the error streak must grow one publish at a time.
+type healthTracker struct {
+	name string
+	last score.HealthState // the zero value is score.HealthOK
+	tr   *transcript
+}
+
+// observe feeds one health snapshot; it returns true when the state changed.
+func (h *healthTracker) observe(s score.HealthState) bool {
+	if s == h.last {
+		return false
 	}
-
-	rep.Transcript = b.String()
-	sum := sha256.Sum256([]byte(rep.Transcript))
-	rep.Digest = hex.EncodeToString(sum[:])
-
-	if len(rep.Violations) > 0 {
-		return rep, fmt.Errorf("scenario: %d invariant violation(s); first: %s", len(rep.Violations), rep.Violations[0])
+	if h.last == score.HealthOK && s == score.HealthFailed {
+		h.tr.failf("health-transition: %s jumped ok -> failed", h.name)
 	}
-	return rep, nil
+	h.last = s
+	return true
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -38,12 +39,7 @@ func TestBrokerPublishAllocs(t *testing.T) {
 		es, _ := b.ConsumeBatch(ctx, "t", tail, 0)
 		got <- es
 	}()
-	for parked := false; !parked; time.Sleep(time.Millisecond) {
-		tp, _ := b.topicFor("t", false)
-		tp.mu.Lock()
-		parked = tp.parked > 0
-		tp.mu.Unlock()
-	}
+	waitParked(t, b, "t")
 	b.Publish(ctx, "t", []byte("wake"))
 	select {
 	case es := <-got:
@@ -52,6 +48,27 @@ func TestBrokerPublishAllocs(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("parked consumer never woken")
+	}
+}
+
+// waitParked returns once a reader is parked on topic, yielding the processor
+// in between, and fails t if none parks within five seconds.
+func waitParked(t *testing.T, b *Broker, topic string) {
+	t.Helper()
+	tp, err := b.topicFor(topic, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; runtime.Gosched() {
+		tp.mu.Lock()
+		parked := tp.parked > 0
+		tp.mu.Unlock()
+		if parked {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no reader parked on %s", topic)
+		}
 	}
 }
 
@@ -158,7 +175,7 @@ func TestBrokerConsumeBatch(t *testing.T) {
 		}
 		done <- es
 	}()
-	time.Sleep(10 * time.Millisecond)
+	waitParked(t, b, "t")
 	b.Publish(ctx, "t", []byte("new"))
 	select {
 	case es := <-done:
@@ -175,7 +192,7 @@ func TestBrokerConsumeBatch(t *testing.T) {
 		_, err := b.ConsumeBatch(cctx, "t", 11, 8)
 		errc <- err
 	}()
-	time.Sleep(10 * time.Millisecond)
+	waitParked(t, b, "t")
 	cancel()
 	select {
 	case err := <-errc:
@@ -305,7 +322,7 @@ func TestClientConsumeBatchBlocksAndCancels(t *testing.T) {
 		}
 		got <- es
 	}()
-	time.Sleep(20 * time.Millisecond)
+	waitParked(t, b, "t")
 	b.PublishBatch(context.Background(), "t", [][]byte{[]byte("a"), []byte("b")})
 	select {
 	case es := <-got:
@@ -323,7 +340,7 @@ func TestClientConsumeBatchBlocksAndCancels(t *testing.T) {
 		_, err := c.ConsumeBatch(ctx, "t", 3, 8)
 		errc <- err
 	}()
-	time.Sleep(20 * time.Millisecond)
+	waitParked(t, b, "t")
 	cancel()
 	select {
 	case err := <-errc:

@@ -104,7 +104,7 @@ func TestCloseUnblocksConsumers(t *testing.T) {
 		_, err := b.ConsumeBatch(context.Background(), "t", 0, 1)
 		errCh <- err
 	}()
-	time.Sleep(5 * time.Millisecond)
+	waitParked(t, b, "t")
 	b.Close()
 	select {
 	case err := <-errCh:

@@ -33,7 +33,8 @@ var notProduct = map[string]bool{
 // tests only, and is a fault-injection or determinism seam tests substitute
 // through, or one of the two named exceptions at the end. An entry that an
 // entry point reaches after all is stale, and the guard reports it. It is the
-// backlog ROADMAP item 4 reads, not a place to park new code.
+// backlog ROADMAP item 8's reach-guard bullet reads, not a place to park new
+// code.
 var reachAllowed = map[string]string{
 	// Seams: fault injection and determinism for tests in stream, score, aqe,
 	// gateway and sim/scenario.
@@ -50,7 +51,7 @@ var reachAllowed = map[string]string{
 
 	// The two exceptions.
 	"internal/archive.Log.Replay": "whole-log read the index and read-path tests compare Range against",
-	"internal/cluster.Ring.Leave": "membership change ROADMAP item 2c's lease-table failover needs; ring tests pin it",
+	"internal/cluster.Ring.Leave": "membership change ROADMAP item 4's lease-table failover needs; ring tests pin it",
 }
 
 // reachDecl is one package-level name: where it is declared and what its

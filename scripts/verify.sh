@@ -46,8 +46,8 @@ GOMAXPROCS=2 go test -count=3 ./internal/delphi/ ./internal/gateway/ ./internal/
 echo "==> GOMAXPROCS=2 go test -count=5 -run 'TestFiguresReproduce|TestAblations' ./internal/figures/"
 GOMAXPROCS=2 go test -count=5 -run 'TestFiguresReproduce|TestAblations' ./internal/figures/
 
-echo "==> go test -race ./internal/stream/... ./internal/queue/... ./internal/obs/... ./internal/archive/... ./internal/aqe/... ./internal/sim/... ./internal/gateway/... ./internal/delphi/... ./internal/nn/... ./internal/core/... ./api/..."
-go test -race ./internal/stream/... ./internal/queue/... ./internal/obs/... ./internal/archive/... ./internal/aqe/... ./internal/sim/... ./internal/gateway/... ./internal/delphi/... ./internal/nn/... ./internal/core/... ./api/...
+echo "==> go test -race ./internal/stream/... ./internal/queue/... ./internal/obs/... ./internal/archive/... ./internal/aqe/... ./internal/sim/ ./internal/gateway/... ./internal/delphi/... ./internal/nn/... ./internal/core/... ./api/..."
+go test -race ./internal/stream/... ./internal/queue/... ./internal/obs/... ./internal/archive/... ./internal/aqe/... ./internal/sim/ ./internal/gateway/... ./internal/delphi/... ./internal/nn/... ./internal/core/... ./api/...
 
 # The vertex package three times over: its goroutine-leak checks count
 # goroutines, and a count is only trustworthy if it holds when the package's
@@ -55,40 +55,17 @@ go test -race ./internal/stream/... ./internal/queue/... ./internal/obs/... ./in
 echo "==> go test -race -count=3 ./internal/score/"
 go test -race -count=3 ./internal/score/
 
-# Deterministic-simulation gate: the end-to-end virtual-time scenario
-# (seeded faults, invariant checks, reproducible digest) under the race
-# detector. Any failing seed replays with: go test ./internal/sim/scenario
-# -run TestScenario -sim.seed=N
-echo "==> go test -race -count=1 ./internal/sim/scenario -run TestScenario"
-go test -race -count=1 ./internal/sim/scenario -run TestScenario
-
-# Continuous-accuracy gate: the drift scenario (seeded regime shift ->
-# detector trip -> measured-only fallback -> retrain -> promotion -> error
-# recovery) must reproduce byte-for-byte under the race detector. Replay a
-# failing seed with -sim.seed=N.
-echo "==> go test -race -count=1 ./internal/sim/scenario -run TestDriftScenario"
-go test -race -count=1 ./internal/sim/scenario -run TestDriftScenario
-
-# Replicated-fabric gate: the seeded failover matrix (leader kill with an
-# in-flight batch, leader/follower partition, epoch-fencing probe, double
-# failover, chaos schedule) must prove zero acked-tuple loss with a
-# byte-reproducible transcript, race-detected. Replay with -sim.seed=N.
-echo "==> go test -race -count=1 ./internal/sim/scenario -run TestFabricScenario"
-go test -race -count=1 ./internal/sim/scenario -run TestFabricScenario
-
-# Tiered-retention gate: an hour of virtual time with per-minute compaction
-# passes must never drop an acked tuple inside the retention window (exact
-# tuples inside the raw bound, bucket coverage out to the 1m bound).
-echo "==> go test -race -count=1 ./internal/sim/scenario -run TestRetention"
-go test -race -count=1 ./internal/sim/scenario -run TestRetention
-
-# Public-edge gate: the gateway fan-out scenario (one broadcaster per topic,
-# slow-consumer eviction, zero acked-tuple loss for well-behaved clients)
-# under the race detector. The 10k-subscriber configuration is
+# Deterministic-simulation gate, the scenario package once under the race
+# detector: the pipeline, fabric, drift and gateway runners each reproduce
+# their transcript digest at GOMAXPROCS 1 and 8 with no invariant broken, and
+# the replication-contract and tiered-retention scenarios hold. Replay a
+# failing seed with
+# go test ./internal/sim/scenario -run TestScenariosReproduce -sim.seed=N -v
+# The 10k-subscriber gateway configuration is
 # go test ./internal/sim/scenario -run 'TestGatewayScenario$' -gateway.subs=10000
 # and the edge over real sockets is bash bench/run.sh --workload edge-fanout.
-echo "==> go test -race -count=1 ./internal/sim/scenario -run TestGatewayScenario"
-go test -race -count=1 ./internal/sim/scenario -run TestGatewayScenario
+echo "==> go test -race -count=1 ./internal/sim/scenario"
+go test -race -count=1 ./internal/sim/scenario
 
 # 3-node smoke: a real apollod fabric over TCP, bounded wall time.
 echo "==> scripts/smoke_fabric.sh"
