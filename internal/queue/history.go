@@ -11,18 +11,37 @@ import (
 	"repro/internal/telemetry"
 )
 
+// A slot's tag packs the tuple's source (bit 15) and kind (bit 14) above an
+// index into the ring's metric names.
+const (
+	sourceShift = 15
+	kindShift   = 14
+	nameMask    = 1<<kindShift - 1
+)
+
 // History is a bounded, timestamp-ordered window of the most recent
 // Information tuples of one metric. The SCoRe Query Executor parses it with
 // timestamp-based indexing (binary search); entries evicted from the window
 // are handed to an eviction callback so the Archiver can persist them.
 //
+// The ring is stored as columns: a slot is its timestamp, its value and a
+// 2-byte tag naming its metric, kind and source — 18 B with no pointer, so
+// the GC never scans a ring's contents. Readers get each slot back as a
+// telemetry.Info.
+//
 // Writers must append tuples in non-decreasing timestamp order (Facts are
 // ordered by timestamp, making them linearizable — §3.1 of the paper).
 type History struct {
-	mu      sync.RWMutex
-	buf     []telemetry.Info
-	head    int // index of oldest entry
-	count   int
+	mu    sync.RWMutex
+	ts    []int64
+	val   []float64
+	tag   []uint16
+	names []telemetry.MetricID          // every metric the ring has stored, in first-seen order
+	index map[telemetry.MetricID]uint16 // names by metric
+	last  uint16                        // names index of the newest append
+	head  int                           // index of oldest entry
+	count int
+
 	onEvict func(telemetry.Info)
 	evicted uint64 // entries displaced so far: the eviction epoch
 
@@ -43,11 +62,17 @@ func NewHistory(capacity int, onEvict func(telemetry.Info)) *History {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &History{buf: make([]telemetry.Info, capacity), onEvict: onEvict}
+	return &History{
+		ts:      make([]int64, capacity),
+		val:     make([]float64, capacity),
+		tag:     make([]uint16, capacity),
+		index:   make(map[telemetry.MetricID]uint16),
+		onEvict: onEvict,
+	}
 }
 
-// Instrument attaches obs counters for evictions and rejected (out-of-order)
-// appends. Pass nil for either to skip it.
+// Instrument attaches obs counters for evictions and rejected appends (see
+// Append). Pass nil for either to skip it.
 func (h *History) Instrument(evicted, dropped *obs.Counter) {
 	h.mu.Lock()
 	h.obsEvicted, h.obsDropped = evicted, dropped
@@ -57,35 +82,77 @@ func (h *History) Instrument(evicted, dropped *obs.Counter) {
 // Append adds info to the window. Appends whose timestamp precedes the
 // newest stored entry are rejected (the queue is timestamp-linearized) and
 // counted on the instrument; Append reports whether the entry was stored.
+// So is a tuple the tag cannot name: a kind or source outside the two
+// defined, or a metric past the ring's 16 384th distinct one.
 //
 // The eviction callback runs under the History lock (see NewHistory): it was
 // previously invoked after unlock, which let two concurrent appenders hand
 // evicted tuples to the archiver out of timestamp order.
 func (h *History) Append(info telemetry.Info) bool {
 	h.mu.Lock()
-	if h.count > 0 {
-		newest := h.buf[(h.head+h.count-1)%len(h.buf)]
-		if info.Timestamp < newest.Timestamp {
-			h.obsDropped.Inc()
-			h.mu.Unlock()
-			return false
-		}
+	defer h.mu.Unlock()
+	if h.count > 0 && info.Timestamp < h.ts[h.slot(h.count-1)] {
+		h.obsDropped.Inc()
+		return false
 	}
-	if h.count == len(h.buf) {
-		evicted := h.buf[h.head]
-		h.head = (h.head + 1) % len(h.buf)
+	tag, ok := h.tagLocked(info)
+	if !ok {
+		h.obsDropped.Inc()
+		return false
+	}
+	if h.count == len(h.ts) {
+		if h.onEvict != nil {
+			// Deliver under the lock so evictions stay timestamp-ordered.
+			h.onEvict(h.infoAt(h.head))
+		}
+		h.head = h.slot(1)
 		h.count--
 		h.evicted++
 		h.obsEvicted.Inc()
-		if h.onEvict != nil {
-			// Deliver under the lock so evictions stay timestamp-ordered.
-			h.onEvict(evicted)
-		}
 	}
-	h.buf[(h.head+h.count)%len(h.buf)] = info
+	s := h.slot(h.count)
+	h.ts[s], h.val[s], h.tag[s] = info.Timestamp, info.Value, tag
 	h.count++
-	h.mu.Unlock()
 	return true
+}
+
+// tagLocked returns the tag naming info's metric, kind and source, adding
+// the metric to h.names on first sight. Caller holds h.mu for writing.
+func (h *History) tagLocked(info telemetry.Info) (uint16, bool) {
+	if info.Kind > telemetry.KindInsight || info.Source > telemetry.Predicted {
+		return 0, false
+	}
+	i, ok := h.last, len(h.names) > 0 && h.names[h.last] == info.Metric
+	if !ok {
+		i, ok = h.index[info.Metric]
+	}
+	if !ok {
+		if len(h.names) > nameMask {
+			return 0, false
+		}
+		i = uint16(len(h.names))
+		h.names = append(h.names, info.Metric)
+		h.index[info.Metric] = i
+	}
+	h.last = i
+	return i | uint16(info.Kind)<<kindShift | uint16(info.Source)<<sourceShift, true
+}
+
+// slot returns the buffer index of the i-th oldest entry.
+func (h *History) slot(i int) int {
+	return (h.head + i) % len(h.ts)
+}
+
+// infoAt rebuilds the tuple in buffer slot s. Caller holds h.mu.
+func (h *History) infoAt(s int) telemetry.Info {
+	tag := h.tag[s]
+	return telemetry.Info{
+		Metric:    h.names[tag&nameMask],
+		Timestamp: h.ts[s],
+		Value:     h.val[s],
+		Kind:      telemetry.Kind(tag >> kindShift & 1),
+		Source:    telemetry.Source(tag >> sourceShift),
+	}
 }
 
 // Latest returns the newest entry, reporting false when empty. This is the
@@ -96,7 +163,7 @@ func (h *History) Latest() (telemetry.Info, bool) {
 	if h.count == 0 {
 		return telemetry.Info{}, false
 	}
-	return h.buf[(h.head+h.count-1)%len(h.buf)], true
+	return h.infoAt(h.slot(h.count - 1)), true
 }
 
 // Bounds returns the oldest and newest retained timestamps, reporting false
@@ -109,9 +176,7 @@ func (h *History) Bounds() (oldest, newest int64, ok bool) {
 	if h.count == 0 {
 		return 0, 0, false
 	}
-	oldest = h.buf[h.head].Timestamp
-	newest = h.buf[(h.head+h.count-1)%len(h.buf)].Timestamp
-	return oldest, newest, true
+	return h.ts[h.head], h.ts[h.slot(h.count-1)], true
 }
 
 // Floor returns the oldest retained timestamp (ok is false when the window is
@@ -124,12 +189,7 @@ func (h *History) Floor() (oldest int64, epoch uint64, ok bool) {
 	if h.count == 0 {
 		return 0, h.evicted, false
 	}
-	return h.buf[h.head].Timestamp, h.evicted, true
-}
-
-// at returns the i-th oldest entry. Caller holds h.mu.
-func (h *History) at(i int) telemetry.Info {
-	return h.buf[(h.head+i)%len(h.buf)]
+	return h.ts[h.head], h.evicted, true
 }
 
 // boundsLocked returns the logical index window [lo, hi) of entries with
@@ -138,38 +198,18 @@ func (h *History) boundsLocked(from, to int64) (lo, hi int) {
 	if h.count == 0 || from > to {
 		return 0, 0
 	}
-	lo = sort.Search(h.count, func(i int) bool { return h.at(i).Timestamp >= from })
-	hi = sort.Search(h.count, func(i int) bool { return h.at(i).Timestamp > to })
+	lo = sort.Search(h.count, func(i int) bool { return h.ts[h.slot(i)] >= from })
+	hi = sort.Search(h.count, func(i int) bool { return h.ts[h.slot(i)] > to })
 	if lo > hi {
 		return 0, 0
 	}
 	return lo, hi
 }
 
-// spansLocked maps the logical window [lo, hi) onto the at most two
-// contiguous slices of the ring buffer that back it, oldest span first.
-// Caller holds h.mu.
-func (h *History) spansLocked(lo, hi int) (a, b []telemetry.Info) {
-	n := hi - lo
-	if n <= 0 {
-		return nil, nil
-	}
-	start := h.head + lo
-	if start >= len(h.buf) {
-		start -= len(h.buf)
-	}
-	first := len(h.buf) - start
-	if first >= n {
-		return h.buf[start : start+n], nil
-	}
-	return h.buf[start:], h.buf[:n-first]
-}
-
 // RangeFunc visits every entry with Timestamp in [from, to], oldest first,
-// under the read lock and without copying. fn returns false to stop the scan
-// early. fn must be fast and must not call back into the History (readers
-// block writers for the duration of the scan); callers that need ownership
-// of the entries copy them.
+// under the read lock and without allocating. fn returns false to stop the
+// scan early. fn must be fast and must not call back into the History
+// (readers block writers for the duration of the scan).
 func (h *History) RangeFunc(from, to int64, fn func(telemetry.Info) bool) {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
@@ -192,15 +232,13 @@ func (h *History) RangeFuncAt(epoch uint64, from, to int64, fn func(telemetry.In
 
 func (h *History) scanLocked(from, to int64, fn func(telemetry.Info) bool) {
 	lo, hi := h.boundsLocked(from, to)
-	a, b := h.spansLocked(lo, hi)
-	for i := range a {
-		if !fn(a[i]) {
+	s := h.slot(lo)
+	for n := hi - lo; n > 0; n-- {
+		if !fn(h.infoAt(s)) {
 			return
 		}
-	}
-	for i := range b {
-		if !fn(b[i]) {
-			return
+		if s++; s == len(h.ts) {
+			s = 0
 		}
 	}
 }

@@ -1,0 +1,215 @@
+package queue
+
+import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"repro/internal/obs"
+	"repro/internal/telemetry"
+)
+
+// modelHistory is the reference History is checked against: the retained
+// tuples as a plain []telemetry.Info, with the same ordering, eviction and
+// naming rules and none of the columns.
+type modelHistory struct {
+	held     []telemetry.Info
+	capacity int
+	names    map[telemetry.MetricID]bool
+	evicted  []telemetry.Info
+	dropped  uint64
+}
+
+func (m *modelHistory) append(in telemetry.Info) bool {
+	n := len(m.held)
+	if n > 0 && in.Timestamp < m.held[n-1].Timestamp ||
+		in.Kind > telemetry.KindInsight || in.Source > telemetry.Predicted ||
+		!m.names[in.Metric] && len(m.names) > nameMask {
+		m.dropped++
+		return false
+	}
+	m.names[in.Metric] = true
+	if n == m.capacity {
+		m.evicted = append(m.evicted, m.held[0])
+		m.held = m.held[1:]
+	}
+	m.held = append(m.held, in)
+	return true
+}
+
+func (m *modelHistory) scan(from, to int64) []telemetry.Info {
+	var out []telemetry.Info
+	for _, in := range m.held {
+		if in.Timestamp >= from && in.Timestamp <= to {
+			out = append(out, in)
+		}
+	}
+	return out
+}
+
+func (m *modelHistory) floor() (int64, uint64, bool) {
+	if len(m.held) == 0 {
+		return 0, uint64(len(m.evicted)), false
+	}
+	return m.held[0].Timestamp, uint64(len(m.evicted)), true
+}
+
+// sameInfos reports the first difference between two tuple runs.
+func sameInfos(got, want []telemetry.Info) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d tuples, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			return fmt.Errorf("tuple %d: %v, want %v", i, got[i], want[i])
+		}
+	}
+	return nil
+}
+
+// TestHistoryMatchesReference drives rings of random capacity through seeded
+// appends over one to three metrics, both kinds and both sources, with tied
+// and out-of-order timestamps, and requires every read, every eviction and
+// the drop count to agree with modelHistory after each step. It then fills
+// one ring's metric names to the tag's width: a metric past it is dropped,
+// not stored under another's name.
+func TestHistoryMatchesReference(t *testing.T) {
+	metrics := []telemetry.MetricID{"node1.nvme0.capacity", "node2.hdd1.capacity", "cluster.load"}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		m := &modelHistory{capacity: 1 + rng.Intn(16), names: map[telemetry.MetricID]bool{}}
+		var evicted []telemetry.Info
+		h := NewHistory(m.capacity, func(in telemetry.Info) { evicted = append(evicted, in) })
+		dropped := obs.NewRegistry().Counter("drops_total")
+		h.Instrument(nil, dropped)
+		used := metrics[:1+rng.Intn(len(metrics))]
+		ts := int64(rng.Intn(100))
+
+		for step := 0; step < 2000; step++ {
+			var err error
+			switch rng.Intn(8) {
+			case 0, 1, 2, 3:
+				switch rng.Intn(6) {
+				case 0:
+					ts -= 1 + int64(rng.Intn(3)) // out of order
+				case 1, 2:
+					// a tie
+				default:
+					ts += 1 + int64(rng.Intn(5))
+				}
+				in := telemetry.Info{
+					Metric:    used[rng.Intn(len(used))],
+					Timestamp: ts,
+					Value:     rng.NormFloat64(),
+					Kind:      telemetry.Kind(rng.Intn(2)),
+					Source:    telemetry.Source(rng.Intn(2)),
+				}
+				if rng.Intn(50) == 0 {
+					in.Kind = 2 // no tag bit for it
+				}
+				if got, want := h.Append(in), m.append(in); got != want {
+					err = fmt.Errorf("Append(%v) = %v, want %v", in, got, want)
+				}
+				if n := len(m.held); n > 0 {
+					ts = max(ts, m.held[n-1].Timestamp)
+				}
+			case 4:
+				from := ts - int64(rng.Intn(40))
+				to := from + int64(rng.Intn(40)) - 3
+				if err = sameInfos(collectRangeFunc(h, from, to), m.scan(from, to)); err != nil {
+					err = fmt.Errorf("RangeFunc(%d, %d): %w", from, to, err)
+				}
+			case 5:
+				from := ts - int64(rng.Intn(40))
+				to := from + int64(rng.Intn(40))
+				_, epoch, _ := m.floor()
+				if rng.Intn(2) == 0 {
+					epoch += uint64(rng.Intn(3)) - 1 // stale, or current after all
+				}
+				var got []telemetry.Info
+				ok := h.RangeFuncAt(epoch, from, to, func(in telemetry.Info) bool { got = append(got, in); return true })
+				if current := epoch == uint64(len(m.evicted)); ok != current {
+					err = fmt.Errorf("RangeFuncAt(epoch %d) scanned=%v at epoch %d", epoch, ok, len(m.evicted))
+				} else if ok {
+					err = sameInfos(got, m.scan(from, to))
+				} else if got != nil {
+					err = fmt.Errorf("RangeFuncAt at a stale epoch visited %d tuples", len(got))
+				}
+			case 6:
+				got, ok := h.Latest()
+				if want := len(m.held) > 0; ok != want || want && got != m.held[len(m.held)-1] {
+					err = fmt.Errorf("Latest = %v, %v", got, ok)
+				}
+			case 7:
+				oldest, newest, ok := h.Bounds()
+				if want := len(m.held) > 0; ok != want || want && (oldest != m.held[0].Timestamp || newest != m.held[len(m.held)-1].Timestamp) {
+					err = fmt.Errorf("Bounds = %d, %d, %v", oldest, newest, ok)
+				}
+				gotTs, gotEpoch, gotOK := h.Floor()
+				if wantTs, wantEpoch, wantOK := m.floor(); gotTs != wantTs || gotEpoch != wantEpoch || gotOK != wantOK {
+					err = fmt.Errorf("Floor = %d, %d, %v, want %d, %d, %v", gotTs, gotEpoch, gotOK, wantTs, wantEpoch, wantOK)
+				}
+			}
+			if err == nil {
+				if err = sameInfos(evicted, m.evicted); err != nil {
+					err = fmt.Errorf("evictions: %w", err)
+				}
+			}
+			if err == nil && dropped.Value() != m.dropped {
+				err = fmt.Errorf("dropped %d, want %d", dropped.Value(), m.dropped)
+			}
+			if err != nil {
+				t.Fatalf("seed %d (capacity %d, %d metrics) step %d: %v", seed, m.capacity, len(used), step, err)
+			}
+		}
+	}
+
+	t.Run("names", func(t *testing.T) {
+		m := &modelHistory{capacity: 4, names: map[telemetry.MetricID]bool{}}
+		h := NewHistory(m.capacity, nil)
+		dropped := obs.NewRegistry().Counter("drops_total")
+		h.Instrument(nil, dropped)
+		for i := 0; i <= nameMask+2; i++ {
+			for _, metric := range []telemetry.MetricID{telemetry.MetricID(fmt.Sprint("m", i)), "m0"} {
+				in := telemetry.NewFact(metric, int64(i), float64(i))
+				if got, want := h.Append(in), m.append(in); got != want {
+					t.Fatalf("Append(%v) = %v, want %v", in, got, want)
+				}
+			}
+		}
+		if err := sameInfos(collectRangeFunc(h, -1<<62, 1<<62), m.held); err != nil {
+			t.Fatal(err)
+		}
+		if dropped.Value() != 2 || m.dropped != 2 {
+			t.Fatalf("dropped %d (model %d), want the 2 metrics past the names cap", dropped.Value(), m.dropped)
+		}
+	})
+}
+
+// liveHeap is the heap in use after a full collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC() // the first may only finish a cycle already under way
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestHistoryFootprint: a ring costs its 18-byte slots and little else, at
+// allocation and once it has wrapped.
+func TestHistoryFootprint(t *testing.T) {
+	const size, limit = 4096, 4096*18 + 1<<10
+	base := liveHeap()
+	h := NewHistory(size, nil)
+	if got := int64(liveHeap() - base); got > limit {
+		t.Errorf("NewHistory(%d) holds %d bytes of live heap, want <= %d", size, got, limit)
+	}
+	for i := 0; i < 3*size; i++ {
+		h.Append(telemetry.NewFact("m", int64(i), float64(i)))
+	}
+	if got := int64(liveHeap() - base); got > limit {
+		t.Errorf("a wrapped ring holds %d bytes of live heap, want <= %d", got, limit)
+	}
+	runtime.KeepAlive(h)
+}

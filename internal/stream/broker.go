@@ -51,36 +51,41 @@ const DefaultShardCount = 8
 // than maxChunk gets a chunk of its own.
 const (
 	minChunk = 512
-	maxChunk = 64 << 10
+	maxChunk = 16 << 10
 )
 
 // chunk holds the payloads of a contiguous ID run laid back to back. Neither
-// data nor ends contains a pointer, so the GC never scans a topic's
+// data nor starts contains a pointer, so the GC never scans a topic's
 // contents. data is allocated once at a fixed capacity and only ever
 // extended: bytes below len(data) are never rewritten, because readers hold
-// views of them after t.mu is released. Offsets are 32-bit: a chunk is at
-// most maxChunk bytes unless it is one oversized payload, assumed < 4 GiB.
+// views of them after t.mu is released. Offsets are 16-bit: an entry starts
+// below maxChunk, unless it is an oversized payload, which starts its own
+// chunk at 0.
 type chunk struct {
-	first uint64   // ID of the first entry
-	data  []byte   // payloads of first, first+1, ... in order
-	ends  []uint32 // ends[i] is the end offset in data of entry first+i
+	first  uint64   // ID of the first entry
+	data   []byte   // payloads of first, first+1, ... in order
+	starts []uint16 // starts[i] is the offset in data of entry first+i
 }
 
 // read appends zero-copy views of the entries id, id+1, ... to out: n of
-// them, or as many as the chunk holds from id on. Each view is
-// capacity-capped so an append on it cannot reach the next entry's bytes.
+// them, or as many as the chunk holds from id on. An entry ends where the
+// next starts, the last at len(data). Each view is capacity-capped so an
+// append on it cannot reach the next entry's bytes.
 func (c *chunk) read(out []Entry, id uint64, n int) []Entry {
 	i := int(id - c.first)
-	start := uint32(0)
-	if i > 0 {
-		start = c.ends[i-1]
-	}
-	for _, end := range c.ends[i:min(i+n, len(c.ends))] {
-		out = append(out, Entry{ID: id, Payload: c.data[start:end:end]})
-		id, start = id+1, end
+	for j := min(i+n, len(c.starts)); i < j; i++ {
+		end := len(c.data)
+		if i+1 < len(c.starts) {
+			end = int(c.starts[i+1])
+		}
+		out = append(out, Entry{ID: id, Payload: c.data[c.starts[i]:end:end]})
+		id++
 	}
 	return out
 }
+
+// bytes is the memory the chunk holds: its data capacity and its offsets.
+func (c *chunk) bytes() int { return cap(c.data) + 2*cap(c.starts) }
 
 // entry returns a view of the entry id, which the chunk holds.
 func (c *chunk) entry(id uint64) Entry {
@@ -129,7 +134,10 @@ func newTopic(name string, retention int) *topic {
 // batch is in place and t.mu released, wakes the readers if any are parked.
 func (t *topic) appendLocked(p []byte, b *Broker) {
 	n := len(t.chunks)
-	if n == 0 || len(t.chunks[n-1].data)+len(p) > cap(t.chunks[n-1].data) {
+	held := 0 // what the tail chunk held before this append
+	if n > 0 && len(t.chunks[n-1].data)+len(p) <= cap(t.chunks[n-1].data) {
+		held = t.chunks[n-1].bytes()
+	} else {
 		size := minChunk
 		if n > 0 {
 			size = min(max(2*cap(t.chunks[n-1].data), minChunk), maxChunk)
@@ -139,20 +147,22 @@ func (t *topic) appendLocked(p []byte, b *Broker) {
 			first: t.nextID,
 			data:  make([]byte, 0, size),
 			// Sized for payloads like this one; append grows it otherwise.
-			ends: make([]uint32, 0, size/max(len(p), 16)),
+			starts: make([]uint16, 0, size/max(len(p), 16)),
 		})
-		b.addLogBytes(size)
 		n++
 	}
 	c := &t.chunks[n-1]
+	c.starts = append(c.starts, uint16(len(c.data)))
 	c.data = append(c.data, p...)
-	c.ends = append(c.ends, uint32(len(c.data)))
+	if grew := c.bytes() - held; grew > 0 {
+		b.addLogBytes(grew)
+	}
 	t.nextID++
 	if t.nextID-t.firstID > uint64(t.retention) {
 		t.firstID++
 		b.obsEvicted.Inc()
-		if head := &t.chunks[0]; head.first+uint64(len(head.ends)) <= t.firstID {
-			b.addLogBytes(-cap(head.data))
+		if head := &t.chunks[0]; head.first+uint64(len(head.starts)) <= t.firstID {
+			b.addLogBytes(-head.bytes())
 			copy(t.chunks, t.chunks[1:])
 			t.chunks[n-1] = chunk{}
 			t.chunks = t.chunks[:n-1]
@@ -241,7 +251,7 @@ type Broker struct {
 	retention int
 	closed    atomic.Bool
 	nTopics   atomic.Int64
-	logBytes  atomic.Int64 // sum of the data capacities of every chunk held
+	logBytes  atomic.Int64 // sum of chunk.bytes over every chunk held
 
 	// Optional obs instruments (nil-safe no-ops when not instrumented).
 	obsPublishes    *obs.Counter
@@ -271,8 +281,9 @@ func WithShardCount(n int) BrokerOption {
 // stream_broker_publish_total, stream_broker_publish_bytes_total,
 // stream_broker_evicted_total (entries pushed out of the retention window),
 // the stream_broker_topics gauge, the stream_broker_log_bytes gauge (payload
-// capacity of every chunk the topic logs currently hold; moves only when a
-// chunk is allocated or dropped), the stream_broker_consume_lag histogram
+// and offset capacity of every chunk the topic logs currently hold; moves
+// only when a chunk is allocated, grows its offsets or is dropped), the
+// stream_broker_consume_lag histogram
 // (how many entries behind the topic head a consumer was when its read was
 // served), and the stream_broker_publish_batch_size histogram. Call before
 // the broker is shared between goroutines.
@@ -288,7 +299,7 @@ func (b *Broker) Instrument(r *obs.Registry) {
 	b.obsLogBytes.Set(float64(b.logBytes.Load()))
 }
 
-// addLogBytes accounts for chunk capacity gained (or, negative, released).
+// addLogBytes accounts for chunk memory gained (or, negative, released).
 func (b *Broker) addLogBytes(n int) {
 	b.obsLogBytes.Set(float64(b.logBytes.Add(int64(n))))
 }
@@ -529,16 +540,16 @@ func (t *topic) truncateTailLocked(fromID uint64, b *Broker) {
 	}
 	n := len(t.chunks)
 	for ; n > 0 && t.chunks[n-1].first >= fromID; n-- {
-		b.addLogBytes(-cap(t.chunks[n-1].data))
+		b.addLogBytes(-t.chunks[n-1].bytes())
 		t.chunks[n-1] = chunk{}
 	}
 	t.chunks = t.chunks[:n]
 	if n > 0 {
 		c := &t.chunks[n-1]
-		if k := int(fromID - c.first); k < len(c.ends) {
-			end := int(c.ends[k-1])
+		if k := int(fromID - c.first); k < len(c.starts) {
+			end := int(c.starts[k])
 			b.addLogBytes(end - cap(c.data))
-			c.data, c.ends = c.data[:end:end], c.ends[:k]
+			c.data, c.starts = c.data[:end:end], c.starts[:k]
 		}
 	}
 	t.nextID = fromID

@@ -92,8 +92,10 @@ func sameEntries(got, want []Entry) error {
 
 // TestTopicLogModel drives one topic through seeded random publishes,
 // replicated appends (duplicates, gaps, stale epochs, conflicting tails, cuts
-// below the retention window) and every read, and requires the chunked log
-// to agree with modelLog on IDs, bytes, errors and evictions at every step.
+// below the retention window and at either edge of a chunk) and every read,
+// with payloads up to and past what a chunk's 16-bit offsets reach, and
+// requires the chunked log to agree with modelLog on IDs, bytes, errors and
+// evictions at every step, and the log_bytes gauge with its chunks.
 func TestTopicLogModel(t *testing.T) {
 	for _, retention := range []int{1, 7, 1000} {
 		t.Run(fmt.Sprintf("retention=%d", retention), func(t *testing.T) {
@@ -110,6 +112,7 @@ func TestTopicLogModel(t *testing.T) {
 			if got, err := b.ConsumeBatch(parked, "t", 0, 1); !errors.Is(err, context.Canceled) {
 				t.Fatalf("ConsumeBatch of an empty topic: %v, %v", got, err)
 			}
+			tp, _ := b.topicFor("t", false)
 
 			payload := func() []byte {
 				n := 1 + rng.Intn(64)
@@ -118,6 +121,12 @@ func TestTopicLogModel(t *testing.T) {
 					n = maxChunk + rng.Intn(2*maxChunk+1) // a chunk of its own
 				case 1, 2, 3:
 					n = 1 + rng.Intn(maxChunk/4) // a few fill a chunk
+				case 4:
+					n = maxChunk // fills a chunk to the byte
+				case 5:
+					n = maxChunk + 1
+				case 6:
+					n = 1<<16 + rng.Intn(maxChunk) // longer than a 16-bit offset reaches
 				}
 				p := make([]byte, n)
 				rng.Read(p)
@@ -158,7 +167,7 @@ func TestTopicLogModel(t *testing.T) {
 					}
 				case 4, 5, 6:
 					epoch, es := m.epoch, run(m.nextID, 1+rng.Intn(5))
-					switch rng.Intn(9) {
+					switch rng.Intn(10) {
 					case 0: // duplicates, then new entries
 						es = run(back(), 1+rng.Intn(20))
 					case 1: // a hole before the batch, or inside it
@@ -180,6 +189,12 @@ func TestTopicLogModel(t *testing.T) {
 						epoch, es = epoch+1, nil
 					case 6: // an entry no leader could have acked
 						es[rng.Intn(len(es))].Payload = nil
+					case 7: // a new leader whose log cuts at the first or the last entry of a chunk
+						if len(tp.chunks) > 0 {
+							c := tp.chunks[rng.Intn(len(tp.chunks))]
+							cut := c.first + uint64(rng.Intn(2)*(len(c.starts)-1))
+							epoch, es = epoch+1, run(cut, 1+rng.Intn(5))
+						}
 					}
 					wantTail, wantErr := m.replicate(epoch, es)
 					tail, gotErr := b.ReplicateAppend(ctx, "t", epoch, es)
@@ -231,6 +246,13 @@ func TestTopicLogModel(t *testing.T) {
 				}
 				if got := reg.Snapshot().Counter("stream_broker_evicted_total"); got != m.evicted {
 					t.Fatalf("step %d: evicted = %d, want %d", step, got, m.evicted)
+				}
+				held := 0
+				for _, c := range tp.chunks {
+					held += c.bytes()
+				}
+				if got := reg.Snapshot().Gauge("stream_broker_log_bytes"); got != float64(held) {
+					t.Fatalf("step %d: log_bytes = %v, the chunks hold %d", step, got, held)
 				}
 				got, err := b.Range(ctx, "t", m.firstID, m.nextID, 0)
 				if err == nil {
@@ -380,7 +402,7 @@ func TestTopicLogFootprint(t *testing.T) {
 		t.Errorf("1000 empty topics hold %d bytes of live heap, want < 1 MiB", got)
 	}
 
-	const limit = DefaultRetention*40 + 64<<10
+	const limit = DefaultRetention*32 + 16<<10
 	base = liveHeap()
 	fillTopic(t, b, "full", DefaultRetention)
 	if got := int64(liveHeap() - base); got > limit {

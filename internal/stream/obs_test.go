@@ -62,9 +62,9 @@ func TestStreamObsCounters(t *testing.T) {
 	}
 }
 
-// TestBrokerLogBytesGauge: stream_broker_log_bytes follows the chunk capacity
-// the broker holds — up as publishes open chunks, down once retention has
-// moved past a whole chunk.
+// TestBrokerLogBytesGauge: stream_broker_log_bytes follows the chunk memory
+// the broker holds, payload bytes and 2-byte offsets both — up as publishes
+// open chunks, down once retention has moved past a whole chunk.
 func TestBrokerLogBytesGauge(t *testing.T) {
 	r := obs.NewRegistry()
 	b := NewBroker(4)
@@ -91,7 +91,7 @@ func TestBrokerLogBytesGauge(t *testing.T) {
 	tp, _ := b.topicFor("t", false)
 	held := 0
 	for _, c := range tp.chunks {
-		held += cap(c.data)
+		held += cap(c.data) + 2*cap(c.starts)
 	}
 	if got := gauge(); got != float64(held) {
 		t.Fatalf("log_bytes = %v, the topic's chunks hold %d", got, held)

@@ -21,6 +21,15 @@ go build ./...
 echo "==> go vet ./..."
 go vet ./...
 
+# The pipeline benchmark is its own module, so go build ./... never compiles
+# it. Type-check it here, so a product signature change that breaks it fails
+# in seconds rather than at the end of the run. It drives core, score,
+# archive, aqe, delphi and gateway, and its traced replay calls the storage
+# layers directly: queue.NewHistory, History.Append/Bounds/RangeFunc,
+# stream.NewBroker and Broker.Publish/PublishBatch/ConsumeBatch.
+echo "==> go vet -C bench ./..."
+go vet -C bench ./...
+
 # Layering: the daemons and the CLI ship without the paper's evaluation
 # engines, the LDMS baseline, the workload generators, trace replay or the
 # scenario harness.
