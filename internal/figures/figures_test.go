@@ -211,6 +211,11 @@ var figureChecks = map[string]func(t *testing.T, tb *Table){
 			if gap := num(t, tb, "r2", m, "lstm") - num(t, tb, "r2", m, "delphi"); gap > 0.3 {
 				t.Errorf("%s: lstm R² ahead of delphi's by %.3f > 0.3", m, gap)
 			}
+			// "15 min vs 3–5 h": one Delphi model, trained once for every
+			// metric, against one LSTM per metric. ~2 ms vs ~80 ms.
+			if d, l := dur(t, tb, "train", m, "delphi"), dur(t, tb, "train", m, "lstm"); d >= l {
+				t.Errorf("%s: delphi trains in %v, not below the lstm's %v", m, d, l)
+			}
 		}
 	},
 	// "Sub-millisecond latency for acquiring complex insights", ~3.5x below

@@ -76,7 +76,10 @@ type FitOptions struct {
 }
 
 // Fit trains the model for the configured epochs and returns the final
-// epoch's mean loss.
+// epoch's mean loss. A model that is one trainable *Dense — every Delphi head
+// and combiner — trains each batch in Dense.fitBatch, one loop over the rows
+// in place; any other stack gathers the batch and calls TrainBatch. Both do
+// the same arithmetic in the same order, so the weights are bit-identical.
 func (m *Sequential) Fit(xs, ys [][]float64, opts FitOptions) (float64, error) {
 	if len(xs) == 0 || len(xs) != len(ys) {
 		return 0, ErrEmptyDataset
@@ -96,8 +99,13 @@ func (m *Sequential) Fit(xs, ys [][]float64, opts FitOptions) (float64, error) {
 	}
 	r := rng(opts.Seed)
 	swap := func(i, j int) { idx[i], idx[j] = idx[j], idx[i] }
-	bx := make([][]float64, 0, opts.BatchSize)
-	by := make([][]float64, 0, opts.BatchSize)
+	var lone *Dense
+	if len(m.Layers) == 1 {
+		if d, ok := m.Layers[0].(*Dense); ok && !d.Frozen {
+			lone = d
+		}
+	}
+	var bx, by [][]float64
 	var last float64
 	for e := 0; e < opts.Epochs; e++ {
 		if opts.Shuffle {
@@ -105,16 +113,22 @@ func (m *Sequential) Fit(xs, ys [][]float64, opts FitOptions) (float64, error) {
 		}
 		total, batches := 0.0, 0
 		for start := 0; start < len(idx); start += opts.BatchSize {
-			end := start + opts.BatchSize
-			if end > len(idx) {
-				end = len(idx)
+			batch := idx[start:min(start+opts.BatchSize, len(idx))]
+			var loss float64
+			var err error
+			if lone != nil {
+				if loss, err = lone.fitBatch(xs, ys, batch); err == nil {
+					opts.Optimizer.Step(m.Layers, len(batch))
+					loss /= float64(len(batch))
+				}
+			} else {
+				bx, by = bx[:0], by[:0]
+				for _, i := range batch {
+					bx = append(bx, xs[i])
+					by = append(by, ys[i])
+				}
+				loss, err = m.TrainBatch(bx, by, opts.Optimizer)
 			}
-			bx, by = bx[:0], by[:0]
-			for _, i := range idx[start:end] {
-				bx = append(bx, xs[i])
-				by = append(by, ys[i])
-			}
-			loss, err := m.TrainBatch(bx, by, opts.Optimizer)
 			if err != nil {
 				return 0, err
 			}

@@ -1,6 +1,10 @@
 package nn
 
-import "math"
+import (
+	"math"
+	"sync"
+	"sync/atomic"
+)
 
 // Optimizer applies accumulated gradients to trainable layers.
 type Optimizer interface {
@@ -17,6 +21,8 @@ type Adam struct {
 	// Step walks them. Frozen layers hold a (nil) slot, so freezing a layer
 	// between steps shifts nobody else's moments. An Adam serves one model.
 	m, v [][]float64
+	// c1 and c2 are the bias-correction tables of Beta1 and Beta2.
+	c1, c2 *biasTable
 }
 
 // NewAdam returns Adam with the canonical defaults for any zero field.
@@ -34,8 +40,8 @@ func (a *Adam) Step(layers []Layer, batchSize int) {
 	}
 	inv := 1.0 / float64(batchSize)
 	a.t++
-	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
+	a.c1, a.c2 = tableFor(a.c1, a.Beta1), tableFor(a.c2, a.Beta2)
+	c1, c2 := a.c1.at(a.t), a.c2.at(a.t)
 	k := 0 // moment slot
 	for _, l := range layers {
 		params, grads := l.Params(), l.Grads()
@@ -58,6 +64,70 @@ func (a *Adam) Step(layers []Layer, batchSize int) {
 			k++
 		}
 	}
+}
+
+// maxBiasSteps caps a bias-correction table; a later step computes its
+// correction with math.Pow, as the table would have. 16 384 steps are
+// 128 KiB per β. The largest fit in the repository, a Delphi combiner on
+// delphi-train's data, takes 7 500 steps, which the table, doubling, holds in
+// 8 192 (64 KiB per β).
+const maxBiasSteps = 1 << 14
+
+// biasTable holds Adam's bias corrections 1 − β^t, t = 1, 2, …, of one β.
+// Each is computed with math.Pow once per process, and every fit with that β
+// reads it back instead: the same bits for a fraction of the cost. The table
+// only grows — a longer copy, written under mu, replaces the published one —
+// so a step reads it without a lock.
+type biasTable struct {
+	beta float64
+	mu   sync.Mutex
+	vals atomic.Pointer[[]float64] // vals[t-1] = 1 − β^t
+}
+
+// biasTables holds the table of each β a step has used, keyed by its bits.
+var biasTables = struct {
+	sync.Mutex
+	m map[uint64]*biasTable
+}{m: map[uint64]*biasTable{}}
+
+// tableFor returns the table of beta: tab itself when it already serves it.
+func tableFor(tab *biasTable, beta float64) *biasTable {
+	bits := math.Float64bits(beta)
+	if tab != nil && math.Float64bits(tab.beta) == bits {
+		return tab
+	}
+	biasTables.Lock()
+	defer biasTables.Unlock()
+	if biasTables.m[bits] == nil {
+		biasTables.m[bits] = &biasTable{beta: beta}
+	}
+	return biasTables.m[bits]
+}
+
+// at returns 1 − β^t for t ≥ 1.
+func (b *biasTable) at(t int) float64 {
+	if vals := b.vals.Load(); vals != nil && t <= len(*vals) {
+		return (*vals)[t-1]
+	}
+	if t > maxBiasSteps {
+		return 1 - math.Pow(b.beta, float64(t))
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	var vals []float64
+	if p := b.vals.Load(); p != nil {
+		vals = *p
+	}
+	if t > len(vals) {
+		grown := make([]float64, min(max(t, 2*len(vals), 64), maxBiasSteps))
+		copy(grown, vals)
+		for i := len(vals); i < len(grown); i++ {
+			grown[i] = 1 - math.Pow(b.beta, float64(i+1))
+		}
+		b.vals.Store(&grown)
+		vals = grown
+	}
+	return vals[t-1]
 }
 
 var (

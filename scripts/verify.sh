@@ -115,9 +115,10 @@ go test -run xxx -bench . -benchtime 1x ./internal/stream/...
 echo "==> go test -run xxx -bench . -benchtime 1x ./internal/aqe/... ./internal/queue/... ./internal/archive/... ./internal/gateway/..."
 go test -run xxx -bench . -benchtime 1x ./internal/aqe/... ./internal/queue/... ./internal/archive/... ./internal/gateway/...
 # The delphi suite includes BenchmarkTrain and BenchmarkRetrainCombiner, whose
-# ms and allocs/op README "Retraining" and DESIGN §4l quote.
-echo "==> go test -run xxx -bench . -benchtime 1x ./internal/delphi/ ./internal/nn/inference/"
-go test -run xxx -bench . -benchtime 1x ./internal/delphi/ ./internal/nn/inference/
+# ms and allocs/op README "Retraining" and DESIGN §4k–4l quote; the nn suite
+# includes BenchmarkFit, the lone-Dense training loop against the generic one.
+echo "==> go test -run xxx -bench . -benchtime 1x ./internal/delphi/ ./internal/nn/ ./internal/nn/inference/"
+go test -run xxx -bench . -benchtime 1x ./internal/delphi/ ./internal/nn/ ./internal/nn/inference/
 
 # Pipeline benchmark (its own module, so ./... above does not reach it): unit
 # tests plus the ~12 s smoke run of all four workloads with the output audit.
