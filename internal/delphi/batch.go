@@ -28,11 +28,10 @@ const DefaultBatchWorkers = 4
 // below workers*batchChunkMin the sweep runs inline on the caller.
 const batchChunkMin = 64
 
-// BatchPredictor is the sweep machinery of one device class — the sharding
-// precursor for fleet-scale Delphi (ROADMAP item 4): it predicts for many
-// per-metric Online instances in fused batched sweeps. Windows are gathered
+// BatchPredictor is the sweep machinery of one device class: it predicts for
+// many per-metric Online instances in fused batched sweeps. Windows are gathered
 // and normalized into one row-major arena, run through the engine's
-// ForwardBatch (head-major, cache-blocked), then denormalized and
+// ForwardBatch, then denormalized and
 // envelope-clamped exactly like Online.Predict, so batched results are
 // bit-identical to per-instance ones.
 //

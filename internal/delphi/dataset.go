@@ -94,13 +94,3 @@ func Windows(series []float64, window int) (xs [][]float64, ys []float64) {
 	}
 	return xs, ys
 }
-
-// toTargets presents scalar targets to nn.Sequential.Fit as one-element views
-// of ys itself.
-func toTargets(ys []float64) [][]float64 {
-	out := make([][]float64, len(ys))
-	for i := range ys {
-		out[i] = ys[i : i+1 : i+1]
-	}
-	return out
-}

@@ -111,16 +111,15 @@ func Train(opts TrainOptions) (*Model, error) {
 		}
 	}
 	// Combiner on the composite dataset.
-	m.combiner = nn.NewDense(combinerInputs, 1, nn.Identity, opts.Seed+99)
+	m.combiner = nn.NewDense(combinerInputs, opts.Seed+99)
 	heads, err := inference.NewEngine(m.features, m.combiner)
 	if err != nil {
 		return nil, err
 	}
 	series := Composite(opts.SeriesPerFeature*opts.SeriesLen, opts.Noise, opts.Seed+7)
 	wx, wy := Windows(series, WindowSize)
-	loss, err := nn.NewSequential(m.combiner).Fit(combinerRows(heads, wx), toTargets(wy), nn.FitOptions{
-		Epochs: opts.Epochs, BatchSize: 32,
-		Optimizer: nn.NewAdam(0.01), Shuffle: true, Seed: opts.Seed + 99,
+	loss, err := m.combiner.Fit(combinerRows(heads, wx), wy, nn.FitOptions{
+		Epochs: opts.Epochs, LR: 0.01, Seed: opts.Seed + 99,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("delphi: training combiner: %w", err)
@@ -145,10 +144,9 @@ func fitFeature(f Feature, idx int, opts TrainOptions) (*nn.Dense, float64, erro
 	if len(xs) == 0 {
 		return nil, 0, fmt.Errorf("delphi: no training windows for %s", f)
 	}
-	layer := nn.NewDense(WindowSize, 1, nn.Identity, opts.Seed+int64(idx))
-	loss, err := nn.NewSequential(layer).Fit(xs, toTargets(ys), nn.FitOptions{
-		Epochs: opts.Epochs, BatchSize: 32,
-		Optimizer: nn.NewAdam(0.01), Shuffle: true, Seed: opts.Seed + int64(idx),
+	layer := nn.NewDense(WindowSize, opts.Seed+int64(idx))
+	loss, err := layer.Fit(xs, ys, nn.FitOptions{
+		Epochs: opts.Epochs, LR: 0.01, Seed: opts.Seed + int64(idx),
 	})
 	if err != nil {
 		return nil, 0, fmt.Errorf("delphi: training %s model: %w", f, err)
@@ -183,8 +181,7 @@ func combinerRows(heads *inference.Engine, windows [][]float64) [][]float64 {
 // Engine returns the fused zero-allocation inference engine compiled (once,
 // lazily) from the frozen stack. The engine snapshots the weights, so it must
 // be taken after training/loading completes; it is safe for concurrent use
-// with caller-owned scratch, unlike the layered path whose Dense layers
-// mutate training caches on every Forward.
+// with caller-owned scratch.
 func (m *Model) Engine() (*inference.Engine, error) {
 	m.engOnce.Do(func() {
 		if len(m.features) != NumStacked || m.combiner == nil {
@@ -217,14 +214,18 @@ func (m *Model) Predict(window []float64) (float64, error) {
 
 // ParamCount reports (total, trainable) parameters: (50, 14).
 func (m *Model) ParamCount() (total, trainable int) {
-	layers := make([]nn.Layer, 0, len(m.features)+1)
-	for _, f := range m.features {
-		layers = append(layers, f)
-	}
+	layers := m.features
 	if m.combiner != nil {
-		layers = append(layers, m.combiner)
+		layers = append(layers[:len(layers):len(layers)], m.combiner)
 	}
-	return nn.ParamCount(layers)
+	for _, d := range layers {
+		n := len(d.W) + len(d.B)
+		total += n
+		if !d.Frozen {
+			trainable += n
+		}
+	}
+	return total, trainable
 }
 
 // Evaluate runs the model over a series and returns RMSE, MAE, and R2 of
@@ -323,7 +324,7 @@ func DecodeJSON(b []byte) (*Model, error) {
 		if len(fj.W) != WindowSize || len(fj.B) != 1 {
 			return nil, fmt.Errorf("%w: feature %d shape", ErrNotTrained, i)
 		}
-		d := nn.NewDense(WindowSize, 1, nn.Identity, 0)
+		d := nn.NewDense(WindowSize, 0)
 		copy(d.W, fj.W)
 		copy(d.B, fj.B)
 		d.Frozen = true
@@ -332,7 +333,7 @@ func DecodeJSON(b []byte) (*Model, error) {
 	if len(mj.Combiner.W) != combinerInputs || len(mj.Combiner.B) != 1 {
 		return nil, fmt.Errorf("%w: combiner shape", ErrNotTrained)
 	}
-	m.combiner = nn.NewDense(combinerInputs, 1, nn.Identity, 0)
+	m.combiner = nn.NewDense(combinerInputs, 0)
 	copy(m.combiner.W, mj.Combiner.W)
 	copy(m.combiner.B, mj.Combiner.B)
 	return m, nil

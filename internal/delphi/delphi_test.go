@@ -283,17 +283,6 @@ func TestOnlinePredict(t *testing.T) {
 	}
 }
 
-func TestOnlineReset(t *testing.T) {
-	o := NewOnline(trained(t))
-	for i := 0; i < 5; i++ {
-		o.Observe(float64(i))
-	}
-	o.Reset()
-	if o.Ready() {
-		t.Fatal("ready after reset")
-	}
-}
-
 func BenchmarkDelphiPredict(b *testing.B) {
 	m, err := Train(TrainOptions{Seed: 1, Epochs: 5, SeriesPerFeature: 2, SeriesLen: 100})
 	if err != nil {

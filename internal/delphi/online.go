@@ -35,7 +35,7 @@ type Online struct {
 	// memoP and memoScale are the forecast of the window as it stands: a poll
 	// asks for it twice (PredictState, then PredictTicksInto) and pays for
 	// one forward. Whatever a forecast depends on — Observe, SetFallback,
-	// SwapModel, Reset — clears memoOK.
+	// SwapModel — clears memoOK.
 	memoP, memoScale float64
 	memoOK           bool
 }
@@ -221,13 +221,4 @@ func (o *Online) PredictTicksInto(out []float64, steps int) []float64 {
 		out = append(out, last+(next-last)*frac)
 	}
 	return out
-}
-
-// Reset clears observation history.
-func (o *Online) Reset() {
-	o.mu.Lock()
-	o.n = 0
-	o.pos = 0
-	o.memoOK = false
-	o.mu.Unlock()
 }

@@ -102,8 +102,9 @@ func TestOnlineMatchesNaiveReference(t *testing.T) {
 					t.Fatalf("seed %d step %d: swap: %v", seed, step, err)
 				}
 				ref.model = m
-			default: // reset history
-				o.Reset()
+			default: // start over with no history
+				o = NewOnline(ref.model)
+				o.SetFallback(ref.fallback)
 				ref.win = ref.win[:0]
 			}
 			if o.Observed() != len(ref.win) {

@@ -28,7 +28,6 @@ const (
 	retrainHoldoutFrac = 0.25
 	// The combiner fit.
 	retrainEpochs       = 30
-	retrainBatchSize    = 32
 	retrainLearningRate = 0.01
 	// retrainMinImprovement is how much lower (fractionally) the candidate's
 	// holdout RMSE must be than the base model's to be declared improved:
@@ -107,19 +106,17 @@ func RetrainCombiner(base *Model, segments [][]float64, seed int64) (*Model, Ret
 	// combiner.
 	cand := &Model{features: make([]*nn.Dense, NumStacked)}
 	for i, f := range base.features {
-		d := nn.NewDense(WindowSize, 1, f.Act, 0)
+		d := nn.NewDense(WindowSize, 0)
 		copy(d.W, f.W)
 		copy(d.B, f.B)
 		d.Frozen = true
 		cand.features[i] = d
 	}
-	cand.combiner = nn.NewDense(combinerInputs, 1, nn.Identity, seed+101)
+	cand.combiner = nn.NewDense(combinerInputs, seed+101)
 
 	// The candidate's heads are the base's, so the base engine supplies them.
-	seq := nn.NewSequential(cand.combiner)
-	if _, err := seq.Fit(combinerRows(baseEng, trainX), toTargets(trainY), nn.FitOptions{
-		Epochs: retrainEpochs, BatchSize: retrainBatchSize,
-		Optimizer: nn.NewAdam(retrainLearningRate), Shuffle: true, Seed: seed,
+	if _, err := cand.combiner.Fit(combinerRows(baseEng, trainX), trainY, nn.FitOptions{
+		Epochs: retrainEpochs, LR: retrainLearningRate, Seed: seed,
 	}); err != nil {
 		return nil, rep, fmt.Errorf("delphi: retraining combiner: %w", err)
 	}

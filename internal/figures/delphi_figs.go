@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/delphi"
 	"repro/internal/nn"
+	"repro/internal/nn/baseline"
 	"repro/internal/workloads"
 )
 
@@ -106,16 +107,14 @@ func Fig11(opts Options) (*Table, error) {
 			// Per-metric LSTM baseline, trained on its own metric with
 			// global z-score normalization (a metric-specific model can fix
 			// its scale; Delphi cannot and normalizes per window).
-			lstm := nn.NewSequential(
-				nn.NewLSTM(1, hidden, opts.Seed+int64(row)),
-				nn.NewDense(hidden, 1, nn.Identity, opts.Seed+int64(row)+1),
+			lstm := baseline.NewSequential(
+				baseline.NewLSTM(1, hidden, opts.Seed+int64(row)),
+				baseline.NewDense(hidden, 1, opts.Seed+int64(row)+1),
 			)
 			mean, sd := seriesStats(trainSeries)
 			xs, ys := globalWindows(trainSeries, mean, sd)
 			t0 := time.Now()
-			if _, err := lstm.Fit(xs, ys, nn.FitOptions{
-				Epochs: epochs, BatchSize: 32, Optimizer: nn.NewAdam(2e-3), Shuffle: true, Seed: opts.Seed,
-			}); err != nil {
+			if _, err := lstm.Fit(xs, ys, nn.FitOptions{Epochs: epochs, LR: 2e-3, Seed: opts.Seed}); err != nil {
 				return nil, err
 			}
 			lstmTrain := time.Since(t0)
@@ -172,7 +171,7 @@ func globalWindows(series []float64, mean, sd float64) (xs, ys [][]float64) {
 }
 
 // evalGlobalRaw scores a globally-normalized model against the raw series.
-func evalGlobalRaw(m *nn.Sequential, series []float64, mean, sd float64) (rmse, r2 float64) {
+func evalGlobalRaw(m *baseline.Sequential, series []float64, mean, sd float64) (rmse, r2 float64) {
 	norm := make([]float64, len(series))
 	for i, v := range series {
 		norm[i] = (v - mean) / sd

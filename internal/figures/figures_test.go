@@ -425,20 +425,20 @@ func TestAblations(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		dense := nn.NewSequential(nn.NewDense(delphi.WindowSize, 1, nn.Identity, 1))
+		dense := nn.NewDense(delphi.WindowSize, 1)
 		xs, ys := delphi.Windows(train, delphi.WindowSize)
-		targets := make([][]float64, len(ys))
-		for i, y := range ys {
-			targets[i] = []float64{y}
-		}
-		if _, err := dense.Fit(xs, targets, nn.FitOptions{Epochs: 15, BatchSize: 32, Optimizer: nn.NewAdam(0.01), Shuffle: true}); err != nil {
+		if _, err := dense.Fit(xs, ys, nn.FitOptions{Epochs: 15, LR: 0.01}); err != nil {
 			t.Fatal(err)
 		}
 		var preds, truth []float64
 		norm := make([]float64, delphi.WindowSize)
 		for i := 0; i+delphi.WindowSize < len(test); i++ {
 			loc, scale := delphi.NormalizeInto(norm, test[i:i+delphi.WindowSize])
-			preds = append(preds, dense.Predict1(norm)*scale+loc)
+			p := dense.B[0]
+			for j, w := range dense.W {
+				p += w * norm[j]
+			}
+			preds = append(preds, p*scale+loc)
 			truth = append(truth, test[i+delphi.WindowSize])
 		}
 		_, plain := scoreRaw(preds, truth)

@@ -7,14 +7,21 @@ import (
 	"repro/internal/nn"
 )
 
-// layeredPredict is the reference layer-by-layer evaluation of the stack:
-// every head and the combiner run as their own nn.Sequential, with the
+// layeredPredict evaluates the stack one layer at a time — each head's dot
+// product, then the combiner's, each from its bias left to right — with the
 // combiner input assembled the way Delphi does (head outputs ++ window ++
 // mean ++ slope). The engine must match it bit for bit.
 func layeredPredict(features []*nn.Dense, combiner *nn.Dense, x []float64) float64 {
+	dense := func(d *nn.Dense, x []float64) float64 {
+		sum := d.B[0]
+		for i, xi := range x {
+			sum += d.W[i] * xi
+		}
+		return sum
+	}
 	cin := make([]float64, 0, combiner.In)
 	for _, f := range features {
-		cin = append(cin, nn.NewSequential(f).Predict(x)[0])
+		cin = append(cin, dense(f, x))
 	}
 	cin = append(cin, x...)
 	mean := 0.0
@@ -22,59 +29,50 @@ func layeredPredict(features []*nn.Dense, combiner *nn.Dense, x []float64) float
 		mean += v
 	}
 	mean /= float64(len(x))
-	slope := x[len(x)-1] - x[0]
-	cin = append(cin, mean, slope)
-	return nn.NewSequential(combiner).Predict(cin)[0]
+	cin = append(cin, mean, x[len(x)-1]-x[0])
+	return dense(combiner, cin)
 }
 
-// randomStack builds a seeded stack of the given shape with a cycling mix of
-// activations, so the equivalence holds beyond Delphi's all-Identity case.
-func randomStack(win, heads int, seed int64) ([]*nn.Dense, *nn.Dense) {
-	acts := []nn.Activation{nn.Identity, nn.ReLU, nn.Tanh, nn.Sigmoid}
+// randomStack builds a seeded window-5 stack with the given number of heads.
+func randomStack(heads int, seed int64) ([]*nn.Dense, *nn.Dense) {
 	features := make([]*nn.Dense, heads)
 	for h := range features {
-		features[h] = nn.NewDense(win, 1, acts[h%len(acts)], seed+int64(h))
+		features[h] = nn.NewDense(window, seed+int64(h))
 		features[h].Frozen = true
 	}
-	combiner := nn.NewDense(heads+win+2, 1, nn.Identity, seed+1000)
-	return features, combiner
+	return features, nn.NewDense(heads+window+2, seed+1000)
 }
 
 func TestEngineMatchesSequentialBitExact(t *testing.T) {
-	for _, shape := range []struct{ win, heads int }{
-		{3, 1}, {5, 6}, {8, 4}, {13, 9},
-	} {
-		features, combiner := randomStack(shape.win, shape.heads, int64(shape.win*100+shape.heads))
+	for _, heads := range []int{1, 6, 9} {
+		features, combiner := randomStack(heads, int64(500+heads))
 		eng, err := NewEngine(features, combiner)
 		if err != nil {
-			t.Fatalf("win=%d heads=%d: %v", shape.win, shape.heads, err)
+			t.Fatalf("heads=%d: %v", heads, err)
 		}
 		scratch := make([]float64, eng.Heads())
-		r := rand.New(rand.NewSource(int64(shape.win + shape.heads)))
+		r := rand.New(rand.NewSource(int64(window + heads)))
 		for trial := 0; trial < 200; trial++ {
-			x := make([]float64, shape.win)
+			x := make([]float64, window)
 			for i := range x {
 				x[i] = r.NormFloat64() * float64(1+trial%7)
 			}
-			want := layeredPredict(features, combiner, x)
-			got := eng.Forward(x, scratch)
-			if got != want { // bit-identical, not approximately equal
-				t.Fatalf("win=%d heads=%d trial=%d: fused %v != layered %v",
-					shape.win, shape.heads, trial, got, want)
+			if got, want := eng.Forward(x, scratch), layeredPredict(features, combiner, x); got != want { // bit-identical, not approximately equal
+				t.Fatalf("heads=%d trial=%d: fused %v != layered %v", heads, trial, got, want)
 			}
 		}
 	}
 }
 
 func TestForwardBatchMatchesForwardBitExact(t *testing.T) {
-	features, combiner := randomStack(5, 6, 42)
+	features, combiner := randomStack(6, 42)
 	eng, err := NewEngine(features, combiner)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := rand.New(rand.NewSource(7))
 	for _, n := range []int{1, 2, 17, 256} {
-		xs := make([]float64, n*eng.win)
+		xs := make([]float64, n*window)
 		for i := range xs {
 			xs[i] = r.NormFloat64() * 10
 		}
@@ -83,7 +81,7 @@ func TestForwardBatchMatchesForwardBitExact(t *testing.T) {
 		eng.ForwardBatch(dst, xs, scratch)
 		single := make([]float64, eng.Heads())
 		for i := 0; i < n; i++ {
-			want := eng.Forward(xs[i*eng.win:(i+1)*eng.win], single)
+			want := eng.Forward(xs[i*window:(i+1)*window], single)
 			if dst[i] != want {
 				t.Fatalf("n=%d row=%d: batch %v != single %v", n, i, dst[i], want)
 			}
@@ -92,7 +90,7 @@ func TestForwardBatchMatchesForwardBitExact(t *testing.T) {
 }
 
 func TestEngineSnapshotsWeights(t *testing.T) {
-	features, combiner := randomStack(5, 2, 1)
+	features, combiner := randomStack(2, 1)
 	eng, err := NewEngine(features, combiner)
 	if err != nil {
 		t.Fatal(err)
@@ -108,27 +106,42 @@ func TestEngineSnapshotsWeights(t *testing.T) {
 }
 
 func TestNewEngineRejectsBadShapes(t *testing.T) {
-	features, combiner := randomStack(5, 6, 1)
+	features, combiner := randomStack(6, 1)
 	if _, err := NewEngine(nil, combiner); err == nil {
 		t.Fatal("no heads accepted")
 	}
 	if _, err := NewEngine(features, nil); err == nil {
 		t.Fatal("nil combiner accepted")
 	}
-	if _, err := NewEngine(features, nn.NewDense(5, 1, nn.Identity, 1)); err == nil {
-		t.Fatal("mis-shaped combiner accepted")
+	if _, err := NewEngine([]*nn.Dense{nil}, nn.NewDense(1+window+2, 1)); err == nil {
+		t.Fatal("nil head accepted")
 	}
-	bad := append([]*nn.Dense{nn.NewDense(4, 1, nn.Identity, 1)}, features[1:]...)
+}
+
+// TestNewEngineRejectsShapes: the engine has one kernel, Delphi's window-5
+// stack, and any other shape is an error, not a panic — a window of four
+// throughout, one head that is not 5 → 1, and under six heads a combiner
+// that is not 13 → 1.
+func TestNewEngineRejectsShapes(t *testing.T) {
+	features, combiner := randomStack(6, 1)
+	win4 := make([]*nn.Dense, 6)
+	for h := range win4 {
+		win4[h] = nn.NewDense(4, int64(h))
+	}
+	if _, err := NewEngine(win4, nn.NewDense(6+4+2, 1)); err == nil {
+		t.Error("window-4 stack accepted")
+	}
+	bad := append([]*nn.Dense{nn.NewDense(4, 1)}, features[1:]...)
 	if _, err := NewEngine(bad, combiner); err == nil {
-		t.Fatal("mis-shaped head accepted")
+		t.Error("4 → 1 head accepted")
 	}
-	if _, err := NewEngine([]*nn.Dense{nn.NewDense(5, 2, nn.Identity, 1)}, combiner); err == nil {
-		t.Fatal("multi-output head accepted")
+	if _, err := NewEngine(features, nn.NewDense(12, 1)); err == nil {
+		t.Error("12 → 1 combiner accepted under six heads")
 	}
 }
 
 func TestForwardZeroAlloc(t *testing.T) {
-	features, combiner := randomStack(5, 6, 3)
+	features, combiner := randomStack(6, 3)
 	eng, err := NewEngine(features, combiner)
 	if err != nil {
 		t.Fatal(err)
@@ -139,52 +152,27 @@ func TestForwardZeroAlloc(t *testing.T) {
 		t.Fatalf("Forward allocates %v per op, want 0", allocs)
 	}
 	dst := make([]float64, 64)
-	xs := make([]float64, 64*eng.win)
+	xs := make([]float64, 64*window)
 	bscratch := make([]float64, eng.BatchScratchSize(64))
 	if allocs := testing.AllocsPerRun(200, func() { eng.ForwardBatch(dst, xs, bscratch) }); allocs != 0 {
 		t.Fatalf("ForwardBatch allocates %v per op, want 0", allocs)
 	}
 }
 
-func TestDenseForwardIntoMatchesForward(t *testing.T) {
-	d := nn.NewDense(7, 3, nn.Tanh, 11)
-	r := rand.New(rand.NewSource(2))
-	dst := make([]float64, 3)
-	for trial := 0; trial < 100; trial++ {
-		x := make([]float64, 7)
-		for i := range x {
-			x[i] = r.NormFloat64()
-		}
-		want := d.Forward(x)
-		d.ForwardInto(dst, x)
-		for i := range want {
-			if dst[i] != want[i] {
-				t.Fatalf("trial %d out %d: %v != %v", trial, i, dst[i], want[i])
-			}
-		}
-	}
-	x := []float64{1, 2, 3, 4, 5, 6, 7}
-	if allocs := testing.AllocsPerRun(1000, func() { d.ForwardInto(dst, x) }); allocs != 0 {
-		t.Fatalf("ForwardInto allocates %v per op, want 0", allocs)
-	}
-}
-
-// TestLinear5KernelMatchesSequentialBitExact pins the unrolled window-5
-// all-Identity kernel (Delphi's production shape) against the layered path —
-// the cycling-activation shapes above never take that branch.
+// TestLinear5KernelMatchesSequentialBitExact pins the unrolled kernel on
+// Delphi's production stack — six heads under a 13 → 1 combiner — against the
+// layered evaluation over 500 windows, and its batched form against its single
+// form.
 func TestLinear5KernelMatchesSequentialBitExact(t *testing.T) {
 	features := make([]*nn.Dense, 6)
 	for h := range features {
-		features[h] = nn.NewDense(5, 1, nn.Identity, int64(h+77))
+		features[h] = nn.NewDense(5, int64(h+77))
 		features[h].Frozen = true
 	}
-	combiner := nn.NewDense(6+5+2, 1, nn.Identity, 8877)
+	combiner := nn.NewDense(6+5+2, 8877)
 	eng, err := NewEngine(features, combiner)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !eng.linear5 {
-		t.Fatal("window-5 all-Identity stack must select the unrolled kernel")
 	}
 	scratch := make([]float64, eng.Heads())
 	r := rand.New(rand.NewSource(55))
@@ -198,7 +186,6 @@ func TestLinear5KernelMatchesSequentialBitExact(t *testing.T) {
 			t.Fatalf("trial %d: fused %v != layered %v", trial, got, want)
 		}
 	}
-	// And the batched form against the single form.
 	const n = 64
 	xs := make([]float64, n*5)
 	for i := range xs {

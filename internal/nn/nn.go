@@ -1,125 +1,59 @@
-// Package nn is a small, dependency-free neural-network substrate replacing
-// the TensorFlow C API used by the original Apollo. It provides exactly what
-// Delphi (§3.4.2) and the paper's LSTM baseline (Fig. 11) need: dense layers
-// with pluggable activations, MSE loss, the Adam optimizer, layer freezing
-// ("untrainable" pre-trained feature models), an LSTM with full BPTT, and
-// JSON model serialization.
+// Package nn is the small, dependency-free training substrate that replaces
+// the TensorFlow C API used by the original Apollo. It holds exactly what
+// Delphi (§3.4.2) trains: a linear In → 1 Dense layer, MSE loss, the Adam
+// optimizer and one shuffled mini-batch loop. Freezing a layer is how Delphi
+// stacks its pre-trained feature models under the trainable combiner. The
+// paper's LSTM baseline (Fig. 11) and the generic layer stack it trains on
+// live in internal/nn/baseline, which plugs its batch step into Loop.
 package nn
 
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 )
 
-// Activation is an element-wise nonlinearity with its derivative expressed
-// in terms of the activated output y = f(x).
-type Activation interface {
-	// Name identifies the activation for serialization.
-	Name() string
-	// Apply computes f(x).
-	Apply(x float64) float64
-	// DerivFromOutput computes f'(x) given y = f(x).
-	DerivFromOutput(y float64) float64
+// batchSize is the mini-batch every fit steps on.
+const batchSize = 32
+
+// FitOptions controls a fit.
+type FitOptions struct {
+	Epochs int     // passes over the data, at least one
+	LR     float64 // Adam's learning rate; 0 means 1e-3
+	Seed   int64   // seeds the shuffle
 }
 
-type identity struct{}
-
-func (identity) Name() string                    { return "identity" }
-func (identity) Apply(x float64) float64         { return x }
-func (identity) DerivFromOutput(float64) float64 { return 1 }
-
-type relu struct{}
-
-func (relu) Name() string { return "relu" }
-func (relu) Apply(x float64) float64 {
-	if x < 0 {
-		return 0
+// Loop is the one training loop: opts.Epochs passes over n rows, each a fresh
+// seeded shuffle cut into batches of 32. Every batch goes to step with the
+// Adam optimizer the fit owns; step returns the batch's mean loss, and Loop
+// the last epoch's mean over its batches. Dense.Fit and the Fig. 11
+// baseline's Sequential.Fit both train in it.
+func Loop(n int, opts FitOptions, step func(opt *Adam, batch []int) (float64, error)) (float64, error) {
+	if n == 0 {
+		return 0, ErrEmptyDataset
 	}
-	return x
-}
-func (relu) DerivFromOutput(y float64) float64 {
-	if y > 0 {
-		return 1
+	opt := NewAdam(opts.LR)
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
 	}
-	return 0
-}
-
-type sigmoid struct{}
-
-func (sigmoid) Name() string                      { return "sigmoid" }
-func (sigmoid) Apply(x float64) float64           { return 1 / (1 + math.Exp(-x)) }
-func (sigmoid) DerivFromOutput(y float64) float64 { return y * (1 - y) }
-
-type tanhAct struct{}
-
-func (tanhAct) Name() string                      { return "tanh" }
-func (tanhAct) Apply(x float64) float64           { return math.Tanh(x) }
-func (tanhAct) DerivFromOutput(y float64) float64 { return 1 - y*y }
-
-// Built-in activations.
-var (
-	Identity Activation = identity{}
-	ReLU     Activation = relu{}
-	Sigmoid  Activation = sigmoid{}
-	Tanh     Activation = tanhAct{}
-)
-
-// ActivationByName resolves a serialized activation name.
-func ActivationByName(name string) (Activation, error) {
-	switch name {
-	case "identity":
-		return Identity, nil
-	case "relu":
-		return ReLU, nil
-	case "sigmoid":
-		return Sigmoid, nil
-	case "tanh":
-		return Tanh, nil
-	default:
-		return nil, fmt.Errorf("nn: unknown activation %q", name)
-	}
-}
-
-// Layer is one differentiable stage of a Sequential model.
-type Layer interface {
-	// Forward computes the layer output for input x, caching what Backward
-	// needs; x itself is not kept. The returned slice may be the layer's own
-	// buffer, valid until the next Forward; a caller that keeps it copies.
-	// Layers are single-threaded.
-	Forward(x []float64) []float64
-	// Backward receives dL/dy and returns dL/dx — on the same terms, valid
-	// until the next Backward — accumulating parameter gradients internally.
-	Backward(dy []float64) []float64
-	// Params returns parameter slices; optimizers mutate them in place.
-	// The same slices, in the same order, on every call.
-	Params() [][]float64
-	// Grads returns gradient accumulators parallel to Params.
-	Grads() [][]float64
-	// ZeroGrads clears gradient accumulators.
-	ZeroGrads()
-	// Trainable reports whether the optimizer may update this layer.
-	Trainable() bool
-	// InSize and OutSize describe the layer shape.
-	InSize() int
-	OutSize() int
-}
-
-// ParamCount sums the parameters of a layer set, total and trainable — the
-// numbers the paper quotes for Delphi (50/14) and the LSTM baseline (71,851).
-func ParamCount(layers []Layer) (total, trainable int) {
-	for _, l := range layers {
-		n := 0
-		for _, p := range l.Params() {
-			n += len(p)
+	r := rng(opts.Seed)
+	swap := func(i, j int) { idx[i], idx[j] = idx[j], idx[i] }
+	var last float64
+	for e := 0; e < max(opts.Epochs, 1); e++ {
+		r.Shuffle(n, swap)
+		total, batches := 0.0, 0
+		for start := 0; start < n; start += batchSize {
+			loss, err := step(opt, idx[start:min(start+batchSize, n)])
+			if err != nil {
+				return 0, err
+			}
+			total += loss
+			batches++
 		}
-		total += n
-		if l.Trainable() {
-			trainable += n
-		}
+		last = total / float64(batches)
 	}
-	return total, trainable
+	return last, nil
 }
 
 // errDimension reports a shape mismatch.

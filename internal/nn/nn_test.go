@@ -1,279 +1,178 @@
 package nn
 
 import (
-	"encoding/json"
+	"errors"
 	"math"
+	"slices"
+	"sync"
 	"testing"
 )
 
-func TestActivations(t *testing.T) {
-	cases := []struct {
-		act  Activation
-		x    float64
-		want float64
-	}{
-		{Identity, 3, 3},
-		{ReLU, -2, 0},
-		{ReLU, 2, 2},
-		{Sigmoid, 0, 0.5},
-		{Tanh, 0, 0},
-	}
-	for _, c := range cases {
-		if got := c.act.Apply(c.x); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("%s(%g)=%g want %g", c.act.Name(), c.x, got, c.want)
+// rows returns n rows of in inputs in [-1, 1) and their targets in [0, 1).
+func rows(in, n int, seed int64) (xs [][]float64, ys []float64) {
+	r := rng(seed)
+	xs, ys = make([][]float64, n), make([]float64, n)
+	for i := range xs {
+		xs[i] = make([]float64, in)
+		for j := range xs[i] {
+			xs[i][j] = r.Float64()*2 - 1
 		}
+		ys[i] = r.Float64()
 	}
-	// Derivative-from-output identities.
-	if Sigmoid.DerivFromOutput(0.5) != 0.25 {
-		t.Error("sigmoid deriv wrong")
-	}
-	if Tanh.DerivFromOutput(0) != 1 {
-		t.Error("tanh deriv wrong")
-	}
-	if ReLU.DerivFromOutput(0) != 0 || ReLU.DerivFromOutput(1) != 1 {
-		t.Error("relu deriv wrong")
-	}
+	return xs, ys
 }
 
-func TestActivationByName(t *testing.T) {
-	for _, n := range []string{"identity", "relu", "sigmoid", "tanh"} {
-		a, err := ActivationByName(n)
-		if err != nil || a.Name() != n {
-			t.Fatalf("ActivationByName(%q) = %v, %v", n, a, err)
-		}
-	}
-	if _, err := ActivationByName("swish"); err == nil {
-		t.Fatal("unknown activation accepted")
-	}
-}
-
+// TestDenseForwardKnownWeights: a step's loss and gradient are those of
+// b + w·x, here 1 + 2·10 + 3·20 = 81 against a target of 80.
 func TestDenseForwardKnownWeights(t *testing.T) {
-	d := NewDense(2, 1, Identity, 1)
-	d.W[0], d.W[1] = 2, 3
-	d.B[0] = 1
-	got := d.Forward([]float64{10, 20})
-	if got[0] != 2*10+3*20+1 {
-		t.Fatalf("forward=%v", got)
+	d := NewDense(2, 1)
+	d.W[0], d.W[1], d.B[0] = 2, 3, 1
+	loss, err := d.trainBatch(NewAdam(0), [][]float64{{10, 20}}, []float64{80}, []int{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gw, gb := d.grads[0], d.grads[1]; loss != 1 || gw[0] != 20 || gw[1] != 40 || gb[0] != 2 {
+		t.Fatalf("loss %v, gradient %v %v; want 1, [20 40] [2]", loss, gw, gb)
 	}
 }
 
-// numericalGrad estimates dLoss/dp for every parameter by central difference.
-func numericalGrad(m *Sequential, x, y []float64, p []float64, i int) float64 {
-	const eps = 1e-6
-	loss := func() float64 {
-		pred := m.Predict(x)
-		sum := 0.0
-		for j := range pred {
-			d := pred[j] - y[j]
-			sum += d * d
-		}
-		return sum / float64(len(pred))
-	}
-	orig := p[i]
-	p[i] = orig + eps
-	lp := loss()
-	p[i] = orig - eps
-	lm := loss()
-	p[i] = orig
-	return (lp - lm) / (2 * eps)
-}
-
-func checkGrads(t *testing.T, m *Sequential, x, y []float64, tol float64) {
-	t.Helper()
-	for _, l := range m.Layers {
-		l.ZeroGrads()
-	}
-	pred := m.Predict(x)
-	dy := make([]float64, len(pred))
-	for j := range pred {
-		dy[j] = 2 * (pred[j] - y[j]) / float64(len(pred))
-	}
-	for li := len(m.Layers) - 1; li >= 0; li-- {
-		dy = m.Layers[li].Backward(dy)
-	}
-	for li, l := range m.Layers {
-		params, grads := l.Params(), l.Grads()
-		for pi := range params {
-			for i := range params[pi] {
-				want := numericalGrad(m, x, y, params[pi][i:], 0)
-				got := grads[pi][i]
-				if math.Abs(got-want) > tol*(1+math.Abs(want)) {
-					t.Fatalf("layer %d param[%d][%d]: analytic %g vs numeric %g", li, pi, i, got, want)
-				}
-			}
-		}
-	}
-}
-
-func TestDenseGradCheck(t *testing.T) {
-	m := NewSequential(
-		NewDense(3, 4, Tanh, 7),
-		NewDense(4, 2, Identity, 8),
-	)
-	checkGrads(t, m, []float64{0.5, -0.3, 0.8}, []float64{0.1, -0.2}, 1e-5)
-}
-
-func TestDenseGradCheckSigmoidReLU(t *testing.T) {
-	m := NewSequential(
-		NewDense(2, 5, Sigmoid, 3),
-		NewDense(5, 1, Identity, 4),
-	)
-	checkGrads(t, m, []float64{0.9, -1.1}, []float64{0.4}, 1e-5)
-}
-
-func TestLSTMGradCheck(t *testing.T) {
-	m := NewSequential(
-		NewLSTM(1, 3, 11),
-		NewDense(3, 1, Identity, 12),
-	)
-	checkGrads(t, m, []float64{0.1, -0.5, 0.9, 0.2, -0.1}, []float64{0.3}, 1e-4)
-}
-
+// TestSequentialLearnsLinearFunction: y = 2a − 3b + 1 is learnable exactly by
+// one Dense.
 func TestSequentialLearnsLinearFunction(t *testing.T) {
-	// y = 2a - 3b + 1 is learnable exactly by a single dense layer.
-	m := NewSequential(NewDense(2, 1, Identity, 5))
+	d := NewDense(2, 5)
 	var xs [][]float64
-	var ys [][]float64
+	var ys []float64
 	r := rng(42)
 	for i := 0; i < 200; i++ {
 		a, b := r.Float64()*2-1, r.Float64()*2-1
 		xs = append(xs, []float64{a, b})
-		ys = append(ys, []float64{2*a - 3*b + 1})
+		ys = append(ys, 2*a-3*b+1)
 	}
-	loss, err := m.Fit(xs, ys, FitOptions{Epochs: 300, BatchSize: 16, Optimizer: NewAdam(0.01), Shuffle: true})
+	loss, err := d.Fit(xs, ys, FitOptions{Epochs: 300, LR: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if loss > 1e-4 {
 		t.Fatalf("final loss %g too high", loss)
 	}
-	d := m.Layers[0].(*Dense)
 	if math.Abs(d.W[0]-2) > 0.05 || math.Abs(d.W[1]+3) > 0.05 || math.Abs(d.B[0]-1) > 0.05 {
 		t.Fatalf("learned W=%v B=%v", d.W, d.B)
 	}
 }
 
+// TestFrozenLayerNotUpdated: a frozen layer reports its loss and does not
+// move.
 func TestFrozenLayerNotUpdated(t *testing.T) {
-	frozen := NewDense(2, 2, Identity, 9)
-	frozen.Frozen = true
-	head := NewDense(2, 1, Identity, 10)
-	m := NewSequential(frozen, head)
-	before := append([]float64(nil), frozen.W...)
-	xs := [][]float64{{1, 2}, {3, 4}}
-	ys := [][]float64{{1}, {2}}
-	if _, err := m.Fit(xs, ys, FitOptions{Epochs: 10, Optimizer: NewAdam(0.05)}); err != nil {
-		t.Fatal(err)
+	d := NewDense(5, 2)
+	d.Frozen = true
+	w, b := slices.Clone(d.W), slices.Clone(d.B)
+	xs, ys := rows(5, 40, 4)
+	if loss, err := d.Fit(xs, ys, FitOptions{Epochs: 3, LR: 0.1}); err != nil || loss <= 0 {
+		t.Fatalf("loss %v, err %v", loss, err)
 	}
-	for i := range before {
-		if frozen.W[i] != before[i] {
-			t.Fatal("frozen layer weights changed")
-		}
-	}
-}
-
-func TestParamCount(t *testing.T) {
-	frozen := NewDense(5, 1, Identity, 1)
-	frozen.Frozen = true
-	head := NewDense(13, 1, Identity, 2)
-	m := NewSequential(frozen, head) // shapes nonsensical for forward; count only
-	total, trainable := m.ParamCount()
-	if total != 6+14 || trainable != 14 {
-		t.Fatalf("total=%d trainable=%d", total, trainable)
-	}
-}
-
-func TestLSTMBaselineParamCount(t *testing.T) {
-	// The Fig. 11 baseline: LSTM(1->133) + Dense(133->1) = 71,954 params,
-	// the closest integer-hidden-size match to the paper's 71,851.
-	m := NewSequential(NewLSTM(1, 133, 1), NewDense(133, 1, Identity, 2))
-	total, trainable := m.ParamCount()
-	if total != 71954 || trainable != 71954 {
-		t.Fatalf("total=%d trainable=%d", total, trainable)
-	}
-}
-
-func TestLSTMLearnsShortPattern(t *testing.T) {
-	// Predict next value of an alternating sequence — requires memory.
-	m := NewSequential(NewLSTM(1, 8, 21), NewDense(8, 1, Identity, 22))
-	var xs [][]float64
-	var ys [][]float64
-	seq := []float64{0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1}
-	for i := 0; i+5 < len(seq); i++ {
-		xs = append(xs, seq[i:i+5])
-		ys = append(ys, []float64{seq[i+5]})
-	}
-	loss, err := m.Fit(xs, ys, FitOptions{Epochs: 200, BatchSize: 4, Optimizer: NewAdam(0.02)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loss > 0.01 {
-		t.Fatalf("lstm loss=%g", loss)
-	}
-	if p := m.Predict1([]float64{1, 0, 1, 0, 1}); math.Abs(p-0) > 0.2 {
-		t.Fatalf("predict=%g want ~0", p)
+	if !slices.Equal(d.W, w) || !slices.Equal(d.B, b) {
+		t.Fatalf("frozen layer moved: %v %v → %v %v", w, b, d.W, d.B)
 	}
 }
 
 func TestEmptyDatasetErrors(t *testing.T) {
-	m := NewSequential(NewDense(1, 1, Identity, 3))
-	if _, err := m.Fit(nil, nil, FitOptions{}); err != ErrEmptyDataset {
-		t.Fatalf("err=%v", err)
+	if _, err := NewDense(1, 3).Fit(nil, nil, FitOptions{}); !errors.Is(err, ErrEmptyDataset) {
+		t.Fatalf("Fit: err=%v", err)
 	}
-	if _, err := m.TrainBatch(nil, nil, NewAdam(0)); err != ErrEmptyDataset {
-		t.Fatalf("err=%v", err)
+	if _, err := Loop(0, FitOptions{}, nil); !errors.Is(err, ErrEmptyDataset) {
+		t.Fatalf("Loop: err=%v", err)
 	}
 }
 
-func TestSaveLoadRoundTrip(t *testing.T) {
-	frozen := NewDense(5, 1, Tanh, 31)
-	frozen.Frozen = true
-	m := NewSequential(
-		frozen,
-		NewDense(1, 4, ReLU, 32),
-		NewLSTM(4, 3, 33),
-		NewDense(3, 1, Identity, 34),
-	)
-	b, err := json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
+// TestTrainBatchTargetArity: a target count other than the row count, and a
+// row of the wrong length, are errors.
+func TestTrainBatchTargetArity(t *testing.T) {
+	d := NewDense(2, 5)
+	if _, err := d.Fit([][]float64{{1, 2}, {3, 4}}, []float64{1}, FitOptions{}); err == nil {
+		t.Fatal("two rows with one target accepted")
 	}
-	m2 := new(Sequential)
-	if err := json.Unmarshal(b, m2); err != nil {
-		t.Fatal(err)
+	if _, err := d.Fit([][]float64{{1, 2}, {3}}, []float64{1, 2}, FitOptions{}); err == nil {
+		t.Fatal("a row of one input accepted by a 2 → 1 layer")
 	}
-	t1, tr1 := m.ParamCount()
-	t2, tr2 := m2.ParamCount()
-	if t1 != t2 || tr1 != tr2 {
-		t.Fatalf("param counts differ: (%d,%d) vs (%d,%d)", t1, tr1, t2, tr2)
+}
+
+// TestTrainBatchZeroAllocs: once the first step has sized Adam's moments, a
+// training step allocates nothing.
+func TestTrainBatchZeroAllocs(t *testing.T) {
+	d, opt := NewDense(5, 1), NewAdam(0.01)
+	xs, ys := rows(5, 32, 2)
+	batch := make([]int, len(xs))
+	for i := range batch {
+		batch[i] = i
 	}
-	// Same weights -> same outputs for the dense-only prefix.
-	x := []float64{0.1, 0.2, 0.3, 0.4, 0.5}
-	got1 := m.Predict(x)
-	got2 := m2.Predict(x)
-	for i := range got1 {
-		if math.Abs(got1[i]-got2[i]) > 1e-12 {
-			t.Fatalf("outputs differ after reload: %v vs %v", got1, got2)
+	step := func() {
+		if _, err := d.trainBatch(opt, xs, ys, batch); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if !m2.Layers[0].(*Dense).Frozen {
-		t.Fatal("frozen flag lost on reload")
+	step()
+	if n := testing.AllocsPerRun(20, step); n != 0 {
+		t.Fatalf("a training step allocates %v objects after the first, want 0", n)
 	}
 }
 
-func BenchmarkDenseForward(b *testing.B) {
-	d := NewDense(5, 1, Identity, 1)
-	x := []float64{1, 2, 3, 4, 5}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		d.Forward(x)
+// TestOptimizersKeyStateByParameter: two parameter slices of one shape get a
+// moment slot each, so opposite gradients move them apart.
+func TestOptimizersKeyStateByParameter(t *testing.T) {
+	opt := NewAdam(0.1)
+	p1, p2 := []float64{1}, []float64{1}
+	opt.Step([][]float64{p1, p2}, [][]float64{{1}, {-1}}, 1)
+	if p1[0] >= 1 || p2[0] <= 1 {
+		t.Fatalf("p1=%v p2=%v: want one down and one up", p1, p2)
+	}
+	if len(opt.m) != 2 || &opt.m[0][0] == &opt.m[1][0] {
+		t.Fatalf("%d moment slots, want 2 of their own", len(opt.m))
 	}
 }
 
-func BenchmarkLSTMForward133(b *testing.B) {
-	m := NewSequential(NewLSTM(1, 133, 1), NewDense(133, 1, Identity, 2))
-	x := []float64{1, 2, 3, 4, 5}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		m.Predict(x)
+// TestAdamSlotsSurviveFreezing: a slice stepped with a nil gradient, as a
+// frozen layer's is, keeps its slot and does not move, and the next slice's
+// moments stay where they were.
+func TestAdamSlotsSurviveFreezing(t *testing.T) {
+	opt := NewAdam(0.1)
+	params := [][]float64{{1}, {1}}
+	opt.Step(params, [][]float64{{1}, {1}}, 1)
+	w, moments := params[0][0], opt.m[1]
+	opt.Step(params, [][]float64{nil, {1}}, 1)
+	if params[0][0] != w {
+		t.Fatal("frozen slice moved")
+	}
+	if len(opt.m) != 2 || &opt.m[1][0] != &moments[0] {
+		t.Fatalf("second slice's moments moved: %d slots", len(opt.m))
+	}
+}
+
+// TestAdamBiasCorrectionMatchesPow: every bias correction the table hands a
+// step is the bits 1 − math.Pow(β, t) would be, for Adam's two βs over ten
+// thousand steps, while two goroutines read the table and grow it at once,
+// and past the table's cap.
+func TestAdamBiasCorrectionMatchesPow(t *testing.T) {
+	const steps = 10000
+	for _, beta := range []float64{beta1, beta2} {
+		tab := &biasTable{beta: beta} // fresh, so the readers below grow it
+		var wg sync.WaitGroup
+		for _, stride := range []int{1, 3} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for step := 1; step <= steps; step += stride {
+					if got, want := tab.at(step), 1-math.Pow(beta, float64(step)); math.Float64bits(got) != math.Float64bits(want) {
+						t.Errorf("β=%v t=%d: %v, math.Pow gives %v", beta, step, got, want)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		for _, step := range []int{maxBiasSteps, maxBiasSteps + 1} {
+			if got, want := tab.at(step), 1-math.Pow(beta, float64(step)); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("β=%v t=%d: %v, math.Pow gives %v", beta, step, got, want)
+			}
+		}
 	}
 }

@@ -6,62 +6,56 @@ import (
 	"sync/atomic"
 )
 
-// Optimizer applies accumulated gradients to trainable layers.
-type Optimizer interface {
-	// Step updates parameters from gradients scaled by 1/batchSize, then
-	// the caller is expected to zero the gradients.
-	Step(layers []Layer, batchSize int)
-}
-
-// Adam is the Adam optimizer (Kingma & Ba).
+// Adam is the Adam optimizer (Kingma & Ba) with the canonical β1 = 0.9,
+// β2 = 0.999 and ε = 1e-8.
 type Adam struct {
-	LR, Beta1, Beta2, Eps float64
-	t                     int
+	lr float64
+	t  int
 	// m and v are the moments: one slice per parameter slice, in the order
-	// Step walks them. Frozen layers hold a (nil) slot, so freezing a layer
+	// Step is handed them. A frozen slice holds a (nil) slot, so freezing one
 	// between steps shifts nobody else's moments. An Adam serves one model.
 	m, v [][]float64
-	// c1 and c2 are the bias-correction tables of Beta1 and Beta2.
-	c1, c2 *biasTable
 }
 
-// NewAdam returns Adam with the canonical defaults for any zero field.
+// The decay rates and the denominator's floor.
+const beta1, beta2, epsilon = 0.9, 0.999, 1e-8
+
+// NewAdam returns Adam at learning rate lr, or 1e-3 for 0.
 func NewAdam(lr float64) *Adam {
 	if lr == 0 {
 		lr = 1e-3
 	}
-	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
+	return &Adam{lr: lr}
 }
 
-// Step implements Optimizer.
-func (a *Adam) Step(layers []Layer, batchSize int) {
-	if batchSize < 1 {
-		batchSize = 1
-	}
-	inv := 1.0 / float64(batchSize)
+// Step moves every params[k] against its gradient grads[k], scaled by
+// 1/batchSize. A nil grads[k] marks a frozen slice: it keeps its moment slot
+// and does not move. Hand an Adam the same slices in the same order on every
+// step.
+func (a *Adam) Step(params, grads [][]float64, batchSize int) {
+	inv := 1.0 / float64(max(batchSize, 1))
 	a.t++
-	a.c1, a.c2 = tableFor(a.c1, a.Beta1), tableFor(a.c2, a.Beta2)
-	c1, c2 := a.c1.at(a.t), a.c2.at(a.t)
-	k := 0 // moment slot
-	for _, l := range layers {
-		params, grads := l.Params(), l.Grads()
-		for pi, p := range params {
-			if k == len(a.m) {
-				a.m, a.v = append(a.m, nil), append(a.v, nil)
-			}
-			if l.Trainable() {
-				if a.m[k] == nil {
-					a.m[k], a.v[k] = make([]float64, len(p)), make([]float64, len(p))
-				}
-				m, v, g := a.m[k], a.v[k], grads[pi]
-				for i := range p {
-					gi := g[i] * inv
-					m[i] = a.Beta1*m[i] + (1-a.Beta1)*gi
-					v[i] = a.Beta2*v[i] + (1-a.Beta2)*gi*gi
-					p[i] -= a.LR * (m[i] / c1) / (math.Sqrt(v[i]/c2) + a.Eps)
-				}
-			}
-			k++
+	c1, c2 := bias1.at(a.t), bias2.at(a.t)
+	// float64 variables, so that 1 − β rounds as float64 arithmetic does: on
+	// the untyped constants it would be exact, and another number.
+	b1, b2, lr, eps := float64(beta1), float64(beta2), a.lr, float64(epsilon)
+	for k, p := range params {
+		if k == len(a.m) {
+			a.m, a.v = append(a.m, nil), append(a.v, nil)
+		}
+		g := grads[k]
+		if g == nil {
+			continue
+		}
+		if a.m[k] == nil {
+			a.m[k], a.v[k] = make([]float64, len(p)), make([]float64, len(p))
+		}
+		m, v := a.m[k], a.v[k]
+		for i := range p {
+			gi := g[i] * inv
+			m[i] = b1*m[i] + (1-b1)*gi
+			v[i] = b2*v[i] + (1-b2)*gi*gi
+			p[i] -= lr * (m[i] / c1) / (math.Sqrt(v[i]/c2) + eps)
 		}
 	}
 }
@@ -74,35 +68,18 @@ func (a *Adam) Step(layers []Layer, batchSize int) {
 const maxBiasSteps = 1 << 14
 
 // biasTable holds Adam's bias corrections 1 − β^t, t = 1, 2, …, of one β.
-// Each is computed with math.Pow once per process, and every fit with that β
-// reads it back instead: the same bits for a fraction of the cost. The table
-// only grows — a longer copy, written under mu, replaces the published one —
-// so a step reads it without a lock.
+// Each is computed with math.Pow once per process, and every fit reads it
+// back instead: the same bits for a fraction of the cost. The table only
+// grows — a longer copy, written under mu, replaces the published one — so a
+// step reads it without a lock.
 type biasTable struct {
 	beta float64
 	mu   sync.Mutex
 	vals atomic.Pointer[[]float64] // vals[t-1] = 1 − β^t
 }
 
-// biasTables holds the table of each β a step has used, keyed by its bits.
-var biasTables = struct {
-	sync.Mutex
-	m map[uint64]*biasTable
-}{m: map[uint64]*biasTable{}}
-
-// tableFor returns the table of beta: tab itself when it already serves it.
-func tableFor(tab *biasTable, beta float64) *biasTable {
-	bits := math.Float64bits(beta)
-	if tab != nil && math.Float64bits(tab.beta) == bits {
-		return tab
-	}
-	biasTables.Lock()
-	defer biasTables.Unlock()
-	if biasTables.m[bits] == nil {
-		biasTables.m[bits] = &biasTable{beta: beta}
-	}
-	return biasTables.m[bits]
-}
+// bias1 and bias2 are the process-wide tables of β1 and β2.
+var bias1, bias2 = &biasTable{beta: beta1}, &biasTable{beta: beta2}
 
 // at returns 1 − β^t for t ≥ 1.
 func (b *biasTable) at(t int) float64 {
@@ -129,7 +106,3 @@ func (b *biasTable) at(t int) float64 {
 	}
 	return vals[t-1]
 }
-
-var (
-	_ Optimizer = (*Adam)(nil)
-)

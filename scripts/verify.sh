@@ -31,10 +31,10 @@ echo "==> go vet -C bench ./..."
 go vet -C bench ./...
 
 # Layering: the daemons and the CLI ship without the paper's evaluation
-# engines, the LDMS baseline, the workload generators, trace replay or the
-# scenario harness.
+# engines, the LDMS and LSTM baselines, the workload generators, trace replay
+# or the scenario harness.
 echo "==> go list -deps ./cmd/apollod ./cmd/apollo-gateway ./cmd/apolloctl: no evaluation packages"
-if go list -deps ./cmd/apollod ./cmd/apollo-gateway ./cmd/apolloctl | grep -E 'internal/(figures|ldms|middleware|workloads|trace|sim/scenario)'; then
+if go list -deps ./cmd/apollod ./cmd/apollo-gateway ./cmd/apolloctl | grep -E 'internal/(figures|ldms|middleware|workloads|trace|sim/scenario|nn/baseline)'; then
     echo "layering: a product binary depends on an evaluation package" >&2
     exit 1
 fi
@@ -115,10 +115,11 @@ go test -run xxx -bench . -benchtime 1x ./internal/stream/...
 echo "==> go test -run xxx -bench . -benchtime 1x ./internal/aqe/... ./internal/queue/... ./internal/archive/... ./internal/gateway/..."
 go test -run xxx -bench . -benchtime 1x ./internal/aqe/... ./internal/queue/... ./internal/archive/... ./internal/gateway/...
 # The delphi suite includes BenchmarkTrain and BenchmarkRetrainCombiner, whose
-# ms and allocs/op README "Retraining" and DESIGN §4k–4l quote; the nn suite
-# includes BenchmarkFit, the lone-Dense training loop against the generic one.
-echo "==> go test -run xxx -bench . -benchtime 1x ./internal/delphi/ ./internal/nn/ ./internal/nn/inference/"
-go test -run xxx -bench . -benchtime 1x ./internal/delphi/ ./internal/nn/ ./internal/nn/inference/
+# ms and allocs/op README "Retraining" and DESIGN §4k–4l quote; the baseline
+# suite includes BenchmarkFit, the product's fused fit against the generic
+# stack, and the Fig. 11 LSTM's forward pass.
+echo "==> go test -run xxx -bench . -benchtime 1x ./internal/delphi/ ./internal/nn/baseline/"
+go test -run xxx -bench . -benchtime 1x ./internal/delphi/ ./internal/nn/baseline/
 
 # Pipeline benchmark (its own module, so ./... above does not reach it): unit
 # tests plus the ~12 s smoke run of all four workloads with the output audit.
