@@ -312,9 +312,8 @@ func runRetention(args []string, apply string) {
 			if err != nil {
 				log.Fatalf("apolloctl: compacting %s: %v", d, err)
 			}
-			fmt.Printf("compacted %s: %d segments -> blocks (%d -> %d bytes), %d+%d rolled up, %d files dropped\n",
-				filepath.Base(d), st.CompressedSegments, st.RawBytes, st.CompressedBytes,
-				st.Rolled10s, st.Rolled1m, st.DroppedFiles)
+			fmt.Printf("compacted %s: %d+%d rolled up (%d bytes), %d files dropped\n",
+				filepath.Base(d), st.Rolled10s, st.Rolled1m, st.CompressedBytes, st.DroppedFiles)
 		}
 	}
 	labels := [...]string{"raw", "10s", "1m"}

@@ -3,24 +3,25 @@
 // in-memory queue. The Query Executor falls back to the persisted log for
 // entries no longer held in memory.
 //
-// The log is tiered. The write path appends fixed-framing raw records (the
-// CRC-guarded binary encoding from package telemetry) into size-capped
-// segment files. Sealed segments are rewritten by the background compactor
-// (see compact.go) into Gorilla-compressed block files (see block.go), and —
-// under a Retention policy — downsampled into 10-second and 1-minute rollup
-// tiers before finally aging out. Replay and Range stream all tiers, oldest
-// tier first, behind the same API, so callers never see the encoding. Every
-// sealed file carries a sparse timestamp index sidecar (see index.go) so
-// timestamp-bounded reads seek instead of replaying the world.
+// The log has one on-disk encoding, Gorilla-compressed blocks (see
+// block.go), and is tiered. The write path encodes each tuple into the open
+// block of the active segment and writes the block as one frame when it
+// fills, on Sync and when the segment is sealed at its size cap. Under a
+// Retention policy the background compactor (see compact.go) downsamples
+// sealed segments into 10-second and 1-minute rollup tiers before they age
+// out. Range streams all tiers, oldest tier first, behind one API, so callers
+// never see the tiers. Every sealed file carries a sparse timestamp index
+// sidecar (see index.go) so timestamp-bounded reads seek instead of decoding
+// the world.
 package archive
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -37,72 +38,36 @@ const DefaultSegmentBytes = 4 << 20
 
 // Archive tiers: full-resolution data, then progressively coarser rollups.
 const (
-	TierRaw = 0 // full resolution (raw records or compressed blocks)
+	TierRaw = 0 // full resolution
 	Tier10s = 1 // 10-second rollups
 	Tier1m  = 2 // 1-minute rollups
 
 	numTiers = 3
 )
 
-// segRef identifies one on-disk data file of the log.
+// segRef identifies one on-disk data file of the log, and keys its index.
 type segRef struct {
-	tier       int
-	index      int
-	compressed bool // block encoding (.blk) instead of raw records (.log)
-}
-
-// segKey indexes the in-memory sidecar map; the encoding is not part of the
-// identity — a segment keeps its key when compaction rewrites it.
-type segKey struct {
 	tier  int
 	index int
 }
 
-func (r segRef) key() segKey { return segKey{r.tier, r.index} }
+// tierPrefix names each tier's files.
+var tierPrefix = [numTiers]string{"segment", "rollup1", "rollup2"}
 
 // fileName returns the data file name for r.
-func (r segRef) fileName() string {
-	if r.tier == TierRaw {
-		if r.compressed {
-			return fmt.Sprintf("segment-%08d.blk", r.index)
-		}
-		return segmentName(r.index)
-	}
-	return fmt.Sprintf("rollup%d-%08d.blk", r.tier, r.index)
-}
+func (r segRef) fileName() string { return fmt.Sprintf("%s-%08d.blk", tierPrefix[r.tier], r.index) }
 
-// sidecarName returns the index sidecar name for r. A raw segment and its
-// compressed rewrite share one sidecar path: the index always describes
-// whichever encoding is current.
-func (r segRef) sidecarName() string {
-	if r.tier == TierRaw {
-		return indexName(r.index)
-	}
-	return fmt.Sprintf("rollup%d-%08d.idx", r.tier, r.index)
-}
+// sidecarName returns the index sidecar name for r.
+func (r segRef) sidecarName() string { return fmt.Sprintf("%s-%08d.idx", tierPrefix[r.tier], r.index) }
 
 // parseRef decodes a data file name; ok is false for non-archive files.
 func parseRef(name string) (segRef, bool) {
-	parseIdx := func(s string) (int, bool) {
-		i, err := strconv.Atoi(s)
-		return i, err == nil
-	}
-	switch {
-	case strings.HasPrefix(name, "segment-") && strings.HasSuffix(name, ".log"):
-		if i, ok := parseIdx(strings.TrimSuffix(strings.TrimPrefix(name, "segment-"), ".log")); ok {
-			return segRef{tier: TierRaw, index: i}, true
-		}
-	case strings.HasPrefix(name, "segment-") && strings.HasSuffix(name, ".blk"):
-		if i, ok := parseIdx(strings.TrimSuffix(strings.TrimPrefix(name, "segment-"), ".blk")); ok {
-			return segRef{tier: TierRaw, index: i, compressed: true}, true
-		}
-	case strings.HasPrefix(name, "rollup1-") && strings.HasSuffix(name, ".blk"):
-		if i, ok := parseIdx(strings.TrimSuffix(strings.TrimPrefix(name, "rollup1-"), ".blk")); ok {
-			return segRef{tier: Tier10s, index: i, compressed: true}, true
-		}
-	case strings.HasPrefix(name, "rollup2-") && strings.HasSuffix(name, ".blk"):
-		if i, ok := parseIdx(strings.TrimSuffix(strings.TrimPrefix(name, "rollup2-"), ".blk")); ok {
-			return segRef{tier: Tier1m, index: i, compressed: true}, true
+	for t, p := range tierPrefix {
+		s, ok := strings.CutPrefix(name, p+"-")
+		if s, blk := strings.CutSuffix(s, ".blk"); ok && blk {
+			if i, err := strconv.Atoi(s); err == nil {
+				return segRef{tier: t, index: i}, true
+			}
 		}
 	}
 	return segRef{}, false
@@ -113,21 +78,21 @@ func parseRef(name string) (segRef, bool) {
 type Log struct {
 	mu sync.Mutex
 	// compactMu serializes compaction (which rewrites and removes files)
-	// against whole-log reads: Replay/Range hold it shared for the duration
-	// of a scan, Compact holds it exclusively. Callbacks passed to
-	// Replay/Range must therefore not call Compact.
+	// against whole-log reads: Range holds it shared for the duration of a
+	// scan, Compact holds it exclusively. Callbacks passed to Range must
+	// therefore not call Compact.
 	compactMu    sync.RWMutex
 	dir          string
 	segmentBytes int64
 	cur          *os.File
-	curW         *bufio.Writer
-	enc          []byte // Append's encoding of the record it is writing
-	curSize      int64
 	curIndex     int
-	// flushed is how much of the active segment is known to be in the file:
-	// curSize as of the last Flush. (bufio may have written more on its own;
-	// a reader that stops here never asks the file for bytes it lacks.)
-	flushed int64
+	// curBytes is how much the active segment holds as SegmentBytes counts
+	// it: the sum of its tuples' Info.EncodedSize, whatever they take on disk.
+	curBytes int64
+	// open is the active segment's open block: the tuples appended since its
+	// last frame was written, held encoded. A crash loses it; Sync and Close
+	// write it.
+	open openBlock
 	// rd is the shared read handle of the active segment, nil until a Range
 	// first reaches into the segment — see segReader for who closes it.
 	rd *segReader
@@ -139,15 +104,17 @@ type Log struct {
 	files    []fileEntry
 	appended uint64
 	closed   bool
-	// wedged records a seal/rotate failure that left the active writer
-	// unusable (closed or in an unknown state). While set, Append first
-	// tries to recover by opening a fresh segment — the log fails closed
-	// instead of silently buffering into a dead file descriptor.
+	// wedged records a write, seal or rotate failure that left the active
+	// file closed. While set, Append first tries to recover by opening a
+	// fresh segment — the log fails closed instead of silently writing into
+	// a dead file descriptor.
 	wedged error
 
-	idx         map[segKey]*segIndex // sealed-file indexes, all tiers
-	active      *segIndex            // incrementally-built index of the open segment
-	idxRebuilds uint64               // sidecars Open rebuilt, held for Instrument
+	idx map[segRef]*segIndex // sealed-file indexes, all tiers
+	// active indexes the active segment: one entry per written block, and
+	// every appended tuple, the open block's too, in its envelope.
+	active      *segIndex
+	idxRebuilds uint64 // sidecars Open rebuilt, held for Instrument
 
 	// Optional obs instruments (nil-safe no-ops when not instrumented): the
 	// only home of every count but appended.
@@ -187,12 +154,10 @@ func (r *segReader) release() {
 	}
 }
 
-// readBufs recycles Range's read buffers (a deep query reads ~27 KB).
-var readBufs = sync.Pool{New: func() any { return new([]byte) }}
-
 // Options configures a Log.
 type Options struct {
-	// SegmentBytes caps each segment file; zero means DefaultSegmentBytes.
+	// SegmentBytes caps each segment, counted as the sum of its tuples'
+	// Info.EncodedSize; zero means DefaultSegmentBytes.
 	SegmentBytes int64
 }
 
@@ -201,7 +166,9 @@ type Options struct {
 // existing file's index sidecar is loaded; missing, corrupt, or stale
 // sidecars are rebuilt from the data (crash safety: the sidecar is a pure
 // accelerator, never trusted over the log). An interrupted compaction is
-// rolled forward or back from its journal before anything is read.
+// rolled forward or back from its journal before anything is read. A
+// directory holding raw-record segments (`segment-*.log`, an earlier on-disk
+// format) is refused.
 func Open(dir string, opts Options) (*Log, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = DefaultSegmentBytes
@@ -209,7 +176,7 @@ func Open(dir string, opts Options) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("archive: %w", err)
 	}
-	l := &Log{dir: dir, segmentBytes: opts.SegmentBytes, idx: make(map[segKey]*segIndex)}
+	l := &Log{dir: dir, segmentBytes: opts.SegmentBytes, idx: make(map[segRef]*segIndex)}
 	if err := l.recoverCompaction(); err != nil {
 		return nil, err
 	}
@@ -227,12 +194,7 @@ func Open(dir string, opts Options) (*Log, error) {
 		side := filepath.Join(dir, r.sidecarName())
 		si, err := loadSidecar(side, st.Size())
 		if err != nil {
-			if r.compressed {
-				si, err = buildBlockIndex(path)
-			} else {
-				si, err = buildSegIndex(path)
-			}
-			if err != nil {
+			if si, err = buildIndex(path); err != nil {
 				return nil, err
 			}
 			if err := writeSidecar(side, si); err != nil {
@@ -240,9 +202,9 @@ func Open(dir string, opts Options) (*Log, error) {
 			}
 			l.idxRebuilds++
 		}
-		l.idx[r.key()] = si
-		if r.tier == TierRaw && r.index >= next {
-			next = r.index + 1
+		l.idx[r] = si
+		if r.tier == TierRaw {
+			next = max(next, r.index+1)
 		}
 	}
 	if err := l.openSegment(next); err != nil {
@@ -251,32 +213,23 @@ func Open(dir string, opts Options) (*Log, error) {
 	return l, nil
 }
 
-func segmentName(i int) string { return fmt.Sprintf("segment-%08d.log", i) }
-
-// scanRefs lists every data file of the log in replay order: coarsest tier
+// scanRefs lists every data file of the log in read order: coarsest tier
 // first (1m rollups, then 10s, then full resolution), ascending index within
-// a tier. When a raw segment and its compressed rewrite both exist (a crash
-// between compaction's rename and source removal), the compressed file wins —
-// the rename is atomic, so it is complete.
+// a tier.
 func (l *Log) scanRefs() ([]segRef, error) {
 	entries, err := os.ReadDir(l.dir)
 	if err != nil {
 		return nil, fmt.Errorf("archive: %w", err)
 	}
-	byKey := make(map[segKey]segRef)
+	var out []segRef
 	for _, e := range entries {
-		r, ok := parseRef(e.Name())
-		if !ok {
-			continue
+		name := e.Name()
+		if strings.HasPrefix(name, "segment-") && strings.HasSuffix(name, ".log") {
+			return nil, fmt.Errorf("archive: %s holds raw records, an on-disk format this version does not read", filepath.Join(l.dir, name))
 		}
-		if prev, dup := byKey[r.key()]; dup && prev.compressed {
-			continue // compressed rewrite shadows the raw original
+		if r, ok := parseRef(name); ok {
+			out = append(out, r)
 		}
-		byKey[r.key()] = r
-	}
-	out := make([]segRef, 0, len(byKey))
-	for _, r := range byKey {
-		out = append(out, r)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].tier != out[j].tier {
@@ -288,21 +241,12 @@ func (l *Log) scanRefs() ([]segRef, error) {
 }
 
 func (l *Log) openSegment(i int) error {
-	f, err := os.OpenFile(filepath.Join(l.dir, segmentName(i)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(filepath.Join(l.dir, segRef{TierRaw, i}.fileName()), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("archive: %w", err)
 	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("archive: %w", err)
-	}
-	l.cur = f
-	l.curW = bufio.NewWriter(f)
-	l.curSize = st.Size()
-	l.flushed = l.curSize
-	l.curIndex = i
-	l.active = &segIndex{size: l.curSize, sorted: true}
+	l.cur, l.curIndex, l.curBytes = f, i, 0
+	l.active = &segIndex{}
 	l.dropReadStateLocked()
 	return nil
 }
@@ -317,19 +261,10 @@ func (l *Log) dropReadStateLocked() {
 	}
 }
 
-// flushLocked writes buffered appends to the active segment's file.
-func (l *Log) flushLocked() error {
-	if err := l.curW.Flush(); err != nil {
-		return fmt.Errorf("archive: %w", err)
-	}
-	l.flushed = l.curSize
-	return nil
-}
-
 // recoverLocked re-arms a wedged log: the failed active segment is abandoned
-// (whatever prefix reached disk stays replayable; its sidecar is rebuilt on
-// the next Open) and appends continue in a fresh segment after the highest
-// on-disk index.
+// (whatever whole blocks reached disk stay readable; its sidecar is rebuilt
+// on the next Open) and appends continue in a fresh segment after the
+// highest on-disk index.
 func (l *Log) recoverLocked() error {
 	refs, err := l.scanRefs()
 	if err != nil {
@@ -337,8 +272,8 @@ func (l *Log) recoverLocked() error {
 	}
 	next := l.curIndex + 1
 	for _, r := range refs {
-		if r.tier == TierRaw && r.index >= next {
-			next = r.index + 1
+		if r.tier == TierRaw {
+			next = max(next, r.index+1)
 		}
 	}
 	if err := l.openSegment(next); err != nil {
@@ -348,11 +283,17 @@ func (l *Log) recoverLocked() error {
 	return nil
 }
 
-// Append persists one tuple. It buffers; call Sync to force bytes to the OS.
-// After a seal or rotate failure the log is wedged: Append first tries to
-// re-open a fresh active segment and fails with the original error until
-// that succeeds, so writes are never silently buffered into a dead file.
+// Append persists one tuple into the open block; the block reaches the file
+// when it fills, on Sync, or when its segment is sealed. A tuple whose metric
+// name is 64 KiB or longer, or whose Kind or Source is 16 or more, does not
+// fit a block and is refused. After a write, seal or rotate failure the log
+// is wedged: Append first tries to open a fresh active segment and fails
+// with the original error until that succeeds, so writes never go into a
+// dead file.
 func (l *Log) Append(info telemetry.Info) error {
+	if len(info.Metric) > math.MaxUint16 || info.Kind > 0x0F || info.Source > 0x0F {
+		return fmt.Errorf("archive: tuple does not fit a block (metric %d bytes, kind %d, source %d)", len(info.Metric), info.Kind, info.Source)
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -363,53 +304,68 @@ func (l *Log) Append(info telemetry.Info) error {
 			return fmt.Errorf("archive: log wedged (%v); recovery failed: %w", l.wedged, err)
 		}
 	}
-	b, err := info.AppendBinary(l.enc[:0])
-	if err != nil {
-		return err
-	}
-	l.enc = b
-	if l.curSize+int64(len(b)) > l.segmentBytes && l.curSize > 0 {
+	n := int64(info.EncodedSize())
+	if l.curBytes+n > l.segmentBytes && l.curBytes > 0 {
 		if err := l.rotateLocked(); err != nil {
 			return err
 		}
 	}
-	off := l.curSize
-	if _, err := l.curW.Write(b); err != nil {
-		return fmt.Errorf("archive: %w", err)
-	}
-	l.curSize += int64(len(b))
-	l.active.note(off, info.Timestamp, l.curSize)
+	l.open.add(info)
+	l.active.note(info.Timestamp)
+	l.curBytes += n
 	l.appended++
 	l.obsAppends.Inc()
+	if l.open.n == blockMaxRecords {
+		return l.writeBlockLocked()
+	}
 	return nil
 }
 
-// sealLocked flushes and closes the active segment, persists its index
-// sidecar, and promotes the in-memory index to the sealed map. Any failure
-// wedges the log: the writer is known-dead (or in an unknown state), so
-// subsequent appends must re-open a segment instead of reusing it. A flush
-// failure also invalidates the in-memory index (buffered records never
-// reached disk), so it is not promoted — readers fall back to a full scan of
-// whatever prefix is on disk.
-func (l *Log) sealLocked() error {
-	l.dropReadStateLocked()
-	ferr := l.curW.Flush()
-	cerr := l.cur.Close()
-	if ferr != nil {
-		l.wedged = fmt.Errorf("archive: seal flush: %w", ferr)
+// writeBlockLocked seals the open block into one frame, encoded into pooled
+// scratch, and writes it to the active segment with a single Write. A failed
+// write loses the block (its frame may lie torn at the file's tail), closes
+// the file and wedges the log.
+func (l *Log) writeBlockLocked() error {
+	if l.open.n == 0 {
+		return nil
+	}
+	sc := getScanBuf()
+	defer sc.release()
+	sc.data = l.open.frame(sc.data[:0], TierRaw)
+	first := l.open.firstTS
+	l.open.reset()
+	if _, err := l.cur.Write(sc.data); err != nil {
+		l.cur.Close()
+		l.wedged = fmt.Errorf("archive: seal flush: %w", err)
 		return l.wedged
 	}
-	l.flushed = l.curSize
-	if cerr != nil {
-		l.wedged = fmt.Errorf("archive: seal close: %w", cerr)
+	l.active.offs = append(l.active.offs, idxEntry{off: l.active.size, ts: first})
+	l.active.size += int64(len(sc.data))
+	return nil
+}
+
+// sealLocked writes the open block, closes the active segment, persists its
+// index sidecar, and promotes its index to the sealed map. Any failure
+// wedges the log: the file is closed (or in an unknown state), so subsequent
+// appends must open a segment instead of reusing it. A failed block write
+// also leaves the index unpromoted — readers fall back to a full scan of
+// whatever reached disk.
+func (l *Log) sealLocked() error {
+	l.dropReadStateLocked()
+	if err := l.writeBlockLocked(); err != nil {
+		return err
+	}
+	if err := l.cur.Close(); err != nil {
+		l.wedged = fmt.Errorf("archive: seal close: %w", err)
 		return l.wedged
 	}
 	// The data is durable and complete from here on; the sidecar is a pure
 	// accelerator (rebuilt on Open when missing), so its write failing still
 	// promotes the in-memory index — but the file is closed, so the log is
 	// wedged until a fresh segment opens.
-	l.idx[segKey{TierRaw, l.curIndex}] = l.active
-	if err := writeSidecar(filepath.Join(l.dir, indexName(l.curIndex)), l.active); err != nil {
+	key := segRef{TierRaw, l.curIndex}
+	l.idx[key] = l.active
+	if err := writeSidecar(filepath.Join(l.dir, key.sidecarName()), l.active); err != nil {
 		l.wedged = fmt.Errorf("archive: seal sidecar: %w", err)
 		return l.wedged
 	}
@@ -492,7 +448,8 @@ func (l *Log) Appended() uint64 {
 	return l.appended
 }
 
-// Sync flushes buffered appends to the OS.
+// Sync writes the open block to the active segment and flushes the file to
+// stable storage.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -502,16 +459,16 @@ func (l *Log) Sync() error {
 	if l.wedged != nil {
 		return fmt.Errorf("archive: log wedged: %w", l.wedged)
 	}
-	if err := l.flushLocked(); err != nil {
+	if err := l.writeBlockLocked(); err != nil {
 		return err
 	}
 	return l.cur.Sync()
 }
 
-// Close flushes and closes the active segment, sealing its index sidecar so
-// the next Open needs no rebuild. A wedged log's active writer is already
-// closed, so Close does not touch it again (no double close); it reports the
-// wedging error once more instead.
+// Close writes the open block and closes the active segment, sealing its
+// index sidecar so the next Open needs no rebuild. A wedged log's active
+// file is already closed, so Close does not touch it again (no double
+// close); it reports the wedging error once more instead.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -526,54 +483,6 @@ func (l *Log) Close() error {
 	return l.sealLocked()
 }
 
-// Replay streams every archived tuple, coarsest tier first (1m rollups, 10s
-// rollups, then full resolution), oldest first within a tier, to fn. Replay
-// stops at the first error from fn. Corruption handling distinguishes two
-// cases: a decode failure at the tail of the highest raw (active) segment is
-// a torn write from a crash and silently terminates that segment's replay;
-// corruption anywhere else — mid-segment, in an earlier segment, or in a
-// compressed block — is skipped (resynchronizing on the CRC framing) and
-// counted, so one bad record no longer silently truncates replay of
-// everything after it. Replay flushes pending appends first so a Log can
-// replay its own writes.
-func (l *Log) Replay(fn func(telemetry.Info) error) error {
-	l.compactMu.RLock()
-	defer l.compactMu.RUnlock()
-	l.mu.Lock()
-	if !l.closed && l.wedged == nil {
-		if err := l.flushLocked(); err != nil {
-			l.mu.Unlock()
-			return err
-		}
-	}
-	refs, err := l.scanRefs()
-	l.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	lastRaw := -1
-	for _, r := range refs {
-		if r.tier == TierRaw && !r.compressed && r.index > lastRaw {
-			lastRaw = r.index
-		}
-	}
-	for _, r := range refs {
-		path := filepath.Join(l.dir, r.fileName())
-		var corrupt int
-		var bytes int64
-		if r.compressed {
-			corrupt, bytes, err = replayBlockFile(path, fn)
-		} else {
-			corrupt, bytes, err = replayFile(path, r.index == lastRaw, fn)
-		}
-		l.account(corrupt, bytes, 0)
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // account counts per-segment read statistics.
 func (l *Log) account(corrupt int, bytes int64, skipped int) {
 	l.obsCorrupt.Add(uint64(corrupt))
@@ -584,21 +493,24 @@ func (l *Log) account(corrupt int, bytes int64, skipped int) {
 // Range streams tuples whose Timestamp lies in [from, to], coarsest tier
 // first, using the sparse per-file indexes: files whose [firstTS, lastTS]
 // envelope misses the window are skipped without touching the file, and
-// within a sorted file the read starts at the sparse offset preceding `from`
-// and stops at the first sparse offset past `to` — instead of replaying
-// every file from byte zero. Unindexed or unsorted files fall back to a full
-// filtered scan, so Range never misses records the index cannot vouch for.
+// within a sorted file the read starts at the block holding `from` and stops
+// at the first block that starts past `to` — instead of decoding every file
+// from byte zero. Unindexed or unsorted files fall back to a full filtered
+// scan, so Range never misses records the index cannot vouch for.
 //
 // A Range does no file-system work it can know the answer to: the file table
-// is cached (see Log.files), the active segment is read through one shared
-// handle up to its flushed size, and the writer is flushed only when the
-// window reaches into the buffered tail.
+// is cached (see Log.files), the active segment's written blocks are read
+// through one shared handle, and its open block is copied as a frame under
+// the lock (the encoder writes its last byte in place) only when the window
+// reaches it.
 func (l *Log) Range(from, to int64, fn func(telemetry.Info) error) error {
 	if from > to {
 		return nil
 	}
 	l.compactMu.RLock()
 	defer l.compactMu.RUnlock()
+	sc := getScanBuf()
+	defer sc.release()
 	l.mu.Lock()
 	files, err := l.filesLocked()
 	if err != nil {
@@ -609,22 +521,30 @@ func (l *Log) Range(from, to int64, fn func(telemetry.Info) error) error {
 		corrupt, skipped int
 		bytes            int64
 		act              segIndex   // the active segment's index as of now
-		rd               *segReader // set when the active segment must be read
-		limit            int64
+		rd               *segReader // set when the active segment's file must be read
+		open             bool       // set when its open block must be: sc.tail holds it as a frame
 	)
 	// The active segment carries the highest raw index, so it lists last.
-	if n := len(files); n > 0 && !l.closed && files[n-1].ref == (segRef{tier: TierRaw, index: l.curIndex}) {
+	if n := len(files); n > 0 && !l.closed && files[n-1].ref == (segRef{TierRaw, l.curIndex}) {
 		files = files[:n-1]
-		if !l.active.covers(from, to) {
+		// The header copy is safe to read after unlock: blocks written
+		// later lie past act.size, and reallocation leaves our view intact.
+		act = *l.active
+		if !act.covers(from, to) {
 			skipped++
-		} else if rd, err = l.activeReaderLocked(to); err != nil {
-			l.mu.Unlock()
-			return err
 		} else {
-			defer rd.release()
-			// The header copy is safe to read after unlock: appends beyond
-			// len are invisible, reallocation leaves our view intact.
-			act, limit = *l.active, l.flushed
+			if open = l.open.n > 0 && (!act.sorted || l.open.firstTS <= to); open {
+				sc.tail = l.open.frame(sc.tail[:0], TierRaw)
+			}
+			// A sorted segment's written blocks end at or before the open
+			// block's first timestamp.
+			if act.size > 0 && !(act.sorted && l.open.n > 0 && from > l.open.firstTS) {
+				if rd, err = l.activeReaderLocked(); err != nil {
+					l.mu.Unlock()
+					return err
+				}
+				defer rd.release()
+			}
 		}
 	}
 	l.mu.Unlock()
@@ -635,15 +555,22 @@ func (l *Log) Range(from, to int64, fn func(telemetry.Info) error) error {
 			skipped++
 			continue
 		}
-		c, b, err := l.scanFile(p, from, to, fn)
+		c, b, err := l.scanFile(p, sc, from, to, fn)
 		corrupt, bytes = corrupt+c, bytes+b
 		if err != nil {
 			return err
 		}
 	}
 	if rd != nil {
-		c, b, err := scanWindow(rd.f, limit, &act, false, true, from, to, fn)
+		c, b, err := scanWindow(rd.f, sc, act.size, &act, true, from, to, fn)
 		corrupt, bytes = corrupt+c, bytes+b
+		if err != nil {
+			return err
+		}
+	}
+	if open {
+		c, err := scanBlocks(sc.tail, sc, act.sorted, false, from, to, fn)
+		corrupt, bytes = corrupt+c, bytes+int64(len(sc.tail))
 		return err
 	}
 	return nil
@@ -659,25 +586,17 @@ func (l *Log) filesLocked() ([]fileEntry, error) {
 		}
 		l.files = make([]fileEntry, len(refs))
 		for i, r := range refs {
-			l.files[i] = fileEntry{ref: r, si: l.idx[r.key()]}
+			l.files[i] = fileEntry{ref: r, si: l.idx[r]}
 		}
 	}
 	return l.files, nil
 }
 
-// activeReaderLocked prepares a read of the active segment for a window
-// ending at `to`: it flushes the writer if the window reaches past what the
-// file is known to hold (an unsorted segment must be scanned to its end),
-// opens the shared read handle on first use, and returns it with a reference
-// taken for the caller.
-func (l *Log) activeReaderLocked(to int64) (*segReader, error) {
-	if l.wedged == nil && l.active.seekEnd(to, l.curSize) > l.flushed {
-		if err := l.flushLocked(); err != nil {
-			return nil, err
-		}
-	}
+// activeReaderLocked opens the active segment's shared read handle on first
+// use and returns it with a reference taken for the caller.
+func (l *Log) activeReaderLocked() (*segReader, error) {
 	if l.rd == nil {
-		f, err := os.Open(filepath.Join(l.dir, segmentName(l.curIndex)))
+		f, err := os.Open(filepath.Join(l.dir, segRef{TierRaw, l.curIndex}.fileName()))
 		if err != nil {
 			return nil, fmt.Errorf("archive: %w", err)
 		}
@@ -688,8 +607,9 @@ func (l *Log) activeReaderLocked(to int64) (*segReader, error) {
 	return l.rd, nil
 }
 
-// scanFile streams the in-window records of one sealed file.
-func (l *Log) scanFile(p fileEntry, from, to int64, fn func(telemetry.Info) error) (corrupt int, bytes int64, err error) {
+// scanFile streams the in-window records of one sealed file, read and
+// decoded through sc.
+func (l *Log) scanFile(p fileEntry, sc *scanBuf, from, to int64, fn func(telemetry.Info) error) (corrupt int, bytes int64, err error) {
 	f, err := os.Open(filepath.Join(l.dir, p.ref.fileName()))
 	if err != nil {
 		return 0, 0, fmt.Errorf("archive: %w", err)
@@ -699,146 +619,23 @@ func (l *Log) scanFile(p fileEntry, from, to int64, fn func(telemetry.Info) erro
 	if err != nil {
 		return 0, 0, fmt.Errorf("archive: %w", err)
 	}
-	return scanWindow(f, st.Size(), p.si, p.ref.compressed, false, from, to, fn)
+	return scanWindow(f, sc, st.Size(), p.si, false, from, to, fn)
 }
 
-// scanWindow reads the byte range of f's first size bytes that si says can
-// hold [from, to] into a pooled buffer and streams the in-window records out
-// of it. A compressed file's sparse index is block-granular (one entry per
-// block, keyed by the block's first timestamp), so its range starts on a
-// block boundary.
-func scanWindow(f *os.File, size int64, si *segIndex, compressed, active bool, from, to int64, fn func(telemetry.Info) error) (corrupt int, bytes int64, err error) {
+// scanWindow reads the blocks of f's first size bytes that si says can hold
+// [from, to] into sc and streams the in-window records out of them.
+func scanWindow(f *os.File, sc *scanBuf, size int64, si *segIndex, active bool, from, to int64, fn func(telemetry.Info) error) (corrupt int, bytes int64, err error) {
 	start := si.seek(from)
-	end := si.seekEnd(to, size)
-	if end > size {
-		end = size
-	}
+	end := min(si.seekEnd(to, size), size)
 	if start >= end {
 		return 0, 0, nil
 	}
-	bp := readBufs.Get().(*[]byte)
-	defer readBufs.Put(bp)
-	if int64(cap(*bp)) < end-start {
-		*bp = make([]byte, end-start)
-	}
-	data := (*bp)[:end-start]
-	if _, err := f.ReadAt(data, start); err != nil {
+	sc.data = slices.Grow(sc.data[:0], int(end-start))[:end-start]
+	if _, err := f.ReadAt(sc.data, start); err != nil {
 		return 0, 0, fmt.Errorf("archive: %w", err)
 	}
-	sorted := si != nil && si.sorted
-	if compressed {
-		corrupt, err = scanBlocks(data, sorted, from, to, fn)
-	} else {
-		// A trailing undecodable run only counts as a torn tail when the
-		// read window extends to the end of the active segment.
-		corrupt, err = scanRecords(data, sorted, active && end == size, from, to, fn)
-	}
+	// A trailing undecodable run only counts as a torn tail when the read
+	// window extends to the end of the active segment.
+	corrupt, err = scanBlocks(sc.data, sc, si != nil && si.sorted, active && end == size, from, to, fn)
 	return corrupt, end - start, err
-}
-
-// scanRecords streams the in-window raw records of data, decoding in place
-// over one Info: the decoder keeps an equal metric name, so a scan allocates
-// the name once, not once per record. A record that fails its CRC is skipped
-// by resynchronizing on the next one that passes, and counted; an
-// undecodable run with nothing after it is a torn write — silent — only
-// where the caller says the data ends at the active segment's tail.
-func scanRecords(data []byte, sorted, tornTailOK bool, from, to int64, fn func(telemetry.Info) error) (corrupt int, err error) {
-	var info telemetry.Info
-	for len(data) > 0 {
-		if info.UnmarshalBinary(data) != nil {
-			skip := resync(data[1:])
-			if skip < 0 {
-				if tornTailOK {
-					return corrupt, nil
-				}
-				return corrupt + 1, nil
-			}
-			corrupt++
-			data = data[1+skip:]
-			continue
-		}
-		data = data[info.EncodedSize():]
-		if info.Timestamp > to {
-			if sorted {
-				return corrupt, nil
-			}
-			continue
-		}
-		if info.Timestamp < from {
-			continue
-		}
-		if err := fn(info); err != nil {
-			return corrupt, err
-		}
-	}
-	return corrupt, nil
-}
-
-// scanBlocks streams the in-window records of data's blocks.
-func scanBlocks(data []byte, sorted bool, from, to int64, fn func(telemetry.Info) error) (corrupt int, err error) {
-	for len(data) > 0 {
-		infos, n, derr := decodeBlock(data)
-		if derr != nil {
-			skip := resyncBlock(data[1:])
-			if skip < 0 {
-				return corrupt + 1, nil
-			}
-			corrupt++
-			data = data[1+skip:]
-			continue
-		}
-		data = data[n:]
-		for _, info := range infos {
-			if info.Timestamp > to {
-				if sorted {
-					return corrupt, nil
-				}
-				continue
-			}
-			if info.Timestamp < from {
-				continue
-			}
-			if err := fn(info); err != nil {
-				return corrupt, err
-			}
-		}
-	}
-	return corrupt, nil
-}
-
-// replayFile replays one raw segment, returning how many corrupt records
-// were skipped and how many bytes were read. Only the tail of the active
-// segment may be treated as a torn write (uncounted); any other decode
-// failure resynchronizes on the next CRC-valid record and is counted.
-func replayFile(path string, active bool, fn func(telemetry.Info) error) (int, int64, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return 0, 0, fmt.Errorf("archive: %w", err)
-	}
-	corrupt, err := scanRecords(data, false, active, math.MinInt64, math.MaxInt64, fn)
-	return corrupt, int64(len(data)), err
-}
-
-// replayBlockFile replays one compressed file block by block. Compressed
-// files are only ever produced whole (tmp + rename), so an undecodable
-// region is always counted corruption, never a tolerated torn tail.
-func replayBlockFile(path string, fn func(telemetry.Info) error) (int, int64, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return 0, 0, fmt.Errorf("archive: %w", err)
-	}
-	corrupt, err := scanBlocks(data, false, math.MinInt64, math.MaxInt64, fn)
-	return corrupt, int64(len(data)), err
-}
-
-// resync scans forward for the next offset at which a record decodes. The
-// CRC32 framing makes a false positive vanishingly unlikely (~2^-32 per
-// candidate offset).
-func resync(b []byte) int {
-	for off := 0; off < len(b); off++ {
-		if _, _, err := telemetry.DecodeInfo(b[off:]); err == nil {
-			return off
-		}
-	}
-	return -1
 }

@@ -2,8 +2,10 @@ package archive
 
 import (
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -157,6 +159,8 @@ func TestRange(t *testing.T) {
 	}
 }
 
+// TestTornTailRecord: two one-tuple blocks (a Sync between the appends),
+// the second cut short as by a crash during its write.
 func TestTornTailRecord(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{})
@@ -164,10 +168,13 @@ func TestTornTailRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.Append(telemetry.NewFact("a", 1, 1))
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
 	l.Append(telemetry.NewFact("a", 2, 2))
 	l.Close()
 
-	// Truncate mid-record to simulate a crash during append.
+	// Truncate mid-block to simulate a crash during its write.
 	path := filepath.Join(dir, segmentName(0))
 	st, err := os.Stat(path)
 	if err != nil {
@@ -227,8 +234,11 @@ func TestSync(t *testing.T) {
 	}
 }
 
+// BenchmarkAppend times an append and reports what it costs on disk once
+// the open block is written.
 func BenchmarkAppend(b *testing.B) {
-	l, err := Open(b.TempDir(), Options{})
+	dir := b.TempDir()
+	l, err := Open(dir, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -240,5 +250,162 @@ func BenchmarkAppend(b *testing.B) {
 		if err := l.Append(info); err != nil {
 			b.Fatal(err)
 		}
+	}
+	b.StopTimer()
+	if err := l.Sync(); err != nil {
+		b.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var disk int64
+	for _, e := range entries {
+		if fi, err := e.Info(); err == nil {
+			disk += fi.Size()
+		}
+	}
+	b.ReportMetric(float64(disk)/float64(b.N), "diskbytes/op")
+}
+
+// TestAppendRejectsOversizedMetric: a block stores a metric name's length
+// as a u16, so a name of 64 KiB or more is refused, not truncated; the
+// longest name that fits round-trips, and the log keeps working.
+func TestAppendRejectsOversizedMetric(t *testing.T) {
+	l := openT(t, Options{})
+	if err := l.Append(telemetry.NewFact(telemetry.MetricID(strings.Repeat("x", 1<<16)), 1, 1)); err == nil {
+		t.Fatal("a 64 KiB metric name was accepted")
+	}
+	longest := telemetry.NewFact(telemetry.MetricID(strings.Repeat("y", 1<<16-1)), 2, 2)
+	if err := l.Append(longest); err != nil {
+		t.Fatalf("a %d-byte metric name was refused: %v", len(longest.Metric), err)
+	}
+	if err := l.Append(telemetry.NewFact("a", 3, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	got := rangeAll(t, l, math.MinInt64, math.MaxInt64)
+	if len(got) != 2 || got[0] != longest || got[1].Timestamp != 3 {
+		t.Fatalf("log holds %d tuples after the refusal, want the longest name and ts=3", len(got))
+	}
+}
+
+// TestOpenRejectsRawSegment: a directory holding a raw-record segment of
+// the earlier on-disk format is refused with the file named, instead of its
+// tuples being skipped in silence.
+func TestOpenRejectsRawSegment(t *testing.T) {
+	dir := t.TempDir()
+	raw, err := telemetry.NewFact("a", 1, 1).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "segment-00000000.log")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, err := Open(dir, Options{})
+	if err == nil {
+		l.Close()
+		t.Fatal("Open accepted a directory with a raw-record segment")
+	}
+	if !strings.Contains(err.Error(), path) {
+		t.Fatalf("Open error %q does not name %s", err, path)
+	}
+}
+
+// frames walks data as whole block frames, returning each block's tuple
+// count; ok is false when the bytes are not whole frames end to end.
+func frames(data []byte) (counts []int, ok bool) {
+	for len(data) > 0 {
+		infos, n, err := decodeBlock(data)
+		if err != nil {
+			return counts, false
+		}
+		counts = append(counts, len(infos))
+		data = data[n:]
+	}
+	return counts, true
+}
+
+// TestActiveSegmentIsBlocks: the active segment is written as block frames
+// as it fills — after 2 500 appends its file is two whole 1 024-tuple
+// frames, and the rest waits in the open block.
+func TestActiveSegmentIsBlocks(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	for ts := int64(1); ts <= 2500; ts++ {
+		if err := l.Append(telemetry.NewFact("node01.nvme0.capacity_total", ts, float64(ts))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := os.ReadFile(filepath.Join(dir, segmentName(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts, ok := frames(data)
+	if !ok || len(counts) != 2 || counts[0] != blockMaxRecords || counts[1] != blockMaxRecords {
+		t.Fatalf("active segment of %d bytes parses as frames %v (whole: %v), want two of %d tuples", len(data), counts, ok, blockMaxRecords)
+	}
+}
+
+// copyDir copies the regular files of src into a fresh directory, as a
+// crash would leave them.
+func copyDir(t *testing.T, src string) string {
+	t.Helper()
+	dst := t.TempDir()
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dst
+}
+
+// TestUnsyncedOpenBlockLossWindow pins the crash contract: a process that
+// dies without Sync or Close loses the open block and nothing else, and
+// after Sync it loses nothing.
+func TestUnsyncedOpenBlockLossWindow(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	const n = 2500
+	for ts := int64(1); ts <= n; ts++ {
+		if err := l.Append(telemetry.NewFact("m", ts, float64(ts))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reopened := func() []telemetry.Info {
+		re, err := Open(copyDir(t, dir), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer re.Close()
+		return rangeAll(t, re, math.MinInt64, math.MaxInt64)
+	}
+	if got := reopened(); len(got) != 2*blockMaxRecords || got[len(got)-1].Timestamp != 2*blockMaxRecords {
+		t.Fatalf("crash copy reopened to %d tuples, want the %d of the sealed blocks", len(got), 2*blockMaxRecords)
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if got := reopened(); len(got) != n {
+		t.Fatalf("crash copy after Sync reopened to %d tuples, want %d", len(got), n)
 	}
 }

@@ -6,15 +6,14 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Benchmarks for the tiered compressed archive: compaction throughput with
-// the raw-vs-block footprint as reported metrics (the 5x gate itself is
-// TestBlockCompressionRatio), and tail reads over a fully compacted archive
-// with the bytes actually read (ReadBytes / archive_read_bytes_total) as the
-// win. The archive beside live writes is the archive.* rows of a traced
-// query-mixed run of the pipeline benchmark.
+// Benchmarks for tail reads over a many-segment block archive, with the
+// bytes actually read (archive_read_bytes_total) as the win. The footprint
+// gate is TestBlockCompressionRatio, the on-disk bytes per append
+// BenchmarkAppend's diskbytes/op. The archive beside live writes is the
+// archive.* rows of a traced query-mixed run of the pipeline benchmark.
 
 // benchCompactedLog builds a many-segment archive from the synthetic NVMe
-// corpus and compacts every sealed segment into block files.
+// corpus and runs a compaction pass over it.
 func benchCompactedLog(b *testing.B, records int) (*Log, []telemetry.Info, func(string) uint64) {
 	b.Helper()
 	infos := syntheticCorpus(records)
@@ -32,42 +31,6 @@ func benchCompactedLog(b *testing.B, records int) (*Log, []telemetry.Info, func(
 		b.Fatal(err)
 	}
 	return l, infos, counters(l)
-}
-
-// BenchmarkArchiveCompact measures one full compression pass over a freshly
-// written archive, reporting the raw and block footprints it moved.
-func BenchmarkArchiveCompact(b *testing.B) {
-	infos := syntheticCorpus(16384)
-	var raw, blk int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		l, err := Open(b.TempDir(), Options{SegmentBytes: 16 << 10})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, in := range infos {
-			if err := l.Append(in); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StartTimer()
-		st, err := l.Compact(1<<62, Retention{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-		if st.CompressedSegments == 0 {
-			b.Fatal("nothing compacted")
-		}
-		raw += st.RawBytes
-		blk += st.CompressedBytes
-		l.Close()
-		b.StartTimer()
-	}
-	b.ReportMetric(float64(raw)/float64(b.N), "rawbytes/op")
-	b.ReportMetric(float64(blk)/float64(b.N), "blockbytes/op")
-	b.ReportMetric(float64(len(infos))/(b.Elapsed().Seconds()/float64(b.N)), "recs/s")
 }
 
 // BenchmarkArchiveRangeCompressedTail reads a 5-record window at the tail of

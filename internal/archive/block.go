@@ -3,18 +3,18 @@ package archive
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"hash/crc32"
 	"math"
 	"math/bits"
-	"os"
+	"slices"
 
 	"repro/internal/telemetry"
 )
 
-// Gorilla-style compressed block format. A compressed segment file
-// (`segment-XXXXXXXX.blk`, or `rollupN-XXXXXXXX.blk` for downsampled tiers)
-// is a sequence of self-framing blocks, each holding up to blockMaxRecords
+// Gorilla-style compressed block format, the archive's one on-disk encoding.
+// Every data file (`segment-XXXXXXXX.blk` for full resolution, including the
+// active segment, or `rollupN-XXXXXXXX.blk` for downsampled tiers) is a
+// sequence of self-framing blocks, each holding up to blockMaxRecords
 // Information tuples in columnar form:
 //
 //	u32  magic "ABLK"
@@ -39,8 +39,7 @@ import (
 // per-block dictionary with run-length coding. Monitoring telemetry — long
 // runs of one metric, slowly-moving values, a steady tick — compresses an
 // order of magnitude; the CRC and explicit frame length make a torn or
-// damaged block detectable and skippable, exactly like the raw record
-// framing.
+// damaged block detectable and skippable.
 const (
 	blkMagic   = 0x4B4C4241 // "ABLK"
 	blkVersion = 1
@@ -55,8 +54,9 @@ const (
 	// dictionary entries, three empty streams, CRC.
 	blkMinFrame = blkHeaderSize + 3*4 + 4
 	// blkMaxFrame bounds a frame so a corrupt length cannot demand an
-	// absurd read; generously above any frame blockMaxRecords can produce.
-	blkMaxFrame = 1 << 24
+	// absurd read; above any frame blockMaxRecords can produce, even with a
+	// distinct 64 KiB metric name per record.
+	blkMaxFrame = 1 << 27
 )
 
 // errBlock marks a block that failed a structural or CRC check.
@@ -90,34 +90,48 @@ func (w *bitWriter) writeBits(v uint64, n uint) {
 
 func (w *bitWriter) writeBit(b uint64) { w.writeBits(b&1, 1) }
 
-// bitReader consumes bits MSB-first.
+// bitReader consumes bits MSB-first through a 64-bit accumulator, refilled
+// eight bytes at a time where eight remain, so a read is a few shifts.
 type bitReader struct {
 	buf []byte
-	off int
-	bit uint // bits already consumed from buf[off]
+	off int    // next byte of buf to load into acc
+	acc uint64 // the next bits, MSB-aligned
+	n   uint   // valid bits in acc
 }
 
 func (r *bitReader) readBits(n uint) (uint64, error) {
-	var v uint64
-	for n > 0 {
-		if r.off >= len(r.buf) {
-			return 0, errBlock
+	if n > 56 {
+		hi, err := r.readBits(n - 32)
+		if err != nil {
+			return 0, err
 		}
-		avail := 8 - r.bit
-		take := n
-		if take > avail {
-			take = avail
-		}
-		cur := uint64(r.buf[r.off]>>(avail-take)) & (1<<take - 1)
-		v = v<<take | cur
-		r.bit += take
-		if r.bit == 8 {
-			r.off++
-			r.bit = 0
-		}
-		n -= take
+		lo, err := r.readBits(32)
+		return hi<<32 | lo, err
 	}
+	if r.n < n && !r.fill(n) {
+		return 0, errBlock
+	}
+	v := r.acc >> (64 - n)
+	r.acc <<= n
+	r.n -= n
 	return v, nil
+}
+
+// fill loads whole bytes into acc and reports whether it holds n bits.
+func (r *bitReader) fill(n uint) bool {
+	if r.off+8 <= len(r.buf) {
+		k := (64 - r.n) / 8 // whole bytes that fit
+		w := binary.BigEndian.Uint64(r.buf[r.off:])
+		r.acc |= w >> (64 - 8*k) << (64 - 8*k) >> r.n
+		r.off += int(k)
+		r.n += 8 * k
+		return true
+	}
+	for ; r.n <= 56 && r.off < len(r.buf); r.n += 8 {
+		r.acc |= uint64(r.buf[r.off]) << (56 - r.n)
+		r.off++
+	}
+	return r.n >= n
 }
 
 // xorEncoder holds the Gorilla value-compression state.
@@ -182,26 +196,33 @@ func (d *xorDecoder) next() (float64, error) {
 		d.prev = v
 		return math.Float64frombits(v), nil
 	}
-	ctl, err := d.r.readBits(1)
-	if err != nil {
-		return 0, err
+	// The control bits and a new window's header are at most 14 bits: read
+	// them straight off the accumulator.
+	r := &d.r
+	if r.n < 14 {
+		r.fill(14)
 	}
-	if ctl == 0 {
+	switch {
+	case r.n < 1:
+		return 0, errBlock
+	case r.acc>>63 == 0: // unchanged
+		r.acc <<= 1
+		r.n--
 		return math.Float64frombits(d.prev), nil
-	}
-	newWin, err := d.r.readBits(1)
-	if err != nil {
-		return 0, err
-	}
-	if newWin == 1 {
-		hdr, err := d.r.readBits(12)
-		if err != nil {
-			return 0, err
+	case r.n < 2:
+		return 0, errBlock
+	case r.acc>>62&1 == 1: // a new window
+		if r.n < 14 {
+			return 0, errBlock
 		}
-		d.lead = uint(hdr >> 6)
-		d.mean = uint(hdr&0x3F) + 1
-	} else if d.mean == 0 {
+		d.lead, d.mean = uint(r.acc>>56&0x3F), uint(r.acc>>50&0x3F)+1
+		r.acc <<= 14
+		r.n -= 14
+	case d.mean == 0:
 		return 0, errBlock // window reuse before any window was defined
+	default:
+		r.acc <<= 2
+		r.n -= 2
 	}
 	if d.lead+d.mean > 64 {
 		return 0, errBlock
@@ -214,272 +235,325 @@ func (d *xorDecoder) next() (float64, error) {
 	return math.Float64frombits(d.prev), nil
 }
 
-// encodeBlock appends one compressed block holding infos (at most
-// blockMaxRecords of them) to dst and returns the extended slice.
-func encodeBlock(dst []byte, tier uint8, infos []telemetry.Info) []byte {
-	if len(infos) == 0 || len(infos) > blockMaxRecords {
-		panic(fmt.Sprintf("archive: encodeBlock of %d records", len(infos)))
-	}
-	// Column dictionary for the Metric strings.
-	dictIdx := make(map[telemetry.MetricID]int, 4)
-	var dict []telemetry.MetricID
-	for _, in := range infos {
-		if _, ok := dictIdx[in.Metric]; !ok {
-			dictIdx[in.Metric] = len(dict)
-			dict = append(dict, in.Metric)
-		}
-	}
-	// Meta stream: run-length (dict idx, kind|source, run length).
-	var meta []byte
-	runStart := 0
-	flush := func(end int) {
-		in := infos[runStart]
-		meta = binary.AppendUvarint(meta, uint64(dictIdx[in.Metric]))
-		meta = append(meta, byte(in.Kind)<<4|byte(in.Source)&0x0F)
-		meta = binary.AppendUvarint(meta, uint64(end-runStart))
-		runStart = end
-	}
-	for i := 1; i < len(infos); i++ {
-		p, c := infos[i-1], infos[i]
-		if c.Metric != p.Metric || c.Kind != p.Kind || c.Source != p.Source {
-			flush(i)
-		}
-	}
-	flush(len(infos))
-	// Timestamp stream: delta-of-delta zigzag varints.
-	var ts []byte
-	prevTS, prevDelta := int64(0), int64(0)
-	for i, in := range infos {
-		if i == 0 {
-			ts = binary.AppendVarint(ts, in.Timestamp)
-		} else {
-			delta := in.Timestamp - prevTS
-			ts = binary.AppendVarint(ts, delta-prevDelta)
-			prevDelta = delta
-		}
-		prevTS = in.Timestamp
-	}
-	// Value stream: Gorilla XOR bitstream.
-	var xe xorEncoder
-	for _, in := range infos {
-		xe.add(in.Value)
-	}
+// openBlock is a block being built one record at a time: it holds the
+// encoded columns, never the tuples, so an open block of a steady series
+// costs a few bytes a record. The run being extended is kept aside and
+// written into the meta column when it ends. frame renders the block
+// without changing it; reset empties it and keeps the columns' capacity.
+type openBlock struct {
+	n                 int // records
+	firstTS           int64
+	prevTS, prevDelta int64
+	dict              []telemetry.MetricID
+	meta              []byte // the closed runs
+	runDict, runLen   int    // the open run
+	runKS             byte
+	ts                []byte
+	vals              xorEncoder
+}
 
+// add appends one record. The caller keeps n below blockMaxRecords, the
+// metric name below 64 KiB, and Kind and Source below 16.
+func (b *openBlock) add(in telemetry.Info) {
+	di := b.runDict
+	if b.n == 0 || b.dict[di] != in.Metric {
+		if di = slices.Index(b.dict, in.Metric); di < 0 {
+			di = len(b.dict)
+			b.dict = append(b.dict, in.Metric)
+		}
+	}
+	ks := byte(in.Kind)<<4 | byte(in.Source)&0x0F
+	if b.runLen > 0 && (di != b.runDict || ks != b.runKS) {
+		b.meta = appendRun(b.meta, b.runDict, b.runKS, b.runLen)
+		b.runLen = 0
+	}
+	b.runDict, b.runKS = di, ks
+	b.runLen++
+	if b.n == 0 {
+		b.firstTS = in.Timestamp
+		b.ts = binary.AppendVarint(b.ts, in.Timestamp) // the absolute first timestamp
+	} else {
+		delta := in.Timestamp - b.prevTS
+		b.ts = binary.AppendVarint(b.ts, delta-b.prevDelta)
+		b.prevDelta = delta
+	}
+	b.prevTS = in.Timestamp
+	b.vals.add(in.Value)
+	b.n++
+}
+
+func appendRun(dst []byte, dict int, ks byte, n int) []byte {
+	dst = binary.AppendUvarint(dst, uint64(dict))
+	dst = append(dst, ks)
+	return binary.AppendUvarint(dst, uint64(n))
+}
+
+func appendStream(dst, s []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s)))
+	return append(dst, s...)
+}
+
+// frame appends the block, sealed as one frame of the given tier, to dst.
+// The block must hold at least one record.
+func (b *openBlock) frame(dst []byte, tier uint8) []byte {
 	start := len(dst)
 	dst = binary.LittleEndian.AppendUint32(dst, blkMagic)
 	dst = binary.LittleEndian.AppendUint32(dst, 0) // frame length, patched below
 	dst = append(dst, blkVersion, tier)
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(dict)))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(infos)))
-	for _, m := range dict {
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(b.dict)))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(b.n))
+	for _, m := range b.dict {
 		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(m)))
 		dst = append(dst, m...)
 	}
-	for _, stream := range [][]byte{meta, ts, xe.w.buf} {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(stream)))
-		dst = append(dst, stream...)
-	}
-	frameLen := len(dst) - start + 4
-	binary.LittleEndian.PutUint32(dst[start+4:], uint32(frameLen))
-	sum := crc32.ChecksumIEEE(dst[start:])
-	return binary.LittleEndian.AppendUint32(dst, sum)
+	var run [2*binary.MaxVarintLen64 + 1]byte
+	last := appendRun(run[:0], b.runDict, b.runKS, b.runLen)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(b.meta)+len(last)))
+	dst = append(append(dst, b.meta...), last...)
+	dst = appendStream(appendStream(dst, b.ts), b.vals.w.buf)
+	binary.LittleEndian.PutUint32(dst[start+4:], uint32(len(dst)-start+4))
+	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
 }
 
-// decodeBlock decodes one block from the front of b, returning the tuples
-// and the frame length consumed. Any structural violation — short buffer,
-// bad magic, CRC mismatch, inconsistent stream lengths — returns errBlock;
-// the decoder never panics on hostile input.
-func decodeBlock(b []byte) ([]telemetry.Info, int, error) {
+func (b *openBlock) reset() {
+	*b = openBlock{dict: b.dict[:0], meta: b.meta[:0], ts: b.ts[:0], vals: xorEncoder{w: bitWriter{buf: b.vals.w.buf[:0]}}}
+}
+
+// scanBuf is scratch for one read or one block write: the bytes read, a
+// copy of the open block, the metric names decoded from them and the frame
+// being decoded.
+type scanBuf struct {
+	data, tail []byte
+	dict       []telemetry.MetricID
+	frame      frameReader
+}
+
+// scanBufs is a free list of scratch. Reads and block writes take one and
+// give it back, so a steady stream of them allocates nothing: unlike a
+// sync.Pool, the list keeps what it holds across collections (and, under
+// the race detector, does not drop a quarter of it). It holds eight, more
+// than a service reads and writes archives at once (a query client or two,
+// the compactor, the appending vertices' turns at a block write); scratch
+// past that is allocated and dropped.
+var scanBufs = make(chan *scanBuf, 8)
+
+func getScanBuf() *scanBuf {
+	select {
+	case sc := <-scanBufs:
+		return sc
+	default:
+		return new(scanBuf)
+	}
+}
+
+// release returns sc to the free list, unless the list is full or sc grew
+// past 1 MiB of bytes.
+func (sc *scanBuf) release() {
+	if cap(sc.data)+cap(sc.tail) <= 1<<20 {
+		select {
+		case scanBufs <- sc:
+		default:
+		}
+	}
+}
+
+// openFrame checks the block at the front of b — magic, length, CRC,
+// version, dictionary and stream bounds — and readies sc.frame to decode its
+// records, returning the frame length. A metric name is allocated only where
+// sc.dict does not already hold it at that position, so a scan over many
+// blocks of one series names it once. A failed check returns errBlock; the
+// decoder never panics on hostile input. Every reader decodes through here.
+func openFrame(b []byte, sc *scanBuf) (int, error) {
 	if len(b) < blkMinFrame {
-		return nil, 0, errBlock
+		return 0, errBlock
 	}
 	if binary.LittleEndian.Uint32(b) != blkMagic {
-		return nil, 0, errBlock
+		return 0, errBlock
 	}
 	frameLen := int(binary.LittleEndian.Uint32(b[4:]))
 	if frameLen < blkMinFrame || frameLen > blkMaxFrame || frameLen > len(b) {
-		return nil, 0, errBlock
+		return 0, errBlock
 	}
 	frame := b[:frameLen]
 	want := binary.LittleEndian.Uint32(frame[frameLen-4:])
 	if crc32.ChecksumIEEE(frame[:frameLen-4]) != want {
-		return nil, 0, errBlock
+		return 0, errBlock
 	}
 	if frame[8] != blkVersion {
-		return nil, 0, errBlock
+		return 0, errBlock
 	}
 	dictN := int(binary.LittleEndian.Uint16(frame[10:]))
 	records := int(binary.LittleEndian.Uint32(frame[12:]))
 	if records == 0 || records > blockMaxRecords {
-		return nil, 0, errBlock
+		return 0, errBlock
 	}
 	p := blkHeaderSize
-	dict := make([]telemetry.MetricID, dictN)
-	for i := 0; i < dictN; i++ {
+	dict := slices.Grow(sc.dict[:0], dictN)[:dictN]
+	sc.dict = dict
+	for i := range dict {
 		if p+2 > frameLen-4 {
-			return nil, 0, errBlock
+			return 0, errBlock
 		}
 		ml := int(binary.LittleEndian.Uint16(frame[p:]))
 		p += 2
 		if p+ml > frameLen-4 {
-			return nil, 0, errBlock
+			return 0, errBlock
 		}
-		dict[i] = telemetry.MetricID(frame[p : p+ml])
+		if string(dict[i]) != string(frame[p:p+ml]) {
+			dict[i] = telemetry.MetricID(frame[p : p+ml])
+		}
 		p += ml
 	}
 	var streams [3][]byte
 	for i := range streams {
 		if p+4 > frameLen-4 {
-			return nil, 0, errBlock
+			return 0, errBlock
 		}
 		n := int(binary.LittleEndian.Uint32(frame[p:]))
 		p += 4
 		if n < 0 || p+n > frameLen-4 {
-			return nil, 0, errBlock
+			return 0, errBlock
 		}
 		streams[i] = frame[p : p+n]
 		p += n
 	}
 	if p != frameLen-4 {
-		return nil, 0, errBlock
+		return 0, errBlock
 	}
+	sc.frame = frameReader{records: records, dict: dict, meta: streams[0], ts: streams[1], vals: xorDecoder{r: bitReader{buf: streams[2]}}}
+	return frameLen, nil
+}
 
-	out := make([]telemetry.Info, 0, records)
-	meta, ts := streams[0], streams[1]
-	xd := xorDecoder{r: bitReader{buf: streams[2]}}
-	prevTS, prevDelta := int64(0), int64(0)
-	for len(out) < records {
-		// One meta run.
-		di, n := binary.Uvarint(meta)
-		if n <= 0 || di >= uint64(dictN) {
-			return nil, 0, errBlock
+// frameReader decodes the records of a frame openFrame checked, one at a
+// time, so a reader decodes no further than it reads.
+type frameReader struct {
+	i, records int // records decoded, in the frame
+	dict       []telemetry.MetricID
+	meta, ts   []byte
+	vals       xorDecoder
+	run        uint64 // records left in the current meta run
+	prevDelta  int64
+	in         telemetry.Info // the record last decoded
+}
+
+// next decodes the frame's next record into f.in. A frame that passed its
+// CRC is malformed only if it was crafted; next then fails with errBlock,
+// and the records before it stay decoded.
+func (f *frameReader) next() error {
+	if f.run == 0 {
+		di, n := binary.Uvarint(f.meta)
+		if n <= 0 || di >= uint64(len(f.dict)) || n >= len(f.meta) {
+			return errBlock
 		}
-		meta = meta[n:]
-		if len(meta) < 1 {
-			return nil, 0, errBlock
+		ks := f.meta[n]
+		run, m := binary.Uvarint(f.meta[n+1:])
+		if m <= 0 || run == 0 || run > uint64(f.records-f.i) {
+			return errBlock
 		}
-		ks := meta[0]
-		meta = meta[1:]
-		run, n := binary.Uvarint(meta)
-		if n <= 0 || run == 0 || run > uint64(records-len(out)) {
-			return nil, 0, errBlock
-		}
-		meta = meta[n:]
-		metric := dict[di]
-		kind, source := telemetry.Kind(ks>>4), telemetry.Source(ks&0x0F)
-		for j := uint64(0); j < run; j++ {
-			dod, n := binary.Varint(ts)
-			if n <= 0 {
-				return nil, 0, errBlock
-			}
-			ts = ts[n:]
-			if len(out) == 0 {
-				prevTS = dod // first record carries the absolute timestamp
-			} else {
-				prevDelta += dod
-				prevTS += prevDelta
-			}
-			v, err := xd.next()
-			if err != nil {
-				return nil, 0, errBlock
-			}
-			out = append(out, telemetry.Info{
-				Metric: metric, Timestamp: prevTS, Value: v,
-				Kind: kind, Source: source,
-			})
-		}
+		f.meta, f.run = f.meta[n+1+m:], run
+		f.in.Metric, f.in.Kind, f.in.Source = f.dict[di], telemetry.Kind(ks>>4), telemetry.Source(ks&0x0F)
 	}
-	if len(meta) != 0 || len(ts) != 0 {
-		return nil, 0, errBlock
+	dod, n := binary.Varint(f.ts)
+	if n <= 0 {
+		return errBlock
 	}
-	return out, frameLen, nil
+	f.ts = f.ts[n:]
+	if f.i == 0 {
+		f.in.Timestamp = dod // the first record carries the absolute timestamp
+	} else {
+		f.prevDelta += dod
+		f.in.Timestamp += f.prevDelta
+	}
+	v, err := f.vals.next()
+	if err != nil {
+		return err
+	}
+	f.in.Value = v
+	f.run--
+	f.i++
+	if f.i == f.records && (len(f.meta) != 0 || len(f.ts) != 0) {
+		return errBlock
+	}
+	return nil
 }
 
 // encodeBlocks renders infos as a sequence of blocks of at most
-// blockMaxRecords each, returning the file bytes and a block-granular index
-// (one sparse entry per block: its byte offset and first timestamp).
+// blockMaxRecords each, returning the file bytes and its index.
 func encodeBlocks(tier uint8, infos []telemetry.Info) ([]byte, *segIndex) {
-	var out []byte
-	si := &segIndex{sorted: true}
-	for len(infos) > 0 {
-		n := len(infos)
-		if n > blockMaxRecords {
-			n = blockMaxRecords
+	var (
+		out []byte
+		b   openBlock
+	)
+	si := &segIndex{}
+	for i, in := range infos {
+		b.add(in)
+		si.note(in.Timestamp)
+		if b.n == blockMaxRecords || i == len(infos)-1 {
+			si.offs = append(si.offs, idxEntry{off: int64(len(out)), ts: b.firstTS})
+			out = b.frame(out, tier)
+			b.reset()
 		}
-		chunk := infos[:n]
-		off := int64(len(out))
-		out = encodeBlock(out, tier, chunk)
-		si.offs = append(si.offs, idxEntry{off: off, ts: chunk[0].Timestamp})
-		for _, in := range chunk {
-			if si.records == 0 {
-				si.firstTS, si.lastTS = in.Timestamp, in.Timestamp
-			} else if in.Timestamp < si.lastTS {
-				si.sorted = false
-			}
-			if in.Timestamp < si.firstTS {
-				si.firstTS = in.Timestamp
-			}
-			if in.Timestamp > si.lastTS {
-				si.lastTS = in.Timestamp
-			}
-			si.records++
-		}
-		infos = infos[n:]
 	}
 	si.size = int64(len(out))
 	return out, si
 }
 
-// resyncBlock scans forward for the next offset at which a whole block
-// decodes, mirroring resync for raw records. Returns -1 when nothing
-// decodable remains.
+// resyncBlock scans forward for the next offset at which a frame passes
+// openFrame's checks. Returns -1 when none remains.
 func resyncBlock(b []byte) int {
+	var sc scanBuf
 	for off := 0; off+blkMinFrame <= len(b); off++ {
 		if binary.LittleEndian.Uint32(b[off:]) != blkMagic {
 			continue
 		}
-		if _, _, err := decodeBlock(b[off:]); err == nil {
+		if _, err := openFrame(b[off:], &sc); err == nil {
 			return off
 		}
 	}
 	return -1
 }
 
-// buildBlockIndex scans a compressed segment file and constructs its
-// block-granular index, skipping corrupt blocks the way replay does.
-func buildBlockIndex(path string) (*segIndex, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("archive: %w", err)
-	}
-	si := &segIndex{size: int64(len(data)), sorted: true}
-	off := 0
-	for off < len(data) {
-		infos, n, derr := decodeBlock(data[off:])
+// scanBlocks streams the in-window records of data's blocks, decoding
+// through sc; in sorted data it decodes nothing past the first record after
+// to. A region that does not decode is skipped by resynchronizing on the
+// next block that does, and counted; an undecodable run with nothing after
+// it is a torn write — silent — only where the caller says data ends at the
+// tail of the highest raw-tier segment. A crafted frame that fails
+// mid-block counts too.
+func scanBlocks(data []byte, sc *scanBuf, sorted, tornTailOK bool, from, to int64, fn func(telemetry.Info) error) (corrupt int, err error) {
+	for len(data) > 0 {
+		n, derr := openFrame(data, sc)
 		if derr != nil {
-			skip := resyncBlock(data[off+1:])
+			skip := resyncBlock(data[1:])
 			if skip < 0 {
-				break
+				if tornTailOK {
+					return corrupt, nil
+				}
+				return corrupt + 1, nil
 			}
-			off += 1 + skip
+			corrupt++
+			data = data[1+skip:]
 			continue
 		}
-		si.offs = append(si.offs, idxEntry{off: int64(off), ts: infos[0].Timestamp})
-		for _, in := range infos {
-			if si.records == 0 {
-				si.firstTS, si.lastTS = in.Timestamp, in.Timestamp
-			} else if in.Timestamp < si.lastTS {
-				si.sorted = false
+		data = data[n:]
+		for f := &sc.frame; f.i < f.records; {
+			if f.next() != nil {
+				corrupt++
+				break
 			}
-			if in.Timestamp < si.firstTS {
-				si.firstTS = in.Timestamp
+			if f.in.Timestamp > to {
+				if sorted {
+					return corrupt, nil
+				}
+				continue
 			}
-			if in.Timestamp > si.lastTS {
-				si.lastTS = in.Timestamp
+			if f.in.Timestamp < from {
+				continue
 			}
-			si.records++
+			if err := fn(f.in); err != nil {
+				return corrupt, err
+			}
 		}
-		off += n
 	}
-	return si, nil
+	return corrupt, nil
 }

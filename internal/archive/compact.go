@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -16,16 +17,14 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Tiered compaction and retention. A Compact pass does three things, each
+// Tiered compaction and retention. A Compact pass does two things, each
 // crash-safe on its own:
 //
-//  1. Compress: every sealed full-resolution segment is rewritten in place
-//     (same index, `.log` → `.blk`) as Gorilla blocks.
-//  2. Rollup: full-resolution files wholly older than Retention.Raw are
+//  1. Rollup: full-resolution files wholly older than Retention.Raw are
 //     downsampled into one 10-second-bucket rollup file; 10s files wholly
 //     older than Retention.Rollup10s are downsampled again into 1-minute
 //     buckets.
-//  3. Drop: 1m files wholly older than Retention.Rollup1m are deleted.
+//  2. Drop: 1m files wholly older than Retention.Rollup1m are deleted.
 //
 // Every rewrite follows the same protocol: write the output to a `.tmp`
 // file, journal the intent (`compact.meta`: destination + source list),
@@ -38,15 +37,15 @@ import (
 //
 // Rollup files are selected whole (file lastTS strictly older than the
 // horizon), never split, so a tuple is represented in exactly one tier at a
-// time and Range/Replay — which walk tiers coarsest-first — never see a
-// tuple twice.
+// time and Range — which walks tiers coarsest-first — never sees a tuple
+// twice.
 
 // Retention is a per-log age policy, each bound measured back from the
 // compaction pass's notion of now. A tuple younger than Raw stays at full
 // resolution; between Raw and Rollup10s it lives as a 10-second rollup;
 // between Rollup10s and Rollup1m as a 1-minute rollup; past Rollup1m it is
 // dropped. A zero Raw disables downsampling entirely (segments are still
-// compressed); a zero deeper bound keeps that tier forever.
+// written compressed); a zero deeper bound keeps that tier forever.
 type Retention struct {
 	Raw       time.Duration // keep full resolution this long
 	Rollup10s time.Duration // then 10s averages this long
@@ -106,12 +105,10 @@ const DefaultCompactInterval = time.Minute
 
 // CompactStats summarizes one Compact pass.
 type CompactStats struct {
-	CompressedSegments int   // raw segments rewritten as block files
-	RawBytes           int64 // raw bytes consumed by compression
-	CompressedBytes    int64 // block bytes written (compression + rollups)
-	Rolled10s          int   // tuples written into the 10s tier
-	Rolled1m           int   // tuples written into the 1m tier
-	DroppedFiles       int   // files removed by retention
+	CompressedBytes int64 // rollup block bytes written
+	Rolled10s       int   // tuples written into the 10s tier
+	Rolled1m        int   // tuples written into the 1m tier
+	DroppedFiles    int   // files removed by retention
 }
 
 // ---- compaction journal -------------------------------------------------
@@ -119,7 +116,7 @@ type CompactStats struct {
 const (
 	metaName    = "compact.meta"
 	metaMagic   = 0x544D4341 // "ACMT"
-	metaVersion = 1
+	metaVersion = 2
 )
 
 // inflightOp journals one rewrite: dst is about to be renamed into place and
@@ -130,24 +127,14 @@ type inflightOp struct {
 }
 
 func appendRef(b []byte, r segRef) []byte {
-	b = append(b, byte(r.tier))
-	if r.compressed {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
-	return binary.LittleEndian.AppendUint32(b, uint32(r.index))
+	return binary.LittleEndian.AppendUint32(append(b, byte(r.tier)), uint32(r.index))
 }
 
 func readRef(b []byte) (segRef, []byte, bool) {
-	if len(b) < 6 {
+	if len(b) < 5 || int(b[0]) >= numTiers {
 		return segRef{}, nil, false
 	}
-	r := segRef{tier: int(b[0]), compressed: b[1] != 0, index: int(binary.LittleEndian.Uint32(b[2:]))}
-	if r.tier < 0 || r.tier >= numTiers {
-		return segRef{}, nil, false
-	}
-	return r, b[6:], true
+	return segRef{tier: int(b[0]), index: int(binary.LittleEndian.Uint32(b[1:]))}, b[5:], true
 }
 
 // saveJournal persists op atomically; a nil op clears the journal.
@@ -180,10 +167,10 @@ func saveJournal(dir string, op *inflightOp) error {
 
 // loadJournal reads the journal; a missing or corrupt journal is nil (a
 // corrupt journal cannot exist via the atomic write path, so nil is the
-// safe reading — the duplicate-shadowing in scanRefs still protects reads).
+// safe reading).
 func loadJournal(dir string) *inflightOp {
 	b, err := os.ReadFile(filepath.Join(dir, metaName))
-	if err != nil || len(b) < 4+1+6+2+4 {
+	if err != nil || len(b) < 4+1+5+2+4 {
 		return nil
 	}
 	body, sum := b[:len(b)-4], binary.LittleEndian.Uint32(b[len(b)-4:])
@@ -219,17 +206,14 @@ func loadJournal(dir string) *inflightOp {
 
 // recoverCompaction rolls an interrupted rewrite forward or back from its
 // journal and sweeps stray tmp files. Called by Open before anything is
-// read. It also resolves raw/compressed duplicates directly (a compressed
-// rewrite whose journal was already cleared can never coexist with its raw
-// source, but a lost journal plus crash could leave both): the compressed
-// file is complete by rename atomicity, so the raw file goes.
+// read.
 func (l *Log) recoverCompaction() error {
 	if op := loadJournal(l.dir); op != nil {
 		if _, err := os.Stat(filepath.Join(l.dir, op.dst.fileName())); err == nil {
 			// The rename happened: the rewrite is complete, finish deleting
 			// the sources.
 			for _, s := range op.srcs {
-				if err := removeRefFiles(l.dir, s, op.dst); err != nil {
+				if err := removeRefFiles(l.dir, s); err != nil {
 					return err
 				}
 			}
@@ -242,38 +226,20 @@ func (l *Log) recoverCompaction() error {
 	if err != nil {
 		return fmt.Errorf("archive: %w", err)
 	}
-	haveBlk := make(map[int]bool)
 	for _, e := range entries {
 		if strings.HasSuffix(e.Name(), ".tmp") {
 			os.Remove(filepath.Join(l.dir, e.Name()))
-			continue
-		}
-		if r, ok := parseRef(e.Name()); ok && r.tier == TierRaw && r.compressed {
-			haveBlk[r.index] = true
-		}
-	}
-	for _, e := range entries {
-		if r, ok := parseRef(e.Name()); ok && r.tier == TierRaw && !r.compressed && haveBlk[r.index] {
-			if err := os.Remove(filepath.Join(l.dir, e.Name())); err != nil && !errors.Is(err, os.ErrNotExist) {
-				return fmt.Errorf("archive: %w", err)
-			}
 		}
 	}
 	return nil
 }
 
-// removeRefFiles deletes a source file and its sidecar, keeping the sidecar
-// when the destination shares it (a compressed rewrite reuses the raw
-// segment's index path).
-func removeRefFiles(dir string, src, dst segRef) error {
-	if err := os.Remove(filepath.Join(dir, src.fileName())); err != nil && !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("archive: %w", err)
-	}
-	if src.sidecarName() == dst.sidecarName() {
-		return nil
-	}
-	if err := os.Remove(filepath.Join(dir, src.sidecarName())); err != nil && !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("archive: %w", err)
+// removeRefFiles deletes a data file and its sidecar.
+func removeRefFiles(dir string, r segRef) error {
+	for _, name := range []string{r.fileName(), r.sidecarName()} {
+		if err := os.Remove(filepath.Join(dir, name)); err != nil && !errors.Is(err, os.ErrNotExist) {
+			return fmt.Errorf("archive: %w", err)
+		}
 	}
 	return nil
 }
@@ -283,8 +249,8 @@ func removeRefFiles(dir string, src, dst segRef) error {
 // Compact runs one compaction pass against the policy, with now (unix nanos)
 // anchoring the age horizons — the caller supplies it so virtual-clock
 // scenarios stay deterministic. The active segment is never touched, so
-// Compact runs concurrently with Append; it excludes Replay and Range for
-// the duration of the pass.
+// Compact runs concurrently with Append; it excludes Range for the duration
+// of the pass.
 func (l *Log) Compact(now int64, policy Retention) (CompactStats, error) {
 	l.compactMu.Lock()
 	defer l.compactMu.Unlock()
@@ -302,25 +268,11 @@ func (l *Log) Compact(now int64, policy Retention) (CompactStats, error) {
 	l.files = nil
 	l.mu.Unlock()
 
-	refs, err := l.scanRefs()
-	if err != nil {
-		return st, err
-	}
-
-	// Pass 1: compress sealed raw segments in place.
-	for _, r := range refs {
-		if r.tier != TierRaw || r.compressed || r.index == cur {
-			continue
-		}
-		if err := l.compressSegment(r, &st); err != nil {
-			return st, err
-		}
-	}
-
-	// Pass 2: roll full-resolution files past the Raw horizon into the 10s
+	// Pass 1: roll full-resolution files past the Raw horizon into the 10s
 	// tier, then 10s files past the Rollup10s horizon into the 1m tier.
 	if policy.Raw > 0 {
-		if refs, err = l.scanRefs(); err != nil {
+		refs, err := l.scanRefs()
+		if err != nil {
 			return st, err
 		}
 		n, err := l.rollupTier(refs, TierRaw, cur, now-policy.Raw.Nanoseconds(), Tier10s, Tier10sBucket, &st)
@@ -338,7 +290,7 @@ func (l *Log) Compact(now int64, policy Retention) (CompactStats, error) {
 			}
 			st.Rolled1m += n
 
-			// Pass 3: retention — drop 1m files past the final horizon.
+			// Pass 2: retention — drop 1m files past the final horizon.
 			// Rollup points carry their bucket's start timestamp, so a
 			// file's lastTS understates the age of the newest tuple it
 			// represents by up to one bucket width; push the horizon back
@@ -353,19 +305,16 @@ func (l *Log) Compact(now int64, policy Retention) (CompactStats, error) {
 						continue
 					}
 					l.mu.Lock()
-					si := l.idx[r.key()]
+					si := l.idx[r]
 					l.mu.Unlock()
 					if si == nil || si.records == 0 || si.lastTS >= horizon {
 						continue
 					}
-					if err := os.Remove(filepath.Join(l.dir, r.fileName())); err != nil && !errors.Is(err, os.ErrNotExist) {
-						return st, fmt.Errorf("archive: %w", err)
-					}
-					if err := os.Remove(filepath.Join(l.dir, r.sidecarName())); err != nil && !errors.Is(err, os.ErrNotExist) {
-						return st, fmt.Errorf("archive: %w", err)
+					if err := removeRefFiles(l.dir, r); err != nil {
+						return st, err
 					}
 					l.mu.Lock()
-					delete(l.idx, r.key())
+					delete(l.idx, r)
 					l.mu.Unlock()
 					st.DroppedFiles++
 				}
@@ -382,43 +331,6 @@ func (l *Log) Compact(now int64, policy Retention) (CompactStats, error) {
 	return st, nil
 }
 
-// compressSegment rewrites one sealed raw segment as a block file under the
-// journal protocol. Corrupt records are skipped (counted), exactly as replay
-// would skip them; an unreadable/empty segment is simply removed.
-func (l *Log) compressSegment(r segRef, st *CompactStats) error {
-	src := filepath.Join(l.dir, r.fileName())
-	var infos []telemetry.Info
-	corrupt, rawBytes, err := replayFile(src, false, func(in telemetry.Info) error {
-		infos = append(infos, in)
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	if corrupt > 0 {
-		l.account(corrupt, 0, 0)
-	}
-	dst := segRef{tier: TierRaw, index: r.index, compressed: true}
-	if len(infos) == 0 {
-		// Nothing decodable: the sealed segment is dead weight; drop it.
-		if err := removeRefFiles(l.dir, r, segRef{tier: -1}); err != nil {
-			return err
-		}
-		l.mu.Lock()
-		delete(l.idx, r.key())
-		l.mu.Unlock()
-		return nil
-	}
-	blob, si := encodeBlocks(uint8(TierRaw), infos)
-	if err := l.writeRewrite(dst, blob, si, []segRef{r}); err != nil {
-		return err
-	}
-	st.CompressedSegments++
-	st.RawBytes += rawBytes
-	st.CompressedBytes += int64(len(blob))
-	return nil
-}
-
 // rollupTier downsamples every file of srcTier whose records all predate
 // horizon into one new file of dstTier, bucket-averaged. skipIndex excludes
 // the active segment when srcTier is the raw tier. Returns the number of
@@ -426,30 +338,22 @@ func (l *Log) compressSegment(r segRef, st *CompactStats) error {
 func (l *Log) rollupTier(refs []segRef, srcTier, skipIndex int, horizon int64, dstTier int, bucket time.Duration, st *CompactStats) (int, error) {
 	var srcs []segRef
 	var infos []telemetry.Info
+	sc := getScanBuf()
+	defer sc.release()
 	for _, r := range refs {
 		if r.tier != srcTier || (srcTier == TierRaw && r.index == skipIndex) {
 			continue
 		}
 		l.mu.Lock()
-		si := l.idx[r.key()]
+		si := l.idx[r]
 		l.mu.Unlock()
 		if si == nil || si.lastTS >= horizon {
 			continue
 		}
-		path := filepath.Join(l.dir, r.fileName())
-		var err error
-		if r.compressed {
-			_, _, err = replayBlockFile(path, func(in telemetry.Info) error {
-				infos = append(infos, in)
-				return nil
-			})
-		} else {
-			_, _, err = replayFile(path, false, func(in telemetry.Info) error {
-				infos = append(infos, in)
-				return nil
-			})
-		}
-		if err != nil {
+		if _, _, err := l.scanFile(fileEntry{r, si}, sc, math.MinInt64, math.MaxInt64, func(in telemetry.Info) error {
+			infos = append(infos, in)
+			return nil
+		}); err != nil {
 			return 0, err
 		}
 		srcs = append(srcs, r)
@@ -461,11 +365,11 @@ func (l *Log) rollupTier(refs []segRef, srcTier, skipIndex int, horizon int64, d
 	if len(out) == 0 {
 		// Sources held nothing decodable; just delete them.
 		for _, s := range srcs {
-			if err := removeRefFiles(l.dir, s, segRef{tier: -1}); err != nil {
+			if err := removeRefFiles(l.dir, s); err != nil {
 				return 0, err
 			}
 			l.mu.Lock()
-			delete(l.idx, s.key())
+			delete(l.idx, s)
 			l.mu.Unlock()
 		}
 		return 0, nil
@@ -476,7 +380,7 @@ func (l *Log) rollupTier(refs []segRef, srcTier, skipIndex int, horizon int64, d
 			next = r.index + 1
 		}
 	}
-	dst := segRef{tier: dstTier, index: next, compressed: true}
+	dst := segRef{tier: dstTier, index: next}
 	blob, si := encodeBlocks(uint8(dstTier), out)
 	if err := l.writeRewrite(dst, blob, si, srcs); err != nil {
 		return 0, err
@@ -509,7 +413,7 @@ func (l *Log) writeRewrite(dst segRef, blob []byte, si *segIndex, srcs []segRef)
 		return err
 	}
 	for _, s := range srcs {
-		if err := removeRefFiles(l.dir, s, dst); err != nil {
+		if err := removeRefFiles(l.dir, s); err != nil {
 			return err
 		}
 	}
@@ -518,9 +422,9 @@ func (l *Log) writeRewrite(dst segRef, blob []byte, si *segIndex, srcs []segRef)
 	}
 	l.mu.Lock()
 	for _, s := range srcs {
-		delete(l.idx, s.key())
+		delete(l.idx, s)
 	}
-	l.idx[dst.key()] = si
+	l.idx[dst] = si
 	l.mu.Unlock()
 	return nil
 }
@@ -707,12 +611,7 @@ func DirStats(dir string) ([numTiers]TierStats, error) {
 		}
 		si, err := loadSidecar(filepath.Join(dir, r.sidecarName()), st.Size())
 		if err != nil {
-			if r.compressed {
-				si, err = buildBlockIndex(path)
-			} else {
-				si, err = buildSegIndex(path)
-			}
-			if err != nil {
+			if si, err = buildIndex(path); err != nil {
 				continue
 			}
 		}

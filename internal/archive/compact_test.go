@@ -33,70 +33,6 @@ func sameInfos(a, b []telemetry.Info) bool {
 	return true
 }
 
-// TestCompactCompressesSealedSegments: a zero policy compresses sealed
-// segments in place — same records back from Replay and Range, .log files
-// replaced by .blk, active segment untouched.
-func TestCompactCompressesSealedSegments(t *testing.T) {
-	dir := t.TempDir()
-	recSize := len(mustMarshal(t, telemetry.NewFact("m", 0, 0)))
-	l, err := Open(dir, Options{SegmentBytes: int64(4 * recSize)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { l.Close() })
-	count := counters(l)
-	for ts := int64(0); ts < 10; ts++ {
-		if err := l.Append(telemetry.NewFact("m", ts, float64(ts))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before := replayAll(t, l)
-
-	st, err := l.Compact(1<<62, Retention{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.CompressedSegments != 2 {
-		t.Fatalf("compressed %d segments, want 2", st.CompressedSegments)
-	}
-	if st.CompressedBytes <= 0 || st.RawBytes <= st.CompressedBytes {
-		t.Fatalf("stats: %+v", st)
-	}
-	for i := 0; i < 2; i++ {
-		if _, err := os.Stat(filepath.Join(dir, segmentName(i))); !os.IsNotExist(err) {
-			t.Fatalf("segment %d .log still present (err=%v)", i, err)
-		}
-		if _, err := os.Stat(filepath.Join(dir, (segRef{tier: TierRaw, index: i, compressed: true}).fileName())); err != nil {
-			t.Fatalf("segment %d .blk missing: %v", i, err)
-		}
-	}
-	if !sameInfos(before, replayAll(t, l)) {
-		t.Fatal("replay changed after compression")
-	}
-	if !sameInfos(before, rangeAll(t, l, 0, 9)) {
-		t.Fatal("range changed after compression")
-	}
-	if count("compaction_runs") != 1 || count("compressed_bytes") == 0 {
-		t.Fatalf("counters: runs=%d bytes=%d", count("compaction_runs"), count("compressed_bytes"))
-	}
-
-	// Appends keep flowing after a pass, and a reopen sees everything.
-	if err := l.Append(telemetry.NewFact("m", 10, 10)); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	re, err := Open(dir, Options{SegmentBytes: int64(4 * recSize)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if got := replayAll(t, re); len(got) != 11 {
-		t.Fatalf("reopen replayed %d, want 11", len(got))
-	}
-}
-
 // TestRangeEqualsReplayProperty is the ISSUE 7 property test: after
 // compaction and rollups, Range over any window returns exactly what a full
 // Replay filtered to that window returns — the indexed/seek/block path never
@@ -275,9 +211,10 @@ func TestCompactorVirtualClock(t *testing.T) {
 	}
 }
 
-// TestCompactJournalRecovery simulates a crash at the two interesting
-// instants of the rewrite protocol and proves Open converges to a state with
-// no duplicates and no lost tuples.
+// TestCompactJournalRecovery simulates a crash at the interesting instants
+// of the rewrite protocol — here a roll-up of segment 0 into the 10s tier —
+// and proves Open converges to a state with no duplicates and no lost
+// tuples.
 func TestCompactJournalRecovery(t *testing.T) {
 	recSize := len(mustMarshal(t, telemetry.NewFact("m", 0, 0)))
 	build := func(t *testing.T) (string, []telemetry.Info) {
@@ -303,7 +240,7 @@ func TestCompactJournalRecovery(t *testing.T) {
 		// Journal an intent whose destination never got renamed: a tmp file
 		// lingers, sources are intact.
 		src := segRef{tier: TierRaw, index: 0}
-		dst := segRef{tier: TierRaw, index: 0, compressed: true}
+		dst := segRef{tier: Tier10s, index: 0}
 		if err := os.WriteFile(filepath.Join(dir, dst.fileName()+".tmp"), []byte("partial"), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -330,7 +267,7 @@ func TestCompactJournalRecovery(t *testing.T) {
 		dir, want := build(t)
 		// Perform the rewrite by hand but "crash" before deleting the source.
 		src := segRef{tier: TierRaw, index: 0}
-		dst := segRef{tier: TierRaw, index: 0, compressed: true}
+		dst := segRef{tier: Tier10s, index: 0}
 		var infos []telemetry.Info
 		if _, _, err := replayFile(filepath.Join(dir, src.fileName()), false, func(in telemetry.Info) error {
 			infos = append(infos, in)
@@ -354,7 +291,7 @@ func TestCompactJournalRecovery(t *testing.T) {
 			t.Fatalf("after roll-forward: %d tuples, want %d (duplicates or loss)", len(got), len(want))
 		}
 		if _, err := os.Stat(filepath.Join(dir, src.fileName())); !os.IsNotExist(err) {
-			t.Fatal("source .log not removed by roll-forward")
+			t.Fatal("source segment not removed by roll-forward")
 		}
 		if loadJournal(dir) != nil {
 			t.Fatal("journal not cleared")
@@ -363,10 +300,11 @@ func TestCompactJournalRecovery(t *testing.T) {
 
 	t.Run("lost journal with duplicate files", func(t *testing.T) {
 		dir, want := build(t)
-		// Same crash window but the journal is gone entirely: the .blk/.log
-		// duplicate-shadowing must still dedupe.
+		// A crash after the output was written but before the journal was:
+		// a whole copy of the source's tuples lies in the tmp file, and no
+		// journal names it. It must be swept, never read.
 		src := segRef{tier: TierRaw, index: 0}
-		dst := segRef{tier: TierRaw, index: 0, compressed: true}
+		dst := segRef{tier: Tier10s, index: 0}
 		var infos []telemetry.Info
 		if _, _, err := replayFile(filepath.Join(dir, src.fileName()), false, func(in telemetry.Info) error {
 			infos = append(infos, in)
@@ -375,7 +313,7 @@ func TestCompactJournalRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 		blob, _ := encodeBlocks(0, infos)
-		if err := os.WriteFile(filepath.Join(dir, dst.fileName()), blob, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, dst.fileName()+".tmp"), blob, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		l, err := Open(dir, Options{})
@@ -384,7 +322,7 @@ func TestCompactJournalRecovery(t *testing.T) {
 		}
 		defer l.Close()
 		if got := replayAll(t, l); !sameInfos(want, got) {
-			t.Fatalf("duplicate .log/.blk not shadowed: %d tuples, want %d", len(got), len(want))
+			t.Fatalf("duplicate tmp copy read: %d tuples, want %d", len(got), len(want))
 		}
 	})
 }
@@ -406,7 +344,7 @@ func TestCompactedTruncationEveryOffset(t *testing.T) {
 
 	for cut := 0; cut <= len(blob); cut++ {
 		dir := t.TempDir()
-		ref := segRef{tier: TierRaw, index: 0, compressed: true}
+		ref := segRef{tier: TierRaw, index: 0}
 		if err := os.WriteFile(filepath.Join(dir, ref.fileName()), blob[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package archive
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"testing"
@@ -9,28 +10,44 @@ import (
 	"repro/internal/telemetry"
 )
 
-// corruptByte flips one byte of the named segment file at offset.
-func corruptByte(t *testing.T, dir string, segment, offset int) {
+// corruptBlock flips the middle byte of the k-th block of the named segment
+// file.
+func corruptBlock(t *testing.T, dir string, segment, k int) {
 	t.Helper()
 	path := filepath.Join(dir, segmentName(segment))
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if offset >= len(data) {
-		t.Fatalf("offset %d beyond segment size %d", offset, len(data))
+	off := 0
+	for ; k > 0; k-- {
+		off += int(binary.LittleEndian.Uint32(data[off+4:]))
 	}
-	data[offset] ^= 0xFF
+	data[off+int(binary.LittleEndian.Uint32(data[off+4:]))/2] ^= 0xFF
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// appendSynced appends one tuple per ts in [0, n) and Syncs after each, so
+// every tuple is a block of its own.
+func appendSynced(t *testing.T, l *Log, n int64) {
+	t.Helper()
+	for ts := int64(0); ts < n; ts++ {
+		if err := l.Append(telemetry.NewFact("metric", ts, float64(ts))); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestCorruptMiddleSegmentReplay is the regression test for the silent
-// truncation bug: replayFile returned nil on any decode error, so a corrupt
-// record in the middle of a segment silently dropped every later record of
+// truncation bug: replay returned nil on any decode error, so a corrupt
+// block in the middle of a segment silently dropped every later block of
 // that segment. Now replay must resynchronize, skip-and-count the bad
-// record, and deliver everything after it.
+// block, and deliver everything after it.
 func TestCorruptMiddleSegmentReplay(t *testing.T) {
 	dir := t.TempDir()
 	recSize := len(mustMarshal(t, telemetry.NewFact("metric", 0, 0)))
@@ -41,17 +58,13 @@ func TestCorruptMiddleSegmentReplay(t *testing.T) {
 	}
 	r := obs.NewRegistry()
 	l.Instrument(r, "metric")
-	for ts := int64(0); ts < 12; ts++ {
-		if err := l.Append(telemetry.NewFact("metric", ts, float64(ts))); err != nil {
-			t.Fatal(err)
-		}
-	}
+	appendSynced(t, l, 12) // one tuple per block
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Corrupt the second record of the FIRST (non-active) segment.
-	corruptByte(t, dir, l.segIndexAt(t, 0), recSize+recSize/2)
+	// Corrupt the second block of the FIRST (non-active) segment.
+	corruptBlock(t, dir, l.segIndexAt(t, 0), 1)
 
 	reopened, err := Open(dir, Options{SegmentBytes: int64(4 * recSize)})
 	if err != nil {
@@ -68,8 +81,8 @@ func TestCorruptMiddleSegmentReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// All records must replay except the corrupted one (ts=1): in
-	// particular ts=2 and ts=3 — later records of the corrupted segment —
+	// All records must replay except the corrupted block's (ts=1): in
+	// particular ts=2 and ts=3 — later blocks of the corrupted segment —
 	// were silently dropped by the pre-fix code.
 	want := []int64{0, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}
 	if len(got) != len(want) {
@@ -96,16 +109,12 @@ func TestCorruptTailOfEarlierSegmentCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for ts := int64(0); ts < 8; ts++ {
-		if err := l.Append(telemetry.NewFact("metric", ts, float64(ts))); err != nil {
-			t.Fatal(err)
-		}
-	}
+	appendSynced(t, l, 8) // one tuple per block
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Truncate the FIRST segment mid-record: its tail is corrupt but it is
+	// Truncate the FIRST segment mid-block: its tail is corrupt but it is
 	// not the active segment.
 	first := filepath.Join(dir, segmentName(l.segIndexAt(t, 0)))
 	data, err := os.ReadFile(first)
@@ -142,11 +151,7 @@ func TestTornActiveTailStillSilent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for ts := int64(0); ts < 3; ts++ {
-		if err := l.Append(telemetry.NewFact("metric", ts, float64(ts))); err != nil {
-			t.Fatal(err)
-		}
-	}
+	appendSynced(t, l, 3) // one tuple per block
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}

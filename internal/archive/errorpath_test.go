@@ -14,8 +14,8 @@ import (
 // later Sync/Close double-closed the dead file.
 
 // failSeal wedges l by closing the active segment file out from under it and
-// forcing a seal. Appends are buffered, so the failure surfaces at the
-// rotation's Flush — exactly the injected rotate failure the issue asks for.
+// forcing a seal. Appends wait in the open block, so the failure surfaces
+// when the rotation writes it — an injected rotate failure.
 func failSeal(t *testing.T, l *Log, recSize int) {
 	t.Helper()
 	l.mu.Lock()

@@ -9,20 +9,21 @@ import (
 	"repro/internal/telemetry"
 )
 
-// fuzzSegment builds a well-formed segment of n sequential records.
+// fuzzSegment builds a well-formed segment of n sequential records, one
+// block each.
 func fuzzSegment(n int) []byte {
 	var b []byte
 	for ts := 0; ts < n; ts++ {
-		b, _ = telemetry.NewFact("fuzz.metric", int64(ts), float64(ts)).AppendBinary(b)
+		b = encodeBlock(b, TierRaw, []telemetry.Info{telemetry.NewFact("fuzz.metric", int64(ts), float64(ts))})
 	}
 	return b
 }
 
-// FuzzSegmentReplay writes arbitrary bytes as an on-disk segment and replays
-// it: Open/Replay/Range must never panic and never error on corrupt data —
-// torn or damaged records are skipped via resync and counted, and every
-// record that is delivered must carry an intact CRC (i.e. decode back from
-// its own re-encoding).
+// FuzzSegmentReplay writes arbitrary bytes as an on-disk .blk segment and
+// replays it: Open/Replay/Range must never panic and never error on corrupt
+// data — torn or damaged blocks are skipped via resync and counted, and
+// every record that is delivered must carry an intact CRC (i.e. decode back
+// from its own re-encoding).
 func FuzzSegmentReplay(f *testing.F) {
 	whole := fuzzSegment(4)
 	f.Add(whole)

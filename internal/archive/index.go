@@ -7,24 +7,20 @@ import (
 	"hash/crc32"
 	"os"
 	"sort"
-
-	"repro/internal/telemetry"
 )
 
-// Sparse per-segment timestamp index. Each sealed segment gets a small
-// `segment-XXXXXXXX.idx` sidecar recording the segment's first/last record
-// timestamps plus the byte offset and timestamp of every IndexStride-th
-// record. Range uses it to (a) skip whole segments outside the query window
-// and (b) seek near the first relevant record inside a segment instead of
-// replaying it from byte zero.
+// Sparse per-file timestamp index. Each sealed data file gets a small `.idx`
+// sidecar recording the file's first/last record timestamps plus the byte
+// offset and first timestamp of every block. Range uses it to (a) skip whole
+// files outside the query window and (b) seek to the block holding the first
+// relevant record instead of decoding the file from byte zero.
 //
 // Sidecar framing (little endian):
 //
 //	u32  magic "AIDX"
-//	u8   version (1)
+//	u8   version (2)
 //	u8   flags (bit0: records are timestamp-sorted)
-//	u16  stride
-//	i64  segment size in bytes when indexed (staleness check)
+//	i64  file size in bytes when indexed (staleness check)
 //	u32  record count
 //	i64  first timestamp
 //	i64  last timestamp
@@ -32,36 +28,31 @@ import (
 //	[..] entries: { i64 offset, i64 timestamp }
 //	u32  crc32 (IEEE) of everything above
 //
-// The CRC plus the recorded segment size make the sidecar crash-safe: a
-// torn, corrupt, or stale sidecar is detected on Open and rebuilt from the
-// segment itself; a missing sidecar is likewise rebuilt. The index is purely
-// an accelerator — the segment log remains the source of truth.
-
-// IndexStride is the sparse sampling interval: every IndexStride-th record's
-// (offset, timestamp) lands in the sidecar. At the default segment size this
-// keeps sidecars a few hundred bytes while bounding an in-segment seek to at
-// most IndexStride records of overshoot.
-const IndexStride = 64
+// The CRC plus the recorded file size make the sidecar crash-safe: a torn,
+// corrupt, or stale sidecar is detected on Open and rebuilt from the file
+// itself; a missing sidecar is likewise rebuilt. The index is purely an
+// accelerator — the data file remains the source of truth.
 
 const (
 	idxMagic   = 0x58444941 // "AIDX"
-	idxVersion = 1
+	idxVersion = 2
 
 	idxFlagSorted = 1 << 0
+	idxHeaderSize = 4 + 1 + 1 + 8 + 4 + 8 + 8 + 4
 )
 
 // errIdxInvalid marks a sidecar that failed a structural or CRC check.
 var errIdxInvalid = errors.New("archive: invalid index sidecar")
 
-// idxEntry is one sparse index point.
+// idxEntry is one sparse index point: a block.
 type idxEntry struct {
-	off int64 // byte offset of the record in the segment
-	ts  int64 // the record's timestamp
+	off int64 // byte offset of the block in the file
+	ts  int64 // the block's first timestamp
 }
 
-// segIndex is the in-memory index of one segment.
+// segIndex is the in-memory index of one data file.
 type segIndex struct {
-	size    int64 // segment bytes covered by this index
+	size    int64 // file bytes covered by this index
 	records uint32
 	sorted  bool // timestamps non-decreasing across records
 	firstTS int64
@@ -69,30 +60,21 @@ type segIndex struct {
 	offs    []idxEntry
 }
 
-// note records one appended record at offset off with timestamp ts,
-// maintaining the sparse table incrementally (used for the active segment).
-func (si *segIndex) note(off, ts int64, size int64) {
+// note folds one record's timestamp into the envelope.
+func (si *segIndex) note(ts int64) {
 	if si.records == 0 {
 		si.firstTS, si.lastTS, si.sorted = ts, ts, true
 	} else if ts < si.lastTS {
 		si.sorted = false
 	}
-	if ts < si.firstTS {
-		si.firstTS = ts
-	}
-	if ts > si.lastTS {
-		si.lastTS = ts
-	}
-	if si.records%IndexStride == 0 {
-		si.offs = append(si.offs, idxEntry{off: off, ts: ts})
-	}
+	si.firstTS = min(si.firstTS, ts)
+	si.lastTS = max(si.lastTS, ts)
 	si.records++
-	si.size = size
 }
 
-// covers reports whether the segment may contain records in [from, to].
+// covers reports whether the file may contain records in [from, to].
 // firstTS/lastTS hold the min/max timestamp, so the envelope check is valid
-// even for unsorted segments; a nil index means "unknown, must scan".
+// even for unsorted files; a nil index means "unknown, must scan".
 func (si *segIndex) covers(from, to int64) bool {
 	if si == nil {
 		return true
@@ -104,14 +86,14 @@ func (si *segIndex) covers(from, to int64) bool {
 }
 
 // seek returns the byte offset to start scanning for records with ts >=
-// from: the offset of the last sparse entry whose timestamp is < from
-// (records between two sparse points may straddle the boundary, so the scan
-// starts one stride early at worst). Returns 0 for unsorted segments.
+// from: the offset of the last block whose first timestamp is < from (the
+// records of that block may straddle the boundary). Returns 0 for unsorted
+// files.
 func (si *segIndex) seek(from int64) int64 {
 	if si == nil || !si.sorted || len(si.offs) == 0 {
 		return 0
 	}
-	// First sparse entry with ts >= from; start at its predecessor.
+	// First block with ts >= from; start at its predecessor.
 	i := sort.Search(len(si.offs), func(i int) bool { return si.offs[i].ts >= from })
 	if i == 0 {
 		return si.offs[0].off
@@ -120,8 +102,8 @@ func (si *segIndex) seek(from int64) int64 {
 }
 
 // seekEnd returns the byte offset past which no record with ts <= to can
-// exist (the first sparse entry with ts > to), or limit when the tail must
-// be scanned. Returns limit for unsorted segments.
+// exist (the first block whose first timestamp is > to), or limit when the
+// tail must be scanned. Returns limit for unsorted files.
 func (si *segIndex) seekEnd(to int64, limit int64) int64 {
 	if si == nil || !si.sorted {
 		return limit
@@ -135,7 +117,7 @@ func (si *segIndex) seekEnd(to int64, limit int64) int64 {
 
 // marshal renders the sidecar bytes.
 func (si *segIndex) marshal() []byte {
-	b := make([]byte, 0, 34+16*len(si.offs)+4)
+	b := make([]byte, 0, idxHeaderSize+16*len(si.offs)+4)
 	b = binary.LittleEndian.AppendUint32(b, idxMagic)
 	b = append(b, idxVersion)
 	var flags byte
@@ -143,7 +125,6 @@ func (si *segIndex) marshal() []byte {
 		flags |= idxFlagSorted
 	}
 	b = append(b, flags)
-	b = binary.LittleEndian.AppendUint16(b, IndexStride)
 	b = binary.LittleEndian.AppendUint64(b, uint64(si.size))
 	b = binary.LittleEndian.AppendUint32(b, si.records)
 	b = binary.LittleEndian.AppendUint64(b, uint64(si.firstTS))
@@ -158,7 +139,7 @@ func (si *segIndex) marshal() []byte {
 
 // unmarshalSegIndex parses and verifies a sidecar.
 func unmarshalSegIndex(b []byte) (*segIndex, error) {
-	if len(b) < 34+4 {
+	if len(b) < idxHeaderSize+4 {
 		return nil, errIdxInvalid
 	}
 	body, sum := b[:len(b)-4], binary.LittleEndian.Uint32(b[len(b)-4:])
@@ -169,27 +150,25 @@ func unmarshalSegIndex(b []byte) (*segIndex, error) {
 		return nil, errIdxInvalid
 	}
 	si := &segIndex{sorted: b[5]&idxFlagSorted != 0}
-	si.size = int64(binary.LittleEndian.Uint64(b[8:]))
-	si.records = binary.LittleEndian.Uint32(b[16:])
-	si.firstTS = int64(binary.LittleEndian.Uint64(b[20:]))
-	si.lastTS = int64(binary.LittleEndian.Uint64(b[28:]))
-	n := int(binary.LittleEndian.Uint32(b[36:]))
-	if len(body) != 40+16*n {
+	si.size = int64(binary.LittleEndian.Uint64(b[6:]))
+	si.records = binary.LittleEndian.Uint32(b[14:])
+	si.firstTS = int64(binary.LittleEndian.Uint64(b[18:]))
+	si.lastTS = int64(binary.LittleEndian.Uint64(b[26:]))
+	n := int(binary.LittleEndian.Uint32(b[34:]))
+	if len(body) != idxHeaderSize+16*n {
 		return nil, errIdxInvalid
 	}
 	si.offs = make([]idxEntry, n)
-	for i := 0; i < n; i++ {
-		si.offs[i].off = int64(binary.LittleEndian.Uint64(b[40+16*i:]))
-		si.offs[i].ts = int64(binary.LittleEndian.Uint64(b[48+16*i:]))
+	for i := range si.offs {
+		e := b[idxHeaderSize+16*i:]
+		si.offs[i] = idxEntry{off: int64(binary.LittleEndian.Uint64(e)), ts: int64(binary.LittleEndian.Uint64(e[8:]))}
 	}
 	return si, nil
 }
 
-func indexName(i int) string { return fmt.Sprintf("segment-%08d.idx", i) }
-
-// writeSidecar persists si next to its segment, atomically (tmp + rename) so
-// a crash mid-write leaves either the old sidecar or none — never a torn one
-// that silently misdirects reads (the CRC would catch it regardless).
+// writeSidecar persists si next to its data file, atomically (tmp + rename)
+// so a crash mid-write leaves either the old sidecar or none — never a torn
+// one that silently misdirects reads (the CRC would catch it regardless).
 func writeSidecar(path string, si *segIndex) error {
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, si.marshal(), 0o644); err != nil {
@@ -202,10 +181,10 @@ func writeSidecar(path string, si *segIndex) error {
 	return nil
 }
 
-// loadSidecar reads a sidecar and validates it against the segment's current
-// size; any failure (missing, corrupt, stale) returns an error so the caller
-// rebuilds.
-func loadSidecar(path string, segSize int64) (*segIndex, error) {
+// loadSidecar reads a sidecar and validates it against the data file's
+// current size; any failure (missing, corrupt, stale) returns an error so the
+// caller rebuilds.
+func loadSidecar(path string, size int64) (*segIndex, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -214,33 +193,38 @@ func loadSidecar(path string, segSize int64) (*segIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	if si.size != segSize {
-		return nil, fmt.Errorf("%w: stale (indexed %d bytes, segment has %d)", errIdxInvalid, si.size, segSize)
+	if si.size != size {
+		return nil, fmt.Errorf("%w: stale (indexed %d bytes, file has %d)", errIdxInvalid, si.size, size)
 	}
 	return si, nil
 }
 
-// buildSegIndex scans a segment file and constructs its index, tolerating
-// corrupt records the same way replay does (skip and resync).
-func buildSegIndex(path string) (*segIndex, error) {
+// buildIndex scans a data file and constructs its index, skipping corrupt
+// blocks the way a read does.
+func buildIndex(path string) (*segIndex, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("archive: %w", err)
 	}
-	si := &segIndex{size: int64(len(data)), sorted: true}
-	off := int64(0)
-	for int(off) < len(data) {
-		info, n, err := telemetry.DecodeInfo(data[off:])
+	si := &segIndex{size: int64(len(data))}
+	var sc scanBuf
+	for off := 0; off < len(data); {
+		n, err := openFrame(data[off:], &sc)
 		if err != nil {
-			skip := resync(data[off+1:])
+			skip := resyncBlock(data[off+1:])
 			if skip < 0 {
 				break
 			}
-			off += 1 + int64(skip)
+			off += 1 + skip
 			continue
 		}
-		si.note(off, info.Timestamp, si.size)
-		off += int64(n)
+		for f := &sc.frame; f.i < f.records && f.next() == nil; {
+			if f.i == 1 {
+				si.offs = append(si.offs, idxEntry{off: int64(off), ts: f.in.Timestamp})
+			}
+			si.note(f.in.Timestamp)
+		}
+		off += n
 	}
 	return si, nil
 }

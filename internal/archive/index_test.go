@@ -148,12 +148,9 @@ func TestStaleSidecarRebuilt(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Append raw extra records directly to the sealed segment so its size no
+	// Append an extra block directly to the sealed segment so its size no
 	// longer matches what the sidecar recorded.
-	extra, err := telemetry.NewFact("idx.metric", 100, 1).MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
+	extra := encodeBlock(nil, TierRaw, []telemetry.Info{telemetry.NewFact("idx.metric", 100, 1)})
 	f, err := os.OpenFile(filepath.Join(dir, segmentName(0)), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -203,7 +200,7 @@ func TestRangeMatchesReplayFilter(t *testing.T) {
 }
 
 // TestRangeWithMidSegmentCorruption verifies the indexed read path keeps the
-// resync semantics: a corrupt record inside the window is skipped and
+// resync semantics: a corrupt block inside the window is skipped and
 // counted, not silently truncating the scan.
 func TestRangeWithMidSegmentCorruption(t *testing.T) {
 	dir := t.TempDir()
@@ -211,7 +208,12 @@ func TestRangeWithMidSegmentCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fillSegments(t, l, 32)
+	for i := 0; i < 8; i++ { // 8 blocks of 4
+		fillSegments(t, l, 4)
+		if err := l.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}

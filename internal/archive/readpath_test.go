@@ -14,8 +14,8 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Tests of what Range caches between calls: the data-file table, the active
-// segment's read handle and flushed size.
+// Tests of what Range caches between calls: the data-file table and the
+// active segment's read handle.
 
 // checkFileTable requires the cached table (built by the Range the caller
 // just ran) to be what a fresh listing joined with the index map gives.
@@ -31,8 +31,8 @@ func checkFileTable(t *testing.T, l *Log, step string) {
 		t.Fatalf("%s: cached table has %d rows, directory lists %d (%v)", step, len(l.files), len(refs), refs)
 	}
 	for i, r := range refs {
-		if l.files[i].ref != r || l.files[i].si != l.idx[r.key()] {
-			t.Fatalf("%s: cached row %d = %+v, want %+v with index %p", step, i, l.files[i], r, l.idx[r.key()])
+		if l.files[i].ref != r || l.files[i].si != l.idx[r] {
+			t.Fatalf("%s: cached row %d = %+v, want %+v with index %p", step, i, l.files[i], r, l.idx[r])
 		}
 	}
 }
@@ -150,57 +150,6 @@ func TestRangeModel(t *testing.T) {
 				t.Fatalf("%d corrupt records on a log nobody damaged", c)
 			}
 		})
-	}
-}
-
-// TestRangeFlushesOnDemand: a window that ends inside the buffered tail sees
-// every appended tuple, and one that ends before the flushed size leaves the
-// writer alone.
-func TestRangeFlushesOnDemand(t *testing.T) {
-	l, err := Open(t.TempDir(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	next := int64(0)
-	appendN := func(n int) {
-		for ; n > 0; n-- {
-			next++
-			if err := l.Append(telemetry.NewFact("m", next, float64(next))); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	state := func() (flushed, size int64) {
-		l.mu.Lock()
-		defer l.mu.Unlock()
-		return l.flushed, l.curSize
-	}
-	appendN(100) // well under bufio's buffer: nothing is in the file yet
-	if got := rangeAll(t, l, 1, next); int64(len(got)) != next {
-		t.Fatalf("window over the unflushed tail saw %d of %d tuples", len(got), next)
-	}
-	if flushed, size := state(); flushed != size {
-		t.Fatalf("flushed %d of %d bytes after a read to the tail", flushed, size)
-	}
-	appendN(5 * IndexStride)
-	before, size := state()
-	if before == size {
-		t.Fatal("nothing buffered; the test needs an unflushed tail")
-	}
-	if got := rangeAll(t, l, 3, 40); len(got) != 38 {
-		t.Fatalf("early window saw %d tuples, want 38", len(got))
-	}
-	if after, _ := state(); after != before {
-		t.Fatalf("a window ending at byte <= %d flushed the writer (%d -> %d)", before, before, after)
-	}
-	for _, to := range []int64{next - 1, next} {
-		if got := rangeAll(t, l, 90, to); int64(len(got)) != to-89 {
-			t.Fatalf("window [90, %d] saw %d tuples, want %d", to, len(got), to-89)
-		}
-	}
-	if flushed, size := state(); flushed != size {
-		t.Fatalf("flushed %d of %d bytes after a read to the tail", flushed, size)
 	}
 }
 

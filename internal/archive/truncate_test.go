@@ -1,6 +1,7 @@
 package archive
 
 import (
+	"encoding/binary"
 	"math"
 	"os"
 	"path/filepath"
@@ -12,9 +13,10 @@ import (
 // TestTruncatedSegmentEveryOffset is the crash-consistency property test: a
 // crash can cut the tail segment at ANY byte boundary, and for every single
 // offset the reopened log must (a) open without error, (b) replay exactly the
-// valid record prefix — all sealed-segment records plus every complete record
+// valid block prefix — all sealed-segment records plus every complete block
 // of the cut segment, nothing more, nothing reordered — and (c) rebuild the
-// index sidecars from the data so Range agrees with Replay.
+// index sidecars from the data so Range agrees with Replay. Every tuple is a
+// block of its own (a Sync after each append).
 func TestTruncatedSegmentEveryOffset(t *testing.T) {
 	const perSeg = 4
 	recSize := len(mustMarshal(t, telemetry.NewFact("m", 0, 0)))
@@ -28,6 +30,9 @@ func TestTruncatedSegmentEveryOffset(t *testing.T) {
 	}
 	for ts := int64(0); ts < 2*perSeg; ts++ {
 		if err := l.Append(telemetry.NewFact("m", ts, float64(ts))); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Sync(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -45,6 +50,11 @@ func TestTruncatedSegmentEveryOffset(t *testing.T) {
 	seg1, err := os.ReadFile(filepath.Join(ref, segmentName(segs[1])))
 	if err != nil {
 		t.Fatal(err)
+	}
+	var ends []int // where each block of seg1 ends
+	for off := 0; off < len(seg1); {
+		off += int(binary.LittleEndian.Uint32(seg1[off+4:]))
+		ends = append(ends, off)
 	}
 
 	for cut := 0; cut <= len(seg1); cut++ {
@@ -68,7 +78,7 @@ func TestTruncatedSegmentEveryOffset(t *testing.T) {
 		for ts := 0; ts < perSeg; ts++ {
 			want = append(want, int64(ts))
 		}
-		for ts := 0; ts < cut/recSize; ts++ { // complete records that survived the cut
+		for ts := 0; ts < len(ends) && ends[ts] <= cut; ts++ { // complete blocks that survived the cut
 			want = append(want, int64(perSeg+ts))
 		}
 

@@ -114,8 +114,8 @@ type Config struct {
 	ArchiveRetention archive.Retention
 	// ArchiveSegmentBytes caps each archive segment file
 	// (0: archive.DefaultSegmentBytes). A sealed segment is what the
-	// compactor rewrites as a block file, rolls up and expires, so a log
-	// that fills its first segment slowly shows none of that until it does.
+	// compactor rolls up and expires, so a log that fills its first segment
+	// slowly shows none of that until it does.
 	ArchiveSegmentBytes int64
 	// CompactInterval is how often the background archive compactor runs
 	// when ArchiveDir is set (0: archive.DefaultCompactInterval). It runs on

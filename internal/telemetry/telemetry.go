@@ -106,7 +106,7 @@ func NewPredictedFact(m MetricID, ts int64, v float64) Info {
 //	u8   source
 //	u32  crc32 (IEEE) of everything above
 //
-// The CRC guards archive replay and network transport against truncation.
+// The CRC guards network transport against truncation.
 const (
 	fixedTail   = 8 + 8 + 1 + 1 + 4
 	maxMetricID = 1 << 16
@@ -144,14 +144,6 @@ func (i Info) MarshalBinary() ([]byte, error) {
 func (i *Info) UnmarshalBinary(b []byte) error {
 	_, err := i.decode(b)
 	return err
-}
-
-// DecodeInfo decodes one Info from the front of b, returning the number of
-// bytes consumed.
-func DecodeInfo(b []byte) (Info, int, error) {
-	var i Info
-	n, err := i.decode(b)
-	return i, n, err
 }
 
 func (i *Info) decode(b []byte) (int, error) {

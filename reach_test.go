@@ -33,7 +33,7 @@ var notProduct = map[string]bool{
 // reachAllowed are exported product names and methods that no entry point
 // reaches and that stay anyway, each with the reason. Every entry is reached by
 // tests only, and is a fault-injection or determinism seam tests substitute
-// through, or one of the two named exceptions at the end. An entry that an
+// through, or the one named exception at the end. An entry that an
 // entry point reaches after all is stale, and the guard reports it. It is the
 // backlog ROADMAP item 8's reach-guard bullet reads, not a place to park new
 // code.
@@ -51,8 +51,7 @@ var reachAllowed = map[string]string{
 	"internal/aqe.WithParallelism":     "plan tests pin the union fan-out width",
 	"internal/gateway.Gateway.Handler": "the mux without a listener: gateway tests mount it on httptest.Server",
 
-	// The two exceptions.
-	"internal/archive.Log.Replay": "whole-log read the index and read-path tests compare Range against",
+	// The exception.
 	"internal/cluster.Ring.Leave": "membership change ROADMAP item 4's lease-table failover needs; ring tests pin it",
 }
 
