@@ -108,20 +108,22 @@ func main() {
 		if len(args) != 2 {
 			log.Fatal("apolloctl: watch <metric>")
 		}
-		sub, err := stream.Subscribe(*addr, args[1], 0)
+		cur, err := bus.Follow(context.Background(), args[1], 0)
 		if err != nil {
 			log.Fatalf("apolloctl: %v", err)
 		}
-		defer sub.Close()
-		for e := range sub.C() {
-			var in telemetry.Info
-			if err := in.UnmarshalBinary(e.Payload); err != nil {
-				continue
+		for {
+			run, err := cur.Next()
+			if err != nil {
+				log.Fatalf("apolloctl: %v", err)
 			}
-			fmt.Println(in)
-		}
-		if err := sub.Err(); err != nil {
-			log.Fatalf("apolloctl: %v", err)
+			for _, e := range run {
+				var in telemetry.Info
+				if err := in.UnmarshalBinary(e.Payload); err != nil {
+					continue
+				}
+				fmt.Println(in)
+			}
 		}
 
 	case "query":

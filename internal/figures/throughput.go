@@ -96,6 +96,11 @@ func Fig6b(opts Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		client, err := stream.Dial(srv.Addr())
+		if err != nil {
+			return nil, err
+		}
+		ctx, cancel := context.WithCancel(context.Background())
 		subs := nodes * threadsPerNode
 		var wg sync.WaitGroup
 		errs := make(chan error, subs)
@@ -104,31 +109,33 @@ func Fig6b(opts Options) (*Table, error) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				sub, err := stream.Subscribe(srv.Addr(), "metric", 0)
+				cur, err := client.Follow(ctx, "metric", 0)
 				if err != nil {
 					errs <- err
 					return
 				}
-				defer sub.Close()
-				got := 0
-				for range sub.C() {
-					got++
-					if got == events {
+				for got := 0; got < events; {
+					run, err := cur.Next()
+					if err != nil {
+						errs <- fmt.Errorf("subscriber starved at %d/%d: %w", got, events, err)
 						return
 					}
+					got += len(run)
 				}
-				errs <- fmt.Errorf("subscriber starved at %d/%d", got, events)
 			}()
 		}
 		// Publish after a short settling delay so subscribers are attached.
 		time.Sleep(20 * time.Millisecond)
 		for i := 0; i < events; i++ {
 			if _, err := broker.Publish(context.Background(), "metric", payload); err != nil {
+				cancel()
 				return nil, err
 			}
 		}
 		wg.Wait()
 		elapsed := time.Since(start)
+		cancel()
+		client.Close()
 		srv.Close()
 		broker.Close()
 		select {

@@ -14,15 +14,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-// fastBusOpts keeps client transport failures/retries test-sized.
-func fastBusOpts() []stream.Option {
-	return []stream.Option{func(o *stream.Options) {
-		o.DialTimeout, o.IOTimeout = time.Second, 500*time.Millisecond
-		o.RetryMax = 2
-		o.BackoffMin, o.BackoffMax = time.Millisecond, 10*time.Millisecond
-	}}
-}
-
 func counterVertex(t *testing.T, bus stream.Bus) *FactVertex {
 	t.Helper()
 	n := 0.0
@@ -60,7 +51,7 @@ func TestFactVertexStoreAndForward(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := srv.Addr()
-	bus, err := stream.Dial(addr, fastBusOpts()...)
+	bus, err := stream.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +139,7 @@ func TestStoreAndForwardBacklogBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bus, err := stream.Dial(srv.Addr(), fastBusOpts()...)
+	bus, err := stream.Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +276,7 @@ func TestInsightVertexStoreAndForward(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := srv.Addr()
-	bus, err := stream.Dial(addr, fastBusOpts()...)
+	bus, err := stream.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}

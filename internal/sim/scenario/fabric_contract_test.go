@@ -53,7 +53,7 @@ func newPlainFabric(t *testing.T, tcp bool) *contractFabric {
 	if tcp {
 		f.peer = func(from, to string) (stream.Peer, error) {
 			addr, _ := f.ring.Addr(to)
-			c, err := stream.Dial(addr, func(o *stream.Options) { o.IOTimeout = 2 * time.Second })
+			c, err := stream.Dial(addr)
 			if err == nil {
 				t.Cleanup(func() { c.Close() })
 			}

@@ -1,81 +1,26 @@
 package stream
 
 import (
-	"math/rand"
 	"testing"
 	"time"
 )
 
-// TestBackoffRandDeterministic: the reconnect backoff draws all jitter from
-// the injected source, so two equally-seeded sources yield identical delay
-// sequences — the property the simulation harness relies on to replay
-// reconnect storms from a single seed.
-func TestBackoffRandDeterministic(t *testing.T) {
-	const min, max = 50 * time.Millisecond, 5 * time.Second
-	a := rand.New(rand.NewSource(99))
-	b := rand.New(rand.NewSource(99))
-	other := rand.New(rand.NewSource(100))
-
-	var diverged bool
-	for attempt := 0; attempt < 32; attempt++ {
-		da := BackoffRand(a, attempt, min, max)
-		db := BackoffRand(b, attempt, min, max)
-		if da != db {
-			t.Fatalf("attempt %d: same seed gave %v and %v", attempt, da, db)
-		}
-		if BackoffRand(other, attempt, min, max) != da {
-			diverged = true
-		}
-	}
-	if !diverged {
-		t.Fatal("seeds 99 and 100 produced identical 32-delay sequences")
-	}
-}
-
-// TestBackoffRandBounds: for every attempt the delay stays within
-// [d/2, d] where d is the capped exponential min<<attempt — i.e. jitter
-// never exceeds the envelope and never collapses below half of it.
+// TestBackoffRandBounds: for every attempt the jittered delay stays within
+// [d/2, d] where d is the capped exponential backoffMin<<attempt — i.e.
+// jitter never exceeds the envelope and never collapses below half of it.
 func TestBackoffRandBounds(t *testing.T) {
-	const min, max = 10 * time.Millisecond, 800 * time.Millisecond
-	rng := rand.New(rand.NewSource(7))
+	tm := timing{backoffMin: 10 * time.Millisecond, backoffMax: 800 * time.Millisecond}
 	for attempt := 0; attempt < 40; attempt++ {
-		d := time.Duration(min)
-		for i := 0; i < attempt && d < max; i++ {
+		d := tm.backoffMin
+		for i := 0; i < attempt && d < tm.backoffMax; i++ {
 			d *= 2
 		}
-		if d > max {
-			d = max
+		if d > tm.backoffMax {
+			d = tm.backoffMax
 		}
-		got := BackoffRand(rng, attempt, min, max)
+		got := tm.backoff(attempt)
 		if got < d/2 || got > d {
 			t.Fatalf("attempt %d: delay %v outside [%v, %v]", attempt, got, d/2, d)
 		}
-	}
-}
-
-// TestOptionsBackoffSeeded: a client configured with WithRand routes retry
-// delays through the seeded source (reproducible), while an unseeded client
-// falls back to the process-global source.
-func TestOptionsBackoffSeeded(t *testing.T) {
-	mk := func(seed int64) *Options {
-		o := &Options{BackoffMin: 20 * time.Millisecond, BackoffMax: 2 * time.Second}
-		WithRand(rand.New(rand.NewSource(seed)))(o)
-		o.defaults()
-		return o
-	}
-	a, b := mk(5), mk(5)
-	for attempt := 0; attempt < 16; attempt++ {
-		if da, db := a.backoff(attempt), b.backoff(attempt); da != db {
-			t.Fatalf("attempt %d: same-seed clients diverged: %v vs %v", attempt, da, db)
-		}
-	}
-
-	unseeded := &Options{}
-	unseeded.defaults()
-	if unseeded.rng != nil {
-		t.Fatal("unseeded options built a private rng; expected global fallback")
-	}
-	if d := unseeded.backoff(0); d <= 0 || d > unseeded.BackoffMax {
-		t.Fatalf("global-fallback backoff %v outside (0, %v]", d, unseeded.BackoffMax)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/sim"
 )
 
 // TestBrokerPublishAllocs pins the one append path: payloads are copied onto
@@ -499,16 +500,18 @@ func TestSubscriptionCloseResumeRace(t *testing.T) {
 	}
 	for i := 0; i < 30; i++ {
 		chaos := NewChaos(ChaosConfig{Seed: int64(i), ResetProb: 0.2, DelayProb: 0.3, Delay: time.Millisecond})
-		sub, err := Subscribe(s.Addr(), "m", 0, append(fastOpts(), WithDialer(chaos))...)
+		sub, err := followT(t, s.Addr(), "m", 0, append(fastOpts(), withChaos(chaos))...)
 		if err != nil {
 			continue // initial dial ate a reset; the race needs a live sub
 		}
 		go func() { // keep the stream and the resume loop busy
-			for range sub.C() {
+			for range sub.ch {
 			}
 		}()
 		// Stagger Close across the dial/adopt/read phases of resume.
-		time.Sleep(time.Duration(i%7) * 500 * time.Microsecond)
+		for range i % 7 {
+			runtime.Gosched()
+		}
 		done := make(chan struct{})
 		go func() {
 			sub.Close()
@@ -532,13 +535,14 @@ func TestSubscriptionCloseDuringOutage(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.Publish(context.Background(), "m", []byte("x"))
-	sub, err := Subscribe(s.Addr(), "m", 0, fastOpts()...)
+	clock := sim.NewVirtual(time.Now()) // socket deadlines anchor to its Now
+	sub, err := followT(t, s.Addr(), "m", 0, func(o *options) { o.clock = clock })
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-sub.C()
-	s.Close() // force resume into dial-retry backoff
-	time.Sleep(5 * time.Millisecond)
+	<-sub.ch
+	s.Close()             // force resume into dial-retry backoff
+	<-clock.BlockUntil(1) // resume is parked in its backoff wait
 	done := make(chan struct{})
 	go func() {
 		sub.Close()

@@ -59,7 +59,7 @@ type Cursor interface {
 
 // subscribeSlack is how many entries a subscription may run ahead of its
 // reader: the most entries one Cursor run or one subscription frame carries,
-// and the capacity of a Subscription's channel.
+// and the capacity of a subscription's channel.
 const subscribeSlack = 64
 
 var (

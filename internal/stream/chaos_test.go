@@ -13,17 +13,18 @@ import (
 
 // fastOpts keeps retry/backoff latencies test-sized.
 func fastOpts() []Option {
-	return []Option{func(o *Options) {
-		o.DialTimeout, o.IOTimeout = time.Second, 500*time.Millisecond
-		o.RetryMax = 10
-		o.BackoffMin, o.BackoffMax = time.Millisecond, 20*time.Millisecond
+	return []Option{func(o *options) {
+		o.timing = timing{
+			dialTimeout: time.Second, ioTimeout: 500 * time.Millisecond, attempts: 10,
+			backoffMin: time.Millisecond, backoffMax: 20 * time.Millisecond, redirects: 4,
+		}
 	}}
 }
 
 func TestChaosDialRefused(t *testing.T) {
 	_, s := startServer(t)
 	chaos := NewChaos(ChaosConfig{Seed: 1, RefuseProb: 1})
-	if _, err := Dial(s.Addr(), WithDialer(chaos), func(o *Options) { o.DialTimeout = time.Second }); err == nil {
+	if _, err := Dial(s.Addr(), withChaos(chaos), func(o *options) { o.dialTimeout = time.Second }); err == nil {
 		t.Fatal("expected refused dial")
 	}
 	if !IsTransient(&transportError{errors.New("x")}) {
@@ -57,7 +58,7 @@ func TestClientSurvivesInjectedResets(t *testing.T) {
 	}
 	chaos := NewChaos(ChaosConfig{Seed: 42, ResetProb: 0.08, DelayProb: 0.2, Delay: time.Millisecond})
 	reg := obs.NewRegistry()
-	c, err := Dial(s.Addr(), append(fastOpts(), WithDialer(chaos), WithObs(reg))...)
+	c, err := Dial(s.Addr(), append(fastOpts(), withChaos(chaos), WithObs(reg))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestClientSurvivesCorruptionAndPartialWrites(t *testing.T) {
 	b, s := startServer(t)
 	b.Publish(context.Background(), "m", []byte("payload"))
 	chaos := NewChaos(ChaosConfig{Seed: 3, CorruptProb: 0.05, PartialWriteProb: 0.05})
-	c, err := Dial(s.Addr(), append(fastOpts(), WithDialer(chaos))...)
+	c, err := Dial(s.Addr(), append(fastOpts(), withChaos(chaos))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +195,7 @@ func TestPublishNotRetriedButConnRecovers(t *testing.T) {
 
 // TestSubscriptionResumesAcrossServerRestart is the acceptance chaos test:
 // the server is killed and restarted mid-stream while a publisher keeps
-// appending to the broker; a resumed Subscription must observe every entry
+// appending to the broker; a resumed subscription must observe every entry
 // exactly once, in order.
 func TestSubscriptionResumesAcrossServerRestart(t *testing.T) {
 	b := NewBroker(0)
@@ -206,7 +207,7 @@ func TestSubscriptionResumesAcrossServerRestart(t *testing.T) {
 	addr := s.Addr()
 	const total = 120
 	reg := obs.NewRegistry()
-	sub, err := Subscribe(addr, "m", 0, append(fastOpts(), WithObs(reg))...)
+	sub, err := followT(t, addr, "m", 0, append(fastOpts(), WithObs(reg))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +222,7 @@ func TestSubscriptionResumesAcrossServerRestart(t *testing.T) {
 		deadline := time.After(10 * time.Second)
 		for len(recv) < n {
 			select {
-			case e, ok := <-sub.C():
+			case e, ok := <-sub.ch:
 				if !ok {
 					t.Fatalf("subscription died at %d entries: %v", len(recv), sub.Err())
 				}
@@ -272,7 +273,7 @@ func TestSubscriptionSurvivesInjectedResets(t *testing.T) {
 	b, s := startServer(t)
 	chaos := NewChaos(ChaosConfig{Seed: 9, ResetProb: 0.01, DelayProb: 0.05, Delay: time.Millisecond})
 	reg := obs.NewRegistry()
-	sub, err := Subscribe(s.Addr(), "m", 0, append(fastOpts(), WithDialer(chaos), WithObs(reg))...)
+	sub, err := followT(t, s.Addr(), "m", 0, append(fastOpts(), withChaos(chaos), WithObs(reg))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +291,7 @@ func TestSubscriptionSurvivesInjectedResets(t *testing.T) {
 	deadline := time.After(20 * time.Second)
 	for want <= total {
 		select {
-		case e, ok := <-sub.C():
+		case e, ok := <-sub.ch:
 			if !ok {
 				t.Fatalf("stream ended at %d: %v", want, sub.Err())
 			}
@@ -311,7 +312,7 @@ func TestSubscriptionSurvivesInjectedResets(t *testing.T) {
 // on Close even when the consumer stopped draining and the channel is full.
 func TestSubscriptionCloseWithAbandonedConsumer(t *testing.T) {
 	b, s := startServer(t)
-	sub, err := Subscribe(s.Addr(), "m", 0, fastOpts()...)
+	sub, err := followT(t, s.Addr(), "m", 0, fastOpts()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,16 +349,16 @@ func TestSubscriptionCloseWithAbandonedConsumer(t *testing.T) {
 // stream instead of resuming forever.
 func TestSubscriptionTerminalOnBrokerClose(t *testing.T) {
 	b, s := startServer(t)
-	sub, err := Subscribe(s.Addr(), "m", 0, fastOpts()...)
+	sub, err := followT(t, s.Addr(), "m", 0, fastOpts()...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sub.Close()
 	b.Publish(context.Background(), "m", []byte("x"))
-	<-sub.C()
+	<-sub.ch
 	b.Close() // broker (not just the transport) goes away
 	select {
-	case _, ok := <-sub.C():
+	case _, ok := <-sub.ch:
 		if ok {
 			t.Fatal("unexpected entry after broker close")
 		}
@@ -369,41 +370,13 @@ func TestSubscriptionTerminalOnBrokerClose(t *testing.T) {
 	}
 }
 
-// TestSubscriptionResumeMax: a capped resume budget turns an endless outage
-// into a terminal error.
-func TestSubscriptionResumeMax(t *testing.T) {
-	b := NewBroker(0)
-	defer b.Close()
-	s, err := Serve(b, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub, err := Subscribe(s.Addr(), "m", 0, append(fastOpts(), func(o *Options) { o.ResumeMax = 2 })...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Close()
-	s.Close() // permanent outage
-	select {
-	case _, ok := <-sub.C():
-		if ok {
-			t.Fatal("unexpected entry")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("subscription did not give up after ResumeMax")
-	}
-	if sub.Err() == nil {
-		t.Fatal("want terminal error after exhausting resume budget")
-	}
-}
-
 // TestServerSideChaosWrapper: faults injected on the server's accepted conns
 // are equally survivable by the resilient client.
 func TestServerSideChaosWrapper(t *testing.T) {
 	b := NewBroker(0)
 	defer b.Close()
 	chaos := NewChaos(ChaosConfig{Seed: 11, ResetProb: 0.05})
-	s, err := Serve(b, "127.0.0.1:0", WithConnWrapper(chaos.Wrap))
+	s, err := Serve(b, "127.0.0.1:0", func(s *Server) { s.wrap = chaos.Wrap })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,10 +422,11 @@ func TestIOTimeoutOnUnresponsiveServer(t *testing.T) {
 			}(conn)
 		}
 	}()
-	c, err := Dial(ln.Addr().String(), func(o *Options) {
-		o.DialTimeout, o.IOTimeout = time.Second, 150*time.Millisecond
-		o.RetryMax = 2
-		o.BackoffMin, o.BackoffMax = time.Millisecond, 5*time.Millisecond
+	c, err := Dial(ln.Addr().String(), func(o *options) {
+		o.timing = timing{
+			dialTimeout: time.Second, ioTimeout: 150 * time.Millisecond, attempts: 2,
+			backoffMin: time.Millisecond, backoffMax: 5 * time.Millisecond, redirects: 4,
+		}
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -4,12 +4,10 @@ import (
 	"bufio"
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"math/rand"
 	"net"
 	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -20,212 +18,120 @@ import (
 // ErrClientClosed is returned by operations on a Close()d client.
 var ErrClientClosed = errors.New("stream: client closed")
 
-// Dialer abstracts connection establishment so fault injection (Chaos) and
-// alternative transports can be plugged into Client and Subscribe.
-type Dialer interface {
-	Dial(network, addr string, timeout time.Duration) (net.Conn, error)
+// timing is the transport schedule of a Client and its subscriptions. Every
+// client runs defaultTiming; the package's tests swap the whole value through
+// an Option literal to make faults test-sized.
+type timing struct {
+	// dialTimeout bounds connection establishment.
+	dialTimeout time.Duration
+	// ioTimeout bounds each frame write and each non-blocking frame read.
+	// Blocking reads (ConsumeBatch, subscription streams) have no read
+	// deadline: they legitimately wait for data. A context deadline tightens
+	// either bound.
+	ioTimeout time.Duration
+	// attempts is the budget for idempotent operations across transient
+	// transport errors.
+	attempts int
+	// backoffMin and backoffMax bound the jittered exponential backoff
+	// between reconnect attempts.
+	backoffMin, backoffMax time.Duration
+	// redirects bounds how many not-leader redirects one call follows; past
+	// it the redirect is handled as a retryable fault.
+	redirects int
 }
 
-// netDialer is the default Dialer: net.Dialer with a timeout.
-type netDialer struct{}
-
-func (netDialer) Dial(network, addr string, timeout time.Duration) (net.Conn, error) {
-	return (&net.Dialer{Timeout: timeout}).Dial(network, addr)
+var defaultTiming = timing{
+	dialTimeout: 5 * time.Second,
+	ioTimeout:   10 * time.Second,
+	attempts:    4,
+	backoffMin:  50 * time.Millisecond,
+	backoffMax:  2 * time.Second,
+	redirects:   4,
 }
 
-// Options tune the fault-tolerance behaviour of Client and Subscription.
-type Options struct {
-	// DialTimeout bounds connection establishment (default 5s).
-	DialTimeout time.Duration
-	// IOTimeout bounds each frame write and each non-blocking frame read
-	// (default 10s). Blocking reads (ConsumeBatch, Subscription streams)
-	// have no read deadline: they legitimately wait for data. A context
-	// deadline tightens either bound.
-	IOTimeout time.Duration
-	// RetryMax is the attempt budget for idempotent operations across
-	// transient transport errors (default 4; minimum 1).
-	RetryMax int
-	// BackoffMin/BackoffMax bound the jittered exponential backoff between
-	// reconnect attempts (defaults 50ms / 2s).
-	BackoffMin time.Duration
-	BackoffMax time.Duration
-	// ResumeMax caps Subscription auto-resume attempts per outage
-	// (0 = retry until Close).
-	ResumeMax int
-	// CoalesceMaxBatch caps how many PublishAsync tuples one group-commit
-	// flush carries (default 64).
-	CoalesceMaxBatch int
-	// CoalesceMaxDelay bounds how long the first queued PublishAsync tuple
-	// waits before its batch is flushed (default 2ms).
-	CoalesceMaxDelay time.Duration
-	// Dialer establishes connections (default: net.Dialer).
-	Dialer Dialer
-	// Clock drives backoff waits, I/O deadlines, and the coalescer timer
-	// (default: the wall clock). Inject a *sim.Virtual to run reconnect and
-	// group-commit behavior on deterministic virtual time; note that socket
-	// deadlines are then anchored to virtual Now, so virtual clocks pair
-	// with in-process transports or virtual-time-aware harnesses.
-	Clock sim.Clock
-	// Rand, if non-nil, is the seeded source for backoff jitter (default:
-	// the global math/rand source). With a fixed seed the retry/resume
-	// schedule is bit-reproducible; the client serializes access, so one
-	// source may be shared by the client and its subscriptions.
-	Rand *rand.Rand
-	// Obs, if non-nil, receives the client/subscription instruments
+// backoff returns the jittered exponential delay for a retry attempt
+// (0-based): uniformly drawn from [d/2, d] where d = backoffMin<<attempt,
+// capped at backoffMax.
+func (t timing) backoff(attempt int) time.Duration {
+	d := t.backoffMin
+	for i := 0; i < attempt && d < t.backoffMax; i++ {
+		d *= 2
+	}
+	if d > t.backoffMax {
+		d = t.backoffMax
+	}
+	half := d / 2
+	return half + time.Duration(rand.Int63n(int64(half)+1))
+}
+
+// options configure a Client and the subscriptions it opens.
+type options struct {
+	timing
+	// coalesceBatch caps how many PublishAsync tuples one group-commit flush
+	// carries; coalesceDelay bounds how long the first queued tuple waits
+	// before its batch is flushed.
+	coalesceBatch int
+	coalesceDelay time.Duration
+	// reg, if non-nil, receives the client/subscription instruments
 	// (reconnects, retries, frame bytes, resumes, dedups, coalesce latency).
-	Obs *obs.Registry
-	// Seeds are fabric contact addresses. Setting any (WithSeeds) puts the
+	reg *obs.Registry
+	// seeds are fabric contact addresses. Setting any (WithSeeds) puts the
 	// client in fabric mode: not-leader redirects are followed to the
 	// embedded leader address, transient faults rotate the client across the
 	// seed list, and publishes ARE retried across failover — delivery
 	// becomes at-least-once (a batch whose ack was lost may be re-appended
 	// under new IDs) while acks stay at-most-once.
-	Seeds []string
-	// MaxRedirects bounds how many not-leader redirects one call follows
-	// (default 4); past it the redirect is handled as a retryable fault.
-	MaxRedirects int
-
-	// rng wraps Rand with a mutex; built by defaults().
-	rng *lockedRand
-}
-
-func (o *Options) defaults() {
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 5 * time.Second
-	}
-	if o.IOTimeout <= 0 {
-		o.IOTimeout = 10 * time.Second
-	}
-	if o.RetryMax < 1 {
-		o.RetryMax = 4
-	}
-	if o.BackoffMin <= 0 {
-		o.BackoffMin = 50 * time.Millisecond
-	}
-	if o.BackoffMax <= 0 {
-		o.BackoffMax = 2 * time.Second
-	}
-	if o.CoalesceMaxBatch < 1 {
-		o.CoalesceMaxBatch = 64
-	}
-	if o.CoalesceMaxDelay <= 0 {
-		o.CoalesceMaxDelay = 2 * time.Millisecond
-	}
-	if o.Dialer == nil {
-		o.Dialer = netDialer{}
-	}
-	if o.MaxRedirects <= 0 {
-		o.MaxRedirects = 4
-	}
-	o.Clock = sim.Or(o.Clock)
-	if o.Rand != nil && o.rng == nil {
-		o.rng = &lockedRand{r: o.Rand}
-	}
+	seeds []string
+	// dialer establishes connections and clock drives backoff waits, I/O
+	// deadlines and the coalescer timer. Only the package's tests replace
+	// them: with a fault-injecting dialer, and with a counting or virtual
+	// clock (socket deadlines are then anchored to its Now).
+	dialer func(network, addr string, timeout time.Duration) (net.Conn, error)
+	clock  sim.Clock
 }
 
 // fabric reports whether the client targets a replicated fabric (seeds set).
-func (o *Options) fabric() bool { return len(o.Seeds) > 0 }
+func (o *options) fabric() bool { return len(o.seeds) > 0 }
 
-// backoff draws the jittered delay for a retry attempt from the injected
-// seeded source, or the global one.
-func (o *Options) backoff(attempt int) time.Duration {
-	if o.rng != nil {
-		return BackoffRand(o.rng, attempt, o.BackoffMin, o.BackoffMax)
-	}
-	return Backoff(attempt, o.BackoffMin, o.BackoffMax)
-}
-
-// lockedRand serializes a rand.Rand shared by a client and its
-// subscriptions' resume loops.
-type lockedRand struct {
-	mu sync.Mutex
-	r  *rand.Rand
-}
-
-// Int63n implements Rand63.
-func (l *lockedRand) Int63n(n int64) int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.r.Int63n(n)
-}
-
-// Option customizes a Client or Subscription.
-type Option func(*Options)
+// Option customizes a Client and its subscriptions.
+type Option func(*options)
 
 // WithCoalesce tunes the PublishAsync group-commit coalescer: a batch is
 // flushed when it reaches maxBatch tuples or when the oldest queued tuple
-// has waited maxDelay, whichever comes first.
+// has waited maxDelay, whichever comes first (defaults 64 and 2ms; a
+// non-positive value keeps its default).
 func WithCoalesce(maxBatch int, maxDelay time.Duration) Option {
-	return func(o *Options) { o.CoalesceMaxBatch, o.CoalesceMaxDelay = maxBatch, maxDelay }
+	return func(o *options) {
+		if maxBatch > 0 {
+			o.coalesceBatch = maxBatch
+		}
+		if maxDelay > 0 {
+			o.coalesceDelay = maxDelay
+		}
+	}
 }
 
-// WithDialer plugs in a custom Dialer (e.g. a Chaos fault injector).
-func WithDialer(d Dialer) Option { return func(o *Options) { o.Dialer = d } }
-
-// WithClock injects the clock driving backoff waits, I/O deadlines, and the
-// coalescer timer (see Options.Clock).
-func WithClock(c sim.Clock) Option { return func(o *Options) { o.Clock = c } }
-
-// WithRand injects a seeded jitter source so the retry/resume backoff
-// schedule is bit-reproducible under a fixed seed (see Options.Rand).
-func WithRand(r *rand.Rand) Option { return func(o *Options) { o.Rand = r } }
-
-// WithObs registers the client's (or subscription's) instruments on r.
-func WithObs(r *obs.Registry) Option { return func(o *Options) { o.Obs = r } }
+// WithObs registers the client's (and its subscriptions') instruments on r.
+func WithObs(r *obs.Registry) Option { return func(o *options) { o.reg = r } }
 
 // WithSeeds enables fabric mode with the given contact addresses (see
-// Options.Seeds); the dialed address is added to the list if absent.
+// options.seeds); the dialed address is added to the list if absent.
 func WithSeeds(addrs ...string) Option {
-	return func(o *Options) { o.Seeds = append(o.Seeds, addrs...) }
+	return func(o *options) { o.seeds = append(o.seeds, addrs...) }
 }
 
-func buildOptions(opts []Option) Options {
-	var o Options
+func buildOptions(opts []Option) options {
+	o := options{
+		timing:        defaultTiming,
+		coalesceBatch: 64,
+		coalesceDelay: 2 * time.Millisecond,
+		dialer:        net.DialTimeout,
+		clock:         sim.Wall{},
+	}
 	for _, fn := range opts {
 		fn(&o)
 	}
-	o.defaults()
 	return o
-}
-
-// Rand63 is the jitter-source surface Backoff needs; *rand.Rand and the
-// client's internal locked wrapper both satisfy it.
-type Rand63 interface {
-	Int63n(n int64) int64
-}
-
-// globalRand adapts the package-level math/rand source to Rand63.
-type globalRand struct{}
-
-func (globalRand) Int63n(n int64) int64 { return rand.Int63n(n) }
-
-// Backoff returns the jittered exponential delay for a retry attempt
-// (0-based): uniformly drawn from [d/2, d] where d = min<<attempt, capped at
-// max. Exported so other layers (archiver, vertices) share the policy. The
-// jitter comes from the global math/rand source; use BackoffRand with a
-// seeded source for reproducible schedules.
-func Backoff(attempt int, min, max time.Duration) time.Duration {
-	return BackoffRand(globalRand{}, attempt, min, max)
-}
-
-// BackoffRand is Backoff drawing its jitter from rng, so a seeded source
-// replays the exact delay sequence.
-func BackoffRand(rng Rand63, attempt int, min, max time.Duration) time.Duration {
-	if min <= 0 {
-		min = 50 * time.Millisecond
-	}
-	if max <= 0 {
-		max = 2 * time.Second
-	}
-	d := min
-	for i := 0; i < attempt && d < max; i++ {
-		d *= 2
-	}
-	if d > max {
-		d = max
-	}
-	half := d / 2
-	return half + time.Duration(rng.Int63n(int64(half)+1))
 }
 
 // transportError marks an error as a connection-level failure: the request
@@ -265,10 +171,10 @@ func IsTransient(err error) bool {
 }
 
 // Client is a TCP client for a stream Server. A Client pipelines its callers'
-// requests over a single connection, which answers them in order; Subscribe
-// opens its own dedicated connection. Client is safe for concurrent use and
-// satisfies the Bus interface, so a vertex can run against a remote broker
-// unchanged.
+// requests over a single connection, which answers them in order; Follow
+// opens a dedicated connection per subscription. Client is safe for
+// concurrent use and satisfies the Bus interface, so a vertex can run against
+// a remote broker unchanged.
 //
 // Every frame is written and (for non-blocking ops) read under a deadline;
 // a context deadline tightens it and a context cancellation interrupts even
@@ -281,7 +187,7 @@ func IsTransient(err error) bool {
 // re-publish (see score's store-and-forward BufferedPublisher).
 type Client struct {
 	addr string
-	opt  Options
+	opt  options
 
 	mu        sync.Mutex
 	turn      sync.Cond          // on mu: a wire's recvd advanced, or the wire failed
@@ -289,7 +195,7 @@ type Client struct {
 	retired   map[*wire]struct{} // connections redirected away from, answers still due
 	connected bool               // a connection was established before (the next is a reconnect)
 	closed    bool
-	seedIdx   int // index into opt.Seeds of the current address (fabric mode)
+	seedIdx   int // index into opt.seeds of the current address (fabric mode)
 
 	// Group-commit coalescer state (lazily started by PublishAsync).
 	coMu     sync.Mutex
@@ -297,8 +203,8 @@ type Client struct {
 	coDone   chan struct{}
 	coExited chan struct{}
 
-	// Obs instruments, registered at Dial when Options.Obs is set
-	// (nil-safe no-ops otherwise).
+	// Obs instruments, registered at Dial when WithObs is set (nil-safe
+	// no-ops otherwise).
 	obsReconnects *obs.Counter
 	obsRetries    *obs.Counter
 	obsRedirects  *obs.Counter
@@ -315,20 +221,8 @@ type Client struct {
 func NewClient(addr string, opts ...Option) *Client {
 	c := &Client{addr: addr, opt: buildOptions(opts)}
 	c.turn.L = &c.mu
-	if c.opt.fabric() {
-		c.seedIdx = -1
-		for i, s := range c.opt.Seeds {
-			if s == addr {
-				c.seedIdx = i
-				break
-			}
-		}
-		if c.seedIdx < 0 {
-			c.opt.Seeds = append([]string{addr}, c.opt.Seeds...)
-			c.seedIdx = 0
-		}
-	}
-	if r := c.opt.Obs; r != nil {
+	c.joinSeeds()
+	if r := c.opt.reg; r != nil {
 		c.obsReconnects = r.Counter("stream_client_reconnects_total")
 		c.obsRetries = r.Counter("stream_client_retries_total")
 		c.obsRedirects = r.Counter("stream_client_redirects_total")
@@ -348,9 +242,9 @@ func Dial(addr string, opts ...Option) (*Client, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	err := c.connectLocked()
-	for i := 1; err != nil && c.opt.fabric() && i < len(c.opt.Seeds); i++ {
-		c.seedIdx = (c.seedIdx + 1) % len(c.opt.Seeds)
-		c.addr = c.opt.Seeds[c.seedIdx]
+	for i := 1; err != nil && c.opt.fabric() && i < len(c.opt.seeds); i++ {
+		c.seedIdx = (c.seedIdx + 1) % len(c.opt.seeds)
+		c.addr = c.opt.seeds[c.seedIdx]
 		err = c.connectLocked()
 	}
 	if err != nil {
@@ -360,7 +254,7 @@ func Dial(addr string, opts ...Option) (*Client, error) {
 }
 
 func (c *Client) connectLocked() error {
-	conn, err := c.opt.Dialer.Dial("tcp", c.addr, c.opt.DialTimeout)
+	conn, err := c.opt.dialer("tcp", c.addr, c.opt.dialTimeout)
 	if err != nil {
 		return err
 	}
@@ -415,53 +309,6 @@ func (c *Client) failLocked(w *wire, err error) {
 	delete(c.retired, w)
 }
 
-// retireLocked takes the current connection out of service without failing
-// the requests in flight on it (they may belong to other callers): they read
-// their answers, and the last one out closes it.
-func (c *Client) retireLocked() {
-	w := c.wire
-	if w == nil {
-		return
-	}
-	c.wire = nil
-	if w.sent == w.recvd {
-		w.conn.Close()
-		return
-	}
-	if c.retired == nil {
-		c.retired = make(map[*wire]struct{})
-	}
-	c.retired[w] = struct{}{}
-}
-
-// redirectTo switches the client to a leader address learned from a
-// not-leader redirect, retiring the current connection so the next
-// round-trip dials the leader.
-func (c *Client) redirectTo(addr string) {
-	c.obsRedirects.Inc()
-	c.mu.Lock()
-	if addr != c.addr {
-		c.addr = addr
-		c.retireLocked()
-	}
-	c.mu.Unlock()
-}
-
-// rotate advances to the next seed address (fabric mode) after a retryable
-// fault: the current address may be the dead leader.
-func (c *Client) rotate() {
-	c.mu.Lock()
-	if len(c.opt.Seeds) > 1 {
-		c.seedIdx = (c.seedIdx + 1) % len(c.opt.Seeds)
-		if c.opt.Seeds[c.seedIdx] == c.addr {
-			c.seedIdx = (c.seedIdx + 1) % len(c.opt.Seeds)
-		}
-		c.addr = c.opt.Seeds[c.seedIdx]
-		c.retireLocked()
-	}
-	c.mu.Unlock()
-}
-
 // Addr returns the address the client currently targets (it changes in
 // fabric mode as redirects and seed rotation reroute the client).
 func (c *Client) Addr() string {
@@ -497,7 +344,7 @@ func (c *Client) Close() error {
 
 // deadlineFor combines a relative timeout with the context deadline,
 // returning the earlier of the two (zero time = no deadline). Deadlines are
-// anchored to the injected clock's Now.
+// anchored to the client clock's Now.
 func deadlineFor(clock sim.Clock, ctx context.Context, d time.Duration) time.Time {
 	var t time.Time
 	if d > 0 {
@@ -521,10 +368,10 @@ func (c *Client) roundTrip(ctx context.Context, op byte, payload []byte, blockin
 
 // send puts one request frame on the wire, dialing first if there is no
 // connection, and returns the ticket its answer is awaited with. One
-// SetDeadline bounds the exchange by IOTimeout (tightened by ctx's deadline);
-// behind other requests in flight it bounds the write only, and await arms
-// the read when the ticket's turn comes — as it does when the caller comes
-// for the answer with less than half of the bound left.
+// SetDeadline bounds the exchange by the I/O timeout (tightened by ctx's
+// deadline); behind other requests in flight it bounds the write only, and
+// await arms the read when the ticket's turn comes — as it does when the
+// caller comes for the answer with less than half of the bound left.
 func (c *Client) send(ctx context.Context, op byte, payload []byte) (ticket, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -541,7 +388,7 @@ func (c *Client) send(ctx context.Context, op byte, payload []byte) (ticket, err
 	}
 	w := c.wire
 	t := ticket{w: w, seq: w.sent}
-	if deadline := deadlineFor(c.opt.Clock, ctx, c.opt.IOTimeout); w.sent == w.recvd {
+	if deadline := deadlineFor(c.opt.clock, ctx, c.opt.ioTimeout); w.sent == w.recvd {
 		w.conn.SetDeadline(deadline)
 		t.readBy = deadline
 	} else {
@@ -567,8 +414,8 @@ func (c *Client) send(ctx context.Context, op byte, payload []byte) (ticket, err
 // read. Any connection-level failure — including a response that fails to
 // decode, which desyncs the stream — gives the connection up, fails the
 // tickets behind this one, and is reported as a transient transportError. A
-// blocking answer is read without the IOTimeout bound. Cancelling ctx forces
-// a past deadline so even a blocking read returns promptly; that costs the
+// blocking answer is read without the I/O timeout. Cancelling ctx forces a
+// past deadline so even a blocking read returns promptly; that costs the
 // connection, and with it whatever else was in flight on it.
 func (c *Client) await(ctx context.Context, t ticket, blocking bool, decode func(*buf)) error {
 	w := t.w
@@ -586,7 +433,7 @@ func (c *Client) await(ctx context.Context, t ticket, blocking bool, decode func
 		// Interrupt the read when the context ends: a past deadline fails it
 		// with a (transient) timeout, and the caller maps it back to
 		// ctx.Err().
-		stop := context.AfterFunc(ctx, func() { w.conn.SetDeadline(c.opt.Clock.Now().Add(-time.Second)) })
+		stop := context.AfterFunc(ctx, func() { w.conn.SetDeadline(c.opt.clock.Now().Add(-time.Second)) })
 		defer func() {
 			if !stop() {
 				// The interrupt fired and may land after this call: the
@@ -598,13 +445,13 @@ func (c *Client) await(ctx context.Context, t ticket, blocking bool, decode func
 		}()
 	}
 	if blocking {
-		w.conn.SetReadDeadline(deadlineFor(c.opt.Clock, ctx, 0))
-	} else if c.opt.Clock.Now().Add(c.opt.IOTimeout / 2).After(t.readBy) {
+		w.conn.SetReadDeadline(deadlineFor(c.opt.clock, ctx, 0))
+	} else if c.opt.clock.Now().Add(c.opt.ioTimeout / 2).After(t.readBy) {
 		// No read deadline from send, or the caller spent most of it
 		// elsewhere (a leader waiting for another follower first): an answer
 		// that arrived long ago must not fail on a deadline that ran out
 		// while nobody was reading.
-		w.conn.SetReadDeadline(deadlineFor(c.opt.Clock, ctx, c.opt.IOTimeout))
+		w.conn.SetReadDeadline(deadlineFor(c.opt.clock, ctx, c.opt.ioTimeout))
 	}
 	status, resp, err := readFrame(w.r)
 	if err == nil && status != statusErr && decode != nil {
@@ -657,7 +504,7 @@ func (c *Client) call(ctx context.Context, op byte, payload []byte, idempotent, 
 		last = err
 		if fabric {
 			var nl *NotLeaderError
-			if errors.As(err, &nl) && nl.LeaderAddr != "" && redirects < c.opt.MaxRedirects {
+			if errors.As(err, &nl) && nl.LeaderAddr != "" && redirects < c.opt.redirects {
 				redirects++
 				c.redirectTo(nl.LeaderAddr)
 				continue
@@ -669,7 +516,7 @@ func (c *Client) call(ctx context.Context, op byte, payload []byte, idempotent, 
 			return err
 		}
 		attempt++
-		if attempt >= c.opt.RetryMax {
+		if attempt >= c.opt.attempts {
 			return last
 		}
 		c.obsRetries.Inc()
@@ -679,7 +526,7 @@ func (c *Client) call(ctx context.Context, op byte, payload []byte, idempotent, 
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
-		case <-c.opt.Clock.After(c.opt.backoff(attempt - 1)):
+		case <-c.opt.clock.After(c.opt.backoff(attempt - 1)):
 		}
 	}
 }
@@ -702,7 +549,7 @@ func (c *Client) Publish(ctx context.Context, topic string, payload []byte) (uin
 // Against a single broker it is not retried after the request may have been
 // sent (that would duplicate the entries), but a failed connection is dropped
 // so the next call re-dials. In fabric mode (WithSeeds) publishes ARE retried
-// across failover — see Options.Seeds for the delivery contract. An empty
+// across failover — see options.seeds for the delivery contract. An empty
 // batch is a local no-op.
 func (c *Client) PublishBatch(ctx context.Context, topic string, payloads [][]byte) (uint64, error) {
 	if len(payloads) == 0 {
@@ -782,450 +629,4 @@ func (c *Client) Topics(ctx context.Context) ([]string, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// Follow implements Bus: it opens a dedicated auto-resuming streaming
-// connection delivering entries of topic with ID > afterID. The Subscription
-// is the cursor — its reader goroutine fills the channel, Next empties it from
-// the caller's — and the end of ctx closes it.
-func (c *Client) Follow(ctx context.Context, topic string, afterID uint64) (Cursor, error) {
-	sub, err := subscribeOpt(c.Addr(), topic, afterID, c.opt)
-	if err != nil {
-		return nil, err
-	}
-	context.AfterFunc(ctx, func() {
-		sub.setErr(ctx.Err())
-		sub.Close()
-	})
-	return sub, nil
-}
-
-// Subscribe is Follow handing back the Subscription's channel, which the end
-// of ctx closes: a convenience for callers that select on it, kept off the
-// Bus interface the way Publish is.
-func (c *Client) Subscribe(ctx context.Context, topic string, afterID uint64) (<-chan Entry, error) {
-	cur, err := c.Follow(ctx, topic, afterID)
-	if err != nil {
-		return nil, err
-	}
-	return cur.(*Subscription).ch, nil
-}
-
-// PublishResult resolves one PublishAsync call: the assigned entry ID, or
-// the error that failed its batch.
-type PublishResult struct {
-	ID  uint64
-	Err error
-}
-
-// pendingPub is one queued tuple awaiting a group-commit flush.
-type pendingPub struct {
-	topic   string
-	payload []byte
-	queued  time.Time
-	done    chan PublishResult
-}
-
-// PublishAsync queues payload for a group-commit flush and returns a
-// 1-buffered channel that resolves with the assigned ID (or error) once its
-// batch lands. Tuples are coalesced into PublishBatch frames of up to
-// Options.CoalesceMaxBatch entries, flushed at the latest after
-// Options.CoalesceMaxDelay — amortizing the per-frame round-trip across the
-// batch while bounding added latency. The payload is copied, so the caller
-// may reuse its buffer. Queue-order is flush-order, so one topic's tuples
-// keep their relative order.
-func (c *Client) PublishAsync(ctx context.Context, topic string, payload []byte) <-chan PublishResult {
-	done := make(chan PublishResult, 1)
-	if len(payload) == 0 {
-		done <- PublishResult{Err: ErrEmptyPayload}
-		return done
-	}
-	p := pendingPub{topic: topic, payload: append([]byte(nil), payload...), queued: c.opt.Clock.Now(), done: done}
-
-	c.coMu.Lock()
-	c.mu.Lock()
-	closed := c.closed
-	c.mu.Unlock()
-	if closed {
-		c.coMu.Unlock()
-		done <- PublishResult{Err: ErrClientClosed}
-		return done
-	}
-	if c.coCh == nil {
-		c.coCh = make(chan pendingPub, 4*c.opt.CoalesceMaxBatch)
-		c.coDone = make(chan struct{})
-		c.coExited = make(chan struct{})
-		go c.coalesceLoop(c.coCh, c.coDone, c.coExited)
-	}
-	ch, stop := c.coCh, c.coDone
-	c.coMu.Unlock()
-	if stop == nil { // Close already ran
-		done <- PublishResult{Err: ErrClientClosed}
-		return done
-	}
-
-	select {
-	case ch <- p:
-	case <-stop:
-		done <- PublishResult{Err: ErrClientClosed}
-	case <-ctx.Done():
-		done <- PublishResult{Err: ctx.Err()}
-	}
-	return done
-}
-
-// coalesceLoop is the bounded flush loop behind PublishAsync: it accumulates
-// tuples and flushes when the batch is full or the oldest tuple has waited
-// CoalesceMaxDelay.
-func (c *Client) coalesceLoop(in <-chan pendingPub, stop <-chan struct{}, exited chan<- struct{}) {
-	defer close(exited)
-	var pending []pendingPub
-	timer := c.opt.Clock.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	armed := false
-	flush := func() {
-		if armed {
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
-				}
-			}
-			armed = false
-		}
-		c.flushPending(pending)
-		pending = pending[:0]
-	}
-	for {
-		select {
-		case p := <-in:
-			pending = append(pending, p)
-			if len(pending) == 1 {
-				timer.Reset(c.opt.CoalesceMaxDelay)
-				armed = true
-			}
-			if len(pending) >= c.opt.CoalesceMaxBatch {
-				flush()
-			}
-		case <-timer.C:
-			armed = false
-			c.flushPending(pending)
-			pending = pending[:0]
-		case <-stop:
-			// Resolve everything still queued: the connection is gone.
-			for {
-				select {
-				case p := <-in:
-					pending = append(pending, p)
-					continue
-				default:
-				}
-				break
-			}
-			for _, p := range pending {
-				p.done <- PublishResult{Err: ErrClientClosed}
-			}
-			return
-		}
-	}
-}
-
-// flushPending group-commits queued tuples: consecutive same-topic runs
-// become one PublishBatch each, and every tuple resolves with its assigned
-// ID (first + offset, IDs being contiguous per batch) or the batch error.
-func (c *Client) flushPending(pending []pendingPub) {
-	for start := 0; start < len(pending); {
-		end := start + 1
-		for end < len(pending) && pending[end].topic == pending[start].topic {
-			end++
-		}
-		run := pending[start:end]
-		payloads := make([][]byte, len(run))
-		for i, p := range run {
-			payloads[i] = p.payload
-		}
-		first, err := c.PublishBatch(context.Background(), run[0].topic, payloads)
-		now := c.opt.Clock.Now()
-		for i, p := range run {
-			if err != nil {
-				p.done <- PublishResult{Err: err}
-			} else {
-				p.done <- PublishResult{ID: first + uint64(i)}
-			}
-			c.obsCoalesce.ObserveDuration(now.Sub(p.queued))
-		}
-		c.obsBatchSize.Observe(float64(len(run)))
-		start = end
-	}
-}
-
-// Subscription is a dedicated streaming connection delivering every entry of
-// one topic after a starting ID. The server streams entries in batched
-// frames (one frame per wake-up, not per entry), which the subscription
-// unpacks in order.
-//
-// A Subscription survives connection loss: on a transient transport error it
-// re-dials with capped backoff and re-subscribes from the last delivered
-// entry ID, deduplicating anything the server replays, so consumers observe
-// an unbroken, strictly-increasing ID stream. It ends only on Close, on an
-// application-level error from the broker (e.g. ErrClosed), or when
-// Options.ResumeMax attempts are exhausted during one outage.
-type Subscription struct {
-	addr  string
-	topic string
-	opt   Options
-
-	ch     chan Entry
-	batch  []Entry       // what Next hands out
-	closed chan struct{} // closed by Close; aborts delivery and resume waits
-	done   chan struct{} // closed when the run loop exits
-	once   sync.Once
-
-	mu   sync.Mutex
-	conn net.Conn
-	err  error
-
-	last atomic.Uint64 // last delivered entry ID
-
-	obsResumes *obs.Counter
-	obsDedups  *obs.Counter
-}
-
-// Subscribe opens a dedicated connection that streams entries of topic with
-// ID > afterID into the returned Subscription's channel.
-func Subscribe(addr, topic string, afterID uint64, opts ...Option) (*Subscription, error) {
-	return subscribeOpt(addr, topic, afterID, buildOptions(opts))
-}
-
-func subscribeOpt(addr, topic string, afterID uint64, opt Options) (*Subscription, error) {
-	conn, err := subscribeConn(opt, addr, topic, afterID)
-	if err != nil {
-		return nil, err
-	}
-	s := &Subscription{
-		addr:   addr,
-		topic:  topic,
-		opt:    opt,
-		ch:     make(chan Entry, subscribeSlack),
-		closed: make(chan struct{}),
-		done:   make(chan struct{}),
-		conn:   conn,
-	}
-	s.last.Store(afterID)
-	if r := opt.Obs; r != nil {
-		s.obsResumes = r.Counter("stream_sub_resumes_total")
-		s.obsDedups = r.Counter("stream_sub_dedup_total")
-	}
-	go s.run()
-	return s, nil
-}
-
-// subscribeConn dials and sends the subscribe request; stream reads carry no
-// deadline (the topic may be idle indefinitely).
-func subscribeConn(opt Options, addr, topic string, afterID uint64) (net.Conn, error) {
-	conn, err := opt.Dialer.Dial("tcp", addr, opt.DialTimeout)
-	if err != nil {
-		return nil, &transportError{err}
-	}
-	if opt.IOTimeout > 0 {
-		conn.SetWriteDeadline(opt.Clock.Now().Add(opt.IOTimeout))
-	}
-	w := bufio.NewWriter(conn)
-	req := (&enc{}).str(topic).u64(afterID)
-	err = writeFrame(w, opSubscribe, req.b)
-	if err == nil {
-		err = w.Flush()
-	}
-	if err != nil {
-		conn.Close()
-		return nil, &transportError{err}
-	}
-	conn.SetWriteDeadline(time.Time{})
-	return conn, nil
-}
-
-func (s *Subscription) run() {
-	defer close(s.done)
-	defer close(s.ch)
-	conn := s.currentConn()
-	for {
-		err := s.readStream(conn)
-		if conn != nil {
-			conn.Close()
-		}
-		if err == nil || s.isClosed() {
-			return
-		}
-		if !IsTransient(err) {
-			s.setErr(err)
-			return
-		}
-		conn = s.resume()
-		if conn == nil {
-			return
-		}
-	}
-}
-
-// resume re-dials and re-subscribes from the last delivered ID, backing off
-// between attempts. It returns nil when the subscription should end. The
-// freshly-dialed connection is adopted under the subscription lock so a
-// concurrent Close either closes it itself or is observed here — a conn can
-// never be left dangling.
-func (s *Subscription) resume() net.Conn {
-	for attempt := 0; ; attempt++ {
-		if s.opt.ResumeMax > 0 && attempt >= s.opt.ResumeMax {
-			s.setErr(fmt.Errorf("stream: subscription resume: %d attempts exhausted", attempt))
-			return nil
-		}
-		select {
-		case <-s.closed:
-			return nil
-		case <-s.opt.Clock.After(s.opt.backoff(attempt)):
-		}
-		conn, err := subscribeConn(s.opt, s.addr, s.topic, s.last.Load())
-		if err != nil {
-			if !IsTransient(err) {
-				s.setErr(err)
-				return nil
-			}
-			continue
-		}
-		if !s.adoptConn(conn) { // Close won the race
-			conn.Close()
-			return nil
-		}
-		s.obsResumes.Inc()
-		return conn
-	}
-}
-
-// readStream delivers entries from one connection until it fails or the
-// subscription closes (nil return). Each frame carries a batch of entries;
-// entries at or below the last delivered ID — replays after a resume — are
-// dropped.
-func (s *Subscription) readStream(conn net.Conn) error {
-	if conn == nil {
-		return nil // Close raced subscription start
-	}
-	r := bufio.NewReader(conn)
-	for {
-		status, payload, err := readFrame(r)
-		if err != nil {
-			return &transportError{err}
-		}
-		if status == statusErr {
-			return remoteError(payload)
-		}
-		d := &buf{b: payload}
-		entries := decodeEntries(d)
-		if d.err != nil {
-			return &transportError{d.err}
-		}
-		for _, e := range entries {
-			if e.ID <= s.last.Load() {
-				s.obsDedups.Inc()
-				continue
-			}
-			select {
-			case s.ch <- e:
-				s.last.Store(e.ID)
-			case <-s.closed:
-				return nil
-			}
-		}
-	}
-}
-
-func (s *Subscription) currentConn() net.Conn {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.conn
-}
-
-// adoptConn installs a resumed connection unless the subscription was closed
-// in the meantime; the check and the install are atomic with respect to
-// Close's grab-and-close.
-func (s *Subscription) adoptConn(c net.Conn) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.isClosed() {
-		return false
-	}
-	s.conn = c
-	return true
-}
-
-func (s *Subscription) isClosed() bool {
-	select {
-	case <-s.closed:
-		return true
-	default:
-		return false
-	}
-}
-
-func (s *Subscription) setErr(err error) {
-	s.mu.Lock()
-	if s.err == nil {
-		s.err = err
-	}
-	s.mu.Unlock()
-}
-
-// C returns the delivery channel; it closes when the subscription ends.
-func (s *Subscription) C() <-chan Entry { return s.ch }
-
-// Next implements Cursor, for a consumer that reads runs instead of C: one
-// blocking receive, then whatever else already sits in the channel. Once the
-// subscription has ended it returns what ended it.
-func (s *Subscription) Next() ([]Entry, error) {
-	e, ok := <-s.ch
-	if !ok {
-		if err := s.Err(); err != nil {
-			return nil, err
-		}
-		return nil, ErrClosed
-	}
-	s.batch = append(s.batch[:0], e)
-	for n := min(len(s.ch), subscribeSlack-1); n > 0; n-- {
-		if e, ok = <-s.ch; !ok { // closed, and Close took what was buffered
-			break
-		}
-		s.batch = append(s.batch, e)
-	}
-	return s.batch, nil
-}
-
-// Err returns the terminal error, if any, after C closes. It is nil when the
-// subscription was ended by Close, and the context's error when the end of a
-// Client.Follow or Client.Subscribe context ended it.
-func (s *Subscription) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if errors.Is(s.err, net.ErrClosed) {
-		return nil // closed by us
-	}
-	return s.err
-}
-
-// Close terminates the subscription. It returns once the reader goroutine
-// has exited, even if the consumer abandoned the channel without draining.
-// The current connection is grabbed and nil'd under the lock so a racing
-// resume cannot install one that nobody closes.
-func (s *Subscription) Close() error {
-	s.once.Do(func() { close(s.closed) })
-	s.mu.Lock()
-	c := s.conn
-	s.conn = nil
-	s.mu.Unlock()
-	if c != nil {
-		c.Close()
-	}
-	<-s.done
-	for range s.ch { // drain anything buffered before close(s.ch)
-	}
-	return nil
 }

@@ -8,15 +8,81 @@ import (
 	"repro/internal/cluster"
 )
 
-// Fabric surface of Client: the Peer replication probes, topology and
-// replication-status discovery, and the lease ops proxied to the fabric's
-// coordination node. With these, *Client satisfies Peer, so a FabricNode
-// replicates to remote nodes over the same wire protocol its local tests
-// exercise in-process.
+// Fabric surface of Client: the seed list and redirect routing of fabric mode
+// (WithSeeds), the Peer replication probes, topology and replication-status
+// discovery, and the lease ops proxied to the fabric's coordination node. With
+// these, *Client satisfies Peer, so a FabricNode replicates to remote nodes
+// over the same wire protocol its local tests exercise in-process.
+
+// joinSeeds puts the dialed address on the seed list in fabric mode and
+// points seedIdx at it.
+func (c *Client) joinSeeds() {
+	if !c.opt.fabric() {
+		return
+	}
+	c.seedIdx = -1
+	for i, s := range c.opt.seeds {
+		if s == c.addr {
+			c.seedIdx = i
+			break
+		}
+	}
+	if c.seedIdx < 0 {
+		c.opt.seeds = append([]string{c.addr}, c.opt.seeds...)
+		c.seedIdx = 0
+	}
+}
+
+// retireLocked takes the current connection out of service without failing
+// the requests in flight on it (they may belong to other callers): they read
+// their answers, and the last one out closes it.
+func (c *Client) retireLocked() {
+	w := c.wire
+	if w == nil {
+		return
+	}
+	c.wire = nil
+	if w.sent == w.recvd {
+		w.conn.Close()
+		return
+	}
+	if c.retired == nil {
+		c.retired = make(map[*wire]struct{})
+	}
+	c.retired[w] = struct{}{}
+}
+
+// redirectTo switches the client to a leader address learned from a
+// not-leader redirect, retiring the current connection so the next
+// round-trip dials the leader.
+func (c *Client) redirectTo(addr string) {
+	c.obsRedirects.Inc()
+	c.mu.Lock()
+	if addr != c.addr {
+		c.addr = addr
+		c.retireLocked()
+	}
+	c.mu.Unlock()
+}
+
+// rotate advances to the next seed address (fabric mode) after a retryable
+// fault: the current address may be the dead leader.
+func (c *Client) rotate() {
+	c.mu.Lock()
+	if len(c.opt.seeds) > 1 {
+		c.seedIdx = (c.seedIdx + 1) % len(c.opt.seeds)
+		if c.opt.seeds[c.seedIdx] == c.addr {
+			c.seedIdx = (c.seedIdx + 1) % len(c.opt.seeds)
+		}
+		c.addr = c.opt.seeds[c.seedIdx]
+		c.retireLocked()
+	}
+	c.mu.Unlock()
+}
 
 // Replicate puts a leader's append stream for the remote replica on the wire
 // under an epoch; the returned wait reads the answer, the replica's
-// resulting tail ID. The exchange runs on the client's own IOTimeout, on no
+// resulting tail ID. The exchange runs on the client's own I/O timeout, on no
 // caller's context, and is not retried: a follower that missed an append
 // reports the gap on the next one and is backfilled then.
 func (c *Client) Replicate(topic string, epoch uint64, entries []Entry) (wait func() (uint64, error)) {

@@ -115,13 +115,13 @@ func TestClientCallStartsNoGoroutine(t *testing.T) {
 
 // deliveryGoroutines counts the goroutines that exist to carry a
 // subscription's entries to the subscriber's own goroutine, by their stack
-// frames: a Subscription's connection reader, and anything started by a
+// frames: a subscription's connection reader, and anything started by a
 // Follow or a Subscribe.
 func deliveryGoroutines() int {
 	buf := make([]byte, 1<<20)
 	n := 0
 	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
-		if strings.Contains(g, "stream.(*Subscription).") ||
+		if strings.Contains(g, "stream.(*subscription).") ||
 			strings.Contains(g, ").Follow.") || strings.Contains(g, ").Subscribe.") {
 			n++
 		}

@@ -650,9 +650,9 @@ func TestFabricBlackHoledFollowerCostsOneIOTimeout(t *testing.T) {
 		flag := flag
 		brokers[id] = NewBroker(0)
 		defer brokers[id].Close()
-		srv, err := Serve(brokers[id], "127.0.0.1:0", WithConnWrapper(func(c net.Conn) net.Conn {
-			return muteConn{Conn: c, mute: flag}
-		}))
+		srv, err := Serve(brokers[id], "127.0.0.1:0", func(s *Server) {
+			s.wrap = func(c net.Conn) net.Conn { return muteConn{Conn: c, mute: flag} }
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -669,7 +669,7 @@ func TestFabricBlackHoledFollowerCostsOneIOTimeout(t *testing.T) {
 		ID: "n1", Broker: brokers["n1"], Ring: ring,
 		Leases: cluster.NewLeaseTable(clock, time.Minute), ReplicationFactor: 3, Clock: clock,
 		PeerDial: func(id, addr string) (Peer, error) {
-			c, err := Dial(addr, func(o *Options) { o.IOTimeout = ioTimeout })
+			c, err := Dial(addr, func(o *options) { o.ioTimeout = ioTimeout })
 			if err == nil {
 				peers = append(peers, c)
 			}

@@ -14,7 +14,7 @@ import (
 )
 
 // countingClock wraps a clock and counts After calls — every backoff wait
-// in the client goes through Clock.After, so the count is exactly the
+// in the client goes through the clock's After, so the count is exactly the
 // number of backoff timers armed.
 type countingClock struct {
 	sim.Clock
@@ -104,9 +104,11 @@ func TestRedirectDoesNotConsumeBackoff(t *testing.T) {
 	reg := obs.NewRegistry()
 	c, err := Dial(srvAddr,
 		WithSeeds(dead),
-		WithClock(clock),
 		WithObs(reg),
-		func(o *Options) { o.RetryMax, o.BackoffMin, o.BackoffMax = 2, time.Millisecond, 2*time.Millisecond },
+		func(o *options) {
+			o.clock = clock
+			o.attempts, o.backoffMin, o.backoffMax = 2, time.Millisecond, 2*time.Millisecond
+		},
 	)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
@@ -117,7 +119,7 @@ func TestRedirectDoesNotConsumeBackoff(t *testing.T) {
 	if err == nil {
 		t.Fatal("publish against a dead leader should fail")
 	}
-	// Per cycle: redirect (free) -> dial failure (one backoff). RetryMax=2
+	// Per cycle: redirect (free) -> dial failure (one backoff). attempts=2
 	// allows exactly one backoff between the two attempts. The pre-fix
 	// behavior charged the redirect its own backoff too, doubling the count.
 	if got := clock.afters.Load(); got != 1 {
@@ -145,7 +147,7 @@ func TestRedirectFollowsLeaderWithoutRetry(t *testing.T) {
 
 	clock := &countingClock{Clock: sim.Wall{}}
 	reg := obs.NewRegistry()
-	c, err := Dial(srvAddr, WithSeeds(leader.Addr()), WithClock(clock), WithObs(reg))
+	c, err := Dial(srvAddr, WithSeeds(leader.Addr()), WithObs(reg), func(o *options) { o.clock = clock })
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
@@ -163,7 +165,7 @@ func TestRedirectFollowsLeaderWithoutRetry(t *testing.T) {
 }
 
 // TestRedirectBudgetBounded: a redirect loop (two servers pointing at each
-// other) terminates once MaxRedirects is exhausted instead of ping-ponging
+// other) terminates once the redirect budget is exhausted instead of ping-ponging
 // forever.
 func TestRedirectBudgetBounded(t *testing.T) {
 	addrA, addrB := redirectLoop(t)
@@ -171,8 +173,8 @@ func TestRedirectBudgetBounded(t *testing.T) {
 	c, err := Dial(addrA,
 		WithSeeds(addrB),
 		WithObs(reg),
-		func(o *Options) { o.MaxRedirects, o.RetryMax = 3, 1 },
-		func(o *Options) { o.BackoffMin, o.BackoffMax = time.Millisecond, 2*time.Millisecond },
+		func(o *options) { o.redirects, o.attempts = 3, 1 },
+		func(o *options) { o.backoffMin, o.backoffMax = time.Millisecond, 2*time.Millisecond },
 	)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
@@ -192,7 +194,7 @@ func TestRedirectBudgetBounded(t *testing.T) {
 // redirects rewrite it.
 func TestSubscribeDuringRedirects(t *testing.T) {
 	addrA, addrB := redirectLoop(t)
-	c, err := Dial(addrA, WithSeeds(addrB), func(o *Options) { o.MaxRedirects, o.RetryMax = 3, 1 })
+	c, err := Dial(addrA, WithSeeds(addrB), func(o *options) { o.redirects, o.attempts = 3, 1 })
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}

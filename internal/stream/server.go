@@ -20,7 +20,9 @@ type Server struct {
 	broker *Broker
 	fabric atomic.Pointer[FabricNode]
 	ln     net.Listener
-	wrap   func(net.Conn) net.Conn
+	// wrap, if set, decorates every accepted connection: the package's tests
+	// set it to inject server-side faults.
+	wrap func(net.Conn) net.Conn
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -34,12 +36,6 @@ type Server struct {
 
 // ServerOption customizes a Server.
 type ServerOption func(*Server)
-
-// WithConnWrapper decorates every accepted connection — e.g. with
-// Chaos.Wrap to inject server-side faults in tests and soak runs.
-func WithConnWrapper(wrap func(net.Conn) net.Conn) ServerOption {
-	return func(s *Server) { s.wrap = wrap }
-}
 
 // SetFabric attaches (or swaps) the fabric node: publishes then go through
 // it (leader-lease check + quorum replication instead of a bare local append)

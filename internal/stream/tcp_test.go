@@ -39,6 +39,23 @@ func dialT(t testing.TB, s *Server, opts ...Option) *Client {
 	return c
 }
 
+// followT dials addr and follows topic past afterID, handing back the
+// subscription behind the cursor so a test can read its channel, Close it and
+// check Err.
+func followT(t testing.TB, addr, topic string, afterID uint64, opts ...Option) (*subscription, error) {
+	t.Helper()
+	c, err := Dial(addr, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	cur, err := c.Follow(context.Background(), topic, afterID)
+	if err != nil {
+		return nil, err
+	}
+	return cur.(*subscription), nil
+}
+
 func TestTCPPublishLatest(t *testing.T) {
 	_, s := startServer(t)
 	c := dialT(t, s)
@@ -155,7 +172,7 @@ func TestTCPPipelinedAnswersWholeAndInOrder(t *testing.T) {
 
 func TestTCPSubscriptionStream(t *testing.T) {
 	b, s := startServer(t)
-	sub, err := Subscribe(s.Addr(), "m", 0)
+	sub, err := followT(t, s.Addr(), "m", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +185,7 @@ func TestTCPSubscriptionStream(t *testing.T) {
 	}()
 	for i := 1; i <= n; i++ {
 		select {
-		case e, ok := <-sub.C():
+		case e, ok := <-sub.ch:
 			if !ok {
 				t.Fatalf("stream closed early at %d: %v", i, sub.Err())
 			}
@@ -192,12 +209,12 @@ func TestTCPSubscriptionFromOffset(t *testing.T) {
 	for i := 1; i <= 5; i++ {
 		b.Publish(context.Background(), "m", []byte{byte(i)})
 	}
-	sub, err := Subscribe(s.Addr(), "m", 3)
+	sub, err := followT(t, s.Addr(), "m", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sub.Close()
-	e := <-sub.C()
+	e := <-sub.ch
 	if e.ID != 4 {
 		t.Fatalf("first id=%d want 4", e.ID)
 	}

@@ -32,22 +32,14 @@ var notProduct = map[string]bool{
 
 // reachAllowed are exported product names and methods that no entry point
 // reaches and that stay anyway, each with the reason. Every entry is reached by
-// tests only, and is a fault-injection or determinism seam tests substitute
-// through, or the one named exception at the end. An entry that an
-// entry point reaches after all is stale, and the guard reports it. It is the
-// backlog ROADMAP item 8's reach-guard bullet reads, not a place to park new
-// code.
+// tests only, and is a seam tests substitute through, or the one named
+// exception at the end. An entry that an entry point reaches after all is
+// stale, and the guard reports it. It is the backlog ROADMAP item 8's
+// reach-guard bullet reads, not a place to park new code. A seam a package's
+// own tests need is an unexported field they set, as stream's fault-injecting
+// dialer, clock and timing are, not an entry here.
 var reachAllowed = map[string]string{
-	// Seams: fault injection and determinism for tests in stream, score, aqe,
-	// gateway and sim/scenario.
-	"internal/stream.NewChaos":         "seeded fault-injecting dialer/conn wrapper the chaos and batch tests drive",
-	"internal/stream.Chaos":            "NewChaos's type",
-	"internal/stream.ChaosConfig":      "NewChaos's configuration",
-	"internal/stream.ChaosStats":       "what Chaos.Stats returns: tests skip when no fault was injected",
-	"internal/stream.WithConnWrapper":  "server-side hook Chaos.Wrap plugs into",
-	"internal/stream.WithDialer":       "client-side hook Chaos.Dialer plugs into",
-	"internal/stream.WithRand":         "seeded backoff jitter, so a retry schedule replays",
-	"internal/stream.WithClock":        "virtual time for the redirect tests",
+	// Seams tests in aqe and gateway substitute through.
 	"internal/aqe.WithParallelism":     "plan tests pin the union fan-out width",
 	"internal/gateway.Gateway.Handler": "the mux without a listener: gateway tests mount it on httptest.Server",
 

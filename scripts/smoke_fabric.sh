@@ -88,6 +88,15 @@ if [ "$topics" -lt 1 ]; then
     fail "no topics visible through follower $A2"
 fi
 
+# A remote subscription must deliver: tail the first topic through a
+# follower and require two tuples within the bound.
+first=$("$tmp/apolloctl" -addr "$A2" topics | head -n 1)
+echo "==> watch $first via $A2"
+printed=$(timeout 10 "$tmp/apolloctl" -addr "$A2" watch "$first" | head -n 2 | wc -l)
+if [ "$printed" -ne 2 ]; then
+    fail "watch $first via $A2 printed $printed tuples in 10s, want 2"
+fi
+
 echo "==> topology via $A0"
 "$tmp/apolloctl" -addr "$A0" topology
 echo "==> replication via $A0"

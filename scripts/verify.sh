@@ -26,7 +26,9 @@ go vet ./...
 # in seconds rather than at the end of the run. It drives core, score,
 # archive, aqe, delphi and gateway, and its traced replay calls the storage
 # layers directly: queue.NewHistory, History.Append/Bounds/RangeFunc,
-# stream.NewBroker and Broker.Publish/PublishBatch/ConsumeBatch.
+# stream.NewBroker and Broker.Publish/PublishBatch/ConsumeBatch. Its stream
+# client surface is stream.Dial with WithSeeds, WithObs and WithCoalesce, and
+# Client.Publish, PublishAsync, Subscribe and Ping.
 echo "==> go vet -C bench ./..."
 go vet -C bench ./...
 
