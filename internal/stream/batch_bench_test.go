@@ -225,22 +225,32 @@ func BenchmarkConsumeBatch(b *testing.B) {
 }
 
 // BenchmarkBrokerFootprint reports what the broker's storage costs in live
-// heap: B/empty-topic for a topic nobody has published to, and B/entry for
-// a topic filled to DefaultRetention with 28-byte payloads (28 of those
-// bytes are the payload itself).
+// heap: B/empty-topic for a topic nobody has published to, and per entry of
+// a topic filled to DefaultRetention with 28-byte payloads: B/entry for zero
+// bytes, B/entry-tuple for telemetry-encoded tuples, B/entry-random for
+// incompressible bytes (28 B of each entry is the payload as published).
 func BenchmarkBrokerFootprint(b *testing.B) {
 	const topics = 1000
-	var empty, full uint64
+	fills := []struct {
+		unit string
+		next func(seed int64) func() []byte
+	}{{"B/entry", zeroTuples}, {"B/entry-tuple", tuples}, {"B/entry-random", randomTuples}}
+	sums := make([]uint64, 1+len(fills)) // the empty topics, then each fill
 	for i := 0; i < b.N; i++ {
 		br := NewBroker(0)
 		base := liveHeap()
 		emptyTopics(br, topics)
-		mid := liveHeap()
-		fillTopic(b, br, "full", DefaultRetention)
-		empty += mid - base
-		full += liveHeap() - mid
+		sums[0] += liveHeap() - base
+		for f, fill := range fills {
+			next := fill.next(int64(i))
+			base = liveHeap()
+			fillTopic(b, br, fill.unit, DefaultRetention, next)
+			sums[1+f] += liveHeap() - base
+		}
 		br.Close()
 	}
-	b.ReportMetric(float64(empty)/float64(b.N)/topics, "B/empty-topic")
-	b.ReportMetric(float64(full)/float64(b.N)/DefaultRetention, "B/entry")
+	b.ReportMetric(float64(sums[0])/float64(b.N)/topics, "B/empty-topic")
+	for f, fill := range fills {
+		b.ReportMetric(float64(sums[1+f])/float64(b.N)/DefaultRetention, fill.unit)
+	}
 }

@@ -6,8 +6,10 @@ package stream
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -54,31 +56,56 @@ const (
 	maxChunk = 16 << 10
 )
 
-// chunk holds the payloads of a contiguous ID run laid back to back. Neither
+// chunk holds the payloads of a contiguous ID run, raw or packed. Neither
 // data nor starts contains a pointer, so the GC never scans a topic's
-// contents. data is allocated once at a fixed capacity and only ever
-// extended: bytes below len(data) are never rewritten, because readers hold
-// views of them after t.mu is released. Offsets are 16-bit: an entry starts
-// below maxChunk, unless it is an oversized payload, which starts its own
-// chunk at 0.
+// contents.
+//
+// A raw chunk lays the payloads back to back in data, starts[i] the offset
+// of entry first+i. Its data is allocated once at a fixed capacity and only
+// ever extended: bytes below len(data) are never rewritten, because readers
+// hold views of them after t.mu is released. Offsets are 16-bit: an entry
+// starts below maxChunk (below twice that in a tail a cut unpacked), unless
+// it is an oversized payload, which starts its own chunk at 0.
+//
+// A packed chunk (starts nil, n entries) holds them in the form pack writes,
+// in a new array of exactly that size that is never written either. Only a
+// chunk older than the two newest is packed, and only if packing shrinks it:
+// the tail, which appends extend, and the chunk before it, which a reader up
+// to subscribeSlack entries behind reaches, stay raw. A packed chunk is read
+// by decoding it into memory the reader owns (see unpacked), so the raw
+// array it replaced stays valid for every view already handed out.
 type chunk struct {
 	first  uint64   // ID of the first entry
-	data   []byte   // payloads of first, first+1, ... in order
-	starts []uint16 // starts[i] is the offset in data of entry first+i
+	data   []byte   // payloads of first, first+1, ... in order, raw or packed
+	starts []uint16 // starts[i] is the offset in data of entry first+i; nil once packed
+	n      int      // entries of a packed chunk
 }
 
-// read appends zero-copy views of the entries id, id+1, ... to out: n of
-// them, or as many as the chunk holds from id on. An entry ends where the
-// next starts, the last at len(data). Each view is capacity-capped so an
-// append on it cannot reach the next entry's bytes.
+// len is how many entries the chunk holds.
+func (c *chunk) len() int {
+	if c.starts == nil {
+		return c.n
+	}
+	return len(c.starts)
+}
+
+// payload returns entry first+i of a raw chunk, capacity-capped so an append
+// on it cannot reach the next entry's bytes. An entry ends where the next
+// starts, the last at len(data).
+func (c *chunk) payload(i int) []byte {
+	end := len(c.data)
+	if i+1 < len(c.starts) {
+		end = int(c.starts[i+1])
+	}
+	return c.data[c.starts[i]:end:end]
+}
+
+// read appends zero-copy views of the entries id, id+1, ... of a raw chunk to
+// out: n of them, or as many as the chunk holds from id on.
 func (c *chunk) read(out []Entry, id uint64, n int) []Entry {
 	i := int(id - c.first)
 	for j := min(i+n, len(c.starts)); i < j; i++ {
-		end := len(c.data)
-		if i+1 < len(c.starts) {
-			end = int(c.starts[i+1])
-		}
-		out = append(out, Entry{ID: id, Payload: c.data[c.starts[i]:end:end]})
+		out = append(out, Entry{ID: id, Payload: c.payload(i)})
 		id++
 	}
 	return out
@@ -87,10 +114,149 @@ func (c *chunk) read(out []Entry, id uint64, n int) []Entry {
 // bytes is the memory the chunk holds: its data capacity and its offsets.
 func (c *chunk) bytes() int { return cap(c.data) + 2*cap(c.starts) }
 
-// entry returns a view of the entry id, which the chunk holds.
-func (c *chunk) entry(id uint64) Entry {
-	var one [1]Entry
-	return c.read(one[:0], id, 1)[0]
+// differ compares the first min(8, len(p)) bytes of p and prev. It returns
+// their XOR, byte j in bits 8j..8j+7, and its bitmap: bit j set when byte j
+// differs. Each byte is folded onto its low bit, and a multiply whose partial
+// products never overlap gathers the eight bits into the top byte.
+func differ(p, prev []byte) (x uint64, m byte) {
+	if len(p) >= 8 {
+		x = binary.LittleEndian.Uint64(p) ^ binary.LittleEndian.Uint64(prev)
+	} else {
+		for j := range p {
+			x |= uint64(p[j]^prev[j]) << (8 * j)
+		}
+	}
+	f := x | x>>4
+	f |= f >> 2
+	f |= f >> 1
+	return x, byte((f & 0x0101010101010101) * 0x0102040810204080 >> 56)
+}
+
+// packScratch holds the buffers pack encodes into, a few times maxChunk at
+// most, before it copies the result out.
+var packScratch = sync.Pool{New: func() any { return new([]byte) }}
+
+// pack returns the packed form of a raw chunk's entries in an array of
+// exactly its size, or nil when that would not be smaller than data, and for
+// a chunk already packed.
+func (c *chunk) pack() []byte {
+	if len(c.starts) < 2 {
+		return nil // packed, or one entry, which never shrinks
+	}
+	buf := packScratch.Get().(*[]byte)
+	defer packScratch.Put(buf)
+	*buf = c.encode((*buf)[:0])
+	if len(*buf) >= len(c.data) {
+		return nil
+	}
+	return append(make([]byte, 0, len(*buf)), *buf...)
+}
+
+// encode appends the packed form of a raw chunk's entries to out. Each entry
+// is a uvarint of its length<<1 | form, then either its bytes (form 0) or,
+// when it has its predecessor's length and that makes it smaller, its XOR
+// against the predecessor (form 1): a bitmap of the bytes that differ, then
+// those bytes XORed with the predecessor's.
+func (c *chunk) encode(out []byte) []byte {
+	var prev []byte
+	for i := range c.starts {
+		p, at := c.payload(i), len(out)
+		if len(p) == len(prev) {
+			out = binary.AppendUvarint(slices.Grow(out, binary.MaxVarintLen64+len(p)+(len(p)+7)/8), uint64(len(p))<<1|1)
+			bitmap, w := len(out), len(out)+(len(p)+7)/8
+			x := out[:cap(out)]
+			for k := 0; k < len(p); k += 8 {
+				d, m := differ(p[k:], prev[k:])
+				x[bitmap+k/8] = m
+				for ; m != 0; m &= m - 1 {
+					x[w] = byte(d >> (8 * bits.TrailingZeros8(m)))
+					w++
+				}
+			}
+			if out = x[:w]; w-bitmap >= len(p) {
+				out = out[:at] // no smaller than the bytes themselves
+			}
+		}
+		if len(out) == at {
+			out = binary.AppendUvarint(out, uint64(len(p))<<1)
+			out = append(out, p...)
+		}
+		prev = p
+	}
+	return out
+}
+
+// unpack decodes entries i..j-1 of a packed chunk into the raw chunk dst,
+// reusing its arrays. Decoding walks from the chunk's first entry; each entry
+// below i is decoded over the one before it, so only those asked for are kept.
+func (c *chunk) unpack(dst chunk, i, j int) chunk {
+	dst.first, dst.data, dst.starts = c.first+uint64(i), dst.data[:0], dst.starts[:0]
+	prev, p := 0, c.data // prev: offset of the entry before in dst.data
+	for k := 0; k < j; k++ {
+		h, w := binary.Uvarint(p)
+		n, at := int(h>>1), len(dst.data)
+		if k <= i {
+			at = 0
+		}
+		p = p[w:]
+		if h&1 == 0 {
+			dst.data = append(dst.data[:at], p[:n]...)
+			p = p[n:]
+		} else {
+			dst.data = append(dst.data[:at], dst.data[prev:prev+n]...)
+			bitmap := p[:(n+7)/8]
+			p = p[len(bitmap):]
+			for g, m := range bitmap {
+				for ; m != 0; m &= m - 1 {
+					dst.data[at+8*g+bits.TrailingZeros8(m)] ^= p[0]
+					p = p[1:]
+				}
+			}
+		}
+		if prev = at; k >= i {
+			dst.starts = append(dst.starts, uint16(at))
+		}
+	}
+	return dst
+}
+
+// unpacked is a reader's decoded copies of the packed chunks it reads. A nil
+// *unpacked decodes, for each read, just the entries read, into arrays the
+// caller keeps. A cursor's decodes each chunk whole, once, into a slot it
+// reuses while its runs keep reading that chunk; slots[:used] serve the run
+// being read. A slot keeps its packed array alive and is matched by it, so a
+// chunk truncated away and refilled never matches a stale copy.
+type unpacked struct {
+	slots []unpackedSlot
+	used  int
+}
+
+type unpackedSlot struct {
+	src []byte // the packed array raw was decoded from
+	raw chunk
+}
+
+// of returns a raw chunk holding the entries id.. of the packed chunk c, n of
+// them or as many as c holds from id on.
+func (u *unpacked) of(c *chunk, id uint64, n int) *chunk {
+	if u == nil {
+		i := int(id - c.first)
+		raw := c.unpack(chunk{}, i, min(i+n, c.n))
+		return &raw
+	}
+	s := u.used
+	for s < len(u.slots) && &u.slots[s].src[0] != &c.data[0] {
+		s++
+	}
+	if s == len(u.slots) {
+		if s = u.used; s == len(u.slots) {
+			u.slots = append(u.slots, unpackedSlot{})
+		}
+		u.slots[s].src, u.slots[s].raw = c.data, c.unpack(u.slots[s].raw, 0, c.n)
+	}
+	u.slots[u.used], u.slots[s] = u.slots[s], u.slots[u.used]
+	u.used++
+	return &u.slots[u.used-1].raw
 }
 
 // topic is a single append-only stream: a log of chunks holding the entries
@@ -130,8 +296,9 @@ func newTopic(name string, retention int) *topic {
 }
 
 // appendLocked copies one non-empty payload onto the tail chunk, opening a
-// new chunk when it does not fit. The caller holds t.mu and, once the whole
-// batch is in place and t.mu released, wakes the readers if any are parked.
+// new chunk when it does not fit and then packing the third-newest. The
+// caller holds t.mu and, once the whole batch is in place and t.mu released,
+// wakes the readers if any are parked.
 func (t *topic) appendLocked(p []byte, b *Broker) {
 	n := len(t.chunks)
 	held := 0 // what the tail chunk held before this append
@@ -149,7 +316,9 @@ func (t *topic) appendLocked(p []byte, b *Broker) {
 			// Sized for payloads like this one; append grows it otherwise.
 			starts: make([]uint16, 0, size/max(len(p), 16)),
 		})
-		n++
+		if n++; n >= 3 {
+			t.packLocked(n-3, b)
+		}
 	}
 	c := &t.chunks[n-1]
 	c.starts = append(c.starts, uint16(len(c.data)))
@@ -161,12 +330,22 @@ func (t *topic) appendLocked(p []byte, b *Broker) {
 	if t.nextID-t.firstID > uint64(t.retention) {
 		t.firstID++
 		b.obsEvicted.Inc()
-		if head := &t.chunks[0]; head.first+uint64(len(head.starts)) <= t.firstID {
+		if head := &t.chunks[0]; head.first+uint64(head.len()) <= t.firstID {
 			b.addLogBytes(-head.bytes())
 			copy(t.chunks, t.chunks[1:])
 			t.chunks[n-1] = chunk{}
 			t.chunks = t.chunks[:n-1]
 		}
+	}
+}
+
+// packLocked replaces chunk i, if raw, by its packed form, if that is
+// smaller. The caller holds t.mu.
+func (t *topic) packLocked(i int, b *Broker) {
+	c := &t.chunks[i]
+	if p := c.pack(); p != nil {
+		b.addLogBytes(len(p) - c.bytes())
+		c.data, c.starts, c.n = p, nil, len(c.starts)
 	}
 }
 
@@ -187,12 +366,23 @@ func (t *topic) chunkOf(id uint64) int {
 	return lo
 }
 
-// readLocked fills out, which arrives empty, with views of the n >= 1 retained
-// entries from, from+1, ... The caller holds t.mu and has checked the run lies
-// in firstID..nextID-1.
-func (t *topic) readLocked(out []Entry, from uint64, n int) []Entry {
+// readLocked fills out, which arrives empty, with the n >= 1 retained entries
+// from, from+1, ...: views of raw chunks, and of packed ones decoded through
+// u (see unpacked). The caller holds t.mu and has checked the run lies in
+// firstID..nextID-1.
+func (t *topic) readLocked(out []Entry, from uint64, n int, u *unpacked) []Entry {
+	if u != nil {
+		u.used = 0
+	}
 	for ci := t.chunkOf(from); len(out) < n; ci++ {
-		out = t.chunks[ci].read(out, from+uint64(len(out)), n-len(out))
+		c, id := &t.chunks[ci], from+uint64(len(out))
+		if c.starts == nil {
+			c = u.of(c, id, n-len(out))
+		}
+		out = c.read(out, id, n-len(out))
+	}
+	if u != nil && u.used == 0 {
+		u.slots = nil // caught up: the decoded copies go
 	}
 	return out
 }
@@ -281,8 +471,9 @@ func WithShardCount(n int) BrokerOption {
 // stream_broker_publish_total, stream_broker_publish_bytes_total,
 // stream_broker_evicted_total (entries pushed out of the retention window),
 // the stream_broker_topics gauge, the stream_broker_log_bytes gauge (payload
-// and offset capacity of every chunk the topic logs currently hold; moves
-// only when a chunk is allocated, grows its offsets or is dropped), the
+// and offset capacity of every chunk, raw or packed, the topic logs
+// currently hold; moves only when a chunk is allocated, grows its offsets,
+// is packed, unpacked or sealed by a cut, or is dropped), the
 // stream_broker_consume_lag histogram
 // (how many entries behind the topic head a consumer was when its read was
 // served), and the stream_broker_publish_batch_size histogram. Call before
@@ -533,7 +724,8 @@ func (b *Broker) ReplicateAppend(ctx context.Context, topicName string, epoch ui
 // Whole chunks past the cut are dropped; the chunk the cut falls inside is
 // sealed there (capacity capped to its length), so the next append opens a
 // fresh chunk instead of rewriting bytes a reader may still hold a view of.
-// The caller holds t.mu.
+// A packed chunk left as the tail is first unpacked into new arrays, which
+// no reader has seen. The caller holds t.mu.
 func (t *topic) truncateTailLocked(fromID uint64, b *Broker) {
 	if fromID >= t.nextID {
 		return
@@ -546,6 +738,11 @@ func (t *topic) truncateTailLocked(fromID uint64, b *Broker) {
 	t.chunks = t.chunks[:n]
 	if n > 0 {
 		c := &t.chunks[n-1]
+		if c.starts == nil { // the tail is raw
+			raw := c.unpack(chunk{}, 0, c.n)
+			b.addLogBytes(raw.bytes() - c.bytes())
+			*c = raw
+		}
 		if k := int(fromID - c.first); k < len(c.starts) {
 			end := int(c.starts[k])
 			b.addLogBytes(end - cap(c.data))
@@ -586,12 +783,13 @@ func (b *Broker) Latest(ctx context.Context, topicName string) (Entry, error) {
 	if t.nextID == t.firstID {
 		return Entry{}, fmt.Errorf("%w: %q has no entries", ErrNoSuchTopic, topicName)
 	}
-	return t.chunks[len(t.chunks)-1].entry(t.nextID - 1), nil
+	var one [1]Entry
+	return t.readLocked(one[:0], t.nextID-1, 1, nil)[0], nil
 }
 
 // Range returns up to max entries with from <= ID <= to (max<=0 means all
 // retained). Requesting a from older than the retention window returns
-// ErrEvicted so callers can fall back to the Archiver.
+// ErrEvicted.
 func (b *Broker) Range(ctx context.Context, topicName string, from, to uint64, max int) ([]Entry, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -618,7 +816,7 @@ func (b *Broker) Range(ctx context.Context, topicName string, from, to uint64, m
 	if max > 0 && n > max {
 		n = max
 	}
-	return t.readLocked(make([]Entry, 0, n), from, n), nil
+	return t.readLocked(make([]Entry, 0, n), from, n, nil), nil
 }
 
 // ConsumeBatch blocks until at least one entry with ID > afterID exists, then
@@ -635,14 +833,16 @@ func (b *Broker) ConsumeBatch(ctx context.Context, topicName string, afterID uin
 	return once.next(max, false)
 }
 
-// brokerCursor is the in-process Cursor: the topic it holds, where it is, and
-// the slice it hands out. No goroutine, no channel, nothing allocated by Next.
+// brokerCursor is the in-process Cursor: the topic it holds, where it is, the
+// slice it hands out and, for a Follow cursor, its decoded copies of packed
+// chunks. No goroutine, no channel, nothing allocated by Next once warm.
 type brokerCursor struct {
 	ctx  context.Context
 	b    *Broker
 	t    *topic
 	last uint64
 	run  []Entry
+	dec  *unpacked // nil: each read decodes into arrays of the caller's own
 }
 
 // Follow opens a cursor on the named topic (creating it on first use) just
@@ -653,7 +853,7 @@ func (b *Broker) Follow(ctx context.Context, topicName string, afterID uint64) (
 		return nil, err
 	}
 	t.wakeOn(ctx)
-	return &brokerCursor{ctx: ctx, b: b, t: t, last: afterID}, nil
+	return &brokerCursor{ctx: ctx, b: b, t: t, last: afterID, dec: new(unpacked)}, nil
 }
 
 // Next implements Cursor. An ended cursor is ended even with entries waiting:
@@ -680,7 +880,7 @@ func (c *brokerCursor) next(max int, watched bool) ([]Entry, error) {
 	if max > 0 && n > max {
 		n = max
 	}
-	c.run = t.readLocked(slices.Grow(c.run[:0], n), from, n)
+	c.run = t.readLocked(slices.Grow(c.run[:0], n), from, n, c.dec)
 	c.last = from + uint64(n) - 1
 	lag := t.nextID - 1 - from // entries behind the topic head
 	t.mu.Unlock()

@@ -229,3 +229,52 @@ func TestCursorNextAllocs(t *testing.T) {
 		t.Errorf("a publish, a wake and a Next allocate %v times per round trip, want 0", n)
 	}
 }
+
+// TestCursorRereadsRefilledChunk: a cursor that decoded a packed chunk, which
+// a new leader then cuts inside and refills with other bytes at the same IDs,
+// reads the new bytes once the refilled chunk is packed again — its decoded
+// copy is matched to the packed array it came from, not to the IDs it holds.
+func TestCursorRereadsRefilledChunk(t *testing.T) {
+	b := NewBroker(1 << 20)
+	defer b.Close()
+	ctx := context.Background()
+	run := func(from, to uint64, v byte) []Entry {
+		var es []Entry
+		for id := from; id <= to; id++ {
+			p := make([]byte, 28)
+			p[27] = v
+			es = append(es, Entry{ID: id, Payload: p})
+		}
+		return es
+	}
+	// 28-byte entries fill chunks of 18, 36, 73, 146, ... entries, so IDs
+	// 55..127 are the third chunk, packed once three more follow it.
+	if _, err := b.ReplicateAppend(ctx, "t", 1, run(1, 600, 1)); err != nil {
+		t.Fatal(err)
+	}
+	cur, err := b.Follow(ctx, "t", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if es, err := cur.Next(); err != nil || es[len(es)-1].ID != subscribeSlack {
+		t.Fatalf("first run: %v", err)
+	}
+	// The cut at 100 unpacks that chunk and seals it at 99; the refill packs
+	// it again, in a new array.
+	if _, err := b.ReplicateAppend(ctx, "t", 2, run(100, 700, 2)); err != nil {
+		t.Fatal(err)
+	}
+	tp, _ := b.topicFor("t", false)
+	if c := tp.chunks[tp.chunkOf(99)]; c.starts != nil || c.first+uint64(c.len()) != 100 {
+		t.Fatalf("chunk holding 99: first %d, %d entries, packed %v; want it packed and ending at 99", c.first, c.len(), c.starts == nil)
+	}
+	es, err := cur.Next()
+	if err != nil || len(es) != subscribeSlack {
+		t.Fatalf("second run: %d entries, %v", len(es), err)
+	}
+	for _, e := range es {
+		if want := byte(1 + e.ID/100); e.Payload[27] != want {
+			t.Fatalf("entry %d reads as written by leader %d, want %d", e.ID, e.Payload[27], want)
+		}
+	}
+}

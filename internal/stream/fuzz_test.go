@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"testing"
 )
@@ -86,6 +87,95 @@ func FuzzDecodeEntries(f *testing.F) {
 		encodeEntries(re, entries)
 		if !bytes.Equal(re.b, data[:d.pos]) {
 			t.Fatalf("decode/encode not canonical:\n in  %x\n out %x", data[:d.pos], re.b)
+		}
+	})
+}
+
+// FuzzChunkPack publishes a payload sequence the input scripts — fresh bytes
+// from 1 B to past 64 KiB, exact repeats, one-byte edits, one-byte length
+// changes — packs every chunk of the log, the two newest too, and requires
+// each ID to read back the bytes published, one at a time through Range and
+// all together through a cursor, with no chunk grown by packing and the
+// log_bytes count still the chunks' sum. Its seeds, under testdata/fuzz, are a tuple-shaped run, a run whose
+// length keeps changing, and payloads past 64 KiB between small ones.
+func FuzzChunkPack(f *testing.F) {
+	f.Fuzz(func(t *testing.T, script []byte) {
+		b := NewBroker(1 << 20)
+		defer b.Close()
+		ctx := context.Background()
+		var want [][]byte
+		for s, total := script, 0; len(s) >= 2 && len(want) < 256 && total < 1<<20; s = s[2:] {
+			op, arg := s[0], int(s[1])
+			var p []byte
+			switch prev := want[max(len(want)-1, 0):]; {
+			case op%4 == 0 || len(prev) == 0: // fresh bytes: arg+1 of them, or past 64 KiB
+				p = make([]byte, arg+1)
+				if op >= 0xF0 {
+					p = make([]byte, 1<<16+arg<<8)
+				}
+				for i := range p {
+					p[i] = script[(i+arg)%len(script)] ^ byte(i>>8)
+				}
+			case op%4 == 1: // a repeat
+				p = prev[0]
+			case op%4 == 2: // one byte changed
+				p = bytes.Clone(prev[0])
+				p[arg%len(p)] ^= op | 1
+			case op%4 == 3: // one byte longer or shorter
+				p = append(bytes.Clone(prev[0]), op)
+				if arg%2 == 1 && len(prev[0]) > 1 {
+					p = p[:len(p)-2]
+				}
+			}
+			want, total = append(want, p), total+len(p)
+		}
+		if len(want) == 0 {
+			return
+		}
+		if _, err := b.PublishBatch(ctx, "f", want); err != nil {
+			t.Fatal(err)
+		}
+		tp, _ := b.topicFor("f", false)
+		tp.mu.Lock()
+		held := 0
+		for i := range tp.chunks {
+			raw := tp.chunks[i].bytes()
+			tp.packLocked(i, b)
+			if packed := tp.chunks[i].bytes(); packed > raw {
+				t.Fatalf("chunk %d: packed to %d bytes from %d", i, packed, raw)
+			}
+			held += tp.chunks[i].bytes()
+		}
+		tp.mu.Unlock()
+		if got := b.logBytes.Load(); got != int64(held) {
+			t.Fatalf("log_bytes = %d, the chunks hold %d", got, held)
+		}
+
+		if e, err := b.Latest(ctx, "f"); err != nil || !bytes.Equal(e.Payload, want[len(want)-1]) {
+			t.Fatalf("Latest: %d bytes, %v; want the %d bytes published last", len(e.Payload), err, len(want[len(want)-1]))
+		}
+		for i, p := range want {
+			id := uint64(i + 1)
+			es, err := b.Range(ctx, "f", id, id, 1)
+			if err != nil || len(es) != 1 || es[0].ID != id || !bytes.Equal(es[0].Payload, p) {
+				t.Fatalf("Range(%d): %d entries, %v; want the %d bytes published", id, len(es), err, len(p))
+			}
+		}
+		cur, err := b.Follow(ctx, "f", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for next := uint64(1); next <= uint64(len(want)); {
+			run, err := cur.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range run {
+				if e.ID != next || !bytes.Equal(e.Payload, want[next-1]) {
+					t.Fatalf("cursor: entry %d, want %d with the bytes published", e.ID, next)
+				}
+				next++
+			}
 		}
 	})
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/telemetry"
 )
 
 // modelLog is the reference the chunked topic log is checked against: a plain
@@ -92,8 +93,9 @@ func sameEntries(got, want []Entry) error {
 
 // TestTopicLogModel drives one topic through seeded random publishes,
 // replicated appends (duplicates, gaps, stale epochs, conflicting tails, cuts
-// below the retention window and at either edge of a chunk) and every read,
-// with payloads up to and past what a chunk's 16-bit offsets reach, and
+// below the retention window, at either edge of a chunk, inside a packed
+// chunk and just past one) and every read, with payloads up to and past what
+// a chunk's 16-bit offsets reach and runs of tuple-shaped ones that pack, and
 // requires the chunked log to agree with modelLog on IDs, bytes, errors and
 // evictions at every step, and the log_bytes gauge with its chunks.
 func TestTopicLogModel(t *testing.T) {
@@ -114,7 +116,22 @@ func TestTopicLogModel(t *testing.T) {
 			}
 			tp, _ := b.topicFor("t", false)
 
+			// Half the payloads are tuple-shaped: runs of one length sharing a
+			// prefix, each a copy of the last with a few trailing bytes changed
+			// (or none), so that sealed chunks take the XOR form when packed.
+			var tuple []byte
 			payload := func() []byte {
+				if rng.Intn(2) == 0 {
+					if len(tuple) == 0 || rng.Intn(50) == 0 {
+						tuple = make([]byte, 8+rng.Intn(57))
+						rng.Read(tuple)
+					}
+					tuple = bytes.Clone(tuple)
+					for k := rng.Intn(4); k > 0; k-- {
+						tuple[len(tuple)-1-rng.Intn(8)] = byte(rng.Intn(256))
+					}
+					return tuple
+				}
 				n := 1 + rng.Intn(64)
 				switch rng.Intn(200) {
 				case 0:
@@ -192,7 +209,19 @@ func TestTopicLogModel(t *testing.T) {
 					case 7: // a new leader whose log cuts at the first or the last entry of a chunk
 						if len(tp.chunks) > 0 {
 							c := tp.chunks[rng.Intn(len(tp.chunks))]
-							cut := c.first + uint64(rng.Intn(2)*(len(c.starts)-1))
+							cut := c.first + uint64(rng.Intn(2)*(c.len()-1))
+							epoch, es = epoch+1, run(cut, 1+rng.Intn(5))
+						}
+					case 8: // a new leader whose log cuts inside a packed chunk, or just past one
+						var packed []chunk
+						for _, c := range tp.chunks {
+							if c.starts == nil {
+								packed = append(packed, c)
+							}
+						}
+						if len(packed) > 0 {
+							c := packed[rng.Intn(len(packed))]
+							cut := c.first + 1 + uint64(rng.Intn(c.len()))
 							epoch, es = epoch+1, run(cut, 1+rng.Intn(5))
 						}
 					}
@@ -269,11 +298,12 @@ func TestTopicLogModel(t *testing.T) {
 // TestTopicLogViewsImmutable: an Entry handed to a reader never changes,
 // whatever happens to the log afterwards — publishes past retention on one
 // topic, and on another a replica whose tail is cut and re-appended with
-// different bytes at the same IDs. Readers keep every Entry they ever got
-// and re-check all of them at the end; run under -race this also shows no
-// append touches bytes a reader can see.
+// different bytes at the same IDs, while sealed chunks are packed and
+// unpacked. Readers keep every Entry they ever got and re-check all of them
+// at the end; run under -race this also shows no append, pack or cut touches
+// bytes a reader can see.
 func TestTopicLogViewsImmutable(t *testing.T) {
-	b := NewBroker(64)
+	b := NewBroker(1024) // several 16 KiB chunks, so that some are packed
 	defer b.Close()
 	ctx, stop := context.WithCancel(context.Background())
 	defer stop()
@@ -309,7 +339,14 @@ func TestTopicLogViewsImmutable(t *testing.T) {
 		}(r)
 	}
 
-	payload := func(rng *rand.Rand) []byte {
+	// Half the payloads are the writer's last one with a byte changed, which
+	// packs as an XOR.
+	payload := func(rng *rand.Rand, last []byte) []byte {
+		if len(last) > 0 && rng.Intn(2) == 0 {
+			p := bytes.Clone(last)
+			p[rng.Intn(len(p))]++
+			return p
+		}
 		p := make([]byte, 1+rng.Intn(300))
 		rng.Read(p)
 		return p
@@ -318,8 +355,10 @@ func TestTopicLogViewsImmutable(t *testing.T) {
 	go func() {
 		defer writers.Done()
 		rng := rand.New(rand.NewSource(1))
+		var last []byte
 		for i := 0; i < 20000; i++ {
-			if _, err := b.Publish(ctx, "pub", payload(rng)); err != nil {
+			last = payload(rng, last)
+			if _, err := b.Publish(ctx, "pub", last); err != nil {
 				t.Error(err)
 				return
 			}
@@ -328,14 +367,15 @@ func TestTopicLogViewsImmutable(t *testing.T) {
 	go func() {
 		defer writers.Done()
 		rng := rand.New(rand.NewSource(2))
-		tail := uint64(0)
+		tail, last := uint64(0), []byte(nil)
 		for epoch := uint64(1); epoch <= 4000; epoch++ {
 			// Each new leader rewrites up to 8 of the entries the last one
 			// appended, then extends the log.
 			from := tail + 1 - uint64(rng.Int63n(int64(min(tail, 8)+1)))
 			es := make([]Entry, 1+rng.Intn(16))
 			for i := range es {
-				es[i] = Entry{ID: from + uint64(i), Payload: payload(rng)}
+				last = payload(rng, last)
+				es[i] = Entry{ID: from + uint64(i), Payload: last}
 			}
 			var err error
 			if tail, err = b.ReplicateAppend(ctx, "repl", epoch, es); err != nil {
@@ -379,11 +419,41 @@ func emptyTopics(b *Broker, n int) {
 	}
 }
 
-// fillTopic publishes n 28-byte payloads (a telemetry tuple's wire size).
-func fillTopic(tb testing.TB, b *Broker, topic string, n int) {
-	payload := make([]byte, 28)
+// zeroTuples, tuples and randomTuples generate 28-byte payloads, a telemetry
+// tuple's wire size: all zeros; telemetry-encoded facts of one metric every
+// 5 ms, each with its CRC, whose value walks the way the pipeline
+// benchmark's traces do (from 1000-1100, standard normal steps); and
+// incompressible bytes.
+func zeroTuples(int64) func() []byte {
+	p := make([]byte, 28)
+	return func() []byte { return p }
+}
+
+func tuples(seed int64) func() []byte {
+	rng := rand.New(rand.NewSource(seed))
+	in := telemetry.NewFact("cpu0", 1_700_000_000_000_000_000, 1000+100*rng.Float64())
+	in.MarshalBinary() // the first encode builds the CRC table: not the log's memory
+	return func() []byte {
+		in.Timestamp += 5_000_000
+		in.Value += rng.NormFloat64()
+		p, _ := in.MarshalBinary()
+		return p
+	}
+}
+
+func randomTuples(seed int64) func() []byte {
+	rng := rand.New(rand.NewSource(seed))
+	return func() []byte {
+		p := make([]byte, 28)
+		rng.Read(p)
+		return p
+	}
+}
+
+// fillTopic publishes n payloads made by next.
+func fillTopic(tb testing.TB, b *Broker, topic string, n int, next func() []byte) {
 	for i := 0; i < n; i++ {
-		if _, err := b.Publish(context.Background(), topic, payload); err != nil {
+		if _, err := b.Publish(context.Background(), topic, next()); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -391,7 +461,8 @@ func fillTopic(tb testing.TB, b *Broker, topic string, n int) {
 
 // TestTopicLogFootprint keeps the broker's memory proportional to what it
 // holds: an empty topic costs its bookkeeping, not a reserved retention
-// window, and a full one about its bytes.
+// window, and a full one about its bytes — tuple-shaped ones packed to at
+// most 20 B, incompressible ones no worse off than raw.
 func TestTopicLogFootprint(t *testing.T) {
 	b := NewBroker(0)
 	defer b.Close()
@@ -404,14 +475,28 @@ func TestTopicLogFootprint(t *testing.T) {
 
 	const limit = DefaultRetention*32 + 16<<10
 	base = liveHeap()
-	fillTopic(t, b, "full", DefaultRetention)
+	fillTopic(t, b, "full", DefaultRetention, zeroTuples(0))
 	if got := int64(liveHeap() - base); got > limit {
 		t.Errorf("a topic filled to retention holds %d bytes, want < %d", got, limit)
 	}
 	// Nor does it grow once retention starts releasing chunks.
-	fillTopic(t, b, "full", 2*DefaultRetention+100)
+	fillTopic(t, b, "full", 2*DefaultRetention+100, zeroTuples(0))
 	if got := int64(liveHeap() - base); got > limit {
 		t.Errorf("a topic at steady state holds %d bytes, want < %d", got, limit)
+	}
+	for _, fill := range []struct {
+		topic string
+		next  func() []byte
+		limit int64
+	}{
+		{"tuples", tuples(1), DefaultRetention*20 + 16<<10},
+		{"random", randomTuples(1), limit},
+	} {
+		base = liveHeap()
+		fillTopic(t, b, fill.topic, DefaultRetention, fill.next)
+		if got := int64(liveHeap() - base); got > fill.limit {
+			t.Errorf("a topic filled to retention with %s holds %d bytes, want < %d", fill.topic, got, fill.limit)
+		}
 	}
 	runtime.KeepAlive(b)
 }

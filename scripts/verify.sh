@@ -96,6 +96,7 @@ for target in \
     "./internal/telemetry FuzzInfoRoundTrip" \
     "./internal/stream FuzzReadFrame" \
     "./internal/stream FuzzDecodeEntries" \
+    "./internal/stream FuzzChunkPack" \
     "./internal/archive FuzzSegmentReplay" \
     "./internal/archive FuzzBlockDecode" \
     "./internal/aqe FuzzPrepare" \
