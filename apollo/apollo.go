@@ -147,9 +147,12 @@ type (
 	HookFunc = score.HookFunc
 	// ReplayHook replays a captured trace.
 	ReplayHook = score.ReplayHook
-	// Builder derives an Insight from the latest tuple of every input. The
-	// map is the vertex's working state, passed without a copy: it is valid
-	// for the call only and must be neither retained nor modified.
+	// Builder derives an Insight from the latest tuple of every input:
+	// inputs[i] is the latest tuple of the i-th input given to
+	// RegisterInsight, so a Builder that folds in slice order is
+	// deterministic. The slice is the vertex's working state, passed without
+	// a copy: it is valid for the call only and must be neither retained nor
+	// modified.
 	Builder = score.Builder
 )
 

@@ -115,7 +115,12 @@ func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
 	}
-	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
+	// First bound >= v. A scan over the handful of bounds beats a binary
+	// search, and NaN, which no bound is >= of, lands in +Inf.
+	i := 0
+	for i < len(h.bounds) && !(h.bounds[i] >= v) {
+		i++
+	}
 	h.counts[i].Add(1)
 	h.count.Add(1)
 	for {

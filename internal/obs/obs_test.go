@@ -85,11 +85,33 @@ func TestHistogramBucketsAndSnapshot(t *testing.T) {
 	}
 }
 
+// TestHistogramBoundaryLandsInBucket: a value lands in the first bucket whose
+// bound is >= it — a value exactly on a bound counts as <= that bound — and a
+// value no bound admits, NaN included, lands in +Inf.
 func TestHistogramBoundaryLandsInBucket(t *testing.T) {
-	h := NewRegistry().Histogram("h", 1, 2)
-	h.Observe(1) // exactly on a bound: counts as <= 1
-	if got := h.snapshot().Buckets[0].Count; got != 1 {
-		t.Fatalf("observation on bound not in its bucket: %d", got)
+	for _, c := range []struct {
+		v      float64
+		bucket int // index into bounds 1, 2, +Inf
+	}{
+		{1, 0}, {2, 1}, {0.5, 0}, {1.5, 1}, {2.5, 2}, {math.Nextafter(1, 2), 1}, {math.Copysign(0, -1), 0},
+		{math.Inf(-1), 0}, {math.Inf(1), 2}, {math.NaN(), 2},
+	} {
+		h := NewRegistry().Histogram("h", 1, 2)
+		h.Observe(c.v)
+		for i := range h.counts {
+			want := uint64(0)
+			if i == c.bucket {
+				want = 1
+			}
+			if got := h.counts[i].Load(); got != want {
+				t.Fatalf("Observe(%v): bucket %d holds %d, want it in bucket %d", c.v, i, got, c.bucket)
+			}
+		}
+	}
+	h := NewRegistry().Histogram("h", 1, math.Inf(1))
+	h.Observe(math.Inf(1)) // on the explicit +Inf bound
+	if got := h.counts[1].Load(); got != 1 {
+		t.Fatalf("+Inf not in the +Inf bound's bucket: %d", got)
 	}
 }
 
@@ -224,5 +246,15 @@ func TestHTTPHandler(t *testing.T) {
 	}
 	if !strings.Contains(string(body), "hits_total 1") {
 		t.Fatalf("body = %q", body)
+	}
+}
+
+func BenchmarkHistogramObserve(b *testing.B) {
+	h := NewRegistry().Histogram("h_seconds")
+	vs := []float64{3e-6, 4e-5, 2e-4, 5e-3, 0.3, 20}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Observe(vs[i%len(vs)])
 	}
 }

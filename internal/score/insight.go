@@ -18,24 +18,27 @@ import (
 
 // Builder computes an Insight value from the latest tuple of every input
 // stream. It is called whenever any input updates, once all inputs have been
-// seen at least once, one call at a time per vertex. The map is the vertex's
-// own working state, passed without a copy: it is valid for the duration of
-// the call only, and a Builder must neither retain nor modify it.
-type Builder func(inputs map[telemetry.MetricID]telemetry.Info) float64
+// seen at least once, one call at a time per vertex. inputs[i] is the latest
+// tuple of InsightConfig.Inputs[i], so a Builder that folds in slice order
+// gives the same float64 for the same inputs every time. The slice is the
+// vertex's own working state, passed without a copy: it is valid for the
+// duration of the call only, and a Builder must neither retain nor modify it.
+type Builder func(inputs []telemetry.Info) float64
 
 // Aggregations commonly used as Builders.
 
-// Sum adds the latest values of all inputs (e.g. total remaining capacity).
-func Sum(inputs map[telemetry.MetricID]telemetry.Info) float64 {
+// Sum adds the latest values of all inputs, in Inputs order (e.g. total
+// remaining capacity).
+func Sum(inputs []telemetry.Info) float64 {
 	s := 0.0
-	for _, in := range inputs {
-		s += in.Value
+	for i := range inputs {
+		s += inputs[i].Value
 	}
 	return s
 }
 
 // Mean averages the latest values of all inputs.
-func Mean(inputs map[telemetry.MetricID]telemetry.Info) float64 {
+func Mean(inputs []telemetry.Info) float64 {
 	if len(inputs) == 0 {
 		return 0
 	}
@@ -43,26 +46,22 @@ func Mean(inputs map[telemetry.MetricID]telemetry.Info) float64 {
 }
 
 // Min returns the smallest latest value.
-func Min(inputs map[telemetry.MetricID]telemetry.Info) float64 {
-	first := true
+func Min(inputs []telemetry.Info) float64 {
 	m := 0.0
-	for _, in := range inputs {
-		if first || in.Value < m {
-			m = in.Value
-			first = false
+	for i := range inputs {
+		if i == 0 || inputs[i].Value < m {
+			m = inputs[i].Value
 		}
 	}
 	return m
 }
 
 // Max returns the largest latest value.
-func Max(inputs map[telemetry.MetricID]telemetry.Info) float64 {
-	first := true
+func Max(inputs []telemetry.Info) float64 {
 	m := 0.0
-	for _, in := range inputs {
-		if first || in.Value > m {
-			m = in.Value
-			first = false
+	for i := range inputs {
+		if i == 0 || inputs[i].Value > m {
+			m = inputs[i].Value
 		}
 	}
 	return m
@@ -103,7 +102,6 @@ type InsightConfig struct {
 // Builder), and publishes the result onto its own queue.
 type InsightVertex struct {
 	cfg     InsightConfig
-	inputs  map[telemetry.MetricID]struct{} // cfg.Inputs as a set
 	history *queue.History
 	stats   Stats
 	pub     *BufferedPublisher
@@ -115,8 +113,9 @@ type InsightVertex struct {
 	// ConsumeOnce caller) holds it derives the insights of its run of entries
 	// and publishes them. Everything down to mu is touched only under act.
 	act       sync.Mutex
-	latest    map[telemetry.MetricID]telemetry.Info // handed to the Builder in place
-	predicted int                                   // inputs whose latest tuple is Predicted
+	latest    []telemetry.Info // by position in cfg.Inputs; handed to the Builder in place
+	seen      int              // slots of latest filled (an unseen slot's Metric is "")
+	predicted int              // inputs whose latest tuple is Predicted
 	last      float64
 	hasLast   bool
 	// The run's insights, their encodings back to back, and the views of
@@ -143,17 +142,12 @@ func NewInsightVertex(cfg InsightConfig) (*InsightVertex, error) {
 	if cfg.BufferSize <= 0 {
 		cfg.BufferSize = cfg.HistorySize
 	}
-	v := &InsightVertex{
-		cfg:    cfg,
-		inputs: make(map[telemetry.MetricID]struct{}, len(cfg.Inputs)),
-		latest: make(map[telemetry.MetricID]telemetry.Info, len(cfg.Inputs)),
-	}
-	for _, in := range cfg.Inputs {
-		if _, dup := v.inputs[in]; dup {
-			return nil, fmt.Errorf("%w: input %s listed twice", ErrVertexConfig, in)
+	for i, in := range cfg.Inputs {
+		if in == "" || slices.Contains(cfg.Inputs[:i], in) {
+			return nil, fmt.Errorf("%w: input %q empty or listed twice", ErrVertexConfig, in)
 		}
-		v.inputs[in] = struct{}{}
 	}
+	v := &InsightVertex{cfg: cfg, latest: make([]telemetry.Info, len(cfg.Inputs))}
 	v.pub = newPubBuffer(cfg.Bus, string(cfg.Metric), cfg.BufferSize, cfg.FailAfter, &v.stats, cfg.Clock)
 	var onEvict func(telemetry.Info)
 	if cfg.Archive != nil {
@@ -205,11 +199,11 @@ func (v *InsightVertex) Start() error {
 	v.cancel, v.done, v.running = cancel, done, true
 	var left atomic.Int32
 	left.Store(int32(len(curs)))
-	for _, cur := range curs {
+	for pos, cur := range curs {
 		go func() {
 			var ins []telemetry.Info
 			for run, err := cur.Next(); err == nil; run, err = cur.Next() {
-				ins = v.consume(ctx, run, ins)
+				ins = v.consume(ctx, pos, run, ins)
 			}
 			if left.Add(-1) == 0 {
 				close(done)
@@ -235,14 +229,16 @@ func (v *InsightVertex) Stop() {
 	<-done
 }
 
-// consume decodes a run of upstream entries of one input into ins — the
-// caller's scratch, returned for the next run so that a slot decoding the
-// same metric again keeps its string — and, under the actor lock, applies
-// them in order: every entry that leaves all inputs seen rebuilds the
+// consume decodes a run of upstream entries of the input at position pos in
+// cfg.Inputs (-1: unknown) into ins — the caller's scratch, returned for the
+// next run so that a slot decoding the same metric again keeps its string —
+// and, under the actor lock, applies them in order: an entry of that input
+// goes to its slot with no lookup, one of another listed input is found by a
+// scan of cfg.Inputs, and every entry that leaves all inputs seen rebuilds the
 // insight, and the run's insights that pass the only-if-changed filter go
 // out as one batch, then into the history. Anatomy timings use wall time
 // (see FactVertex.pollOnce), stamped once per run.
-func (v *InsightVertex) consume(ctx context.Context, run []stream.Entry, ins []telemetry.Info) []telemetry.Info {
+func (v *InsightVertex) consume(ctx context.Context, pos int, run []stream.Entry, ins []telemetry.Info) []telemetry.Info {
 	t0 := time.Now()
 	ins = slices.Grow(ins[:0], len(run))[:len(run)] // the slots as they were left
 	n := 0
@@ -263,22 +259,27 @@ func (v *InsightVertex) consume(ctx context.Context, run []stream.Entry, ins []t
 	var built, suppressed, predicted uint64
 	for i := range ins {
 		in := &ins[i]
-		old, seen := v.latest[in.Metric]
-		if !seen {
-			if _, ok := v.inputs[in.Metric]; !ok {
+		slot := pos
+		if slot < 0 || in.Metric != v.cfg.Inputs[slot] {
+			if slot = slices.Index(v.cfg.Inputs, in.Metric); slot < 0 {
 				failed++ // a stray tuple on an input topic: not one of ours
 				continue
 			}
 		}
-		v.latest[in.Metric] = *in
+		old := &v.latest[slot]
+		if old.Metric == "" {
+			v.seen++
+		}
 		// An insight derived from any predicted input is itself predicted.
-		if seen && old.Source == telemetry.Predicted {
+		// (An unseen slot is the zero Info, whose Source is Measured.)
+		if old.Source == telemetry.Predicted {
 			v.predicted--
 		}
 		if in.Source == telemetry.Predicted {
 			v.predicted++
 		}
-		if len(v.latest) < len(v.inputs) {
+		*old = *in
+		if v.seen < len(v.latest) {
 			continue
 		}
 
@@ -342,7 +343,7 @@ func (v *InsightVertex) consume(ctx context.Context, run []stream.Entry, ins []t
 // ConsumeOnce is exposed for deterministic tests: it feeds one entry through
 // the insight pipeline synchronously, as a run of one.
 func (v *InsightVertex) ConsumeOnce(e stream.Entry) {
-	v.consume(context.Background(), []stream.Entry{e}, nil)
+	v.consume(context.Background(), -1, []stream.Entry{e}, nil)
 }
 
 // Latest implements Executor.

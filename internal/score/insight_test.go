@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"maps"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -44,7 +43,10 @@ func (r *refInsight) consume(payload []byte) {
 	if len(r.latest) < len(r.inputs) {
 		return
 	}
-	inputs := maps.Clone(r.latest)
+	inputs := make([]telemetry.Info, len(r.inputs))
+	for i, id := range r.inputs {
+		inputs[i] = r.latest[id]
+	}
 	value := r.builder(inputs)
 	r.stats.Polls++
 	src := telemetry.Measured
@@ -77,7 +79,7 @@ type burst struct {
 // values (some stamped in the future), repeats of the input's current value,
 // corrupted encodings, and tuples of a metric the vertex does not consume.
 // Values are small integers, so every Builder is exact whatever the order it
-// visits the map in.
+// folds them in.
 func randomBursts(rng *rand.Rand, inputs []telemetry.MetricID, now int64, n int) []burst {
 	encode := func(in telemetry.Info) []byte {
 		b, err := in.MarshalBinary()
@@ -172,7 +174,7 @@ func TestInsightMatchesReference(t *testing.T) {
 							for j, p := range b.payloads {
 								run[j].Payload = p
 							}
-							v.consume(context.Background(), run, nil)
+							v.consume(context.Background(), slices.Index(inputs, b.topic), run, nil)
 						case "live":
 							if _, err := bus.PublishBatch(context.Background(), string(b.topic), b.payloads); err != nil {
 								t.Fatal(err)
@@ -287,13 +289,90 @@ func TestInsightStrayTupleDropped(t *testing.T) {
 	}
 }
 
+// TestInsightDuplicateInputRejected: a metric listed twice would own two
+// slots, and an empty one could never be told from an unseen slot.
 func TestInsightDuplicateInputRejected(t *testing.T) {
-	_, err := NewInsightVertex(InsightConfig{
-		Metric: "sum", Inputs: []telemetry.MetricID{"a", "b", "a"},
-		Builder: Sum, Bus: stream.NewBroker(0),
+	for _, inputs := range [][]telemetry.MetricID{{"a", "b", "a"}, {"a", ""}} {
+		_, err := NewInsightVertex(InsightConfig{
+			Metric: "sum", Inputs: inputs, Builder: Sum, Bus: stream.NewBroker(0),
+		})
+		if !errors.Is(err, ErrVertexConfig) {
+			t.Fatalf("inputs %q: err=%v, want ErrVertexConfig", inputs, err)
+		}
+	}
+}
+
+// TestInsightRebuildIsBitStable: the same latest inputs rebuild the same
+// float64, so a re-delivered tuple that changes nothing publishes nothing. At
+// the parent Sum folded the inputs in map order, which Go randomizes per
+// iteration: non-integer values rounded differently from one rebuild to the
+// next, and the only-if-changed filter let about half of the rebuilds through.
+func TestInsightRebuildIsBitStable(t *testing.T) {
+	values := []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8}
+	inputs := make([]telemetry.MetricID, len(values))
+	for i := range inputs {
+		inputs[i] = telemetry.MetricID(fmt.Sprintf("in%d", i))
+	}
+	v, err := NewInsightVertex(InsightConfig{
+		Metric: "sum", Inputs: inputs, Builder: Sum,
+		Bus: stream.NewBroker(0), Clock: sim.NewVirtual(time.Unix(0, 0)),
 	})
-	if !errors.Is(err, ErrVertexConfig) {
-		t.Fatalf("duplicate input: err=%v, want ErrVertexConfig", err)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var again []byte
+	for i, in := range inputs {
+		p, err := telemetry.NewFact(in, 1, values[i]).MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		v.ConsumeOnce(stream.Entry{ID: uint64(i + 1), Payload: p})
+		again = p
+	}
+	const repeats = 200
+	for n := 0; n < repeats; n++ {
+		v.ConsumeOnce(stream.Entry{ID: uint64(len(inputs) + 1 + n), Payload: again})
+	}
+	if st := v.Stats(); st.Published != 1 || st.Suppressed != repeats {
+		t.Fatalf("stats=%+v: want the first build published and all %d rebuilds suppressed", st, repeats)
+	}
+}
+
+// TestBuildersFoldInInputOrder: a Builder sees inputs[i] as the latest tuple
+// of Inputs[i], whatever order the tuples arrived in, and Sum folds in that
+// order. 1 + 1e-16 rounds back to 1, so a, b, c sums to 0; every other order
+// gives 1e-16 or 1.1e-16. (1e16, 1, -1e16 would not do: c, b, a sums to 0
+// too, since -1e16 + 1 rounds back to -1e16.)
+func TestBuildersFoldInInputOrder(t *testing.T) {
+	in := []telemetry.Info{
+		telemetry.NewFact("a", 1, 1),
+		telemetry.NewFact("b", 1, 1e-16),
+		telemetry.NewFact("c", 1, -1),
+	}
+	if Sum(in) != 0 || Mean(in) != 0 {
+		t.Fatalf("sum=%v mean=%v, want 0 from folding in Inputs order", Sum(in), Mean(in))
+	}
+	bus := stream.NewBroker(0)
+	var seen []telemetry.MetricID
+	v, err := NewInsightVertex(InsightConfig{
+		Metric: "sum", Inputs: []telemetry.MetricID{"a", "b", "c"}, Bus: bus,
+		Clock: sim.NewVirtual(time.Unix(0, 0)),
+		Builder: func(inputs []telemetry.Info) float64 {
+			seen = seen[:0]
+			for _, in := range inputs {
+				seen = append(seen, in.Metric)
+			}
+			return Sum(inputs)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{2, 0, 1} {
+		v.ConsumeOnce(publish(t, bus, in[i]))
+	}
+	if got, ok := v.Latest(); !ok || got.Value != 0 || !slices.Equal(seen, []telemetry.MetricID{"a", "b", "c"}) {
+		t.Fatalf("latest=%v ok=%v, builder saw %v: want 0 over a, b, c", got, ok, seen)
 	}
 }
 
@@ -329,7 +408,7 @@ func newInsightFeed(tb testing.TB, n int) *insightFeed {
 			}
 			f.entries[i] = append(f.entries[i], stream.Entry{Payload: p})
 		}
-		f.scratch[i] = v.consume(context.Background(), f.entries[i][:8], nil)
+		f.scratch[i] = v.consume(context.Background(), i, f.entries[i][:8], nil)
 	}
 	return f
 }
@@ -339,7 +418,7 @@ func (f *insightFeed) consume(k int) {
 	i := f.next % len(f.entries)
 	off := (f.next / len(f.entries) * k) % (64 - k)
 	f.next++
-	f.scratch[i] = f.v.consume(context.Background(), f.entries[i][off:off+k], f.scratch[i])
+	f.scratch[i] = f.v.consume(context.Background(), i, f.entries[i][off:off+k], f.scratch[i])
 }
 
 // TestInsightConsumeAllocs pins the steady-state consume path: decode over

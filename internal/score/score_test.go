@@ -408,15 +408,15 @@ func TestInsightVertexLive(t *testing.T) {
 }
 
 func TestBuilders(t *testing.T) {
-	in := map[telemetry.MetricID]telemetry.Info{
-		"a": telemetry.NewFact("a", 1, 1),
-		"b": telemetry.NewFact("b", 1, 5),
-		"c": telemetry.NewFact("c", 1, 3),
+	in := []telemetry.Info{
+		telemetry.NewFact("a", 1, 1),
+		telemetry.NewFact("b", 1, 5),
+		telemetry.NewFact("c", 1, 3),
 	}
 	if Sum(in) != 9 || Mean(in) != 3 || Min(in) != 1 || Max(in) != 5 {
 		t.Fatalf("builders wrong: sum=%f mean=%f min=%f max=%f", Sum(in), Mean(in), Min(in), Max(in))
 	}
-	empty := map[telemetry.MetricID]telemetry.Info{}
+	empty := []telemetry.Info{}
 	if Sum(empty) != 0 || Mean(empty) != 0 || Min(empty) != 0 || Max(empty) != 0 {
 		t.Fatal("empty builders nonzero")
 	}

@@ -117,6 +117,10 @@ echo "==> go test -run xxx -bench . -benchtime 1x ./internal/stream/..."
 go test -run xxx -bench . -benchtime 1x ./internal/stream/...
 echo "==> go test -run xxx -bench . -benchtime 1x ./internal/aqe/... ./internal/queue/... ./internal/archive/... ./internal/gateway/..."
 go test -run xxx -bench . -benchtime 1x ./internal/aqe/... ./internal/queue/... ./internal/archive/... ./internal/gateway/...
+# The vertex hot paths (BenchmarkInsightConsume, BenchmarkFactPollPublish) and
+# the histogram every stage observes into (BenchmarkHistogramObserve).
+echo "==> go test -run xxx -bench . -benchtime 1x ./internal/score/ ./internal/obs/"
+go test -run xxx -bench . -benchtime 1x ./internal/score/ ./internal/obs/
 # The delphi suite includes BenchmarkTrain and BenchmarkRetrainCombiner, whose
 # ms and allocs/op README "Retraining" and DESIGN §4k–4l quote; the baseline
 # suite includes BenchmarkFit, the product's fused fit against the generic
