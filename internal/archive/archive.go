@@ -3,10 +3,10 @@
 // in-memory queue. The Query Executor falls back to the persisted log for
 // entries no longer held in memory.
 //
-// The log has one on-disk encoding, Gorilla-compressed blocks (see
-// block.go), and is tiered. The write path encodes each tuple into the open
-// block of the active segment and writes the block as one frame when it
-// fills, on Sync and when the segment is sealed at its size cap. Under a
+// The log has one on-disk encoding, Gorilla-compressed blocks (package
+// telemetry/block), and is tiered. The write path encodes each tuple into
+// the open block of the active segment and writes the block as one frame
+// when it fills, on Sync and when the segment is sealed at its size cap. Under a
 // Retention policy the background compactor (see compact.go) downsamples
 // sealed segments into 10-second and 1-minute rollup tiers before they age
 // out. Range streams all tiers, oldest tier first, behind one API, so callers
@@ -30,6 +30,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/telemetry"
+	"repro/internal/telemetry/block"
 )
 
 // DefaultSegmentBytes is the size threshold after which a new segment file is
@@ -92,7 +93,7 @@ type Log struct {
 	// open is the active segment's open block: the tuples appended since its
 	// last frame was written, held encoded. A crash loses it; Sync and Close
 	// write it.
-	open openBlock
+	open block.Writer
 	// rd is the shared read handle of the active segment, nil until a Range
 	// first reaches into the segment — see segReader for who closes it.
 	rd *segReader
@@ -310,12 +311,12 @@ func (l *Log) Append(info telemetry.Info) error {
 			return err
 		}
 	}
-	l.open.add(info)
+	l.open.Add(info)
 	l.active.note(info.Timestamp)
 	l.curBytes += n
 	l.appended++
 	l.obsAppends.Inc()
-	if l.open.n == blockMaxRecords {
+	if l.open.Len() == block.MaxRecords {
 		return l.writeBlockLocked()
 	}
 	return nil
@@ -326,14 +327,14 @@ func (l *Log) Append(info telemetry.Info) error {
 // write loses the block (its frame may lie torn at the file's tail), closes
 // the file and wedges the log.
 func (l *Log) writeBlockLocked() error {
-	if l.open.n == 0 {
+	if l.open.Len() == 0 {
 		return nil
 	}
 	sc := getScanBuf()
 	defer sc.release()
-	sc.data = l.open.frame(sc.data[:0], TierRaw)
-	first := l.open.firstTS
-	l.open.reset()
+	sc.data = l.open.AppendFrame(sc.data[:0], TierRaw)
+	first := l.open.FirstTimestamp()
+	l.open.Reset()
 	if _, err := l.cur.Write(sc.data); err != nil {
 		l.cur.Close()
 		l.wedged = fmt.Errorf("archive: seal flush: %w", err)
@@ -533,12 +534,12 @@ func (l *Log) Range(from, to int64, fn func(telemetry.Info) error) error {
 		if !act.covers(from, to) {
 			skipped++
 		} else {
-			if open = l.open.n > 0 && (!act.sorted || l.open.firstTS <= to); open {
-				sc.tail = l.open.frame(sc.tail[:0], TierRaw)
+			if open = l.open.Len() > 0 && (!act.sorted || l.open.FirstTimestamp() <= to); open {
+				sc.tail = l.open.AppendFrame(sc.tail[:0], TierRaw)
 			}
 			// A sorted segment's written blocks end at or before the open
 			// block's first timestamp.
-			if act.size > 0 && !(act.sorted && l.open.n > 0 && from > l.open.firstTS) {
+			if act.size > 0 && !(act.sorted && l.open.Len() > 0 && from > l.open.FirstTimestamp()) {
 				if rd, err = l.activeReaderLocked(); err != nil {
 					l.mu.Unlock()
 					return err

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/telemetry"
+	"repro/internal/telemetry/block"
 )
 
 // counters instruments l on a fresh registry and returns a reader of its
@@ -349,8 +350,8 @@ func TestActiveSegmentIsBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	counts, ok := frames(data)
-	if !ok || len(counts) != 2 || counts[0] != blockMaxRecords || counts[1] != blockMaxRecords {
-		t.Fatalf("active segment of %d bytes parses as frames %v (whole: %v), want two of %d tuples", len(data), counts, ok, blockMaxRecords)
+	if !ok || len(counts) != 2 || counts[0] != block.MaxRecords || counts[1] != block.MaxRecords {
+		t.Fatalf("active segment of %d bytes parses as frames %v (whole: %v), want two of %d tuples", len(data), counts, ok, block.MaxRecords)
 	}
 }
 
@@ -399,8 +400,8 @@ func TestUnsyncedOpenBlockLossWindow(t *testing.T) {
 		defer re.Close()
 		return rangeAll(t, re, math.MinInt64, math.MaxInt64)
 	}
-	if got := reopened(); len(got) != 2*blockMaxRecords || got[len(got)-1].Timestamp != 2*blockMaxRecords {
-		t.Fatalf("crash copy reopened to %d tuples, want the %d of the sealed blocks", len(got), 2*blockMaxRecords)
+	if got := reopened(); len(got) != 2*block.MaxRecords || got[len(got)-1].Timestamp != 2*block.MaxRecords {
+		t.Fatalf("crash copy reopened to %d tuples, want the %d of the sealed blocks", len(got), 2*block.MaxRecords)
 	}
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)

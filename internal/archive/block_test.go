@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/telemetry"
+	"repro/internal/telemetry/block"
 )
 
 // sameInfo compares tuples with bit-level float equality so NaN values and
@@ -142,7 +143,7 @@ func TestBlockCompressionRatio(t *testing.T) {
 }
 
 func TestEncodeBlocksChunksAndIndexes(t *testing.T) {
-	infos := syntheticCorpus(blockMaxRecords*2 + 100)
+	infos := syntheticCorpus(block.MaxRecords*2 + 100)
 	blob, si := encodeBlocks(0, infos)
 	if len(si.offs) != 3 {
 		t.Fatalf("blocks=%d, want 3", len(si.offs))
@@ -185,10 +186,6 @@ func TestBlockDecodeTruncatedNeverDecodes(t *testing.T) {
 }
 
 // blockTier reports the tier byte of the block at the front of b (b must
-// already have passed decodeBlock's framing checks).
-func blockTier(b []byte) uint8 {
-	if len(b) < blkHeaderSize {
-		return 0
-	}
-	return b[9]
-}
+// already have passed decodeBlock's framing checks): the byte after the
+// magic, the frame length and the version.
+func blockTier(b []byte) uint8 { return b[9] }

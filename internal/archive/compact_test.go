@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/sim"
 	"repro/internal/telemetry"
+	"repro/internal/telemetry/block"
 )
 
 func replayAll(t *testing.T, l *Log) []telemetry.Info {
@@ -332,7 +333,7 @@ func TestCompactJournalRecovery(t *testing.T) {
 // replay exactly the records of the blocks that survived whole, and rebuild
 // the sidecar to match.
 func TestCompactedTruncationEveryOffset(t *testing.T) {
-	infos := syntheticCorpus(2*blockMaxRecords + 57)
+	infos := syntheticCorpus(2*block.MaxRecords + 57)
 	blob, si := encodeBlocks(0, infos)
 	// Block boundaries: [off[i], off[i+1]) frames; a cut keeps the records
 	// of every block that fits entirely below it.
@@ -355,7 +356,7 @@ func TestCompactedTruncationEveryOffset(t *testing.T) {
 		wantN := 0
 		for i := 0; i+1 < len(bounds); i++ {
 			if bounds[i+1] <= int64(cut) {
-				wantN = (i + 1) * blockMaxRecords
+				wantN = (i + 1) * block.MaxRecords
 			}
 		}
 		if wantN > len(infos) {

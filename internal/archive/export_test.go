@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 
 	"repro/internal/telemetry"
+	"repro/internal/telemetry/block"
 )
 
 // Replay streams every archived tuple, coarsest tier first (1m rollups, 10s
@@ -39,10 +40,10 @@ func (l *Log) Replay(fn func(telemetry.Info) error) error {
 			return err
 		}
 	}
-	if l.closed || l.open.n == 0 {
+	if l.closed || l.open.Len() == 0 {
 		return nil
 	}
-	open := l.open.frame(nil, TierRaw)
+	open := l.open.AppendFrame(nil, TierRaw)
 	corrupt, err := scanBlocks(open, new(scanBuf), false, false, math.MinInt64, math.MaxInt64, fn)
 	l.account(corrupt, int64(len(open)), 0)
 	return err
@@ -59,30 +60,30 @@ func replayFile(path string, tornTailOK bool, fn func(telemetry.Info) error) (in
 	return corrupt, int64(len(data)), err
 }
 
-// encodeBlock appends one block holding infos (1 to blockMaxRecords of
+// encodeBlock appends one block holding infos (1 to block.MaxRecords of
 // them) to dst.
 func encodeBlock(dst []byte, tier uint8, infos []telemetry.Info) []byte {
-	var b openBlock
+	var b block.Writer
 	for _, in := range infos {
-		b.add(in)
+		b.Add(in)
 	}
-	return b.frame(dst, tier)
+	return b.AppendFrame(dst, tier)
 }
 
 // decodeBlock decodes the whole block at the front of b, returning its
 // tuples and the frame length, or an error if any check or record fails.
 func decodeBlock(b []byte) ([]telemetry.Info, int, error) {
-	sc := new(scanBuf)
-	n, err := openFrame(b, sc)
+	var f block.Reader
+	n, err := f.Open(b)
 	if err != nil {
 		return nil, 0, err
 	}
 	var out []telemetry.Info
-	for f := &sc.frame; f.i < f.records; {
-		if err := f.next(); err != nil {
-			return nil, 0, err
-		}
-		out = append(out, f.in)
+	for f.Next() {
+		out = append(out, f.Info())
+	}
+	if err := f.Err(); err != nil {
+		return nil, 0, err
 	}
 	return out, n, nil
 }

@@ -70,51 +70,3 @@ func FuzzSegmentReplay(f *testing.F) {
 		}
 	})
 }
-
-// FuzzBlockDecode throws arbitrary bytes at the compressed block decoder:
-// it must never panic, never accept a frame it cannot canonically re-encode,
-// and never report an out-of-bounds consumed length. Accepted blocks must
-// round-trip bit-exactly through the encoder (canonical form), and the
-// resync scanner must likewise survive any input.
-func FuzzBlockDecode(f *testing.F) {
-	corpus := []telemetry.Info{
-		telemetry.NewFact("fuzz.metric", 1_000, 1.0),
-		telemetry.NewFact("fuzz.metric", 2_000, 1.0),
-		telemetry.NewFact("fuzz.metric", 3_000, 2.5),
-		telemetry.NewPredictedFact("other", 3_500, -7.25),
-	}
-	valid := encodeBlock(nil, 0, corpus)
-	f.Add(valid)
-	f.Add(valid[:len(valid)-3]) // torn tail
-	mut := append([]byte(nil), valid...)
-	mut[len(mut)/2] ^= 0xA5 // corrupt middle
-	f.Add(mut)
-	f.Add([]byte{})
-	f.Add(append(append([]byte{}, valid...), valid...)) // two frames back to back
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		infos, n, err := decodeBlock(data)
-		if err == nil {
-			if n < blkMinFrame || n > len(data) {
-				t.Fatalf("decodeBlock consumed %d of %d bytes", n, len(data))
-			}
-			if len(infos) == 0 || len(infos) > blockMaxRecords {
-				t.Fatalf("decodeBlock returned %d records", len(infos))
-			}
-			re := encodeBlock(nil, blockTier(data), infos)
-			back, m, err := decodeBlock(re)
-			if err != nil || m != len(re) {
-				t.Fatalf("re-encode of accepted block fails decode: %v (consumed %d/%d)", err, m, len(re))
-			}
-			if len(back) != len(infos) {
-				t.Fatalf("round trip changed record count %d -> %d", len(infos), len(back))
-			}
-			for i := range back {
-				if !sameInfo(back[i], infos[i]) {
-					t.Fatalf("round trip changed record %d: %v -> %v", i, infos[i], back[i])
-				}
-			}
-		}
-		resyncBlock(data) // must not panic either
-	})
-}

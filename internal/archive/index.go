@@ -7,6 +7,8 @@ import (
 	"hash/crc32"
 	"os"
 	"sort"
+
+	"repro/internal/telemetry/block"
 )
 
 // Sparse per-file timestamp index. Each sealed data file gets a small `.idx`
@@ -207,22 +209,22 @@ func buildIndex(path string) (*segIndex, error) {
 		return nil, fmt.Errorf("archive: %w", err)
 	}
 	si := &segIndex{size: int64(len(data))}
-	var sc scanBuf
+	var f block.Reader
 	for off := 0; off < len(data); {
-		n, err := openFrame(data[off:], &sc)
+		n, err := f.Open(data[off:])
 		if err != nil {
-			skip := resyncBlock(data[off+1:])
+			skip := block.Resync(data[off+1:])
 			if skip < 0 {
 				break
 			}
 			off += 1 + skip
 			continue
 		}
-		for f := &sc.frame; f.i < f.records && f.next() == nil; {
-			if f.i == 1 {
-				si.offs = append(si.offs, idxEntry{off: int64(off), ts: f.in.Timestamp})
+		for first := true; f.Next(); first = false {
+			if first {
+				si.offs = append(si.offs, idxEntry{off: int64(off), ts: f.Info().Timestamp})
 			}
-			si.note(f.in.Timestamp)
+			si.note(f.Info().Timestamp)
 		}
 		off += n
 	}

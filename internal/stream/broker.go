@@ -6,16 +6,16 @@ package stream
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/bits"
 	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/obs"
+	"repro/internal/telemetry"
+	"repro/internal/telemetry/block"
 )
 
 // Entry is one stream record. IDs are assigned per topic, contiguous from 1.
@@ -56,7 +56,7 @@ const (
 	maxChunk = 16 << 10
 )
 
-// chunk holds the payloads of a contiguous ID run, raw or packed. Neither
+// chunk holds the payloads of a contiguous ID run, raw or sealed. Neither
 // data nor starts contains a pointer, so the GC never scans a topic's
 // contents.
 //
@@ -64,21 +64,22 @@ const (
 // of entry first+i. Its data is allocated once at a fixed capacity and only
 // ever extended: bytes below len(data) are never rewritten, because readers
 // hold views of them after t.mu is released. Offsets are 16-bit: an entry
-// starts below maxChunk (below twice that in a tail a cut unpacked), unless
+// starts below maxChunk (below twice that in a tail a cut decoded), unless
 // it is an oversized payload, which starts its own chunk at 0.
 //
-// A packed chunk (starts nil, n entries) holds them in the form pack writes,
-// in a new array of exactly that size that is never written either. Only a
-// chunk older than the two newest is packed, and only if packing shrinks it:
-// the tail, which appends extend, and the chunk before it, which a reader up
-// to subscribeSlack entries behind reaches, stay raw. A packed chunk is read
-// by decoding it into memory the reader owns (see unpacked), so the raw
-// array it replaced stays valid for every view already handed out.
+// A sealed chunk (starts nil, n entries) holds them as one block frame (see
+// seal), in a new array of exactly that size that is never written either.
+// Only a chunk older than the two newest is sealed, and only if sealing
+// shrinks it: the tail, which appends extend, and the chunk before it, which
+// a reader up to subscribeSlack entries behind reaches, stay raw. A sealed
+// chunk is read by decoding it into memory the reader owns (see unsealed),
+// so the raw array it replaced stays valid for every view already handed
+// out.
 type chunk struct {
 	first  uint64   // ID of the first entry
-	data   []byte   // payloads of first, first+1, ... in order, raw or packed
-	starts []uint16 // starts[i] is the offset in data of entry first+i; nil once packed
-	n      int      // entries of a packed chunk
+	data   []byte   // payloads of first, first+1, ... in order, or their frame
+	starts []uint16 // starts[i] is the offset in data of entry first+i; nil once sealed
+	n      int      // entries of a sealed chunk
 }
 
 // len is how many entries the chunk holds.
@@ -114,134 +115,89 @@ func (c *chunk) read(out []Entry, id uint64, n int) []Entry {
 // bytes is the memory the chunk holds: its data capacity and its offsets.
 func (c *chunk) bytes() int { return cap(c.data) + 2*cap(c.starts) }
 
-// differ compares the first min(8, len(p)) bytes of p and prev. It returns
-// their XOR, byte j in bits 8j..8j+7, and its bitmap: bit j set when byte j
-// differs. Each byte is folded onto its low bit, and a multiply whose partial
-// products never overlap gathers the eight bits into the top byte.
-func differ(p, prev []byte) (x uint64, m byte) {
-	if len(p) >= 8 {
-		x = binary.LittleEndian.Uint64(p) ^ binary.LittleEndian.Uint64(prev)
-	} else {
-		for j := range p {
-			x |= uint64(p[j]^prev[j]) << (8 * j)
-		}
-	}
-	f := x | x>>4
-	f |= f >> 2
-	f |= f >> 1
-	return x, byte((f & 0x0101010101010101) * 0x0102040810204080 >> 56)
+// sealer is the scratch seal encodes with: a block, the frame rendered from
+// it, and the tuple each entry decodes into, whose metric name the decode
+// keeps while it stays the same.
+type sealer struct {
+	w     block.Writer
+	frame []byte
+	in    telemetry.Info
 }
 
-// packScratch holds the buffers pack encodes into, a few times maxChunk at
-// most, before it copies the result out.
-var packScratch = sync.Pool{New: func() any { return new([]byte) }}
+var sealers = sync.Pool{New: func() any { return new(sealer) }}
 
-// pack returns the packed form of a raw chunk's entries in an array of
-// exactly its size, or nil when that would not be smaller than data, and for
-// a chunk already packed.
-func (c *chunk) pack() []byte {
-	if len(c.starts) < 2 {
-		return nil // packed, or one entry, which never shrinks
+// seal returns a raw chunk's entries as one block frame in an array of
+// exactly its size, or nil when that would not be smaller than data, and
+// when an entry is not a tuple the frame reproduces byte for byte: one
+// telemetry.Info, CRC checked, whose decode consumes all of it (the encoding
+// is canonical, so AppendBinary rebuilds the bytes) and whose Kind and
+// Source fit the frame's four bits each. Every product producer publishes
+// Info; any other payload keeps its chunk raw.
+func (c *chunk) seal() []byte {
+	if len(c.starts) > block.MaxRecords {
+		return nil // more than one frame holds
 	}
-	buf := packScratch.Get().(*[]byte)
-	defer packScratch.Put(buf)
-	*buf = c.encode((*buf)[:0])
-	if len(*buf) >= len(c.data) {
+	s := sealers.Get().(*sealer)
+	defer sealers.Put(s)
+	defer s.w.Reset()
+	for i := range c.starts {
+		p := c.payload(i)
+		if s.in.UnmarshalBinary(p) != nil || s.in.EncodedSize() != len(p) || s.in.Kind > 0x0F || s.in.Source > 0x0F {
+			return nil
+		}
+		s.w.Add(s.in)
+	}
+	if s.frame = s.w.AppendFrame(s.frame[:0], 0); len(s.frame) >= len(c.data) {
 		return nil
 	}
-	return append(make([]byte, 0, len(*buf)), *buf...)
+	return append(make([]byte, 0, len(s.frame)), s.frame...)
 }
 
-// encode appends the packed form of a raw chunk's entries to out. Each entry
-// is a uvarint of its length<<1 | form, then either its bytes (form 0) or,
-// when it has its predecessor's length and that makes it smaller, its XOR
-// against the predecessor (form 1): a bitmap of the bytes that differ, then
-// those bytes XORed with the predecessor's.
-func (c *chunk) encode(out []byte) []byte {
-	var prev []byte
-	for i := range c.starts {
-		p, at := c.payload(i), len(out)
-		if len(p) == len(prev) {
-			out = binary.AppendUvarint(slices.Grow(out, binary.MaxVarintLen64+len(p)+(len(p)+7)/8), uint64(len(p))<<1|1)
-			bitmap, w := len(out), len(out)+(len(p)+7)/8
-			x := out[:cap(out)]
-			for k := 0; k < len(p); k += 8 {
-				d, m := differ(p[k:], prev[k:])
-				x[bitmap+k/8] = m
-				for ; m != 0; m &= m - 1 {
-					x[w] = byte(d >> (8 * bits.TrailingZeros8(m)))
-					w++
-				}
-			}
-			if out = x[:w]; w-bitmap >= len(p) {
-				out = out[:at] // no smaller than the bytes themselves
-			}
-		}
-		if len(out) == at {
-			out = binary.AppendUvarint(out, uint64(len(p))<<1)
-			out = append(out, p...)
-		}
-		prev = p
-	}
-	return out
-}
-
-// unpack decodes entries i..j-1 of a packed chunk into the raw chunk dst,
-// reusing its arrays. Decoding walks from the chunk's first entry; each entry
-// below i is decoded over the one before it, so only those asked for are kept.
-func (c *chunk) unpack(dst chunk, i, j int) chunk {
+// unseal decodes entries i..j-1 of a sealed chunk into the raw chunk dst,
+// reusing its arrays and r's metric names. Every entry is re-encoded with
+// the same AppendBinary its publisher used. A sealed frame was rendered in
+// this process and never leaves it, so one that does not decode is a broken
+// invariant, not bad input.
+func (c *chunk) unseal(dst chunk, i, j int, r *block.Reader) chunk {
 	dst.first, dst.data, dst.starts = c.first+uint64(i), dst.data[:0], dst.starts[:0]
-	prev, p := 0, c.data // prev: offset of the entry before in dst.data
-	for k := 0; k < j; k++ {
-		h, w := binary.Uvarint(p)
-		n, at := int(h>>1), len(dst.data)
-		if k <= i {
-			at = 0
+	_, err := r.Open(c.data)
+	for k := 0; err == nil && k < j; k++ {
+		if !r.Next() {
+			err = fmt.Errorf("entry %d of %d: %v", k, c.n, r.Err())
+		} else if k >= i {
+			dst.starts = append(dst.starts, uint16(len(dst.data)))
+			dst.data, _ = r.Info().AppendBinary(dst.data)
 		}
-		p = p[w:]
-		if h&1 == 0 {
-			dst.data = append(dst.data[:at], p[:n]...)
-			p = p[n:]
-		} else {
-			dst.data = append(dst.data[:at], dst.data[prev:prev+n]...)
-			bitmap := p[:(n+7)/8]
-			p = p[len(bitmap):]
-			for g, m := range bitmap {
-				for ; m != 0; m &= m - 1 {
-					dst.data[at+8*g+bits.TrailingZeros8(m)] ^= p[0]
-					p = p[1:]
-				}
-			}
-		}
-		if prev = at; k >= i {
-			dst.starts = append(dst.starts, uint16(at))
-		}
+	}
+	if err != nil {
+		panic(fmt.Sprintf("stream: the sealed chunk of ids %d..%d does not decode: %v", c.first, c.first+uint64(c.n)-1, err))
 	}
 	return dst
 }
 
-// unpacked is a reader's decoded copies of the packed chunks it reads. A nil
-// *unpacked decodes, for each read, just the entries read, into arrays the
+// unsealed is a reader's decoded copies of the sealed chunks it reads. A nil
+// *unsealed decodes, for each read, just the entries read, into arrays the
 // caller keeps. A cursor's decodes each chunk whole, once, into a slot it
 // reuses while its runs keep reading that chunk; slots[:used] serve the run
-// being read. A slot keeps its packed array alive and is matched by it, so a
+// being read. A slot keeps its sealed array alive and is matched by it, so a
 // chunk truncated away and refilled never matches a stale copy.
-type unpacked struct {
-	slots []unpackedSlot
+type unsealed struct {
+	slots []unsealedSlot
 	used  int
+	dec   block.Reader
 }
 
-type unpackedSlot struct {
-	src []byte // the packed array raw was decoded from
+type unsealedSlot struct {
+	src []byte // the sealed array raw was decoded from
 	raw chunk
 }
 
-// of returns a raw chunk holding the entries id.. of the packed chunk c, n of
+// of returns a raw chunk holding the entries id.. of the sealed chunk c, n of
 // them or as many as c holds from id on.
-func (u *unpacked) of(c *chunk, id uint64, n int) *chunk {
+func (u *unsealed) of(c *chunk, id uint64, n int) *chunk {
 	if u == nil {
 		i := int(id - c.first)
-		raw := c.unpack(chunk{}, i, min(i+n, c.n))
+		raw := c.unseal(chunk{}, i, min(i+n, c.n), new(block.Reader))
 		return &raw
 	}
 	s := u.used
@@ -250,9 +206,9 @@ func (u *unpacked) of(c *chunk, id uint64, n int) *chunk {
 	}
 	if s == len(u.slots) {
 		if s = u.used; s == len(u.slots) {
-			u.slots = append(u.slots, unpackedSlot{})
+			u.slots = append(u.slots, unsealedSlot{})
 		}
-		u.slots[s].src, u.slots[s].raw = c.data, c.unpack(u.slots[s].raw, 0, c.n)
+		u.slots[s].src, u.slots[s].raw = c.data, c.unseal(u.slots[s].raw, 0, c.n, &u.dec)
 	}
 	u.slots[u.used], u.slots[s] = u.slots[s], u.slots[u.used]
 	u.used++
@@ -296,7 +252,7 @@ func newTopic(name string, retention int) *topic {
 }
 
 // appendLocked copies one non-empty payload onto the tail chunk, opening a
-// new chunk when it does not fit and then packing the third-newest. The
+// new chunk when it does not fit and then sealing the third-newest. The
 // caller holds t.mu and, once the whole batch is in place and t.mu released,
 // wakes the readers if any are parked.
 func (t *topic) appendLocked(p []byte, b *Broker) {
@@ -317,7 +273,7 @@ func (t *topic) appendLocked(p []byte, b *Broker) {
 			starts: make([]uint16, 0, size/max(len(p), 16)),
 		})
 		if n++; n >= 3 {
-			t.packLocked(n-3, b)
+			t.sealLocked(n-3, b)
 		}
 	}
 	c := &t.chunks[n-1]
@@ -339,11 +295,14 @@ func (t *topic) appendLocked(p []byte, b *Broker) {
 	}
 }
 
-// packLocked replaces chunk i, if raw, by its packed form, if that is
-// smaller. The caller holds t.mu.
-func (t *topic) packLocked(i int, b *Broker) {
+// sealLocked replaces chunk i, if raw, by its sealed form, if it has one.
+// The caller holds t.mu.
+func (t *topic) sealLocked(i int, b *Broker) {
 	c := &t.chunks[i]
-	if p := c.pack(); p != nil {
+	if c.starts == nil {
+		return
+	}
+	if p := c.seal(); p != nil {
 		b.addLogBytes(len(p) - c.bytes())
 		c.data, c.starts, c.n = p, nil, len(c.starts)
 	}
@@ -367,10 +326,10 @@ func (t *topic) chunkOf(id uint64) int {
 }
 
 // readLocked fills out, which arrives empty, with the n >= 1 retained entries
-// from, from+1, ...: views of raw chunks, and of packed ones decoded through
-// u (see unpacked). The caller holds t.mu and has checked the run lies in
+// from, from+1, ...: views of raw chunks, and of sealed ones decoded through
+// u (see unsealed). The caller holds t.mu and has checked the run lies in
 // firstID..nextID-1.
-func (t *topic) readLocked(out []Entry, from uint64, n int, u *unpacked) []Entry {
+func (t *topic) readLocked(out []Entry, from uint64, n int, u *unsealed) []Entry {
 	if u != nil {
 		u.used = 0
 	}
@@ -471,9 +430,9 @@ func WithShardCount(n int) BrokerOption {
 // stream_broker_publish_total, stream_broker_publish_bytes_total,
 // stream_broker_evicted_total (entries pushed out of the retention window),
 // the stream_broker_topics gauge, the stream_broker_log_bytes gauge (payload
-// and offset capacity of every chunk, raw or packed, the topic logs
+// and offset capacity of every chunk, raw or sealed, the topic logs
 // currently hold; moves only when a chunk is allocated, grows its offsets,
-// is packed, unpacked or sealed by a cut, or is dropped), the
+// is sealed, unsealed or capped by a cut, or is dropped), the
 // stream_broker_consume_lag histogram
 // (how many entries behind the topic head a consumer was when its read was
 // served), and the stream_broker_publish_batch_size histogram. Call before
@@ -722,10 +681,10 @@ func (b *Broker) ReplicateAppend(ctx context.Context, topicName string, epoch ui
 // truncateTailLocked discards local entries with ID >= fromID — the
 // conflicting suffix a replica drops when adopting a new leader's epoch.
 // Whole chunks past the cut are dropped; the chunk the cut falls inside is
-// sealed there (capacity capped to its length), so the next append opens a
+// capped there (its capacity cut to its length), so the next append opens a
 // fresh chunk instead of rewriting bytes a reader may still hold a view of.
-// A packed chunk left as the tail is first unpacked into new arrays, which
-// no reader has seen. The caller holds t.mu.
+// A sealed chunk left as the tail is first decoded into new arrays, which no
+// reader has seen. The caller holds t.mu.
 func (t *topic) truncateTailLocked(fromID uint64, b *Broker) {
 	if fromID >= t.nextID {
 		return
@@ -738,8 +697,8 @@ func (t *topic) truncateTailLocked(fromID uint64, b *Broker) {
 	t.chunks = t.chunks[:n]
 	if n > 0 {
 		c := &t.chunks[n-1]
-		if c.starts == nil { // the tail is raw
-			raw := c.unpack(chunk{}, 0, c.n)
+		if c.starts == nil { // the tail is raw, so decode it
+			raw := c.unseal(chunk{}, 0, c.n, new(block.Reader))
 			b.addLogBytes(raw.bytes() - c.bytes())
 			*c = raw
 		}
@@ -834,7 +793,7 @@ func (b *Broker) ConsumeBatch(ctx context.Context, topicName string, afterID uin
 }
 
 // brokerCursor is the in-process Cursor: the topic it holds, where it is, the
-// slice it hands out and, for a Follow cursor, its decoded copies of packed
+// slice it hands out and, for a Follow cursor, its decoded copies of sealed
 // chunks. No goroutine, no channel, nothing allocated by Next once warm.
 type brokerCursor struct {
 	ctx  context.Context
@@ -842,7 +801,7 @@ type brokerCursor struct {
 	t    *topic
 	last uint64
 	run  []Entry
-	dec  *unpacked // nil: each read decodes into arrays of the caller's own
+	dec  *unsealed // nil: each read decodes into arrays of the caller's own
 }
 
 // Follow opens a cursor on the named topic (creating it on first use) just
@@ -853,7 +812,7 @@ func (b *Broker) Follow(ctx context.Context, topicName string, afterID uint64) (
 		return nil, err
 	}
 	t.wakeOn(ctx)
-	return &brokerCursor{ctx: ctx, b: b, t: t, last: afterID, dec: new(unpacked)}, nil
+	return &brokerCursor{ctx: ctx, b: b, t: t, last: afterID, dec: new(unsealed)}, nil
 }
 
 // Next implements Cursor. An ended cursor is ended even with entries waiting:

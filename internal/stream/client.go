@@ -429,10 +429,20 @@ func (c *Client) await(ctx context.Context, t ticket, blocking bool, decode func
 		return &transportError{err}
 	}
 	// It is this ticket's turn: until it advances recvd, it alone reads.
+	if blocking {
+		w.conn.SetReadDeadline(deadlineFor(c.opt.clock, ctx, 0))
+	} else if c.opt.clock.Now().Add(c.opt.ioTimeout / 2).After(t.readBy) {
+		// No read deadline from send, or the caller spent most of it
+		// elsewhere (a leader waiting for another follower first): an answer
+		// that arrived long ago must not fail on a deadline that ran out
+		// while nobody was reading.
+		w.conn.SetReadDeadline(deadlineFor(c.opt.clock, ctx, c.opt.ioTimeout))
+	}
 	if ctx.Done() != nil {
 		// Interrupt the read when the context ends: a past deadline fails it
 		// with a (transient) timeout, and the caller maps it back to
-		// ctx.Err().
+		// ctx.Err(). Armed after the read deadline is set, so that setting
+		// cannot undo an interrupt that fires at once.
 		stop := context.AfterFunc(ctx, func() { w.conn.SetDeadline(c.opt.clock.Now().Add(-time.Second)) })
 		defer func() {
 			if !stop() {
@@ -443,15 +453,6 @@ func (c *Client) await(ctx context.Context, t ticket, blocking bool, decode func
 				c.mu.Unlock()
 			}
 		}()
-	}
-	if blocking {
-		w.conn.SetReadDeadline(deadlineFor(c.opt.clock, ctx, 0))
-	} else if c.opt.clock.Now().Add(c.opt.ioTimeout / 2).After(t.readBy) {
-		// No read deadline from send, or the caller spent most of it
-		// elsewhere (a leader waiting for another follower first): an answer
-		// that arrived long ago must not fail on a deadline that ran out
-		// while nobody was reading.
-		w.conn.SetReadDeadline(deadlineFor(c.opt.clock, ctx, c.opt.ioTimeout))
 	}
 	status, resp, err := readFrame(w.r)
 	if err == nil && status != statusErr && decode != nil {

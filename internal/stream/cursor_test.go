@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/telemetry"
 )
 
 // returns fails the test unless fn comes back: a missed wake is a call that
@@ -189,9 +191,9 @@ func TestCursorNextAllocs(t *testing.T) {
 	b := NewBroker(2 * runs * subscribeSlack)
 	defer b.Close()
 	ctx := context.Background()
-	batch := make([][]byte, subscribeSlack)
+	batch := make([][]byte, subscribeSlack) // telemetry tuples, so the backlog is sealed
 	for i := range batch {
-		batch[i] = make([]byte, 28)
+		batch[i], _ = telemetry.NewFact("cpu0", int64(i), float64(i)).MarshalBinary()
 	}
 	for i := 0; i <= runs; i++ { // AllocsPerRun calls once more, to warm up
 		if _, err := b.PublishBatch(ctx, "t", batch); err != nil {
@@ -230,10 +232,10 @@ func TestCursorNextAllocs(t *testing.T) {
 	}
 }
 
-// TestCursorRereadsRefilledChunk: a cursor that decoded a packed chunk, which
+// TestCursorRereadsRefilledChunk: a cursor that decoded a sealed chunk, which
 // a new leader then cuts inside and refills with other bytes at the same IDs,
-// reads the new bytes once the refilled chunk is packed again — its decoded
-// copy is matched to the packed array it came from, not to the IDs it holds.
+// reads the new bytes once the refilled chunk is sealed again — its decoded
+// copy is matched to the sealed array it came from, not to the IDs it holds.
 func TestCursorRereadsRefilledChunk(t *testing.T) {
 	b := NewBroker(1 << 20)
 	defer b.Close()
@@ -241,14 +243,13 @@ func TestCursorRereadsRefilledChunk(t *testing.T) {
 	run := func(from, to uint64, v byte) []Entry {
 		var es []Entry
 		for id := from; id <= to; id++ {
-			p := make([]byte, 28)
-			p[27] = v
+			p, _ := telemetry.NewFact("cpu0", int64(id), float64(v)).MarshalBinary()
 			es = append(es, Entry{ID: id, Payload: p})
 		}
 		return es
 	}
 	// 28-byte entries fill chunks of 18, 36, 73, 146, ... entries, so IDs
-	// 55..127 are the third chunk, packed once three more follow it.
+	// 55..127 are the third chunk, sealed once three more follow it.
 	if _, err := b.ReplicateAppend(ctx, "t", 1, run(1, 600, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -259,22 +260,26 @@ func TestCursorRereadsRefilledChunk(t *testing.T) {
 	if es, err := cur.Next(); err != nil || es[len(es)-1].ID != subscribeSlack {
 		t.Fatalf("first run: %v", err)
 	}
-	// The cut at 100 unpacks that chunk and seals it at 99; the refill packs
+	// The cut at 100 decodes that chunk and caps it at 99; the refill seals
 	// it again, in a new array.
 	if _, err := b.ReplicateAppend(ctx, "t", 2, run(100, 700, 2)); err != nil {
 		t.Fatal(err)
 	}
 	tp, _ := b.topicFor("t", false)
 	if c := tp.chunks[tp.chunkOf(99)]; c.starts != nil || c.first+uint64(c.len()) != 100 {
-		t.Fatalf("chunk holding 99: first %d, %d entries, packed %v; want it packed and ending at 99", c.first, c.len(), c.starts == nil)
+		t.Fatalf("chunk holding 99: first %d, %d entries, sealed %v; want it sealed and ending at 99", c.first, c.len(), c.starts == nil)
 	}
 	es, err := cur.Next()
 	if err != nil || len(es) != subscribeSlack {
 		t.Fatalf("second run: %d entries, %v", len(es), err)
 	}
 	for _, e := range es {
-		if want := byte(1 + e.ID/100); e.Payload[27] != want {
-			t.Fatalf("entry %d reads as written by leader %d, want %d", e.ID, e.Payload[27], want)
+		var in telemetry.Info
+		if err := in.UnmarshalBinary(e.Payload); err != nil {
+			t.Fatal(err)
+		}
+		if want := byte(1 + e.ID/100); byte(in.Value) != want {
+			t.Fatalf("entry %d reads as written by leader %v, want %d", e.ID, in.Value, want)
 		}
 	}
 }

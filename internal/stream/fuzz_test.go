@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/binary"
 	"testing"
+
+	"repro/internal/telemetry"
 )
 
 // FuzzReadFrame feeds arbitrary bytes to the wire-frame reader. It must never
@@ -91,24 +93,43 @@ func FuzzDecodeEntries(f *testing.F) {
 	})
 }
 
-// FuzzChunkPack publishes a payload sequence the input scripts — fresh bytes
-// from 1 B to past 64 KiB, exact repeats, one-byte edits, one-byte length
-// changes — packs every chunk of the log, the two newest too, and requires
-// each ID to read back the bytes published, one at a time through Range and
-// all together through a cursor, with no chunk grown by packing and the
-// log_bytes count still the chunks' sum. Its seeds, under testdata/fuzz, are a tuple-shaped run, a run whose
-// length keeps changing, and payloads past 64 KiB between small ones.
-func FuzzChunkPack(f *testing.F) {
+// FuzzChunkSeal publishes a payload sequence the input scripts — telemetry
+// tuples of two metrics, some carrying a trailing byte, a damaged CRC or a
+// Kind past four bits; fresh bytes from 1 B to past 64 KiB, exact repeats,
+// one-byte edits, one-byte length changes — seals every chunk of the log, the
+// two newest too, and requires each ID to read back the bytes published, one
+// at a time through Range and all together through a cursor, with no chunk
+// grown by sealing and the log_bytes count still the chunks' sum. Its seeds,
+// under testdata/fuzz, are a run of fresh bytes and edits of them, a run
+// whose length keeps changing, payloads past 64 KiB between small ones, a
+// steady series of tuples, and tuples of two metrics with unsealable ones
+// among them.
+func FuzzChunkSeal(f *testing.F) {
 	f.Fuzz(func(t *testing.T, script []byte) {
 		b := NewBroker(1 << 20)
 		defer b.Close()
 		ctx := context.Background()
+		in := telemetry.NewFact("", 1_700_000_000_000_000_000, 1000)
 		var want [][]byte
 		for s, total := script, 0; len(s) >= 2 && len(want) < 256 && total < 1<<20; s = s[2:] {
 			op, arg := s[0], int(s[1])
 			var p []byte
 			switch prev := want[max(len(want)-1, 0):]; {
-			case op%4 == 0 || len(prev) == 0: // fresh bytes: arg+1 of them, or past 64 KiB
+			case op%8 >= 4: // a tuple
+				in.Metric = []telemetry.MetricID{"fuzz.a", "fuzz.b"}[op>>3&1]
+				in.Timestamp += int64(arg-64) * 1_000_000
+				in.Value += float64(arg-128) / 16
+				in.Kind, in.Source = telemetry.Kind(op>>4&1), telemetry.Source(op>>5&1)
+				if op%8 == 7 {
+					in.Kind += telemetry.Kind(arg & 0x30) // 16 or more unless arg&0x30 is 0
+				}
+				p, _ = in.MarshalBinary()
+				if op%8 == 6 && arg%3 == 0 {
+					p = append(p, byte(arg)) // a trailing byte
+				} else if op%8 == 6 && arg%3 == 1 {
+					p[len(p)-1-arg%4] ^= 1 // a damaged CRC
+				}
+			case op%8 == 0 || len(prev) == 0: // fresh bytes: arg+1 of them, or past 64 KiB
 				p = make([]byte, arg+1)
 				if op >= 0xF0 {
 					p = make([]byte, 1<<16+arg<<8)
@@ -116,12 +137,12 @@ func FuzzChunkPack(f *testing.F) {
 				for i := range p {
 					p[i] = script[(i+arg)%len(script)] ^ byte(i>>8)
 				}
-			case op%4 == 1: // a repeat
+			case op%8 == 1: // a repeat
 				p = prev[0]
-			case op%4 == 2: // one byte changed
+			case op%8 == 2: // one byte changed
 				p = bytes.Clone(prev[0])
 				p[arg%len(p)] ^= op | 1
-			case op%4 == 3: // one byte longer or shorter
+			case op%8 == 3: // one byte longer or shorter
 				p = append(bytes.Clone(prev[0]), op)
 				if arg%2 == 1 && len(prev[0]) > 1 {
 					p = p[:len(p)-2]
@@ -140,9 +161,9 @@ func FuzzChunkPack(f *testing.F) {
 		held := 0
 		for i := range tp.chunks {
 			raw := tp.chunks[i].bytes()
-			tp.packLocked(i, b)
-			if packed := tp.chunks[i].bytes(); packed > raw {
-				t.Fatalf("chunk %d: packed to %d bytes from %d", i, packed, raw)
+			tp.sealLocked(i, b)
+			if sealed := tp.chunks[i].bytes(); sealed > raw {
+				t.Fatalf("chunk %d: sealed to %d bytes from %d", i, sealed, raw)
 			}
 			held += tp.chunks[i].bytes()
 		}

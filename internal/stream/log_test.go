@@ -93,9 +93,9 @@ func sameEntries(got, want []Entry) error {
 
 // TestTopicLogModel drives one topic through seeded random publishes,
 // replicated appends (duplicates, gaps, stale epochs, conflicting tails, cuts
-// below the retention window, at either edge of a chunk, inside a packed
+// below the retention window, at either edge of a chunk, inside a sealed
 // chunk and just past one) and every read, with payloads up to and past what
-// a chunk's 16-bit offsets reach and runs of tuple-shaped ones that pack, and
+// a chunk's 16-bit offsets reach and runs of telemetry tuples that seal, and
 // requires the chunked log to agree with modelLog on IDs, bytes, errors and
 // evictions at every step, and the log_bytes gauge with its chunks.
 func TestTopicLogModel(t *testing.T) {
@@ -116,21 +116,36 @@ func TestTopicLogModel(t *testing.T) {
 			}
 			tp, _ := b.topicFor("t", false)
 
-			// Half the payloads are tuple-shaped: runs of one length sharing a
-			// prefix, each a copy of the last with a few trailing bytes changed
-			// (or none), so that sealed chunks take the XOR form when packed.
-			var tuple []byte
+			// In runs of about 1 500 the payloads are telemetry tuples, so
+			// that chunks fill with them and seal: mostly of one metric, one
+			// in ten of a second (a chunk holding both seals with two names),
+			// and about one in 700 a tuple no frame reproduces byte for byte —
+			// one trailing byte, a damaged CRC, a Kind of 16 — which keeps
+			// its chunk raw. Between the runs they are bytes of any length.
+			tuples, in := true, telemetry.NewFact("", 1_700_000_000_000_000_000, 1000)
 			payload := func() []byte {
-				if rng.Intn(2) == 0 {
-					if len(tuple) == 0 || rng.Intn(50) == 0 {
-						tuple = make([]byte, 8+rng.Intn(57))
-						rng.Read(tuple)
+				if rng.Intn(1500) == 0 {
+					tuples = !tuples
+				}
+				if tuples {
+					in.Metric = "m.a"
+					if rng.Intn(10) == 0 {
+						in.Metric = "m.b"
 					}
-					tuple = bytes.Clone(tuple)
-					for k := rng.Intn(4); k > 0; k-- {
-						tuple[len(tuple)-1-rng.Intn(8)] = byte(rng.Intn(256))
+					in.Timestamp += 5_000_000
+					in.Value += rng.NormFloat64()
+					odd, damage := in, rng.Intn(2000)
+					if damage == 2 {
+						odd.Kind = 16
 					}
-					return tuple
+					p, _ := odd.MarshalBinary()
+					switch damage {
+					case 0:
+						p = append(p, 0)
+					case 1:
+						p[len(p)-1-rng.Intn(4)] ^= 0x40
+					}
+					return p
 				}
 				n := 1 + rng.Intn(64)
 				switch rng.Intn(200) {
@@ -160,6 +175,7 @@ func TestTopicLogModel(t *testing.T) {
 				return m.nextID - uint64(rng.Int63n(int64(min(m.nextID, 12))))
 			}
 
+			sealedSeen := false
 			for step := 0; step < 1500; step++ {
 				var err error
 				switch op := rng.Intn(10); op {
@@ -212,15 +228,15 @@ func TestTopicLogModel(t *testing.T) {
 							cut := c.first + uint64(rng.Intn(2)*(c.len()-1))
 							epoch, es = epoch+1, run(cut, 1+rng.Intn(5))
 						}
-					case 8: // a new leader whose log cuts inside a packed chunk, or just past one
-						var packed []chunk
+					case 8: // a new leader whose log cuts inside a sealed chunk, or just past one
+						var sealed []chunk
 						for _, c := range tp.chunks {
 							if c.starts == nil {
-								packed = append(packed, c)
+								sealed = append(sealed, c)
 							}
 						}
-						if len(packed) > 0 {
-							c := packed[rng.Intn(len(packed))]
+						if len(sealed) > 0 {
+							c := sealed[rng.Intn(len(sealed))]
 							cut := c.first + 1 + uint64(rng.Intn(c.len()))
 							epoch, es = epoch+1, run(cut, 1+rng.Intn(5))
 						}
@@ -279,6 +295,7 @@ func TestTopicLogModel(t *testing.T) {
 				held := 0
 				for _, c := range tp.chunks {
 					held += c.bytes()
+					sealedSeen = sealedSeen || c.starts == nil
 				}
 				if got := reg.Snapshot().Gauge("stream_broker_log_bytes"); got != float64(held) {
 					t.Fatalf("step %d: log_bytes = %v, the chunks hold %d", step, got, held)
@@ -291,6 +308,9 @@ func TestTopicLogModel(t *testing.T) {
 					t.Fatalf("step %d: retained window: %v", step, err)
 				}
 			}
+			if retention == 1000 && !sealedSeen {
+				t.Fatal("no chunk was ever sealed: the draw no longer reaches the sealed form")
+			}
 		})
 	}
 }
@@ -298,12 +318,12 @@ func TestTopicLogModel(t *testing.T) {
 // TestTopicLogViewsImmutable: an Entry handed to a reader never changes,
 // whatever happens to the log afterwards — publishes past retention on one
 // topic, and on another a replica whose tail is cut and re-appended with
-// different bytes at the same IDs, while sealed chunks are packed and
-// unpacked. Readers keep every Entry they ever got and re-check all of them
-// at the end; run under -race this also shows no append, pack or cut touches
+// different bytes at the same IDs, while chunks are sealed and decoded for
+// readers. Readers keep every Entry they ever got and re-check all of them
+// at the end; run under -race this also shows no append, seal or cut touches
 // bytes a reader can see.
 func TestTopicLogViewsImmutable(t *testing.T) {
-	b := NewBroker(1024) // several 16 KiB chunks, so that some are packed
+	b := NewBroker(1024) // several 16 KiB chunks, so that some are sealed
 	defer b.Close()
 	ctx, stop := context.WithCancel(context.Background())
 	defer stop()
@@ -339,9 +359,16 @@ func TestTopicLogViewsImmutable(t *testing.T) {
 		}(r)
 	}
 
-	// Half the payloads are the writer's last one with a byte changed, which
-	// packs as an XOR.
-	payload := func(rng *rand.Rand, last []byte) []byte {
+	// In runs of 3 000 the payloads are telemetry tuples, so chunks fill with
+	// them and seal; between the runs half are the writer's last one with a
+	// byte changed and half fresh bytes.
+	payload := func(rng *rand.Rand, i int, in *telemetry.Info, last []byte) []byte {
+		if i/3000%2 == 0 {
+			in.Timestamp += 5_000_000
+			in.Value += rng.NormFloat64()
+			p, _ := in.MarshalBinary()
+			return p
+		}
 		if len(last) > 0 && rng.Intn(2) == 0 {
 			p := bytes.Clone(last)
 			p[rng.Intn(len(p))]++
@@ -355,9 +382,9 @@ func TestTopicLogViewsImmutable(t *testing.T) {
 	go func() {
 		defer writers.Done()
 		rng := rand.New(rand.NewSource(1))
-		var last []byte
+		in, last := telemetry.NewFact("pub", 0, 0), []byte(nil)
 		for i := 0; i < 20000; i++ {
-			last = payload(rng, last)
+			last = payload(rng, i, &in, last)
 			if _, err := b.Publish(ctx, "pub", last); err != nil {
 				t.Error(err)
 				return
@@ -368,13 +395,14 @@ func TestTopicLogViewsImmutable(t *testing.T) {
 		defer writers.Done()
 		rng := rand.New(rand.NewSource(2))
 		tail, last := uint64(0), []byte(nil)
+		in, n := telemetry.NewFact("repl", 0, 0), 0
 		for epoch := uint64(1); epoch <= 4000; epoch++ {
 			// Each new leader rewrites up to 8 of the entries the last one
 			// appended, then extends the log.
 			from := tail + 1 - uint64(rng.Int63n(int64(min(tail, 8)+1)))
 			es := make([]Entry, 1+rng.Intn(16))
 			for i := range es {
-				last = payload(rng, last)
+				last, n = payload(rng, n, &in, last), n+1
 				es[i] = Entry{ID: from + uint64(i), Payload: last}
 			}
 			var err error
@@ -461,8 +489,8 @@ func fillTopic(tb testing.TB, b *Broker, topic string, n int, next func() []byte
 
 // TestTopicLogFootprint keeps the broker's memory proportional to what it
 // holds: an empty topic costs its bookkeeping, not a reserved retention
-// window, and a full one about its bytes — tuple-shaped ones packed to at
-// most 20 B, incompressible ones no worse off than raw.
+// window, and a full one about its bytes — telemetry tuples sealed to at
+// most 10 B, incompressible ones no worse off than raw.
 func TestTopicLogFootprint(t *testing.T) {
 	b := NewBroker(0)
 	defer b.Close()
@@ -489,7 +517,7 @@ func TestTopicLogFootprint(t *testing.T) {
 		next  func() []byte
 		limit int64
 	}{
-		{"tuples", tuples(1), DefaultRetention*20 + 16<<10},
+		{"tuples", tuples(1), DefaultRetention*10 + 16<<10},
 		{"random", randomTuples(1), limit},
 	} {
 		base = liveHeap()

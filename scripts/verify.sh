@@ -96,9 +96,9 @@ for target in \
     "./internal/telemetry FuzzInfoRoundTrip" \
     "./internal/stream FuzzReadFrame" \
     "./internal/stream FuzzDecodeEntries" \
-    "./internal/stream FuzzChunkPack" \
+    "./internal/stream FuzzChunkSeal" \
     "./internal/archive FuzzSegmentReplay" \
-    "./internal/archive FuzzBlockDecode" \
+    "./internal/telemetry/block FuzzBlockDecode" \
     "./internal/aqe FuzzPrepare" \
     "./internal/aqe FuzzShapeOf" \
     "./internal/delphi/registry FuzzRegistryDecode"; do
