@@ -91,6 +91,28 @@ func (h *History) Instrument(evicted, dropped *obs.Counter) {
 func (h *History) Append(info telemetry.Info) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	return h.appendLocked(info)
+}
+
+// AppendRun appends infos in order under one lock, each by Append's rules —
+// an entry older than the newest stored, or one the tag cannot name, is
+// rejected and counted, and the rest of the run still goes in — and returns
+// how many were stored. Evictions reach the callback in order, under the
+// lock, as with Append.
+func (h *History) AppendRun(infos []telemetry.Info) int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	n := 0
+	for _, info := range infos {
+		if h.appendLocked(info) {
+			n++
+		}
+	}
+	return n
+}
+
+// appendLocked is Append under h.mu, held for writing.
+func (h *History) appendLocked(info telemetry.Info) bool {
 	if h.count > 0 && info.Timestamp < h.ts[h.slot(h.count-1)] {
 		h.obsDropped.Inc()
 		return false

@@ -69,8 +69,9 @@ func sameInfos(got, want []telemetry.Info) error {
 }
 
 // TestHistoryMatchesReference drives rings of random capacity through seeded
-// appends over one to three metrics, both kinds and both sources, with tied
-// and out-of-order timestamps, and requires every read, every eviction and
+// appends — one at a time and in runs through AppendRun — over one to three
+// metrics, both kinds and both sources, with tied and out-of-order
+// timestamps, and requires every read, every eviction and
 // the drop count to agree with modelHistory after each step. It then fills
 // one ring's metric names to the tag's width: a metric past it is dropped,
 // not stored under another's name.
@@ -86,33 +87,72 @@ func TestHistoryMatchesReference(t *testing.T) {
 		used := metrics[:1+rng.Intn(len(metrics))]
 		ts := int64(rng.Intn(100))
 
+		// tuple draws the next tuple: mostly later, sometimes tied or older,
+		// now and then of a kind the tag cannot name.
+		tuple := func() telemetry.Info {
+			switch rng.Intn(6) {
+			case 0:
+				ts -= 1 + int64(rng.Intn(3)) // out of order
+			case 1, 2:
+				// a tie
+			default:
+				ts += 1 + int64(rng.Intn(5))
+			}
+			in := telemetry.Info{
+				Metric:    used[rng.Intn(len(used))],
+				Timestamp: ts,
+				Value:     rng.NormFloat64(),
+				Kind:      telemetry.Kind(rng.Intn(2)),
+				Source:    telemetry.Source(rng.Intn(2)),
+			}
+			if rng.Intn(50) == 0 {
+				in.Kind = 2 // no tag bit for it
+			}
+			return in
+		}
+		// model appends in to the model, keeping ts at or past its newest.
+		model := func(in telemetry.Info) bool {
+			ok := m.append(in)
+			if n := len(m.held); n > 0 {
+				ts = max(ts, m.held[n-1].Timestamp)
+			}
+			return ok
+		}
+
 		for step := 0; step < 2000; step++ {
 			var err error
-			switch rng.Intn(8) {
+			switch rng.Intn(9) {
 			case 0, 1, 2, 3:
-				switch rng.Intn(6) {
-				case 0:
-					ts -= 1 + int64(rng.Intn(3)) // out of order
-				case 1, 2:
-					// a tie
-				default:
-					ts += 1 + int64(rng.Intn(5))
-				}
-				in := telemetry.Info{
-					Metric:    used[rng.Intn(len(used))],
-					Timestamp: ts,
-					Value:     rng.NormFloat64(),
-					Kind:      telemetry.Kind(rng.Intn(2)),
-					Source:    telemetry.Source(rng.Intn(2)),
-				}
-				if rng.Intn(50) == 0 {
-					in.Kind = 2 // no tag bit for it
-				}
-				if got, want := h.Append(in), m.append(in); got != want {
+				in := tuple()
+				if got, want := h.Append(in), model(in); got != want {
 					err = fmt.Errorf("Append(%v) = %v, want %v", in, got, want)
 				}
-				if n := len(m.held); n > 0 {
-					ts = max(ts, m.held[n-1].Timestamp)
+			case 8:
+				// A run of up to 6 through AppendRun, sometimes with an older
+				// stamp or an untaggable tuple forced into its middle.
+				run := make([]telemetry.Info, 1+rng.Intn(6))
+				top := ts
+				for i := range run {
+					run[i] = tuple()
+					top = max(top, run[i].Timestamp)
+					ts = top // as model would leave it
+				}
+				if mid := rng.Intn(len(run)); mid > 0 {
+					switch rng.Intn(3) {
+					case 0:
+						run[mid].Timestamp = run[mid-1].Timestamp - 1
+					case 1:
+						run[mid].Source = 2
+					}
+				}
+				want := 0
+				for _, in := range run {
+					if model(in) {
+						want++
+					}
+				}
+				if got := h.AppendRun(run); got != want {
+					err = fmt.Errorf("AppendRun(%v) = %d, want %d", run, got, want)
 				}
 			case 4:
 				from := ts - int64(rng.Intn(40))

@@ -141,12 +141,28 @@ func TestHistoryRangeQuick(t *testing.T) {
 	}
 }
 
+// BenchmarkHistoryAppend times one tuple through Append, and tuples in runs
+// of 4 through AppendRun (an insight run, a Delphi fill); ns/op is per tuple
+// in both.
 func BenchmarkHistoryAppend(b *testing.B) {
-	h := NewHistory(4096, nil)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h.Append(telemetry.NewFact("m", int64(i), float64(i)))
-	}
+	b.Run("one", func(b *testing.B) {
+		h := NewHistory(4096, nil)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			h.Append(telemetry.NewFact("m", int64(i), float64(i)))
+		}
+	})
+	b.Run("run-of-4", func(b *testing.B) {
+		h := NewHistory(4096, nil)
+		var run [4]telemetry.Info
+		b.ReportAllocs()
+		for i := 0; i < b.N; i += len(run) {
+			for j := range run {
+				run[j] = telemetry.NewFact("m", int64(i+j), float64(i+j))
+			}
+			h.AppendRun(run[:])
+		}
+	})
 }
 
 func BenchmarkHistoryLatest(b *testing.B) {

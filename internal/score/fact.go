@@ -77,6 +77,7 @@ type FactVertex struct {
 	history *queue.History
 	stats   Stats
 	pub     *BufferedPublisher
+	wall    bool // cfg.Clock is sim.Wall: the hook timing's end read stamps the tuple
 
 	obsTuplesIn    *obs.Counter   // tuples built from successful polls
 	obsTuplesOut   *obs.Counter   // tuples accepted by the publish path
@@ -129,6 +130,7 @@ func NewFactVertex(cfg FactConfig) (*FactVertex, error) {
 		cfg.BufferSize = cfg.HistorySize
 	}
 	v := &FactVertex{cfg: cfg, metric: cfg.Hook.Metric()}
+	_, v.wall = cfg.Clock.(sim.Wall)
 	v.pub = newPubBuffer(cfg.Bus, string(v.metric), cfg.BufferSize, cfg.FailAfter, &v.stats, cfg.Clock)
 	var onEvict func(telemetry.Info)
 	if cfg.Archive != nil {
@@ -211,16 +213,22 @@ func (v *FactVertex) Stop() {
 	<-done
 }
 
+// run polls until ctx ends. The loop waits on its timer alone: the end of ctx
+// fires the timer, and ctx is checked after every tick and every Reset, so
+// whichever Reset lands last the loop wakes and returns. Timer channels hold
+// one tick (go.mod's go 1.22 keeps the pre-1.23 timers), so a stale tick the
+// stop's Reset(0) leaves behind is never read.
 func (v *FactVertex) run(ctx context.Context) {
 	defer close(v.done)
 	interval := v.pollOnce(ctx, v.cfg.Controller.Interval())
 	timer := v.cfg.Clock.NewTimer(interval)
 	defer timer.Stop()
-	for {
-		select {
-		case <-ctx.Done():
+	stop := context.AfterFunc(ctx, func() { timer.Reset(0) })
+	defer stop()
+	for ctx.Err() == nil {
+		<-timer.C
+		if ctx.Err() != nil {
 			return
-		case <-timer.C:
 		}
 		interval = v.pollOnce(ctx, interval)
 		timer.Reset(interval) // its tick was received above: nothing to drain
@@ -246,7 +254,10 @@ func (v *FactVertex) pollOnce(ctx context.Context, current time.Duration) time.D
 		v.stats.errors.Add(1)
 		return current
 	}
-	ts := v.cfg.Clock.Now().UnixNano()
+	ts := t1.UnixNano()
+	if !v.wall {
+		ts = v.cfg.Clock.Now().UnixNano()
+	}
 
 	v.obsTuplesIn.Inc()
 
@@ -343,11 +354,9 @@ func (v *FactVertex) pollOnce(ctx context.Context, current time.Duration) time.D
 			v.predInfos, v.predPayloads, v.predBlob = infos, payloads, blob
 			v.obsPredictSec.ObserveDuration(time.Since(p0))
 			if len(payloads) > 0 && v.pub.publish(ctx, payloads) {
-				for _, pinfo := range infos {
-					v.history.Append(pinfo)
-					v.stats.predicted.Add(1)
-					v.obsTuplesOut.Inc()
-				}
+				v.history.AppendRun(infos)
+				v.stats.predicted.Add(uint64(len(infos)))
+				v.obsTuplesOut.Add(uint64(len(infos)))
 				v.obsPredBatch.Observe(float64(len(infos)))
 				v.obsPredictions.Add(uint64(len(infos)))
 			}

@@ -105,6 +105,7 @@ type InsightVertex struct {
 	history *queue.History
 	stats   Stats
 	pub     *BufferedPublisher
+	wall    bool // cfg.Clock is sim.Wall: the run's anatomy read stamps its insights
 
 	obsTuplesIn  *obs.Counter // upstream entries decoded
 	obsTuplesOut *obs.Counter // insights accepted by the publish path
@@ -148,6 +149,7 @@ func NewInsightVertex(cfg InsightConfig) (*InsightVertex, error) {
 		}
 	}
 	v := &InsightVertex{cfg: cfg, latest: make([]telemetry.Info, len(cfg.Inputs))}
+	_, v.wall = cfg.Clock.(sim.Wall)
 	v.pub = newPubBuffer(cfg.Bus, string(cfg.Metric), cfg.BufferSize, cfg.FailAfter, &v.stats, cfg.Clock)
 	var onEvict func(telemetry.Info)
 	if cfg.Archive != nil {
@@ -237,7 +239,8 @@ func (v *InsightVertex) Stop() {
 // scan of cfg.Inputs, and every entry that leaves all inputs seen rebuilds the
 // insight, and the run's insights that pass the only-if-changed filter go
 // out as one batch, then into the history. Anatomy timings use wall time
-// (see FactVertex.pollOnce), stamped once per run.
+// (see FactVertex.pollOnce), read once per stage boundary of the run: the
+// build stage is the decode and the wait for act.
 func (v *InsightVertex) consume(ctx context.Context, pos int, run []stream.Entry, ins []telemetry.Info) []telemetry.Info {
 	t0 := time.Now()
 	ins = slices.Grow(ins[:0], len(run))[:len(run)] // the slots as they were left
@@ -250,11 +253,20 @@ func (v *InsightVertex) consume(ctx context.Context, pos int, run []stream.Entry
 	ins = ins[:n]
 	failed := uint64(len(run) - n)
 	v.obsTuplesIn.Add(uint64(len(ins)))
-	v.stats.addBuild(time.Since(t0))
 
 	v.act.Lock()
 	defer v.act.Unlock()
 	t1 := time.Now()
+	v.stats.addBuild(t1.Sub(t0))
+	// Insight time is processing time, read once per run: every insight of
+	// the run carries one stamp, so stamps never run backwards under act,
+	// whatever future stamps predicted inputs carry; Source says that a
+	// prediction contributed.
+	var stamp int64
+	stamped := v.wall
+	if stamped {
+		stamp = t1.UnixNano()
+	}
 	outs := v.outs[:0]
 	var built, suppressed, predicted uint64
 	for i := range ins {
@@ -297,10 +309,10 @@ func (v *InsightVertex) consume(ctx context.Context, pos int, run []stream.Entry
 			out.Source = telemetry.Predicted
 			predicted++
 		}
-		// Insight time is processing time, so stamps never run backwards under
-		// act, whatever future stamps predicted inputs carry; Source says that
-		// a prediction contributed.
-		out.Timestamp = v.cfg.Clock.Now().UnixNano()
+		if !stamped {
+			stamp, stamped = v.cfg.Clock.Now().UnixNano(), true
+		}
+		out.Timestamp = stamp
 		outs = append(outs, out)
 	}
 	v.outs = outs
@@ -323,9 +335,7 @@ func (v *InsightVertex) consume(ctx context.Context, pos int, run []stream.Entry
 		}
 		v.buf, v.payloads = buf, payloads
 		if err == nil && v.pub.publish(ctx, payloads) {
-			for _, out := range outs {
-				v.history.Append(out)
-			}
+			v.history.AppendRun(outs)
 			v.stats.published.Add(uint64(len(outs)))
 			v.stats.predicted.Add(predicted)
 			v.obsTuplesOut.Add(uint64(len(outs)))

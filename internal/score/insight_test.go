@@ -120,6 +120,70 @@ func randomBursts(rng *rand.Rand, inputs []telemetry.MetricID, now int64, n int)
 	return out
 }
 
+// consumedBus counts, per topic, the entries its cursors have handed out and
+// then been asked past. A vertex input goroutine calls Next again only once it
+// has consumed the run before, so the count is of entries fully consumed,
+// counters included.
+type consumedBus struct {
+	stream.Bus
+	mu       sync.Mutex
+	consumed map[string]int
+	changed  chan struct{} // closed and replaced on every count
+}
+
+func newConsumedBus(bus stream.Bus) *consumedBus {
+	return &consumedBus{Bus: bus, consumed: map[string]int{}, changed: make(chan struct{})}
+}
+
+func (b *consumedBus) Follow(ctx context.Context, topic string, afterID uint64) (stream.Cursor, error) {
+	cur, err := b.Bus.Follow(ctx, topic, afterID)
+	if err != nil {
+		return nil, err
+	}
+	return &consumedCursor{Cursor: cur, bus: b, topic: topic}, nil
+}
+
+// await blocks until n entries of topic are consumed, failing the test after
+// 2s.
+func (b *consumedBus) await(t *testing.T, topic string, n int) {
+	t.Helper()
+	deadline := time.After(2 * time.Second)
+	for {
+		b.mu.Lock()
+		got, changed := b.consumed[topic], b.changed
+		b.mu.Unlock()
+		if got >= n {
+			return
+		}
+		select {
+		case <-changed:
+		case <-deadline:
+			t.Fatalf("%d of %d entries of %s consumed after 2s", got, n, topic)
+		}
+	}
+}
+
+type consumedCursor struct {
+	stream.Cursor
+	bus   *consumedBus
+	topic string
+	held  int // entries of the run last handed out
+}
+
+func (c *consumedCursor) Next() ([]stream.Entry, error) {
+	if c.held > 0 {
+		b := c.bus
+		b.mu.Lock()
+		b.consumed[c.topic] += c.held
+		close(b.changed)
+		b.changed = make(chan struct{})
+		b.mu.Unlock()
+	}
+	run, err := c.Cursor.Next()
+	c.held = len(run)
+	return run, err
+}
+
 // TestInsightMatchesReference drives the vertex and the per-entry reference
 // with the same seeded bursts — entry by entry through ConsumeOnce, burst by
 // burst as runs, and over live subscriptions — and demands the same outputs
@@ -146,7 +210,8 @@ func TestInsightMatchesReference(t *testing.T) {
 					ref := &refInsight{inputs: inputs, builder: builder, unchanged: unchanged, now: now,
 						latest: map[telemetry.MetricID]telemetry.Info{}}
 
-					bus := stream.NewBroker(1 << 12)
+					bus := newConsumedBus(stream.NewBroker(1 << 12))
+					sent := map[telemetry.MetricID]int{}
 					v, err := NewInsightVertex(InsightConfig{
 						Metric: "ref.out", Inputs: inputs, Builder: builder, Bus: bus,
 						Clock: sim.NewVirtual(time.Unix(0, now)), PublishUnchanged: unchanged,
@@ -160,7 +225,7 @@ func TestInsightMatchesReference(t *testing.T) {
 						}
 						defer v.Stop()
 					}
-					for i, b := range bursts {
+					for _, b := range bursts {
 						for _, p := range b.payloads {
 							ref.consume(p)
 						}
@@ -179,16 +244,11 @@ func TestInsightMatchesReference(t *testing.T) {
 							if _, err := bus.PublishBatch(context.Background(), string(b.topic), b.payloads); err != nil {
 								t.Fatal(err)
 							}
-							// The order across inputs is the test's to fix: once
-							// every input is seen each entry ends in a counter,
-							// so wait for this burst before publishing the next.
-							if i >= nIn-1 {
-								waitFor(t, func() bool {
-									st := v.Stats()
-									return st.Polls+st.Errors == ref.stats.Polls+ref.stats.Errors &&
-										st.Published+st.Suppressed == st.Polls
-								})
-							}
+							// The order across inputs is the test's to fix, so
+							// wait for this burst to be consumed before
+							// publishing the next.
+							sent[b.topic] += len(b.payloads)
+							bus.await(t, string(b.topic), sent[b.topic])
 						}
 					}
 					v.Stop()
@@ -557,5 +617,67 @@ func TestInsightStopWhilePublishBlocked(t *testing.T) {
 	}
 	if _, n, err := bus.TopicTail(context.Background(), "sum"); err == nil && n != 0 {
 		t.Fatalf("%d insights on the bus, want none", n)
+	}
+}
+
+// countingClock is a virtual clock that counts its Now calls.
+type countingClock struct {
+	*sim.Virtual
+	nows atomic.Int64
+}
+
+func (c *countingClock) Now() time.Time {
+	c.nows.Add(1)
+	return c.Virtual.Now()
+}
+
+// TestInsightStampsOncePerRun: insight time is read once per run. A run of k
+// entries that yields k insights calls the vertex clock once, and all k carry
+// that stamp; across runs on an advancing clock the stamps never decrease.
+// The clock starts at Unix 0, so the first runs' stamp is 0: a vertex that
+// took a zero stamp for "not read yet" would read the clock per insight
+// there, and fail as one that reads it per insight does.
+func TestInsightStampsOncePerRun(t *testing.T) {
+	clock := &countingClock{Virtual: sim.NewVirtual(time.Unix(0, 0))}
+	bus := stream.NewBroker(0)
+	v, err := NewInsightVertex(InsightConfig{Metric: "sum", Inputs: []telemetry.MetricID{"a"}, Builder: Sum, Bus: bus, Clock: clock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last uint64
+	stamp := int64(-1)
+	value := 0.0
+	for round := 0; round < 3; round++ {
+		for k := 1; k <= 8; k++ {
+			run := make([]stream.Entry, k)
+			for i := range run {
+				value++
+				run[i] = publish(t, bus, telemetry.NewFact("a", 1, value))
+			}
+			before := clock.nows.Load()
+			v.consume(context.Background(), 0, run, nil)
+			if got := clock.nows.Load() - before; got != 1 {
+				t.Fatalf("round %d: a run of %d insights read the clock %d times, want 1", round, k, got)
+			}
+			outs, err := bus.Range(context.Background(), "sum", last+1, 1<<62, 0)
+			if err != nil || len(outs) != k {
+				t.Fatalf("round %d: a run of %d entries published %d insights (%v)", round, k, len(outs), err)
+			}
+			last = outs[len(outs)-1].ID
+			for i, e := range outs {
+				var out telemetry.Info
+				if err := out.UnmarshalBinary(e.Payload); err != nil {
+					t.Fatal(err)
+				}
+				if i == 0 && out.Timestamp < stamp || i > 0 && out.Timestamp != stamp {
+					t.Fatalf("round %d, run of %d: insight %d stamped %d after %d", round, k, i, out.Timestamp, stamp)
+				}
+				stamp = out.Timestamp
+			}
+		}
+		clock.Advance(time.Millisecond)
+	}
+	if stamp != int64(2*time.Millisecond) {
+		t.Fatalf("last stamp %d, want the clock's %d", stamp, 2*time.Millisecond)
 	}
 }

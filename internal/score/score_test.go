@@ -32,18 +32,32 @@ func scanAll(ex Executor, from, to int64) []telemetry.Info {
 	return out
 }
 
-// waitFor polls cond until it holds, failing the test after 2s.
-func waitFor(t *testing.T, cond func() bool) {
+// awaitTuple follows topic from its first entry until a tuple for which ok
+// holds arrives, and returns it; it fails the test after 2s.
+func awaitTuple(t *testing.T, bus stream.Bus, topic string, ok func(telemetry.Info) bool) telemetry.Info {
 	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	cur, err := bus.Follow(ctx, topic, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Fatal("condition not reached within 2s")
+	for {
+		run, err := cur.Next()
+		if err != nil {
+			t.Fatalf("no such tuple on %s within 2s: %v", topic, err)
+		}
+		for _, e := range run {
+			var in telemetry.Info
+			if in.UnmarshalBinary(e.Payload) == nil && ok(in) {
+				return in
+			}
+		}
+	}
 }
+
+// anyTuple is the awaitTuple condition every tuple meets.
+func anyTuple(telemetry.Info) bool { return true }
 
 func TestHookFunc(t *testing.T) {
 	h := HookFunc{ID: "m", Fn: func() (float64, error) { return 7, nil }}
@@ -231,19 +245,14 @@ func TestFactVertexStartStop(t *testing.T) {
 	if err := v.Start(); err == nil {
 		t.Fatal("double start accepted")
 	}
-	// First poll happens immediately on the vertex goroutine.
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if _, ok := v.Latest(); ok {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if _, ok := v.Latest(); !ok {
-		t.Fatal("vertex never polled")
-	}
+	// First poll happens immediately on the vertex goroutine; once Stop has
+	// waited for that goroutine, the polled tuple is in the history too.
+	awaitTuple(t, bus, "m", anyTuple)
 	v.Stop()
 	v.Stop() // idempotent
+	if _, ok := v.Latest(); !ok {
+		t.Fatal("published tuple missing from the history")
+	}
 }
 
 func TestFactVertexArchiveFallback(t *testing.T) {
@@ -396,15 +405,11 @@ func TestInsightVertexLive(t *testing.T) {
 	}
 	defer fb.Stop()
 
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if latest, ok := iv.Latest(); ok && latest.Value == 300 {
-			return
-		}
-		time.Sleep(time.Millisecond)
+	awaitTuple(t, bus, "sum", func(in telemetry.Info) bool { return in.Value == 300 })
+	iv.Stop()
+	if latest, ok := iv.Latest(); !ok || latest.Value != 300 {
+		t.Fatalf("history latest=%v ok=%v, want the published 300", latest, ok)
 	}
-	latest, ok := iv.Latest()
-	t.Fatalf("insight never reached 300: latest=%v ok=%v", latest, ok)
 }
 
 func TestBuilders(t *testing.T) {
@@ -471,18 +476,10 @@ func TestGraphStartStopAll(t *testing.T) {
 	if err := g.StartAll(); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	ok := false
-	for time.Now().Before(deadline) {
-		if _, got := iv.Latest(); got {
-			ok = true
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
+	awaitTuple(t, bus, "i", anyTuple)
 	g.StopAll()
-	if !ok {
-		t.Fatal("insight never produced after StartAll")
+	if _, ok := iv.Latest(); !ok {
+		t.Fatal("published insight missing from the history")
 	}
 }
 
@@ -500,5 +497,37 @@ func BenchmarkFactPollPublish(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		v.PollOnce()
+	}
+}
+
+// TestFactStopWithLongInterval: Stop returns at once however long the wait
+// for the next poll, on the wall clock and on a virtual clock nobody
+// advances — the end of the vertex's context fires its poll timer.
+func TestFactStopWithLongInterval(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		clock sim.Clock
+	}{{"wall", sim.Wall{}}, {"virtual", sim.NewVirtual(time.Unix(0, 0))}} {
+		t.Run(c.name, func(t *testing.T) {
+			bus := stream.NewBroker(0)
+			v := newFact(t, bus, counterHook("m"), func(cfg *FactConfig) {
+				cfg.Clock = c.clock
+				cfg.Controller = adaptive.NewFixed(time.Hour)
+			})
+			if err := v.Start(); err != nil {
+				t.Fatal(err)
+			}
+			awaitTuple(t, bus, "m", anyTuple)
+			stopped := make(chan struct{})
+			go func() {
+				v.Stop()
+				close(stopped)
+			}()
+			select {
+			case <-stopped:
+			case <-time.After(time.Second):
+				t.Fatal("Stop still waiting after 1s")
+			}
+		})
 	}
 }

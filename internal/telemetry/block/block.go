@@ -64,33 +64,40 @@ const (
 // ErrCorrupt marks a frame that failed a structural or CRC check.
 var ErrCorrupt = errors.New("block: corrupt frame")
 
-// bitWriter packs bits MSB-first.
+// bitWriter packs bits MSB-first through a 64-bit accumulator, flushed to buf
+// eight bytes at a time, so a write is a few shifts.
 type bitWriter struct {
-	buf  []byte
-	free uint // unused bits in the last byte
+	buf []byte
+	acc uint64 // the pending bits, MSB-aligned
+	n   uint   // pending bits in acc, < 64
 }
 
+// writeBits writes the low n bits of v (n <= 64).
 func (w *bitWriter) writeBits(v uint64, n uint) {
-	if n < 64 {
-		v <<= 64 - n // left-align
+	v <<= 64 - n // left-align; bits above the n are shifted out
+	w.acc |= v >> w.n
+	if w.n+n < 64 {
+		w.n += n
+		return
 	}
-	for n > 0 {
-		if w.free == 0 {
-			w.buf = append(w.buf, 0)
-			w.free = 8
-		}
-		take := n
-		if take > w.free {
-			take = w.free
-		}
-		w.buf[len(w.buf)-1] |= byte(v >> (64 - take) << (w.free - take))
-		v <<= take
-		w.free -= take
-		n -= take
-	}
+	w.buf = binary.BigEndian.AppendUint64(w.buf, w.acc)
+	w.acc = v << (64 - w.n) // the bits that did not fit; none when w.n is 0
+	w.n += n - 64
 }
 
 func (w *bitWriter) writeBit(b uint64) { w.writeBits(b&1, 1) }
+
+// appendStream appends the bits written so far to dst, length-prefixed like
+// the byte streams of the package-level appendStream and the last byte
+// zero-padded, without changing w.
+func (w *bitWriter) appendStream(dst []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(w.buf)+int(w.n+7)/8))
+	dst = append(dst, w.buf...)
+	for i := uint(0); i < w.n; i += 8 {
+		dst = append(dst, byte(w.acc>>(56-i)))
+	}
+	return dst
+}
 
 // bitReader consumes bits MSB-first through a 64-bit accumulator, refilled
 // eight bytes at a time where eight remain, so a read is a few shifts.
@@ -318,7 +325,7 @@ func (b *Writer) AppendFrame(dst []byte, tier uint8) []byte {
 	last := appendRun(run[:0], b.runDict, b.runKS, b.runLen)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(b.meta)+len(last)))
 	dst = append(append(dst, b.meta...), last...)
-	dst = appendStream(appendStream(dst, b.ts), b.vals.w.buf)
+	dst = b.vals.w.appendStream(appendStream(dst, b.ts))
 	binary.LittleEndian.PutUint32(dst[start+4:], uint32(len(dst)-start+4))
 	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
 }

@@ -1,7 +1,10 @@
 package block
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -146,4 +149,158 @@ func BenchmarkDecode(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*MaxRecords), "ns/record")
+}
+
+// refBitWriter is the bit-at-a-time writer the codec used before its 64-bit
+// accumulator, kept as the reference the value column must match byte for
+// byte.
+type refBitWriter struct {
+	buf  []byte
+	free uint // unused bits in the last byte
+}
+
+func (w *refBitWriter) writeBits(v uint64, n uint) {
+	if n < 64 {
+		v <<= 64 - n // left-align
+	}
+	for n > 0 {
+		if w.free == 0 {
+			w.buf = append(w.buf, 0)
+			w.free = 8
+		}
+		take := min(n, w.free)
+		w.buf[len(w.buf)-1] |= byte(v >> (64 - take) << (w.free - take))
+		v <<= take
+		w.free -= take
+		n -= take
+	}
+}
+
+// refXOR is xorEncoder over refBitWriter.
+type refXOR struct {
+	w          refBitWriter
+	prev       uint64
+	lead, mean uint
+	first      bool
+}
+
+func (e *refXOR) add(v float64) {
+	b := math.Float64bits(v)
+	if !e.first {
+		e.first, e.prev = true, b
+		e.w.writeBits(b, 64)
+		return
+	}
+	x := e.prev ^ b
+	e.prev = b
+	if x == 0 {
+		e.w.writeBits(0, 1)
+		return
+	}
+	e.w.writeBits(1, 1)
+	lead := min(uint(bits.LeadingZeros64(x)), 63)
+	trail := uint(bits.TrailingZeros64(x))
+	mean := 64 - lead - trail
+	if e.mean != 0 && lead >= e.lead && mean <= e.mean && trail >= 64-e.lead-e.mean {
+		e.w.writeBits(0, 1)
+		e.w.writeBits(x>>(64-e.lead-e.mean), e.mean)
+		return
+	}
+	e.lead, e.mean = lead, mean
+	e.w.writeBits(1, 1)
+	e.w.writeBits(uint64(lead), 6)
+	e.w.writeBits(uint64(mean-1), 6)
+	e.w.writeBits(x>>trail, mean)
+}
+
+// checkMatchesReference adds infos to one Writer and, after each record cut
+// marks and after the last, requires AppendFrame to render exactly the frame
+// whose value column the reference writer produced from the same values, and
+// that frame to decode back to the records added so far.
+func checkMatchesReference(t *testing.T, infos []telemetry.Info, cut func(i int) bool) {
+	t.Helper()
+	var (
+		w   Writer
+		ref refXOR
+	)
+	prefix := []byte("dst")
+	for i, in := range infos {
+		w.Add(in)
+		ref.add(in.Value)
+		if !cut(i) && i != len(infos)-1 {
+			continue
+		}
+		got := w.AppendFrame(prefix, 7)
+		want := w
+		want.vals.w = bitWriter{buf: ref.w.buf}
+		if exp := want.AppendFrame(prefix, 7); !bytes.Equal(got, exp) {
+			t.Fatalf("after %d of %d records: frame differs from the reference\n got %x\nwant %x", i+1, len(infos), got, exp)
+		}
+		back, _, err := decodeBlock(got[len(prefix):])
+		if err != nil || len(back) != i+1 {
+			t.Fatalf("after %d records: decode = %d records, %v", i+1, len(back), err)
+		}
+		for j := range back {
+			if !sameInfo(back[j], infos[j]) {
+				t.Fatalf("after %d records: record %d decodes to %v, want %v", i+1, j, back[j], infos[j])
+			}
+		}
+	}
+}
+
+// TestWriterMatchesReference: the accumulator writer renders every frame
+// byte for byte as the bit-at-a-time writer did, at the end of a block and
+// mid-block with more records added after, over series of 1 to MaxRecords
+// records mixing NaN, ±Inf, −0, runs of equal values, random bit patterns,
+// small steps and XORs that fill all 64 bits.
+func TestWriterMatchesReference(t *testing.T) {
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0,
+		math.Float64frombits(1<<63 | 1), math.Float64frombits(1), math.MaxFloat64, math.SmallestNonzeroFloat64}
+	lengths := []int{1, 2, 3, 7, 8, 9, 63, 64, 65, 100, 511, 512, 1023, MaxRecords}
+	rng := rand.New(rand.NewSource(1))
+	for range 20 {
+		lengths = append(lengths, 1+rng.Intn(MaxRecords))
+	}
+	for _, n := range lengths {
+		infos := make([]telemetry.Info, n)
+		v := 1000.0
+		for i := range infos {
+			switch rng.Intn(6) {
+			case 0:
+				v = specials[rng.Intn(len(specials))]
+			case 1: // a run of equal values
+			case 2:
+				v = math.Float64frombits(rng.Uint64())
+			case 3: // the XOR with the last value has its top and bottom bits set
+				v = math.Float64frombits(math.Float64bits(v) ^ (1<<63 | 1 | rng.Uint64()))
+			default:
+				v += rng.NormFloat64()
+			}
+			infos[i] = telemetry.NewFact("node01.nvme0.capacity_total", int64(i)*5_000_000, v)
+		}
+		every := 1 + rng.Intn(n)
+		checkMatchesReference(t, infos, func(i int) bool { return i%every == every-1 })
+	}
+}
+
+// FuzzWriterMatchesReference reads the input as a cut stride and then one
+// float64 bit pattern per 8 bytes, and checks the frames the way
+// TestWriterMatchesReference does.
+func FuzzWriterMatchesReference(f *testing.F) {
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add(append([]byte{3}, bytes.Repeat([]byte{0x40, 0x8f, 0x40, 0, 0, 0, 0, 0}, 9)...))
+	f.Add([]byte{2, 0x80, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0x7f, 0xf8, 0, 0, 0, 0, 0, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 9 {
+			return
+		}
+		every := 1 + int(data[0])
+		data = data[1:]
+		infos := make([]telemetry.Info, 0, min(len(data)/8, MaxRecords))
+		for i := 0; i+8 <= len(data) && len(infos) < MaxRecords; i += 8 {
+			v := math.Float64frombits(binary.BigEndian.Uint64(data[i:]))
+			infos = append(infos, telemetry.NewFact("fuzz.metric", int64(i), v))
+		}
+		checkMatchesReference(t, infos, func(i int) bool { return i%every == every-1 })
+	})
 }

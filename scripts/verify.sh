@@ -99,6 +99,7 @@ for target in \
     "./internal/stream FuzzChunkSeal" \
     "./internal/archive FuzzSegmentReplay" \
     "./internal/telemetry/block FuzzBlockDecode" \
+    "./internal/telemetry/block FuzzWriterMatchesReference" \
     "./internal/aqe FuzzPrepare" \
     "./internal/aqe FuzzShapeOf" \
     "./internal/delphi/registry FuzzRegistryDecode"; do
@@ -115,8 +116,8 @@ done
 # gate is TestBlockCompressionRatio and their throughput BenchmarkArchive*.)
 echo "==> go test -run xxx -bench . -benchtime 1x ./internal/stream/..."
 go test -run xxx -bench . -benchtime 1x ./internal/stream/...
-echo "==> go test -run xxx -bench . -benchtime 1x ./internal/aqe/... ./internal/queue/... ./internal/archive/... ./internal/gateway/..."
-go test -run xxx -bench . -benchtime 1x ./internal/aqe/... ./internal/queue/... ./internal/archive/... ./internal/gateway/...
+echo "==> go test -run xxx -bench . -benchtime 1x ./internal/aqe/... ./internal/queue/... ./internal/archive/... ./internal/gateway/... ./internal/telemetry/block/"
+go test -run xxx -bench . -benchtime 1x ./internal/aqe/... ./internal/queue/... ./internal/archive/... ./internal/gateway/... ./internal/telemetry/block/
 # The vertex hot paths (BenchmarkInsightConsume, BenchmarkFactPollPublish) and
 # the histogram every stage observes into (BenchmarkHistogramObserve).
 echo "==> go test -run xxx -bench . -benchtime 1x ./internal/score/ ./internal/obs/"
