@@ -53,7 +53,6 @@ func bindFlags(fs *flag.FlagSet, cfg *core.Config) {
 		log.Printf("delphi model loaded from %s", path)
 		return nil
 	})
-	fs.IntVar(&cfg.DelphiBatch, "delphi-batch", 0, "sweep workers for the shared batch predictor over all Delphi metrics (requires -delphi or -delphi-registry; 0 disables)")
 	fs.StringVar(&cfg.DelphiRegistry, "delphi-registry", "", "directory of the versioned per-device-class model registry; empty keeps the single shared model")
 	fs.DurationVar(&cfg.DelphiRetrain, "delphi-retrain", 0, "arm drift detectors and retrain drifted device classes at this cadence (requires -delphi-registry; 0 disables)")
 	fs.IntVar(&cfg.Shards, "shards", 0, "broker topic-map shard count (0 = default)")
@@ -94,8 +93,6 @@ func checkFlags(cfg *core.Config) error {
 		return errors.New("-peers requires -node-id")
 	case cfg.ArchiveDir == "" && (!cfg.ArchiveRetention.IsZero() || cfg.CompactInterval != 0 || cfg.ArchiveSegmentBytes != 0):
 		return errors.New("-retention/-compact-interval/-archive-segment-bytes require -archive-dir")
-	case cfg.Delphi == nil && cfg.DelphiRegistry == "" && cfg.DelphiBatch != 0:
-		return errors.New("-delphi-batch requires -delphi or -delphi-registry")
 	case cfg.DelphiRegistry == "" && cfg.DelphiRetrain != 0:
 		return errors.New("-delphi-retrain requires -delphi-registry")
 	case cfg.GatewayAddr == "" && (len(gw.Tokens) > 0 || gw.Rate != 0 || gw.Burst != 0 || gw.QueueSize != 0):
@@ -118,9 +115,6 @@ func main() {
 	flag.Parse()
 	if err := checkFlags(&cfg); err != nil {
 		log.Fatalf("apollod: %v", err)
-	}
-	if cfg.DelphiBatch > 0 {
-		log.Printf("delphi batch predictor enabled: %d sweep workers", cfg.DelphiBatch)
 	}
 
 	sim := cluster.BuildAres(time.Now(), *compute, *storage)

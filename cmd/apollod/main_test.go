@@ -14,12 +14,14 @@ import (
 )
 
 // programmaticOnly lists the core.Config fields that deliberately have no
-// apollod flag: they carry Go values (a clock, a registry, a tuning struct)
-// that only a program embedding the service sets.
+// apollod flag. Most carry Go values (a clock, a registry, a tuning struct)
+// that only a program embedding the service sets; DelphiBatch is deprecated
+// and ignored, and a flag would only advertise a knob that does nothing.
 var programmaticOnly = map[string]bool{
-	"Clock":    true,
-	"Obs":      true,
-	"Adaptive": true,
+	"Clock":       true,
+	"Obs":         true,
+	"Adaptive":    true,
+	"DelphiBatch": true,
 }
 
 // TestFlagsCoverConfig parses a command line that sets every flag bindFlags
@@ -38,7 +40,6 @@ func TestFlagsCoverConfig(t *testing.T) {
 	values := map[string]string{
 		"mode":                  "entropy",
 		"delphi":                modelPath,
-		"delphi-batch":          "2",
 		"delphi-registry":       "/var/lib/apollo/models",
 		"delphi-retrain":        "5m",
 		"shards":                "8",
@@ -129,7 +130,6 @@ func TestFlagDefaultsAndChecks(t *testing.T) {
 		{"-retention=raw=1h", "require -archive-dir"},
 		{"-compact-interval=1m", "require -archive-dir"},
 		{"-archive-segment-bytes=65536", "require -archive-dir"},
-		{"-delphi-batch=2", "-delphi-batch requires"},
 		{"-delphi-retrain=1m", "-delphi-retrain requires"},
 		{"-gateway-queue=8", "require -gateway-addr"},
 	} {
@@ -137,7 +137,7 @@ func TestFlagDefaultsAndChecks(t *testing.T) {
 			t.Errorf("%q: err = %v, want one containing %q", tc.args, err, tc.wantErr)
 		}
 	}
-	if _, err := parse("-delphi-registry=/tmp/r", "-delphi-batch=2", "-delphi-retrain=1m"); err != nil {
+	if _, err := parse("-delphi-registry=/tmp/r", "-delphi-retrain=1m"); err != nil {
 		t.Errorf("registry-only delphi flags rejected: %v", err)
 	}
 }

@@ -51,7 +51,7 @@ func registerOnlines(t *testing.T, s *Service, ids ...telemetry.MetricID) []*del
 // promoted model.
 func TestClassAttachAfterPromotion(t *testing.T) {
 	m1, m2 := trainedModel(t), secondModel(t)
-	s := New(Config{Delphi: m1, DelphiBatch: 2})
+	s := New(Config{Delphi: m1})
 	defer s.Stop()
 	c := s.fleet.classFor(defaultClass)
 
@@ -74,26 +74,29 @@ func TestClassAttachAfterPromotion(t *testing.T) {
 }
 
 // TestClassForeignEngineMember: a member whose Online predicts with an engine
-// other than its class's comes back not ready with its last value; the rest
-// of the class is swept as usual.
+// other than its class's is reported with that Online's own forecast, as
+// PredictAll promises for every member, and the rest of the class as usual.
 func TestClassForeignEngineMember(t *testing.T) {
-	s := New(Config{Delphi: trainedModel(t), DelphiBatch: 2})
+	s := New(Config{Delphi: trainedModel(t)})
 	defer s.Stop()
 	onlines := registerOnlines(t, s, "own", "foreign")
 	if err := onlines[1].SwapModel(secondModel(t)); err != nil {
 		t.Fatal(err)
 	}
-	ref := delphi.NewOnline(nil) // last-value-hold over the same walk
-	observeWalk(ref, 2, 2*delphi.WindowSize)
-	last, _ := ref.Predict()
-	own, _ := onlines[0].Predict()
-
 	res := s.PredictAll()
-	if len(res) != 2 || !res[0].OK || res[0].Value != own {
-		t.Fatalf("own member: %+v, want {own %v true}", res, own)
+	if len(res) != 2 {
+		t.Fatalf("%d results, want 2", len(res))
 	}
-	if res[1].OK || res[1].Value != last {
-		t.Fatalf("foreign-engine member: %+v, want {foreign %v false}", res[1], last)
+	for i, o := range onlines {
+		want, ok := o.Predict()
+		if !ok || res[i].Value != want || !res[i].OK {
+			t.Fatalf("member %s: %+v, want {%v true}", res[i].Metric, res[i], want)
+		}
+	}
+	classWide := delphi.NewOnline(trainedModel(t))
+	observeWalk(classWide, 2, 2*delphi.WindowSize)
+	if cv, _ := classWide.Predict(); cv == res[1].Value {
+		t.Fatal("the foreign member forecast with the class's engine; the test cannot tell the engines apart")
 	}
 }
 
@@ -105,8 +108,8 @@ func TestClassForeignEngineMember(t *testing.T) {
 // whichever model it ran.
 func TestClassPromoteDuringSweeps(t *testing.T) {
 	m1, m2 := trainedModel(t), secondModel(t)
-	// 256 members over 2 workers: the pooled sweep.
-	s := New(Config{Delphi: m1, DelphiBatch: 2})
+	// 256 members: the bench's ingest-inproc class size.
+	s := New(Config{Delphi: m1})
 	defer s.Stop()
 	ids := make([]telemetry.MetricID, 256)
 	for i := range ids {
@@ -135,7 +138,7 @@ func TestClassPromoteDuringSweeps(t *testing.T) {
 			}
 		}
 	}()
-	go func() { // sweeper: steady-state batch predictions
+	go func() { // sweeper: steady-state sweeps
 		defer wg.Done()
 		for i := 0; i < 200; i++ {
 			for _, r := range s.PredictAll() {

@@ -85,10 +85,8 @@ type Config struct {
 	Adaptive adaptive.Config
 	// Delphi, if non-nil, enables predicted values between polls.
 	Delphi *delphi.Model
-	// DelphiBatch, if > 0, gives each device class a batch predictor with
-	// this many sweep workers: Service.PredictAll evaluates the class's
-	// windows through one fused ForwardBatch pass per sweep instead of one
-	// model walk per metric. 0 keeps per-vertex prediction only.
+	// Deprecated: DelphiBatch is ignored. Service.PredictAll reads the
+	// forecast each vertex already made, so there is no sweep to size.
 	DelphiBatch int
 	// DelphiRegistry, if set, is the directory of the versioned per-class
 	// model store: metrics shard into device classes (DeviceClass), each
@@ -389,7 +387,7 @@ func (s *Service) RegisterMetric(hook score.Hook, opts ...MetricOption) (*score.
 		}
 		s.compactor.Add(fc.Archive, policy)
 	}
-	// After opts, so WithoutDelphi keeps the metric out of the batch sweep.
+	// After opts, so WithoutDelphi keeps the metric out of its device class.
 	if fc.Delphi != nil {
 		cls.attach(id, fc.Delphi, det, v)
 	}
@@ -641,20 +639,21 @@ func (s *Service) Obs() *obs.Registry { return s.obs }
 func (s *Service) Metrics() obs.Snapshot { return s.obs.Snapshot() }
 
 // BatchResult is one metric's forecast from a PredictAll sweep. OK mirrors
-// Online.Predict: false means the window is not yet full and Value is a
-// last-value-hold fallback (or 0 with no observations at all).
+// Online.Predict: false means no forecast (window not yet full, no trained
+// model, or measured-only fallback) and Value is a last-value-hold (or 0 with
+// no observations at all).
 type BatchResult struct {
 	Metric telemetry.MetricID
 	Value  float64
 	OK     bool
 }
 
-// PredictAll runs one fused batched sweep per device class over every
-// Delphi-enabled metric registered on the service and returns a forecast per
-// metric — classes in name order, metrics in registration order within a
-// class — bit-identical to what each vertex's own Online.Predict would
-// return at this instant. It returns nil when batching is disabled. Sweeps
-// are serialized per class; vertices keep observing concurrently.
+// PredictAll returns a forecast per Delphi-enabled metric registered on the
+// service — classes in name order, metrics in registration order within a
+// class — each what the vertex's own Online.Predict returns at this instant:
+// in steady state the forecast the vertex made at its last poll, so a sweep
+// runs no forward pass. It returns nil when the service has no Delphi-enabled
+// metric. Vertices keep observing concurrently.
 func (s *Service) PredictAll() []BatchResult {
 	if s.fleet == nil {
 		return nil

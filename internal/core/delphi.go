@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -30,10 +31,10 @@ const defaultClass = "default"
 
 // delphiFleet is the Delphi serving layer, built whenever the service has a
 // model or a registry: metrics shard into device classes, each with its own
-// model, batch predictor, and drift/retrain loop. With Config.DelphiRegistry
-// set a class serves the registry's active version (falling back to
-// Config.Delphi for classes with no lineage yet); without one the fleet is a
-// single class "default" serving Config.Delphi, and there is no trainer.
+// model and drift/retrain loop. With Config.DelphiRegistry set a class serves
+// the registry's active version (falling back to Config.Delphi for classes
+// with no lineage yet); without one the fleet is a single class "default"
+// serving Config.Delphi, and there is no trainer.
 type delphiFleet struct {
 	cfg Config
 	obs *obs.Registry
@@ -42,20 +43,18 @@ type delphiFleet struct {
 	trainer *registry.Trainer  // nil unless reg is set and DelphiRetrain > 0
 
 	mu sync.Mutex
-	// classes is sorted by name. Adding a class replaces the slice, so a
-	// sweep iterates its snapshot without holding mu.
+	// classes is sorted by name. Adding a class replaces the slice, so
+	// predictAll iterates its snapshot without holding mu.
 	classes []*deviceClass
 }
 
-// deviceClass is one model shard and the one owner of its members: the
-// batch predictor sweeps the class's own onlines with the class's engine. Its
-// mutex guards membership, the model and the sweep scratch, and orders
-// attach, promote and predictAll, so a sweep never runs against a
-// half-applied promotion.
+// deviceClass is one model shard and the one owner of its members. Its
+// mutex guards membership and the model, and orders attach, promote and
+// predictAll, so a sweep never reads a half-applied promotion. Lock order is
+// class, then member Online.
 type deviceClass struct {
 	name  string
 	fleet *delphiFleet
-	batch *delphi.BatchPredictor // fixed at creation; nil when batching is off
 
 	mu        sync.Mutex
 	model     *delphi.Model
@@ -63,7 +62,6 @@ type deviceClass struct {
 	onlines   []*delphi.Online
 	detectors []*delphi.Detector
 	vertices  []*score.FactVertex
-	scratch   []delphi.BatchPrediction
 	version   int
 }
 
@@ -127,14 +125,6 @@ func (f *delphiFleet) classFor(name string) *deviceClass {
 			c.model, c.version = m, v
 		}
 		f.obs.Gauge(obs.Name("delphi_model_version", "class", name)).Set(float64(c.version))
-	}
-	// Untrained models are tolerated the way NewOnline tolerates them: the
-	// batch lane stays off and per-vertex fallback rules.
-	if c.model != nil && f.cfg.DelphiBatch > 0 {
-		if _, err := c.model.Engine(); err == nil {
-			c.batch = delphi.NewBatchPredictor(f.cfg.DelphiBatch)
-			c.batch.Instrument(f.obs, name)
-		}
 	}
 	f.classes = append(f.classes[:len(f.classes):len(f.classes)], c)
 	sort.Slice(f.classes, func(i, j int) bool { return f.classes[i].name < f.classes[j].name })
@@ -221,9 +211,8 @@ func (c *deviceClass) promote(m *delphi.Model, version int) {
 	}
 }
 
-// predictAll sweeps every class in name order and appends the per-metric
-// results; nil when no class has a batch predictor. Class sweeps serialize
-// on the class lock (promotions and sweeps never interleave mid-batch).
+// predictAll reads every member's own forecast, classes in name order, under
+// the class lock so that a sweep never interleaves with a promotion.
 func (f *delphiFleet) predictAll() []BatchResult {
 	f.mu.Lock()
 	classes := f.classes
@@ -232,18 +221,10 @@ func (f *delphiFleet) predictAll() []BatchResult {
 	var out []BatchResult
 	for _, c := range classes {
 		c.mu.Lock()
-		if c.batch != nil {
-			// The class has a batch predictor only with a compiled model, and
-			// promotions install validated ones; a nil engine would report
-			// every member not ready.
-			eng, _ := c.model.Engine()
-			c.scratch = c.batch.PredictAll(c.scratch[:0], eng, c.onlines)
-			if out == nil {
-				out = make([]BatchResult, 0, len(c.scratch))
-			}
-			for i, p := range c.scratch {
-				out = append(out, BatchResult{Metric: c.metrics[i], Value: p.Value, OK: p.OK})
-			}
+		out = slices.Grow(out, len(c.onlines))
+		for i, o := range c.onlines {
+			v, ok := o.Predict()
+			out = append(out, BatchResult{Metric: c.metrics[i], Value: v, OK: ok})
 		}
 		c.mu.Unlock()
 	}
@@ -259,15 +240,6 @@ func (f *delphiFleet) start() {
 func (f *delphiFleet) stop() {
 	if f.trainer != nil {
 		f.trainer.Stop()
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for _, c := range f.classes {
-		c.mu.Lock()
-		if c.batch != nil {
-			c.batch.Close()
-		}
-		c.mu.Unlock()
 	}
 }
 

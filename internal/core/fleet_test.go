@@ -27,12 +27,12 @@ func TestDeviceClass(t *testing.T) {
 }
 
 // TestServiceFleetClassSharding checks that with a registry dir, metrics
-// shard into per-class predictors, PredictAll covers all classes, and the
+// shard into device classes, PredictAll covers all classes, and the
 // registry's active version overrides the base model for its class.
 func TestServiceFleetClassSharding(t *testing.T) {
 	dir := t.TempDir()
 	base := trainedModel(t)
-	s := New(Config{Delphi: base, DelphiBatch: 2, DelphiRegistry: dir})
+	s := New(Config{Delphi: base, DelphiRegistry: dir})
 	defer s.Stop()
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
@@ -81,7 +81,6 @@ func TestServiceFleetDriftRetrainPromote(t *testing.T) {
 	reg := obs.NewRegistry()
 	s := New(Config{
 		Delphi:         trainedModel(t),
-		DelphiBatch:    2,
 		DelphiRegistry: t.TempDir(),
 		DelphiRetrain:  time.Minute,
 		Obs:            reg,
@@ -132,7 +131,7 @@ func TestServiceFleetDriftRetrainPromote(t *testing.T) {
 		t.Fatalf("version gauge %v, want 1", g)
 	}
 	// Fallback lifted: the next poll publishes predictions again and the
-	// batch sweep reports OK with the retrained model.
+	// sweep reports OK with the retrained model.
 	v.PollOnce()
 	res := s.PredictAll()
 	if len(res) != 1 || !res[0].OK {
@@ -141,7 +140,7 @@ func TestServiceFleetDriftRetrainPromote(t *testing.T) {
 
 	// A fresh service over the same registry dir serves the promoted
 	// version immediately.
-	s2 := New(Config{Delphi: nil, DelphiBatch: 2, DelphiRegistry: s.cfg.DelphiRegistry})
+	s2 := New(Config{Delphi: nil, DelphiRegistry: s.cfg.DelphiRegistry})
 	defer s2.Stop()
 	if _, err := s2.RegisterMetric(constHook("comp09.nvme0.cap", 1)); err != nil {
 		t.Fatal(err)
@@ -155,7 +154,7 @@ func TestServiceFleetDriftRetrainPromote(t *testing.T) {
 // classes and members arrive: a sweep sees a consistent snapshot of the class
 // list, and every registered metric shows up once registration is done.
 func TestServiceFleetSweepWhileRegistering(t *testing.T) {
-	s := New(Config{Delphi: trainedModel(t), DelphiBatch: 2, DelphiRegistry: t.TempDir()})
+	s := New(Config{Delphi: trainedModel(t), DelphiRegistry: t.TempDir()})
 	defer s.Stop()
 	const classes, perClass = 8, 4
 	done := make(chan struct{})

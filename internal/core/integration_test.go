@@ -9,6 +9,7 @@ import (
 	"repro/internal/adaptive"
 	"repro/internal/cluster"
 	"repro/internal/delphi"
+	"repro/internal/sim"
 	"repro/internal/stream"
 	"repro/internal/telemetry"
 	"repro/internal/workloads"
@@ -140,7 +141,8 @@ func fastAIMD() adaptive.Config {
 }
 
 // TestEndToEndDelphiPipeline checks that a Delphi-equipped service publishes
-// predicted tuples between polls when the adaptive interval relaxes.
+// predicted tuples between polls when the adaptive interval relaxes. It polls
+// on a virtual clock, advanced by each interval the controller hands back.
 func TestEndToEndDelphiPipeline(t *testing.T) {
 	model, err := delphi.Train(delphi.TrainOptions{Seed: 1, Epochs: 10, SeriesPerFeature: 2, SeriesLen: 120})
 	if err != nil {
@@ -153,7 +155,9 @@ func TestEndToEndDelphiPipeline(t *testing.T) {
 	cfg.Max = 40 * time.Millisecond
 	cfg.AdditiveStep = 8 * time.Millisecond
 	cfg.Threshold = 1e18 // everything counts as stable -> interval stretches
+	clock := sim.NewVirtual(time.Unix(0, 0))
 	svc := New(Config{
+		Clock:    clock,
 		Mode:     IntervalSimpleAIMD,
 		Adaptive: cfg,
 		Delphi:   model,
@@ -162,20 +166,17 @@ func TestEndToEndDelphiPipeline(t *testing.T) {
 	defer svc.Stop()
 	trace := workloads.HACCRegular(40*time.Minute, 250e9)
 	hook := &replayForever{trace: trace}
-	if _, err := svc.RegisterMetric(hookFunc("cap", hook.poll)); err != nil {
+	v, err := svc.RegisterMetric(hookFunc("cap", hook.poll))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.Start(); err != nil {
-		t.Fatal(err)
+	for poll := 0; poll < 4*delphi.WindowSize; poll++ {
+		clock.Advance(v.PollOnce())
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		for _, in := range svc.Range("cap", 0, 1<<62) {
-			if in.Source == telemetry.Predicted {
-				return // predicted tuple made it into the queue
-			}
+	for _, in := range svc.Range("cap", 0, 1<<62) {
+		if in.Source == telemetry.Predicted {
+			return // predicted tuple made it into the queue
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatal("no predicted tuples were published")
 }

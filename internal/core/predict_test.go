@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/delphi"
 	"repro/internal/score"
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -19,10 +20,10 @@ func trainedModel(t *testing.T) *delphi.Model {
 	return m
 }
 
-// TestServicePredictAllBatched wires metrics into the shared batch predictor
-// and checks the sweep covers exactly the Delphi-enabled ones, by name.
+// TestServicePredictAllBatched checks the sweep covers exactly the
+// Delphi-enabled metrics, by name.
 func TestServicePredictAllBatched(t *testing.T) {
-	s := New(Config{Delphi: trainedModel(t), DelphiBatch: 2})
+	s := New(Config{Delphi: trainedModel(t)})
 	defer s.Stop()
 	for _, id := range []telemetry.MetricID{"cap", "iops"} {
 		if _, err := s.RegisterMetric(constHook(id, 1)); err != nil {
@@ -48,64 +49,72 @@ func TestServicePredictAllBatched(t *testing.T) {
 	}
 }
 
-// TestServicePredictAllEndToEnd runs a polling service and waits for the
-// batched sweep to produce a real forecast fed by vertex observations.
+// TestServicePredictAllEndToEnd drives a service on a virtual clock poll by
+// poll, advanced by each interval the controller hands back: after each poll
+// the sweep reports the forecast of the measurements the vertex has observed
+// — that of a fresh Online fed the same values — with OK=false until the
+// window fills.
 func TestServicePredictAllEndToEnd(t *testing.T) {
-	cfg := fastAIMD()
+	model := trainedModel(t)
+	clock := sim.NewVirtual(time.Unix(0, 0))
 	s := New(Config{
-		Mode:        IntervalSimpleAIMD,
-		Adaptive:    cfg,
-		Delphi:      trainedModel(t),
-		DelphiBatch: 2,
-		BaseTick:    2 * time.Millisecond,
+		Clock:    clock,
+		Mode:     IntervalSimpleAIMD,
+		Adaptive: fastAIMD(),
+		Delphi:   model,
+		BaseTick: 2 * time.Millisecond,
 	})
 	defer s.Stop()
 	n := 0.0
-	hook := hookFunc("trend", func() (float64, error) { n++; return 100 + n, nil })
-	if _, err := s.RegisterMetric(hook); err != nil {
+	value := func() float64 { return 100 + n*n/4 }
+	v, err := s.RegisterMetric(hookFunc("trend", func() (float64, error) { n++; return value(), nil }))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Start(); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		for _, r := range s.PredictAll() {
-			if r.Metric == "trend" && r.OK {
-				return
-			}
+	ref := delphi.NewOnline(model)
+	for poll := 1; poll <= 3*delphi.WindowSize; poll++ {
+		clock.Advance(v.PollOnce())
+		ref.Observe(value())
+		want, wantOK := ref.Predict()
+		res := s.PredictAll()
+		if len(res) != 1 || res[0].Metric != "trend" || res[0].Value != want || res[0].OK != wantOK {
+			t.Fatalf("poll %d: sweep %+v, want {trend %v %v}", poll, res, want, wantOK)
 		}
-		time.Sleep(5 * time.Millisecond)
+		if wantOK != (poll >= delphi.WindowSize) {
+			t.Fatalf("poll %d: forecast OK=%v with %d of %d window values", poll, wantOK, poll, delphi.WindowSize)
+		}
 	}
-	t.Fatal("batched sweep never produced a forecast")
 }
 
+// TestServicePredictAllDisabled: without a Delphi-enabled metric PredictAll
+// returns nil; with an untrained model every metric is reported, never OK,
+// and the service still works on per-vertex last-value-hold.
 func TestServicePredictAllDisabled(t *testing.T) {
 	s := New(Config{})
 	defer s.Stop()
+	if _, err := s.RegisterMetric(constHook("cap", 1)); err != nil {
+		t.Fatal(err)
+	}
 	if s.PredictAll() != nil {
-		t.Fatal("batching must be off without Delphi")
+		t.Fatal("a service without Delphi answered a sweep")
 	}
 	s1 := New(Config{Delphi: trainedModel(t)})
 	defer s1.Stop()
-	if _, err := s1.RegisterMetric(constHook("cap", 1)); err != nil {
-		t.Fatal(err)
-	}
 	if s1.PredictAll() != nil {
-		t.Fatal("batching must be off without DelphiBatch")
+		t.Fatal("a sweep with no Delphi-enabled metric must be nil")
 	}
-	// Untrained model: the batch lane stays off, the service still works on
-	// per-vertex fallback.
-	s2 := New(Config{Delphi: &delphi.Model{}, DelphiBatch: 4})
+	s2 := New(Config{Delphi: &delphi.Model{}})
 	defer s2.Stop()
 	v, err := s2.RegisterMetric(constHook("cap", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s2.PredictAll() != nil {
-		t.Fatal("batch lane must stay off for an untrained model")
+	for p := 0; p < delphi.WindowSize; p++ {
+		v.PollOnce()
 	}
-	v.PollOnce()
+	if res := s2.PredictAll(); len(res) != 1 || res[0].OK || res[0].Value != 1 {
+		t.Fatalf("untrained model: sweep %+v, want [{cap 1 false}]", res)
+	}
 	if in, ok := s2.Latest("cap"); !ok || in.Value != 1 {
 		t.Fatalf("untrained-model service lost the measured value: %+v %v", in, ok)
 	}
@@ -115,7 +124,7 @@ func TestServicePredictAllDisabled(t *testing.T) {
 // class, results in registration order (dot-less and dotted names alike),
 // each bit-identical to the vertex's own Online.Predict.
 func TestServicePredictAllMatchesVertices(t *testing.T) {
-	s := New(Config{Delphi: trainedModel(t), DelphiBatch: 2})
+	s := New(Config{Delphi: trainedModel(t)})
 	defer s.Stop()
 	ids := []telemetry.MetricID{"zeta", "n0.nvme0.capacity", "alpha", "n0.nvme0.iops"}
 	onlines := make([]*delphi.Online, len(ids))

@@ -63,40 +63,3 @@ func BenchmarkOnlinePredictDuringSwap(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkBatchPredictDuringSwap is the fleet variant: 1k-metric sweeps with
-// a promotion — every member swapped, as a device class promotes — landing
-// between every 8th sweep, allocation-free like the plain sweep.
-func BenchmarkBatchPredictDuringSwap(b *testing.B) {
-	m1 := benchTrained(b)
-	m2, err := Train(TrainOptions{Seed: 2, Epochs: 5, SeriesPerFeature: 2, SeriesLen: 100})
-	if err != nil {
-		b.Fatal(err)
-	}
-	bp := NewBatchPredictor(0)
-	defer bp.Close()
-	members := make([]*Online, 1000)
-	for i := range members {
-		members[i] = NewOnline(m1)
-		observeSeries(members[i], int64(i), WindowSize+2)
-	}
-	eng := engineOf(b, m1)
-	dst := bp.PredictAll(nil, eng, members) // warm arenas
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i%8 == 0 {
-			m := m1
-			if i%16 == 0 {
-				m = m2
-			}
-			eng = engineOf(b, m)
-			for _, o := range members {
-				if err := o.SwapModel(m); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		dst = bp.PredictAll(dst[:0], eng, members)
-	}
-}

@@ -40,7 +40,7 @@ func BenchmarkOnlinePredict(b *testing.B) {
 
 // BenchmarkOnlinePredictUnfused measures the reference layer-by-layer path
 // (test-only, export_test.go) — the baseline to compare BenchmarkOnlinePredict
-// and BenchmarkBatchPredict1000's ns/pred against.
+// against.
 func BenchmarkOnlinePredictUnfused(b *testing.B) {
 	m := benchTrained(b)
 	w := []float64{1, 2, 3, 4, 5}
@@ -65,30 +65,3 @@ func BenchmarkOnlinePredictTicks(b *testing.B) {
 		out = o.PredictTicksInto(out[:0], 9)
 	}
 }
-
-func benchmarkBatchPredict(b *testing.B, n, workers int) {
-	m := benchTrained(b)
-	bp := NewBatchPredictor(workers)
-	defer bp.Close()
-	eng := engineOf(b, m)
-	members := make([]*Online, n)
-	for i := range members {
-		members[i] = NewOnline(m)
-		observeSeries(members[i], int64(i), WindowSize+2)
-	}
-	dst := bp.PredictAll(nil, eng, members) // warm arenas
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst = bp.PredictAll(dst[:0], eng, members)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/pred")
-}
-
-// The fleet sweeps: one device class, n metrics, fused batched prediction.
-// Workers auto-size to min(DefaultBatchWorkers, GOMAXPROCS) — the production
-// default.
-func BenchmarkBatchPredict100(b *testing.B)  { benchmarkBatchPredict(b, 100, 0) }
-func BenchmarkBatchPredict1000(b *testing.B) { benchmarkBatchPredict(b, 1000, 0) }
-func BenchmarkBatchPredict10k(b *testing.B)  { benchmarkBatchPredict(b, 10000, 0) }

@@ -15,7 +15,7 @@ import (
 // The hot path is allocation-free: observations land in a mirrored ring
 // buffer (two stores, no shifting), prediction normalizes in place and runs
 // the model's fused inference engine with instance-owned scratch. A small
-// mutex makes Online safe for concurrent use, so a BatchPredictor can sweep
+// mutex makes Online safe for concurrent use, so Service.PredictAll can read
 // vertex-owned instances while their vertices keep observing.
 type Online struct {
 	mu       sync.Mutex

@@ -24,9 +24,10 @@ func forwardProbe(o *Online) func() bool {
 }
 
 // TestOnlineOneForwardPerPoll walks the calls FactVertex.pollOnce makes on its
-// Online — Observe, PredictState, InFallback, Ready, PredictTicksInto — and
-// requires one forward pass per poll, not one per question, with the answers
-// those of an instance that recomputes every time.
+// Online — Observe, PredictState, InFallback, Ready, PredictTicksInto — then
+// the Predict a Service.PredictAll sweep makes after the poll, and requires
+// one forward pass per poll, not one per question, with the answers those of
+// an instance that recomputes every time.
 func TestOnlineOneForwardPerPoll(t *testing.T) {
 	o, ref := NewOnline(trained(t)), NewOnline(trained(t))
 	observeSeries(o, 7, WindowSize)
@@ -50,8 +51,13 @@ func TestOnlineOneForwardPerPoll(t *testing.T) {
 		}
 		forwards += count()
 		ticks = o.PredictTicksInto(ticks[:0], 3)
+		forwards += count()
+		swept, sweptOK := o.Predict()
 		if forwards += count(); forwards != 1 {
 			t.Fatalf("poll %d: %d forward passes, want 1", poll, forwards)
+		}
+		if swept != p || sweptOK != ok {
+			t.Fatalf("poll %d: sweep read (%v,%v), the poll's forecast was (%v,%v)", poll, swept, sweptOK, p, ok)
 		}
 
 		ref.Observe(v) // a new window: ref computes its forecast afresh

@@ -7,11 +7,11 @@
 // it in a single unrolled pass with caller-provided scratch.
 //
 // The Engine is read-only after construction (it snapshots the weights), so
-// any number of goroutines may call Forward/ForwardBatch concurrently with
-// their own scratch. Every dot product accumulates from its bias left to
-// right, as evaluating the layers one at a time does, so outputs are
-// bit-identical to that layered evaluation (this package's tests and delphi's
-// PredictUnfused pin it).
+// any number of goroutines may call Forward concurrently with their own
+// scratch. Every dot product accumulates from its bias left to right, as
+// evaluating the layers one at a time does, so outputs are bit-identical to
+// that layered evaluation (this package's tests and delphi's PredictUnfused
+// pin it).
 package inference
 
 import (
@@ -75,17 +75,10 @@ func NewEngine(features []*nn.Dense, combiner *nn.Dense) (*Engine, error) {
 	return e, nil
 }
 
-// Heads is the number of fused feature heads, and the scratch length Forward
-// requires.
-func (e *Engine) Heads() int { return e.heads }
-
-// BatchScratchSize is the scratch length ForwardBatch requires for n windows.
-func (e *Engine) BatchScratchSize(n int) int { return n * e.heads }
-
 // Forward evaluates one window through the fused stack. scratch must have at
-// least Heads() elements; on return its first Heads() hold the heads' outputs
-// (delphi builds the combiner's training rows from them). x is read-only. No
-// allocation, safe for concurrent use with distinct scratch.
+// least one element per head; on return those hold the heads' outputs, in
+// head order (delphi builds the combiner's training rows from them). x is
+// read-only. No allocation, safe for concurrent use with distinct scratch.
 func (e *Engine) Forward(x, scratch []float64) float64 {
 	if len(x) != window {
 		panic(fmt.Sprintf("inference: window length %d, want %d", len(x), window))
@@ -94,23 +87,6 @@ func (e *Engine) Forward(x, scratch []float64) float64 {
 		panic(fmt.Sprintf("inference: scratch length %d, want >= %d", len(scratch), e.heads))
 	}
 	return e.forward5(x, scratch)
-}
-
-// ForwardBatch evaluates len(dst) windows packed row-major in xs
-// (len(dst) windows' worth of values) in one sweep. scratch must have at
-// least BatchScratchSize(len(dst)) elements. Per-window results are
-// bit-identical to Forward.
-func (e *Engine) ForwardBatch(dst, xs, scratch []float64) {
-	n := len(dst)
-	if len(xs) != n*window {
-		panic(fmt.Sprintf("inference: batch payload %d values, want %d", len(xs), n*window))
-	}
-	if len(scratch) < n*e.heads {
-		panic(fmt.Sprintf("inference: batch scratch %d, want >= %d", len(scratch), n*e.heads))
-	}
-	for i := 0; i < n; i++ {
-		dst[i] = e.forward5(xs[i*5:i*5+5:i*5+5], scratch[i*e.heads:(i+1)*e.heads])
-	}
 }
 
 // forward5 is the unrolled linear kernel: the window lives in registers

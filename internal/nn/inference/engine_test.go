@@ -50,7 +50,7 @@ func TestEngineMatchesSequentialBitExact(t *testing.T) {
 		if err != nil {
 			t.Fatalf("heads=%d: %v", heads, err)
 		}
-		scratch := make([]float64, eng.Heads())
+		scratch := make([]float64, len(features))
 		r := rand.New(rand.NewSource(int64(window + heads)))
 		for trial := 0; trial < 200; trial++ {
 			x := make([]float64, window)
@@ -64,31 +64,6 @@ func TestEngineMatchesSequentialBitExact(t *testing.T) {
 	}
 }
 
-func TestForwardBatchMatchesForwardBitExact(t *testing.T) {
-	features, combiner := randomStack(6, 42)
-	eng, err := NewEngine(features, combiner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rand.New(rand.NewSource(7))
-	for _, n := range []int{1, 2, 17, 256} {
-		xs := make([]float64, n*window)
-		for i := range xs {
-			xs[i] = r.NormFloat64() * 10
-		}
-		dst := make([]float64, n)
-		scratch := make([]float64, eng.BatchScratchSize(n))
-		eng.ForwardBatch(dst, xs, scratch)
-		single := make([]float64, eng.Heads())
-		for i := 0; i < n; i++ {
-			want := eng.Forward(xs[i*window:(i+1)*window], single)
-			if dst[i] != want {
-				t.Fatalf("n=%d row=%d: batch %v != single %v", n, i, dst[i], want)
-			}
-		}
-	}
-}
-
 func TestEngineSnapshotsWeights(t *testing.T) {
 	features, combiner := randomStack(2, 1)
 	eng, err := NewEngine(features, combiner)
@@ -96,7 +71,7 @@ func TestEngineSnapshotsWeights(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := []float64{1, 2, 3, 4, 5}
-	scratch := make([]float64, eng.Heads())
+	scratch := make([]float64, len(features))
 	before := eng.Forward(x, scratch)
 	combiner.W[0] += 1000 // mutate the source; the engine must not see it
 	features[0].W[0] += 1000
@@ -147,22 +122,15 @@ func TestForwardZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := []float64{1, 2, 3, 4, 5}
-	scratch := make([]float64, eng.Heads())
+	scratch := make([]float64, len(features))
 	if allocs := testing.AllocsPerRun(1000, func() { eng.Forward(x, scratch) }); allocs != 0 {
 		t.Fatalf("Forward allocates %v per op, want 0", allocs)
-	}
-	dst := make([]float64, 64)
-	xs := make([]float64, 64*window)
-	bscratch := make([]float64, eng.BatchScratchSize(64))
-	if allocs := testing.AllocsPerRun(200, func() { eng.ForwardBatch(dst, xs, bscratch) }); allocs != 0 {
-		t.Fatalf("ForwardBatch allocates %v per op, want 0", allocs)
 	}
 }
 
 // TestLinear5KernelMatchesSequentialBitExact pins the unrolled kernel on
 // Delphi's production stack — six heads under a 13 → 1 combiner — against the
-// layered evaluation over 500 windows, and its batched form against its single
-// form.
+// layered evaluation over 500 windows.
 func TestLinear5KernelMatchesSequentialBitExact(t *testing.T) {
 	features := make([]*nn.Dense, 6)
 	for h := range features {
@@ -174,7 +142,7 @@ func TestLinear5KernelMatchesSequentialBitExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scratch := make([]float64, eng.Heads())
+	scratch := make([]float64, len(features))
 	r := rand.New(rand.NewSource(55))
 	for trial := 0; trial < 500; trial++ {
 		x := make([]float64, 5)
@@ -184,19 +152,6 @@ func TestLinear5KernelMatchesSequentialBitExact(t *testing.T) {
 		want := layeredPredict(features, combiner, x)
 		if got := eng.Forward(x, scratch); got != want {
 			t.Fatalf("trial %d: fused %v != layered %v", trial, got, want)
-		}
-	}
-	const n = 64
-	xs := make([]float64, n*5)
-	for i := range xs {
-		xs[i] = r.NormFloat64()
-	}
-	dst := make([]float64, n)
-	bs := make([]float64, eng.BatchScratchSize(n))
-	eng.ForwardBatch(dst, xs, bs)
-	for i := 0; i < n; i++ {
-		if want := eng.Forward(xs[i*5:(i+1)*5], scratch); dst[i] != want {
-			t.Fatalf("row %d: batch %v != forward %v", i, dst[i], want)
 		}
 	}
 }

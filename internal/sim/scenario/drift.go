@@ -91,7 +91,6 @@ func RunDrift(seed int64) (*DriftReport, error) {
 	svc := core.New(core.Config{
 		Clock:          clock,
 		Delphi:         model,
-		DelphiBatch:    2,
 		DelphiRegistry: dir,
 		DelphiRetrain:  time.Minute,
 		HistorySize:    512,
