@@ -1,8 +1,8 @@
 // Batch: the batched, context-aware publish hot path. A producer pushes
 // telemetry through the group-commit coalescer (Client.PublishAsync), the
 // broker appends whole batches under one topic lock, and a consumer drains
-// with ConsumeBatch — the same Bus interface serving both the in-process
-// Broker and the TCP Client.
+// with a Follow cursor whose every Next hands back a run of entries — the
+// same Bus interface serving both the in-process Broker and the TCP Client.
 package main
 
 import (
@@ -62,17 +62,19 @@ func main() {
 	}
 	fmt.Printf("published %d tuples, IDs %d..%d\n", n, firstID, lastID)
 
-	// Consumer: drain in batches instead of tuple-at-a-time.
-	var got int
-	after := uint64(0)
-	for got < n {
-		entries, err := client.ConsumeBatch(ctx, "telemetry.batch", after, 64)
+	// Consumer: a cursor drains in runs instead of tuple-at-a-time; it
+	// holds its own position, on a connection of its own.
+	cur, err := client.Follow(ctx, "telemetry.batch", 0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for got := 0; got < n; {
+		entries, err := cur.Next()
 		if err != nil {
 			log.Fatal(err)
 		}
 		got += len(entries)
-		after = entries[len(entries)-1].ID
-		fmt.Printf("consumed batch of %d (total %d)\n", len(entries), got)
+		fmt.Printf("consumed run of %d (total %d)\n", len(entries), got)
 	}
 
 	// Explicit batches work too — one call, one frame, one broker lock.

@@ -222,10 +222,6 @@ func (b *busSwitch) Range(ctx context.Context, topic string, from, to uint64, ma
 	return b.get().Range(ctx, topic, from, to, max)
 }
 
-func (b *busSwitch) ConsumeBatch(ctx context.Context, topic string, afterID uint64, max int) ([]stream.Entry, error) {
-	return b.get().ConsumeBatch(ctx, topic, afterID, max)
-}
-
 func (b *busSwitch) Follow(ctx context.Context, topic string, afterID uint64) (stream.Cursor, error) {
 	return b.get().Follow(ctx, topic, afterID)
 }

@@ -2,6 +2,7 @@ package queue
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -237,19 +238,27 @@ func liveHeap() uint64 {
 }
 
 // TestHistoryFootprint: a ring costs its 18-byte slots and little else, at
-// allocation and once it has wrapped.
+// allocation and once it has wrapped. The runtime allocates a few KiB of its
+// own at moments no test chooses (on a loaded box, once in every few runs),
+// which lands in at most one of three measurements of a fresh ring, so each
+// bound is held by the smallest.
 func TestHistoryFootprint(t *testing.T) {
 	const size, limit = 4096, 4096*18 + 1<<10
-	base := liveHeap()
-	h := NewHistory(size, nil)
-	if got := int64(liveHeap() - base); got > limit {
-		t.Errorf("NewHistory(%d) holds %d bytes of live heap, want <= %d", size, got, limit)
+	fresh, wrapped := int64(math.MaxInt64), int64(math.MaxInt64)
+	for try := 0; try < 3; try++ {
+		base := int64(liveHeap())
+		h := NewHistory(size, nil)
+		fresh = min(fresh, int64(liveHeap())-base)
+		for i := 0; i < 3*size; i++ {
+			h.Append(telemetry.NewFact("m", int64(i), float64(i)))
+		}
+		wrapped = min(wrapped, int64(liveHeap())-base)
+		runtime.KeepAlive(h)
 	}
-	for i := 0; i < 3*size; i++ {
-		h.Append(telemetry.NewFact("m", int64(i), float64(i)))
+	if fresh > limit {
+		t.Errorf("NewHistory(%d) holds %d bytes of live heap, want <= %d", size, fresh, limit)
 	}
-	if got := int64(liveHeap() - base); got > limit {
-		t.Errorf("a wrapped ring holds %d bytes of live heap, want <= %d", got, limit)
+	if wrapped > limit {
+		t.Errorf("a wrapped ring holds %d bytes of live heap, want <= %d", wrapped, limit)
 	}
-	runtime.KeepAlive(h)
 }

@@ -46,13 +46,6 @@ func (g gatedBus) Range(ctx context.Context, topic string, from, to uint64, max 
 	return g.inner.Range(ctx, topic, from, to, max)
 }
 
-func (g gatedBus) ConsumeBatch(ctx context.Context, topic string, afterID uint64, max int) ([]stream.Entry, error) {
-	if err := g.gate("read"); err != nil {
-		return nil, err
-	}
-	return g.inner.ConsumeBatch(ctx, topic, afterID, max)
-}
-
 func (g gatedBus) Follow(ctx context.Context, topic string, afterID uint64) (stream.Cursor, error) {
 	if err := g.gate("read"); err != nil {
 		return nil, err

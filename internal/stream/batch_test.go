@@ -282,12 +282,12 @@ func TestClientPublishBatchTCP(t *testing.T) {
 	if _, n, _ := b.TopicTail(ctx, "t"); n != 64 {
 		t.Fatalf("broker saw %d entries want 64", n)
 	}
-	es, err := c.ConsumeBatch(ctx, "t", 0, 0)
+	es, err := c.Range(ctx, "t", 1, 64, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(es) != 64 {
-		t.Fatalf("ConsumeBatch len=%d want 64", len(es))
+		t.Fatalf("Range len=%d want 64", len(es))
 	}
 	for i, e := range es {
 		if e.ID != uint64(i+1) || string(e.Payload) != string(payloads[i]) {
@@ -304,44 +304,20 @@ func TestClientPublishBatchTCP(t *testing.T) {
 	}
 }
 
-func TestClientConsumeBatchBlocksAndCancels(t *testing.T) {
-	b, s := startServer(t)
-	c, err := Dial(s.Addr())
+// TestClientCancelInterruptsPendingRead: cancelling a call whose answer is
+// withheld returns context.Canceled promptly, and the client's next call is
+// answered.
+func TestClientCancelInterruptsPendingRead(t *testing.T) {
+	h := startHoldServer(t)
+	c, err := Dial(h.addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	b.Publish(context.Background(), "t", []byte("seed"))
-
-	// Blocking wait is released by a later publish.
-	got := make(chan []Entry, 1)
-	go func() {
-		es, err := c.ConsumeBatch(context.Background(), "t", 1, 8)
-		if err != nil {
-			got <- nil
-			return
-		}
-		got <- es
-	}()
-	waitParked(t, b, "t")
-	b.PublishBatch(context.Background(), "t", [][]byte{[]byte("a"), []byte("b")})
-	select {
-	case es := <-got:
-		if len(es) != 2 || es[0].ID != 2 {
-			t.Fatalf("got %v want IDs 2,3", es)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("ConsumeBatch over TCP never woke")
-	}
-
-	// Context cancellation interrupts the blocking read promptly.
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
-	go func() {
-		_, err := c.ConsumeBatch(ctx, "t", 3, 8)
-		errc <- err
-	}()
-	waitParked(t, b, "t")
+	go func() { errc <- c.Ping(ctx) }()
+	h.next(t)
 	cancel()
 	select {
 	case err := <-errc:
@@ -349,11 +325,13 @@ func TestClientConsumeBatchBlocksAndCancels(t *testing.T) {
 			t.Fatalf("err=%v want context.Canceled", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("cancel did not interrupt blocking ConsumeBatch")
+		t.Fatal("cancel did not interrupt the pending read")
 	}
-	// The provoked deadline must not poison the connection for later calls.
-	if _, err := c.Latest(context.Background(), "t"); err != nil {
-		t.Fatalf("Latest after cancel: %v", err)
+	// The provoked deadline must not poison the client for later calls.
+	go func() { errc <- c.Ping(context.Background()) }()
+	close(h.next(t).answer)
+	if err := <-errc; err != nil {
+		t.Fatalf("Ping after cancel: %v", err)
 	}
 }
 

@@ -783,6 +783,8 @@ func (b *Broker) Range(ctx context.Context, topicName string, from, to uint64, m
 // retained; max 1 is the earliest such entry) in a slice of the caller's own.
 // One call is one read at a stated position; a consumer that keeps reading
 // holds a Cursor (Follow), which remembers the position and reuses the slice.
+// It is on no interface, as Publish is not: the pipeline benchmark's replay
+// is its one caller.
 func (b *Broker) ConsumeBatch(ctx context.Context, topicName string, afterID uint64, max int) ([]Entry, error) {
 	t, err := b.topicFor(topicName, true)
 	if err != nil {

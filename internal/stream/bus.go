@@ -15,10 +15,10 @@ type Publisher interface {
 }
 
 // Bus is the communication-fabric interface SCoRe vertices publish to and
-// read from — five verbs: append, newest, range, one blocking read, and a
-// cursor for a consumer that keeps reading. Broker implements it in-process;
-// Client implements it against a TCP stream server, letting a vertex live on
-// a different node than its queue. Every operation takes a context bounding
+// read from — four verbs: append, newest, range, and a cursor for a consumer
+// that keeps reading. Broker implements it in-process; Client implements it
+// against a TCP stream server, letting a vertex live on a different node than
+// its queue. Every operation takes a context bounding
 // the call (for Follow, the cursor's whole life).
 //
 // There is no channel form on the interface: a channel needs a goroutine to
@@ -33,10 +33,6 @@ type Bus interface {
 	Latest(ctx context.Context, topic string) (Entry, error)
 	// Range returns entries with from <= ID <= to (max<=0: unlimited).
 	Range(ctx context.Context, topic string, from, to uint64, max int) ([]Entry, error)
-	// ConsumeBatch blocks until at least one entry with ID > afterID exists
-	// and returns up to max of them in ID order (max<=0: all available);
-	// max 1 is the earliest such entry.
-	ConsumeBatch(ctx context.Context, topic string, afterID uint64, max int) ([]Entry, error)
 	// Follow opens a cursor just past afterID. Whatever can refuse the
 	// subscription refuses it here, not in Next; the end of ctx ends the
 	// cursor, parked or not.

@@ -24,10 +24,9 @@ var ErrClientClosed = errors.New("stream: client closed")
 type timing struct {
 	// dialTimeout bounds connection establishment.
 	dialTimeout time.Duration
-	// ioTimeout bounds each frame write and each non-blocking frame read.
-	// Blocking reads (ConsumeBatch, subscription streams) have no read
-	// deadline: they legitimately wait for data. A context deadline tightens
-	// either bound.
+	// ioTimeout bounds each frame write and each answer read; a context
+	// deadline tightens it. A subscription's stream reads have no deadline:
+	// the topic may be idle for good.
 	ioTimeout time.Duration
 	// attempts is the budget for idempotent operations across transient
 	// transport errors.
@@ -176,12 +175,12 @@ func IsTransient(err error) bool {
 // concurrent use and satisfies the Bus interface, so a vertex can run against
 // a remote broker unchanged.
 //
-// Every frame is written and (for non-blocking ops) read under a deadline;
-// a context deadline tightens it and a context cancellation interrupts even
-// blocking reads. On any transport error the connection is dropped and
-// lazily re-established by the next call; read-only operations (Latest,
-// Range, Topics, ConsumeBatch, Ping) additionally retry across transient
-// errors with capped exponential backoff. The mutating operation,
+// Every frame is written and its answer read under a deadline; a context
+// deadline tightens it and a context cancellation interrupts the call, even
+// while it waits behind other callers' answers. On any transport error the
+// connection is dropped and lazily re-established by the next call; read-only
+// operations (Latest, Range, Topics, Ping) additionally retry across
+// transient errors with capped exponential backoff. The mutating operation,
 // PublishBatch, is never retried after the request may have been sent, so it
 // cannot be duplicated; callers that need delivery guarantees buffer and
 // re-publish (see score's store-and-forward BufferedPublisher).
@@ -358,12 +357,12 @@ func deadlineFor(clock sim.Clock, ctx context.Context, d time.Duration) time.Tim
 
 // roundTrip sends one request frame, then awaits its response frame,
 // decoding the payload via decode (which may be nil).
-func (c *Client) roundTrip(ctx context.Context, op byte, payload []byte, blocking bool, decode func(*buf)) error {
+func (c *Client) roundTrip(ctx context.Context, op byte, payload []byte, decode func(*buf)) error {
 	t, err := c.send(ctx, op, payload)
 	if err != nil {
 		return err
 	}
-	return c.await(ctx, t, blocking, decode)
+	return c.await(ctx, t, decode)
 }
 
 // send puts one request frame on the wire, dialing first if there is no
@@ -413,15 +412,27 @@ func (c *Client) send(ctx context.Context, op byte, payload []byte) (ticket, err
 // await reads the answer to t's request once every answer before it has been
 // read. Any connection-level failure — including a response that fails to
 // decode, which desyncs the stream — gives the connection up, fails the
-// tickets behind this one, and is reported as a transient transportError. A
-// blocking answer is read without the I/O timeout. Cancelling ctx forces a
-// past deadline so even a blocking read returns promptly; that costs the
-// connection, and with it whatever else was in flight on it.
-func (c *Client) await(ctx context.Context, t ticket, blocking bool, decode func(*buf)) error {
+// tickets behind this one, and is reported as a transient transportError.
+// The end of ctx, whether the ticket is still queued or already reading,
+// also gives the connection up, and with it whatever else was in flight on
+// it: an answer nobody reads would hold up every answer behind it.
+func (c *Client) await(ctx context.Context, t ticket, decode func(*buf)) error {
 	w := t.w
 	c.mu.Lock()
-	for w.recvd != t.seq && w.err == nil {
+	if w.recvd != t.seq && ctx.Done() != nil {
+		// Queued: the end of ctx wakes the wait, under mu so it cannot be
+		// missed between the check and the Wait.
+		defer context.AfterFunc(ctx, func() {
+			c.mu.Lock()
+			c.turn.Broadcast()
+			c.mu.Unlock()
+		})()
+	}
+	for w.recvd != t.seq && w.err == nil && ctx.Err() == nil {
 		c.turn.Wait()
+	}
+	if w.recvd != t.seq && w.err == nil {
+		c.failLocked(w, context.Cause(ctx)) // ctx ended with answers still due before this one
 	}
 	err := w.err
 	c.mu.Unlock()
@@ -429,9 +440,7 @@ func (c *Client) await(ctx context.Context, t ticket, blocking bool, decode func
 		return &transportError{err}
 	}
 	// It is this ticket's turn: until it advances recvd, it alone reads.
-	if blocking {
-		w.conn.SetReadDeadline(deadlineFor(c.opt.clock, ctx, 0))
-	} else if c.opt.clock.Now().Add(c.opt.ioTimeout / 2).After(t.readBy) {
+	if c.opt.clock.Now().Add(c.opt.ioTimeout / 2).After(t.readBy) {
 		// No read deadline from send, or the caller spent most of it
 		// elsewhere (a leader waiting for another follower first): an answer
 		// that arrived long ago must not fail on a deadline that ran out
@@ -490,12 +499,12 @@ func (c *Client) await(ctx context.Context, t ticket, blocking bool, decode func
 // can never fire the backoff timer twice for one fault. Redirects without a
 // known leader (an election in progress), fenced publishes, and quorum
 // misses are retryable in fabric mode, rotating across the seed list.
-func (c *Client) call(ctx context.Context, op byte, payload []byte, idempotent, blocking bool, decode func(*buf)) error {
+func (c *Client) call(ctx context.Context, op byte, payload []byte, idempotent bool, decode func(*buf)) error {
 	fabric := c.opt.fabric()
 	var last error
 	redirects := 0
 	for attempt := 0; ; {
-		err := c.roundTrip(ctx, op, payload, blocking, decode)
+		err := c.roundTrip(ctx, op, payload, decode)
 		if err == nil {
 			return nil
 		}
@@ -535,7 +544,7 @@ func (c *Client) call(ctx context.Context, op byte, payload []byte, idempotent, 
 // Ping round-trips an empty frame, verifying the connection (reconnecting if
 // needed) without touching any topic.
 func (c *Client) Ping(ctx context.Context) error {
-	return c.call(ctx, opPing, nil, true, false, nil)
+	return c.call(ctx, opPing, nil, true, nil)
 }
 
 // Publish appends payload to topic on the server and returns its entry ID: a
@@ -563,7 +572,7 @@ func (c *Client) PublishBatch(ctx context.Context, topic string, payloads [][]by
 		req.bytes(p)
 	}
 	var first uint64
-	err := c.call(ctx, opPublishBatch, req.b, c.opt.fabric(), false, func(d *buf) {
+	err := c.call(ctx, opPublishBatch, req.b, c.opt.fabric(), func(d *buf) {
 		first = d.u64()
 		d.u32() // count, echoed for symmetry
 	})
@@ -576,7 +585,7 @@ func (c *Client) PublishBatch(ctx context.Context, topic string, payloads [][]by
 // Latest fetches the newest entry of topic.
 func (c *Client) Latest(ctx context.Context, topic string) (Entry, error) {
 	var e Entry
-	err := c.call(ctx, opLatest, (&enc{}).str(topic).b, true, false, func(d *buf) { e = decodeEntry(d) })
+	err := c.call(ctx, opLatest, (&enc{}).str(topic).b, true, func(d *buf) { e = decodeEntry(d) })
 	if err != nil {
 		return Entry{}, err
 	}
@@ -587,29 +596,7 @@ func (c *Client) Latest(ctx context.Context, topic string) (Entry, error) {
 func (c *Client) Range(ctx context.Context, topic string, from, to uint64, max int) ([]Entry, error) {
 	req := (&enc{}).str(topic).u64(from).u64(to).u32(uint32(max))
 	var out []Entry
-	err := c.call(ctx, opRange, req.b, true, false, func(d *buf) {
-		n := int(d.u32())
-		out = make([]Entry, 0, n)
-		for i := 0; i < n; i++ {
-			out = append(out, decodeEntry(d))
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ConsumeBatch blocks server-side until at least one entry newer than
-// afterID exists, then returns up to max of them in one frame (max <= 0:
-// everything available). It is read-only and retried across transient
-// transport errors.
-func (c *Client) ConsumeBatch(ctx context.Context, topic string, afterID uint64, max int) ([]Entry, error) {
-	req := getEnc()
-	defer putEnc(req)
-	req.str(topic).u64(afterID).u32(uint32(max))
-	var out []Entry
-	err := c.call(ctx, opConsumeBatch, req.b, true, true, func(d *buf) { out = decodeEntries(d) })
+	err := c.call(ctx, opRange, req.b, true, func(d *buf) { out = decodeEntries(d) })
 	if err != nil {
 		return nil, err
 	}
@@ -619,7 +606,7 @@ func (c *Client) ConsumeBatch(ctx context.Context, topic string, afterID uint64,
 // Topics lists topic names on the server.
 func (c *Client) Topics(ctx context.Context) ([]string, error) {
 	var out []string
-	err := c.call(ctx, opTopics, nil, true, false, func(d *buf) {
+	err := c.call(ctx, opTopics, nil, true, func(d *buf) {
 		n := int(d.u32())
 		out = make([]string, 0, n)
 		for i := 0; i < n; i++ {

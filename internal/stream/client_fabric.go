@@ -97,7 +97,7 @@ func (c *Client) Replicate(topic string, epoch uint64, entries []Entry) (wait fu
 	return func() (uint64, error) {
 		var code byte
 		var tail uint64
-		err := c.await(context.Background(), t, false, func(d *buf) {
+		err := c.await(context.Background(), t, func(d *buf) {
 			code = d.u8()
 			tail = d.u64()
 		})
@@ -120,7 +120,7 @@ func (c *Client) TopicTail(ctx context.Context, topic string) (epoch, lastID uin
 	req := getEnc()
 	defer putEnc(req)
 	req.str(topic)
-	err = c.call(ctx, opTopicTail, req.b, true, false, func(d *buf) {
+	err = c.call(ctx, opTopicTail, req.b, true, func(d *buf) {
 		epoch = d.u64()
 		lastID = d.u64()
 	})
@@ -130,7 +130,7 @@ func (c *Client) TopicTail(ctx context.Context, topic string) (epoch, lastID uin
 // Topology lists the fabric membership as known by the contacted node.
 func (c *Client) Topology(ctx context.Context) ([]NodeInfo, error) {
 	var out []NodeInfo
-	err := c.call(ctx, opTopology, nil, true, false, func(d *buf) {
+	err := c.call(ctx, opTopology, nil, true, func(d *buf) {
 		n := int(d.u32())
 		out = make([]NodeInfo, 0, n)
 		for i := 0; i < n; i++ {
@@ -147,7 +147,7 @@ func (c *Client) Topology(ctx context.Context) ([]NodeInfo, error) {
 // ReplicationStatus reports the contacted node's per-topic replication view.
 func (c *Client) ReplicationStatus(ctx context.Context) ([]ReplicaStatus, error) {
 	var out []ReplicaStatus
-	err := c.call(ctx, opReplStatus, nil, true, false, func(d *buf) {
+	err := c.call(ctx, opReplStatus, nil, true, func(d *buf) {
 		n := int(d.u32())
 		out = make([]ReplicaStatus, 0, n)
 		for i := 0; i < n; i++ {
@@ -190,7 +190,7 @@ func (c *Client) LeaseRenew(ctx context.Context, topic, node string, epoch uint6
 func (c *Client) leaseCall(ctx context.Context, op byte, payload []byte) (cluster.Lease, bool, error) {
 	var l cluster.Lease
 	var ok bool
-	err := c.call(ctx, op, payload, true, false, func(d *buf) {
+	err := c.call(ctx, op, payload, true, func(d *buf) {
 		ok = d.u8() == 1
 		l = decodeLease(d)
 	})

@@ -3,6 +3,7 @@ package stream_test
 import (
 	"context"
 	"errors"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -14,13 +15,11 @@ import (
 	"repro/internal/stream"
 )
 
-// contractBus is one Bus under test, a handle onto the same log that can
-// publish while the Bus is parked in a blocking read (the Bus itself, except
-// for a Client, which carries one request at a time), and what closes the
-// broker underneath it.
+// contractBus is one Bus under test and what closes the broker underneath
+// it.
 type contractBus struct {
-	bus, wake stream.Bus
-	close     func()
+	bus   stream.Bus
+	close func()
 }
 
 // contractBuses builds every Bus the system hands to a vertex: the in-process
@@ -60,10 +59,10 @@ func contractBuses(t *testing.T) map[string]contractBus {
 
 	broker, route := stream.NewBroker(0), node.Route()
 	return map[string]contractBus{
-		"broker":    {broker, broker, broker.Close},
-		"client":    {client, served, served.Close},
-		"route":     {route, route, routed.Close},
-		"busSwitch": {svc.Bus(), svc.Bus(), svc.Stop},
+		"broker":    {broker, broker.Close},
+		"client":    {client, served.Close},
+		"route":     {route, routed.Close},
+		"busSwitch": {svc.Bus(), svc.Stop},
 	}
 }
 
@@ -129,8 +128,11 @@ func deliveryGoroutines() int {
 	return n
 }
 
-// TestBusContract pins the five-method Bus on every implementation.
+// TestBusContract pins the four-method Bus on every implementation.
 func TestBusContract(t *testing.T) {
+	if n := reflect.TypeOf((*stream.Bus)(nil)).Elem().NumMethod(); n != 4 {
+		t.Fatalf("Bus has %d methods, want 4: PublishBatch, Latest, Range, Follow", n)
+	}
 	for name, cb := range contractBuses(t) {
 		t.Run(name, func(t *testing.T) {
 			bus := cb.bus
@@ -167,35 +169,6 @@ func TestBusContract(t *testing.T) {
 				t.Fatalf("Latest after no-op and rejected batches = (%d, %v), want id %d", e.ID, err, first+3)
 			}
 
-			// max 1 is the singular consume: the earliest entry after afterID.
-			if es, err := bus.ConsumeBatch(ctx, topic, first, 1); err != nil || len(es) != 1 || es[0].ID != first+1 {
-				t.Fatalf("ConsumeBatch(after %d, max 1) = %v, %v", first, es, err)
-			}
-
-			// At the tail it parks until a publish...
-			got := make(chan []stream.Entry, 1)
-			go func() {
-				es, _ := bus.ConsumeBatch(ctx, topic, first+3, 1)
-				got <- es
-			}()
-			if _, err := cb.wake.PublishBatch(ctx, topic, [][]byte{[]byte("late")}); err != nil {
-				t.Fatal(err)
-			}
-			if es := <-got; len(es) != 1 || string(es[0].Payload) != "late" {
-				t.Fatalf("parked ConsumeBatch woke with %v", es)
-			}
-			// ...or until its context ends.
-			cctx, cancel := context.WithCancel(ctx)
-			errc := make(chan error, 1)
-			go func() {
-				_, err := bus.ConsumeBatch(cctx, topic, first+4, 1)
-				errc <- err
-			}()
-			cancel()
-			if err := <-errc; !errors.Is(err, context.Canceled) {
-				t.Fatalf("cancelled ConsumeBatch: err = %v, want context.Canceled", err)
-			}
-
 			// Follow delivers strictly after afterID, in runs that continue one
 			// another and never exceed subscribeSlack, from the caller's own
 			// goroutine: nothing is started to deliver them, except the
@@ -215,7 +188,7 @@ func TestBusContract(t *testing.T) {
 				t.Fatal(err)
 			}
 			next, tail := first+3, first+4+more
-			for next <= tail {
+			for next < tail {
 				run, err := cur.Next()
 				if err != nil || len(run) == 0 || len(run) > slack {
 					t.Fatalf("Next = run of %d, %v; want 1..%d entries", len(run), err, slack)
@@ -234,8 +207,23 @@ func TestBusContract(t *testing.T) {
 			if n := deliveryGoroutines(); n != want {
 				t.Fatalf("%d delivery goroutines for one cursor, want %d", n, want)
 			}
+			// At the tail it parks until a publish, made on the Bus itself: a
+			// Client's request connection is free while its cursor is parked
+			// on a connection of its own.
+			woke := make(chan []stream.Entry, 1)
+			go func() {
+				run, _ := cur.Next()
+				woke <- run
+			}()
+			if id, err := bus.PublishBatch(ctx, topic, [][]byte{[]byte("late")}); err != nil || id != tail {
+				t.Fatalf("publish beside a parked cursor = (%d, %v), want (%d, nil)", id, err, tail)
+			}
+			if run := <-woke; len(run) != 1 || run[0].ID != tail || string(run[0].Payload) != "late" {
+				t.Fatalf("parked Next woke with %v, want entry %d", run, tail)
+			}
 			// At the tail it parks until its context ends, which is then its
 			// error, and nothing is left behind.
+			errc := make(chan error, 1)
 			go func() {
 				_, err := cur.Next()
 				errc <- err

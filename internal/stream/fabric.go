@@ -145,10 +145,10 @@ type FabricConfig struct {
 // with epoch fencing, synchronous quorum replication of the append stream,
 // and follower promotion (with catch-up before serving) on lease expiry.
 //
-// Reads (Latest/Range/ConsumeBatch/Subscribe) are served from the
-// local replica; FabricNode therefore implements Bus. Publishes are only
-// accepted while this node holds the topic's leader lease — otherwise they
-// fail with a *NotLeaderError redirect.
+// Reads (Latest/Range/Follow) are served from the local replica; FabricNode
+// therefore implements Bus. Publishes are only accepted while this node holds
+// the topic's leader lease — otherwise they fail with a *NotLeaderError
+// redirect.
 type FabricNode struct {
 	id     string
 	broker *Broker
@@ -659,11 +659,6 @@ func (n *FabricNode) Range(ctx context.Context, topic string, from, to uint64, m
 	return n.broker.Range(ctx, topic, from, to, max)
 }
 
-// ConsumeBatch implements Bus (served from the local replica).
-func (n *FabricNode) ConsumeBatch(ctx context.Context, topic string, afterID uint64, max int) ([]Entry, error) {
-	return n.broker.ConsumeBatch(ctx, topic, afterID, max)
-}
-
 // Follow implements Bus (served from the local replica).
 func (n *FabricNode) Follow(ctx context.Context, topic string, afterID uint64) (Cursor, error) {
 	return n.broker.Follow(ctx, topic, afterID)
@@ -813,10 +808,6 @@ func (r *routeBus) Latest(ctx context.Context, topic string) (Entry, error) {
 
 func (r *routeBus) Range(ctx context.Context, topic string, from, to uint64, max int) ([]Entry, error) {
 	return r.readBus(topic).Range(ctx, topic, from, to, max)
-}
-
-func (r *routeBus) ConsumeBatch(ctx context.Context, topic string, afterID uint64, max int) ([]Entry, error) {
-	return r.readBus(topic).ConsumeBatch(ctx, topic, afterID, max)
 }
 
 func (r *routeBus) Follow(ctx context.Context, topic string, afterID uint64) (Cursor, error) {

@@ -225,32 +225,32 @@ func TestSubscribeDuringRedirects(t *testing.T) {
 // the old node may well lead) reads its answer there, and Close still reaches
 // it.
 func TestRedirectSparesRequestsInFlight(t *testing.T) {
-	bA, sA := startServer(t)
+	h := startHoldServer(t)
 	_, sB := startServer(t)
-	c, err := Dial(sA.Addr(), WithSeeds(sB.Addr()))
+	c, err := Dial(h.addr, WithSeeds(sB.Addr()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	ctx := context.Background()
-	consume := func(topic string) ticket {
+	ping := func() ticket {
 		t.Helper()
-		tk, err := c.send(ctx, opConsumeBatch, (&enc{}).str(topic).u64(0).u32(0).b)
+		tk, err := c.send(ctx, opPing, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return tk
 	}
 
-	out := consume("t") // parks on A: nothing published yet
+	out := ping()
+	held := h.next(t) // the first server withholds the answer
 	c.redirectTo(sB.Addr())
 	if err := c.Ping(ctx); err != nil || c.Addr() != sB.Addr() {
 		t.Fatalf("ping after the redirect: %v at %s, want <nil> at %s", err, c.Addr(), sB.Addr())
 	}
-	bA.Publish(ctx, "t", []byte("x"))
-	var got []Entry
-	if err := c.await(ctx, out, true, func(d *buf) { got = decodeEntries(d) }); err != nil || len(got) != 1 {
-		t.Fatalf("consume in flight across the redirect: %d entries, err %v", len(got), err)
+	close(held.answer)
+	if err := c.await(ctx, out, nil); err != nil {
+		t.Fatalf("request in flight across the redirect: %v", err)
 	}
 	c.mu.Lock()
 	left := len(c.retired)
@@ -260,16 +260,17 @@ func TestRedirectSparesRequestsInFlight(t *testing.T) {
 	}
 
 	// Retired with a request that will never be answered: Close ends it.
-	c.redirectTo(sA.Addr())
-	out = consume("never")
+	c.redirectTo(h.addr)
+	out = ping()
+	h.next(t)
 	c.redirectTo(sB.Addr())
 	done := make(chan error, 1)
-	go func() { done <- c.await(ctx, out, true, nil) }()
+	go func() { done <- c.await(ctx, out, nil) }()
 	c.Close()
 	select {
 	case err := <-done:
 		if err == nil {
-			t.Fatal("consume on a closed client returned no error")
+			t.Fatal("request on a closed client returned no error")
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Close did not reach the retired connection's request")

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"errors"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -14,8 +15,9 @@ import (
 
 // Server exposes a Broker over TCP using the wire protocol in wire.go. Each
 // connection answers its requests one at a time, in the order they arrived (a
-// client may have several on the wire); Subscribe turns the connection into a
-// one-way entry stream.
+// client may have several on the wire), on the one goroutine that reads them;
+// Subscribe turns the connection into a one-way entry stream, written by a
+// goroutine of its own.
 type Server struct {
 	broker *Broker
 	fabric atomic.Pointer[FabricNode]
@@ -127,112 +129,44 @@ func (s *Server) dropConn(conn net.Conn) {
 	conn.Close()
 }
 
-// parks reports whether answering op can wait on something other than this
-// node's broker: new data (a consume, a subscription) or, on a fabric node,
-// the followers a publish replicates to. Every other op is
-// broker-local (a lease or status op may cost a bounded coordinator call) and
-// is answered without parking.
-func (s *Server) parks(op byte) bool {
-	switch op {
-	case opConsumeBatch, opSubscribe:
-		return true
-	case opPublishBatch:
-		return s.fabric.Load() != nil
-	}
-	return false
-}
-
-// handle serves one connection. Its own goroutine reads the requests and
-// answers in place, from a frame buffer it reuses (the handlers copy what
-// they keep), every op that cannot park — a replicate frame costs its
-// follower no goroutine hop. An op that can park goes to a second goroutine,
-// so that this one keeps watching the connection and a hangup cancels ctx
-// even while a ConsumeBatch waits for a publish that may never come.
-//
-// The connection's writer has one owner at a time and answers leave whole and
-// in request order: while a handed-off request is unanswered (parked > 0)
-// every later request is handed off behind it, whatever its op, and the
-// reader writes again only after the other goroutine flushed its last answer.
+// handle serves one connection from its own goroutine, which reads each
+// request and answers it in place, from a frame buffer it reuses (the
+// handlers copy what they keep): answers leave whole and in request order,
+// and a replicate frame costs its follower no goroutine hop. Every op but
+// Subscribe is bounded by this node — a lease or status op by a coordinator
+// call, a publish on a fabric node by its followers' deadlines — so nothing
+// parks the connection; Subscribe hands it to serveSubscribe for good.
 func (s *Server) handle(conn net.Conn) {
 	defer s.wg.Done()
 	defer s.dropConn(conn)
 	r := bufio.NewReader(conn)
 	w := bufio.NewWriter(conn)
-	ctx, cancel := context.WithCancel(context.Background())
 	out := getEnc() // response builder, reused across this conn's requests
 	defer putEnc(out)
-	answer := func(op byte, payload []byte) bool {
-		out.b = out.b[:0]
-		err := s.dispatch(ctx, op, payload, out)
-		status, resp := byte(statusOK), out.b
-		if err != nil {
-			status, resp = statusErr, errPayload(err)
-		}
-		return writeFrame(w, status, resp) == nil && w.Flush() == nil
-	}
-
-	type frame struct {
-		op      byte
-		payload []byte
-	}
-	frames := make(chan frame)
-	var parked atomic.Int32
-	parkerDone := make(chan struct{})
-	go func() {
-		defer close(parkerDone)
-		// A failed write here ends the read loop as well, whether it is
-		// reading or handing a frame over.
-		defer conn.Close()
-		defer cancel()
-		for {
-			var f frame
-			select {
-			case f = <-frames:
-			case <-ctx.Done():
-				return
-			}
-			if f.op == opSubscribe {
-				s.serveSubscribe(ctx, w, f.payload)
-				return
-			}
-			ok := answer(f.op, f.payload)
-			parked.Add(-1)
-			if !ok {
-				return
-			}
-		}
-	}()
-	defer func() {
-		cancel()
-		<-parkerDone
-	}()
-
-	var scratch []byte
+	var payload []byte
 	for {
 		op, n, err := readHeader(r)
 		if err != nil {
 			return // connection closed or corrupt
 		}
-		if !s.parks(op) && parked.Load() == 0 {
-			if scratch, err = readPayload(r, scratch, n); err != nil || !answer(op, scratch) {
-				return
-			}
-			if cap(scratch) > maxPooledEnc {
-				scratch = nil // one large frame does not pin its buffer for good
-			}
-			continue
+		if payload, err = readPayload(r, payload, n); err != nil {
+			return
 		}
-		// The parker works on this frame while the next one is read: it gets
-		// a buffer of its own.
-		payload, err := readPayload(r, nil, n)
+		if op == opSubscribe {
+			s.serveSubscribe(conn, r, w, payload)
+			return
+		}
+		out.b = out.b[:0]
+		err = s.dispatch(context.Background(), op, payload, out)
+		status, resp := byte(statusOK), out.b
 		if err != nil {
+			status, resp = statusErr, errPayload(err)
+		}
+		if writeFrame(w, status, resp) != nil || w.Flush() != nil {
 			return
 		}
-		parked.Add(1)
-		select {
-		case frames <- frame{op, payload}:
-		case <-ctx.Done():
-			return
+		if cap(payload) > maxPooledEnc {
+			payload = nil // one large frame does not pin its buffer for good
 		}
 	}
 }
@@ -297,20 +231,6 @@ func (s *Server) dispatch(ctx context.Context, op byte, payload []byte, out *enc
 			return d.err
 		}
 		entries, err := s.broker.Range(ctx, topic, from, to, max)
-		if err != nil {
-			return err
-		}
-		encodeEntries(out, entries)
-		return nil
-
-	case opConsumeBatch:
-		topic := d.str()
-		after := d.u64()
-		max := int(d.u32())
-		if d.err != nil {
-			return d.err
-		}
-		entries, err := s.broker.ConsumeBatch(ctx, topic, after, max)
 		if err != nil {
 			return err
 		}
@@ -450,13 +370,15 @@ func encodeLeaseResult(out *enc, l cluster.Lease, ok bool) {
 	encodeLease(out, l)
 }
 
-// serveSubscribe streams entries to the client until the connection drops.
-// The handler's request-reader goroutine keeps watching the connection, so
-// a client hangup cancels ctx and unparks the blocked cursor.
-func (s *Server) serveSubscribe(ctx context.Context, w *bufio.Writer, payload []byte) {
+// serveSubscribe turns the connection into a one-way entry stream until
+// either end drops it. A goroutine of its own writes the stream while the
+// handler's goroutine keeps reading the connection, so that a client hangup
+// cancels ctx and unparks the cursor.
+func (s *Server) serveSubscribe(conn net.Conn, r *bufio.Reader, w *bufio.Writer, payload []byte) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	d := &buf{b: payload}
-	topic := d.str()
-	after := d.u64()
+	topic, after := d.str(), d.u64()
 	var cur Cursor
 	if d.err == nil {
 		cur, d.err = s.broker.Follow(ctx, topic, after)
@@ -466,8 +388,22 @@ func (s *Server) serveSubscribe(ctx context.Context, w *bufio.Writer, payload []
 		w.Flush()
 		return
 	}
-	// Each wake-up drains up to a full run into one frame, so a burst of
-	// publishes costs one syscall on the wire instead of one per entry.
+	written := make(chan struct{})
+	go func() {
+		defer close(written)
+		defer conn.Close() // a stream that ended ends the watch below
+		writeStream(w, cur)
+	}()
+	io.Copy(io.Discard, r) // a subscribed client sends nothing more
+	cancel()
+	<-written
+}
+
+// writeStream writes what cur hands out until the cursor or the connection
+// fails, ending with an error frame when it is the cursor. Each wake-up
+// drains up to a full run into one frame, so a burst of publishes costs one
+// syscall on the wire instead of one per entry.
+func writeStream(w *bufio.Writer, cur Cursor) {
 	out := getEnc()
 	defer putEnc(out)
 	for {

@@ -6,6 +6,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -54,6 +55,166 @@ func followT(t testing.TB, addr, topic string, afterID uint64, opts ...Option) (
 		return nil, err
 	}
 	return cur.(*subscription), nil
+}
+
+// holdServer reads request frames and answers each only when the test
+// releases it: every request it reads is handed to the test on held, and a
+// payload sent on the request's answer channel goes back as its OK answer
+// (closing the channel sends an empty one). A request of any op can so be
+// held back without the server parking on anything.
+type holdServer struct {
+	addr string
+	held chan heldRequest
+}
+
+// heldRequest is one request a holdServer read and has not answered.
+type heldRequest struct {
+	op     byte
+	answer chan []byte // the test sends the answer's payload, or closes it
+}
+
+func startHoldServer(t *testing.T) *holdServer {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &holdServer{addr: ln.Addr().String(), held: make(chan heldRequest, 16)}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	t.Cleanup(func() {
+		ln.Close()
+		close(done)
+		wg.Wait()
+	})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				<-done
+				conn.Close()
+			}()
+			go func() {
+				defer wg.Done()
+				h.serve(conn, done)
+			}()
+		}
+	}()
+	return h
+}
+
+// serve reads conn's requests one at a time, answering each once released.
+func (h *holdServer) serve(conn net.Conn, done <-chan struct{}) {
+	r := bufio.NewReader(conn)
+	for {
+		op, _, err := readFrame(r)
+		if err != nil {
+			return
+		}
+		req := heldRequest{op: op, answer: make(chan []byte)}
+		select {
+		case h.held <- req:
+		case <-done:
+			return
+		}
+		var resp []byte
+		select {
+		case resp = <-req.answer:
+		case <-done:
+			return
+		}
+		if writeFrame(conn, statusOK, resp) != nil {
+			return
+		}
+	}
+}
+
+// next returns the next request the server read, failing t if none arrives
+// within five seconds.
+func (h *holdServer) next(t *testing.T) heldRequest {
+	t.Helper()
+	select {
+	case req := <-h.held:
+		return req
+	case <-time.After(5 * time.Second):
+	}
+	t.Fatal("no request reached the hold server")
+	return heldRequest{}
+}
+
+// TestQueuedCallHonoursContext: a call queued behind an unanswered request
+// returns when its own context ends, not when the request ahead of it gives
+// up. Its answer would never be read, so the connection goes with it, and the
+// request ahead fails too.
+func TestQueuedCallHonoursContext(t *testing.T) {
+	h := startHoldServer(t)
+	c, err := Dial(h.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ahead, err := c.send(context.Background(), opPing, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aheadErr := make(chan error, 1)
+	go func() { aheadErr <- c.await(context.Background(), ahead, nil) }()
+	h.next(t) // read by the server, never to be answered
+
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	if err := c.Ping(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("queued Ping: err = %v, want context.DeadlineExceeded", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("queued Ping with a 100ms deadline returned after %v", d)
+	}
+	select {
+	case err := <-aheadErr:
+		if err == nil {
+			t.Fatal("the request ahead was answered on a connection given up")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the request ahead outlived its connection")
+	}
+}
+
+// TestRangeRefusesOversizedCount: a Range answer whose entry count its frame
+// cannot hold fails as a transport error before anything is allocated for
+// the entries it claims.
+func TestRangeRefusesOversizedCount(t *testing.T) {
+	h := startHoldServer(t)
+	c, err := Dial(h.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	errc := make(chan error, 1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	go func() {
+		_, err := c.Range(context.Background(), "t", 1, 1<<20, 0)
+		errc <- err
+	}()
+	for i := 0; i < defaultTiming.attempts; i++ { // Range retries a transport error
+		h.next(t).answer <- (&enc{}).u32(1 << 20).b // a million entries, none sent
+	}
+	err = <-errc
+	runtime.ReadMemStats(&after)
+	if !IsTransient(err) {
+		t.Fatalf("Range of a truncated answer: err = %v, want a transport error", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("Range allocated %d bytes for an answer that holds no entry", got)
+	}
 }
 
 func TestTCPPublishLatest(t *testing.T) {

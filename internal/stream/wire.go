@@ -20,11 +20,12 @@ import (
 // Payload fields are encoded with writeString (u16 len + bytes), writeBytes
 // (u32 len + bytes), and fixed-width little-endian integers.
 
-// Request opcodes. 0x01 (singular publish), 0x04 (singular consume) and
-// 0x06-0x08 (consumer-group create, read, ack) are retired and stay reserved:
-// a single tuple rides the batch frames with n=1, a consumer keeps its own
-// position with Follow, and a server answers the old numbers with "unknown
-// opcode".
+// Request opcodes. 0x01 (singular publish), 0x04 (singular consume), 0x06-0x08
+// (consumer-group create, read, ack) and 0x0C (batched consume) are retired and
+// stay reserved: a single tuple rides the batch frames with n=1, a consumer
+// keeps its own position with Follow, and a server answers the old numbers
+// with "unknown opcode". No request parks a pipelined connection: Subscribe,
+// the one op that waits for data, has a connection of its own.
 const (
 	opLatest    = 0x02 // topic                    -> entry
 	opRange     = 0x03 // topic, from, to, max     -> u32 n, n entries
@@ -32,15 +33,14 @@ const (
 	opTopics    = 0x09 //                          -> u32 n, n strings
 	opPing      = 0x0A //                          -> ok (liveness / conn check)
 
-	// The publish and consume verbs: one frame carries many entries,
-	// amortizing the per-frame syscall + header cost and (broker-side) the
-	// per-append lock.
+	// The publish verb: one frame carries many entries, amortizing the
+	// per-frame syscall + header cost and (broker-side) the per-append lock.
 	opPublishBatch = 0x0B // topic, u32 n, n payloads -> u64 firstID, u32 n
-	opConsumeBatch = 0x0C // topic, afterID, u32 max  -> u32 n, n entries (blocks)
 
 	// Replicated fabric: inter-broker replication, topology discovery, and
 	// the lease protocol proxied to the fabric's coordination node. The
-	// replicate frame reuses the batched multi-entry body of opConsumeBatch.
+	// replicate frame reuses the multi-entry body of opRange and subscription
+	// frames.
 	opReplicate    = 0x0D // topic, u64 epoch, entries      -> u64 lastID
 	opTopicTail    = 0x0E // topic                          -> u64 epoch, u64 lastID
 	opTopology     = 0x0F //                                -> u32 n, n x (id, addr)
@@ -234,8 +234,8 @@ func decodeEntry(d *buf) Entry {
 }
 
 // encodeEntries appends a u32 count followed by each entry — the multi-entry
-// frame body shared by opConsumeBatch responses and subscription stream
-// frames.
+// frame body shared by opRange responses, subscription stream frames and
+// replicate requests.
 func encodeEntries(e *enc, entries []Entry) {
 	e.u32(uint32(len(entries)))
 	for _, en := range entries {

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -189,8 +190,9 @@ func TestRefusedFrames(t *testing.T) {
 }
 
 // TestRetiredOpsAreRefused: the consumer-group opcodes (0x06 create, 0x07
-// read, 0x08 ack) carry the frames an old client would send and get the
-// "unknown opcode" error; 0x07 used to park, so its refusal must not.
+// read, 0x08 ack) and the batched consume (0x0C) carry the frames an old
+// client would send and get the "unknown opcode" error; 0x07 and 0x0C used to
+// park on an empty topic, so their refusal must not.
 func TestRetiredOpsAreRefused(t *testing.T) {
 	_, s := startServer(t)
 	conn, err := net.Dial("tcp", s.Addr())
@@ -198,7 +200,9 @@ func TestRetiredOpsAreRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
 	expectRefused(t, conn, 0x06, (&enc{}).str("t").str("g").u64(0).b, "unknown opcode")
 	expectRefused(t, conn, 0x07, (&enc{}).str("t").str("g").b, "unknown opcode")
 	expectRefused(t, conn, 0x08, (&enc{}).str("t").str("g").u64(1).b, "unknown opcode")
+	expectRefused(t, conn, 0x0C, (&enc{}).str("t").u64(0).u32(0).b, "unknown opcode")
 }
