@@ -228,13 +228,21 @@ func BenchmarkConsumeBatch(b *testing.B) {
 // heap: B/empty-topic for a topic nobody has published to, and per entry of
 // a topic filled to DefaultRetention with 28-byte payloads: B/entry for zero
 // bytes, B/entry-tuple for telemetry-encoded tuples, B/entry-random for
-// incompressible bytes (28 B of each entry is the payload as published).
+// incompressible bytes (28 B of each entry is the payload as published); and
+// B/entry-partial per entry of a topic holding partialFill Delphi-shaped
+// tuples, where the raw newest chunks weigh the most.
 func BenchmarkBrokerFootprint(b *testing.B) {
 	const topics = 1000
 	fills := []struct {
 		unit string
 		next func(seed int64) func() []byte
-	}{{"B/entry", zeroTuples}, {"B/entry-tuple", tuples}, {"B/entry-random", randomTuples}}
+		n    int
+	}{
+		{"B/entry", zeroTuples, DefaultRetention},
+		{"B/entry-tuple", tuples, DefaultRetention},
+		{"B/entry-random", randomTuples, DefaultRetention},
+		{"B/entry-partial", delphiTuples, partialFill},
+	}
 	sums := make([]uint64, 1+len(fills)) // the empty topics, then each fill
 	for i := 0; i < b.N; i++ {
 		br := NewBroker(0)
@@ -244,13 +252,13 @@ func BenchmarkBrokerFootprint(b *testing.B) {
 		for f, fill := range fills {
 			next := fill.next(int64(i))
 			base = liveHeap()
-			fillTopic(b, br, fill.unit, DefaultRetention, next)
+			fillTopic(b, br, fill.unit, fill.n, next)
 			sums[1+f] += liveHeap() - base
 		}
 		br.Close()
 	}
 	b.ReportMetric(float64(sums[0])/float64(b.N)/topics, "B/empty-topic")
 	for f, fill := range fills {
-		b.ReportMetric(float64(sums[1+f])/float64(b.N)/DefaultRetention, fill.unit)
+		b.ReportMetric(float64(sums[1+f])/float64(b.N)/float64(fill.n), fill.unit)
 	}
 }

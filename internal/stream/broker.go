@@ -50,10 +50,11 @@ const DefaultShardCount = 8
 
 // Chunk capacities: a topic's first chunk holds minChunk payload bytes and
 // each later one twice its predecessor's, up to maxChunk. A payload larger
-// than maxChunk gets a chunk of its own.
+// than maxChunk gets a chunk of its own. maxChunk sizes the raw region every
+// topic pins (its two newest chunks); see chunk for the bound it must keep.
 const (
 	minChunk = 512
-	maxChunk = 16 << 10
+	maxChunk = 4 << 10
 )
 
 // chunk holds the payloads of a contiguous ID run, raw or sealed. Neither
@@ -75,6 +76,16 @@ const (
 // chunk is read by decoding it into memory the reader owns (see unsealed),
 // so the raw array it replaced stays valid for every view already handed
 // out.
+//
+// The near-tail bound: a cursor reading a run of subscribeSlack entries that
+// ends at the tail reads raw bytes only, so a subscriber that keeps up never
+// decodes. Once a topic's chunks have reached maxChunk this holds for
+// payloads of up to maxChunk/subscribeSlack bytes (64 B at 4 KiB): the
+// tail opened because a payload of at most that size did not fit, so the
+// chunk before it holds more than maxChunk minus that size, which is at
+// least subscribeSlack entries. A telemetry tuple is 28-45 B. A smaller
+// maxChunk, or a bigger slack, breaks this; TestCursorNearTailStaysRaw pins
+// it.
 type chunk struct {
 	first  uint64   // ID of the first entry
 	data   []byte   // payloads of first, first+1, ... in order, or their frame
@@ -155,18 +166,26 @@ func (c *chunk) seal() []byte {
 
 // unseal decodes entries i..j-1 of a sealed chunk into the raw chunk dst,
 // reusing its arrays and r's metric names. Every entry is re-encoded with
-// the same AppendBinary its publisher used. A sealed frame was rendered in
-// this process and never leaves it, so one that does not decode is a broken
-// invariant, not bad input.
+// the same AppendBinary its publisher used, into arrays sized once from the
+// entry count and the first entry's size, which every entry of a one-metric
+// chunk shares. A sealed frame was rendered in this process and never leaves
+// it, so one that does not decode is a broken invariant, not bad input.
 func (c *chunk) unseal(dst chunk, i, j int, r *block.Reader) chunk {
+	if cap(dst.starts) < j-i {
+		dst.starts = make([]uint16, 0, j-i)
+	}
 	dst.first, dst.data, dst.starts = c.first+uint64(i), dst.data[:0], dst.starts[:0]
 	_, err := r.Open(c.data)
 	for k := 0; err == nil && k < j; k++ {
 		if !r.Next() {
 			err = fmt.Errorf("entry %d of %d: %v", k, c.n, r.Err())
 		} else if k >= i {
+			in := r.Info()
+			if size := (j - i) * in.EncodedSize(); k == i && cap(dst.data) < size {
+				dst.data = make([]byte, 0, size)
+			}
 			dst.starts = append(dst.starts, uint16(len(dst.data)))
-			dst.data, _ = r.Info().AppendBinary(dst.data)
+			dst.data, _ = in.AppendBinary(dst.data)
 		}
 	}
 	if err != nil {
@@ -175,12 +194,11 @@ func (c *chunk) unseal(dst chunk, i, j int, r *block.Reader) chunk {
 	return dst
 }
 
-// unsealed is a reader's decoded copies of the sealed chunks it reads. A nil
-// *unsealed decodes, for each read, just the entries read, into arrays the
-// caller keeps. A cursor's decodes each chunk whole, once, into a slot it
-// reuses while its runs keep reading that chunk; slots[:used] serve the run
-// being read. A slot keeps its sealed array alive and is matched by it, so a
-// chunk truncated away and refilled never matches a stale copy.
+// unsealed is a cursor's decoded copies of the sealed chunks it reads. It
+// decodes each chunk whole, once, into a slot it reuses while the cursor's
+// runs keep reading that chunk; slots[:used] serve the run being read. A
+// slot keeps its sealed array alive and is matched by it, so a chunk
+// truncated away and refilled never matches a stale copy.
 type unsealed struct {
 	slots []unsealedSlot
 	used  int
@@ -192,14 +210,8 @@ type unsealedSlot struct {
 	raw chunk
 }
 
-// of returns a raw chunk holding the entries id.. of the sealed chunk c, n of
-// them or as many as c holds from id on.
-func (u *unsealed) of(c *chunk, id uint64, n int) *chunk {
-	if u == nil {
-		i := int(id - c.first)
-		raw := c.unseal(chunk{}, i, min(i+n, c.n), new(block.Reader))
-		return &raw
-	}
+// of returns a raw chunk holding every entry of the sealed chunk c.
+func (u *unsealed) of(c *chunk) *chunk {
 	s := u.used
 	for s < len(u.slots) && &u.slots[s].src[0] != &c.data[0] {
 		s++
@@ -327,16 +339,25 @@ func (t *topic) chunkOf(id uint64) int {
 
 // readLocked fills out, which arrives empty, with the n >= 1 retained entries
 // from, from+1, ...: views of raw chunks, and of sealed ones decoded through
-// u (see unsealed). The caller holds t.mu and has checked the run lies in
-// firstID..nextID-1.
+// u (see unsealed). With u nil, each sealed chunk decodes just the entries
+// read, into arrays the caller keeps, and one decoder serves the whole read.
+// The caller holds t.mu and has checked the run lies in firstID..nextID-1.
 func (t *topic) readLocked(out []Entry, from uint64, n int, u *unsealed) []Entry {
+	var (
+		dec  block.Reader // with u nil: the read's one decoder
+		kept chunk        // with u nil: the entries of a sealed chunk read
+	)
 	if u != nil {
 		u.used = 0
 	}
 	for ci := t.chunkOf(from); len(out) < n; ci++ {
 		c, id := &t.chunks[ci], from+uint64(len(out))
-		if c.starts == nil {
-			c = u.of(c, id, n-len(out))
+		if c.starts == nil && u != nil {
+			c = u.of(c)
+		} else if c.starts == nil {
+			i := int(id - c.first)
+			kept = c.unseal(chunk{}, i, min(i+n-len(out), c.n), &dec)
+			c = &kept
 		}
 		out = c.read(out, id, n-len(out))
 	}
@@ -697,8 +718,9 @@ func (t *topic) truncateTailLocked(fromID uint64, b *Broker) {
 	t.chunks = t.chunks[:n]
 	if n > 0 {
 		c := &t.chunks[n-1]
-		if c.starts == nil { // the tail is raw, so decode it
-			raw := c.unseal(chunk{}, 0, c.n, new(block.Reader))
+		if c.starts == nil { // the tail is sealed: decode it, so the tail is raw again
+			var dec block.Reader
+			raw := c.unseal(chunk{}, 0, c.n, &dec)
 			b.addLogBytes(raw.bytes() - c.bytes())
 			*c = raw
 		}

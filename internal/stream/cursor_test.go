@@ -3,6 +3,8 @@ package stream
 import (
 	"context"
 	"errors"
+	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -229,6 +231,70 @@ func TestCursorNextAllocs(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("a publish, a wake and a Next allocate %v times per round trip, want 0", n)
+	}
+}
+
+// TestCursorNearTailStaysRaw pins the near-tail bound (see chunk): past the
+// ramp of small first chunks, a cursor whose run of up to subscribeSlack
+// entries ends at the tail reads raw chunks only, for tuples of up to 64 B,
+// so it holds no decoded copy of a sealed chunk after any Next — across
+// thousands of chunk boundaries, sealed chunks behind it all the while.
+func TestCursorNearTailStaysRaw(t *testing.T) {
+	b := NewBroker(0)
+	defer b.Close()
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(1))
+	// Tuples of 28, 46 and 64 B, half of them the largest; the runs of one
+	// metric keep the chunks sealable.
+	metrics := []telemetry.MetricID{"cpu0", telemetry.MetricID(strings.Repeat("m", 22)), telemetry.MetricID(strings.Repeat("n", 40))}
+	in := telemetry.NewFact(metrics[2], 1_700_000_000_000_000_000, 1000)
+	next := func() []byte {
+		if rng.Intn(8) == 0 {
+			in.Metric = metrics[min(2, rng.Intn(4))]
+		}
+		in.Timestamp += 5_000_000
+		in.Value += rng.NormFloat64()
+		p, _ := in.MarshalBinary()
+		if len(p) > 64 {
+			t.Fatalf("a %d-byte tuple: the bound is for tuples of up to 64 B", len(p))
+		}
+		return p
+	}
+	fillTopic(t, b, "t", 500, next)
+	cur, err := b.Follow(ctx, "t", 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bc := cur.(*brokerCursor)
+	batch := make([][]byte, subscribeSlack)
+	for step := 0; step < 3000; step++ {
+		k := subscribeSlack // half the runs as far behind as the bound reaches
+		if rng.Intn(2) == 0 {
+			k = 1 + rng.Intn(subscribeSlack)
+		}
+		for i := range batch[:k] {
+			batch[i] = next()
+		}
+		if _, err := b.PublishBatch(ctx, "t", batch[:k]); err != nil {
+			t.Fatal(err)
+		}
+		run, err := cur.Next()
+		if err != nil || len(run) != k {
+			t.Fatalf("step %d: Next = run of %d, %v; want %d entries", step, len(run), err, k)
+		}
+		if len(bc.dec.slots) != 0 {
+			t.Fatalf("step %d: a run of %d entries ending at the tail, id %d, decoded a sealed chunk", step, k, run[k-1].ID)
+		}
+	}
+	tp, _ := b.topicFor("t", false)
+	sealed := 0
+	for _, c := range tp.chunks {
+		if c.starts == nil {
+			sealed++
+		}
+	}
+	if sealed < len(tp.chunks)/2 {
+		t.Fatalf("%d of %d chunks sealed: the tuples no longer seal, so the test shows nothing", sealed, len(tp.chunks))
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -323,7 +324,7 @@ func TestTopicLogModel(t *testing.T) {
 // at the end; run under -race this also shows no append, seal or cut touches
 // bytes a reader can see.
 func TestTopicLogViewsImmutable(t *testing.T) {
-	b := NewBroker(1024) // several 16 KiB chunks, so that some are sealed
+	b := NewBroker(1024) // several 4 KiB chunks, so that some are sealed
 	defer b.Close()
 	ctx, stop := context.WithCancel(context.Background())
 	defer stop()
@@ -451,7 +452,9 @@ func emptyTopics(b *Broker, n int) {
 // tuple's wire size: all zeros; telemetry-encoded facts of one metric every
 // 5 ms, each with its CRC, whose value walks the way the pipeline
 // benchmark's traces do (from 1000-1100, standard normal steps); and
-// incompressible bytes.
+// incompressible bytes. delphiTuples generates what a Fact vertex with Delphi
+// publishes: every 20 ms one measured fact, whose value walks as in tuples,
+// then three predicted ones 5 ms apart, forecasts scattered about it.
 func zeroTuples(int64) func() []byte {
 	p := make([]byte, 28)
 	return func() []byte { return p }
@@ -469,6 +472,26 @@ func tuples(seed int64) func() []byte {
 	}
 }
 
+func delphiTuples(seed int64) func() []byte {
+	rng := rand.New(rand.NewSource(seed))
+	measured := 1000 + 100*rng.Float64()
+	in := telemetry.NewFact("cpu0", 1_700_000_000_000_000_000, measured)
+	in.MarshalBinary()
+	i := 0
+	return func() []byte {
+		in.Timestamp += 5_000_000
+		if i%4 == 0 {
+			measured += rng.NormFloat64()
+			in.Value, in.Source = measured, telemetry.Measured
+		} else {
+			in.Value, in.Source = measured+rng.NormFloat64()/4, telemetry.Predicted
+		}
+		i++
+		p, _ := in.MarshalBinary()
+		return p
+	}
+}
+
 func randomTuples(seed int64) func() []byte {
 	rng := rand.New(rand.NewSource(seed))
 	return func() []byte {
@@ -477,6 +500,12 @@ func randomTuples(seed int64) func() []byte {
 		return p
 	}
 }
+
+// partialFill is about how many entries a topic of the pipeline benchmark's
+// ingest-inproc workload holds at the end of its measured window, well short
+// of DefaultRetention: there the raw newest chunks are a large share of a
+// topic's memory.
+const partialFill = 6000
 
 // fillTopic publishes n payloads made by next.
 func fillTopic(tb testing.TB, b *Broker, topic string, n int, next func() []byte) {
@@ -489,8 +518,12 @@ func fillTopic(tb testing.TB, b *Broker, topic string, n int, next func() []byte
 
 // TestTopicLogFootprint keeps the broker's memory proportional to what it
 // holds: an empty topic costs its bookkeeping, not a reserved retention
-// window, and a full one about its bytes — telemetry tuples sealed to at
-// most 10 B, incompressible ones no worse off than raw.
+// window, and a filled one about its bytes — telemetry tuples sealed to at
+// most 9.5 B each at full retention and 12.5 B each in a topic partly filled
+// with Delphi-shaped tuples, incompressible ones no worse off than raw. With
+// 16 KiB chunks the two tuple fills read 10.3 and 14.2 B: the two raw newest
+// chunks weigh four times as much. Each reading is the smallest of three
+// fresh fills, so that the runtime's own few KB of heap noise cannot fail it.
 func TestTopicLogFootprint(t *testing.T) {
 	b := NewBroker(0)
 	defer b.Close()
@@ -501,7 +534,7 @@ func TestTopicLogFootprint(t *testing.T) {
 		t.Errorf("1000 empty topics hold %d bytes of live heap, want < 1 MiB", got)
 	}
 
-	const limit = DefaultRetention*32 + 16<<10
+	const limit = DefaultRetention*32 + maxChunk
 	base = liveHeap()
 	fillTopic(t, b, "full", DefaultRetention, zeroTuples(0))
 	if got := int64(liveHeap() - base); got > limit {
@@ -514,17 +547,57 @@ func TestTopicLogFootprint(t *testing.T) {
 	}
 	for _, fill := range []struct {
 		topic string
-		next  func() []byte
+		next  func(int64) func() []byte
+		n     int
 		limit int64
 	}{
-		{"tuples", tuples(1), DefaultRetention*10 + 16<<10},
-		{"random", randomTuples(1), limit},
+		{"tuples", tuples, DefaultRetention, DefaultRetention * 19 / 2},
+		{"partial", delphiTuples, partialFill, partialFill * 25 / 2},
+		{"random", randomTuples, DefaultRetention, limit},
 	} {
-		base = liveHeap()
-		fillTopic(t, b, fill.topic, DefaultRetention, fill.next)
-		if got := int64(liveHeap() - base); got > fill.limit {
-			t.Errorf("a topic filled to retention with %s holds %d bytes, want < %d", fill.topic, got, fill.limit)
+		got := int64(math.MaxInt64)
+		for try := 0; try < 3; try++ {
+			base = liveHeap()
+			fillTopic(t, b, fmt.Sprint(fill.topic, try), fill.n, fill.next(1))
+			got = min(got, int64(liveHeap()-base))
+		}
+		if got > fill.limit {
+			t.Errorf("the %s fill (%d entries) holds %d bytes, want < %d", fill.topic, fill.n, got, fill.limit)
 		}
 	}
 	runtime.KeepAlive(b)
+}
+
+// TestRangeSealedAllocs: a read of sealed history decodes every chunk it
+// reads through one block.Reader into arrays sized once, so it allocates at
+// most twice per sealed chunk (its payloads and their offsets) beside a
+// fixed few: the result slice, the one name in the decoder's metric
+// dictionary, and the dictionary, which block.Reader grows with slices.Grow
+// (twice over under the race detector, which turns off the compiler's
+// allocation-free append of a make).
+func TestRangeSealedAllocs(t *testing.T) {
+	const from, to, fixed = 1, 4800, 4
+	b := NewBroker(0)
+	defer b.Close()
+	fillTopic(t, b, "t", 8000, tuples(1))
+	tp, _ := b.topicFor("t", false)
+	sealed := 0
+	for _, c := range tp.chunks {
+		if c.first > to {
+			break
+		}
+		if c.starts != nil {
+			t.Fatalf("the chunk from id %d is raw; want ids %d..%d sealed", c.first, from, to)
+		}
+		sealed++
+	}
+	ctx := context.Background()
+	n := testing.AllocsPerRun(20, func() {
+		if es, err := b.Range(ctx, "t", from, to, 0); err != nil || len(es) != to-from+1 {
+			t.Fatalf("Range = %d entries, %v", len(es), err)
+		}
+	})
+	if n > float64(2*sealed+fixed) {
+		t.Errorf("Range over %d sealed chunks allocates %v times, want <= %d", sealed, n, 2*sealed+fixed)
+	}
 }
