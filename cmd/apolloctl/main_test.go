@@ -6,8 +6,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	apiv1 "repro/api/v1"
 	"repro/internal/archive"
@@ -56,30 +58,34 @@ func checkSpans(t *testing.T, out string) {
 	}
 }
 
-// TestRetentionSpanOfEmptyTier: a fresh apollod -archive-dir holds, for every
-// metric, one active segment with no record in it; both forms of the
-// retention command used to print 1970-01-01T00:00:00Z .. 1970-01-01T00:00:00Z
-// as its span.
+// TestRetentionSpanOfEmptyTier: an archive directory written by an older
+// apollod holds, for every metric, an active segment with no record in it;
+// both forms of the retention command used to print
+// 1970-01-01T00:00:00Z .. 1970-01-01T00:00:00Z as its span.
 func TestRetentionSpanOfEmptyTier(t *testing.T) {
 	const first, last = 1_700_000_000_000_000_000, 1_700_000_001_000_000_000
 
 	t.Run("directory", func(t *testing.T) {
 		root := t.TempDir()
-		for _, metric := range []string{"empty", "full"} {
-			l, err := archive.Open(root+"/"+metric, archive.Options{})
-			if err != nil {
+		// A log creates its segment with the first block now, so the empty
+		// one is written by hand.
+		if err := os.Mkdir(filepath.Join(root, "empty"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(root, "empty", "segment-00000000.blk"), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, err := archive.Open(filepath.Join(root, "full"), archive.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ts := range []int64{first, last} {
+			if err := l.Append(telemetry.NewFact("full", ts, 1)); err != nil {
 				t.Fatal(err)
 			}
-			if metric == "full" {
-				for _, ts := range []int64{first, last} {
-					if err := l.Append(telemetry.NewFact("full", ts, 1)); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			if err := l.Close(); err != nil {
-				t.Fatal(err)
-			}
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
 		}
 		checkSpans(t, captureStdout(t, func() { runRetention([]string{root}, "") }))
 	})
@@ -95,4 +101,39 @@ func TestRetentionSpanOfEmptyTier(t *testing.T) {
 		g := gatewayClient{addr: strings.TrimPrefix(srv.URL, "http://")}
 		checkSpans(t, captureStdout(t, g.retention))
 	})
+}
+
+// TestRetentionApplyAddsNoSegment: each -apply pass opens and closes every
+// log it compacts, which used to leave one empty raw segment and its sidecar
+// behind per log per pass.
+func TestRetentionApplyAddsNoSegment(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "m")
+	l, err := archive.Open(dir, archive.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Now().UnixNano()
+	for i := int64(0); i < 4; i++ {
+		if err := l.Append(telemetry.NewFact("m", now+i, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rawFiles := func() []string {
+		m, err := filepath.Glob(filepath.Join(dir, "segment-*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	before := rawFiles()
+	for i := 0; i < 2; i++ {
+		captureStdout(t, func() { runRetention([]string{root}, "raw=1h") })
+	}
+	if after := rawFiles(); len(after) != len(before) {
+		t.Fatalf("two -apply passes took the raw tier from %v to %v", before, after)
+	}
 }

@@ -18,6 +18,7 @@ package archive
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
@@ -85,8 +86,10 @@ type Log struct {
 	compactMu    sync.RWMutex
 	dir          string
 	segmentBytes int64
-	cur          *os.File
-	curIndex     int
+	// cur is the active segment's file, nil until its first block is
+	// written (see createLocked) and again once it is closed.
+	cur      *os.File
+	curIndex int
 	// curBytes is how much the active segment holds as SegmentBytes counts
 	// it: the sum of its tuples' Info.EncodedSize, whatever they take on disk.
 	curBytes int64
@@ -100,8 +103,8 @@ type Log struct {
 	// files is the data-file table Range walks: scanRefs' listing joined
 	// with idx. It is nil until a Range needs it and dropped — under mu, and
 	// under compactMu held exclusively when files go away — wherever a data
-	// file is created or removed or idx changes: openSegment, sealLocked,
-	// Compact. scanRefs stays the truth everywhere else.
+	// file is created or removed or idx changes: createLocked, openSegment,
+	// sealLocked, Compact. scanRefs stays the truth everywhere else.
 	files    []fileEntry
 	appended uint64
 	closed   bool
@@ -163,13 +166,15 @@ type Options struct {
 }
 
 // Open creates or reopens a Log rooted at dir. Existing segments are kept and
-// appends continue in a fresh segment after the highest existing index. Every
-// existing file's index sidecar is loaded; missing, corrupt, or stale
-// sidecars are rebuilt from the data (crash safety: the sidecar is a pure
-// accelerator, never trusted over the log). An interrupted compaction is
-// rolled forward or back from its journal before anything is read. A
-// directory holding raw-record segments (`segment-*.log`, an earlier on-disk
-// format) is refused.
+// appends continue in a fresh segment after the highest existing index; its
+// file, like every later segment's, is created by the segment's first block
+// write, so opening and closing a log that receives nothing leaves the
+// directory as it was. Open lists the directory once. Every existing file's
+// index sidecar is loaded; missing, corrupt, or stale sidecars are rebuilt
+// from the data (crash safety: the sidecar is a pure accelerator, never
+// trusted over the log). An interrupted compaction is rolled forward or back
+// from its journal before anything is read. A directory holding raw-record
+// segments (`segment-*.log`, an earlier on-disk format) is refused.
 func Open(dir string, opts Options) (*Log, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = DefaultSegmentBytes
@@ -181,7 +186,16 @@ func Open(dir string, opts Options) (*Log, error) {
 	if err := l.recoverCompaction(); err != nil {
 		return nil, err
 	}
-	refs, err := l.scanRefs()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("archive: %w", err)
+	}
+	for _, e := range entries {
+		if strings.HasSuffix(e.Name(), ".tmp") { // an interrupted rollup, journal or sidecar write
+			os.Remove(filepath.Join(dir, e.Name()))
+		}
+	}
+	refs, err := l.parseRefs(entries)
 	if err != nil {
 		return nil, err
 	}
@@ -208,20 +222,23 @@ func Open(dir string, opts Options) (*Log, error) {
 			next = max(next, r.index+1)
 		}
 	}
-	if err := l.openSegment(next); err != nil {
-		return nil, err
-	}
+	l.openSegment(next)
 	return l, nil
 }
 
-// scanRefs lists every data file of the log in read order: coarsest tier
-// first (1m rollups, then 10s, then full resolution), ascending index within
-// a tier.
+// scanRefs lists every data file of the log in read order (see parseRefs).
 func (l *Log) scanRefs() ([]segRef, error) {
 	entries, err := os.ReadDir(l.dir)
 	if err != nil {
 		return nil, fmt.Errorf("archive: %w", err)
 	}
+	return l.parseRefs(entries)
+}
+
+// parseRefs picks the data files out of a listing of the log's directory, in
+// read order: coarsest tier first (1m rollups, then 10s, then full
+// resolution), ascending index within a tier.
+func (l *Log) parseRefs(entries []os.DirEntry) ([]segRef, error) {
 	var out []segRef
 	for _, e := range entries {
 		name := e.Name()
@@ -241,15 +258,30 @@ func (l *Log) scanRefs() ([]segRef, error) {
 	return out, nil
 }
 
-func (l *Log) openSegment(i int) error {
-	f, err := os.OpenFile(filepath.Join(l.dir, segRef{TierRaw, i}.fileName()), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("archive: %w", err)
-	}
-	l.cur, l.curIndex, l.curBytes = f, i, 0
+// openSegment makes segment i the active one, with no file yet: createLocked
+// makes it when the first block is written.
+func (l *Log) openSegment(i int) {
+	l.curIndex, l.curBytes = i, 0
 	l.active = &segIndex{}
 	l.dropReadStateLocked()
-	return nil
+}
+
+// createLocked creates the active segment's file. O_EXCL never reuses a file:
+// when the index is taken, by another writer on the same directory say, the
+// segment moves to the next free index.
+func (l *Log) createLocked() error {
+	for {
+		f, err := os.OpenFile(filepath.Join(l.dir, segRef{TierRaw, l.curIndex}.fileName()), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+		if err == nil {
+			l.cur = f
+			l.files = nil // the directory gained a data file
+			return nil
+		}
+		if !errors.Is(err, fs.ErrExist) {
+			return fmt.Errorf("archive: %w", err)
+		}
+		l.curIndex++
+	}
 }
 
 // dropReadStateLocked forgets what Range caches about the directory: the
@@ -265,7 +297,8 @@ func (l *Log) dropReadStateLocked() {
 // recoverLocked re-arms a wedged log: the failed active segment is abandoned
 // (whatever whole blocks reached disk stay readable; its sidecar is rebuilt
 // on the next Open) and appends continue in a fresh segment after the
-// highest on-disk index.
+// highest on-disk index. Its file is created here, not at the first block,
+// so a log stays wedged until the file system takes a file again.
 func (l *Log) recoverLocked() error {
 	refs, err := l.scanRefs()
 	if err != nil {
@@ -277,7 +310,8 @@ func (l *Log) recoverLocked() error {
 			next = max(next, r.index+1)
 		}
 	}
-	if err := l.openSegment(next); err != nil {
+	l.openSegment(next)
+	if err := l.createLocked(); err != nil {
 		return err
 	}
 	l.wedged = nil
@@ -323,7 +357,8 @@ func (l *Log) Append(info telemetry.Info) error {
 }
 
 // writeBlockLocked seals the open block into one frame, encoded into pooled
-// scratch, and writes it to the active segment with a single Write. A failed
+// scratch, and writes it to the active segment with a single Write, creating
+// the segment's file first if this is its first block. A failed create or
 // write loses the block (its frame may lie torn at the file's tail), closes
 // the file and wedges the log.
 func (l *Log) writeBlockLocked() error {
@@ -335,8 +370,15 @@ func (l *Log) writeBlockLocked() error {
 	sc.data = l.open.AppendFrame(sc.data[:0], TierRaw)
 	first := l.open.FirstTimestamp()
 	l.open.Reset()
+	if l.cur == nil {
+		if err := l.createLocked(); err != nil {
+			l.wedged = err
+			return err
+		}
+	}
 	if _, err := l.cur.Write(sc.data); err != nil {
 		l.cur.Close()
+		l.cur = nil
 		l.wedged = fmt.Errorf("archive: seal flush: %w", err)
 		return l.wedged
 	}
@@ -346,7 +388,8 @@ func (l *Log) writeBlockLocked() error {
 }
 
 // sealLocked writes the open block, closes the active segment, persists its
-// index sidecar, and promotes its index to the sealed map. Any failure
+// index sidecar, and promotes its index to the sealed map; a segment that
+// never had a block written has no file and needs none of that. Any failure
 // wedges the log: the file is closed (or in an unknown state), so subsequent
 // appends must open a segment instead of reusing it. A failed block write
 // also leaves the index unpromoted — readers fall back to a full scan of
@@ -356,7 +399,12 @@ func (l *Log) sealLocked() error {
 	if err := l.writeBlockLocked(); err != nil {
 		return err
 	}
-	if err := l.cur.Close(); err != nil {
+	if l.cur == nil {
+		return nil
+	}
+	err := l.cur.Close()
+	l.cur = nil
+	if err != nil {
 		l.wedged = fmt.Errorf("archive: seal close: %w", err)
 		return l.wedged
 	}
@@ -378,10 +426,7 @@ func (l *Log) rotateLocked() error {
 		return err
 	}
 	l.obsRotations.Inc()
-	if err := l.openSegment(l.curIndex + 1); err != nil {
-		l.wedged = err
-		return err
-	}
+	l.openSegment(l.curIndex + 1)
 	return nil
 }
 
@@ -393,7 +438,7 @@ func (l *Log) rotateLocked() error {
 // archive_retention_dropped_files_total, and the per-tier
 // archive_rollup_tier_bytes gauges. The sidecar rebuilds of Open, which runs
 // before anything can be instrumented, are folded in; every other event counts
-// from here on.
+// from here on. Instrument touches no file.
 func (l *Log) Instrument(r *obs.Registry, name string) {
 	l.mu.Lock()
 	l.obsAppends = r.Counter(obs.Name("archive_appends_total", "log", name))
@@ -409,8 +454,8 @@ func (l *Log) Instrument(r *obs.Registry, name string) {
 		l.obsTierBytes[t] = r.Gauge(obs.Name("archive_rollup_tier_bytes", "log", name, "tier", tierLabel(t)))
 	}
 	l.obsRebuilds.Add(l.idxRebuilds)
+	l.updateTierGaugesLocked()
 	l.mu.Unlock()
-	l.updateTierGauges()
 }
 
 // tierLabel names a tier for metric labels and CLI output.
@@ -425,17 +470,17 @@ func tierLabel(t int) string {
 	}
 }
 
-// updateTierGauges refreshes the per-tier byte gauges from the directory.
-func (l *Log) updateTierGauges() {
+// updateTierGaugesLocked sets the per-tier byte gauges from the indexes, each
+// of which covers its whole file, and the active segment's written blocks
+// unless a seal already moved its index into idx. A segment a wedge abandoned
+// has no index and counts from the next Open.
+func (l *Log) updateTierGaugesLocked() {
 	var bytes [numTiers]int64
-	refs, err := l.scanRefs()
-	if err != nil {
-		return
+	for r, si := range l.idx {
+		bytes[r.tier] += si.size
 	}
-	for _, r := range refs {
-		if st, err := os.Stat(filepath.Join(l.dir, r.fileName())); err == nil {
-			bytes[r.tier] += st.Size()
-		}
+	if _, sealed := l.idx[segRef{TierRaw, l.curIndex}]; !sealed && !l.closed {
+		bytes[TierRaw] += l.active.size
 	}
 	for t := 0; t < numTiers; t++ {
 		l.obsTierBytes[t].Set(float64(bytes[t]))
@@ -462,6 +507,9 @@ func (l *Log) Sync() error {
 	}
 	if err := l.writeBlockLocked(); err != nil {
 		return err
+	}
+	if l.cur == nil {
+		return nil // no block was ever written: nothing on disk to flush
 	}
 	return l.cur.Sync()
 }
@@ -521,13 +569,15 @@ func (l *Log) Range(from, to int64, fn func(telemetry.Info) error) error {
 	var (
 		corrupt, skipped int
 		bytes            int64
+		live             = !l.closed // the active segment is read apart from the table
+		actRef           = segRef{TierRaw, l.curIndex}
 		act              segIndex   // the active segment's index as of now
 		rd               *segReader // set when the active segment's file must be read
 		open             bool       // set when its open block must be: sc.tail holds it as a frame
 	)
-	// The active segment carries the highest raw index, so it lists last.
-	if n := len(files); n > 0 && !l.closed && files[n-1].ref == (segRef{TierRaw, l.curIndex}) {
-		files = files[:n-1]
+	// The active segment may have no file yet: then act.size is 0 and only
+	// its open block can hold tuples.
+	if live {
 		// The header copy is safe to read after unlock: blocks written
 		// later lie past act.size, and reallocation leaves our view intact.
 		act = *l.active
@@ -552,6 +602,9 @@ func (l *Log) Range(from, to int64, fn func(telemetry.Info) error) error {
 	defer func() { l.account(corrupt, bytes, skipped) }()
 
 	for _, p := range files {
+		if live && p.ref == actRef {
+			continue
+		}
 		if p.si != nil && !p.si.covers(from, to) {
 			skipped++
 			continue

@@ -1,8 +1,12 @@
 package archive
 
 import (
+	"io/fs"
+	"path/filepath"
+	"strconv"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/telemetry"
 )
 
@@ -74,4 +78,34 @@ func BenchmarkArchiveReplayCompressed(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(counter("read_bytes"))/float64(b.N), "readbytes/op")
+}
+
+// BenchmarkOpenFresh registers one metric's log the way a service does at
+// start: Open a fresh directory, Instrument, Close. files/op counts the files
+// left behind — none, since a segment's file comes with its first block.
+func BenchmarkOpenFresh(b *testing.B) {
+	root := b.TempDir()
+	reg := obs.NewRegistry()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l, err := Open(filepath.Join(root, strconv.Itoa(i)), Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		l.Instrument(reg, "fresh")
+		if err := l.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	files := 0
+	if err := filepath.WalkDir(root, func(_ string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			files++
+		}
+		return err
+	}); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(files)/float64(b.N), "files/op")
 }

@@ -205,8 +205,8 @@ func loadJournal(dir string) *inflightOp {
 }
 
 // recoverCompaction rolls an interrupted rewrite forward or back from its
-// journal and sweeps stray tmp files. Called by Open before anything is
-// read.
+// journal. Called by Open before anything is read; Open then sweeps the stray
+// tmp files from its listing.
 func (l *Log) recoverCompaction() error {
 	if op := loadJournal(l.dir); op != nil {
 		if _, err := os.Stat(filepath.Join(l.dir, op.dst.fileName())); err == nil {
@@ -218,18 +218,7 @@ func (l *Log) recoverCompaction() error {
 				}
 			}
 		}
-		if err := saveJournal(l.dir, nil); err != nil {
-			return err
-		}
-	}
-	entries, err := os.ReadDir(l.dir)
-	if err != nil {
-		return fmt.Errorf("archive: %w", err)
-	}
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".tmp") {
-			os.Remove(filepath.Join(l.dir, e.Name()))
-		}
+		return saveJournal(l.dir, nil)
 	}
 	return nil
 }
@@ -325,9 +314,9 @@ func (l *Log) Compact(now int64, policy Retention) (CompactStats, error) {
 	l.obsCompactRuns.Inc()
 	l.obsCompressed.Add(uint64(st.CompressedBytes))
 	l.obsDroppedFiles.Add(uint64(st.DroppedFiles))
-	if l.obsTierBytes[0] != nil {
-		l.updateTierGauges()
-	}
+	l.mu.Lock()
+	l.updateTierGaugesLocked()
+	l.mu.Unlock()
 	return st, nil
 }
 

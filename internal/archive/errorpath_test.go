@@ -14,10 +14,17 @@ import (
 // later Sync/Close double-closed the dead file.
 
 // failSeal wedges l by closing the active segment file out from under it and
-// forcing a seal. Appends wait in the open block, so the failure surfaces
+// forcing a seal. The segment's file only exists once a block was written, so
+// one goes first. Appends wait in the open block, so the failure surfaces
 // when the rotation writes it — an injected rotate failure.
 func failSeal(t *testing.T, l *Log, recSize int) {
 	t.Helper()
+	if err := l.Append(telemetry.NewFact("wedge", 999, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
 	l.mu.Lock()
 	l.cur.Close() // simulate the segment fd dying (EBADF on flush)
 	l.mu.Unlock()

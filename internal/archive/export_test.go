@@ -15,7 +15,7 @@ import (
 // data file read whole, then the active segment's open block. It is the
 // whole-log reference Range is tested against, and holds the log's lock
 // throughout, so fn must not call the Log. Replay stops at the first error
-// from fn. Trailing undecodable bytes of the highest raw-tier segment are a
+// from fn. Trailing undecodable bytes of the active segment's file are a
 // torn write and end its replay silently; corruption anywhere else is
 // skipped (resynchronizing on the block framing) and counted.
 func (l *Log) Replay(fn func(telemetry.Info) error) error {
@@ -27,14 +27,8 @@ func (l *Log) Replay(fn func(telemetry.Info) error) error {
 	if err != nil {
 		return err
 	}
-	lastRaw := -1
 	for _, r := range refs {
-		if r.tier == TierRaw {
-			lastRaw = max(lastRaw, r.index)
-		}
-	}
-	for _, r := range refs {
-		corrupt, bytes, err := replayFile(filepath.Join(l.dir, r.fileName()), r.tier == TierRaw && r.index == lastRaw, fn)
+		corrupt, bytes, err := replayFile(filepath.Join(l.dir, r.fileName()), r == segRef{TierRaw, l.curIndex}, fn)
 		l.account(corrupt, bytes, 0)
 		if err != nil {
 			return err

@@ -57,23 +57,33 @@ func TestSamplerFixedInterval(t *testing.T) {
 }
 
 func TestServiceStartStop(t *testing.T) {
+	start := time.Unix(1000, 0)
+	clk := sim.NewVirtual(start)
 	svc := NewService()
 	hook := score.HookFunc{ID: "m", Fn: func() (float64, error) { return 1, nil }}
-	svc.AddSampler(hook, time.Millisecond, nil)
+	svc.AddSampler(hook, time.Millisecond, clk)
 	if err := svc.Start(); err != nil {
 		t.Fatal(err)
 	}
 	if err := svc.Start(); err == nil {
 		t.Fatal("double start accepted")
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) && svc.Store.Rows("m") < 3 {
-		time.Sleep(time.Millisecond)
+	// The sampler polls, then parks on the clock until the next interval.
+	for i := 0; i < 2; i++ {
+		<-clk.BlockUntil(1)
+		clk.Advance(time.Millisecond)
 	}
+	<-clk.BlockUntil(1)
 	svc.Stop()
 	svc.Stop() // idempotent
-	if svc.Store.Rows("m") < 3 {
-		t.Fatalf("rows=%d", svc.Store.Rows("m"))
+	rows := svc.Store.Range("m", 0, start.Add(time.Hour).UnixNano())
+	if len(rows) != 3 {
+		t.Fatalf("rows=%v, want 3 polls", rows)
+	}
+	for i, r := range rows {
+		if want := start.Add(time.Duration(i) * time.Millisecond).UnixNano(); r.Timestamp != want {
+			t.Fatalf("poll %d stamped %d, want %d", i, r.Timestamp, want)
+		}
 	}
 }
 
