@@ -1,6 +1,7 @@
 package apollo_test
 
 import (
+	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -52,18 +53,22 @@ func TestFacadeInsights(t *testing.T) {
 	if _, err := svc.RegisterInsight("mean", []apollo.MetricID{"a", "b"}, apollo.MeanInsight); err != nil {
 		t.Fatal(err)
 	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	tuples, err := svc.Subscribe(ctx, "mean")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := svc.Start(); err != nil {
 		t.Fatal(err)
 	}
 	defer svc.Stop()
 	_ = va
 	_ = vb
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if in, ok := svc.Latest("mean"); ok && in.Value == 5 && in.Kind == apollo.KindInsight {
+	for in := range tuples {
+		if in.Value == 5 && in.Kind == apollo.KindInsight {
 			return
 		}
-		time.Sleep(time.Millisecond)
 	}
 	t.Fatal("mean insight never reached 5")
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -17,6 +18,13 @@ import (
 // its own store.
 type Resolver interface {
 	Resolve(table string) (score.Executor, error)
+}
+
+// aggregator is an Executor that can fold a window itself, cheaper than
+// handing its tuples over: score's vertices do for a window their archive
+// holds whole. ok is false when it cannot, and the engine scans.
+type aggregator interface {
+	AggregateRange(from, to int64) (s telemetry.Summary, ok bool)
 }
 
 // ErrNoSuchTable is returned when a queried table has no vertex.
@@ -277,15 +285,23 @@ func (e *Engine) execBranch(cs *compiledSelect, rows [][]Cell) ([][]Cell, error)
 		return rows, nil
 	}
 
-	// Aggregate path: one streaming pass accumulates every aggregate; no
-	// row materialization at all. (Its one row is within any LIMIT.)
+	// Aggregate path: the vertex's own fold when it has one and no bare
+	// column needs the newest tuple, else one streaming pass accumulates
+	// every aggregate; no row materialization at all. (Its one row is within
+	// any LIMIT.)
 	if cs.hasAgg {
 		var st aggState
-		ex.ScanRange(cs.from, cs.to, func(in telemetry.Info) bool {
-			st.observe(in)
-			return true
-		})
-		if st.n == 0 {
+		pushed := false
+		if ag, ok := ex.(aggregator); ok && cs.pushdown {
+			st.s, pushed = ag.AggregateRange(cs.from, cs.to)
+		}
+		if !pushed {
+			ex.ScanRange(cs.from, cs.to, func(in telemetry.Info) bool {
+				st.observe(in)
+				return true
+			})
+		}
+		if st.s.Count == 0 {
 			return rows, nil
 		}
 		row := make([]Cell, len(cs.aggs))
@@ -296,41 +312,34 @@ func (e *Engine) execBranch(cs *compiledSelect, rows [][]Cell) ([][]Cell, error)
 	}
 
 	// Row path. Ascending scans stop as soon as LIMIT rows are produced
-	// (early-LIMIT cutoff); descending ones keep a ring of the newest LIMIT
-	// entries and emit it reversed.
+	// (early-LIMIT cutoff); descending ones without a LIMIT reverse their
+	// rows in place, and with one keep a ring of the newest LIMIT entries and
+	// emit it reversed.
 	desc := cs.order != nil && cs.order.Desc
-	if !desc {
+	if !desc || cs.limit == 0 {
 		out, base := rows, len(rows) // out, not rows: only this path pays for a captured variable
 		ex.ScanRange(cs.from, cs.to, func(in telemetry.Info) bool {
 			out = append(out, rowFromProj(cs.proj, in))
 			return cs.limit == 0 || len(out)-base < cs.limit
 		})
+		if desc {
+			slices.Reverse(out[base:])
+		}
 		return out, nil
 	}
-	if cs.limit > 0 {
-		ring := make([]telemetry.Info, 0, cs.limit)
-		pos := 0
-		ex.ScanRange(cs.from, cs.to, func(in telemetry.Info) bool {
-			if len(ring) < cs.limit {
-				ring = append(ring, in)
-			} else {
-				ring[pos] = in
-				pos = (pos + 1) % cs.limit
-			}
-			return true
-		})
-		for k := len(ring) - 1; k >= 0; k-- {
-			rows = append(rows, rowFromProj(cs.proj, ring[(pos+k)%len(ring)]))
-		}
-		return rows, nil
-	}
-	var entries []telemetry.Info
+	ring := make([]telemetry.Info, 0, cs.limit)
+	pos := 0
 	ex.ScanRange(cs.from, cs.to, func(in telemetry.Info) bool {
-		entries = append(entries, in)
+		if len(ring) < cs.limit {
+			ring = append(ring, in)
+		} else {
+			ring[pos] = in
+			pos = (pos + 1) % cs.limit
+		}
 		return true
 	})
-	for i := len(entries) - 1; i >= 0; i-- {
-		rows = append(rows, rowFromProj(cs.proj, entries[i]))
+	for k := len(ring) - 1; k >= 0; k-- {
+		rows = append(rows, rowFromProj(cs.proj, ring[(pos+k)%len(ring)]))
 	}
 	return rows, nil
 }

@@ -56,36 +56,15 @@ func (p *Plan) Columns() []string { return append([]string(nil), p.cols...) }
 // once per plan instead of switching on (Agg, Col) for every row.
 type projector func(telemetry.Info) Cell
 
-// aggState accumulates every aggregate of one branch in a single pass over
-// the scanned entries.
+// aggState accumulates every aggregate of one branch: the fold of the
+// scanned entries, or the fold a vertex handed back (see aggregator).
 type aggState struct {
-	n            int64
-	sum          float64
-	minV, maxV   float64
-	minTS, maxTS int64
-	last         telemetry.Info // newest visited entry, for bare columns
+	s    telemetry.Summary
+	last telemetry.Info // newest visited entry, for bare columns
 }
 
 func (st *aggState) observe(in telemetry.Info) {
-	if st.n == 0 {
-		st.minV, st.maxV = in.Value, in.Value
-		st.minTS, st.maxTS = in.Timestamp, in.Timestamp
-	} else {
-		if in.Value < st.minV {
-			st.minV = in.Value
-		}
-		if in.Value > st.maxV {
-			st.maxV = in.Value
-		}
-		if in.Timestamp < st.minTS {
-			st.minTS = in.Timestamp
-		}
-		if in.Timestamp > st.maxTS {
-			st.maxTS = in.Timestamp
-		}
-	}
-	st.n++
-	st.sum += in.Value
+	st.s.Add(in)
 	st.last = in
 }
 
@@ -101,6 +80,7 @@ type compiledSelect struct {
 	args     branchArgs // the literals from, to and limit are bound from
 	hasAgg   bool
 	latest   bool // serviceable by Executor.Latest alone
+	pushdown bool // every item an aggregate: a vertex's fold can answer it
 
 	proj []projector // row projection (non-aggregate path)
 	aggs []extractor // aggregate row extraction (aggregate path)
@@ -139,11 +119,10 @@ func compileSelect(s SelectStmt) (compiledSelect, error) {
 	if s.Where != nil {
 		cs.from, cs.to = s.Where.From, s.Where.To
 	}
+	cs.pushdown = true
 	for _, it := range s.Items {
-		if it.Agg != AggNone {
-			cs.hasAgg = true
-			break
-		}
+		cs.hasAgg = cs.hasAgg || it.Agg != AggNone
+		cs.pushdown = cs.pushdown && it.Agg != AggNone
 	}
 	cs.latest = s.Where == nil && s.Order == nil && s.Limit == 0 && cs.hasAgg && latestOnly(s.Items)
 
@@ -188,25 +167,25 @@ func compileExtractor(it SelectItem) (extractor, error) {
 		proj := compileProjector(it)
 		return func(st *aggState) Cell { return proj(st.last) }, nil
 	case AggCount:
-		return func(st *aggState) Cell { return intCell(st.n) }, nil
+		return func(st *aggState) Cell { return intCell(st.s.Count) }, nil
 	case AggMax:
 		if it.Col == ColTimestamp {
-			return func(st *aggState) Cell { return intCell(st.maxTS) }, nil
+			return func(st *aggState) Cell { return intCell(st.s.Last) }, nil
 		}
-		return func(st *aggState) Cell { return floatCell(st.maxV) }, nil
+		return func(st *aggState) Cell { return floatCell(st.s.Max) }, nil
 	case AggMin:
 		if it.Col == ColTimestamp {
-			return func(st *aggState) Cell { return intCell(st.minTS) }, nil
+			return func(st *aggState) Cell { return intCell(st.s.First) }, nil
 		}
-		return func(st *aggState) Cell { return floatCell(st.minV) }, nil
+		return func(st *aggState) Cell { return floatCell(st.s.Min) }, nil
 	case AggAvg, AggSum:
 		if it.Col != ColMetric {
 			return nil, fmt.Errorf("aqe: %s supports only the metric column", it.Agg)
 		}
 		if it.Agg == AggAvg {
-			return func(st *aggState) Cell { return floatCell(st.sum / float64(st.n)) }, nil
+			return func(st *aggState) Cell { return floatCell(st.s.Sum / float64(st.s.Count)) }, nil
 		}
-		return func(st *aggState) Cell { return floatCell(st.sum) }, nil
+		return func(st *aggState) Cell { return floatCell(st.s.Sum) }, nil
 	default:
 		return nil, fmt.Errorf("aqe: unsupported aggregate %v", it.Agg)
 	}

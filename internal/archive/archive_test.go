@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/telemetry"
-	"repro/internal/telemetry/block"
 )
 
 // counters instruments l on a fresh registry and returns a reader of its
@@ -331,8 +330,8 @@ func frames(data []byte) (counts []int, ok bool) {
 }
 
 // TestActiveSegmentIsBlocks: the active segment is written as block frames
-// as it fills — after 2 500 appends its file is two whole 1 024-tuple
-// frames, and the rest waits in the open block.
+// as it fills — after two and a half blocks' worth of appends its file is
+// two whole blockRecords-tuple frames, and the rest waits in the open block.
 func TestActiveSegmentIsBlocks(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{})
@@ -340,7 +339,7 @@ func TestActiveSegmentIsBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	for ts := int64(1); ts <= 2500; ts++ {
+	for ts := int64(1); ts <= 2*blockRecords+blockRecords/2; ts++ {
 		if err := l.Append(telemetry.NewFact("node01.nvme0.capacity_total", ts, float64(ts))); err != nil {
 			t.Fatal(err)
 		}
@@ -350,8 +349,8 @@ func TestActiveSegmentIsBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	counts, ok := frames(data)
-	if !ok || len(counts) != 2 || counts[0] != block.MaxRecords || counts[1] != block.MaxRecords {
-		t.Fatalf("active segment of %d bytes parses as frames %v (whole: %v), want two of %d tuples", len(data), counts, ok, block.MaxRecords)
+	if !ok || len(counts) != 2 || counts[0] != blockRecords || counts[1] != blockRecords {
+		t.Fatalf("active segment of %d bytes parses as frames %v (whole: %v), want two of %d tuples", len(data), counts, ok, blockRecords)
 	}
 }
 
@@ -386,7 +385,7 @@ func TestUnsyncedOpenBlockLossWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	const n = 2500
+	const n = 2*blockRecords + blockRecords/2
 	for ts := int64(1); ts <= n; ts++ {
 		if err := l.Append(telemetry.NewFact("m", ts, float64(ts))); err != nil {
 			t.Fatal(err)
@@ -400,8 +399,8 @@ func TestUnsyncedOpenBlockLossWindow(t *testing.T) {
 		defer re.Close()
 		return rangeAll(t, re, math.MinInt64, math.MaxInt64)
 	}
-	if got := reopened(); len(got) != 2*block.MaxRecords || got[len(got)-1].Timestamp != 2*block.MaxRecords {
-		t.Fatalf("crash copy reopened to %d tuples, want the %d of the sealed blocks", len(got), 2*block.MaxRecords)
+	if got := reopened(); len(got) != 2*blockRecords || got[len(got)-1].Timestamp != 2*blockRecords {
+		t.Fatalf("crash copy reopened to %d tuples, want the %d of the sealed blocks", len(got), 2*blockRecords)
 	}
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)

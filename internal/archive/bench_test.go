@@ -2,9 +2,11 @@ package archive
 
 import (
 	"io/fs"
+	"math/rand"
 	"path/filepath"
 	"strconv"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/telemetry"
@@ -108,4 +110,58 @@ func BenchmarkOpenFresh(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ReportMetric(float64(files)/float64(b.N), "files/op")
+}
+
+// BenchmarkArchiveAggregate folds an hour-long window of a 2^20-tuple log
+// (one tuple every 10 ms, so ~2.9 hours over default-sized segments) two
+// ways: Aggregate, which folds the blocks the window covers whole from the
+// index and decodes only the edge blocks, and a fold over Range, which
+// decodes every block in the window. readbytes/op is what each reads from
+// the files; Aggregate must read at least 10x fewer.
+func BenchmarkArchiveAggregate(b *testing.B) {
+	const n, step = 1 << 20, int64(10 * time.Millisecond)
+	l, err := Open(b.TempDir(), Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { l.Close() })
+	rng := rand.New(rand.NewSource(7))
+	v := 3_840_755_982_336.0
+	for i := range int64(n) {
+		if rng.Intn(10) == 0 {
+			v -= float64(rng.Intn(64)) * 1048576.0
+		}
+		if err := l.Append(telemetry.NewFact("node01.nvme0.capacity_total", i*step, v)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	counter := counters(l)
+	hour := int64(time.Hour)
+	var windows []int64 // window starts spread over the log, none block-aligned
+	for k := range int64(16) {
+		windows = append(windows, k*(n*step-hour)/16+step/2)
+	}
+	var perOp [2]float64
+	for i, mode := range []string{"aggregate", "range-fold"} {
+		b.Run(mode, func(b *testing.B) {
+			before := counter("read_bytes")
+			for j := 0; j < b.N; j++ {
+				from := windows[j%len(windows)]
+				var s telemetry.Summary
+				if i == 0 {
+					s, err = l.Aggregate(from, from+hour)
+				} else {
+					err = l.Range(from, from+hour, func(in telemetry.Info) error { s.Add(in); return nil })
+				}
+				if err != nil || s.Count != hour/step {
+					b.Fatalf("%s [%d, %d]: %d tuples (err %v), want %d", mode, from, from+hour, s.Count, err, hour/step)
+				}
+			}
+			perOp[i] = float64(counter("read_bytes")-before) / float64(b.N)
+			b.ReportMetric(perOp[i], "readbytes/op")
+		})
+	}
+	if perOp[1] > 0 && 10*perOp[0] > perOp[1] {
+		b.Fatalf("Aggregate reads %.0f bytes per hour-long window, a fold over Range %.0f: want >= 10x fewer", perOp[0], perOp[1])
+	}
 }

@@ -157,7 +157,7 @@ func TestRangeModel(t *testing.T) {
 // an appender rotates the active segment under them and a compactor rewrites
 // what it seals. Every scan must be an exact prefix of what was appended —
 // no error, nothing lost, nothing twice — at least as long as the log was
-// when the scan began.
+// when the scan began, and so must every Aggregate's fold.
 func TestRangeWhileRotating(t *testing.T) {
 	recSize := int64(len(mustMarshal(t, telemetry.NewFact("m", 0, 0))))
 	l, err := Open(t.TempDir(), Options{SegmentBytes: 40 * recSize})
@@ -189,6 +189,12 @@ func TestRangeWhileRotating(t *testing.T) {
 				})
 				if err != nil || want-1 < floor {
 					t.Errorf("scan ended at %d, log held %d when it began: %v", want-1, floor, err)
+					return
+				}
+				floor = int64(l.Appended())
+				s, err := l.Aggregate(math.MinInt64, math.MaxInt64)
+				if n := s.Count; err != nil || n < floor || n > 0 && (s.First != 1 || s.Last != n || s.Min != 1 || s.Max != float64(n) || s.Sum != float64(n*(n+1)/2)) {
+					t.Errorf("aggregate %+v, log held %d when it began: %v", s, floor, err)
 					return
 				}
 			}

@@ -381,6 +381,25 @@ func (v *FactVertex) ScanRange(from, to int64, fn func(telemetry.Info) bool) {
 	scanWithArchive(v.history, v.cfg.Archive, from, to, fn)
 }
 
+// AggregateRange folds the entries with Timestamp in [from, to] from the
+// archive's block folds (archive.Log.Aggregate) when the window lies wholly
+// below the ring's floor, so the archive holds all of it. ok is false
+// otherwise, and the caller scans.
+func (v *FactVertex) AggregateRange(from, to int64) (telemetry.Summary, bool) {
+	return aggregateArchived(v.history, v.cfg.Archive, from, to)
+}
+
+func aggregateArchived(h *queue.History, log *archive.Log, from, to int64) (telemetry.Summary, bool) {
+	if log == nil {
+		return telemetry.Summary{}, false
+	}
+	if floor, _, ok := h.Floor(); !ok || to >= floor {
+		return telemetry.Summary{}, false
+	}
+	s, err := log.Aggregate(from, to)
+	return s, err == nil
+}
+
 // errStopScan threads an early-stop request through archive.Log.Range's
 // error return without surfacing it to callers.
 var errStopScan = errors.New("score: scan stopped")

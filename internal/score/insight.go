@@ -363,3 +363,8 @@ func (v *InsightVertex) Latest() (telemetry.Info, bool) { return v.history.Lates
 func (v *InsightVertex) ScanRange(from, to int64, fn func(telemetry.Info) bool) {
 	scanWithArchive(v.history, v.cfg.Archive, from, to, fn)
 }
+
+// AggregateRange folds an archived window as FactVertex.AggregateRange does.
+func (v *InsightVertex) AggregateRange(from, to int64) (telemetry.Summary, bool) {
+	return aggregateArchived(v.history, v.cfg.Archive, from, to)
+}

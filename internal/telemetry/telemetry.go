@@ -96,6 +96,42 @@ func NewPredictedFact(m MetricID, ts int64, v float64) Info {
 	return Info{Metric: m, Timestamp: ts, Value: v, Kind: KindFact, Source: Predicted}
 }
 
+// Summary is the fold of a run of tuples: how many, the sum, least and
+// greatest of their Values, and their least and greatest Timestamps. The
+// zero value folds nothing. Min and Max do not depend on the order tuples
+// arrive in: a NaN Value makes both NaN, as it makes Sum, and -0 ranks
+// below +0. Sum does: it adds in arrival order.
+type Summary struct {
+	Count         int64
+	Sum, Min, Max float64
+	First, Last   int64
+}
+
+// Add folds one tuple in.
+func (s *Summary) Add(in Info) {
+	if s.Count == 0 {
+		s.Min, s.Max, s.First, s.Last = in.Value, in.Value, in.Timestamp, in.Timestamp
+	}
+	s.Count++
+	s.Sum += in.Value
+	s.Min, s.Max = min(s.Min, in.Value), max(s.Max, in.Value)
+	s.First, s.Last = min(s.First, in.Timestamp), max(s.Last, in.Timestamp)
+}
+
+// Merge folds the run o summarizes in after the runs s already holds.
+func (s *Summary) Merge(o Summary) {
+	if o.Count == 0 {
+		return
+	}
+	if s.Count == 0 {
+		s.Min, s.Max, s.First, s.Last = o.Min, o.Max, o.First, o.Last
+	}
+	s.Count += o.Count
+	s.Sum += o.Sum
+	s.Min, s.Max = min(s.Min, o.Min), max(s.Max, o.Max)
+	s.First, s.Last = min(s.First, o.First), max(s.Last, o.Last)
+}
+
 // Binary wire format (little endian):
 //
 //	u16  metric length

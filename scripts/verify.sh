@@ -98,6 +98,7 @@ for target in \
     "./internal/stream FuzzDecodeEntries" \
     "./internal/stream FuzzChunkSeal" \
     "./internal/archive FuzzSegmentReplay" \
+    "./internal/archive FuzzSidecar" \
     "./internal/telemetry/block FuzzBlockDecode" \
     "./internal/telemetry/block FuzzWriterMatchesReference" \
     "./internal/aqe FuzzPrepare" \
