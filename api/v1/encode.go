@@ -7,12 +7,12 @@ import (
 	"unicode/utf8"
 )
 
-// The query answer is the one v1 body a busy gateway writes thousands of
-// times a second, so it has an append-based encoder: no reflection, no
-// intermediate buffers, and the failure (a float JSON cannot carry) known
-// before the first byte is written. The bytes are exactly encoding/json's —
-// the compatibility tests compare the two — including its float format and
-// HTML-safe string escaping.
+// The query answer and the subscription frame are the v1 bodies a busy
+// gateway writes thousands of times a second, so they have append-based
+// encoders: no reflection, no intermediate buffers, and the failure (a float
+// JSON cannot carry) known before the first byte is written. The bytes are
+// exactly encoding/json's — the compatibility tests compare the two —
+// including its float format and HTML-safe string escaping.
 
 // AppendJSON appends r's JSON encoding to dst. On error dst's contents past
 // its original length are unspecified and nothing should be sent.
@@ -56,6 +56,34 @@ func (r *QueryResponse) AppendJSON(dst []byte) ([]byte, error) {
 		dst = append(dst, ']')
 	}
 	return append(dst, "]}"...), nil
+}
+
+// AppendJSON appends f's JSON encoding to dst. A tuple whose value JSON
+// cannot carry is an error, and dst's contents past its original length are
+// then unspecified.
+func (f *Frame) AppendJSON(dst []byte) ([]byte, error) {
+	dst = appendString(append(dst, `{"type":`...), string(f.Type))
+	if t := f.Tuple; t != nil {
+		dst = appendString(append(dst, `,"tuple":{"metric":`...), t.Metric)
+		dst = strconv.AppendInt(append(dst, `,"timestamp_ns":`...), t.TimestampNS, 10)
+		var err error
+		if dst, err = appendFloat(append(dst, `,"value":`...), t.Value); err != nil {
+			return dst, err
+		}
+		dst = appendString(append(dst, `,"kind":`...), t.Kind)
+		dst = appendString(append(dst, `,"source":`...), t.Source)
+		if t.StreamID != 0 {
+			dst = strconv.AppendUint(append(dst, `,"stream_id":`...), t.StreamID, 10)
+		}
+		dst = append(dst, '}')
+	}
+	if e := f.Error; e != nil {
+		dst = appendString(append(dst, `,"error":{"code":`...), string(e.Code))
+		dst = appendString(append(dst, `,"message":`...), e.Message)
+		dst = strconv.AppendBool(append(dst, `,"retryable":`...), e.Retryable)
+		dst = append(dst, '}')
+	}
+	return append(dst, '}'), nil
 }
 
 // AppendJSON appends the cell as a native JSON scalar. NaN and the

@@ -47,8 +47,9 @@ func reference(r QueryResponse) ([]byte, error) {
 }
 
 // TestAppendJSONMatchesEncodingJSON: the append encoder writes the bytes
-// json.Encoder writes, over seeded responses that dwell on the float format's
-// edges and on every class of string escape, and fails where it fails.
+// json.Encoder writes, over seeded responses and subscription frames that
+// dwell on the float format's edges and on every class of string escape, and
+// fails where it fails.
 func TestAppendJSONMatchesEncodingJSON(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	floats := []float64{0, math.Copysign(0, -1), 1, -1, 0.5, 1e-7, 1e-6, 9.999999e-7, 1e20, 1e21, 9.99e20, 1.5e-9, -2e-10, 1e-300,
@@ -131,6 +132,50 @@ func TestAppendJSONMatchesEncodingJSON(t *testing.T) {
 	}
 	if failures == 0 {
 		t.Fatal("the corpus held no NaN or Inf; the failure path went untested")
+	}
+	// Subscription frames: tuples (with and without a stream ID), error and
+	// goaway frames, over the same floats and strings.
+	failures = 0
+	types := []FrameType{FrameTuple, FrameError, FrameGoaway}
+	codes := []Code{CodeSlowConsumer, CodeDraining, CodeUnavailable, Code(strs[3])}
+	for n := 0; n < 25000; n++ {
+		fr := Frame{Type: types[rng.Intn(len(types))]}
+		if fr.Type == FrameTuple || rng.Intn(20) == 0 {
+			v := value()
+			switch {
+			case rng.Intn(50) == 0:
+				v.Float = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[rng.Intn(3)]
+			case v.Kind != ValueFloat:
+				v.Float = float64(v.Int)
+			}
+			fr.Tuple = &Tuple{Metric: strs[rng.Intn(len(strs))], TimestampNS: rng.Int63() - rng.Int63(), Value: v.Float,
+				Kind: randString(), Source: strs[rng.Intn(len(strs))]}
+			if rng.Intn(4) > 0 {
+				fr.Tuple.StreamID = rng.Uint64() >> rng.Intn(64)
+			}
+			if rng.Intn(2) == 0 {
+				fr.Tuple.Metric = randString()
+			}
+		}
+		if fr.Type != FrameTuple || rng.Intn(20) == 0 {
+			fr.Error = &Error{Code: codes[rng.Intn(len(codes))], Message: randString() + strs[rng.Intn(len(strs))], Retryable: rng.Intn(2) == 0}
+		}
+		want, werr := json.Marshal(fr)
+		var err error
+		buf, err = fr.AppendJSON(buf[:0])
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("%+v: append encoder err %v, encoding/json err %v", fr, err, werr)
+		}
+		if err != nil {
+			failures++
+			continue
+		}
+		if !bytes.Equal(buf, want) {
+			t.Fatalf("%+v %+v %+v:\n got %s\nwant %s", fr, fr.Tuple, fr.Error, buf, want)
+		}
+	}
+	if failures == 0 {
+		t.Fatal("no tuple frame held NaN or Inf; the failure path went untested")
 	}
 	// Reflection over the public types goes through the same encoder.
 	r := QueryResponse{Columns: []string{"a<b"}, Rows: [][]Value{{FloatValue(1e-7), StringValue("x\u2028"), IntValue(-3)}}}

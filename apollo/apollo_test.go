@@ -24,18 +24,24 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	tuples, err := svc.Subscribe(ctx, "node1.nvme0.capacity")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := svc.Start(); err != nil {
 		t.Fatal(err)
 	}
 	defer svc.Stop()
 
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if _, ok := svc.Latest("node1.nvme0.capacity"); ok {
-			break
-		}
-		time.Sleep(time.Millisecond)
+	// The vertex publishes a tuple before it appends it to its history, so
+	// the first tuple off the bus is waited for and the service stopped,
+	// which waits for the vertex's poll to finish, before the query.
+	if _, ok := <-tuples; !ok {
+		t.Fatal("no tuple within 2 s")
 	}
+	svc.Stop()
 	res, err := svc.Query("SELECT MAX(Timestamp), metric FROM node1.nvme0.capacity")
 	if err != nil {
 		t.Fatal(err)

@@ -247,11 +247,11 @@ var figureChecks = map[string]func(t *testing.T, tb *Table){
 			t.Errorf("from complexity 1 to 8 apollo adds %.3g µs, ldms %.3g µs", apAdds, ldAdds)
 		}
 	},
-	// "Apollo costs only ~7% more CPU than LDMS." Measured +0 to +17% on two
-	// quiet cores, and up to +31% beside a parallel test run: Apollo's share
-	// is its vertices' wall-clock busy time, which a preempted poll stretches,
-	// while LDMS's is its poll count times the hook cost. Hence the bound,
-	// -20% to +50%.
+	// "Apollo costs only ~7% more CPU than LDMS." Both shares charge the
+	// hook its nominal cost and time the rest of each poll on the wall
+	// clock, so a poll preempted inside the hook's spin (a scheduler quantum
+	// on a 100 µs hook) stretches neither. A preemption in the rest still
+	// can, beside a parallel test run; hence the bound, -20% to +50%.
 	"12c": func(t *testing.T, tb *Table) {
 		ap, ld := num(t, tb, "monitor_cpu_%", "apollo"), num(t, tb, "monitor_cpu_%", "ldms")
 		if ap > 1.5*ld || ap < 0.8*ld {

@@ -210,11 +210,15 @@ func Fig12c(opts Options) (*Table, error) {
 		svc.Stop()
 		return nil, err
 	}
+	// Each side's monitor time is its hook's nominal cost a poll plus the
+	// wall time of the rest of the poll: a poll preempted inside the hook's
+	// spin would otherwise charge a scheduler quantum to one phase of the
+	// run and not the other.
 	var apolloBusy time.Duration
 	var apolloPolls uint64
 	for _, v := range vertices {
 		st := v.Stats()
-		apolloBusy += st.Total()
+		apolloBusy += time.Duration(st.Polls)*hookCost + st.Build + st.Publish + st.Other
 		apolloPolls += st.Polls
 	}
 	svc.Stop()
@@ -238,11 +242,9 @@ func Fig12c(opts Options) (*Table, error) {
 		lsvc.Stop()
 		return nil, err
 	}
-	ldmsPolls := lsvc.Polls()
 	lsvc.Stop()
-	// LDMS sampler busy time: polls carry the same hook cost; store inserts
-	// are cheap appends.
-	ldmsBusy := time.Duration(ldmsPolls) * hookCost
+	ldmsPolls := lsvc.Polls()
+	ldmsBusy := time.Duration(ldmsPolls)*hookCost + lsvc.StoreTime()
 
 	t := &Table{
 		ID:      "12c",

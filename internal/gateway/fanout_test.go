@@ -70,38 +70,58 @@ func TestSharedFrameBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 		id := rng.Uint64()
-		f := h.encode(stream.Entry{ID: id, Payload: payload})
+		f := h.encode(stream.Entry{ID: id, Payload: payload}, string(metric))
 		if f == nil {
 			t.Fatalf("tuple %d (%+v) not encoded", i, in)
 		}
-		want, err := json.Marshal(apiv1.Frame{Type: apiv1.FrameTuple, Tuple: tupleFromInfo(in, id)})
+		tup := tupleFromInfo(in, id)
+		want, err := json.Marshal(apiv1.Frame{Type: apiv1.FrameTuple, Tuple: &tup})
 		if err != nil {
 			t.Fatal(err)
 		}
 		wantSSE := "id: " + strconv.FormatUint(id, 10) + "\ndata: " + string(want) + "\n\n"
-		if string(f.sse) != wantSSE {
-			t.Fatalf("tuple %d: sse event\n%q\nwant\n%q", i, f.sse, wantSSE)
+		if sse := appendSSE(nil, f); string(sse) != wantSSE {
+			t.Fatalf("tuple %d: sse event\n%q\nwant\n%q", i, sse, wantSSE)
 		}
-		op, got := wsClientRead(t, bufio.NewReader(bytes.NewReader(f.ws)))
+		op, got := wsClientRead(t, bufio.NewReader(bytes.NewReader(appendWS(nil, f))))
 		if op != wsOpText || !bytes.Equal(got, want) {
 			t.Fatalf("tuple %d: ws opcode %#x payload\n%q\nwant\n%q", i, op, got, want)
 		}
-		if f.api.Tuple.StreamID != id || f.api.Tuple.Metric != string(metric) {
-			t.Fatalf("tuple %d: api form %+v", i, f.api.Tuple)
+		if api := f.api(); api.Tuple.StreamID != id || api.Tuple.Metric != string(metric) {
+			t.Fatalf("tuple %d: api form %+v", i, api.Tuple)
 		}
 	}
 	// What JSON cannot carry is skipped, not sent half-encoded.
 	nan, _ := telemetry.NewFact("m.nan", 1, math.NaN()).MarshalBinary()
-	if f := h.encode(stream.Entry{ID: 1, Payload: nan}); f != nil {
-		t.Fatalf("NaN encoded as %q", f.sse)
+	if f := h.encode(stream.Entry{ID: 1, Payload: nan}, "m.nan"); f != nil {
+		t.Fatalf("NaN encoded as %q", f.body)
 	}
-	if f := h.encode(stream.Entry{ID: 1, Payload: []byte("not a tuple")}); f != nil {
-		t.Fatalf("foreign payload encoded as %q", f.sse)
+	if f := h.encode(stream.Entry{ID: 1, Payload: []byte("not a tuple")}, "m"); f != nil {
+		t.Fatalf("foreign payload encoded as %q", f.body)
 	}
 	// Terminal frames carry no id line.
 	f := newFrame(apiv1.Frame{Type: apiv1.FrameGoaway, Error: apiv1.Errorf(apiv1.CodeDraining, true, "bye")})
-	if !bytes.HasPrefix(f.sse, []byte("data: {")) {
-		t.Fatalf("terminal sse event %q", f.sse)
+	if sse := appendSSE(nil, f); !bytes.HasPrefix(sse, []byte("data: {")) {
+		t.Fatalf("terminal sse event %q", sse)
+	}
+}
+
+// TestEncodeAllocs: a tuple frame costs two allocations, the frame and its
+// exact-size body: no copy of the topic's metric name, no *apiv1.Tuple and
+// no encoder buffer.
+func TestEncodeAllocs(t *testing.T) {
+	h := newHub(nil, 4, nil)
+	p, err := telemetry.Info{Metric: "sum00", Timestamp: 1, Value: 8123.25, Kind: telemetry.KindInsight}.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := stream.Entry{ID: 7, Payload: p}
+	if n := testing.AllocsPerRun(100, func() { h.encode(e, "sum00") }); n != 2 {
+		t.Errorf("encode allocates %v times per frame, want 2", n)
+	}
+	// Below 256 B the allocator's size classes are 16 B apart.
+	if f := h.encode(e, "sum00"); cap(f.body)-len(f.body) >= 16 {
+		t.Errorf("a %d B body keeps %d B: not an exact-size copy", len(f.body), cap(f.body))
 	}
 }
 
@@ -197,7 +217,7 @@ func TestAttachFarBehindCatchesUp(t *testing.T) {
 func TestJoinPosition(t *testing.T) {
 	tp := &topic{ring: make([]*frame, 4), subs: map[*Subscriber]struct{}{}}
 	for id := uint64(1); id <= 6; id++ {
-		tp.publish(newFrame(apiv1.Frame{Type: apiv1.FrameTuple, Tuple: &apiv1.Tuple{StreamID: id}}))
+		tp.publish(&frame{id: id})
 	}
 	// The ring holds IDs 3..6 as frames number 2..5.
 	for _, c := range []struct {
@@ -632,4 +652,55 @@ func TestRetentionOvertakesHistory(t *testing.T) {
 	}
 	wantRun(t, drainIDs(t, sub, 5), 5)
 	wantOvertaken(t, sub)
+}
+
+// BenchmarkRingFootprint reports what a topic's ring holds: B/slot over a
+// full ring of frames shaped like edge-fanout's insights (a Sum over eight
+// ~1 000-valued facts, wall-clock timestamps), the slot pointer included,
+// and B/subscriber for a subscriber attached to it, the hub's side only (a
+// transport adds its goroutine and its write buffer).
+func BenchmarkRingFootprint(b *testing.B) {
+	const queue, subs = 1024, 256
+	liveHeap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	rng := rand.New(rand.NewSource(1))
+	var slots, perSub uint64
+	for i := 0; i < b.N; i++ {
+		h := newHub(nil, queue, nil)
+		attached := make([]*Subscriber, 0, subs)
+		base := liveHeap()
+		tp := &topic{hub: h, metric: "sum00", cancel: func() {}, ring: make([]*frame, queue), subs: map[*Subscriber]struct{}{}}
+		now := time.Now().UnixNano()
+		for id := uint64(1); id <= queue; id++ {
+			in := telemetry.Info{Metric: "sum00", Timestamp: now + int64(id)*int64(20*time.Millisecond),
+				Value: 8000 + 1000*rng.Float64(), Kind: telemetry.KindInsight, Source: telemetry.Measured}
+			p, err := in.MarshalBinary()
+			if err != nil {
+				b.Fatal(err)
+			}
+			tp.publish(h.encode(stream.Entry{ID: id, Payload: p}, tp.metric))
+		}
+		mid := liveHeap()
+		slots += mid - base
+		h.topics[tp.metric] = tp
+		for j := 0; j < subs; j++ {
+			s, err := h.attach(context.Background(), "p", tp.metric, queue)
+			if err != nil {
+				b.Fatal(err)
+			}
+			attached = append(attached, s)
+		}
+		perSub += liveHeap() - mid
+		for _, s := range attached {
+			s.Close()
+		}
+		runtime.KeepAlive(tp)
+	}
+	b.ReportMetric(float64(slots)/float64(b.N)/queue, "B/slot")
+	b.ReportMetric(float64(perSub)/float64(b.N)/subs, "B/subscriber")
 }

@@ -268,8 +268,8 @@ func (g *Gateway) Attach(ctx context.Context, principal, metric string, afterID 
 }
 
 // tupleFromInfo renders an internal tuple on the public contract.
-func tupleFromInfo(in telemetry.Info, streamID uint64) *apiv1.Tuple {
-	return &apiv1.Tuple{
+func tupleFromInfo(in telemetry.Info, streamID uint64) apiv1.Tuple {
+	return apiv1.Tuple{
 		Metric:      string(in.Metric),
 		TimestampNS: in.Timestamp,
 		Value:       in.Value,

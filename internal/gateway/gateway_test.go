@@ -2,9 +2,11 @@ package gateway
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -175,6 +177,46 @@ func TestQueryEndpoint(t *testing.T) {
 	resp, _ = f.do(t, "POST", apiv1.PathQuery, "", `{"query":"SELECT MAX(Value) FROM m.cap","warp":9}`)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown field accepted: status %d", resp.StatusCode)
+	}
+}
+
+// FuzzQueryRequestDecode: the hand decoder of POST /api/v1/query bodies
+// agrees with the json.Decoder call it replaced — DisallowUnknownFields over
+// a 1 MiB MaxBytesReader, one Decode — on accept or reject and on the
+// decoded query, for any body.
+func FuzzQueryRequestDecode(f *testing.F) {
+	for _, seed := range []string{
+		`{"query":"SELECT MAX(Value) FROM m.cap"}`, `{}`, ` {"query" : "a" } `, `{"warp":9}`,
+		`{"query":"a","warp":9}`, `{"QUERY":"a"}`, `{"Query":"a","query":"b"}`, `{"query":"a","query":null}`,
+		`{"query":null}`, `null`, `null `, "null\t{", `nullx`, `nul`, `{"query":"a"} trailing`, `{"query":"a"}{`,
+		`""`, `[]`, `5`, `true`, `{"query":5}`, `{"query":"a",}`, `{"query":"a"`, `{"query" "a"}`, ``, ` `,
+		`{"\u0071uery":"\u00e9\ud800x\ud83d\ude00"}`, "{\"query\":\"\xff\xfe\"}", `{"query":"\x"}`,
+		"{\"query\":\"tab\there\"}", `{"query":"\u12"}`, `{"qu\"ery":"a"}`, `{"query":"é✓"}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(agreeOnQueryBody)
+}
+
+// TestQueryRequestCap: bodies at and past the 1 MiB cap, too large to fuzz
+// from, are decided as json.Decoder decided them.
+func TestQueryRequestCap(t *testing.T) {
+	pad := strings.Repeat(" ", 1<<20)
+	for _, body := range []string{`{"query":"x"}` + pad, `{"query":"` + strings.Repeat("a", 1<<20) + `"}`,
+		pad[:1<<20-4] + "null", pad[:1<<20-4] + "null ", pad[:1<<20-3] + "null", "null" + pad} {
+		agreeOnQueryBody(t, []byte(body))
+	}
+}
+
+func agreeOnQueryBody(t *testing.T, body []byte) {
+	var want apiv1.QueryRequest
+	dec := json.NewDecoder(http.MaxBytesReader(nil, io.NopCloser(bytes.NewReader(body)), 1<<20))
+	dec.DisallowUnknownFields()
+	werr := dec.Decode(&want)
+	var buf []byte
+	got, err := readQuery(nil, io.NopCloser(bytes.NewReader(body)), &buf)
+	if (err == nil) != (werr == nil) || err == nil && got != want {
+		t.Fatalf("%.200q: hand decoder %+v, %v; encoding/json %+v, %v", body, got, err, want, werr)
 	}
 }
 

@@ -1,13 +1,17 @@
 package gateway
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
+	"unicode/utf8"
 
 	apiv1 "repro/api/v1"
 	"repro/internal/aqe"
@@ -78,10 +82,10 @@ func (g *Gateway) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // prepared-plan cache: plans are immutable and the LRU is shared, so one
 // principal's prepare is every principal's hit.
 func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request, principal string) {
-	var req apiv1.QueryRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	bp := queryBufs.Get().(*[]byte)
+	defer queryBufs.Put(bp)
+	req, err := readQuery(w, r.Body, bp)
+	if err != nil {
 		writeError(w, apiv1.Errorf(apiv1.CodeBadRequest, false, "bad request body: %v", err))
 		return
 	}
@@ -95,8 +99,6 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request, principal 
 		return
 	}
 	resp := queryResponse(res)
-	bp := queryBufs.Get().(*[]byte)
-	defer queryBufs.Put(bp)
 	if *bp, err = resp.AppendJSON((*bp)[:0]); err != nil {
 		writeError(w, apiv1.Errorf(apiv1.CodeInternal, false, "encoding response: %v", err))
 		return
@@ -105,8 +107,122 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request, principal 
 	writeBody(w, *bp)
 }
 
-// queryBufs recycles the buffers query answers are encoded into.
+// queryBufs recycles the buffers query requests are read and answers
+// encoded into.
 var queryBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// readQuery reads a QueryRequest from body into *buf by the rules
+// json.Decoder.Decode applies with DisallowUnknownFields: a body capped at
+// 1 MiB whose first JSON value is a bare null or an object whose one key,
+// matched without regard to case, is "query", a string or null, the last
+// duplicate winning. Whatever follows that value is ignored. On error the
+// request is not to be used.
+func readQuery(w http.ResponseWriter, body io.ReadCloser, buf *[]byte) (req apiv1.QueryRequest, err error) {
+	r := http.MaxBytesReader(w, body, 1<<20)
+	b := (*buf)[:0]
+	var rerr error
+	for rerr == nil {
+		b = slices.Grow(b, 512)
+		var n int
+		n, rerr = r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+	}
+	*buf = b
+	if rerr == io.EOF {
+		rerr = nil
+	}
+	if err = decodeQuery(b, rerr == nil, &req); err != nil && rerr != nil {
+		err = rerr // the value was cut short by the cap or the connection
+	}
+	return req, err
+}
+
+var errQuerySyntax = errors.New("malformed JSON")
+
+// decodeQuery decodes the first JSON value of b into req; whole says b is
+// the entire body, so that a bare null may end where b does.
+func decodeQuery(b []byte, whole bool, req *apiv1.QueryRequest) error {
+	i := skipSpace(b, 0)
+	if bytes.HasPrefix(b[i:], []byte("null")) && (i+4 < len(b) || whole) {
+		return nil // Decode ends a literal at any next byte
+	}
+	if i == len(b) || b[i] != '{' {
+		return errors.New("the body is not a JSON object")
+	}
+	if i = skipSpace(b, i+1); i < len(b) && b[i] == '}' {
+		return nil
+	}
+	for {
+		key, j, err := decodeString(b, i)
+		if err != nil {
+			return err
+		}
+		if !bytes.EqualFold(key, []byte("query")) {
+			return fmt.Errorf("unknown field %q", key)
+		}
+		if i = skipSpace(b, j); i == len(b) || b[i] != ':' {
+			return errQuerySyntax
+		}
+		if i = skipSpace(b, i+1); bytes.HasPrefix(b[i:], []byte("null")) {
+			i += 4
+		} else {
+			v, j, err := decodeString(b, i)
+			if err != nil {
+				return err
+			}
+			req.Query, i = string(v), j
+		}
+		if i = skipSpace(b, i); i == len(b) {
+			return errQuerySyntax
+		}
+		switch b[i] {
+		case ',':
+			i = skipSpace(b, i+1)
+		case '}':
+			return nil
+		default:
+			return errQuerySyntax
+		}
+	}
+}
+
+// decodeString decodes the JSON string at b[i:] and returns its value and
+// the index past it. A string with escapes or non-UTF-8 bytes is handed to
+// encoding/json, whose unquoting rules it must follow.
+func decodeString(b []byte, i int) ([]byte, int, error) {
+	if i == len(b) || b[i] != '"' {
+		return nil, 0, errors.New("a value is not a JSON string")
+	}
+	escaped := false
+	for j := i + 1; j < len(b); j++ {
+		switch c := b[j]; {
+		case c == '"':
+			if s := b[i+1 : j]; !escaped && utf8.Valid(s) {
+				return s, j + 1, nil
+			}
+			var s string
+			if err := json.Unmarshal(b[i:j+1], &s); err != nil {
+				return nil, 0, err
+			}
+			return []byte(s), j + 1, nil
+		case c == '\\':
+			escaped = true
+			j++ // the escaped byte does not end the string
+		case c < ' ':
+			return nil, 0, errQuerySyntax
+		}
+	}
+	return nil, 0, errQuerySyntax
+}
+
+// skipSpace returns the index of the first byte at or after i that is not
+// JSON whitespace.
+func skipSpace(b []byte, i int) int {
+	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
+		i++
+	}
+	return i
+}
 
 // queryResponse renders an AQE result on the public contract.
 func queryResponse(res *aqe.Result) apiv1.QueryResponse {
@@ -210,10 +326,12 @@ func (g *Gateway) serveSSE(w http.ResponseWriter, r *http.Request, principal, me
 	h.Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
 	fl.Flush()
+	var buf []byte
 	for {
 		f, more := sub.next(r.Context(), sub.final)
 		if f != nil {
-			if _, err := w.Write(f.sse); err != nil {
+			buf = appendSSE(buf[:0], f)
+			if _, err := w.Write(buf); err != nil {
 				return
 			}
 			fl.Flush()
@@ -222,4 +340,13 @@ func (g *Gateway) serveSSE(w http.ResponseWriter, r *http.Request, principal, me
 			return
 		}
 	}
+}
+
+// appendSSE appends f as one event: the id line (tuple frames only), then
+// the body as its data.
+func appendSSE(dst []byte, f *frame) []byte {
+	if f.fin == nil {
+		dst = append(strconv.AppendUint(append(dst, "id: "...), f.id, 10), '\n')
+	}
+	return append(append(append(dst, "data: "...), f.body...), "\n\n"...)
 }

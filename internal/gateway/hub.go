@@ -2,8 +2,6 @@ package gateway
 
 import (
 	"context"
-	"encoding/json"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -15,13 +13,13 @@ import (
 
 // hub owns the live fan-out: one broadcaster per subscribed topic. A topic's
 // first subscriber starts one upstream bus cursor and its last one cancels
-// it. The broadcaster decodes each entry once, encodes it once into both wire
-// forms, and appends the shared immutable frame to a ring of QueueSize slots;
+// it. The broadcaster decodes each entry once, encodes it once into its JSON
+// body, and appends the shared immutable frame to a ring of QueueSize slots;
 // a Subscriber is a cursor into that ring plus a wake-up, and its transport
-// handler writes the shared bytes as they are. The append never waits for a
-// reader — that is the backpressure contract of the public edge: well-behaved
-// clients see every tuple in order, and one whose cursor falls QueueSize
-// frames behind the live tail is evicted with a slow_consumer frame.
+// handler frames the shared body as it writes it. The append never waits for
+// a reader — that is the backpressure contract of the public edge:
+// well-behaved clients see every tuple in order, and one whose cursor falls
+// QueueSize frames behind the live tail is evicted with a slow_consumer frame.
 type hub struct {
 	backend   Backend
 	queueSize int
@@ -52,45 +50,51 @@ func newHub(backend Backend, queueSize int, r *obs.Registry) *hub {
 	}
 }
 
-// frame is one subscription frame in every form a consumer needs, built once
-// and never written again: sse is the complete event ("id: N\ndata: {..}\n\n",
-// the id line on tuple frames only) and ws the complete unmasked text frame,
-// header and payload in one slice.
+// frame is one subscription frame, built once and never written again: body
+// is the JSON encoding of its apiv1.Frame, which each transport frames as it
+// writes it (appendSSE, appendWS). A tuple frame keeps its stream ID and the
+// decoded tuple, from which in-process readers build the API form; fin is
+// the API form of a terminal frame and nil on a tuple frame.
 type frame struct {
-	api     apiv1.Frame
-	sse, ws []byte
+	id   uint64
+	in   telemetry.Info
+	fin  *apiv1.Frame
+	body []byte
 }
 
-// newFrame encodes api; nil when JSON cannot carry it (a NaN value).
-func newFrame(api apiv1.Frame) *frame {
-	body, err := json.Marshal(api)
-	if err != nil {
-		return nil
-	}
-	buf := make([]byte, 0, 2*len(body)+48)
-	if api.Tuple != nil {
-		buf = append(buf, "id: "...)
-		buf = strconv.AppendUint(buf, api.Tuple.StreamID, 10)
-		buf = append(buf, '\n')
-	}
-	buf = append(append(append(buf, "data: "...), body...), "\n\n"...)
-	n := len(buf)
-	buf = appendWSFrame(buf, wsOpText, body)
-	return &frame{api: api, sse: buf[:n:n], ws: buf[n:]}
+// newFrame encodes the terminal frame fin.
+func newFrame(fin apiv1.Frame) *frame {
+	body, _ := fin.AppendJSON(nil) // only a tuple's value can fail to encode
+	return &frame{fin: &fin, body: body}
 }
 
-// encode turns one bus entry into a frame; nil for what is not part of the
-// contract (foreign bytes on the topic, an unencodable value).
-func (h *hub) encode(e stream.Entry) *frame {
-	var in telemetry.Info
+// api returns the frame's form on the public contract.
+func (f *frame) api() apiv1.Frame {
+	if f.fin != nil {
+		return *f.fin
+	}
+	t := tupleFromInfo(f.in, f.id)
+	return apiv1.Frame{Type: apiv1.FrameTuple, Tuple: &t}
+}
+
+// encode turns one entry of metric's stream into a frame; nil for what is
+// not part of the contract (foreign bytes on the topic, a value JSON cannot
+// carry). The body is encoded into a stack buffer and kept as an exact-size
+// copy, and the decode keeps the topic's metric string.
+func (h *hub) encode(e stream.Entry, metric string) *frame {
+	in := telemetry.Info{Metric: telemetry.MetricID(metric)}
 	if err := in.UnmarshalBinary(e.Payload); err != nil {
 		return nil
 	}
-	f := newFrame(apiv1.Frame{Type: apiv1.FrameTuple, Tuple: tupleFromInfo(in, e.ID)})
-	if f != nil {
-		h.obsEncoded.Inc()
+	var scratch [256]byte
+	t := tupleFromInfo(in, e.ID)
+	api := apiv1.Frame{Type: apiv1.FrameTuple, Tuple: &t}
+	body, err := api.AppendJSON(scratch[:0])
+	if err != nil {
+		return nil
 	}
-	return f
+	h.obsEncoded.Inc()
+	return &frame{id: e.ID, in: in, body: append([]byte(nil), body...)}
 }
 
 // topic is one broadcaster: the upstream cursor, the ring, and its readers.
@@ -173,7 +177,7 @@ func (t *topic) run(cur stream.Cursor, last, tail uint64) {
 		}
 		last, tail = run[len(run)-1].ID, 0
 		for _, e := range run {
-			if f := t.hub.encode(e); f != nil {
+			if f := t.hub.encode(e, t.metric); f != nil {
 				t.publish(f)
 			}
 		}
@@ -199,7 +203,7 @@ func (t *topic) publish(f *frame) {
 	var slow []*Subscriber
 	t.mu.Lock()
 	if t.seq >= n {
-		t.floor = t.ring[t.seq%n].api.Tuple.StreamID
+		t.floor = t.ring[t.seq%n].id
 	}
 	t.ring[t.seq%n] = f
 	t.seq++
@@ -232,7 +236,7 @@ func (t *topic) join(s *Subscriber, after uint64) bool {
 	}
 	n := uint64(len(t.ring))
 	s.pos = t.seq - min(t.seq, n)
-	for s.pos < t.seq && t.ring[s.pos%n].api.Tuple.StreamID <= after {
+	for s.pos < t.seq && t.ring[s.pos%n].id <= after {
 		s.pos++ // already seen: not slack to be lapped on
 	}
 	s.joined = true
@@ -247,7 +251,7 @@ func (t *topic) poll(s *Subscriber) *frame {
 	for s.joined && s.pos < t.seq {
 		f := t.ring[s.pos%uint64(len(t.ring))]
 		s.pos++
-		if f.api.Tuple.StreamID > s.after {
+		if f.id > s.after {
 			return f
 		}
 	}
@@ -417,7 +421,7 @@ func (s *Subscriber) pull() *frame {
 		s.histStop()
 		s.hist, s.histRun = nil, nil
 	}
-	return t.hub.encode(e)
+	return t.hub.encode(e, t.metric)
 }
 
 // next returns the subscriber's next tuple frame and true, or — the
@@ -454,7 +458,7 @@ func (s *Subscriber) Next(ctx context.Context) (apiv1.Frame, bool) {
 	if f == nil {
 		return apiv1.Frame{}, false
 	}
-	return f.api, more
+	return f.api(), more
 }
 
 // Frames adapts the subscription to a channel for in-process drains that
@@ -472,7 +476,7 @@ func (s *Subscriber) Frames() <-chan apiv1.Frame {
 					return
 				}
 				select {
-				case s.frames <- f.api:
+				case s.frames <- f.api():
 				case <-s.ctx.Done():
 					return
 				}

@@ -110,18 +110,20 @@ func (g *Gateway) serveWS(w http.ResponseWriter, r *http.Request, principal, met
 		wc.readLoop(brw.Reader)
 	}()
 
+	var buf []byte
 	for {
 		f, more := sub.next(ctx, sub.final)
 		if f != nil {
-			if err := wc.write(f.ws); err != nil {
+			buf = appendWS(buf[:0], f)
+			if err := wc.write(buf); err != nil {
 				return
 			}
 		}
 		if !more {
 			status, reason := wsStatusGoingAway, ""
 			if f != nil {
-				reason = string(f.api.Type)
-				if f.api.Type == apiv1.FrameError {
+				reason = string(f.fin.Type)
+				if f.fin.Type == apiv1.FrameError {
 					status = wsStatusPolicyViolation
 				}
 			}
@@ -153,6 +155,9 @@ func appendWSFrame(buf []byte, opcode byte, payload []byte) []byte {
 	}
 	return append(buf, payload...)
 }
+
+// appendWS appends f as one complete text frame, header and body.
+func appendWS(dst []byte, f *frame) []byte { return appendWSFrame(dst, wsOpText, f.body) }
 
 // write sends one complete frame with a single Write: one syscall and one
 // segment on the TCP_NODELAY socket, and one wake-up of the reader.

@@ -113,6 +113,7 @@ type Sampler struct {
 	cancel chan struct{}
 	done   chan struct{}
 	polls  int
+	stored time.Duration
 }
 
 // Service is a fleet of samplers over one store — the LDMS deployment of the
@@ -177,6 +178,19 @@ func (s *Service) Polls() int {
 	return total
 }
 
+// StoreTime sums the wall time the samplers spent inserting samples.
+func (s *Service) StoreTime() time.Duration {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var total time.Duration
+	for _, sm := range s.samplers {
+		sm.mu.Lock()
+		total += sm.stored
+		sm.mu.Unlock()
+	}
+	return total
+}
+
 func (sm *Sampler) start() {
 	sm.mu.Lock()
 	defer sm.mu.Unlock()
@@ -212,16 +226,20 @@ func (sm *Sampler) run(cancel chan struct{}, done chan struct{}) {
 	}
 }
 
-// PollOnce samples the hook once (exposed for deterministic tests).
+// PollOnce samples the hook once (exposed for deterministic tests). The
+// insert is timed on the wall clock, as a Fact vertex times its anatomy.
 func (sm *Sampler) PollOnce() {
 	v, err := sm.Hook.Poll()
+	var stored time.Duration
+	if err == nil {
+		t0 := time.Now()
+		sm.store.Insert(string(sm.Hook.Metric()), sm.Clock.Now().UnixNano(), v)
+		stored = time.Since(t0)
+	}
 	sm.mu.Lock()
 	sm.polls++
+	sm.stored += stored
 	sm.mu.Unlock()
-	if err != nil {
-		return
-	}
-	sm.store.Insert(string(sm.Hook.Metric()), sm.Clock.Now().UnixNano(), v)
 }
 
 // Polls returns the hook invocation count.

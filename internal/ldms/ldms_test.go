@@ -54,6 +54,9 @@ func TestSamplerFixedInterval(t *testing.T) {
 	if svc.Store.Rows("m") != 4 {
 		t.Fatalf("rows=%d", svc.Store.Rows("m"))
 	}
+	if svc.StoreTime() <= 0 {
+		t.Fatalf("store time %v after 4 inserts", svc.StoreTime())
+	}
 }
 
 func TestServiceStartStop(t *testing.T) {

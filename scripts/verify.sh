@@ -103,6 +103,7 @@ for target in \
     "./internal/telemetry/block FuzzWriterMatchesReference" \
     "./internal/aqe FuzzPrepare" \
     "./internal/aqe FuzzShapeOf" \
+    "./internal/gateway FuzzQueryRequestDecode" \
     "./internal/delphi/registry FuzzRegistryDecode"; do
     set -- $target
     echo "==> go test $1 -run ^\$ -fuzz ^$2\$ -fuzztime 10s"
