@@ -486,8 +486,7 @@ type Compactor struct {
 
 	mu      sync.Mutex
 	targets []compactTarget
-	quit    chan struct{}
-	done    chan struct{}
+	stop    func() // ends the running loop; nil: stopped
 }
 
 type compactTarget struct {
@@ -516,39 +515,20 @@ func (c *Compactor) Add(l *Log, policy Retention) {
 func (c *Compactor) Start() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.quit != nil {
-		return
+	if c.stop == nil {
+		c.stop = sim.Every(c.clock, c.interval, func() { c.RunOnce() })
 	}
-	c.quit = make(chan struct{})
-	c.done = make(chan struct{})
-	go c.run(c.quit, c.done)
 }
 
-// Stop halts the loop and waits for an in-flight pass to finish.
+// Stop halts the loop and waits for an in-flight pass to finish; it is a
+// no-op if the loop is not running.
 func (c *Compactor) Stop() {
 	c.mu.Lock()
-	quit, done := c.quit, c.done
-	c.quit, c.done = nil, nil
+	stop := c.stop
+	c.stop = nil
 	c.mu.Unlock()
-	if quit == nil {
-		return
-	}
-	close(quit)
-	<-done
-}
-
-func (c *Compactor) run(quit <-chan struct{}, done chan<- struct{}) {
-	defer close(done)
-	t := c.clock.NewTimer(c.interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-quit:
-			return
-		case <-t.C:
-			c.RunOnce()
-			t.Reset(c.interval)
-		}
+	if stop != nil {
+		stop()
 	}
 }
 

@@ -3,7 +3,7 @@
 // owns the Pub-Sub fabric (stream broker), the SCoRe DAG of Fact and Insight
 // vertices, the Apollo Query Engine, the adaptive-interval controllers, and
 // optionally the Delphi predictive model; middleware libraries talk to it
-// through Query/Latest/Subscribe or the CapacityView lookup.
+// through Query/Latest/Subscribe.
 package core
 
 import (
@@ -272,9 +272,6 @@ func (s *Service) Graph() *score.Graph { return s.graph }
 // Broker exposes the Pub-Sub fabric.
 func (s *Service) Broker() *stream.Broker { return s.broker }
 
-// Clock returns the service clock.
-func (s *Service) Clock() sim.Clock { return s.cfg.Clock }
-
 // newController builds the configured interval controller.
 func (s *Service) newController() (adaptive.Controller, error) {
 	switch s.cfg.Mode {
@@ -292,24 +289,32 @@ func (s *Service) newController() (adaptive.Controller, error) {
 }
 
 // MetricOption customizes one registered metric.
-type MetricOption func(*score.FactConfig)
+type MetricOption func(*registration)
+
+// registration is what RegisterMetric builds and its options edit: the
+// metric's vertex config, and the retention policy the compactor applies to
+// its archive.
+type registration struct {
+	score.FactConfig
+	retention *archive.Retention // nil: Config.ArchiveRetention
+}
 
 // WithoutDelphi disables prediction for this metric even when the service
 // has a model.
 func WithoutDelphi() MetricOption {
-	return func(fc *score.FactConfig) { fc.Delphi = nil }
+	return func(r *registration) { r.Delphi = nil }
 }
 
 // WithPublishUnchanged disables the only-on-change filter for this metric.
 func WithPublishUnchanged() MetricOption {
-	return func(fc *score.FactConfig) { fc.PublishUnchanged = true }
+	return func(r *registration) { r.PublishUnchanged = true }
 }
 
 // WithMetricRetention overrides the service-level archive retention policy
 // (Config.ArchiveRetention) for one metric. Only meaningful when the service
 // has an ArchiveDir.
-func WithMetricRetention(r archive.Retention) MetricOption {
-	return func(fc *score.FactConfig) { fc.Retention = &r }
+func WithMetricRetention(p archive.Retention) MetricOption {
+	return func(r *registration) { r.retention = &p }
 }
 
 // RegisterMetric deploys a Fact Vertex for hook. Safe before or after Start;
@@ -328,7 +333,7 @@ func (s *Service) RegisterMetric(hook score.Hook, opts ...MetricOption) (*score.
 	if err != nil {
 		return nil, err
 	}
-	fc := score.FactConfig{
+	reg := registration{FactConfig: score.FactConfig{
 		Hook:        hook,
 		Bus:         s.bus,
 		Controller:  ctrl,
@@ -336,56 +341,56 @@ func (s *Service) RegisterMetric(hook score.Hook, opts ...MetricOption) (*score.
 		HistorySize: s.cfg.HistorySize,
 		BaseTick:    s.cfg.BaseTick,
 		Obs:         s.obs,
-	}
+	}}
 	var cls *deviceClass
 	if s.fleet != nil {
 		cls = s.fleet.classFor(s.fleet.className(id))
-		fc.Delphi = cls.newOnline()
+		reg.Delphi = cls.newOnline()
 	}
 	for _, o := range opts {
-		o(&fc)
+		o(&reg)
 	}
 	// After opts, so WithoutDelphi leaves no dangling drift machinery.
 	var det *delphi.Detector
-	if fc.Delphi != nil && s.cfg.DelphiRetrain > 0 {
+	if reg.Delphi != nil && s.cfg.DelphiRetrain > 0 {
 		det = delphi.NewDetector()
-		fc.Drift = det
+		reg.Drift = det
 		if tr := s.fleet.trainer; tr != nil {
-			fc.OnDrift = func(telemetry.MetricID) { tr.Enqueue(cls.name) }
+			reg.OnDrift = func(telemetry.MetricID) { tr.Enqueue(cls.name) }
 		}
 	}
 	if s.cfg.ArchiveDir != "" {
-		fc.Archive, err = archive.Open(filepath.Join(s.cfg.ArchiveDir, string(id)), archive.Options{SegmentBytes: s.cfg.ArchiveSegmentBytes})
+		reg.Archive, err = archive.Open(filepath.Join(s.cfg.ArchiveDir, string(id)), archive.Options{SegmentBytes: s.cfg.ArchiveSegmentBytes})
 		if err != nil {
 			return nil, err
 		}
-		fc.Archive.Instrument(s.obs, string(id))
+		reg.Archive.Instrument(s.obs, string(id))
 	}
-	v, err := score.NewFactVertex(fc)
+	v, err := score.NewFactVertex(reg.FactConfig)
 	if err == nil {
 		err = s.graph.RegisterFact(v)
 	}
 	if err != nil {
 		// A concurrent registration of the same ID can still win the graph
 		// slot; the log was never enrolled, so closing it is the whole undo.
-		if fc.Archive != nil {
-			fc.Archive.Close()
+		if reg.Archive != nil {
+			reg.Archive.Close()
 		}
 		return nil, err
 	}
-	if fc.Archive != nil {
+	if reg.Archive != nil {
 		s.mu.Lock()
-		s.archives = append(s.archives, fc.Archive)
+		s.archives = append(s.archives, reg.Archive)
 		s.mu.Unlock()
 		policy := s.cfg.ArchiveRetention
-		if fc.Retention != nil {
-			policy = *fc.Retention
+		if reg.retention != nil {
+			policy = *reg.retention
 		}
-		s.compactor.Add(fc.Archive, policy)
+		s.compactor.Add(reg.Archive, policy)
 	}
 	// After opts, so WithoutDelphi keeps the metric out of its device class.
-	if fc.Delphi != nil {
-		cls.attach(id, fc.Delphi, det, v)
+	if reg.Delphi != nil {
+		cls.attach(id, reg.Delphi, det, v)
 	}
 	if s.isStarted() {
 		if err := v.Start(); err != nil {
@@ -718,18 +723,4 @@ func (s *Service) Subscribe(ctx context.Context, id telemetry.MetricID) (<-chan 
 		}
 	}()
 	return out, nil
-}
-
-// CapacityView answers "how many bytes remain on this device" for a
-// middleware engine: device IDs map to "<deviceID>.capacity" metrics,
-// answered from the vertex queue (which includes Delphi-predicted values
-// between polls).
-func (s *Service) CapacityView() func(deviceID string) (int64, bool) {
-	return func(deviceID string) (int64, bool) {
-		in, ok := s.Latest(telemetry.MetricID(deviceID + ".capacity"))
-		if !ok {
-			return 0, false
-		}
-		return int64(in.Value), true
-	}
 }

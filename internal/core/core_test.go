@@ -137,7 +137,7 @@ func TestModes(t *testing.T) {
 func TestMetricOptions(t *testing.T) {
 	s := New(Config{Clock: sim.NewVirtual(time.Unix(0, 0))})
 	ctrl := adaptive.NewFixed(5 * time.Second)
-	v, err := s.RegisterMetric(constHook("m", 1), func(fc *score.FactConfig) { fc.Controller = ctrl }, WithoutDelphi(), WithPublishUnchanged())
+	v, err := s.RegisterMetric(constHook("m", 1), func(r *registration) { r.Controller = ctrl }, WithoutDelphi(), WithPublishUnchanged())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,14 +324,14 @@ func TestRegisterDuplicateMetricLeavesArchiveAlone(t *testing.T) {
 	}
 }
 
-// TestWithMetricRetention checks the per-metric option reaches the vertex
-// config.
+// TestWithMetricRetention checks the per-metric option reaches the
+// registration.
 func TestWithMetricRetention(t *testing.T) {
-	var fc score.FactConfig
-	r := archive.Retention{Raw: time.Hour}
-	WithMetricRetention(r)(&fc)
-	if fc.Retention == nil || *fc.Retention != r {
-		t.Fatalf("Retention = %+v, want %+v", fc.Retention, r)
+	var reg registration
+	p := archive.Retention{Raw: time.Hour}
+	WithMetricRetention(p)(&reg)
+	if reg.retention == nil || *reg.retention != p {
+		t.Fatalf("retention = %+v, want %+v", reg.retention, p)
 	}
 }
 
@@ -410,12 +410,11 @@ func TestCapacityView(t *testing.T) {
 		Fn: func() (float64, error) { return float64(d.Remaining()), nil },
 	})
 	v.PollOnce()
-	view := s.CapacityView()
-	rem, ok := view(d.ID())
-	if !ok || rem != 250*cluster.GB {
-		t.Fatalf("rem=%d ok=%v", rem, ok)
+	in, ok := s.Latest(telemetry.MetricID(d.ID() + ".capacity"))
+	if !ok || int64(in.Value) != 250*cluster.GB {
+		t.Fatalf("remaining=%v ok=%v", in.Value, ok)
 	}
-	if _, ok := view("ghost"); ok {
-		t.Fatal("ghost view ok")
+	if _, ok := s.Latest("ghost.capacity"); ok {
+		t.Fatal("ghost capacity answered")
 	}
 }

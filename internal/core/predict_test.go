@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/delphi"
-	"repro/internal/score"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
@@ -132,7 +131,7 @@ func TestServicePredictAllMatchesVertices(t *testing.T) {
 		i := i
 		n := 0.0
 		v, err := s.RegisterMetric(hookFunc(id, func() (float64, error) { n++; return float64(10*i) + n*n, nil }),
-			WithPublishUnchanged(), func(fc *score.FactConfig) { onlines[i] = fc.Delphi })
+			WithPublishUnchanged(), func(r *registration) { onlines[i] = r.Delphi })
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -91,9 +91,7 @@ type Trainer struct {
 	order   []string // FIFO of queued classes, deduped by `queued`
 
 	startOnce sync.Once
-	stopOnce  sync.Once
-	stopCh    chan struct{}
-	wg        sync.WaitGroup
+	stop      func() // ends the loop Start launched; nil: never started
 
 	obsRuns       *obs.Counter
 	obsPromotions *obs.Counter
@@ -115,7 +113,6 @@ func NewTrainer(cfg Config) (*Trainer, error) {
 		clock:  sim.Or(cfg.Clock),
 		specs:  make(map[string]*ClassSpec),
 		queued: make(map[string]bool),
-		stopCh: make(chan struct{}),
 
 		obsRuns:       cfg.Obs.Counter("delphi_retrain_runs_total"),
 		obsPromotions: cfg.Obs.Counter("delphi_retrain_promotions_total"),
@@ -166,34 +163,19 @@ func (t *Trainer) Pending() int {
 	return len(t.order)
 }
 
-// Start launches the background cadence loop (idempotent). Every Interval on
-// the configured clock it drains the queue.
+// Start launches the background cadence loop (idempotent; a stopped trainer
+// does not start again). Every Interval on the configured clock it drains the
+// queue.
 func (t *Trainer) Start() {
-	t.startOnce.Do(func() {
-		t.wg.Add(1)
-		go t.loop()
-	})
+	t.startOnce.Do(func() { t.stop = sim.Every(t.clock, t.cfg.Interval, t.drain) })
 }
 
 // Stop halts the background loop and waits for in-flight retrains
 // (idempotent; safe without Start).
 func (t *Trainer) Stop() {
-	t.stopOnce.Do(func() { close(t.stopCh) })
-	t.wg.Wait()
-}
-
-func (t *Trainer) loop() {
-	defer t.wg.Done()
-	timer := t.clock.NewTimer(t.cfg.Interval)
-	defer timer.Stop()
-	for {
-		select {
-		case <-t.stopCh:
-			return
-		case <-timer.C:
-			t.drain()
-			timer.Reset(t.cfg.Interval)
-		}
+	t.startOnce.Do(func() {}) // a later Start launches nothing
+	if t.stop != nil {
+		t.stop()
 	}
 }
 

@@ -23,14 +23,20 @@ func trainDelphi(opts Options) (*delphi.Model, time.Duration, error) {
 	return m, time.Since(t0), err
 }
 
-// inferenceCost times one model prediction.
+// inferenceCost times one model prediction: the least per-call mean over
+// several batches, because a preemption or another process's load can only
+// add time to a batch, never take it away.
 func inferenceCost(predict func()) time.Duration {
-	const reps = 2000
-	t0 := time.Now()
-	for i := 0; i < reps; i++ {
-		predict()
+	const batches, reps = 8, 250
+	best := time.Duration(math.MaxInt64)
+	for range batches {
+		t0 := time.Now()
+		for range reps {
+			predict()
+		}
+		best = min(best, time.Since(t0)/reps)
 	}
-	return time.Since(t0) / reps
+	return best
 }
 
 // Fig3c reproduces the Delphi verification: a model trained only on simple

@@ -2,9 +2,7 @@ package score
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/adaptive"
@@ -30,14 +28,12 @@ type FactConfig struct {
 	// means the wall clock. Inject a *sim.Virtual to run the vertex on
 	// deterministic simulated time.
 	Clock sim.Clock
-	// HistorySize bounds the in-memory queue (default 4096).
+	// HistorySize bounds the in-memory queue and the store-and-forward
+	// backlog kept while the broker is unreachable (default 4096). Overflow
+	// of the backlog evicts its oldest tuple.
 	HistorySize int
 	// Archive, if non-nil, receives entries evicted from the queue.
 	Archive *archive.Log
-	// Retention, if non-nil, overrides the service-level tiered retention
-	// policy for this metric's archive. The vertex does not act on it — the
-	// owner of the background compactor (core) reads it at registration.
-	Retention *archive.Retention
 	// Delphi, if non-nil, publishes predicted Facts for the base-tick
 	// instants the relaxed polling interval skips.
 	Delphi *delphi.Online
@@ -56,10 +52,6 @@ type FactConfig struct {
 	// PublishUnchanged disables the only-if-changed filter (§3.2.1); used
 	// by the ablation bench.
 	PublishUnchanged bool
-	// BufferSize bounds the store-and-forward backlog kept while the
-	// broker is unreachable (default: HistorySize). Overflow evicts the
-	// oldest buffered tuple.
-	BufferSize int
 	// FailAfter is how many consecutive publish errors flip the vertex
 	// health from Degraded to Failed (default DefaultFailAfter).
 	FailAfter int
@@ -72,15 +64,9 @@ type FactConfig struct {
 // hook at an adaptive interval, converts Metrics into Facts (Fact Builder),
 // publishes them onto its queue, and serves queries over its history.
 type FactVertex struct {
-	cfg     FactConfig
-	metric  telemetry.MetricID
-	history *queue.History
-	stats   Stats
-	pub     *BufferedPublisher
-	wall    bool // cfg.Clock is sim.Wall: the hook timing's end read stamps the tuple
+	vertex
+	cfg FactConfig
 
-	obsTuplesIn    *obs.Counter   // tuples built from successful polls
-	obsTuplesOut   *obs.Counter   // tuples accepted by the publish path
 	obsPredictSec  *obs.Histogram // Delphi fill-path compute latency
 	obsPredBatch   *obs.Histogram // predicted tuples per fill batch
 	obsPredictions *obs.Counter   // predicted tuples published
@@ -104,43 +90,20 @@ type FactVertex struct {
 	onePayload   [1][]byte // the measured tuple's batch of one
 	last         float64   // last measured value, for the only-if-changed filter
 	hasLast      bool
-
-	mu      sync.Mutex
-	running bool
-	cancel  context.CancelFunc
-	done    chan struct{}
 }
-
-// ErrVertexConfig reports an invalid vertex configuration.
-var ErrVertexConfig = errors.New("score: invalid vertex config")
 
 // NewFactVertex builds a Fact Vertex.
 func NewFactVertex(cfg FactConfig) (*FactVertex, error) {
 	if cfg.Hook == nil || cfg.Bus == nil || cfg.Controller == nil {
 		return nil, fmt.Errorf("%w: hook, bus and controller are required", ErrVertexConfig)
 	}
-	cfg.Clock = sim.Or(cfg.Clock)
-	if cfg.HistorySize <= 0 {
-		cfg.HistorySize = 4096
-	}
 	if cfg.BaseTick <= 0 {
 		cfg.BaseTick = time.Second
 	}
-	if cfg.BufferSize <= 0 {
-		cfg.BufferSize = cfg.HistorySize
-	}
-	v := &FactVertex{cfg: cfg, metric: cfg.Hook.Metric()}
-	_, v.wall = cfg.Clock.(sim.Wall)
-	v.pub = newPubBuffer(cfg.Bus, string(v.metric), cfg.BufferSize, cfg.FailAfter, &v.stats, cfg.Clock)
-	var onEvict func(telemetry.Info)
-	if cfg.Archive != nil {
-		onEvict = func(i telemetry.Info) { _ = cfg.Archive.Append(i) }
-	}
-	v.history = queue.NewHistory(cfg.HistorySize, onEvict)
+	v := &FactVertex{cfg: cfg}
+	v.init(cfg.Hook.Metric(), cfg.Bus, cfg.Clock, cfg.HistorySize, cfg.FailAfter, cfg.Archive, cfg.Obs)
 	if r := cfg.Obs; r != nil {
 		m := string(v.metric)
-		v.obsTuplesIn = r.Counter(obs.Name("score_tuples_in_total", "metric", m))
-		v.obsTuplesOut = r.Counter(obs.Name("score_tuples_out_total", "metric", m))
 		if cfg.Delphi != nil {
 			v.obsPredictSec = r.Histogram(obs.Name("delphi_predict_seconds", "metric", m))
 			v.obsPredBatch = r.Histogram(obs.Name("delphi_batch_size", "metric", m),
@@ -151,66 +114,29 @@ func NewFactVertex(cfg FactConfig) (*FactVertex, error) {
 			v.obsDriftTrips = r.Counter(obs.Name("delphi_drift_trips_total", "metric", m))
 			v.obsFallback = r.Gauge(obs.Name("delphi_fallback", "metric", m))
 		}
-		v.pub.instrument(r, m)
-		v.history.Instrument(
-			r.Counter(obs.Name("queue_history_evictions_total", "metric", m)),
-			r.Counter(obs.Name("queue_history_drops_total", "metric", m)),
-		)
 	}
 	return v, nil
 }
 
-// Metric implements Executor.
-func (v *FactVertex) Metric() telemetry.MetricID { return v.metric }
-
-// Stats returns the operation-anatomy counters.
-func (v *FactVertex) Stats() StatsSnapshot { return v.stats.Snapshot() }
-
-// Health reports the publish-path health: OK while the broker accepts
-// tuples, Degraded while store-and-forward is buffering through an outage,
-// Failed after FailAfter consecutive errors.
-func (v *FactVertex) Health() HealthSnapshot { return v.pub.snapshot() }
-
 // Start launches the vertex goroutine. The vertex polls immediately, then at
 // the controller-chosen interval, until Stop.
 func (v *FactVertex) Start() error {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if v.running {
-		return fmt.Errorf("score: fact vertex %s already running", v.metric)
-	}
-	// Backfill Delphi's observation window from retained history (measured
-	// values only) so a vertex created over a pre-populated queue predicts
-	// immediately instead of re-warming poll by poll. The zero-copy scan
-	// keeps this allocation-free even over a full window.
-	if d := v.cfg.Delphi; d != nil && d.Observed() == 0 {
-		v.history.RangeFunc(-1<<62, 1<<62, func(in telemetry.Info) bool {
-			if in.Source == telemetry.Measured {
-				d.Observe(in.Value)
-			}
-			return true
-		})
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	v.cancel = cancel
-	v.done = make(chan struct{})
-	v.running = true
-	go v.run(ctx)
-	return nil
-}
-
-// Stop terminates the vertex and waits for its goroutine.
-func (v *FactVertex) Stop() {
-	v.mu.Lock()
-	if !v.running {
-		v.mu.Unlock()
-		return
-	}
-	v.running = false
-	cancel, done := v.cancel, v.done
-	v.mu.Unlock()
-	cancel()
-	<-done
+	return v.start(func(ctx context.Context, done chan struct{}) error {
+		// Backfill Delphi's observation window from retained history
+		// (measured values only) so a vertex created over a pre-populated
+		// queue predicts immediately instead of re-warming poll by poll. The
+		// zero-copy scan keeps this allocation-free even over a full window.
+		if d := v.cfg.Delphi; d != nil && d.Observed() == 0 {
+			v.history.RangeFunc(-1<<62, 1<<62, func(in telemetry.Info) bool {
+				if in.Source == telemetry.Measured {
+					d.Observe(in.Value)
+				}
+				return true
+			})
+		}
+		go v.run(ctx, done)
+		return nil
+	})
 }
 
 // run polls until ctx ends. The loop waits on its timer alone: the end of ctx
@@ -218,10 +144,10 @@ func (v *FactVertex) Stop() {
 // whichever Reset lands last the loop wakes and returns. Timer channels hold
 // one tick (go.mod's go 1.22 keeps the pre-1.23 timers), so a stale tick the
 // stop's Reset(0) leaves behind is never read.
-func (v *FactVertex) run(ctx context.Context) {
-	defer close(v.done)
+func (v *FactVertex) run(ctx context.Context, done chan struct{}) {
+	defer close(done)
 	interval := v.pollOnce(ctx, v.cfg.Controller.Interval())
-	timer := v.cfg.Clock.NewTimer(interval)
+	timer := v.clock.NewTimer(interval)
 	defer timer.Stop()
 	stop := context.AfterFunc(ctx, func() { timer.Reset(0) })
 	defer stop()
@@ -256,7 +182,7 @@ func (v *FactVertex) pollOnce(ctx context.Context, current time.Duration) time.D
 	}
 	ts := t1.UnixNano()
 	if !v.wall {
-		ts = v.cfg.Clock.Now().UnixNano()
+		ts = v.clock.Now().UnixNano()
 	}
 
 	v.obsTuplesIn.Inc()
@@ -370,88 +296,3 @@ func (v *FactVertex) pollOnce(ctx context.Context, current time.Duration) time.D
 // rebuilds per-class datasets from it via the zero-copy scans, without going
 // through the query path.
 func (v *FactVertex) History() *queue.History { return v.history }
-
-// Latest implements Executor.
-func (v *FactVertex) Latest() (telemetry.Info, bool) { return v.history.Latest() }
-
-// ScanRange implements Executor: it serves from the in-memory queue and falls
-// back to the persisted archive for evicted entries (§3.1 "the executor
-// parses the queue (or the persisted log for evicted entries)").
-func (v *FactVertex) ScanRange(from, to int64, fn func(telemetry.Info) bool) {
-	scanWithArchive(v.history, v.cfg.Archive, from, to, fn)
-}
-
-// AggregateRange folds the entries with Timestamp in [from, to] from the
-// archive's block folds (archive.Log.Aggregate) when the window lies wholly
-// below the ring's floor, so the archive holds all of it. ok is false
-// otherwise, and the caller scans.
-func (v *FactVertex) AggregateRange(from, to int64) (telemetry.Summary, bool) {
-	return aggregateArchived(v.history, v.cfg.Archive, from, to)
-}
-
-func aggregateArchived(h *queue.History, log *archive.Log, from, to int64) (telemetry.Summary, bool) {
-	if log == nil {
-		return telemetry.Summary{}, false
-	}
-	if floor, _, ok := h.Floor(); !ok || to >= floor {
-		return telemetry.Summary{}, false
-	}
-	s, err := log.Aggregate(from, to)
-	return s, err == nil
-}
-
-// errStopScan threads an early-stop request through archive.Log.Range's
-// error return without surfacing it to callers.
-var errStopScan = errors.New("score: scan stopped")
-
-// scanWithArchive streams entries with Timestamp in [from, to] to fn —
-// archived (evicted) entries first, then the in-memory window — without
-// materializing the merged slice, each entry exactly once and in order even
-// while the ring evicts under the scan. fn returns false to stop.
-//
-// The ring's floor and eviction epoch are read at one instant; the archive
-// then holds everything at or below the floor that the ring does not, and the
-// ring is scanned only if its epoch has not moved. If it has, the tuples
-// evicted meanwhile sit in the archive between the old floor and the new one,
-// and that sliver is scanned before trying the ring again. Timestamps may
-// repeat, so the archive cursor is (lo, seen): everything below lo and the
-// first seen tuples at lo are visited. The archive replays equal timestamps
-// in append order, so the tuples a re-scan must skip are the first it meets.
-func scanWithArchive(h *queue.History, log *archive.Log, from, to int64, fn func(telemetry.Info) bool) {
-	if log == nil {
-		h.RangeFunc(from, to, fn)
-		return
-	}
-	lo, seen := from, 0
-	for {
-		floor, epoch, ok := h.Floor()
-		hi := to
-		if ok && floor < hi {
-			hi = floor
-		}
-		if lo <= hi {
-			skip, atHi, stopped := seen, 0, false
-			_ = log.Range(lo, hi, func(i telemetry.Info) error {
-				if i.Timestamp == hi {
-					atHi++
-				}
-				if i.Timestamp == lo && skip > 0 {
-					skip--
-					return nil
-				}
-				if !fn(i) {
-					stopped = true
-					return errStopScan
-				}
-				return nil
-			})
-			if stopped {
-				return
-			}
-			lo, seen = hi, atHi
-		}
-		if (ok && floor > to) || h.RangeFuncAt(epoch, from, to, fn) {
-			return
-		}
-	}
-}

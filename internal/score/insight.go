@@ -8,9 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/archive"
 	"repro/internal/obs"
-	"repro/internal/queue"
 	"repro/internal/sim"
 	"repro/internal/stream"
 	"repro/internal/telemetry"
@@ -80,15 +78,11 @@ type InsightConfig struct {
 	// Clock stamps derived insights; nil means the wall clock. Inject a
 	// *sim.Virtual to run the vertex on deterministic simulated time.
 	Clock sim.Clock
-	// HistorySize bounds the in-memory queue (default 4096).
+	// HistorySize bounds the in-memory queue and the store-and-forward
+	// backlog kept while the broker is unreachable (default 4096).
 	HistorySize int
-	// Archive, if non-nil, receives evicted entries.
-	Archive *archive.Log
 	// PublishUnchanged disables the only-if-changed filter.
 	PublishUnchanged bool
-	// BufferSize bounds the store-and-forward backlog kept while the
-	// broker is unreachable (default: HistorySize).
-	BufferSize int
 	// FailAfter is how many consecutive publish errors flip the vertex
 	// health from Degraded to Failed (default DefaultFailAfter).
 	FailAfter int
@@ -101,14 +95,8 @@ type InsightConfig struct {
 // streams, rebuilds its insight whenever any input changes (Insight
 // Builder), and publishes the result onto its own queue.
 type InsightVertex struct {
-	cfg     InsightConfig
-	history *queue.History
-	stats   Stats
-	pub     *BufferedPublisher
-	wall    bool // cfg.Clock is sim.Wall: the run's anatomy read stamps its insights
-
-	obsTuplesIn  *obs.Counter // upstream entries decoded
-	obsTuplesOut *obs.Counter // insights accepted by the publish path
+	vertex
+	cfg InsightConfig
 
 	// The vertex is an actor behind act: whichever input goroutine (or
 	// ConsumeOnce caller) holds it derives the insights of its run of entries
@@ -124,11 +112,6 @@ type InsightVertex struct {
 	outs     []telemetry.Info
 	buf      []byte
 	payloads [][]byte
-
-	mu      sync.Mutex // guards running, cancel and done only
-	running bool
-	cancel  context.CancelFunc
-	done    chan struct{}
 }
 
 // NewInsightVertex builds an Insight Vertex.
@@ -136,99 +119,44 @@ func NewInsightVertex(cfg InsightConfig) (*InsightVertex, error) {
 	if cfg.Metric == "" || len(cfg.Inputs) == 0 || cfg.Builder == nil || cfg.Bus == nil {
 		return nil, fmt.Errorf("%w: metric, inputs, builder and bus are required", ErrVertexConfig)
 	}
-	cfg.Clock = sim.Or(cfg.Clock)
-	if cfg.HistorySize <= 0 {
-		cfg.HistorySize = 4096
-	}
-	if cfg.BufferSize <= 0 {
-		cfg.BufferSize = cfg.HistorySize
-	}
 	for i, in := range cfg.Inputs {
 		if in == "" || slices.Contains(cfg.Inputs[:i], in) {
 			return nil, fmt.Errorf("%w: input %q empty or listed twice", ErrVertexConfig, in)
 		}
 	}
 	v := &InsightVertex{cfg: cfg, latest: make([]telemetry.Info, len(cfg.Inputs))}
-	_, v.wall = cfg.Clock.(sim.Wall)
-	v.pub = newPubBuffer(cfg.Bus, string(cfg.Metric), cfg.BufferSize, cfg.FailAfter, &v.stats, cfg.Clock)
-	var onEvict func(telemetry.Info)
-	if cfg.Archive != nil {
-		onEvict = func(i telemetry.Info) { _ = cfg.Archive.Append(i) }
-	}
-	v.history = queue.NewHistory(cfg.HistorySize, onEvict)
-	if r := cfg.Obs; r != nil {
-		m := string(cfg.Metric)
-		v.obsTuplesIn = r.Counter(obs.Name("score_tuples_in_total", "metric", m))
-		v.obsTuplesOut = r.Counter(obs.Name("score_tuples_out_total", "metric", m))
-		v.pub.instrument(r, m)
-		v.history.Instrument(
-			r.Counter(obs.Name("queue_history_evictions_total", "metric", m)),
-			r.Counter(obs.Name("queue_history_drops_total", "metric", m)),
-		)
-	}
+	v.init(cfg.Metric, cfg.Bus, cfg.Clock, cfg.HistorySize, cfg.FailAfter, nil, cfg.Obs)
 	return v, nil
 }
-
-// Metric implements Executor.
-func (v *InsightVertex) Metric() telemetry.MetricID { return v.cfg.Metric }
-
-// Stats returns the operation-anatomy counters.
-func (v *InsightVertex) Stats() StatsSnapshot { return v.stats.Snapshot() }
-
-// Health reports the publish-path health (see FactVertex.Health).
-func (v *InsightVertex) Health() HealthSnapshot { return v.pub.snapshot() }
 
 // Start opens a cursor on every input and launches one goroutine per cursor,
 // which feeds each run it reads through the vertex; the last of them to exit
 // closes done.
 func (v *InsightVertex) Start() error {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if v.running {
-		return fmt.Errorf("score: insight vertex %s already running", v.cfg.Metric)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	curs := make([]stream.Cursor, 0, len(v.cfg.Inputs))
-	for _, in := range v.cfg.Inputs {
-		cur, err := v.cfg.Bus.Follow(ctx, string(in), 0)
-		if err != nil {
-			cancel()
-			return fmt.Errorf("score: subscribing %s to %s: %w", v.cfg.Metric, in, err)
+	return v.start(func(ctx context.Context, done chan struct{}) error {
+		curs := make([]stream.Cursor, 0, len(v.cfg.Inputs))
+		for _, in := range v.cfg.Inputs {
+			cur, err := v.cfg.Bus.Follow(ctx, string(in), 0)
+			if err != nil {
+				return fmt.Errorf("score: subscribing %s to %s: %w", v.metric, in, err)
+			}
+			curs = append(curs, cur)
 		}
-		curs = append(curs, cur)
-	}
-	done := make(chan struct{})
-	v.cancel, v.done, v.running = cancel, done, true
-	var left atomic.Int32
-	left.Store(int32(len(curs)))
-	for pos, cur := range curs {
-		go func() {
-			var ins []telemetry.Info
-			for run, err := cur.Next(); err == nil; run, err = cur.Next() {
-				ins = v.consume(ctx, pos, run, ins)
-			}
-			if left.Add(-1) == 0 {
-				close(done)
-			}
-		}()
-	}
-	return nil
-}
-
-// Stop terminates the vertex. It holds no lock a publish can sit behind: the
-// cancelled context ends any publish in flight, and every input goroutine
-// exits once its cursor ends.
-func (v *InsightVertex) Stop() {
-	v.mu.Lock()
-	if !v.running {
-		v.mu.Unlock()
-		return
-	}
-	v.running = false
-	cancel, done := v.cancel, v.done
-	v.mu.Unlock()
-	cancel()
-	<-done
+		var left atomic.Int32
+		left.Store(int32(len(curs)))
+		for pos, cur := range curs {
+			go func() {
+				var ins []telemetry.Info
+				for run, err := cur.Next(); err == nil; run, err = cur.Next() {
+					ins = v.consume(ctx, pos, run, ins)
+				}
+				if left.Add(-1) == 0 {
+					close(done)
+				}
+			}()
+		}
+		return nil
+	})
 }
 
 // consume decodes a run of upstream entries of the input at position pos in
@@ -310,7 +238,7 @@ func (v *InsightVertex) consume(ctx context.Context, pos int, run []stream.Entry
 			predicted++
 		}
 		if !stamped {
-			stamp, stamped = v.cfg.Clock.Now().UnixNano(), true
+			stamp, stamped = v.clock.Now().UnixNano(), true
 		}
 		out.Timestamp = stamp
 		outs = append(outs, out)
@@ -354,17 +282,4 @@ func (v *InsightVertex) consume(ctx context.Context, pos int, run []stream.Entry
 // the insight pipeline synchronously, as a run of one.
 func (v *InsightVertex) ConsumeOnce(e stream.Entry) {
 	v.consume(context.Background(), -1, []stream.Entry{e}, nil)
-}
-
-// Latest implements Executor.
-func (v *InsightVertex) Latest() (telemetry.Info, bool) { return v.history.Latest() }
-
-// ScanRange implements Executor.
-func (v *InsightVertex) ScanRange(from, to int64, fn func(telemetry.Info) bool) {
-	scanWithArchive(v.history, v.cfg.Archive, from, to, fn)
-}
-
-// AggregateRange folds an archived window as FactVertex.AggregateRange does.
-func (v *InsightVertex) AggregateRange(from, to int64) (telemetry.Summary, bool) {
-	return aggregateArchived(v.history, v.cfg.Archive, from, to)
 }

@@ -9,9 +9,9 @@ import (
 	"repro/internal/telemetry"
 )
 
-// ringOverArchive is a history ring of the given size that evicts into a
-// fresh archive, preloaded with tuples at timestamps 1..n.
-func ringOverArchive(t *testing.T, size int, n int64) (*queue.History, *archive.Log, func(ts int64)) {
+// ringOverArchive is a vertex core over a history ring of the given size that
+// evicts into a fresh archive, preloaded with tuples at timestamps 1..n.
+func ringOverArchive(t *testing.T, size int, n int64) (*vertex, func(ts int64)) {
 	t.Helper()
 	log, err := archive.Open(t.TempDir(), archive.Options{})
 	if err != nil {
@@ -33,7 +33,7 @@ func ringOverArchive(t *testing.T, size int, n int64) (*queue.History, *archive.
 	for ts := int64(1); ts <= n; ts++ {
 		add(ts)
 	}
-	return h, log, add
+	return &vertex{history: h, archive: log}, add
 }
 
 // TestScanSurvivesEvictionDuringArchiveHalf is the regression test for the
@@ -44,10 +44,10 @@ func ringOverArchive(t *testing.T, size int, n int64) (*queue.History, *archive.
 // exactly once, in order.
 func TestScanSurvivesEvictionDuringArchiveHalf(t *testing.T) {
 	const ring, n = 8, 40
-	h, log, add := ringOverArchive(t, ring, n)
+	v, add := ringOverArchive(t, ring, n)
 	var got []int64
 	next := int64(n)
-	scanWithArchive(h, log, 1, 1<<40, func(i telemetry.Info) bool {
+	v.ScanRange(1, 1<<40, func(i telemetry.Info) bool {
 		got = append(got, i.Timestamp)
 		switch i.Timestamp {
 		case 5, 20: // mid-archive, twice: evict past the floor the scan planned with
@@ -70,7 +70,7 @@ func TestScanSurvivesEvictionDuringArchiveHalf(t *testing.T) {
 		}
 	}
 	after := int64(0)
-	scanWithArchive(h, log, 1, 1<<40, func(telemetry.Info) bool { after++; return true })
+	v.ScanRange(1, 1<<40, func(telemetry.Info) bool { after++; return true })
 	if after != next {
 		t.Fatalf("a second scan visited %d tuples, want %d", after, next)
 	}
@@ -83,13 +83,13 @@ func TestScanSurvivesEvictionDuringArchiveHalf(t *testing.T) {
 // visited and skip exactly those when it comes back for the rest.
 func TestScanEqualTimestampsAtTheBoundary(t *testing.T) {
 	const ring = 4
-	h, log, add := ringOverArchive(t, ring, 0)
+	v, add := ringOverArchive(t, ring, 0)
 	for _, ts := range []int64{1, 2, 7, 7, 7, 7, 7, 7, 9} { // floor 7: three 7s archived, three retained
 		add(ts)
 	}
 	count := func(fn func(telemetry.Info)) []float64 {
 		var vals []float64
-		scanWithArchive(h, log, 2, 8, func(i telemetry.Info) bool {
+		v.ScanRange(2, 8, func(i telemetry.Info) bool {
 			vals = append(vals, i.Value)
 			fn(i)
 			return true

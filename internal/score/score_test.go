@@ -235,23 +235,47 @@ func TestFactVertexDelphiFillsGaps(t *testing.T) {
 	}
 }
 
-func TestFactVertexStartStop(t *testing.T) {
-	bus := stream.NewBroker(0)
-	clock := sim.NewVirtual(time.Unix(0, 0))
-	v := newFact(t, bus, counterHook("m"), func(c *FactConfig) { c.Clock = clock })
-	if err := v.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if err := v.Start(); err == nil {
-		t.Fatal("double start accepted")
-	}
-	// First poll happens immediately on the vertex goroutine; once Stop has
-	// waited for that goroutine, the polled tuple is in the history too.
-	awaitTuple(t, bus, "m", anyTuple)
-	v.Stop()
-	v.Stop() // idempotent
-	if _, ok := v.Latest(); !ok {
-		t.Fatal("published tuple missing from the history")
+// TestVertexStartStop drives the lifecycle both vertex kinds share: Stop
+// before Start is a no-op, a second Start is refused while running, and a
+// second Stop is a no-op. Stop waits for the vertex goroutines, so the tuple
+// seen on the bus is in the history too once it returns.
+func TestVertexStartStop(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		new  func(t *testing.T, bus stream.Bus) Vertex
+	}{
+		{"fact", func(t *testing.T, bus stream.Bus) Vertex {
+			return newFact(t, bus, counterHook("m"), nil)
+		}},
+		{"insight", func(t *testing.T, bus stream.Bus) Vertex {
+			publish(t, bus, telemetry.NewFact("m", 1, 10))
+			v, err := NewInsightVertex(InsightConfig{
+				Metric: "sum", Inputs: []telemetry.MetricID{"m"},
+				Builder: Sum, Bus: bus, Clock: sim.NewVirtual(time.Unix(0, 0)),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return v
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bus := stream.NewBroker(0)
+			v := tc.new(t, bus)
+			v.Stop() // never started
+			if err := v.Start(); err != nil {
+				t.Fatal(err)
+			}
+			if err := v.Start(); err == nil {
+				t.Fatal("double start accepted")
+			}
+			awaitTuple(t, bus, string(v.Metric()), anyTuple)
+			v.Stop()
+			v.Stop()
+			if _, ok := v.Latest(); !ok {
+				t.Fatal("published tuple missing from the history")
+			}
+		})
 	}
 }
 

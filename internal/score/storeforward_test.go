@@ -150,7 +150,7 @@ func TestStoreAndForwardBacklogBound(t *testing.T) {
 		Bus:              bus,
 		Controller:       fixedController{},
 		PublishUnchanged: true,
-		BufferSize:       4,
+		HistorySize:      4,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -13,7 +13,10 @@
 // sim/scenario composes them into end-to-end virtual-time scenarios.
 package sim
 
-import "time"
+import (
+	"sync"
+	"time"
+)
 
 // Clock abstracts time for the pipeline. Wall is the production
 // implementation; Virtual is manually advanced for deterministic tests and
@@ -80,4 +83,31 @@ func Or(c Clock) Clock {
 		return Wall{}
 	}
 	return c
+}
+
+// Every runs fn on its own goroutine every d on clock, each pass d after the
+// previous one ends, until the returned stop is called. stop waits for a pass
+// in flight, and is idempotent. It is the loop behind the background
+// maintenance of the archive compactor, the model trainer and fabric nodes.
+func Every(clock Clock, d time.Duration, fn func()) (stop func()) {
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		t := clock.NewTimer(d)
+		defer t.Stop()
+		for {
+			select {
+			case <-quit:
+				return
+			case <-t.C:
+				fn()
+				t.Reset(d)
+			}
+		}
+	}()
+	var once sync.Once
+	return func() {
+		once.Do(func() { close(quit) })
+		<-done
+	}
 }

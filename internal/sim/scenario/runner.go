@@ -128,9 +128,10 @@ func Run(seed int64) (*Report, error) {
 		Builder: score.Sum,
 		Bus:     bus,
 		Clock:   clock,
-		// Insight timestamps are not monotone (predicted inputs carry future
-		// stamps), so keep the whole stream in history: the history+archive
-		// merge is only exact for monotone eviction order.
+		// An insight vertex keeps no archive, so its queries read history
+		// alone: keep the run's whole insight stream there. (Its stamps are
+		// monotone — one processing-time stamp per run, taken under the
+		// vertex's actor lock.)
 		HistorySize: 4096,
 		FailAfter:   3,
 	})

@@ -169,10 +169,9 @@ type FabricNode struct {
 	// epoch beacon or append stream is never queued behind a forwarded
 	// publish that is itself waiting on this node — the cross-node cycle
 	// that melts a live fabric.
-	peers    map[string]Peer
-	routes   map[string]Peer
-	stop     chan struct{}
-	loopDone chan struct{}
+	peers  map[string]Peer
+	routes map[string]Peer
+	stop   func() // ends the maintenance loop; nil: not running
 
 	failovers atomic.Uint64
 
@@ -285,36 +284,21 @@ func (n *FabricNode) Start() {
 	if n.stop != nil {
 		return
 	}
-	n.stop = make(chan struct{})
-	n.loopDone = make(chan struct{})
-	go n.loop(n.stop, n.loopDone)
-}
-
-// Stop terminates the maintenance loop.
-func (n *FabricNode) Stop() {
-	n.mu.Lock()
-	stop, done := n.stop, n.loopDone
-	n.stop, n.loopDone = nil, nil
-	n.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-done
-	}
-}
-
-func (n *FabricNode) loop(stop <-chan struct{}, done chan<- struct{}) {
-	defer close(done)
 	period := n.ttl / 3
 	if period <= 0 {
 		period = time.Second
 	}
-	for {
-		select {
-		case <-stop:
-			return
-		case <-n.clock.After(period):
-		}
-		n.Tick(context.Background())
+	n.stop = sim.Every(n.clock, period, func() { n.Tick(context.Background()) })
+}
+
+// Stop terminates the maintenance loop and waits for a Tick in flight.
+func (n *FabricNode) Stop() {
+	n.mu.Lock()
+	stop := n.stop
+	n.stop = nil
+	n.mu.Unlock()
+	if stop != nil {
+		stop()
 	}
 }
 
