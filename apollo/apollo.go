@@ -96,13 +96,8 @@ type (
 )
 
 // NewBroker builds an in-process stream broker. retention bounds each
-// topic's ring (0: default); options tune it (e.g. WithShardCount).
-func NewBroker(retention int, opts ...stream.BrokerOption) *Broker {
-	return stream.NewBroker(retention, opts...)
-}
-
-// WithShardCount sets the broker's topic-map lock-stripe count.
-func WithShardCount(n int) stream.BrokerOption { return stream.WithShardCount(n) }
+// topic's ring (0: default).
+func NewBroker(retention int) *Broker { return stream.NewBroker(retention) }
 
 // ServeStream exposes a broker over TCP on addr ("host:0" picks a port;
 // read it back with Server.Addr). Close the server before the broker.

@@ -55,7 +55,6 @@ func bindFlags(fs *flag.FlagSet, cfg *core.Config) {
 	})
 	fs.StringVar(&cfg.DelphiRegistry, "delphi-registry", "", "directory of the versioned per-device-class model registry; empty keeps the single shared model")
 	fs.DurationVar(&cfg.DelphiRetrain, "delphi-retrain", 0, "arm drift detectors and retrain drifted device classes at this cadence (requires -delphi-registry; 0 disables)")
-	fs.IntVar(&cfg.Shards, "shards", 0, "broker topic-map shard count (0 = default)")
 	fs.IntVar(&cfg.PlanCache, "plan-cache", 0, "query-plan LRU capacity (0 = aqe.DefaultPlanCacheSize, negative disables)")
 	fs.StringVar(&cfg.ArchiveDir, "archive-dir", "", "directory persisting per-metric archives; empty disables archiving")
 	fs.Func("retention", `tiered archive retention, e.g. "raw=15m,10s=2h,1m=24h" (requires -archive-dir; empty keeps full resolution forever)`, func(v string) (err error) {

@@ -42,7 +42,6 @@ func TestFlagsCoverConfig(t *testing.T) {
 		"delphi":                modelPath,
 		"delphi-registry":       "/var/lib/apollo/models",
 		"delphi-retrain":        "5m",
-		"shards":                "8",
 		"plan-cache":            "64",
 		"archive-dir":           "/var/lib/apollo/archive",
 		"retention":             "raw=15m,10s=2h,1m=24h",

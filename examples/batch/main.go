@@ -19,9 +19,9 @@ func main() {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
-	// A sharded broker: topic lookups stripe over 16 locks so concurrent
-	// producers on different topics never contend.
-	broker := apollo.NewBroker(1<<12, apollo.WithShardCount(16))
+	// Topic lookups take no lock, so concurrent producers on different
+	// topics contend only on their own topic.
+	broker := apollo.NewBroker(1 << 12)
 	defer broker.Close()
 	srv, err := stream.Serve(broker, "127.0.0.1:0")
 	if err != nil {

@@ -102,7 +102,7 @@ type Engine struct {
 	Sequential bool
 
 	cache   *planCache // nil when disabled
-	workers int        // branch fan-out bound
+	workers int        // branch fan-out bound: GOMAXPROCS
 
 	obsHits      *obs.Counter
 	obsMisses    *obs.Counter
@@ -114,8 +114,7 @@ type Engine struct {
 type Option func(*engineConfig)
 
 type engineConfig struct {
-	cacheSize   int
-	parallelism int
+	cacheSize int
 }
 
 // WithPlanCache sets the prepared-plan LRU capacity. Zero selects
@@ -123,11 +122,6 @@ type engineConfig struct {
 // the cold-path benchmark baseline does).
 func WithPlanCache(n int) Option {
 	return func(c *engineConfig) { c.cacheSize = n }
-}
-
-// WithParallelism bounds the UNION-branch fan-out. Zero selects GOMAXPROCS.
-func WithParallelism(n int) Option {
-	return func(c *engineConfig) { c.parallelism = n }
 }
 
 // NewEngine builds a query engine.
@@ -139,10 +133,7 @@ func NewEngine(res Resolver, opts ...Option) *Engine {
 	if cfg.cacheSize == 0 {
 		cfg.cacheSize = DefaultPlanCacheSize
 	}
-	if cfg.parallelism <= 0 {
-		cfg.parallelism = runtime.GOMAXPROCS(0)
-	}
-	e := &Engine{res: res, workers: cfg.parallelism}
+	e := &Engine{res: res, workers: runtime.GOMAXPROCS(0)}
 	if cfg.cacheSize > 0 {
 		e.cache = newPlanCache(cfg.cacheSize)
 	}

@@ -170,7 +170,8 @@ func TestBoundedParallelism(t *testing.T) {
 	// Many branches with a parallelism bound of 2 must still produce rows in
 	// branch order.
 	res := fixture()
-	e := NewEngine(res, WithParallelism(2))
+	e := NewEngine(res)
+	e.workers = 2
 	src := "SELECT MAX(Timestamp), metric FROM pfs_capacity"
 	for i := 0; i < 5; i++ {
 		src += " UNION SELECT MAX(Timestamp), metric FROM node_1_memory"

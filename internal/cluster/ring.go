@@ -97,23 +97,6 @@ func itoa(n int) string {
 	return string(b[i:])
 }
 
-// Leave removes a member and its vnodes.
-func (r *Ring) Leave(id string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.addrs[id]; !ok {
-		return
-	}
-	delete(r.addrs, id)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.id != id {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
-}
-
 // Members returns the sorted member ids.
 func (r *Ring) Members() []string {
 	r.mu.RLock()

@@ -59,7 +59,7 @@ func TestRingSpreadsTopics(t *testing.T) {
 	}
 }
 
-func TestRingJoinLeave(t *testing.T) {
+func TestRingJoin(t *testing.T) {
 	r := NewRing(16)
 	r.Join("a", "addr-a")
 	r.Join("b", "addr-b")
@@ -69,14 +69,8 @@ func TestRingJoinLeave(t *testing.T) {
 	if addr, ok := r.Addr("a"); !ok || addr != "addr-a" {
 		t.Fatalf("Addr(a) = %q, %v", addr, ok)
 	}
-	r.Leave("a")
-	if owner, ok := r.Owner("anything"); !ok || owner != "b" {
-		t.Fatalf("after leave, owner = %q, %v; want b", owner, ok)
-	}
-	// Leaving an unknown member is a no-op.
-	r.Leave("ghost")
-	if got := r.Members(); len(got) != 1 || got[0] != "b" {
-		t.Fatalf("members = %v, want [b]", got)
+	if got := r.Members(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
+		t.Fatalf("members = %v, want [a b]", got)
 	}
 }
 

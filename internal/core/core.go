@@ -77,8 +77,6 @@ type Config struct {
 	Clock sim.Clock
 	// Retention bounds each metric's broker topic (0: default).
 	Retention int
-	// Shards sets the broker's topic-map lock-stripe count (0: default).
-	Shards int
 	// Mode picks the interval controller for registered metrics.
 	Mode IntervalMode
 	// Adaptive parameterizes the controllers (zero value: defaults).
@@ -242,7 +240,7 @@ func New(cfg Config) *Service {
 	}
 	s := &Service{
 		cfg:    cfg,
-		broker: newBroker(cfg),
+		broker: stream.NewBroker(cfg.Retention),
 		graph:  score.NewGraph(),
 		obs:    cfg.Obs,
 	}
@@ -258,16 +256,6 @@ func New(cfg Config) *Service {
 	}
 	return s
 }
-
-func newBroker(cfg Config) *stream.Broker {
-	if cfg.Shards > 0 {
-		return stream.NewBroker(cfg.Retention, stream.WithShardCount(cfg.Shards))
-	}
-	return stream.NewBroker(cfg.Retention)
-}
-
-// Graph exposes the SCoRe DAG (for advanced wiring and the benches).
-func (s *Service) Graph() *score.Graph { return s.graph }
 
 // Broker exposes the Pub-Sub fabric.
 func (s *Service) Broker() *stream.Broker { return s.broker }
@@ -686,17 +674,6 @@ func (s *Service) Latest(id telemetry.MetricID) (telemetry.Info, bool) {
 		return telemetry.Info{}, false
 	}
 	return v.Latest()
-}
-
-// Range returns tuples of a metric in [from, to].
-func (s *Service) Range(id telemetry.MetricID, from, to int64) []telemetry.Info {
-	v, ok := s.graph.Lookup(id)
-	if !ok {
-		return nil
-	}
-	var out []telemetry.Info
-	v.ScanRange(from, to, func(in telemetry.Info) bool { out = append(out, in); return true })
-	return out
 }
 
 // Subscribe streams decoded tuples of a metric until ctx ends.

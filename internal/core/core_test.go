@@ -209,6 +209,18 @@ func TestSubscribe(t *testing.T) {
 	}
 }
 
+// scan returns a metric's tuples in [from, to] from its vertex's ring and
+// archive, or nil for a metric never registered.
+func scan(s *Service, id telemetry.MetricID, from, to int64) []telemetry.Info {
+	v, ok := s.graph.Lookup(id)
+	if !ok {
+		return nil
+	}
+	var out []telemetry.Info
+	v.ScanRange(from, to, func(in telemetry.Info) bool { out = append(out, in); return true })
+	return out
+}
+
 func TestRangeAndMissingMetric(t *testing.T) {
 	clock := sim.NewVirtual(time.Unix(0, 0))
 	s := New(Config{Clock: clock})
@@ -218,11 +230,11 @@ func TestRangeAndMissingMetric(t *testing.T) {
 		v.PollOnce()
 		clock.Advance(time.Second)
 	}
-	all := s.Range("m", 0, 1<<62)
+	all := scan(s, "m", 0, 1<<62)
 	if len(all) != 3 {
 		t.Fatalf("range=%v", all)
 	}
-	if got := s.Range("ghost", 0, 1); got != nil {
+	if got := scan(s, "ghost", 0, 1); got != nil {
 		t.Fatal("ghost range")
 	}
 	if _, ok := s.Latest("ghost"); ok {
@@ -243,7 +255,7 @@ func TestArchiveDirWiring(t *testing.T) {
 		clock.Advance(time.Second)
 	}
 	// History holds 2; archive holds the 3 evicted. Range must see all 5.
-	if all := s.Range("m", 0, 1<<62); len(all) != 5 {
+	if all := scan(s, "m", 0, 1<<62); len(all) != 5 {
 		t.Fatalf("range=%d", len(all))
 	}
 	s.Stop()
@@ -275,7 +287,7 @@ func TestArchiveSegmentBytesReachesTheLog(t *testing.T) {
 		if (n > 0) != tc.rotation {
 			t.Errorf("ArchiveSegmentBytes=%d: %d segment rotations after 62 evictions, want some: %v", tc.segment, n, tc.rotation)
 		}
-		if all := s.Range("m", 0, 1<<62); len(all) != len(trace) {
+		if all := scan(s, "m", 0, 1<<62); len(all) != len(trace) {
 			t.Errorf("ArchiveSegmentBytes=%d: range sees %d tuples across the segments, want %d", tc.segment, len(all), len(trace))
 		}
 		s.Stop()
@@ -316,7 +328,7 @@ func TestRegisterDuplicateMetricLeavesArchiveAlone(t *testing.T) {
 		v.PollOnce()
 		clock.Advance(time.Second)
 	}
-	if all := s.Range("m", 0, 1<<62); len(all) != 7 {
+	if all := scan(s, "m", 0, 1<<62); len(all) != 7 {
 		t.Fatalf("range=%d after the refused duplicate, want 7", len(all))
 	}
 	if n := s.Metrics().Counter(obs.Name("archive_appends_total", "log", "m")); n != 5 {
@@ -374,7 +386,7 @@ func TestDeployNodeMonitors(t *testing.T) {
 		t.Fatalf("ids=%v", ids)
 	}
 	for _, id := range ids {
-		if _, ok := s.Graph().Lookup(id); !ok {
+		if _, ok := s.graph.Lookup(id); !ok {
 			t.Fatalf("metric %s not registered", id)
 		}
 	}

@@ -243,15 +243,6 @@ func (f *delphiFleet) stop() {
 	}
 }
 
-// DelphiRegistry exposes the versioned model store, or nil when
-// Config.DelphiRegistry is unset.
-func (s *Service) DelphiRegistry() *registry.Registry {
-	if s.fleet == nil {
-		return nil
-	}
-	return s.fleet.reg
-}
-
 // DelphiTrainer exposes the background retrainer, or nil unless both
 // Config.DelphiRegistry and Config.DelphiRetrain are set. Deterministic
 // scenarios drive it synchronously via RunOnce instead of waiting out the

@@ -67,22 +67,6 @@ func (s *Service) DeployAvailabilityInsight(c *cluster.Cluster) (telemetry.Metri
 	return sink, nil
 }
 
-// DeployNetworkMonitors registers ping Fact Vertices between every pair in
-// nodes (Table 1 row 6). It returns the registered metric IDs.
-func (s *Service) DeployNetworkMonitors(c *cluster.Cluster, nodes []string) ([]telemetry.MetricID, error) {
-	var ids []telemetry.MetricID
-	for i := 0; i < len(nodes); i++ {
-		for j := i + 1; j < len(nodes); j++ {
-			h := hooks.Ping(c, nodes[i], nodes[j])
-			if _, err := s.RegisterMetric(h); err != nil {
-				return ids, err
-			}
-			ids = append(ids, h.Metric())
-		}
-	}
-	return ids, nil
-}
-
 // DeployTierCapacityInsights wires the Figure-2 use case: per-node remaining
 // capacity insights feeding one cluster-wide total-capacity insight. It
 // returns the sink insight's metric ID ("cluster.capacity").

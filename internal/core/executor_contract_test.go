@@ -141,7 +141,7 @@ func TestExecutorContract(t *testing.T) {
 					t.Fatalf("ScanRange(%d, %d) visited %d tuples, want %d\n got %v\nwant %v", w[0], w[1], len(got), len(model), got, model)
 				}
 				if svc != nil {
-					if got := svc.Range("m", w[0], w[1]); !reflect.DeepEqual(got, model) {
+					if got := scan(svc, "m", w[0], w[1]); !reflect.DeepEqual(got, model) {
 						t.Fatalf("Service.Range(%d, %d) = %v, want %v", w[0], w[1], got, model)
 					}
 				}

@@ -37,8 +37,8 @@ func TestServiceFleetClassSharding(t *testing.T) {
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if s.DelphiRegistry() == nil {
-		t.Fatal("registry accessor nil")
+	if s.fleet.reg == nil {
+		t.Fatal("no registry with Config.DelphiRegistry set")
 	}
 	if s.DelphiTrainer() != nil {
 		t.Fatal("trainer must be off without DelphiRetrain")

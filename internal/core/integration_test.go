@@ -9,6 +9,7 @@ import (
 	"repro/internal/adaptive"
 	"repro/internal/cluster"
 	"repro/internal/delphi"
+	"repro/internal/hooks"
 	"repro/internal/sim"
 	"repro/internal/stream"
 	"repro/internal/telemetry"
@@ -40,12 +41,14 @@ func TestEndToEndObservatory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	netIDs, err := svc.DeployNetworkMonitors(sim, []string{"comp00", "stor00", "stor01"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(netIDs) != 3 {
-		t.Fatalf("net monitors=%v", netIDs)
+	// Ping monitors between every pair of three nodes (Table 1 row 6).
+	net := []string{"comp00", "stor00", "stor01"}
+	for i := range net {
+		for j := i + 1; j < len(net); j++ {
+			if _, err := svc.RegisterMetric(hooks.Ping(sim, net[i], net[j])); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	if err := svc.Start(); err != nil {
 		t.Fatal(err)
@@ -173,7 +176,7 @@ func TestEndToEndDelphiPipeline(t *testing.T) {
 	for poll := 0; poll < 4*delphi.WindowSize; poll++ {
 		clock.Advance(v.PollOnce())
 	}
-	for _, in := range svc.Range("cap", 0, 1<<62) {
+	for _, in := range scan(svc, "cap", 0, 1<<62) {
 		if in.Source == telemetry.Predicted {
 			return // predicted tuple made it into the queue
 		}

@@ -40,8 +40,8 @@ func table1Cluster() (*cluster.Cluster, error) {
 // Table1 regenerates the paper's Table 1: every I/O Insight curation
 // computed live over a loaded fixture cluster, with the formalization each
 // row uses. (Rows 11 and 14 are the same curation in the paper; both map to
-// EnergyPerTransfer here.) The rows a Fact vertex can carry — 1, 2, 10, 11/14
-// and 13 — are read through their monitor hooks, the way a vertex polls them,
+// EnergyPerTransfer here.) The rows a Fact vertex can carry — 1, 2, 6, 10,
+// 11/14 and 13 — are read through their monitor hooks, the way a vertex polls them,
 // and rows 5, 7 and 8 rate the device RankByHealth ranks last.
 func Table1(opts Options) (*Table, error) {
 	c, err := table1Cluster()
@@ -75,8 +75,8 @@ func Table1(opts Options) (*Table, error) {
 	hot := insights.BlockHotness(busy, 1)
 	t.AddRow("4", "Block Hotness (hottest)", fmt.Sprintf("block=%d accesses=%d", hot[0].Block, hot[0].Accesses))
 	t.AddRow("5", "Device Health (least healthy: "+worn.ID()+")", f(insights.DeviceHealth(wt)))
-	nh := insights.MeasureNetworkHealth(c, "comp00", "stor00")
-	t.AddRow("6", "Network Health (comp00-stor00)", nh.Ping.Round(time.Microsecond).String())
+	ping := time.Duration(poll(hooks.Ping(c, "comp00", "stor00")) * float64(time.Second))
+	t.AddRow("6", "Network Health (comp00-stor00)", ping.Round(time.Microsecond).String())
 	t.AddRow("7", "Device Fault Tolerance ("+worn.ID()+")", f(insights.DeviceFaultTolerance(wt)))
 	t.AddRow("8", "Device Degradation Rate ("+worn.ID()+")", f(insights.DeviceDegradationRate(wt)))
 	av := insights.AvailableNodes(c)

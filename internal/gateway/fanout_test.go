@@ -289,7 +289,7 @@ func TestWebSocketOneWritePerFrame(t *testing.T) {
 	b := stream.NewBroker(0)
 	gw := New(NewBusBackend(b, 0), Config{QueueSize: 2 * tuples})
 	var writes atomic.Int64
-	srv := httptest.NewUnstartedServer(gw.Handler())
+	srv := httptest.NewUnstartedServer(gw.mux)
 	srv.Listener = countingListener{srv.Listener, &writes}
 	srv.Start()
 	t.Cleanup(func() {

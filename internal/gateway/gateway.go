@@ -172,9 +172,6 @@ func (g *Gateway) routes() *http.ServeMux {
 	return mux
 }
 
-// Handler returns the gateway's HTTP handler (for tests and embedding).
-func (g *Gateway) Handler() http.Handler { return g.mux }
-
 // guard wraps h with authentication, rate limiting, and (when hist is
 // non-nil) a per-route latency observation. The resolved principal rides the
 // request context.

@@ -38,7 +38,7 @@ func newFixture(t *testing.T, cfg Config) *fixture {
 	engineObs := obs.NewRegistry()
 	backend.engine.Instrument(engineObs)
 	gw := New(backend, cfg)
-	srv := httptest.NewServer(gw.Handler())
+	srv := httptest.NewServer(gw.mux)
 	t.Cleanup(func() {
 		srv.Close()
 		gw.Close()
@@ -541,7 +541,7 @@ func BenchmarkGatewayQuery(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	h := gw.Handler()
+	h := gw.mux
 	bodies := make([]string, 4096) // more texts of the one shape than any plan cache holds
 	for i := range bodies {
 		bodies[i] = fmt.Sprintf(`{"query":"SELECT COUNT(*), AVG(Value), MAX(Value) FROM m.cap WHERE Timestamp BETWEEN %d AND %d"}`, base-int64(i), base+int64(i))

@@ -98,53 +98,54 @@ func BenchmarkFabricPublishTCP(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedPublish hammers many topics from parallel goroutines at
-// 1, 4, and 16 shards: lock striping should show up as scaling headroom.
-func BenchmarkShardedPublish(b *testing.B) {
-	for _, shards := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			br := NewBroker(1<<12, WithShardCount(shards))
-			defer br.Close()
-			ctx := context.Background()
-			payload := []byte("event-0000000000")
-			var worker atomic.Int64
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				topic := fmt.Sprintf("topic%02d", worker.Add(1))
-				for pb.Next() {
-					if _, err := br.Publish(ctx, topic, payload); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		})
+// topicMap256 is a broker holding 256 topics of one entry each, and their
+// names: the topic-map lookups of the two benchmarks below.
+func topicMap256(b *testing.B) (*Broker, []string) {
+	br := NewBroker(1 << 12)
+	b.Cleanup(br.Close)
+	names := make([]string, 256)
+	for i := range names {
+		names[i] = fmt.Sprintf("node%03d.metric", i)
+		if _, err := br.Publish(context.Background(), names[i], []byte("event-0000000000")); err != nil {
+			b.Fatal(err)
+		}
 	}
+	return br, names
 }
 
-// BenchmarkShardedPublishBatch is the batched variant of the shard sweep:
-// parallel producers each appending 64-entry batches to their own topic.
-func BenchmarkShardedPublishBatch(b *testing.B) {
-	for _, shards := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			br := NewBroker(1<<12, WithShardCount(shards))
-			defer br.Close()
-			ctx := context.Background()
-			batch := makeBatch(64)
-			var worker atomic.Int64
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				topic := fmt.Sprintf("topic%02d", worker.Add(1))
-				for pb.Next() {
-					if _, err := br.PublishBatch(ctx, topic, batch); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			b.ReportMetric(64*float64(b.N)/b.Elapsed().Seconds(), "entries/sec")
-		})
-	}
+// BenchmarkParallelPublish is parallel publishers each cycling over 256
+// topics from its own offset: a topic-map lookup and an append per publish.
+func BenchmarkParallelPublish(b *testing.B) {
+	br, names := topicMap256(b)
+	ctx := context.Background()
+	payload := []byte("event-0000000000")
+	var worker atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for i := int(worker.Add(1)) * 37; pb.Next(); i++ {
+			if _, err := br.Publish(ctx, names[i%len(names)], payload); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkParallelLatest is parallel readers each cycling over 256 topics:
+// a topic-map lookup and a one-entry read per call.
+func BenchmarkParallelLatest(b *testing.B) {
+	br, names := topicMap256(b)
+	ctx := context.Background()
+	var worker atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for i := int(worker.Add(1)) * 37; pb.Next(); i++ {
+			if _, err := br.Latest(ctx, names[i%len(names)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkCoalescedPublishTCP drives the group-commit coalescer: async

@@ -43,11 +43,6 @@ var (
 // DefaultRetention is how many entries a topic retains when not configured.
 const DefaultRetention = 1 << 14
 
-// DefaultShardCount is how many lock-striped shards the topic map is split
-// into when not configured. Publishers on different topics contend only
-// within their shard, so independent metric streams scale across cores.
-const DefaultShardCount = 8
-
 // Chunk capacities: a topic's first chunk holds minChunk payload bytes and
 // each later one twice its predecessor's, up to maxChunk. A payload larger
 // than maxChunk gets a chunk of its own. maxChunk sizes the raw region every
@@ -409,15 +404,13 @@ func (t *topic) awaitLocked(ctx context.Context, b *Broker, after uint64, watche
 	return from, err
 }
 
-// shard is one lock stripe over the topic map.
-type shard struct {
-	mu     sync.RWMutex
-	topics map[string]*topic
-}
-
-// Broker owns a set of topics, lock-striped into shards by topic name.
+// Broker owns a set of topics. A topic is created once, when its metric
+// registers, and looked up on every publish and read, so the name → *topic map
+// is a sync.Map that lookups read without a lock; mu serializes creation with
+// Close.
 type Broker struct {
-	shards    []shard
+	topics    sync.Map
+	mu        sync.Mutex
 	retention int
 	closed    atomic.Bool
 	nTopics   atomic.Int64
@@ -431,20 +424,6 @@ type Broker struct {
 	obsLogBytes     *obs.Gauge
 	obsConsumeLag   *obs.Histogram
 	obsBatchSize    *obs.Histogram
-}
-
-// BrokerOption customizes a Broker.
-type BrokerOption func(*Broker)
-
-// WithShardCount sets how many lock stripes the topic map uses
-// (default DefaultShardCount; values < 1 are clamped to 1).
-func WithShardCount(n int) BrokerOption {
-	return func(b *Broker) {
-		if n < 1 {
-			n = 1
-		}
-		b.shards = make([]shard, n)
-	}
 }
 
 // Instrument registers the broker's instruments on r:
@@ -477,35 +456,11 @@ func (b *Broker) addLogBytes(n int) {
 
 // NewBroker returns a broker whose topics retain up to retention entries
 // each (0 means DefaultRetention).
-func NewBroker(retention int, opts ...BrokerOption) *Broker {
+func NewBroker(retention int) *Broker {
 	if retention <= 0 {
 		retention = DefaultRetention
 	}
-	b := &Broker{retention: retention}
-	for _, o := range opts {
-		o(b)
-	}
-	if b.shards == nil {
-		b.shards = make([]shard, DefaultShardCount)
-	}
-	for i := range b.shards {
-		b.shards[i].topics = make(map[string]*topic)
-	}
-	return b
-}
-
-// shardFor hashes a topic name (FNV-1a) onto its lock stripe.
-func (b *Broker) shardFor(name string) *shard {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(name); i++ {
-		h ^= uint32(name[i])
-		h *= prime32
-	}
-	return &b.shards[h%uint32(len(b.shards))]
+	return &Broker{retention: retention}
 }
 
 // topicFor returns (creating if needed) the named topic.
@@ -513,26 +468,22 @@ func (b *Broker) topicFor(name string, create bool) (*topic, error) {
 	if b.closed.Load() {
 		return nil, ErrClosed
 	}
-	s := b.shardFor(name)
-	s.mu.RLock()
-	t, ok := s.topics[name]
-	s.mu.RUnlock()
-	if ok {
-		return t, nil
+	if t, ok := b.topics.Load(name); ok {
+		return t.(*topic), nil
 	}
 	if !create {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchTopic, name)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	if b.closed.Load() {
 		return nil, ErrClosed
 	}
-	if t, ok = s.topics[name]; ok {
-		return t, nil
+	if t, ok := b.topics.Load(name); ok {
+		return t.(*topic), nil
 	}
-	t = newTopic(name, b.retention)
-	s.topics[name] = t
+	t := newTopic(name, b.retention)
+	b.topics.Store(name, t)
 	b.obsTopics.Set(float64(b.nTopics.Add(1)))
 	return t, nil
 }
@@ -738,14 +689,10 @@ func (t *topic) truncateTailLocked(fromID uint64, b *Broker) {
 // Topics returns the sorted names of all topics.
 func (b *Broker) Topics() []string {
 	out := make([]string, 0, b.nTopics.Load())
-	for i := range b.shards {
-		s := &b.shards[i]
-		s.mu.RLock()
-		for name := range s.topics {
-			out = append(out, name)
-		}
-		s.mu.RUnlock()
-	}
+	b.topics.Range(func(name, _ any) bool {
+		out = append(out, name.(string))
+		return true
+	})
 	sort.Strings(out)
 	return out
 }
@@ -872,19 +819,21 @@ func (c *brokerCursor) next(max int, watched bool) ([]Entry, error) {
 }
 
 // Close marks the broker closed; subsequent operations fail with ErrClosed
-// and parked readers are woken to find that out.
+// and parked readers are woken to find that out. Setting the mark under mu
+// means a topic created concurrently is either refused or stored before the
+// wake-up pass, which then reaches it.
 func (b *Broker) Close() {
-	if !b.closed.CompareAndSwap(false, true) {
+	b.mu.Lock()
+	closing := b.closed.CompareAndSwap(false, true)
+	b.mu.Unlock()
+	if !closing {
 		return
 	}
-	for i := range b.shards {
-		s := &b.shards[i]
-		s.mu.RLock()
-		for _, t := range s.topics {
-			t.mu.Lock() // see wakeOn
-			t.grew.Broadcast()
-			t.mu.Unlock()
-		}
-		s.mu.RUnlock()
-	}
+	b.topics.Range(func(_, v any) bool {
+		t := v.(*topic)
+		t.mu.Lock() // see wakeOn
+		t.grew.Broadcast()
+		t.mu.Unlock()
+		return true
+	})
 }

@@ -250,14 +250,12 @@ func NewFabricNode(cfg FabricConfig) (*FabricNode, error) {
 	if n.dial == nil {
 		n.dial = func(id, addr string) (Peer, error) { return Dial(addr) }
 	}
-	if cfg.Obs != nil {
-		n.obsFailovers = cfg.Obs.Counter("fabric_failovers_total")
-		n.obsFenced = cfg.Obs.Counter("fabric_fenced_publishes_total")
-		n.obsNotLeader = cfg.Obs.Counter("fabric_not_leader_total")
-		n.obsReplErr = cfg.Obs.Counter("fabric_replicate_errors_total")
-		n.obsReplEnt = cfg.Obs.Counter("fabric_replicate_entries_total")
-		n.obsEpoch = cfg.Obs.Gauge("fabric_max_epoch")
-	}
+	n.obsFailovers = cfg.Obs.Counter("fabric_failovers_total")
+	n.obsFenced = cfg.Obs.Counter("fabric_fenced_publishes_total")
+	n.obsNotLeader = cfg.Obs.Counter("fabric_not_leader_total")
+	n.obsReplErr = cfg.Obs.Counter("fabric_replicate_errors_total")
+	n.obsReplEnt = cfg.Obs.Counter("fabric_replicate_entries_total")
+	n.obsEpoch = cfg.Obs.Gauge("fabric_max_epoch")
 	return n, nil
 }
 
@@ -382,9 +380,7 @@ func (n *FabricNode) notLeaderErr(topic, leaderID string) error {
 	if leaderID != "" {
 		addr, _ = n.ring.Addr(leaderID)
 	}
-	if n.obsNotLeader != nil {
-		n.obsNotLeader.Inc()
-	}
+	n.obsNotLeader.Inc()
 	return &NotLeaderError{Topic: topic, LeaderID: leaderID, LeaderAddr: addr}
 }
 
@@ -431,13 +427,9 @@ func (n *FabricNode) leaderLease(ctx context.Context, ts *topicState, topic stri
 	ts.lease.Store(&l)
 	if promoted {
 		n.failovers.Add(1)
-		if n.obsFailovers != nil {
-			n.obsFailovers.Inc()
-		}
+		n.obsFailovers.Inc()
 	}
-	if n.obsEpoch != nil {
-		n.obsEpoch.Set(float64(l.Epoch))
-	}
+	n.obsEpoch.Set(float64(l.Epoch))
 	return l, nil
 }
 
@@ -546,9 +538,7 @@ func (n *FabricNode) PublishBatch(ctx context.Context, topic string, payloads []
 	var fencedBy error
 	settle := func(f *follower, tail uint64, rerr error) {
 		if rerr != nil {
-			if n.obsReplErr != nil {
-				n.obsReplErr.Inc()
-			}
+			n.obsReplErr.Inc()
 			if fencedBy == nil && errors.Is(rerr, ErrEpochFenced) {
 				fencedBy = rerr
 			}
@@ -556,9 +546,7 @@ func (n *FabricNode) PublishBatch(ctx context.Context, topic string, payloads []
 		}
 		acks++
 		f.raise(tail)
-		if n.obsReplEnt != nil {
-			n.obsReplEnt.Add(uint64(len(entries)))
-		}
+		n.obsReplEnt.Add(uint64(len(entries)))
 	}
 	// Answers are awaited in the order their requests went out, the oldest
 	// first — a connection hands its answers out in FIFO order, and a leader
@@ -613,9 +601,7 @@ func (n *FabricNode) replicate(f *follower, topic string, epoch uint64, entries 
 // been deposed from, and builds the publish error.
 func (n *FabricNode) fenced(ts *topicState, topic string, cause error) error {
 	ts.lease.Store(nil)
-	if n.obsFenced != nil {
-		n.obsFenced.Inc()
-	}
+	n.obsFenced.Inc()
 	return fmt.Errorf("publish %q: %w", topic, cause)
 }
 

@@ -31,21 +31,13 @@ var notProduct = map[string]bool{
 }
 
 // reachAllowed are exported product names and methods that no entry point
-// reaches and that stay anyway, each with the reason. Every entry is reached by
-// tests only, and is a seam tests substitute through, or the one named
-// exception at the end. An entry that an entry point reaches after all is
-// stale, and the guard reports it. It is the backlog ROADMAP item 8's
-// reach-guard bullet reads, not a place to park new code. A seam a package's
-// own tests need is an unexported field they set, as stream's fault-injecting
-// dialer, clock and timing are, not an entry here.
-var reachAllowed = map[string]string{
-	// Seams tests in aqe and gateway substitute through.
-	"internal/aqe.WithParallelism":     "plan tests pin the union fan-out width",
-	"internal/gateway.Gateway.Handler": "the mux without a listener: gateway tests mount it on httptest.Server",
-
-	// The exception.
-	"internal/cluster.Ring.Leave": "membership change ROADMAP item 4's lease-table failover needs; ring tests pin it",
-}
+// reaches and that stay anyway, each with the reason. It is empty: every
+// exported product name is reached from an entry point. An entry that an entry
+// point reaches after all is stale, and the guard reports it. It is not a place
+// to park new code. A seam a package's own tests need is an unexported field
+// they set, as stream's fault-injecting dialer, clock and timing, aqe's
+// workers and the gateway's mux are, not an entry here.
+var reachAllowed = map[string]string{}
 
 // reachDecl is one package-level name: where it is declared and what its
 // declaration (and, for a type, its methods) mentions.

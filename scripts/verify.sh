@@ -60,6 +60,13 @@ GOMAXPROCS=2 go test -count=5 -run 'TestFiguresReproduce|TestAblations' ./intern
 echo "==> go test -race ./internal/stream/... ./internal/queue/... ./internal/obs/... ./internal/archive/... ./internal/aqe/... ./internal/sim/ ./internal/gateway/... ./internal/delphi/... ./internal/nn/... ./internal/core/... ./api/..."
 go test -race ./internal/stream/... ./internal/queue/... ./internal/obs/... ./internal/archive/... ./internal/aqe/... ./internal/sim/ ./internal/gateway/... ./internal/delphi/... ./internal/nn/... ./internal/core/... ./api/...
 
+# The broker's two lock-free races twenty times over: topic creation by
+# publishers and Follow against Topics() and Close (each name one topic, every
+# parked follower woken), and a parked cursor's wake against publish, cancel
+# and Close.
+echo "==> go test -race -count=20 -run 'TestTopicCreatedOnce|TestCursorNeverMissesAWake' ./internal/stream/"
+go test -race -count=20 -run 'TestTopicCreatedOnce|TestCursorNeverMissesAWake' ./internal/stream/
+
 # The vertex package three times over: its goroutine-leak checks count
 # goroutines, and a count is only trustworthy if it holds when the package's
 # tests run back to back.
