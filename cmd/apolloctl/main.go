@@ -318,7 +318,6 @@ func runRetention(args []string, apply string) {
 				filepath.Base(d), st.Rolled10s, st.Rolled1m, st.CompressedBytes, st.DroppedFiles)
 		}
 	}
-	labels := [...]string{"raw", "10s", "1m"}
 	fmt.Printf("%-36s %-4s %6s %12s %10s %s\n", "METRIC", "TIER", "FILES", "BYTES", "RECORDS", "SPAN")
 	for _, d := range dirs {
 		tiers, err := archive.DirStats(d)
@@ -330,7 +329,7 @@ func runRetention(args []string, apply string) {
 			if ts.Files == 0 {
 				continue
 			}
-			fmt.Printf("%-36s %-4s %6d %12d %10d %s\n", name, labels[t], ts.Files, ts.Bytes, ts.Records,
+			fmt.Printf("%-36s %-4s %6d %12d %10d %s\n", name, archive.TierNames[t], ts.Files, ts.Bytes, ts.Records,
 				span(ts.Records == 0, ts.FirstTS, ts.LastTS))
 			name = ""
 		}

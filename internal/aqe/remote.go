@@ -34,9 +34,6 @@ type busExecutor struct {
 	topic string
 }
 
-// Metric implements score.Executor.
-func (x busExecutor) Metric() telemetry.MetricID { return telemetry.MetricID(x.topic) }
-
 // Latest implements score.Executor.
 func (x busExecutor) Latest() (telemetry.Info, bool) {
 	e, err := x.bus.Latest(context.Background(), x.topic)

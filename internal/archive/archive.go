@@ -72,6 +72,10 @@ type segRef struct {
 // tierPrefix names each tier's files.
 var tierPrefix = [numTiers]string{"segment", "rollup1", "rollup2"}
 
+// TierNames names each tier in metric labels and on the gateway's retention
+// report.
+var TierNames = [numTiers]string{"raw", "10s", "1m"}
+
 // fileName returns the data file name for r.
 func (r segRef) fileName() string { return fmt.Sprintf("%s-%08d.blk", tierPrefix[r.tier], r.index) }
 
@@ -527,23 +531,11 @@ func (l *Log) Instrument(r *obs.Registry, name string) {
 	l.obsCompressed = r.Counter(obs.Name("archive_compressed_bytes_total", "log", name))
 	l.obsDroppedFiles = r.Counter(obs.Name("archive_retention_dropped_files_total", "log", name))
 	for t := 0; t < numTiers; t++ {
-		l.obsTierBytes[t] = r.Gauge(obs.Name("archive_rollup_tier_bytes", "log", name, "tier", tierLabel(t)))
+		l.obsTierBytes[t] = r.Gauge(obs.Name("archive_rollup_tier_bytes", "log", name, "tier", TierNames[t]))
 	}
 	l.obsRebuilds.Add(l.idxRebuilds)
 	l.updateTierGaugesLocked()
 	l.mu.Unlock()
-}
-
-// tierLabel names a tier for metric labels and CLI output.
-func tierLabel(t int) string {
-	switch t {
-	case TierRaw:
-		return "raw"
-	case Tier10s:
-		return "10s"
-	default:
-		return "1m"
-	}
 }
 
 // updateTierGaugesLocked sets the per-tier byte gauges from the indexes, each

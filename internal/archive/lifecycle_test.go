@@ -184,9 +184,9 @@ func TestTierGaugesMatchDirectory(t *testing.T) {
 			t.Fatal(err)
 		}
 		for tier := 0; tier < numTiers; tier++ {
-			g := reg.Gauge(obs.Name("archive_rollup_tier_bytes", "log", "t", "tier", tierLabel(tier))).Value()
+			g := reg.Gauge(obs.Name("archive_rollup_tier_bytes", "log", "t", "tier", TierNames[tier])).Value()
 			if int64(g) != tiers[tier].Bytes {
-				t.Fatalf("%s: tier %s gauge reads %v bytes, directory holds %d", step, tierLabel(tier), g, tiers[tier].Bytes)
+				t.Fatalf("%s: tier %s gauge reads %v bytes, directory holds %d", step, TierNames[tier], g, tiers[tier].Bytes)
 			}
 		}
 	}

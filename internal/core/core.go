@@ -343,8 +343,8 @@ func (s *Service) RegisterMetric(hook score.Hook, opts ...MetricOption) (*score.
 	if reg.Delphi != nil && s.cfg.DelphiRetrain > 0 {
 		det = delphi.NewDetector()
 		reg.Drift = det
-		if tr := s.fleet.trainer; tr != nil {
-			reg.OnDrift = func(telemetry.MetricID) { tr.Enqueue(cls.name) }
+		if s.fleet.retrains() {
+			reg.OnDrift = func(telemetry.MetricID) { s.fleet.enqueue(cls) }
 		}
 	}
 	if s.cfg.ArchiveDir != "" {

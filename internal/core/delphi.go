@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"slices"
 	"sort"
 	"strings"
@@ -10,6 +12,7 @@ import (
 	"repro/internal/delphi/registry"
 	"repro/internal/obs"
 	"repro/internal/score"
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -29,23 +32,71 @@ func DeviceClass(id telemetry.MetricID) string {
 // defaultClass is the one class of a service without a model registry.
 const defaultClass = "default"
 
+// retrainSeed makes every retrain's combiner fit deterministic.
+const retrainSeed = 1
+
+// RetrainKind classifies a retrain outcome. The drift transcript prints it as
+// a number, so the values are fixed.
+type RetrainKind int
+
+const (
+	// RetrainRejected: the candidate did not beat the serving model, or the
+	// class had too little history to train one.
+	RetrainRejected RetrainKind = iota
+	// RetrainPromoted: the candidate beat the serving model on the holdout,
+	// was saved and promoted in the registry, and now serves the class.
+	RetrainPromoted
+	// RetrainError: retraining failed outright (registry I/O, invalid base,
+	// unknown class, or retraining is off).
+	RetrainError
+)
+
+// RetrainEvent is one retrain outcome, as Service.Retrain returns it.
+type RetrainEvent struct {
+	Class   string
+	Kind    RetrainKind
+	Version int // promoted version, 0 unless RetrainPromoted
+	Report  delphi.RetrainReport
+	Err     error // set for RetrainError
+}
+
 // delphiFleet is the Delphi serving layer, built whenever the service has a
 // model or a registry: metrics shard into device classes, each with its own
 // model and drift/retrain loop. With Config.DelphiRegistry set a class serves
 // the registry's active version (falling back to Config.Delphi for classes
 // with no lineage yet); without one the fleet is a single class "default"
-// serving Config.Delphi, and there is no trainer.
+// serving Config.Delphi, and nothing is retrained.
+//
+// With a registry and Config.DelphiRetrain > 0 the fleet also retrains: a
+// drift trip queues the member's class, and every DelphiRetrain on the
+// service clock the queued classes retrain one at a time, off the hot path.
+// A class whose candidate is not promoted goes back on the queue, so it is
+// retried next cycle with more post-drift data.
 type delphiFleet struct {
 	cfg Config
 	obs *obs.Registry
 
-	reg     *registry.Registry // nil without Config.DelphiRegistry
-	trainer *registry.Trainer  // nil unless reg is set and DelphiRetrain > 0
+	reg *registry.Registry // nil without Config.DelphiRegistry
 
 	mu sync.Mutex
 	// classes is sorted by name. Adding a class replaces the slice, so
 	// predictAll iterates its snapshot without holding mu.
 	classes []*deviceClass
+	// queue is the FIFO of classes awaiting retraining, each at most once
+	// (deviceClass.queued, also guarded by mu).
+	queue []*deviceClass
+
+	startOnce sync.Once
+	stopLoop  func() // ends the retrain cadence; nil: never started
+	// fitMu runs one fit at a time, so the registry's active version and the
+	// class's model move together. It is taken before any class lock.
+	fitMu sync.Mutex
+
+	retrainRuns       *obs.Counter
+	retrainPromotions *obs.Counter
+	retrainRejected   *obs.Counter
+	retrainErrors     *obs.Counter
+	retrainSeconds    *obs.Histogram
 }
 
 // deviceClass is one model shard and the one owner of its members. Its
@@ -53,8 +104,8 @@ type delphiFleet struct {
 // predictAll, so a sweep never reads a half-applied promotion. Lock order is
 // class, then member Online.
 type deviceClass struct {
-	name  string
-	fleet *delphiFleet
+	name   string
+	queued bool // on the fleet's retrain queue; guarded by delphiFleet.mu
 
 	mu        sync.Mutex
 	model     *delphi.Model
@@ -76,20 +127,18 @@ func newDelphiFleet(cfg Config, o *obs.Registry) (*delphiFleet, error) {
 	if f.reg, err = registry.Open(cfg.DelphiRegistry); err != nil {
 		return nil, err
 	}
-	if cfg.DelphiRetrain > 0 {
-		f.trainer, err = registry.NewTrainer(registry.Config{
-			Clock:    cfg.Clock,
-			Interval: cfg.DelphiRetrain,
-			Registry: f.reg,
-			Seed:     1,
-			Obs:      o,
-		})
-		if err != nil {
-			return nil, err
-		}
+	if f.retrains() {
+		f.retrainRuns = o.Counter("delphi_retrain_runs_total")
+		f.retrainPromotions = o.Counter("delphi_retrain_promotions_total")
+		f.retrainRejected = o.Counter("delphi_retrain_rejected_total")
+		f.retrainErrors = o.Counter("delphi_retrain_errors_total")
+		f.retrainSeconds = o.Histogram("delphi_retrain_seconds")
 	}
 	return f, nil
 }
+
+// retrains reports whether the fleet retrains drifted classes.
+func (f *delphiFleet) retrains() bool { return f.reg != nil && f.cfg.DelphiRetrain > 0 }
 
 // className maps a metric to its shard: its DeviceClass under a registry,
 // the single default class without one (so metric names that do not follow
@@ -110,6 +159,13 @@ func (f *delphiFleet) lookup(name string) *deviceClass {
 	return nil
 }
 
+// class finds a class by name, or returns nil.
+func (f *delphiFleet) class(name string) *deviceClass {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.lookup(name)
+}
+
 // classFor returns (creating on first use) the named shard. A freshly
 // created class serves the registry's active version if one exists,
 // otherwise the service-wide base model.
@@ -119,7 +175,7 @@ func (f *delphiFleet) classFor(name string) *deviceClass {
 	if c := f.lookup(name); c != nil {
 		return c
 	}
-	c := &deviceClass{name: name, fleet: f, model: f.cfg.Delphi}
+	c := &deviceClass{name: name, model: f.cfg.Delphi}
 	if f.reg != nil {
 		if m, v, err := f.reg.Active(name); err == nil {
 			c.model, c.version = m, v
@@ -128,16 +184,6 @@ func (f *delphiFleet) classFor(name string) *deviceClass {
 	}
 	f.classes = append(f.classes[:len(f.classes):len(f.classes)], c)
 	sort.Slice(f.classes, func(i, j int) bool { return f.classes[i].name < f.classes[j].name })
-	if f.trainer != nil {
-		// Ignoring the error: the class name came from DeviceClass, which
-		// yields registry-legal names for cluster-convention metric IDs.
-		_ = f.trainer.RegisterClass(registry.ClassSpec{
-			Name:   name,
-			Source: c.measuredSegments,
-			Base:   c.currentModel,
-			Apply:  c.promote,
-		})
-	}
 	return c
 }
 
@@ -164,9 +210,9 @@ func (c *deviceClass) attach(id telemetry.MetricID, o *delphi.Online, det *delph
 }
 
 // measuredSegments snapshots every member vertex's measured history — the
-// retrainer's dataset source. Runs on the trainer's goroutine; the zero-copy
-// scan iterates the live ring without copying tuples, only the float values
-// land in the segment buffers.
+// retrain dataset. It runs off the hot path; the zero-copy scan iterates the
+// live ring without copying tuples, only the float values land in the
+// segment buffers.
 func (c *deviceClass) measuredSegments() [][]float64 {
 	c.mu.Lock()
 	vertices := append([]*score.FactVertex(nil), c.vertices...)
@@ -231,27 +277,114 @@ func (f *delphiFleet) predictAll() []BatchResult {
 	return out
 }
 
+// start arms the retrain cadence, once. A stopped fleet does not start.
 func (f *delphiFleet) start() {
-	if f.trainer != nil {
-		f.trainer.Start()
-	}
+	f.startOnce.Do(func() {
+		if f.retrains() {
+			f.stopLoop = sim.Every(f.cfg.Clock, f.cfg.DelphiRetrain, f.drain)
+		}
+	})
 }
 
+// stop ends the retrain cadence and waits for a retrain in flight.
 func (f *delphiFleet) stop() {
-	if f.trainer != nil {
-		f.trainer.Stop()
+	f.startOnce.Do(func() {}) // a later start arms nothing
+	if f.stopLoop != nil {
+		f.stopLoop()
 	}
 }
 
-// DelphiTrainer exposes the background retrainer, or nil unless both
-// Config.DelphiRegistry and Config.DelphiRetrain are set. Deterministic
-// scenarios drive it synchronously via RunOnce instead of waiting out the
-// cadence.
-func (s *Service) DelphiTrainer() *registry.Trainer {
-	if s.fleet == nil {
-		return nil
+// enqueue queues c for the next retrain cycle unless it is queued already: a
+// class whose members trip every poll holds one place, not one per poll.
+func (f *delphiFleet) enqueue(c *deviceClass) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if !c.queued {
+		c.queued = true
+		f.queue = append(f.queue, c)
 	}
-	return s.fleet.trainer
+}
+
+// drain retrains every queued class, in queue order.
+func (f *delphiFleet) drain() {
+	f.mu.Lock()
+	batch := f.queue
+	f.queue = nil
+	for _, c := range batch {
+		c.queued = false
+	}
+	f.mu.Unlock()
+	for _, c := range batch {
+		f.retrain(c)
+	}
+}
+
+// retrain retrains c, counts the outcome, and queues c again unless it was
+// promoted.
+func (f *delphiFleet) retrain(c *deviceClass) RetrainEvent {
+	start := f.cfg.Clock.Now()
+	f.retrainRuns.Inc()
+	f.fitMu.Lock()
+	ev := f.fit(c)
+	f.fitMu.Unlock()
+	f.retrainSeconds.ObserveDuration(f.cfg.Clock.Now().Sub(start))
+	switch ev.Kind {
+	case RetrainPromoted:
+		f.retrainPromotions.Inc()
+		f.obs.Gauge(obs.Name("delphi_model_version", "class", c.name)).Set(float64(ev.Version))
+	case RetrainRejected:
+		f.retrainRejected.Inc()
+		f.enqueue(c)
+	default:
+		f.retrainErrors.Inc()
+		f.enqueue(c)
+	}
+	return ev
+}
+
+// fit trains a candidate on c's measured history and, only if it beats the
+// serving model on a holdout it never trained on, saves and promotes it in
+// the registry and then installs it in c.
+func (f *delphiFleet) fit(c *deviceClass) RetrainEvent {
+	ev := RetrainEvent{Class: c.name}
+	cand, rep, err := delphi.RetrainCombiner(c.currentModel(), c.measuredSegments(), retrainSeed)
+	ev.Report = rep
+	switch {
+	case errors.Is(err, delphi.ErrInsufficientData), err == nil && !rep.Improved:
+		ev.Kind = RetrainRejected
+		return ev
+	case err != nil:
+		ev.Kind, ev.Err = RetrainError, err
+		return ev
+	}
+	v, err := f.reg.Save(c.name, cand)
+	if err == nil {
+		err = f.reg.Promote(c.name, v)
+	}
+	if err != nil {
+		ev.Kind, ev.Err = RetrainError, err
+		return ev
+	}
+	c.promote(cand, v)
+	ev.Kind, ev.Version = RetrainPromoted, v
+	return ev
+}
+
+// Retrain retrains one device class now and returns the outcome: the path
+// the Config.DelphiRetrain cadence takes, for callers that retrain at exact
+// instants, such as deterministic scenarios on virtual time. A class that is
+// not promoted goes back on the retrain queue. Retraining needs both
+// Config.DelphiRegistry and Config.DelphiRetrain; without them, or for an
+// unknown class, the outcome is RetrainError.
+func (s *Service) Retrain(class string) RetrainEvent {
+	if s.fleet == nil || !s.fleet.retrains() {
+		return RetrainEvent{Class: class, Kind: RetrainError, Err: errors.New("core: retraining needs DelphiRegistry and DelphiRetrain")}
+	}
+	c := s.fleet.class(class)
+	if c == nil {
+		return RetrainEvent{Class: class, Kind: RetrainError, Err: fmt.Errorf("core: unknown device class %q", class)}
+	}
+	return s.fleet.retrain(c)
 }
 
 // ModelVersion reports the active model version serving a device class
@@ -260,9 +393,7 @@ func (s *Service) ModelVersion(class string) int {
 	if s.fleet == nil {
 		return 0
 	}
-	s.fleet.mu.Lock()
-	c := s.fleet.lookup(class)
-	s.fleet.mu.Unlock()
+	c := s.fleet.class(class)
 	if c == nil {
 		return 0
 	}

@@ -96,9 +96,6 @@ func (b serviceBackend) Tail(ctx context.Context, metric string) uint64 {
 
 func (b serviceBackend) Degraded() bool { return b.s.Degraded() }
 
-// tierLabels names the archive tiers on the public contract.
-var tierLabels = [...]string{"raw", "10s", "1m"}
-
 // Retention reports per-metric archive tier stats from the service's
 // archive directory (one subdirectory per metric).
 func (b serviceBackend) Retention() ([]apiv1.RetentionMetric, error) {
@@ -125,7 +122,7 @@ func (b serviceBackend) Retention() ([]apiv1.RetentionMetric, error) {
 				continue
 			}
 			m.Tiers = append(m.Tiers, apiv1.RetentionTier{
-				Tier:             tierLabels[t],
+				Tier:             archive.TierNames[t],
 				Files:            ts.Files,
 				Bytes:            ts.Bytes,
 				Records:          int64(ts.Records),

@@ -149,8 +149,8 @@ func TestServicePredictAllMatchesVertices(t *testing.T) {
 			t.Fatalf("result %d = %+v, want {%s %v %v}", i, r, ids[i], want, ok)
 		}
 	}
-	if s.ModelVersion(defaultClass) != 0 || s.fleet.reg != nil || s.DelphiTrainer() != nil {
-		t.Fatal("registry-less service must have no registry, trainer or model version")
+	if s.ModelVersion(defaultClass) != 0 || s.fleet.reg != nil || s.fleet.retrains() {
+		t.Fatal("registry-less service must have no registry, retraining or model version")
 	}
 	for name := range s.Metrics().Gauges {
 		if strings.HasPrefix(name, "delphi_model_version") {

@@ -1,11 +1,11 @@
 // Package registry is Delphi's versioned model store: per-device-class
 // namespaces of immutable, CRC-framed model files with an atomically updated
-// active-version pointer, plus the background trainer that feeds it. It is
-// the piece that lets thousands of devices stop sharing one combiner —
-// every class carries its own weight lineage, promoted and rolled back
-// independently, and the PR 9 fused inference engine is recompiled lazily on
-// promotion so the steady-state predict path never sees a half-written
-// model.
+// active-version pointer. It is the piece that lets thousands of devices stop
+// sharing one combiner — every class carries its own weight lineage,
+// promoted and rolled back independently, and the fused inference engine is
+// recompiled lazily on promotion so the steady-state predict path never sees
+// a half-written model. Retraining lives with the classes it serves, in
+// core's Delphi fleet.
 package registry
 
 import (

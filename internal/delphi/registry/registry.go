@@ -36,9 +36,10 @@ var (
 )
 
 // Registry is a versioned, per-device-class model store rooted at one
-// directory. All methods are safe for concurrent use; the mutex only guards
-// the version-allocation read-modify-write — everything durable goes through
-// atomic renames.
+// directory. All methods are safe for concurrent use; the mutex guards the
+// version-allocation read-modify-write and the ACTIVE temp file, which
+// promotes of one class share — everything durable goes through atomic
+// renames.
 type Registry struct {
 	dir string
 	mu  sync.Mutex
@@ -199,6 +200,8 @@ func (r *Registry) Promote(class string, version int) error {
 	if _, err := r.Load(class, version); err != nil {
 		return err
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	return writeAtomic(filepath.Join(r.classDir(class), "ACTIVE"),
 		[]byte(strconv.Itoa(version)+"\n"))
 }

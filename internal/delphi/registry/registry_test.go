@@ -222,3 +222,34 @@ func appendFrame(dst, payload []byte) []byte {
 	c := crc32.ChecksumIEEE(payload)
 	return append(dst, byte(c), byte(c>>8), byte(c>>16), byte(c>>24))
 }
+
+// TestConcurrentPromote promotes two versions of one class from many
+// goroutines at once: every promote succeeds and ACTIVE names one of them.
+func TestConcurrentPromote(t *testing.T) {
+	r, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := r.Save("nvme0", quickModel(t)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				if err := r.Promote("nvme0", 1+(g+i)%2); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if v, err := r.ActiveVersion("nvme0"); err != nil || (v != 1 && v != 2) {
+		t.Fatalf("active after concurrent promotes: v%d, %v", v, err)
+	}
+}

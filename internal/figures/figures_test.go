@@ -247,11 +247,10 @@ var figureChecks = map[string]func(t *testing.T, tb *Table){
 			t.Errorf("from complexity 1 to 8 apollo adds %.3g µs, ldms %.3g µs", apAdds, ldAdds)
 		}
 	},
-	// "Apollo costs only ~7% more CPU than LDMS." Both shares charge the
-	// hook its nominal cost and time the rest of each poll on the wall
-	// clock, so a poll preempted inside the hook's spin (a scheduler quantum
-	// on a 100 µs hook) stretches neither. A preemption in the rest still
-	// can, beside a parallel test run; hence the bound, -20% to +50%.
+	// "Apollo costs only ~7% more CPU than LDMS." Each side's monitor
+	// thread is charged its own CPU time, so a poll another process
+	// preempts is not charged for the wait. The bound, -20% to +50%, is
+	// what it was when the shares were wall time.
 	"12c": func(t *testing.T, tb *Table) {
 		ap, ld := num(t, tb, "monitor_cpu_%", "apollo"), num(t, tb, "monitor_cpu_%", "ldms")
 		if ap > 1.5*ld || ap < 0.8*ld {

@@ -113,7 +113,6 @@ type Sampler struct {
 	cancel chan struct{}
 	done   chan struct{}
 	polls  int
-	stored time.Duration
 }
 
 // Service is a fleet of samplers over one store — the LDMS deployment of the
@@ -178,19 +177,6 @@ func (s *Service) Polls() int {
 	return total
 }
 
-// StoreTime sums the wall time the samplers spent inserting samples.
-func (s *Service) StoreTime() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var total time.Duration
-	for _, sm := range s.samplers {
-		sm.mu.Lock()
-		total += sm.stored
-		sm.mu.Unlock()
-	}
-	return total
-}
-
 func (sm *Sampler) start() {
 	sm.mu.Lock()
 	defer sm.mu.Unlock()
@@ -226,19 +212,15 @@ func (sm *Sampler) run(cancel chan struct{}, done chan struct{}) {
 	}
 }
 
-// PollOnce samples the hook once (exposed for deterministic tests). The
-// insert is timed on the wall clock, as a Fact vertex times its anatomy.
+// PollOnce samples the hook once, for deterministic tests and for callers
+// that pace the polls themselves.
 func (sm *Sampler) PollOnce() {
 	v, err := sm.Hook.Poll()
-	var stored time.Duration
 	if err == nil {
-		t0 := time.Now()
 		sm.store.Insert(string(sm.Hook.Metric()), sm.Clock.Now().UnixNano(), v)
-		stored = time.Since(t0)
 	}
 	sm.mu.Lock()
 	sm.polls++
-	sm.stored += stored
 	sm.mu.Unlock()
 }
 
@@ -256,9 +238,6 @@ type Executor struct {
 	Store *Store
 	Table string
 }
-
-// Metric implements score.Executor.
-func (e Executor) Metric() telemetry.MetricID { return telemetry.MetricID(e.Table) }
 
 // Latest implements score.Executor via full scan.
 func (e Executor) Latest() (telemetry.Info, bool) {

@@ -13,7 +13,6 @@ import (
 // [from, to] in order — archive first, then in-memory history, for a vertex —
 // without materializing a slice; fn returns false to stop the scan early.
 type Executor interface {
-	Metric() telemetry.MetricID
 	Latest() (telemetry.Info, bool)
 	ScanRange(from, to int64, fn func(telemetry.Info) bool)
 }

@@ -241,13 +241,13 @@ func TestFactVertexDelphiFillsGaps(t *testing.T) {
 // seen on the bus is in the history too once it returns.
 func TestVertexStartStop(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		new  func(t *testing.T, bus stream.Bus) Vertex
+		name, metric string
+		new          func(t *testing.T, bus stream.Bus) Vertex
 	}{
-		{"fact", func(t *testing.T, bus stream.Bus) Vertex {
+		{"fact", "m", func(t *testing.T, bus stream.Bus) Vertex {
 			return newFact(t, bus, counterHook("m"), nil)
 		}},
-		{"insight", func(t *testing.T, bus stream.Bus) Vertex {
+		{"insight", "sum", func(t *testing.T, bus stream.Bus) Vertex {
 			publish(t, bus, telemetry.NewFact("m", 1, 10))
 			v, err := NewInsightVertex(InsightConfig{
 				Metric: "sum", Inputs: []telemetry.MetricID{"m"},
@@ -269,7 +269,7 @@ func TestVertexStartStop(t *testing.T) {
 			if err := v.Start(); err == nil {
 				t.Fatal("double start accepted")
 			}
-			awaitTuple(t, bus, string(v.Metric()), anyTuple)
+			awaitTuple(t, bus, tc.metric, anyTuple)
 			v.Stop()
 			v.Stop()
 			if _, ok := v.Latest(); !ok {
@@ -465,10 +465,10 @@ func TestGraphRegistration(t *testing.T) {
 	if err := g.RegisterInsight(i1); err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := g.Lookup("i1"); !ok || v.Metric() != "i1" {
+	if v, ok := g.Lookup("i1"); !ok || v != Vertex(i1) {
 		t.Fatal("lookup failed")
 	}
-	if v, ok := g.Lookup("f1"); !ok || v.Metric() != "f1" {
+	if v, ok := g.Lookup("f1"); !ok || v != Vertex(f) {
 		t.Fatal("fact lookup failed")
 	}
 	if !g.Unregister("i1") || g.Unregister("i1") {

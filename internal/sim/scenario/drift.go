@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/delphi/registry"
+	"repro/internal/obs"
 	"repro/internal/score"
 	"repro/internal/sim"
 )
@@ -19,7 +19,7 @@ const DriftMetric = "sim.nvme0.cap"
 const DriftClass = "cap"
 
 // The drift scenario's shape: how many polls the pre-shift regime lasts, how
-// many the shifted regime lasts before the trainer runs (it must leave >= 64
+// many the shifted regime lasts before the retrain runs (it must leave >= 64
 // measured samples for retraining), how many follow the promotion, and the
 // virtual-clock step per poll.
 const (
@@ -33,9 +33,9 @@ const (
 type DriftReport struct {
 	Result
 
-	TripPoll        int            // poll index where drift tripped (-1: never)
-	Event           registry.Event // the retrain outcome
-	PromotedVersion int            // class version after the retrain pass
+	TripPoll        int               // poll index where drift tripped (-1: never)
+	Event           core.RetrainEvent // the retrain outcome
+	PromotedVersion int               // class version after the retrain pass
 
 	PreShiftErr  float64 // mean |pred-measured| before the shift
 	ShiftErr     float64 // mean |pred-measured| after the shift, pre-trip
@@ -101,10 +101,7 @@ func RunDrift(seed int64) (*DriftReport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("drift: register: %w", err)
 	}
-	trainer := svc.DelphiTrainer()
-	if trainer == nil {
-		return nil, fmt.Errorf("drift: trainer not created")
-	}
+	trips := svc.Obs().Counter(obs.Name("delphi_drift_trips_total", "metric", DriftMetric))
 
 	rep := &DriftReport{TripPoll: -1}
 	tr := &transcript{}
@@ -138,7 +135,7 @@ func RunDrift(seed int64) (*DriftReport, error) {
 			rep.Suppressed++
 			tr.logf(elapsed, "%s i=%d value=%.4f pred=suppressed", phase, i, measured)
 		}
-		if rep.TripPoll < 0 && trainer.Pending() > 0 {
+		if rep.TripPoll < 0 && trips.Value() > 0 {
 			rep.TripPoll = i
 			tr.logf(elapsed, "drift trip poll=%d class=%s", i, DriftClass)
 		}
@@ -161,15 +158,15 @@ func RunDrift(seed int64) (*DriftReport, error) {
 		tr.failf("forecast still published after the trip: fallback not engaged")
 	}
 
-	// Synchronous retrain pass: deterministic scenarios drive the trainer
-	// directly instead of waiting out the background cadence.
-	rep.Event = trainer.RunOnce(DriftClass)
+	// Synchronous retrain pass: deterministic scenarios retrain directly
+	// instead of waiting out the background cadence.
+	rep.Event = svc.Retrain(DriftClass)
 	rep.PromotedVersion = svc.ModelVersion(DriftClass)
 	tr.line("retrain class=%s kind=%d version=%d base=%.6f cand=%.6f improved=%t err=%v",
 		rep.Event.Class, rep.Event.Kind, rep.PromotedVersion,
 		rep.Event.Report.BaseRMSE, rep.Event.Report.CandidateRMSE,
 		rep.Event.Report.Improved, rep.Event.Err)
-	if rep.Event.Kind != registry.EventPromoted {
+	if rep.Event.Kind != core.RetrainPromoted {
 		tr.failf("retrain outcome kind=%d err=%v, want promotion", rep.Event.Kind, rep.Event.Err)
 	}
 	if rep.PromotedVersion != 1 {

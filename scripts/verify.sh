@@ -67,6 +67,12 @@ go test -race ./internal/stream/... ./internal/queue/... ./internal/obs/... ./in
 echo "==> go test -race -count=20 -run 'TestTopicCreatedOnce|TestCursorNeverMissesAWake' ./internal/stream/"
 go test -race -count=20 -run 'TestTopicCreatedOnce|TestCursorNeverMissesAWake' ./internal/stream/
 
+# Delphi retraining ten times over: the DelphiRetrain cadence, Service.Retrain,
+# drift trips queueing their class, and promotion race each other on the
+# fleet's queue lock and the class locks.
+echo "==> go test -race -count=10 -run 'Retrain|Fleet|Class' ./internal/core/"
+go test -race -count=10 -run 'Retrain|Fleet|Class' ./internal/core/
+
 # The vertex package three times over: its goroutine-leak checks count
 # goroutines, and a count is only trustworthy if it holds when the package's
 # tests run back to back.
