@@ -302,15 +302,22 @@ func TestServiceRetrainCadenceDrainsQueue(t *testing.T) {
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
-	// The cadence's timer may be armed after an advance; keep advancing.
-	// The counter moves after the class is promoted, so wait on it.
-	deadline := time.Now().Add(30 * time.Second)
-	for s.Metrics().Counter("delphi_retrain_promotions_total") == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("the cadence never promoted: queue %v, counters %v", queued(s), s.Metrics().Counters)
+	// The cadence and each member's poll loop re-arm their timer only once
+	// a pass has ended, so every timer armed again means every pass is over.
+	settle := func() {
+		select {
+		case <-clk.BlockUntil(1 + len(ids)):
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%d timers armed, want the cadence's and one per member", clk.PendingWaiters())
+		}
+	}
+	settle()
+	for pass := 1; s.Metrics().Counter("delphi_retrain_promotions_total") == 0; pass++ {
+		if pass > 5 {
+			t.Fatalf("the cadence never promoted in 5 passes: queue %v, counters %v", queued(s), s.Metrics().Counters)
 		}
 		clk.Advance(time.Minute)
-		time.Sleep(time.Millisecond)
+		settle()
 	}
 	if v := s.ModelVersion("cap"); v != 1 {
 		t.Fatalf("class version %d after the cadence promoted, want 1", v)

@@ -21,21 +21,14 @@ import (
 // capacity metric plus one Insight Vertex deriving from it, measuring the
 // percentage of time each vertex spends in its internal components. The
 // paper finds the Fact Vertex dominated by the monitor hook (97.5%) with
-// publish at 1.8% — i.e. SCoRe's queue is not the bottleneck. The polls run
-// as five repetitions on fresh vertices, and the table reports the one whose
-// fact vertex spent the least time in total: another process's interference
-// only adds time, and it lands on whichever stage it interrupts.
+// publish at 1.8% — i.e. SCoRe's queue is not the bottleneck. The shares are
+// of each stage's median time per poll: another process's interference lands
+// on whichever stage it interrupts, in a few polls, and moves no median.
 func Fig4(opts Options) (*Table, error) {
-	const reps = 5
-	var fact, insight score.StatsSnapshot
-	for r := 0; r < reps; r++ {
-		fs, is, err := anatomy(opts.pick(200, 2000) / reps)
-		if err != nil {
-			return nil, err
-		}
-		if r == 0 || fs.Total() < fact.Total() {
-			fact, insight = fs, is
-		}
+	polls := opts.pick(200, 2000)
+	fact, insight, err := anatomy(polls)
+	if err != nil {
+		return nil, err
 	}
 
 	t := &Table{
@@ -50,12 +43,13 @@ func Fig4(opts Options) (*Table, error) {
 	t.Notes = append(t.Notes,
 		"paper: fact vertex 97.5% monitor hook, 1.8% publish; insight 'other' includes insight computation",
 		"hook cost modeled at 200us per low-level counter read",
-		fmt.Sprintf("the least fact-vertex total of %d repetitions", reps))
+		fmt.Sprintf("shares of each stage's median time over %d polls", polls))
 	return t, nil
 }
 
 // anatomy polls a fresh Fact Vertex iters times, feeding each published fact
-// to a fresh Insight Vertex, and returns both vertices' stage clocks.
+// to a fresh Insight Vertex, and returns each vertex's median time per stage:
+// per fact poll, and per fact the insight vertex consumes.
 func anatomy(iters int) (fact, insight score.StatsSnapshot, err error) {
 	c := cluster.BuildAres(time.Unix(0, 0), 1, 0)
 	dev := c.Node("comp00").Device("nvme0")
@@ -88,9 +82,11 @@ func anatomy(iters int) (fact, insight score.StatsSnapshot, err error) {
 		return fact, insight, err
 	}
 
+	var fs, is stageTimes
 	var lastID uint64
 	for i := 0; i < iters; i++ {
 		fv.PollOnce()
+		fs.observe(fv.Stats())
 		// Feed the freshly published fact to the insight vertex
 		// synchronously so both anatomies cover the same traffic.
 		entries, err := bus.Range(context.Background(), string(hook.Metric()), lastID+1, 1<<62, 0)
@@ -99,11 +95,32 @@ func anatomy(iters int) (fact, insight score.StatsSnapshot, err error) {
 		}
 		for _, e := range entries {
 			iv.ConsumeOnce(e)
+			is.observe(iv.Stats())
 			lastID = e.ID
 		}
 		dev.Write(0, 4096)
 	}
-	return fv.Stats(), iv.Stats(), nil
+	return fs.medians(), is.medians(), nil
+}
+
+// stageTimes collects a vertex's time per stage between consecutive Stats
+// snapshots.
+type stageTimes struct {
+	last                        score.StatsSnapshot
+	hook, build, publish, other []time.Duration
+}
+
+func (s *stageTimes) observe(now score.StatsSnapshot) {
+	s.hook = append(s.hook, now.Hook-s.last.Hook)
+	s.build = append(s.build, now.Build-s.last.Build)
+	s.publish = append(s.publish, now.Publish-s.last.Publish)
+	s.other = append(s.other, now.Other-s.last.Other)
+	s.last = now
+}
+
+// medians returns each stage's median.
+func (s *stageTimes) medians() score.StatsSnapshot {
+	return score.StatsSnapshot{Hook: median(s.hook), Build: median(s.build), Publish: median(s.publish), Other: median(s.other)}
 }
 
 // paced runs work n times, once per period, on one locked OS thread, and

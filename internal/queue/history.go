@@ -27,20 +27,22 @@ const (
 // The ring is stored as columns: a slot is its timestamp, its value and a
 // 2-byte tag naming its metric, kind and source — 18 B with no pointer, so
 // the GC never scans a ring's contents. Readers get each slot back as a
-// telemetry.Info.
+// telemetry.Info. The columns grow as the window first fills, so a ring that
+// has not wrapped costs about the slots it holds, not its capacity.
 //
 // Writers must append tuples in non-decreasing timestamp order (Facts are
 // ordered by timestamp, making them linearizable — §3.1 of the paper).
 type History struct {
-	mu    sync.RWMutex
-	ts    []int64
-	val   []float64
-	tag   []uint16
-	names []telemetry.MetricID          // every metric the ring has stored, in first-seen order
-	index map[telemetry.MetricID]uint16 // names by metric
-	last  uint16                        // names index of the newest append
-	head  int                           // index of oldest entry
-	count int
+	mu       sync.RWMutex
+	ts       []int64
+	val      []float64
+	tag      []uint16
+	capacity int                           // the window's bound, which the columns grow to
+	names    []telemetry.MetricID          // every metric the ring has stored, in first-seen order
+	index    map[telemetry.MetricID]uint16 // names by metric
+	last     uint16                        // names index of the newest append
+	head     int                           // index of oldest entry
+	count    int
 
 	onEvict func(telemetry.Info)
 	evicted uint64 // entries displaced so far: the eviction epoch
@@ -63,11 +65,9 @@ func NewHistory(capacity int, onEvict func(telemetry.Info)) *History {
 		capacity = 1
 	}
 	return &History{
-		ts:      make([]int64, capacity),
-		val:     make([]float64, capacity),
-		tag:     make([]uint16, capacity),
-		index:   make(map[telemetry.MetricID]uint16),
-		onEvict: onEvict,
+		capacity: capacity,
+		index:    make(map[telemetry.MetricID]uint16),
+		onEvict:  onEvict,
 	}
 }
 
@@ -122,7 +122,7 @@ func (h *History) appendLocked(info telemetry.Info) bool {
 		h.obsDropped.Inc()
 		return false
 	}
-	if h.count == len(h.ts) {
+	if h.count == h.capacity {
 		if h.onEvict != nil {
 			// Deliver under the lock so evictions stay timestamp-ordered.
 			h.onEvict(h.infoAt(h.head))
@@ -131,6 +131,12 @@ func (h *History) appendLocked(info telemetry.Info) bool {
 		h.count--
 		h.evicted++
 		h.obsEvicted.Inc()
+	} else if h.count == len(h.ts) {
+		// Still filling: head is 0 and nothing was evicted, so the
+		// columns copy over in order. make, not append, which would round
+		// the last growth up past the capacity.
+		n := min(max(2*h.count, 256), h.capacity)
+		h.ts, h.val, h.tag = grown(h.ts, n), grown(h.val, n), grown(h.tag, n)
 	}
 	s := h.slot(h.count)
 	h.ts[s], h.val[s], h.tag[s] = info.Timestamp, info.Value, tag
@@ -160,9 +166,16 @@ func (h *History) tagLocked(info telemetry.Info) (uint16, bool) {
 	return i | uint16(info.Kind)<<kindShift | uint16(info.Source)<<sourceShift, true
 }
 
+// grown returns s copied into a new slice of exactly n elements.
+func grown[T any](s []T, n int) []T {
+	g := make([]T, n)
+	copy(g, s)
+	return g
+}
+
 // slot returns the buffer index of the i-th oldest entry.
 func (h *History) slot(i int) int {
-	return (h.head + i) % len(h.ts)
+	return (h.head + i) % h.capacity
 }
 
 // infoAt rebuilds the tuple in buffer slot s. Caller holds h.mu.

@@ -1,8 +1,10 @@
 package queue
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -138,6 +140,81 @@ func TestScanDuringEvictionRace(t *testing.T) {
 	readers.Wait()
 	close(done)
 	appender.Wait()
+}
+
+// TestHistoryGrowthRace runs RangeFunc, Bounds, Latest and Floor readers
+// while one appender grows a 4 096-slot ring through every doubling of its
+// columns and then wraps it, so the race detector sees any read of a column
+// a growth replaced. The appender stores timestamps 0, 1, 2, ... with equal
+// values, so every read can be checked whole: a scan is gap-free and spans
+// Bounds, Latest's value is its timestamp, and Floor's oldest timestamp is
+// its eviction epoch.
+func TestHistoryGrowthRace(t *testing.T) {
+	const size = 4096
+	h := NewHistory(size, nil)
+	done := make(chan struct{})
+	var readers sync.WaitGroup
+	read := []func() error{
+		func() error {
+			oldest, newest, ok := h.Bounds()
+			if !ok {
+				return nil
+			}
+			next := int64(-1)
+			h.RangeFunc(oldest, newest, func(in telemetry.Info) bool {
+				if next >= 0 && in.Timestamp != next {
+					return false
+				}
+				next = in.Timestamp + 1
+				return true
+			})
+			if next != newest+1 || newest-oldest >= size {
+				return fmt.Errorf("scan of [%d, %d] stopped before %d", oldest, newest, next)
+			}
+			return nil
+		},
+		func() error {
+			if in, ok := h.Latest(); ok && in.Value != float64(in.Timestamp) {
+				return fmt.Errorf("Latest = %v", in)
+			}
+			return nil
+		},
+		func() error {
+			if oldest, epoch, ok := h.Floor(); ok && oldest != int64(epoch) {
+				return fmt.Errorf("Floor = %d at epoch %d", oldest, epoch)
+			}
+			return nil
+		},
+	}
+	for _, fn := range read {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if err := fn(); err != nil {
+					t.Error(err)
+					return
+				}
+				runtime.Gosched() // and let the appender in
+			}
+		}()
+	}
+	for ts := int64(0); ts < 2*size; ts++ {
+		h.Append(telemetry.NewFact("m", ts, float64(ts)))
+		if ts%32 == 0 {
+			runtime.Gosched() // let the readers in between growths
+		}
+	}
+	close(done)
+	readers.Wait()
+	if len(h.ts) != size {
+		t.Fatalf("a wrapped ring has %d slots, want %d", len(h.ts), size)
+	}
 }
 
 // TestRangeFuncZeroAlloc pins the headline property: an aggregate scan via

@@ -67,6 +67,11 @@ go test -race ./internal/stream/... ./internal/queue/... ./internal/obs/... ./in
 echo "==> go test -race -count=20 -run 'TestTopicCreatedOnce|TestCursorNeverMissesAWake' ./internal/stream/"
 go test -race -count=20 -run 'TestTopicCreatedOnce|TestCursorNeverMissesAWake' ./internal/stream/
 
+# The history ring twenty times over: readers against an appender that grows
+# the ring's columns through every doubling and then wraps it.
+echo "==> go test -race -count=20 -run 'History' ./internal/queue/"
+go test -race -count=20 -run 'History' ./internal/queue/
+
 # Delphi retraining ten times over: the DelphiRetrain cadence, Service.Retrain,
 # drift trips queueing their class, and promotion race each other on the
 # fleet's queue lock and the class locks.
