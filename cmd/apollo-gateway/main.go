@@ -47,7 +47,6 @@ func main() {
 		rate     = flag.Float64("rate", 0, "per-principal sustained request budget, requests/second (0 = default, negative disables)")
 		burst    = flag.Int("burst", 0, "token-bucket capacity (0 = default)")
 		queue    = flag.Int("queue", 0, "frames a subscriber may trail the live tail by (length of each topic's shared frame ring); beyond it the client is evicted (0 = default)")
-		planC    = flag.Int("plan-cache", 0, "prepared-plan LRU capacity (0 = default, negative disables)")
 		drainT   = flag.Duration("drain-timeout", 0, "graceful-shutdown bound (0 = default)")
 		metricsA = flag.String("metrics-addr", "", "HTTP address serving /metrics (Prometheus text); empty disables")
 	)
@@ -65,7 +64,7 @@ func main() {
 	defer bus.Close()
 
 	reg := obs.NewRegistry()
-	gw := gateway.New(gateway.NewBusBackend(bus, *planC), gateway.Config{
+	gw := gateway.New(gateway.NewBusBackend(bus), gateway.Config{
 		Tokens:       tokenMap,
 		Rate:         *rate,
 		Burst:        *burst,

@@ -38,7 +38,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"time"
 
@@ -295,37 +294,36 @@ func runRetention(args []string, apply string) {
 		}
 		policy = p
 	}
-	dirs, err := archiveDirs(root)
+	logs, err := archive.ListLogs(root)
 	if err != nil {
 		log.Fatalf("apolloctl: %v", err)
 	}
-	if len(dirs) == 0 {
+	if len(logs) == 0 {
 		log.Fatalf("apolloctl: no archives under %s", root)
 	}
 	if apply != "" {
 		now := time.Now().UnixNano()
-		for _, d := range dirs {
-			l, err := archive.Open(d, archive.Options{})
+		for _, lg := range logs {
+			l, err := archive.Open(lg.Dir, archive.Options{})
 			if err != nil {
-				log.Fatalf("apolloctl: %s: %v", d, err)
+				log.Fatalf("apolloctl: %s: %v", lg.Dir, err)
 			}
 			st, err := l.Compact(now, policy)
 			l.Close()
 			if err != nil {
-				log.Fatalf("apolloctl: compacting %s: %v", d, err)
+				log.Fatalf("apolloctl: compacting %s: %v", lg.Dir, err)
 			}
 			fmt.Printf("compacted %s: %d+%d rolled up (%d bytes), %d files dropped\n",
-				filepath.Base(d), st.Rolled10s, st.Rolled1m, st.CompressedBytes, st.DroppedFiles)
+				filepath.Base(lg.Dir), st.Rolled10s, st.Rolled1m, st.CompressedBytes, st.DroppedFiles)
+		}
+		if logs, err = archive.ListLogs(root); err != nil {
+			log.Fatalf("apolloctl: %v", err)
 		}
 	}
 	fmt.Printf("%-36s %-4s %6s %12s %10s %s\n", "METRIC", "TIER", "FILES", "BYTES", "RECORDS", "SPAN")
-	for _, d := range dirs {
-		tiers, err := archive.DirStats(d)
-		if err != nil {
-			log.Fatalf("apolloctl: %s: %v", d, err)
-		}
-		name := filepath.Base(d)
-		for t, ts := range tiers {
+	for _, lg := range logs {
+		name := filepath.Base(lg.Dir)
+		for t, ts := range lg.Tiers {
 			if ts.Files == 0 {
 				continue
 			}
@@ -334,29 +332,4 @@ func runRetention(args []string, apply string) {
 			name = ""
 		}
 	}
-}
-
-// archiveDirs returns root itself when it holds segments directly, otherwise
-// every immediate subdirectory that does (apollod's per-metric layout).
-func archiveDirs(root string) ([]string, error) {
-	hasSegments := func(dir string) bool {
-		m, _ := filepath.Glob(filepath.Join(dir, "segment-*"))
-		r, _ := filepath.Glob(filepath.Join(dir, "rollup*"))
-		return len(m) > 0 || len(r) > 0
-	}
-	if hasSegments(root) {
-		return []string{root}, nil
-	}
-	entries, err := os.ReadDir(root)
-	if err != nil {
-		return nil, err
-	}
-	var dirs []string
-	for _, e := range entries {
-		if e.IsDir() && hasSegments(filepath.Join(root, e.Name())) {
-			dirs = append(dirs, filepath.Join(root, e.Name()))
-		}
-	}
-	sort.Strings(dirs)
-	return dirs, nil
 }

@@ -30,10 +30,10 @@ import (
 	"syscall"
 	"time"
 
-	"repro/apollo"
 	"repro/internal/archive"
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/delphi"
 	"repro/internal/obs"
 )
 
@@ -47,7 +47,7 @@ func bindFlags(fs *flag.FlagSet, cfg *core.Config) {
 		if path == "" {
 			return nil
 		}
-		if cfg.Delphi, err = apollo.LoadDelphi(path); err != nil {
+		if cfg.Delphi, err = delphi.Load(path); err != nil {
 			return fmt.Errorf("loading delphi model: %w", err)
 		}
 		log.Printf("delphi model loaded from %s", path)
@@ -55,7 +55,6 @@ func bindFlags(fs *flag.FlagSet, cfg *core.Config) {
 	})
 	fs.StringVar(&cfg.DelphiRegistry, "delphi-registry", "", "directory of the versioned per-device-class model registry; empty keeps the single shared model")
 	fs.DurationVar(&cfg.DelphiRetrain, "delphi-retrain", 0, "arm drift detectors and retrain drifted device classes at this cadence (requires -delphi-registry; 0 disables)")
-	fs.IntVar(&cfg.PlanCache, "plan-cache", 0, "query-plan LRU capacity (0 = aqe.DefaultPlanCacheSize, negative disables)")
 	fs.StringVar(&cfg.ArchiveDir, "archive-dir", "", "directory persisting per-metric archives; empty disables archiving")
 	fs.Func("retention", `tiered archive retention, e.g. "raw=15m,10s=2h,1m=24h" (requires -archive-dir; empty keeps full resolution forever)`, func(v string) (err error) {
 		cfg.ArchiveRetention, err = archive.ParseRetention(v)

@@ -42,7 +42,6 @@ func TestFlagsCoverConfig(t *testing.T) {
 		"delphi":                modelPath,
 		"delphi-registry":       "/var/lib/apollo/models",
 		"delphi-retrain":        "5m",
-		"plan-cache":            "64",
 		"archive-dir":           "/var/lib/apollo/archive",
 		"retention":             "raw=15m,10s=2h,1m=24h",
 		"compact-interval":      "30s",
@@ -115,7 +114,7 @@ func TestFlagDefaultsAndChecks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := core.Config{Mode: core.IntervalComplexAIMD, BaseTick: time.Second} // PlanCache 0: the engine's own default
+	want := core.Config{Mode: core.IntervalComplexAIMD, BaseTick: time.Second}
 	if !reflect.DeepEqual(cfg, want) {
 		t.Fatalf("defaults = %+v, want %+v", cfg, want)
 	}

@@ -8,8 +8,8 @@ import (
 	"log"
 	"time"
 
-	"repro/apollo"
 	"repro/internal/adaptive"
+	"repro/internal/delphi"
 	"repro/internal/workloads"
 )
 
@@ -18,9 +18,9 @@ func main() {
 	regular := workloads.HACCRegular(30*time.Minute, startCapacity)
 	irregular := workloads.HACCIrregular(30*time.Minute, startCapacity, 42)
 
-	cfg := apollo.DefaultAdaptiveConfig()
+	cfg := adaptive.DefaultConfig()
 	cfg.Threshold = 0 // any capacity change is significant
-	mk := func(window int) apollo.Controller {
+	mk := func(window int) adaptive.Controller {
 		c := cfg
 		c.Window = window
 		ctrl, err := adaptive.NewComplexAIMD(c)
@@ -42,7 +42,7 @@ func main() {
 	}{{"regular", regular}, {"irregular", irregular}} {
 		for _, m := range []struct {
 			name string
-			ctrl apollo.Controller
+			ctrl adaptive.Controller
 		}{
 			{"fixed-5s", adaptive.NewFixed(5 * time.Second)},
 			{"simple-aimd", simple},
@@ -55,7 +55,7 @@ func main() {
 
 	// Delphi fills the seconds the relaxed interval skips with predictions.
 	fmt.Println("\ntraining delphi (50 parameters, 14 trainable)...")
-	model, err := apollo.TrainDelphi(apollo.DelphiTrainOptions{Seed: 1})
+	model, err := delphi.Train(delphi.TrainOptions{Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,7 +11,6 @@ import (
 	"log"
 	"time"
 
-	"repro/apollo"
 	"repro/internal/stream"
 )
 
@@ -21,7 +20,7 @@ func main() {
 
 	// Topic lookups take no lock, so concurrent producers on different
 	// topics contend only on their own topic.
-	broker := apollo.NewBroker(1 << 12)
+	broker := stream.NewBroker(1 << 12)
 	defer broker.Close()
 	srv, err := stream.Serve(broker, "127.0.0.1:0")
 	if err != nil {
@@ -30,7 +29,7 @@ func main() {
 	defer srv.Close()
 
 	// Both ends of the fabric satisfy the same Bus interface.
-	var _ apollo.Bus = broker
+	var _ stream.Bus = broker
 	client, err := stream.Dial(srv.Addr(),
 		// Flush a coalesced batch at 32 tuples or 1ms, whichever first.
 		stream.WithCoalesce(32, time.Millisecond))
@@ -38,13 +37,13 @@ func main() {
 		log.Fatal(err)
 	}
 	defer client.Close()
-	var _ apollo.Bus = client
+	var _ stream.Bus = client
 
 	// Producer: fire-and-collect. Each PublishAsync returns immediately;
 	// the coalescer groups consecutive same-topic tuples into one
 	// PublishBatch frame, so 256 tuples cross the wire in ~8 round trips.
 	const n = 256
-	results := make([]<-chan apollo.PublishResult, n)
+	results := make([]<-chan stream.PublishResult, n)
 	payload := []byte("16-byte-payload!")
 	for i := range results {
 		results[i] = client.PublishAsync(ctx, "telemetry.batch", payload)

@@ -11,7 +11,7 @@ import (
 	"log"
 	"time"
 
-	"repro/apollo"
+	"repro/internal/adaptive"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/insights"
@@ -80,8 +80,8 @@ func main() {
 	fmt.Printf("final leader: %q\n", leader)
 }
 
-func fastPoll() apollo.AdaptiveConfig {
-	cfg := apollo.DefaultAdaptiveConfig()
+func fastPoll() adaptive.Config {
+	cfg := adaptive.DefaultConfig()
 	cfg.Initial = 20 * time.Millisecond
 	cfg.Min = 20 * time.Millisecond
 	return cfg

@@ -11,7 +11,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/apollo"
+	"repro/internal/adaptive"
+	"repro/internal/core"
+	"repro/internal/score"
+	"repro/internal/telemetry"
 )
 
 func main() {
@@ -19,12 +22,12 @@ func main() {
 	var freeBytes atomic.Int64
 	freeBytes.Store(250 << 30)
 
-	svc := apollo.New(apollo.Config{
+	svc := core.New(core.Config{
 		// The adaptive parameterized method: poll faster while the metric
 		// moves, relax while it is quiet (§3.4.1 of the paper).
-		Mode: apollo.IntervalComplexAIMD,
-		Adaptive: func() apollo.AdaptiveConfig {
-			cfg := apollo.DefaultAdaptiveConfig()
+		Mode: core.IntervalComplexAIMD,
+		Adaptive: func() adaptive.Config {
+			cfg := adaptive.DefaultConfig()
 			cfg.Initial = 50 * time.Millisecond
 			cfg.Min = 50 * time.Millisecond
 			cfg.Max = 2 * time.Second
@@ -34,13 +37,13 @@ func main() {
 	})
 
 	// Fact Vertices hook into resources.
-	if _, err := svc.RegisterMetric(apollo.HookFunc{
+	if _, err := svc.RegisterMetric(score.HookFunc{
 		ID: "node1.nvme0.capacity",
 		Fn: func() (float64, error) { return float64(freeBytes.Load()), nil },
 	}); err != nil {
 		log.Fatal(err)
 	}
-	if _, err := svc.RegisterMetric(apollo.HookFunc{
+	if _, err := svc.RegisterMetric(score.HookFunc{
 		ID: "node2.nvme0.capacity",
 		Fn: func() (float64, error) { return 100 << 30, nil },
 	}); err != nil {
@@ -49,8 +52,8 @@ func main() {
 	// Insight Vertices combine Facts into high-level knowledge.
 	if _, err := svc.RegisterInsight(
 		"tier.nvme.remaining",
-		[]apollo.MetricID{"node1.nvme0.capacity", "node2.nvme0.capacity"},
-		apollo.SumInsight,
+		[]telemetry.MetricID{"node1.nvme0.capacity", "node2.nvme0.capacity"},
+		score.Sum,
 	); err != nil {
 		log.Fatal(err)
 	}

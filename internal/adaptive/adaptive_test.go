@@ -250,3 +250,14 @@ func BenchmarkComplexAIMDNext(b *testing.B) {
 		c.Next(float64(i % 7))
 	}
 }
+
+// TestDefaultConfig pins the paper's evaluation setup: a 1 s initial
+// interval in [1 s, 60 s], +1 s additive growth, halving on change, and a
+// rolling-average window of 10.
+func TestDefaultConfig(t *testing.T) {
+	c := DefaultConfig()
+	if c.Initial != time.Second || c.Min != time.Second || c.Max != time.Minute ||
+		c.AdditiveStep != time.Second || c.MultiplicativeFactor != 2 || c.Window != 10 {
+		t.Fatalf("DefaultConfig() = %+v", c)
+	}
+}

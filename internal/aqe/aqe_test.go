@@ -176,7 +176,7 @@ func TestSequentialMatchesParallel(t *testing.T) {
 	q := `SELECT MAX(Timestamp), metric FROM pfs_capacity UNION SELECT MAX(Timestamp), metric FROM node_1_memory`
 	par := NewEngine(fixture())
 	seq := NewEngine(fixture())
-	seq.Sequential = true
+	seq.workers = 1
 	r1, err := par.Query(q)
 	if err != nil {
 		t.Fatal(err)

@@ -6,10 +6,10 @@ import (
 	"sync"
 )
 
-// DefaultPlanCacheSize is the prepared-plan cache capacity used when none is
-// configured: room for every shape a busy service sees (a per-metric latest,
-// union and window query over 64 metrics is 192 shapes) with an order of
-// magnitude to spare; a cached plan is a few hundred bytes.
+// DefaultPlanCacheSize is every engine's prepared-plan cache capacity: room
+// for every shape a busy service sees (a per-metric latest, union and window
+// query over 64 metrics is 192 shapes) with an order of magnitude to spare; a
+// cached plan is a few hundred bytes.
 const DefaultPlanCacheSize = 1024
 
 // planCache is an LRU of prepared plans keyed on query shape — the text with

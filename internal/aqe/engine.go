@@ -97,11 +97,8 @@ type Result struct {
 // re-executed from the compiled form with each text's literals bound in. The
 // zero value is not usable; construct with NewEngine.
 type Engine struct {
-	res Resolver
-	// Sequential disables branch parallelism (ablation).
-	Sequential bool
-
-	cache   *planCache // nil when disabled
+	res     Resolver
+	cache   *planCache // nil parses every text: the tests' uncached reference
 	workers int        // branch fan-out bound: GOMAXPROCS
 
 	obsHits      *obs.Counter
@@ -110,34 +107,10 @@ type Engine struct {
 	obsLatency   *obs.Histogram
 }
 
-// Option configures an Engine.
-type Option func(*engineConfig)
-
-type engineConfig struct {
-	cacheSize int
-}
-
-// WithPlanCache sets the prepared-plan LRU capacity. Zero selects
-// DefaultPlanCacheSize; negative disables caching (every Query re-parses, as
-// the cold-path benchmark baseline does).
-func WithPlanCache(n int) Option {
-	return func(c *engineConfig) { c.cacheSize = n }
-}
-
-// NewEngine builds a query engine.
-func NewEngine(res Resolver, opts ...Option) *Engine {
-	cfg := engineConfig{}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if cfg.cacheSize == 0 {
-		cfg.cacheSize = DefaultPlanCacheSize
-	}
-	e := &Engine{res: res, workers: runtime.GOMAXPROCS(0)}
-	if cfg.cacheSize > 0 {
-		e.cache = newPlanCache(cfg.cacheSize)
-	}
-	return e
+// NewEngine builds a query engine with a DefaultPlanCacheSize-entry plan
+// cache.
+func NewEngine(res Resolver) *Engine {
+	return &Engine{res: res, cache: newPlanCache(DefaultPlanCacheSize), workers: runtime.GOMAXPROCS(0)}
 }
 
 // Instrument registers the engine's instruments on r: plan-cache hit/miss
@@ -217,9 +190,6 @@ func (e *Engine) ExecutePlan(p *Plan) (*Result, error) {
 	n := len(p.branches)
 	res := &Result{Columns: p.Columns()}
 	workers := e.workers
-	if e.Sequential {
-		workers = 1
-	}
 	if workers > n {
 		workers = n
 	}

@@ -37,7 +37,7 @@ func FuzzPrepare(f *testing.F) {
 	f.Add("SELECT metric FROM t LIMIT 0")
 	f.Add("SELECT metric FROM t LIMIT ?")
 
-	e, cold := NewEngine(fuzzResolver{}), NewEngine(fuzzResolver{}, WithPlanCache(-1))
+	e, cold := NewEngine(fuzzResolver{}), uncached(fuzzResolver{})
 	f.Fuzz(func(t *testing.T, src string) {
 		plan, err := e.Prepare(src)
 		if _, cerr := cold.Prepare(src); (err == nil) != (cerr == nil) || (err != nil && err.Error() != cerr.Error()) {

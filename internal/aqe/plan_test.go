@@ -75,8 +75,16 @@ func TestPlanCacheHitsAndMisses(t *testing.T) {
 	}
 }
 
+// uncached is an engine that parses every text, the reference the shape cache
+// is checked against.
+func uncached(res Resolver) *Engine {
+	e := NewEngine(res)
+	e.cache = nil
+	return e
+}
+
 func TestPlanCacheDisabled(t *testing.T) {
-	e := NewEngine(fixture(), WithPlanCache(-1))
+	e := uncached(fixture())
 	planCacheStats := cacheStats(e)
 	const src = "SELECT metric FROM pfs_capacity"
 	p1, err := e.Prepare(src)
@@ -96,7 +104,8 @@ func TestPlanCacheDisabled(t *testing.T) {
 }
 
 func TestPlanCacheLRUEviction(t *testing.T) {
-	e := NewEngine(fixture(), WithPlanCache(2))
+	e := NewEngine(fixture())
+	e.cache = newPlanCache(2)
 	planCacheStats := cacheStats(e)
 	qa := "SELECT metric FROM pfs_capacity"
 	qb := "SELECT Timestamp FROM pfs_capacity"
@@ -241,7 +250,7 @@ func benchQueryFixture() (mapResolver, string) {
 
 func BenchmarkQueryColdParse(b *testing.B) {
 	res, src := benchQueryFixture()
-	e := NewEngine(res, WithPlanCache(-1))
+	e := uncached(res)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

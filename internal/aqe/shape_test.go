@@ -87,7 +87,7 @@ func shapeCorpus(seed int64, n int) []string {
 // answer a seeded corpus identically — rows, error text and error position.
 func TestShapeCacheMatchesUncached(t *testing.T) {
 	res := shapeFixture()
-	cached, cold := NewEngine(res), NewEngine(res, WithPlanCache(-1))
+	cached, cold := NewEngine(res), uncached(res)
 	planCacheStats := cacheStats(cached)
 	corpus := shapeCorpus(1, 6000)
 	for _, src := range corpus {
@@ -126,7 +126,7 @@ func TestLimitErrorNamesTheLiteral(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, src := range []string{"SELECT metric FROM t LIMIT 0", "SELECT metric FROM t LIMIT -7", "SELECT metric FROM t LIMIT 0 "} {
-		for _, eng := range []*Engine{e, NewEngine(shapeFixture(), WithPlanCache(-1))} {
+		for _, eng := range []*Engine{e, uncached(shapeFixture())} {
 			_, err := eng.Prepare(src)
 			var se *SyntaxError
 			if !errors.As(err, &se) || se.Msg != "LIMIT must be positive" || se.Pos != strings.Index(src, "LIMIT")+6 {

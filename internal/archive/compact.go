@@ -549,7 +549,7 @@ func (c *Compactor) RunOnce() error {
 	return firstErr
 }
 
-// ---- directory inspection (apolloctl retention) -------------------------
+// ---- directory inspection (retention reports) ---------------------------
 
 // TierStats summarizes one tier of an archive directory.
 type TierStats struct {
@@ -560,9 +560,9 @@ type TierStats struct {
 	LastTS  int64
 }
 
-// DirStats summarizes an archive directory per tier without opening it for
+// dirStats summarizes an archive directory per tier without opening it for
 // writing, preferring sidecars and falling back to scanning the data.
-func DirStats(dir string) ([numTiers]TierStats, error) {
+func dirStats(dir string) ([numTiers]TierStats, error) {
 	var out [numTiers]TierStats
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -597,6 +597,40 @@ func DirStats(dir string) ([numTiers]TierStats, error) {
 			ts.LastTS = si.lastTS
 		}
 		ts.Records += uint64(si.records)
+	}
+	return out, nil
+}
+
+// LogStats is one archive log found by ListLogs: its directory and per-tier
+// stats.
+type LogStats struct {
+	Dir   string
+	Tiers [numTiers]TierStats
+}
+
+// ListLogs lists the archive logs under root: root itself when it holds
+// archive data files, otherwise each immediate subdirectory that does (the
+// service's one-directory-per-metric layout), in name order. A directory
+// without data files is not a log and is left out.
+func ListLogs(root string) ([]LogStats, error) {
+	entries, err := os.ReadDir(root)
+	if err != nil {
+		return nil, fmt.Errorf("archive: %w", err)
+	}
+	dirs := []string{root}
+	for _, e := range entries { // ReadDir sorts by name
+		if e.IsDir() {
+			dirs = append(dirs, filepath.Join(root, e.Name()))
+		}
+	}
+	var out []LogStats
+	for i, dir := range dirs {
+		if tiers, err := dirStats(dir); err == nil && tiers != ([numTiers]TierStats{}) {
+			out = append(out, LogStats{Dir: dir, Tiers: tiers})
+			if i == 0 {
+				break // root is itself a log
+			}
+		}
 	}
 	return out, nil
 }

@@ -142,7 +142,7 @@ func TestRetentionTiersAndDrop(t *testing.T) {
 	if st.Rolled10s == 0 {
 		t.Fatalf("no 10s rollups: %+v", st)
 	}
-	tiers, err := DirStats(dir)
+	tiers, err := dirStats(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,5 +399,68 @@ func TestParseRetention(t *testing.T) {
 	}
 	if _, err = ParseRetention("raw=-1m"); err == nil {
 		t.Fatal("negative duration accepted")
+	}
+}
+
+// TestListLogs: a root that is itself a log lists as that one log; a root of
+// per-metric logs lists each in name order with its dirStats, and leaves out
+// a foreign directory, a log that never wrote a block and a stray file.
+func TestListLogs(t *testing.T) {
+	write := func(dir string, n int) {
+		t.Helper()
+		l, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			if err := l.Append(telemetry.NewFact("m", int64(i+1), float64(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	root := t.TempDir()
+	write(filepath.Join(root, "b"), 3)
+	write(filepath.Join(root, "a"), 2)
+	write(filepath.Join(root, "unwritten"), 0)
+	if err := os.MkdirAll(filepath.Join(root, "foreign", "sub"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []string{filepath.Join(root, "foreign", "notes.txt"), filepath.Join(root, "stray.blk")} {
+		if err := os.WriteFile(f, []byte("not an archive"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	logs, err := ListLogs(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, l := range logs {
+		names = append(names, filepath.Base(l.Dir))
+		want, err := dirStats(l.Dir)
+		if err != nil || l.Tiers != want {
+			t.Errorf("%s: stats %+v, want dirStats %+v (%v)", l.Dir, l.Tiers, want, err)
+		}
+	}
+	if strings.Join(names, ",") != "a,b" {
+		t.Fatalf("logs under the root = %v, want [a b]", names)
+	}
+	if logs[0].Tiers[TierRaw].Records != 2 || logs[1].Tiers[TierRaw].Records != 3 {
+		t.Fatalf("records %d, %d, want 2, 3", logs[0].Tiers[TierRaw].Records, logs[1].Tiers[TierRaw].Records)
+	}
+
+	one, err := ListLogs(filepath.Join(root, "b"))
+	if err != nil || len(one) != 1 || one[0].Dir != filepath.Join(root, "b") || one[0].Tiers != logs[1].Tiers {
+		t.Fatalf("a log as the root lists %+v (%v), want itself alone", one, err)
+	}
+	if none, err := ListLogs(filepath.Join(root, "foreign")); err != nil || len(none) != 0 {
+		t.Fatalf("a foreign root lists %+v (%v), want nothing", none, err)
+	}
+	if _, err := ListLogs(filepath.Join(root, "missing")); err == nil {
+		t.Fatal("a missing root listed without an error")
 	}
 }

@@ -179,7 +179,7 @@ func TestTierGaugesMatchDirectory(t *testing.T) {
 	l.Instrument(reg, "t")
 	check := func(step string) {
 		t.Helper()
-		tiers, err := DirStats(dir)
+		tiers, err := dirStats(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,7 +207,7 @@ func TestTierGaugesMatchDirectory(t *testing.T) {
 		}
 		check("compacted")
 	}
-	if tiers, _ := DirStats(dir); tiers[TierRaw].Bytes == 0 || tiers[Tier10s].Bytes == 0 || tiers[Tier1m].Bytes == 0 {
+	if tiers, _ := dirStats(dir); tiers[TierRaw].Bytes == 0 || tiers[Tier10s].Bytes == 0 || tiers[Tier1m].Bytes == 0 {
 		t.Fatalf("compaction left a rollup tier empty: %+v", tiers)
 	}
 	if err := l.Close(); err != nil {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/delphi"
+	"repro/internal/score"
 	"repro/internal/telemetry"
 )
 
@@ -36,7 +37,7 @@ func registerOnlines(t *testing.T, s *Service, ids ...telemetry.MetricID) []*del
 	t.Helper()
 	onlines := make([]*delphi.Online, len(ids))
 	for i, id := range ids {
-		if _, err := s.RegisterMetric(constHook(id, 1), func(r *registration) { onlines[i] = r.Delphi }); err != nil {
+		if _, err := s.RegisterMetric(constHook(id, 1), func(r *score.FactConfig) { onlines[i] = r.Delphi }); err != nil {
 			t.Fatal(err)
 		}
 		observeWalk(onlines[i], int64(i+1), 2*delphi.WindowSize)

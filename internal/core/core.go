@@ -106,7 +106,7 @@ type Config struct {
 	// metric archive: raw records age into 10s rollups, then 1m rollups,
 	// then out entirely (see archive.Retention). The zero value keeps
 	// everything at full resolution forever (sealed segments are still
-	// compressed). Per-metric overrides via WithMetricRetention.
+	// compressed).
 	ArchiveRetention archive.Retention
 	// ArchiveSegmentBytes caps each archive segment file
 	// (0: archive.DefaultSegmentBytes). A sealed segment is what the
@@ -119,9 +119,6 @@ type Config struct {
 	CompactInterval time.Duration
 	// HistorySize bounds per-vertex in-memory queues (0: default).
 	HistorySize int
-	// PlanCache sets the query engine's prepared-plan LRU capacity: 0 means
-	// aqe.DefaultPlanCacheSize, negative disables caching.
-	PlanCache int
 	// Obs is the metrics registry instrumenting the service; nil means a
 	// fresh per-service registry. Share one registry to aggregate several
 	// services into one exposition endpoint.
@@ -183,6 +180,8 @@ type Service struct {
 	leaseConn *stream.Client
 	gateway   *gateway.Gateway
 	gwAddr    string
+	serving   bool // Serve holds its slot
+	gwServing bool // ServeGateway holds its slot
 	started   bool
 	stopped   bool
 }
@@ -249,7 +248,7 @@ func New(cfg Config) *Service {
 		s.compactor = archive.NewCompactor(cfg.Clock, cfg.CompactInterval)
 	}
 	s.broker.Instrument(s.obs)
-	s.engine = aqe.NewEngine(aqe.GraphResolver{Graph: s.graph}, aqe.WithPlanCache(cfg.PlanCache))
+	s.engine = aqe.NewEngine(aqe.GraphResolver{Graph: s.graph})
 	s.engine.Instrument(s.obs)
 	if cfg.Delphi != nil || cfg.DelphiRegistry != "" {
 		s.fleet, s.fleetErr = newDelphiFleet(cfg, s.obs)
@@ -276,33 +275,18 @@ func (s *Service) newController() (adaptive.Controller, error) {
 	}
 }
 
-// MetricOption customizes one registered metric.
-type MetricOption func(*registration)
-
-// registration is what RegisterMetric builds and its options edit: the
-// metric's vertex config, and the retention policy the compactor applies to
-// its archive.
-type registration struct {
-	score.FactConfig
-	retention *archive.Retention // nil: Config.ArchiveRetention
-}
+// MetricOption customizes one registered metric's vertex config.
+type MetricOption func(*score.FactConfig)
 
 // WithoutDelphi disables prediction for this metric even when the service
 // has a model.
 func WithoutDelphi() MetricOption {
-	return func(r *registration) { r.Delphi = nil }
+	return func(r *score.FactConfig) { r.Delphi = nil }
 }
 
 // WithPublishUnchanged disables the only-on-change filter for this metric.
 func WithPublishUnchanged() MetricOption {
-	return func(r *registration) { r.PublishUnchanged = true }
-}
-
-// WithMetricRetention overrides the service-level archive retention policy
-// (Config.ArchiveRetention) for one metric. Only meaningful when the service
-// has an ArchiveDir.
-func WithMetricRetention(p archive.Retention) MetricOption {
-	return func(r *registration) { r.retention = &p }
+	return func(r *score.FactConfig) { r.PublishUnchanged = true }
 }
 
 // RegisterMetric deploys a Fact Vertex for hook. Safe before or after Start;
@@ -321,7 +305,7 @@ func (s *Service) RegisterMetric(hook score.Hook, opts ...MetricOption) (*score.
 	if err != nil {
 		return nil, err
 	}
-	reg := registration{FactConfig: score.FactConfig{
+	reg := score.FactConfig{
 		Hook:        hook,
 		Bus:         s.bus,
 		Controller:  ctrl,
@@ -329,7 +313,7 @@ func (s *Service) RegisterMetric(hook score.Hook, opts ...MetricOption) (*score.
 		HistorySize: s.cfg.HistorySize,
 		BaseTick:    s.cfg.BaseTick,
 		Obs:         s.obs,
-	}}
+	}
 	var cls *deviceClass
 	if s.fleet != nil {
 		cls = s.fleet.classFor(s.fleet.className(id))
@@ -354,7 +338,7 @@ func (s *Service) RegisterMetric(hook score.Hook, opts ...MetricOption) (*score.
 		}
 		reg.Archive.Instrument(s.obs, string(id))
 	}
-	v, err := score.NewFactVertex(reg.FactConfig)
+	v, err := score.NewFactVertex(reg)
 	if err == nil {
 		err = s.graph.RegisterFact(v)
 	}
@@ -370,11 +354,7 @@ func (s *Service) RegisterMetric(hook score.Hook, opts ...MetricOption) (*score.
 		s.mu.Lock()
 		s.archives = append(s.archives, reg.Archive)
 		s.mu.Unlock()
-		policy := s.cfg.ArchiveRetention
-		if reg.retention != nil {
-			policy = *reg.retention
-		}
-		s.compactor.Add(reg.Archive, policy)
+		s.compactor.Add(reg.Archive, s.cfg.ArchiveRetention)
 	}
 	// After opts, so WithoutDelphi keeps the metric out of its device class.
 	if reg.Delphi != nil {
@@ -495,16 +475,22 @@ func (s *Service) Stop() {
 // can attach; it returns the bound address. With Config.NodeID set it also
 // joins the replicated broker fabric: the bound address is this node's
 // advertised address on the ring, the server starts answering replication
-// and topology ops, and vertex publishes re-route through the fabric.
+// and topology ops, and vertex publishes re-route through the fabric. A
+// second call fails: a service serves one fabric address.
 func (s *Service) Serve(addr string) (string, error) {
+	if err := s.claim(&s.serving, "Serve"); err != nil {
+		return "", err
+	}
 	srv, err := stream.Serve(s.broker, addr, stream.WithServerObs(s.obs))
 	if err != nil {
+		s.release(&s.serving)
 		return "", err
 	}
 	if s.cfg.NodeID != "" {
 		node, err := s.startFabric(srv.Addr())
 		if err != nil {
 			srv.Close()
+			s.release(&s.serving)
 			return "", err
 		}
 		srv.SetFabric(node)
@@ -514,6 +500,26 @@ func (s *Service) Serve(addr string) (string, error) {
 	s.server = srv
 	s.mu.Unlock()
 	return srv.Addr(), nil
+}
+
+// claim takes one of the service's listener slots (Serve's or ServeGateway's)
+// under s.mu, before its caller binds anything, so that of two calls,
+// concurrent or not, one serves and the other fails.
+func (s *Service) claim(slot *bool, what string) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if *slot {
+		return fmt.Errorf("core: %s already called", what)
+	}
+	*slot = true
+	return nil
+}
+
+// release gives back a slot whose listener failed to start.
+func (s *Service) release(slot *bool) {
+	s.mu.Lock()
+	*slot = false
+	s.mu.Unlock()
 }
 
 // startFabric assembles and starts this node's FabricNode: the placement
@@ -624,7 +630,7 @@ func (s *Service) Obs() *obs.Registry { return s.obs }
 
 // Metrics returns a point-in-time snapshot of every instrument registered on
 // the service's obs registry — the programmatic companion to the /metrics
-// endpoint, surfaced next to Health on the facade.
+// endpoint, next to Health.
 func (s *Service) Metrics() obs.Snapshot { return s.obs.Snapshot() }
 
 // BatchResult is one metric's forecast from a PredictAll sweep. OK mirrors

@@ -2,11 +2,12 @@ package core
 
 import (
 	"context"
+	"net"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/adaptive"
-	"repro/internal/archive"
 	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/score"
@@ -137,7 +138,7 @@ func TestModes(t *testing.T) {
 func TestMetricOptions(t *testing.T) {
 	s := New(Config{Clock: sim.NewVirtual(time.Unix(0, 0))})
 	ctrl := adaptive.NewFixed(5 * time.Second)
-	v, err := s.RegisterMetric(constHook("m", 1), func(r *registration) { r.Controller = ctrl }, WithoutDelphi(), WithPublishUnchanged())
+	v, err := s.RegisterMetric(constHook("m", 1), func(r *score.FactConfig) { r.Controller = ctrl }, WithoutDelphi(), WithPublishUnchanged())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,17 +337,6 @@ func TestRegisterDuplicateMetricLeavesArchiveAlone(t *testing.T) {
 	}
 }
 
-// TestWithMetricRetention checks the per-metric option reaches the
-// registration.
-func TestWithMetricRetention(t *testing.T) {
-	var reg registration
-	p := archive.Retention{Raw: time.Hour}
-	WithMetricRetention(p)(&reg)
-	if reg.retention == nil || *reg.retention != p {
-		t.Fatalf("retention = %+v, want %+v", reg.retention, p)
-	}
-}
-
 func TestServeTCP(t *testing.T) {
 	s := New(Config{Clock: sim.NewVirtual(time.Unix(0, 0))})
 	v, _ := s.RegisterMetric(constHook("m", 9))
@@ -371,6 +361,46 @@ func TestServeTCP(t *testing.T) {
 	}
 	if in.Value != 9 {
 		t.Fatalf("remote latest=%v", in)
+	}
+}
+
+// TestServeOnce: of two concurrent Serve calls, and of two concurrent
+// ServeGateway calls, one binds and the other fails, so Stop closes every
+// address the service listens on. A call that fails to bind gives its slot
+// back.
+func TestServeOnce(t *testing.T) {
+	s := New(Config{Clock: sim.NewVirtual(time.Unix(0, 0))})
+	if _, err := s.Serve("127.0.0.1:99999"); err == nil {
+		t.Fatal("Serve on port 99999 succeeded")
+	}
+	var (
+		wg    sync.WaitGroup
+		mu    sync.Mutex
+		bound = map[string][]string{}
+	)
+	for name, serve := range map[string]func(string) (string, error){"Serve": s.Serve, "ServeGateway": s.ServeGateway} {
+		for i := 0; i < 2; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if addr, err := serve("127.0.0.1:0"); err == nil {
+					mu.Lock()
+					bound[name] = append(bound[name], addr)
+					mu.Unlock()
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	s.Stop()
+	if len(bound["Serve"]) != 1 || len(bound["ServeGateway"]) != 1 {
+		t.Fatalf("bound %v, want one address from each method", bound)
+	}
+	for _, addrs := range bound {
+		if c, err := net.Dial("tcp", addrs[0]); err == nil {
+			c.Close()
+			t.Errorf("%s still accepts connections after Stop", addrs[0])
+		}
 	}
 }
 

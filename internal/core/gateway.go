@@ -2,10 +2,7 @@ package core
 
 import (
 	"context"
-	"errors"
-	"os"
 	"path/filepath"
-	"sort"
 
 	apiv1 "repro/api/v1"
 	"repro/internal/aqe"
@@ -24,15 +21,12 @@ func (s *Service) Bus() stream.Bus { return s.bus }
 // returns the bound address. Config.Gateway parameterizes it; its Clock and
 // Obs default to the service's own, so gateway rate-limit refill follows the
 // service clock (deterministic under virtual time) and gateway instruments
-// land on the service registry. Stop drains the gateway before the fabric.
+// land on the service registry. Stop drains the gateway before the fabric. A
+// second call fails.
 func (s *Service) ServeGateway(addr string) (string, error) {
-	s.mu.Lock()
-	if s.gateway != nil {
-		prev := s.gwAddr
-		s.mu.Unlock()
-		return "", errors.New("core: gateway already serving on " + prev)
+	if err := s.claim(&s.gwServing, "ServeGateway"); err != nil {
+		return "", err
 	}
-	s.mu.Unlock()
 	gcfg := s.cfg.Gateway
 	if gcfg.Clock == nil {
 		gcfg.Clock = s.cfg.Clock
@@ -43,6 +37,7 @@ func (s *Service) ServeGateway(addr string) (string, error) {
 	gw := gateway.New(serviceBackend{s}, gcfg)
 	bound, err := gw.Serve(addr)
 	if err != nil {
+		s.release(&s.gwServing)
 		return "", err
 	}
 	s.mu.Lock()
@@ -103,21 +98,14 @@ func (b serviceBackend) Retention() ([]apiv1.RetentionMetric, error) {
 	if root == "" {
 		return nil, gateway.ErrUnavailable
 	}
-	entries, err := os.ReadDir(root)
+	logs, err := archive.ListLogs(root)
 	if err != nil {
 		return nil, err
 	}
 	var out []apiv1.RetentionMetric
-	for _, e := range entries {
-		if !e.IsDir() {
-			continue
-		}
-		tiers, err := archive.DirStats(filepath.Join(root, e.Name()))
-		if err != nil {
-			continue // e.g. a foreign directory without segments
-		}
-		m := apiv1.RetentionMetric{Metric: e.Name()}
-		for t, ts := range tiers {
+	for _, l := range logs {
+		m := apiv1.RetentionMetric{Metric: filepath.Base(l.Dir)}
+		for t, ts := range l.Tiers {
 			if ts.Files == 0 {
 				continue
 			}
@@ -130,11 +118,8 @@ func (b serviceBackend) Retention() ([]apiv1.RetentionMetric, error) {
 				LastTimestampNS:  ts.LastTS,
 			})
 		}
-		if len(m.Tiers) > 0 {
-			out = append(out, m)
-		}
+		out = append(out, m)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Metric < out[j].Metric })
 	return out, nil
 }
 

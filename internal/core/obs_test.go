@@ -1,6 +1,9 @@
 package core
 
 import (
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -89,5 +92,44 @@ func TestMetricsRegistrySharing(t *testing.T) {
 	v.PollOnce()
 	if got := r.Snapshot().Counter(obs.Name("score_tuples_in_total", "metric", "m")); got != 1 {
 		t.Fatalf("shared registry counter = %d, want 1", got)
+	}
+}
+
+// TestMetricsExposition: what a poll counts on a caller's registry reads the
+// same off Service.Metrics and off the Prometheus text that obs.Handler
+// serves for that registry, as apollod's -metrics-addr does.
+func TestMetricsExposition(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := New(Config{Clock: sim.NewVirtual(time.Unix(0, 0)), Obs: reg})
+	defer s.Stop()
+	v, err := s.RegisterMetric(constHook("node1.nvme0.capacity", 1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v.PollOnce()
+
+	m := s.Metrics()
+	if got := m.Counter(obs.Name("score_published_total", "metric", "node1.nvme0.capacity")); got != 1 {
+		t.Fatalf("published counter = %d, want 1", got)
+	}
+	if got := m.Counter("stream_broker_publish_total"); got != 1 {
+		t.Fatalf("broker publish counter = %d, want 1", got)
+	}
+
+	srv := httptest.NewServer(obs.Handler(reg))
+	defer srv.Close()
+	resp, err := http.Get(srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`score_published_total{metric="node1.nvme0.capacity"} 1`, "stream_broker_publish_total 1"} {
+		if !strings.Contains(string(body), want) {
+			t.Fatalf("exposition missing %q:\n%s", want, body)
+		}
 	}
 }

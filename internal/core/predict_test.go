@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/delphi"
+	"repro/internal/score"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
@@ -131,7 +132,7 @@ func TestServicePredictAllMatchesVertices(t *testing.T) {
 		i := i
 		n := 0.0
 		v, err := s.RegisterMetric(hookFunc(id, func() (float64, error) { n++; return float64(10*i) + n*n, nil }),
-			WithPublishUnchanged(), func(r *registration) { onlines[i] = r.Delphi })
+			WithPublishUnchanged(), func(r *score.FactConfig) { onlines[i] = r.Delphi })
 		if err != nil {
 			t.Fatal(err)
 		}

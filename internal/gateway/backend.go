@@ -19,13 +19,9 @@ type BusBackend struct {
 	engine *aqe.Engine
 }
 
-// NewBusBackend builds a backend over bus. planCache sets the prepared-plan
-// LRU capacity (0: aqe.DefaultPlanCacheSize; negative disables).
-func NewBusBackend(bus stream.Bus, planCache int) *BusBackend {
-	return &BusBackend{
-		bus:    bus,
-		engine: aqe.NewEngine(aqe.BusResolver{Bus: bus}, aqe.WithPlanCache(planCache)),
-	}
+// NewBusBackend builds a backend over bus.
+func NewBusBackend(bus stream.Bus) *BusBackend {
+	return &BusBackend{bus: bus, engine: aqe.NewEngine(aqe.BusResolver{Bus: bus})}
 }
 
 // Query implements Backend.

@@ -287,7 +287,7 @@ func (l countingListener) Accept() (net.Conn, error) {
 func TestWebSocketOneWritePerFrame(t *testing.T) {
 	const tuples = 200
 	b := stream.NewBroker(0)
-	gw := New(NewBusBackend(b, 0), Config{QueueSize: 2 * tuples})
+	gw := New(NewBusBackend(b), Config{QueueSize: 2 * tuples})
 	var writes atomic.Int64
 	srv := httptest.NewUnstartedServer(gw.mux)
 	srv.Listener = countingListener{srv.Listener, &writes}
@@ -383,7 +383,7 @@ func TestBroadcasterChurn(t *testing.T) {
 	base := runtime.NumGoroutine()
 	reg := obs.NewRegistry()
 	b := stream.NewBroker(0)
-	backend := &recordingBackend{BusBackend: NewBusBackend(b, 0)}
+	backend := &recordingBackend{BusBackend: NewBusBackend(b)}
 	gw := New(backend, Config{QueueSize: 32, Obs: reg})
 	f := &fixture{broker: b, gw: gw}
 
@@ -547,7 +547,7 @@ func wantOvertaken(t *testing.T, sub *Subscriber) {
 func TestRetentionOvertakesBroadcaster(t *testing.T) {
 	b := stream.NewBroker(64)
 	defer b.Close()
-	backend := &heldBackend{NewBusBackend(b, 0), make(chan struct{})}
+	backend := &heldBackend{NewBusBackend(b), make(chan struct{})}
 	gw := New(backend, Config{QueueSize: 128}) // room for all that is retained: no eviction
 	defer gw.Close()
 	f := &fixture{broker: b, gw: gw}
@@ -574,7 +574,7 @@ func TestRetentionOvertakesBroadcaster(t *testing.T) {
 // entry, and the stream goes on live.
 func TestRingLongerThanRetention(t *testing.T) {
 	b := stream.NewBroker(64)
-	gw := New(NewBusBackend(b, 0), Config{QueueSize: 128})
+	gw := New(NewBusBackend(b), Config{QueueSize: 128})
 	t.Cleanup(func() {
 		gw.Close()
 		b.Close()
@@ -635,7 +635,7 @@ func TestRetentionOvertakesHistory(t *testing.T) {
 		runs = append(runs, run)
 	}
 	b := stream.NewBroker(0)
-	gw := New(&scriptedBackend{NewBusBackend(b, 0), runs}, Config{QueueSize: 4})
+	gw := New(&scriptedBackend{NewBusBackend(b), runs}, Config{QueueSize: 4})
 	t.Cleanup(func() {
 		gw.Close()
 		b.Close()

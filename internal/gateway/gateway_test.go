@@ -34,7 +34,7 @@ type fixture struct {
 func newFixture(t *testing.T, cfg Config) *fixture {
 	t.Helper()
 	b := stream.NewBroker(0)
-	backend := NewBusBackend(b, 0)
+	backend := NewBusBackend(b)
 	engineObs := obs.NewRegistry()
 	backend.engine.Instrument(engineObs)
 	gw := New(backend, cfg)
@@ -532,7 +532,7 @@ func TestBindTimeErrorsAreBadRequests(t *testing.T) {
 func BenchmarkGatewayQuery(b *testing.B) {
 	broker := stream.NewBroker(0)
 	defer broker.Close()
-	gw := New(NewBusBackend(broker, 0), Config{Rate: -1})
+	gw := New(NewBusBackend(broker), Config{Rate: -1})
 	defer gw.Close()
 	base := time.Unix(1700000000, 0).UnixNano()
 	for i := 0; i < 16; i++ { // a short topic: the bus read is not what is measured

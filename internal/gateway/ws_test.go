@@ -112,7 +112,7 @@ func readFull(br *bufio.Reader, buf []byte) (int, error) {
 func newServedFixture(t *testing.T, cfg Config) (*fixture, string) {
 	t.Helper()
 	b := stream.NewBroker(0)
-	backend := NewBusBackend(b, 0)
+	backend := NewBusBackend(b)
 	gw := New(backend, cfg)
 	addr, err := gw.Serve("127.0.0.1:0")
 	if err != nil {

@@ -43,7 +43,7 @@ func (f *flakyPublisher) setFailing(v bool) {
 // outage must drain as one PublishBatch per topic run, not one per tuple.
 func TestBufferedPublisherFlushesBacklogInBatches(t *testing.T) {
 	f := &flakyPublisher{failing: true}
-	p := NewBufferedPublisher(f, "m", 64, 100)
+	p := newPubBuffer(f, "m", 64, 100, &Stats{}, nil)
 	ctx := context.Background()
 
 	for i := 0; i < 10; i++ {
@@ -79,7 +79,7 @@ func TestBufferedPublisherFlushesBacklogInBatches(t *testing.T) {
 // drains as one batch per consecutive same-topic run, preserving order.
 func TestBufferedPublisherBatchedBacklogSplitsTopicRuns(t *testing.T) {
 	f := &flakyPublisher{failing: true}
-	p := NewBufferedPublisher(f, "a", 64, 100)
+	p := newPubBuffer(f, "a", 64, 100, &Stats{}, nil)
 	ctx := context.Background()
 
 	for _, topic := range []string{"a", "a", "b", "b", "b", "a"} {
@@ -112,7 +112,7 @@ func TestBufferedPublisherBatchedBacklogSplitsTopicRuns(t *testing.T) {
 // forwarded as one batch; on outage the whole batch lands in the backlog.
 func TestBufferedPublisherBatchPassThrough(t *testing.T) {
 	f := &flakyPublisher{}
-	p := NewBufferedPublisher(f, "m", 64, 100)
+	p := newPubBuffer(f, "m", 64, 100, &Stats{}, nil)
 	ctx := context.Background()
 
 	first, err := p.PublishBatch(ctx, "m", [][]byte{[]byte("x"), []byte("y")})

@@ -108,13 +108,9 @@ type BufferedPublisher struct {
 
 var _ stream.Publisher = (*BufferedPublisher)(nil)
 
-// NewBufferedPublisher wraps pub with store-and-forward buffering for topic.
+// newPubBuffer wraps bus with store-and-forward buffering for topic.
 // capacity bounds the backlog (<=0: 4096); failAfter sets how many
 // consecutive errors flip Health to Failed (<=0: DefaultFailAfter).
-func NewBufferedPublisher(pub stream.Publisher, topic string, capacity, failAfter int) *BufferedPublisher {
-	return newPubBuffer(pub, topic, capacity, failAfter, &Stats{}, nil)
-}
-
 func newPubBuffer(bus stream.Publisher, topic string, capacity, failAfter int, stats *Stats, clock sim.Clock) *BufferedPublisher {
 	if capacity <= 0 {
 		capacity = 4096

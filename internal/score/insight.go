@@ -35,25 +35,6 @@ func Sum(inputs []telemetry.Info) float64 {
 	return s
 }
 
-// Mean averages the latest values of all inputs.
-func Mean(inputs []telemetry.Info) float64 {
-	if len(inputs) == 0 {
-		return 0
-	}
-	return Sum(inputs) / float64(len(inputs))
-}
-
-// Min returns the smallest latest value.
-func Min(inputs []telemetry.Info) float64 {
-	m := 0.0
-	for i := range inputs {
-		if i == 0 || inputs[i].Value < m {
-			m = inputs[i].Value
-		}
-	}
-	return m
-}
-
 // Max returns the largest latest value.
 func Max(inputs []telemetry.Info) float64 {
 	m := 0.0

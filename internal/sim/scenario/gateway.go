@@ -78,7 +78,7 @@ func RunGateway(cfg GatewayConfig) (*GatewayReport, error) {
 	broker := stream.NewBroker(cfg.Tuples)
 	defer broker.Close()
 	reg := obs.NewRegistry()
-	gw := gateway.New(gateway.NewBusBackend(broker, 0), gateway.Config{
+	gw := gateway.New(gateway.NewBusBackend(broker), gateway.Config{
 		QueueSize: cfg.Queue,
 		Rate:      -1,
 		Obs:       reg,

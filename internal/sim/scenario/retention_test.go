@@ -96,10 +96,11 @@ func TestRetentionNeverDropsAckedTuple(t *testing.T) {
 	}
 
 	// The hierarchy actually tiered out: raw must not hold the whole hour.
-	st, err := archive.DirStats(dir)
-	if err != nil {
-		t.Fatal(err)
+	logs, err := archive.ListLogs(dir)
+	if err != nil || len(logs) != 1 {
+		t.Fatalf("ListLogs(%s) = %+v, %v: want the one log", dir, logs, err)
 	}
+	st := logs[0].Tiers
 	if st[archive.Tier10s].Files == 0 || st[archive.Tier1m].Files == 0 {
 		t.Fatalf("no rollup tiers materialized: %+v", st)
 	}

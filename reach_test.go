@@ -31,13 +31,14 @@ var notProduct = map[string]bool{
 }
 
 // reachAllowed are exported product names and methods that no entry point
-// reaches and that stay anyway, each with the reason. It is empty: every
-// exported product name is reached from an entry point. An entry that an entry
+// reaches and that stay anyway, each with the reason. An entry that an entry
 // point reaches after all is stale, and the guard reports it. It is not a place
 // to park new code. A seam a package's own tests need is an unexported field
 // they set, as stream's fault-injecting dialer, clock and timing, aqe's
-// workers and the gateway's mux are, not an entry here.
-var reachAllowed = map[string]string{}
+// workers and cache and the gateway's mux are, not an entry here.
+var reachAllowed = map[string]string{
+	"internal/core.Service.Bus": "the busSwitch row of stream's TestBusContract runs the Bus contract over it, and an external test package can reach the switch no other way",
+}
 
 // reachDecl is one package-level name: where it is declared and what its
 // declaration (and, for a type, its methods) mentions.
@@ -112,21 +113,20 @@ func TestExportedNamesAreReached(t *testing.T) {
 //
 // A package-level name is reached when a declaration reachable from an entry
 // point mentions it. Entry points are the main packages (cmd/, examples/,
-// bench/), the apollo facade, the api/v1 schema and the evaluation and harness
-// packages; a mention is followed through the declarations that make it, so a
+// bench/), the api/v1 schema (the frozen wire contract) and the evaluation and
+// harness packages; a mention is followed through the declarations that make it, so a
 // lane whose only users are each other is reported whole. A local name that
 // shadows a package-level one counts as a mention: the rule misses some dead
 // names and never invents one.
 //
 // An exported method T.M of a reached type is reached when any file calls
-// x.M(...) or uses x.M as a value, when a module interface declares M, when M
-// is one of stdlibContracts, or when T is core.Service — the object the apollo
-// facade hands out, whose methods are its API. By name only, so a same-named
-// method anywhere hides M (the typed sweep of ISSUE 22 found those). Two
-// readings keep field reads and package functions from hiding methods, and are
-// the two ways the rule could report a method in use: a bare x.M whose name is
-// also a struct field's is taken for the field, and x.M with x one of the
-// file's import names for pkg.M.
+// x.M(...) or uses x.M as a value, when a module interface declares M, or when
+// M is one of stdlibContracts. By name only, so a same-named method anywhere
+// hides M (a typed go/types sweep finds those). Two readings keep field reads
+// and package functions from hiding methods, and are the two ways the rule
+// could report a method in use: a bare x.M whose name is also a struct field's
+// is taken for the field, and x.M with x one of the file's import names for
+// pkg.M.
 func unreached(files map[string][]*ast.File, allowed map[string]string) (dead, undeclared, stale []string) {
 	decls := map[string]*reachDecl{}
 	var methods []reachMethod
@@ -137,7 +137,7 @@ func unreached(files map[string][]*ast.File, allowed map[string]string) (dead, u
 	for dir, parsed := range files {
 		for _, f := range parsed {
 			isMain := f.Name.Name == "main"
-			facade := dir == "apollo" || dir == "api/v1"
+			contract := dir == "api/v1"
 			imports := map[string]string{} // local name -> directory, module imports only
 			pkgNames := map[string]bool{}  // local names of every import
 			for _, im := range f.Imports {
@@ -166,7 +166,7 @@ func unreached(files map[string][]*ast.File, allowed map[string]string) (dead, u
 					d = &reachDecl{dir: dir, name: owner, mentions: map[string]bool{}}
 					decls[k] = d
 				}
-				d.root = d.root || isMain || notProduct[dir] || owner == "init" || facade && ast.IsExported(owner)
+				d.root = d.root || isMain || notProduct[dir] || owner == "init" || contract && ast.IsExported(owner)
 				for _, n := range nodes {
 					collectMentions(n, dir, owner, imports, d.mentions)
 				}
@@ -251,7 +251,7 @@ func unreached(files map[string][]*ast.File, allowed map[string]string) (dead, u
 	}
 	for _, m := range methods {
 		recv := reachKey(m.dir, m.recv)
-		if !isProduct(m.dir) || !reached[recv] || recv == "internal/core.Service" {
+		if !isProduct(m.dir) || !reached[recv] {
 			continue
 		}
 		byName := called[m.name] || valued[m.name] && !fields[m.name] || ifaceMs[m.name] || stdlibContracts[m.name]

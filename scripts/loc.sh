@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # The ruler simplicity PRs report before/after from: non-test Go lines that
-# are neither blank nor a // comment, per package directory under internal/
-# (plus the apollo facade), and in total. The total splits three ways:
+# are neither blank nor a // comment, per package directory under internal/,
+# and in total. The total splits three ways:
 # reproduction is the paper's evaluation code (figures, the LDMS baseline,
 # the Fig. 13 middleware engines, the Fig. 11 LSTM baseline, workload
 # generators, trace replay), harness is the simulation layer tests run on,
@@ -15,7 +15,7 @@
 # With* option functions.
 set -eu
 cd "$(dirname "$0")/.."
-find internal apollo -name '*.go' ! -name '*_test.go' -print0 | xargs -0 awk '
+find internal -name '*.go' ! -name '*_test.go' -print0 | xargs -0 awk '
     !/^[ \t]*($|\/\/)/ { d = FILENAME; sub(/\/[^\/]*$/, "", d); n[d]++ }
     END { for (d in n) printf "%7d %s\n", n[d], d }' | sort -k2 | awk '
     { print; total += $1 }
@@ -23,7 +23,7 @@ find internal apollo -name '*.go' ! -name '*_test.go' -print0 | xargs -0 awk '
     $2 ~ /^internal\/sim(\/scenario)?$/ { harness += $1; next }
     { product += $1 }
     END { printf "%7d product\n%7d reproduction\n%7d harness\n%7d total\n", product, repro, harness, total }'
-find internal apollo api -name '*.go' ! -name '*_test.go' -print0 | xargs -0 awk '
+find internal api -name '*.go' ! -name '*_test.go' -print0 | xargs -0 awk '
     FNR == 1 { block = 0 }
     /^func \([^)]*\) [A-Z]/ { methods++; next }
     /^(func|type|var|const) [A-Z]/ { names++; next }
@@ -31,7 +31,7 @@ find internal apollo api -name '*.go' ! -name '*_test.go' -print0 | xargs -0 awk
     /^\)/ { block = 0 }
     block && /^\t[A-Z][A-Za-z0-9_]*( |,|$)/ { names++ }
     END { printf "%7d exported package-level names\n%7d exported methods\n", names, methods }'
-find internal apollo -name '*.go' ! -name '*_test.go' | grep -vE '^internal/(figures|ldms|middleware|workloads|trace|sim|nn/baseline)/' | xargs awk '
+find internal -name '*.go' ! -name '*_test.go' | grep -vE '^internal/(figures|ldms|middleware|workloads|trace|sim|nn/baseline)/' | xargs awk '
     FNR == 1 { depth = 0; block = 0 }
     /^type \($/ { block = 1; next }
     block && /^\)/ { block = 0 }
