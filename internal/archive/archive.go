@@ -347,14 +347,14 @@ func (l *Log) recoverLocked() error {
 
 // Append persists one tuple into the open block; the block reaches the file
 // when it fills, on Sync, or when its segment is sealed. A tuple whose metric
-// name is 64 KiB or longer, or whose Kind or Source is 16 or more, does not
-// fit a block and is refused. After a write, seal or rotate failure the log
-// is wedged: Append first tries to open a fresh active segment and fails
-// with the original error until that succeeds, so writes never go into a
-// dead file.
+// name is 64 KiB or longer, or whose Source is neither Measured nor
+// Predicted, does not fit a block and is refused. After a write, seal or
+// rotate failure the log is wedged: Append first tries to open a fresh
+// active segment and fails with the original error until that succeeds, so
+// writes never go into a dead file.
 func (l *Log) Append(info telemetry.Info) error {
-	if len(info.Metric) > math.MaxUint16 || info.Kind > 0x0F || info.Source > 0x0F {
-		return fmt.Errorf("archive: tuple does not fit a block (metric %d bytes, kind %d, source %d)", len(info.Metric), info.Kind, info.Source)
+	if len(info.Metric) > math.MaxUint16 || info.Source > telemetry.Predicted {
+		return fmt.Errorf("archive: tuple does not fit a block (metric %d bytes, source %d)", len(info.Metric), info.Source)
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -276,6 +276,9 @@ func TestAppendRejectsOversizedMetric(t *testing.T) {
 	if err := l.Append(telemetry.NewFact(telemetry.MetricID(strings.Repeat("x", 1<<16)), 1, 1)); err == nil {
 		t.Fatal("a 64 KiB metric name was accepted")
 	}
+	if err := l.Append(telemetry.Info{Metric: "a", Timestamp: 1, Source: telemetry.Predicted + 1}); err == nil {
+		t.Fatal("a Source past Predicted was accepted")
+	}
 	longest := telemetry.NewFact(telemetry.MetricID(strings.Repeat("y", 1<<16-1)), 2, 2)
 	if err := l.Append(longest); err != nil {
 		t.Fatalf("a %d-byte metric name was refused: %v", len(longest.Metric), err)

@@ -453,15 +453,7 @@ func (s *Service) Stop() {
 	if s.compactor != nil {
 		s.compactor.Stop() // before the archives close under it
 	}
-	if fabric != nil {
-		fabric.Stop()
-	}
-	if server != nil {
-		server.Close()
-	}
-	if leaseConn != nil {
-		leaseConn.Close()
-	}
+	stopServing(fabric, server, leaseConn)
 	s.broker.Close()
 	for _, a := range archives {
 		a.Close()
@@ -486,9 +478,9 @@ func (s *Service) Serve(addr string) (string, error) {
 		s.release(&s.serving)
 		return "", err
 	}
+	var node *stream.FabricNode
 	if s.cfg.NodeID != "" {
-		node, err := s.startFabric(srv.Addr())
-		if err != nil {
+		if node, err = s.startFabric(srv.Addr()); err != nil {
 			srv.Close()
 			s.release(&s.serving)
 			return "", err
@@ -497,17 +489,44 @@ func (s *Service) Serve(addr string) (string, error) {
 		s.bus.set(node.Route())
 	}
 	s.mu.Lock()
+	stopped, leaseConn := s.stopped, s.leaseConn
 	s.server = srv
 	s.mu.Unlock()
+	if stopped { // Stop ran while this call was binding and may have missed what it started
+		stopServing(node, srv, leaseConn)
+		return "", errStopped
+	}
 	return srv.Addr(), nil
 }
 
+// stopServing stops what Serve started, any of it nil; each part may have
+// been stopped already.
+func stopServing(fabric *stream.FabricNode, server *stream.Server, leaseConn *stream.Client) {
+	if fabric != nil {
+		fabric.Stop()
+	}
+	if server != nil {
+		server.Close()
+	}
+	if leaseConn != nil {
+		leaseConn.Close()
+	}
+}
+
+// errStopped is what Serve and ServeGateway return once Stop has run.
+var errStopped = errors.New("core: service stopped")
+
 // claim takes one of the service's listener slots (Serve's or ServeGateway's)
 // under s.mu, before its caller binds anything, so that of two calls,
-// concurrent or not, one serves and the other fails.
+// concurrent or not, one serves and the other fails; after Stop both fail.
+// A Stop that runs while the caller binds is seen when the caller records
+// its server, under s.mu, and closes it.
 func (s *Service) claim(slot *bool, what string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.stopped {
+		return errStopped
+	}
 	if *slot {
 		return fmt.Errorf("core: %s already called", what)
 	}

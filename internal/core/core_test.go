@@ -404,6 +404,51 @@ func TestServeOnce(t *testing.T) {
 	}
 }
 
+// TestServeAfterStop: Serve, ServeGateway and Stop run concurrently, over
+// and over; whichever order they take, no address either call returned
+// accepts a connection once all three are done, and a call that comes after
+// Stop fails.
+func TestServeAfterStop(t *testing.T) {
+	var open []string
+	for round := 0; round < 20; round++ {
+		s := New(Config{Clock: sim.NewVirtual(time.Unix(0, 0))})
+		var (
+			wg    sync.WaitGroup
+			mu    sync.Mutex
+			bound []string
+		)
+		for _, serve := range []func(string) (string, error){s.Serve, s.ServeGateway} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if addr, err := serve("127.0.0.1:0"); err == nil {
+					mu.Lock()
+					bound = append(bound, addr)
+					mu.Unlock()
+				}
+			}()
+		}
+		wg.Add(1)
+		go func() { defer wg.Done(); s.Stop() }()
+		wg.Wait()
+		for _, addr := range bound {
+			if c, err := net.Dial("tcp", addr); err == nil {
+				c.Close()
+				open = append(open, addr)
+			}
+		}
+		if addr, err := s.Serve("127.0.0.1:0"); err == nil {
+			open = append(open, addr)
+		}
+		if addr, err := s.ServeGateway("127.0.0.1:0"); err == nil {
+			open = append(open, addr)
+		}
+	}
+	if len(open) > 0 {
+		t.Fatalf("after Stop, %d addresses still accept connections: %v", len(open), open)
+	}
+}
+
 func TestDeployNodeMonitors(t *testing.T) {
 	c := cluster.BuildAres(time.Unix(0, 0), 1, 0)
 	s := New(Config{Clock: sim.NewVirtual(time.Unix(0, 0))})

@@ -41,9 +41,14 @@ func (s *Service) ServeGateway(addr string) (string, error) {
 		return "", err
 	}
 	s.mu.Lock()
+	stopped := s.stopped
 	s.gateway = gw
 	s.gwAddr = bound
 	s.mu.Unlock()
+	if stopped { // see claim
+		gw.Close()
+		return "", errStopped
+	}
 	return bound, nil
 }
 

@@ -231,25 +231,30 @@ func (g *Gateway) isDraining() bool {
 func (g *Gateway) Shutdown(ctx context.Context) error {
 	g.mu.Lock()
 	g.draining = true
-	srv := g.server
+	srv, ln := g.server, g.listener
 	g.mu.Unlock()
 	dctx, cancel := context.WithTimeout(ctx, g.cfg.DrainTimeout)
 	defer cancel()
 	g.hub.drain(dctx)
-	if srv != nil {
-		return srv.Shutdown(dctx)
+	if srv == nil {
+		return nil
 	}
-	return nil
+	err := srv.Shutdown(dctx)
+	ln.Close() // see Close
+	return err
 }
 
-// Close tears the gateway down immediately (tests, error paths).
+// Close tears the gateway down immediately (tests, error paths). It closes
+// the listener itself as well, since the server closes only the listeners
+// its Serve goroutine has reached.
 func (g *Gateway) Close() {
 	g.mu.Lock()
-	srv := g.server
+	srv, ln := g.server, g.listener
 	g.mu.Unlock()
 	g.hub.drain(context.Background())
 	if srv != nil {
 		srv.Close()
+		ln.Close()
 	}
 }
 

@@ -46,72 +46,76 @@ const DefaultRetention = 1 << 14
 // Chunk capacities: a topic's first chunk holds minChunk payload bytes and
 // each later one twice its predecessor's, up to maxChunk. A payload larger
 // than maxChunk gets a chunk of its own. maxChunk sizes the raw region every
-// topic pins (its two newest chunks); see chunk for the bound it must keep.
+// topic pins (its tail, and the chunk before it until the tail holds
+// subscribeSlack entries); see chunk for the bound it must keep.
 const (
 	minChunk = 512
 	maxChunk = 4 << 10
 )
 
 // chunk holds the payloads of a contiguous ID run, raw or sealed. Neither
-// data nor starts contains a pointer, so the GC never scans a topic's
+// data nor the offsets contain a pointer, so the GC never scans a topic's
 // contents.
 //
-// A raw chunk lays the payloads back to back in data, starts[i] the offset
-// of entry first+i. Its data is allocated once at a fixed capacity and only
-// ever extended: bytes below len(data) are never rewritten, because readers
-// hold views of them after t.mu is released. Offsets are 16-bit: an entry
-// starts below maxChunk (below twice that in a tail a cut decoded), unless
-// it is an oversized payload, which starts its own chunk at 0.
+// A raw chunk lays the payloads back to back in data, (*starts)[i] the
+// offset of entry first+i. Its data is allocated once at a fixed capacity
+// and only ever extended: bytes below len(data) are never rewritten, because
+// readers hold views of them after t.mu is released. Offsets are 16-bit: an
+// entry starts below maxChunk (below twice that in a tail a cut decoded),
+// unless it is an oversized payload, which starts its own chunk at 0.
 //
-// A sealed chunk (starts nil, n entries) holds them as one block frame (see
-// seal), in a new array of exactly that size that is never written either.
-// Only a chunk older than the two newest is sealed, and only if sealing
-// shrinks it: the tail, which appends extend, and the chunk before it, which
-// a reader up to subscribeSlack entries behind reaches, stay raw. A sealed
-// chunk is read by decoding it into memory the reader owns (see unsealed),
-// so the raw array it replaced stays valid for every view already handed
-// out.
+// A sealed chunk (starts nil) holds its entries as one block frame (see
+// seal), in a new array of exactly that size that is never written either;
+// the frame's header says how many. Most of a topic's chunks are sealed, so
+// the offsets sit behind a pointer: a sealed chunk's slot is 40 bytes. The
+// tail, which appends extend, is never sealed; the chunk before it is sealed
+// once the tail holds subscribeSlack entries (or, if it never does, once the
+// next chunk opens), and either only if sealing shrinks it. A sealed chunk is
+// read by decoding it into memory the reader owns (see unsealed), so the
+// raw array it replaced stays valid for every view already handed out.
 //
 // The near-tail bound: a cursor reading a run of subscribeSlack entries that
 // ends at the tail reads raw bytes only, so a subscriber that keeps up never
-// decodes. Once a topic's chunks have reached maxChunk this holds for
-// payloads of up to maxChunk/subscribeSlack bytes (64 B at 4 KiB): the
-// tail opened because a payload of at most that size did not fit, so the
-// chunk before it holds more than maxChunk minus that size, which is at
-// least subscribeSlack entries. A telemetry tuple is 28-45 B. A smaller
-// maxChunk, or a bigger slack, breaks this; TestCursorNearTailStaysRaw pins
-// it.
+// decodes. While the tail holds fewer than subscribeSlack entries the chunk
+// before it is raw; once a topic's chunks have reached maxChunk that chunk
+// holds at least subscribeSlack entries for payloads of up to
+// maxChunk/subscribeSlack bytes (64 B at 4 KiB): the tail opened because a
+// payload of at most that size did not fit, so the chunk before it holds
+// more than maxChunk minus that size. A telemetry tuple is 28-45 B. A
+// smaller maxChunk, or a bigger slack, breaks this;
+// TestCursorNearTailStaysRaw pins it. A replica whose tail a new leader cut
+// (see truncateTailLocked) may have a sealed chunk before a short tail until
+// the next chunk opens: such a cursor decodes, as it would far behind.
 type chunk struct {
-	first  uint64   // ID of the first entry
-	data   []byte   // payloads of first, first+1, ... in order, or their frame
-	starts []uint16 // starts[i] is the offset in data of entry first+i; nil once sealed
-	n      int      // entries of a sealed chunk
+	first  uint64    // ID of the first entry
+	data   []byte    // payloads of first, first+1, ... in order, or their frame
+	starts *[]uint16 // a raw chunk's entry offsets; nil once sealed
 }
 
 // len is how many entries the chunk holds.
 func (c *chunk) len() int {
 	if c.starts == nil {
-		return c.n
+		return block.Records(c.data)
 	}
-	return len(c.starts)
+	return len(*c.starts)
 }
 
 // payload returns entry first+i of a raw chunk, capacity-capped so an append
 // on it cannot reach the next entry's bytes. An entry ends where the next
 // starts, the last at len(data).
 func (c *chunk) payload(i int) []byte {
-	end := len(c.data)
-	if i+1 < len(c.starts) {
-		end = int(c.starts[i+1])
+	starts, end := *c.starts, len(c.data)
+	if i+1 < len(starts) {
+		end = int(starts[i+1])
 	}
-	return c.data[c.starts[i]:end:end]
+	return c.data[starts[i]:end:end]
 }
 
 // read appends zero-copy views of the entries id, id+1, ... of a raw chunk to
 // out: n of them, or as many as the chunk holds from id on.
 func (c *chunk) read(out []Entry, id uint64, n int) []Entry {
 	i := int(id - c.first)
-	for j := min(i+n, len(c.starts)); i < j; i++ {
+	for j := min(i+n, len(*c.starts)); i < j; i++ {
 		out = append(out, Entry{ID: id, Payload: c.payload(i)})
 		id++
 	}
@@ -119,7 +123,12 @@ func (c *chunk) read(out []Entry, id uint64, n int) []Entry {
 }
 
 // bytes is the memory the chunk holds: its data capacity and its offsets.
-func (c *chunk) bytes() int { return cap(c.data) + 2*cap(c.starts) }
+func (c *chunk) bytes() int {
+	if c.starts == nil {
+		return cap(c.data)
+	}
+	return cap(c.data) + 2*cap(*c.starts)
+}
 
 // sealer is the scratch seal encodes with: a block, the frame rendered from
 // it, and the tuple each entry decodes into, whose metric name the decode
@@ -133,22 +142,23 @@ type sealer struct {
 var sealers = sync.Pool{New: func() any { return new(sealer) }}
 
 // seal returns a raw chunk's entries as one block frame in an array of
-// exactly its size, or nil when that would not be smaller than data, and
-// when an entry is not a tuple the frame reproduces byte for byte: one
-// telemetry.Info, CRC checked, whose decode consumes all of it (the encoding
-// is canonical, so AppendBinary rebuilds the bytes) and whose Kind and
-// Source fit the frame's four bits each. Every product producer publishes
-// Info; any other payload keeps its chunk raw.
+// exactly its size, or nil when the chunk is sealed already, when that would
+// not be smaller than data, and when an entry is not a tuple the frame
+// reproduces byte for byte: one telemetry.Info, CRC checked, whose decode
+// consumes all of it (the encoding is canonical, so AppendBinary rebuilds
+// the bytes) and whose Source is Measured or Predicted, the frame's one bit.
+// Every product producer publishes Info; any other payload keeps its chunk
+// raw.
 func (c *chunk) seal() []byte {
-	if len(c.starts) > block.MaxRecords {
-		return nil // more than one frame holds
+	if c.starts == nil || len(*c.starts) > block.MaxRecords {
+		return nil // sealed, or more than one frame holds
 	}
 	s := sealers.Get().(*sealer)
 	defer sealers.Put(s)
 	defer s.w.Reset()
-	for i := range c.starts {
+	for i := range *c.starts {
 		p := c.payload(i)
-		if s.in.UnmarshalBinary(p) != nil || s.in.EncodedSize() != len(p) || s.in.Kind > 0x0F || s.in.Source > 0x0F {
+		if s.in.UnmarshalBinary(p) != nil || s.in.EncodedSize() != len(p) || s.in.Source > telemetry.Predicted {
 			return nil
 		}
 		s.w.Add(s.in)
@@ -160,31 +170,32 @@ func (c *chunk) seal() []byte {
 }
 
 // unseal decodes entries i..j-1 of a sealed chunk into the raw chunk dst,
-// reusing its arrays and r's metric names. Every entry is re-encoded with
-// the same AppendBinary its publisher used, into arrays sized once from the
-// entry count and the first entry's size, which every entry of a one-metric
-// chunk shares. A sealed frame was rendered in this process and never leaves
-// it, so one that does not decode is a broken invariant, not bad input.
+// reusing its arrays (its offsets may be shared with other chunks) and r's
+// metric names. Every entry is re-encoded with the same AppendBinary its
+// publisher used, into arrays sized once from the entry count and the first
+// entry's size, which every entry of a one-metric chunk shares. A sealed
+// frame was rendered in this process and never leaves it, so one that does
+// not decode is a broken invariant, not bad input.
 func (c *chunk) unseal(dst chunk, i, j int, r *block.Reader) chunk {
-	if cap(dst.starts) < j-i {
-		dst.starts = make([]uint16, 0, j-i)
+	if dst.starts == nil {
+		dst.starts = new([]uint16)
 	}
-	dst.first, dst.data, dst.starts = c.first+uint64(i), dst.data[:0], dst.starts[:0]
+	dst.first, dst.data, *dst.starts = c.first+uint64(i), dst.data[:0], slices.Grow((*dst.starts)[:0], j-i)
 	_, err := r.Open(c.data)
 	for k := 0; err == nil && k < j; k++ {
 		if !r.Next() {
-			err = fmt.Errorf("entry %d of %d: %v", k, c.n, r.Err())
+			err = fmt.Errorf("entry %d of %d: %v", k, c.len(), r.Err())
 		} else if k >= i {
 			in := r.Info()
 			if size := (j - i) * in.EncodedSize(); k == i && cap(dst.data) < size {
 				dst.data = make([]byte, 0, size)
 			}
-			dst.starts = append(dst.starts, uint16(len(dst.data)))
+			*dst.starts = append(*dst.starts, uint16(len(dst.data)))
 			dst.data, _ = in.AppendBinary(dst.data)
 		}
 	}
 	if err != nil {
-		panic(fmt.Sprintf("stream: the sealed chunk of ids %d..%d does not decode: %v", c.first, c.first+uint64(c.n)-1, err))
+		panic(fmt.Sprintf("stream: the sealed chunk of ids %d..%d does not decode: %v", c.first, c.first+uint64(c.len())-1, err))
 	}
 	return dst
 }
@@ -215,7 +226,7 @@ func (u *unsealed) of(c *chunk) *chunk {
 		if s = u.used; s == len(u.slots) {
 			u.slots = append(u.slots, unsealedSlot{})
 		}
-		u.slots[s].src, u.slots[s].raw = c.data, c.unseal(u.slots[s].raw, 0, c.n, &u.dec)
+		u.slots[s].src, u.slots[s].raw = c.data, c.unseal(u.slots[s].raw, 0, c.len(), &u.dec)
 	}
 	u.slots[u.used], u.slots[s] = u.slots[s], u.slots[u.used]
 	u.used++
@@ -259,9 +270,10 @@ func newTopic(name string, retention int) *topic {
 }
 
 // appendLocked copies one non-empty payload onto the tail chunk, opening a
-// new chunk when it does not fit and then sealing the third-newest. The
-// caller holds t.mu and, once the whole batch is in place and t.mu released,
-// wakes the readers if any are parked.
+// new chunk when it does not fit, and seals the chunk before the tail once
+// the tail holds subscribeSlack entries (see chunk). The caller holds t.mu
+// and, once the whole batch is in place and t.mu released, wakes the
+// readers if any are parked.
 func (t *topic) appendLocked(p []byte, b *Broker) {
 	n := len(t.chunks)
 	held := 0 // what the tail chunk held before this append
@@ -273,21 +285,23 @@ func (t *topic) appendLocked(p []byte, b *Broker) {
 			size = min(max(2*cap(t.chunks[n-1].data), minChunk), maxChunk)
 		}
 		size = max(size, len(p))
-		t.chunks = append(t.chunks, chunk{
-			first: t.nextID,
-			data:  make([]byte, 0, size),
-			// Sized for payloads like this one; append grows it otherwise.
-			starts: make([]uint16, 0, size/max(len(p), 16)),
-		})
-		if n++; n >= 3 {
+		// Sized for payloads like this one; append grows it otherwise.
+		starts := make([]uint16, 0, size/max(len(p), 16))
+		t.chunks = append(t.chunks, chunk{first: t.nextID, data: make([]byte, 0, size), starts: &starts})
+		// The chunk now third-newest was left raw if the one after it never
+		// held subscribeSlack entries.
+		if n++; n >= 3 && t.chunks[n-2].len() < subscribeSlack {
 			t.sealLocked(n-3, b)
 		}
 	}
 	c := &t.chunks[n-1]
-	c.starts = append(c.starts, uint16(len(c.data)))
+	*c.starts = append(*c.starts, uint16(len(c.data)))
 	c.data = append(c.data, p...)
 	if grew := c.bytes() - held; grew > 0 {
 		b.addLogBytes(grew)
+	}
+	if n >= 2 && len(*c.starts) == subscribeSlack {
+		t.sealLocked(n-2, b)
 	}
 	t.nextID++
 	if t.nextID-t.firstID > uint64(t.retention) {
@@ -306,12 +320,9 @@ func (t *topic) appendLocked(p []byte, b *Broker) {
 // The caller holds t.mu.
 func (t *topic) sealLocked(i int, b *Broker) {
 	c := &t.chunks[i]
-	if c.starts == nil {
-		return
-	}
 	if p := c.seal(); p != nil {
 		b.addLogBytes(len(p) - c.bytes())
-		c.data, c.starts, c.n = p, nil, len(c.starts)
+		c.data, c.starts = p, nil
 	}
 }
 
@@ -350,8 +361,10 @@ func (t *topic) readLocked(out []Entry, from uint64, n int, u *unsealed) []Entry
 		if c.starts == nil && u != nil {
 			c = u.of(c)
 		} else if c.starts == nil {
+			// A new payload array for each chunk; the offsets, which no
+			// entry refers to, are reused.
 			i := int(id - c.first)
-			kept = c.unseal(chunk{}, i, min(i+n-len(out), c.n), &dec)
+			kept = c.unseal(chunk{starts: kept.starts}, i, min(i+n-len(out), c.len()), &dec)
 			c = &kept
 		}
 		out = c.read(out, id, n-len(out))
@@ -670,15 +683,14 @@ func (t *topic) truncateTailLocked(fromID uint64, b *Broker) {
 	if n > 0 {
 		c := &t.chunks[n-1]
 		if c.starts == nil { // the tail is sealed: decode it, so the tail is raw again
-			var dec block.Reader
-			raw := c.unseal(chunk{}, 0, c.n, &dec)
+			raw := c.unseal(chunk{}, 0, c.len(), new(block.Reader))
 			b.addLogBytes(raw.bytes() - c.bytes())
 			*c = raw
 		}
-		if k := int(fromID - c.first); k < len(c.starts) {
-			end := int(c.starts[k])
+		if k := int(fromID - c.first); k < len(*c.starts) {
+			end := int((*c.starts)[k])
 			b.addLogBytes(end - cap(c.data))
-			c.data, c.starts = c.data[:end:end], c.starts[:k]
+			c.data, *c.starts = c.data[:end:end], (*c.starts)[:k]
 		}
 	}
 	t.nextID = fromID

@@ -94,16 +94,19 @@ func FuzzDecodeEntries(f *testing.F) {
 }
 
 // FuzzChunkSeal publishes a payload sequence the input scripts — telemetry
-// tuples of two metrics, some carrying a trailing byte, a damaged CRC or a
-// Kind past four bits; fresh bytes from 1 B to past 64 KiB, exact repeats,
-// one-byte edits, one-byte length changes — seals every chunk of the log, the
-// two newest too, and requires each ID to read back the bytes published, one
-// at a time through Range and all together through a cursor, with no chunk
-// grown by sealing and the log_bytes count still the chunks' sum. Its seeds,
-// under testdata/fuzz, are a run of fresh bytes and edits of them, a run
-// whose length keeps changing, payloads past 64 KiB between small ones, a
-// steady series of tuples, and tuples of two metrics with unsealable ones
-// among them.
+// tuples of two metrics, measured or predicted, some carrying a trailing
+// byte, a damaged CRC, a Kind past the two the product uses or a Source past
+// the one bit a block frame has for it; fresh bytes from 1 B to past 64 KiB,
+// exact repeats, one-byte edits, one-byte length changes — seals every chunk
+// of the log, the tail too, and requires each ID to read back the bytes
+// published, one at a time through Range and all together through a cursor,
+// with no chunk grown by sealing and the log_bytes count still the chunks'
+// sum. Its seeds, under testdata/fuzz, are a run of fresh bytes and edits of
+// them, a run whose length keeps changing, payloads past 64 KiB between
+// small ones, a steady series of tuples, tuples of two metrics with
+// unsealable ones among them, Delphi's fill (one measured tuple, three
+// predicted), and that fill across two metrics and both kinds with
+// unsealable sources among it.
 func FuzzChunkSeal(f *testing.F) {
 	f.Fuzz(func(t *testing.T, script []byte) {
 		b := NewBroker(1 << 20)
@@ -121,7 +124,8 @@ func FuzzChunkSeal(f *testing.F) {
 				in.Value += float64(arg-128) / 16
 				in.Kind, in.Source = telemetry.Kind(op>>4&1), telemetry.Source(op>>5&1)
 				if op%8 == 7 {
-					in.Kind += telemetry.Kind(arg & 0x30) // 16 or more unless arg&0x30 is 0
+					in.Kind += telemetry.Kind(arg & 0x30)       // a kind no product tuple has
+					in.Source += telemetry.Source(arg >> 6 & 2) // a source no frame holds
 				}
 				p, _ = in.MarshalBinary()
 				if op%8 == 6 && arg%3 == 0 {

@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/obs"
 	"repro/internal/telemetry"
@@ -519,11 +520,12 @@ func fillTopic(tb testing.TB, b *Broker, topic string, n int, next func() []byte
 // TestTopicLogFootprint keeps the broker's memory proportional to what it
 // holds: an empty topic costs its bookkeeping, not a reserved retention
 // window, and a filled one about its bytes — telemetry tuples sealed to at
-// most 9.5 B each at full retention and 12.5 B each in a topic partly filled
-// with Delphi-shaped tuples, incompressible ones no worse off than raw. With
-// 16 KiB chunks the two tuple fills read 10.3 and 14.2 B: the two raw newest
-// chunks weigh four times as much. Each reading is the smallest of three
-// fresh fills, so that the runtime's own few KB of heap noise cannot fail it.
+// most 9.5 B each at full retention and 10 B each in a topic partly filled
+// with Delphi-shaped tuples, incompressible ones no worse off than raw. The
+// partial fill read 10.7 B while the chunk before the tail stayed raw until
+// the next one opened and each flip between measured and predicted cost a
+// meta run in the block frame. Each reading is the smallest of three fresh
+// fills, so that the runtime's own few KB of heap noise cannot fail it.
 func TestTopicLogFootprint(t *testing.T) {
 	b := NewBroker(0)
 	defer b.Close()
@@ -552,7 +554,7 @@ func TestTopicLogFootprint(t *testing.T) {
 		limit int64
 	}{
 		{"tuples", tuples, DefaultRetention, DefaultRetention * 19 / 2},
-		{"partial", delphiTuples, partialFill, partialFill * 25 / 2},
+		{"partial", delphiTuples, partialFill, partialFill * 10},
 		{"random", randomTuples, DefaultRetention, limit},
 	} {
 		got := int64(math.MaxInt64)
@@ -566,6 +568,16 @@ func TestTopicLogFootprint(t *testing.T) {
 		}
 	}
 	runtime.KeepAlive(b)
+}
+
+// TestSealedChunkSlot: a sealed chunk's slot in its topic's chunk list — the
+// per-chunk cost every retained frame pays beside its bytes — stays within
+// 40 B: the frame's slice and first ID, and a nil pointer where a raw chunk
+// keeps its offsets.
+func TestSealedChunkSlot(t *testing.T) {
+	if size := unsafe.Sizeof(chunk{}); size > 40 {
+		t.Errorf("a chunk slot is %d B, want <= 40", size)
+	}
 }
 
 // TestRangeSealedAllocs: a read of sealed history decodes every chunk it

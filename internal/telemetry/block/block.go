@@ -8,27 +8,36 @@
 //
 //	u32  magic "ABLK"
 //	u32  frame length in bytes (header through CRC)
-//	u8   version (1)
+//	u8   version (2)
 //	u8   tier (a byte the caller chooses, e.g. the archive's roll-up tier)
 //	u16  metric dictionary entries
 //	u32  record count
 //	[..] dictionary: { u16 len, bytes } per unique MetricID, first-use order
-//	u32  meta stream length    — run-length (dict idx, kind|source, run)
+//	u32  meta stream length    — run-length (dict idx, kind, run)
 //	[..] meta stream
+//	u32  source stream length  — one byte: 0 (all Measured), 1 (all
+//	[..] source stream           Predicted), or 2 then a bit a record, MSB first
 //	u32  timestamp stream len  — varint delta-of-delta
 //	[..] timestamp stream
 //	u32  value stream length   — Gorilla XOR bitstream
 //	[..] value stream
+//	[..] further streams, each { u32 len, bytes }, which this reader skips
 //	u32  crc32 (IEEE) of everything above
 //
 // Timestamps are delta-of-delta coded (zigzag varints: a fixed-interval
 // series costs one byte per record), values are XOR-compressed against the
-// previous value (an unchanged reading costs one bit), and the Info string
-// column (Metric) plus the two enum columns (Kind, Source) collapse into a
-// per-block dictionary with run-length coding. Monitoring telemetry — long
-// runs of one metric, slowly-moving values, a steady tick — compresses an
-// order of magnitude; the CRC and explicit frame length make a torn or
-// damaged block detectable and skippable.
+// previous value (an unchanged reading costs one bit), the Info string
+// column (Metric) collapses into a per-block dictionary whose index runs,
+// with Kind, are run-length coded, and Source, which Delphi's fill flips
+// every few records, costs one byte a frame when it never changes and one
+// bit a record when it does. Monitoring telemetry — long runs of one
+// metric, slowly-moving values, a steady tick — compresses an order of
+// magnitude; the CRC and explicit frame length make a torn or damaged block
+// detectable and skippable.
+//
+// Version 1 frames, which earlier builds wrote, differ only in that the meta
+// runs are keyed by (dict idx, kind<<4|source) and no source stream follows
+// them; Reader decodes both versions, Writer writes version 2.
 package block
 
 import (
@@ -44,7 +53,7 @@ import (
 
 const (
 	blkMagic   = 0x4B4C4241 // "ABLK"
-	blkVersion = 1
+	blkVersion = 2
 
 	// MaxRecords bounds one block so a decode allocates a bounded amount
 	// and a corrupt length field cannot balloon memory.
@@ -53,7 +62,7 @@ const (
 	// blkHeaderSize is the fixed prefix before the dictionary.
 	blkHeaderSize = 4 + 4 + 1 + 1 + 2 + 4
 	// blkMinFrame is the smallest structurally-possible frame: header, no
-	// dictionary entries, three empty streams, CRC.
+	// dictionary entries, three empty streams (a version 1 frame's), CRC.
 	blkMinFrame = blkHeaderSize + 3*4 + 4
 	// blkMaxFrame bounds a frame so a corrupt length cannot demand an
 	// absurd read; above any frame MaxRecords can produce, even with a
@@ -256,13 +265,15 @@ type Writer struct {
 	dict              []telemetry.MetricID
 	meta              []byte // the closed runs
 	runDict, runLen   int    // the open run
-	runKS             byte
+	runKind           telemetry.Kind
+	src               []byte // one bit per record, MSB first
+	predicted         int    // records whose Source is Predicted
 	ts                []byte
 	vals              xorEncoder
 }
 
 // Add appends one record. The caller keeps Len below MaxRecords, the metric
-// name below 64 KiB, and Kind and Source below 16.
+// name below 64 KiB, and Source Measured or Predicted.
 func (b *Writer) Add(in telemetry.Info) {
 	di := b.runDict
 	if b.n == 0 || b.dict[di] != in.Metric {
@@ -271,13 +282,19 @@ func (b *Writer) Add(in telemetry.Info) {
 			b.dict = append(b.dict, in.Metric)
 		}
 	}
-	ks := byte(in.Kind)<<4 | byte(in.Source)&0x0F
-	if b.runLen > 0 && (di != b.runDict || ks != b.runKS) {
-		b.meta = appendRun(b.meta, b.runDict, b.runKS, b.runLen)
+	if b.runLen > 0 && (di != b.runDict || in.Kind != b.runKind) {
+		b.meta = appendRun(b.meta, b.runDict, byte(b.runKind), b.runLen)
 		b.runLen = 0
 	}
-	b.runDict, b.runKS = di, ks
+	b.runDict, b.runKind = di, in.Kind
 	b.runLen++
+	if b.n%8 == 0 {
+		b.src = append(b.src, 0)
+	}
+	if in.Source != telemetry.Measured {
+		b.src[b.n/8] |= 0x80 >> (b.n % 8)
+		b.predicted++
+	}
 	if b.n == 0 {
 		b.firstTS = in.Timestamp
 		b.ts = binary.AppendVarint(b.ts, in.Timestamp) // the absolute first timestamp
@@ -297,11 +314,19 @@ func (b *Writer) Len() int { return b.n }
 // FirstTimestamp is the timestamp of the block's first record.
 func (b *Writer) FirstTimestamp() int64 { return b.firstTS }
 
-func appendRun(dst []byte, dict int, ks byte, n int) []byte {
+func appendRun(dst []byte, dict int, kind byte, n int) []byte {
 	dst = binary.AppendUvarint(dst, uint64(dict))
-	dst = append(dst, ks)
+	dst = append(dst, kind)
 	return binary.AppendUvarint(dst, uint64(n))
 }
+
+// The source stream's first byte: every record Measured, every record
+// Predicted, or one bit per record following.
+const (
+	srcMeasured  = 0
+	srcPredicted = 1
+	srcBits      = 2
+)
 
 func appendStream(dst, s []byte) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s)))
@@ -322,9 +347,18 @@ func (b *Writer) AppendFrame(dst []byte, tier uint8) []byte {
 		dst = append(dst, m...)
 	}
 	var run [2*binary.MaxVarintLen64 + 1]byte
-	last := appendRun(run[:0], b.runDict, b.runKS, b.runLen)
+	last := appendRun(run[:0], b.runDict, byte(b.runKind), b.runLen)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(b.meta)+len(last)))
 	dst = append(append(dst, b.meta...), last...)
+	tag, src := byte(srcBits), b.src
+	switch b.predicted {
+	case 0:
+		tag, src = srcMeasured, nil
+	case b.n:
+		tag, src = srcPredicted, nil
+	}
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(1+len(src)))
+	dst = append(append(dst, tag), src...)
 	dst = b.vals.w.appendStream(appendStream(dst, b.ts))
 	binary.LittleEndian.PutUint32(dst[start+4:], uint32(len(dst)-start+4))
 	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
@@ -332,7 +366,7 @@ func (b *Writer) AppendFrame(dst []byte, tier uint8) []byte {
 
 // Reset empties the block, keeping its columns' capacity.
 func (b *Writer) Reset() {
-	*b = Writer{dict: b.dict[:0], meta: b.meta[:0], ts: b.ts[:0], vals: xorEncoder{w: bitWriter{buf: b.vals.w.buf[:0]}}}
+	*b = Writer{dict: b.dict[:0], meta: b.meta[:0], src: b.src[:0], ts: b.ts[:0], vals: xorEncoder{w: bitWriter{buf: b.vals.w.buf[:0]}}}
 }
 
 // Reader decodes the records of one frame, one at a time, so a reader
@@ -341,8 +375,10 @@ func (b *Writer) Reset() {
 // blocks of one series names it once.
 type Reader struct {
 	i, records int // records decoded, in the frame
+	v1         bool
 	dict       []telemetry.MetricID
 	meta, ts   []byte
+	src        []byte // one bit per record, or nil: every record has in.Source
 	vals       xorDecoder
 	run        uint64 // records left in the current meta run
 	prevDelta  int64
@@ -371,7 +407,8 @@ func (r *Reader) Open(b []byte) (int, error) {
 	if crc32.ChecksumIEEE(frame[:frameLen-4]) != want {
 		return 0, ErrCorrupt
 	}
-	if frame[8] != blkVersion {
+	v1 := frame[8] == 1
+	if !v1 && frame[8] != blkVersion {
 		return 0, ErrCorrupt
 	}
 	dictN := int(binary.LittleEndian.Uint16(frame[10:]))
@@ -396,8 +433,14 @@ func (r *Reader) Open(b []byte) (int, error) {
 		}
 		p += ml
 	}
-	var streams [3][]byte
-	for i := range streams {
+	// The streams: meta, source (none in version 1, whose meta runs carry
+	// the sources), timestamps, values; then, in version 2, any streams a
+	// later revision adds, which are bounds-checked and skipped.
+	var streams [4][]byte
+	for i := 0; i < len(streams) || !v1 && p < frameLen-4; i++ {
+		if v1 && i == 1 {
+			continue
+		}
 		if p+4 > frameLen-4 {
 			return 0, ErrCorrupt
 		}
@@ -406,15 +449,30 @@ func (r *Reader) Open(b []byte) (int, error) {
 		if n < 0 || p+n > frameLen-4 {
 			return 0, ErrCorrupt
 		}
-		streams[i] = frame[p : p+n]
+		if i < len(streams) {
+			streams[i] = frame[p : p+n]
+		}
 		p += n
 	}
 	if p != frameLen-4 {
 		return 0, ErrCorrupt
 	}
-	*r = Reader{records: records, dict: dict, meta: streams[0], ts: streams[1], vals: xorDecoder{r: bitReader{buf: streams[2]}}}
+	*r = Reader{records: records, v1: v1, dict: dict, meta: streams[0], ts: streams[2], vals: xorDecoder{r: bitReader{buf: streams[3]}}}
+	switch src := streams[1]; {
+	case v1:
+	case len(src) == 1 && src[0] <= srcPredicted:
+		r.in.Source = telemetry.Source(src[0])
+	case len(src) == 1+(records+7)/8 && src[0] == srcBits:
+		r.src = src[1:]
+	default:
+		return 0, ErrCorrupt
+	}
 	return frameLen, nil
 }
+
+// Records is the record count in the header of frame, which the caller
+// rendered or has opened.
+func Records(frame []byte) int { return int(binary.LittleEndian.Uint32(frame[12:])) }
 
 // Next decodes the frame's next record, which Info then returns. It reports
 // false at the end of the frame, and at a record that does not decode, after
@@ -440,13 +498,19 @@ func (r *Reader) next() error {
 		if n <= 0 || di >= uint64(len(r.dict)) || n >= len(r.meta) {
 			return ErrCorrupt
 		}
-		ks := r.meta[n]
+		kind := r.meta[n]
 		run, m := binary.Uvarint(r.meta[n+1:])
 		if m <= 0 || run == 0 || run > uint64(r.records-r.i) {
 			return ErrCorrupt
 		}
 		r.meta, r.run = r.meta[n+1+m:], run
-		r.in.Metric, r.in.Kind, r.in.Source = r.dict[di], telemetry.Kind(ks>>4), telemetry.Source(ks&0x0F)
+		r.in.Metric, r.in.Kind = r.dict[di], telemetry.Kind(kind)
+		if r.v1 {
+			r.in.Kind, r.in.Source = telemetry.Kind(kind>>4), telemetry.Source(kind&0x0F)
+		}
+	}
+	if r.src != nil {
+		r.in.Source = telemetry.Source(r.src[r.i/8] >> (7 - r.i%8) & 1)
 	}
 	dod, n := binary.Varint(r.ts)
 	if n <= 0 {

@@ -3,9 +3,13 @@ package block
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"hash/crc32"
 	"math"
 	"math/bits"
 	"math/rand"
+	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/telemetry"
@@ -54,8 +58,10 @@ func blockTier(b []byte) uint8 { return b[9] }
 // FuzzBlockDecode throws arbitrary bytes at the compressed block decoder:
 // it must never panic, never accept a frame it cannot canonically re-encode,
 // and never report an out-of-bounds consumed length. Accepted blocks must
-// round-trip bit-exactly through the encoder (canonical form), and the
-// resync scanner must likewise survive any input.
+// round-trip bit-exactly through the encoder (canonical form), which writes
+// version 2 — except a version 1 frame holding a Source version 2 has no bit
+// for — and the resync scanner must likewise survive any input. Its seeds
+// are frames of both versions and damaged copies of them.
 func FuzzBlockDecode(f *testing.F) {
 	corpus := []telemetry.Info{
 		telemetry.NewFact("fuzz.metric", 1_000, 1.0),
@@ -72,7 +78,12 @@ func FuzzBlockDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(append(append([]byte{}, valid...), valid...)) // two frames back to back
 
+	if v1, err := os.ReadFile("testdata/v1/frame.blk"); err == nil {
+		f.Add(v1)
+	}
+
 	f.Fuzz(func(t *testing.T, data []byte) {
+		defer Resync(data) // must not panic either
 		infos, n, err := decodeBlock(data)
 		if err == nil {
 			if n < blkMinFrame || n > len(data) {
@@ -80,6 +91,14 @@ func FuzzBlockDecode(f *testing.F) {
 			}
 			if len(infos) == 0 || len(infos) > MaxRecords {
 				t.Fatalf("decodeBlock returned %d records", len(infos))
+			}
+			for _, in := range infos {
+				if in.Source > telemetry.Predicted {
+					if data[8] != 1 {
+						t.Fatalf("a version %d frame decoded source %d", data[8], in.Source)
+					}
+					return // a version 1 frame holds sources a version 2 one cannot
+				}
 			}
 			re := encodeBlock(nil, blockTier(data), infos)
 			back, m, err := decodeBlock(re)
@@ -95,7 +114,6 @@ func FuzzBlockDecode(f *testing.F) {
 				}
 			}
 		}
-		Resync(data) // must not panic either
 	})
 }
 
@@ -303,4 +321,153 @@ func FuzzWriterMatchesReference(f *testing.F) {
 		}
 		checkMatchesReference(t, infos, func(i int) bool { return i%every == every-1 })
 	})
+}
+
+// infoLine renders a tuple as the lines of testdata/v1/frame.txt do, its
+// value as a bit pattern.
+func infoLine(in telemetry.Info) string {
+	return fmt.Sprintf("%s %d %d %d %016x", in.Metric, in.Timestamp, in.Kind, in.Source, math.Float64bits(in.Value))
+}
+
+// TestDecodesVersion1: testdata/v1/frame.blk is a version 1 frame an earlier
+// build wrote — 300 tuples in runs of two metrics and both kinds, sources in
+// Delphi's one-measured-three-predicted pattern, ±Inf, −0 and MaxFloat64
+// among the values — and frame.txt the records that build decoded from it.
+// The frame decodes to them record for record, and its records re-encode as
+// a smaller version 2 frame that decodes to them too.
+func TestDecodesVersion1(t *testing.T) {
+	frame, err := os.ReadFile("testdata/v1/frame.blk")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/v1/frame.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if frame[8] != 1 {
+		t.Fatalf("testdata frame is version %d, want 1", frame[8])
+	}
+	infos, n, err := decodeBlock(frame)
+	if err != nil || n != len(frame) {
+		t.Fatalf("decode = %d of %d bytes, %v", n, len(frame), err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(want), "\n"), "\n")
+	if len(infos) != len(lines) || Records(frame) != len(lines) {
+		t.Fatalf("decoded %d records, header says %d, want %d", len(infos), Records(frame), len(lines))
+	}
+	for i, in := range infos {
+		if got := infoLine(in); got != lines[i] {
+			t.Fatalf("record %d decodes to %q, want %q", i, got, lines[i])
+		}
+	}
+	v2 := encodeBlock(nil, 0, infos)
+	back, _, err := decodeBlock(v2)
+	if err != nil || len(back) != len(infos) {
+		t.Fatalf("version 2 re-encode decodes to %d records, %v", len(back), err)
+	}
+	for i := range back {
+		if !sameInfo(back[i], infos[i]) {
+			t.Fatalf("record %d: version 2 round trip %v, want %v", i, back[i], infos[i])
+		}
+	}
+	if v2[8] != blkVersion || len(v2) >= len(frame) {
+		t.Fatalf("re-encoded as version %d in %d bytes; want version %d below the version 1 frame's %d", v2[8], len(v2), blkVersion, len(frame))
+	}
+}
+
+// sourceStreamLen is the length prefix of a version 2 frame's source stream,
+// read by walking the header, the dictionary and the meta stream.
+func sourceStreamLen(frame []byte) int {
+	p := blkHeaderSize
+	for range binary.LittleEndian.Uint16(frame[10:]) {
+		p += 2 + int(binary.LittleEndian.Uint16(frame[p:]))
+	}
+	p += 4 + int(binary.LittleEndian.Uint32(frame[p:]))
+	return int(binary.LittleEndian.Uint32(frame[p:]))
+}
+
+// TestSourceColumnRoundTrip: frames of random lengths whose sources follow a
+// random pattern — all measured, all predicted, Delphi's fill, runs, single
+// flips, coin flips — decode to the records added, with every other column
+// mixed in, and the source column costs one byte when the sources are all
+// equal and one byte plus one bit a record otherwise.
+func TestSourceColumnRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	patterns := map[string]func(i, n int) bool{
+		"measured":  func(int, int) bool { return false },
+		"predicted": func(int, int) bool { return true },
+		"delphi":    func(i, _ int) bool { return i%4 != 0 },
+		"runs":      func(i, _ int) bool { return i/9%2 == 1 },
+		"first":     func(i, _ int) bool { return i == 0 },
+		"last":      func(i, n int) bool { return i == n-1 },
+		"coin":      func(int, int) bool { return rng.Intn(2) == 0 },
+	}
+	for name, predicted := range patterns {
+		for _, n := range []int{1, 2, 7, 8, 9, 64, 100, 1 + rng.Intn(MaxRecords), MaxRecords} {
+			infos := make([]telemetry.Info, n)
+			in := telemetry.NewFact("a", 1_700_000_000_000_000_000, 1000)
+			measured := 0
+			for i := range infos {
+				in.Timestamp += int64(rng.Intn(3)) * 5_000_000
+				in.Value += rng.NormFloat64()
+				if rng.Intn(16) == 0 {
+					in.Metric = []telemetry.MetricID{"a", "b", "c"}[rng.Intn(3)]
+					in.Kind = telemetry.Kind(rng.Intn(256))
+				}
+				in.Source = telemetry.Measured
+				if predicted(i, n) {
+					in.Source = telemetry.Predicted
+				} else {
+					measured++
+				}
+				infos[i] = in
+			}
+			frame := encodeBlock(nil, 3, infos)
+			back, m, err := decodeBlock(frame)
+			if err != nil || m != len(frame) || len(back) != n {
+				t.Fatalf("%s, %d records: decode = %d records of %d bytes, %v", name, n, len(back), m, err)
+			}
+			for i := range back {
+				if !sameInfo(back[i], infos[i]) {
+					t.Fatalf("%s, %d records: record %d decodes to %v, want %v", name, n, i, back[i], infos[i])
+				}
+			}
+			want := 1
+			if measured != 0 && measured != n {
+				want += (n + 7) / 8
+			}
+			if got := sourceStreamLen(frame); got != want {
+				t.Errorf("%s, %d records (%d measured): source column of %d bytes, want %d", name, n, measured, got, want)
+			}
+		}
+	}
+}
+
+// TestSkipsLaterStreams: a version 2 frame may carry streams after the value
+// stream (DESIGN §4i: where roll-up columns go); a reader that does not know
+// them checks their bounds and decodes the records as if they were absent.
+func TestSkipsLaterStreams(t *testing.T) {
+	infos := series()[:100]
+	frame := encodeBlock(nil, 1, infos)
+	body := frame[:len(frame)-4]
+	body = binary.LittleEndian.AppendUint32(append([]byte(nil), body...), 3)
+	body = append(body, 1, 2, 3)
+	body = binary.LittleEndian.AppendUint32(body, 0)
+	binary.LittleEndian.PutUint32(body[4:], uint32(len(body)+4))
+	ext := binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
+	back, n, err := decodeBlock(ext)
+	if err != nil || n != len(ext) || len(back) != len(infos) {
+		t.Fatalf("decode = %d records of %d bytes, %v", len(back), n, err)
+	}
+	for i := range back {
+		if !sameInfo(back[i], infos[i]) {
+			t.Fatalf("record %d decodes to %v, want %v", i, back[i], infos[i])
+		}
+	}
+	// A stream whose length runs past the CRC is refused.
+	binary.LittleEndian.PutUint32(body[len(body)-4:], 1)
+	bad := binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
+	if _, _, err := decodeBlock(bad); err == nil {
+		t.Fatal("a stream running into the CRC decoded")
+	}
 }
